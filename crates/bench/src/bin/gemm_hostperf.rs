@@ -11,19 +11,13 @@
 //!   in bench time (the paper's shapes are GPU-scale);
 //! * **allocs/call** over the timed steady-state calls, counted by a
 //!   `#[global_allocator]` wrapper — the workspace pool's contract is
-//!   that this is exactly zero;
-//! * **host-side prep throughput** at the *full* `k = 64³` acceptance
-//!   shape `(128, 896, 262144)`: the pre-workspace prep path (fresh
-//!   allocations, materialise-always, serial quantise/split) re-created
-//!   here in the bench, timed against the pooled prep path the library
-//!   now runs, giving an honest `speedup_vs_legacy` for the host-side
-//!   work without timing the (unchanged) FP32 kernel.
+//!   that this is exactly zero.
 //!
 //! Every `calls[]` row also carries the **modelled device time** for the
 //! full Table VII shape on the `xe-gpu` stack model, plus the modelled
 //! speedup over FP32 — the quantities behind Tables VI/VII.
 //!
-//! Usage: `gemm_hostperf [--k-scale N] [--prep-k N] [--reps N]
+//! Usage: `gemm_hostperf [--k-scale N] [--reps N]
 //! [--warmup N] [--out PATH] [--enforce-zero-alloc]
 //! [--max-bf16x2-ratio F] [--max-bf16x3-ratio F]`
 //!
@@ -52,7 +46,7 @@
 //! within `--tolerance-pct` (default 5%). Exits non-zero on
 //! disagreement, so CI can gate on trace attribution staying honest.
 
-use dcmesh_numerics::{bf16, c32, split, tf32, C32};
+use dcmesh_numerics::{c32, C32};
 use dcmesh_profile::{ingest, table};
 use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::workspace;
@@ -96,7 +90,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const TABLE7_K: usize = 262_144;
 const TABLE7_SHAPES: [(usize, usize); 4] = [(128, 128), (128, 896), (128, 1920), (128, 3968)];
 /// The acceptance-criterion shape (N_orb = 1024 row of Table VII).
-const PREP_SHAPE: (usize, usize) = (128, 896);
+const ACCEPTANCE_SHAPE: (usize, usize) = (128, 896);
 
 const SGEMM_MODES: [ComputeMode; 5] = [
     ComputeMode::Standard,
@@ -108,7 +102,6 @@ const SGEMM_MODES: [ComputeMode; 5] = [
 
 struct Options {
     k_scale: usize,
-    prep_k: usize,
     reps: usize,
     warmup: usize,
     out: String,
@@ -122,7 +115,6 @@ struct Options {
 fn parse_args() -> Options {
     let mut o = Options {
         k_scale: 64,
-        prep_k: TABLE7_K,
         reps: 2,
         warmup: 2,
         out: "BENCH_gemm.json".to_string(),
@@ -142,7 +134,6 @@ fn parse_args() -> Options {
         };
         match flag.as_str() {
             "--k-scale" => o.k_scale = num(&mut args).max(1),
-            "--prep-k" => o.prep_k = num(&mut args).max(1),
             "--reps" => o.reps = num(&mut args).max(1),
             "--warmup" => o.warmup = num(&mut args),
             "--out" => {
@@ -296,107 +287,6 @@ fn measure(warmup: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
     (elapsed.as_nanos() as f64 / reps as f64, allocs as f64 / reps as f64)
 }
 
-/// The **pre-workspace** host-side prep for one `sgemm` call: always
-/// materialise op(A)/op(B) into fresh `Vec`s, allocate fresh rounded
-/// copies / split planes, allocate the product accumulator. This is the
-/// code shape the library ran before the pool existed; it lives here so
-/// `speedup_vs_legacy` is measured, not remembered.
-fn legacy_prep(mode: ComputeMode, a: &[f32], b: &[f32], m: usize, n: usize, k: usize) {
-    // Materialise op(A) (Op::None: straight row copy — ld == cols here,
-    // but the legacy path copied regardless).
-    let mut am = Vec::with_capacity(m * k);
-    am.extend_from_slice(a);
-    let mut bm = Vec::with_capacity(k * n);
-    bm.extend_from_slice(b);
-    match mode {
-        ComputeMode::Standard | ComputeMode::Complex3m => {}
-        ComputeMode::FloatToTf32 => {
-            let mut ar = vec![0.0f32; am.len()];
-            let mut br = vec![0.0f32; bm.len()];
-            tf32::quantize_slice(&am, &mut ar);
-            tf32::quantize_slice(&bm, &mut br);
-            black_box((&ar[0], &br[0]));
-        }
-        ComputeMode::FloatToBf16 => {
-            let mut ar = vec![0.0f32; am.len()];
-            let mut br = vec![0.0f32; bm.len()];
-            bf16::quantize_slice(&am, &mut ar);
-            bf16::quantize_slice(&bm, &mut br);
-            black_box((&ar[0], &br[0]));
-        }
-        ComputeMode::FloatToBf16x2 | ComputeMode::FloatToBf16x3 => {
-            let depth = mode.split_depth().expect("split mode");
-            let mut ap: Vec<Vec<f32>> = (0..depth).map(|_| vec![0.0f32; am.len()]).collect();
-            let mut bp: Vec<Vec<f32>> = (0..depth).map(|_| vec![0.0f32; bm.len()]).collect();
-            {
-                let mut views: Vec<&mut [f32]> = ap.iter_mut().map(|p| &mut p[..]).collect();
-                split::split_slice(&am, &mut views);
-            }
-            {
-                let mut views: Vec<&mut [f32]> = bp.iter_mut().map(|p| &mut p[..]).collect();
-                split::split_slice(&bm, &mut views);
-            }
-            black_box((&ap[0][0], &bp[0][0]));
-        }
-    }
-    let acc = vec![0.0f32; m * n];
-    black_box((&am[0], &bm[0], &acc[0]));
-}
-
-/// The **current** host-side prep: zero-copy operand views (dense,
-/// `Op::None`), pooled scratch, chunked `round_slice_into` /
-/// `split_slice_into` — exactly what `real_gemm_impl` + `matmul_acc_lowp`
-/// do before the kernel runs.
-fn pooled_prep(mode: ComputeMode, a: &[f32], b: &[f32], m: usize, n: usize, _k: usize) {
-    match mode {
-        ComputeMode::Standard | ComputeMode::Complex3m => {}
-        ComputeMode::FloatToTf32 => {
-            let mut ar = workspace::take_scratch::<f32>(a.len());
-            let mut br = workspace::take_scratch::<f32>(b.len());
-            tf32::round_slice_into(a, &mut ar);
-            tf32::round_slice_into(b, &mut br);
-            black_box((&ar[0], &br[0]));
-        }
-        ComputeMode::FloatToBf16 => {
-            let mut ar = workspace::take_scratch::<f32>(a.len());
-            let mut br = workspace::take_scratch::<f32>(b.len());
-            bf16::round_slice_into(a, &mut ar);
-            bf16::round_slice_into(b, &mut br);
-            black_box((&ar[0], &br[0]));
-        }
-        ComputeMode::FloatToBf16x2 | ComputeMode::FloatToBf16x3 => {
-            // Fixed-size plane arrays, mirroring the library's split path:
-            // no container `Vec`s, and the unused third plane is a
-            // zero-length take that never touches the pool.
-            let depth = mode.split_depth().expect("split mode");
-            let len = |d: usize, l: usize| if depth > d { l } else { 0 };
-            let mut ap = [
-                workspace::take_scratch::<f32>(len(0, a.len())),
-                workspace::take_scratch::<f32>(len(1, a.len())),
-                workspace::take_scratch::<f32>(len(2, a.len())),
-            ];
-            let mut bp = [
-                workspace::take_scratch::<f32>(len(0, b.len())),
-                workspace::take_scratch::<f32>(len(1, b.len())),
-                workspace::take_scratch::<f32>(len(2, b.len())),
-            ];
-            {
-                let [p0, p1, p2] = &mut ap;
-                let mut views: [&mut [f32]; 3] = [&mut p0[..], &mut p1[..], &mut p2[..]];
-                split::split_slice_into(a, &mut views[..depth]);
-            }
-            {
-                let [p0, p1, p2] = &mut bp;
-                let mut views: [&mut [f32]; 3] = [&mut p0[..], &mut p1[..], &mut p2[..]];
-                split::split_slice_into(b, &mut views[..depth]);
-            }
-            black_box((&ap[0][0], &bp[0][0]));
-        }
-    }
-    let acc = workspace::take_zeroed::<f32>(m * n);
-    black_box(&acc[0]);
-}
-
 fn json_f64(v: f64) -> String {
     if v.is_finite() { format!("{v:.1}") } else { "null".to_string() }
 }
@@ -429,7 +319,6 @@ fn main() {
     let model = xe_gpu::XeStackModel::new(xe_gpu::MAX_1550_STACK);
     let mut rng = StdRng::seed_from_u64(0xbea7);
     let mut entries: Vec<Entry> = Vec::new();
-    let mut prep_lines: Vec<String> = Vec::new();
     let mut dirty_modes: Vec<String> = Vec::new();
 
     // --- end-to-end sweep: sgemm over Table VII shapes × real modes ---
@@ -483,7 +372,7 @@ fn main() {
     // cgemm COMPLEX_3M at the acceptance shape, so the complex pooled path
     // (separated real planes + 3M temporaries) is in the baseline too.
     {
-        let (m, n) = PREP_SHAPE;
+        let (m, n) = ACCEPTANCE_SHAPE;
         let ac: Vec<C32> =
             (0..m * k_meas).map(|_| c32(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
         let bc: Vec<C32> =
@@ -534,39 +423,6 @@ fn main() {
                     .gemm_speedup_vs_fp32(Domain::Complex32, m, n, TABLE7_K, mode),
             });
         }
-    }
-
-    // --- host-side prep: legacy vs pooled at the full acceptance shape ---
-    let (pm, pn) = PREP_SHAPE;
-    let pk = o.prep_k;
-    let pa: Vec<f32> = (0..pm * pk).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let pb: Vec<f32> = (0..pk * pn).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    for mode in SGEMM_MODES {
-        let (legacy_ns, _) =
-            measure(1, o.reps, || legacy_prep(mode, &pa, &pb, pm, pn, pk));
-        let (pooled_ns, pooled_allocs) =
-            measure(o.warmup.max(2), o.reps, || pooled_prep(mode, &pa, &pb, pm, pn, pk));
-        let speedup = legacy_ns / pooled_ns.max(1.0);
-        eprintln!(
-            "prep  {:>16} ({pm}, {pn}, {pk}): legacy {:>12.0} ns, pooled {:>12.0} ns, {:.2}x, \
-             {pooled_allocs} allocs/call",
-            mode_label(mode),
-            legacy_ns,
-            pooled_ns,
-            speedup
-        );
-        if pooled_allocs > 0.0 {
-            dirty_modes.push(format!("PREP/{} ({pm},{pn},{pk})", mode_label(mode)));
-        }
-        prep_lines.push(format!(
-            "    {{\"mode\": \"{}\", \"m\": {pm}, \"n\": {pn}, \"k\": {pk}, \
-             \"legacy_ns_per_call\": {}, \"pooled_ns_per_call\": {}, \
-             \"speedup_vs_legacy\": {:.2}, \"pooled_allocs_per_call\": {pooled_allocs}}}",
-            mode_label(mode),
-            json_f64(legacy_ns),
-            json_f64(pooled_ns),
-            speedup
-        ));
     }
 
     // --- workspace-pool traffic, through the telemetry registry ---
@@ -632,9 +488,6 @@ fn main() {
         })
         .collect();
     json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str("  \"host_prep\": [\n");
-    json.push_str(&prep_lines.join(",\n"));
     json.push_str("\n  ],\n");
 
     // --- dated history: carry prior runs' summary rows forward ---

@@ -21,16 +21,20 @@
 //! the supervisor's `verify_bursts` bit-compare, not of this check (see
 //! DESIGN.md, "coverage boundaries").
 //!
-//! Checks are sampled 1-in-N by the process-wide GEMM call counter
-//! (shared with [`crate::fault`], so fault-plan triggers and check
-//! indices line up in tests). Verification runs *after* fault injection
-//! so an injected flip lands between the product and its checksum.
+//! The sampler, its counters and the pending violation belong to the
+//! calling thread's [`crate::context`]. Checks are sampled 1-in-N by the
+//! thread's GEMM call counter (shared with [`crate::fault`], so
+//! fault-plan triggers and check indices line up in tests). Verification
+//! runs *after* fault injection so an injected flip lands between the
+//! product and its checksum.
 
+use crate::context;
+use crate::device::GemmDesc;
+use crate::gemm::GemmArgs;
 use crate::layout::Op;
 use crate::mode::ComputeMode;
 use dcmesh_numerics::{Complex, C64};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use dcmesh_telemetry::{self as telemetry, Attr, AttrValue};
 
 /// Safety factor on the rounding bound. Generous on purpose: a missed
 /// small-mantissa flip costs one extra `verify_bursts` replay, a false
@@ -42,7 +46,7 @@ const SAFETY: f64 = 64.0;
 pub struct AbftViolation {
     /// Routine whose output failed the check (`"SGEMM"`, ...).
     pub routine: &'static str,
-    /// Absolute GEMM call index (process-wide counter).
+    /// Absolute GEMM call index (the calling thread's counter).
     pub call: u64,
     /// Output row with the worst checksum defect.
     pub row: usize,
@@ -76,67 +80,45 @@ impl core::fmt::Display for AbftViolation {
     }
 }
 
-struct AbftInstalled {
-    period: u64,
-    base_call: u64,
-}
-
-static INSTALLED: Mutex<Option<AbftInstalled>> = Mutex::new(None);
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static CHECKS: AtomicU64 = AtomicU64::new(0);
-static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
-static PENDING: Mutex<Option<AbftViolation>> = Mutex::new(None);
-static PENDING_FLAG: AtomicBool = AtomicBool::new(false);
-
-/// Enables checksum verification of every `period`-th GEMM call
-/// (counted from now; `1` checks every call). Replaces any previous
-/// installation and drops a pending violation.
+/// Enables checksum verification of every `period`-th GEMM call the
+/// calling thread makes (counted from now; `1` checks every call).
+/// Replaces any previous installation and drops a pending violation.
 pub fn install_abft(period: u64) {
     assert!(period > 0, "ABFT period must be non-zero");
-    let mut guard = INSTALLED.lock();
-    *guard = Some(AbftInstalled {
-        period,
-        base_call: crate::fault::gemm_call_count(),
+    context::with(|cx| {
+        cx.abft = Some((period, cx.gemm_calls));
+        cx.abft_pending = None;
     });
-    ACTIVE.store(true, Ordering::Relaxed);
-    *PENDING.lock() = None;
-    PENDING_FLAG.store(false, Ordering::Relaxed);
 }
 
-/// Disables checksum verification.
+/// Disables checksum verification and drops a pending violation.
 pub fn clear_abft() {
-    let mut guard = INSTALLED.lock();
-    *guard = None;
-    ACTIVE.store(false, Ordering::Relaxed);
-    *PENDING.lock() = None;
-    PENDING_FLAG.store(false, Ordering::Relaxed);
+    context::with(|cx| {
+        cx.abft = None;
+        cx.abft_pending = None;
+    });
 }
 
 /// True while verification is installed.
 pub fn abft_installed() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    context::with(|cx| cx.abft.is_some())
 }
 
-/// Total checksum verifications performed by this process.
+/// Total checksum verifications performed on this thread.
 pub fn abft_check_count() -> u64 {
-    CHECKS.load(Ordering::Relaxed)
+    context::with(|cx| cx.abft_checks)
 }
 
-/// Total violations detected by this process.
+/// Total violations detected on this thread.
 pub fn abft_violation_count() -> u64 {
-    VIOLATIONS.load(Ordering::Relaxed)
+    context::with(|cx| cx.abft_violations)
 }
 
 /// Takes the pending violation, if any. The first violation after the
 /// last take is kept; later ones only bump the counter (the supervisor
 /// rolls back past all of them anyway).
 pub fn take_abft_violation() -> Option<AbftViolation> {
-    if !PENDING_FLAG.load(Ordering::Relaxed) {
-        return None;
-    }
-    let mut guard = PENDING.lock();
-    PENDING_FLAG.store(false, Ordering::Relaxed);
-    guard.take()
+    context::with(|cx| cx.abft_pending.take())
 }
 
 /// Element types the checksum accumulates: everything is promoted to a
@@ -184,14 +166,12 @@ impl<T: AbftElem> AbftElem for Complex<T> {
 /// recorded wavefunction, long after call context is gone.
 pub(crate) fn probe_nonfinite<T: AbftElem>(
     routine: &'static str,
+    desc: &GemmDesc,
     c: &[T],
-    m: usize,
-    n: usize,
-    k: usize,
     ldc: usize,
-    mode: ComputeMode,
 ) {
-    if !dcmesh_telemetry::events_enabled() || m == 0 || n == 0 {
+    let GemmDesc { m, n, k, mode, .. } = *desc;
+    if !telemetry::events_enabled() || m == 0 || n == 0 {
         return;
     }
     if c.len() < (m - 1) * ldc + n {
@@ -204,27 +184,20 @@ pub(crate) fn probe_nonfinite<T: AbftElem>(
         })
     });
     if hit {
-        let cs = dcmesh_telemetry::callsite_for(routine);
+        let cs = telemetry::callsite_for(routine);
         let mode_str = mode.env_value().unwrap_or("STANDARD");
-        dcmesh_telemetry::ledger::record_nonfinite_output(cs, m, n, k, mode_str);
-        dcmesh_telemetry::instant(
-            "nonfinite_output",
-            vec![
-                dcmesh_telemetry::Attr {
-                    key: "routine",
-                    value: dcmesh_telemetry::AttrValue::Str(routine),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "callsite",
-                    value: dcmesh_telemetry::AttrValue::Str(cs),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "mode",
-                    value: dcmesh_telemetry::AttrValue::Str(mode_str),
-                },
-            ],
-        );
+        telemetry::ledger::record_nonfinite_output(cs, m, n, k, mode_str);
+        telemetry::instant("nonfinite_output", site_attrs(routine, cs, mode_str));
     }
+}
+
+/// The attributes that tie an instant event to the call that raised it.
+fn site_attrs(routine: &'static str, callsite: &'static str, mode_str: &'static str) -> Vec<Attr> {
+    vec![
+        Attr { key: "routine", value: AttrValue::Str(routine) },
+        Attr { key: "callsite", value: AttrValue::Str(callsite) },
+        Attr { key: "mode", value: AttrValue::Str(mode_str) },
+    ]
 }
 
 /// Unit roundoff of the product under `mode`, never smaller than the
@@ -258,32 +231,21 @@ pub(crate) struct PreSums {
     mags: Vec<f64>,
 }
 
-/// Decides whether this GEMM call is sampled and, if so, captures the
-/// β-scaled row sums of C before the product. Must run before the
-/// product is computed.
-pub(crate) fn pre_gemm<T: AbftElem>(
+/// Captures the β-scaled row sums of C for sampled call `call`. Must run
+/// before the product is computed. `None` (no check) for an empty output
+/// or storage too short for it.
+pub(crate) fn pre_sums<T: AbftElem>(
+    call: u64,
     beta: T,
     c: &[T],
     m: usize,
     n: usize,
     ldc: usize,
 ) -> Option<PreSums> {
-    if !ACTIVE.load(Ordering::Relaxed) || m == 0 || n == 0 {
-        return None;
-    }
-    {
-        let guard = INSTALLED.lock();
-        let installed = guard.as_ref()?;
-        let rel = crate::fault::gemm_call_count().saturating_sub(installed.base_call);
-        if !rel.is_multiple_of(installed.period) {
-            return None;
-        }
-    }
     // Let the GEMM's own shape validation report malformed storage.
-    if c.len() < (m - 1) * ldc + n {
+    if m == 0 || n == 0 || c.len() < (m - 1) * ldc + n {
         return None;
     }
-    let call = crate::fault::gemm_call_count();
     let beta_acc = beta.acc();
     let mut sums = vec![C64::zero(); m];
     let mut mags = vec![0.0f64; m];
@@ -307,25 +269,14 @@ pub(crate) fn pre_gemm<T: AbftElem>(
 /// Verifies the sampled call's output against the input checksums. Runs
 /// after the product *and* after fault injection, so injected flips are
 /// inside the checked window.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn check_gemm<T: AbftElem>(
     routine: &'static str,
     pre: PreSums,
-    transa: Op,
-    transb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
+    g: &GemmArgs<'_, T>,
     c: &[T],
-    ldc: usize,
     mode: ComputeMode,
 ) {
-    CHECKS.fetch_add(1, Ordering::Relaxed);
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, ldc, .. } = *g;
     let alpha_acc = alpha.acc();
     let alpha_abs = alpha_acc.abs();
 
@@ -404,62 +355,35 @@ pub(crate) fn check_gemm<T: AbftElem>(
         }
     }
 
-    if dcmesh_telemetry::events_enabled() {
-        let cs = dcmesh_telemetry::callsite_for(routine);
-        let mode_str = mode.env_value().unwrap_or("STANDARD");
+    let mode_str = mode.env_value().unwrap_or("STANDARD");
+    if telemetry::events_enabled() {
+        let cs = telemetry::callsite_for(routine);
         let final_ratio = if ratio_nan { f64::NAN } else { max_ratio };
         if worst.is_some() {
-            dcmesh_telemetry::ledger::record_abft_violation(cs, m, n, k, mode_str, final_ratio);
+            telemetry::ledger::record_abft_violation(cs, m, n, k, mode_str, final_ratio);
         } else {
-            dcmesh_telemetry::ledger::record_abft_check(cs, m, n, k, mode_str, final_ratio);
+            telemetry::ledger::record_abft_check(cs, m, n, k, mode_str, final_ratio);
         }
     }
-
-    if let Some(v) = worst {
-        VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-        dcmesh_telemetry::instant(
-            "abft_violation",
-            vec![
-                dcmesh_telemetry::Attr {
-                    key: "routine",
-                    value: dcmesh_telemetry::AttrValue::Str(v.routine),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "callsite",
-                    value: dcmesh_telemetry::AttrValue::Str(dcmesh_telemetry::callsite_for(
-                        v.routine,
-                    )),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "mode",
-                    value: dcmesh_telemetry::AttrValue::Str(
-                        v.mode.env_value().unwrap_or("STANDARD"),
-                    ),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "call",
-                    value: dcmesh_telemetry::AttrValue::U64(v.call),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "detail",
-                    value: dcmesh_telemetry::AttrValue::Text(v.to_string()),
-                },
-            ],
-        );
-        let mut guard = PENDING.lock();
-        if guard.is_none() {
-            *guard = Some(v);
-            PENDING_FLAG.store(true, Ordering::Relaxed);
-        }
+    if let Some(v) = &worst {
+        let mut attrs = site_attrs(routine, telemetry::callsite_for(routine), mode_str);
+        attrs.push(Attr { key: "call", value: AttrValue::U64(v.call) });
+        attrs.push(Attr { key: "detail", value: AttrValue::Text(v.to_string()) });
+        telemetry::instant("abft_violation", attrs);
     }
+    context::with(|cx| {
+        cx.abft_checks += 1;
+        if let Some(v) = worst {
+            cx.abft_violations += 1;
+            cx.abft_pending.get_or_insert(v);
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
-    // Anything exercising the installed-plan statics lives in the
-    // `abft_detection` integration binary: the sampling counter and the
-    // pending-violation slot are process-global, and parallel unit tests
-    // would race on them. Only pure functions are tested here.
+    // End-to-end detection lives in the `abft_detection` integration
+    // binary; only pure functions are tested here.
     use super::*;
 
     #[test]

@@ -1,38 +1,21 @@
-//! Global library configuration: compute mode and verbosity.
+//! Library configuration: compute mode and verbosity.
 //!
-//! Like oneMKL, the compute mode is process-global. It is initialised
-//! lazily from `MKL_BLAS_COMPUTE_MODE` and can be overridden at runtime
-//! (oneMKL's dedicated APIs). [`with_compute_mode`] provides scoped
+//! oneMKL keeps the compute mode process-global; here it belongs to the
+//! calling thread's [`crate::context`]. It is initialised lazily from
+//! `MKL_BLAS_COMPUTE_MODE` and can be overridden at runtime (oneMKL's
+//! dedicated APIs). A new thread starts from the environment and does not
+//! inherit its parent's override. [`with_compute_mode`] provides scoped
 //! overrides for experiments that sweep all modes in one process — the
 //! paper had to re-launch the binary per mode; a library can do better.
 
+use crate::context;
 use crate::mode::{ComputeMode, ParseModeError};
 use crate::{COMPUTE_MODE_ENV, VERBOSE_ENV};
-use parking_lot::{Mutex, ReentrantMutex};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Sentinel meaning "not yet initialised from the environment".
-const MODE_UNSET: u8 = u8::MAX;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
 static VERBOSE: OnceLock<u8> = OnceLock::new();
-/// Serialises scoped overrides so concurrent `with_compute_mode` calls
-/// cannot interleave their save/restore pairs. Reentrant so a scoped
-/// closure may nest another override.
-static OVERRIDE_LOCK: ReentrantMutex<()> = ReentrantMutex::new(());
-/// Guards first-time environment initialisation.
-static INIT_LOCK: Mutex<()> = Mutex::new(());
 
-fn mode_to_u8(m: ComputeMode) -> u8 {
-    ComputeMode::ALL.iter().position(|&x| x == m).expect("mode in ALL") as u8
-}
-
-fn mode_from_u8(v: u8) -> ComputeMode {
-    ComputeMode::ALL[v as usize]
-}
-
-/// Returns the current global compute mode, initialising it from
+/// Returns the calling thread's compute mode, initialising it from
 /// `MKL_BLAS_COMPUTE_MODE` on first use.
 ///
 /// An unparsable environment value panics: silently computing at the wrong
@@ -50,39 +33,32 @@ pub fn compute_mode() -> ComputeMode {
 /// failure, so a corrected environment or an explicit
 /// [`set_compute_mode`] recovers.
 pub fn try_compute_mode() -> Result<ComputeMode, ParseModeError> {
-    let v = MODE.load(Ordering::Acquire);
-    if v != MODE_UNSET {
-        return Ok(mode_from_u8(v));
-    }
-    let _g = INIT_LOCK.lock();
-    let v = MODE.load(Ordering::Acquire);
-    if v != MODE_UNSET {
-        return Ok(mode_from_u8(v));
+    if let Some(mode) = context::with(|cx| cx.mode) {
+        return Ok(mode);
     }
     let mode = match std::env::var(COMPUTE_MODE_ENV) {
         Ok(s) => ComputeMode::from_env_value(&s)?,
         Err(_) => ComputeMode::Standard,
     };
-    MODE.store(mode_to_u8(mode), Ordering::Release);
+    set_compute_mode(mode);
     Ok(mode)
 }
 
-/// Sets the global compute mode (overrides the environment).
+/// Sets the calling thread's compute mode (overrides the environment).
 pub fn set_compute_mode(mode: ComputeMode) {
-    MODE.store(mode_to_u8(mode), Ordering::Release);
+    context::with(|cx| cx.mode = Some(mode));
 }
 
 /// Clears any runtime override so the next call re-reads the environment.
 pub fn reset_compute_mode() {
-    MODE.store(MODE_UNSET, Ordering::Release);
+    context::with(|cx| cx.mode = None);
 }
 
 /// Runs `f` with the compute mode temporarily set to `mode`, restoring the
-/// previous mode afterwards (also on panic). Scoped overrides are
-/// serialised process-wide, so two threads sweeping modes cannot corrupt
-/// each other's settings; nested overrides from the same thread are fine.
+/// previous mode afterwards (also on panic). The override is the calling
+/// thread's own: other threads neither see it nor wait for it, and nested
+/// overrides are fine.
 pub fn with_compute_mode<R>(mode: ComputeMode, f: impl FnOnce() -> R) -> R {
-    let _guard = OVERRIDE_LOCK.lock();
     let previous = compute_mode();
     set_compute_mode(mode);
     struct Restore(ComputeMode);
@@ -110,22 +86,37 @@ pub fn verbose_level() -> u8 {
 mod tests {
     use super::*;
 
-    // Note: tests share process-global state; each test restores Standard.
-
     #[test]
     fn set_and_get_roundtrip() {
         for m in ComputeMode::ALL {
             set_compute_mode(m);
             assert_eq!(compute_mode(), m);
         }
-        set_compute_mode(ComputeMode::Standard);
     }
 
     #[test]
     fn try_compute_mode_reports_the_set_mode() {
         set_compute_mode(ComputeMode::FloatToBf16x2);
         assert_eq!(try_compute_mode(), Ok(ComputeMode::FloatToBf16x2));
-        set_compute_mode(ComputeMode::Standard);
+    }
+
+    #[test]
+    fn override_is_thread_scoped_and_not_inherited() {
+        let from_env = compute_mode();
+        let other = ComputeMode::ALL.into_iter().find(|&m| m != from_env).expect("six modes");
+        with_compute_mode(other, || {
+            // A new thread starts from the environment, and what it sets
+            // stays its own.
+            let seen = std::thread::spawn(|| {
+                let seen = compute_mode();
+                set_compute_mode(ComputeMode::Complex3m);
+                seen
+            })
+            .join()
+            .expect("child thread");
+            assert_eq!(seen, from_env);
+            assert_eq!(compute_mode(), other);
+        });
     }
 
     #[test]

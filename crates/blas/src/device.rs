@@ -3,13 +3,14 @@
 //! The paper's timings come from a real Intel Max 1550 stack; ours come
 //! from the `xe-gpu` analytical device model. To keep this crate free of a
 //! dependency on the model (and vice versa), the model is injected through
-//! the [`DeviceTimeModel`] trait: when one is installed, every GEMM call
-//! also receives a *modelled device execution time*, which the verbose log
-//! records alongside the measured host wall time. The Fig. 3 / Table VI
-//! harnesses read the modelled time; the host time is only diagnostic.
+//! the [`DeviceTimeModel`] trait: when one is installed on the calling
+//! thread, every GEMM call also receives a *modelled device execution
+//! time*, which the verbose log records alongside the measured host wall
+//! time. The Fig. 3 / Table VI harnesses read the modelled time; the host
+//! time is only diagnostic.
 
+use crate::context;
 use crate::mode::ComputeMode;
-use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// Element domain of a GEMM call, for the device model's flop accounting.
@@ -100,21 +101,21 @@ pub trait DeviceTimeModel: Send + Sync {
     fn gemm_time(&self, desc: &GemmDesc) -> f64;
 }
 
-static MODEL: RwLock<Option<Arc<dyn DeviceTimeModel>>> = RwLock::new(None);
-
-/// Installs (or replaces) the global device time model.
+/// Installs (or replaces) the calling thread's device time model.
 pub fn install_device_model(model: Arc<dyn DeviceTimeModel>) {
-    *MODEL.write() = Some(model);
+    context::with(|cx| cx.model = Some(model));
 }
 
-/// Removes the global device time model.
+/// Removes the calling thread's device time model.
 pub fn clear_device_model() {
-    *MODEL.write() = None;
+    context::with(|cx| cx.model = None);
 }
 
 /// Prices a GEMM with the installed model, if any.
 pub fn modelled_gemm_time(desc: &GemmDesc) -> Option<f64> {
-    MODEL.read().as_ref().map(|m| m.gemm_time(desc))
+    // The handle is cloned out so the model runs with the context released.
+    let model = context::with(|cx| cx.model.clone());
+    model.map(|m| m.gemm_time(desc))
 }
 
 #[cfg(test)]

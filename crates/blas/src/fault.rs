@@ -6,23 +6,31 @@
 //! rollback and precision-escalation paths can be exercised
 //! reproducibly, with no randomness at run time.
 //!
-//! Every GEMM call in the process increments a monotonic call counter
-//! (cheap relaxed atomic; faults themselves cost nothing while no plan
+//! The plan, like all library state, belongs to the calling thread's
+//! [`crate::context`]. Every GEMM call a thread makes increments its
+//! monotonic call counter (faults themselves cost nothing while no plan
 //! is installed). A plan's triggers are indexed *relative to the
 //! counter value at install time*, so a test gets stable indices
-//! regardless of what ran earlier in the process. The counter is never
+//! regardless of what the thread ran earlier. The counter is never
 //! reset: after a rollback the re-run's calls have fresh indices, so a
 //! [`Trigger::Once`] fault does not re-fire on the retry.
 //!
 //! Sites can be scoped to a routine (`"CGEMM"`) and/or to the compute
-//! mode active at call time. Mode scoping models a fault specific to
-//! the low-precision matrix engines: after the supervisor escalates to
-//! a stronger mode the fault stops firing.
+//! mode the call *executes* in — `STANDARD` for every DGEMM, and for a
+//! ZGEMM unless `COMPLEX_3M`, whatever the ambient mode. Mode scoping
+//! models a fault specific to the low-precision matrix engines: after
+//! the supervisor escalates to a stronger mode the fault stops firing,
+//! and the FP64 SCF boundary never sees it.
+//!
+//! Plans of raw one-shot bit flips — the silent-data-corruption model,
+//! finite but wildly wrong values that only the ABFT checksum or a
+//! `verify_bursts` replay can catch — have a text grammar so
+//! coordinators can pass them to worker processes through the
+//! environment (see [`FaultPlan::parse`]).
 
+use crate::context;
 use crate::mode::ComputeMode;
 use dcmesh_numerics::Complex;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// What to do to the targeted output element.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +77,7 @@ impl Trigger {
 }
 
 /// One fault-injection rule.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSite {
     /// When the site fires.
     pub trigger: Trigger,
@@ -78,8 +86,8 @@ pub struct FaultSite {
     /// Restrict to one routine name (`"SGEMM"`, `"CGEMM"`, ...); `None`
     /// matches all.
     pub routine: Option<&'static str>,
-    /// Restrict to calls made while this compute mode is active; `None`
-    /// matches all modes.
+    /// Restrict to calls that execute in this compute mode (see the
+    /// module docs); `None` matches all modes.
     pub mode: Option<ComputeMode>,
 }
 
@@ -100,7 +108,7 @@ impl FaultSite {
         self
     }
 
-    /// Restricts the site to calls made under `mode`.
+    /// Restricts the site to calls that execute in `mode`.
     pub fn in_mode(mut self, mode: ComputeMode) -> FaultSite {
         self.mode = Some(mode);
         self
@@ -108,7 +116,7 @@ impl FaultSite {
 }
 
 /// A seeded, deterministic set of fault sites.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
     sites: Vec<FaultSite>,
@@ -131,87 +139,29 @@ impl FaultPlan {
     pub fn sites(&self) -> &[FaultSite] {
         &self.sites
     }
-}
 
-/// One scheduled raw bit flip: GEMM call `call` (relative to plan
-/// install), bit `bit` of the targeted element's word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BitFlip {
-    /// Relative GEMM call index the flip lands on.
-    pub call: u64,
-    /// Bit index within the element word (modulo the type's width).
-    pub bit: u32,
-}
-
-/// A deterministic silent-data-corruption plan: raw single-bit flips in
-/// GEMM outputs, exponent and sign bits included.
-///
-/// The chaos-testing counterpart of [`FaultPlan`] for the SDC defense:
-/// where `FlipMantissaBit`/`Nan`/`Inf` model faults the non-finite and
-/// divergence health checks can see, a raw [`FaultKind::FlipBit`]
-/// produces a finite but wildly wrong value that only the ABFT checksum
-/// (or a `verify_bursts` replay) can catch. Like `RankKillPlan` it has
-/// a text spec grammar so coordinators can pass plans to worker
-/// processes through the environment:
-///
-/// ```text
-/// <seed>:<call>@<bit>[,<call>@<bit>...]      e.g.  "7:12@62,40@30"
-/// ```
-///
-/// Each flip fires once, at its relative call index. The shared GEMM
-/// call counter is never reset, so after a supervisor rollback the
-/// replayed calls have fresh indices and the flip does **not** re-fire —
-/// recovery from a detected flip is bit-identical to a clean run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BitFlipPlan {
-    seed: u64,
-    flips: Vec<BitFlip>,
-}
-
-impl BitFlipPlan {
-    /// An empty plan; the seed picks which output element each flip
-    /// corrupts (and, for complex elements, which component).
-    pub fn new(seed: u64) -> BitFlipPlan {
-        BitFlipPlan { seed, flips: Vec::new() }
-    }
-
-    /// Adds a flip (builder style).
-    pub fn with_flip(mut self, call: u64, bit: u32) -> BitFlipPlan {
-        self.flips.push(BitFlip { call, bit });
-        self
-    }
-
-    /// The scheduled flips.
-    pub fn flips(&self) -> &[BitFlip] {
-        &self.flips
-    }
-
-    /// The seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Parses the `<seed>:<call>@<bit>,...` spec. The `<seed>:` prefix
-    /// is optional (defaults to 0); an empty flip list is allowed
-    /// (`"7:"` is a plan that never fires).
-    pub fn parse(spec: &str) -> Result<BitFlipPlan, String> {
-        let (seed_part, flips_part) = match spec.split_once(':') {
-            Some((s, rest)) => (Some(s), rest),
-            None => (None, spec),
-        };
-        let seed = match seed_part {
-            Some(s) => s
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| format!("bad bit-flip seed {s:?} in {spec:?}"))?,
-            None => 0,
-        };
-        let mut plan = BitFlipPlan::new(seed);
-        for item in flips_part.split(',') {
-            let item = item.trim();
-            if item.is_empty() {
-                continue;
+    /// Parses a plan of one-shot raw bit flips:
+    ///
+    /// ```text
+    /// <seed>:<call>@<bit>[,<call>@<bit>...]      e.g.  "7:12@62,40@30"
+    /// ```
+    ///
+    /// Each item becomes an unscoped [`Trigger::Once`] /
+    /// [`FaultKind::FlipBit`] site. The `<seed>:` prefix is optional
+    /// (defaults to 0); an empty list is allowed (`"7:"` never fires).
+    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
+        let (seed, items) = match spec.split_once(':') {
+            Some((s, rest)) => {
+                let seed = s
+                    .trim()
+                    .parse::<u64>()
+                    .map_err(|_| format!("bad bit-flip seed {s:?} in {spec:?}"))?;
+                (seed, rest)
             }
+            None => (0, spec),
+        };
+        let mut plan = FaultPlan::new(seed);
+        for item in items.split(',').map(str::trim).filter(|i| !i.is_empty()) {
             let (call, bit) = item
                 .split_once('@')
                 .ok_or_else(|| format!("bad bit-flip item {item:?} (want <call>@<bit>)"))?;
@@ -223,73 +173,52 @@ impl BitFlipPlan {
                 .trim()
                 .parse::<u32>()
                 .map_err(|_| format!("bad bit index in bit-flip item {item:?}"))?;
-            plan = plan.with_flip(call, bit);
+            plan = plan.with_site(FaultSite::once(call, FaultKind::FlipBit(bit)));
         }
         Ok(plan)
     }
 
-    /// The spec string [`BitFlipPlan::parse`] round-trips.
-    pub fn to_spec(&self) -> String {
-        let items: Vec<String> =
-            self.flips.iter().map(|f| format!("{}@{}", f.call, f.bit)).collect();
-        format!("{}:{}", self.seed, items.join(","))
+    /// The spec string [`FaultPlan::parse`] round-trips, or `None` when a
+    /// site is outside the grammar (scoped, periodic, or not a raw flip).
+    pub fn to_spec(&self) -> Option<String> {
+        let items = self
+            .sites
+            .iter()
+            .map(|s| match (s.trigger, s.kind, s.routine, s.mode) {
+                (Trigger::Once(call), FaultKind::FlipBit(bit), None, None) => {
+                    Some(format!("{call}@{bit}"))
+                }
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(format!("{}:{}", self.seed, items.join(",")))
     }
-
-    /// Lowers the plan onto the [`FaultPlan`] machinery (one
-    /// [`Trigger::Once`] site per flip).
-    pub fn to_fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new(self.seed);
-        for f in &self.flips {
-            plan = plan.with_site(FaultSite::once(f.call, FaultKind::FlipBit(f.bit)));
-        }
-        plan
-    }
 }
 
-/// Installs a [`BitFlipPlan`], replacing any installed [`FaultPlan`].
-/// Call indices count GEMM calls from this moment.
-pub fn install_bit_flip_plan(plan: &BitFlipPlan) {
-    install_fault_plan(plan.to_fault_plan());
-}
-
-struct Installed {
-    plan: FaultPlan,
-    base_call: u64,
-}
-
-static INSTALLED: Mutex<Option<Installed>> = Mutex::new(None);
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static CALLS: AtomicU64 = AtomicU64::new(0);
-static INJECTED: AtomicU64 = AtomicU64::new(0);
-
-/// Installs `plan`, replacing any previous one. Trigger indices count
-/// GEMM calls from this moment.
+/// Installs `plan` on the calling thread, replacing any previous one.
+/// Trigger indices count the thread's GEMM calls from this moment.
 pub fn install_fault_plan(plan: FaultPlan) {
-    let mut guard = INSTALLED.lock();
-    *guard = Some(Installed { plan, base_call: CALLS.load(Ordering::Relaxed) });
-    ACTIVE.store(true, Ordering::Relaxed);
+    context::with(|cx| cx.fault = Some((plan, cx.gemm_calls)));
 }
 
 /// Removes the installed plan (normal, fault-free operation).
 pub fn clear_fault_plan() {
-    let mut guard = INSTALLED.lock();
-    *guard = None;
-    ACTIVE.store(false, Ordering::Relaxed);
+    context::with(|cx| cx.fault = None);
 }
 
 /// True while a plan is installed.
 pub fn fault_plan_installed() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    context::with(|cx| cx.fault.is_some())
 }
 
-/// Total GEMM calls made by this process.
+/// Total GEMM calls made by this thread.
 pub fn gemm_call_count() -> u64 {
-    CALLS.load(Ordering::Relaxed)
+    context::with(|cx| cx.gemm_calls)
 }
 
-/// Total faults injected by this process.
+/// Total faults injected on this thread.
 pub fn injected_fault_count() -> u64 {
-    INJECTED.load(Ordering::Relaxed)
+    context::with(|cx| cx.injected)
 }
 
 /// Element types a fault can corrupt.
@@ -341,37 +270,37 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Counts the call and applies any matching fault sites to the logical
-/// m×n window of `c`. Invoked by every GEMM wrapper after the product.
-pub(crate) fn post_gemm<T: FaultTarget>(
+/// Applies the installed plan's matching sites to the logical m×n window
+/// of `c`. `call` is the call's index from [`context::GemmTicket`]; `mode`
+/// is the mode the call executed in, not the ambient one.
+pub(crate) fn inject<T: FaultTarget>(
     routine: &'static str,
+    mode: ComputeMode,
+    call: u64,
     c: &mut [T],
     m: usize,
     n: usize,
     ldc: usize,
 ) {
-    let call = CALLS.fetch_add(1, Ordering::Relaxed);
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if m == 0 || n == 0 {
         return;
     }
-    let guard = INSTALLED.lock();
-    let Some(installed) = guard.as_ref() else { return };
-    let rel_call = call.saturating_sub(installed.base_call);
-    let mode = crate::config::compute_mode();
-    for site in &installed.plan.sites {
-        if !site.trigger.fires(rel_call)
-            || site.routine.is_some_and(|r| r != routine)
-            || site.mode.is_some_and(|sm| sm != mode)
-            || m == 0
-            || n == 0
-        {
-            continue;
+    context::with(|cx| {
+        let Some((plan, base_call)) = &cx.fault else { return };
+        let rel_call = call - base_call;
+        for site in &plan.sites {
+            if !site.trigger.fires(rel_call)
+                || site.routine.is_some_and(|r| r != routine)
+                || site.mode.is_some_and(|sm| sm != mode)
+            {
+                continue;
+            }
+            let h = mix(plan.seed ^ mix(call));
+            let (i, j) = (h as usize % m, (h >> 20) as usize % n);
+            c[i * ldc + j] = c[i * ldc + j].corrupted(site.kind, h >> 40);
+            cx.injected += 1;
         }
-        let h = mix(installed.plan.seed ^ mix(call));
-        let (i, j) = (h as usize % m, (h >> 20) as usize % n);
-        c[i * ldc + j] = c[i * ldc + j].corrupted(site.kind, h >> 40);
-        INJECTED.fetch_add(1, Ordering::Relaxed);
-    }
+    });
 }
 
 #[cfg(test)]
@@ -423,30 +352,24 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_plan_spec_roundtrips() {
-        let plan = BitFlipPlan::new(7).with_flip(12, 62).with_flip(40, 30);
-        assert_eq!(plan.to_spec(), "7:12@62,40@30");
-        assert_eq!(BitFlipPlan::parse("7:12@62,40@30").unwrap(), plan);
+    fn bit_flip_spec_roundtrips() {
+        let flip = |call, bit| FaultSite::once(call, FaultKind::FlipBit(bit));
+        let plan = FaultPlan::new(7).with_site(flip(12, 62)).with_site(flip(40, 30));
+        assert_eq!(plan.to_spec().as_deref(), Some("7:12@62,40@30"));
+        assert_eq!(FaultPlan::parse("7:12@62,40@30").unwrap(), plan);
         // Seedless form, whitespace tolerance, empty list.
-        assert_eq!(BitFlipPlan::parse("3@5").unwrap(), BitFlipPlan::new(0).with_flip(3, 5));
+        assert_eq!(FaultPlan::parse("3@5").unwrap(), FaultPlan::new(0).with_site(flip(3, 5)));
         assert_eq!(
-            BitFlipPlan::parse(" 9 : 1@2 , 3@4 ").unwrap_or_else(|e| panic!("{e}")),
-            BitFlipPlan::new(9).with_flip(1, 2).with_flip(3, 4)
+            FaultPlan::parse(" 9 : 1@2 , 3@4 ").unwrap_or_else(|e| panic!("{e}")),
+            FaultPlan::new(9).with_site(flip(1, 2)).with_site(flip(3, 4))
         );
-        assert_eq!(BitFlipPlan::parse("7:").unwrap(), BitFlipPlan::new(7));
-        assert!(BitFlipPlan::parse("x:1@2").is_err());
-        assert!(BitFlipPlan::parse("1@").is_err());
-        assert!(BitFlipPlan::parse("12").is_err());
-    }
-
-    #[test]
-    fn bit_flip_plan_lowers_to_once_sites() {
-        let plan = BitFlipPlan::new(5).with_flip(3, 61).to_fault_plan();
-        assert_eq!(plan.sites().len(), 1);
-        assert_eq!(plan.sites()[0].trigger, Trigger::Once(3));
-        assert_eq!(plan.sites()[0].kind, FaultKind::FlipBit(61));
-        assert_eq!(plan.sites()[0].routine, None);
-        assert_eq!(plan.sites()[0].mode, None);
+        assert_eq!(FaultPlan::parse("7:").unwrap(), FaultPlan::new(7));
+        assert!(FaultPlan::parse("x:1@2").is_err());
+        assert!(FaultPlan::parse("1@").is_err());
+        assert!(FaultPlan::parse("12").is_err());
+        // Sites the grammar cannot express have no spec.
+        assert_eq!(FaultPlan::new(1).with_site(flip(0, 1).on_routine("CGEMM")).to_spec(), None);
+        assert_eq!(FaultPlan::new(1).with_site(FaultSite::once(0, FaultKind::Nan)).to_spec(), None);
     }
 
     #[test]

@@ -10,21 +10,44 @@
 //!   This is the routine DCMESH's nonlocal correction lives in.
 //! * [`zgemm`] — complex `f64`; honours `COMPLEX_3M` only.
 //!
-//! Every call is logged through [`crate::verbose`] when recording is on.
+//! The four routines only marshal their arguments into a [`GemmArgs`];
+//! everything a call does besides its product — counting, ABFT sampling,
+//! timing and logging through [`crate::verbose`], fault injection, the
+//! non-finite probe and the checksum — happens once, in [`gemm_call`].
 
 pub mod kernel;
 pub mod lowp;
 pub(crate) mod pack;
 
+use crate::abft::{self, AbftElem};
 use crate::config::compute_mode;
+use crate::context;
 use crate::device::{Domain, GemmDesc};
+use crate::fault::{self, FaultTarget};
 use crate::layout::{check_matrix, deinterleave_op, op_view_real, Op};
 use crate::mode::ComputeMode;
-use crate::verbose::logged;
+use crate::verbose::observe;
 use crate::workspace;
 use dcmesh_numerics::{Complex, Real, C32, C64};
 use kernel::matmul_acc;
 use lowp::matmul_acc_lowp;
+
+/// The operands of one `C ← α·op(A)·op(B) + β·C` call, minus the output.
+#[derive(Clone, Copy)]
+pub(crate) struct GemmArgs<'a, T> {
+    pub transa: Op,
+    pub transb: Op,
+    pub m: usize,
+    pub n: usize,
+    pub k: usize,
+    pub alpha: T,
+    pub a: &'a [T],
+    pub lda: usize,
+    pub b: &'a [T],
+    pub ldb: usize,
+    pub beta: T,
+    pub ldc: usize,
+}
 
 /// Validates GEMM dimensions and returns the stored shapes of A and B.
 #[track_caller]
@@ -46,10 +69,51 @@ fn stored_shapes(
     (a_shape, b_shape)
 }
 
+/// The one GEMM call pipeline. In order: count the call on the thread's
+/// [`context`] and sample it for ABFT (capturing β·C row sums before they
+/// are overwritten); run `product` in `mode` under [`observe`], which
+/// times it and emits the call's record; apply the fault plan, scoped on
+/// the mode the call executed in; probe the output for non-finite values;
+/// verify the checksum — after injection, so an injected flip lands
+/// between the product and its check.
+fn gemm_call<T: AbftElem + FaultTarget>(
+    routine: &'static str,
+    domain: Domain,
+    mode: ComputeMode,
+    g: &GemmArgs<'_, T>,
+    c: &mut [T],
+    product: fn(ComputeMode, &GemmArgs<'_, T>, &mut [T]),
+) {
+    let GemmArgs { transa, transb, m, n, k, beta, ldc, .. } = *g;
+    let desc = GemmDesc { domain, m, n, k, mode };
+    let ticket = context::with(|cx| cx.begin_gemm());
+    let pre = if ticket.abft_sampled {
+        abft::pre_sums(ticket.call, beta, c, m, n, ldc)
+    } else {
+        None
+    };
+    observe(routine, transa, transb, desc, || product(mode, g, c));
+    fault::inject(routine, mode, ticket.call, c, m, n, ldc);
+    abft::probe_nonfinite(routine, &desc, c, ldc);
+    if let Some(pre) = pre {
+        abft::check_gemm(routine, pre, g, c, mode);
+    }
+}
+
+/// The mode a double-precision complex call executes in: `COMPLEX_3M` is
+/// the only alternative mode that applies to FP64 data.
+pub(crate) fn f64_mode() -> ComputeMode {
+    match compute_mode() {
+        ComputeMode::Complex3m => ComputeMode::Complex3m,
+        _ => ComputeMode::Standard,
+    }
+}
+
 /// Single-precision real GEMM: `C ← α·op(A)·op(B) + β·C`.
 ///
-/// Honours the global compute mode: in the `FLOAT_TO_*` modes the product
-/// is computed on BF16/TF32 component matrices with FP32 accumulation.
+/// Honours the calling thread's compute mode: in the `FLOAT_TO_*` modes the
+/// product is computed on BF16/TF32 component matrices with FP32
+/// accumulation.
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm(
     transa: Op,
@@ -66,19 +130,8 @@ pub fn sgemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let mode = compute_mode();
-    let desc = GemmDesc { domain: Domain::Real32, m, n, k, mode };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("SGEMM", transa, transb, desc, || {
-        real_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    });
-    crate::fault::post_gemm("SGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("SGEMM", c, m, n, k, ldc, mode);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "SGEMM", pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
-        );
-    }
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    gemm_call("SGEMM", Domain::Real32, compute_mode(), &g, c, real_gemm_impl);
 }
 
 /// Double-precision real GEMM. Alternative compute modes do not apply.
@@ -98,66 +151,12 @@ pub fn dgemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    let desc = GemmDesc { domain: Domain::Real64, m, n, k, mode: ComputeMode::Standard };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("DGEMM", transa, transb, desc, || {
-        real_gemm_impl(
-            ComputeMode::Standard,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            beta,
-            c,
-            ldc,
-        );
-    });
-    crate::fault::post_gemm("DGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("DGEMM", c, m, n, k, ldc, ComputeMode::Standard);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "DGEMM",
-            pre,
-            transa,
-            transb,
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            b,
-            ldb,
-            c,
-            ldc,
-            ComputeMode::Standard,
-        );
-    }
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    gemm_call("DGEMM", Domain::Real64, ComputeMode::Standard, &g, c, real_gemm_impl);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn real_gemm_impl<T: Real + LowpDispatch>(
-    mode: ComputeMode,
-    transa: Op,
-    transb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    beta: T,
-    c: &mut [T],
-    ldc: usize,
-) {
+fn real_gemm_impl<T: Real + LowpDispatch>(mode: ComputeMode, g: &GemmArgs<'_, T>, c: &mut [T]) {
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
     check_matrix("A", ar, ac, lda, a.len());
     check_matrix("B", br, bc, ldb, b.len());
@@ -287,19 +286,8 @@ pub fn cgemm(
     c: &mut [C32],
     ldc: usize,
 ) {
-    let mode = compute_mode();
-    let desc = GemmDesc { domain: Domain::Complex32, m, n, k, mode };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("CGEMM", transa, transb, desc, || {
-        complex_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    });
-    crate::fault::post_gemm("CGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("CGEMM", c, m, n, k, ldc, mode);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "CGEMM", pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
-        );
-    }
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    gemm_call("CGEMM", Domain::Complex32, compute_mode(), &g, c, complex_gemm_impl);
 }
 
 /// Double-precision complex GEMM. Honours `COMPLEX_3M` only.
@@ -319,41 +307,16 @@ pub fn zgemm(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let mode = match compute_mode() {
-        ComputeMode::Complex3m => ComputeMode::Complex3m,
-        _ => ComputeMode::Standard,
-    };
-    let desc = GemmDesc { domain: Domain::Complex64, m, n, k, mode };
-    let abft = crate::abft::pre_gemm(beta, c, m, n, ldc);
-    logged("ZGEMM", transa, transb, desc, || {
-        complex_gemm_impl(mode, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-    });
-    crate::fault::post_gemm("ZGEMM", c, m, n, ldc);
-    crate::abft::probe_nonfinite("ZGEMM", c, m, n, k, ldc, mode);
-    if let Some(pre) = abft {
-        crate::abft::check_gemm(
-            "ZGEMM", pre, transa, transb, m, n, k, alpha, a, lda, b, ldb, c, ldc, mode,
-        );
-    }
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    gemm_call("ZGEMM", Domain::Complex64, f64_mode(), &g, c, complex_gemm_impl);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn complex_gemm_impl<T: Real + LowpDispatch>(
     mode: ComputeMode,
-    transa: Op,
-    transb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: Complex<T>,
-    a: &[Complex<T>],
-    lda: usize,
-    b: &[Complex<T>],
-    ldb: usize,
-    beta: Complex<T>,
+    g: &GemmArgs<'_, Complex<T>>,
     c: &mut [Complex<T>],
-    ldc: usize,
 ) {
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
     check_matrix("A", ar, ac, lda, a.len());
     check_matrix("B", br, bc, ldb, b.len());
@@ -479,7 +442,7 @@ fn complex_product_3m<T: kernel::MicroArch>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{set_compute_mode, with_compute_mode};
+    use crate::config::with_compute_mode;
     use dcmesh_numerics::{c32, c64};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -533,7 +496,6 @@ mod tests {
 
     #[test]
     fn sgemm_matches_reference_all_ops() {
-        set_compute_mode(ComputeMode::Standard);
         let mut rng = StdRng::seed_from_u64(5);
         let (m, n, k) = (7, 9, 11);
         for &ta in &[Op::None, Op::Trans] {
@@ -665,7 +627,6 @@ mod tests {
 
     #[test]
     fn beta_zero_overwrites_nan() {
-        set_compute_mode(ComputeMode::Standard);
         let a = [1.0f32, 2.0];
         let b = [3.0f32, 4.0];
         let mut c = [f32::NAN];
@@ -681,7 +642,6 @@ mod tests {
 
     #[test]
     fn alpha_zero_skips_product() {
-        set_compute_mode(ComputeMode::Standard);
         // A deliberately contains NaN: with alpha == 0 BLAS must not touch it.
         let a = [f32::NAN];
         let b = [f32::NAN];
@@ -692,7 +652,6 @@ mod tests {
 
     #[test]
     fn leading_dimension_padding_respected() {
-        set_compute_mode(ComputeMode::Standard);
         // C has ldc = 3 with a padding column that must survive untouched.
         let a = [1.0f32, 0.0, 0.0, 1.0];
         let b = [1.0f32, 2.0, 3.0, 4.0];
@@ -754,11 +713,10 @@ mod tests {
         // buffer), and a downstream GEMM whose A has an all-zero row must
         // still surface the non-finite value in C as NaN — the pattern the
         // supervisor's health checks rely on.
-        set_compute_mode(ComputeMode::Standard);
         let k = 4;
         let n = 3;
         // B: k×n, finite, then corrupt one element with Inf the same way
-        // fault::post_gemm does.
+        // fault::inject does.
         let mut b = vec![1.0f32; k * n];
         b[n + 2] = f32::INFINITY;
         // A: m×k with row 1 all zeros (e.g. an empty orbital block).

@@ -14,8 +14,7 @@
 use crate::config::compute_mode;
 use crate::device::{Domain, GemmDesc};
 use crate::layout::{check_matrix, Op};
-use crate::mode::ComputeMode;
-use crate::verbose::logged;
+use crate::verbose::observe;
 use dcmesh_numerics::{Complex, C32, C64};
 
 /// Which triangle of C the routine is defined to update (both are filled
@@ -51,22 +50,8 @@ pub fn cherk(
 ) {
     let mode = compute_mode();
     let desc = GemmDesc { domain: Domain::Complex32, m: n, n, k, mode };
-    logged("CHERK", trans, trans, desc, || {
-        herk_impl(
-            uplo,
-            trans,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            beta,
-            c,
-            ldc,
-            |ta, tb, m2, n2, k2, al, aa, la, bb, lb, be, cc, lc| {
-                crate::gemm::cgemm(ta, tb, m2, n2, k2, al, aa, la, bb, lb, be, cc, lc)
-            },
-        );
+    observe("CHERK", trans, trans, desc, || {
+        herk_impl(uplo, trans, n, k, alpha, a, lda, beta, c, ldc, crate::gemm::cgemm);
     });
 }
 
@@ -84,27 +69,9 @@ pub fn zherk(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let mode = match compute_mode() {
-        ComputeMode::Complex3m => ComputeMode::Complex3m,
-        _ => ComputeMode::Standard,
-    };
-    let desc = GemmDesc { domain: Domain::Complex64, m: n, n, k, mode };
-    logged("ZHERK", trans, trans, desc, || {
-        herk_impl(
-            uplo,
-            trans,
-            n,
-            k,
-            alpha,
-            a,
-            lda,
-            beta,
-            c,
-            ldc,
-            |ta, tb, m2, n2, k2, al, aa, la, bb, lb, be, cc, lc| {
-                crate::gemm::zgemm(ta, tb, m2, n2, k2, al, aa, la, bb, lb, be, cc, lc)
-            },
-        );
+    let desc = GemmDesc { domain: Domain::Complex64, m: n, n, k, mode: crate::gemm::f64_mode() };
+    observe("ZHERK", trans, trans, desc, || {
+        herk_impl(uplo, trans, n, k, alpha, a, lda, beta, c, ldc, crate::gemm::zgemm);
     });
 }
 
@@ -187,6 +154,7 @@ fn herk_impl<T: dcmesh_numerics::Real>(
 mod tests {
     use super::*;
     use crate::config::with_compute_mode;
+    use crate::mode::ComputeMode;
     use dcmesh_numerics::c32;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

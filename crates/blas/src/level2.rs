@@ -4,7 +4,7 @@
 //! a single orbital's coefficient vector, projecting one wave function)
 //! are GEMV-shaped. Level-2 routines are bandwidth-bound, so oneMKL's
 //! alternative compute modes do not accelerate them — like oneMKL, these
-//! run at native precision regardless of the global mode, and the
+//! run at native precision regardless of the compute mode, and the
 //! verbose log records them with `mode = STANDARD`. For the same reason
 //! they never touch the [`crate::workspace`] pool: the kernels stream
 //! straight from the caller's matrix with no low-precision scratch to
@@ -13,7 +13,7 @@
 use crate::device::{Domain, GemmDesc};
 use crate::layout::{check_matrix, Op};
 use crate::mode::ComputeMode;
-use crate::verbose::logged;
+use crate::verbose::observe;
 use dcmesh_numerics::{Complex, Real, C32, C64};
 
 /// `y ← α·op(A)·x + β·y` for a real matrix.
@@ -30,7 +30,7 @@ pub fn sgemv(
     y: &mut [f32],
 ) {
     let desc = gemv_desc(Domain::Real32, trans, m, n);
-    logged("SGEMV", trans, Op::None, desc, || {
+    observe("SGEMV", trans, Op::None, desc, || {
         gemv_real(trans, m, n, alpha, a, lda, x, beta, y);
     });
 }
@@ -49,7 +49,7 @@ pub fn dgemv(
     y: &mut [f64],
 ) {
     let desc = gemv_desc(Domain::Real64, trans, m, n);
-    logged("DGEMV", trans, Op::None, desc, || {
+    observe("DGEMV", trans, Op::None, desc, || {
         gemv_real(trans, m, n, alpha, a, lda, x, beta, y);
     });
 }
@@ -68,7 +68,7 @@ pub fn cgemv(
     y: &mut [C32],
 ) {
     let desc = gemv_desc(Domain::Complex32, trans, m, n);
-    logged("CGEMV", trans, Op::None, desc, || {
+    observe("CGEMV", trans, Op::None, desc, || {
         gemv_complex(trans, m, n, alpha, a, lda, x, beta, y);
     });
 }
@@ -87,7 +87,7 @@ pub fn zgemv(
     y: &mut [C64],
 ) {
     let desc = gemv_desc(Domain::Complex64, trans, m, n);
-    logged("ZGEMV", trans, Op::None, desc, || {
+    observe("ZGEMV", trans, Op::None, desc, || {
         gemv_complex(trans, m, n, alpha, a, lda, x, beta, y);
     });
 }

@@ -23,6 +23,16 @@
 //! measured wall time and (when a device model is installed, see
 //! [`device`]) the modelled GPU execution time.
 //!
+//! Unlike oneMKL's, none of this state is process-global. The mode, the
+//! call log, the device model, the fault plan and the ABFT sampler are
+//! **per thread**: the free functions below read and write the calling
+//! thread's context. A new thread starts from the environment and does
+//! not inherit its parent's overrides, so two runs on two threads of one
+//! process cannot disturb each other — and BLAS must be entered from the
+//! thread that owns the run (rayon is entered only below the entry
+//! points; that must stay true once a real `rayon` replaces the
+//! sequential shim).
+//!
 //! Matrices are **row-major** with an explicit leading dimension (`ld` =
 //! elements between consecutive rows). Transposition/conjugation follow
 //! the BLAS `op()` convention.
@@ -48,6 +58,7 @@
 
 pub mod abft;
 pub mod config;
+pub(crate) mod context;
 pub mod device;
 pub mod fault;
 pub mod gemm;
@@ -67,8 +78,7 @@ pub use abft::{
     take_abft_violation, AbftViolation,
 };
 pub use fault::{
-    clear_fault_plan, install_bit_flip_plan, install_fault_plan, BitFlip, BitFlipPlan, FaultKind,
-    FaultPlan, FaultSite, Trigger,
+    clear_fault_plan, install_fault_plan, FaultKind, FaultPlan, FaultSite, Trigger,
 };
 pub use gemm::{cgemm, dgemm, sgemm, zgemm};
 pub use herk::{cherk, zherk, Uplo};

@@ -12,10 +12,13 @@
 //! work without touching the environment. Printing of per-call lines (the
 //! actual `MKL_VERBOSE` behaviour) happens at env level >= 1.
 //!
-//! The record store is a **bounded ring**: a run that makes millions of
-//! calls keeps only the most recent [`record_capacity`] records and counts
-//! the rest in [`dropped_records`]. Capacity comes from
-//! [`MKL_VERBOSE_BUFFER_ENV`] or [`set_record_capacity`].
+//! The record store is a **bounded ring** owned by the calling thread's
+//! [`crate::context`]: each thread records, drains and clears only its own
+//! calls, and a new thread starts with recording off and an empty ring. A
+//! run that makes millions of calls keeps only the most recent
+//! [`record_capacity`] records and counts the rest in
+//! [`dropped_records`]. Capacity comes from [`MKL_VERBOSE_BUFFER_ENV`] or
+//! [`set_record_capacity`].
 //!
 //! Independently of recording, every call becomes a telemetry span when
 //! the `TELEMETRY` level is `full` (shape/mode attributes on the begin
@@ -26,14 +29,12 @@
 //! attribute so the `profile` folder can rescale totals.
 
 use crate::config::verbose_level;
+use crate::context;
 use crate::device::{Domain, GemmDesc};
 use crate::mode::ComputeMode;
 use crate::Op;
 use dcmesh_telemetry as telemetry;
 use dcmesh_telemetry::AttrValue;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -96,56 +97,39 @@ impl CallRecord {
     }
 }
 
-static RECORDING: AtomicBool = AtomicBool::new(false);
-static LOG: Mutex<VecDeque<CallRecord>> = Mutex::new(VecDeque::new());
-/// 0 means "not yet initialised from the environment".
-static RECORD_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-static DROPPED_RECORDS: AtomicU64 = AtomicU64::new(0);
-
-/// Enables or disables in-memory call recording.
+/// Enables or disables in-memory call recording on the calling thread.
 pub fn set_recording(on: bool) {
+    let dropped = context::with(|cx| {
+        cx.recording = on;
+        cx.dropped
+    });
     if on {
         // Register the loss gauge up front so a scrape (or the profile
         // ingester's coverage check) sees an explicit zero rather than a
         // missing series when nothing has been dropped.
-        dropped_records_gauge().set(DROPPED_RECORDS.load(Ordering::Relaxed) as f64);
+        dropped_records_gauge().set(dropped as f64);
     }
-    RECORDING.store(on, Ordering::Release);
 }
 
 /// True when calls are being recorded (programmatic or via `MKL_VERBOSE`).
 pub fn recording() -> bool {
-    RECORDING.load(Ordering::Acquire) || verbose_level() >= 1
-}
-
-fn record_capacity_total() -> usize {
-    let c = RECORD_CAPACITY.load(Ordering::Relaxed);
-    if c != 0 {
-        return c;
-    }
-    let c = std::env::var(MKL_VERBOSE_BUFFER_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_RECORD_CAPACITY);
-    RECORD_CAPACITY.store(c, Ordering::Relaxed);
-    c
+    context::with(|cx| cx.recording) || verbose_level() >= 1
 }
 
 /// Sets the record-ring capacity (at least one record). Shrinking takes
 /// effect as the next record arrives.
 pub fn set_record_capacity(n: usize) {
-    RECORD_CAPACITY.store(n.max(1), Ordering::Relaxed);
+    context::with(|cx| cx.ring_capacity = n.max(1));
 }
 
 /// Current record-ring capacity.
 pub fn record_capacity() -> usize {
-    record_capacity_total()
+    context::with(|cx| cx.ring_capacity)
 }
 
 /// Records discarded because the ring was full (oldest-first policy).
 pub fn dropped_records() -> u64 {
-    DROPPED_RECORDS.load(Ordering::Relaxed)
+    context::with(|cx| cx.dropped)
 }
 
 fn dropped_records_gauge() -> &'static Arc<telemetry::metrics::Gauge> {
@@ -158,40 +142,34 @@ fn dropped_records_gauge() -> &'static Arc<telemetry::metrics::Gauge> {
     })
 }
 
-/// Appends a record (called by the GEMM wrappers), evicting the oldest
-/// records beyond the ring capacity.
-pub(crate) fn record(rec: CallRecord) {
+/// Appends a record to the calling thread's ring, evicting the oldest
+/// records beyond its capacity.
+fn record(rec: CallRecord) {
     if verbose_level() >= 1 {
         eprintln!("{}", rec.to_verbose_line());
     }
-    let cap = record_capacity_total();
-    let mut log = LOG.lock();
-    let mut dropped = false;
-    while log.len() >= cap {
-        log.pop_front();
-        DROPPED_RECORDS.fetch_add(1, Ordering::Relaxed);
-        dropped = true;
-    }
-    log.push_back(rec);
-    if dropped {
-        dropped_records_gauge().set(DROPPED_RECORDS.load(Ordering::Relaxed) as f64);
+    let evicted = context::with(|cx| cx.push_record(rec).then_some(cx.dropped));
+    if let Some(dropped) = evicted {
+        dropped_records_gauge().set(dropped as f64);
     }
 }
 
-/// Removes and returns all recorded calls, oldest first.
+/// Removes and returns the calling thread's recorded calls, oldest first.
 pub fn drain() -> Vec<CallRecord> {
-    LOG.lock().drain(..).collect()
+    context::with(|cx| cx.ring.drain(..).collect())
 }
 
 /// Returns a copy of the recorded calls without clearing.
 pub fn snapshot() -> Vec<CallRecord> {
-    LOG.lock().iter().cloned().collect()
+    context::with(|cx| cx.ring.iter().cloned().collect())
 }
 
 /// Clears the log and the dropped-records counter.
 pub fn clear() {
-    LOG.lock().clear();
-    DROPPED_RECORDS.store(0, Ordering::Relaxed);
+    context::with(|cx| {
+        cx.ring.clear();
+        cx.dropped = 0;
+    });
     dropped_records_gauge().set(0.0);
 }
 
@@ -268,13 +246,15 @@ fn pool_traffic() -> (u64, u64) {
     (s32.takes + s64.takes, s32.misses + s64.misses)
 }
 
-/// Helper used by the GEMM wrappers: wraps a computation with timing,
-/// logging, and telemetry. Returns the closure's result.
+/// The observe half of the call pipeline, shared by GEMM, GEMV and HERK:
+/// times `f` and emits the one [`CallRecord`] from which the telemetry
+/// span's end attributes, the `mkl_blas_*` metrics, the ledger row and the
+/// ring entry are all written. Returns the closure's result.
 ///
-/// The disabled path (no recording, `TELEMETRY=off`) is two relaxed
-/// atomic loads and a branch — measured by `telemetry_check
-/// --overhead-gate`.
-pub(crate) fn logged<R>(
+/// The disabled path (no recording, `TELEMETRY=off`) is a thread-local
+/// read, a relaxed atomic load and a branch — measured by
+/// `telemetry_check --overhead-gate`.
+pub(crate) fn observe<R>(
     routine: &'static str,
     transa: Op,
     transb: Op,
@@ -282,7 +262,8 @@ pub(crate) fn logged<R>(
     f: impl FnOnce() -> R,
 ) -> R {
     let events = telemetry::events_enabled();
-    if !recording() && !events {
+    let recording = recording();
+    if !recording && !events {
         return f();
     }
     let mode_str = desc.mode.env_value().unwrap_or("STANDARD");
@@ -307,45 +288,45 @@ pub(crate) fn logged<R>(
     let start = std::time::Instant::now();
     let out = f();
     let wall = start.elapsed();
-    let device_seconds = crate::device::modelled_gemm_time(&desc);
-    if events {
+    let rec = CallRecord {
+        routine,
+        transa: transa.letter(),
+        transb: transb.letter(),
+        m: desc.m,
+        n: desc.n,
+        k: desc.k,
+        mode: desc.mode,
+        domain: desc.domain,
+        wall,
+        device_seconds: crate::device::modelled_gemm_time(&desc),
+    };
+    if let Some(callsite) = callsite {
         blas_calls_total().inc();
-        blas_wall_ns().observe(wall.as_nanos() as u64);
+        blas_wall_ns().observe(rec.wall.as_nanos() as u64);
         // Ledger statistics fold every call (not sampled): the
         // autotuner reads cost from here, not from sampled spans.
         telemetry::ledger::record_call(
-            callsite.expect("set when events"),
-            desc.m,
-            desc.n,
-            desc.k,
+            callsite,
+            rec.m,
+            rec.n,
+            rec.k,
             mode_str,
-            wall.as_secs_f64(),
-            device_seconds,
+            rec.wall.as_secs_f64(),
+            rec.device_seconds,
         );
     }
     if let Some((takes0, misses0)) = pool_before {
         let (takes1, misses1) = pool_traffic();
-        span.end_attr("wall_s", AttrValue::F64(wall.as_secs_f64()));
-        if let Some(dev) = device_seconds {
+        span.end_attr("wall_s", AttrValue::F64(rec.wall.as_secs_f64()));
+        if let Some(dev) = rec.device_seconds {
             span.end_attr("device_s", AttrValue::F64(dev));
         }
         span.end_attr("pool_takes", AttrValue::U64(takes1.saturating_sub(takes0)));
         span.end_attr("pool_misses", AttrValue::U64(misses1.saturating_sub(misses0)));
     }
     drop(span);
-    if recording() {
-        record(CallRecord {
-            routine,
-            transa: transa.letter(),
-            transb: transb.letter(),
-            m: desc.m,
-            n: desc.n,
-            k: desc.k,
-            mode: desc.mode,
-            domain: desc.domain,
-            wall,
-            device_seconds,
-        });
+    if recording {
+        record(rec);
     }
     out
 }
@@ -406,38 +387,43 @@ mod tests {
 
     #[test]
     fn record_ring_bounds_and_counts_drops() {
-        // The log is process-global; serialise against other tests that
-        // might record by holding the telemetry override lock.
-        dcmesh_telemetry::with_level(dcmesh_telemetry::level(), || {
-            let saved = record_capacity();
-            clear();
-            set_record_capacity(3);
-            let before = dropped_records();
-            for i in 0..5 {
-                record(rec("SGEMM", i as f64));
-            }
-            assert_eq!(dropped_records() - before, 2);
-            let kept = drain();
-            assert_eq!(kept.len(), 3, "ring keeps only the newest records");
-            // Oldest-first drain: the survivors are calls 2, 3, 4.
-            assert!((kept[0].wall.as_secs_f64() - 2.0).abs() < 1e-12);
-            assert!((kept[2].wall.as_secs_f64() - 4.0).abs() < 1e-12);
-            set_record_capacity(saved);
-            clear();
-        });
+        set_record_capacity(3);
+        for i in 0..5 {
+            record(rec("SGEMM", i as f64));
+        }
+        assert_eq!(dropped_records(), 2);
+        let kept = drain();
+        assert_eq!(kept.len(), 3, "ring keeps only the newest records");
+        // Oldest-first drain: the survivors are calls 2, 3, 4.
+        assert!((kept[0].wall.as_secs_f64() - 2.0).abs() < 1e-12);
+        assert!((kept[2].wall.as_secs_f64() - 4.0).abs() < 1e-12);
+        clear();
+        assert_eq!(dropped_records(), 0);
     }
 
     #[test]
     fn drain_preserves_insertion_order() {
-        dcmesh_telemetry::with_level(dcmesh_telemetry::level(), || {
-            clear();
-            record(rec("SGEMM", 1.0));
-            record(rec("CGEMM", 2.0));
-            let out = drain();
-            assert_eq!(out.len(), 2);
-            assert_eq!(out[0].routine, "SGEMM");
-            assert_eq!(out[1].routine, "CGEMM");
-            assert!(drain().is_empty());
-        });
+        record(rec("SGEMM", 1.0));
+        record(rec("CGEMM", 2.0));
+        let out = drain();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].routine, "SGEMM");
+        assert_eq!(out[1].routine, "CGEMM");
+        assert!(drain().is_empty());
+    }
+
+    #[test]
+    fn another_threads_calls_stay_out_of_this_ring() {
+        set_recording(true);
+        std::thread::spawn(|| {
+            assert_eq!(recording(), verbose_level() >= 1, "the programmatic flag is not inherited");
+            record(rec("ZGEMM", 1.0));
+        })
+        .join()
+        .expect("child thread");
+        record(rec("SGEMM", 1.0));
+        let out = drain();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].routine, "SGEMM");
     }
 }

@@ -1,29 +1,23 @@
 //! End-to-end ABFT checksum verification against injected bit flips.
 //!
-//! Lives in its own integration binary because both the fault plan and
-//! the ABFT sampler are process-global: unit tests running in parallel
-//! in the library binary would consume one-shot triggers or shift the
-//! shared GEMM call counter. Within this binary a mutex serialises the
-//! tests for the same reason.
+//! The fault plan, the ABFT sampler and the GEMM call counter they share
+//! are per thread, and the harness gives every test its own: each test
+//! starts with nothing installed and a call count of its own.
 
 use mkl_lite::{
-    abft_check_count, cgemm, clear_abft, clear_fault_plan, dgemm, install_abft,
-    install_bit_flip_plan, install_fault_plan, sgemm, take_abft_violation, with_compute_mode,
-    zgemm, BitFlipPlan, ComputeMode, FaultKind, FaultPlan, FaultSite, Op,
+    abft_check_count, cgemm, dgemm, install_abft, install_fault_plan, sgemm, take_abft_violation,
+    with_compute_mode, zgemm, ComputeMode, FaultKind, FaultPlan, FaultSite, Op,
 };
 
 use dcmesh_numerics::{c32, c64, C32, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
 
-static ABFT_LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    let guard = ABFT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    clear_fault_plan();
-    clear_abft();
-    guard
+/// Installs a plan flipping `bit` of one output element of relative call `call`.
+fn install_flip(seed: u64, call: u64, bit: u32) {
+    install_fault_plan(
+        FaultPlan::new(seed).with_site(FaultSite::once(call, FaultKind::FlipBit(bit))),
+    );
 }
 
 fn rand_f64(rng: &mut StdRng, len: usize) -> Vec<f64> {
@@ -42,7 +36,6 @@ fn rand_c32(rng: &mut StdRng, len: usize) -> Vec<C32> {
 
 #[test]
 fn clean_gemms_pass_in_every_mode() {
-    let _g = locked();
     install_abft(1);
     let mut rng = StdRng::seed_from_u64(11);
     let (m, n, k) = (13, 9, 40);
@@ -79,37 +72,32 @@ fn clean_gemms_pass_in_every_mode() {
         });
         assert!(take_abft_violation().is_none(), "complex false positive in mode {mode:?}");
     }
-    clear_abft();
 }
 
 #[test]
 fn exponent_flip_is_detected_and_reported() {
-    let _g = locked();
     install_abft(1);
     // Flip a high exponent bit of one output element of the next call:
     // finite but ~2^512 off — invisible to non-finite health checks.
-    install_bit_flip_plan(&BitFlipPlan::new(3).with_flip(0, 61));
+    install_flip(3, 0, 61);
     let mut rng = StdRng::seed_from_u64(12);
     let (m, n, k) = (8, 8, 16);
     let a = rand_f64(&mut rng, m * k);
     let b = rand_f64(&mut rng, k * n);
     let mut c = vec![0.0f64; m * n];
     dgemm(Op::None, Op::None, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n);
-    clear_fault_plan();
     let v = take_abft_violation().expect("exponent flip must trip the checksum");
     assert_eq!(v.routine, "DGEMM");
     assert!(v.to_string().contains("DGEMM"), "display: {v}");
     assert!(c.iter().all(|x| x.is_finite()), "flip was supposed to stay finite");
     // Taking the violation clears the pending slot.
     assert!(take_abft_violation().is_none());
-    clear_abft();
 }
 
 #[test]
 fn complex_flip_detected_with_beta_accumulation() {
-    let _g = locked();
     install_abft(1);
-    install_bit_flip_plan(&BitFlipPlan::new(9).with_flip(0, 61));
+    install_flip(9, 0, 61);
     let mut rng = StdRng::seed_from_u64(13);
     let (m, n, k) = (6, 7, 9);
     let a = rand_c64(&mut rng, k * m);
@@ -130,14 +118,11 @@ fn complex_flip_detected_with_beta_accumulation() {
         &mut c,
         n,
     );
-    clear_fault_plan();
     assert!(take_abft_violation().is_some(), "complex flip escaped the checksum");
-    clear_abft();
 }
 
 #[test]
 fn sampling_period_skips_unsampled_calls() {
-    let _g = locked();
     install_abft(3);
     let a = vec![1.0f64; 4];
     let b = vec![1.0f64; 4];
@@ -148,37 +133,30 @@ fn sampling_period_skips_unsampled_calls() {
     }
     let checked = abft_check_count() - before;
     assert_eq!(checked, 2, "period-3 sampling over 6 calls must check 2");
-    clear_abft();
 }
 
 #[test]
 fn unsampled_flip_escapes_sampled_check() {
     // The documented coverage boundary: 1-in-N sampling misses flips on
     // unchecked calls. (Those are the domain of verify_bursts.)
-    let _g = locked();
     install_abft(2); // checks relative calls 0, 2, 4, ...
-    install_bit_flip_plan(&BitFlipPlan::new(1).with_flip(1, 61));
+    install_flip(1, 1, 61);
     let a = vec![1.0f64; 9];
     let b = vec![0.5f64; 9];
     for _ in 0..4 {
         let mut c = vec![0.0f64; 9];
         dgemm(Op::None, Op::None, 3, 3, 3, 1.0, &a, 3, &b, 3, 0.0, &mut c, 3);
     }
-    clear_fault_plan();
     assert!(take_abft_violation().is_none(), "flip on an unsampled call must escape");
-    clear_abft();
 }
 
 #[test]
 fn nan_in_output_violates() {
-    let _g = locked();
     install_abft(1);
     install_fault_plan(FaultPlan::new(1).with_site(FaultSite::once(0, FaultKind::Nan)));
     let a = vec![1.0f64; 9];
     let b = vec![1.0f64; 9];
     let mut c = vec![0.0f64; 9];
     dgemm(Op::None, Op::None, 3, 3, 3, 1.0, &a, 3, &b, 3, 0.0, &mut c, 3);
-    clear_fault_plan();
     assert!(take_abft_violation().is_some(), "NaN row sum must violate");
-    clear_abft();
 }

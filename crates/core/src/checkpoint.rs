@@ -378,7 +378,6 @@ mod tests {
     use dcmesh_lfd::state::cosine_potential;
     use dcmesh_lfd::{LaserPulse, Mesh3};
     use dcmesh_qxmd::pto_supercell;
-    use mkl_lite::{set_compute_mode, ComputeMode};
 
     fn params() -> LfdParams {
         LfdParams {
@@ -394,7 +393,6 @@ mod tests {
     }
 
     fn make_checkpoint() -> (LfdParams, Checkpoint<f32>) {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut state = LfdState::<f32>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let mut scratch = QdScratch::new(&p);
@@ -425,7 +423,6 @@ mod tests {
     #[test]
     fn restart_continues_bitwise_identically() {
         // 7 + 5 steps straight through vs 7, checkpoint, restore, 5 more.
-        set_compute_mode(ComputeMode::Standard);
         let (p, ck) = make_checkpoint();
         let mut straight = ck.state.clone();
         let mut scratch = QdScratch::new(&p);

@@ -515,7 +515,7 @@ pub(crate) fn fresh_start<T: LfdScalar>(
 mod tests {
     use super::*;
     use crate::config::SystemPreset;
-    use mkl_lite::{set_compute_mode, with_compute_mode};
+    use mkl_lite::with_compute_mode;
 
     fn tiny_config() -> RunConfig {
         let mut cfg = RunConfig::preset(SystemPreset::Pto40Small);
@@ -531,7 +531,6 @@ mod tests {
 
     #[test]
     fn run_produces_complete_record() {
-        set_compute_mode(ComputeMode::Standard);
         let cfg = tiny_config();
         let r = run_simulation::<f32>(&cfg).expect("run");
         assert_eq!(r.records.len(), 60);
@@ -563,7 +562,6 @@ mod tests {
 
     #[test]
     fn laser_run_is_physical() {
-        set_compute_mode(ComputeMode::Standard);
         let cfg = tiny_config();
         let r = run_simulation::<f64>(&cfg).expect("run");
         let first = &r.records[0];
@@ -592,7 +590,6 @@ mod tests {
 
     #[test]
     fn record_every_thins_output() {
-        set_compute_mode(ComputeMode::Standard);
         let mut cfg = tiny_config();
         cfg.record_every = 5;
         let r = run_simulation::<f32>(&cfg).expect("run");
@@ -613,7 +610,6 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_straight_run() {
-        set_compute_mode(ComputeMode::Standard);
         let cfg = tiny_config(); // 60 steps, 20 per MD
         let policy = dcmesh_lfd::PrecisionPolicy::Ambient;
         let straight = run_simulation::<f32>(&cfg).expect("straight run");
@@ -640,7 +636,6 @@ mod tests {
 
     #[test]
     fn simulated_crash_stops_after_the_requested_burst() {
-        set_compute_mode(ComputeMode::Standard);
         let cfg = tiny_config();
         let policy = dcmesh_lfd::PrecisionPolicy::Ambient;
         let dir = std::env::temp_dir().join(format!("dcmesh-crash-{}", std::process::id()));

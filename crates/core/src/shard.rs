@@ -85,8 +85,9 @@ pub const SHARD_DIR_ENV: &str = "DCMESH_SHARD_DIR";
 pub const SHARD_INCARNATION_ENV: &str = "DCMESH_SHARD_INCARNATION";
 /// [`RankKillPlan`] spec passed through to workers.
 pub const SHARD_KILL_ENV: &str = "DCMESH_SHARD_KILL";
-/// Optional `mkl_lite::BitFlipPlan` spec every worker installs at
-/// startup — silent-data-corruption injection for the CI chaos smoke.
+/// Optional bit-flip spec ([`mkl_lite::FaultPlan::parse`]) every worker
+/// installs at startup — silent-data-corruption injection for the CI
+/// chaos smoke.
 /// Workers inherit the coordinator's environment, so exporting this on
 /// the coordinator arms the whole fleet.
 pub const SHARD_BITFLIP_ENV: &str = "DCMESH_BITFLIP";
@@ -649,7 +650,17 @@ fn worker_main_from_env() -> Result<(), ShardError> {
         .parse()
         .map_err(|_| ShardError::Worker(format!("bad {SHARD_INCARNATION_ENV}")))?;
     let kill = RankKillPlan::parse(&std::env::var(SHARD_KILL_ENV).unwrap_or_default())?;
-    worker_main(&run_dir, rank, incarnation, &kill)
+    // CI chaos smoke: a bit-flip spec in the environment arms the GEMM
+    // injector in this worker; the supervisor's ABFT sampling and rollback
+    // must then recover to the same bits as a clean fleet.
+    let bit_flips = match std::env::var(SHARD_BITFLIP_ENV) {
+        Ok(spec) if !spec.trim().is_empty() => Some(
+            mkl_lite::FaultPlan::parse(&spec)
+                .map_err(|e| ShardError::Worker(format!("bad {SHARD_BITFLIP_ENV}: {e}")))?,
+        ),
+        _ => None,
+    };
+    worker_main(&run_dir, rank, incarnation, &kill, bit_flips)
 }
 
 /// Shared worker progress the heartbeat thread publishes.
@@ -708,12 +719,14 @@ impl BurstObserver for WorkerObserver {
 /// from the queue until every domain is done, idling (rather than
 /// exiting) while other ranks hold unfinished claims so released work
 /// can still be picked up. Runs domains under the full per-rank
-/// supervisor with shared checkpoints.
+/// supervisor with shared checkpoints, with `faults` (if any) installed
+/// on the calling thread's BLAS for the worker's lifetime.
 pub fn worker_main(
     run_dir: &Path,
     rank: usize,
     incarnation: u32,
     kill: &RankKillPlan,
+    faults: Option<mkl_lite::FaultPlan>,
 ) -> Result<(), ShardError> {
     let m = Manifest::read(run_dir)?;
     if rank >= m.ranks {
@@ -722,15 +735,8 @@ pub fn worker_main(
             m.ranks
         )));
     }
-    // CI chaos smoke: a BitFlipPlan spec in the environment arms the GEMM
-    // bit-flip injector in this worker; the supervisor's ABFT sampling and
-    // rollback must then recover to the same bits as a clean fleet.
-    if let Ok(spec) = std::env::var(SHARD_BITFLIP_ENV) {
-        if !spec.trim().is_empty() {
-            let plan = mkl_lite::BitFlipPlan::parse(&spec)
-                .map_err(|e| ShardError::Worker(format!("bad {SHARD_BITFLIP_ENV}: {e}")))?;
-            mkl_lite::install_bit_flip_plan(&plan);
-        }
+    if let Some(plan) = faults {
+        mkl_lite::install_fault_plan(plan);
     }
     let hb = Arc::new(HbState {
         seq: AtomicU64::new(0),

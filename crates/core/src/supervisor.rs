@@ -295,7 +295,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
     params.validate();
 
     // SDC defense: sampled GEMM checksums for the duration of the run.
-    // The guard clears the process-global installation on every exit
+    // The guard clears this thread's installation on every exit
     // path so an error return cannot leak checks into later runs.
     struct AbftGuard(bool);
     impl Drop for AbftGuard {

@@ -11,7 +11,6 @@
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::runner::{run_simulation, run_with_checkpoints};
 use dcmesh_lfd::PrecisionPolicy;
-use mkl_lite::{set_compute_mode, ComputeMode};
 use std::path::{Path, PathBuf};
 
 fn tiny() -> RunConfig {
@@ -50,7 +49,6 @@ fn flip_byte(path: &Path, idx_from_end: usize) {
 
 #[test]
 fn payload_bitflip_quarantines_newest_and_resumes_from_older() {
-    set_compute_mode(ComputeMode::Standard);
     let cfg = tiny();
     let straight = run_simulation::<f32>(&cfg).expect("straight run");
     let dir = scratch_dir("payload");
@@ -78,7 +76,6 @@ fn payload_bitflip_quarantines_newest_and_resumes_from_older() {
 
 #[test]
 fn truncated_and_bad_magic_checkpoints_force_fresh_start() {
-    set_compute_mode(ComputeMode::Standard);
     let cfg = tiny();
     let straight = run_simulation::<f32>(&cfg).expect("straight run");
     let dir = scratch_dir("fresh");
@@ -105,7 +102,6 @@ fn truncated_and_bad_magic_checkpoints_force_fresh_start() {
 
 #[test]
 fn flipped_version_rejected_and_older_used() {
-    set_compute_mode(ComputeMode::Standard);
     let cfg = tiny();
     let dir = scratch_dir("version");
     first_leg(&cfg, &dir);

@@ -1,8 +1,5 @@
 //! Supervisor end-to-end: fault injection → divergence detection →
 //! rollback → precision escalation → completed run with an audit trail.
-//!
-//! The fault plan is process-global state, so every test that installs
-//! (or must be isolated from) one serializes on `FAULT_LOCK`.
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::runner::run_simulation;
@@ -13,13 +10,6 @@ use mkl_lite::{
     clear_fault_plan, install_fault_plan, with_compute_mode, ComputeMode, FaultKind, FaultPlan,
     FaultSite,
 };
-use std::sync::Mutex;
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tiny() -> RunConfig {
     let mut cfg = RunConfig::preset(SystemPreset::Pto40Small);
@@ -35,7 +25,6 @@ fn tiny() -> RunConfig {
 
 #[test]
 fn clean_supervised_run_matches_unsupervised_bit_for_bit() {
-    let _g = lock();
     let cfg = tiny();
     let plain = with_compute_mode(ComputeMode::Standard, || run_simulation::<f32>(&cfg))
         .expect("plain run");
@@ -58,7 +47,6 @@ fn clean_supervised_run_matches_unsupervised_bit_for_bit() {
 /// deck cleanly, with the escalation on record.
 #[test]
 fn nan_injection_rolls_back_escalates_and_completes() {
-    let _g = lock();
     let cfg = tiny();
     let clean = with_compute_mode(ComputeMode::Standard, || run_simulation::<f32>(&cfg))
         .expect("clean FP32 run");
@@ -102,7 +90,6 @@ fn nan_injection_rolls_back_escalates_and_completes() {
 
 #[test]
 fn unescapable_fault_exhausts_the_ladder() {
-    let _g = lock();
     let cfg = tiny();
 
     // No mode scope: the fault follows the run up every rung.
@@ -129,7 +116,6 @@ fn unescapable_fault_exhausts_the_ladder() {
 #[test]
 fn fault_injected_run_emits_escalation_in_trace() {
     use dcmesh_telemetry as telemetry;
-    let _g = lock();
     let cfg = tiny();
     telemetry::with_level(telemetry::TelemetryLevel::Full, || {
         telemetry::sink::clear();
@@ -197,7 +183,6 @@ fn fault_injected_run_emits_escalation_in_trace() {
 #[test]
 fn deescalation_steps_back_down_after_clean_bursts() {
     use dcmesh_telemetry as telemetry;
-    let _g = lock();
     let cfg = tiny(); // 3 bursts of 20 QD steps
 
     telemetry::with_level(telemetry::TelemetryLevel::Full, || {
@@ -243,7 +228,6 @@ fn deescalation_steps_back_down_after_clean_bursts() {
 
 #[test]
 fn supervised_run_resumes_from_its_checkpoints() {
-    let _g = lock();
     let cfg = tiny();
     let plain = with_compute_mode(ComputeMode::Standard, || run_simulation::<f32>(&cfg))
         .expect("plain run");

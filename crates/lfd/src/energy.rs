@@ -168,7 +168,7 @@ mod tests {
     use crate::mesh::Mesh3;
     use crate::nonlocal::nlp_prop;
     use crate::state::cosine_potential;
-    use mkl_lite::{set_compute_mode, ComputeMode};
+    use mkl_lite::ComputeMode;
 
     fn params() -> LfdParams {
         LfdParams {
@@ -187,7 +187,6 @@ mod tests {
     fn plane_wave_kinetic_energy_analytic() {
         // Initial orbitals are plane waves with known kinetic energies
         // ½|k|²; occupations 2 each.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, vec![0.0; p.mesh.len()]);
         let c = nlp_prop(&p, &mut st); // also gives the projection at t=0
@@ -213,7 +212,6 @@ mod tests {
     fn potential_energy_of_uniform_density() {
         // With only the k=0 orbital occupied, ρ is uniform: E_pot equals
         // the mean of V times the electron count.
-        set_compute_mode(ComputeMode::Standard);
         let mut p = params();
         p.n_occ = 1;
         let v = cosine_potential::<f64>(&p.mesh, 0.5);
@@ -234,7 +232,6 @@ mod tests {
     fn nonlocal_energy_at_t0() {
         // At t = 0 the projection is the identity, so
         // E_nl = Σ_occ f·v·w_i.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let st = LfdState::<f64>::initialize(&p, vec![0.0; p.mesh.len()]);
         let c: Vec<_> = dcmesh_linalg::ops::identity(p.n_orb);
@@ -248,7 +245,6 @@ mod tests {
 
     #[test]
     fn etot_is_sum_of_parts() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let c = dcmesh_linalg::ops::identity(p.n_orb);

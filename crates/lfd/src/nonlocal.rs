@@ -220,7 +220,7 @@ mod tests {
     use crate::laser::LaserPulse;
     use crate::mesh::Mesh3;
     use crate::state::cosine_potential;
-    use mkl_lite::{set_compute_mode, ComputeMode};
+    use mkl_lite::ComputeMode;
 
     fn params() -> LfdParams {
         LfdParams {
@@ -239,7 +239,6 @@ mod tests {
     fn preserves_orthonormality() {
         // The correction is unitary (projector exponential), so the
         // orbital set must remain orthonormal.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         for _ in 0..25 {
@@ -251,7 +250,6 @@ mod tests {
 
     #[test]
     fn identity_when_strength_zero() {
-        set_compute_mode(ComputeMode::Standard);
         let mut p = params();
         p.vnl_strength = 0.0;
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
@@ -265,7 +263,6 @@ mod tests {
     #[test]
     fn projection_matrix_is_identity_at_t0() {
         // At t = 0, Ψ = Ψ(0), so C = Ψ†(0)Ψ(0)ΔV = I.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let c = nlp_prop(&p, &mut st);
@@ -285,7 +282,6 @@ mod tests {
     fn matches_direct_projector_exponential() {
         // For a state inside the reference span, nlp_prop must multiply
         // each reference component by e^{-i dt v_i}.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         nlp_prop(&p, &mut st);

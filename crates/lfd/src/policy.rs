@@ -194,10 +194,9 @@ mod tests {
         mkl_lite::with_compute_mode(ComputeMode::Standard, || {
             let seen = p.run(CallSite::EnergyKinetic, mkl_lite::compute_mode);
             assert_eq!(seen, ComputeMode::FloatToBf16);
+            // ... and restores afterwards.
+            assert_eq!(mkl_lite::compute_mode(), ComputeMode::Standard);
         });
-        // ... and restores afterwards.
-        mkl_lite::set_compute_mode(ComputeMode::Standard);
-        assert_eq!(mkl_lite::compute_mode(), ComputeMode::Standard);
     }
 
     #[test]

@@ -223,7 +223,6 @@ mod tests {
     use crate::laser::LaserPulse;
     use crate::mesh::Mesh3;
     use crate::state::cosine_potential;
-    use mkl_lite::{set_compute_mode, ComputeMode};
 
     fn params() -> LfdParams {
         LfdParams {
@@ -240,7 +239,6 @@ mod tests {
 
     #[test]
     fn norm_conserved_over_many_steps() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let mut scratch = QdScratch::new(&p);
@@ -257,7 +255,6 @@ mod tests {
     #[test]
     fn field_free_stationary_state_conserves_energy() {
         // Without a laser, etot must be constant to propagator accuracy.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let mut scratch = QdScratch::new(&p);
@@ -274,7 +271,6 @@ mod tests {
 
     #[test]
     fn laser_excites_electrons() {
-        set_compute_mode(ComputeMode::Standard);
         let mut p = params();
         p.laser = LaserPulse { amplitude: 0.5, omega: 0.3, duration: 200.0, phase: 0.0 };
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.3));
@@ -296,7 +292,6 @@ mod tests {
 
     #[test]
     fn no_laser_means_no_excitation() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, vec![0.0; p.mesh.len()]);
         let mut scratch = QdScratch::new(&p);
@@ -313,7 +308,6 @@ mod tests {
     #[test]
     fn taylor_order_convergence() {
         // Higher Taylor order conserves energy better for the same dt.
-        set_compute_mode(ComputeMode::Standard);
         let drift = |order: usize| -> f64 {
             let mut p = params();
             p.taylor_order = order;
@@ -335,7 +329,6 @@ mod tests {
     #[test]
     fn exactly_nine_blas_calls_per_qd_step() {
         // The artifact description: "Each QD step contains 9 BLAS calls".
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let mut scratch = QdScratch::new(&p);
@@ -354,7 +347,6 @@ mod tests {
 
     #[test]
     fn shadow_matrix_is_near_identity_early() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let mut scratch = QdScratch::new(&p);

@@ -102,7 +102,7 @@ mod tests {
     use crate::laser::LaserPulse;
     use crate::mesh::Mesh3;
     use crate::state::cosine_potential;
-    use mkl_lite::{set_compute_mode, ComputeMode};
+    use mkl_lite::ComputeMode;
 
     fn params() -> LfdParams {
         LfdParams {
@@ -131,7 +131,6 @@ mod tests {
 
     #[test]
     fn zero_at_t0() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let nexc = remap_occ(&p, &st);
@@ -142,7 +141,6 @@ mod tests {
     fn full_swap_excites_all_electrons() {
         // Swap an occupied orbital into a virtual column: its 2 electrons'
         // worth of occupied-reference weight now sits in the virtual block.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let n_orb = p.n_orb;
@@ -156,7 +154,6 @@ mod tests {
 
     #[test]
     fn partial_mixing_gives_fractional_nexc() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let n_orb = p.n_orb;
@@ -177,7 +174,6 @@ mod tests {
 
     #[test]
     fn nexc_bounded_by_electron_count() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let nexc = remap_occ(&p, &st);
@@ -186,7 +182,6 @@ mod tests {
 
     #[test]
     fn no_virtuals_means_no_excitation() {
-        set_compute_mode(ComputeMode::Standard);
         let mut p = params();
         p.n_occ = p.n_orb;
         let st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));

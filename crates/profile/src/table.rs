@@ -64,7 +64,7 @@ pub struct PhaseRow {
 }
 
 /// True when a span looks like a BLAS call (carries the shape + mode
-/// attributes `mkl_lite::verbose::logged` stamps).
+/// attributes `mkl_lite::verbose::observe` stamps).
 fn is_blas_call(span: &Span) -> bool {
     span.attr_f64("m").is_some()
         && span.attr_f64("n").is_some()

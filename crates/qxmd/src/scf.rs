@@ -179,7 +179,7 @@ mod tests {
     use dcmesh_lfd::propagator::{qd_step, QdScratch};
     use dcmesh_lfd::state::cosine_potential;
     use dcmesh_lfd::{LaserPulse, Mesh3};
-    use mkl_lite::{set_compute_mode, with_compute_mode, ComputeMode};
+    use mkl_lite::{with_compute_mode, ComputeMode};
 
     fn params() -> LfdParams {
         LfdParams {
@@ -196,7 +196,6 @@ mod tests {
 
     #[test]
     fn refresh_restores_orthonormality() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f32>::initialize(&p, cosine_potential(&p.mesh, 0.3));
         // Damage the state with a noticeable perturbation.
@@ -214,7 +213,6 @@ mod tests {
 
     #[test]
     fn initial_scf_finds_eigenstates() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.3));
         let rep = initial_scf(&p, &mut st, 4, 1e-12).expect("overlap healthy");
@@ -239,7 +237,6 @@ mod tests {
         // plane waves: under field-free propagation, the SCF-initialised
         // run must show much less spurious "excitation" from the
         // potential's orbital coupling.
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let run = |do_scf: bool| -> f64 {
             let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.3));
@@ -289,7 +286,6 @@ mod tests {
 
     #[test]
     fn eps_updated_by_refresh() {
-        set_compute_mode(ComputeMode::Standard);
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.4));
         let plane_wave_eps = st.eps.clone();

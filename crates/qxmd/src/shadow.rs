@@ -89,7 +89,6 @@ mod tests {
     use dcmesh_lfd::propagator::{qd_step, QdScratch};
     use dcmesh_lfd::state::cosine_potential;
     use dcmesh_lfd::{LaserPulse, LfdParams, Mesh3};
-    use mkl_lite::{set_compute_mode, ComputeMode};
 
     #[test]
     fn shadow_transfers_orders_of_magnitude_smaller() {
@@ -116,7 +115,6 @@ mod tests {
 
     #[test]
     fn drift_grows_with_propagation() {
-        set_compute_mode(ComputeMode::Standard);
         let p = LfdParams {
             mesh: Mesh3::cubic(9, 0.6),
             n_orb: 6,

@@ -23,8 +23,8 @@
 //! ([`LedgerMeta`]) stamps the deck hash, fleet rank count, telemetry
 //! level, sampling period and row count into the artifact, so an
 //! archived run needs no side-channel context. [`parse_ledger`] reads
-//! both v2 and headerless v1 documents back into [`Row`]s — the
-//! round-trip the cross-run archive (`profile archive`) is built on.
+//! a document back into [`Row`]s — the round-trip the cross-run archive
+//! (`profile archive`) is built on.
 //!
 //! Keys intern through [`crate::callsite`], so steady-state recording
 //! allocates nothing per call beyond the map probe.
@@ -200,11 +200,10 @@ static RUN_META: Mutex<(Option<String>, Option<u64>)> = Mutex::new((None, None))
 /// and how the telemetry layer was configured when it recorded.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LedgerMeta {
-    /// Schema version of the parsed document (1 for headerless legacy
-    /// documents, [`LEDGER_SCHEMA_VERSION`] for current ones).
+    /// Schema version of the document ([`LEDGER_SCHEMA_VERSION`]).
     pub version: u64,
     /// FNV-1a/64 hash of the canonical deck text as `"0x{:016x}"`, or
-    /// `"-"` when the producer never stamped one (legacy v1, tests).
+    /// `"-"` when the producer never stamped one.
     pub deck_hash: String,
     /// Ranks contributing to the document (1 for single-process runs).
     pub ranks: u64,
@@ -220,7 +219,7 @@ pub struct LedgerMeta {
 impl Default for LedgerMeta {
     fn default() -> Self {
         LedgerMeta {
-            version: 1,
+            version: LEDGER_SCHEMA_VERSION,
             deck_hash: "-".to_string(),
             ranks: 1,
             telemetry_level: "-".to_string(),
@@ -417,8 +416,8 @@ pub fn snapshot() -> Vec<Row> {
 }
 
 /// Current ledger schema version (see DESIGN.md "Observability").
-/// v2 added the self-describing `meta` header; v1 documents (entries
-/// only) are still readable through [`parse_ledger`].
+/// v2 added the self-describing `meta` header; nothing writes the
+/// headerless v1 any more and [`parse_ledger`] refuses it.
 pub const LEDGER_SCHEMA_VERSION: u64 = 2;
 
 /// Renders one row as its compact `ledger.json` entry object. The same
@@ -556,22 +555,19 @@ pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
     })
 }
 
-/// Parses a `ledger.json` document — current schema v2 or headerless
-/// legacy v1 — back into its header and rows. A v1 document gets a
-/// default header (`deck_hash`/`telemetry_level` `"-"`, 1 rank) with
-/// `rows` filled from the entry count, so archive consumers handle
-/// both generations uniformly. Versions newer than
-/// [`LEDGER_SCHEMA_VERSION`] are an error: the caller should warn and
-/// skip rather than misread fields it does not understand.
+/// Parses a `ledger.json` document back into its header and rows. Any
+/// version other than [`LEDGER_SCHEMA_VERSION`] is an error: the caller
+/// should warn and skip rather than misread fields it does not
+/// understand.
 pub fn parse_ledger(text: &str) -> Result<(LedgerMeta, Vec<Row>), String> {
     let doc = json::parse(text).map_err(|e| format!("ledger does not parse: {e}"))?;
     let version = doc
         .get("version")
         .and_then(json::JsonValue::as_f64)
         .ok_or_else(|| "ledger has no version".to_string())? as u64;
-    if version > LEDGER_SCHEMA_VERSION {
+    if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
-            "ledger schema v{version} is newer than supported v{LEDGER_SCHEMA_VERSION}"
+            "ledger schema v{version} is not the supported v{LEDGER_SCHEMA_VERSION}"
         ));
     }
     let entries = doc
@@ -579,7 +575,7 @@ pub fn parse_ledger(text: &str) -> Result<(LedgerMeta, Vec<Row>), String> {
         .and_then(json::JsonValue::as_array)
         .ok_or_else(|| "ledger has no entries array".to_string())?;
     let rows: Vec<Row> = entries.iter().map(parse_row).collect::<Result<_, _>>()?;
-    let mut meta = LedgerMeta { version, rows: rows.len() as u64, ..LedgerMeta::default() };
+    let mut meta = LedgerMeta { rows: rows.len() as u64, ..LedgerMeta::default() };
     if let Some(m) = doc.get("meta") {
         let s = |f: &str| m.get(f).and_then(json::JsonValue::as_str).map(str::to_string);
         let n = |f: &str| m.get(f).and_then(json::JsonValue::as_f64);
@@ -972,27 +968,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_headerless_document_still_parses() {
-        let v1 = r#"{
-  "version": 1,
-  "entries": [
-    {"callsite":"md/cgemm","shape":"64x64x64","mode":"STANDARD",
-     "calls":7,"wall_s":0.5,"device_s":0.25,"device_samples":7,
-     "time_misfit":2,"escalations":0,"rollbacks":0,"health_violations":0,
-     "nonfinite_outputs":0,"abft_checks":3,"abft_violations":0,
-     "residuals":{"count":3,"max":0.001,"buckets":[["1e-3",3]]}}
-  ]
-}"#;
-        let (meta, rows) = parse_ledger(v1).expect("v1 parses");
-        assert_eq!(meta.version, 1);
-        assert_eq!(meta.deck_hash, "-");
-        assert_eq!(meta.ranks, 1);
-        assert_eq!(meta.rows, 1);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].callsite, "md/cgemm");
-        assert_eq!(rows[0].stats.calls, 7);
-        assert_eq!(rows[0].stats.residuals.buckets[9], 3); // 1e-3 decade
-        // Future schemas are refused, not misread.
+    fn other_schema_versions_are_refused_not_misread() {
+        // The headerless v1 has no producer left...
+        let v1 = r#"{"version": 1, "entries": []}"#;
+        let err = parse_ledger(v1).expect_err("v1 is refused");
+        assert!(err.contains("v1") && err.contains("v2"), "{err}");
+        // ...and future schemas are unknown.
         assert!(parse_ledger(r#"{"version": 99, "entries": []}"#).is_err());
     }
 

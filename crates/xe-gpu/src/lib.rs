@@ -52,8 +52,8 @@ pub use power::{PowerModel, MAX_1550_STACK_POWER};
 pub use scale::{Fabric, MultiStackModel, HDR_FABRIC, XE_LINK};
 pub use trace::{KernelEvent, Tracer};
 
-/// Installs a [`XeStackModel`] for [`MAX_1550_STACK`] as the process-wide
-/// BLAS device model and returns it.
+/// Installs a [`XeStackModel`] for [`MAX_1550_STACK`] as the calling
+/// thread's BLAS device model and returns it.
 pub fn install_default_model() -> std::sync::Arc<XeStackModel> {
     let model = std::sync::Arc::new(XeStackModel::new(MAX_1550_STACK));
     mkl_lite::device::install_device_model(model.clone());

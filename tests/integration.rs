@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: deck → runner → analysis pipeline,
-//! device-model installation, and the no-code-change mode switching the
-//! paper's methodology rests on.
+//! device-model installation, the no-code-change mode switching the
+//! paper's methodology rests on, and the isolation of two runs sharing
+//! one process.
 
 use dcmesh::analysis::{DeviationSeries, Metric};
 use dcmesh::config::{RunConfig, SystemPreset};
@@ -221,4 +222,107 @@ fn schedule_matches_executed_blas_calls_exactly() {
             "call {i} ({name}): executed mode differs from schedule"
         );
     }
+}
+
+/// What one supervised run leaves behind on its thread.
+#[derive(Debug, PartialEq)]
+struct RunTrace {
+    /// Bit patterns of every recorded observable.
+    bits: Vec<u64>,
+    sdc_recoveries: u64,
+    injected: u64,
+    abft_checks: u64,
+    /// The thread's call ring: (routine, m, n, k, mode, priced by a device model).
+    calls: Vec<(&'static str, usize, usize, usize, ComputeMode, bool)>,
+}
+
+/// Runs the tiny deck supervised on a fresh thread — hence a fresh BLAS
+/// context — with call recording on. `arm` sets up whatever else the run
+/// carries on that thread; the run starts once `start` releases.
+fn traced_run(
+    mode: ComputeMode,
+    sup: dcmesh::SupervisorConfig,
+    arm: impl FnOnce() + Send,
+    start: &std::sync::Barrier,
+) -> RunTrace {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            arm();
+            verbose::set_recording(true);
+            start.wait();
+            let run = dcmesh::run_supervised::<f32>(&tiny(), mode, &sup).expect("supervised run");
+            let mut bits = Vec::new();
+            for r in &run.result.records {
+                bits.extend([r.ekin, r.epot, r.etot, r.eexc, r.nexc, r.javg].map(f64::to_bits));
+            }
+            RunTrace {
+                bits,
+                sdc_recoveries: run.sdc_recoveries,
+                injected: mkl_lite::fault::injected_fault_count(),
+                abft_checks: mkl_lite::abft_check_count(),
+                calls: verbose::drain()
+                    .iter()
+                    .map(|c| (c.routine, c.m, c.n, c.k, c.mode, c.device_seconds.is_some()))
+                    .collect(),
+            }
+        })
+        .join()
+        .expect("run thread")
+    })
+}
+
+#[test]
+fn two_concurrent_runs_in_one_process_match_their_solo_runs() {
+    use mkl_lite::{FaultKind, FaultPlan, FaultSite};
+    use std::sync::Barrier;
+
+    // B: a clean FP32 run with nothing but recording on.
+    let run_b = |start: &Barrier| {
+        traced_run(ComputeMode::Standard, dcmesh::SupervisorConfig::default(), || {}, start)
+    };
+    let solo = Barrier::new(1);
+    let b_solo = run_b(&solo);
+    assert_eq!((b_solo.injected, b_solo.abft_checks, b_solo.sdc_recoveries), (0, 0, 0));
+    assert!(b_solo.calls.iter().all(|c| !c.5), "no model installed, nothing priced");
+
+    // A: BF16 with every GEMM checksummed and priced, and a NaN planted in
+    // a mid-run CGEMM. The routine sequence does not depend on the mode,
+    // so B's ring says which GEMM-call index that is.
+    let gemms: Vec<_> = b_solo.calls.iter().filter(|c| c.0.ends_with("GEMM")).collect();
+    let target = (gemms.len() / 2..gemms.len())
+        .find(|&i| gemms[i].0 == "CGEMM")
+        .expect("a CGEMM in the second half of the run") as u64;
+    let run_a = |start: &Barrier| {
+        let sup = dcmesh::SupervisorConfig {
+            abft_check_period: Some(1),
+            ..dcmesh::SupervisorConfig::default()
+        };
+        let arm = || {
+            xe_gpu::install_default_model();
+            mkl_lite::install_fault_plan(FaultPlan::new(11).with_site(
+                FaultSite::once(target, FaultKind::Nan)
+                    .on_routine("CGEMM")
+                    .in_mode(ComputeMode::FloatToBf16),
+            ));
+        };
+        traced_run(ComputeMode::FloatToBf16, sup, arm, start)
+    };
+    let a_solo = run_a(&solo);
+    assert_eq!(a_solo.injected, 1, "the planted NaN must fire exactly once");
+    assert!(a_solo.sdc_recoveries >= 1, "the checksum must catch it");
+    assert!(a_solo.abft_checks as usize >= gemms.len());
+    assert!(a_solo.calls.iter().all(|c| c.5), "every call priced by A's model");
+    assert_ne!(a_solo.bits, b_solo.bits, "BF16 and FP32 runs must differ");
+
+    // Both at once, released together. Each must reproduce its solo run to
+    // the bit and to the record: B sees none of A's faults, checks, model
+    // or calls, and A none of B's.
+    let together = Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_a(&together));
+        let b = s.spawn(|| run_b(&together));
+        (a.join().expect("run A"), b.join().expect("run B"))
+    });
+    assert_eq!(b, b_solo, "clean run disturbed by its faulty neighbour");
+    assert_eq!(a, a_solo, "faulty run disturbed by its clean neighbour");
 }

@@ -13,28 +13,14 @@
 //!   a clean run.
 //! * `verify_bursts` replay verification passes on clean runs without
 //!   perturbing the result.
-//!
-//! The fault injector and the ABFT sampler are process-global, so every
-//! test that executes GEMMs in-process serialises on one mutex (the
-//! shard test spawns worker processes instead and needs no lock).
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::shard::ShardConfig;
 use dcmesh::supervisor::burst_verification_counter;
 use dcmesh::{run_coordinator, run_supervised, SupervisedRun, SupervisorConfig};
-use mkl_lite::{install_bit_flip_plan, BitFlipPlan, ComputeMode};
+use mkl_lite::{install_fault_plan, ComputeMode, FaultKind, FaultPlan, FaultSite};
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
-
-static GEMM_LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> std::sync::MutexGuard<'static, ()> {
-    let guard = GEMM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    mkl_lite::clear_fault_plan();
-    mkl_lite::clear_abft();
-    guard
-}
 
 fn tiny_deck() -> RunConfig {
     let mut cfg = RunConfig::preset(SystemPreset::Pto40Small);
@@ -65,7 +51,6 @@ fn supervised(sup: &SupervisorConfig) -> SupervisedRun {
 
 #[test]
 fn full_supervised_run_is_bit_identical_across_thread_counts() {
-    let _g = locked();
     let mut all_bits = Vec::new();
     for threads in [1usize, 4] {
         let dir = std::env::temp_dir()
@@ -114,7 +99,6 @@ fn full_supervised_run_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn degraded_two_rank_fleet_merges_bit_identical_to_four_rank_fleet() {
-    // No lock: all GEMMs happen in spawned worker processes.
     let fleet = |name: &str, ranks: usize| {
         let dir =
             std::env::temp_dir().join(format!("dcmesh-repro-{name}-{}", std::process::id()));
@@ -154,7 +138,6 @@ fn degraded_two_rank_fleet_merges_bit_identical_to_four_rank_fleet() {
 
 #[test]
 fn injected_bit_flip_is_detected_and_recovery_is_bit_identical() {
-    let _g = locked();
     let sup = SupervisorConfig { abft_check_period: Some(1), ..SupervisorConfig::default() };
 
     // Baseline, and the GEMM call budget of one clean run.
@@ -177,7 +160,10 @@ fn injected_bit_flip_is_detected_and_recovery_is_bit_identical() {
     // does catch — for a fixed deck and seed the scan is deterministic.
     let flipped = (0..12)
         .find_map(|j| {
-            install_bit_flip_plan(&BitFlipPlan::new(7).with_flip(calls_per_run / 2 + j * 7, 61));
+            let call = calls_per_run / 2 + j * 7;
+            install_fault_plan(
+                FaultPlan::new(7).with_site(FaultSite::once(call, FaultKind::FlipBit(61))),
+            );
             let run = supervised(&sup);
             mkl_lite::clear_fault_plan();
             (run.sdc_recoveries >= 1).then_some(run)
@@ -198,7 +184,6 @@ fn injected_bit_flip_is_detected_and_recovery_is_bit_identical() {
 
 #[test]
 fn verify_bursts_replay_passes_clean_and_preserves_bits() {
-    let _g = locked();
     let plain = supervised(&SupervisorConfig::default());
 
     let verified_before = burst_verification_counter().get();
