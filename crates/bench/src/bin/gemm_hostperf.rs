@@ -46,6 +46,7 @@
 //! within `--tolerance-pct` (default 5%). Exits non-zero on
 //! disagreement, so CI can gate on trace attribution staying honest.
 
+use dcmesh_bench::report::{civil_date_utc, merged_history};
 use dcmesh_numerics::{c32, C32};
 use dcmesh_profile::{ingest, table};
 use mkl_lite::device::{Domain, GemmDesc};
@@ -291,26 +292,6 @@ fn json_f64(v: f64) -> String {
     if v.is_finite() { format!("{v:.1}") } else { "null".to_string() }
 }
 
-/// Today's civil date (UTC) as `YYYY-MM-DD`, from the system clock —
-/// the days-to-civil conversion is the classic era/epoch-shift
-/// algorithm, exact over the entire `u64` seconds range used here.
-fn civil_date_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() {
     let o = parse_args();
     if let Some(path) = &o.from_trace {
@@ -512,18 +493,7 @@ fn main() {
         json_f64(gate_ns(ComputeMode::FloatToBf16x2)),
         json_f64(gate_ns(ComputeMode::FloatToBf16x3)),
     );
-    let mut history: Vec<String> = std::fs::read_to_string(&o.out)
-        .ok()
-        .and_then(|old| dcmesh_telemetry::json::parse(&old).ok())
-        .and_then(|doc| {
-            doc.get("history")
-                .and_then(|h| h.as_array())
-                .map(|a| a.iter().map(dcmesh_telemetry::json::dump).collect())
-        })
-        .unwrap_or_default();
-    // Same-day reruns replace their entry instead of stacking up.
-    history.retain(|h| !h.contains(&format!("\"date\":\"{today}\"")));
-    history.push(new_entry);
+    let history = merged_history(&o.out, &today, new_entry);
     json.push_str("  \"history\": [\n    ");
     json.push_str(&history.join(",\n    "));
     json.push_str("\n  ]\n}\n");

@@ -58,8 +58,8 @@ pub fn calc_energy_with_policy<T: LfdScalar>(
     let dv = params.mesh.dv();
     assert_eq!(projection.len(), n_orb * n_orb, "projection shape mismatch");
 
-    // Mesh kernel: TΨ.
-    scratch.clear();
+    // Mesh kernel: TΨ (the sweep overwrites every element, so a scratch
+    // that already has the right length is not cleared first).
     scratch.resize(ngrid * n_orb, Complex::zero());
     apply_kinetic(&params.mesh, n_orb, &state.psi, scratch);
 

@@ -4,7 +4,17 @@
 //! the Laplacian and z-gradient discretised by 8th-order central
 //! differences on the periodic mesh. These are the "simple data
 //! parallelism" kernels of LFD (paper §IV-D) — everything here is a mesh
-//! sweep, parallelised over grid slabs with rayon; nothing here is BLAS.
+//! sweep; nothing here is BLAS. The unit of work is one x-slab of the
+//! output (`par_chunks_mut`): the vendored rayon shim runs the slabs
+//! sequentially on the calling thread, and they are what a real rayon
+//! would spread over threads.
+//!
+//! There is one stencil body (`Stencil::block`). It accumulates a block
+//! of orbitals in registers across all 33 taps and stores once, either
+//! `H·ψ` itself or the fused Taylor update. DESIGN.md, "Mesh kernels",
+//! gives the loop nest, the operation-order contract that keeps it
+//! bit-identical to the scalar loop it replaced, and the per-point
+//! operation and byte counts.
 
 use crate::mesh::Mesh3;
 use dcmesh_numerics::{Complex, Real};
@@ -27,6 +37,248 @@ pub const C1: [f64; 5] = [0.0, 4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0]
 /// Stencil radius.
 pub const RADIUS: usize = 4;
 
+/// Orbitals per register block: 16 complex are 4 ymm of `f32` or 8 ymm of
+/// `f64`, which leaves registers for the tap loads on both.
+const BLOCK: usize = 16;
+
+/// The wrap table of index `i` on a periodic axis of length `n`: entry
+/// `RADIUS + s` is `(i + s) mod n` for `|s| ≤ RADIUS`, found by compare
+/// and subtract instead of a division per neighbour. The sweeps build
+/// one per x-slab, one per y-row and one per point along z, on the stack.
+#[inline(always)]
+pub(crate) fn wrap_table(i: usize, n: usize) -> [usize; 2 * RADIUS + 1] {
+    assert!(i < n && n >= RADIUS, "axis shorter than the stencil radius");
+    let mut table = [i; 2 * RADIUS + 1];
+    for s in 1..=RADIUS {
+        table[RADIUS + s] = if i + s >= n { i + s - n } else { i + s };
+        table[RADIUS - s] = if i >= s { i - s } else { i + n - s };
+    }
+    table
+}
+
+/// One configured sweep of `H(t)` over an `N_grid × n_orb` state.
+struct Stencil<'a, T> {
+    nx: usize,
+    ny: usize,
+    nz: usize,
+    n_orb: usize,
+    /// Local potential; `None` is the bare kinetic operator.
+    vloc: Option<&'a [T]>,
+    half_a2: T,
+    /// The three centre taps of the Laplacian.
+    lap0: T,
+    /// −½ ∇²: `C2` scaled by −½/h².
+    lap_c: [T; RADIUS + 1],
+    /// −iA ∂z: `C1` scaled by A/h (the −i is applied per element);
+    /// `None` when A = 0.
+    grad_c: Option<[T; RADIUS + 1]>,
+    /// `dt/n` of the fused Taylor store.
+    taylor_c: T,
+}
+
+impl<'a, T: Real> Stencil<'a, T> {
+    fn new(
+        mesh: &Mesh3,
+        n_orb: usize,
+        vloc: Option<&'a [T]>,
+        a_total: f64,
+        taylor_c: T,
+    ) -> Self {
+        assert!(
+            mesh.nx > 2 * RADIUS && mesh.ny > 2 * RADIUS && mesh.nz > 2 * RADIUS,
+            "mesh smaller than twice the stencil radius"
+        );
+        if let Some(v) = vloc {
+            assert_eq!(v.len(), mesh.len(), "vloc shape mismatch");
+        }
+        let h2_inv = 1.0 / (mesh.spacing * mesh.spacing);
+        let h_inv = 1.0 / mesh.spacing;
+        let lap_c: [T; RADIUS + 1] = core::array::from_fn(|s| T::from_f64(-0.5 * C2[s] * h2_inv));
+        Stencil {
+            nx: mesh.nx,
+            ny: mesh.ny,
+            nz: mesh.nz,
+            n_orb,
+            vloc,
+            half_a2: T::from_f64(0.5 * a_total * a_total),
+            lap0: lap_c[0] * T::from_f64(3.0),
+            lap_c,
+            grad_c: (a_total != 0.0)
+                .then(|| core::array::from_fn(|s| T::from_f64(C1[s] * a_total * h_inv))),
+            taylor_c,
+        }
+    }
+
+    /// Sweeps `src` into `out`, one x-slab at a time. With `psi`, the
+    /// store is the fused Taylor update `out = (−i·c)·H·src; psi += out`;
+    /// without, `out = H·src`.
+    fn run(&self, src: &[Complex<T>], out: &mut [Complex<T>], psi: Option<&mut [Complex<T>]>) {
+        let slab = self.ny * self.nz * self.n_orb; // one x-plane of the state
+        assert_eq!(src.len(), self.nx * slab, "psi shape mismatch");
+        assert_eq!(out.len(), src.len(), "out shape mismatch");
+        match psi {
+            None => out
+                .par_chunks_mut(slab)
+                .enumerate()
+                .for_each(|(ix, o)| self.slab::<false>(ix, src, o, &mut [])),
+            Some(psi) => {
+                assert_eq!(psi.len(), src.len(), "psi shape mismatch");
+                out.par_chunks_mut(slab)
+                    .zip(psi.par_chunks_mut(slab))
+                    .enumerate()
+                    .for_each(|(ix, (o, p))| self.slab::<true>(ix, src, o, p))
+            }
+        }
+    }
+
+    /// One x-slab on the widest instantiation the CPU runs.
+    fn slab<const TAYLOR: bool>(
+        &self,
+        ix: usize,
+        src: &[Complex<T>],
+        out: &mut [Complex<T>],
+        psi: &mut [Complex<T>],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: the two features `slab_avx2` is compiled for were
+            // detected on the line above.
+            return unsafe { self.slab_avx2::<TAYLOR>(ix, src, out, psi) };
+        }
+        self.slab_body::<TAYLOR>(ix, src, out, psi)
+    }
+
+    /// [`Self::slab_body`] compiled for AVX2. Same source, same operation
+    /// order, no contraction (Rust never fuses a separate `*` and `+`),
+    /// hence the same bits as the portable instantiation.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn slab_avx2<const TAYLOR: bool>(
+        &self,
+        ix: usize,
+        src: &[Complex<T>],
+        out: &mut [Complex<T>],
+        psi: &mut [Complex<T>],
+    ) {
+        self.slab_body::<TAYLOR>(ix, src, out, psi)
+    }
+
+    #[inline(always)]
+    fn slab_body<const TAYLOR: bool>(
+        &self,
+        ix: usize,
+        src: &[Complex<T>],
+        out: &mut [Complex<T>],
+        psi: &mut [Complex<T>],
+    ) {
+        let (ny, nz, n_orb) = (self.ny, self.nz, self.n_orb);
+        let plane = ny * nz;
+        let xw = wrap_table(ix, self.nx);
+        for iy in 0..ny {
+            let yw = wrap_table(iy, ny);
+            for iz in 0..nz {
+                let zw = wrap_table(iz, nz);
+                let g = ix * plane + iy * nz + iz;
+                // Row starts of the 24 off-centre taps: per distance
+                // s = 1..4, {x+, x−, y+, y−, z+, z−}.
+                let mut taps = [[0usize; 6]; RADIUS];
+                for (i, t) in taps.iter_mut().enumerate() {
+                    let (up, down) = (RADIUS + i + 1, RADIUS - i - 1);
+                    *t = [
+                        xw[up] * plane + iy * nz + iz,
+                        xw[down] * plane + iy * nz + iz,
+                        ix * plane + yw[up] * nz + iz,
+                        ix * plane + yw[down] * nz + iz,
+                        ix * plane + iy * nz + zw[up],
+                        ix * plane + iy * nz + zw[down],
+                    ]
+                    .map(|gg| gg * n_orb);
+                }
+                // Centre coefficient: potential + ½A² + 3·C2[0] Laplacian tap.
+                let diag = self.vloc.map_or(self.half_a2, |v| v[g] + self.half_a2) + self.lap0;
+                let row = (iy * nz + iz) * n_orb;
+                let out_row = &mut out[row..row + n_orb];
+                let psi_row = if TAYLOR { &mut psi[row..row + n_orb] } else { &mut psi[..0] };
+                let centre = g * n_orb;
+                let mut o = 0;
+                while o + BLOCK <= n_orb {
+                    self.block::<BLOCK, TAYLOR>(src, centre, &taps, diag, o, out_row, psi_row);
+                    o += BLOCK;
+                }
+                while o < n_orb {
+                    self.block::<1, TAYLOR>(src, centre, &taps, diag, o, out_row, psi_row);
+                    o += 1;
+                }
+            }
+        }
+    }
+
+    /// The stencil: `W` orbitals of one grid point, accumulated in
+    /// registers and stored once. The per-element operation order —
+    /// centre, then s = 1..4 × {x+, x−, y+, y−, z+, z−}, then the gradient
+    /// s = 1..4, each a separate multiply and add — is the contract that
+    /// keeps every instantiation bit-identical.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn block<const W: usize, const TAYLOR: bool>(
+        &self,
+        src: &[Complex<T>],
+        centre: usize,
+        taps: &[[usize; 6]; RADIUS],
+        diag: T,
+        o: usize,
+        out_row: &mut [Complex<T>],
+        psi_row: &mut [Complex<T>],
+    ) {
+        let row = |start: usize| -> &[Complex<T>; W] {
+            src[start + o..start + o + W].try_into().expect("W-wide row")
+        };
+        let c = row(centre);
+        let mut acc = [Complex::<T>::zero(); W];
+        for i in 0..W {
+            acc[i] = c[i].scale(diag);
+        }
+        for (s, neighbours) in taps.iter().enumerate() {
+            let k = self.lap_c[s + 1];
+            for &n in neighbours {
+                let r = row(n);
+                for i in 0..W {
+                    acc[i] += r[i].scale(k);
+                }
+            }
+        }
+        // −iA ∂z: antisymmetric z taps, multiplied by −i.
+        if let Some(grad_c) = &self.grad_c {
+            for (s, neighbours) in taps.iter().enumerate() {
+                let k = grad_c[s + 1];
+                let (plus, minus) = (row(neighbours[4]), row(neighbours[5]));
+                for i in 0..W {
+                    let d = (plus[i] - minus[i]).scale(k);
+                    // −i·d = (d.im, −d.re)
+                    acc[i] += Complex { re: d.im, im: -d.re };
+                }
+            }
+        }
+        let out = &mut out_row[o..o + W];
+        if TAYLOR {
+            let psi = &mut psi_row[o..o + W];
+            let k = self.taylor_c;
+            for i in 0..W {
+                // −i·c·h = c·(h.im, −h.re)
+                let t = Complex { re: acc[i].im * k, im: -(acc[i].re * k) };
+                out[i] = t;
+                psi[i] += t;
+            }
+        } else {
+            out.copy_from_slice(&acc);
+        }
+    }
+}
+
 /// Applies `out = H(t)·ψ` for the whole orbital set.
 ///
 /// * `psi`, `out`: row-major `N_grid × n_orb`.
@@ -40,86 +292,7 @@ pub fn apply_h<T: Real>(
     psi: &[Complex<T>],
     out: &mut [Complex<T>],
 ) {
-    let ngrid = mesh.len();
-    assert_eq!(psi.len(), ngrid * n_orb, "psi shape mismatch");
-    assert_eq!(out.len(), ngrid * n_orb, "out shape mismatch");
-    assert_eq!(vloc.len(), ngrid, "vloc shape mismatch");
-    assert!(
-        mesh.nx > 2 * RADIUS && mesh.ny > 2 * RADIUS && mesh.nz > 2 * RADIUS,
-        "mesh smaller than twice the stencil radius"
-    );
-
-    let h2_inv = 1.0 / (mesh.spacing * mesh.spacing);
-    let h_inv = 1.0 / mesh.spacing;
-    let half_a2 = T::from_f64(0.5 * a_total * a_total);
-    // −½ ∇²  →  scale C2 by −½/h².
-    let lap_c: [T; 5] = core::array::from_fn(|s| T::from_f64(-0.5 * C2[s] * h2_inv));
-    // −iA ∂z →  gradient coefficients scaled by A/h; the −i factor is
-    // applied per element below.
-    let grad_c: [T; 5] = core::array::from_fn(|s| T::from_f64(C1[s] * a_total * h_inv));
-    let apply_gradient = a_total != 0.0;
-
-    let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
-    let slab = ny * nz * n_orb; // one x-plane of the state
-
-    out.par_chunks_mut(slab).enumerate().for_each(|(ix, out_slab)| {
-        // Periodic x-neighbour plane offsets for this slab.
-        let xoff: [usize; 2 * RADIUS + 1] =
-            core::array::from_fn(|i| Mesh3::wrap(ix, i as isize - RADIUS as isize, nx));
-        for iy in 0..ny {
-            let yoff: [usize; 2 * RADIUS + 1] =
-                core::array::from_fn(|i| Mesh3::wrap(iy, i as isize - RADIUS as isize, ny));
-            for iz in 0..nz {
-                let zoff: [usize; 2 * RADIUS + 1] =
-                    core::array::from_fn(|i| Mesh3::wrap(iz, i as isize - RADIUS as isize, nz));
-                let g = (ix * ny + iy) * nz + iz;
-                let row = &mut out_slab[(iy * nz + iz) * n_orb..(iy * nz + iz + 1) * n_orb];
-                let center = &psi[g * n_orb..(g + 1) * n_orb];
-
-                // Central terms: potential + ½A² + 3·C2[0] Laplacian tap.
-                let diag = vloc[g] + half_a2;
-                let lap0 = lap_c[0] * T::from_f64(3.0);
-                for (o, r) in row.iter_mut().enumerate() {
-                    *r = center[o].scale(diag + lap0);
-                }
-
-                // Off-centre Laplacian taps along the three axes.
-                for s in 1..=RADIUS {
-                    let c = lap_c[s];
-                    let neighbours = [
-                        ((xoff[RADIUS + s] * ny + iy) * nz + iz),
-                        ((xoff[RADIUS - s] * ny + iy) * nz + iz),
-                        ((ix * ny + yoff[RADIUS + s]) * nz + iz),
-                        ((ix * ny + yoff[RADIUS - s]) * nz + iz),
-                        ((ix * ny + iy) * nz + zoff[RADIUS + s]),
-                        ((ix * ny + iy) * nz + zoff[RADIUS - s]),
-                    ];
-                    for gg in neighbours {
-                        let src = &psi[gg * n_orb..(gg + 1) * n_orb];
-                        for (o, r) in row.iter_mut().enumerate() {
-                            *r += src[o].scale(c);
-                        }
-                    }
-                }
-
-                // −iA ∂z: antisymmetric z taps, multiplied by −i.
-                if apply_gradient {
-                    for s in 1..=RADIUS {
-                        let c = grad_c[s];
-                        let gp = (ix * ny + iy) * nz + zoff[RADIUS + s];
-                        let gm = (ix * ny + iy) * nz + zoff[RADIUS - s];
-                        let plus = &psi[gp * n_orb..(gp + 1) * n_orb];
-                        let minus = &psi[gm * n_orb..(gm + 1) * n_orb];
-                        for (o, r) in row.iter_mut().enumerate() {
-                            let d = (plus[o] - minus[o]).scale(c);
-                            // −i·d = (d.im, −d.re)
-                            *r += Complex { re: d.im, im: -d.re };
-                        }
-                    }
-                }
-            }
-        }
-    });
+    Stencil::new(mesh, n_orb, Some(vloc), a_total, T::ZERO).run(psi, out, None);
 }
 
 /// Applies only the kinetic operator `out = −½∇²·ψ` (used by
@@ -130,14 +303,202 @@ pub fn apply_kinetic<T: Real>(
     psi: &[Complex<T>],
     out: &mut [Complex<T>],
 ) {
-    let zero_v = vec![T::ZERO; mesh.len()];
-    apply_h(mesh, n_orb, &zero_v, 0.0, psi, out);
+    Stencil::new(mesh, n_orb, None, 0.0, T::ZERO).run(psi, out, None);
+}
+
+/// One order of the Taylor propagator, fused into the stencil's store:
+/// `next = (−i·c)·H(t)·term; psi += next`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn taylor_term<T: Real>(
+    mesh: &Mesh3,
+    n_orb: usize,
+    vloc: &[T],
+    a_total: f64,
+    c: T,
+    term: &[Complex<T>],
+    next: &mut [Complex<T>],
+    psi: &mut [Complex<T>],
+) {
+    Stencil::new(mesh, n_orb, Some(vloc), a_total, c).run(term, next, Some(psi));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcmesh_numerics::C64;
+
+    /// The scalar loop the register-blocked kernel replaced, kept as the
+    /// bit-level reference: one read-modify-write of the output row per
+    /// tap, `Mesh3::wrap` per neighbour.
+    fn apply_h_reference<T: Real>(
+        mesh: &Mesh3,
+        n_orb: usize,
+        vloc: &[T],
+        a_total: f64,
+        psi: &[Complex<T>],
+        out: &mut [Complex<T>],
+    ) {
+        let h2_inv = 1.0 / (mesh.spacing * mesh.spacing);
+        let h_inv = 1.0 / mesh.spacing;
+        let half_a2 = T::from_f64(0.5 * a_total * a_total);
+        let lap_c: [T; 5] = core::array::from_fn(|s| T::from_f64(-0.5 * C2[s] * h2_inv));
+        let grad_c: [T; 5] = core::array::from_fn(|s| T::from_f64(C1[s] * a_total * h_inv));
+        let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
+        for g in 0..mesh.len() {
+            let (ix, iy, iz) = mesh.coords(g);
+            let at = |dx: isize, dy: isize, dz: isize| {
+                mesh.index(Mesh3::wrap(ix, dx, nx), Mesh3::wrap(iy, dy, ny), Mesh3::wrap(iz, dz, nz))
+            };
+            let row = &mut out[g * n_orb..(g + 1) * n_orb];
+            let diag = vloc[g] + half_a2;
+            let lap0 = lap_c[0] * T::from_f64(3.0);
+            for (o, r) in row.iter_mut().enumerate() {
+                *r = psi[g * n_orb + o].scale(diag + lap0);
+            }
+            for s in 1..=RADIUS as isize {
+                let neighbours =
+                    [at(s, 0, 0), at(-s, 0, 0), at(0, s, 0), at(0, -s, 0), at(0, 0, s), at(0, 0, -s)];
+                for gg in neighbours {
+                    for (o, r) in row.iter_mut().enumerate() {
+                        *r += psi[gg * n_orb + o].scale(lap_c[s as usize]);
+                    }
+                }
+            }
+            if a_total != 0.0 {
+                for s in 1..=RADIUS as isize {
+                    let (gp, gm) = (at(0, 0, s), at(0, 0, -s));
+                    for (o, r) in row.iter_mut().enumerate() {
+                        let d = (psi[gp * n_orb + o] - psi[gm * n_orb + o]).scale(grad_c[s as usize]);
+                        *r += Complex { re: d.im, im: -d.re };
+                    }
+                }
+            }
+        }
+    }
+
+    fn random_state<T: Real>(len: usize, seed: u64) -> Vec<Complex<T>> {
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            T::from_f64((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
+        };
+        (0..len).map(|_| Complex { re: next(), im: next() }).collect()
+    }
+
+    fn assert_same_bits<T: Real>(got: &[Complex<T>], want: &[Complex<T>], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.re.to_f64().to_bits() == w.re.to_f64().to_bits()
+                    && g.im.to_f64().to_bits() == w.im.to_f64().to_bits(),
+                "{what}: element {i} is {g:?}, reference {w:?}"
+            );
+        }
+    }
+
+    /// 9³ is the smallest legal mesh (every tap wraps); 10×12×14 has three
+    /// distinct axis lengths.
+    const TEST_MESHES: [Mesh3; 2] = [
+        Mesh3 { nx: 9, ny: 9, nz: 9, spacing: 0.6 },
+        Mesh3 { nx: 10, ny: 12, nz: 14, spacing: 0.5 },
+    ];
+    /// Below, at and above the register block, and a multiple of it.
+    const TEST_ORBITALS: [usize; 6] = [1, 3, 15, 16, 17, 96];
+
+    fn kernel_matches_reference<T: Real>() {
+        for mesh in TEST_MESHES {
+            let n = mesh.len();
+            let vloc: Vec<T> = (0..n).map(|g| T::from_f64((g % 7) as f64 * 0.1 - 0.3)).collect();
+            let zero_v = vec![T::ZERO; n];
+            for n_orb in TEST_ORBITALS {
+                let what = format!("{}x{}x{} n_orb {n_orb}", mesh.nx, mesh.ny, mesh.nz);
+                let psi = random_state::<T>(n * n_orb, 7 + n_orb as u64);
+                let mut want = vec![Complex::zero(); psi.len()];
+                let mut got = want.clone();
+                for a_total in [0.0, 0.23] {
+                    apply_h_reference(&mesh, n_orb, &vloc, a_total, &psi, &mut want);
+                    apply_h(&mesh, n_orb, &vloc, a_total, &psi, &mut got);
+                    assert_same_bits(&got, &want, &format!("apply_h {what} A = {a_total}"));
+
+                    // The Taylor store: next = (−i·c)·Hψ, acc += next.
+                    let c = T::from_f64(0.02 / 3.0);
+                    let acc0 = random_state::<T>(psi.len(), 99);
+                    let mut want_acc = acc0.clone();
+                    for (h, a) in want.iter_mut().zip(&mut want_acc) {
+                        *h = Complex { re: h.im * c, im: -(h.re * c) };
+                        *a += *h;
+                    }
+                    let mut got_acc = acc0;
+                    taylor_term(&mesh, n_orb, &vloc, a_total, c, &psi, &mut got, &mut got_acc);
+                    assert_same_bits(&got, &want, &format!("taylor term {what} A = {a_total}"));
+                    assert_same_bits(&got_acc, &want_acc, &format!("taylor sum {what} A = {a_total}"));
+                }
+                apply_h_reference(&mesh, n_orb, &zero_v, 0.0, &psi, &mut want);
+                apply_kinetic(&mesh, n_orb, &psi, &mut got);
+                assert_same_bits(&got, &want, &format!("apply_kinetic {what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_scalar_reference_bitwise_f32() {
+        kernel_matches_reference::<f32>();
+    }
+
+    #[test]
+    fn kernel_matches_scalar_reference_bitwise_f64() {
+        kernel_matches_reference::<f64>();
+    }
+
+    /// `run` dispatches to the AVX2 instantiation where the CPU has it;
+    /// `slab_body` called directly is the portable one. On a CPU without
+    /// AVX2 both sides are the portable code and the test is vacuous.
+    fn instantiations_agree<T: Real>() {
+        for mesh in TEST_MESHES {
+            let vloc: Vec<T> = (0..mesh.len()).map(|g| T::from_f64((g % 5) as f64 * 0.07)).collect();
+            for n_orb in [3, 17, 96] {
+                let psi = random_state::<T>(mesh.len() * n_orb, 3);
+                let slab = mesh.ny * mesh.nz * n_orb;
+                let st = Stencil::new(&mesh, n_orb, Some(&vloc), 0.23, T::from_f64(0.01));
+
+                let mut dispatched = vec![Complex::zero(); psi.len()];
+                let mut portable = dispatched.clone();
+                st.run(&psi, &mut dispatched, None);
+                for (ix, o) in portable.chunks_mut(slab).enumerate() {
+                    st.slab_body::<false>(ix, &psi, o, &mut []);
+                }
+                assert_same_bits(&dispatched, &portable, "plain store");
+
+                let mut acc_d = random_state::<T>(psi.len(), 5);
+                let mut acc_p = acc_d.clone();
+                st.run(&psi, &mut dispatched, Some(&mut acc_d));
+                for (ix, (o, p)) in portable.chunks_mut(slab).zip(acc_p.chunks_mut(slab)).enumerate() {
+                    st.slab_body::<true>(ix, &psi, o, p);
+                }
+                assert_same_bits(&dispatched, &portable, "taylor term");
+                assert_same_bits(&acc_d, &acc_p, "taylor sum");
+            }
+        }
+    }
+
+    #[test]
+    fn portable_and_avx2_instantiations_bitwise_equal() {
+        instantiations_agree::<f32>();
+        instantiations_agree::<f64>();
+    }
+
+    #[test]
+    fn wrap_table_matches_mesh_wrap() {
+        for n in [RADIUS, 5, 9, 14] {
+            for i in 0..n {
+                let table = wrap_table(i, n);
+                for s in -(RADIUS as isize)..=RADIUS as isize {
+                    let got = table[RADIUS.wrapping_add_signed(s)];
+                    assert_eq!(got, Mesh3::wrap(i, s, n), "n {n} i {i} s {s}");
+                }
+            }
+        }
+    }
 
     /// Plane wave e^{i 2π m·r/L} on the mesh, one orbital.
     fn plane_wave(mesh: &Mesh3, m: (i32, i32, i32)) -> Vec<C64> {

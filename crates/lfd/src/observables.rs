@@ -10,8 +10,7 @@
 //! j_z = (1/Ω)·Σ_o f_o ∫ [ Im(ψ_o* ∂z ψ_o) + A·|ψ_o|² ] dV
 //! ```
 
-use crate::hamiltonian::{C1, RADIUS};
-use crate::mesh::Mesh3;
+use crate::hamiltonian::{wrap_table, C1, RADIUS};
 use crate::state::{LfdParams, LfdState};
 use dcmesh_numerics::{reduce, Real};
 
@@ -23,7 +22,10 @@ pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total
     let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
     let h_inv = 1.0 / mesh.spacing;
     let psi = &state.psi;
-    let occ: Vec<f64> = state.occ.iter().map(|f| f.to_f64()).collect();
+    // Only occupied orbitals carry current; listing them (index, f) once
+    // keeps the test out of the innermost loop.
+    let mut occupied = Vec::with_capacity(n_orb);
+    occupied.extend(state.occ.iter().map(|f| f.to_f64()).enumerate().filter(|&(_, f)| f != 0.0));
 
     // Paramagnetic term: Σ f·Im(ψ* ∂z ψ), accumulated in f64. Per-yz
     // planes are computed in parallel, but the plane partials are folded
@@ -33,20 +35,15 @@ pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total
     let para: f64 = reduce::par_map_sum(nx, |ix| {
         let mut acc = 0.0f64;
         for iy in 0..ny {
+            let pencil = (ix * ny + iy) * nz;
             for iz in 0..nz {
-                let g = (ix * ny + iy) * nz + iz;
-                let row = &psi[g * n_orb..(g + 1) * n_orb];
-                #[allow(clippy::needless_range_loop)]
+                let zw = wrap_table(iz, nz);
+                let row = &psi[(pencil + iz) * n_orb..][..n_orb];
                 for s in 1..=RADIUS {
-                    let zp = (ix * ny + iy) * nz + Mesh3::wrap(iz, s as isize, nz);
-                    let zm = (ix * ny + iy) * nz + Mesh3::wrap(iz, -(s as isize), nz);
                     let c = C1[s] * h_inv;
-                    let plus = &psi[zp * n_orb..(zp + 1) * n_orb];
-                    let minus = &psi[zm * n_orb..(zm + 1) * n_orb];
-                    for (o, &f) in occ.iter().enumerate() {
-                        if f == 0.0 {
-                            continue;
-                        }
+                    let plus = &psi[(pencil + zw[RADIUS + s]) * n_orb..][..n_orb];
+                    let minus = &psi[(pencil + zw[RADIUS - s]) * n_orb..][..n_orb];
+                    for &(o, f) in &occupied {
                         let d_re = (plus[o].re - minus[o].re).to_f64();
                         let d_im = (plus[o].im - minus[o].im).to_f64();
                         // Im(ψ*·dψ) = re·d_im − im·d_re
@@ -67,6 +64,7 @@ pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total
 mod tests {
     use super::*;
     use crate::laser::LaserPulse;
+    use crate::mesh::Mesh3;
     use crate::state::LfdState;
     use dcmesh_numerics::Complex;
 
@@ -130,6 +128,51 @@ mod tests {
         let j = current_density(&p, &st, a);
         let expect = a * 2.0 / p.mesh.volume();
         assert!((j - expect).abs() < 1e-12, "{j} vs {expect}");
+    }
+
+    #[test]
+    fn matches_the_per_orbital_walk_bitwise() {
+        // The formulation this module and `electron_count` replaced:
+        // `Mesh3::wrap` per neighbour, every orbital visited and the empty
+        // ones skipped, the count as one strided column walk per orbital.
+        // Occupations with a hole, more orbitals than one count block.
+        let mut p = params(9);
+        p.n_orb = 20;
+        p.n_occ = 20;
+        let mut st = LfdState::<f32>::initialize(&p, vec![0.0; p.mesh.len()]);
+        for (o, f) in st.occ.iter_mut().enumerate() {
+            *f = [2.0, 0.0, 1.5][o % 3];
+        }
+        let (mesh, n_orb) = (p.mesh, p.n_orb);
+        let h_inv = 1.0 / mesh.spacing;
+        let mut para = vec![0.0f64; mesh.nx];
+        for g in 0..mesh.len() {
+            let (ix, _, iz) = mesh.coords(g);
+            #[allow(clippy::needless_range_loop)]
+            for s in 1..=RADIUS {
+                let zp = g - iz + Mesh3::wrap(iz, s as isize, mesh.nz);
+                let zm = g - iz + Mesh3::wrap(iz, -(s as isize), mesh.nz);
+                for o in 0..n_orb {
+                    let f = st.occ[o] as f64;
+                    if f == 0.0 {
+                        continue;
+                    }
+                    let (c, plus, minus) = (st.psi[g * n_orb + o], st.psi[zp * n_orb + o], st.psi[zm * n_orb + o]);
+                    let (d_re, d_im) = ((plus.re - minus.re) as f64, (plus.im - minus.im) as f64);
+                    para[ix] += f * (C1[s] * h_inv) * (c.re as f64 * d_im - c.im as f64 * d_re);
+                }
+            }
+        }
+        let mut n_elec = 0.0f64;
+        for o in 0..n_orb {
+            if st.occ[o] != 0.0 {
+                let s: f64 = (0..mesh.len()).fold(0.0, |s, g| s + st.psi[g * n_orb + o].norm_sqr() as f64);
+                n_elec += st.occ[o] as f64 * s * mesh.dv();
+            }
+        }
+        assert_eq!(st.electron_count(&p).to_bits(), n_elec.to_bits());
+        let want = (reduce::sum_f64(&para) * mesh.dv() + 0.1 * n_elec) / mesh.volume();
+        assert_eq!(current_density(&p, &st, 0.1).to_bits(), want.to_bits());
     }
 
     #[test]

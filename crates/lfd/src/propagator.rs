@@ -16,7 +16,7 @@
 
 use crate::energy::{calc_energy_with_policy, Energies};
 use crate::field::advance_induced_field;
-use crate::hamiltonian::apply_h;
+use crate::hamiltonian::taylor_term;
 use crate::laser::AU_PER_FS;
 use crate::nonlocal::{nlp_prop_with_scratch, LfdScalar, NlpScratch};
 use crate::observables::current_density;
@@ -26,17 +26,17 @@ use crate::state::{LfdParams, LfdState, StepObservables};
 use dcmesh_numerics::Complex;
 use mkl_lite::Op;
 
-/// Reusable buffers for one QD step: three state-sized arrays for the
-/// Taylor propagator plus the subspace-sized [`NlpScratch`]. Holding all
-/// of them here makes the QD step allocation-free in steady state — the
-/// BLAS-internal scratch is pooled by `mkl-lite`'s thread-local
-/// workspace, so between the two layers a 500-step burst touches the
-/// allocator only while buffers first grow to the problem size.
+/// Reusable buffers for one QD step: the two state-sized arrays the
+/// Taylor propagator ping-pongs its terms between and the subspace-sized
+/// [`NlpScratch`]. With these held here the propagate and nonlocal phases
+/// of a step never touch the allocator once the buffers have grown to the
+/// problem size (the BLAS-internal scratch is pooled by `mkl-lite`'s
+/// thread-local workspace); DESIGN.md, "Mesh kernels", lists the small
+/// allocations the other phases still make.
 #[derive(Clone, Debug, Default)]
 pub struct QdScratch<T: dcmesh_numerics::Real> {
     term: Vec<Complex<T>>,
     h_out: Vec<Complex<T>>,
-    acc: Vec<Complex<T>>,
     nlp: NlpScratch<T>,
 }
 
@@ -47,14 +47,15 @@ impl<T: dcmesh_numerics::Real> QdScratch<T> {
         QdScratch {
             term: vec![Complex::zero(); len],
             h_out: vec![Complex::zero(); len],
-            acc: vec![Complex::zero(); len],
             nlp: NlpScratch::default(),
         }
     }
 }
 
 /// Applies the Taylor-expanded local propagator
-/// `ψ ← Σ_{n=0}^{order} (−i·dt·H)ⁿ/n!·ψ` in place.
+/// `ψ ← Σ_{n=0}^{order} (−i·dt·H)ⁿ/n!·ψ` in place. Each order is one
+/// stencil sweep whose store forms `term ← (−i·dt/n)·H·term` and adds it
+/// to ψ, so the only other state-sized pass is the initial `term ← ψ`.
 pub fn taylor_propagate<T: LfdScalar>(
     params: &LfdParams,
     state: &mut LfdState<T>,
@@ -64,30 +65,21 @@ pub fn taylor_propagate<T: LfdScalar>(
     let len = state.psi.len();
     scratch.term.resize(len, Complex::zero());
     scratch.h_out.resize(len, Complex::zero());
-    scratch.acc.resize(len, Complex::zero());
 
     scratch.term.copy_from_slice(&state.psi);
-    scratch.acc.copy_from_slice(&state.psi);
     for n in 1..=params.taylor_order {
-        apply_h(
+        taylor_term(
             &params.mesh,
             params.n_orb,
             &state.vloc,
             a_total,
+            T::from_f64(params.dt / n as f64),
             &scratch.term,
             &mut scratch.h_out,
+            &mut state.psi,
         );
-        // term ← (−i·dt/n)·H·term ; acc += term
-        let c = T::from_f64(params.dt / n as f64);
-        for (t, h) in scratch.term.iter_mut().zip(&scratch.h_out) {
-            // −i·dt/n · h = (dt/n)·(h.im, −h.re)
-            *t = Complex { re: h.im * c, im: -(h.re * c) };
-        }
-        for (a, t) in scratch.acc.iter_mut().zip(&scratch.term) {
-            *a += *t;
-        }
+        core::mem::swap(&mut scratch.term, &mut scratch.h_out);
     }
-    state.psi.copy_from_slice(&scratch.acc);
 }
 
 /// Shadow-dynamics subspace update (BLAS call 9): `S ← C†·C` where `C`
@@ -220,6 +212,7 @@ pub fn qd_step_with_policy<T: LfdScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hamiltonian::apply_h;
     use crate::laser::LaserPulse;
     use crate::mesh::Mesh3;
     use crate::state::cosine_potential;
@@ -235,6 +228,53 @@ mod tests {
             laser: LaserPulse::off(),
             induced_coupling: 0.0,
         }
+    }
+
+    /// The formulation the fused store replaced, written out: copy ψ into
+    /// `term` and `acc`, then per order `h ← H·term`,
+    /// `term ← (−i·dt/n)·h`, `acc += term`; finally `ψ ← acc`.
+    fn unfused_taylor<T: LfdScalar>(p: &LfdParams, st: &mut LfdState<T>, a_total: f64) {
+        let mut term = st.psi.clone();
+        let mut acc = st.psi.clone();
+        let mut h = vec![Complex::zero(); term.len()];
+        for n in 1..=p.taylor_order {
+            apply_h(&p.mesh, p.n_orb, &st.vloc, a_total, &term, &mut h);
+            let c = T::from_f64(p.dt / n as f64);
+            for (t, h) in term.iter_mut().zip(&h) {
+                *t = Complex { re: h.im * c, im: -(h.re * c) };
+            }
+            for (a, t) in acc.iter_mut().zip(&term) {
+                *a += *t;
+            }
+        }
+        st.psi.copy_from_slice(&acc);
+    }
+
+    fn fused_equals_unfused<T: LfdScalar>() {
+        let mut p = params();
+        p.n_orb = 17; // one full register block and a remainder
+        p.n_occ = 8;
+        let mut fused = LfdState::<T>::initialize(&p, cosine_potential(&p.mesh, 0.3));
+        let mut unfused = fused.clone();
+        let mut scratch = QdScratch::default(); // grows on first use
+        for step in 0..20 {
+            let a_total = 0.03 * step as f64; // zero on the first step only
+            taylor_propagate(&p, &mut fused, a_total, &mut scratch);
+            unfused_taylor(&p, &mut unfused, a_total);
+            for (i, (f, u)) in fused.psi.iter().zip(&unfused.psi).enumerate() {
+                assert!(
+                    f.re.to_f64().to_bits() == u.re.to_f64().to_bits()
+                        && f.im.to_f64().to_bits() == u.im.to_f64().to_bits(),
+                    "step {step} element {i}: fused {f:?}, unfused {u:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_taylor_matches_unfused_formulation_bitwise() {
+        fused_equals_unfused::<f32>();
+        fused_equals_unfused::<f64>();
     }
 
     #[test]

@@ -44,6 +44,9 @@ impl LfdParams {
     }
 }
 
+/// Orbitals [`LfdState::electron_count`] sums per pass over the grid.
+const COUNT_BLOCK: usize = 16;
+
 /// The propagating state at element precision `T` (`f32` for the paper's
 /// mixed-precision runs, `f64` for its FP64 baseline).
 #[derive(Clone, Debug)]
@@ -169,20 +172,31 @@ impl<T: Real> LfdState<T> {
 
     /// Sum of squared norms weighted by occupation: the electron count,
     /// conserved by exact propagation.
+    ///
+    /// One row-major pass per block of [`COUNT_BLOCK`] orbitals, each
+    /// orbital summed into its own f64 accumulator in grid order, then
+    /// the occupied ones folded in orbital order.
     pub fn electron_count(&self, params: &LfdParams) -> f64 {
         let n_orb = params.n_orb;
         let dv = params.mesh.dv();
         let mut total = 0.0f64;
-        for o in 0..n_orb {
-            let f = self.occ[o].to_f64();
-            if f == 0.0 {
+        for o0 in (0..n_orb).step_by(COUNT_BLOCK) {
+            let occ = &self.occ[o0..(o0 + COUNT_BLOCK).min(n_orb)];
+            if occ.iter().all(|f| f.to_f64() == 0.0) {
                 continue;
             }
-            let mut s = 0.0f64;
-            for g in 0..params.mesh.len() {
-                s += self.psi[g * n_orb + o].norm_sqr().to_f64();
+            let mut sums = [0.0f64; COUNT_BLOCK];
+            for row in self.psi[..params.mesh.len() * n_orb].chunks_exact(n_orb) {
+                for (s, z) in sums.iter_mut().zip(&row[o0..o0 + occ.len()]) {
+                    *s += z.norm_sqr().to_f64();
+                }
             }
-            total += f * s * dv;
+            for (f, s) in occ.iter().zip(sums) {
+                let f = f.to_f64();
+                if f != 0.0 {
+                    total += f * s * dv;
+                }
+            }
         }
         total
     }

@@ -3,9 +3,11 @@
 //! integrator accuracy) for *any* admissible parameter set, not just the
 //! hand-picked test decks.
 
+use dcmesh_lfd::hamiltonian::apply_h;
 use dcmesh_lfd::propagator::{qd_step, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
+use dcmesh_numerics::{c64, C64};
 use mkl_lite::{with_compute_mode, ComputeMode};
 use proptest::prelude::*;
 
@@ -30,8 +32,66 @@ fn params_strategy() -> impl Strategy<Value = LfdParams> {
         })
 }
 
+/// A mesh, an orbital count on either side of the stencil's 16-orbital
+/// register block, a vector potential (zero half the time, so both the
+/// gradient-free and the gradient sweep are drawn) and a state seed.
+fn stencil_case() -> impl Strategy<Value = (Mesh3, usize, f64, u64)> {
+    (9usize..13, 9usize..13, 9usize..13, 0.3f64..0.8, 1usize..36, -0.4f64..0.4, any::<u64>()).prop_map(
+        |(nx, ny, nz, spacing, n_orb, a, seed)| {
+            (Mesh3 { nx, ny, nz, spacing }, n_orb, if seed % 2 == 0 { 0.0 } else { a }, seed)
+        },
+    )
+}
+
+fn random_state(len: usize, seed: u64) -> Vec<C64> {
+    let mut x = seed | 1;
+    let mut next = || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+    };
+    (0..len).map(|_| c64(next(), next())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn apply_h_is_hermitian((mesh, n_orb, a_total, seed) in stencil_case()) {
+        // Σ_o <φ_o|Hψ_o> == conj(Σ_o <ψ_o|Hφ_o>) for the discrete operator.
+        let n = mesh.len() * n_orb;
+        let (phi, psi) = (random_state(n, seed), random_state(n, seed ^ 0x9e37_79b9));
+        let vloc: Vec<f64> = (0..mesh.len()).map(|g| (g % 7) as f64 * 0.1 - 0.3).collect();
+        let (mut h_psi, mut h_phi) = (vec![C64::zero(); n], vec![C64::zero(); n]);
+        apply_h(&mesh, n_orb, &vloc, a_total, &psi, &mut h_psi);
+        apply_h(&mesh, n_orb, &vloc, a_total, &phi, &mut h_phi);
+        let dot = |a: &[C64], b: &[C64]| a.iter().zip(b).fold(C64::zero(), |s, (x, y)| s + x.conj() * *y);
+        let (lhs, rhs) = (dot(&phi, &h_psi), dot(&psi, &h_phi).conj());
+        prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()), "{lhs:?} vs {rhs:?}");
+    }
+
+    #[test]
+    fn multi_orbital_matches_single((mesh, n_orb, a_total, seed) in stencil_case()) {
+        // H acts on each orbital independently: column o of the blocked
+        // sweep equals the one-orbital sweep of that column, to the bit,
+        // wherever o falls relative to a register block.
+        let ngrid = mesh.len();
+        let psi = random_state(ngrid * n_orb, seed);
+        let vloc: Vec<f64> = (0..ngrid).map(|g| (g % 5) as f64 * 0.07).collect();
+        let mut all = vec![C64::zero(); psi.len()];
+        apply_h(&mesh, n_orb, &vloc, a_total, &psi, &mut all);
+        let mut one = vec![C64::zero(); ngrid];
+        for o in [0, n_orb / 2, n_orb - 1] {
+            let column: Vec<C64> = (0..ngrid).map(|g| psi[g * n_orb + o]).collect();
+            apply_h(&mesh, 1, &vloc, a_total, &column, &mut one);
+            for g in 0..ngrid {
+                let (got, want) = (all[g * n_orb + o], one[g]);
+                prop_assert!(
+                    got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
+                    "orbital {} of {} at point {}: {:?} vs {:?}", o, n_orb, g, got, want
+                );
+            }
+        }
+    }
 
     #[test]
     fn electron_count_conserved(p in params_strategy(), depth in 0.05f64..0.5) {

@@ -13,7 +13,7 @@
 //! profile synth  --out PATH [--min-bytes N]
 //! profile synth  --ledger-dir DIR [--slow-callsite CS] [--slow-factor F]
 //! profile archive <run-dir> --archive PATH [--mode-policy P]
-//! profile trend  --archive PATH [--bench BENCH_gemm.json] [--svg PATH]
+//! profile trend  --archive PATH [--bench BENCH_x.json]... [--svg PATH]
 //! profile advise --archive PATH [--out advice.json] [--deck HASH]
 //! ```
 //!
@@ -69,7 +69,7 @@ fn usage() -> ExitCode {
          profile synth  --out PATH [--min-bytes N]\n  \
          profile synth  --ledger-dir DIR [--slow-callsite CS] [--slow-factor F]\n  \
          profile archive <run-dir> --archive PATH [--mode-policy P]\n  \
-         profile trend  --archive PATH [--bench BENCH_gemm.json] [--svg PATH]\n  \
+         profile trend  --archive PATH [--bench BENCH_x.json]... [--svg PATH]\n  \
          profile advise --archive PATH [--out advice.json] [--deck HASH]"
     );
     ExitCode::from(2)
@@ -600,14 +600,14 @@ fn read_archive_records(path: &str) -> Result<Vec<archive::RunRecord>, ExitCode>
 
 fn cmd_trend(mut args: Vec<String>) -> Result<(), ExitCode> {
     let Some(archive_path) = take_value(&mut args, "--archive") else { return Err(usage()) };
-    let bench = take_value(&mut args, "--bench");
+    let benches: Vec<String> = core::iter::from_fn(|| take_value(&mut args, "--bench")).collect();
     let svg_path = take_value(&mut args, "--svg");
     if !args.is_empty() {
         return Err(usage());
     }
     let records = read_archive_records(&archive_path)?;
     let mut groups = trend::build_groups(&records);
-    if let Some(b) = &bench {
+    for b in &benches {
         let extra = trend::bench_history_groups(&read(b)?).map_err(|e| {
             eprintln!("profile: {b}: {e}");
             ExitCode::from(1)

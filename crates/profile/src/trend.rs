@@ -20,9 +20,9 @@
 //!   moved a full decade up from the prior median: accuracy decayed
 //!   even if nothing escalated yet.
 //!
-//! The `BENCH_gemm.json` `history` array joins the same machinery as
-//! synthetic per-mode groups, so nightly host-perf history is watched
-//! by the same thresholds.
+//! The `history` arrays of `BENCH_gemm.json` and `BENCH_stencil.json`
+//! join the same machinery as synthetic per-mode groups, so the
+//! host-perf history of each layer is watched by the same thresholds.
 //!
 //! Reports render as ANSI text with Unicode sparklines or as a
 //! self-contained SVG; the CLI exits 1 when any regression is flagged
@@ -247,9 +247,10 @@ pub fn detect(groups: &[TrendGroup]) -> Vec<Regression> {
     out
 }
 
-/// Parses `BENCH_gemm.json`'s dated `history` array into synthetic
-/// trend groups (`bench/<series>` callsites, one mode per group), so
-/// the nightly host-perf history rides the same sentinel.
+/// Parses the dated `history` array of a `BENCH_*.json` (every
+/// `<series>_ns_per_call: {mode: ns}` member of every entry) into
+/// synthetic trend groups (`bench/<series>` callsites, one mode per
+/// group), so the host-perf history rides the same sentinel.
 pub fn bench_history_groups(bench_json: &str) -> Result<Vec<TrendGroup>, String> {
     let doc = json::parse(bench_json).map_err(|e| format!("BENCH json does not parse: {e}"))?;
     let Some(history) = doc.get("history").and_then(JsonValue::as_array) else {
