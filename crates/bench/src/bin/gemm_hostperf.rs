@@ -1,42 +1,59 @@
 //! `gemm_hostperf`: host-side GEMM cost baseline (`BENCH_gemm.json`).
 //!
-//! The emulated compute modes pay a host-side tax on every call —
-//! op-materialisation, rounded copies, BF16 split planes, the product
-//! accumulator. This binary pins that tax down so every future PR has a
-//! perf baseline to compare against:
+//! The emulated compute modes pay a host-side tax on every call — the
+//! pack from strided/interleaved storage, rounded copies, BF16 split
+//! planes, the product accumulator. This binary pins that tax down so
+//! every future PR has a perf baseline to compare against:
 //!
-//! * **end-to-end** `ns/call` for `sgemm` across the Table VII `remap_occ`
-//!   shapes in every real compute mode (plus `cgemm` in `COMPLEX_3M`),
-//!   with `k` scaled down by `--k-scale` so the software kernel finishes
-//!   in bench time (the paper's shapes are GPU-scale);
+//! * **Table VII rows:** `ns/call` for `sgemm` across the Table VII
+//!   `remap_occ` shapes in every real compute mode, with `k` scaled down
+//!   by `--k-scale` so the software kernel finishes in bench time (the
+//!   paper's shapes are GPU-scale). The default scale measures at
+//!   `k = 4096 = 16·KC`.
+//! * **Application rows:** what the program actually calls, at its real
+//!   `k` — `cgemm` in all six modes and `zgemm` (the FP64 SCF boundary)
+//!   at the *project* shape `Ψ†·X` (`ConjTrans·None`,
+//!   n_orb × n_orb × 1728, k = 6.75·KC) and the *apply* shape `Ψ·S`
+//!   (1728 × n_orb × n_orb), n_orb ∈ {16, 96} — the 12³ mesh of the
+//!   shipped decks. `--k-scale` does not touch them.
+//! * **GFLOP/s** per row (2·m·n·k real, 8·m·n·k complex), and the
+//!   microkernel each element width dispatched to on this host, in the
+//!   header, the job log and the dated history entry.
 //! * **allocs/call** over the timed steady-state calls, counted by a
 //!   `#[global_allocator]` wrapper — the workspace pool's contract is
 //!   that this is exactly zero.
 //!
-//! Every `calls[]` row also carries the **modelled device time** for the
-//! full Table VII shape on the `xe-gpu` stack model, plus the modelled
-//! speedup over FP32 — the quantities behind Tables VI/VII.
+//! All host numbers are **single-threaded** (`threads: 1`): the vendored
+//! rayon shim never spawns.
+//!
+//! Every `calls[]` row also carries the **modelled device time** on the
+//! `xe-gpu` stack model, plus the modelled speedup over FP32 — the
+//! quantities behind Tables VI/VII (priced at the full Table VII `k` for
+//! the Table VII rows, at the measured shape for the application rows).
 //!
 //! Usage: `gemm_hostperf [--k-scale N] [--reps N]
 //! [--warmup N] [--out PATH] [--enforce-zero-alloc]
 //! [--max-bf16x2-ratio F] [--max-bf16x3-ratio F]`
 //!
 //! `--enforce-zero-alloc` exits non-zero if any steady-state call
-//! allocated — the CI regression gate.
+//! allocated — the CI regression gate, over every row.
 //!
 //! `--max-bf16x2-ratio` / `--max-bf16x3-ratio` gate the measured
 //! BF16x2/STANDARD and BF16x3/STANDARD `ns_per_call` ratios at the
-//! 128×1920 Table VII shape: if a split mode costs more than the given
-//! multiple of STANDARD, the run exits non-zero. This is the CI tripwire
-//! against regressing to per-plane `matmul_acc` passes (historically
-//! 3×/6–7×; the packed kernel holds ~1.5–2×/2–3×).
+//! 128×1920 Table VII shape *and* at the 96-orbital `cgemm` project
+//! shape: if a split mode costs more than the given multiple of
+//! STANDARD, the run exits non-zero. This is the CI tripwire against
+//! regressing to per-plane passes (historically 3×/6–7×; the packed
+//! kernel holds ~1.5–2×/2–3×).
 //!
-//! **k labeling:** every measured number is taken at
-//! `k_measured = 262144 / k_scale` and labeled as such — `ns_per_call`
-//! is at `k_measured`, while `modelled_device_s` /
-//! `modelled_speedup_vs_fp32` always price the *full* Table VII shape
-//! (`k_table7 = 262144`). `ns_per_call_table7_est` bridges the two with
-//! an explicit linear-in-k extrapolation (`ns_per_call × k_scale`).
+//! **k labeling:** every measured number is labeled with the `k` it was
+//! taken at (`k_measured`). For the Table VII rows that is
+//! `262144 / k_scale`, while `modelled_device_s` /
+//! `modelled_speedup_vs_fp32` price the *full* shape
+//! (`k_table7 = 262144`) and `ns_per_call_table7_est` bridges the two
+//! with an explicit linear-in-k extrapolation (`ns_per_call × k_scale`).
+//! For the application rows `k_table7 == k_measured`: nothing is scaled
+//! or extrapolated.
 //!
 //! **`--from-trace events.jsonl`** switches to trace-replay mode: instead
 //! of running the sweep, the per-call attribution table is recomputed
@@ -47,11 +64,12 @@
 //! disagreement, so CI can gate on trace attribution staying honest.
 
 use dcmesh_bench::report::{civil_date_utc, merged_history};
-use dcmesh_numerics::{c32, C32};
+use dcmesh_numerics::{c32, c64, C32, C64};
 use dcmesh_profile::{ingest, table};
 use mkl_lite::device::{Domain, GemmDesc};
+use mkl_lite::gemm::kernel::dispatched_kernel;
 use mkl_lite::workspace;
-use mkl_lite::{cgemm, sgemm, with_compute_mode, ComputeMode, Op};
+use mkl_lite::{cgemm, sgemm, with_compute_mode, zgemm, ComputeMode, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,8 +108,22 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// k = N_grid = 64³.
 const TABLE7_K: usize = 262_144;
 const TABLE7_SHAPES: [(usize, usize); 4] = [(128, 128), (128, 896), (128, 1920), (128, 3968)];
-/// The acceptance-criterion shape (N_orb = 1024 row of Table VII).
-const ACCEPTANCE_SHAPE: (usize, usize) = (128, 896);
+/// The ratio-gate shape among them.
+const GATE_SHAPE: (usize, usize) = (128, 1920);
+
+/// The application shapes: the 12³ mesh of the shipped decks at the
+/// `pto40-small` and `orb-heavy` orbital counts.
+const APP_GRID: usize = 12 * 12 * 12;
+const APP_ORBITALS: [usize; 2] = [16, 96];
+/// The ratio-gate orbital count among them (GEMM-bound).
+const GATE_ORBITALS: usize = 96;
+
+/// Every row is timed in batches of `--reps` calls — at least
+/// [`MIN_BATCHES`], and until this long has elapsed — and reports its
+/// fastest batch: a 60 µs call cannot be timed from two samples, and on a
+/// shared host one slow batch should not become the baseline.
+const MIN_ROW_SECONDS: f64 = 0.1;
+const MIN_BATCHES: usize = 3;
 
 const SGEMM_MODES: [ComputeMode; 5] = [
     ComputeMode::Standard,
@@ -184,6 +216,8 @@ fn mode_label(mode: ComputeMode) -> &'static str {
 /// One JSON entry of the end-to-end sweep.
 struct Entry {
     routine: &'static str,
+    /// `table7`, `project` or `apply`.
+    shape: &'static str,
     mode: ComputeMode,
     m: usize,
     n: usize,
@@ -191,8 +225,10 @@ struct Entry {
     k_measured: usize,
     ns_per_call: f64,
     allocs_per_call: f64,
-    /// Modelled device seconds for the *full* Table VII shape on the
-    /// `xe-gpu` stack model (the Tables VI/VII quantity).
+    /// Achieved GFLOP/s at the measured shape.
+    gflops: f64,
+    /// Modelled device seconds for the `k_table` shape on the `xe-gpu`
+    /// stack model (the Tables VI/VII quantity).
     modelled_device_s: f64,
     /// Modelled speedup of this mode over FP32 at the full shape.
     modelled_speedup_vs_fp32: f64,
@@ -272,20 +308,27 @@ fn run_from_trace(path: &str, tolerance_pct: f64) -> ! {
     std::process::exit(0);
 }
 
-/// Times `reps` steady-state calls of `f` (after `warmup` unmeasured
-/// ones) and returns (ns/call, allocs/call).
+/// Times steady-state calls of `f` (after `warmup` unmeasured ones) in
+/// batches of `reps` — [`MIN_BATCHES`] at least, and until
+/// [`MIN_ROW_SECONDS`] have elapsed — and returns (ns/call of the fastest
+/// batch, allocs/call over all batches).
 fn measure(warmup: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
     for _ in 0..warmup {
         f();
     }
     let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        f();
+    let start = Instant::now();
+    let (mut best, mut calls) = (f64::INFINITY, 0usize);
+    while calls < MIN_BATCHES * reps || start.elapsed().as_secs_f64() < MIN_ROW_SECONDS {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
+        calls += reps;
     }
-    let elapsed = t0.elapsed();
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
-    (elapsed.as_nanos() as f64 / reps as f64, allocs as f64 / reps as f64)
+    (best, allocs as f64 / calls as f64)
 }
 
 fn json_f64(v: f64) -> String {
@@ -301,109 +344,97 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0xbea7);
     let mut entries: Vec<Entry> = Vec::new();
     let mut dirty_modes: Vec<String> = Vec::new();
+    let kernels = (dispatched_kernel::<f32>(), dispatched_kernel::<f64>());
+    eprintln!("microkernel f32: {}", kernels.0);
+    eprintln!("microkernel f64: {}", kernels.1);
+    eprintln!("all host numbers are single-threaded (sequential rayon shim)");
 
-    // --- end-to-end sweep: sgemm over Table VII shapes × real modes ---
+    // Measures one row under `mode` and files it.
+    let mut record = |routine: &'static str,
+                      domain: Domain,
+                      shape: &'static str,
+                      mode: ComputeMode,
+                      (m, n, k_meas, k_table): (usize, usize, usize, usize),
+                      call: &mut dyn FnMut()| {
+        let (ns, allocs) = with_compute_mode(mode, || measure(o.warmup, o.reps, &mut *call));
+        let flops = if matches!(domain, Domain::Real32 | Domain::Real64) { 2.0 } else { 8.0 }
+            * (m * n * k_meas) as f64;
+        let gflops = flops / ns;
+        eprintln!(
+            "{:<5} {shape:<7} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
+             {allocs} allocs/call",
+            routine.to_lowercase(),
+            mode_label(mode),
+        );
+        if allocs > 0.0 {
+            dirty_modes.push(format!("{routine}/{} {shape} ({m},{n},{k_meas})", mode_label(mode)));
+        }
+        entries.push(Entry {
+            routine,
+            shape,
+            mode,
+            m,
+            n,
+            k_table,
+            k_measured: k_meas,
+            ns_per_call: ns,
+            allocs_per_call: allocs,
+            gflops,
+            modelled_device_s: model.gemm_seconds(&GemmDesc { domain, m, n, k: k_table, mode }),
+            modelled_speedup_vs_fp32: model.gemm_speedup_vs_fp32(domain, m, n, k_table, mode),
+        });
+    };
+
+    // --- Table VII rows: sgemm over the remap shapes × real modes ---
     let k_meas = (TABLE7_K / o.k_scale).max(1);
     eprintln!(
-        "k-scale {}: ns/call measured at k = {k_meas} (Table VII k = {TABLE7_K}); \
-         modelled_* columns always price the full Table VII shape",
+        "k-scale {}: Table VII rows measured at k = {k_meas} (Table VII k = {TABLE7_K}); \
+         their modelled_* columns price the full shape",
         o.k_scale
     );
-    let kmax = k_meas;
     let nmax = TABLE7_SHAPES.iter().map(|s| s.1).max().unwrap();
-    let a_full: Vec<f32> = (0..128 * kmax).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let b_full: Vec<f32> = (0..kmax * nmax).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let a_full: Vec<f32> = (0..128 * k_meas).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let b_full: Vec<f32> = (0..k_meas * nmax).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     for &(m, n) in &TABLE7_SHAPES {
         let a = &a_full[..m * k_meas];
         let b = &b_full[..k_meas * n];
         let mut c = vec![0.0f32; m * n];
         for mode in SGEMM_MODES {
-            let (ns, allocs) = with_compute_mode(mode, || {
-                measure(o.warmup, o.reps, || {
-                    sgemm(Op::None, Op::None, m, n, k_meas, 1.0, a, k_meas, b, n, 0.0, &mut c, n);
-                })
+            record("SGEMM", Domain::Real32, "table7", mode, (m, n, k_meas, TABLE7_K), &mut || {
+                sgemm(Op::None, Op::None, m, n, k_meas, 1.0, a, k_meas, b, n, 0.0, &mut c, n);
             });
             black_box(&c[0]);
-            eprintln!(
-                "sgemm {:>16} ({m}, {n}, {k_meas}): {:>12.0} ns/call, {allocs} allocs/call",
-                mode_label(mode),
-                ns
-            );
-            if allocs > 0.0 {
-                dirty_modes.push(format!("SGEMM/{} ({m},{n},{k_meas})", mode_label(mode)));
-            }
-            let desc =
-                GemmDesc { domain: Domain::Real32, m, n, k: TABLE7_K, mode };
-            entries.push(Entry {
-                routine: "SGEMM",
-                mode,
-                m,
-                n,
-                k_table: TABLE7_K,
-                k_measured: k_meas,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-                modelled_device_s: model.gemm_seconds(&desc),
-                modelled_speedup_vs_fp32: model
-                    .gemm_speedup_vs_fp32(Domain::Real32, m, n, TABLE7_K, mode),
-            });
         }
     }
 
-    // cgemm COMPLEX_3M at the acceptance shape, so the complex pooled path
-    // (separated real planes + 3M temporaries) is in the baseline too.
-    {
-        let (m, n) = ACCEPTANCE_SHAPE;
-        let ac: Vec<C32> =
-            (0..m * k_meas).map(|_| c32(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
-        let bc: Vec<C32> =
-            (0..k_meas * n).map(|_| c32(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
-        let mut cc = vec![C32::zero(); m * n];
-        for mode in [ComputeMode::Standard, ComputeMode::Complex3m] {
-            let (ns, allocs) = with_compute_mode(mode, || {
-                measure(o.warmup, o.reps, || {
-                    cgemm(
-                        Op::None,
-                        Op::None,
-                        m,
-                        n,
-                        k_meas,
-                        C32::one(),
-                        &ac,
-                        k_meas,
-                        &bc,
-                        n,
-                        C32::zero(),
-                        &mut cc,
-                        n,
-                    );
-                })
+    // --- application rows: what the program calls, at its real k ---
+    for orb in APP_ORBITALS {
+        let mut rand = |len: usize| -> Vec<C32> {
+            (0..len).map(|_| c32(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
+        };
+        let double =
+            |v: &[C32]| -> Vec<C64> { v.iter().map(|z| c64(z.re as f64, z.im as f64)).collect() };
+        let (psi32, sub32) = (rand(APP_GRID * orb), rand(orb * orb));
+        let (psi64, sub64) = (double(&psi32), double(&sub32));
+        let (mut small32, mut tall32) = (vec![C32::zero(); orb * orb], vec![C32::zero(); APP_GRID * orb]);
+        let (mut small64, mut tall64) = (vec![C64::zero(); orb * orb], vec![C64::zero(); APP_GRID * orb]);
+        let project = (orb, orb, APP_GRID, APP_GRID);
+        let apply = (APP_GRID, orb, orb, orb);
+        for mode in ComputeMode::ALL {
+            record("CGEMM", Domain::Complex32, "project", mode, project, &mut || {
+                cgemm(Op::ConjTrans, Op::None, orb, orb, APP_GRID, C32::one(), &psi32, orb, &psi32, orb, C32::zero(), &mut small32, orb);
             });
-            black_box(&cc[0]);
-            eprintln!(
-                "cgemm {:>16} ({m}, {n}, {k_meas}): {:>12.0} ns/call, {allocs} allocs/call",
-                mode_label(mode),
-                ns
-            );
-            if allocs > 0.0 {
-                dirty_modes.push(format!("CGEMM/{} ({m},{n},{k_meas})", mode_label(mode)));
-            }
-            let desc =
-                GemmDesc { domain: Domain::Complex32, m, n, k: TABLE7_K, mode };
-            entries.push(Entry {
-                routine: "CGEMM",
-                mode,
-                m,
-                n,
-                k_table: TABLE7_K,
-                k_measured: k_meas,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-                modelled_device_s: model.gemm_seconds(&desc),
-                modelled_speedup_vs_fp32: model
-                    .gemm_speedup_vs_fp32(Domain::Complex32, m, n, TABLE7_K, mode),
+            record("CGEMM", Domain::Complex32, "apply", mode, apply, &mut || {
+                cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi32, orb, &sub32, orb, C32::zero(), &mut tall32, orb);
             });
         }
+        record("ZGEMM", Domain::Complex64, "project", ComputeMode::Standard, project, &mut || {
+            zgemm(Op::ConjTrans, Op::None, orb, orb, APP_GRID, C64::one(), &psi64, orb, &psi64, orb, C64::zero(), &mut small64, orb);
+        });
+        record("ZGEMM", Domain::Complex64, "apply", ComputeMode::Standard, apply, &mut || {
+            zgemm(Op::None, Op::None, APP_GRID, orb, orb, C64::one(), &psi64, orb, &sub64, orb, C64::zero(), &mut tall64, orb);
+        });
+        black_box((&small32[0], &tall32[0], &small64[0], &tall64[0]));
     }
 
     // --- workspace-pool traffic, through the telemetry registry ---
@@ -431,13 +462,19 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"gemm_hostperf\",\n");
+    json.push_str("  \"threads\": 1,\n");
+    json.push_str(&format!(
+        "  \"microkernel\": {{\"f32\": \"{}\", \"f64\": \"{}\"}},\n",
+        kernels.0, kernels.1
+    ));
     json.push_str(&format!("  \"k_scale\": {},\n", o.k_scale));
     json.push_str(&format!("  \"k_table7\": {TABLE7_K},\n"));
     json.push_str(&format!("  \"k_measured\": {k_meas},\n"));
     json.push_str(
-        "  \"k_note\": \"ns_per_call is measured at k_measured; modelled_* price the full \
-         k_table7 shape; ns_per_call_table7_est = ns_per_call * k_table7 / k_measured \
-         (linear-in-k extrapolation)\",\n",
+        "  \"k_note\": \"ns_per_call and gflops are measured at each row's k_measured; table7 rows \
+         price modelled_* at the full k_table7 shape and ns_per_call_table7_est = ns_per_call * \
+         k_table7 / k_measured (linear-in-k extrapolation); project/apply rows are the \
+         application's calls at their real k (k_table7 == k_measured, nothing scaled)\",\n",
     );
     json.push_str(&format!(
         "  \"pool\": {{\"takes\": {}, \"misses\": {}, \"grows\": {}, \"returns\": {}, \
@@ -449,18 +486,20 @@ fn main() {
         .iter()
         .map(|e| {
             format!(
-                "    {{\"routine\": \"{}\", \"mode\": \"{}\", \"m\": {}, \"n\": {}, \
-                 \"k_table7\": {}, \"k_measured\": {}, \"ns_per_call\": {}, \
-                 \"ns_per_call_table7_est\": {}, \
+                "    {{\"routine\": \"{}\", \"shape\": \"{}\", \"mode\": \"{}\", \"m\": {}, \
+                 \"n\": {}, \"k_table7\": {}, \"k_measured\": {}, \"threads\": 1, \
+                 \"ns_per_call\": {}, \"gflops\": {:.2}, \"ns_per_call_table7_est\": {}, \
                  \"allocs_per_call\": {}, \"modelled_device_s\": {:.6e}, \
                  \"modelled_speedup_vs_fp32\": {:.4}}}",
                 e.routine,
+                e.shape,
                 mode_label(e.mode),
                 e.m,
                 e.n,
                 e.k_table,
                 e.k_measured,
                 json_f64(e.ns_per_call),
+                e.gflops,
                 json_f64(e.ns_per_call * (e.k_table as f64 / e.k_measured as f64)),
                 e.allocs_per_call,
                 e.modelled_device_s,
@@ -475,23 +514,49 @@ fn main() {
     // Each run appends (or, same-day, replaces) one compact entry, so
     // the checked-in baseline accumulates a trend line CI can plot
     // without any external storage.
+    // One `<series>_ns_per_call: {mode: ns}` member per watched shape —
+    // the form `profile trend --bench` reads. The Table VII series
+    // carries its k, so runs at different `--k-scale` never share one.
     let today = civil_date_utc();
-    let gate_ns = |mode: ComputeMode| {
-        entries
+    let series = |routine: &str, shape: &str, m: usize, n: usize, modes: &[ComputeMode]| {
+        let members: Vec<String> = modes
             .iter()
-            .find(|e| e.routine == "SGEMM" && e.mode == mode && e.m == 128 && e.n == 1920)
-            .map(|e| e.ns_per_call)
-            .unwrap_or(f64::NAN)
+            .filter_map(|&mode| {
+                entries
+                    .iter()
+                    .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, m, n, mode))
+                    .map(|e| format!("\"{}\":{}", mode_label(mode), json_f64(e.ns_per_call)))
+            })
+            .collect();
+        format!("{{{}}}", members.join(","))
     };
+    let gate_modes =
+        [ComputeMode::Standard, ComputeMode::FloatToBf16x2, ComputeMode::FloatToBf16x3];
+    let mut members = vec![format!(
+        "\"sgemm_{}x{}_k{k_meas}_ns_per_call\":{}",
+        GATE_SHAPE.0,
+        GATE_SHAPE.1,
+        series("SGEMM", "table7", GATE_SHAPE.0, GATE_SHAPE.1, &gate_modes)
+    )];
+    for orb in APP_ORBITALS {
+        for (shape, (m, n)) in [("project", (orb, orb)), ("apply", (APP_GRID, orb))] {
+            members.push(format!(
+                "\"cgemm_{shape}_{orb}_ns_per_call\":{}",
+                series("CGEMM", shape, m, n, &ComputeMode::ALL)
+            ));
+            members.push(format!(
+                "\"zgemm_{shape}_{orb}_ns_per_call\":{}",
+                series("ZGEMM", shape, m, n, &[ComputeMode::Standard])
+            ));
+        }
+    }
     let new_entry = format!(
-        "{{\"date\":\"{today}\",\"k_scale\":{},\"hit_ratio\":{:.4},\
-         \"sgemm_128x1920_ns_per_call\":{{\"STANDARD\":{},\"FLOAT_TO_BF16X2\":{},\
-         \"FLOAT_TO_BF16X3\":{}}}}}",
+        "{{\"date\":\"{today}\",\"k_scale\":{},\"hit_ratio\":{hit_ratio:.4},\
+         \"microkernel_f32\":\"{}\",\"microkernel_f64\":\"{}\",{}}}",
         o.k_scale,
-        hit_ratio,
-        json_f64(gate_ns(ComputeMode::Standard)),
-        json_f64(gate_ns(ComputeMode::FloatToBf16x2)),
-        json_f64(gate_ns(ComputeMode::FloatToBf16x3)),
+        kernels.0,
+        kernels.1,
+        members.join(",")
     );
     let history = merged_history(&o.out, &today, new_entry);
     json.push_str("  \"history\": [\n    ");
@@ -506,47 +571,48 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- split-mode perf-ratio gate (128×1920 Table VII shape) ---
+    // --- split-mode perf-ratio gate ---
     // The tripwire against regressing the packed split-plane kernel back
     // to independent per-plane passes: BF16x2 / BF16x3 must stay within
-    // the given multiple of STANDARD at the same measured shape.
-    if o.max_x2_ratio.is_some() || o.max_x3_ratio.is_some() {
-        let (gm, gn) = (128usize, 1920usize);
+    // the given multiple of STANDARD at the same measured shape — the
+    // 128×1920 Table VII SGEMM and the 96-orbital CGEMM projection.
+    let gates = [
+        ("SGEMM", "table7", GATE_SHAPE),
+        ("CGEMM", "project", (GATE_ORBITALS, GATE_ORBITALS)),
+    ];
+    let mut failures = 0u32;
+    for (routine, shape, (gm, gn)) in gates {
         let ns_of = |mode: ComputeMode| {
             entries
                 .iter()
-                .find(|e| e.routine == "SGEMM" && e.mode == mode && e.m == gm && e.n == gn)
-                .map(|e| e.ns_per_call)
+                .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, gm, gn, mode))
+                .map(|e| (e.ns_per_call, e.k_measured))
         };
-        let Some(std_ns) = ns_of(ComputeMode::Standard).filter(|ns| *ns > 0.0) else {
-            eprintln!("perf-ratio gate: no STANDARD ({gm}, {gn}) row to compare against");
-            std::process::exit(1);
-        };
-        let mut failures = 0u32;
         for (mode, max) in [
             (ComputeMode::FloatToBf16x2, o.max_x2_ratio),
             (ComputeMode::FloatToBf16x3, o.max_x3_ratio),
         ] {
             let Some(max) = max else { continue };
-            let Some(ns) = ns_of(mode) else {
-                eprintln!("perf-ratio gate: no {} ({gm}, {gn}) row", mode_label(mode));
+            let (Some((std_ns, k)), Some((ns, _))) = (ns_of(ComputeMode::Standard), ns_of(mode))
+            else {
+                eprintln!("perf-ratio gate: {routine} {shape} ({gm}, {gn}) rows missing");
                 failures += 1;
                 continue;
             };
             let ratio = ns / std_ns;
             let verdict = if ratio <= max { "ok" } else { "FAIL" };
             eprintln!(
-                "perf-ratio {}/STANDARD ({gm}, {gn}, {k_meas}): {ratio:.2}x (max {max:.2}x) \
-                 {verdict}",
+                "perf-ratio {routine} {shape} {}/STANDARD ({gm}, {gn}, {k}): {ratio:.2}x \
+                 (max {max:.2}x) {verdict}",
                 mode_label(mode)
             );
             if ratio > max {
                 failures += 1;
             }
         }
-        if failures > 0 {
-            eprintln!("perf-ratio gate: {failures} mode(s) over threshold");
-            std::process::exit(1);
-        }
+    }
+    if failures > 0 {
+        eprintln!("perf-ratio gate: {failures} row(s) over threshold");
+        std::process::exit(1);
     }
 }

@@ -1,31 +1,41 @@
 //! The packed, blocked GEMM core shared by every dense path.
 //!
-//! All higher-level routines reduce to `acc += A · B` on dense row-major
-//! operands (`A`: m×k, `B`: k×n, `acc`: m×n, no padding). The kernel is a
-//! BLIS-style blocked driver:
+//! Every level-3 routine reduces to one or more *products*
+//! `out += op(A)·op(B)` run by a single BLIS-style blocked driver
+//! ([`gemm_packed`]):
 //!
 //! * the k dimension is tiled into `KC`-deep blocks;
 //! * per block, A is packed into `mr`-row panels and B into `nr`-column
-//!   panels ([`super::pack`]) held in pooled scratch — precision
-//!   conversion (BF16/TF32 rounding, split-plane decomposition) happens
-//!   during this pack, once per source element;
-//! * a register-blocked `mr × nr` microkernel accumulates every product
-//!   term for a C tile in registers before a single writeback, so the
-//!   split-precision modes share both the packed operands *and* the FP32
-//!   accumulator across their plane products.
+//!   panels ([`super::pack`]) held in pooled scratch, straight from the
+//!   caller's strided (for the complex routines: interleaved) storage —
+//!   `op()`, plane separation and precision conversion (BF16/TF32
+//!   rounding, split-plane decomposition) all happen during this pack,
+//!   once per source element;
+//! * a register-blocked `mr × nr` microkernel accumulates every term of a
+//!   product for a C tile in registers before a single writeback, so the
+//!   split-precision modes share both the packed operands *and* the
+//!   accumulator across their plane products, and the complex routines
+//!   run all their real products off one packed k-block.
 //!
-//! `f32` dispatches at runtime to an AVX2+FMA 6×16 microkernel when the
-//! host supports it; everything else uses a safe generic register-blocked
-//! kernel that LLVM auto-vectorises for the baseline target.
+//! The microkernel is chosen at runtime by [`MicroArch::ladder`]:
+//! `avx512f → avx2(+fma) → generic`, for both element widths. The `f32`
+//! SIMD tiles fuse multiply and add (they always did on AVX2 hosts); the
+//! `f64` tiles keep *separate* multiply and add, so all three `f64`
+//! instantiations are bit-identical to the portable one. Within one
+//! element width every SIMD instantiation accumulates each C element's
+//! `kk` products in one register lane in the same order, so tile
+//! geometry never shows in the result.
 //!
 //! Parallelism splits C into row blocks of `MC_PANELS · mr` rows. Each C
-//! element is accumulated by exactly one microkernel call per k-block, in
-//! a fixed (k-block, term, kk) order that does not depend on the thread
-//! count — sequential and parallel runs are bit-identical by construction
-//! (asserted by `seq_and_par_paths_bit_identical`).
+//! element is accumulated by exactly one microkernel call per (product,
+//! k-block), in a fixed (sweep, k-block, product, term, kk) order that
+//! does not depend on the thread count — sequential and parallel runs
+//! are bit-identical by construction (asserted by
+//! `seq_and_par_paths_bit_identical`).
 
-use super::pack;
-use crate::workspace::{take_scratch, Poolable, PooledBuf};
+use super::pack::{self, OpSrc, Side};
+use crate::mode::ComputeMode;
+use crate::workspace::{take_scratch, Poolable};
 use dcmesh_numerics::Real;
 use rayon::prelude::*;
 
@@ -41,23 +51,21 @@ pub(crate) const KC: usize = 256;
 /// the packed B panels.
 const MC_PANELS: usize = 16;
 
-/// The microkernel signature: accumulate every `(a_plane, b_plane)` term
-/// product into one `rows × cols` tile of `ctile` (a row-panel slice of
-/// the accumulator, leading dimension `n`, tile origin column `j0`).
+/// The microkernel signature: accumulate one product's terms into one
+/// `rows × cols` tile of `ctile` (a row-panel slice of the accumulator,
+/// leading dimension `ldc`, tile origin column `j0`).
 ///
-/// Packed-panel geometry: A plane `ta` holds the current `mr × kc` panel
-/// at `a_off`, element `(i, kk)` at `a_off + kk·mr + i`; B plane `tb`
-/// holds the `kc × nr` panel at `b_off`, element `(kk, j)` at
-/// `b_off + kk·nr + j`.
+/// Each term is the pair of element offsets of this tile's packed panels:
+/// the `mr × kc` A panel starts at `pa[term.0]` with element `(i, kk)` at
+/// `+ kk·mr + i`; the `kc × nr` B panel starts at `pb[term.1]` with
+/// element `(kk, j)` at `+ kk·nr + j`.
 type MicroFn<T> = fn(
     terms: &[(usize, usize)],
-    pa: &[&[T]; 3],
-    a_off: usize,
-    pb: &[&[T]; 3],
-    b_off: usize,
+    pa: &[T],
+    pb: &[T],
     kc: usize,
     ctile: &mut [T],
-    n: usize,
+    ldc: usize,
     j0: usize,
     rows: usize,
     cols: usize,
@@ -67,215 +75,300 @@ type MicroFn<T> = fn(
 #[doc(hidden)]
 #[derive(Clone, Copy)]
 pub struct MicroKernel<T: 'static> {
+    pub(crate) name: &'static str,
     pub(crate) mr: usize,
     pub(crate) nr: usize,
     pub(crate) micro: MicroFn<T>,
 }
 
 /// Scalar types the packed driver can run on (`f32`/`f64`, mirroring
-/// [`Poolable`]). The method is an implementation detail of the kernel
-/// dispatch and not part of the crate's supported API.
+/// [`Poolable`]): everything element-width-specific about it. The methods
+/// are implementation details of the kernel dispatch and not part of the
+/// crate's supported API.
 pub trait MicroArch: Real + Poolable {
+    /// Every microkernel instantiation this host can run, widest first:
+    /// `[avx512f, avx2, generic]`, `None` where the host lacks the ISA.
+    /// The generic entry is always present.
     #[doc(hidden)]
-    fn microkernel() -> MicroKernel<Self>;
+    fn ladder() -> [Option<MicroKernel<Self>>; 3];
+
+    /// The pack-time precision conversion of `mode`: turns the raw values
+    /// in `planes[..len]` into the mode's `split_depth` planes, plane `t`
+    /// at `planes[t·stride..][..len]`, in place.
+    #[doc(hidden)]
+    fn convert(mode: ComputeMode, side: Side, planes: &mut [Self], stride: usize, len: usize);
+}
+
+/// A SIMD ladder entry: `x86::$f::<MR, NV>` is an `MR × NV·LANES` tile.
+#[cfg(target_arch = "x86_64")]
+macro_rules! simd_tile {
+    ($name:literal, $f:ident, $mr:literal, $nv:literal, $lanes:literal) => {
+        MicroKernel { name: $name, mr: $mr, nr: $nv * $lanes, micro: x86::$f::<$mr, $nv> }
+    };
 }
 
 impl MicroArch for f32 {
-    fn microkernel() -> MicroKernel<f32> {
+    fn ladder() -> [Option<MicroKernel<f32>>; 3] {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return MicroKernel { mr: x86::MR, nr: x86::NR, micro: x86::micro_f32_fma };
-            }
-        }
-        MicroKernel { mr: 4, nr: 8, micro: micro_generic::<f32, 4, 8> }
+        let (wide, mid) = (
+            std::arch::is_x86_feature_detected!("avx512f")
+                .then_some(simd_tile!("avx512f fma 16x16", f32_avx512, 16, 1, 16)),
+            (std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"))
+            .then_some(simd_tile!("avx2 fma 6x16", f32_avx2, 6, 2, 8)),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (wide, mid) = (None, None);
+        // Separate multiply and add: not bit-identical to the fused tiles
+        // above (it never was), only to itself.
+        let generic =
+            MicroKernel { name: "generic 4x8", mr: 4, nr: 8, micro: micro_generic::<f32, 4, 8> };
+        [wide, mid, Some(generic)]
+    }
+
+    fn convert(mode: ComputeMode, side: Side, planes: &mut [f32], stride: usize, len: usize) {
+        pack::convert_f32(mode, side, planes, stride, len);
     }
 }
 
 impl MicroArch for f64 {
-    fn microkernel() -> MicroKernel<f64> {
-        // 4×4 keeps the accumulator tile within the baseline SSE2
-        // register file; the generic body auto-vectorises.
-        MicroKernel { mr: 4, nr: 4, micro: micro_generic::<f64, 4, 4> }
+    fn ladder() -> [Option<MicroKernel<f64>>; 3] {
+        #[cfg(target_arch = "x86_64")]
+        let (wide, mid) = (
+            std::arch::is_x86_feature_detected!("avx512f")
+                .then_some(simd_tile!("avx512f mul+add 8x16", f64_avx512, 8, 2, 8)),
+            std::arch::is_x86_feature_detected!("avx2")
+                .then_some(simd_tile!("avx2 mul+add 4x8", f64_avx2, 4, 2, 4)),
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        let (wide, mid) = (None, None);
+        let generic =
+            MicroKernel { name: "generic 4x4", mr: 4, nr: 4, micro: micro_generic::<f64, 4, 4> };
+        [wide, mid, Some(generic)]
+    }
+
+    fn convert(mode: ComputeMode, _: Side, _: &mut [f64], _: usize, _: usize) {
+        // The FLOAT_TO_* modes re-represent single-precision data only.
+        debug_assert!(mode.split_depth().is_none(), "{mode:?} does not apply to f64");
     }
 }
 
-/// `acc += a · b` for dense row-major operands.
+/// How one driver run executes: which microkernel, and whether row blocks
+/// go to rayon (`None` = size heuristic). Everything outside tests uses
+/// [`Exec::host`]; tests pin a ladder entry or a schedule to compare them
+/// bit for bit on identical inputs.
+#[derive(Clone, Copy)]
+pub(crate) struct Exec<T: 'static> {
+    pub kern: MicroKernel<T>,
+    pub parallel: Option<bool>,
+}
+
+impl<T: MicroArch> Exec<T> {
+    /// The widest kernel the host offers, size-heuristic threading.
+    pub fn host() -> Self {
+        let kern = T::ladder().into_iter().flatten().next().expect("generic kernel always present");
+        Exec { kern, parallel: None }
+    }
+}
+
+/// Name of the microkernel GEMMs over `T` dispatch to on this host
+/// (ISA, arithmetic, tile), for bench headers and job logs.
+pub fn dispatched_kernel<T: MicroArch>() -> &'static str {
+    Exec::<T>::host().kern.name
+}
+
+/// One accumulated product of a sweep over the k-blocks: the `depth`
+/// diagonal plane products `A[a+t]·B[b+t]`, `t < depth`, summed in one
+/// register accumulator per C tile and added to output `out`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Product {
+    pub a: usize,
+    pub b: usize,
+    pub depth: usize,
+    pub out: usize,
+}
+
+/// `acc += op(A) · op(B)` in `mode`: the single-product instance of the
+/// driver. `a` is `op(A)` (`m × k`), `b` is `op(B)` (`k × n`), both read
+/// straight from their strided storage; `acc` is dense `m × n`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn real_product<T: MicroArch>(
+    mode: ComputeMode,
+    a: &OpSrc<'_, T>,
+    b: &OpSrc<'_, T>,
+    acc: &mut [T],
+    m: usize,
+    n: usize,
+    k: usize,
+    exec: Exec<T>,
+) {
+    let depth = mode.split_depth().unwrap_or(1);
+    gemm_packed(
+        acc,
+        1,
+        m,
+        n,
+        k,
+        &[&[Product { a: 0, b: 0, depth, out: 0 }]],
+        |_, k0, kc, mr, dst: &mut [T], stride| {
+            let len = pack::gather(a, m, k0, kc, mr, dst, stride, |x| [x]);
+            T::convert(mode, Side::A, dst, stride, len);
+        },
+        |_, k0, kc, nr, dst: &mut [T], stride| {
+            let len = pack::gather(b, n, k0, kc, nr, dst, stride, |x| [x]);
+            T::convert(mode, Side::B, dst, stride, len);
+        },
+        exec,
+    );
+}
+
+/// `acc += a · b` for dense row-major operands at native precision.
 ///
 /// * `a`: `m × k` (ld = k)
 /// * `b`: `k × n` (ld = n)
 /// * `acc`: `m × n` (ld = n), accumulated in place
 pub fn matmul_acc<T: MicroArch>(a: &[T], b: &[T], acc: &mut [T], m: usize, n: usize, k: usize) {
-    matmul_acc_with(a, b, acc, m, n, k, None);
-}
-
-/// [`matmul_acc`] with an explicit threading override (`None` = size
-/// heuristic). Exposed to tests so the sequential and parallel schedules
-/// can be compared bit-for-bit on identical inputs.
-pub(crate) fn matmul_acc_with<T: MicroArch>(
-    a: &[T],
-    b: &[T],
-    acc: &mut [T],
-    m: usize,
-    n: usize,
-    k: usize,
-    parallel: Option<bool>,
-) {
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     assert_eq!(acc.len(), m * n, "C shape mismatch");
-    gemm_packed(
-        acc,
-        m,
-        n,
-        k,
-        1,
-        1,
-        &[(0, 0)],
-        |k0, kc, mr, bufs: &mut [PooledBuf<T>; 3]| {
-            pack::pack_a_copy(a, m, k, k0, kc, mr, &mut bufs[0]);
-        },
-        |k0, kc, nr, bufs: &mut [PooledBuf<T>; 3]| {
-            pack::pack_b_copy(b, n, k0, kc, nr, &mut bufs[0]);
-        },
-        parallel,
-    );
+    let (a, b) = (OpSrc::dense_a(a, k), OpSrc::dense_b(b, n));
+    real_product(ComputeMode::Standard, &a, &b, acc, m, n, k, Exec::host());
 }
 
-/// The blocked driver: packs per k-block via the caller's closures, then
-/// runs the microkernel over every C tile, accumulating all `terms`
-/// plane-products from the same packed buffers.
+/// The blocked driver. `acc` holds `nout` row-interleaved outputs: it is
+/// an `m × (nout·n)` matrix whose columns `[o·n, (o+1)·n)` are output
+/// `o`. `sweeps` lists, per sweep over the k-blocks, the products to run
+/// off each packed block: for every sweep, for every k-block, the
+/// caller's closures pack the block and every product of the sweep is
+/// accumulated from it.
 ///
-/// `pack_a(k0, kc, mr, planes)` must fill `planes[0..planes_a]` with the
-/// `mr`-row panel layout for the k-slice `[k0, k0+kc)`; `pack_b`
-/// likewise with `nr`-column panels. Packing runs on the calling thread
-/// only, so rayon workers never touch the workspace pool. No zero-skip
-/// anywhere: IEEE demands 0·Inf = 0·NaN = NaN, so skipping zero entries
-/// (or empty planes) would silently launder non-finite values out of the
-/// product and hide them from the health checks.
+/// `pack_a(sweep, k0, kc, mr, dst, stride)` must fill every A plane the
+/// sweep's products read (plane `t` at `dst[t·stride..]`) with the
+/// `mr`-row panel layout of the k-slice `[k0, k0+kc)`; `pack_b` likewise
+/// with `nr`-column panels. Packing runs on the calling thread only, so
+/// rayon workers never touch the workspace pool. No zero-skip anywhere:
+/// IEEE demands 0·Inf = 0·NaN = NaN, so skipping zero entries (or empty
+/// planes) would silently launder non-finite values out of the product
+/// and hide them from the health checks.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed<T, PA, PB>(
     acc: &mut [T],
+    nout: usize,
     m: usize,
     n: usize,
     k: usize,
-    planes_a: usize,
-    planes_b: usize,
-    terms: &[(usize, usize)],
+    sweeps: &[&[Product]],
     mut pack_a: PA,
     mut pack_b: PB,
-    parallel: Option<bool>,
+    exec: Exec<T>,
 ) where
     T: MicroArch,
-    PA: FnMut(usize, usize, usize, &mut [PooledBuf<T>; 3]),
-    PB: FnMut(usize, usize, usize, &mut [PooledBuf<T>; 3]),
+    PA: FnMut(usize, usize, usize, usize, &mut [T], usize),
+    PB: FnMut(usize, usize, usize, usize, &mut [T], usize),
 {
-    debug_assert!(planes_a <= 3 && planes_b <= 3);
+    let ldc = nout * n;
+    assert_eq!(acc.len(), m * ldc, "accumulator shape mismatch");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let kern = T::microkernel();
+    let kern = exec.kern;
     let (mr, nr) = (kern.mr, kern.nr);
     let kc_max = KC.min(k);
     let npan = n.div_ceil(nr);
-    let a_len = m.div_ceil(mr) * mr * kc_max;
-    let b_len = npan * nr * kc_max;
-    let take3 = |planes: usize, len: usize| {
-        let sz = |p: usize| if planes > p { len } else { 0 };
-        [take_scratch::<T>(sz(0)), take_scratch::<T>(sz(1)), take_scratch::<T>(sz(2))]
+    let a_stride = m.div_ceil(mr) * mr * kc_max;
+    let b_stride = npan * nr * kc_max;
+    let planes = |last: fn(&Product) -> usize| {
+        sweeps.iter().copied().flatten().map(last).max().unwrap_or(0)
     };
-    let mut pa_bufs = take3(planes_a, a_len);
-    let mut pb_bufs = take3(planes_b, b_len);
-    let run_par = parallel.unwrap_or(m * n * k >= PAR_THRESHOLD);
+    let mut pa_buf = take_scratch::<T>(planes(|pr| pr.a + pr.depth) * a_stride);
+    let mut pb_buf = take_scratch::<T>(planes(|pr| pr.b + pr.depth) * b_stride);
+    let run_par = exec.parallel.unwrap_or(m * n * k >= PAR_THRESHOLD);
 
-    let mut k0 = 0;
-    while k0 < k {
-        let kc = KC.min(k - k0);
-        pack_a(k0, kc, mr, &mut pa_bufs);
-        pack_b(k0, kc, nr, &mut pb_bufs);
-        let pa: [&[T]; 3] = [&pa_bufs[0], &pa_bufs[1], &pa_bufs[2]];
-        let pb: [&[T]; 3] = [&pb_bufs[0], &pb_bufs[1], &pb_bufs[2]];
+    for (si, products) in sweeps.iter().enumerate() {
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            pack_a(si, k0, kc, mr, &mut pa_buf, a_stride);
+            pack_b(si, k0, kc, nr, &mut pb_buf, b_stride);
+            let (pa, pb): (&[T], &[T]) = (&pa_buf, &pb_buf);
 
-        // One task = MC_PANELS row panels of C. Looping q (B panel)
-        // outside the row panels keeps each 16 KB B panel hot in L1
-        // while the task's L2-resident A block sweeps past it.
-        let block = |ci: usize, cblk: &mut [T]| {
-            let rows_total = cblk.len() / n;
-            for q in 0..npan {
-                let j0 = q * nr;
-                let cols = nr.min(n - j0);
-                let b_off = q * nr * kc;
-                let mut r0 = 0;
-                let mut ir = 0;
-                while r0 < rows_total {
-                    let rows = mr.min(rows_total - r0);
-                    let a_off = (ci * MC_PANELS + ir) * mr * kc;
-                    (kern.micro)(
-                        terms,
-                        &pa,
-                        a_off,
-                        &pb,
-                        b_off,
-                        kc,
-                        &mut cblk[r0 * n..],
-                        n,
-                        j0,
-                        rows,
-                        cols,
-                    );
-                    r0 += rows;
-                    ir += 1;
+            // One task = MC_PANELS row panels of C. Looping q (B panel)
+            // outside the row panels keeps each B panel hot in L1 while
+            // the task's L2-resident A block sweeps past it.
+            let block = |ci: usize, cblk: &mut [T]| {
+                let rows_total = cblk.len() / ldc;
+                for q in 0..npan {
+                    let j0 = q * nr;
+                    let cols = nr.min(n - j0);
+                    let b_off = q * nr * kc;
+                    for (ir, r0) in (0..rows_total).step_by(mr).enumerate() {
+                        let rows = mr.min(rows_total - r0);
+                        let a_off = (ci * MC_PANELS + ir) * mr * kc;
+                        for pr in *products {
+                            let mut terms = [(0usize, 0usize); 3];
+                            for (t, term) in terms.iter_mut().enumerate().take(pr.depth) {
+                                *term = (
+                                    (pr.a + t) * a_stride + a_off,
+                                    (pr.b + t) * b_stride + b_off,
+                                );
+                            }
+                            (kern.micro)(
+                                &terms[..pr.depth],
+                                pa,
+                                pb,
+                                kc,
+                                &mut cblk[r0 * ldc..],
+                                ldc,
+                                pr.out * n + j0,
+                                rows,
+                                cols,
+                            );
+                        }
+                    }
+                }
+            };
+            if run_par {
+                acc.par_chunks_mut(MC_PANELS * mr * ldc)
+                    .enumerate()
+                    .for_each(|(ci, cblk)| block(ci, cblk));
+            } else {
+                for (ci, cblk) in acc.chunks_mut(MC_PANELS * mr * ldc).enumerate() {
+                    block(ci, cblk);
                 }
             }
-        };
-        if run_par {
-            acc.par_chunks_mut(MC_PANELS * mr * n)
-                .enumerate()
-                .for_each(|(ci, cblk)| block(ci, cblk));
-        } else {
-            for (ci, cblk) in acc.chunks_mut(MC_PANELS * mr * n).enumerate() {
-                block(ci, cblk);
-            }
         }
-        k0 += kc;
     }
 }
 
-/// Safe register-blocked microkernel; the compiler unrolls the constant
-/// `MR × NR` tile and vectorises the inner loop for the baseline target.
+/// Safe register-blocked microkernel — the portable fallback and the
+/// oracle the SIMD tiles are tested against. Separate multiply and add;
+/// the compiler unrolls the constant `MR × NR` tile and vectorises the
+/// inner loop for the baseline target.
 #[allow(clippy::too_many_arguments)]
 fn micro_generic<T: Real, const MR: usize, const NR: usize>(
     terms: &[(usize, usize)],
-    pa: &[&[T]; 3],
-    a_off: usize,
-    pb: &[&[T]; 3],
-    b_off: usize,
+    pa: &[T],
+    pb: &[T],
     kc: usize,
     ctile: &mut [T],
-    n: usize,
+    ldc: usize,
     j0: usize,
     rows: usize,
     cols: usize,
 ) {
     let mut acc = [[T::ZERO; NR]; MR];
-    for &(ta, tb) in terms {
-        let ap = &pa[ta][a_off..a_off + MR * kc];
-        let bp = &pb[tb][b_off..b_off + NR * kc];
-        for kk in 0..kc {
-            let arow = &ap[kk * MR..(kk + 1) * MR];
-            let brow = &bp[kk * NR..(kk + 1) * NR];
-            for i in 0..MR {
-                let aik = arow[i];
-                for (av, &bv) in acc[i].iter_mut().zip(brow) {
+    for &(ao, bo) in terms {
+        let ap = &pa[ao..ao + MR * kc];
+        let bp = &pb[bo..bo + NR * kc];
+        for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+            for (accr, &aik) in acc.iter_mut().zip(arow) {
+                for (av, &bv) in accr.iter_mut().zip(brow) {
                     *av += aik * bv;
                 }
             }
         }
     }
     for (i, accr) in acc.iter().enumerate().take(rows) {
-        let crow = &mut ctile[i * n + j0..i * n + j0 + cols];
+        let crow = &mut ctile[i * ldc + j0..i * ldc + j0 + cols];
         for (cv, &av) in crow.iter_mut().zip(&accr[..cols]) {
             *cv += av;
         }
@@ -284,86 +377,141 @@ fn micro_generic<T: Real, const MR: usize, const NR: usize>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! AVX2+FMA 6×16 f32 microkernel: 12 ymm accumulators, two B loads
-    //! and six broadcast-FMA pairs per k step.
+    //! The SIMD tiles: one body, instantiated per (ISA, element width).
+    //! An `MR × NV·LANES` tile keeps `MR·NV` vector accumulators; per k
+    //! step it loads `NV` B vectors and broadcasts `MR` A elements.
     use core::arch::x86_64::*;
 
-    pub(super) const MR: usize = 6;
-    pub(super) const NR: usize = 16;
+    /// Widest tile row any instantiation uses, in elements (the stack
+    /// spill row of the ragged writeback).
+    const MAX_NR: usize = 64;
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn micro_f32_fma(
-        terms: &[(usize, usize)],
-        pa: &[&[f32]; 3],
-        a_off: usize,
-        pb: &[&[f32]; 3],
-        b_off: usize,
-        kc: usize,
-        ctile: &mut [f32],
-        n: usize,
-        j0: usize,
-        rows: usize,
-        cols: usize,
-    ) {
-        assert!(rows <= MR && cols <= NR && cols <= n);
-        assert!(rows == 0 || ctile.len() >= (rows - 1) * n + j0 + cols);
-        for &(ta, tb) in terms {
-            assert!(pa[ta].len() >= a_off + MR * kc, "packed A panel out of range");
-            assert!(pb[tb].len() >= b_off + NR * kc, "packed B panel out of range");
-        }
-        // SAFETY: `MicroArch::microkernel` only hands out this fn pointer
-        // after `is_x86_feature_detected!` confirmed avx2+fma; all pointer
-        // arithmetic below stays inside the ranges asserted above.
-        unsafe { micro_f32_fma_impl(terms, pa, a_off, pb, b_off, kc, ctile, n, j0, rows, cols) }
+    macro_rules! simd_micro {
+        (
+            $(#[$doc:meta])*
+            $name:ident / $imp:ident: $t:ty, $feat:literal, $lanes:literal,
+            $zero:ident, $load:ident, $store:ident, $set1:ident, $add:ident,
+            |$a:ident, $b:ident, $c:ident| $mac:expr
+        ) => {
+            $(#[$doc])*
+            #[allow(clippy::too_many_arguments)]
+            pub(super) fn $name<const MR: usize, const NV: usize>(
+                terms: &[(usize, usize)],
+                pa: &[$t],
+                pb: &[$t],
+                kc: usize,
+                ctile: &mut [$t],
+                ldc: usize,
+                j0: usize,
+                rows: usize,
+                cols: usize,
+            ) {
+                const { assert!(NV * $lanes <= MAX_NR) };
+                let nr = NV * $lanes;
+                assert!(rows <= MR && cols <= nr && j0 + cols <= ldc);
+                assert!(rows == 0 || ctile.len() >= (rows - 1) * ldc + j0 + cols);
+                for &(ao, bo) in terms {
+                    assert!(pa.len() >= ao + MR * kc, "packed A panel out of range");
+                    assert!(pb.len() >= bo + nr * kc, "packed B panel out of range");
+                }
+                // SAFETY: `MicroArch::ladder` only hands out this fn
+                // pointer after `is_x86_feature_detected!` confirmed the
+                // target features; the body reads `MR·kc` / `nr·kc`
+                // elements from each term's offsets and touches
+                // `rows × cols` elements of `ctile` from column `j0` at
+                // row pitch `ldc` — all inside the ranges asserted above.
+                unsafe {
+                    $imp::<MR, NV>(
+                        terms,
+                        pa.as_ptr(),
+                        pb.as_ptr(),
+                        kc,
+                        ctile.as_mut_ptr().add(j0),
+                        ldc,
+                        rows,
+                        cols,
+                    )
+                }
+            }
+
+            #[target_feature(enable = $feat)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn $imp<const MR: usize, const NV: usize>(
+                terms: &[(usize, usize)],
+                pa: *const $t,
+                pb: *const $t,
+                kc: usize,
+                c: *mut $t,
+                ldc: usize,
+                rows: usize,
+                cols: usize,
+            ) {
+                let nr = NV * $lanes;
+                let mut acc = [[$zero(); NV]; MR];
+                for &(ao, bo) in terms {
+                    let (ap, bp) = (pa.add(ao), pb.add(bo));
+                    for kk in 0..kc {
+                        let mut bv = [$zero(); NV];
+                        for (v, b) in bv.iter_mut().enumerate() {
+                            *b = $load(bp.add(kk * nr + v * $lanes));
+                        }
+                        for (i, accr) in acc.iter_mut().enumerate() {
+                            let $a = $set1(*ap.add(kk * MR + i));
+                            for (av, &$b) in accr.iter_mut().zip(&bv) {
+                                let $c = *av;
+                                *av = $mac;
+                            }
+                        }
+                    }
+                }
+                if cols == nr {
+                    for (i, accr) in acc.iter().enumerate().take(rows) {
+                        for (v, &av) in accr.iter().enumerate() {
+                            let p = c.add(i * ldc + v * $lanes);
+                            $store(p, $add($load(p), av));
+                        }
+                    }
+                } else {
+                    let mut tmp = [0.0; MAX_NR];
+                    for (i, accr) in acc.iter().enumerate().take(rows) {
+                        for (v, &av) in accr.iter().enumerate() {
+                            $store(tmp.as_mut_ptr().add(v * $lanes), av);
+                        }
+                        for (j, &t) in tmp.iter().enumerate().take(cols) {
+                            *c.add(i * ldc + j) += t;
+                        }
+                    }
+                }
+            }
+        };
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn micro_f32_fma_impl(
-        terms: &[(usize, usize)],
-        pa: &[&[f32]; 3],
-        a_off: usize,
-        pb: &[&[f32]; 3],
-        b_off: usize,
-        kc: usize,
-        ctile: &mut [f32],
-        n: usize,
-        j0: usize,
-        rows: usize,
-        cols: usize,
-    ) {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for &(ta, tb) in terms {
-            let ap = pa[ta].as_ptr().add(a_off);
-            let bp = pb[tb].as_ptr().add(b_off);
-            for kk in 0..kc {
-                let b0 = _mm256_loadu_ps(bp.add(kk * NR));
-                let b1 = _mm256_loadu_ps(bp.add(kk * NR + 8));
-                let arow = ap.add(kk * MR);
-                for (i, accr) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*arow.add(i));
-                    accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                    accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
-                }
-            }
-        }
-        if cols == NR {
-            for (i, accr) in acc.iter().enumerate().take(rows) {
-                let c = ctile.as_mut_ptr().add(i * n + j0);
-                _mm256_storeu_ps(c, _mm256_add_ps(_mm256_loadu_ps(c), accr[0]));
-                _mm256_storeu_ps(c.add(8), _mm256_add_ps(_mm256_loadu_ps(c.add(8)), accr[1]));
-            }
-        } else {
-            let mut tmp = [0.0f32; NR];
-            for (i, accr) in acc.iter().enumerate().take(rows) {
-                _mm256_storeu_ps(tmp.as_mut_ptr(), accr[0]);
-                _mm256_storeu_ps(tmp.as_mut_ptr().add(8), accr[1]);
-                let crow = ctile.as_mut_ptr().add(i * n + j0);
-                for (j, &t) in tmp.iter().enumerate().take(cols) {
-                    *crow.add(j) += t;
-                }
-            }
-        }
+    simd_micro! {
+        /// AVX-512 `f32` tile, fused multiply-add (bit-identical to
+        /// [`f32_avx2`]).
+        f32_avx512 / f32_avx512_impl: f32, "avx512f", 16,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_add_ps,
+        |a, b, c| _mm512_fmadd_ps(a, b, c)
+    }
+    simd_micro! {
+        /// AVX2 `f32` tile, fused multiply-add.
+        f32_avx2 / f32_avx2_impl: f32, "avx2,fma", 8,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_add_ps,
+        |a, b, c| _mm256_fmadd_ps(a, b, c)
+    }
+    simd_micro! {
+        /// AVX-512 `f64` tile, separate multiply and add (bit-identical
+        /// to `micro_generic`).
+        f64_avx512 / f64_avx512_impl: f64, "avx512f", 8,
+        _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_add_pd,
+        |a, b, c| _mm512_add_pd(c, _mm512_mul_pd(a, b))
+    }
+    simd_micro! {
+        /// AVX2 `f64` tile, separate multiply and add (bit-identical to
+        /// `micro_generic`).
+        f64_avx2 / f64_avx2_impl: f64, "avx2", 4,
+        _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_add_pd,
+        |a, b, c| _mm256_add_pd(c, _mm256_mul_pd(a, b))
     }
 }
 
@@ -390,6 +538,7 @@ pub fn matmul_reference<T: Real>(a: &[T], b: &[T], m: usize, n: usize, k: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::reference::same_bits;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -462,33 +611,132 @@ mod tests {
         }
     }
 
+    /// `acc += a·b` in `mode` on dense operands under an explicit [`Exec`].
+    #[allow(clippy::too_many_arguments)]
+    fn product_with<T: MicroArch>(
+        mode: ComputeMode,
+        a: &[T],
+        b: &[T],
+        m: usize,
+        n: usize,
+        k: usize,
+        exec: Exec<T>,
+    ) -> Vec<T> {
+        let mut acc = vec![T::ZERO; m * n];
+        let (a, b) = (OpSrc::dense_a(a, k), OpSrc::dense_b(b, n));
+        real_product(mode, &a, &b, &mut acc, m, n, k, exec);
+        acc
+    }
+
     #[test]
     fn seq_and_par_paths_bit_identical() {
         // The blocked schedule is shared: forcing the sequential and the
         // rayon path over the same inputs must agree bit-for-bit, for both
         // element widths and for shapes with ragged edge panels.
         let mut rng = StdRng::seed_from_u64(3);
+        fn sched<T: MicroArch>(parallel: bool) -> Exec<T> {
+            Exec { parallel: Some(parallel), ..Exec::host() }
+        }
         for &(m, n, k) in &[(37, 29, 300), (128, 96, 520), (5, 7, 9)] {
             let a = random_matrix(&mut rng, m * k);
             let b = random_matrix(&mut rng, k * n);
-            let mut seq = vec![0.0f64; m * n];
-            let mut par = vec![0.0f64; m * n];
-            matmul_acc_with(&a, &b, &mut seq, m, n, k, Some(false));
-            matmul_acc_with(&a, &b, &mut par, m, n, k, Some(true));
+            let seq = product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(false));
+            let par = product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(true));
             for (i, (x, y)) in seq.iter().zip(&par).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "f64 ({m},{n},{k}) i={i}");
             }
 
             let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
             let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-            let mut seq32 = vec![0.0f32; m * n];
-            let mut par32 = vec![0.0f32; m * n];
-            matmul_acc_with(&a32, &b32, &mut seq32, m, n, k, Some(false));
-            matmul_acc_with(&a32, &b32, &mut par32, m, n, k, Some(true));
-            for (i, (x, y)) in seq32.iter().zip(&par32).enumerate() {
+            let seq = product_with(ComputeMode::Standard, &a32, &b32, m, n, k, sched(false));
+            let par = product_with(ComputeMode::Standard, &a32, &b32, m, n, k, sched(true));
+            for (i, (x, y)) in seq.iter().zip(&par).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "f32 ({m},{n},{k}) i={i}");
             }
         }
+    }
+
+    /// Inputs with non-finite and subnormal lanes sprinkled in, so whole
+    /// tiles stay finite while some rows/columns carry each special.
+    fn spiked<T: Real>(rng: &mut StdRng, len: usize, tiny: T) -> Vec<T> {
+        let specials = [T::from_f64(f64::NAN), T::from_f64(f64::INFINITY), tiny, T::ZERO];
+        (0..len)
+            .map(|i| {
+                if rng.gen_range(0..97) == 0 {
+                    specials[i % specials.len()]
+                } else {
+                    T::from_f64(rng.gen_range(-1.0..1.0))
+                }
+            })
+            .collect()
+    }
+
+    /// Every kernel in `kernels` against the last one (the oracle), over
+    /// `modes`, on shapes ragged in m and n and straddling `KC`, with and
+    /// without special-value lanes.
+    fn kernels_match<T: MicroArch>(kernels: &[MicroKernel<T>], modes: &[ComputeMode], tiny: T) {
+        let (oracle, rest) = kernels.split_last().expect("an oracle kernel");
+        if rest.is_empty() {
+            eprintln!("host offers only `{}`; nothing to compare", oracle.name);
+            return;
+        }
+        let shapes =
+            [(16, 16, 1728), (96, 96, 600), (300, 16, 16), (37, 29, 513), (7, 33, 257)];
+        let mut rng = StdRng::seed_from_u64(77);
+        for &(m, n, k) in &shapes {
+            for spikes in [false, true] {
+                let (a, b): (Vec<T>, Vec<T>) = if spikes {
+                    (spiked(&mut rng, m * k, tiny), spiked(&mut rng, k * n, tiny))
+                } else {
+                    let mut dense = |len: usize| -> Vec<T> {
+                        (0..len).map(|_| T::from_f64(rng.gen_range(-1.0..1.0))).collect()
+                    };
+                    (dense(m * k), dense(k * n))
+                };
+                for &mode in modes {
+                    let run = |kern: MicroKernel<T>| {
+                        product_with(mode, &a, &b, m, n, k, Exec { kern, parallel: Some(false) })
+                    };
+                    let want = run(*oracle);
+                    assert!(spikes || want.iter().all(|x| x.to_f64().is_finite()));
+                    for kern in rest {
+                        let got = run(*kern);
+                        for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                same_bits(x, y),
+                                "`{}` vs `{}` {mode:?} ({m},{n},{k}) spikes={spikes} i={i}: \
+                                 {x} vs {y}",
+                                kern.name,
+                                oracle.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f64_kernels_bit_identical_to_generic() {
+        // AVX-512, AVX2 and generic all keep multiply and add separate;
+        // an ISA the host lacks is simply absent from the ladder.
+        let kernels: Vec<_> = f64::ladder().into_iter().flatten().collect();
+        kernels_match(&kernels, &[ComputeMode::Standard], f64::MIN_POSITIVE / 4.0);
+    }
+
+    #[test]
+    fn f32_simd_kernels_bit_identical_in_every_mode() {
+        // The AVX-512 and AVX2 tiles both fuse multiply-add. The generic
+        // entry does not, so it is outside their class — on a host with
+        // neither SIMD tier it is the only kernel and there is nothing to
+        // compare.
+        let [wide, mid, _generic] = f32::ladder();
+        let kernels: Vec<_> = [wide, mid].into_iter().flatten().collect();
+        if kernels.is_empty() {
+            eprintln!("host offers no f32 SIMD kernel; nothing to compare");
+            return;
+        }
+        kernels_match(&kernels, &ComputeMode::ALL, 1.0e-42);
     }
 
     #[test]

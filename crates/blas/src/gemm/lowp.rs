@@ -20,17 +20,17 @@
 //! Execution does *not* run one GEMM pass per covered term. Following the
 //! cascaded-GEMM regrouping, the B operand is packed as partial-sum
 //! planes `BSₜ = fl(Σ_{j ≤ d-1-t} bⱼ)` and only the `d` diagonal products
-//! `Aₜ·BSₜ` run (see [`cascade_products`] and the `pack` module docs):
+//! `Aₜ·BSₜ` run (see [`cascade_products`], the `pack` module docs, and
+//! `kernel::Product`, which runs exactly these diagonals):
 //! the same covered term set at 2 (x2) or 3 (x3) kernel passes, with all
 //! passes sharing one packed buffer set and one FP32 register
 //! accumulator per C tile. The partial-sum rounding perturbs each
 //! covered term by ≤ 2⁻²⁴ relative — below every mode's split-residual
 //! floor, as the error-ordering tests pin down.
 
-use super::kernel::{gemm_packed, matmul_acc};
-use super::pack;
+use super::kernel::{real_product, Exec};
+use super::pack::OpSrc;
 use crate::mode::ComputeMode;
-use crate::workspace::PooledBuf;
 
 /// The `(a_component, b_component)` product list *covered* by a given
 /// BF16 split depth, in decreasing order of magnitude. This is the
@@ -55,14 +55,15 @@ pub fn cascade_products(depth: usize) -> &'static [(usize, usize)] {
     &DIAG[..depth]
 }
 
-/// `acc += op-materialised A · B` computed in the given low-precision mode.
+/// `acc += A · B` computed in the given low-precision mode.
 ///
 /// `a` is dense `m × k`, `b` dense `k × n`, `acc` dense `m × n`; all
-/// row-major without padding (callers materialise `op()` first). Rounding
-/// and splitting happen inside the pack step of the blocked kernel, so
-/// every source element is converted exactly once per k-block and all
-/// product terms read the same packed planes. All scratch comes from the
-/// thread-local workspace pool.
+/// row-major without padding. Rounding and splitting happen inside the
+/// pack step of the blocked kernel, so every source element is converted
+/// exactly once per k-block and all product terms read the same packed
+/// planes. All scratch comes from the thread-local workspace pool.
+/// `Standard` and `Complex3m` run native FP32 element arithmetic (3M only
+/// changes the complex product structure, a level above).
 pub fn matmul_acc_lowp(
     mode: ComputeMode,
     a: &[f32],
@@ -75,72 +76,8 @@ pub fn matmul_acc_lowp(
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     assert_eq!(acc.len(), m * n, "C shape mismatch");
-    match mode {
-        ComputeMode::Standard | ComputeMode::Complex3m => {
-            // Native FP32 element arithmetic (3M only changes the complex
-            // product structure, handled a level above).
-            matmul_acc(a, b, acc, m, n, k);
-        }
-        ComputeMode::FloatToTf32 => {
-            gemm_packed(
-                acc,
-                m,
-                n,
-                k,
-                1,
-                1,
-                cascade_products(1),
-                |k0, kc, mr, bufs: &mut [PooledBuf<f32>; 3]| {
-                    pack::pack_a_tf32(a, m, k, k0, kc, mr, &mut bufs[0]);
-                },
-                |k0, kc, nr, bufs: &mut [PooledBuf<f32>; 3]| {
-                    pack::pack_b_tf32(b, n, k0, kc, nr, &mut bufs[0]);
-                },
-                None,
-            );
-        }
-        ComputeMode::FloatToBf16 => {
-            gemm_packed(
-                acc,
-                m,
-                n,
-                k,
-                1,
-                1,
-                cascade_products(1),
-                |k0, kc, mr, bufs: &mut [PooledBuf<f32>; 3]| {
-                    pack::pack_a_bf16(a, m, k, k0, kc, mr, &mut bufs[0]);
-                },
-                |k0, kc, nr, bufs: &mut [PooledBuf<f32>; 3]| {
-                    pack::pack_b_bf16(b, n, k0, kc, nr, &mut bufs[0]);
-                },
-                None,
-            );
-        }
-        ComputeMode::FloatToBf16x2 | ComputeMode::FloatToBf16x3 => {
-            let depth = mode.split_depth().expect("split mode");
-            gemm_packed(
-                acc,
-                m,
-                n,
-                k,
-                depth,
-                depth,
-                cascade_products(depth),
-                |k0, kc, mr, bufs: &mut [PooledBuf<f32>; 3]| {
-                    let [b0, b1, b2] = bufs;
-                    let mut planes: [&mut [f32]; 3] = [b0, b1, b2];
-                    pack::pack_a_split(a, m, k, k0, kc, mr, depth, &mut planes);
-                },
-                |k0, kc, nr, bufs: &mut [PooledBuf<f32>; 3]| {
-                    let [b0, b1, b2] = bufs;
-                    let mut planes: [&mut [f32]; 3] = [b0, b1, b2];
-                    pack::pack_b_cascade(b, n, k0, kc, nr, depth, &mut planes);
-                },
-                None,
-            );
-        }
-    }
+    let (a, b) = (OpSrc::dense_a(a, k), OpSrc::dense_b(b, n));
+    real_product(mode, &a, &b, acc, m, n, k, Exec::host());
 }
 
 #[cfg(test)]

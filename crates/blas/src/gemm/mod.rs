@@ -18,19 +18,21 @@
 pub mod kernel;
 pub mod lowp;
 pub(crate) mod pack;
+#[cfg(test)]
+mod reference;
 
 use crate::abft::{self, AbftElem};
 use crate::config::compute_mode;
 use crate::context;
 use crate::device::{Domain, GemmDesc};
 use crate::fault::{self, FaultTarget};
-use crate::layout::{check_matrix, deinterleave_op, op_view_real, Op};
+use crate::layout::{check_matrix, Op};
 use crate::mode::ComputeMode;
 use crate::verbose::observe;
 use crate::workspace;
 use dcmesh_numerics::{Complex, Real, C32, C64};
-use kernel::matmul_acc;
-use lowp::matmul_acc_lowp;
+use kernel::{gemm_packed, real_product, Exec, MicroArch, Product};
+use pack::{gather, OpSrc, Side};
 
 /// The operands of one `C ← α·op(A)·op(B) + β·C` call, minus the output.
 #[derive(Clone, Copy)]
@@ -155,7 +157,7 @@ pub fn dgemm(
     gemm_call("DGEMM", Domain::Real64, ComputeMode::Standard, &g, c, real_gemm_impl);
 }
 
-fn real_gemm_impl<T: Real + LowpDispatch>(mode: ComputeMode, g: &GemmArgs<'_, T>, c: &mut [T]) {
+fn real_gemm_impl<T: MicroArch>(mode: ComputeMode, g: &GemmArgs<'_, T>, c: &mut [T]) {
     let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
     check_matrix("A", ar, ac, lda, a.len());
@@ -171,58 +173,14 @@ fn real_gemm_impl<T: Real + LowpDispatch>(mode: ComputeMode, g: &GemmArgs<'_, T>
         return;
     }
 
-    // Zero-copy when `op == None` and the storage is dense; pooled scratch
-    // otherwise. The product accumulator is pooled too, so the steady
-    // state allocates nothing.
-    let aview = op_view_real(transa, a, ar, ac, lda);
-    let bview = op_view_real(transb, b, br, bc, ldb);
-
+    // The pack reads `op(A)`/`op(B)` straight from the caller's storage;
+    // the product accumulator is pooled, so the steady state allocates
+    // nothing.
     let mut product = workspace::take_zeroed::<T>(m * n);
-    T::matmul_dispatch(mode, &aview, &bview, &mut product, m, n, k);
+    let (asrc, bsrc) = (OpSrc::a(transa, a, lda), OpSrc::b(transb, b, ldb));
+    real_product(mode, &asrc, &bsrc, &mut product, m, n, k, Exec::host());
 
     combine_rows(c, &product, m, n, ldc, alpha, beta);
-}
-
-/// Mode dispatch hook: `f32` supports the low-precision paths, `f64` is
-/// always standard.
-trait LowpDispatch: kernel::MicroArch {
-    fn matmul_dispatch(
-        mode: ComputeMode,
-        a: &[Self],
-        b: &[Self],
-        acc: &mut [Self],
-        m: usize,
-        n: usize,
-        k: usize,
-    );
-}
-
-impl LowpDispatch for f32 {
-    fn matmul_dispatch(
-        mode: ComputeMode,
-        a: &[f32],
-        b: &[f32],
-        acc: &mut [f32],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        matmul_acc_lowp(mode, a, b, acc, m, n, k);
-    }
-}
-
-impl LowpDispatch for f64 {
-    fn matmul_dispatch(
-        _mode: ComputeMode,
-        a: &[f64],
-        b: &[f64],
-        acc: &mut [f64],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        matmul_acc(a, b, acc, m, n, k);
-    }
 }
 
 /// `C_block *= beta` over the logical m×n window of a padded matrix.
@@ -311,10 +269,19 @@ pub fn zgemm(
     gemm_call("ZGEMM", Domain::Complex64, f64_mode(), &g, c, complex_gemm_impl);
 }
 
-fn complex_gemm_impl<T: Real + LowpDispatch>(
+fn complex_gemm_impl<T: MicroArch>(
     mode: ComputeMode,
     g: &GemmArgs<'_, Complex<T>>,
     c: &mut [Complex<T>],
+) {
+    complex_gemm_with(mode, g, c, Exec::host());
+}
+
+fn complex_gemm_with<T: MicroArch>(
+    mode: ComputeMode,
+    g: &GemmArgs<'_, Complex<T>>,
+    c: &mut [Complex<T>],
+    exec: Exec<T>,
 ) {
     let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
@@ -333,115 +300,162 @@ fn complex_gemm_impl<T: Real + LowpDispatch>(
         return;
     }
 
-    // Apply op() and separate the planes in one pass, straight from the
-    // caller's (possibly padded) storage into pooled scratch — no
-    // interleaved temporary is ever built.
-    let mut are = workspace::take_scratch::<T>(m * k);
-    let mut aim = workspace::take_scratch::<T>(m * k);
-    deinterleave_op(transa, a, ar, ac, lda, &mut are, &mut aim);
-    let mut bre = workspace::take_scratch::<T>(k * n);
-    let mut bim = workspace::take_scratch::<T>(k * n);
-    deinterleave_op(transb, b, br, bc, ldb, &mut bre, &mut bim);
-
-    let mut pre = workspace::take_zeroed::<T>(m * n);
-    let mut pim = workspace::take_zeroed::<T>(m * n);
-    if mode == ComputeMode::Complex3m {
-        complex_product_3m(&are, &aim, &bre, &bim, &mut pre, &mut pim, m, n, k);
+    // The real products of P = op(A)·op(B), row-interleaved: row i of
+    // `acc` is [Re | Im] (or [T1 | T2 | T3] under COMPLEX_3M).
+    let three_m = mode == ComputeMode::Complex3m;
+    let nout = if three_m { 3 } else { 2 };
+    let mut acc = workspace::take_zeroed::<T>(nout * m * n);
+    let asrc = (OpSrc::a(transa, a, lda), transa == Op::ConjTrans);
+    let bsrc = (OpSrc::b(transb, b, ldb), transb == Op::ConjTrans);
+    if three_m {
+        complex_product_3m(asrc, bsrc, &mut acc, m, n, k, exec);
     } else {
-        complex_product_4m(mode, &are, &aim, &bre, &bim, &mut pre, &mut pim, m, n, k);
+        complex_product_4m(mode, asrc, bsrc, &mut acc, m, n, k, exec);
     }
 
     // C ← α·P + β·C on the interleaved output.
-    for i in 0..m {
-        let crow = &mut c[i * ldc..i * ldc + n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let p = Complex { re: pre[i * n + j], im: pim[i * n + j] };
+    for (crow, prow) in c.chunks_mut(ldc).zip(acc.chunks_exact(nout * n)) {
+        for (j, cv) in crow[..n].iter_mut().enumerate() {
+            let p = if three_m {
+                // Re = T1 − T3, Im = T1 + T2.
+                Complex { re: prow[j] - prow[2 * n + j], im: prow[j] + prow[n + j] }
+            } else {
+                Complex { re: prow[j], im: prow[n + j] }
+            };
             let ap = alpha.mul_4m(p);
             *cv = if beta == Complex::zero() { ap } else { ap + beta.mul_4m(*cv) };
         }
     }
 }
 
-/// Conventional complex product structure: four real GEMMs
-/// (`Re = ArBr − AiBi`, `Im = ArBi + AiBr`), each component product
-/// running at the selected low-precision mode. `pre`/`pim` must arrive
-/// zeroed (the kernel accumulates into them).
+/// One complex operand of the fused driver: where `op(X)` is read from,
+/// and whether `op()` conjugates.
+type ComplexSrc<'a, T> = (OpSrc<'a, Complex<T>>, bool);
+
+/// `z.im`, negated on request: `op()`'s conjugation, or the sign of a
+/// subtracted product.
+#[inline(always)]
+fn im_of<T: Real>(z: Complex<T>, negate: bool) -> T {
+    if negate {
+        -z.im
+    } else {
+        z.im
+    }
+}
+
+/// Conventional complex product structure — `Re = ArBr − AiBi`,
+/// `Im = ArBi + AiBr`, each component product running at the selected
+/// low-precision mode — as two sweeps of the packed driver over the
+/// interleaved operands. `acc` rows are `[Re | Im]` and must arrive
+/// zeroed.
+///
+/// The order keeps every C element's sum exactly that of four
+/// independent real GEMMs run one after the other (the retained test
+/// `reference`): sweep 1 packs `Ar`, `Br`, `Bi` per k-block and
+/// accumulates `Ar·Br → Re`, `Ar·Bi → Im`; sweep 2 packs `Ai`, `Br`,
+/// `−Bi` and accumulates `Ai·(−Bi) → Re`, `Ai·Br → Im`. The subtraction
+/// rides on a negated plane so the kernel stays add-only, like the
+/// hardware's signed accumulate; `Ai·(−Bi)` equals the reference's
+/// `(−Ai)·Bi` bit for bit because rounding, splitting and cascading are
+/// odd functions and a product's sign is exact. Each A plane is gathered
+/// and converted once per k-block.
 #[allow(clippy::too_many_arguments)]
-fn complex_product_4m<T: Real + LowpDispatch>(
+fn complex_product_4m<T: MicroArch>(
     mode: ComputeMode,
-    are: &[T],
-    aim: &[T],
-    bre: &[T],
-    bim: &[T],
-    pre: &mut [T],
-    pim: &mut [T],
+    (asrc, conj_a): ComplexSrc<'_, T>,
+    (bsrc, conj_b): ComplexSrc<'_, T>,
+    acc: &mut [T],
     m: usize,
     n: usize,
     k: usize,
+    exec: Exec<T>,
 ) {
-    // Re += Ar·Br ; Re −= Ai·Bi (via negated copy so the accumulate kernel
-    // stays add-only, like the hardware's signed-accumulate).
-    T::matmul_dispatch(mode, are, bre, pre, m, n, k);
-    let mut aim_neg = workspace::take_scratch::<T>(aim.len());
-    for (d, &x) in aim_neg.iter_mut().zip(aim) {
-        *d = -x;
-    }
-    T::matmul_dispatch(mode, &aim_neg, bim, pre, m, n, k);
-    // Im += Ar·Bi ; Im += Ai·Br
-    T::matmul_dispatch(mode, are, bim, pim, m, n, k);
-    T::matmul_dispatch(mode, aim, bre, pim, m, n, k);
+    let d = mode.split_depth().unwrap_or(1);
+    // A planes: [Ar], then [Ai]. B planes: [Br | Bi], then [Br | −Bi].
+    let (b_re, b_im) = (0, d);
+    let sweep1 = [
+        Product { a: 0, b: b_re, depth: d, out: 0 }, // Ar·Br → Re
+        Product { a: 0, b: b_im, depth: d, out: 1 }, // Ar·Bi → Im
+    ];
+    let sweep2 = [
+        Product { a: 0, b: b_im, depth: d, out: 0 }, // Ai·(−Bi) → Re
+        Product { a: 0, b: b_re, depth: d, out: 1 }, // Ai·Br → Im
+    ];
+    gemm_packed(
+        acc,
+        2,
+        m,
+        n,
+        k,
+        &[&sweep1, &sweep2],
+        |sweep, k0, kc, mr, dst: &mut [T], stride| {
+            let len = if sweep == 0 {
+                gather(&asrc, m, k0, kc, mr, dst, stride, |z| [z.re])
+            } else {
+                gather(&asrc, m, k0, kc, mr, dst, stride, |z| [im_of(z, conj_a)])
+            };
+            T::convert(mode, Side::A, dst, stride, len);
+        },
+        |sweep, k0, kc, nr, dst: &mut [T], stride| {
+            // Sweep 2 wants −Bi: that sign and `op()`'s conjugation fold
+            // into one.
+            let negate = conj_b != (sweep == 1);
+            let len = gather(&bsrc, n, k0, kc, nr, dst, d * stride, |z| [z.re, im_of(z, negate)]);
+            for planes in dst.chunks_mut(d * stride) {
+                T::convert(mode, Side::B, planes, stride, len);
+            }
+        },
+        exec,
+    );
 }
 
-/// 3M complex product structure: three real GEMMs.
+/// 3M complex product structure: three real products at native element
+/// precision, all accumulated off one packed k-block.
 ///
 /// ```text
 /// T1 = (Ar + Ai)·Br;  T2 = Ar·(Bi − Br);  T3 = Ai·(Br + Bi)
 /// Re = T1 − T3;       Im = T1 + T2
 /// ```
 ///
-/// `pre`/`pim` are overwritten. All temporaries come from the workspace
-/// pool.
-#[allow(clippy::too_many_arguments)]
-fn complex_product_3m<T: kernel::MicroArch>(
-    are: &[T],
-    aim: &[T],
-    bre: &[T],
-    bim: &[T],
-    pre: &mut [T],
-    pim: &mut [T],
+/// `acc` rows are `[T1 | T2 | T3]` and must arrive zeroed; the plane sums
+/// are formed as the operands are packed.
+fn complex_product_3m<T: MicroArch>(
+    (asrc, conj_a): ComplexSrc<'_, T>,
+    (bsrc, conj_b): ComplexSrc<'_, T>,
+    acc: &mut [T],
     m: usize,
     n: usize,
     k: usize,
+    exec: Exec<T>,
 ) {
-    let mut a_sum = workspace::take_scratch::<T>(are.len());
-    for (d, (&r, &i)) in a_sum.iter_mut().zip(are.iter().zip(aim)) {
-        *d = r + i;
-    }
-    let mut b_diff = workspace::take_scratch::<T>(bre.len());
-    let mut b_sum = workspace::take_scratch::<T>(bre.len());
-    for ((db, ds), (&r, &i)) in
-        b_diff.iter_mut().zip(b_sum.iter_mut()).zip(bre.iter().zip(bim))
-    {
-        *db = i - r;
-        *ds = r + i;
-    }
-
-    let mut t1 = workspace::take_zeroed::<T>(m * n);
-    let mut t2 = workspace::take_zeroed::<T>(m * n);
-    let mut t3 = workspace::take_zeroed::<T>(m * n);
-    matmul_acc(&a_sum, bre, &mut t1, m, n, k);
-    matmul_acc(are, &b_diff, &mut t2, m, n, k);
-    matmul_acc(aim, &b_sum, &mut t3, m, n, k);
-
-    for (i, (p, q)) in pre.iter_mut().zip(pim.iter_mut()).enumerate() {
-        *p = t1[i] - t3[i];
-        *q = t1[i] + t2[i];
-    }
+    let products = [0, 1, 2].map(|t| Product { a: t, b: t, depth: 1, out: t });
+    gemm_packed(
+        acc,
+        3,
+        m,
+        n,
+        k,
+        &[&products],
+        |_, k0, kc, mr, dst: &mut [T], stride| {
+            gather(&asrc, m, k0, kc, mr, dst, stride, |z| {
+                let im = im_of(z, conj_a);
+                [z.re + im, z.re, im]
+            });
+        },
+        |_, k0, kc, nr, dst: &mut [T], stride| {
+            gather(&bsrc, n, k0, kc, nr, dst, stride, |z| {
+                let im = im_of(z, conj_b);
+                [z.re, im - z.re, z.re + im]
+            });
+        },
+        exec,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::reference::same_bits;
     use crate::config::with_compute_mode;
     use dcmesh_numerics::{c32, c64};
     use rand::rngs::StdRng;
@@ -681,29 +695,149 @@ mod tests {
         // (grows). This is the in-process proxy for the counting-allocator
         // gate in the `gemm_hostperf` bench. Two warm-up calls: the first
         // sizes the buffers, the second settles the LIFO pairing when the
-        // pool was seeded by a different mode's checkout pattern.
+        // pool was seeded by a different mode's checkout pattern. Both
+        // application call shapes (project `Ψ†·X`, apply `Ψ·S`) and both
+        // complex routines; k = 300 spans two k-blocks.
         let mut rng = StdRng::seed_from_u64(42);
-        let (m, n, k) = (16, 12, 24);
-        let a = rand_c32(&mut rng, m * k);
-        let b = rand_c32(&mut rng, k * n);
+        let (grid, orb) = (300, 12);
+        let psi = rand_c32(&mut rng, grid * orb);
+        let sub = rand_c32(&mut rng, orb * orb);
+        let psi64 = rand_c64(&mut rng, grid * orb);
+        let mut small = vec![C32::zero(); orb * orb];
+        let mut tall = vec![C32::zero(); grid * orb];
+        let mut small64 = vec![C64::zero(); orb * orb];
+        let mut calls = |single: bool| {
+            if single {
+                let (one, zero) = (C32::one(), C32::zero());
+                cgemm(Op::ConjTrans, Op::None, orb, orb, grid, one, &psi, orb, &psi, orb, zero, &mut small, orb);
+                cgemm(Op::None, Op::None, grid, orb, orb, one, &psi, orb, &sub, orb, zero, &mut tall, orb);
+            } else {
+                let (one, zero) = (C64::one(), C64::zero());
+                zgemm(Op::ConjTrans, Op::None, orb, orb, grid, one, &psi64, orb, &psi64, orb, zero, &mut small64, orb);
+            }
+        };
         crate::workspace::with_fresh_workspace(|| {
             for mode in ComputeMode::ALL {
                 with_compute_mode(mode, || {
-                    let mut c = vec![C32::zero(); m * n];
-                    for _ in 0..2 {
-                        cgemm(Op::None, Op::None, m, n, k, C32::one(), &a, k, &b, n, C32::zero(), &mut c, n);
+                    for single in [true, false] {
+                        for _ in 0..2 {
+                            calls(single);
+                        }
+                        let warm = crate::workspace::combined_stats();
+                        for _ in 0..3 {
+                            calls(single);
+                        }
+                        let after = crate::workspace::combined_stats();
+                        let what = if single { "cgemm" } else { "zgemm" };
+                        assert_eq!(after.misses, warm.misses, "{mode:?} {what}: pool missed in steady state");
+                        assert_eq!(after.grows, warm.grows, "{mode:?} {what}: pool grew in steady state");
+                        assert!(after.takes > warm.takes, "{mode:?} {what}: pool not used at all");
                     }
-                    let warm = crate::workspace::stats::<f32>();
-                    for _ in 0..3 {
-                        cgemm(Op::None, Op::None, m, n, k, C32::one(), &a, k, &b, n, C32::zero(), &mut c, n);
-                    }
-                    let after = crate::workspace::stats::<f32>();
-                    assert_eq!(after.misses, warm.misses, "{mode:?}: pool missed in steady state");
-                    assert_eq!(after.grows, warm.grows, "{mode:?}: pool grew in steady state");
-                    assert!(after.takes > warm.takes, "{mode:?}: pool not used at all");
                 });
             }
         });
+    }
+
+    /// The fused driver against the retained four-call reference, bit for
+    /// bit: all 9 `op` pairs, padded `lda`/`ldb`/`ldc`, a shape inside one
+    /// k-block and one straddling `KC`, β = 0 and β ≠ 0, every ladder
+    /// kernel, sequential and rayon schedules.
+    fn fused_matches_reference<T: MicroArch>(modes: &[ComputeMode]) {
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut rand = |len: usize| -> Vec<Complex<T>> {
+            (0..len)
+                .map(|_| Complex {
+                    re: T::from_f64(rng.gen_range(-1.0..1.0)),
+                    im: T::from_f64(rng.gen_range(-1.0..1.0)),
+                })
+                .collect()
+        };
+        let ops = [Op::None, Op::Trans, Op::ConjTrans];
+        let cx = |re: f64, im: f64| Complex { re: T::from_f64(re), im: T::from_f64(im) };
+        for (m, n, k) in [(7, 5, 9), (13, 34, 300)] {
+            for transa in ops {
+                for transb in ops {
+                    let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
+                    let (lda, ldb, ldc) = (ac + 3, bc + 1, n + 2);
+                    let a = rand(ar * lda);
+                    let b = rand(br * ldb);
+                    let c0 = rand(m * ldc);
+                    for (alpha, beta) in [(cx(1.25, -0.5), cx(0.25, 0.75)), (cx(1.0, 0.0), cx(0.0, 0.0))] {
+                        let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b: &b, ldb, beta, ldc };
+                        for &mode in modes {
+                            for kern in T::ladder().into_iter().flatten() {
+                                let mut want = c0.clone();
+                                reference::complex_gemm(mode, &g, &mut want, Exec { kern, parallel: Some(false) });
+                                for parallel in [Some(false), Some(true)] {
+                                    let mut got = c0.clone();
+                                    complex_gemm_with(mode, &g, &mut got, Exec { kern, parallel });
+                                    for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                                        assert!(
+                                            same_bits(x.re, y.re) && same_bits(x.im, y.im),
+                                            "{mode:?} op({transa:?},{transb:?}) ({m},{n},{k}) `{}` \
+                                             par={parallel:?} β={beta:?} i={i}: {x:?} vs {y:?}",
+                                            kern.name
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_cgemm_bit_identical_to_four_call_reference() {
+        fused_matches_reference::<f32>(&ComputeMode::ALL);
+    }
+
+    #[test]
+    fn fused_zgemm_bit_identical_to_four_call_reference() {
+        // The two modes that apply to FP64 data (see `f64_mode`).
+        fused_matches_reference::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
+    }
+
+    #[test]
+    fn nonfinite_in_any_complex_plane_surfaces() {
+        // 0·Inf / 0·NaN must reach C wherever the non-finite value sits:
+        // in B's imaginary plane (met by A's zero real *and* negated
+        // imaginary planes), in A's imaginary plane (the one the driver
+        // negates), and next to an edge panel's pad lanes — in every
+        // mode, with every shape dimension ragged for any tile in use.
+        let (m, n, k) = (5, 9, 7);
+        for mode in ComputeMode::ALL {
+            for bad in [f32::INFINITY, f32::NAN] {
+                with_compute_mode(mode, || {
+                    let run = |a: &[C32], b: &[C32]| {
+                        let mut c = vec![C32::zero(); m * n];
+                        cgemm(Op::None, Op::None, m, n, k, C32::one(), a, k, b, n, C32::zero(), &mut c, n);
+                        c
+                    };
+                    // B's imaginary plane, last (pad-side) column; A zero.
+                    let a = vec![C32::zero(); m * k];
+                    let mut b = vec![c32(1.0, 1.0); k * n];
+                    b[3 * n + n - 1] = c32(1.0, bad);
+                    let c = run(&a, &b);
+                    for i in 0..m {
+                        let z = c[i * n + n - 1];
+                        assert!(z.re.is_nan() && z.im.is_nan(), "{mode:?} {bad}: B.im lost in row {i}: {z:?}");
+                        assert_eq!(c[i * n], C32::zero(), "{mode:?}: clean column corrupted");
+                    }
+                    // A's imaginary plane, last (pad-side) row; B zero.
+                    let mut a = vec![c32(1.0, 1.0); m * k];
+                    a[(m - 1) * k + 2] = c32(1.0, bad);
+                    let b = vec![C32::zero(); k * n];
+                    let c = run(&a, &b);
+                    for j in 0..n {
+                        let z = c[(m - 1) * n + j];
+                        assert!(z.re.is_nan() && z.im.is_nan(), "{mode:?} {bad}: A.im lost in col {j}: {z:?}");
+                        assert_eq!(c[j], C32::zero(), "{mode:?}: clean row corrupted");
+                    }
+                });
+            }
+        }
     }
 
     #[test]

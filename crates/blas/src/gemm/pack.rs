@@ -3,23 +3,36 @@
 //! The microkernel consumes *panels*: A is repacked into `mr`-row panels
 //! where element `(i, kk)` of panel `p` lives at `p·mr·kc + kk·mr + i`, and
 //! B into `nr`-column panels with element `(kk, j)` of panel `q` at
-//! `q·nr·kc + kk·nr + j`. Both layouts make the microkernel's inner loop a
-//! pair of contiguous streams regardless of the original leading
+//! `q·nr·kc + kk·nr + j`. The two layouts are one: a `w`-wide panel is a
+//! `kc × w` row-major tile, `w` consecutive rows of `op(A)` or columns of
+//! `op(B)` across, the k-slice down. Both make the microkernel's inner
+//! loop a pair of contiguous streams regardless of the original leading
 //! dimensions. Edge panels (when `m % mr != 0` or `n % nr != 0`) are
 //! zero-padded; the padded lanes only ever touch accumulator rows/columns
 //! that the writeback discards, so padding can never launder a non-finite
 //! value into (or out of) a real output element.
 //!
-//! Packing is also where precision conversion happens: the low-precision
-//! modes round or split elements *as they are packed*, so each source
-//! element is converted exactly once per k-block sweep no matter how many
-//! product terms later read the packed planes.
+//! Packing is two steps per k-block, both over cache-resident panels:
 //!
-//! For the BF16 split modes the two operands are packed differently:
+//! 1. [`gather`] reads the caller's storage — strided, `op()`-ed, and for
+//!    the complex routines interleaved — and writes *raw* real planes in
+//!    panel layout, every plane wanted of a complex operand (`re`, `±im`,
+//!    the COMPLEX_3M sums) in the same pass. [`OpSrc`] says which way the
+//!    storage runs: when it is contiguous across the panel (`op(B) = B`,
+//!    `op(A) = Aᵀ/A†`) panel rows are copied row by row; when it runs
+//!    along k (`op(A) = A`, `op(B) = Bᵀ/B†`) each source row is read
+//!    once, contiguously, and transposed into the panel.
+//! 2. [`convert_f32`] applies the compute mode *in place* over the packed
+//!    plane — a contiguous, panel-layout-agnostic, 8-lane-vectorised run:
+//!    BF16/TF32 rounding, or the split into `depth` planes. Each source
+//!    element is converted exactly once per k-block sweep no matter how
+//!    many product terms later read the packed planes.
 //!
-//! * A-side ([`pack_a_split`]): the raw split planes `a₀, a₁, a₂` from
+//! For the BF16 split modes the two operands are converted differently:
+//!
+//! * A-side ([`Side::A`]): the raw split planes `a₀, a₁, a₂` from
 //!   [`Split2`]/[`Split3`] (each BF16-representable).
-//! * B-side ([`pack_b_cascade`]): *cascaded partial sums*
+//! * B-side ([`Side::B`]): *cascaded partial sums*
 //!   `BS_t = fl(b₀ + … + b_{d-1-t})`, i.e. for depth 3 the planes
 //!   `[b₀+b₁+b₂, b₀+b₁, b₀]` and for depth 2 `[b₀+b₁, b₀]`.
 //!
@@ -31,172 +44,315 @@
 //! split-residual floors of the x2/x3 modes — the error-ordering tests
 //! in `lowp` pin this down empirically.
 
+use crate::layout::Op;
+use crate::mode::ComputeMode;
 use dcmesh_numerics::bf16::Bf16;
 use dcmesh_numerics::split::{Split2, Split3};
 use dcmesh_numerics::tf32::Tf32;
 use dcmesh_numerics::Real;
 
-/// Packs the `[k0, k0+kc)` k-slice of dense row-major `a` (`m × k`) into
-/// `mr`-row panels, applying `f` to each element.
-#[inline]
+/// Which operand a plane belongs to (the split modes convert them
+/// differently, see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Side {
+    /// Left operand: raw split planes.
+    A,
+    /// Right operand: cascaded partial-sum planes.
+    B,
+}
+
+/// Where the driver reads one operand from: the caller's row-major
+/// storage plus the direction `op()` makes it run. Element `(p, kk)` —
+/// `p` a row of `op(A)` or a column of `op(B)`, `kk` the depth index — is
+/// `data[kk·ld + p]` when the storage is contiguous `along` the panel and
+/// `data[p·ld + kk]` when it runs along k.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OpSrc<'a, E> {
+    data: &'a [E],
+    ld: usize,
+    along: bool,
+}
+
+impl<'a, E> OpSrc<'a, E> {
+    /// `op(A)` (`m × k`) over `a` with leading dimension `lda`.
+    pub fn a(op: Op, a: &'a [E], lda: usize) -> Self {
+        OpSrc { data: a, ld: lda, along: op != Op::None }
+    }
+
+    /// `op(B)` (`k × n`) over `b` with leading dimension `ldb`.
+    pub fn b(op: Op, b: &'a [E], ldb: usize) -> Self {
+        OpSrc { data: b, ld: ldb, along: op == Op::None }
+    }
+
+    /// Dense untransposed `m × k` left operand.
+    pub fn dense_a(a: &'a [E], k: usize) -> Self {
+        Self::a(Op::None, a, k)
+    }
+
+    /// Dense untransposed `k × n` right operand.
+    pub fn dense_b(b: &'a [E], n: usize) -> Self {
+        Self::b(Op::None, b, n)
+    }
+}
+
+/// Packs the `[k0, k0+kc)` depth slice of all `count` rows/columns of
+/// `src` into `w`-wide panels. One pass over the source fills `P` planes:
+/// `f` maps each element to its `P` values (the planes of a complex
+/// operand), plane `p` going to `dst[p·pitch..]`; the edge panel's pad
+/// lanes are zero-filled. Returns the packed length of one plane,
+/// `count.div_ceil(w)·w·kc`.
+///
+/// Compiled twice, for the baseline target and for AVX2 (wider copies and
+/// deinterleave shuffles from the same source); the host picks.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_a_with<T: Real>(
-    a: &[T],
-    m: usize,
-    k: usize,
+pub(crate) fn gather<E: Copy, T: Real, const P: usize>(
+    src: &OpSrc<'_, E>,
+    count: usize,
     k0: usize,
     kc: usize,
-    mr: usize,
+    w: usize,
     dst: &mut [T],
-    f: impl Fn(T) -> T,
-) {
-    let mpan = m.div_ceil(mr);
-    for p in 0..mpan {
-        let base = p * mr * kc;
-        let r0 = p * mr;
-        for i in 0..mr {
-            let r = r0 + i;
-            if r < m {
-                let src = &a[r * k + k0..r * k + k0 + kc];
-                for (kk, &v) in src.iter().enumerate() {
-                    dst[base + kk * mr + i] = f(v);
+    pitch: usize,
+    f: impl Fn(E) -> [T; P],
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: avx2 support was just verified; that is the function's
+        // only precondition (its body is the safe `gather_body`).
+        return unsafe { gather_avx2(src, count, k0, kc, w, dst, pitch, f) };
+    }
+    gather_body(src, count, k0, kc, w, dst, pitch, f)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gather_avx2<E: Copy, T: Real, const P: usize>(
+    src: &OpSrc<'_, E>,
+    count: usize,
+    k0: usize,
+    kc: usize,
+    w: usize,
+    dst: &mut [T],
+    pitch: usize,
+    f: impl Fn(E) -> [T; P],
+) -> usize {
+    gather_body(src, count, k0, kc, w, dst, pitch, f)
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn gather_body<E: Copy, T: Real, const P: usize>(
+    src: &OpSrc<'_, E>,
+    count: usize,
+    k0: usize,
+    kc: usize,
+    w: usize,
+    dst: &mut [T],
+    pitch: usize,
+    f: impl Fn(E) -> [T; P],
+) -> usize {
+    let len = count.div_ceil(w) * w * kc;
+    let mut chunks = dst.chunks_mut(pitch.max(len));
+    let mut planes: [&mut [T]; P] =
+        core::array::from_fn(|_| &mut chunks.next().expect("dst holds P planes")[..len]);
+    for p0 in (0..count).step_by(w) {
+        let live = w.min(count - p0);
+        let mut panel = planes.each_mut().map(|pl| &mut pl[p0 * kc..(p0 + w) * kc]);
+        // The arms below are one loop written for each plane count, so
+        // every plane is filled from a single read of the source and the
+        // compiler sees plain zipped slices (P is a constant per
+        // instantiation; the other arms fold away).
+        if src.along {
+            // Storage is contiguous across the panel: copy row by row.
+            for kk in 0..kc {
+                let s = &src.data[(k0 + kk) * src.ld + p0..][..live];
+                let mut rows = panel.each_mut().map(|pl| &mut pl[kk * w..][..live]);
+                match &mut rows[..] {
+                    [r0] => {
+                        for (d0, &e) in r0.iter_mut().zip(s) {
+                            *d0 = f(e)[0];
+                        }
+                    }
+                    [r0, r1] => {
+                        for ((d0, d1), &e) in r0.iter_mut().zip(r1.iter_mut()).zip(s) {
+                            let v = f(e);
+                            (*d0, *d1) = (v[0], v[1]);
+                        }
+                    }
+                    [r0, r1, r2] => {
+                        let it = r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut());
+                        for (((d0, d1), d2), &e) in it.zip(s) {
+                            let v = f(e);
+                            (*d0, *d1, *d2) = (v[0], v[1], v[2]);
+                        }
+                    }
+                    _ => unreachable!("the driver packs at most three planes per pass"),
                 }
-            } else {
-                for kk in 0..kc {
-                    dst[base + kk * mr + i] = T::ZERO;
+            }
+        } else {
+            // Storage runs along k: read each of the panel's source rows
+            // once, contiguously, and transpose it into the panel.
+            for i in 0..live {
+                let s = &src.data[(p0 + i) * src.ld + k0..][..kc];
+                match &mut panel[..] {
+                    [c0] => {
+                        for (r0, &e) in c0.chunks_exact_mut(w).zip(s) {
+                            r0[i] = f(e)[0];
+                        }
+                    }
+                    [c0, c1] => {
+                        let it = c0.chunks_exact_mut(w).zip(c1.chunks_exact_mut(w));
+                        for ((r0, r1), &e) in it.zip(s) {
+                            let v = f(e);
+                            (r0[i], r1[i]) = (v[0], v[1]);
+                        }
+                    }
+                    [c0, c1, c2] => {
+                        let it = c0.chunks_exact_mut(w).zip(c1.chunks_exact_mut(w));
+                        for (((r0, r1), r2), &e) in it.zip(c2.chunks_exact_mut(w)).zip(s) {
+                            let v = f(e);
+                            (r0[i], r1[i], r2[i]) = (v[0], v[1], v[2]);
+                        }
+                    }
+                    _ => unreachable!("the driver packs at most three planes per pass"),
+                }
+            }
+        }
+        if live < w {
+            for pl in &mut panel {
+                for drow in pl.chunks_exact_mut(w) {
+                    drow[live..].fill(T::ZERO);
                 }
             }
         }
     }
+    len
 }
 
-/// Packs the `[k0, k0+kc)` k-slice of dense row-major `b` (`k × n`) into
-/// `nr`-column panels, applying `f` to each element.
-#[inline]
-pub(crate) fn pack_b_with<T: Real>(
-    b: &[T],
-    n: usize,
-    k0: usize,
-    kc: usize,
-    nr: usize,
-    dst: &mut [T],
-    f: impl Fn(T) -> T,
-) {
-    let npan = n.div_ceil(nr);
-    for q in 0..npan {
-        let base = q * nr * kc;
-        let c0 = q * nr;
-        let cols = nr.min(n - c0);
-        for kk in 0..kc {
-            let src = &b[(k0 + kk) * n + c0..(k0 + kk) * n + c0 + cols];
-            let drow = &mut dst[base + kk * nr..base + (kk + 1) * nr];
-            for (d, &v) in drow.iter_mut().zip(src) {
-                *d = f(v);
-            }
-            for d in &mut drow[cols..] {
-                *d = T::ZERO;
-            }
-        }
+/// The vector width the pack-time conversions run at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Lanes {
+    /// 16-lane AVX-512.
+    Avx512,
+    /// 8-lane AVX2.
+    Avx2,
+    /// One element at a time.
+    Scalar,
+}
+
+impl Lanes {
+    /// Every width this host can run, widest first (`Scalar` always).
+    pub fn available() -> impl Iterator<Item = Lanes> {
+        #[cfg(target_arch = "x86_64")]
+        let simd = [
+            std::arch::is_x86_feature_detected!("avx512f").then_some(Lanes::Avx512),
+            std::arch::is_x86_feature_detected!("avx2").then_some(Lanes::Avx2),
+        ];
+        #[cfg(not(target_arch = "x86_64"))]
+        let simd = [None, None];
+        simd.into_iter().flatten().chain([Lanes::Scalar])
     }
 }
 
-/// Identity pack (STANDARD / f64 paths).
-pub(crate) fn pack_a_copy<T: Real>(
-    a: &[T],
-    m: usize,
-    k: usize,
-    k0: usize,
-    kc: usize,
-    mr: usize,
-    dst: &mut [T],
+/// Applies `mode`'s pack-time conversion in place: the raw values in
+/// `planes[..len]` become plane 0, and for the split modes planes
+/// `1..depth` are written at `planes[t·stride..][..len]`. Runs at the
+/// host's widest vector width; the vector conversions are bit-identical
+/// to the scalar ones (asserted by the `vector_*` tests below), so the
+/// width never changes results, only speed. Zero pad lanes convert to
+/// zero planes.
+pub(crate) fn convert_f32(
+    mode: ComputeMode,
+    side: Side,
+    planes: &mut [f32],
+    stride: usize,
+    len: usize,
 ) {
-    pack_a_with(a, m, k, k0, kc, mr, dst, |x| x);
+    let lanes = Lanes::available().next().expect("scalar always available");
+    convert_f32_at(lanes, mode, side, planes, stride, len);
 }
 
-/// Identity pack (STANDARD / f64 paths).
-pub(crate) fn pack_b_copy<T: Real>(
-    b: &[T],
-    n: usize,
-    k0: usize,
-    kc: usize,
-    nr: usize,
-    dst: &mut [T],
+/// [`convert_f32`] at an explicit width, which the host must support
+/// (one of [`Lanes::available`]).
+fn convert_f32_at(
+    lanes: Lanes,
+    mode: ComputeMode,
+    side: Side,
+    planes: &mut [f32],
+    stride: usize,
+    len: usize,
 ) {
-    pack_b_with(b, n, k0, kc, nr, dst, |x| x);
-}
-
-/// Rounds to BF16 while packing A.
-pub(crate) fn pack_a_bf16(a: &[f32], m: usize, k: usize, k0: usize, kc: usize, mr: usize, dst: &mut [f32]) {
-    pack_a_with(a, m, k, k0, kc, mr, dst, Bf16::round_f32);
-}
-
-/// Rounds to BF16 while packing B (8-lane AVX2 fast path on full panel
-/// rows, bit-identical to the scalar rounding).
-pub(crate) fn pack_b_bf16(b: &[f32], n: usize, k0: usize, kc: usize, nr: usize, dst: &mut [f32]) {
-    let use_vec = avx2_available() && nr.is_multiple_of(8);
-    pack_b_rows(b, n, k0, kc, nr, dst, |src, drow| {
-        #[cfg(target_arch = "x86_64")]
-        if use_vec && src.len().is_multiple_of(8) {
-            // SAFETY: avx2 checked above; src and drow have the same
-            // length (a multiple of 8).
-            unsafe { x86::bf16_round_row(src, drow.as_mut_ptr()) };
-            return;
+    let depth = match mode {
+        ComputeMode::Standard | ComputeMode::Complex3m => return,
+        ComputeMode::FloatToBf16 | ComputeMode::FloatToTf32 => 1,
+        ComputeMode::FloatToBf16x2 => 2,
+        ComputeMode::FloatToBf16x3 => 3,
+    };
+    assert!(depth == 1 || len <= stride, "plane run longer than the plane stride");
+    let (p0, rest): (&mut [f32], &mut [f32]) =
+        if depth == 1 { (planes, &mut []) } else { planes.split_at_mut(stride) };
+    let p0 = &mut p0[..len];
+    let (p1, p2): (&mut [f32], &mut [f32]) = match depth {
+        1 => (&mut [], &mut []),
+        2 => (&mut rest[..len], &mut []),
+        _ => {
+            let (p1, p2) = rest.split_at_mut(stride);
+            (&mut p1[..len], &mut p2[..len])
         }
-        let _ = use_vec;
-        for (d, &v) in drow.iter_mut().zip(src) {
-            *d = Bf16::round_f32(v);
+    };
+    assert!(Lanes::available().any(|l| l == lanes), "host cannot run {lanes:?} conversions");
+    // Whole vector groups first, then the scalar tail.
+    #[cfg(target_arch = "x86_64")]
+    let done = {
+        let (q0, q1, q2) = (p0.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr());
+        macro_rules! run {
+            ($isa:ident, $width:literal) => {{
+                let done = len - len % $width;
+                // SAFETY: the ISA was asserted available just above;
+                // `done` is a multiple of the vector width and every
+                // plane the chosen instantiation touches (`p0`, and
+                // `p1`/`p2` up to `depth`) was sliced to `len ≥ done`
+                // elements.
+                unsafe {
+                    match (mode, side) {
+                        (ComputeMode::FloatToBf16, _) => x86::$isa::round_run::<false>(q0, done),
+                        (ComputeMode::FloatToTf32, _) => x86::$isa::round_run::<true>(q0, done),
+                        (ComputeMode::FloatToBf16x2, Side::A) => {
+                            x86::$isa::split_run::<false, 2>(q0, q1, q2, done)
+                        }
+                        (ComputeMode::FloatToBf16x2, Side::B) => {
+                            x86::$isa::split_run::<true, 2>(q0, q1, q2, done)
+                        }
+                        (_, Side::A) => x86::$isa::split_run::<false, 3>(q0, q1, q2, done),
+                        (_, Side::B) => x86::$isa::split_run::<true, 3>(q0, q1, q2, done),
+                    }
+                }
+                done
+            }};
         }
-    });
-}
-
-/// Rounds to TF32 while packing A.
-pub(crate) fn pack_a_tf32(a: &[f32], m: usize, k: usize, k0: usize, kc: usize, mr: usize, dst: &mut [f32]) {
-    pack_a_with(a, m, k, k0, kc, mr, dst, Tf32::round_f32);
-}
-
-/// Rounds to TF32 while packing B (8-lane AVX2 fast path on full panel
-/// rows, bit-identical to the scalar rounding).
-pub(crate) fn pack_b_tf32(b: &[f32], n: usize, k0: usize, kc: usize, nr: usize, dst: &mut [f32]) {
-    let use_vec = avx2_available() && nr.is_multiple_of(8);
-    pack_b_rows(b, n, k0, kc, nr, dst, |src, drow| {
-        #[cfg(target_arch = "x86_64")]
-        if use_vec && src.len().is_multiple_of(8) {
-            // SAFETY: avx2 checked above; src and drow have the same
-            // length (a multiple of 8).
-            unsafe { x86::tf32_round_row(src, drow.as_mut_ptr()) };
-            return;
+        match lanes {
+            Lanes::Avx512 => run!(avx512, 16),
+            Lanes::Avx2 => run!(avx2, 8),
+            Lanes::Scalar => 0,
         }
-        let _ = use_vec;
-        for (d, &v) in drow.iter_mut().zip(src) {
-            *d = Tf32::round_f32(v);
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for j in done..len {
+        let x = p0[j];
+        let t = match (mode, side) {
+            (ComputeMode::FloatToBf16, _) => [Bf16::round_f32(x), 0.0, 0.0],
+            (ComputeMode::FloatToTf32, _) => [Tf32::round_f32(x), 0.0, 0.0],
+            (_, Side::A) => split_planes(x, depth),
+            (_, Side::B) => cascade_planes(x, depth),
+        };
+        p0[j] = t[0];
+        if depth > 1 {
+            p1[j] = t[1];
         }
-    });
-}
-
-/// Shared B-panel traversal: calls `row` once per panel row with the
-/// source slice and the destination row prefix (`cols` elements), then
-/// zero-fills the padded tail itself.
-fn pack_b_rows(
-    b: &[f32],
-    n: usize,
-    k0: usize,
-    kc: usize,
-    nr: usize,
-    dst: &mut [f32],
-    row: impl Fn(&[f32], &mut [f32]),
-) {
-    let npan = n.div_ceil(nr);
-    for q in 0..npan {
-        let base = q * nr * kc;
-        let c0 = q * nr;
-        let cols = nr.min(n - c0);
-        for kk in 0..kc {
-            let src = &b[(k0 + kk) * n + c0..(k0 + kk) * n + c0 + cols];
-            let drow = &mut dst[base + kk * nr..base + (kk + 1) * nr];
-            row(src, &mut drow[..cols]);
-            for d in &mut drow[cols..] {
-                *d = 0.0;
-            }
+        if depth > 2 {
+            p2[j] = t[2];
         }
     }
 }
@@ -230,303 +386,194 @@ fn cascade_planes(x: f32, depth: usize) -> [f32; 3] {
     }
 }
 
-/// Packs A while splitting each element into its raw BF16 component
-/// planes (`depth` ∈ {2, 3}).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack_a_split(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    k0: usize,
-    kc: usize,
-    mr: usize,
-    depth: usize,
-    planes: &mut [&mut [f32]; 3],
-) {
-    pack_planes_a(a, m, k, k0, kc, mr, depth, planes);
-}
-
-/// Packs B while converting each element into cascaded partial-sum planes
-/// (`depth` ∈ {2, 3}); see the module docs for why the diagonal products
-/// over these planes reproduce the full split-term sets.
-///
-/// B is the volume side of the split (`k × n` elements vs A's `m × k` at
-/// the paper's tall-skinny shapes), so full-width panel rows take an
-/// 8-lane AVX2 fast path when the host supports it; the vector split is
-/// bit-identical to the scalar one (asserted by
-/// `vector_cascade_matches_scalar`), so the fast path never changes
-/// results, only speed.
-pub(crate) fn pack_b_cascade(
-    b: &[f32],
-    n: usize,
-    k0: usize,
-    kc: usize,
-    nr: usize,
-    depth: usize,
-    planes: &mut [&mut [f32]; 3],
-) {
-    let use_vec = avx2_available() && nr.is_multiple_of(8);
-    let npan = n.div_ceil(nr);
-    for q in 0..npan {
-        let base = q * nr * kc;
-        let c0 = q * nr;
-        let cols = nr.min(n - c0);
-        for kk in 0..kc {
-            let src = &b[(k0 + kk) * n + c0..(k0 + kk) * n + c0 + cols];
-            let row0 = base + kk * nr;
-            #[cfg(target_arch = "x86_64")]
-            if use_vec && cols == nr {
-                // SAFETY: avx2 checked above; src has exactly nr (multiple
-                // of 8) elements and each active plane has nr elements at
-                // row0 (the panel row).
-                unsafe {
-                    x86::cascade_row(
-                        src,
-                        depth,
-                        planes[0].as_mut_ptr().add(row0),
-                        planes[1].as_mut_ptr().add(row0),
-                        if depth > 2 { planes[2].as_mut_ptr().add(row0) } else { core::ptr::null_mut() },
-                    );
-                }
-                continue;
-            }
-            let _ = use_vec;
-            for (j, &v) in src.iter().enumerate() {
-                let t = cascade_planes(v, depth);
-                for (d, pl) in planes.iter_mut().take(depth).enumerate() {
-                    pl[row0 + j] = t[d];
-                }
-            }
-            for j in cols..nr {
-                for pl in planes.iter_mut().take(depth) {
-                    pl[row0 + j] = 0.0;
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! 8-lane AVX2 replicas of the scalar BF16 split/cascade. Exact
+    //! Vector replicas of the scalar BF16/TF32 rounding and BF16
+    //! split/cascade, at 8 (AVX2) and 16 (AVX-512) lanes. Exact
     //! bit-compatibility with the scalar path is a hard requirement (the
     //! pack must not depend on the host's ISA beyond speed); the rounding
     //! uses the same integer round-to-nearest-even trick as
     //! `Bf16::from_f32`, including its NaN-quieting behaviour.
-    use core::arch::x86_64::*;
 
-    /// Vector `Bf16::round_f32`: RNE truncation to the high 16 bits, NaN
-    /// lanes quietened exactly like the scalar (`(bits>>16)|0x0040`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn bf16_round8(x: __m256) -> __m256 {
-        let bits = _mm256_castps_si256(x);
-        let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(1));
-        let rounded =
-            _mm256_add_epi32(_mm256_add_epi32(bits, _mm256_set1_epi32(0x7FFF)), lsb);
-        let kept = _mm256_and_si256(rounded, _mm256_set1_epi32(0xFFFF_0000u32 as i32));
-        let quiet = _mm256_or_si256(
-            _mm256_and_si256(bits, _mm256_set1_epi32(0xFFFF_0000u32 as i32)),
-            _mm256_set1_epi32(0x0040_0000),
-        );
-        let nan = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
-        _mm256_blendv_ps(_mm256_castsi256_ps(kept), _mm256_castsi256_ps(quiet), nan)
+    /// The two in-place runs over packed planes, written once over an
+    /// ISA's `LANES`, load/store/add and its `round_bf16` / `round_tf32` /
+    /// `split` (defined beside the invocation).
+    macro_rules! runs {
+        ($feat:literal, $lanes:literal, $load:ident, $store:ident, $add:ident) => {
+            /// Rounds `len` (a multiple of the lane count) elements in
+            /// place, to TF32 or BF16.
+            ///
+            /// # Safety
+            /// Caller must have verified the ISA and that `p` addresses
+            /// at least `len` readable and writable elements.
+            #[target_feature(enable = $feat)]
+            pub(in super::super) unsafe fn round_run<const TF32: bool>(p: *mut f32, len: usize) {
+                debug_assert!(len.is_multiple_of($lanes));
+                for j in (0..len).step_by($lanes) {
+                    let x = $load(p.add(j));
+                    $store(p.add(j), if TF32 { round_tf32(x) } else { round_bf16(x) });
+                }
+            }
+
+            /// Converts `len` (a multiple of the lane count) raw elements
+            /// at `p0` into `DEPTH` split planes in place: the raw planes
+            /// (`CASCADE = false`) or the cascaded partial sums. `p2` is
+            /// only touched for depth 3.
+            ///
+            /// # Safety
+            /// Caller must have verified the ISA and that `p0`, `p1` and
+            /// — for depth 3 — `p2` each address at least `len` readable
+            /// and writable elements.
+            #[target_feature(enable = $feat)]
+            pub(in super::super) unsafe fn split_run<const CASCADE: bool, const DEPTH: usize>(
+                p0: *mut f32,
+                p1: *mut f32,
+                p2: *mut f32,
+                len: usize,
+            ) {
+                debug_assert!(len.is_multiple_of($lanes));
+                for j in (0..len).step_by($lanes) {
+                    // For depth 2, `mid` holds the single correction term.
+                    let (hi, mid, lo) = split($load(p0.add(j)), DEPTH);
+                    let (o0, o1, o2) = if !CASCADE {
+                        (hi, mid, lo)
+                    } else if DEPTH == 2 {
+                        ($add(hi, mid), hi, lo)
+                    } else {
+                        let s01 = $add(hi, mid);
+                        ($add(s01, lo), s01, hi)
+                    };
+                    $store(p0.add(j), o0);
+                    $store(p1.add(j), o1);
+                    if DEPTH > 2 {
+                        $store(p2.add(j), o2);
+                    }
+                }
+            }
+        };
     }
 
-    /// Vector `Split3::new` (depth 3) / `Split2::new` (depth 2): returns
-    /// the raw planes with corrections zeroed on non-finite leads, exactly
-    /// like the scalar constructors.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn split8(x: __m256, depth: usize) -> (__m256, __m256, __m256) {
-        let hi = bf16_round8(x);
-        let abs_hi =
-            _mm256_and_ps(hi, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF)));
-        let finite = _mm256_cmp_ps(abs_hi, _mm256_set1_ps(f32::INFINITY), _CMP_LT_OQ);
-        let r1 = _mm256_sub_ps(x, hi);
-        if depth == 2 {
-            let lo = _mm256_and_ps(bf16_round8(r1), finite);
-            (hi, lo, _mm256_setzero_ps())
-        } else {
-            let mid = _mm256_and_ps(bf16_round8(r1), finite);
-            let lo = _mm256_and_ps(bf16_round8(_mm256_sub_ps(r1, mid)), finite);
-            (hi, mid, lo)
+    pub(super) mod avx2 {
+        use core::arch::x86_64::*;
+
+        /// Vector `Bf16::round_f32`: RNE truncation to the high 16 bits,
+        /// NaN lanes quietened exactly like the scalar
+        /// (`(bits>>16)|0x0040`).
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn round_bf16(x: __m256) -> __m256 {
+            let bits = _mm256_castps_si256(x);
+            let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(1));
+            let rounded =
+                _mm256_add_epi32(_mm256_add_epi32(bits, _mm256_set1_epi32(0x7FFF)), lsb);
+            let kept = _mm256_and_si256(rounded, _mm256_set1_epi32(0xFFFF_0000u32 as i32));
+            let quiet = _mm256_or_si256(
+                _mm256_and_si256(bits, _mm256_set1_epi32(0xFFFF_0000u32 as i32)),
+                _mm256_set1_epi32(0x0040_0000),
+            );
+            let nan = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
+            _mm256_blendv_ps(_mm256_castsi256_ps(kept), _mm256_castsi256_ps(quiet), nan)
         }
-    }
 
-    /// Vector `Tf32::round_f32`: RNE truncation of the low 13 mantissa
-    /// bits. Unlike BF16, the scalar TF32 rounding passes non-finite
-    /// values through untouched (no NaN quieting) — replicated here by
-    /// blending on an all-ones-exponent test.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tf32_round8(x: __m256) -> __m256 {
-        let bits = _mm256_castps_si256(x);
-        let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 13), _mm256_set1_epi32(1));
-        let rounded = _mm256_and_si256(
-            _mm256_add_epi32(_mm256_add_epi32(bits, _mm256_set1_epi32(0xFFF)), lsb),
-            _mm256_set1_epi32(!0x1FFF),
-        );
-        let expmask = _mm256_set1_epi32(0x7F80_0000);
-        let special =
-            _mm256_cmpeq_epi32(_mm256_and_si256(bits, expmask), expmask);
-        _mm256_blendv_ps(
-            _mm256_castsi256_ps(rounded),
-            x,
-            _mm256_castsi256_ps(special),
-        )
-    }
-
-    /// Rounds one full panel row (`src.len()` a multiple of 8) to BF16.
-    ///
-    /// # Safety
-    /// Caller must have verified avx2 support and that `dst` addresses at
-    /// least `src.len()` writable elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bf16_round_row(src: &[f32], dst: *mut f32) {
-        debug_assert!(src.len().is_multiple_of(8));
-        for j in (0..src.len()).step_by(8) {
-            let x = _mm256_loadu_ps(src.as_ptr().add(j));
-            _mm256_storeu_ps(dst.add(j), bf16_round8(x));
+        /// Vector `Tf32::round_f32`: RNE truncation of the low 13
+        /// mantissa bits. Unlike BF16, the scalar TF32 rounding passes
+        /// non-finite values through untouched (no NaN quieting) —
+        /// replicated here by blending on an all-ones-exponent test.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn round_tf32(x: __m256) -> __m256 {
+            let bits = _mm256_castps_si256(x);
+            let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 13), _mm256_set1_epi32(1));
+            let rounded = _mm256_and_si256(
+                _mm256_add_epi32(_mm256_add_epi32(bits, _mm256_set1_epi32(0xFFF)), lsb),
+                _mm256_set1_epi32(!0x1FFF),
+            );
+            let expmask = _mm256_set1_epi32(0x7F80_0000);
+            let special = _mm256_cmpeq_epi32(_mm256_and_si256(bits, expmask), expmask);
+            _mm256_blendv_ps(_mm256_castsi256_ps(rounded), x, _mm256_castsi256_ps(special))
         }
-    }
 
-    /// Rounds one full panel row (`src.len()` a multiple of 8) to TF32.
-    ///
-    /// # Safety
-    /// Caller must have verified avx2 support and that `dst` addresses at
-    /// least `src.len()` writable elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tf32_round_row(src: &[f32], dst: *mut f32) {
-        debug_assert!(src.len().is_multiple_of(8));
-        for j in (0..src.len()).step_by(8) {
-            let x = _mm256_loadu_ps(src.as_ptr().add(j));
-            _mm256_storeu_ps(dst.add(j), tf32_round8(x));
-        }
-    }
-
-    /// Splits 8 consecutive elements into their raw BF16 planes, spilled
-    /// to stack rows for the caller to scatter into the panel layout.
-    ///
-    /// # Safety
-    /// Caller must have verified avx2 support and that `src` addresses at
-    /// least 8 readable elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn split_rows8(src: *const f32, depth: usize, out: &mut [[f32; 8]; 3]) {
-        let x = _mm256_loadu_ps(src);
-        let (hi, mid, lo) = split8(x, depth);
-        _mm256_storeu_ps(out[0].as_mut_ptr(), hi);
-        _mm256_storeu_ps(out[1].as_mut_ptr(), mid);
-        if depth > 2 {
-            _mm256_storeu_ps(out[2].as_mut_ptr(), lo);
-        }
-    }
-
-    /// Packs one full panel row (`src.len() == nr`, multiple of 8) of
-    /// cascaded partial-sum planes. `p2` is only read for depth 3.
-    ///
-    /// # Safety
-    /// Caller must have verified avx2 support and that each non-null
-    /// plane pointer addresses at least `src.len()` writable elements.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cascade_row(
-        src: &[f32],
-        depth: usize,
-        p0: *mut f32,
-        p1: *mut f32,
-        p2: *mut f32,
-    ) {
-        debug_assert_eq!(src.len() % 8, 0);
-        for j in (0..src.len()).step_by(8) {
-            let x = _mm256_loadu_ps(src.as_ptr().add(j));
-            let (hi, mid, lo) = split8(x, depth);
+        /// Vector `Split3::new` (depth 3) / `Split2::new` (depth 2):
+        /// returns the raw planes with corrections zeroed on non-finite
+        /// leads, exactly like the scalar constructors.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn split(x: __m256, depth: usize) -> (__m256, __m256, __m256) {
+            let hi = round_bf16(x);
+            let abs_hi = _mm256_and_ps(hi, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF)));
+            let finite = _mm256_cmp_ps(abs_hi, _mm256_set1_ps(f32::INFINITY), _CMP_LT_OQ);
+            let r1 = _mm256_sub_ps(x, hi);
+            let mid = _mm256_and_ps(round_bf16(r1), finite);
             if depth == 2 {
-                // mid holds the depth-2 correction term.
-                _mm256_storeu_ps(p0.add(j), _mm256_add_ps(hi, mid));
-                _mm256_storeu_ps(p1.add(j), hi);
+                (hi, mid, _mm256_setzero_ps())
             } else {
-                let s01 = _mm256_add_ps(hi, mid);
-                _mm256_storeu_ps(p0.add(j), _mm256_add_ps(s01, lo));
-                _mm256_storeu_ps(p1.add(j), s01);
-                _mm256_storeu_ps(p2.add(j), hi);
+                let lo = _mm256_and_ps(round_bf16(_mm256_sub_ps(r1, mid)), finite);
+                (hi, mid, lo)
             }
         }
-    }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn pack_planes_a(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    k0: usize,
-    kc: usize,
-    mr: usize,
-    depth: usize,
-    planes: &mut [&mut [f32]; 3],
-) {
-    let use_vec = avx2_available();
-    let mpan = m.div_ceil(mr);
-    for p in 0..mpan {
-        let base = p * mr * kc;
-        let r0 = p * mr;
-        for i in 0..mr {
-            let r = r0 + i;
-            if r < m {
-                let src = &a[r * k + k0..r * k + k0 + kc];
-                let mut kk = 0;
-                // The split math vectorises 8-wide even though the panel
-                // layout forces an mr-strided scatter on the way out; the
-                // scatter targets the (L1-resident) panel buffer, so the
-                // rounding arithmetic is the part worth vectorising.
-                #[cfg(target_arch = "x86_64")]
-                if use_vec {
-                    let mut tmp = [[0.0f32; 8]; 3];
-                    while kk + 8 <= kc {
-                        // SAFETY: avx2 checked above; src has >= kk+8
-                        // elements.
-                        unsafe { x86::split_rows8(src.as_ptr().add(kk), depth, &mut tmp) };
-                        for (d, pl) in planes.iter_mut().take(depth).enumerate() {
-                            for (j, &v) in tmp[d].iter().enumerate() {
-                                pl[base + (kk + j) * mr + i] = v;
-                            }
-                        }
-                        kk += 8;
-                    }
-                }
-                let _ = use_vec;
-                for (kk, &v) in src.iter().enumerate().skip(kk) {
-                    let t = split_planes(v, depth);
-                    for (d, pl) in planes.iter_mut().take(depth).enumerate() {
-                        pl[base + kk * mr + i] = t[d];
-                    }
-                }
+        runs!("avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps);
+    }
+
+    pub(super) mod avx512 {
+        use core::arch::x86_64::*;
+
+        /// 16-lane [`super::avx2`]`::round_bf16`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn round_bf16(x: __m512) -> __m512 {
+            let bits = _mm512_castps_si512(x);
+            let high = _mm512_set1_epi32(0xFFFF_0000u32 as i32);
+            let lsb = _mm512_and_si512(_mm512_srli_epi32::<16>(bits), _mm512_set1_epi32(1));
+            let rounded =
+                _mm512_add_epi32(_mm512_add_epi32(bits, _mm512_set1_epi32(0x7FFF)), lsb);
+            let kept = _mm512_and_si512(rounded, high);
+            let quiet =
+                _mm512_or_si512(_mm512_and_si512(bits, high), _mm512_set1_epi32(0x0040_0000));
+            let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
+            _mm512_castsi512_ps(_mm512_mask_mov_epi32(kept, nan, quiet))
+        }
+
+        /// 16-lane [`super::avx2`]`::round_tf32`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn round_tf32(x: __m512) -> __m512 {
+            let bits = _mm512_castps_si512(x);
+            let lsb = _mm512_and_si512(_mm512_srli_epi32::<13>(bits), _mm512_set1_epi32(1));
+            let rounded = _mm512_and_si512(
+                _mm512_add_epi32(_mm512_add_epi32(bits, _mm512_set1_epi32(0xFFF)), lsb),
+                _mm512_set1_epi32(!0x1FFF),
+            );
+            let expmask = _mm512_set1_epi32(0x7F80_0000);
+            let special = _mm512_cmpeq_epi32_mask(_mm512_and_si512(bits, expmask), expmask);
+            _mm512_castsi512_ps(_mm512_mask_mov_epi32(rounded, special, bits))
+        }
+
+        /// 16-lane [`super::avx2`]`::split`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn split(x: __m512, depth: usize) -> (__m512, __m512, __m512) {
+            let hi = round_bf16(x);
+            let finite =
+                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(hi), _mm512_set1_ps(f32::INFINITY));
+            let r1 = _mm512_sub_ps(x, hi);
+            let mid = _mm512_maskz_mov_ps(finite, round_bf16(r1));
+            if depth == 2 {
+                (hi, mid, _mm512_setzero_ps())
             } else {
-                for kk in 0..kc {
-                    for pl in planes.iter_mut().take(depth) {
-                        pl[base + kk * mr + i] = 0.0;
-                    }
-                }
+                let lo = _mm512_maskz_mov_ps(finite, round_bf16(_mm512_sub_ps(r1, mid)));
+                (hi, mid, lo)
             }
         }
+
+        runs!("avx512f", 16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcmesh_numerics::c32;
 
     #[test]
     fn a_panel_layout_and_padding() {
@@ -534,7 +581,7 @@ mod tests {
         let a: Vec<f32> = (1..=12).map(|x| x as f32).collect();
         let (m, k, mr, kc) = (3, 4, 2, 4);
         let mut dst = vec![f32::NAN; 2 * mr * kc];
-        pack_a_copy(&a, m, k, 0, kc, mr, &mut dst);
+        assert_eq!(gather(&OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut dst, 0, |x| [x]), dst.len());
         // Panel 0, kk = 0 holds column 0 of rows 0..2.
         assert_eq!(&dst[0..2], &[1.0, 5.0]);
         // Panel 1, kk = 3 holds column 3 of row 2 plus a zero pad lane.
@@ -547,7 +594,7 @@ mod tests {
         let b: Vec<f32> = (1..=10).map(|x| x as f32).collect();
         let (n, nr, kc) = (5, 4, 2);
         let mut dst = vec![f32::NAN; 2 * nr * kc];
-        pack_b_copy(&b, n, 0, kc, nr, &mut dst);
+        gather(&OpSrc::dense_b(&b, n), n, 0, kc, nr, &mut dst, 0, |x| [x]);
         // Panel 0, kk = 1 holds columns 0..4 of row 1.
         assert_eq!(&dst[nr..2 * nr], &[6.0, 7.0, 8.0, 9.0]);
         // Panel 1, kk = 0 holds column 4 then zero padding.
@@ -558,8 +605,48 @@ mod tests {
     fn k_slice_offsets_respected() {
         let a: Vec<f32> = (0..8).map(|x| x as f32).collect(); // 1×8
         let mut dst = vec![0.0f32; 4];
-        pack_a_copy(&a, 1, 8, 4, 4, 1, &mut dst);
+        gather(&OpSrc::dense_a(&a, 8), 1, 4, 4, 1, &mut dst, 0, |x| [x]);
         assert_eq!(dst, [4.0, 5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn gather_reads_every_op_from_padded_interleaved_storage() {
+        // X is 3×2 complex with ld = 3 (one padding column of poison).
+        // As op(A) = X (3×2), op(A) = Xᵀ (2×3), op(B) = X (3×2) and
+        // op(B) = Xᵀ (2×3), both planes must land at `kk·w + p` of their
+        // own plane, `pitch` apart, in one pass.
+        let z = |r: usize, c: usize| c32((10 * r + c) as f32, -((10 * r + c) as f32) - 0.5);
+        let poison = c32(f32::NAN, f32::NAN);
+        let x: Vec<_> = (0..3).flat_map(|r| [z(r, 0), z(r, 1), poison]).collect();
+        let w = 4;
+        for op in [Op::None, Op::Trans] {
+            // (source, count, depth, whether element (p, kk) of op(X) is
+            // stored at (kk, p) rather than (p, kk))
+            let cases = if op == Op::None {
+                [(OpSrc::a(op, &x, 3), 3, 2, false), (OpSrc::b(op, &x, 3), 2, 3, true)]
+            } else {
+                [(OpSrc::a(op, &x, 3), 2, 3, true), (OpSrc::b(op, &x, 3), 3, 2, false)]
+            };
+            for (src, count, depth, swapped) in cases {
+                let pitch = w * depth + 5;
+                let mut dst = vec![f32::NAN; 2 * pitch];
+                let len = gather(&src, count, 0, depth, w, &mut dst, pitch, |z| [z.re, -z.im]);
+                assert_eq!(len, w * depth);
+                for kk in 0..depth {
+                    for p in 0..w {
+                        let want = if p < count {
+                            let (r, c) = if swapped { (kk, p) } else { (p, kk) };
+                            [z(r, c).re, -z(r, c).im]
+                        } else {
+                            [0.0, 0.0]
+                        };
+                        let got = [dst[kk * w + p], dst[pitch + kk * w + p]];
+                        assert_eq!(got, want, "{op:?} along={} p={p} kk={kk}", src.along);
+                    }
+                }
+                assert!(dst[len..pitch].iter().all(|x| x.is_nan()), "wrote past plane 0");
+            }
+        }
     }
 
     #[test]
@@ -588,60 +675,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vector_cascade_matches_scalar() {
-        // n == nr == 16 forces the AVX2 fast path (where available); the
-        // packed planes must match the scalar per-element cascade bit for
-        // bit, including NaN/Inf/subnormal/zero/overflow lanes.
-        let specials = [
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            0.0,
-            -0.0,
-            f32::MIN_POSITIVE,
-            1.0e-42,        // subnormal
-            f32::MAX,       // rounds to Inf in BF16
-            -f32::MAX,
-            1.0,
-            -1.5,
-            0.1234567,
-            3.9999998,
-            -2.7182817,
-            65504.0,
-            1.0e30,
-        ];
-        let (n, nr, kc) = (16, 16, 3);
-        let mut b = vec![0.0f32; kc * n];
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = specials[i % specials.len()] * if i % 3 == 0 { 1.0 } else { 0.731 };
-        }
-        for depth in [2usize, 3] {
-            let mut p0 = vec![0.0f32; nr * kc];
-            let mut p1 = vec![0.0f32; nr * kc];
-            let mut p2 = vec![0.0f32; nr * kc];
-            {
-                let mut planes: [&mut [f32]; 3] = [&mut p0, &mut p1, &mut p2];
-                pack_b_cascade(&b, n, 0, kc, nr, depth, &mut planes);
-            }
-            for kk in 0..kc {
-                for j in 0..n {
-                    let expect = cascade_planes(b[kk * n + j], depth);
-                    let got = [p0[kk * nr + j], p1[kk * nr + j], p2[kk * nr + j]];
-                    for d in 0..depth {
-                        assert_eq!(
-                            got[d].to_bits(),
-                            expect[d].to_bits(),
-                            "depth {depth} kk={kk} j={j} plane {d}: {} vs {}",
-                            got[d],
-                            expect[d]
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     fn special_values(len: usize) -> Vec<f32> {
         let specials = [
             f32::NAN,
@@ -650,8 +683,8 @@ mod tests {
             0.0,
             -0.0,
             f32::MIN_POSITIVE,
-            1.0e-42,
-            f32::MAX,
+            1.0e-42,  // subnormal
+            f32::MAX, // rounds to Inf in BF16
             -f32::MAX,
             1.0,
             -1.5,
@@ -666,67 +699,89 @@ mod tests {
             .collect()
     }
 
+    /// Runs the conversion over `src` at every width the host offers,
+    /// checks they agree bit for bit, and returns the `depth` planes.
+    fn converted(mode: ComputeMode, side: Side, src: &[f32]) -> Vec<Vec<f32>> {
+        let depth = mode.split_depth().unwrap();
+        // A stride longer than the run, poisoned, so a write outside
+        // `[t·stride, t·stride + len)` shows.
+        let stride = src.len() + 3;
+        let bits = |buf: &[f32]| buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut agreed: Option<Vec<f32>> = None;
+        for lanes in Lanes::available() {
+            let mut buf = vec![f32::NAN; depth * stride];
+            buf[..src.len()].copy_from_slice(src);
+            convert_f32_at(lanes, mode, side, &mut buf, stride, src.len());
+            for t in 0..depth {
+                assert!(buf[t * stride + src.len()..(t + 1) * stride].iter().all(|x| x.is_nan()));
+            }
+            if let Some(prev) = &agreed {
+                assert_eq!(bits(&buf), bits(prev), "{lanes:?} differs from a wider width");
+            }
+            agreed = Some(buf);
+        }
+        let buf = agreed.expect("scalar always runs");
+        (0..depth).map(|t| buf[t * stride..t * stride + src.len()].to_vec()).collect()
+    }
+
     #[test]
-    fn vector_b_round_matches_scalar() {
-        // n == nr == 16 forces the AVX2 fast path (where available); the
-        // rounded panels must match scalar Bf16/Tf32 rounding bit for bit,
-        // including NaN payloads (BF16 quietens, TF32 passes through).
-        let (n, nr, kc) = (16, 16, 4);
-        let b = special_values(kc * n);
-        let mut got = vec![0.0f32; nr * kc];
-        pack_b_bf16(&b, n, 0, kc, nr, &mut got);
-        for kk in 0..kc {
-            for j in 0..n {
-                let expect = Bf16::round_f32(b[kk * n + j]);
-                assert_eq!(
-                    got[kk * nr + j].to_bits(),
-                    expect.to_bits(),
-                    "bf16 kk={kk} j={j}"
-                );
+    fn vector_cascade_matches_scalar() {
+        // 48 elements are whole vector groups at either width; the
+        // planes must match the scalar per-element cascade bit for bit,
+        // including NaN/Inf/subnormal/zero/overflow lanes.
+        let b = special_values(48);
+        for mode in [ComputeMode::FloatToBf16x2, ComputeMode::FloatToBf16x3] {
+            let depth = mode.split_depth().unwrap();
+            let got = converted(mode, Side::B, &b);
+            for (j, &x) in b.iter().enumerate() {
+                let expect = cascade_planes(x, depth);
+                for d in 0..depth {
+                    assert_eq!(
+                        got[d][j].to_bits(),
+                        expect[d].to_bits(),
+                        "depth {depth} j={j} plane {d}: {} vs {}",
+                        got[d][j],
+                        expect[d]
+                    );
+                }
             }
         }
-        pack_b_tf32(&b, n, 0, kc, nr, &mut got);
-        for kk in 0..kc {
-            for j in 0..n {
-                let expect = Tf32::round_f32(b[kk * n + j]);
-                assert_eq!(
-                    got[kk * nr + j].to_bits(),
-                    expect.to_bits(),
-                    "tf32 kk={kk} j={j}"
-                );
+    }
+
+    #[test]
+    fn vector_b_round_matches_scalar() {
+        // The rounded run must match scalar Bf16/Tf32 rounding bit for
+        // bit, including NaN payloads (BF16 quietens, TF32 passes
+        // through), on either side.
+        let b = special_values(64);
+        for side in [Side::A, Side::B] {
+            let got = converted(ComputeMode::FloatToBf16, side, &b);
+            for (j, &x) in b.iter().enumerate() {
+                assert_eq!(got[0][j].to_bits(), Bf16::round_f32(x).to_bits(), "bf16 j={j}");
+            }
+            let got = converted(ComputeMode::FloatToTf32, side, &b);
+            for (j, &x) in b.iter().enumerate() {
+                assert_eq!(got[0][j].to_bits(), Tf32::round_f32(x).to_bits(), "tf32 j={j}");
             }
         }
     }
 
     #[test]
     fn vector_split_pack_matches_scalar() {
-        // kc = 16 ≥ 8 exercises the vectorised A-split (where available),
-        // including its scalar tail (kc not a multiple of 8 below).
-        for (kc_full, kc_used) in [(16usize, 16usize), (16, 13)] {
-            let (m, mr) = (3usize, 2usize);
-            let a = special_values(m * kc_full);
-            for depth in [2usize, 3] {
-                let mpan = m.div_ceil(mr);
-                let mut p0 = vec![0.0f32; mpan * mr * kc_used];
-                let mut p1 = vec![0.0f32; mpan * mr * kc_used];
-                let mut p2 = vec![0.0f32; mpan * mr * kc_used];
-                {
-                    let mut planes: [&mut [f32]; 3] = [&mut p0, &mut p1, &mut p2];
-                    pack_a_split(&a, m, kc_full, 0, kc_used, mr, depth, &mut planes);
-                }
-                for r in 0..m {
-                    for kk in 0..kc_used {
-                        let expect = split_planes(a[r * kc_full + kk], depth);
-                        let pbase = (r / mr) * mr * kc_used;
-                        let idx = pbase + kk * mr + (r % mr);
-                        let got = [p0[idx], p1[idx], p2[idx]];
-                        for d in 0..depth {
-                            assert_eq!(
-                                got[d].to_bits(),
-                                expect[d].to_bits(),
-                                "depth {depth} r={r} kk={kk} plane {d}"
-                            );
-                        }
+        // 48 elements are all vector groups; 45 leave a scalar tail.
+        for len in [48usize, 45] {
+            let a = special_values(len);
+            for mode in [ComputeMode::FloatToBf16x2, ComputeMode::FloatToBf16x3] {
+                let depth = mode.split_depth().unwrap();
+                let got = converted(mode, Side::A, &a);
+                for (j, &x) in a.iter().enumerate() {
+                    let expect = split_planes(x, depth);
+                    for d in 0..depth {
+                        assert_eq!(
+                            got[d][j].to_bits(),
+                            expect[d].to_bits(),
+                            "depth {depth} len {len} j={j} plane {d}"
+                        );
                     }
                 }
             }
@@ -735,20 +790,22 @@ mod tests {
 
     #[test]
     fn split_pack_matches_scalar_split() {
+        // Gather + convert, the way the driver packs an A block: the
+        // split planes land in the panel layout, plane t at t·stride.
         let a: Vec<f32> = (0..12).map(|i| (i as f32 * 0.731).sin()).collect(); // 3×4
         let (m, k, mr, kc) = (3, 4, 4, 4);
-        let mut p0 = vec![0.0f32; mr * kc];
-        let mut p1 = vec![0.0f32; mr * kc];
-        let mut p2 = vec![0.0f32; mr * kc];
-        {
-            let mut planes: [&mut [f32]; 3] = [&mut p0, &mut p1, &mut p2];
-            pack_a_split(&a, m, k, 0, kc, mr, 3, &mut planes);
-        }
+        let stride = mr * kc;
+        let mut buf = vec![f32::NAN; 3 * stride];
+        let len = gather(&OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut buf, 0, |x| [x]);
+        convert_f32(ComputeMode::FloatToBf16x3, Side::A, &mut buf, stride, len);
         for r in 0..m {
             for kk in 0..k {
                 let s = Split3::new(a[r * k + kk]);
                 let idx = kk * mr + r;
-                assert_eq!([p0[idx], p1[idx], p2[idx]], [s.hi, s.mid, s.lo]);
+                assert_eq!(
+                    [buf[idx], buf[stride + idx], buf[2 * stride + idx]],
+                    [s.hi, s.mid, s.lo]
+                );
             }
         }
     }

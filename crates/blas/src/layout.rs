@@ -6,8 +6,6 @@
 //! semantics (`m`, `n`, `k`, `op(A)`, `op(B)`) are the standard BLAS ones,
 //! so the paper's dimension tables translate directly.
 
-use crate::workspace::{take_empty, PooledBuf, Poolable};
-use core::ops::Deref;
 use dcmesh_numerics::Complex;
 use dcmesh_numerics::Real;
 
@@ -126,103 +124,6 @@ pub fn materialize_op_complex<T: Real>(
     (r, c)
 }
 
-/// A dense row-major view of `op(X)`: borrowed straight from the caller's
-/// storage when no copy is needed, pool-materialised otherwise.
-#[derive(Debug)]
-pub enum OpView<'a, T: Poolable> {
-    /// Zero-copy: the stored matrix *is* the applied operand
-    /// (`op == Op::None` and `ld == cols`, so rows are contiguous).
-    Borrowed(&'a [T]),
-    /// `op(X)` materialised into pooled scratch.
-    Owned(PooledBuf<T>),
-}
-
-impl<T: Poolable> Deref for OpView<'_, T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        match self {
-            OpView::Borrowed(s) => s,
-            OpView::Owned(b) => b,
-        }
-    }
-}
-
-/// Returns a dense (`ld == cols`) view of `op(A)` for a real matrix,
-/// borrowing the caller's storage when `op == Op::None && lda == as_cols`
-/// (the dominant GEMM case) and materialising into pooled scratch
-/// otherwise. The applied shape is `op.applied_shape(as_rows, as_cols)`.
-pub fn op_view_real<T: Real + Poolable>(
-    op: Op,
-    a: &[T],
-    as_rows: usize,
-    as_cols: usize,
-    lda: usize,
-) -> OpView<'_, T> {
-    check_matrix("A", as_rows, as_cols, lda, a.len());
-    if op == Op::None && lda == as_cols {
-        return OpView::Borrowed(&a[..as_rows * as_cols]);
-    }
-    let mut out = take_empty::<T>(as_rows * as_cols);
-    materialize_op_real(op, a, as_rows, as_cols, lda, out.vec_mut());
-    OpView::Owned(out)
-}
-
-/// Applies `op` and separates the complex planes in one pass: writes dense
-/// (`ld = cols`-of-the-applied-shape) real and imaginary planes of `op(A)`
-/// into `re` / `im`, which must each hold `as_rows * as_cols` elements.
-/// `ConjTrans` negates the imaginary plane. Returns the applied shape.
-///
-/// This replaces the old two-step materialise-then-deinterleave in the
-/// complex GEMMs: no interleaved temporary exists at all.
-pub fn deinterleave_op<T: Real>(
-    op: Op,
-    a: &[Complex<T>],
-    as_rows: usize,
-    as_cols: usize,
-    lda: usize,
-    re: &mut [T],
-    im: &mut [T],
-) -> (usize, usize) {
-    check_matrix("A", as_rows, as_cols, lda, a.len());
-    let (r, c) = op.applied_shape(as_rows, as_cols);
-    assert_eq!(re.len(), r * c, "re plane length mismatch");
-    assert_eq!(im.len(), r * c, "im plane length mismatch");
-    match op {
-        Op::None => {
-            for i in 0..as_rows {
-                let row = &a[i * lda..i * lda + as_cols];
-                let re_row = &mut re[i * as_cols..(i + 1) * as_cols];
-                let im_row = &mut im[i * as_cols..(i + 1) * as_cols];
-                for ((z, rv), iv) in row.iter().zip(re_row).zip(im_row) {
-                    *rv = z.re;
-                    *iv = z.im;
-                }
-            }
-        }
-        Op::Trans => {
-            // Output is as_cols × as_rows; iterate output rows (source
-            // columns) so writes stay contiguous.
-            for j in 0..as_cols {
-                for i in 0..as_rows {
-                    let z = a[i * lda + j];
-                    re[j * as_rows + i] = z.re;
-                    im[j * as_rows + i] = z.im;
-                }
-            }
-        }
-        Op::ConjTrans => {
-            for j in 0..as_cols {
-                for i in 0..as_rows {
-                    let z = a[i * lda + j];
-                    re[j * as_rows + i] = z.re;
-                    im[j * as_rows + i] = -z.im;
-                }
-            }
-        }
-    }
-    (r, c)
-}
-
 /// Splits an interleaved complex matrix (row-major, leading dimension
 /// `lda`) into separate dense real and imaginary planes with `ld = cols`.
 pub fn deinterleave<T: Real>(
@@ -293,53 +194,6 @@ mod tests {
         deinterleave(&a, 2, 2, 2, &mut re, &mut im);
         assert_eq!(re, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(im, vec![-1.0, -2.0, -3.0, -4.0]);
-    }
-
-    #[test]
-    fn op_view_borrows_only_when_dense_and_untransposed() {
-        let a = [1.0f32, 2.0, 3.0, 4.0];
-        assert!(matches!(op_view_real(Op::None, &a, 2, 2, 2), OpView::Borrowed(_)));
-        // Padded storage must materialise even for Op::None.
-        let padded = [1.0f32, 2.0, -9.0, 3.0, 4.0, -9.0];
-        let v = op_view_real(Op::None, &padded, 2, 2, 3);
-        assert!(matches!(v, OpView::Owned(_)));
-        assert_eq!(&*v, &[1.0, 2.0, 3.0, 4.0]);
-        // Transposes always materialise.
-        let v = op_view_real(Op::Trans, &a, 2, 2, 2);
-        assert!(matches!(v, OpView::Owned(_)));
-        assert_eq!(&*v, &[1.0, 3.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn op_view_borrow_trims_trailing_slack() {
-        // Dense ld but extra elements after the matrix: the borrow must
-        // cover exactly rows*cols.
-        let a = [1.0f32, 2.0, 3.0, 4.0, 77.0];
-        let v = op_view_real(Op::None, &a, 2, 2, 2);
-        assert_eq!(v.len(), 4);
-        assert_eq!(&*v, &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn deinterleave_op_matches_materialize_then_deinterleave() {
-        // 2x3 complex matrix with lda = 4 (one padding column).
-        let a = [
-            c32(1.0, -1.0), c32(2.0, -2.0), c32(3.0, -3.0), c32(99.0, 99.0),
-            c32(4.0, -4.0), c32(5.0, -5.0), c32(6.0, -6.0), c32(99.0, 99.0),
-        ];
-        for op in [Op::None, Op::Trans, Op::ConjTrans] {
-            let (r, c) = op.applied_shape(2, 3);
-            let mut re = vec![0.0f32; r * c];
-            let mut im = vec![0.0f32; r * c];
-            assert_eq!(deinterleave_op(op, &a, 2, 3, 4, &mut re, &mut im), (r, c));
-
-            let mut mat = Vec::new();
-            materialize_op_complex(op, &a, 2, 3, 4, &mut mat);
-            let (mut re2, mut im2) = (Vec::new(), Vec::new());
-            deinterleave(&mat, r, c, c, &mut re2, &mut im2);
-            assert_eq!(re, re2, "{op:?} re");
-            assert_eq!(im, im2, "{op:?} im");
-        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Reusable GEMM workspaces: thread-local scratch-buffer pools.
 //!
-//! Every level-3 call in the emulated compute modes needs dense scratch —
-//! op-materialised operands, rounded BF16/TF32 copies, split component
-//! planes, the product accumulator, and the 3M temporaries in
-//! `cgemm`/`zgemm`. Allocating those per call taxes exactly the host-side
-//! path the paper times (Figure 3b, Tables VI–VII), so this module keeps
-//! them in a per-thread free list: after warm-up, steady-state QD stepping
-//! performs **zero heap allocations per BLAS call**.
+//! Every level-3 call needs dense scratch — the packed A and B blocks of
+//! one k-block (rounded BF16/TF32 copies and split component planes
+//! included) and the product accumulator(s). Allocating those per call
+//! taxes exactly the host-side path the paper times (Figure 3b, Tables
+//! VI–VII), so this module keeps them in a per-thread free list: after
+//! warm-up, steady-state QD stepping performs **zero heap allocations per
+//! BLAS call**.
 //!
 //! Design notes:
 //!
@@ -121,7 +121,7 @@ impl<T: Copy + Default> BufferPool<T> {
 }
 
 /// The per-thread workspace: one buffer pool per scalar type used by the
-/// level-3 scratch paths (complex GEMMs operate on separated real planes,
+/// level-3 scratch paths (complex GEMMs pack into separated real planes,
 /// so only the real element types need pools).
 #[derive(Debug, Default)]
 pub struct GemmWorkspace {
@@ -212,7 +212,7 @@ pub fn take_zeroed<T: Poolable>(len: usize) -> PooledBuf<T> {
 
 /// Checks out a buffer of `len` elements with **unspecified (stale but
 /// valid) contents** — the zero-cost variant for buffers the caller fully
-/// overwrites (rounded copies, split planes, deinterleaved operands).
+/// overwrites (the packed operand blocks).
 pub fn take_scratch<T: Poolable>(len: usize) -> PooledBuf<T> {
     take(len, false)
 }

@@ -97,6 +97,25 @@ pub fn modified_gram_schmidt(a: &mut [C64], rows: usize, cols: usize, tol: f64) 
     dropped
 }
 
+/// The overlap matrix `S = A†A` (`cols × cols`, Hermitian positive
+/// semi-definite) of a column set — formed once and shared by the
+/// defect measure and the Löwdin step.
+fn overlap(a: &[C64], rows: usize, cols: usize) -> Vec<C64> {
+    matmul_hermitian_left(a, a, cols, rows, cols)
+}
+
+/// `|S − I|_max` of an overlap matrix.
+fn overlap_defect(s: &[C64], cols: usize) -> f64 {
+    let mut d = 0.0f64;
+    for i in 0..cols {
+        for j in 0..cols {
+            let target = if i == j { C64::one() } else { C64::zero() };
+            d = d.max((s[i * cols + j] - target).abs());
+        }
+    }
+    d
+}
+
 /// Löwdin symmetric orthonormalisation: `A ← A·S^{-1/2}`, `S = A†A`.
 ///
 /// Fails with [`OrthError::SingularOverlap`] if the overlap matrix is
@@ -106,12 +125,24 @@ pub fn modified_gram_schmidt(a: &mut [C64], rows: usize, cols: usize, tol: f64) 
 /// can roll back and escalate instead of crashing. On error `a` is left
 /// unmodified.
 pub fn lowdin_orthonormalize(a: &mut [C64], rows: usize, cols: usize) -> Result<(), OrthError> {
+    lowdin_orthonormalize_measured(a, rows, cols).map(|_| ())
+}
+
+/// [`lowdin_orthonormalize`] that also returns the input's
+/// [`orthonormality_defect`], read off the one overlap matrix the step
+/// forms anyway — bit-identical to measuring first and orthonormalising
+/// second, one `Ψ†Ψ` cheaper. The defect is not returned on error.
+pub fn lowdin_orthonormalize_measured(
+    a: &mut [C64],
+    rows: usize,
+    cols: usize,
+) -> Result<f64, OrthError> {
     assert_eq!(a.len(), rows * cols, "lowdin: shape mismatch");
     if cols == 0 {
-        return Ok(());
+        return Ok(0.0);
     }
-    // S = A†A (cols × cols), Hermitian positive semi-definite.
-    let s = matmul_hermitian_left(a, a, cols, rows, cols);
+    let s = overlap(a, rows, cols);
+    let defect = overlap_defect(&s, cols);
     let eig = eigh(&s, cols);
     let max_ev = eig.eigenvalues.last().copied().unwrap_or(0.0);
     if eig.eigenvalues[0] <= 1e-12 * max_ev.max(1e-300) {
@@ -143,7 +174,7 @@ pub fn lowdin_orthonormalize(a: &mut [C64], rows: usize, cols: usize) -> Result<
         }
         a[r * n..(r + 1) * n].copy_from_slice(&row_buf);
     }
-    Ok(())
+    Ok(defect)
 }
 
 
@@ -159,7 +190,7 @@ pub fn cholesky_orthonormalize(a: &mut [C64], rows: usize, cols: usize) -> Resul
     if cols == 0 {
         return Ok(());
     }
-    let s = matmul_hermitian_left(a, a, cols, rows, cols);
+    let s = overlap(a, rows, cols);
     let l = cholesky_factor(&s, cols)
         .map_err(|e| OrthError::NotPositiveDefinite { detail: e.to_string() })?;
     trsm_right_lower_conjtrans(&l, cols, a, rows);
@@ -168,15 +199,7 @@ pub fn cholesky_orthonormalize(a: &mut [C64], rows: usize, cols: usize) -> Resul
 
 /// Measures `|A†A − I|_max` of a column set — 0 for perfectly orthonormal.
 pub fn orthonormality_defect(a: &[C64], rows: usize, cols: usize) -> f64 {
-    let s = matmul_hermitian_left(a, a, cols, rows, cols);
-    let mut d = 0.0f64;
-    for i in 0..cols {
-        for j in 0..cols {
-            let target = if i == j { C64::one() } else { C64::zero() };
-            d = d.max((s[i * cols + j] - target).abs());
-        }
-    }
-    d
+    overlap_defect(&overlap(a, rows, cols), cols)
 }
 
 #[cfg(test)]
@@ -224,6 +247,19 @@ mod tests {
         let mut a = skewed_columns(rows, cols);
         lowdin_orthonormalize(&mut a, rows, cols).unwrap();
         assert!(orthonormality_defect(&a, rows, cols) < 1e-11);
+    }
+
+    #[test]
+    fn measured_lowdin_equals_measure_then_lowdin_to_the_bit() {
+        let (rows, cols) = (50, 8);
+        let a0 = skewed_columns(rows, cols);
+        let want_defect = orthonormality_defect(&a0, rows, cols);
+        let mut want = a0.clone();
+        lowdin_orthonormalize(&mut want, rows, cols).unwrap();
+        let mut got = a0;
+        let defect = lowdin_orthonormalize_measured(&mut got, rows, cols).unwrap();
+        assert_eq!(defect.to_bits(), want_defect.to_bits());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use dcmesh_lfd::hamiltonian::apply_h;
 use dcmesh_lfd::state::{LfdParams, LfdState};
 use dcmesh_linalg::hermitian::eigh;
-use dcmesh_linalg::orth::{lowdin_orthonormalize, orthonormality_defect, OrthError};
+use dcmesh_linalg::orth::{lowdin_orthonormalize_measured, orthonormality_defect, OrthError};
 use dcmesh_numerics::{c64, Complex, Real, C64};
 use mkl_lite::{zgemm, Op};
 
@@ -68,11 +68,11 @@ pub fn scf_refresh<T: Real>(
         .iter()
         .map(|z| c64(z.re.to_f64() * sqrt_dv, z.im.to_f64() * sqrt_dv))
         .collect();
-    let defect_before = orthonormality_defect(&psi64, ngrid, n_orb);
 
-    // (2) Löwdin orthonormalisation at FP64. A singular overlap aborts the
-    // refresh before `state.psi` is written.
-    lowdin_orthonormalize(&mut psi64, ngrid, n_orb)?;
+    // (2) Löwdin orthonormalisation at FP64; the drift the refresh is
+    // about to absorb is read off the same overlap matrix. A singular
+    // overlap aborts the refresh before `state.psi` is written.
+    let defect_before = lowdin_orthonormalize_measured(&mut psi64, ngrid, n_orb)?;
 
     // (3) Rayleigh–Ritz on H₀ at FP64.
     let vloc64: Vec<f64> = state.vloc.iter().map(|v| v.to_f64()).collect();
@@ -298,5 +298,62 @@ mod tests {
             .zip(&plane_wave_eps)
             .any(|(a, b)| (a - b).abs() > 1e-6);
         assert!(moved, "SCF did not move the eigenvalues off the free spectrum");
+    }
+
+    /// The test deck with libm-free contents: orbitals from an LCG, a
+    /// polynomial potential (so recorded bits do not hinge on a
+    /// platform's `sin`/`cos`).
+    fn lcg_state(p: &LfdParams) -> LfdState<f32> {
+        let mut st = LfdState::<f32>::initialize(p, cosine_potential(&p.mesh, 0.3));
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            ((s >> 40) as f32 / (1u32 << 24) as f32) - 0.5
+        };
+        for z in st.psi.iter_mut() {
+            *z = Complex { re: next(), im: next() };
+        }
+        for (i, v) in st.vloc.iter_mut().enumerate() {
+            let t = (i % 17) as f32 / 17.0 - 0.5;
+            *v = 0.3 * t * t - 0.1 * t;
+        }
+        st
+    }
+
+    /// FNV-1a over the bit patterns of a state's orbitals.
+    fn psi_hash(st: &LfdState<f32>) -> u64 {
+        st.psi.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).fold(
+            0xcbf2_9ce4_8422_2325u64,
+            |h, w| (h ^ w as u64).wrapping_mul(0x0000_0100_0000_01b3),
+        )
+    }
+
+    #[test]
+    fn refresh_report_bits_unchanged_by_the_shared_overlap_and_the_simd_zgemm() {
+        // Recorded from the commit before the overlap matrix was shared
+        // and ZGEMM left the generic 4×4 kernel: five boundary ZGEMMs, a
+        // separate `Ψ†Ψ` for `defect_before`. Every FP64 kernel keeps
+        // multiply and add separate, so the report and the refreshed
+        // orbitals must not move by a bit. (The defects go through
+        // `hypot`; the bits assume a correctly rounded one, as glibc's.)
+        let p = params();
+        let mut st = lcg_state(&p);
+        let rep = scf_refresh(&p, &mut st).expect("overlap healthy");
+        assert_eq!(rep.defect_before.to_bits(), 0x4044_ec0e_f533_3ede);
+        assert_eq!(rep.defect_after.to_bits(), 0x3ce0_0004_7fff_5e00);
+        assert_eq!(rep.max_correction.to_bits(), 0x3fe4_16ef_3000_0000);
+        let eigenvalues: Vec<u64> = rep.eigenvalues.iter().map(|e| e.to_bits()).collect();
+        assert_eq!(
+            eigenvalues,
+            [
+                0x4020_415c_5f19_7727,
+                0x4020_ca73_cf76_426e,
+                0x4021_4e69_49ff_dd2e,
+                0x4021_8206_bc2b_1d66,
+                0x4022_2a02_4f7e_8003,
+                0x4022_6f11_d55c_5270,
+            ]
+        );
+        assert_eq!(psi_hash(&st), 0xbb7a_63fa_9e1b_ab1c);
     }
 }
