@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_eigh(c: &mut Criterion) {
-    let mut group = c.benchmark_group("eigh_jacobi");
+    let mut group = c.benchmark_group("eigh");
     for n in [8usize, 16, 32, 64] {
         let a = hermitian_from_fn(n, |i, j| {
             c64(((i * 7 + j * 3) % 11) as f64 / 11.0, if i == j { 0.0 } else { ((i + 5 * j) % 13) as f64 / 13.0 - 0.5 })

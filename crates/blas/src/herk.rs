@@ -4,7 +4,7 @@
 //! Hermitian by construction; a tuned library computes only one triangle
 //! and mirrors it. `herk` honours the same compute modes as `gemm` (it is
 //! a level-3 routine), and guarantees an exactly Hermitian result with a
-//! real diagonal — which the Jacobi eigensolver downstream appreciates.
+//! real diagonal — which the eigensolver downstream appreciates.
 //!
 //! The heavy lifting delegates to [`crate::gemm`], so `herk` inherits the
 //! thread-local [`crate::workspace`] pool: its low-precision scratch

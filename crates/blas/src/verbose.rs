@@ -239,11 +239,10 @@ fn blas_wall_ns() -> &'static Arc<telemetry::metrics::Histogram> {
     })
 }
 
-/// Combined f32+f64 pool traffic of the calling thread, for span deltas.
+/// Combined pool traffic of the calling thread, for span deltas.
 fn pool_traffic() -> (u64, u64) {
-    let s32 = crate::workspace::stats::<f32>();
-    let s64 = crate::workspace::stats::<f64>();
-    (s32.takes + s64.takes, s32.misses + s64.misses)
+    let s = crate::workspace::combined_stats();
+    (s.takes, s.misses)
 }
 
 /// The observe half of the call pipeline, shared by GEMM, GEMV and HERK:

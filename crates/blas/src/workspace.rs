@@ -25,6 +25,7 @@
 
 use core::cell::RefCell;
 use core::ops::{Deref, DerefMut};
+use dcmesh_numerics::C64;
 
 /// Pool traffic counters, used by tests and the `gemm_hostperf` bench as
 /// an allocation proxy: in steady state `misses` and `grows` stay flat
@@ -121,12 +122,15 @@ impl<T: Copy + Default> BufferPool<T> {
 }
 
 /// The per-thread workspace: one buffer pool per scalar type used by the
-/// level-3 scratch paths (complex GEMMs pack into separated real planes,
-/// so only the real element types need pools).
+/// level-3 scratch paths. Complex GEMMs pack into separated real planes,
+/// so the routines themselves only draw on the real pools; the `C64` pool
+/// serves callers that apply a ZGEMM in place by row panels and need an
+/// interleaved output panel (`dcmesh-linalg`'s Löwdin step).
 #[derive(Debug, Default)]
 pub struct GemmWorkspace {
     f32_pool: BufferPool<f32>,
     f64_pool: BufferPool<f64>,
+    c64_pool: BufferPool<C64>,
 }
 
 thread_local! {
@@ -150,6 +154,12 @@ impl Poolable for f32 {
 impl Poolable for f64 {
     fn with_pool<R>(f: impl FnOnce(&mut BufferPool<f64>) -> R) -> Option<R> {
         WORKSPACE.try_with(|w| f(&mut w.borrow_mut().f64_pool)).ok()
+    }
+}
+
+impl Poolable for C64 {
+    fn with_pool<R>(f: impl FnOnce(&mut BufferPool<C64>) -> R) -> Option<R> {
+        WORKSPACE.try_with(|w| f(&mut w.borrow_mut().c64_pool)).ok()
     }
 }
 
@@ -255,17 +265,17 @@ pub fn with_fresh_workspace<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Combined f32+f64 pool stats for the calling thread.
+/// Pool stats of the calling thread summed over every scalar type.
 pub fn combined_stats() -> PoolStats {
-    let a = stats::<f32>();
-    let b = stats::<f64>();
-    PoolStats {
-        takes: a.takes + b.takes,
-        misses: a.misses + b.misses,
-        grows: a.grows + b.grows,
-        returns: a.returns + b.returns,
-        bytes_outstanding: a.bytes_outstanding + b.bytes_outstanding,
-    }
+    [stats::<f32>(), stats::<f64>(), stats::<C64>()].iter().fold(PoolStats::default(), |t, s| {
+        PoolStats {
+            takes: t.takes + s.takes,
+            misses: t.misses + s.misses,
+            grows: t.grows + s.grows,
+            returns: t.returns + s.returns,
+            bytes_outstanding: t.bytes_outstanding + s.bytes_outstanding,
+        }
+    })
 }
 
 /// Publishes the calling thread's pool counters into the telemetry

@@ -248,3 +248,111 @@ fn supervised_run_resumes_from_its_checkpoints() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A NaN that reaches the FP64 boundary is a divergence the caller can
+/// handle, not a process abort. Without a health monitor (the plain
+/// runner) nothing stops poisoned orbitals before the SCF refresh; its
+/// eigensolver used to `assert!` on them.
+#[test]
+fn non_finite_state_at_the_boundary_is_an_error_not_a_panic() {
+    let cfg = tiny();
+    install_fault_plan(
+        FaultPlan::new(3).with_site(FaultSite::every(1, FaultKind::Nan).on_routine("CGEMM")),
+    );
+    let out = with_compute_mode(ComputeMode::FloatToBf16, || run_simulation::<f32>(&cfg));
+    clear_fault_plan();
+    match out {
+        Err(RunError::Diverged { violation: HealthViolation::SingularOverlap { detail }, .. }) => {
+            assert!(detail.contains("non-finite"), "{detail}");
+        }
+        other => panic!("expected a structured divergence, got {other:?}"),
+    }
+}
+
+/// The same failure under the supervisor, injected where the step monitor
+/// cannot see it: a NaN written into `G = Ψ†H₀Ψ` by the boundary's own
+/// ZGEMM. The refresh must refuse it with the state untouched, and the
+/// supervisor must roll the burst back, escalate and finish.
+#[test]
+fn nan_inside_the_scf_boundary_rolls_back_and_escalates() {
+    use mkl_lite::verbose;
+    let cfg = tiny();
+
+    // Locate that ZGEMM as a thread-relative GEMM call index from a clean
+    // run's call log (the call sequence depends on the deck and the mode,
+    // not on the data). After the first QD step's CGEMMs the boundary's
+    // ZGEMMs are, in order: inside the overlap ZHERK (whose mirror step
+    // may overwrite an injected element), `S^{-1/2}`, then `G`.
+    verbose::set_record_capacity(1 << 16);
+    verbose::clear();
+    verbose::set_recording(true);
+    let clean = run_supervised::<f32>(&cfg, ComputeMode::FloatToBf16, &SupervisorConfig::default());
+    verbose::set_recording(false);
+    clean.expect("clean run");
+    let gemms: Vec<&'static str> = verbose::drain()
+        .into_iter()
+        .map(|r| r.routine)
+        .filter(|r| r.ends_with("GEMM"))
+        .collect();
+    let first_step = gemms.iter().position(|r| *r == "CGEMM").expect("QD steps call CGEMM");
+    let boundary = gemms
+        .iter()
+        .enumerate()
+        .skip(first_step)
+        .filter(|(_, r)| **r == "ZGEMM")
+        .nth(2)
+        .expect("boundary calls ZGEMM")
+        .0;
+
+    install_fault_plan(
+        FaultPlan::new(5)
+            .with_site(FaultSite::once(boundary as u64, FaultKind::Nan).on_routine("ZGEMM")),
+    );
+    let injected_before = injected_fault_count();
+    let out = run_supervised::<f32>(&cfg, ComputeMode::FloatToBf16, &SupervisorConfig::default());
+    clear_fault_plan();
+    let out = out.expect("supervised run should recover from a poisoned boundary");
+    assert_eq!(injected_fault_count(), injected_before + 1, "the one-shot fault must fire once");
+
+    assert_eq!(out.escalations.len(), 1, "{:?}", out.escalations);
+    let ev = &out.escalations[0];
+    assert_eq!((ev.from, ev.to), (ComputeMode::FloatToBf16, ComputeMode::FloatToBf16x2));
+    match &ev.violation {
+        HealthViolation::SingularOverlap { detail } => {
+            assert!(detail.contains("non-finite"), "{detail}")
+        }
+        other => panic!("expected the boundary to refuse the overlap, got {other}"),
+    }
+    assert_eq!(out.result.records.len(), cfg.total_qd_steps);
+    assert!(out.result.records.iter().all(|o| o.ekin.is_finite() && o.nexc.is_finite()));
+}
+
+/// Every product of the boundary is a `mkl-lite` call made under the
+/// `qxmd::scf_refresh` phase, so the precision ledger attributes it: the
+/// two overlap ZHERKs, the ZGEMMs (`Ψ†H₀Ψ`, the subspace products, the
+/// rotation) and `eigh`'s back-transform DGEMM.
+#[test]
+fn scf_boundary_products_land_in_the_ledger_under_their_phase() {
+    use dcmesh_telemetry as telemetry;
+    let cfg = tiny();
+    telemetry::with_level(telemetry::TelemetryLevel::Full, || {
+        run_supervised::<f32>(&cfg, ComputeMode::Standard, &SupervisorConfig::default())
+            .expect("supervised run");
+        let rows = telemetry::ledger::snapshot();
+        let calls = |callsite: &str, shape_prefix: &str| -> u64 {
+            rows.iter()
+                .filter(|r| r.callsite == callsite && r.shape.starts_with(shape_prefix))
+                .map(|r| r.stats.calls)
+                .sum()
+        };
+        let bursts = (cfg.total_qd_steps / cfg.qd_steps_per_md) as u64;
+        for routine in ["zherk", "zgemm", "dgemm"] {
+            let callsite = format!("qxmd::scf_refresh/{routine}");
+            assert!(
+                calls(&callsite, "") >= bursts,
+                "{callsite} missing from the ledger: {:?}",
+                rows.iter().map(|r| (&r.callsite, &r.shape, r.stats.calls)).collect::<Vec<_>>()
+            );
+        }
+    });
+}

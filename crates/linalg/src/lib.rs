@@ -7,12 +7,20 @@
 //! accumulating. This crate provides that substrate:
 //!
 //! * [`hermitian::eigh`] — eigendecomposition of a Hermitian complex
-//!   matrix (cyclic Jacobi with complex rotations: unconditionally stable,
-//!   and the subspace matrices here are small).
-//! * [`orth`] — modified Gram–Schmidt and Löwdin (S^{-1/2}) symmetric
-//!   orthonormalisation.
+//!   matrix: Householder reduction to a real tridiagonal, implicit-shift
+//!   QL, eigenvectors back-transformed by one GEMM and returned with a
+//!   fixed phase. Backward stable; cyclic Jacobi is kept only as the test
+//!   oracle.
+//! * [`orth`] — Löwdin (S^{-1/2}) symmetric orthonormalisation on
+//!   `zherk`/`zgemm`, Cholesky orthonormalisation, modified Gram–Schmidt.
 //! * [`cholesky`] — Hermitian positive-definite factorisation and solves.
-//! * [`ops`] — small dense helpers shared by the above.
+//! * [`ops`] — small dense helpers shared by the above (products on
+//!   `zgemm`).
+//!
+//! The refresh path (Löwdin, `eigh`, the subspace products) is level-3
+//! BLAS, so its products appear in the precision ledger by callsite and
+//! are deterministic in the sense `mkl-lite`'s GEMM is: a fixed blocked
+//! accumulation order, one thread.
 //!
 //! Matrices are row-major `Vec<C64>` slices with explicit dimension, the
 //! same convention as `mkl-lite`.
@@ -23,5 +31,5 @@ pub mod ops;
 pub mod orth;
 
 pub use cholesky::{cholesky_factor, cholesky_solve, trsm_right_lower_conjtrans};
-pub use hermitian::{eigh, EighResult};
+pub use hermitian::{eigh, try_eigh, EighError, EighResult};
 pub use orth::{cholesky_orthonormalize, lowdin_orthonormalize, modified_gram_schmidt, OrthError};

@@ -1,25 +1,39 @@
 //! Orthonormalisation of wave-function column sets.
 //!
 //! QXMD's SCF refresh re-orthonormalises the propagated orbitals at FP64
-//! before the Rayleigh–Ritz step. Two standard schemes are provided:
+//! before the Rayleigh–Ritz step. Three schemes are provided:
 //!
-//! * **Modified Gram–Schmidt** — sequential, numerically robust for
-//!   mildly ill-conditioned sets; changes the span order-dependently.
 //! * **Löwdin (symmetric) orthonormalisation** — `Ψ ← Ψ S^{-1/2}` with
 //!   `S = Ψ†Ψ`; the unique orthonormal set closest to the input in the
 //!   Frobenius sense, which is why quantum-dynamics codes prefer it (it
-//!   perturbs the propagated state least).
+//!   perturbs the propagated state least). This is the boundary's path
+//!   and it is level-3 BLAS end to end: `S` by `zherk`,
+//!   `S^{-1/2} = (V·λ^{-1/2})·V†` by one n³ `zgemm`, and the apply by
+//!   `zgemm` on row panels. [`overlap`], [`overlap_defect`] and
+//!   [`inverse_sqrt`] are public so `scf_refresh` can fold the Löwdin
+//!   factor into its Ritz rotation instead of applying it on its own.
+//! * **Cholesky orthonormalisation** — `Ψ ← Ψ L^{-†}`; cheaper, not
+//!   minimal-perturbation. Factor and triangular solve are scalar loops.
+//! * **Modified Gram–Schmidt** — sequential, numerically robust for
+//!   mildly ill-conditioned sets; changes the span order-dependently.
+//!   Its inner products run through [`dcmesh_numerics::reduce`]'s
+//!   fixed-shape trees.
 //!
 //! Matrices are row-major `rows × cols`, orbitals stored as **columns**.
 //!
-//! All inner-product and projection accumulations run through
-//! [`dcmesh_numerics::reduce`]'s fixed-shape trees, so both schemes are
-//! bit-deterministic regardless of how the surrounding run is threaded.
+//! Determinism: every product on the Löwdin path is a `mkl-lite` GEMM,
+//! whose blocked accumulation order is fixed by the shape alone
+//! (k-blocks, then the packed microkernel's `kk` loop, multiply and add
+//! kept separate in FP64), and the run is single-threaded — so results
+//! are a function of the input bits, and the same on every host the
+//! GEMM ladder covers. They are *not* the bits of the pre-level-3 code,
+//! which summed over `reduce`'s pairwise trees; that order survives only
+//! in the `#[cfg(test)]` reference the tests compare against.
 
 use crate::cholesky::{cholesky_factor, trsm_right_lower_conjtrans};
-use crate::hermitian::eigh;
-use crate::ops::matmul_hermitian_left;
+use crate::hermitian::{try_eigh, EighError};
 use dcmesh_numerics::{reduce, C64};
+use mkl_lite::{workspace, zgemm, zherk, Op, Uplo};
 use std::fmt;
 
 /// Why an orthonormalisation could not be performed.
@@ -44,6 +58,9 @@ pub enum OrthError {
         /// Description from the factorisation (pivot index and value).
         detail: String,
     },
+    /// A subspace matrix could not be diagonalised: it holds a NaN or an
+    /// infinity (so the orbitals do), or QL hit its iteration limit.
+    Eigensolve(EighError),
 }
 
 impl fmt::Display for OrthError {
@@ -56,11 +73,18 @@ impl fmt::Display for OrthError {
             OrthError::NotPositiveDefinite { detail } => {
                 write!(f, "overlap matrix not positive definite ({detail})")
             }
+            OrthError::Eigensolve(e) => write!(f, "subspace eigensolve failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for OrthError {}
+
+impl From<EighError> for OrthError {
+    fn from(e: EighError) -> Self {
+        OrthError::Eigensolve(e)
+    }
+}
 
 /// In-place modified Gram–Schmidt on the columns of `a` (`rows × cols`).
 ///
@@ -97,15 +121,19 @@ pub fn modified_gram_schmidt(a: &mut [C64], rows: usize, cols: usize, tol: f64) 
     dropped
 }
 
-/// The overlap matrix `S = A†A` (`cols × cols`, Hermitian positive
-/// semi-definite) of a column set — formed once and shared by the
-/// defect measure and the Löwdin step.
-fn overlap(a: &[C64], rows: usize, cols: usize) -> Vec<C64> {
-    matmul_hermitian_left(a, a, cols, rows, cols)
+/// The overlap matrix `S = A†A` (`cols × cols`, exactly Hermitian with a
+/// real diagonal) of a column set, by `zherk`.
+pub fn overlap(a: &[C64], rows: usize, cols: usize) -> Vec<C64> {
+    assert_eq!(a.len(), rows * cols, "overlap: shape mismatch");
+    let mut s = vec![C64::zero(); cols * cols];
+    if cols > 0 {
+        zherk(Uplo::Upper, Op::ConjTrans, cols, rows, 1.0, a, cols, 0.0, &mut s, cols);
+    }
+    s
 }
 
 /// `|S − I|_max` of an overlap matrix.
-fn overlap_defect(s: &[C64], cols: usize) -> f64 {
+pub fn overlap_defect(s: &[C64], cols: usize) -> f64 {
     let mut d = 0.0f64;
     for i in 0..cols {
         for j in 0..cols {
@@ -116,67 +144,65 @@ fn overlap_defect(s: &[C64], cols: usize) -> f64 {
     d
 }
 
+/// `S^{-1/2} = (V·diag λ^{-1/2})·V†` of a Hermitian positive-definite
+/// `n × n` matrix: one eigendecomposition and one n³ `zgemm`.
+///
+/// Fails with [`OrthError::SingularOverlap`] if the smallest eigenvalue
+/// is below `1e-12` of the largest, and with [`OrthError::Eigensolve`] if
+/// `s` is not finite.
+pub fn inverse_sqrt(s: &[C64], n: usize) -> Result<Vec<C64>, OrthError> {
+    let eig = try_eigh(s, n)?;
+    let (Some(&min_ev), Some(&max_ev)) = (eig.eigenvalues.first(), eig.eigenvalues.last()) else {
+        return Ok(Vec::new());
+    };
+    if min_ev <= 1e-12 * max_ev.max(1e-300) {
+        return Err(OrthError::SingularOverlap { min_eigenvalue: min_ev, max_eigenvalue: max_ev });
+    }
+    let v = &eig.eigenvectors;
+    let inv_sqrt: Vec<f64> = eig.eigenvalues.iter().map(|ev| 1.0 / ev.sqrt()).collect();
+    let scaled: Vec<C64> =
+        v.chunks_exact(n).flat_map(|row| row.iter().zip(&inv_sqrt).map(|(z, w)| z.scale(*w))).collect();
+    let mut out = vec![C64::zero(); n * n];
+    zgemm(Op::None, Op::ConjTrans, n, n, n, C64::one(), &scaled, n, v, n, C64::zero(), &mut out, n);
+    Ok(out)
+}
+
+/// Rows of `a` multiplied per `zgemm` call by [`apply_right_in_place`]:
+/// large enough that packing the `cols × cols` factor is under 1 % of a
+/// panel's work, small enough that the output panel is a few hundred
+/// KiB rather than a second copy of `a`.
+const PANEL_ROWS: usize = 256;
+
+/// `A ← A·T` for `T: cols × cols`, in place: each panel of rows goes
+/// through `zgemm` into one pooled output panel and is copied back.
+fn apply_right_in_place(a: &mut [C64], cols: usize, t: &[C64]) {
+    let mut panel = workspace::take_scratch::<C64>((PANEL_ROWS * cols).min(a.len()));
+    for rows in a.chunks_mut(PANEL_ROWS * cols) {
+        let out = &mut panel[..rows.len()];
+        let m = rows.len() / cols;
+        zgemm(Op::None, Op::None, m, cols, cols, C64::one(), rows, cols, t, cols, C64::zero(), out, cols);
+        rows.copy_from_slice(out);
+    }
+}
+
 /// Löwdin symmetric orthonormalisation: `A ← A·S^{-1/2}`, `S = A†A`.
 ///
 /// Fails with [`OrthError::SingularOverlap`] if the overlap matrix is
 /// numerically singular (smallest eigenvalue below `1e-12` of the
 /// largest): a collapsed orbital set indicates the propagation has already
 /// failed, and the error carries the eigenvalue evidence so a supervisor
-/// can roll back and escalate instead of crashing. On error `a` is left
+/// can roll back and escalate instead of crashing. A NaN or infinity in
+/// `a` surfaces as [`OrthError::Eigensolve`]. On error `a` is left
 /// unmodified.
 pub fn lowdin_orthonormalize(a: &mut [C64], rows: usize, cols: usize) -> Result<(), OrthError> {
-    lowdin_orthonormalize_measured(a, rows, cols).map(|_| ())
-}
-
-/// [`lowdin_orthonormalize`] that also returns the input's
-/// [`orthonormality_defect`], read off the one overlap matrix the step
-/// forms anyway — bit-identical to measuring first and orthonormalising
-/// second, one `Ψ†Ψ` cheaper. The defect is not returned on error.
-pub fn lowdin_orthonormalize_measured(
-    a: &mut [C64],
-    rows: usize,
-    cols: usize,
-) -> Result<f64, OrthError> {
     assert_eq!(a.len(), rows * cols, "lowdin: shape mismatch");
     if cols == 0 {
-        return Ok(0.0);
+        return Ok(());
     }
-    let s = overlap(a, rows, cols);
-    let defect = overlap_defect(&s, cols);
-    let eig = eigh(&s, cols);
-    let max_ev = eig.eigenvalues.last().copied().unwrap_or(0.0);
-    if eig.eigenvalues[0] <= 1e-12 * max_ev.max(1e-300) {
-        return Err(OrthError::SingularOverlap {
-            min_eigenvalue: eig.eigenvalues[0],
-            max_eigenvalue: max_ev,
-        });
-    }
-
-    // S^{-1/2} = V diag(1/√λ) V†
-    let n = cols;
-    let v = &eig.eigenvectors;
-    let mut s_inv_half = vec![C64::zero(); n * n];
-    for i in 0..n {
-        for j in 0..n {
-            s_inv_half[i * n + j] = reduce::sum_with(n, |k| {
-                let w = 1.0 / eig.eigenvalues[k].sqrt();
-                v[i * n + k].scale(w).mul_4m(v[j * n + k].conj())
-            });
-        }
-    }
-
-    // A ← A · S^{-1/2}, row by row (each row of A is independent).
-    let mut row_buf = vec![C64::zero(); n];
-    for r in 0..rows {
-        let row = &a[r * n..(r + 1) * n];
-        for (j, out) in row_buf.iter_mut().enumerate() {
-            *out = reduce::sum_with(n, |k| row[k].mul_4m(s_inv_half[k * n + j]));
-        }
-        a[r * n..(r + 1) * n].copy_from_slice(&row_buf);
-    }
-    Ok(defect)
+    let s_inv_half = inverse_sqrt(&overlap(a, rows, cols), cols)?;
+    apply_right_in_place(a, cols, &s_inv_half);
+    Ok(())
 }
-
 
 /// Cholesky orthonormalisation: `A ← A·L^{-†}` with `S = A†A = L·L†`.
 ///
@@ -249,17 +275,69 @@ mod tests {
         assert!(orthonormality_defect(&a, rows, cols) < 1e-11);
     }
 
+    /// The scalar Löwdin the level-3 path replaced: Jacobi eigenvectors,
+    /// `S^{-1/2}` and the row-by-row apply summed over `reduce`'s trees.
+    fn lowdin_reference(a: &mut [C64], rows: usize, cols: usize) -> (f64, f64) {
+        let n = cols;
+        let s = crate::ops::matmul_hermitian_left(a, a, n, rows, n);
+        let eig = crate::hermitian::jacobi::eigh_jacobi(&s, n);
+        let v = &eig.eigenvectors;
+        let mut s_inv_half = vec![C64::zero(); n * n];
+        for i in 0..n {
+            for j in 0..n {
+                s_inv_half[i * n + j] = reduce::sum_with(n, |k| {
+                    let w = 1.0 / eig.eigenvalues[k].sqrt();
+                    v[i * n + k].scale(w).mul_4m(v[j * n + k].conj())
+                });
+            }
+        }
+        let mut row_buf = vec![C64::zero(); n];
+        for r in 0..rows {
+            let row = &a[r * n..(r + 1) * n];
+            for (j, out) in row_buf.iter_mut().enumerate() {
+                *out = reduce::sum_with(n, |k| row[k].mul_4m(s_inv_half[k * n + j]));
+            }
+            a[r * n..(r + 1) * n].copy_from_slice(&row_buf);
+        }
+        (eig.eigenvalues[0], eig.eigenvalues[n - 1])
+    }
+
     #[test]
-    fn measured_lowdin_equals_measure_then_lowdin_to_the_bit() {
-        let (rows, cols) = (50, 8);
-        let a0 = skewed_columns(rows, cols);
-        let want_defect = orthonormality_defect(&a0, rows, cols);
-        let mut want = a0.clone();
-        lowdin_orthonormalize(&mut want, rows, cols).unwrap();
-        let mut got = a0;
-        let defect = lowdin_orthonormalize_measured(&mut got, rows, cols).unwrap();
-        assert_eq!(defect.to_bits(), want_defect.to_bits());
-        assert_eq!(got, want);
+    fn level3_lowdin_matches_the_scalar_reference() {
+        // Shapes on both sides of one row panel; the last is the
+        // scf-churn boundary's.
+        for (rows, cols) in [(50usize, 8usize), (300, 5), (700, 24), (1728, 64)] {
+            let a0 = skewed_columns(rows, cols);
+            let mut want = a0.clone();
+            let (min_ev, max_ev) = lowdin_reference(&mut want, rows, cols);
+            let mut got = a0;
+            lowdin_orthonormalize(&mut got, rows, cols).unwrap();
+            assert!(orthonormality_defect(&got, rows, cols) < 1e-11, "{rows}x{cols}");
+            // Both are A·S^{-1/2} with S^{-1/2} computed to n·ε relative
+            // to its norm λ_min^{-1/2}; a row of A has entries O(1) that
+            // combine to an output entry O(λ_max^{1/2}·λ_min^{-1/2}/√rows)
+            // at most — so entries agree to n·ε·κ(S)^{1/2}.
+            let bound = cols as f64 * f64::EPSILON * (max_ev / min_ev).sqrt();
+            let diff = crate::ops::max_abs_diff(&got, &want);
+            assert!(diff <= bound, "{rows}x{cols}: |Δ| {diff:e} over n·ε·√κ = {bound:e}");
+        }
+    }
+
+    #[test]
+    fn lowdin_rejects_non_finite_input_and_leaves_it_untouched() {
+        let (rows, cols) = (40, 6);
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut a = skewed_columns(rows, cols);
+            a[17].im = poison;
+            let bits = |x: &[C64]| -> Vec<(u64, u64)> {
+                x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            let before = bits(&a);
+            let err = lowdin_orthonormalize(&mut a, rows, cols).unwrap_err();
+            assert_eq!(err, OrthError::Eigensolve(crate::hermitian::EighError::NonFinite));
+            assert!(err.to_string().contains("non-finite"), "{err}");
+            assert_eq!(bits(&a), before, "input must be untouched on error");
+        }
     }
 
     #[test]

@@ -9,11 +9,21 @@
 //! that mechanism:
 //!
 //! 1. promote Ψ to complex double,
-//! 2. Löwdin-orthonormalise (the minimal-perturbation choice),
-//! 3. Rayleigh–Ritz: diagonalise `H` in the orbital subspace at FP64 and
-//!    rotate Ψ onto the eigenvectors,
-//! 4. demote back to the LFD element width and refresh the Ψ(0)
-//!    reference and its eigenvalues.
+//! 2. form the overlap `S = Ψ†Ψ` and the subspace matrix `G = Ψ†(H₀Ψ)`
+//!    from that *raw* Ψ,
+//! 3. Löwdin and Rayleigh–Ritz in the subspace: `T = S^{-1/2}`,
+//!    `H_sub = T·G·T`, `H_sub = V·ε·V†`,
+//! 4. one rotation `Ψ ← Ψ·(T·V)`, demote back to the LFD element width
+//!    and refresh the Ψ(0) reference and its eigenvalues.
+//!
+//! Orthonormalise-then-diagonalise would rotate Ψ twice (`Ψ·T`, then
+//! `·V`) and apply `H₀` to the orthonormalised set. `H₀` is linear, so
+//! `(ΨT)†H₀(ΨT) = T·(Ψ†H₀Ψ)·T`: the Löwdin factor moves into the
+//! `n_orb × n_orb` subspace and the two rotations fuse into one. Per
+//! refresh that is four grid-sized BLAS calls (`zherk` S, `zgemm` G, the
+//! rotation, `zherk` for `defect_after`), a handful of n³ ones, and two
+//! `eigh` — every product a `mkl-lite` call recorded under the
+//! `qxmd::scf_refresh` phase.
 //!
 //! The subspace Hamiltonian uses the field-free `H₀` (the laser enters
 //! only the real-time propagation). Everything here runs on the "CPU
@@ -22,8 +32,9 @@
 
 use dcmesh_lfd::hamiltonian::apply_h;
 use dcmesh_lfd::state::{LfdParams, LfdState};
-use dcmesh_linalg::hermitian::eigh;
-use dcmesh_linalg::orth::{lowdin_orthonormalize_measured, orthonormality_defect, OrthError};
+use dcmesh_linalg::hermitian::try_eigh;
+use dcmesh_linalg::ops::matmul;
+use dcmesh_linalg::orth::{inverse_sqrt, orthonormality_defect, overlap, overlap_defect, OrthError};
 use dcmesh_numerics::{c64, Complex, Real, C64};
 use mkl_lite::{zgemm, Op};
 
@@ -44,10 +55,11 @@ pub struct ScfReport {
 /// Performs one FP64 refresh of the propagated orbitals.
 ///
 /// Fails with [`OrthError`] when the orbital overlap matrix has gone
-/// numerically singular — the signature of a state already destroyed by
-/// accumulated low-precision error (or an injected fault). The state is
-/// left untouched in that case so a supervisor can roll back to a
-/// checkpoint and escalate the compute mode.
+/// numerically singular or the orbitals hold a NaN or an infinity — the
+/// signature of a state already destroyed by accumulated low-precision
+/// error (or an injected fault). The state is left untouched in that case
+/// so a supervisor can roll back to a checkpoint and escalate the compute
+/// mode.
 pub fn scf_refresh<T: Real>(
     params: &LfdParams,
     state: &mut LfdState<T>,
@@ -63,22 +75,24 @@ pub fn scf_refresh<T: Real>(
 
     // (1) Promote, folding in √ΔV so plain l2 orthonormality equals the
     // physical ⟨·|·⟩ΔV inner product.
-    let mut psi64: Vec<C64> = state
+    let psi64: Vec<C64> = state
         .psi
         .iter()
         .map(|z| c64(z.re.to_f64() * sqrt_dv, z.im.to_f64() * sqrt_dv))
         .collect();
 
-    // (2) Löwdin orthonormalisation at FP64; the drift the refresh is
-    // about to absorb is read off the same overlap matrix. A singular
-    // overlap aborts the refresh before `state.psi` is written.
-    let defect_before = lowdin_orthonormalize_measured(&mut psi64, ngrid, n_orb)?;
+    // (2) The overlap of the raw orbitals: the drift the refresh is about
+    // to absorb is read off it, and a singular or non-finite one aborts
+    // the refresh before `state.psi` is written.
+    let s = overlap(&psi64, ngrid, n_orb);
+    let defect_before = overlap_defect(&s, n_orb);
+    let s_inv_half = inverse_sqrt(&s, n_orb)?;
 
-    // (3) Rayleigh–Ritz on H₀ at FP64.
+    // G = Ψ†(H₀Ψ), also on the raw orbitals.
     let vloc64: Vec<f64> = state.vloc.iter().map(|v| v.to_f64()).collect();
     let mut h_psi = vec![C64::zero(); ngrid * n_orb];
     apply_h(&params.mesh, n_orb, &vloc64, 0.0, &psi64, &mut h_psi);
-    let mut h_sub = vec![C64::zero(); n_orb * n_orb];
+    let mut g = vec![C64::zero(); n_orb * n_orb];
     zgemm(
         Op::ConjTrans,
         Op::None,
@@ -91,13 +105,25 @@ pub fn scf_refresh<T: Real>(
         &h_psi,
         n_orb,
         C64::zero(),
-        &mut h_sub,
+        &mut g,
         n_orb,
     );
-    let eig = eigh(&h_sub, n_orb);
 
-    // Rotate Ψ onto the eigenvectors: Ψ ← Ψ·V.
-    let mut rotated = vec![C64::zero(); ngrid * n_orb];
+    // (3) H_sub = S^{-1/2}·G·S^{-1/2} is the Hamiltonian in the Löwdin
+    // basis. `try_eigh` reads the upper triangle, so averaging it with
+    // the conjugated lower one is the symmetrisation.
+    let mut h_sub = matmul(&matmul(&s_inv_half, &g, n_orb, n_orb, n_orb), &s_inv_half, n_orb, n_orb, n_orb);
+    for i in 0..n_orb {
+        for j in i + 1..n_orb {
+            h_sub[i * n_orb + j] = (h_sub[i * n_orb + j] + h_sub[j * n_orb + i].conj()).scale(0.5);
+        }
+    }
+    let eig = try_eigh(&h_sub, n_orb)?;
+
+    // (4) Ψ ← Ψ·(S^{-1/2}·V): orthonormalisation and Ritz rotation in
+    // one product, written over H₀Ψ, which is dead by now.
+    let rotation = matmul(&s_inv_half, &eig.eigenvectors, n_orb, n_orb, n_orb);
+    let mut rotated = h_psi;
     zgemm(
         Op::None,
         Op::None,
@@ -107,7 +133,7 @@ pub fn scf_refresh<T: Real>(
         C64::one(),
         &psi64,
         n_orb,
-        &eig.eigenvectors,
+        &rotation,
         n_orb,
         C64::zero(),
         &mut rotated,
@@ -115,7 +141,7 @@ pub fn scf_refresh<T: Real>(
     );
     let defect_after = orthonormality_defect(&rotated, ngrid, n_orb);
 
-    // (4) Demote (undoing the √ΔV fold) and refresh the reference.
+    // Demote (undoing the √ΔV fold) and refresh the reference.
     let inv_sqrt_dv = 1.0 / sqrt_dv;
     let mut max_correction = 0.0f64;
     for (dst, src) in state.psi.iter_mut().zip(&rotated) {
@@ -329,31 +355,131 @@ mod tests {
     }
 
     #[test]
-    fn refresh_report_bits_unchanged_by_the_shared_overlap_and_the_simd_zgemm() {
-        // Recorded from the commit before the overlap matrix was shared
-        // and ZGEMM left the generic 4×4 kernel: five boundary ZGEMMs, a
-        // separate `Ψ†Ψ` for `defect_before`. Every FP64 kernel keeps
-        // multiply and add separate, so the report and the refreshed
-        // orbitals must not move by a bit. (The defects go through
-        // `hypot`; the bits assume a correctly rounded one, as glibc's.)
+    fn refresh_report_bits_rerecorded_once_for_the_level3_boundary() {
+        // Re-recorded once, on purpose, when the boundary moved onto
+        // level-3 BLAS: Householder + QL instead of Jacobi, `S^{-1/2}`
+        // and the rotation as GEMMs, one fused rotation instead of two.
+        // None of that can keep the old summation order, so the old
+        // reference (`…_unchanged_by_the_shared_overlap_and_the_simd_zgemm`)
+        // could not be kept; what is pinned from here on is the new
+        // order — blocked GEMM accumulation and the fixed-lane loops in
+        // `eigh` — which must not move by a bit under later kernel work.
+        // That the new numbers are no worse is shown separately:
+        // `fused_refresh_equals_orthonormalise_then_ritz` and the
+        // residual tables in DESIGN.md. (The defects go through `hypot`;
+        // the bits assume a correctly rounded one, as glibc's.)
         let p = params();
         let mut st = lcg_state(&p);
         let rep = scf_refresh(&p, &mut st).expect("overlap healthy");
         assert_eq!(rep.defect_before.to_bits(), 0x4044_ec0e_f533_3ede);
-        assert_eq!(rep.defect_after.to_bits(), 0x3ce0_0004_7fff_5e00);
-        assert_eq!(rep.max_correction.to_bits(), 0x3fe4_16ef_3000_0000);
+        assert_eq!(rep.defect_after.to_bits(), 0x3cd1_f883_e365_7089);
+        assert_eq!(rep.max_correction.to_bits(), 0x3fe3_c56d_e000_0000);
         let eigenvalues: Vec<u64> = rep.eigenvalues.iter().map(|e| e.to_bits()).collect();
         assert_eq!(
             eigenvalues,
             [
-                0x4020_415c_5f19_7727,
-                0x4020_ca73_cf76_426e,
-                0x4021_4e69_49ff_dd2e,
-                0x4021_8206_bc2b_1d66,
-                0x4022_2a02_4f7e_8003,
-                0x4022_6f11_d55c_5270,
+                0x4020_415c_5f19_7726,
+                0x4020_ca73_cf76_4260,
+                0x4021_4e69_49ff_dd2a,
+                0x4021_8206_bc2b_1d5b,
+                0x4022_2a02_4f7e_7ff6,
+                0x4022_6f11_d55c_526a,
             ]
         );
-        assert_eq!(psi_hash(&st), 0xbb7a_63fa_9e1b_ab1c);
+        assert_eq!(psi_hash(&st), 0x370e_ee53_63a2_f3c9);
+    }
+
+    /// The two-rotation refresh the fused one replaced, on the public
+    /// pieces: Löwdin-orthonormalise, apply `H₀` to the orthonormal set,
+    /// diagonalise `Ψ†H₀Ψ`, rotate.
+    fn orthonormalise_then_ritz(p: &LfdParams, st: &LfdState<f64>) -> (Vec<C64>, Vec<f64>) {
+        let (n_orb, ngrid) = (p.n_orb, p.mesh.len());
+        let sqrt_dv = p.mesh.dv().sqrt();
+        let mut psi: Vec<C64> = st.psi.iter().map(|z| z.scale(sqrt_dv)).collect();
+        dcmesh_linalg::lowdin_orthonormalize(&mut psi, ngrid, n_orb).expect("overlap healthy");
+        let mut h_psi = vec![C64::zero(); ngrid * n_orb];
+        apply_h(&p.mesh, n_orb, &st.vloc, 0.0, &psi, &mut h_psi);
+        let h_sub = dcmesh_linalg::ops::matmul_hermitian_left(&psi, &h_psi, n_orb, ngrid, n_orb);
+        let eig = dcmesh_linalg::eigh(&h_sub, n_orb);
+        let rotated = matmul(&psi, &eig.eigenvectors, ngrid, n_orb, n_orb);
+        (rotated.iter().map(|z| z.scale(1.0 / sqrt_dv)).collect(), eig.eigenvalues)
+    }
+
+    /// An `f64` deck with nothing degenerate about it: LCG orbitals over
+    /// the polynomial potential of [`lcg_state`].
+    fn lcg_state_f64(p: &LfdParams) -> LfdState<f64> {
+        let single = lcg_state(p);
+        let mut st = LfdState::<f64>::initialize(p, single.vloc.iter().map(|&v| v as f64).collect());
+        for (dst, src) in st.psi.iter_mut().zip(&single.psi) {
+            *dst = Complex { re: src.re as f64, im: src.im as f64 };
+        }
+        st
+    }
+
+    #[test]
+    fn fused_refresh_equals_orthonormalise_then_ritz() {
+        // `H₀` is linear, so forming `G = Ψ†H₀Ψ` on the raw orbitals and
+        // moving `S^{-1/2}` into the subspace must give the orbitals and
+        // eigenvalues of the two-rotation sequence. The spectrum here has
+        // gaps ≥ 0.1, so eigenvectors are determined to ~ε·‖H‖/gap and
+        // the phase convention removes the remaining freedom.
+        let p = params();
+        let mut st = lcg_state_f64(&p);
+        let (want_psi, want_eps) = orthonormalise_then_ritz(&p, &st);
+        let rep = scf_refresh(&p, &mut st).expect("overlap healthy");
+        assert!(rep.defect_after < 1e-10, "defect_after {}", rep.defect_after);
+        for (got, want) in rep.eigenvalues.iter().zip(&want_eps) {
+            assert!((got - want).abs() < 1e-12, "eigenvalue {got} vs {want}");
+        }
+        let diff = st.psi.iter().zip(&want_psi).map(|(a, b)| (*a - *b).abs()).fold(0.0, f64::max);
+        assert!(diff < 1e-12, "fused and two-rotation orbitals differ by {diff:e}");
+    }
+
+    #[test]
+    fn second_refresh_of_a_converged_state_is_a_fixed_point() {
+        // Ritz vectors of a non-degenerate subspace Hamiltonian are
+        // unique up to phase, and `eigh` fixes the phase: refreshing a
+        // refreshed state must hand the same orbitals back.
+        let p = params();
+        let mut st = lcg_state_f64(&p);
+        scf_refresh(&p, &mut st).expect("overlap healthy");
+        let rep = scf_refresh(&p, &mut st).expect("overlap healthy");
+        assert!(rep.defect_before < 1e-12, "first refresh left {}", rep.defect_before);
+        assert!(rep.max_correction < 1e-9, "second refresh moved Ψ by {}", rep.max_correction);
+    }
+
+    #[test]
+    fn non_finite_orbitals_are_an_error_and_leave_the_state_untouched() {
+        use dcmesh_linalg::EighError;
+        let p = params();
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut st = lcg_state(&p);
+            st.psi[1234].im = poison;
+            let snapshot = |st: &LfdState<f32>| -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+                let bits = |v: &[Complex<f32>]| {
+                    v.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect()
+                };
+                (bits(&st.psi), bits(&st.psi0), st.eps.iter().map(|e| e.to_bits()).collect())
+            };
+            let before = snapshot(&st);
+            let err = scf_refresh(&p, &mut st).expect_err("poisoned orbitals must not refresh");
+            assert_eq!(err, OrthError::Eigensolve(EighError::NonFinite), "{poison}");
+            assert_eq!(snapshot(&st), before, "state written on the error path ({poison})");
+        }
+    }
+
+    #[test]
+    fn second_refresh_takes_every_buffer_from_the_pool() {
+        use mkl_lite::workspace::{combined_stats, with_fresh_workspace};
+        let p = params();
+        with_fresh_workspace(|| {
+            let mut st = lcg_state(&p);
+            scf_refresh(&p, &mut st).expect("overlap healthy");
+            let warm = combined_stats();
+            scf_refresh(&p, &mut st).expect("overlap healthy");
+            let after = combined_stats();
+            assert!(after.takes > warm.takes, "the refresh makes BLAS calls");
+            assert_eq!(after.misses, warm.misses, "steady-state refresh allocated pool storage");
+        });
     }
 }
