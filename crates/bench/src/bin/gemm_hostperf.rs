@@ -209,10 +209,6 @@ fn parse_args() -> Options {
     o
 }
 
-fn mode_label(mode: ComputeMode) -> &'static str {
-    mode.env_value().unwrap_or("STANDARD")
-}
-
 /// One JSON entry of the end-to-end sweep.
 struct Entry {
     routine: &'static str,
@@ -364,10 +360,10 @@ fn main() {
             "{:<5} {shape:<7} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
              {allocs} allocs/call",
             routine.to_lowercase(),
-            mode_label(mode),
+            mode.name(),
         );
         if allocs > 0.0 {
-            dirty_modes.push(format!("{routine}/{} {shape} ({m},{n},{k_meas})", mode_label(mode)));
+            dirty_modes.push(format!("{routine}/{} {shape} ({m},{n},{k_meas})", mode.name()));
         }
         entries.push(Entry {
             routine,
@@ -493,7 +489,7 @@ fn main() {
                  \"modelled_speedup_vs_fp32\": {:.4}}}",
                 e.routine,
                 e.shape,
-                mode_label(e.mode),
+                e.mode.name(),
                 e.m,
                 e.n,
                 e.k_table,
@@ -525,7 +521,7 @@ fn main() {
                 entries
                     .iter()
                     .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, m, n, mode))
-                    .map(|e| format!("\"{}\":{}", mode_label(mode), json_f64(e.ns_per_call)))
+                    .map(|e| format!("\"{}\":{}", mode.name(), json_f64(e.ns_per_call)))
             })
             .collect();
         format!("{{{}}}", members.join(","))
@@ -604,7 +600,7 @@ fn main() {
             eprintln!(
                 "perf-ratio {routine} {shape} {}/STANDARD ({gm}, {gn}, {k}): {ratio:.2}x \
                  (max {max:.2}x) {verdict}",
-                mode_label(mode)
+                mode.name()
             );
             if ratio > max {
                 failures += 1;

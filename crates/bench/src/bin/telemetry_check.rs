@@ -24,7 +24,9 @@
 //! injected fault: the CGEMM callsite's FLOAT_TO_BF16 entry must carry
 //! the non-finite-output detection and the resulting escalation — the
 //! end-to-end check that the suspect-attribution chain (BLAS probe →
-//! supervisor decision → ledger row) holds together.
+//! supervisor decision → ledger row) holds together — and that the
+//! document's header names the level the run recorded at (`full`), not
+//! the level in force when it was exported.
 //!
 //! `--overhead-gate` instead measures the **disabled path**: per-span
 //! cost at `TELEMETRY=off` times the spans-per-QD-step count, as a
@@ -189,8 +191,6 @@ fn check_trace_rows(rows: &[JsonValue], problems: &mut Vec<String>) {
 fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
     let mut problems = Vec::new();
     telemetry::set_level(TelemetryLevel::Full);
-    sink::clear();
-    telemetry::ledger::clear();
 
     // A device model makes every logged BLAS call carry a modelled
     // device time, which feeds the simulated kernel track below.
@@ -236,6 +236,10 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
 
     workspace::publish_metrics();
     let events = sink::drain();
+    // Recording is over before anything is exported, as in a harness that
+    // wraps only the run in `with_level`: the ledger header must still name
+    // the level its rows were recorded at (`--ledger-gate` checks it).
+    telemetry::set_level(TelemetryLevel::Off);
     if sink::dropped_events() > 0 {
         eprintln!("note: sink dropped {} events (ring full)", sink::dropped_events());
     }
@@ -405,6 +409,14 @@ fn check_ledger(ledger_text: &str, prom: &str, ledger_gate: bool, problems: &mut
     }
     if !ledger_gate {
         return;
+    }
+    let header_level =
+        doc.get("meta").and_then(|m| m.get("telemetry_level")).and_then(JsonValue::as_str);
+    if header_level != Some(TelemetryLevel::Full.env_value()) {
+        fail(
+            problems,
+            format!("ledger-gate: rows recorded at \"full\" but the header says {header_level:?}"),
+        );
     }
     let field_str =
         |e: &JsonValue, f: &str| e.get(f).and_then(JsonValue::as_str).unwrap_or("").to_string();

@@ -44,20 +44,15 @@ fn sampled_weighted_totals_match_full_run_within_10pct() {
     let cfg = tiny();
 
     let full = telemetry::with_level(TelemetryLevel::Full, || {
-        sink::clear();
         with_compute_mode(ComputeMode::FloatToBf16, || run_simulation::<f32>(&cfg))
             .expect("full-telemetry run");
         export::jsonl(&sink::drain())
     });
 
     let sampled = telemetry::with_level(TelemetryLevel::Events, || {
-        sink::clear();
-        let saved = telemetry::sample_interval();
         telemetry::set_sample_interval(16);
-        telemetry::span::reset_sample_counter();
-        let r = with_compute_mode(ComputeMode::FloatToBf16, || run_simulation::<f32>(&cfg));
-        telemetry::set_sample_interval(saved);
-        r.expect("sampled run");
+        with_compute_mode(ComputeMode::FloatToBf16, || run_simulation::<f32>(&cfg))
+            .expect("sampled run");
         export::jsonl(&sink::drain())
     });
 

@@ -29,12 +29,11 @@
 //! product and its checksum.
 
 use crate::context;
-use crate::device::GemmDesc;
 use crate::gemm::GemmArgs;
 use crate::layout::Op;
 use crate::mode::ComputeMode;
 use dcmesh_numerics::{Complex, C64};
-use dcmesh_telemetry::{self as telemetry, Attr, AttrValue};
+use dcmesh_telemetry::{self as telemetry, ledger, Attr, AttrValue};
 
 /// Safety factor on the rounding bound. Generous on purpose: a missed
 /// small-mantissa flip costs one extra `verify_bursts` replay, a false
@@ -158,23 +157,23 @@ impl<T: AbftElem> AbftElem for Complex<T> {
 }
 
 /// Scans a GEMM output for non-finite values (cheap O(m·n) pass, only
-/// when telemetry events are on) and, on the first hit, records it in
-/// the ledger and marks the callsite as the suspect for whatever
+/// when telemetry events are on — which is when the call has a ledger
+/// `key`) and, on the first hit, records it in the ledger under that key
+/// and marks the callsite as the suspect for whatever
 /// rollback/escalation the supervisor decides next. Runs after fault
 /// injection so injected NaNs are attributed to the callsite that
 /// produced them — the supervisor's own health check sees only the
 /// recorded wavefunction, long after call context is gone.
 pub(crate) fn probe_nonfinite<T: AbftElem>(
     routine: &'static str,
-    desc: &GemmDesc,
+    key: Option<ledger::Key>,
     c: &[T],
+    m: usize,
+    n: usize,
     ldc: usize,
 ) {
-    let GemmDesc { m, n, k, mode, .. } = *desc;
-    if !telemetry::events_enabled() || m == 0 || n == 0 {
-        return;
-    }
-    if c.len() < (m - 1) * ldc + n {
+    let Some(key) = key else { return };
+    if m == 0 || n == 0 || c.len() < (m - 1) * ldc + n {
         return;
     }
     let hit = (0..m).any(|i| {
@@ -184,19 +183,17 @@ pub(crate) fn probe_nonfinite<T: AbftElem>(
         })
     });
     if hit {
-        let cs = telemetry::callsite_for(routine);
-        let mode_str = mode.env_value().unwrap_or("STANDARD");
-        telemetry::ledger::record_nonfinite_output(cs, m, n, k, mode_str);
-        telemetry::instant("nonfinite_output", site_attrs(routine, cs, mode_str));
+        ledger::record_nonfinite_output(key);
+        telemetry::instant("nonfinite_output", site_attrs(routine, key));
     }
 }
 
 /// The attributes that tie an instant event to the call that raised it.
-fn site_attrs(routine: &'static str, callsite: &'static str, mode_str: &'static str) -> Vec<Attr> {
+fn site_attrs(routine: &'static str, key: ledger::Key) -> Vec<Attr> {
     vec![
         Attr { key: "routine", value: AttrValue::Str(routine) },
-        Attr { key: "callsite", value: AttrValue::Str(callsite) },
-        Attr { key: "mode", value: AttrValue::Str(mode_str) },
+        Attr { key: "callsite", value: AttrValue::Str(key.callsite) },
+        Attr { key: "mode", value: AttrValue::Str(key.mode) },
     ]
 }
 
@@ -268,9 +265,11 @@ pub(crate) fn pre_sums<T: AbftElem>(
 
 /// Verifies the sampled call's output against the input checksums. Runs
 /// after the product *and* after fault injection, so injected flips are
-/// inside the checked window.
+/// inside the checked window. The outcome is recorded under the call's
+/// ledger `key` (present when telemetry events are on).
 pub(crate) fn check_gemm<T: AbftElem>(
     routine: &'static str,
+    key: Option<ledger::Key>,
     pre: PreSums,
     g: &GemmArgs<'_, T>,
     c: &[T],
@@ -355,21 +354,18 @@ pub(crate) fn check_gemm<T: AbftElem>(
         }
     }
 
-    let mode_str = mode.env_value().unwrap_or("STANDARD");
-    if telemetry::events_enabled() {
-        let cs = telemetry::callsite_for(routine);
+    if let Some(key) = key {
         let final_ratio = if ratio_nan { f64::NAN } else { max_ratio };
-        if worst.is_some() {
-            telemetry::ledger::record_abft_violation(cs, m, n, k, mode_str, final_ratio);
-        } else {
-            telemetry::ledger::record_abft_check(cs, m, n, k, mode_str, final_ratio);
+        match &worst {
+            Some(v) => {
+                ledger::record_abft_violation(key, final_ratio);
+                let mut attrs = site_attrs(routine, key);
+                attrs.push(Attr { key: "call", value: AttrValue::U64(v.call) });
+                attrs.push(Attr { key: "detail", value: AttrValue::Text(v.to_string()) });
+                telemetry::instant("abft_violation", attrs);
+            }
+            None => ledger::record_abft_check(key, final_ratio),
         }
-    }
-    if let Some(v) = &worst {
-        let mut attrs = site_attrs(routine, telemetry::callsite_for(routine), mode_str);
-        attrs.push(Attr { key: "call", value: AttrValue::U64(v.call) });
-        attrs.push(Attr { key: "detail", value: AttrValue::Text(v.to_string()) });
-        telemetry::instant("abft_violation", attrs);
     }
     context::with(|cx| {
         cx.abft_checks += 1;

@@ -206,11 +206,6 @@ pub fn clear_fault_plan() {
     context::with(|cx| cx.fault = None);
 }
 
-/// True while a plan is installed.
-pub fn fault_plan_installed() -> bool {
-    context::with(|cx| cx.fault.is_some())
-}
-
 /// Total GEMM calls made by this thread.
 pub fn gemm_call_count() -> u64 {
     context::with(|cx| cx.gemm_calls)

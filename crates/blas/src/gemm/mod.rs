@@ -74,10 +74,11 @@ fn stored_shapes(
 /// The one GEMM call pipeline. In order: count the call on the thread's
 /// [`context`] and sample it for ABFT (capturing β·C row sums before they
 /// are overwritten); run `product` in `mode` under [`observe`], which
-/// times it and emits the call's record; apply the fault plan, scoped on
-/// the mode the call executed in; probe the output for non-finite values;
-/// verify the checksum — after injection, so an injected flip lands
-/// between the product and its check.
+/// times it, emits the call's record and names its ledger row; apply the
+/// fault plan, scoped on the mode the call executed in; probe the output
+/// for non-finite values; verify the checksum — after injection, so an
+/// injected flip lands between the product and its check. Both checks
+/// report to the row `observe` named.
 fn gemm_call<T: AbftElem + FaultTarget>(
     routine: &'static str,
     domain: Domain,
@@ -94,11 +95,11 @@ fn gemm_call<T: AbftElem + FaultTarget>(
     } else {
         None
     };
-    observe(routine, transa, transb, desc, || product(mode, g, c));
+    let key = observe(routine, transa, transb, desc, || product(mode, g, c));
     fault::inject(routine, mode, ticket.call, c, m, n, ldc);
-    abft::probe_nonfinite(routine, &desc, c, ldc);
+    abft::probe_nonfinite(routine, key, c, m, n, ldc);
     if let Some(pre) = pre {
-        abft::check_gemm(routine, pre, g, c, mode);
+        abft::check_gemm(routine, key, pre, g, c, mode);
     }
 }
 

@@ -116,28 +116,31 @@ pub(crate) fn complex_gemm<T: MicroArch>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{deinterleave, materialize_op_complex};
     use dcmesh_numerics::c32;
 
     #[test]
     fn deinterleave_op_matches_materialize_then_deinterleave() {
-        // 2x3 complex matrix with lda = 4 (one padding column).
+        // 2x3 complex matrix with lda = 4 (one padding column), imaginary
+        // part = -real part.
         let a = [
             c32(1.0, -1.0), c32(2.0, -2.0), c32(3.0, -3.0), c32(99.0, 99.0),
             c32(4.0, -4.0), c32(5.0, -5.0), c32(6.0, -6.0), c32(99.0, 99.0),
         ];
-        for op in [Op::None, Op::Trans, Op::ConjTrans] {
+        // What materialising op(A) densely and then splitting its planes
+        // gives, written out: (op, real plane, sign of the imaginary one).
+        let as_stored = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let transposed = [1.0f32, 4.0, 2.0, 5.0, 3.0, 6.0];
+        for (op, want_re, im_sign) in [
+            (Op::None, as_stored, -1.0f32),
+            (Op::Trans, transposed, -1.0),
+            (Op::ConjTrans, transposed, 1.0),
+        ] {
             let (r, c) = op.applied_shape(2, 3);
             let mut re = vec![0.0f32; r * c];
             let mut im = vec![0.0f32; r * c];
             assert_eq!(deinterleave_op(op, &a, 2, 3, 4, &mut re, &mut im), (r, c));
-
-            let mut mat = Vec::new();
-            materialize_op_complex(op, &a, 2, 3, 4, &mut mat);
-            let (mut re2, mut im2) = (Vec::new(), Vec::new());
-            deinterleave(&mat, r, c, c, &mut re2, &mut im2);
-            assert_eq!(re, re2, "{op:?} re");
-            assert_eq!(im, im2, "{op:?} im");
+            assert_eq!(re, want_re, "{op:?} re");
+            assert_eq!(im, want_re.map(|v| im_sign * v), "{op:?} im");
         }
     }
 }

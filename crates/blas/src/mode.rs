@@ -61,6 +61,13 @@ impl ComputeMode {
         }
     }
 
+    /// The mode's `MKL_BLAS_COMPUTE_MODE` spelling, with `STANDARD` for the
+    /// default: the one string ledger rows, span attributes, verbose lines
+    /// and run reports key a mode on.
+    pub fn name(self) -> &'static str {
+        self.env_value().unwrap_or("STANDARD")
+    }
+
     /// Short display name as used in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {

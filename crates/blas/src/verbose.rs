@@ -34,7 +34,7 @@ use crate::device::{Domain, GemmDesc};
 use crate::mode::ComputeMode;
 use crate::Op;
 use dcmesh_telemetry as telemetry;
-use dcmesh_telemetry::AttrValue;
+use dcmesh_telemetry::{ledger, AttrValue};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -90,7 +90,7 @@ impl CallRecord {
             self.m,
             self.n,
             self.k,
-            self.mode.env_value().unwrap_or("STANDARD"),
+            self.mode.name(),
             self.wall.as_secs_f64() * 1e3,
             dev
         )
@@ -248,25 +248,29 @@ fn pool_traffic() -> (u64, u64) {
 /// The observe half of the call pipeline, shared by GEMM, GEMV and HERK:
 /// times `f` and emits the one [`CallRecord`] from which the telemetry
 /// span's end attributes, the `mkl_blas_*` metrics, the ledger row and the
-/// ring entry are all written. Returns the closure's result.
+/// ring entry are all written.
 ///
-/// The disabled path (no recording, `TELEMETRY=off`) is a thread-local
-/// read, a relaxed atomic load and a branch — measured by
-/// `telemetry_check --overhead-gate`.
-pub(crate) fn observe<R>(
+/// Returns the call's ledger key — resolved here, once, and only when
+/// telemetry events are on — so that whatever the caller checks about the
+/// output afterwards lands on the same row.
+///
+/// The disabled path (no recording, `TELEMETRY=off`) is two thread-local
+/// reads and a branch — measured by `telemetry_check --overhead-gate`.
+pub(crate) fn observe(
     routine: &'static str,
     transa: Op,
     transb: Op,
     desc: GemmDesc,
-    f: impl FnOnce() -> R,
-) -> R {
+    f: impl FnOnce(),
+) -> Option<ledger::Key> {
     let events = telemetry::events_enabled();
     let recording = recording();
     if !recording && !events {
-        return f();
+        f();
+        return None;
     }
-    let mode_str = desc.mode.env_value().unwrap_or("STANDARD");
-    let callsite = if events { Some(telemetry::callsite_for(routine)) } else { None };
+    let mode_str = desc.mode.name();
+    let key = events.then(|| ledger::Key::for_call(routine, desc.m, desc.n, desc.k, mode_str));
     let mut span = telemetry::sampled_span(routine);
     let pool_before = if span.armed() {
         span = span
@@ -276,8 +280,8 @@ pub(crate) fn observe<R>(
             .attr("n", AttrValue::U64(desc.n as u64))
             .attr("k", AttrValue::U64(desc.k as u64))
             .attr("mode", AttrValue::Str(mode_str));
-        if let Some(cs) = callsite {
-            span = span.attr("callsite", AttrValue::Str(cs));
+        if let Some(key) = key {
+            span = span.attr("callsite", AttrValue::Str(key.callsite));
         }
         span = span.enter();
         Some(pool_traffic())
@@ -285,7 +289,7 @@ pub(crate) fn observe<R>(
         None
     };
     let start = std::time::Instant::now();
-    let out = f();
+    f();
     let wall = start.elapsed();
     let rec = CallRecord {
         routine,
@@ -299,20 +303,12 @@ pub(crate) fn observe<R>(
         wall,
         device_seconds: crate::device::modelled_gemm_time(&desc),
     };
-    if let Some(callsite) = callsite {
+    if let Some(key) = key {
         blas_calls_total().inc();
         blas_wall_ns().observe(rec.wall.as_nanos() as u64);
         // Ledger statistics fold every call (not sampled): the
         // autotuner reads cost from here, not from sampled spans.
-        telemetry::ledger::record_call(
-            callsite,
-            rec.m,
-            rec.n,
-            rec.k,
-            mode_str,
-            rec.wall.as_secs_f64(),
-            rec.device_seconds,
-        );
+        ledger::record_call(key, rec.wall.as_secs_f64(), rec.device_seconds);
     }
     if let Some((takes0, misses0)) = pool_before {
         let (takes1, misses1) = pool_traffic();
@@ -327,7 +323,7 @@ pub(crate) fn observe<R>(
     if recording {
         record(rec);
     }
-    out
+    key
 }
 
 #[cfg(test)]

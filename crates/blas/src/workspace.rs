@@ -104,9 +104,7 @@ impl<T: Copy + Default> BufferPool<T> {
             buf.fill(T::default());
         }
         // Ledger the checked-out capacity (post-resize, so grows are
-        // counted at their real size). `put` reverses this; a buffer that
-        // grew *while checked out* (`vec_mut` extends) under-counts by the
-        // growth, which saturating_sub absorbs.
+        // counted at their real size). `put` reverses this.
         self.stats.bytes_outstanding += (buf.capacity() * core::mem::size_of::<T>()) as u64;
         buf
     }
@@ -170,15 +168,6 @@ pub struct PooledBuf<T: Poolable> {
     buf: Vec<T>,
 }
 
-impl<T: Poolable> PooledBuf<T> {
-    /// Mutable access to the underlying `Vec` for `extend`-style fills
-    /// (the materialise helpers build their output this way). The buffer
-    /// still returns to the pool on drop with whatever capacity it grew to.
-    pub fn vec_mut(&mut self) -> &mut Vec<T> {
-        &mut self.buf
-    }
-}
-
 impl<T: Poolable> Deref for PooledBuf<T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
@@ -225,16 +214,6 @@ pub fn take_zeroed<T: Poolable>(len: usize) -> PooledBuf<T> {
 /// overwrites (the packed operand blocks).
 pub fn take_scratch<T: Poolable>(len: usize) -> PooledBuf<T> {
     take(len, false)
-}
-
-/// Checks out an empty (`len == 0`) buffer with at least `capacity`
-/// reserved, for `extend`-style fills via [`PooledBuf::vec_mut`].
-pub fn take_empty<T: Poolable>(capacity: usize) -> PooledBuf<T> {
-    // Checkout at the full capacity so the pool's recycling/grow logic
-    // applies, then rewind the length for the caller's `extend`.
-    let mut b = take::<T>(capacity, false);
-    b.buf.clear();
-    b
 }
 
 /// A copy of the calling thread's pool counters for `T`.
@@ -340,16 +319,6 @@ mod tests {
             let s = stats::<f32>();
             assert_eq!(s.takes, 4);
             assert_eq!(s.misses, 2, "only the first step allocates");
-        });
-    }
-
-    #[test]
-    fn take_empty_reserves() {
-        with_fresh_workspace(|| {
-            let mut b = take_empty::<f32>(50);
-            assert!(b.is_empty());
-            b.vec_mut().extend(std::iter::repeat_n(1.0, 50));
-            assert_eq!(b.len(), 50);
         });
     }
 

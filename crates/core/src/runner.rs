@@ -186,7 +186,7 @@ pub(crate) fn run_burst<T: LfdScalar>(
         .attr(
             "mode",
             dcmesh_telemetry::AttrValue::Str(
-                mkl_lite::compute_mode().env_value().unwrap_or("STANDARD"),
+                mkl_lite::compute_mode().name(),
             ),
         )
         .enter();

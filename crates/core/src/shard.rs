@@ -482,7 +482,7 @@ impl Manifest {
             json::escape_string(&deck_text),
             cfg.n_domains,
             cfg.ranks,
-            json::escape_string(cfg.start_mode.env_value().unwrap_or("STANDARD")),
+            json::escape_string(cfg.start_mode.name()),
             cfg.heartbeat_interval.as_millis(),
             cfg.poll_interval.as_millis(),
             deesc,
@@ -886,7 +886,7 @@ fn run_domain(
                 run_out.escalations.len(),
                 run_out.sdc_recoveries,
                 run_out.lowdin_fallbacks,
-                json::escape_string(run_out.final_mode.env_value().unwrap_or("STANDARD")),
+                json::escape_string(run_out.final_mode.name()),
                 json::escape_string(&run_out.result.label),
             )
         }

@@ -433,7 +433,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
                     // kept until the escalation decision below consumes
                     // it.
                     if dcmesh_telemetry::events_enabled() {
-                        let mode_label = mode.env_value().unwrap_or("STANDARD");
+                        let mode_label = mode.name();
                         dcmesh_telemetry::ledger::record_health_violation(
                             violation.kind(),
                             mode_label,
@@ -450,7 +450,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
                             dcmesh_telemetry::Attr {
                                 key: "mode",
                                 value: dcmesh_telemetry::AttrValue::Str(
-                                    mode.env_value().unwrap_or("STANDARD"),
+                                    mode.name(),
                                 ),
                             },
                         ],
@@ -512,10 +512,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
                     };
                     escalation_counter().inc();
                     if dcmesh_telemetry::events_enabled() {
-                        dcmesh_telemetry::ledger::record_escalation(
-                            current.env_value().unwrap_or("STANDARD"),
-                            next.env_value().unwrap_or("STANDARD"),
-                        );
+                        dcmesh_telemetry::ledger::record_escalation(current.name());
                     }
                     dcmesh_telemetry::instant(
                         "escalation",
@@ -527,13 +524,13 @@ pub fn run_supervised_observed<T: LfdScalar>(
                             dcmesh_telemetry::Attr {
                                 key: "from",
                                 value: dcmesh_telemetry::AttrValue::Str(
-                                    current.env_value().unwrap_or("STANDARD"),
+                                    current.name(),
                                 ),
                             },
                             dcmesh_telemetry::Attr {
                                 key: "to",
                                 value: dcmesh_telemetry::AttrValue::Str(
-                                    next.env_value().unwrap_or("STANDARD"),
+                                    next.name(),
                                 ),
                             },
                             dcmesh_telemetry::Attr {
@@ -561,7 +558,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
         scf_defect_histogram().observe((defect.max(0.0) * 1e12) as u64);
         if dcmesh_telemetry::events_enabled() {
             dcmesh_telemetry::ledger::record_scf_defect(
-                current.env_value().unwrap_or("STANDARD"),
+                current.name(),
                 defect,
             );
         }
@@ -579,13 +576,13 @@ pub fn run_supervised_observed<T: LfdScalar>(
                     dcmesh_telemetry::Attr {
                         key: "from",
                         value: dcmesh_telemetry::AttrValue::Str(
-                            current.env_value().unwrap_or("STANDARD"),
+                            current.name(),
                         ),
                     },
                     dcmesh_telemetry::Attr {
                         key: "to",
                         value: dcmesh_telemetry::AttrValue::Str(
-                            next.env_value().unwrap_or("STANDARD"),
+                            next.name(),
                         ),
                     },
                     dcmesh_telemetry::Attr {

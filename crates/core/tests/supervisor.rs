@@ -118,7 +118,6 @@ fn fault_injected_run_emits_escalation_in_trace() {
     use dcmesh_telemetry as telemetry;
     let cfg = tiny();
     telemetry::with_level(telemetry::TelemetryLevel::Full, || {
-        telemetry::sink::clear();
         install_fault_plan(FaultPlan::new(7).with_site(
             FaultSite::every(1, FaultKind::Nan)
                 .on_routine("CGEMM")
@@ -186,7 +185,6 @@ fn deescalation_steps_back_down_after_clean_bursts() {
     let cfg = tiny(); // 3 bursts of 20 QD steps
 
     telemetry::with_level(telemetry::TelemetryLevel::Full, || {
-        telemetry::sink::clear();
         install_fault_plan(FaultPlan::new(7).with_site(
             FaultSite::every(1, FaultKind::Nan)
                 .on_routine("CGEMM")
@@ -345,14 +343,21 @@ fn scf_boundary_products_land_in_the_ledger_under_their_phase() {
                 .map(|r| r.stats.calls)
                 .sum()
         };
-        let bursts = (cfg.total_qd_steps / cfg.qd_steps_per_md) as u64;
-        for routine in ["zherk", "zgemm", "dgemm"] {
+        // One refresh per burst plus the initial SCF's three passes. Each
+        // is two overlap ZHERKs (a grid-sized ZGEMM inside each), `Ψ†H₀Ψ`,
+        // four subspace products and the rotation, and `eigh`'s
+        // back-transform twice. The ledger is this thread's alone, so the
+        // counts are exact.
+        let refreshes = (cfg.total_qd_steps / cfg.qd_steps_per_md) as u64 + 3;
+        for (routine, per_refresh) in [("zherk", 2), ("zgemm", 8), ("dgemm", 2)] {
             let callsite = format!("qxmd::scf_refresh/{routine}");
-            assert!(
-                calls(&callsite, "") >= bursts,
-                "{callsite} missing from the ledger: {:?}",
+            assert_eq!(
+                calls(&callsite, ""),
+                per_refresh * refreshes,
+                "{callsite}: {:?}",
                 rows.iter().map(|r| (&r.callsite, &r.shape, r.stats.calls)).collect::<Vec<_>>()
             );
         }
+        assert_eq!(calls("qxmd::scf_refresh/zgemm", "1024x"), refreshes, "one rotation each");
     });
 }

@@ -198,10 +198,6 @@ pub fn advise(records: &[RunRecord]) -> Advice {
     Advice { runs: records.len() as u64, plan }
 }
 
-fn mode_label(mode: ComputeMode) -> &'static str {
-    mode.env_value().unwrap_or("STANDARD")
-}
-
 /// Serialises a plan as the `advice.json` document (schema v1).
 pub fn advice_json(a: &Advice) -> String {
     let mut out = format!(
@@ -223,8 +219,8 @@ pub fn advice_json(a: &Advice) -> String {
              \"observed\":[",
             json::escape_string(&p.callsite),
             json::escape_string(&p.shape),
-            json::escape_string(mode_label(p.min_safe_mode)),
-            json::escape_string(mode_label(p.recommended_mode)),
+            json::escape_string(p.min_safe_mode.name()),
+            json::escape_string(p.recommended_mode.name()),
             json::number(p.predicted_seconds),
             json::number(p.predicted_speedup_vs_fp32),
         ));
@@ -263,8 +259,8 @@ pub fn render_advice(a: &Advice) -> String {
             "{:<34} {:>20} {:<16} {:<16} {:>12.3e} {:>8.2} {:>9}\n",
             p.callsite,
             p.shape,
-            mode_label(p.min_safe_mode),
-            mode_label(p.recommended_mode),
+            p.min_safe_mode.name(),
+            p.recommended_mode.name(),
             p.predicted_seconds,
             p.predicted_speedup_vs_fp32,
             headroom

@@ -113,7 +113,7 @@ impl WatchLedger {
             .attr_str("callsite")
             .map(str::to_string)
             .unwrap_or_else(|| format!("app/{}", span.name.to_lowercase()));
-        let shape = ledger::shape_class(m as usize, n as usize, k as usize).to_string();
+        let shape = ledger::shape_class(m as usize, n as usize, k as usize);
         let mode = mode.to_string();
         let wall = span.attr_f64("wall_s").unwrap_or(span.dur_ns() as f64 / 1e9);
         let device = span.attr_f64("device_s");

@@ -12,7 +12,6 @@ use telemetry::{export, sink, AttrValue, TelemetryLevel};
 /// its JSONL dump.
 fn produce_jsonl() -> String {
     telemetry::with_level(TelemetryLevel::Full, || {
-        sink::clear();
         for (burst_idx, mode) in [(0u64, "STANDARD"), (1u64, "FLOAT_TO_BF16")] {
             let _burst = telemetry::span("burst")
                 .attr("burst_index", AttrValue::U64(burst_idx))
@@ -85,10 +84,7 @@ fn table_speedups_from_real_stream() {
 #[test]
 fn sampled_stream_weights_sum_to_total_calls() {
     let jsonl = telemetry::with_level(TelemetryLevel::Events, || {
-        sink::clear();
-        let saved = telemetry::sample_interval();
         telemetry::set_sample_interval(8);
-        telemetry::span::reset_sample_counter();
         for _ in 0..64 {
             let _g = telemetry::sampled_span("CGEMM")
                 .attr("m", AttrValue::U64(16))
@@ -97,7 +93,6 @@ fn sampled_stream_weights_sum_to_total_calls() {
                 .attr("mode", AttrValue::Str("TF32"))
                 .enter();
         }
-        telemetry::set_sample_interval(saved);
         export::jsonl(&sink::drain())
     });
     let trace = ingest::ingest_jsonl(&jsonl);

@@ -11,16 +11,17 @@
 //! or `qxmd::scf_refresh/dgemm`. The **phase** half is set by the
 //! enclosing code via [`phase_scope`] — an RAII guard holding a
 //! thread-local `&'static str` — and the **routine** half is supplied by
-//! `mkl_lite::logged` at the call chokepoint. IDs are interned to
-//! `&'static str` so they can ride in [`crate::AttrValue::Str`] span
-//! attributes and be hashed/compared by pointer-free `&str` equality in
-//! the [`crate::ledger`] without per-call allocation after first use.
+//! `mkl_lite::verbose::observe` at the call chokepoint. IDs are interned
+//! to `&'static str` so they can ride in [`crate::AttrValue::Str`] span
+//! attributes and key the [`crate::ledger`], and each thread remembers the
+//! IDs it has minted, so naming a call neither allocates nor takes the
+//! interner's lock after the first call from that (phase, routine).
 //!
 //! Phase scoping is *unconditional* (one `Cell` swap, no atomics, no
 //! branches on telemetry level) so the phase is always correct even if
 //! telemetry is enabled mid-run.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
@@ -29,6 +30,9 @@ pub const DEFAULT_PHASE: &str = "app";
 
 thread_local! {
     static CURRENT_PHASE: Cell<&'static str> = const { Cell::new(DEFAULT_PHASE) };
+    /// `(phase, routine, id)` for every callsite this thread has minted.
+    static MINTED: RefCell<Vec<(&'static str, &'static str, &'static str)>> =
+        const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard restoring the previous phase on drop. Created by
@@ -62,16 +66,13 @@ pub fn current_phase() -> &'static str {
     CURRENT_PHASE.with(|c| c.get())
 }
 
-fn registry() -> &'static Mutex<BTreeSet<&'static str>> {
-    static REGISTRY: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    &REGISTRY
-}
-
 /// Interns an arbitrary string, returning a `&'static str` that lives
 /// for the process. Each unique string leaks exactly once; repeated
-/// calls return the existing interned copy.
+/// calls return the existing interned copy. The one process-wide table in
+/// this module: leaked strings are process-lifetime by construction.
 pub fn intern(s: &str) -> &'static str {
-    let mut reg = registry().lock().unwrap();
+    static REGISTRY: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut reg = REGISTRY.lock().unwrap();
     if let Some(existing) = reg.get(s) {
         return existing;
     }
@@ -81,24 +82,19 @@ pub fn intern(s: &str) -> &'static str {
 }
 
 /// Mints the callsite ID for a routine called from the current phase:
-/// `"{phase}/{routine-lowercased}"`. The result is interned, so the
-/// common path after warm-up is one lock plus a `BTreeSet` lookup and
-/// no allocation.
-pub fn callsite_for(routine: &str) -> &'static str {
+/// `"{phase}/{routine-lowercased}"`, interned. After the first call from
+/// a (phase, routine) pair the ID comes from the thread's own short list:
+/// no lock, no allocation.
+pub fn callsite_for(routine: &'static str) -> &'static str {
     let phase = current_phase();
-    let mut id = String::with_capacity(phase.len() + 1 + routine.len());
-    id.push_str(phase);
-    id.push('/');
-    for ch in routine.chars() {
-        id.extend(ch.to_lowercase());
-    }
-    intern(&id)
-}
-
-/// Every callsite ID minted so far, sorted. Diagnostic surface for the
-/// ledger exporter and tests.
-pub fn all_callsites() -> Vec<&'static str> {
-    registry().lock().unwrap().iter().copied().collect()
+    MINTED.with_borrow_mut(|minted| {
+        if let Some(&(_, _, id)) = minted.iter().find(|&&(p, r, _)| p == phase && r == routine) {
+            return id;
+        }
+        let id = intern(&format!("{phase}/{}", routine.to_lowercase()));
+        minted.push((phase, routine, id));
+        id
+    })
 }
 
 #[cfg(test)]
@@ -138,7 +134,9 @@ mod tests {
         let a = callsite_for("DGEMM_callsite_test");
         let b = callsite_for("DGEMM_callsite_test");
         assert!(std::ptr::eq(a, b), "same pointer for repeated interns");
-        assert!(all_callsites().contains(&a));
+        // Another thread minting the same ID gets the same interned copy.
+        let c = std::thread::spawn(|| callsite_for("DGEMM_callsite_test")).join().unwrap();
+        assert!(std::ptr::eq(a, c));
     }
 
     #[test]

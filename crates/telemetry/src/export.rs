@@ -9,34 +9,12 @@
 
 use crate::event::{AttrValue, Event, EventKind, Track};
 use crate::json::{self, JsonValue, ParseError};
+use crate::sink;
 
 /// Chrome-trace pid for host wall-clock events.
 pub const HOST_PID: u64 = 1;
 /// Chrome-trace pid for the simulated device timeline.
 pub const DEVICE_PID: u64 = 2;
-
-use crate::sink;
-use std::sync::{Arc, OnceLock};
-
-fn dropped_events_gauge() -> &'static Arc<crate::metrics::Gauge> {
-    static G: OnceLock<Arc<crate::metrics::Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        crate::metrics::gauge(
-            "telemetry_dropped_events",
-            "events discarded because the sink ring was full",
-        )
-    })
-}
-
-fn truncated_attrs_gauge() -> &'static Arc<crate::metrics::Gauge> {
-    static G: OnceLock<Arc<crate::metrics::Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        crate::metrics::gauge(
-            "telemetry_truncated_attrs",
-            "attributes discarded because an event exceeded MAX_ATTRS",
-        )
-    })
-}
 
 /// Renders every registered metric in Prometheus text format, after
 /// refreshing the sink-health gauges (`telemetry_dropped_events`,
@@ -44,8 +22,11 @@ fn truncated_attrs_gauge() -> &'static Arc<crate::metrics::Gauge> {
 /// reading `metrics.prom` — can judge trace coverage without access to
 /// the process.
 pub fn prometheus_dump() -> String {
-    dropped_events_gauge().set(sink::dropped_events() as f64);
-    truncated_attrs_gauge().set(sink::truncated_attrs() as f64);
+    use crate::metrics::gauge;
+    gauge("telemetry_dropped_events", "events discarded because the sink ring was full")
+        .set(sink::dropped_events() as f64);
+    gauge("telemetry_truncated_attrs", "attributes discarded because an event exceeded MAX_ATTRS")
+        .set(sink::truncated_attrs() as f64);
     crate::metrics::prometheus_dump()
 }
 

@@ -1,17 +1,19 @@
-//! Process-global telemetry level, mirroring the `MKL_VERBOSE` /
-//! `MKL_BLAS_COMPUTE_MODE` conventions of `mkl-lite`: lazy environment
-//! initialisation, a runtime setter that overrides the environment, and
-//! a scoped override for in-process sweeps and tests.
+//! The telemetry level of the calling thread's [`crate::recorder`],
+//! mirroring the `MKL_VERBOSE` / `MKL_BLAS_COMPUTE_MODE` conventions of
+//! `mkl-lite`: read from the environment when the thread first touches
+//! telemetry, a runtime setter that overrides the environment, and a scoped
+//! override for in-process sweeps and tests. Like every other piece of
+//! recorder state it is per thread: an override is seen by the thread that
+//! made it and by no other, and a new thread starts from `TELEMETRY`.
 
-use crate::TELEMETRY_ENV;
-use parking_lot::{Mutex, ReentrantMutex};
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::recorder;
 
 /// How much the telemetry layer records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TelemetryLevel {
     /// Nothing is recorded. Every instrumentation point reduces to one
-    /// relaxed atomic load.
+    /// thread-local read and a branch.
+    #[default]
     Off = 0,
     /// Discrete events (escalations, health violations, checkpoints) and
     /// metrics are recorded; high-frequency spans are skipped.
@@ -43,88 +45,42 @@ impl TelemetryLevel {
     }
 }
 
-/// Sentinel meaning "not yet initialised from the environment".
-const LEVEL_UNSET: u8 = u8::MAX;
-
-static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNSET);
-static INIT_LOCK: Mutex<()> = Mutex::new(());
-/// Serialises scoped overrides (reentrant so overrides may nest).
-static OVERRIDE_LOCK: ReentrantMutex<()> = ReentrantMutex::new(());
-
-fn from_u8(v: u8) -> TelemetryLevel {
-    match v {
-        1 => TelemetryLevel::Events,
-        2 => TelemetryLevel::Full,
-        _ => TelemetryLevel::Off,
-    }
-}
-
-/// Returns the current level, initialising from `TELEMETRY` on first
-/// use. An unrecognised environment value falls back to `Off` with a
-/// warning — telemetry must never abort a physics run.
+/// Returns the calling thread's current level.
 pub fn level() -> TelemetryLevel {
-    let v = LEVEL.load(Ordering::Relaxed);
-    if v != LEVEL_UNSET {
-        return from_u8(v);
-    }
-    let _g = INIT_LOCK.lock();
-    let v = LEVEL.load(Ordering::Relaxed);
-    if v != LEVEL_UNSET {
-        return from_u8(v);
-    }
-    let lvl = match std::env::var(TELEMETRY_ENV) {
-        Ok(s) => TelemetryLevel::from_env_value(&s).unwrap_or_else(|| {
-            eprintln!("warning: unrecognised {TELEMETRY_ENV}={s:?}; telemetry stays off");
-            TelemetryLevel::Off
-        }),
-        Err(_) => TelemetryLevel::Off,
-    };
-    LEVEL.store(lvl as u8, Ordering::Relaxed);
-    lvl
+    recorder::with(|r| r.level)
 }
 
-/// Sets the global level (overrides the environment).
+/// Sets the calling thread's level (overrides the environment).
 pub fn set_level(lvl: TelemetryLevel) {
-    LEVEL.store(lvl as u8, Ordering::Relaxed);
+    recorder::with(|r| r.level = lvl);
 }
 
-/// Runs `f` with the level temporarily set to `lvl`, restoring the
-/// previous level afterwards (also on panic). Overrides are serialised
-/// process-wide; nested overrides from the same thread are fine.
+/// Runs `f` with the calling thread's level temporarily set to `lvl`,
+/// restoring the previous level afterwards (also on panic). Overrides nest;
+/// the recorder is not borrowed while `f` runs.
 pub fn with_level<R>(lvl: TelemetryLevel, f: impl FnOnce() -> R) -> R {
-    let _guard = OVERRIDE_LOCK.lock();
-    let previous = level();
-    set_level(lvl);
     struct Restore(TelemetryLevel);
     impl Drop for Restore {
         fn drop(&mut self) {
             set_level(self.0);
         }
     }
-    let _restore = Restore(previous);
+    let _restore = Restore(recorder::with(|r| std::mem::replace(&mut r.level, lvl)));
     f()
 }
 
 /// True when discrete events and metrics should be recorded
-/// (`Events` or `Full`). The hot-path check: one relaxed load.
+/// (`Events` or `Full`). The hot-path check: one thread-local read.
 #[inline]
 pub fn events_enabled() -> bool {
-    let v = LEVEL.load(Ordering::Relaxed);
-    if v == LEVEL_UNSET {
-        return level() >= TelemetryLevel::Events;
-    }
-    v >= TelemetryLevel::Events as u8
+    level() >= TelemetryLevel::Events
 }
 
 /// True when high-frequency spans (per-BLAS-call, per-QD-sub-phase) and
 /// the device kernel timeline should be recorded (`Full` only).
 #[inline]
 pub fn spans_enabled() -> bool {
-    let v = LEVEL.load(Ordering::Relaxed);
-    if v == LEVEL_UNSET {
-        return level() == TelemetryLevel::Full;
-    }
-    v == TelemetryLevel::Full as u8
+    level() == TelemetryLevel::Full
 }
 
 #[cfg(test)]
@@ -163,6 +119,21 @@ mod tests {
             });
             assert!(r.is_err());
             assert_eq!(level(), TelemetryLevel::Off);
+        });
+    }
+
+    #[test]
+    fn a_new_thread_starts_from_the_environment_not_its_parents_override() {
+        // What a thread that never overrode anything sees is what the
+        // environment gives (whatever the harness was started with).
+        let from_env = || (level(), crate::sink::capacity(), crate::span::sample_interval());
+        let baseline = std::thread::spawn(from_env).join().expect("baseline thread");
+        with_level(TelemetryLevel::Full, || {
+            crate::sink::set_capacity(7);
+            crate::span::set_sample_interval(3);
+            assert_eq!(from_env(), (TelemetryLevel::Full, 7, 3));
+            let child = std::thread::spawn(from_env).join().expect("child thread");
+            assert_eq!(child, baseline, "overrides are not inherited");
         });
     }
 }

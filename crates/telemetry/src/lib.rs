@@ -29,10 +29,17 @@
 //!
 //! Control mirrors the `MKL_VERBOSE` convention: the `TELEMETRY`
 //! environment variable (`off` | `events` | `full`) or the programmatic
-//! [`set_level`]. `off` is the default and costs one relaxed atomic load
+//! [`set_level`]. `off` is the default and costs one thread-local read
 //! per instrumentation point — the disabled path allocates nothing and
 //! takes no locks (the `telemetry_check --overhead-gate` bench enforces
 //! this stays below 2% of a QD step).
+//!
+//! **Whose record.** The level, the event ring, the span sampler and the
+//! live ledger are one `Recorder` owned by the calling thread (DESIGN.md
+//! "Whose state"), as `mkl-lite`'s BLAS state is one `BlasContext`: a new
+//! thread starts from the environment, and two runs in one process do not
+//! see each other. Only what is not per run stays process-wide: the clock
+//! epoch, thread ids, the string interner and the metric registry.
 //!
 //! ```
 //! use dcmesh_telemetry as telemetry;
@@ -60,6 +67,7 @@ pub mod json;
 pub mod ledger;
 pub mod level;
 pub mod metrics;
+pub mod recorder;
 pub mod sink;
 pub mod span;
 
@@ -73,12 +81,12 @@ pub use span::{
 };
 
 /// The environment variable selecting the telemetry level
-/// (`off` | `events` | `full`), read lazily on first use exactly like
-/// `MKL_VERBOSE` / `MKL_BLAS_COMPUTE_MODE`.
+/// (`off` | `events` | `full`), read when a thread first touches
+/// telemetry, like `MKL_BLAS_COMPUTE_MODE`.
 pub const TELEMETRY_ENV: &str = "TELEMETRY";
 
 /// The environment variable bounding the event sink's ring buffer
-/// (total events retained across all shards; oldest are dropped first).
+/// (events retained per recording thread; oldest are dropped first).
 pub const TELEMETRY_BUFFER_ENV: &str = "TELEMETRY_BUFFER";
 
 /// The environment variable selecting the 1-in-N sampling interval for

@@ -152,71 +152,45 @@ struct Entry {
 
 static REGISTRY: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
 
-fn get_or_insert<T>(
+fn get_or_insert<T: Default>(
     name: &'static str,
     help: &'static str,
-    select: impl Fn(&Metric) -> Option<Arc<T>>,
-    make: impl FnOnce() -> (Arc<T>, Metric),
+    wrap: fn(Arc<T>) -> Metric,
+    select: fn(&Metric) -> Option<&Arc<T>>,
 ) -> Arc<T> {
     let mut reg = REGISTRY.lock();
-    for e in reg.iter() {
-        if e.name == name {
-            return select(&e.metric).unwrap_or_else(|| {
-                panic!("telemetry metric {name:?} already registered with a different type")
-            });
-        }
+    if let Some(e) = reg.iter().find(|e| e.name == name) {
+        return select(&e.metric).cloned().unwrap_or_else(|| {
+            panic!("telemetry metric {name:?} already registered with a different type")
+        });
     }
-    let (handle, metric) = make();
-    reg.push(Entry { name, help, metric });
+    let handle = Arc::new(T::default());
+    reg.push(Entry { name, help, metric: wrap(handle.clone()) });
     handle
 }
 
 /// Gets or creates the counter `name`.
 pub fn counter(name: &'static str, help: &'static str) -> Arc<Counter> {
-    get_or_insert(
-        name,
-        help,
-        |m| match m {
-            Metric::Counter(c) => Some(c.clone()),
-            _ => None,
-        },
-        || {
-            let c = Arc::new(Counter::default());
-            (c.clone(), Metric::Counter(c))
-        },
-    )
+    get_or_insert(name, help, Metric::Counter, |m| match m {
+        Metric::Counter(c) => Some(c),
+        _ => None,
+    })
 }
 
 /// Gets or creates the gauge `name`.
 pub fn gauge(name: &'static str, help: &'static str) -> Arc<Gauge> {
-    get_or_insert(
-        name,
-        help,
-        |m| match m {
-            Metric::Gauge(g) => Some(g.clone()),
-            _ => None,
-        },
-        || {
-            let g = Arc::new(Gauge::default());
-            (g.clone(), Metric::Gauge(g))
-        },
-    )
+    get_or_insert(name, help, Metric::Gauge, |m| match m {
+        Metric::Gauge(g) => Some(g),
+        _ => None,
+    })
 }
 
 /// Gets or creates the histogram `name`.
 pub fn histogram(name: &'static str, help: &'static str) -> Arc<Histogram> {
-    get_or_insert(
-        name,
-        help,
-        |m| match m {
-            Metric::Histogram(h) => Some(h.clone()),
-            _ => None,
-        },
-        || {
-            let h = Arc::new(Histogram::default());
-            (h.clone(), Metric::Histogram(h))
-        },
-    )
+    get_or_insert(name, help, Metric::Histogram, |m| match m {
+        Metric::Histogram(h) => Some(h),
+        _ => None,
+    })
 }
 
 /// Escapes a string for use inside a Prometheus label value: backslash,

@@ -1,50 +1,32 @@
-//! The event sink: a sharded, bounded, in-memory ring of [`Event`]s.
+//! The event sink: the bounded, in-memory ring of [`Event`]s owned by the
+//! calling thread's [`crate::recorder`].
 //!
-//! Producers publish into one of [`SHARD_COUNT`] independently locked
-//! shards selected by thread id, so concurrent QD-step threads almost
-//! never contend on the same lock, and each critical section is a ring
-//! push — "lock-free-ish": not a CAS loop, but no global lock and no
+//! Each thread publishes into, drains and clears only its own ring, so a
+//! run's event stream is exactly what its own thread emitted, in
+//! publication order (`seq` numbers the recorder's events from 0). A
+//! publish is a short `RefCell` borrow and a ring push: no lock, and no
 //! allocation in steady state (the ring reuses its storage once warm).
 //!
-//! The sink is **bounded**: when a shard's ring is full the oldest event
-//! in that shard is dropped and counted, so a million-call run cannot
-//! grow memory without limit (the same policy the `mkl_lite::verbose`
-//! ring buffer adopts). Capacity comes from `TELEMETRY_BUFFER` or
-//! [`set_capacity`].
+//! The sink is **bounded**: when the ring holds [`capacity`] events the
+//! oldest is dropped and counted, so a million-call run cannot grow memory
+//! without limit (the same policy the `mkl_lite::verbose` ring buffer
+//! adopts). Capacity comes from `TELEMETRY_BUFFER` or [`set_capacity`],
+//! and one producer thread gets all of it.
 //!
-//! A global sequence number gives a total order across shards;
-//! [`drain`] merges shards back into publication order.
+//! The clock epoch and the dense thread-id allocator below are the two
+//! things here that are process-wide: neither belongs to a run.
 
-use crate::event::{Attr, AttrValue, Event, EventKind, Track, MAX_ATTRS};
-use crate::TELEMETRY_BUFFER_ENV;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::event::{Attr, AttrValue, Event, EventKind, Track};
+use crate::recorder;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Number of independently locked shards.
-pub const SHARD_COUNT: usize = 16;
-
-/// Default total event capacity across all shards.
+/// Default event capacity of a recorder's ring.
 pub const DEFAULT_CAPACITY: usize = 1 << 18; // 262 144 events
 
-#[derive(Default)]
-struct Shard {
-    ring: VecDeque<Event>,
-}
-
-static SHARDS: [Mutex<Shard>; SHARD_COUNT] = [const { Mutex::new(Shard { ring: VecDeque::new() }) }; SHARD_COUNT];
-static SEQ: AtomicU64 = AtomicU64::new(0);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static TRUNCATED_ATTRS: AtomicU64 = AtomicU64::new(0);
-/// 0 means "not yet initialised from the environment".
-static CAPACITY: AtomicUsize = AtomicUsize::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
-/// Rank / divide-and-conquer domain id of this process (0 by default;
-/// set once by the run entry points from `DCMESH_RANK`).
-static RANK: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
@@ -78,15 +60,16 @@ pub fn run_epoch_unix_ns() -> u64 {
     epoch().1
 }
 
-/// Sets this process's rank / domain id, stamped into the exported
-/// metadata event so the multi-rank merger can tell streams apart.
+/// Sets the rank / domain id of the run on this thread, stamped into the
+/// exported metadata event so the multi-rank merger can tell streams
+/// apart (the run entry points set it from `DCMESH_RANK`).
 pub fn set_rank(rank: u64) {
-    RANK.store(rank, Ordering::Relaxed);
+    recorder::with(|r| r.rank = rank);
 }
 
-/// This process's rank / domain id (0 unless [`set_rank`] was called).
+/// This thread's rank / domain id (0 unless [`set_rank`] was called).
 pub fn rank() -> u64 {
-    RANK.load(Ordering::Relaxed)
+    recorder::with(|r| r.rank)
 }
 
 /// The stream-metadata event exporters prepend to serialised dumps: the
@@ -94,6 +77,7 @@ pub fn rank() -> u64 {
 /// interval. Synthetic — it never sits in the ring — so its `seq` is 0
 /// and its timestamp is the epoch itself (`ts_ns` 0).
 pub fn run_meta_event() -> Event {
+    let (rank, sample_n) = recorder::with(|r| (r.rank, r.sample_n));
     Event {
         seq: 0,
         ts_ns: 0,
@@ -103,186 +87,136 @@ pub fn run_meta_event() -> Event {
         tid: 0,
         attrs: vec![
             Attr { key: "run_epoch", value: AttrValue::U64(run_epoch_unix_ns()) },
-            Attr { key: "rank", value: AttrValue::U64(rank()) },
-            Attr { key: "sample_n", value: AttrValue::U64(crate::span::sample_interval()) },
+            Attr { key: "rank", value: AttrValue::U64(rank) },
+            Attr { key: "sample_n", value: AttrValue::U64(sample_n) },
         ],
     }
 }
 
-fn capacity_total() -> usize {
-    let c = CAPACITY.load(Ordering::Relaxed);
-    if c != 0 {
-        return c;
-    }
-    let c = std::env::var(TELEMETRY_BUFFER_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CAPACITY);
-    CAPACITY.store(c, Ordering::Relaxed);
-    c
-}
-
-/// Sets the total event capacity (spread across shards; at least one
-/// event per shard). Shrinking takes effect as shards next publish.
+/// Sets this thread's event capacity (at least one event). Shrinking
+/// takes effect at the next publish.
 pub fn set_capacity(total: usize) {
-    CAPACITY.store(total.max(SHARD_COUNT), Ordering::Relaxed);
+    recorder::with(|r| r.capacity = total.max(1));
 }
 
-/// Current total event capacity.
+/// This thread's event capacity.
 pub fn capacity() -> usize {
-    capacity_total()
+    recorder::with(|r| r.capacity)
 }
 
-/// Events discarded because a shard's ring was full.
+/// Events discarded because the ring was full.
 pub fn dropped_events() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    recorder::with(|r| r.dropped)
 }
 
 /// Attributes discarded because an event carried more than
-/// [`MAX_ATTRS`].
+/// [`crate::event::MAX_ATTRS`].
 pub fn truncated_attrs() -> u64 {
-    TRUNCATED_ATTRS.load(Ordering::Relaxed)
+    recorder::with(|r| r.truncated_attrs)
 }
 
 /// Publishes one event. Callers are expected to have checked the level
 /// gate already ([`crate::spans_enabled`] / [`crate::events_enabled`]);
 /// publishing is unconditional so export-time tooling can inject
 /// synthetic events.
-pub fn publish(
-    name: &'static str,
-    kind: EventKind,
-    track: Track,
-    ts_ns: u64,
-    mut attrs: Vec<Attr>,
-) {
-    if attrs.len() > MAX_ATTRS {
-        TRUNCATED_ATTRS.fetch_add((attrs.len() - MAX_ATTRS) as u64, Ordering::Relaxed);
-        attrs.truncate(MAX_ATTRS);
-    }
-    let tid = thread_id();
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let per_shard = (capacity_total() / SHARD_COUNT).max(1);
-    let shard = &SHARDS[(tid as usize) % SHARD_COUNT];
-    let mut guard = shard.lock();
-    while guard.ring.len() >= per_shard {
-        guard.ring.pop_front();
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-    guard.ring.push_back(Event { seq, ts_ns, name, kind, track, tid, attrs });
+pub fn publish(name: &'static str, kind: EventKind, track: Track, ts_ns: u64, attrs: Vec<Attr>) {
+    let ev = Event { seq: 0, ts_ns, name, kind, track, tid: thread_id(), attrs };
+    recorder::with(|r| r.publish(ev));
 }
 
-/// Removes and returns all buffered events, merged into global
-/// publication order.
+/// Removes and returns this thread's buffered events in publication
+/// order.
 pub fn drain() -> Vec<Event> {
-    let mut out: Vec<Event> = Vec::new();
-    for shard in &SHARDS {
-        out.extend(std::mem::take(&mut shard.lock().ring));
-    }
-    out.sort_by_key(|e| e.seq);
-    out
+    recorder::with(|r| r.ring.drain(..).collect())
 }
 
-/// Returns a copy of all buffered events without clearing, merged into
-/// global publication order.
+/// Returns a copy of this thread's buffered events without clearing.
 pub fn snapshot() -> Vec<Event> {
-    let mut out: Vec<Event> = Vec::new();
-    for shard in &SHARDS {
-        out.extend(shard.lock().ring.iter().cloned());
-    }
-    out.sort_by_key(|e| e.seq);
-    out
+    recorder::with(|r| r.ring.iter().cloned().collect())
 }
 
-/// Clears all buffered events and the drop counters.
+/// Clears this thread's buffered events and the drop counters.
 pub fn clear() {
-    for shard in &SHARDS {
-        shard.lock().ring.clear();
-    }
-    DROPPED.store(0, Ordering::Relaxed);
-    TRUNCATED_ATTRS.store(0, Ordering::Relaxed);
+    recorder::with(|r| {
+        r.ring.clear();
+        r.dropped = 0;
+        r.truncated_attrs = 0;
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::AttrValue;
+    use crate::event::MAX_ATTRS;
 
     fn attr(key: &'static str, v: u64) -> Attr {
         Attr { key, value: AttrValue::U64(v) }
     }
 
-    /// Serialises sink tests against the span tests (which hold the
-    /// level-override lock) so a concurrent `drain` cannot steal their
-    /// events mid-assertion.
-    fn serialized(f: impl FnOnce()) {
-        crate::level::with_level(crate::level::level(), f)
+    fn publish_instant(name: &'static str) {
+        publish(name, EventKind::Instant, Track::Host, now_ns(), vec![]);
     }
 
     #[test]
     fn publish_drain_orders_by_seq() {
-        serialized(|| {
-        clear();
-        publish("sink_test_a", EventKind::Instant, Track::Host, now_ns(), vec![]);
-        publish("sink_test_b", EventKind::Instant, Track::Host, now_ns(), vec![]);
-        let evs: Vec<_> =
-            drain().into_iter().filter(|e| e.name.starts_with("sink_test_")).collect();
+        publish_instant("sink_test_a");
+        publish_instant("sink_test_b");
+        let evs = drain();
         assert_eq!(evs.len(), 2);
         assert!(evs[0].seq < evs[1].seq);
         assert_eq!(evs[0].name, "sink_test_a");
-        });
     }
 
     #[test]
     fn capacity_bounds_and_counts_drops() {
-        serialized(|| {
-        clear();
-        let saved = capacity();
-        set_capacity(SHARD_COUNT); // one event per shard
-        let before = dropped_events();
+        set_capacity(2);
         for _ in 0..5 {
-            publish("sink_cap_test", EventKind::Instant, Track::Host, 0, vec![]);
+            publish_instant("sink_cap_test");
         }
-        // This thread maps to one shard with capacity 1: four drops.
-        assert_eq!(dropped_events() - before, 4);
-        let kept: Vec<_> =
-            drain().into_iter().filter(|e| e.name == "sink_cap_test").collect();
-        assert_eq!(kept.len(), 1);
-        set_capacity(saved);
-        });
+        assert_eq!(dropped_events(), 3);
+        let kept = drain();
+        assert_eq!(kept.len(), 2);
+        assert_eq!((kept[0].seq, kept[1].seq), (3, 4), "the newest survive");
+        clear();
+        assert_eq!(dropped_events(), 0);
+    }
+
+    #[test]
+    fn one_thread_keeps_the_whole_configured_capacity() {
+        let n = 1600;
+        set_capacity(n);
+        assert_eq!(capacity(), n);
+        for _ in 0..n {
+            publish_instant("sink_whole_ring_test");
+        }
+        assert_eq!(dropped_events(), 0);
+        assert_eq!(snapshot().len(), n);
+        publish_instant("sink_whole_ring_test");
+        assert_eq!(dropped_events(), 1);
+        assert_eq!(drain().len(), n);
     }
 
     #[test]
     fn oversized_attr_lists_truncate() {
-        serialized(|| {
-        clear();
         let attrs: Vec<Attr> = (0..MAX_ATTRS + 3).map(|i| attr("k", i as u64)).collect();
-        let before = truncated_attrs();
         publish("sink_attr_test", EventKind::Instant, Track::Host, 0, attrs);
-        assert_eq!(truncated_attrs() - before, 3);
-        let ev = drain().into_iter().find(|e| e.name == "sink_attr_test").unwrap();
-        assert_eq!(ev.attrs.len(), MAX_ATTRS);
-        });
+        assert_eq!(truncated_attrs(), 3);
+        assert_eq!(drain()[0].attrs.len(), MAX_ATTRS);
     }
 
     #[test]
-    fn concurrent_publishes_survive() {
-        serialized(|| {
-        clear();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..50 {
-                        publish("sink_mt_test", EventKind::Instant, Track::Host, now_ns(), vec![]);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("no panics");
-        }
-        let n = drain().into_iter().filter(|e| e.name == "sink_mt_test").count();
-        assert_eq!(n, 400);
-        });
+    fn another_threads_events_stay_out_of_this_ring() {
+        set_rank(3);
+        std::thread::spawn(|| {
+            assert_eq!(rank(), 0, "the rank stamp is not inherited");
+            publish_instant("sink_other_thread");
+            assert_eq!(snapshot().len(), 1);
+        })
+        .join()
+        .expect("child thread");
+        publish_instant("sink_this_thread");
+        let evs = drain();
+        assert_eq!(evs.len(), 1);
+        assert_eq!((evs[0].name, evs[0].seq), ("sink_this_thread", 0));
     }
 }

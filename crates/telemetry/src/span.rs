@@ -3,14 +3,18 @@
 //! A [`SpanGuard`] publishes a `SpanBegin` when armed and the matching
 //! `SpanEnd` on drop, so nesting is enforced by scope — exactly the
 //! `B`/`E` pairing Chrome trace-event JSON wants. When spans are
-//! disabled the guard is inert: construction is one relaxed atomic load
-//! and drop does nothing.
+//! disabled the guard is inert: construction is one thread-local read of
+//! the level and drop does nothing. A live guard holds no borrow of the
+//! thread's [`crate::recorder`]; it touches it only to publish.
+//!
+//! The 1-in-N sampler for high-frequency call spans ([`sampled_span`])
+//! is part of the recorder too, so which calls a run's trace contains
+//! depends on that run's own call sequence and on nothing else.
 
 use crate::event::{Attr, AttrValue, EventKind, Track};
-use crate::level::{events_enabled, spans_enabled};
+use crate::level::{events_enabled, level, spans_enabled, TelemetryLevel};
+use crate::recorder::{self, Recorder};
 use crate::sink;
-use crate::TELEMETRY_SAMPLE_ENV;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// RAII span: `Begin` on creation (when enabled), `End` on drop.
 ///
@@ -85,78 +89,61 @@ impl Drop for SpanGuard {
     }
 }
 
+fn guard(name: &'static str, armed: bool) -> SpanGuard {
+    SpanGuard { name, pending: armed.then(Vec::new), end_attrs: Vec::new(), armed }
+}
+
 /// Opens a span named `name` on the host track. Inert unless the level
 /// is `Full`.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let armed = spans_enabled();
-    SpanGuard { name, pending: armed.then(Vec::new), end_attrs: Vec::new(), armed }
+    guard(name, spans_enabled())
 }
 
 /// Default sampling interval for high-frequency spans at the `events`
 /// level: 1 call span recorded per [`DEFAULT_SAMPLE_INTERVAL`] calls.
 pub const DEFAULT_SAMPLE_INTERVAL: u64 = 16;
 
-/// 0 means "not yet initialised from the environment".
-static SAMPLE_N: AtomicUsize = AtomicUsize::new(0);
-/// Deterministic call counter driving the 1-in-N choice.
-static SAMPLE_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// The sampling interval N for [`sampled_span`] at the `events` level,
-/// read from `TELEMETRY_SAMPLE` on first use (default
-/// [`DEFAULT_SAMPLE_INTERVAL`]; values < 1 clamp to 1).
+/// The calling thread's sampling interval N for [`sampled_span`] at the
+/// `events` level: `TELEMETRY_SAMPLE` (default
+/// [`DEFAULT_SAMPLE_INTERVAL`]) unless [`set_sample_interval`] overrode it.
 pub fn sample_interval() -> u64 {
-    let n = SAMPLE_N.load(Ordering::Relaxed);
-    if n != 0 {
-        return n as u64;
-    }
-    let n = std::env::var(TELEMETRY_SAMPLE_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_SAMPLE_INTERVAL);
-    SAMPLE_N.store(n as usize, Ordering::Relaxed);
-    n
+    recorder::with(|r| r.sample_n)
 }
 
-/// Sets the sampling interval (overrides the environment). N = 1
-/// records every call span at the `events` level.
+/// Sets the sampling interval (overrides the environment; values < 1
+/// clamp to 1). N = 1 records every call span at the `events` level.
 pub fn set_sample_interval(n: u64) {
-    SAMPLE_N.store(n.max(1) as usize, Ordering::Relaxed);
+    recorder::with(|r| r.sample_n = n.max(1));
 }
 
 /// Resets the deterministic sample counter so the next sampled call
 /// site is recorded first — test harnesses use this to make weighted
 /// totals exactly reproducible.
 pub fn reset_sample_counter() {
-    SAMPLE_COUNTER.store(0, Ordering::Relaxed);
+    recorder::with(|r| r.sample_counter = 0);
 }
 
 /// Opens a span for a **high-frequency** call site (per-BLAS-call).
 ///
 /// * `Full` — identical to [`span`]: every call is recorded, weight 1.
-/// * `Events` — span-aware sampling: a deterministic process-global
+/// * `Events` — span-aware sampling: the recorder's deterministic call
 ///   counter records 1 call in N ([`sample_interval`], env
 ///   `TELEMETRY_SAMPLE`, default 16), and the recorded span carries a
 ///   `sample_weight = N` begin attribute that the trace folder and
 ///   attribution tables use to rescale totals. Long runs stay bounded
 ///   but representative instead of losing the call population entirely.
-/// * `Off` — inert, same one-relaxed-load cost as [`span`].
+/// * `Off` — inert, same one-read cost as [`span`].
 #[inline]
 pub fn sampled_span(name: &'static str) -> SpanGuard {
-    if spans_enabled() {
-        return span(name);
+    match level() {
+        TelemetryLevel::Full => guard(name, true),
+        TelemetryLevel::Off => guard(name, false),
+        TelemetryLevel::Events => match recorder::with(Recorder::sample) {
+            Some(n) => guard(name, true).attr("sample_weight", AttrValue::F64(n as f64)),
+            None => guard(name, false),
+        },
     }
-    if !events_enabled() {
-        return SpanGuard { name, pending: None, end_attrs: Vec::new(), armed: false };
-    }
-    let n = sample_interval();
-    let c = SAMPLE_COUNTER.fetch_add(1, Ordering::Relaxed);
-    if !c.is_multiple_of(n) {
-        return SpanGuard { name, pending: None, end_attrs: Vec::new(), armed: false };
-    }
-    let guard = SpanGuard { name, pending: Some(Vec::new()), end_attrs: Vec::new(), armed: true };
-    guard.attr("sample_weight", AttrValue::F64(n as f64))
 }
 
 /// Publishes an instant event on the host track. Inert unless the level
@@ -191,7 +178,6 @@ mod tests {
     #[test]
     fn span_emits_nested_begin_end_pairs() {
         with_level(TelemetryLevel::Full, || {
-            crate::sink::clear();
             {
                 let _outer = span("span_test_outer").attr("i", AttrValue::U64(1)).enter();
                 let _inner = span("span_test_inner").enter();
@@ -212,9 +198,28 @@ mod tests {
     }
 
     #[test]
+    fn span_inside_with_level_inside_span_nests() {
+        with_level(TelemetryLevel::Full, || {
+            let outer = span("span_test_outer").enter();
+            with_level(TelemetryLevel::Events, || drop(span("span_test_hidden").enter()));
+            with_level(TelemetryLevel::Full, || drop(span("span_test_inner").enter()));
+            drop(outer);
+            let names: Vec<_> = drain().iter().map(|e| (e.name, e.kind)).collect();
+            assert_eq!(
+                names,
+                [
+                    ("span_test_outer", EventKind::SpanBegin),
+                    ("span_test_inner", EventKind::SpanBegin),
+                    ("span_test_inner", EventKind::SpanEnd),
+                    ("span_test_outer", EventKind::SpanEnd),
+                ]
+            );
+        });
+    }
+
+    #[test]
     fn disabled_span_publishes_nothing() {
         with_level(TelemetryLevel::Events, || {
-            crate::sink::clear();
             let _g = span("span_test_disabled").attr("x", AttrValue::U64(9)).enter();
             drop(_g);
             assert!(drain().iter().all(|e| e.name != "span_test_disabled"));
@@ -224,7 +229,6 @@ mod tests {
     #[test]
     fn instant_respects_events_level() {
         with_level(TelemetryLevel::Off, || {
-            crate::sink::clear();
             instant("span_test_instant", vec![]);
             assert!(drain().iter().all(|e| e.name != "span_test_instant"));
         });
@@ -238,14 +242,10 @@ mod tests {
     #[test]
     fn sampled_span_records_one_in_n_with_weight() {
         with_level(TelemetryLevel::Events, || {
-            crate::sink::clear();
-            let saved = sample_interval();
             set_sample_interval(4);
-            reset_sample_counter();
             for _ in 0..16 {
                 let _g = sampled_span("span_test_sampled").enter();
             }
-            set_sample_interval(saved);
             let begins: Vec<_> = drain()
                 .into_iter()
                 .filter(|e| e.name == "span_test_sampled" && e.kind == EventKind::SpanBegin)
@@ -260,8 +260,6 @@ mod tests {
     #[test]
     fn sampled_span_is_unsampled_at_full() {
         with_level(TelemetryLevel::Full, || {
-            crate::sink::clear();
-            reset_sample_counter();
             for _ in 0..6 {
                 let _g = sampled_span("span_test_full_sampled").enter();
             }
@@ -280,7 +278,6 @@ mod tests {
     #[test]
     fn sampled_span_inert_when_off() {
         with_level(TelemetryLevel::Off, || {
-            crate::sink::clear();
             let _g = sampled_span("span_test_sampled_off").enter();
             drop(_g);
             assert!(drain().iter().all(|e| e.name != "span_test_sampled_off"));
@@ -290,7 +287,6 @@ mod tests {
     #[test]
     fn device_complete_lands_on_device_track() {
         with_level(TelemetryLevel::Full, || {
-            crate::sink::clear();
             device_complete("span_test_kernel", 1.5, 0.25, vec![]);
             let ev = drain().into_iter().find(|e| e.name == "span_test_kernel").unwrap();
             assert_eq!(ev.track, Track::Device);

@@ -12,7 +12,6 @@ use telemetry::{export, sink, AttrValue, Event, TelemetryLevel};
 /// and two device kernels.
 fn produce_events() -> Vec<Event> {
     telemetry::with_level(TelemetryLevel::Full, || {
-        sink::clear();
         {
             let _burst = telemetry::span("burst")
                 .attr("burst_index", AttrValue::U64(0))

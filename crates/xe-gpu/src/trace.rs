@@ -170,7 +170,6 @@ mod tests {
     fn record_emits_device_telemetry_at_full() {
         use dcmesh_telemetry as telemetry;
         telemetry::with_level(telemetry::TelemetryLevel::Full, || {
-            telemetry::sink::clear();
             let t = Tracer::new();
             t.record("trace_test_kernel", 0.002);
             let evs = telemetry::sink::drain();

@@ -1,13 +1,11 @@
 //! Offline API-subset shim for `parking_lot` (see `shims/README.md`).
 //!
-//! Wraps the std synchronisation primitives with parking_lot's
-//! signatures: `const` constructors, no lock poisoning (a poisoned std
-//! lock is recovered transparently), plus a condvar-based
-//! [`ReentrantMutex`].
+//! Wraps `std::sync::Mutex` with parking_lot's signature: a `const`
+//! constructor and no lock poisoning (a poisoned std lock is recovered
+//! transparently). [`Mutex`] is all the workspace takes from it.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::{Mutex as StdMutex, MutexGuard as StdMutexGuard};
 
 /// Mutual exclusion without poisoning.
 pub struct Mutex<T: ?Sized>(StdMutex<T>);
@@ -48,154 +46,22 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Reader–writer lock without poisoning.
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Creates the lock (usable in statics).
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-/// RAII read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// RAII write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
-
-static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-}
-
-fn thread_id() -> u64 {
-    THREAD_ID.with(|id| *id)
-}
-
-/// A mutex the owning thread may re-acquire. Guards give shared (`&T`)
-/// access, as in parking_lot.
-pub struct ReentrantMutex<T> {
-    // (owner thread id, recursion count); owner 0 = unlocked.
-    state: StdMutex<(u64, usize)>,
-    cond: Condvar,
-    value: T,
-}
-
-impl<T> ReentrantMutex<T> {
-    /// Creates the mutex (usable in statics).
-    pub const fn new(value: T) -> Self {
-        ReentrantMutex { state: StdMutex::new((0, 0)), cond: Condvar::new(), value }
-    }
-
-    /// Acquires the lock, blocking unless this thread already holds it.
-    pub fn lock(&self) -> ReentrantMutexGuard<'_, T> {
-        let me = thread_id();
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if st.1 == 0 {
-                *st = (me, 1);
-                break;
-            }
-            if st.0 == me {
-                st.1 += 1;
-                break;
-            }
-            st = self.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        ReentrantMutexGuard { lock: self }
-    }
-}
-
-/// RAII guard for [`ReentrantMutex`].
-pub struct ReentrantMutexGuard<'a, T> {
-    lock: &'a ReentrantMutex<T>,
-}
-
-impl<T> Deref for ReentrantMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.lock.value
-    }
-}
-
-impl<T> Drop for ReentrantMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        let mut st = self.lock.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.1 -= 1;
-        if st.1 == 0 {
-            st.0 = 0;
-            drop(st);
-            self.lock.cond.notify_one();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    static LOCK: ReentrantMutex<()> = ReentrantMutex::new(());
-
-    #[test]
-    fn reentrant_same_thread() {
-        let _a = LOCK.lock();
-        let _b = LOCK.lock();
-    }
-
     #[test]
     fn excludes_other_threads() {
-        let m = std::sync::Arc::new(ReentrantMutex::new(()));
         let shared = std::sync::Arc::new(Mutex::new(0u32));
         let mut handles = Vec::new();
         for _ in 0..4 {
-            let m = m.clone();
             let shared = shared.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    let _g = m.lock();
-                    let v = *shared.lock();
+                    let mut g = shared.lock();
+                    let v = *g;
                     std::thread::yield_now();
-                    *shared.lock() = v + 1;
+                    *g = v + 1;
                 }
             }));
         }
@@ -203,5 +69,17 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*shared.lock(), 400);
+    }
+
+    #[test]
+    fn a_panic_while_locked_does_not_poison() {
+        let m = std::sync::Arc::new(Mutex::new(1u32));
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison attempt");
+        })
+        .join();
+        assert_eq!(*m.lock(), 1);
     }
 }

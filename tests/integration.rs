@@ -7,6 +7,7 @@ use dcmesh::analysis::{DeviationSeries, Metric};
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::output::{read_csv, write_csv};
 use dcmesh::runner::run_simulation;
+use dcmesh_telemetry::{self as telemetry, EventKind, TelemetryLevel, Track};
 use mkl_lite::{verbose, with_compute_mode, ComputeMode};
 
 fn tiny() -> RunConfig {
@@ -234,13 +235,32 @@ struct RunTrace {
     abft_checks: u64,
     /// The thread's call ring: (routine, m, n, k, mode, priced by a device model).
     calls: Vec<(&'static str, usize, usize, usize, ComputeMode, bool)>,
+    /// The thread's ledger with its seconds zeroed: counts and attribution
+    /// reproduce, times do not.
+    ledger: Vec<telemetry::ledger::Row>,
+    /// The ledger header's (deck hash, telemetry level), exported after the
+    /// run's level override has ended.
+    header: (String, String),
+    /// The thread's event stream, in order, without its timestamps.
+    events: Vec<(&'static str, EventKind, Track)>,
+    /// BLAS call spans recorded 1-in-N by the thread's sampler (`events`
+    /// level only; `TELEMETRY_SAMPLE` is left at its default).
+    sampled_spans: usize,
 }
 
-/// Runs the tiny deck supervised on a fresh thread — hence a fresh BLAS
-/// context — with call recording on. `arm` sets up whatever else the run
-/// carries on that thread; the run starts once `start` releases.
+impl RunTrace {
+    fn instants(&self, name: &str) -> usize {
+        self.events.iter().filter(|e| e.0 == name && e.1 == EventKind::Instant).count()
+    }
+}
+
+/// Runs the tiny deck supervised at telemetry `level` on a fresh thread —
+/// hence a fresh BLAS context and a fresh recorder — with call recording
+/// on. `arm` sets up whatever else the run carries on that thread; the run
+/// starts once `start` releases.
 fn traced_run(
     mode: ComputeMode,
+    level: TelemetryLevel,
     sup: dcmesh::SupervisorConfig,
     arm: impl FnOnce() + Send,
     start: &std::sync::Barrier,
@@ -250,11 +270,20 @@ fn traced_run(
             arm();
             verbose::set_recording(true);
             start.wait();
-            let run = dcmesh::run_supervised::<f32>(&tiny(), mode, &sup).expect("supervised run");
+            let run =
+                telemetry::with_level(level, || dcmesh::run_supervised::<f32>(&tiny(), mode, &sup))
+                    .expect("supervised run");
             let mut bits = Vec::new();
             for r in &run.result.records {
                 bits.extend([r.ekin, r.epot, r.etot, r.eexc, r.nexc, r.javg].map(f64::to_bits));
             }
+            let mut ledger = telemetry::ledger::snapshot();
+            for row in &mut ledger {
+                row.stats.wall_s = 0.0;
+                row.stats.device_s = 0.0;
+            }
+            let meta = telemetry::ledger::current_meta(ledger.len() as u64);
+            let events = telemetry::sink::drain();
             RunTrace {
                 bits,
                 sdc_recoveries: run.sdc_recoveries,
@@ -264,6 +293,10 @@ fn traced_run(
                     .iter()
                     .map(|c| (c.routine, c.m, c.n, c.k, c.mode, c.device_seconds.is_some()))
                     .collect(),
+                ledger,
+                header: (meta.deck_hash, meta.telemetry_level),
+                sampled_spans: events.iter().filter(|e| e.attr("sample_weight").is_some()).count(),
+                events: events.iter().map(|e| (e.name, e.kind, e.track)).collect(),
             }
         })
         .join()
@@ -276,53 +309,82 @@ fn two_concurrent_runs_in_one_process_match_their_solo_runs() {
     use mkl_lite::{FaultKind, FaultPlan, FaultSite};
     use std::sync::Barrier;
 
-    // B: a clean FP32 run with nothing but recording on.
-    let run_b = |start: &Barrier| {
-        traced_run(ComputeMode::Standard, dcmesh::SupervisorConfig::default(), || {}, start)
-    };
-    let solo = Barrier::new(1);
-    let b_solo = run_b(&solo);
-    assert_eq!((b_solo.injected, b_solo.abft_checks, b_solo.sdc_recoveries), (0, 0, 0));
-    assert!(b_solo.calls.iter().all(|c| !c.5), "no model installed, nothing priced");
-
-    // A: BF16 with every GEMM checksummed and priced, and a NaN planted in
-    // a mid-run CGEMM. The routine sequence does not depend on the mode,
-    // so B's ring says which GEMM-call index that is.
-    let gemms: Vec<_> = b_solo.calls.iter().filter(|c| c.0.ends_with("GEMM")).collect();
-    let target = (gemms.len() / 2..gemms.len())
-        .find(|&i| gemms[i].0 == "CGEMM")
-        .expect("a CGEMM in the second half of the run") as u64;
-    let run_a = |start: &Barrier| {
-        let sup = dcmesh::SupervisorConfig {
-            abft_check_period: Some(1),
-            ..dcmesh::SupervisorConfig::default()
+    for level in [TelemetryLevel::Full, TelemetryLevel::Events] {
+        // B: a clean FP32 run with nothing but recording on.
+        let run_b = |start: &Barrier| {
+            let sup = dcmesh::SupervisorConfig::default();
+            traced_run(ComputeMode::Standard, level, sup, || {}, start)
         };
-        let arm = || {
-            xe_gpu::install_default_model();
-            mkl_lite::install_fault_plan(FaultPlan::new(11).with_site(
-                FaultSite::once(target, FaultKind::Nan)
-                    .on_routine("CGEMM")
-                    .in_mode(ComputeMode::FloatToBf16),
-            ));
-        };
-        traced_run(ComputeMode::FloatToBf16, sup, arm, start)
-    };
-    let a_solo = run_a(&solo);
-    assert_eq!(a_solo.injected, 1, "the planted NaN must fire exactly once");
-    assert!(a_solo.sdc_recoveries >= 1, "the checksum must catch it");
-    assert!(a_solo.abft_checks as usize >= gemms.len());
-    assert!(a_solo.calls.iter().all(|c| c.5), "every call priced by A's model");
-    assert_ne!(a_solo.bits, b_solo.bits, "BF16 and FP32 runs must differ");
+        let solo = Barrier::new(1);
+        let b_solo = run_b(&solo);
+        assert_eq!((b_solo.injected, b_solo.abft_checks, b_solo.sdc_recoveries), (0, 0, 0));
+        assert!(b_solo.calls.iter().all(|c| !c.5), "no model installed, nothing priced");
+        assert_eq!(b_solo.header.1, level.env_value(), "the header names the recording level");
+        assert!(b_solo.header.0.starts_with("0x"), "the supervisor stamped the deck hash");
+        assert!(!b_solo.ledger.is_empty());
+        for row in &b_solo.ledger {
+            let s = &row.stats;
+            assert_eq!(
+                (s.abft_checks, s.abft_violations, s.nonfinite_outputs, s.escalations, s.rollbacks),
+                (0, 0, 0, 0, 0),
+                "clean run's ledger: {row:?}"
+            );
+        }
+        assert_eq!(b_solo.instants("abft_violation") + b_solo.instants("escalation"), 0);
+        // At `full` every call span is recorded unweighted; at `events` the
+        // thread's own 1-in-N counter picks them.
+        assert_eq!(b_solo.sampled_spans > 0, level == TelemetryLevel::Events);
 
-    // Both at once, released together. Each must reproduce its solo run to
-    // the bit and to the record: B sees none of A's faults, checks, model
-    // or calls, and A none of B's.
-    let together = Barrier::new(2);
-    let (a, b) = std::thread::scope(|s| {
-        let a = s.spawn(|| run_a(&together));
-        let b = s.spawn(|| run_b(&together));
-        (a.join().expect("run A"), b.join().expect("run B"))
-    });
-    assert_eq!(b, b_solo, "clean run disturbed by its faulty neighbour");
-    assert_eq!(a, a_solo, "faulty run disturbed by its clean neighbour");
+        // A: BF16 with every GEMM checksummed and priced, and a NaN planted
+        // in a mid-run CGEMM. The routine sequence does not depend on the
+        // mode, so B's ring says which GEMM-call index that is.
+        let gemms: Vec<_> = b_solo.calls.iter().filter(|c| c.0.ends_with("GEMM")).collect();
+        let target = (gemms.len() / 2..gemms.len())
+            .find(|&i| gemms[i].0 == "CGEMM")
+            .expect("a CGEMM in the second half of the run") as u64;
+        let run_a = |start: &Barrier| {
+            let sup = dcmesh::SupervisorConfig {
+                abft_check_period: Some(1),
+                ..dcmesh::SupervisorConfig::default()
+            };
+            let arm = || {
+                xe_gpu::install_default_model();
+                mkl_lite::install_fault_plan(FaultPlan::new(11).with_site(
+                    FaultSite::once(target, FaultKind::Nan)
+                        .on_routine("CGEMM")
+                        .in_mode(ComputeMode::FloatToBf16),
+                ));
+            };
+            traced_run(ComputeMode::FloatToBf16, level, sup, arm, start)
+        };
+        let a_solo = run_a(&solo);
+        assert_eq!(a_solo.injected, 1, "the planted NaN must fire exactly once");
+        assert!(a_solo.sdc_recoveries >= 1, "the checksum must catch it");
+        assert!(a_solo.abft_checks as usize >= gemms.len());
+        assert!(a_solo.calls.iter().all(|c| c.5), "every call priced by A's model");
+        assert_ne!(a_solo.bits, b_solo.bits, "BF16 and FP32 runs must differ");
+        // The ledger attributes the fault to the one row that caused it.
+        let faulted: Vec<_> =
+            a_solo.ledger.iter().filter(|r| r.stats.nonfinite_outputs > 0).collect();
+        assert_eq!(faulted.len(), 1, "{faulted:?}");
+        let (row, s) = (faulted[0], &faulted[0].stats);
+        assert!(row.callsite.ends_with("/cgemm") && row.mode == "FLOAT_TO_BF16", "{row:?}");
+        assert_eq!((s.nonfinite_outputs, s.abft_violations, s.rollbacks), (1, 1, 1), "{row:?}");
+        let checks: u64 = a_solo.ledger.iter().map(|r| r.stats.abft_checks).sum();
+        assert_eq!(checks + 1, a_solo.abft_checks, "every check is on a row, one as a violation");
+        assert_eq!(a_solo.instants("abft_violation"), 1);
+
+        // Both at once, released together. Each must reproduce its solo run
+        // to the bit and to the record — BLAS ring, ledger rows, header,
+        // event stream and sampled-span count: B sees none of A's faults,
+        // checks, model, calls, rows or instants, and A none of B's.
+        let together = Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run_a(&together));
+            let b = s.spawn(|| run_b(&together));
+            (a.join().expect("run A"), b.join().expect("run B"))
+        });
+        assert_eq!(b, b_solo, "clean run disturbed by its faulty neighbour at {level:?}");
+        assert_eq!(a, a_solo, "faulty run disturbed by its clean neighbour at {level:?}");
+    }
 }
