@@ -10,6 +10,7 @@
 use crate::checkpoint::CheckpointError;
 use crate::config::DeckError;
 use crate::health::HealthViolation;
+use dcmesh_telemetry::{Attr, AttrValue};
 use mkl_lite::{ComputeMode, ParseModeError};
 use std::fmt;
 
@@ -53,12 +54,25 @@ pub enum RunError {
         /// Re-run attempts consumed.
         attempts: u32,
     },
-    /// A fault-injection crash point fired (testing only): the run
-    /// stopped as if the process had died, checkpoints intact.
-    SimulatedCrash {
-        /// QD steps completed (and checkpointed) before the crash.
-        steps_done: u64,
-    },
+}
+
+impl RunError {
+    /// The one place a divergence is recorded: builds
+    /// [`RunError::Diverged`] under the calling thread's compute mode and
+    /// leaves the `health_violation` instant in the trace, so every
+    /// violation kind — the step and boundary checks, an ABFT checksum, a
+    /// refused SCF overlap, a replay mismatch — is on the timeline before
+    /// the rollback it causes.
+    pub(crate) fn diverged(step: u64, violation: HealthViolation) -> RunError {
+        dcmesh_telemetry::instant(
+            "health_violation",
+            vec![
+                Attr { key: "step", value: AttrValue::U64(step) },
+                Attr { key: "detail", value: AttrValue::Text(violation.to_string()) },
+            ],
+        );
+        RunError::Diverged { step, mode: mkl_lite::compute_mode(), violation }
+    }
 }
 
 impl fmt::Display for RunError {
@@ -82,9 +96,6 @@ impl fmt::Display for RunError {
                 "escalation exhausted after {attempts} attempts; still diverging at QD step \
                  {step} under {mode}: {violation}"
             ),
-            RunError::SimulatedCrash { steps_done } => {
-                write!(f, "simulated crash after {steps_done} QD steps")
-            }
         }
     }
 }

@@ -60,10 +60,7 @@ pub use checkpoint::Checkpoint;
 pub use config::{RunConfig, SystemPreset};
 pub use error::RunError;
 pub use health::{HealthConfig, HealthMonitor, HealthViolation};
-pub use runner::{
-    run_simulation, run_simulation_with_policy, run_with_checkpoints,
-    run_with_checkpoints_crashing, CrashPlan, RunResult, DCMESH_RANK_ENV,
-};
+pub use runner::{run_simulation, run_simulation_with_policy, RunResult, DCMESH_RANK_ENV};
 pub use shard::{
     run_coordinator, DomainOutcome, RankKillPlan, ShardConfig, ShardError, ShardReport,
 };

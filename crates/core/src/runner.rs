@@ -7,11 +7,16 @@
 //! per-QD-step observables form the run record that the Figure 1/2
 //! analysis consumes.
 //!
-//! Every entry point returns [`RunError`] instead of panicking, and the
-//! shared burst body ([`run_burst`]) optionally feeds a
-//! [`HealthMonitor`] so the [`crate::supervisor`] can detect divergence
-//! mid-burst and roll back.
+//! There is one burst driver, `Run`: a [`Checkpoint`] — the restart
+//! point, the only state that crosses an MD boundary — plus what is
+//! rebuilt from it (the ionic integrator, the QD scratch) and the record
+//! so far. [`run_simulation_with_policy`] is `start` + `burst` until the
+//! deck is done; the [`crate::supervisor`] drives the same `burst` with
+//! a [`HealthMonitor`] attached and clones / restores / saves `ck` to
+//! snapshot, roll back, replay and checkpoint. Every entry point returns
+//! [`RunError`] instead of panicking.
 
+use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::error::RunError;
 use crate::health::{HealthMonitor, HealthViolation};
@@ -21,7 +26,8 @@ use dcmesh_lfd::propagator::{qd_step_with_policy, QdScratch};
 use dcmesh_lfd::{LfdParams, LfdState, StepObservables};
 use dcmesh_qxmd::scf::{initial_scf, scf_refresh};
 use dcmesh_qxmd::shadow::{shadow_drift, sync_with_shadow, TransferLedger};
-use dcmesh_qxmd::{pto_supercell, AtomicSystem, MdIntegrator};
+use dcmesh_qxmd::{pto_supercell, MdIntegrator};
+use dcmesh_telemetry::{Attr, AttrValue};
 use mkl_lite::ComputeMode;
 use std::path::Path;
 
@@ -35,7 +41,7 @@ pub const DCMESH_RANK_ENV: &str = "DCMESH_RANK";
 /// a malformed value is a structured [`RunError::InvalidRank`] so a
 /// mis-launched rank fails fast instead of masquerading as rank-unset
 /// and polluting another rank's merged timeline.
-pub(crate) fn init_rank_from_env() -> Result<(), RunError> {
+fn init_rank_from_env() -> Result<(), RunError> {
     match std::env::var(DCMESH_RANK_ENV) {
         Ok(raw) => match raw.trim().parse::<u64>() {
             Ok(rank) => {
@@ -72,11 +78,11 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    pub(crate) fn new(label: &str, mode: ComputeMode, capacity: usize) -> RunResult {
+    pub(crate) fn new(label: &str, mode: ComputeMode) -> RunResult {
         RunResult {
             label: format!("{label}/{}", mode.label()),
             mode,
-            records: Vec::with_capacity(capacity),
+            records: Vec::new(),
             scf_drift: Vec::new(),
             shadow_drift: Vec::new(),
             ion_temperature: Vec::new(),
@@ -126,150 +132,217 @@ impl ResultMark {
 /// QD step and after the boundary SCF refresh in supervised runs, so a
 /// corrupted GEMM output is caught within one step of the sampled call
 /// that detected it — before the next checkpoint can absorb it.
-pub(crate) fn poll_abft(step: u64) -> Result<(), RunError> {
-    let Some(v) = mkl_lite::take_abft_violation() else { return Ok(()) };
-    let violation = HealthViolation::SilentCorruption { detail: v.to_string() };
-    dcmesh_telemetry::instant(
-        "health_violation",
-        vec![
-            dcmesh_telemetry::Attr {
-                key: "step",
-                value: dcmesh_telemetry::AttrValue::U64(step),
-            },
-            dcmesh_telemetry::Attr {
-                key: "detail",
-                value: dcmesh_telemetry::AttrValue::Text(violation.to_string()),
-            },
-        ],
-    );
-    Err(RunError::Diverged { step, mode: mkl_lite::compute_mode(), violation })
-}
-
-/// The excitation fraction the ionic integrator softens its forces
-/// with: the latest shadow-channel excitation count over the electron
-/// count. Every site that (re)builds an [`MdIntegrator`] mid-trajectory
-/// must seed it with this exact value ([`MdIntegrator::resume`]) or the
-/// rebuild is not bit-exact.
-pub(crate) fn excitation_fraction(last_nexc: f64, params: &LfdParams) -> f64 {
-    (last_nexc / params.n_electrons()).clamp(0.0, 1.0)
-}
-
-/// One MD burst: `qd_steps_per_md` QD steps (with record thinning),
-/// then the boundary work — shadow sync, FP64 SCF refresh, ionic step,
-/// potential update. The operation order is exactly the historical run
-/// loop's, so checkpointed and supervised runs stay bit-for-bit
-/// compatible with straight runs.
-///
-/// With a monitor attached, each step's observables are checked
-/// *before* they are recorded (a diverged step never enters the run
-/// record) and the boundary drift figures are checked after the SCF
-/// refresh reports them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_burst<T: LfdScalar>(
-    cfg: &RunConfig,
-    params: &LfdParams,
-    policy: &PrecisionPolicy,
-    system: &mut AtomicSystem,
-    state: &mut LfdState<T>,
-    md: &mut MdIntegrator,
-    scratch: &mut QdScratch<T>,
-    steps_done: &mut usize,
-    last_nexc: &mut f64,
-    result: &mut RunResult,
-    mut monitor: Option<&mut HealthMonitor>,
-) -> Result<(), RunError> {
-    let burst = cfg.qd_steps_per_md.min(cfg.total_qd_steps - *steps_done);
-    let burst_index = *steps_done / cfg.qd_steps_per_md.max(1);
-    let mut _burst_span = dcmesh_telemetry::span("burst")
-        .attr("burst_index", dcmesh_telemetry::AttrValue::U64(burst_index as u64))
-        .attr("qd_steps", dcmesh_telemetry::AttrValue::U64(burst as u64))
-        .attr(
-            "mode",
-            dcmesh_telemetry::AttrValue::Str(
-                mkl_lite::compute_mode().name(),
-            ),
-        )
-        .enter();
-
-    // --- LFD: one burst of QD steps on the "GPU" ---
-    for s in 0..burst {
-        let obs = qd_step_with_policy(params, state, scratch, policy);
-        if let Some(mon) = monitor.as_deref_mut() {
-            // ABFT first: a corrupted GEMM also corrupts the observables,
-            // and the downstream symptom (blowup, NaN) must not be
-            // misattributed as a precision problem — SilentCorruption
-            // retries the same mode, the health violations escalate.
-            poll_abft(obs.step)?;
-            mon.check_step(&obs).map_err(|violation| {
-                dcmesh_telemetry::instant(
-                    "health_violation",
-                    vec![
-                        dcmesh_telemetry::Attr {
-                            key: "step",
-                            value: dcmesh_telemetry::AttrValue::U64(obs.step),
-                        },
-                        dcmesh_telemetry::Attr {
-                            key: "detail",
-                            value: dcmesh_telemetry::AttrValue::Text(violation.to_string()),
-                        },
-                    ],
-                );
-                RunError::Diverged {
-                    step: obs.step,
-                    mode: mkl_lite::compute_mode(),
-                    violation,
-                }
-            })?;
-        }
-        *last_nexc = obs.nexc;
-        if (*steps_done + s).is_multiple_of(cfg.record_every) {
-            result.records.push(obs);
-        }
+fn poll_abft(step: u64) -> Result<(), RunError> {
+    match mkl_lite::take_abft_violation() {
+        Some(v) => Err(RunError::diverged(
+            step,
+            HealthViolation::SilentCorruption { detail: v.to_string() },
+        )),
+        None => Ok(()),
     }
-    *steps_done += burst;
+}
 
-    // --- boundary: shadow sync, FP64 SCF refresh, ionic step ---
-    let drift = shadow_drift(state, params.n_orb);
-    result.shadow_drift.push(drift);
-    sync_with_shadow(&mut result.transfers, params.mesh.len(), params.n_orb, system.len());
+/// The one burst driver. The plain run, the supervised run and the
+/// supervisor's verify replay all advance a trajectory through
+/// [`Run::burst`], so they cannot drift apart in operation order.
+pub(crate) struct Run<'a, T: LfdScalar> {
+    pub(crate) cfg: &'a RunConfig,
+    pub(crate) policy: &'a PrecisionPolicy,
+    pub(crate) params: LfdParams,
+    /// The restart point: everything that crosses an MD boundary. A
+    /// snapshot is a clone of it, a rollback assigns it back, a
+    /// checkpoint saves it, a resume or replay starts from one.
+    pub(crate) ck: Checkpoint<T>,
+    /// Derived from `ck` by [`Run::integrator`]; never restored, always
+    /// rebuilt.
+    md: MdIntegrator,
+    scratch: QdScratch<T>,
+    /// The record of the steps executed by this `Run`.
+    pub(crate) result: RunResult,
+    /// QD-step count of the checkpoint [`Run::start`] resumed from.
+    pub(crate) resumed_from_step: Option<u64>,
+}
 
-    // A singular overlap means the state was already destroyed when the
-    // boundary arrived; surface it as a divergence so the supervisor's
-    // rollback-and-escalate machinery handles it like any other blowup.
-    let report = scf_refresh(params, state).map_err(|e| RunError::Diverged {
-        step: *steps_done as u64,
-        mode: mkl_lite::compute_mode(),
-        violation: HealthViolation::SingularOverlap { detail: e.to_string() },
-    })?;
-    _burst_span.end_attr("scf_drift", dcmesh_telemetry::AttrValue::F64(report.defect_before));
-    _burst_span.end_attr("shadow_drift", dcmesh_telemetry::AttrValue::F64(drift));
-    result.scf_drift.push(report.defect_before);
-    if let Some(mon) = monitor.as_mut() {
-        // Same ordering as the step check: checksum evidence outranks
-        // the boundary drift symptoms it may have caused.
-        poll_abft(*steps_done as u64)?;
-        mon.check_boundary(report.defect_before, drift).map_err(|violation| {
-            dcmesh_telemetry::instant(
-                "health_violation",
-                vec![dcmesh_telemetry::Attr {
-                    key: "detail",
-                    value: dcmesh_telemetry::AttrValue::Text(violation.to_string()),
-                }],
-            );
-            RunError::Diverged {
-                step: *steps_done as u64,
-                mode: mkl_lite::compute_mode(),
-                violation,
+impl<'a, T: LfdScalar> Run<'a, T> {
+    /// Validates the deck, the rank and the ambient compute mode (a
+    /// typo'd `MKL_BLAS_COMPUTE_MODE` must be a structured error before
+    /// any state is built, not a panic deep inside the first BLAS call),
+    /// then resumes from the newest usable checkpoint in
+    /// `checkpoint_dir` or starts fresh. The record is labelled with
+    /// `mode`, or with the ambient mode when `None`.
+    pub(crate) fn start(
+        cfg: &'a RunConfig,
+        policy: &'a PrecisionPolicy,
+        mode: Option<ComputeMode>,
+        checkpoint_dir: Option<&Path>,
+    ) -> Result<Run<'a, T>, RunError> {
+        cfg.validate()?;
+        init_rank_from_env()?;
+        let ambient = mkl_lite::try_compute_mode()?;
+        let params = cfg.lfd_params();
+        params.validate();
+        let resumed = match checkpoint_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)?;
+                scan_and_load::<T>(dir, &params)?
             }
-        })?;
+            None => None,
+        };
+        let resumed_from_step = resumed.as_ref().map(|ck| ck.steps_done);
+        let ck = match resumed {
+            Some(ck) => ck,
+            None => fresh_start(cfg, &params)?,
+        };
+        let mut run = Run::resume(cfg, params, policy, ck, mode.unwrap_or(ambient));
+        // Sized once, up front: a record grown by doubling interleaves its
+        // reallocations with telemetry's per-event allocations, and the
+        // holes cost the `guarded` benchmark +1 MiB (+10 %) of peak RSS.
+        let remaining = cfg.total_qd_steps.saturating_sub(run.ck.steps_done as usize);
+        run.result.records.reserve(remaining / cfg.record_every + 1);
+        run.resumed_from_step = resumed_from_step;
+        Ok(run)
     }
 
-    md.step(system, excitation_fraction(*last_nexc, params));
-    result.ion_temperature.push(md.temperature(system));
+    /// A run continuing from `ck` with an empty record — the one
+    /// constructor behind a fresh start, a checkpoint resume and a verify
+    /// replay.
+    pub(crate) fn resume(
+        cfg: &'a RunConfig,
+        params: LfdParams,
+        policy: &'a PrecisionPolicy,
+        ck: Checkpoint<T>,
+        mode: ComputeMode,
+    ) -> Run<'a, T> {
+        let md = Run::integrator(cfg, &params, &ck);
+        let scratch = QdScratch::new(&params);
+        let result = RunResult::new(&cfg.label, mode);
+        Run { cfg, policy, params, ck, md, scratch, result, resumed_from_step: None }
+    }
 
-    // Ion motion updates the potential the electrons feel.
-    state.vloc = system.local_potential(&params.mesh, cfg.vloc_depth);
-    Ok(())
+    /// The ionic integrator a restart point implies. Its force field is
+    /// softened by the excitation fraction — the boundary `nexc` over the
+    /// electron count — and every (re)build must seed it with exactly that
+    /// value ([`MdIntegrator::resume`]; zero on a fresh start) or resume,
+    /// rollback and replay are not bit-exact.
+    fn integrator(cfg: &RunConfig, params: &LfdParams, ck: &Checkpoint<T>) -> MdIntegrator {
+        MdIntegrator::resume(
+            &ck.system,
+            cfg.qd_steps_per_md as f64 * cfg.dt,
+            cfg.ehrenfest_softening,
+            excitation_fraction(ck.nexc, params),
+        )
+    }
+
+    /// True once the deck's QD steps are all executed.
+    pub(crate) fn done(&self) -> bool {
+        self.ck.steps_done as usize >= self.cfg.total_qd_steps
+    }
+
+    /// Index of the next MD burst, counted from the start of the deck.
+    pub(crate) fn burst_index(&self) -> u64 {
+        self.ck.steps_done / self.cfg.qd_steps_per_md.max(1) as u64
+    }
+
+    /// One MD burst: `qd_steps_per_md` QD steps (with record thinning),
+    /// then the boundary work — shadow sync, FP64 SCF refresh, ionic step,
+    /// potential update — in exactly the historical run loop's operation
+    /// order, so resumed, supervised and replayed bursts stay bit-for-bit
+    /// compatible with a straight run.
+    ///
+    /// With a monitor attached, each step's observables are checked
+    /// *before* they are recorded (a diverged step never enters the run
+    /// record) and the boundary drift figures are checked after the SCF
+    /// refresh reports them. On `Err` the restart point is mid-burst
+    /// garbage: roll back or drop the run.
+    pub(crate) fn burst(
+        &mut self,
+        mut monitor: Option<&mut HealthMonitor>,
+    ) -> Result<(), RunError> {
+        let (cfg, params, burst_index) = (self.cfg, &self.params, self.burst_index());
+        let Checkpoint { state, system, steps_done, nexc } = &mut self.ck;
+        let start = *steps_done as usize;
+        let burst = cfg.qd_steps_per_md.min(cfg.total_qd_steps - start);
+        let mut _burst_span = dcmesh_telemetry::span("burst")
+            .attr("burst_index", AttrValue::U64(burst_index))
+            .attr("qd_steps", AttrValue::U64(burst as u64))
+            .attr("mode", AttrValue::Str(mkl_lite::compute_mode().name()))
+            .enter();
+
+        // --- LFD: one burst of QD steps on the "GPU" ---
+        for s in 0..burst {
+            let obs = qd_step_with_policy(params, state, &mut self.scratch, self.policy);
+            if let Some(mon) = monitor.as_deref_mut() {
+                // ABFT first: a corrupted GEMM also corrupts the observables,
+                // and the downstream symptom (blowup, NaN) must not be
+                // misattributed as a precision problem — SilentCorruption
+                // retries the same mode, the health violations escalate.
+                poll_abft(obs.step)?;
+                mon.check_step(&obs).map_err(|v| RunError::diverged(obs.step, v))?;
+            }
+            *nexc = obs.nexc;
+            if (start + s).is_multiple_of(cfg.record_every) {
+                self.result.records.push(obs);
+            }
+        }
+        *steps_done += burst as u64;
+
+        // --- boundary: shadow sync, FP64 SCF refresh, ionic step ---
+        let drift = shadow_drift(state, params.n_orb);
+        self.result.shadow_drift.push(drift);
+        sync_with_shadow(&mut self.result.transfers, params.mesh.len(), params.n_orb, system.len());
+
+        // A singular overlap means the state was already destroyed when the
+        // boundary arrived; surface it as a divergence so the supervisor's
+        // rollback-and-escalate machinery handles it like any other blowup.
+        let report = scf_refresh(params, state).map_err(|e| scf_failed(*steps_done, e))?;
+        _burst_span.end_attr("scf_drift", AttrValue::F64(report.defect_before));
+        _burst_span.end_attr("shadow_drift", AttrValue::F64(drift));
+        self.result.scf_drift.push(report.defect_before);
+        if let Some(mon) = monitor.as_mut() {
+            // Same ordering as the step check: checksum evidence outranks
+            // the boundary drift symptoms it may have caused.
+            poll_abft(*steps_done)?;
+            mon.check_boundary(report.defect_before, drift)
+                .map_err(|v| RunError::diverged(*steps_done, v))?;
+        }
+
+        self.md.step(system, excitation_fraction(*nexc, params));
+        self.result.ion_temperature.push(self.md.temperature(system));
+
+        // Ion motion updates the potential the electrons feel.
+        state.vloc = system.local_potential(&params.mesh, cfg.vloc_depth);
+        Ok(())
+    }
+
+    /// Restores the restart point and the record to a pre-burst
+    /// `snapshot` / `mark` pair and rebuilds the integrator from it — the
+    /// checkpoint resume path, which is bit-exact.
+    pub(crate) fn rollback(&mut self, snapshot: &Checkpoint<T>, mark: &ResultMark) {
+        self.ck = snapshot.clone();
+        mark.restore(&mut self.result);
+        self.md = Run::integrator(self.cfg, &self.params, &self.ck);
+    }
+
+    /// Writes the restart point to `dir/dcmesh-<step>.ck` (crash-atomic,
+    /// see [`Checkpoint::save`]); returns once it reached disk.
+    pub(crate) fn commit(&self, dir: &Path) -> Result<(), RunError> {
+        let step = self.ck.steps_done;
+        self.ck.save(&dir.join(format!("dcmesh-{step}.ck")))?;
+        let attrs = vec![Attr { key: "step", value: AttrValue::U64(step) }];
+        dcmesh_telemetry::instant("checkpoint", attrs);
+        Ok(())
+    }
+}
+
+/// The ionic force field's softening input: excitation count over
+/// electron count, clamped to a fraction.
+fn excitation_fraction(nexc: f64, params: &LfdParams) -> f64 {
+    (nexc / params.n_electrons()).clamp(0.0, 1.0)
+}
+
+/// An SCF pass that refused its overlap, as a divergence at `step`.
+fn scf_failed(step: u64, e: impl std::fmt::Display) -> RunError {
+    RunError::diverged(step, HealthViolation::SingularOverlap { detail: e.to_string() })
 }
 
 /// Runs the full simulation at element width `T` (`f32` for the paper's
@@ -288,169 +361,21 @@ pub fn run_simulation_with_policy<T: LfdScalar>(
     cfg: &RunConfig,
     policy: &PrecisionPolicy,
 ) -> Result<RunResult, RunError> {
-    cfg.validate()?;
-    init_rank_from_env()?;
-    // Fail fast on a malformed MKL_BLAS_COMPUTE_MODE before any state is
-    // built — a typo'd mode must be a structured error, not a panic deep
-    // inside the first BLAS call.
-    mkl_lite::try_compute_mode()?;
-    let params = cfg.lfd_params();
-    params.validate();
-
-    let (mut system, mut state, mut steps_done) = fresh_start::<T>(cfg, &params)?;
-    let mut md = MdIntegrator::new(
-        &system,
-        cfg.qd_steps_per_md as f64 * cfg.dt,
-        cfg.ehrenfest_softening,
-    );
-    let mut scratch = QdScratch::new(&params);
-
-    let mode = mkl_lite::compute_mode();
-    let mut result =
-        RunResult::new(&cfg.label, mode, cfg.total_qd_steps / cfg.record_every + 1);
-
-    let mut last_nexc = 0.0f64;
-    while steps_done < cfg.total_qd_steps {
-        run_burst(
-            cfg,
-            &params,
-            policy,
-            &mut system,
-            &mut state,
-            &mut md,
-            &mut scratch,
-            &mut steps_done,
-            &mut last_nexc,
-            &mut result,
-            None,
-        )?;
+    let mut run = Run::<T>::start(cfg, policy, None, None)?;
+    while !run.done() {
+        run.burst(None)?;
     }
-    Ok(result)
-}
-
-/// When (if ever) a checkpointed run should pretend the process died:
-/// after the Nth checkpoint write of this invocation, the run stops with
-/// [`RunError::SimulatedCrash`], checkpoints intact on disk. The default
-/// never crashes. Exists so restart-robustness tests exercise the real
-/// resume path instead of hand-built checkpoint files.
-#[derive(Clone, Debug, Default)]
-pub struct CrashPlan {
-    /// Crash after this many MD-boundary checkpoint writes (counted per
-    /// invocation, not per deck); `None` disables.
-    pub crash_after_bursts: Option<u32>,
-}
-
-/// Runs the simulation with periodic checkpointing: a
-/// [`crate::checkpoint::Checkpoint`] is written to `dir/dcmesh-<step>.ck`
-/// at every MD boundary, and — if a newer checkpoint for this deck shape
-/// already exists in `dir` — the run **resumes** from it instead of
-/// starting over. Resumed runs continue bit-for-bit identically to an
-/// uninterrupted run (guaranteed by the checkpoint tests), so the paper's
-/// 2-day-per-mode accuracy runs survive job-time limits without
-/// corrupting the deviation analysis.
-///
-/// A checkpoint that fails to load (truncated, corrupted, wrong deck) is
-/// **quarantined** — renamed to `<name>.ck.bad` with a warning — and the
-/// next-newest checkpoint is tried, falling back to a fresh start only
-/// when none survive.
-///
-/// Returns the run result covering only the steps executed *in this
-/// invocation* (records from before the resume point live in the earlier
-/// invocation's output).
-pub fn run_with_checkpoints<T: LfdScalar>(
-    cfg: &RunConfig,
-    policy: &PrecisionPolicy,
-    dir: &Path,
-) -> Result<RunResult, RunError> {
-    run_with_checkpoints_crashing::<T>(cfg, policy, dir, &CrashPlan::default())
-}
-
-/// [`run_with_checkpoints`] with a [`CrashPlan`] — the fault-injection
-/// entry point restart tests use to kill the run at a chosen boundary.
-pub fn run_with_checkpoints_crashing<T: LfdScalar>(
-    cfg: &RunConfig,
-    policy: &PrecisionPolicy,
-    dir: &Path,
-    crash: &CrashPlan,
-) -> Result<RunResult, RunError> {
-    use crate::checkpoint::Checkpoint;
-
-    cfg.validate()?;
-    init_rank_from_env()?;
-    mkl_lite::try_compute_mode()?;
-    let params = cfg.lfd_params();
-    params.validate();
-    std::fs::create_dir_all(dir)?;
-
-    let (mut system, mut state, mut steps_done, mut last_nexc) =
-        match scan_and_load::<T>(dir, &params)? {
-            Some(resumed) => resumed,
-            None => {
-                let (system, state, steps) = fresh_start::<T>(cfg, &params)?;
-                (system, state, steps, 0.0)
-            }
-        };
-
-    // Reseed the integrator's force field with the checkpointed
-    // excitation so resume is bit-exact (zero on a fresh start).
-    let mut md = MdIntegrator::resume(
-        &system,
-        cfg.qd_steps_per_md as f64 * cfg.dt,
-        cfg.ehrenfest_softening,
-        excitation_fraction(last_nexc, &params),
-    );
-    let mut scratch = QdScratch::new(&params);
-    let mode = mkl_lite::compute_mode();
-    let mut result = RunResult::new(&cfg.label, mode, 0);
-
-    let mut bursts_this_invocation = 0u32;
-    while steps_done < cfg.total_qd_steps {
-        run_burst(
-            cfg,
-            &params,
-            policy,
-            &mut system,
-            &mut state,
-            &mut md,
-            &mut scratch,
-            &mut steps_done,
-            &mut last_nexc,
-            &mut result,
-            None,
-        )?;
-
-        // Checkpoint the boundary state.
-        let ck = Checkpoint {
-            state: state.clone(),
-            system: system.clone(),
-            steps_done: steps_done as u64,
-            nexc: last_nexc,
-        };
-        ck.save(&dir.join(format!("dcmesh-{steps_done}.ck")))?;
-
-        bursts_this_invocation += 1;
-        if crash.crash_after_bursts == Some(bursts_this_invocation) {
-            return Err(RunError::SimulatedCrash { steps_done: steps_done as u64 });
-        }
-    }
-    Ok(result)
+    Ok(run.result)
 }
 
 /// Scans `dir` for `dcmesh-<step>.ck` files and loads the newest that
 /// decodes and matches the deck. Failures are quarantined (renamed to
 /// `.ck.bad`) so a corrupt newest checkpoint cannot wedge every future
 /// resume, and older checkpoints are tried in turn.
-/// A restart point as the run loops consume it: ionic state, electronic
-/// state, QD steps completed, and the boundary excitation count that
-/// reseeds the integrator's force field.
-pub(crate) type ResumePoint<T> = (AtomicSystem, LfdState<T>, usize, f64);
-
 pub(crate) fn scan_and_load<T: LfdScalar>(
     dir: &Path,
     params: &LfdParams,
-) -> Result<Option<ResumePoint<T>>, RunError> {
-    use crate::checkpoint::Checkpoint;
-
+) -> Result<Option<Checkpoint<T>>, RunError> {
     let mut found: Vec<(u64, std::path::PathBuf)> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
@@ -468,9 +393,7 @@ pub(crate) fn scan_and_load<T: LfdScalar>(
     for (_, path) in found {
         let problem = match Checkpoint::<T>::load(&path) {
             Ok(ck) => match ck.validate(params) {
-                Ok(()) => {
-                    return Ok(Some((ck.system, ck.state, ck.steps_done as usize, ck.nexc)))
-                }
+                Ok(()) => return Ok(Some(ck)),
                 Err(e) => e.to_string(),
             },
             Err(e) => e.to_string(),
@@ -493,22 +416,20 @@ fn quarantine(path: &Path, why: &str) {
     }
 }
 
-pub(crate) fn fresh_start<T: LfdScalar>(
+/// The restart point of a run that has not stepped yet: the deck's
+/// supercell and the FP64 initial SCF on the plane-wave guess.
+fn fresh_start<T: LfdScalar>(
     cfg: &RunConfig,
-    params: &dcmesh_lfd::LfdParams,
-) -> Result<(dcmesh_qxmd::AtomicSystem, LfdState<T>, usize), RunError> {
+    params: &LfdParams,
+) -> Result<Checkpoint<T>, RunError> {
     let system = pto_supercell(cfg.supercell);
     let vloc: Vec<T> = system.local_potential(&params.mesh, cfg.vloc_depth);
     let mut state = LfdState::<T>::initialize(params, vloc);
     // The plane-wave initial guess always has a well-conditioned overlap,
     // so a singular overlap here points at the deck, not the run — but it
     // must still be an error, not a panic.
-    initial_scf(params, &mut state, 3, 1e-10).map_err(|e| RunError::Diverged {
-        step: 0,
-        mode: mkl_lite::compute_mode(),
-        violation: HealthViolation::SingularOverlap { detail: e.to_string() },
-    })?;
-    Ok((system, state, 0))
+    initial_scf(params, &mut state, 3, 1e-10).map_err(|e| scf_failed(0, e))?;
+    Ok(Checkpoint { state, system, steps_done: 0, nexc: 0.0 })
 }
 
 #[cfg(test)]
@@ -556,7 +477,7 @@ mod tests {
 
     #[test]
     fn empty_result_has_no_last_record() {
-        let r = RunResult::new("x", ComputeMode::Standard, 0);
+        let r = RunResult::new("x", ComputeMode::Standard);
         assert!(r.last().is_none());
     }
 
@@ -610,19 +531,23 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_straight_run() {
+        use crate::supervisor::{run_supervised, SupervisorConfig};
         let cfg = tiny_config(); // 60 steps, 20 per MD
-        let policy = dcmesh_lfd::PrecisionPolicy::Ambient;
         let straight = run_simulation::<f32>(&cfg).expect("straight run");
 
         let dir = std::env::temp_dir().join(format!("dcmesh-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let sup =
+            SupervisorConfig { checkpoint_dir: Some(dir.clone()), ..SupervisorConfig::default() };
 
         // First invocation: stop after 40 steps by shortening the deck.
         let mut first_leg = cfg.clone();
         first_leg.total_qd_steps = 40;
-        run_with_checkpoints::<f32>(&first_leg, &policy, &dir).expect("first leg");
+        run_supervised::<f32>(&first_leg, ComputeMode::Standard, &sup).expect("first leg");
         // Second invocation: full deck resumes from the 40-step checkpoint.
-        let second = run_with_checkpoints::<f32>(&cfg, &policy, &dir).expect("second leg");
+        let second = run_supervised::<f32>(&cfg, ComputeMode::Standard, &sup).expect("second leg");
+        assert_eq!(second.resumed_from_step, Some(40));
+        let second = second.result;
         assert_eq!(second.records.len(), 20, "resume should run only the tail");
 
         // The tail must match the straight run bit-for-bit.
@@ -634,26 +559,53 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The restart point is one value, so a rollback can be checked as
+    /// one: after a burst that diverged on an injected NaN, the run's
+    /// checkpoint encodes to exactly the snapshot's bytes and the record
+    /// is back at the mark — whatever fields the state has.
     #[test]
-    fn simulated_crash_stops_after_the_requested_burst() {
+    fn rollback_restores_the_restart_point_to_the_byte() {
+        use crate::health::HealthConfig;
+        use mkl_lite::fault::Trigger;
+        use mkl_lite::{FaultKind, FaultPlan, FaultSite};
         let cfg = tiny_config();
-        let policy = dcmesh_lfd::PrecisionPolicy::Ambient;
-        let dir = std::env::temp_dir().join(format!("dcmesh-crash-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let policy = PrecisionPolicy::Ambient;
+        let mut run = Run::<f32>::start(&cfg, &policy, None, None).expect("start");
+        run.burst(None).expect("clean first burst");
 
-        let crash = CrashPlan { crash_after_bursts: Some(1) };
-        let e = run_with_checkpoints_crashing::<f32>(&cfg, &policy, &dir, &crash).unwrap_err();
-        assert!(matches!(e, RunError::SimulatedCrash { steps_done: 20 }), "{e}");
-        assert!(dir.join("dcmesh-20.ck").exists(), "crash must leave the checkpoint behind");
+        let snapshot = run.ck.clone();
+        let mark = ResultMark::take(&run.result);
+        let bytes = snapshot.encode();
 
-        // The straight resume completes the deck and matches an
-        // uninterrupted run bit-for-bit.
+        // Poison every CGEMM from a few steps into the second burst on.
+        let mut monitor = HealthMonitor::new(HealthConfig::default(), run.params.n_electrons());
+        let mut site = FaultSite::every(1, FaultKind::Nan).on_routine("CGEMM");
+        site.trigger = Trigger::Every { period: 1, offset: 40 };
+        mkl_lite::install_fault_plan(FaultPlan::new(3).with_site(site));
+        let out = run.burst(Some(&mut monitor));
+        mkl_lite::clear_fault_plan();
+        assert!(matches!(out, Err(RunError::Diverged { .. })), "{out:?}");
+        assert!(run.result.records.len() > mark.records, "the burst recorded steps before dying");
+        assert_ne!(run.ck.encode().as_ref(), bytes.as_ref(), "the burst moved the state");
+
+        run.rollback(&snapshot, &mark);
+        assert_eq!(run.ck.encode().as_ref(), bytes.as_ref());
+        let r = &run.result;
+        assert_eq!(
+            (r.records.len(), r.scf_drift.len(), r.shadow_drift.len(), r.ion_temperature.len()),
+            (mark.records, mark.scf_drift, mark.shadow_drift, mark.ion_temperature)
+        );
+        assert_eq!(r.transfers.total(), mark.transfers.total());
+
+        // And the rolled-back run continues as if nothing had happened.
         let straight = run_simulation::<f32>(&cfg).expect("straight run");
-        let resumed = run_with_checkpoints::<f32>(&cfg, &policy, &dir).expect("resume");
-        assert_eq!(resumed.records.len(), 40);
-        for (got, want) in resumed.records.iter().zip(&straight.records[20..]) {
-            assert_eq!(got.ekin.to_bits(), want.ekin.to_bits(), "step {}", got.step);
+        while !run.done() {
+            run.burst(None).expect("clean burst");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(run.result.records.len(), straight.records.len());
+        for (got, want) in run.result.records.iter().zip(&straight.records) {
+            assert_eq!(got.ekin.to_bits(), want.ekin.to_bits(), "step {}", got.step);
+            assert_eq!(got.nexc.to_bits(), want.nexc.to_bits(), "step {}", got.step);
+        }
     }
 }

@@ -48,7 +48,7 @@
 //!   where the surviving ranks pick them up — the run completes on fewer
 //!   ranks instead of hanging or aborting.
 //! * **Deterministic fault injection**: a [`RankKillPlan`] ("kill rank r
-//!   at burst b", mirroring [`crate::runner::CrashPlan`] /
+//!   at burst b" — the process-level counterpart of the call-level
 //!   `mkl_lite::FaultPlan`) makes every recovery path testable — the
 //!   chaos tests assert bit-identical observables against an
 //!   uninterrupted run.
@@ -190,9 +190,9 @@ pub struct RankKill {
     pub every_incarnation: bool,
 }
 
-/// Deterministic "kill rank r at burst b" schedules, mirroring
-/// [`crate::runner::CrashPlan`] and `mkl_lite::FaultPlan`: rank-level
-/// fault injection so every recovery path is testable. The spec grammar
+/// Deterministic "kill rank r at burst b" schedules — rank-level fault
+/// injection beside the call-level `mkl_lite::FaultPlan`, so every
+/// recovery path is testable. The spec grammar
 /// is a comma list of `r@b` (first incarnation only) or `r@b*` (every
 /// incarnation), e.g. `"1@2,3@0*"`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -453,6 +453,46 @@ fn count_done(run: &Path) -> Result<usize, std::io::Error> {
     Ok(n)
 }
 
+/// Required-field readers for the coordination files (`MANIFEST.json`,
+/// done files, `report.json`): a missing or mistyped field is a
+/// [`ShardError::Manifest`], never a default — a reader that cannot fail
+/// turns a torn or foreign file into a clean-looking fleet.
+fn field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ShardError> {
+    doc.get(key).ok_or_else(|| ShardError::Manifest(format!("missing field {key:?}")))
+}
+
+fn as_count(v: &JsonValue, key: &str) -> Result<u64, ShardError> {
+    v.as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
+        .ok_or_else(|| ShardError::Manifest(format!("{key} is not a non-negative integer")))
+}
+
+fn count_field(doc: &JsonValue, key: &str) -> Result<u64, ShardError> {
+    as_count(field(doc, key)?, key)
+}
+
+/// `Some(count)`, or `None` for an explicit `null`.
+fn optional_count_field(doc: &JsonValue, key: &str) -> Result<Option<u64>, ShardError> {
+    match field(doc, key)? {
+        JsonValue::Null => Ok(None),
+        v => as_count(v, key).map(Some),
+    }
+}
+
+fn bool_field(doc: &JsonValue, key: &str) -> Result<bool, ShardError> {
+    match field(doc, key)? {
+        JsonValue::Bool(b) => Ok(*b),
+        _ => Err(ShardError::Manifest(format!("{key} is not a boolean"))),
+    }
+}
+
+fn array_field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ShardError> {
+    field(doc, key)?
+        .as_array()
+        .ok_or_else(|| ShardError::Manifest(format!("{key} is not an array")))
+}
+
 // ---------------------------------------------------------------------------
 // Manifest
 
@@ -495,31 +535,17 @@ impl Manifest {
         let text = fs::read_to_string(manifest_path(run))?;
         let doc = json::parse(&text)
             .map_err(|e| ShardError::Manifest(format!("MANIFEST.json does not parse: {e:?}")))?;
-        let field = |k: &str| {
-            doc.get(k).ok_or_else(|| ShardError::Manifest(format!("missing field {k:?}")))
-        };
-        let deck_text = field("deck")?
+        let deck_text = field(&doc, "deck")?
             .as_str()
             .ok_or_else(|| ShardError::Manifest("deck is not a string".into()))?;
         let deck = RunConfig::parse(deck_text)
             .map_err(|e| ShardError::Manifest(format!("embedded deck: {e}")))?;
-        let num = |k: &str| -> Result<u64, ShardError> {
-            field(k)?
-                .as_f64()
-                .map(|v| v as u64)
-                .ok_or_else(|| ShardError::Manifest(format!("{k} is not a number")))
-        };
-        let mode_s = field("start_mode")?
+        let num = |k: &str| count_field(&doc, k);
+        let mode_s = field(&doc, "start_mode")?
             .as_str()
             .ok_or_else(|| ShardError::Manifest("start_mode is not a string".into()))?;
         let start_mode = ComputeMode::from_env_value(mode_s)
             .map_err(|e| ShardError::Manifest(format!("start_mode: {e}")))?;
-        let deescalate_after = match doc.get("deescalate_after") {
-            Some(JsonValue::Null) | None => None,
-            Some(v) => Some(v.as_f64().ok_or_else(|| {
-                ShardError::Manifest("deescalate_after is not a number".into())
-            })? as u32),
-        };
         Ok(Manifest {
             deck,
             n_domains: num("n_domains")? as usize,
@@ -527,7 +553,7 @@ impl Manifest {
             start_mode,
             heartbeat_interval: Duration::from_millis(num("heartbeat_interval_ms")?),
             poll_interval: Duration::from_millis(num("poll_interval_ms")?),
-            deescalate_after,
+            deescalate_after: optional_count_field(&doc, "deescalate_after")?.map(|n| n as u32),
         })
     }
 }
@@ -864,39 +890,30 @@ fn run_domain(
     let out = run_supervised_observed::<f32>(&cfg, m.start_mode, &sup, &mut observer);
     hb.domain.store(u64::MAX, Ordering::Relaxed);
 
-    let body = match &out {
+    let outcome = match &out {
         Ok(run_out) => {
             // A resumed invocation records only the tail; the boundary
             // observables still come from the final step either way.
             let last = run_out.result.records.last();
-            let resumed = match run_out.resumed_from_step {
-                Some(s) => s.to_string(),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"domain\":{domain},\"status\":\"ok\",\"rank\":{rank},\
-                 \"incarnation\":{incarnation},\"resumed_from_step\":{resumed},\
-                 \"final_step\":{},\"ekin_bits\":{},\"nexc_bits\":{},\"etot_bits\":{},\
-                 \"escalations\":{},\"sdc_recoveries\":{},\"lowdin_fallbacks\":{},\
-                 \"final_mode\":{},\"label\":{}}}",
-                last.map(|o| o.step).unwrap_or(0),
-                bits_hex(last.map(|o| o.ekin).unwrap_or(0.0)),
-                bits_hex(last.map(|o| o.nexc).unwrap_or(0.0)),
-                bits_hex(last.map(|o| o.etot).unwrap_or(0.0)),
-                run_out.escalations.len(),
-                run_out.sdc_recoveries,
-                run_out.lowdin_fallbacks,
-                json::escape_string(run_out.final_mode.name()),
-                json::escape_string(&run_out.result.label),
-            )
+            let bits = |f: fn(&dcmesh_lfd::StepObservables) -> f64| last.map_or(0.0, f).to_bits();
+            DomainOutcome {
+                domain,
+                ok: true,
+                rank,
+                incarnation,
+                resumed_from_step: run_out.resumed_from_step,
+                final_step: last.map_or(0, |o| o.step),
+                ekin_bits: bits(|o| o.ekin),
+                nexc_bits: bits(|o| o.nexc),
+                etot_bits: bits(|o| o.etot),
+                escalations: run_out.escalations.len() as u64,
+                sdc_recoveries: run_out.sdc_recoveries,
+                error: None,
+            }
         }
-        Err(e) => format!(
-            "{{\"domain\":{domain},\"status\":\"failed\",\"rank\":{rank},\
-             \"incarnation\":{incarnation},\"error\":{}}}",
-            json::escape_string(&e.to_string()),
-        ),
+        Err(e) => DomainOutcome::failed(domain, rank, incarnation, e.to_string()),
     };
-    write_atomic(&done_path(run, domain), &body)?;
+    write_atomic(&done_path(run, domain), &outcome.to_json())?;
     instant(
         if out.is_ok() { "domain_done" } else { "domain_failed" },
         vec![
@@ -913,12 +930,15 @@ fn run_domain(
 
 /// `f64` bit pattern as a hex-string JSON value — JSON numbers are f64
 /// and cannot carry 64 significant bits losslessly.
-fn bits_hex(v: f64) -> String {
-    format!("\"0x{:016x}\"", v.to_bits())
+fn bits_hex(bits: u64) -> String {
+    format!("\"0x{bits:016x}\"")
 }
 
-fn parse_bits_hex(v: Option<&JsonValue>) -> Option<u64> {
-    u64::from_str_radix(v?.as_str()?.strip_prefix("0x")?, 16).ok()
+fn bits_field(doc: &JsonValue, key: &str) -> Result<u64, ShardError> {
+    field(doc, key)?
+        .as_str()
+        .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())
+        .ok_or_else(|| ShardError::Manifest(format!("{key} is not a \"0x…\" bit pattern")))
 }
 
 /// Appends this rank's accumulated telemetry to its event stream. The
@@ -975,7 +995,9 @@ enum RankState {
     Degraded,
 }
 
-/// Final outcome of one domain, read back from its done file.
+/// Final outcome of one domain: what the worker writes to the done file,
+/// the coordinator reads back, and `report.json` lists — one encoding
+/// (`DomainOutcome::to_json` / `DomainOutcome::from_json`) for both.
 #[derive(Clone, Debug)]
 pub struct DomainOutcome {
     /// Domain id.
@@ -1004,11 +1026,76 @@ pub struct DomainOutcome {
     /// Silent-data-corruption rollbacks (ABFT checksum violations or
     /// replay mismatches) the supervisor recovered from on this domain.
     pub sdc_recoveries: u64,
-    /// Löwdin→Gram-Schmidt orthonormalisation fallbacks during the
-    /// domain run — previously discarded silently, now surfaced.
-    pub lowdin_fallbacks: u64,
     /// Error text for failed domains.
     pub error: Option<String>,
+}
+
+impl DomainOutcome {
+    /// A domain with no usable result: zeroed observables (they merge as
+    /// +0.0) and the reason.
+    fn failed(domain: usize, rank: usize, incarnation: u32, error: String) -> DomainOutcome {
+        DomainOutcome {
+            domain,
+            ok: false,
+            rank,
+            incarnation,
+            resumed_from_step: None,
+            final_step: 0,
+            ekin_bits: 0,
+            nexc_bits: 0,
+            etot_bits: 0,
+            escalations: 0,
+            sdc_recoveries: 0,
+            error: Some(error),
+        }
+    }
+
+    fn to_json(&self) -> String {
+        let resumed = self.resumed_from_step.map_or("null".to_string(), |s| s.to_string());
+        let error = self.error.as_deref().map_or("null".to_string(), json::escape_string);
+        format!(
+            "{{\"domain\":{},\"ok\":{},\"rank\":{},\"incarnation\":{},\
+             \"resumed_from_step\":{resumed},\"final_step\":{},\"ekin_bits\":{},\
+             \"nexc_bits\":{},\"etot_bits\":{},\"escalations\":{},\
+             \"sdc_recoveries\":{},\"error\":{error}}}",
+            self.domain,
+            self.ok,
+            self.rank,
+            self.incarnation,
+            self.final_step,
+            bits_hex(self.ekin_bits),
+            bits_hex(self.nexc_bits),
+            bits_hex(self.etot_bits),
+            self.escalations,
+            self.sdc_recoveries,
+        )
+    }
+
+    /// Every field is required: a document that lacks or mistypes one is
+    /// not an outcome (and must not merge as a successful +0.0 domain).
+    fn from_json(doc: &JsonValue) -> Result<DomainOutcome, ShardError> {
+        Ok(DomainOutcome {
+            domain: count_field(doc, "domain")? as usize,
+            ok: bool_field(doc, "ok")?,
+            rank: count_field(doc, "rank")? as usize,
+            incarnation: count_field(doc, "incarnation")? as u32,
+            resumed_from_step: optional_count_field(doc, "resumed_from_step")?,
+            final_step: count_field(doc, "final_step")?,
+            ekin_bits: bits_field(doc, "ekin_bits")?,
+            nexc_bits: bits_field(doc, "nexc_bits")?,
+            etot_bits: bits_field(doc, "etot_bits")?,
+            escalations: count_field(doc, "escalations")?,
+            sdc_recoveries: count_field(doc, "sdc_recoveries")?,
+            error: match field(doc, "error")? {
+                JsonValue::Null => None,
+                v => Some(
+                    v.as_str()
+                        .ok_or_else(|| ShardError::Manifest("error is not a string".into()))?
+                        .to_string(),
+                ),
+            },
+        })
+    }
 }
 
 /// Per-rank summary.
@@ -1070,37 +1157,7 @@ impl ShardReport {
     }
 
     fn to_json(&self) -> String {
-        let domains: Vec<String> = self
-            .domains
-            .iter()
-            .map(|d| {
-                let resumed = match d.resumed_from_step {
-                    Some(s) => s.to_string(),
-                    None => "null".to_string(),
-                };
-                let error = match &d.error {
-                    Some(e) => json::escape_string(e),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"domain\":{},\"ok\":{},\"rank\":{},\"incarnation\":{},\
-                     \"resumed_from_step\":{resumed},\"final_step\":{},\"ekin_bits\":{},\
-                     \"nexc_bits\":{},\"etot_bits\":{},\"escalations\":{},\
-                     \"sdc_recoveries\":{},\"lowdin_fallbacks\":{},\"error\":{error}}}",
-                    d.domain,
-                    d.ok,
-                    d.rank,
-                    d.incarnation,
-                    d.final_step,
-                    bits_hex(f64::from_bits(d.ekin_bits)),
-                    bits_hex(f64::from_bits(d.nexc_bits)),
-                    bits_hex(f64::from_bits(d.etot_bits)),
-                    d.escalations,
-                    d.sdc_recoveries,
-                    d.lowdin_fallbacks,
-                )
-            })
-            .collect();
+        let domains: Vec<String> = self.domains.iter().map(DomainOutcome::to_json).collect();
         let ranks: Vec<String> = self
             .ranks
             .iter()
@@ -1122,61 +1179,45 @@ impl ShardReport {
             self.restarts,
             self.degraded_ranks.iter().map(ToString::to_string).collect::<Vec<_>>().join(","),
             self.elapsed.as_millis(),
-            bits_hex(f64::from_bits(me)),
-            bits_hex(f64::from_bits(mn)),
-            bits_hex(f64::from_bits(mt)),
+            bits_hex(me),
+            bits_hex(mn),
+            bits_hex(mt),
             domains.join(","),
             ranks.join(","),
         )
     }
 
-    /// Parses a `report.json` written by [`run_coordinator`].
+    /// Parses a `report.json` written by [`run_coordinator`]. Strict: a
+    /// document without its domain and rank lists, or with a field missing
+    /// or mistyped, is an error — `{}` must not read as a clean fleet.
     pub fn parse(text: &str) -> Result<ShardReport, ShardError> {
         let doc = json::parse(text)
             .map_err(|e| ShardError::Manifest(format!("report.json does not parse: {e:?}")))?;
-        let num = |v: Option<&JsonValue>| v.and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        let mut domains = Vec::new();
-        for d in doc.get("domains").and_then(JsonValue::as_array).unwrap_or(&[]) {
-            domains.push(DomainOutcome {
-                domain: num(d.get("domain")) as usize,
-                ok: d.get("ok") == Some(&JsonValue::Bool(true)),
-                rank: num(d.get("rank")) as usize,
-                incarnation: num(d.get("incarnation")) as u32,
-                resumed_from_step: d
-                    .get("resumed_from_step")
-                    .and_then(JsonValue::as_f64)
-                    .map(|v| v as u64),
-                final_step: num(d.get("final_step")),
-                ekin_bits: parse_bits_hex(d.get("ekin_bits")).unwrap_or(0),
-                nexc_bits: parse_bits_hex(d.get("nexc_bits")).unwrap_or(0),
-                etot_bits: parse_bits_hex(d.get("etot_bits")).unwrap_or(0),
-                escalations: num(d.get("escalations")),
-                sdc_recoveries: num(d.get("sdc_recoveries")),
-                lowdin_fallbacks: num(d.get("lowdin_fallbacks")),
-                error: d.get("error").and_then(JsonValue::as_str).map(String::from),
-            });
-        }
-        let mut ranks = Vec::new();
-        for r in doc.get("ranks").and_then(JsonValue::as_array).unwrap_or(&[]) {
-            ranks.push(RankSummary {
-                rank: num(r.get("rank")) as usize,
-                incarnations: num(r.get("incarnations")) as u32,
-                degraded: r.get("degraded") == Some(&JsonValue::Bool(true)),
-            });
-        }
+        let domains = array_field(&doc, "domains")?
+            .iter()
+            .map(DomainOutcome::from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        let ranks = array_field(&doc, "ranks")?
+            .iter()
+            .map(|r| {
+                Ok(RankSummary {
+                    rank: count_field(r, "rank")? as usize,
+                    incarnations: count_field(r, "incarnations")? as u32,
+                    degraded: bool_field(r, "degraded")?,
+                })
+            })
+            .collect::<Result<Vec<_>, ShardError>>()?;
+        let degraded_ranks = array_field(&doc, "degraded_ranks")?
+            .iter()
+            .map(|v| as_count(v, "degraded_ranks").map(|r| r as usize))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardReport {
             domains,
             ranks,
-            heartbeat_misses: num(doc.get("heartbeat_misses")),
-            restarts: num(doc.get("restarts")),
-            degraded_ranks: doc
-                .get("degraded_ranks")
-                .and_then(JsonValue::as_array)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|v| v.as_f64().map(|f| f as usize))
-                .collect(),
-            elapsed: Duration::from_millis(num(doc.get("elapsed_ms"))),
+            heartbeat_misses: count_field(&doc, "heartbeat_misses")?,
+            restarts: count_field(&doc, "restarts")?,
+            degraded_ranks,
+            elapsed: Duration::from_millis(count_field(&doc, "elapsed_ms")?),
         })
     }
 }
@@ -1523,48 +1564,22 @@ fn finalize(
         }
     }
 
-    let mut domains: Vec<DomainOutcome> = Vec::with_capacity(cfg.n_domains);
-    for d in 0..cfg.n_domains {
-        match fs::read_to_string(done_path(run, d)).ok().and_then(|t| json::parse(&t).ok()) {
-            Some(doc) => {
-                let num =
-                    |v: Option<&JsonValue>| v.and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-                domains.push(DomainOutcome {
-                    domain: d,
-                    ok: doc.get("status").and_then(JsonValue::as_str) == Some("ok"),
-                    rank: num(doc.get("rank")) as usize,
-                    incarnation: num(doc.get("incarnation")) as u32,
-                    resumed_from_step: doc
-                        .get("resumed_from_step")
-                        .and_then(JsonValue::as_f64)
-                        .map(|v| v as u64),
-                    final_step: num(doc.get("final_step")),
-                    ekin_bits: parse_bits_hex(doc.get("ekin_bits")).unwrap_or(0),
-                    nexc_bits: parse_bits_hex(doc.get("nexc_bits")).unwrap_or(0),
-                    etot_bits: parse_bits_hex(doc.get("etot_bits")).unwrap_or(0),
-                    escalations: num(doc.get("escalations")),
-                    sdc_recoveries: num(doc.get("sdc_recoveries")),
-                    lowdin_fallbacks: num(doc.get("lowdin_fallbacks")),
-                    error: doc.get("error").and_then(JsonValue::as_str).map(String::from),
+    // A done file that is missing, torn or not a complete outcome for its
+    // own domain is a failed domain, not a zeroed success.
+    let domains: Vec<DomainOutcome> = (0..cfg.n_domains)
+        .map(|d| {
+            let read = fs::read_to_string(done_path(run, d))
+                .map_err(|e| e.to_string())
+                .and_then(|text| json::parse(&text).map_err(|e| format!("{e:?}")))
+                .and_then(|doc| DomainOutcome::from_json(&doc).map_err(|e| e.to_string()))
+                .and_then(|o| {
+                    if o.domain == d { Ok(o) } else { Err(format!("names domain {}", o.domain)) }
                 });
-            }
-            None => domains.push(DomainOutcome {
-                domain: d,
-                ok: false,
-                rank: 0,
-                incarnation: 0,
-                resumed_from_step: None,
-                final_step: 0,
-                ekin_bits: 0,
-                nexc_bits: 0,
-                etot_bits: 0,
-                escalations: 0,
-                sdc_recoveries: 0,
-                lowdin_fallbacks: 0,
-                error: Some("done file missing or unparsable".into()),
-            }),
-        }
-    }
+            read.unwrap_or_else(|why| {
+                DomainOutcome::failed(d, 0, 0, format!("done file missing or unparsable: {why}"))
+            })
+        })
+        .collect();
 
     let degraded_ranks: Vec<usize> = slots
         .iter()
@@ -1726,7 +1741,6 @@ mod tests {
                 etot_bits: u64::MAX,
                 escalations: 1,
                 sdc_recoveries: 2,
-                lowdin_fallbacks: 3,
                 error: None,
             }],
             ranks: vec![RankSummary { rank: 0, incarnations: 1, degraded: false }],
@@ -1742,11 +1756,42 @@ mod tests {
         assert_eq!(d.etot_bits, u64::MAX, "NaN patterns survive the hex encoding");
         assert_eq!(d.resumed_from_step, Some(20));
         assert_eq!(d.sdc_recoveries, 2);
-        assert_eq!(d.lowdin_fallbacks, 3);
         assert_eq!(back.restarts, 2);
         assert_eq!(back.degraded_ranks, vec![3]);
         assert!(back.failed_domains().is_empty());
         assert_eq!(back.merged_bits(), report.merged_bits(), "merge survives the roundtrip");
+    }
+
+    /// A reader that cannot fail reads a torn or foreign file as a clean
+    /// fleet: `{}` used to parse as zero domains, and a domain that lost
+    /// its bit patterns as a successful +0.0.
+    #[test]
+    fn report_and_outcome_readers_reject_missing_and_mistyped_fields() {
+        let manifest = |r: Result<ShardReport, ShardError>, what: &str| match r {
+            Err(ShardError::Manifest(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected a Manifest error naming {what}, got {other:?}"),
+        };
+        manifest(ShardReport::parse("{}"), "domains");
+
+        let good = DomainOutcome::failed(0, 1, 2, "boom".into());
+        let report = |domain: &str| {
+            format!(
+                "{{\"heartbeat_misses\":0,\"restarts\":0,\"degraded_ranks\":[],\
+                 \"elapsed_ms\":5,\"domains\":[{domain}],\"ranks\":[]}}"
+            )
+        };
+        let back = ShardReport::parse(&report(&good.to_json())).expect("complete outcome");
+        assert_eq!(back.failed_domains(), vec![0]);
+        assert_eq!(back.domains[0].error.as_deref(), Some("boom"));
+
+        let without_etot = good.to_json().replace("\"etot_bits\":\"0x0000000000000000\",", "");
+        assert!(!without_etot.contains("etot_bits"));
+        manifest(ShardReport::parse(&report(&without_etot)), "etot_bits");
+        let stringly_ok = good.to_json().replace("\"ok\":false", "\"ok\":\"true\"");
+        manifest(ShardReport::parse(&report(&stringly_ok)), "ok");
+        // The done file a worker used to be able to leave behind.
+        let doc = json::parse("{\"status\":\"ok\"}").expect("json");
+        assert!(matches!(DomainOutcome::from_json(&doc), Err(ShardError::Manifest(_))));
     }
 
     #[test]
@@ -1763,7 +1808,6 @@ mod tests {
             etot_bits: (-v).to_bits(),
             escalations: 0,
             sdc_recoveries: 0,
-            lowdin_fallbacks: 0,
             error: None,
         };
         let vals: Vec<f64> = (0..6).map(|i| 0.1 + (i as f64) * 0.7).collect();

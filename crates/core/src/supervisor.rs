@@ -10,25 +10,24 @@
 //! audit trail of every escalation so the accuracy analysis knows which
 //! bursts ran in which mode.
 //!
-//! Rollback granularity is one MD burst: before each burst the
-//! supervisor snapshots the electronic and ionic state in memory (and
-//! optionally persists checkpoints to disk, sharing the
-//! [`crate::runner::run_with_checkpoints`] format and resume scan). A
-//! restored burst re-runs bit-for-bit identically under the same mode —
-//! the same guarantee the checkpoint tests establish — so escalation
+//! Rollback granularity is one MD burst. The supervisor drives the same
+//! `Run` the plain runner does: before each burst it clones the run's
+//! [`Checkpoint`] — the restart point — as its snapshot, a rollback hands
+//! that clone back (`Run::rollback`), a `verify_bursts` replay is a
+//! second `Run` resumed from it, and with a checkpoint directory the
+//! same value is what `Run::commit` writes and `Run::start` resumes
+//! from. A restored burst re-runs bit-for-bit identically under the same
+//! mode — the guarantee the checkpoint tests establish — so escalation
 //! changes results only through the precision change itself.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::error::RunError;
 use crate::health::{HealthConfig, HealthMonitor, HealthViolation};
-use crate::runner::{
-    excitation_fraction, fresh_start, run_burst, scan_and_load, ResultMark, RunResult,
-};
+use crate::runner::{ResultMark, Run, RunResult};
 use dcmesh_lfd::nonlocal::LfdScalar;
 use dcmesh_lfd::policy::PrecisionPolicy;
-use dcmesh_lfd::propagator::QdScratch;
-use dcmesh_qxmd::MdIntegrator;
+use dcmesh_telemetry::{instant, ledger, Attr, AttrValue};
 use mkl_lite::{with_compute_mode, ComputeMode};
 use std::fmt;
 use std::path::PathBuf;
@@ -104,22 +103,27 @@ pub fn scf_defect_histogram() -> &'static Arc<dcmesh_telemetry::metrics::Histogr
     })
 }
 
-/// Supervisor policy knobs.
-#[derive(Clone, Debug)]
+/// Re-run budget for a single burst — one attempt per rung of
+/// [`ComputeMode::ESCALATION_LADDER`]. Escalation runs out of ladder
+/// first; the budget is what bounds same-mode silent-corruption retries.
+/// Exceeding it fails the run with [`RunError::EscalationExhausted`].
+const MAX_RETRIES_PER_BURST: u32 = ComputeMode::ESCALATION_LADDER.len() as u32;
+
+/// Supervisor policy knobs; by default everything optional is off.
+/// Divergence escalates along [`ComputeMode::next_stronger`].
+#[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
     /// Bounds the health monitor enforces.
     pub health: HealthConfig,
-    /// Modes available for escalation, weakest to strongest. On
-    /// divergence the supervisor moves to the first entry strictly
-    /// stronger (by [`ComputeMode::escalation_rank`]) than the mode
-    /// that failed. Defaults to the full ladder ending at FP32.
-    pub ladder: Vec<ComputeMode>,
-    /// Re-run budget for a single burst; exceeding it fails the run
-    /// with [`RunError::EscalationExhausted`].
-    pub max_retries_per_burst: u32,
-    /// When set, checkpoints are written here at every MD boundary and
-    /// the run resumes from the newest loadable checkpoint, exactly as
-    /// [`crate::runner::run_with_checkpoints`] does.
+    /// When set, a [`Checkpoint`] is written to `dir/dcmesh-<step>.ck` at
+    /// every MD boundary and the run **resumes** from the newest one that
+    /// loads and matches the deck, continuing bit-for-bit identically to
+    /// an uninterrupted run — so the paper's 2-day-per-mode accuracy runs
+    /// survive job-time limits without corrupting the deviation analysis.
+    /// A checkpoint that fails to load (truncated, corrupted, wrong deck)
+    /// is quarantined to `<name>.ck.bad` and the next-newest is tried,
+    /// falling back to a fresh start when none survive. A resumed run's
+    /// record covers only the steps executed in this invocation.
     pub checkpoint_dir: Option<PathBuf>,
     /// Metrics-driven de-escalation: after `Some(n)` consecutive clean
     /// bursts at an escalated mode — with the per-burst SCF-defect trend
@@ -146,20 +150,6 @@ pub struct SupervisorConfig {
     pub verify_bursts: Option<u64>,
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            health: HealthConfig::default(),
-            ladder: ComputeMode::ESCALATION_LADDER.to_vec(),
-            max_retries_per_burst: ComputeMode::ESCALATION_LADDER.len() as u32,
-            checkpoint_dir: None,
-            deescalate_after: None,
-            abft_check_period: None,
-            verify_bursts: None,
-        }
-    }
-}
-
 /// One entry of the escalation audit trail.
 #[derive(Clone, Debug)]
 pub struct EscalationEvent {
@@ -173,6 +163,25 @@ pub struct EscalationEvent {
     pub violation: HealthViolation,
     /// Retry attempt number for the burst (1-based).
     pub attempt: u32,
+}
+
+impl EscalationEvent {
+    /// Counter, ledger row and `escalation` instant of this entry.
+    fn record(&self) {
+        escalation_counter().inc();
+        if dcmesh_telemetry::events_enabled() {
+            ledger::record_escalation(self.from.name());
+        }
+        instant(
+            "escalation",
+            vec![
+                Attr { key: "step", value: AttrValue::U64(self.step) },
+                Attr { key: "from", value: AttrValue::Str(self.from.name()) },
+                Attr { key: "to", value: AttrValue::Str(self.to.name()) },
+                Attr { key: "attempt", value: AttrValue::U64(self.attempt as u64) },
+            ],
+        );
+    }
 }
 
 impl fmt::Display for EscalationEvent {
@@ -200,6 +209,22 @@ pub struct DeescalationEvent {
     pub to: ComputeMode,
     /// Clean-burst streak that justified the step-down.
     pub clean_bursts: u32,
+}
+
+impl DeescalationEvent {
+    /// Counter and `deescalation` instant of this entry.
+    fn record(&self) {
+        deescalation_counter().inc();
+        instant(
+            "deescalation",
+            vec![
+                Attr { key: "step", value: AttrValue::U64(self.step) },
+                Attr { key: "from", value: AttrValue::Str(self.from.name()) },
+                Attr { key: "to", value: AttrValue::Str(self.to.name()) },
+                Attr { key: "clean_bursts", value: AttrValue::U64(self.clean_bursts as u64) },
+            ],
+        );
+    }
 }
 
 impl fmt::Display for DeescalationEvent {
@@ -235,12 +260,6 @@ pub struct SupervisedRun {
     /// Same-mode rollbacks after detected silent data corruption (ABFT
     /// checksum violations and `verify_bursts` replay mismatches).
     pub sdc_recoveries: u64,
-    /// Eigensolver blocks whose Löwdin orthonormalisation collapsed and
-    /// fell back to modified Gram–Schmidt during this run (counter delta
-    /// of `orth_lowdin_fallbacks_total`). Nonzero values mean the
-    /// orthonormality the SCF refresh reports was maintained by the
-    /// fallback path — worth knowing when reading the drift columns.
-    pub lowdin_fallbacks: u64,
 }
 
 /// Hooks a caller can attach to the supervised burst loop. The shard
@@ -285,67 +304,27 @@ pub fn run_supervised_observed<T: LfdScalar>(
     sup: &SupervisorConfig,
     observer: &mut dyn BurstObserver,
 ) -> Result<SupervisedRun, RunError> {
-    cfg.validate()?;
-    crate::runner::init_rank_from_env()?;
-    mkl_lite::try_compute_mode().map_err(RunError::InvalidComputeMode)?;
-    if let Some(hash) = cfg.deck_hash() {
-        dcmesh_telemetry::ledger::set_deck_hash(&hash);
-    }
-    let params = cfg.lfd_params();
-    params.validate();
-
     // SDC defense: sampled GEMM checksums for the duration of the run.
     // The guard clears this thread's installation on every exit
     // path so an error return cannot leak checks into later runs.
-    struct AbftGuard(bool);
+    struct AbftGuard;
     impl Drop for AbftGuard {
         fn drop(&mut self) {
-            if self.0 {
-                mkl_lite::clear_abft();
-            }
+            mkl_lite::clear_abft();
         }
     }
-    let _abft_guard = match sup.abft_check_period {
-        Some(period) => {
-            mkl_lite::install_abft(period.max(1));
-            AbftGuard(true)
-        }
-        None => AbftGuard(false),
-    };
-    let lowdin_base = dcmesh_lfd::eigensolve::lowdin_fallback_counter().get();
-
-    if let Some(dir) = &sup.checkpoint_dir {
-        std::fs::create_dir_all(dir)?;
-    }
-    let resumed = match &sup.checkpoint_dir {
-        Some(dir) => scan_and_load::<T>(dir, &params)?,
-        None => None,
-    };
-    let resumed_from_step = resumed.as_ref().map(|(_, _, steps, _)| *steps as u64);
-    let (mut system, mut state, mut steps_done, mut last_nexc) = match resumed {
-        Some(r) => r,
-        None => {
-            let (system, state, steps) = fresh_start::<T>(cfg, &params)?;
-            (system, state, steps, 0.0)
-        }
-    };
-
-    let md_dt = cfg.qd_steps_per_md as f64 * cfg.dt;
-    // Seed the integrator's force field with the (checkpointed)
-    // excitation so a resumed run is bit-exact; zero on a fresh start.
-    let mut md = MdIntegrator::resume(
-        &system,
-        md_dt,
-        cfg.ehrenfest_softening,
-        excitation_fraction(last_nexc, &params),
-    );
-    let mut scratch = QdScratch::new(&params);
-
+    let _abft_guard = sup.abft_check_period.map(|period| {
+        mkl_lite::install_abft(period.max(1));
+        AbftGuard
+    });
     let policy = PrecisionPolicy::Ambient;
+    let mut run = Run::<T>::start(cfg, &policy, Some(start_mode), sup.checkpoint_dir.as_deref())?;
+    if let Some(hash) = cfg.deck_hash() {
+        ledger::set_deck_hash(&hash);
+    }
+
     let mut current = start_mode;
-    let mut result =
-        RunResult::new(&cfg.label, current, cfg.total_qd_steps / cfg.record_every + 1);
-    let mut monitor = HealthMonitor::new(sup.health.clone(), params.n_electrons());
+    let mut monitor = HealthMonitor::new(sup.health.clone(), run.params.n_electrons());
     let mut escalations: Vec<EscalationEvent> = Vec::new();
     let mut deescalations: Vec<DeescalationEvent> = Vec::new();
     // Per-burst SCF defects observed since the last rollback or mode
@@ -353,401 +332,179 @@ pub fn run_supervised_observed<T: LfdScalar>(
     let mut clean_defects: Vec<f64> = Vec::new();
     let mut sdc_recoveries = 0u64;
 
-    while steps_done < cfg.total_qd_steps {
-        let burst_index = (steps_done / cfg.qd_steps_per_md.max(1)) as u64;
-        observer.burst_starting(burst_index, steps_done as u64);
+    while !run.done() {
+        let burst_index = run.burst_index();
+        observer.burst_starting(burst_index, run.ck.steps_done);
 
         // Burst-boundary snapshot: everything a rollback must restore.
-        let snap_state = state.clone();
-        let snap_system = system.clone();
-        let snap_steps = steps_done;
-        let snap_nexc = last_nexc;
-        let mark = ResultMark::take(&result);
+        let snapshot = run.ck.clone();
+        let mark = ResultMark::take(&run.result);
+        // SDC defense, part 2: replay sampled clean bursts from the
+        // snapshot and demand identical bits.
+        let verify =
+            sup.verify_bursts.is_some_and(|every| every > 0 && burst_index.is_multiple_of(every));
 
         let mut attempt = 0u32;
         loop {
             let burst_out = with_compute_mode(current, || {
-                run_burst(
-                    cfg,
-                    &params,
-                    &policy,
-                    &mut system,
-                    &mut state,
-                    &mut md,
-                    &mut scratch,
-                    &mut steps_done,
-                    &mut last_nexc,
-                    &mut result,
-                    Some(&mut monitor),
-                )
-            });
-            // SDC defense, part 2: replay sampled clean bursts from the
-            // snapshot and demand identical bits.
-            let burst_out = burst_out.and_then(|()| {
-                let sampled = sup
-                    .verify_bursts
-                    .is_some_and(|every| every > 0 && burst_index.is_multiple_of(every));
-                if !sampled {
-                    return Ok(());
+                run.burst(Some(&mut monitor))?;
+                if verify {
+                    verify_burst_replay(&run, &snapshot)?;
                 }
-                verify_burst_replay(
-                    cfg,
-                    &params,
-                    &policy,
-                    current,
-                    md_dt,
-                    &snap_state,
-                    &snap_system,
-                    snap_steps,
-                    snap_nexc,
-                    &state,
-                    &system,
-                    &mut scratch,
-                )
+                Ok(())
             });
-            match burst_out {
+            let (step, mode, violation) = match burst_out {
                 Ok(()) => break,
-                Err(RunError::Diverged { step, mode, violation }) => {
-                    // Roll the burst back to the snapshot. Rebuilding
-                    // the integrator from the restored system — seeded
-                    // with the snapshot excitation — is the checkpoint
-                    // resume path, which is bit-exact.
-                    state = snap_state.clone();
-                    system = snap_system.clone();
-                    steps_done = snap_steps;
-                    last_nexc = snap_nexc;
-                    mark.restore(&mut result);
-                    md = MdIntegrator::resume(
-                        &system,
-                        md_dt,
-                        cfg.ehrenfest_softening,
-                        excitation_fraction(snap_nexc, &params),
-                    );
-                    monitor.reset();
-                    clean_defects.clear();
-                    rollback_counter().inc();
-                    // Feed the ledger: the violation and the rollback are
-                    // attributed to the suspect callsite when the BLAS
-                    // layer flagged one (ABFT violation or non-finite
-                    // output), else to a supervisor row. The suspect is
-                    // kept until the escalation decision below consumes
-                    // it.
-                    if dcmesh_telemetry::events_enabled() {
-                        let mode_label = mode.name();
-                        dcmesh_telemetry::ledger::record_health_violation(
-                            violation.kind(),
-                            mode_label,
-                        );
-                        dcmesh_telemetry::ledger::record_rollback(mode_label);
-                    }
-                    dcmesh_telemetry::instant(
-                        "rollback",
-                        vec![
-                            dcmesh_telemetry::Attr {
-                                key: "step",
-                                value: dcmesh_telemetry::AttrValue::U64(step),
-                            },
-                            dcmesh_telemetry::Attr {
-                                key: "mode",
-                                value: dcmesh_telemetry::AttrValue::Str(
-                                    mode.name(),
-                                ),
-                            },
-                        ],
-                    );
-
-                    attempt += 1;
-                    // Silent corruption is transient, not a precision
-                    // problem: retry the burst at the *same* mode. The
-                    // GEMM call counter is never reset, so a one-shot
-                    // injected flip does not re-fire on the retry — the
-                    // recovered burst is bit-identical to a clean run.
-                    if matches!(violation, HealthViolation::SilentCorruption { .. }) {
-                        sdc_recoveries += 1;
-                        sdc_recovery_counter().inc();
-                        dcmesh_telemetry::instant(
-                            "sdc_rollback",
-                            vec![
-                                dcmesh_telemetry::Attr {
-                                    key: "step",
-                                    value: dcmesh_telemetry::AttrValue::U64(step),
-                                },
-                                dcmesh_telemetry::Attr {
-                                    key: "detail",
-                                    value: dcmesh_telemetry::AttrValue::Text(
-                                        violation.to_string(),
-                                    ),
-                                },
-                                dcmesh_telemetry::Attr {
-                                    key: "attempt",
-                                    value: dcmesh_telemetry::AttrValue::U64(attempt as u64),
-                                },
-                            ],
-                        );
-                        if attempt > sup.max_retries_per_burst {
-                            return Err(RunError::EscalationExhausted {
-                                step,
-                                mode,
-                                violation,
-                                attempts: attempt,
-                            });
-                        }
-                        continue;
-                    }
-                    let next = sup
-                        .ladder
-                        .iter()
-                        .copied()
-                        .find(|m| m.escalation_rank() > current.escalation_rank());
-                    let next = match next {
-                        Some(n) if attempt <= sup.max_retries_per_burst => n,
-                        _ => {
-                            return Err(RunError::EscalationExhausted {
-                                step,
-                                mode,
-                                violation,
-                                attempts: attempt,
-                            })
-                        }
-                    };
-                    escalation_counter().inc();
-                    if dcmesh_telemetry::events_enabled() {
-                        dcmesh_telemetry::ledger::record_escalation(current.name());
-                    }
-                    dcmesh_telemetry::instant(
-                        "escalation",
-                        vec![
-                            dcmesh_telemetry::Attr {
-                                key: "step",
-                                value: dcmesh_telemetry::AttrValue::U64(step),
-                            },
-                            dcmesh_telemetry::Attr {
-                                key: "from",
-                                value: dcmesh_telemetry::AttrValue::Str(
-                                    current.name(),
-                                ),
-                            },
-                            dcmesh_telemetry::Attr {
-                                key: "to",
-                                value: dcmesh_telemetry::AttrValue::Str(
-                                    next.name(),
-                                ),
-                            },
-                            dcmesh_telemetry::Attr {
-                                key: "attempt",
-                                value: dcmesh_telemetry::AttrValue::U64(attempt as u64),
-                            },
-                        ],
-                    );
-                    escalations.push(EscalationEvent {
-                        step,
-                        from: current,
-                        to: next,
-                        violation,
-                        attempt,
-                    });
-                    current = next;
-                }
+                Err(RunError::Diverged { step, mode, violation }) => (step, mode, violation),
                 Err(other) => return Err(other),
+            };
+            run.rollback(&snapshot, &mark);
+            monitor.reset();
+            clean_defects.clear();
+            record_rollback(step, mode, &violation);
+
+            attempt += 1;
+            // Silent corruption is transient, not a precision problem:
+            // retry the burst at the *same* mode. The GEMM call counter is
+            // never reset, so a one-shot injected flip does not re-fire on
+            // the retry — the recovered burst is bit-identical to a clean
+            // run.
+            let transient = matches!(violation, HealthViolation::SilentCorruption { .. });
+            let next = if transient {
+                sdc_recoveries += 1;
+                record_sdc_rollback(step, &violation, attempt);
+                Some(current)
+            } else {
+                current.next_stronger()
+            };
+            let next = match next {
+                Some(n) if attempt <= MAX_RETRIES_PER_BURST => n,
+                _ => {
+                    return Err(RunError::EscalationExhausted {
+                        step,
+                        mode,
+                        violation,
+                        attempts: attempt,
+                    })
+                }
+            };
+            if !transient {
+                let event = EscalationEvent { step, from: current, to: next, violation, attempt };
+                event.record();
+                escalations.push(event);
+                current = next;
             }
         }
 
         // The burst completed cleanly: feed the SCF-defect histogram and
         // the de-escalation policy.
-        let defect = result.scf_drift.last().copied().unwrap_or(0.0);
+        let defect = run.result.scf_drift.last().copied().unwrap_or(0.0);
         scf_defect_histogram().observe((defect.max(0.0) * 1e12) as u64);
         if dcmesh_telemetry::events_enabled() {
-            dcmesh_telemetry::ledger::record_scf_defect(
-                current.name(),
-                defect,
-            );
+            ledger::record_scf_defect(current.name(), defect);
         }
         if let Some(next) = consider_deescalation(sup, start_mode, current, defect, &mut clean_defects)
         {
-            deescalation_counter().inc();
-            let n = sup.deescalate_after.unwrap_or(0);
-            dcmesh_telemetry::instant(
-                "deescalation",
-                vec![
-                    dcmesh_telemetry::Attr {
-                        key: "step",
-                        value: dcmesh_telemetry::AttrValue::U64(steps_done as u64),
-                    },
-                    dcmesh_telemetry::Attr {
-                        key: "from",
-                        value: dcmesh_telemetry::AttrValue::Str(
-                            current.name(),
-                        ),
-                    },
-                    dcmesh_telemetry::Attr {
-                        key: "to",
-                        value: dcmesh_telemetry::AttrValue::Str(
-                            next.name(),
-                        ),
-                    },
-                    dcmesh_telemetry::Attr {
-                        key: "clean_bursts",
-                        value: dcmesh_telemetry::AttrValue::U64(n as u64),
-                    },
-                ],
-            );
-            deescalations.push(DeescalationEvent {
-                step: steps_done as u64,
+            let event = DeescalationEvent {
+                step: run.ck.steps_done,
                 from: current,
                 to: next,
-                clean_bursts: n,
-            });
+                clean_bursts: sup.deescalate_after.unwrap_or(0),
+            };
+            event.record();
+            deescalations.push(event);
             current = next;
             clean_defects.clear();
         }
 
         if let Some(dir) = &sup.checkpoint_dir {
-            let ck = Checkpoint {
-                state: state.clone(),
-                system: system.clone(),
-                steps_done: steps_done as u64,
-                nexc: last_nexc,
-            };
-            ck.save(&dir.join(format!("dcmesh-{steps_done}.ck")))?;
-            dcmesh_telemetry::instant(
-                "checkpoint",
-                vec![dcmesh_telemetry::Attr {
-                    key: "step",
-                    value: dcmesh_telemetry::AttrValue::U64(steps_done as u64),
-                }],
-            );
+            run.commit(dir)?;
         }
-        observer.burst_committed(burst_index, steps_done as u64);
+        observer.burst_committed(burst_index, run.ck.steps_done);
     }
 
     Ok(SupervisedRun {
-        result,
+        resumed_from_step: run.resumed_from_step,
+        result: run.result,
         escalations,
         deescalations,
         final_mode: current,
-        resumed_from_step,
         sdc_recoveries,
-        lowdin_fallbacks: dcmesh_lfd::eigensolve::lowdin_fallback_counter()
-            .get()
-            .saturating_sub(lowdin_base),
     })
 }
 
-/// Replays a just-completed burst from its pre-burst snapshot and
-/// bit-compares the resulting electronic and ionic state against the
-/// primary execution. The replay rebuilds its integrator from the
-/// snapshot system — the checkpoint resume path, which is bit-exact — so
-/// any difference means one of the two executions was silently
-/// corrupted.
-#[allow(clippy::too_many_arguments)]
+/// Counter, ledger rows and `rollback` instant of one rolled-back burst,
+/// from the fields of the [`RunError::Diverged`] that caused it. The
+/// ledger attributes the violation and the rollback to the suspect
+/// callsite when the BLAS layer flagged one (ABFT violation or non-finite
+/// output), else to a supervisor row; the suspect is kept until the
+/// escalation that follows consumes it.
+fn record_rollback(step: u64, mode: ComputeMode, violation: &HealthViolation) {
+    rollback_counter().inc();
+    if dcmesh_telemetry::events_enabled() {
+        ledger::record_health_violation(violation.kind(), mode.name());
+        ledger::record_rollback(mode.name());
+    }
+    instant(
+        "rollback",
+        vec![
+            Attr { key: "step", value: AttrValue::U64(step) },
+            Attr { key: "mode", value: AttrValue::Str(mode.name()) },
+        ],
+    );
+}
+
+/// Counter and `sdc_rollback` instant of one same-mode retry.
+fn record_sdc_rollback(step: u64, violation: &HealthViolation, attempt: u32) {
+    sdc_recovery_counter().inc();
+    instant(
+        "sdc_rollback",
+        vec![
+            Attr { key: "step", value: AttrValue::U64(step) },
+            Attr { key: "detail", value: AttrValue::Text(violation.to_string()) },
+            Attr { key: "attempt", value: AttrValue::U64(attempt as u64) },
+        ],
+    );
+}
+
+/// Replays the burst `run` just completed as a second [`Run`] resumed
+/// from its pre-burst `snapshot`, under the calling thread's compute
+/// mode, and compares the two restart points byte for byte. Resuming
+/// from a restart point is bit-exact, so any difference means one of the
+/// two executions was silently corrupted.
 fn verify_burst_replay<T: LfdScalar>(
-    cfg: &RunConfig,
-    params: &dcmesh_lfd::LfdParams,
-    policy: &PrecisionPolicy,
-    mode: ComputeMode,
-    md_dt: f64,
-    snap_state: &dcmesh_lfd::LfdState<T>,
-    snap_system: &dcmesh_qxmd::AtomicSystem,
-    snap_steps: usize,
-    snap_nexc: f64,
-    state: &dcmesh_lfd::LfdState<T>,
-    system: &dcmesh_qxmd::AtomicSystem,
-    scratch: &mut QdScratch<T>,
+    run: &Run<'_, T>,
+    snapshot: &Checkpoint<T>,
 ) -> Result<(), RunError> {
     burst_verification_counter().inc();
-    let mut v_state = snap_state.clone();
-    let mut v_system = snap_system.clone();
-    let mut v_steps = snap_steps;
-    let mut v_nexc = snap_nexc;
-    let mut v_md = MdIntegrator::resume(
-        &v_system,
-        md_dt,
-        cfg.ehrenfest_softening,
-        excitation_fraction(snap_nexc, params),
-    );
-    let mut v_result = RunResult::new(&cfg.label, mode, 0);
-    with_compute_mode(mode, || {
-        run_burst(
-            cfg,
-            params,
-            policy,
-            &mut v_system,
-            &mut v_state,
-            &mut v_md,
-            scratch,
-            &mut v_steps,
-            &mut v_nexc,
-            &mut v_result,
-            None,
-        )
-    })?;
+    let mode = mkl_lite::compute_mode();
+    let mut replay = Run::resume(run.cfg, run.params.clone(), run.policy, snapshot.clone(), mode);
+    replay.burst(None)?;
     // A checksum violation during the (unmonitored) replay must not
     // linger into the next monitored step.
     let detail = if let Some(v) = mkl_lite::take_abft_violation() {
-        Some(format!("burst replay tripped the GEMM checksum: {v}"))
+        format!("burst replay tripped the GEMM checksum: {v}")
     } else {
-        replay_mismatch(state, system, &v_state, &v_system)
+        let (primary, replayed) = (run.ck.encode(), replay.ck.encode());
+        let (primary, replayed) = (primary.as_ref(), replayed.as_ref());
+        if primary == replayed {
+            return Ok(());
+        }
+        let at = primary.iter().zip(replayed).position(|(a, b)| a != b);
+        format!(
+            "burst replay produced a different restart point: first differing byte {at:?} of {}",
+            primary.len()
+        )
     };
-    if let Some(detail) = detail {
-        dcmesh_telemetry::instant(
-            "verify_burst_mismatch",
-            vec![
-                dcmesh_telemetry::Attr {
-                    key: "step",
-                    value: dcmesh_telemetry::AttrValue::U64(v_steps as u64),
-                },
-                dcmesh_telemetry::Attr {
-                    key: "detail",
-                    value: dcmesh_telemetry::AttrValue::Text(detail.clone()),
-                },
-            ],
-        );
-        return Err(RunError::Diverged {
-            step: v_steps as u64,
-            mode,
-            violation: HealthViolation::SilentCorruption { detail },
-        });
-    }
-    Ok(())
-}
-
-/// Bit-compares the evolving state of the primary execution against the
-/// replay: wave function, ionic positions and velocities. (Occupations,
-/// reference spectrum and the local potential are derived from these.)
-fn replay_mismatch<T: LfdScalar>(
-    state: &dcmesh_lfd::LfdState<T>,
-    system: &dcmesh_qxmd::AtomicSystem,
-    v_state: &dcmesh_lfd::LfdState<T>,
-    v_system: &dcmesh_qxmd::AtomicSystem,
-) -> Option<String> {
-    for (i, (a, b)) in state.psi.iter().zip(&v_state.psi).enumerate() {
-        if a.re.to_f64().to_bits() != b.re.to_f64().to_bits()
-            || a.im.to_f64().to_bits() != b.im.to_f64().to_bits()
-        {
-            return Some(format!(
-                "burst replay produced different bits at psi[{i}]: \
-                 primary ({:e}, {:e}) vs replay ({:e}, {:e})",
-                a.re.to_f64(),
-                a.im.to_f64(),
-                b.re.to_f64(),
-                b.im.to_f64()
-            ));
-        }
-    }
-    for (name, prim, rep) in [
-        ("position", &system.positions, &v_system.positions),
-        ("velocity", &system.velocities, &v_system.velocities),
-    ] {
-        for (i, (a, b)) in prim.iter().zip(rep.iter()).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Some(format!(
-                    "burst replay produced different bits at {name}[{i}]: \
-                     primary {a:e} vs replay {b:e}"
-                ));
-            }
-        }
-    }
-    None
+    let step = replay.ck.steps_done;
+    instant(
+        "verify_burst_mismatch",
+        vec![
+            Attr { key: "step", value: AttrValue::U64(step) },
+            Attr { key: "detail", value: AttrValue::Text(detail.clone()) },
+        ],
+    );
+    Err(RunError::diverged(step, HealthViolation::SilentCorruption { detail }))
 }
 
 /// Decides whether the supervisor should step down one ladder rung after
@@ -778,9 +535,8 @@ fn consider_deescalation(
     if last > first * 1.1 + f64::EPSILON {
         return None; // defect is trending up: hold the strong mode
     }
-    sup.ladder
-        .iter()
-        .copied()
+    ComputeMode::ESCALATION_LADDER
+        .into_iter()
         .filter(|m| {
             m.escalation_rank() < current.escalation_rank()
                 && m.escalation_rank() >= start_mode.escalation_rank()
@@ -791,13 +547,6 @@ fn consider_deescalation(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_ladder_ends_at_fp32() {
-        let sup = SupervisorConfig::default();
-        assert_eq!(sup.ladder.last(), Some(&ComputeMode::Standard));
-        assert!(sup.max_retries_per_burst >= sup.ladder.len() as u32 - 1);
-    }
 
     #[test]
     fn escalation_event_displays_the_transition() {

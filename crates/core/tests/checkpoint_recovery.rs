@@ -9,8 +9,9 @@
 //! bit-for-bit.
 
 use dcmesh::config::{RunConfig, SystemPreset};
-use dcmesh::runner::{run_simulation, run_with_checkpoints};
-use dcmesh_lfd::PrecisionPolicy;
+use dcmesh::runner::{run_simulation, RunResult};
+use dcmesh::supervisor::{run_supervised, SupervisorConfig};
+use mkl_lite::ComputeMode;
 use std::path::{Path, PathBuf};
 
 fn tiny() -> RunConfig {
@@ -31,12 +32,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// One invocation of the checkpointing run over `dir`: resumes from the
+/// newest usable checkpoint there, writes one at every MD boundary.
+fn checkpointed(cfg: &RunConfig, dir: &Path) -> RunResult {
+    let sup = SupervisorConfig { checkpoint_dir: Some(dir.into()), ..SupervisorConfig::default() };
+    run_supervised::<f32>(cfg, ComputeMode::Standard, &sup).expect("checkpointed run").result
+}
+
 /// Writes checkpoints for the first 40 of 60 steps: dcmesh-20.ck and
 /// dcmesh-40.ck.
 fn first_leg(cfg: &RunConfig, dir: &Path) {
     let mut leg = cfg.clone();
     leg.total_qd_steps = 40;
-    run_with_checkpoints::<f32>(&leg, &PrecisionPolicy::Ambient, dir).expect("first leg");
+    checkpointed(&leg, dir);
     assert!(dir.join("dcmesh-20.ck").exists() && dir.join("dcmesh-40.ck").exists());
 }
 
@@ -58,8 +66,7 @@ fn payload_bitflip_quarantines_newest_and_resumes_from_older() {
     // checksum can notice — every field still parses.
     flip_byte(&dir.join("dcmesh-40.ck"), 200);
 
-    let resumed =
-        run_with_checkpoints::<f32>(&cfg, &PrecisionPolicy::Ambient, &dir).expect("resume");
+    let resumed = checkpointed(&cfg, &dir);
     assert!(dir.join("dcmesh-40.ck.bad").exists(), "corrupt checkpoint not quarantined");
     // (a fresh, valid dcmesh-40.ck reappears — the resumed run rewrites
     // its own boundary checkpoints)
@@ -90,8 +97,7 @@ fn truncated_and_bad_magic_checkpoints_force_fresh_start() {
     raw[0] ^= 0xFF;
     std::fs::write(&older, raw).expect("rewrite");
 
-    let rerun =
-        run_with_checkpoints::<f32>(&cfg, &PrecisionPolicy::Ambient, &dir).expect("fresh run");
+    let rerun = checkpointed(&cfg, &dir);
     assert!(dir.join("dcmesh-40.ck.bad").exists() && dir.join("dcmesh-20.ck.bad").exists());
     assert_eq!(rerun.records.len(), 60, "no usable checkpoint means a full fresh run");
     for (got, want) in rerun.records.iter().zip(&straight.records) {
@@ -112,8 +118,7 @@ fn flipped_version_rejected_and_older_used() {
     raw[8] ^= 0xFF;
     std::fs::write(&newest, raw).expect("rewrite");
 
-    let resumed =
-        run_with_checkpoints::<f32>(&cfg, &PrecisionPolicy::Ambient, &dir).expect("resume");
+    let resumed = checkpointed(&cfg, &dir);
     assert!(dir.join("dcmesh-40.ck.bad").exists());
     assert_eq!(resumed.records.len(), 40, "should fall back to the step-20 checkpoint");
     let _ = std::fs::remove_dir_all(&dir);

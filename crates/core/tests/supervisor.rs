@@ -273,6 +273,7 @@ fn non_finite_state_at_the_boundary_is_an_error_not_a_panic() {
 /// supervisor must roll the burst back, escalate and finish.
 #[test]
 fn nan_inside_the_scf_boundary_rolls_back_and_escalates() {
+    use dcmesh_telemetry as telemetry;
     use mkl_lite::verbose;
     let cfg = tiny();
 
@@ -307,10 +308,25 @@ fn nan_inside_the_scf_boundary_rolls_back_and_escalates() {
             .with_site(FaultSite::once(boundary as u64, FaultKind::Nan).on_routine("ZGEMM")),
     );
     let injected_before = injected_fault_count();
-    let out = run_supervised::<f32>(&cfg, ComputeMode::FloatToBf16, &SupervisorConfig::default());
+    let (out, events) = telemetry::with_level(telemetry::TelemetryLevel::Events, || {
+        let out =
+            run_supervised::<f32>(&cfg, ComputeMode::FloatToBf16, &SupervisorConfig::default());
+        (out, telemetry::sink::drain())
+    });
     clear_fault_plan();
     let out = out.expect("supervised run should recover from a poisoned boundary");
     assert_eq!(injected_fault_count(), injected_before + 1, "the one-shot fault must fire once");
+
+    // A refused overlap is on the timeline like every other violation
+    // kind, before the rollback it caused.
+    let rollback = events.iter().position(|e| e.name == "rollback").expect("rollback event");
+    let refused = events[..rollback].iter().any(|e| match e.attr("detail") {
+        Some(telemetry::AttrValue::Text(d)) => {
+            e.name == "health_violation" && d.contains("SCF refresh failed")
+        }
+        _ => false,
+    });
+    assert!(refused, "no health_violation for the refused overlap before the rollback");
 
     assert_eq!(out.escalations.len(), 1, "{:?}", out.escalations);
     let ev = &out.escalations[0];

@@ -12,7 +12,8 @@
 //!   back, and retried at the same mode — recovering bit-identically to
 //!   a clean run.
 //! * `verify_bursts` replay verification passes on clean runs without
-//!   perturbing the result.
+//!   perturbing the result, and catches a mantissa flip no checksum was
+//!   looking at: the replayed restart point differs from the primary's.
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::shard::ShardConfig;
@@ -200,4 +201,35 @@ fn verify_bursts_replay_passes_clean_and_preserves_bits() {
         run_bits(&plain),
         "replay verification is an observer — it must not change the result"
     );
+}
+
+/// The layer under the checksums: with ABFT off, a one-shot flip of a
+/// middle mantissa bit is finite, small and unchecked. The replay is a
+/// second run from the same restart point, so the two restart points
+/// after the burst differ in some byte; the supervisor retries at the
+/// same mode and the run ends on the clean run's bits.
+#[test]
+fn verify_bursts_replay_catches_an_unchecked_flip_and_recovers_the_bits() {
+    let sup = SupervisorConfig { verify_bursts: Some(1), ..SupervisorConfig::default() };
+    let calls_before = mkl_lite::fault::gemm_call_count();
+    let clean = supervised(&sup);
+    let calls_per_run = mkl_lite::fault::gemm_call_count() - calls_before;
+    assert_eq!(clean.sdc_recoveries, 0);
+
+    // A flip that lands in a measurement-only GEMM never reaches the
+    // state the replay compares — the documented coverage boundary — so
+    // scan a few mid-run calls for one that does.
+    let flipped = (0..12)
+        .find_map(|j| {
+            let call = calls_per_run / 2 + j * 7;
+            install_fault_plan(
+                FaultPlan::new(7).with_site(FaultSite::once(call, FaultKind::FlipMantissaBit(12))),
+            );
+            let run = supervised(&sup);
+            mkl_lite::clear_fault_plan();
+            (run.sdc_recoveries >= 1).then_some(run)
+        })
+        .expect("no scanned mantissa flip reached the propagated state");
+    assert_eq!(flipped.escalations.len(), 0, "a replay mismatch retries the same mode");
+    assert_eq!(run_bits(&flipped), run_bits(&clean));
 }
