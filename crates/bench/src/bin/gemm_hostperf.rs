@@ -15,10 +15,17 @@
 //!   at the *project* shape `Ψ†·X` (`ConjTrans·None`,
 //!   n_orb × n_orb × 1728, k = 6.75·KC) and the *apply* shape `Ψ·S`
 //!   (1728 × n_orb × n_orb), n_orb ∈ {16, 96} — the 12³ mesh of the
-//!   shipped decks. `--k-scale` does not touch them.
-//! * **GFLOP/s** per row (2·m·n·k real, 8·m·n·k complex), and the
+//!   shipped decks — plus the boundary's two Hermitian-output projections,
+//!   `zherk` (`Ψ†Ψ`) and `zgemmt` (`Ψ†·HΨ`), beside the `zgemm` they
+//!   compute one triangle of. `--k-scale` does not touch them.
+//! * **GFLOP/s** per row (2·m·n·k real, 8·m·n·k complex, 4·n·(n+1)·k for
+//!   the triangle a `zherk`/`zgemmt` is defined to compute), and the
 //!   microkernel each element width dispatched to on this host, in the
 //!   header, the job log and the dated history entry.
+//! * **pack share** per application row: the time of the same product
+//!   with the microkernel stubbed out (`mkl-lite`'s bench hook: gather,
+//!   conversion, accumulator zero-fill and writeback) over the time of
+//!   the call.
 //! * **allocs/call** over the timed steady-state calls, counted by a
 //!   `#[global_allocator]` wrapper — the workspace pool's contract is
 //!   that this is exactly zero.
@@ -33,10 +40,14 @@
 //!
 //! Usage: `gemm_hostperf [--k-scale N] [--reps N]
 //! [--warmup N] [--out PATH] [--enforce-zero-alloc]
-//! [--max-bf16x2-ratio F] [--max-bf16x3-ratio F]`
+//! [--max-bf16x2-ratio F] [--max-bf16x3-ratio F] [--max-herk-over-gemm F]`
 //!
 //! `--enforce-zero-alloc` exits non-zero if any steady-state call
 //! allocated — the CI regression gate, over every row.
+//!
+//! `--max-herk-over-gemm` gates the 96-orbital `zherk` and `zgemmt`
+//! project rows at that fraction of the `zgemm` row: a Hermitian output
+//! computes a little over half the tiles, and must cost accordingly.
 //!
 //! `--max-bf16x2-ratio` / `--max-bf16x3-ratio` gate the measured
 //! BF16x2/STANDARD and BF16x3/STANDARD `ns_per_call` ratios at the
@@ -67,9 +78,10 @@ use dcmesh_bench::report::{civil_date_utc, merged_history};
 use dcmesh_numerics::{c32, c64, C32, C64};
 use dcmesh_profile::{ingest, table};
 use mkl_lite::device::{Domain, GemmDesc};
+use mkl_lite::gemm::complex_gemm_sans_microkernel;
 use mkl_lite::gemm::kernel::dispatched_kernel;
 use mkl_lite::workspace;
-use mkl_lite::{cgemm, sgemm, with_compute_mode, zgemm, ComputeMode, Op};
+use mkl_lite::{cgemm, sgemm, with_compute_mode, zgemm, zgemmt, zherk, ComputeMode, Op, Uplo};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -141,6 +153,7 @@ struct Options {
     enforce_zero_alloc: bool,
     max_x2_ratio: Option<f64>,
     max_x3_ratio: Option<f64>,
+    max_herk_over_gemm: Option<f64>,
     from_trace: Option<String>,
     tolerance_pct: f64,
 }
@@ -154,6 +167,7 @@ fn parse_args() -> Options {
         enforce_zero_alloc: false,
         max_x2_ratio: None,
         max_x3_ratio: None,
+        max_herk_over_gemm: None,
         from_trace: None,
         tolerance_pct: 5.0,
     };
@@ -176,15 +190,15 @@ fn parse_args() -> Options {
                 })
             }
             "--enforce-zero-alloc" => o.enforce_zero_alloc = true,
-            "--max-bf16x2-ratio" | "--max-bf16x3-ratio" => {
+            "--max-bf16x2-ratio" | "--max-bf16x3-ratio" | "--max-herk-over-gemm" => {
                 let v: f64 = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
                     eprintln!("missing/invalid value for {flag}");
                     std::process::exit(2);
                 });
-                if flag == "--max-bf16x2-ratio" {
-                    o.max_x2_ratio = Some(v);
-                } else {
-                    o.max_x3_ratio = Some(v);
+                match flag.as_str() {
+                    "--max-bf16x2-ratio" => o.max_x2_ratio = Some(v),
+                    "--max-bf16x3-ratio" => o.max_x3_ratio = Some(v),
+                    _ => o.max_herk_over_gemm = Some(v),
                 }
             }
             "--from-trace" => {
@@ -223,6 +237,8 @@ struct Entry {
     allocs_per_call: f64,
     /// Achieved GFLOP/s at the measured shape.
     gflops: f64,
+    /// Share of the call that is not the microkernel (application rows).
+    pack_share: Option<f64>,
     /// Modelled device seconds for the `k_table` shape on the `xe-gpu`
     /// stack model (the Tables VI/VII quantity).
     modelled_device_s: f64,
@@ -235,8 +251,8 @@ fn domain_for(routine: &str) -> Option<Domain> {
     match routine {
         "SGEMM" => Some(Domain::Real32),
         "DGEMM" => Some(Domain::Real64),
-        "CGEMM" => Some(Domain::Complex32),
-        "ZGEMM" => Some(Domain::Complex64),
+        "CGEMM" | "CHERK" => Some(Domain::Complex32),
+        "ZGEMM" | "ZHERK" | "ZGEMMT" => Some(Domain::Complex64),
         _ => None,
     }
 }
@@ -345,22 +361,29 @@ fn main() {
     eprintln!("microkernel f64: {}", kernels.1);
     eprintln!("all host numbers are single-threaded (sequential rayon shim)");
 
-    // Measures one row under `mode` and files it.
+    // Measures one row under `mode` and files it. `sans_kernel` is the
+    // same product through the bench hook that stubs the microkernel out.
     let mut record = |routine: &'static str,
                       domain: Domain,
                       shape: &'static str,
                       mode: ComputeMode,
                       (m, n, k_meas, k_table): (usize, usize, usize, usize),
-                      call: &mut dyn FnMut()| {
+                      call: &mut dyn FnMut(),
+                      sans_kernel: Option<&mut dyn FnMut()>| {
         let (ns, allocs) = with_compute_mode(mode, || measure(o.warmup, o.reps, &mut *call));
-        let flops = if matches!(domain, Domain::Real32 | Domain::Real64) { 2.0 } else { 8.0 }
-            * (m * n * k_meas) as f64;
+        let pack_share = sans_kernel.map(|f| measure(o.warmup, o.reps, f).0 / ns);
+        let flops = match routine {
+            "SGEMM" => 2.0 * (m * n * k_meas) as f64,
+            "ZHERK" | "ZGEMMT" => 4.0 * (n * (n + 1) * k_meas) as f64,
+            _ => 8.0 * (m * n * k_meas) as f64,
+        };
         let gflops = flops / ns;
         eprintln!(
-            "{:<5} {shape:<7} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
-             {allocs} allocs/call",
+            "{:<6} {shape:<7} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
+             pack {}, {allocs} allocs/call",
             routine.to_lowercase(),
             mode.name(),
+            pack_share.map_or("   -".to_string(), |p| format!("{:>3.0}%", 100.0 * p)),
         );
         if allocs > 0.0 {
             dirty_modes.push(format!("{routine}/{} {shape} ({m},{n},{k_meas})", mode.name()));
@@ -376,6 +399,7 @@ fn main() {
             ns_per_call: ns,
             allocs_per_call: allocs,
             gflops,
+            pack_share,
             modelled_device_s: model.gemm_seconds(&GemmDesc { domain, m, n, k: k_table, mode }),
             modelled_speedup_vs_fp32: model.gemm_speedup_vs_fp32(domain, m, n, k_table, mode),
         });
@@ -396,9 +420,10 @@ fn main() {
         let b = &b_full[..k_meas * n];
         let mut c = vec![0.0f32; m * n];
         for mode in SGEMM_MODES {
-            record("SGEMM", Domain::Real32, "table7", mode, (m, n, k_meas, TABLE7_K), &mut || {
+            let shape = (m, n, k_meas, TABLE7_K);
+            record("SGEMM", Domain::Real32, "table7", mode, shape, &mut || {
                 sgemm(Op::None, Op::None, m, n, k_meas, 1.0, a, k_meas, b, n, 0.0, &mut c, n);
-            });
+            }, None);
             black_box(&c[0]);
         }
     }
@@ -414,23 +439,42 @@ fn main() {
         let (psi64, sub64) = (double(&psi32), double(&sub32));
         let (mut small32, mut tall32) = (vec![C32::zero(); orb * orb], vec![C32::zero(); APP_GRID * orb]);
         let (mut small64, mut tall64) = (vec![C64::zero(); orb * orb], vec![C64::zero(); APP_GRID * orb]);
+        // What the stubbed-out products write: garbage, never read.
+        let (mut junk32, mut junk64) = (tall32.clone(), tall64.clone());
         let project = (orb, orb, APP_GRID, APP_GRID);
         let apply = (APP_GRID, orb, orb, orb);
+        let (ct, no) = (Op::ConjTrans, Op::None);
         for mode in ComputeMode::ALL {
             record("CGEMM", Domain::Complex32, "project", mode, project, &mut || {
-                cgemm(Op::ConjTrans, Op::None, orb, orb, APP_GRID, C32::one(), &psi32, orb, &psi32, orb, C32::zero(), &mut small32, orb);
-            });
+                cgemm(ct, no, orb, orb, APP_GRID, C32::one(), &psi32, orb, &psi32, orb, C32::zero(), &mut small32, orb);
+            }, Some(&mut || {
+                complex_gemm_sans_microkernel(mode, None, ct, no, orb, orb, APP_GRID, &psi32, orb, &psi32, orb, &mut junk32, orb);
+            }));
             record("CGEMM", Domain::Complex32, "apply", mode, apply, &mut || {
-                cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi32, orb, &sub32, orb, C32::zero(), &mut tall32, orb);
-            });
+                cgemm(no, no, APP_GRID, orb, orb, C32::one(), &psi32, orb, &sub32, orb, C32::zero(), &mut tall32, orb);
+            }, Some(&mut || {
+                complex_gemm_sans_microkernel(mode, None, no, no, APP_GRID, orb, orb, &psi32, orb, &sub32, orb, &mut junk32, orb);
+            }));
         }
-        record("ZGEMM", Domain::Complex64, "project", ComputeMode::Standard, project, &mut || {
-            zgemm(Op::ConjTrans, Op::None, orb, orb, APP_GRID, C64::one(), &psi64, orb, &psi64, orb, C64::zero(), &mut small64, orb);
-        });
-        record("ZGEMM", Domain::Complex64, "apply", ComputeMode::Standard, apply, &mut || {
-            zgemm(Op::None, Op::None, APP_GRID, orb, orb, C64::one(), &psi64, orb, &sub64, orb, C64::zero(), &mut tall64, orb);
-        });
-        black_box((&small32[0], &tall32[0], &small64[0], &tall64[0]));
+        let std = ComputeMode::Standard;
+        let mut sans_kernel = |uplo| {
+            complex_gemm_sans_microkernel(std, uplo, ct, no, orb, orb, APP_GRID, &psi64, orb, &psi64, orb, &mut junk64, orb);
+        };
+        record("ZGEMM", Domain::Complex64, "project", std, project, &mut || {
+            zgemm(ct, no, orb, orb, APP_GRID, C64::one(), &psi64, orb, &psi64, orb, C64::zero(), &mut small64, orb);
+        }, Some(&mut || sans_kernel(None)));
+        record("ZHERK", Domain::Complex64, "project", std, project, &mut || {
+            zherk(Uplo::Upper, ct, orb, APP_GRID, 1.0, &psi64, orb, 0.0, &mut small64, orb);
+        }, Some(&mut || sans_kernel(Some(Uplo::Upper))));
+        record("ZGEMMT", Domain::Complex64, "project", std, project, &mut || {
+            zgemmt(Uplo::Upper, ct, no, orb, APP_GRID, C64::one(), &psi64, orb, &psi64, orb, C64::zero(), &mut small64, orb);
+        }, Some(&mut || sans_kernel(Some(Uplo::Upper))));
+        record("ZGEMM", Domain::Complex64, "apply", std, apply, &mut || {
+            zgemm(no, no, APP_GRID, orb, orb, C64::one(), &psi64, orb, &sub64, orb, C64::zero(), &mut tall64, orb);
+        }, Some(&mut || {
+            complex_gemm_sans_microkernel(std, None, no, no, APP_GRID, orb, orb, &psi64, orb, &sub64, orb, &mut junk64, orb);
+        }));
+        black_box((&small32[0], &tall32[0], &small64[0], &tall64[0], &junk32[0], &junk64[0]));
     }
 
     // --- workspace-pool traffic, through the telemetry registry ---
@@ -484,7 +528,8 @@ fn main() {
             format!(
                 "    {{\"routine\": \"{}\", \"shape\": \"{}\", \"mode\": \"{}\", \"m\": {}, \
                  \"n\": {}, \"k_table7\": {}, \"k_measured\": {}, \"threads\": 1, \
-                 \"ns_per_call\": {}, \"gflops\": {:.2}, \"ns_per_call_table7_est\": {}, \
+                 \"ns_per_call\": {}, \"gflops\": {:.2}, \"pack_share\": {}, \
+                 \"ns_per_call_table7_est\": {}, \
                  \"allocs_per_call\": {}, \"modelled_device_s\": {:.6e}, \
                  \"modelled_speedup_vs_fp32\": {:.4}}}",
                 e.routine,
@@ -496,6 +541,7 @@ fn main() {
                 e.k_measured,
                 json_f64(e.ns_per_call),
                 e.gflops,
+                e.pack_share.map_or("null".to_string(), |p| format!("{p:.3}")),
                 json_f64(e.ns_per_call * (e.k_table as f64 / e.k_measured as f64)),
                 e.allocs_per_call,
                 e.modelled_device_s,
@@ -543,6 +589,13 @@ fn main() {
             members.push(format!(
                 "\"zgemm_{shape}_{orb}_ns_per_call\":{}",
                 series("ZGEMM", shape, m, n, &[ComputeMode::Standard])
+            ));
+        }
+        for routine in ["ZHERK", "ZGEMMT"] {
+            members.push(format!(
+                "\"{}_project_{orb}_ns_per_call\":{}",
+                routine.to_lowercase(),
+                series(routine, "project", orb, orb, &[ComputeMode::Standard])
             ));
         }
     }
@@ -607,8 +660,27 @@ fn main() {
             }
         }
     }
+    // --- triangle gate: a Hermitian output must cost like one ---
+    if let Some(max) = o.max_herk_over_gemm {
+        let ns_of = |routine: &str| {
+            let row = (routine, "project", GATE_ORBITALS, GATE_ORBITALS);
+            entries.iter().find(|e| (e.routine, e.shape, e.m, e.n) == row).map(|e| e.ns_per_call)
+        };
+        let full = ns_of("ZGEMM").expect("the ZGEMM project row was measured");
+        for routine in ["ZHERK", "ZGEMMT"] {
+            let ratio = ns_of(routine).expect("the triangle rows were measured") / full;
+            let verdict = if ratio <= max { "ok" } else { "FAIL" };
+            eprintln!(
+                "triangle {routine}/ZGEMM project ({GATE_ORBITALS}, {GATE_ORBITALS}, {APP_GRID}): \
+                 {ratio:.2}x (max {max:.2}x) {verdict}"
+            );
+            if ratio > max {
+                failures += 1;
+            }
+        }
+    }
     if failures > 0 {
-        eprintln!("perf-ratio gate: {failures} row(s) over threshold");
+        eprintln!("perf gates: {failures} row(s) over threshold");
         std::process::exit(1);
     }
 }

@@ -25,13 +25,18 @@
 //! never spawns.
 //!
 //! Usage: `linalg_hostperf [--out PATH] [--seconds-per-row F] [--label L]
-//! [--enforce-bounds] [--min-eigh-speedup-vs-parent F]`
+//! [--enforce-bounds] [--min-speedup SERIES@ENTRY=F]...`
 //!
 //! `--label L` dates the history entry `<today>-L`, so a run against the
 //! parent library (`--label parent`) stays in the history beside the same
-//! day's run of the change. `--min-eigh-speedup-vs-parent F` fails unless
-//! both 64-orbital `eigh` rows are at least `F` times faster than the
-//! newest `-parent` entry already in `--out`.
+//! day's run of the change. `--min-speedup SERIES@ENTRY=F` (repeatable)
+//! fails unless row `SERIES` (`eigh_overlap_64`, `scf_refresh_12x96`, …)
+//! is at least `F` times faster than the same series of the history
+//! entry dated `ENTRY` already in `--out`. A gate names its entry because
+//! every perf PR leaves its own `-parent` entry behind: the 3× `eigh`
+//! gate is against the cyclic-Jacobi library (`2026-10-01-parent`), the
+//! 1.2× `scf_refresh` gate against the full-product ZHERK one
+//! (`2026-10-02-parent`).
 
 use dcmesh_bench::report::{civil_date_utc, merged_history};
 use dcmesh_lfd::state::cosine_potential;
@@ -252,28 +257,39 @@ fn refresh_row(n_orb: usize, seconds: f64) -> Row {
     }
 }
 
-/// `<series>_ns_per_call.f64` of the newest history entry in the file at
-/// `path` whose date ends in `-parent`.
-fn parent_ns(path: &str, series: &str) -> Option<f64> {
+/// `<series>_ns_per_call.f64` of the history entry dated `entry` in the
+/// file at `path`.
+fn recorded_ns(path: &str, entry: &str, series: &str) -> Option<f64> {
     let doc = json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
     doc.get("history")?
         .as_array()?
         .iter()
-        .rev()
-        .find(|e| {
-            e.get("date")
-                .and_then(JsonValue::as_str)
-                .is_some_and(|d| d.ends_with("-parent"))
-        })?
+        .find(|e| e.get("date").and_then(JsonValue::as_str) == Some(entry))?
         .get(&format!("{series}_ns_per_call"))?
         .get("f64")?
         .as_f64()
 }
 
+/// One `--min-speedup SERIES@ENTRY=F` gate.
+struct SpeedupGate {
+    series: String,
+    entry: String,
+    factor: f64,
+}
+
+impl SpeedupGate {
+    fn parse(spec: &str) -> Option<SpeedupGate> {
+        let (row, factor) = spec.rsplit_once('=')?;
+        let (series, entry) = row.split_once('@')?;
+        let factor = factor.parse().ok().filter(|f: &f64| *f > 0.0)?;
+        Some(SpeedupGate { series: series.to_string(), entry: entry.to_string(), factor })
+    }
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: linalg_hostperf [--out PATH] [--seconds-per-row F] [--label L] \
-         [--enforce-bounds] [--min-eigh-speedup-vs-parent F]"
+         [--enforce-bounds] [--min-speedup SERIES@ENTRY=F]..."
     );
     std::process::exit(2);
 }
@@ -283,7 +299,7 @@ fn main() {
     let mut seconds = 0.5f64;
     let mut label: Option<String> = None;
     let mut enforce_bounds = false;
-    let mut min_speedup: Option<f64> = None;
+    let mut gates: Vec<SpeedupGate> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || {
@@ -306,7 +322,10 @@ fn main() {
             "--seconds-per-row" => seconds = positive(value()),
             "--label" => label = Some(value()),
             "--enforce-bounds" => enforce_bounds = true,
-            "--min-eigh-speedup-vs-parent" => min_speedup = Some(positive(value())),
+            "--min-speedup" => gates.push(SpeedupGate::parse(&value()).unwrap_or_else(|| {
+                eprintln!("linalg_hostperf: --min-speedup takes SERIES@ENTRY=F with F > 0");
+                std::process::exit(2);
+            })),
             _ => usage(),
         }
     }
@@ -398,31 +417,25 @@ fn main() {
 
     // Gates read the file as it was before this run is merged into it.
     let mut failed = false;
-    if let Some(want) = min_speedup {
-        for input in ["overlap", "ritz"] {
-            let name = format!("eigh_{input}_64");
-            let now = rows
-                .iter()
-                .find(|r| r.series() == name)
-                .expect("row exists")
-                .min_ns;
-            match parent_ns(&out_path, &name) {
-                Some(parent) if parent / now >= want => {
-                    eprintln!("{name}: {:.1}x the recorded parent row", parent / now)
-                }
-                Some(parent) => {
-                    eprintln!(
-                        "linalg_hostperf: {name} is {:.2}x the recorded parent row ({parent:.0} ns -> {now:.0} ns), need {want}x",
-                        parent / now
-                    );
-                    failed = true;
-                }
-                None => {
-                    eprintln!(
-                        "linalg_hostperf: no `-parent` history entry with {name} in {out_path}"
-                    );
-                    failed = true;
-                }
+    for SpeedupGate { series, entry, factor } in &gates {
+        let Some(now) = rows.iter().find(|r| r.series() == *series).map(|r| r.min_ns) else {
+            eprintln!("linalg_hostperf: --min-speedup names no row of this run: {series}");
+            std::process::exit(2);
+        };
+        match recorded_ns(&out_path, entry, series) {
+            Some(then) if then / now >= *factor => {
+                eprintln!("{series}: {:.2}x the {entry} row", then / now)
+            }
+            Some(then) => {
+                eprintln!(
+                    "linalg_hostperf: {series} is {:.2}x the {entry} row ({then:.0} ns -> {now:.0} ns), need {factor}x",
+                    then / now
+                );
+                failed = true;
+            }
+            None => {
+                eprintln!("linalg_hostperf: no history entry {entry} with {series} in {out_path}");
+                failed = true;
             }
         }
     }

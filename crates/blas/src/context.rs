@@ -20,7 +20,8 @@
 //!   `rayon` replaces the sequential shim.
 //! * No borrow of the context is held across the product closure, a
 //!   [`DeviceTimeModel::gemm_time`] call or any telemetry call, so nested
-//!   overrides and BLAS calls made from inside a HERK are re-entrant.
+//!   overrides and a BLAS call made from inside another's product are
+//!   re-entrant.
 
 use crate::abft::AbftViolation;
 use crate::device::DeviceTimeModel;

@@ -5,12 +5,14 @@
 //! ([`gemm_packed`]):
 //!
 //! * the k dimension is tiled into `KC`-deep blocks;
-//! * per block, A is packed into `mr`-row panels and B into `nr`-column
-//!   panels ([`super::pack`]) held in pooled scratch, straight from the
-//!   caller's strided (for the complex routines: interleaved) storage —
-//!   `op()`, plane separation and precision conversion (BF16/TF32
-//!   rounding, split-plane decomposition) all happen during this pack,
-//!   once per source element;
+//! * per k-block, B is packed into `nr`-column panels and A — a block of
+//!   `MC_PANELS · mr` rows at a time, right before that block runs —
+//!   into `mr`-row panels ([`super::pack`]), both held in pooled scratch
+//!   and read straight from the caller's strided (for the complex
+//!   routines: interleaved) storage — `op()`, plane separation and
+//!   precision conversion (BF16/TF32 rounding, split-plane
+//!   decomposition) all happen during this pack, once per source element
+//!   per call;
 //! * a register-blocked `mr × nr` microkernel accumulates every term of a
 //!   product for a C tile in registers before a single writeback, so the
 //!   split-precision modes share both the packed operands *and* the
@@ -18,22 +20,30 @@
 //!   run all their real products off one packed k-block.
 //!
 //! The microkernel is chosen at runtime by [`MicroArch::ladder`]:
-//! `avx512f → avx2(+fma) → generic`, for both element widths. The `f32`
-//! SIMD tiles fuse multiply and add (they always did on AVX2 hosts); the
-//! `f64` tiles keep *separate* multiply and add, so all three `f64`
-//! instantiations are bit-identical to the portable one. Within one
-//! element width every SIMD instantiation accumulates each C element's
-//! `kk` products in one register lane in the same order, so tile
-//! geometry never shows in the result.
+//! `avx512f → avx2(+fma) → generic`, for both element widths. One
+//! contract for both: the SIMD tiles fuse multiply and add, the portable
+//! tile does not. So within one element width the SIMD instantiations are
+//! bit-identical to each other — each accumulates a C element's `kk`
+//! products in one register lane in the same order, and tile geometry
+//! never shows in the result — and agree with `micro_generic` to the
+//! `k·ε` of one rounding saved per multiply-add, not to the bit.
+//!
+//! A Hermitian output (`herk`, `gemmt`) passes an [`Uplo`] and the driver
+//! skips every tile lying strictly in the other triangle. That filter is
+//! the only triangle logic there is: the tiles that do run read the same
+//! packed panels through the same microkernel in the same order as the
+//! full product's, so the computed triangle is the full product's, bit
+//! for bit.
 //!
 //! Parallelism splits C into row blocks of `MC_PANELS · mr` rows. Each C
 //! element is accumulated by exactly one microkernel call per (product,
-//! k-block), in a fixed (sweep, k-block, product, term, kk) order that
-//! does not depend on the thread count — sequential and parallel runs
-//! are bit-identical by construction (asserted by
+//! k-block), in a fixed (k-block, product, term, kk) order that does not
+//! depend on the thread count — sequential and parallel runs are
+//! bit-identical by construction (asserted by
 //! `seq_and_par_paths_bit_identical`).
 
 use super::pack::{self, OpSrc, Side};
+use crate::layout::Uplo;
 use crate::mode::ComputeMode;
 use crate::workspace::{take_scratch, Poolable};
 use dcmesh_numerics::Real;
@@ -46,9 +56,9 @@ const PAR_THRESHOLD: usize = 64 * 64 * 64;
 /// Depth of one packed k-block.
 pub(crate) const KC: usize = 256;
 
-/// Row panels per parallel C block: tasks own `MC_PANELS · mr` rows, so
-/// the packed A block a task touches stays L2-resident while it sweeps
-/// the packed B panels.
+/// Row panels per C block: a block is `MC_PANELS · mr` rows — the unit A
+/// is packed in and a parallel task owns — so its packed A panels stay
+/// L2-resident while the packed B panels go past them.
 const MC_PANELS: usize = 16;
 
 /// The microkernel signature: accumulate one product's terms into one
@@ -119,8 +129,6 @@ impl MicroArch for f32 {
         );
         #[cfg(not(target_arch = "x86_64"))]
         let (wide, mid) = (None, None);
-        // Separate multiply and add: not bit-identical to the fused tiles
-        // above (it never was), only to itself.
         let generic =
             MicroKernel { name: "generic 4x8", mr: 4, nr: 8, micro: micro_generic::<f32, 4, 8> };
         [wide, mid, Some(generic)]
@@ -136,9 +144,10 @@ impl MicroArch for f64 {
         #[cfg(target_arch = "x86_64")]
         let (wide, mid) = (
             std::arch::is_x86_feature_detected!("avx512f")
-                .then_some(simd_tile!("avx512f mul+add 8x16", f64_avx512, 8, 2, 8)),
-            std::arch::is_x86_feature_detected!("avx2")
-                .then_some(simd_tile!("avx2 mul+add 4x8", f64_avx2, 4, 2, 4)),
+                .then_some(simd_tile!("avx512f fma 8x16", f64_avx512, 8, 2, 8)),
+            (std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"))
+            .then_some(simd_tile!("avx2 fma 4x8", f64_avx2, 4, 2, 4)),
         );
         #[cfg(not(target_arch = "x86_64"))]
         let (wide, mid) = (None, None);
@@ -169,6 +178,15 @@ impl<T: MicroArch> Exec<T> {
         let kern = T::ladder().into_iter().flatten().next().expect("generic kernel always present");
         Exec { kern, parallel: None }
     }
+
+    /// The host's tile geometry around a microkernel that does nothing:
+    /// what is left of a product is its pack (see
+    /// [`super::complex_gemm_sans_microkernel`]).
+    pub fn sans_microkernel() -> Self {
+        let host = Self::host();
+        let kern = MicroKernel { name: "none", micro: |_, _, _, _, _, _, _, _, _| {}, ..host.kern };
+        Exec { kern, ..host }
+    }
 }
 
 /// Name of the microkernel GEMMs over `T` dispatch to on this host
@@ -177,7 +195,7 @@ pub fn dispatched_kernel<T: MicroArch>() -> &'static str {
     Exec::<T>::host().kern.name
 }
 
-/// One accumulated product of a sweep over the k-blocks: the `depth`
+/// One accumulated product run off every packed k-block: the `depth`
 /// diagonal plane products `A[a+t]·B[b+t]`, `t < depth`, summed in one
 /// register accumulator per C tile and added to output `out`.
 #[derive(Clone, Copy, Debug)]
@@ -209,12 +227,13 @@ pub(crate) fn real_product<T: MicroArch>(
         m,
         n,
         k,
-        &[&[Product { a: 0, b: 0, depth, out: 0 }]],
-        |_, k0, kc, mr, dst: &mut [T], stride| {
-            let len = pack::gather(a, m, k0, kc, mr, dst, stride, |x| [x]);
+        &[Product { a: 0, b: 0, depth, out: 0 }],
+        None,
+        |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
+            let len = pack::gather(&a.offset(r0), rows, k0, kc, mr, dst, stride, |x| [x]);
             T::convert(mode, Side::A, dst, stride, len);
         },
-        |_, k0, kc, nr, dst: &mut [T], stride| {
+        |k0, kc, nr, dst: &mut [T], stride| {
             let len = pack::gather(b, n, k0, kc, nr, dst, stride, |x| [x]);
             T::convert(mode, Side::B, dst, stride, len);
         },
@@ -237,19 +256,27 @@ pub fn matmul_acc<T: MicroArch>(a: &[T], b: &[T], acc: &mut [T], m: usize, n: us
 
 /// The blocked driver. `acc` holds `nout` row-interleaved outputs: it is
 /// an `m × (nout·n)` matrix whose columns `[o·n, (o+1)·n)` are output
-/// `o`. `sweeps` lists, per sweep over the k-blocks, the products to run
-/// off each packed block: for every sweep, for every k-block, the
-/// caller's closures pack the block and every product of the sweep is
-/// accumulated from it.
+/// `o`. For every k-block the caller's closures pack it — each operand
+/// element gathered and converted once per call — and every entry of
+/// `products` is accumulated from that one packed block.
 ///
-/// `pack_a(sweep, k0, kc, mr, dst, stride)` must fill every A plane the
-/// sweep's products read (plane `t` at `dst[t·stride..]`) with the
-/// `mr`-row panel layout of the k-slice `[k0, k0+kc)`; `pack_b` likewise
-/// with `nr`-column panels. Packing runs on the calling thread only, so
-/// rayon workers never touch the workspace pool. No zero-skip anywhere:
-/// IEEE demands 0·Inf = 0·NaN = NaN, so skipping zero entries (or empty
-/// planes) would silently launder non-finite values out of the product
-/// and hide them from the health checks.
+/// `pack_b(k0, kc, nr, dst, stride)` must fill every B plane the products
+/// read (plane `t` at `dst[t·stride..]`) with the `nr`-column panel
+/// layout of the k-slice `[k0, k0+kc)`. `pack_a(r0, rows, k0, kc, mr,
+/// dst, stride)` does the same in `mr`-row panels for rows
+/// `[r0, r0+rows)` of `op(A)` only: A is packed a group of row blocks at
+/// a time — one block (`MC_PANELS · mr` rows) per rayon worker — right
+/// before those blocks run, so the packed A scratch is bounded by the
+/// block size instead of by `m` and is still in L2 when the microkernel
+/// reads it. Packing runs on the calling thread only, so rayon workers
+/// never touch the workspace pool.
+///
+/// `uplo` is the tile filter of a Hermitian output (`m == n`): a tile
+/// with no element in that triangle is skipped and its part of `acc`
+/// left as it arrived. A tile the diagonal crosses runs whole. Nothing
+/// else is ever skipped: IEEE demands 0·Inf = 0·NaN = NaN, so skipping
+/// zero entries (or empty planes) would silently launder non-finite
+/// values out of the product and hide them from the health checks.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_packed<T, PA, PB>(
     acc: &mut [T],
@@ -257,17 +284,19 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     m: usize,
     n: usize,
     k: usize,
-    sweeps: &[&[Product]],
+    products: &[Product],
+    uplo: Option<Uplo>,
     mut pack_a: PA,
     mut pack_b: PB,
     exec: Exec<T>,
 ) where
     T: MicroArch,
-    PA: FnMut(usize, usize, usize, usize, &mut [T], usize),
-    PB: FnMut(usize, usize, usize, usize, &mut [T], usize),
+    PA: FnMut(usize, usize, usize, usize, usize, &mut [T], usize),
+    PB: FnMut(usize, usize, usize, &mut [T], usize),
 {
     let ldc = nout * n;
     assert_eq!(acc.len(), m * ldc, "accumulator shape mismatch");
+    assert!(uplo.is_none() || m == n, "a triangle needs a square output");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -275,26 +304,29 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     let (mr, nr) = (kern.mr, kern.nr);
     let kc_max = KC.min(k);
     let npan = n.div_ceil(nr);
-    let a_stride = m.div_ceil(mr) * mr * kc_max;
+    let run_par = exec.parallel.unwrap_or(m * n * k >= PAR_THRESHOLD);
+    // Rows of one C block, and of the blocks packed and run together.
+    let block_rows = MC_PANELS * mr;
+    let group_rows = block_rows * if run_par { rayon::current_num_threads() } else { 1 };
+    let a_stride = group_rows.min(m.div_ceil(mr) * mr) * kc_max;
     let b_stride = npan * nr * kc_max;
-    let planes = |last: fn(&Product) -> usize| {
-        sweeps.iter().copied().flatten().map(last).max().unwrap_or(0)
-    };
+    let planes =
+        |last: fn(&Product) -> usize| products.iter().map(last).max().unwrap_or(0);
     let mut pa_buf = take_scratch::<T>(planes(|pr| pr.a + pr.depth) * a_stride);
     let mut pb_buf = take_scratch::<T>(planes(|pr| pr.b + pr.depth) * b_stride);
-    let run_par = exec.parallel.unwrap_or(m * n * k >= PAR_THRESHOLD);
 
-    for (si, products) in sweeps.iter().enumerate() {
-        for k0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - k0);
-            pack_a(si, k0, kc, mr, &mut pa_buf, a_stride);
-            pack_b(si, k0, kc, nr, &mut pb_buf, b_stride);
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        pack_b(k0, kc, nr, &mut pb_buf, b_stride);
+        for (gi, group) in acc.chunks_mut(group_rows * ldc).enumerate() {
+            let g0 = gi * group_rows;
+            pack_a(g0, group.len() / ldc, k0, kc, mr, &mut pa_buf, a_stride);
             let (pa, pb): (&[T], &[T]) = (&pa_buf, &pb_buf);
 
-            // One task = MC_PANELS row panels of C. Looping q (B panel)
+            // One task = one block of the group. Looping q (B panel)
             // outside the row panels keeps each B panel hot in L1 while
-            // the task's L2-resident A block sweeps past it.
-            let block = |ci: usize, cblk: &mut [T]| {
+            // the block's L2-resident A panels stream past it.
+            let block = |bi: usize, cblk: &mut [T]| {
                 let rows_total = cblk.len() / ldc;
                 for q in 0..npan {
                     let j0 = q * nr;
@@ -302,8 +334,19 @@ pub(crate) fn gemm_packed<T, PA, PB>(
                     let b_off = q * nr * kc;
                     for (ir, r0) in (0..rows_total).step_by(mr).enumerate() {
                         let rows = mr.min(rows_total - r0);
-                        let a_off = (ci * MC_PANELS + ir) * mr * kc;
-                        for pr in *products {
+                        // The tile spans rows [i0, i0+rows) × columns
+                        // [j0, j0+cols) of the output.
+                        let i0 = g0 + bi * block_rows + r0;
+                        let outside = match uplo {
+                            None => false,
+                            Some(Uplo::Lower) => j0 >= i0 + rows,
+                            Some(Uplo::Upper) => j0 + cols <= i0,
+                        };
+                        if outside {
+                            continue;
+                        }
+                        let a_off = (bi * MC_PANELS + ir) * mr * kc;
+                        for pr in products {
                             let mut terms = [(0usize, 0usize); 3];
                             for (t, term) in terms.iter_mut().enumerate().take(pr.depth) {
                                 *term = (
@@ -327,22 +370,21 @@ pub(crate) fn gemm_packed<T, PA, PB>(
                 }
             };
             if run_par {
-                acc.par_chunks_mut(MC_PANELS * mr * ldc)
+                group
+                    .par_chunks_mut(block_rows * ldc)
                     .enumerate()
-                    .for_each(|(ci, cblk)| block(ci, cblk));
+                    .for_each(|(bi, cblk)| block(bi, cblk));
             } else {
-                for (ci, cblk) in acc.chunks_mut(MC_PANELS * mr * ldc).enumerate() {
-                    block(ci, cblk);
-                }
+                block(0, group);
             }
         }
     }
 }
 
-/// Safe register-blocked microkernel — the portable fallback and the
-/// oracle the SIMD tiles are tested against. Separate multiply and add;
-/// the compiler unrolls the constant `MR × NR` tile and vectorises the
-/// inner loop for the baseline target.
+/// Safe register-blocked microkernel — the portable fallback, and the
+/// oracle the SIMD tiles are tested against to `k·ε`. Separate multiply
+/// and add; the compiler unrolls the constant `MR × NR` tile and
+/// vectorises the inner loop for the baseline target.
 #[allow(clippy::too_many_arguments)]
 fn micro_generic<T: Real, const MR: usize, const NR: usize>(
     terms: &[(usize, usize)],
@@ -500,18 +542,17 @@ mod x86 {
         |a, b, c| _mm256_fmadd_ps(a, b, c)
     }
     simd_micro! {
-        /// AVX-512 `f64` tile, separate multiply and add (bit-identical
-        /// to `micro_generic`).
+        /// AVX-512 `f64` tile, fused multiply-add (bit-identical to
+        /// [`f64_avx2`]).
         f64_avx512 / f64_avx512_impl: f64, "avx512f", 8,
         _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_add_pd,
-        |a, b, c| _mm512_add_pd(c, _mm512_mul_pd(a, b))
+        |a, b, c| _mm512_fmadd_pd(a, b, c)
     }
     simd_micro! {
-        /// AVX2 `f64` tile, separate multiply and add (bit-identical to
-        /// `micro_generic`).
-        f64_avx2 / f64_avx2_impl: f64, "avx2", 4,
+        /// AVX2 `f64` tile, fused multiply-add.
+        f64_avx2 / f64_avx2_impl: f64, "avx2,fma", 4,
         _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_add_pd,
-        |a, b, c| _mm256_add_pd(c, _mm256_mul_pd(a, b))
+        |a, b, c| _mm256_fmadd_pd(a, b, c)
     }
 }
 
@@ -675,11 +716,13 @@ mod tests {
     /// `modes`, on shapes ragged in m and n and straddling `KC`, with and
     /// without special-value lanes.
     fn kernels_match<T: MicroArch>(kernels: &[MicroKernel<T>], modes: &[ComputeMode], tiny: T) {
-        let (oracle, rest) = kernels.split_last().expect("an oracle kernel");
-        if rest.is_empty() {
-            eprintln!("host offers only `{}`; nothing to compare", oracle.name);
-            return;
-        }
+        let (oracle, rest) = match kernels.split_last() {
+            Some((oracle, rest)) if !rest.is_empty() => (oracle, rest),
+            _ => {
+                eprintln!("host offers {} of these kernels; nothing to compare", kernels.len());
+                return;
+            }
+        };
         let shapes =
             [(16, 16, 1728), (96, 96, 600), (300, 16, 16), (37, 29, 513), (7, 33, 257)];
         let mut rng = StdRng::seed_from_u64(77);
@@ -716,27 +759,48 @@ mod tests {
         }
     }
 
+    /// The SIMD tiers of one element width (widest first) and its generic
+    /// kernel. One contract for both widths: the SIMD tiles fuse
+    /// multiply-add and are bit-identical to each other; the generic tile
+    /// does not, so it is outside their class.
+    fn simd_and_generic<T: MicroArch>() -> (Vec<MicroKernel<T>>, MicroKernel<T>) {
+        let [wide, mid, generic] = T::ladder();
+        let simd = [wide, mid].into_iter().flatten().collect();
+        (simd, generic.expect("generic kernel always present"))
+    }
+
     #[test]
-    fn f64_kernels_bit_identical_to_generic() {
-        // AVX-512, AVX2 and generic all keep multiply and add separate;
-        // an ISA the host lacks is simply absent from the ladder.
-        let kernels: Vec<_> = f64::ladder().into_iter().flatten().collect();
-        kernels_match(&kernels, &[ComputeMode::Standard], f64::MIN_POSITIVE / 4.0);
+    fn f64_simd_kernels_bit_identical_and_within_k_eps_of_generic() {
+        let (simd, generic) = simd_and_generic::<f64>();
+        kernels_match(&simd, &[ComputeMode::Standard], f64::MIN_POSITIVE / 4.0);
+        // Fused against unfused: both are a length-k dot product in some
+        // order, each within γ_k·Σ|a||b| of the exact value.
+        let mut rng = StdRng::seed_from_u64(78);
+        for &(m, n, k) in &[(16, 16, 1728), (37, 29, 513), (7, 33, 257)] {
+            let (a, b) = (random_matrix(&mut rng, m * k), random_matrix(&mut rng, k * n));
+            let abs = |v: &[f64]| v.iter().map(|x| x.abs()).collect::<Vec<_>>();
+            let mag = matmul_reference(&abs(&a), &abs(&b), m, n, k);
+            let run = |kern| {
+                let exec = Exec { kern, parallel: Some(false) };
+                product_with(ComputeMode::Standard, &a, &b, m, n, k, exec)
+            };
+            let want = run(generic);
+            for kern in &simd {
+                let (got, mut moved) = (run(*kern), false);
+                for (i, ((x, y), mag)) in got.iter().zip(&want).zip(&mag).enumerate() {
+                    let bound = 2.0 * k as f64 * f64::EPSILON * mag;
+                    assert!((x - y).abs() <= bound, "`{}` ({m},{n},{k}) i={i}: {x} vs {y}", kern.name);
+                    moved |= x != y;
+                }
+                assert!(moved, "`{}` equals the unfused kernel bit for bit: not fused?", kern.name);
+            }
+        }
     }
 
     #[test]
     fn f32_simd_kernels_bit_identical_in_every_mode() {
-        // The AVX-512 and AVX2 tiles both fuse multiply-add. The generic
-        // entry does not, so it is outside their class — on a host with
-        // neither SIMD tier it is the only kernel and there is nothing to
-        // compare.
-        let [wide, mid, _generic] = f32::ladder();
-        let kernels: Vec<_> = [wide, mid].into_iter().flatten().collect();
-        if kernels.is_empty() {
-            eprintln!("host offers no f32 SIMD kernel; nothing to compare");
-            return;
-        }
-        kernels_match(&kernels, &ComputeMode::ALL, 1.0e-42);
+        let (simd, _generic) = simd_and_generic::<f32>();
+        kernels_match(&simd, &ComputeMode::ALL, 1.0e-42);
     }
 
     #[test]

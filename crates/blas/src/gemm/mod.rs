@@ -9,11 +9,20 @@
 //! * [`cgemm`] — complex `f32`; honours `FLOAT_TO_*` *and* `COMPLEX_3M`.
 //!   This is the routine DCMESH's nonlocal correction lives in.
 //! * [`zgemm`] — complex `f64`; honours `COMPLEX_3M` only.
+//! * [`zgemmt`] — [`zgemm`] for a product the caller knows to be
+//!   Hermitian (`Ψ†·(HΨ)`): one triangle computed, the other mirrored.
+//!   [`crate::herk`]'s rank-k updates are the same call with `B = A`.
 //!
-//! The four routines only marshal their arguments into a [`GemmArgs`];
+//! The routines only marshal their arguments into a [`GemmArgs`];
 //! everything a call does besides its product — counting, ABFT sampling,
 //! timing and logging through [`crate::verbose`], fault injection, the
-//! non-finite probe and the checksum — happens once, in [`gemm_call`].
+//! non-finite probe and the checksum — happens once, in [`gemm_call`],
+//! and every level-3 routine enters it under its own name.
+//!
+//! A complex product packs each operand once per k-block — real and
+//! imaginary planes out of the interleaved storage in one gather — and
+//! runs all of its real products off that packed block
+//! ([`complex_product_4m`], [`complex_product_3m`]).
 
 pub mod kernel;
 pub mod lowp;
@@ -26,7 +35,7 @@ use crate::config::compute_mode;
 use crate::context;
 use crate::device::{Domain, GemmDesc};
 use crate::fault::{self, FaultTarget};
-use crate::layout::{check_matrix, Op};
+use crate::layout::{check_matrix, Op, Uplo};
 use crate::mode::ComputeMode;
 use crate::verbose::observe;
 use crate::workspace;
@@ -35,6 +44,9 @@ use kernel::{gemm_packed, real_product, Exec, MicroArch, Product};
 use pack::{gather, OpSrc, Side};
 
 /// The operands of one `C ← α·op(A)·op(B) + β·C` call, minus the output.
+/// With `uplo` set (complex routines only, `m == n`) the product is
+/// Hermitian by the caller's word: that triangle is computed and the
+/// other is its conjugate mirror.
 #[derive(Clone, Copy)]
 pub(crate) struct GemmArgs<'a, T> {
     pub transa: Op,
@@ -49,6 +61,7 @@ pub(crate) struct GemmArgs<'a, T> {
     pub ldb: usize,
     pub beta: T,
     pub ldc: usize,
+    pub uplo: Option<Uplo>,
 }
 
 /// Validates GEMM dimensions and returns the stored shapes of A and B.
@@ -78,8 +91,9 @@ fn stored_shapes(
 /// fault plan, scoped on the mode the call executed in; probe the output
 /// for non-finite values; verify the checksum — after injection, so an
 /// injected flip lands between the product and its check. Both checks
-/// report to the row `observe` named.
-fn gemm_call<T: AbftElem + FaultTarget>(
+/// report to the row `observe` named, and both see a triangle routine's
+/// output after its mirror: the whole `n × n` matrix the caller gets.
+pub(crate) fn gemm_call<T: AbftElem + FaultTarget>(
     routine: &'static str,
     domain: Domain,
     mode: ComputeMode,
@@ -133,7 +147,7 @@ pub fn sgemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
     gemm_call("SGEMM", Domain::Real32, compute_mode(), &g, c, real_gemm_impl);
 }
 
@@ -154,12 +168,12 @@ pub fn dgemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
     gemm_call("DGEMM", Domain::Real64, ComputeMode::Standard, &g, c, real_gemm_impl);
 }
 
 fn real_gemm_impl<T: MicroArch>(mode: ComputeMode, g: &GemmArgs<'_, T>, c: &mut [T]) {
-    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, .. } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
     check_matrix("A", ar, ac, lda, a.len());
     check_matrix("B", br, bc, ldb, b.len());
@@ -245,7 +259,7 @@ pub fn cgemm(
     c: &mut [C32],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
     gemm_call("CGEMM", Domain::Complex32, compute_mode(), &g, c, complex_gemm_impl);
 }
 
@@ -266,11 +280,69 @@ pub fn zgemm(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc };
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
     gemm_call("ZGEMM", Domain::Complex64, f64_mode(), &g, c, complex_gemm_impl);
 }
 
-fn complex_gemm_impl<T: MicroArch>(
+/// [`zgemm`] for an `n × n` product that is Hermitian by construction
+/// (oneMKL's `?gemmt`, with this crate's [`Uplo`] convention): only the
+/// `uplo` triangle of `C ← α·op(A)·op(B) + β·C` is computed — the tiles
+/// of the blocked driver that touch it, each bit-identical to the same
+/// tile of the full product — and the other triangle is filled with its
+/// conjugate. The diagonal is stored as computed: its imaginary part is
+/// the rounding noise of a Hermitian product, not zero by definition as
+/// [`crate::zherk`]'s is. With `β ≠ 0`, `C` must arrive holding both
+/// triangles, as every routine here returns it.
+#[allow(clippy::too_many_arguments)]
+pub fn zgemmt(
+    uplo: Uplo,
+    transa: Op,
+    transb: Op,
+    n: usize,
+    k: usize,
+    alpha: C64,
+    a: &[C64],
+    lda: usize,
+    b: &[C64],
+    ldb: usize,
+    beta: C64,
+    c: &mut [C64],
+    ldc: usize,
+) {
+    let g =
+        GemmArgs { transa, transb, m: n, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: Some(uplo) };
+    gemm_call("ZGEMMT", Domain::Complex64, f64_mode(), &g, c, complex_gemm_impl);
+}
+
+/// Bench hook behind `gemm_hostperf`'s pack-share column: the product
+/// `C ← op(A)·op(B)` exactly as `cgemm` / `zgemm` / `zgemmt` / `?herk`
+/// would run it in `mode` — same scratch, same gather and conversion,
+/// same accumulator zero-fill and writeback — with the microkernel
+/// stubbed out, so `C` is garbage and the time is everything that is not
+/// arithmetic. Not a BLAS call: nothing is counted, recorded or checked.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn complex_gemm_sans_microkernel<T: MicroArch>(
+    mode: ComputeMode,
+    uplo: Option<Uplo>,
+    transa: Op,
+    transb: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[Complex<T>],
+    lda: usize,
+    b: &[Complex<T>],
+    ldb: usize,
+    c: &mut [Complex<T>],
+    ldc: usize,
+) {
+    let (alpha, beta) = (Complex::from_real(T::ONE), Complex::zero());
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo };
+    complex_gemm_with(mode, &g, c, Exec::sans_microkernel());
+}
+
+pub(crate) fn complex_gemm_impl<T: MicroArch>(
     mode: ComputeMode,
     g: &GemmArgs<'_, Complex<T>>,
     c: &mut [Complex<T>],
@@ -284,7 +356,7 @@ fn complex_gemm_with<T: MicroArch>(
     c: &mut [Complex<T>],
     exec: Exec<T>,
 ) {
-    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
     check_matrix("A", ar, ac, lda, a.len());
     check_matrix("B", br, bc, ldb, b.len());
@@ -309,14 +381,21 @@ fn complex_gemm_with<T: MicroArch>(
     let asrc = (OpSrc::a(transa, a, lda), transa == Op::ConjTrans);
     let bsrc = (OpSrc::b(transb, b, ldb), transb == Op::ConjTrans);
     if three_m {
-        complex_product_3m(asrc, bsrc, &mut acc, m, n, k, exec);
+        complex_product_3m(asrc, bsrc, &mut acc, m, n, k, uplo, exec);
     } else {
-        complex_product_4m(mode, asrc, bsrc, &mut acc, m, n, k, exec);
+        complex_product_4m(mode, asrc, bsrc, &mut acc, m, n, k, uplo, exec);
     }
 
-    // C ← α·P + β·C on the interleaved output.
-    for (crow, prow) in c.chunks_mut(ldc).zip(acc.chunks_exact(nout * n)) {
-        for (j, cv) in crow[..n].iter_mut().enumerate() {
+    // C ← α·P + β·C on the interleaved output — of a Hermitian product,
+    // on the computed triangle only (the rest of `acc` holds whatever
+    // the diagonal tiles spilled over it).
+    for (i, (crow, prow)) in c.chunks_mut(ldc).zip(acc.chunks_exact(nout * n)).enumerate() {
+        let cols = match uplo {
+            None => 0..n,
+            Some(Uplo::Lower) => 0..i + 1,
+            Some(Uplo::Upper) => i..n,
+        };
+        for (j, cv) in cols.clone().zip(&mut crow[cols]) {
             let p = if three_m {
                 // Re = T1 − T3, Im = T1 + T2.
                 Complex { re: prow[j] - prow[2 * n + j], im: prow[j] + prow[n + j] }
@@ -327,17 +406,26 @@ fn complex_gemm_with<T: MicroArch>(
             *cv = if beta == Complex::zero() { ap } else { ap + beta.mul_4m(*cv) };
         }
     }
+    if let Some(uplo) = uplo {
+        for i in 0..n {
+            for j in i + 1..n {
+                match uplo {
+                    Uplo::Upper => c[j * ldc + i] = c[i * ldc + j].conj(),
+                    Uplo::Lower => c[i * ldc + j] = c[j * ldc + i].conj(),
+                }
+            }
+        }
+    }
 }
 
 /// One complex operand of the fused driver: where `op(X)` is read from,
 /// and whether `op()` conjugates.
 type ComplexSrc<'a, T> = (OpSrc<'a, Complex<T>>, bool);
 
-/// `z.im`, negated on request: `op()`'s conjugation, or the sign of a
-/// subtracted product.
+/// `z.im`, negated when `op()` conjugates.
 #[inline(always)]
-fn im_of<T: Real>(z: Complex<T>, negate: bool) -> T {
-    if negate {
+fn im_of<T: Real>(z: Complex<T>, conj: bool) -> T {
+    if conj {
         -z.im
     } else {
         z.im
@@ -346,20 +434,22 @@ fn im_of<T: Real>(z: Complex<T>, negate: bool) -> T {
 
 /// Conventional complex product structure — `Re = ArBr − AiBi`,
 /// `Im = ArBi + AiBr`, each component product running at the selected
-/// low-precision mode — as two sweeps of the packed driver over the
-/// interleaved operands. `acc` rows are `[Re | Im]` and must arrive
-/// zeroed.
+/// low-precision mode — off one pack of the interleaved operands per
+/// k-block. `acc` rows are `[Re | Im]` and must arrive zeroed.
 ///
-/// The order keeps every C element's sum exactly that of four
-/// independent real GEMMs run one after the other (the retained test
-/// `reference`): sweep 1 packs `Ar`, `Br`, `Bi` per k-block and
-/// accumulates `Ar·Br → Re`, `Ar·Bi → Im`; sweep 2 packs `Ai`, `Br`,
-/// `−Bi` and accumulates `Ai·(−Bi) → Re`, `Ai·Br → Im`. The subtraction
+/// Per k-block the A planes `[Ar | Ai]` and the B planes
+/// `[Br | Bi | −Bi]` are gathered and converted once, and the four real
+/// products run off them: `Ar·Br → Re`, `Ai·(−Bi) → Re`, `Ar·Bi → Im`,
+/// `Ai·Br → Im`. A C element's sum is therefore ordered (k-block,
+/// product, term, kk) — the retained test `reference` restates exactly
+/// that with four independent real GEMMs per k-block. The subtraction
 /// rides on a negated plane so the kernel stays add-only, like the
-/// hardware's signed accumulate; `Ai·(−Bi)` equals the reference's
-/// `(−Ai)·Bi` bit for bit because rounding, splitting and cascading are
-/// odd functions and a product's sign is exact. Each A plane is gathered
-/// and converted once per k-block.
+/// hardware's signed accumulate, and on B's because B is the small
+/// operand of both application shapes (`n = n_orb`): the extra plane
+/// costs `n·KC` elements of scratch where a third accumulator output
+/// would cost `m·n`. Negating before or after the conversion is the same
+/// bits — rounding, splitting and cascading are odd functions — and
+/// `Ai·(−Bi)` equals `(−Ai)·Bi` because a product's sign is exact.
 #[allow(clippy::too_many_arguments)]
 fn complex_product_4m<T: MicroArch>(
     mode: ComputeMode,
@@ -369,18 +459,17 @@ fn complex_product_4m<T: MicroArch>(
     m: usize,
     n: usize,
     k: usize,
+    uplo: Option<Uplo>,
     exec: Exec<T>,
 ) {
     let d = mode.split_depth().unwrap_or(1);
-    // A planes: [Ar], then [Ai]. B planes: [Br | Bi], then [Br | −Bi].
-    let (b_re, b_im) = (0, d);
-    let sweep1 = [
-        Product { a: 0, b: b_re, depth: d, out: 0 }, // Ar·Br → Re
-        Product { a: 0, b: b_im, depth: d, out: 1 }, // Ar·Bi → Im
-    ];
-    let sweep2 = [
-        Product { a: 0, b: b_im, depth: d, out: 0 }, // Ai·(−Bi) → Re
-        Product { a: 0, b: b_re, depth: d, out: 1 }, // Ai·Br → Im
+    let (a_re, a_im) = (0, d);
+    let (b_re, b_im, b_im_neg) = (0, d, 2 * d);
+    let products = [
+        Product { a: a_re, b: b_re, depth: d, out: 0 },     // Ar·Br → Re
+        Product { a: a_im, b: b_im_neg, depth: d, out: 0 }, // Ai·(−Bi) → Re
+        Product { a: a_re, b: b_im, depth: d, out: 1 },     // Ar·Bi → Im
+        Product { a: a_im, b: b_re, depth: d, out: 1 },     // Ai·Br → Im
     ];
     gemm_packed(
         acc,
@@ -388,20 +477,21 @@ fn complex_product_4m<T: MicroArch>(
         m,
         n,
         k,
-        &[&sweep1, &sweep2],
-        |sweep, k0, kc, mr, dst: &mut [T], stride| {
-            let len = if sweep == 0 {
-                gather(&asrc, m, k0, kc, mr, dst, stride, |z| [z.re])
-            } else {
-                gather(&asrc, m, k0, kc, mr, dst, stride, |z| [im_of(z, conj_a)])
-            };
-            T::convert(mode, Side::A, dst, stride, len);
+        &products,
+        uplo,
+        |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
+            let len = gather(&asrc.offset(r0), rows, k0, kc, mr, dst, d * stride, |z| {
+                [z.re, im_of(z, conj_a)]
+            });
+            for planes in dst.chunks_mut(d * stride) {
+                T::convert(mode, Side::A, planes, stride, len);
+            }
         },
-        |sweep, k0, kc, nr, dst: &mut [T], stride| {
-            // Sweep 2 wants −Bi: that sign and `op()`'s conjugation fold
-            // into one.
-            let negate = conj_b != (sweep == 1);
-            let len = gather(&bsrc, n, k0, kc, nr, dst, d * stride, |z| [z.re, im_of(z, negate)]);
+        |k0, kc, nr, dst: &mut [T], stride| {
+            let len = gather(&bsrc, n, k0, kc, nr, dst, d * stride, |z| {
+                let im = im_of(z, conj_b);
+                [z.re, im, -im]
+            });
             for planes in dst.chunks_mut(d * stride) {
                 T::convert(mode, Side::B, planes, stride, len);
             }
@@ -420,6 +510,7 @@ fn complex_product_4m<T: MicroArch>(
 ///
 /// `acc` rows are `[T1 | T2 | T3]` and must arrive zeroed; the plane sums
 /// are formed as the operands are packed.
+#[allow(clippy::too_many_arguments)]
 fn complex_product_3m<T: MicroArch>(
     (asrc, conj_a): ComplexSrc<'_, T>,
     (bsrc, conj_b): ComplexSrc<'_, T>,
@@ -427,6 +518,7 @@ fn complex_product_3m<T: MicroArch>(
     m: usize,
     n: usize,
     k: usize,
+    uplo: Option<Uplo>,
     exec: Exec<T>,
 ) {
     let products = [0, 1, 2].map(|t| Product { a: t, b: t, depth: 1, out: t });
@@ -436,14 +528,15 @@ fn complex_product_3m<T: MicroArch>(
         m,
         n,
         k,
-        &[&products],
-        |_, k0, kc, mr, dst: &mut [T], stride| {
-            gather(&asrc, m, k0, kc, mr, dst, stride, |z| {
+        &products,
+        uplo,
+        |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
+            gather(&asrc.offset(r0), rows, k0, kc, mr, dst, stride, |z| {
                 let im = im_of(z, conj_a);
                 [z.re + im, z.re, im]
             });
         },
-        |_, k0, kc, nr, dst: &mut [T], stride| {
+        |k0, kc, nr, dst: &mut [T], stride| {
             gather(&bsrc, n, k0, kc, nr, dst, stride, |z| {
                 let im = im_of(z, conj_b);
                 [z.re, im - z.re, z.re + im]
@@ -741,8 +834,9 @@ mod tests {
 
     /// The fused driver against the retained four-call reference, bit for
     /// bit: all 9 `op` pairs, padded `lda`/`ldb`/`ldc`, a shape inside one
-    /// k-block and one straddling `KC`, β = 0 and β ≠ 0, every ladder
-    /// kernel, sequential and rayon schedules.
+    /// k-block, one straddling `KC` and one taller than a row block (A
+    /// packed in several pieces), β = 0 and β ≠ 0, every ladder kernel,
+    /// sequential and rayon schedules.
     fn fused_matches_reference<T: MicroArch>(modes: &[ComputeMode]) {
         let mut rng = StdRng::seed_from_u64(15);
         let mut rand = |len: usize| -> Vec<Complex<T>> {
@@ -755,7 +849,7 @@ mod tests {
         };
         let ops = [Op::None, Op::Trans, Op::ConjTrans];
         let cx = |re: f64, im: f64| Complex { re: T::from_f64(re), im: T::from_f64(im) };
-        for (m, n, k) in [(7, 5, 9), (13, 34, 300)] {
+        for (m, n, k) in [(7, 5, 9), (13, 34, 300), (300, 6, 17)] {
             for transa in ops {
                 for transb in ops {
                     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
@@ -764,7 +858,7 @@ mod tests {
                     let b = rand(br * ldb);
                     let c0 = rand(m * ldc);
                     for (alpha, beta) in [(cx(1.25, -0.5), cx(0.25, 0.75)), (cx(1.0, 0.0), cx(0.0, 0.0))] {
-                        let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b: &b, ldb, beta, ldc };
+                        let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b: &b, ldb, beta, ldc, uplo: None };
                         for &mode in modes {
                             for kern in T::ladder().into_iter().flatten() {
                                 let mut want = c0.clone();
@@ -803,10 +897,10 @@ mod tests {
     #[test]
     fn nonfinite_in_any_complex_plane_surfaces() {
         // 0·Inf / 0·NaN must reach C wherever the non-finite value sits:
-        // in B's imaginary plane (met by A's zero real *and* negated
-        // imaginary planes), in A's imaginary plane (the one the driver
-        // negates), and next to an edge panel's pad lanes — in every
-        // mode, with every shape dimension ragged for any tile in use.
+        // in B's imaginary plane (packed twice, as is and negated, and
+        // met by A's zero real and imaginary planes), in A's imaginary
+        // plane, and next to an edge panel's pad lanes — in every mode,
+        // with every shape dimension ragged for any tile in use.
         let (m, n, k) = (5, 9, 7);
         for mode in ComputeMode::ALL {
             for bad in [f32::INFINITY, f32::NAN] {

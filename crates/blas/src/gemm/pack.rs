@@ -16,17 +16,19 @@
 //!
 //! 1. [`gather`] reads the caller's storage — strided, `op()`-ed, and for
 //!    the complex routines interleaved — and writes *raw* real planes in
-//!    panel layout, every plane wanted of a complex operand (`re`, `±im`,
-//!    the COMPLEX_3M sums) in the same pass. [`OpSrc`] says which way the
-//!    storage runs: when it is contiguous across the panel (`op(B) = B`,
-//!    `op(A) = Aᵀ/A†`) panel rows are copied row by row; when it runs
-//!    along k (`op(A) = A`, `op(B) = Bᵀ/B†`) each source row is read
-//!    once, contiguously, and transposed into the panel.
+//!    panel layout, every plane wanted of a complex operand (`re`, `im`,
+//!    `−im`, the COMPLEX_3M sums) in the same pass. B is packed whole per
+//!    k-block, A a block of rows at a time ([`OpSrc::offset`]). [`OpSrc`]
+//!    says which way the storage runs: when it is contiguous across the
+//!    panel (`op(B) = B`, `op(A) = Aᵀ/A†`) panel rows are copied row by
+//!    row; when it runs along k (`op(A) = A`, `op(B) = Bᵀ/B†`) each
+//!    source row is read once, contiguously, and transposed into the
+//!    panel.
 //! 2. [`convert_f32`] applies the compute mode *in place* over the packed
 //!    plane — a contiguous, panel-layout-agnostic, 8-lane-vectorised run:
 //!    BF16/TF32 rounding, or the split into `depth` planes. Each source
-//!    element is converted exactly once per k-block sweep no matter how
-//!    many product terms later read the packed planes.
+//!    element is gathered and converted exactly once per call no matter
+//!    how many products and product terms later read the packed planes.
 //!
 //! For the BF16 split modes the two operands are converted differently:
 //!
@@ -92,6 +94,14 @@ impl<'a, E> OpSrc<'a, E> {
     /// Dense untransposed `k × n` right operand.
     pub fn dense_b(b: &'a [E], n: usize) -> Self {
         Self::b(Op::None, b, n)
+    }
+
+    /// The same operand from its row (of `op(A)`) / column (of `op(B)`)
+    /// `p0` on: element `(p, kk)` of the result is `(p0 + p, kk)` of
+    /// `self`.
+    pub fn offset(&self, p0: usize) -> Self {
+        let skip = if self.along { p0 } else { p0 * self.ld };
+        OpSrc { data: &self.data[skip..], ..*self }
     }
 }
 

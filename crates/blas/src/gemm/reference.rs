@@ -1,13 +1,15 @@
 //! Test-only reference for the fused complex driver: the structure it
 //! replaced. `op()` and the complex planes are separated into dense
 //! scratch first (`deinterleave_op`), then the complex product runs as
-//! four (3M: three) *independent* real GEMMs, one after the other, the
-//! subtraction through a negated copy of `Ai`. The fused driver must
-//! reproduce this bit for bit — it packs straight from the interleaved
-//! storage and shares packed blocks between the products, but every C
-//! element still sees the same (product, k-block, kk) order.
+//! *independent* real GEMMs — per `KC`-deep k-block four of them, one
+//! after the other (`Ar·Br` and `(−Ai)·Bi` into `Re`, `Ar·Bi` and `Ai·Br`
+//! into `Im`), the subtraction through a negated copy of `Ai`; under
+//! COMPLEX_3M three over the whole depth. The fused driver must reproduce
+//! this bit for bit — it packs straight from the interleaved storage,
+//! once per k-block, and shares that packed block between the products,
+//! but every C element still sees the same (k-block, product, kk) order.
 
-use super::kernel::{real_product, Exec, MicroArch};
+use super::kernel::{real_product, Exec, MicroArch, KC};
 use super::pack::OpSrc;
 use super::{stored_shapes, GemmArgs};
 use crate::layout::{check_matrix, Op};
@@ -53,27 +55,31 @@ pub(crate) fn same_bits<T: Real>(x: T, y: T) -> bool {
     x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
 }
 
-/// One independent dense real GEMM `acc += a·b` in `mode`.
+/// One independent real GEMM `acc += a[:, ks]·b[ks, :]` in `mode` over
+/// the depth slice `ks` of dense `m × k` / `k × n` operands.
 fn real_gemm<T: MicroArch>(
     mode: ComputeMode,
     a: &[T],
     b: &[T],
     acc: &mut [T],
     (m, n, k): (usize, usize, usize),
+    ks: core::ops::Range<usize>,
     exec: Exec<T>,
 ) {
-    real_product(mode, &OpSrc::dense_a(a, k), &OpSrc::dense_b(b, n), acc, m, n, k, exec);
+    let (a, b) = (OpSrc::dense_a(&a[ks.start..], k), OpSrc::dense_b(&b[ks.start * n..], n));
+    real_product(mode, &a, &b, acc, m, n, ks.len(), exec);
 }
 
-/// `C ← α·op(A)·op(B) + β·C` through the deinterleave-then-four-GEMMs
-/// structure (same argument checks and α/β handling as the driver).
+/// `C ← α·op(A)·op(B) + β·C` through the deinterleave-then-real-GEMMs
+/// structure (same argument checks and α/β handling as the driver; the
+/// full product, whatever `g.uplo` says).
 pub(crate) fn complex_gemm<T: MicroArch>(
     mode: ComputeMode,
     g: &GemmArgs<'_, Complex<T>>,
     c: &mut [Complex<T>],
     exec: Exec<T>,
 ) {
-    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc } = *g;
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, .. } = *g;
     let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
     let dims = (m, n, k);
     let (mut are, mut aim) = (vec![T::ZERO; m * k], vec![T::ZERO; m * k]);
@@ -88,20 +94,24 @@ pub(crate) fn complex_gemm<T: MicroArch>(
         let b_diff: Vec<T> = bre.iter().zip(&bim).map(|(&r, &i)| i - r).collect();
         let b_sum: Vec<T> = bre.iter().zip(&bim).map(|(&r, &i)| r + i).collect();
         let (mut t1, mut t2, mut t3) = (pre.clone(), pre.clone(), pre.clone());
-        real_gemm(mode, &a_sum, &bre, &mut t1, dims, exec);
-        real_gemm(mode, &are, &b_diff, &mut t2, dims, exec);
-        real_gemm(mode, &aim, &b_sum, &mut t3, dims, exec);
+        real_gemm(mode, &a_sum, &bre, &mut t1, dims, 0..k, exec);
+        real_gemm(mode, &are, &b_diff, &mut t2, dims, 0..k, exec);
+        real_gemm(mode, &aim, &b_sum, &mut t3, dims, 0..k, exec);
         for (i, (p, q)) in pre.iter_mut().zip(pim.iter_mut()).enumerate() {
             *p = t1[i] - t3[i];
             *q = t1[i] + t2[i];
         }
     } else {
-        // Re += Ar·Br ; Re += (−Ai)·Bi ; Im += Ar·Bi ; Im += Ai·Br
+        // Per k-block: Re += Ar·Br ; Re += (−Ai)·Bi ; Im += Ar·Bi ;
+        // Im += Ai·Br.
         let aim_neg: Vec<T> = aim.iter().map(|&x| -x).collect();
-        real_gemm(mode, &are, &bre, &mut pre, dims, exec);
-        real_gemm(mode, &aim_neg, &bim, &mut pre, dims, exec);
-        real_gemm(mode, &are, &bim, &mut pim, dims, exec);
-        real_gemm(mode, &aim, &bre, &mut pim, dims, exec);
+        for k0 in (0..k).step_by(KC) {
+            let ks = k0..k.min(k0 + KC);
+            real_gemm(mode, &are, &bre, &mut pre, dims, ks.clone(), exec);
+            real_gemm(mode, &aim_neg, &bim, &mut pre, dims, ks.clone(), exec);
+            real_gemm(mode, &are, &bim, &mut pim, dims, ks.clone(), exec);
+            real_gemm(mode, &aim, &bre, &mut pim, dims, ks, exec);
+        }
     }
 
     for i in 0..m {

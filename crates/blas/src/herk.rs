@@ -1,32 +1,26 @@
 //! Hermitian rank-k updates (`CHERK`/`ZHERK`).
 //!
 //! The subspace projections DCMESH builds (`S = Ψ†Ψ`, `W = R†R`) are
-//! Hermitian by construction; a tuned library computes only one triangle
-//! and mirrors it. `herk` honours the same compute modes as `gemm` (it is
-//! a level-3 routine), and guarantees an exactly Hermitian result with a
-//! real diagonal — which the eigensolver downstream appreciates.
+//! Hermitian by construction, so only one triangle is computed and the
+//! other mirrored: a rank-k update is the [`crate::gemm`] product
+//! `A·A†` / `A†·A` run with an [`Uplo`] tile filter. `herk` honours the
+//! same compute modes as `gemm` (it is a level-3 routine), and guarantees
+//! an exactly Hermitian result with a real diagonal — which the
+//! eigensolver downstream appreciates.
 //!
-//! The heavy lifting delegates to [`crate::gemm`], so `herk` inherits the
-//! thread-local [`crate::workspace`] pool: its low-precision scratch
-//! (rounded copies, split planes, partial products) is recycled across
-//! calls rather than reallocated.
+//! A rank-k update enters [`gemm_call`] as itself: one call counted, one
+//! record, one ABFT sample, and fault injection, the non-finite probe and
+//! the checksum all see the mirrored `n × n` output under the routine's
+//! own name. Its scratch comes from the thread-local
+//! [`crate::workspace`] pool like every other product's.
 
 use crate::config::compute_mode;
-use crate::device::{Domain, GemmDesc};
-use crate::layout::{check_matrix, Op};
-use crate::verbose::observe;
+use crate::device::Domain;
+use crate::gemm::kernel::MicroArch;
+use crate::gemm::{complex_gemm_impl, f64_mode, gemm_call, GemmArgs};
+use crate::layout::{Op, Uplo};
+use crate::mode::ComputeMode;
 use dcmesh_numerics::{Complex, C32, C64};
-
-/// Which triangle of C the routine is defined to update (both are filled
-/// on return; the parameter controls which one is *computed*).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Uplo {
-    /// Compute the upper triangle, mirror into the lower.
-    #[default]
-    Upper,
-    /// Compute the lower triangle, mirror into the upper.
-    Lower,
-}
 
 /// Single-precision complex Hermitian rank-k update:
 ///
@@ -34,7 +28,8 @@ pub enum Uplo {
 /// * `trans = Op::ConjTrans`: `C ← α·A†·A + β·C` with `A: k × n`
 ///
 /// `alpha`/`beta` are real (BLAS herk semantics); `C` is `n × n` and its
-/// imaginary diagonal is forced to zero, as the standard requires.
+/// imaginary diagonal is forced to zero, as the standard requires. With
+/// `β ≠ 0`, `C` must arrive holding both triangles, as it is returned.
 #[allow(clippy::too_many_arguments)]
 pub fn cherk(
     uplo: Uplo,
@@ -48,11 +43,8 @@ pub fn cherk(
     c: &mut [C32],
     ldc: usize,
 ) {
-    let mode = compute_mode();
-    let desc = GemmDesc { domain: Domain::Complex32, m: n, n, k, mode };
-    observe("CHERK", trans, trans, desc, || {
-        herk_impl(uplo, trans, n, k, alpha, a, lda, beta, c, ldc, crate::gemm::cgemm);
-    });
+    let g = herk_args(uplo, trans, n, k, alpha, a, lda, beta, ldc);
+    gemm_call("CHERK", Domain::Complex32, compute_mode(), &g, c, herk_product);
 }
 
 /// Double-precision complex Hermitian rank-k update (see [`cherk`]).
@@ -69,30 +61,14 @@ pub fn zherk(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let desc = GemmDesc { domain: Domain::Complex64, m: n, n, k, mode: crate::gemm::f64_mode() };
-    observe("ZHERK", trans, trans, desc, || {
-        herk_impl(uplo, trans, n, k, alpha, a, lda, beta, c, ldc, crate::gemm::zgemm);
-    });
+    let g = herk_args(uplo, trans, n, k, alpha, a, lda, beta, ldc);
+    gemm_call("ZHERK", Domain::Complex64, f64_mode(), &g, c, herk_product);
 }
 
-type GemmFn<T> = fn(
-    Op,
-    Op,
-    usize,
-    usize,
-    usize,
-    Complex<T>,
-    &[Complex<T>],
-    usize,
-    &[Complex<T>],
-    usize,
-    Complex<T>,
-    &mut [Complex<T>],
-    usize,
-);
-
+/// A rank-k update as the triangle-filtered product it is: `B = A`, one
+/// side conjugate-transposed.
 #[allow(clippy::too_many_arguments)]
-fn herk_impl<T: dcmesh_numerics::Real>(
+fn herk_args<T: MicroArch>(
     uplo: Uplo,
     trans: Op,
     n: usize,
@@ -101,52 +77,40 @@ fn herk_impl<T: dcmesh_numerics::Real>(
     a: &[Complex<T>],
     lda: usize,
     beta: T,
-    c: &mut [Complex<T>],
     ldc: usize,
-    gemm: GemmFn<T>,
-) {
-    assert!(
-        matches!(trans, Op::None | Op::ConjTrans),
-        "herk trans must be N or C (Op::Trans is the *symmetric* update)"
-    );
-    let (ar, ac) = match trans {
-        Op::None => (n, k),
-        _ => (k, n),
-    };
-    check_matrix("A", ar, ac, lda, a.len());
-    check_matrix("C", n, n, ldc, c.len());
-
-    // Compute the full product through the mode-aware GEMM path, then
-    // enforce the Hermitian contract exactly.
-    let (ta, tb) = match trans {
+) -> GemmArgs<'_, Complex<T>> {
+    let (transa, transb) = match trans {
         Op::None => (Op::None, Op::ConjTrans),
-        _ => (Op::ConjTrans, Op::None),
+        Op::ConjTrans => (Op::ConjTrans, Op::None),
+        Op::Trans => panic!("herk trans must be N or C (Op::Trans is the *symmetric* update)"),
     };
-    gemm(
-        ta,
-        tb,
-        n,
+    GemmArgs {
+        transa,
+        transb,
+        m: n,
         n,
         k,
-        Complex::from_real(alpha),
+        alpha: Complex::from_real(alpha),
         a,
         lda,
-        a,
-        lda,
-        Complex::from_real(beta),
-        c,
+        b: a,
+        ldb: lda,
+        beta: Complex::from_real(beta),
         ldc,
-    );
+        uplo: Some(uplo),
+    }
+}
 
-    // Mirror the computed triangle and zero the diagonal's imaginary part.
-    for i in 0..n {
-        c[i * ldc + i] = Complex::from_real(c[i * ldc + i].re);
-        for j in (i + 1)..n {
-            match uplo {
-                Uplo::Upper => c[j * ldc + i] = c[i * ldc + j].conj(),
-                Uplo::Lower => c[i * ldc + j] = c[j * ldc + i].conj(),
-            }
-        }
+/// The product of a rank-k update: the mirrored triangle, then the
+/// Hermitian contract enforced exactly on the diagonal.
+fn herk_product<T: MicroArch>(
+    mode: ComputeMode,
+    g: &GemmArgs<'_, Complex<T>>,
+    c: &mut [Complex<T>],
+) {
+    complex_gemm_impl(mode, g, c);
+    for i in 0..g.n {
+        c[i * g.ldc + i].im = T::ZERO;
     }
 }
 

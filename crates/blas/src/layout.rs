@@ -37,6 +37,19 @@ impl Op {
     }
 }
 
+/// Which triangle of a Hermitian `n × n` output a routine *computes*
+/// (`herk`, `gemmt`). This crate's convention: both triangles are filled
+/// on return — the other one is the exact conjugate mirror of the
+/// computed one — so callers never need to know which was picked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum Uplo {
+    /// Compute the upper triangle, mirror into the lower.
+    #[default]
+    Upper,
+    /// Compute the lower triangle, mirror into the upper.
+    Lower,
+}
+
 /// Validates that a row-major `rows × cols` matrix with leading dimension
 /// `ld` fits within `len` elements. Panics with a BLAS-style message if not.
 #[track_caller]

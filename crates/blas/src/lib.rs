@@ -80,10 +80,10 @@ pub use abft::{
 pub use fault::{
     clear_fault_plan, install_fault_plan, FaultKind, FaultPlan, FaultSite, Trigger,
 };
-pub use gemm::{cgemm, dgemm, sgemm, zgemm};
-pub use herk::{cherk, zherk, Uplo};
+pub use gemm::{cgemm, dgemm, sgemm, zgemm, zgemmt};
+pub use herk::{cherk, zherk};
 pub use level2::{cgemv, dgemv, sgemv, zgemv};
-pub use layout::Op;
+pub use layout::{Op, Uplo};
 pub use mode::{ComputeMode, ParseModeError};
 
 /// The environment variable oneMKL (and this crate) reads the compute mode

@@ -245,7 +245,8 @@ fn pool_traffic() -> (u64, u64) {
     (s.takes, s.misses)
 }
 
-/// The observe half of the call pipeline, shared by GEMM, GEMV and HERK:
+/// The observe half of the call pipeline, shared by every level-3 routine
+/// (through `gemm_call`) and GEMV:
 /// times `f` and emits the one [`CallRecord`] from which the telemetry
 /// span's end attributes, the `mkl_blas_*` metrics, the ledger row and the
 /// ring entry are all written.

@@ -8,8 +8,15 @@
 //! format, such that a restored run continues **bit-for-bit** identically
 //! (verified by test): essential for a deviation-based precision study,
 //! where a restart artefact would masquerade as precision error.
+//!
+//! The format is version 4: a 21-byte header (magic, version, element
+//! width, payload checksum) and the payload, encoded once into one
+//! exactly-sized buffer and checksummed by words (`checksum64`). Files
+//! of any other version — version 3 included, whose payload is the same
+//! but whose checksum is not — are refused with "unsupported version";
+//! there is no compatibility reader.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use dcmesh_lfd::{LfdParams, LfdState};
 use dcmesh_numerics::{Complex, Real};
 use dcmesh_qxmd::{AtomicSystem, Species};
@@ -17,18 +24,22 @@ use std::fmt;
 
 /// File magic: "DCMESHCK".
 const MAGIC: &[u8; 8] = b"DCMESHCK";
-/// Format version. Version 3 added the boundary excitation count, which
+/// Format version. Version 4 changed the payload checksum from
+/// byte-serial FNV-1a to the word-wise [`checksum64`] (the payload layout
+/// is version 3's). Version 3 added the boundary excitation count, which
 /// reseeds the resumed integrator's force field — without it a resumed
 /// excited trajectory silently diverges from the uninterrupted one on
 /// the first half-kick. Version 2 added the payload checksum. Older
-/// files are rejected.
-const VERSION: u32 = 3;
+/// files are rejected ("unsupported version"): there is no compatibility
+/// reader, a run restarts from a checkpoint its own build wrote.
+const VERSION: u32 = 4;
+/// Magic, version, element width, payload checksum.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 1 + 8;
 
-/// FNV-1a/64 over the payload — detects any bit flip in the body, so a
-/// corrupted checkpoint is quarantined at load instead of silently
-/// seeding a wrong-but-plausible resumed trajectory. Also reused by
-/// [`crate::config::RunConfig::deck_hash`] to fingerprint decks for the
-/// ledger archive.
+/// FNV-1a/64, byte by byte. Fingerprints decks for the ledger archive
+/// ([`crate::config::RunConfig::deck_hash`]); checkpoints used it through
+/// version 3 and moved off it because one dependent multiply per byte is
+/// 2.4 ms of a 1.8 MB payload.
 pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
@@ -36,6 +47,54 @@ pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// The payload checksum: an FNV-style fold over little-endian 64-bit
+/// words, four independent lanes wide so the multiplies pipeline (a
+/// 32-byte block per step), the byte tail zero-padded into one last word
+/// and the length folded in so that padding is not ambiguous.
+///
+/// What it guarantees is what the quarantine path needs: every step —
+/// `h ← rotl((h ⊕ w)·P, 29)`, `P` odd — is a bijection of the running
+/// hash for a given word and of the word for a given hash, so two
+/// payloads of equal length that differ in exactly one word (any single
+/// bit flip, any burst inside one aligned 8 bytes) never collide, nor do
+/// two whose zero-padded words agree but whose lengths differ. The
+/// rotation carries high bits back down, which plain FNV's multiply never
+/// does: flips of the top bit of two words of a lane would otherwise
+/// cancel. Beyond that it is a 64-bit hash, not a MAC: it detects
+/// accidents, not adversaries.
+fn checksum64(data: &[u8]) -> u64 {
+    const PRIME: u64 = 0x100_0000_01b3;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME).rotate_left(29);
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+    let mut lanes = [
+        0xcbf2_9ce4_8422_2325u64,
+        0x9e37_79b9_7f4a_7c15,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+    ];
+    let mut blocks = data.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word(w));
+        }
+    }
+    // The tail: whole words into successive lanes, then the last partial
+    // word zero-padded.
+    let mut words = blocks.remainder().chunks_exact(8);
+    let mut lane = 0;
+    for w in &mut words {
+        lanes[lane] = step(lanes[lane], word(w));
+        lane += 1;
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        lanes[lane] = step(lanes[lane], u64::from_le_bytes(last));
+    }
+    lanes.into_iter().fold(data.len() as u64, step)
 }
 
 /// A complete restart point.
@@ -76,11 +135,21 @@ fn width_of<T: Real>() -> u8 {
     core::mem::size_of::<T>() as u8
 }
 
-fn put_f64_slice(buf: &mut BytesMut, v: &[f64]) {
-    buf.put_u64_le(v.len() as u64);
-    for &x in v {
-        buf.put_f64_le(x);
+/// Appends `v`'s length and its elements, each through `bytes` — a
+/// `to_le_bytes` of the element at its stored width. Written over
+/// `chunks_exact_mut` of a pre-sized window so the loop is a bulk copy
+/// (a `memcpy` on little-endian hosts), not a push per element.
+fn put_slice<X: Copy, const W: usize>(buf: &mut Vec<u8>, v: &[X], bytes: impl Fn(X) -> [u8; W]) {
+    buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+    let start = buf.len();
+    buf.resize(start + v.len() * W, 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(W).zip(v) {
+        dst.copy_from_slice(&bytes(x));
     }
+}
+
+fn put_f64_slice(buf: &mut Vec<u8>, v: &[f64]) {
+    put_slice(buf, v, f64::to_le_bytes);
 }
 
 fn get_f64_vec(buf: &mut Bytes) -> Result<Vec<f64>, CheckpointError> {
@@ -95,15 +164,12 @@ fn get_f64_vec(buf: &mut Bytes) -> Result<Vec<f64>, CheckpointError> {
     Ok((0..n).map(|_| buf.get_f64_le()).collect())
 }
 
-fn put_scalar_slice<T: Real>(buf: &mut BytesMut, v: &[T]) {
-    buf.put_u64_le(v.len() as u64);
-    for &x in v {
-        // Stored at the state's own width to keep restarts bit-exact.
-        if width_of::<T>() == 4 {
-            buf.put_f32_le(x.to_f64() as f32);
-        } else {
-            buf.put_f64_le(x.to_f64());
-        }
+/// Stored at the state's own width to keep restarts bit-exact.
+fn put_scalar_slice<T: Real>(buf: &mut Vec<u8>, v: &[T]) {
+    if width_of::<T>() == 4 {
+        put_slice(buf, v, |x| (x.to_f64() as f32).to_le_bytes());
+    } else {
+        put_slice(buf, v, |x| x.to_f64().to_le_bytes());
     }
 }
 
@@ -128,16 +194,20 @@ fn get_scalar_vec<T: Real>(buf: &mut Bytes) -> Result<Vec<T>, CheckpointError> {
         .collect())
 }
 
-fn put_complex_slice<T: Real>(buf: &mut BytesMut, v: &[Complex<T>]) {
-    buf.put_u64_le(v.len() as u64);
-    for z in v {
-        if width_of::<T>() == 4 {
-            buf.put_f32_le(z.re.to_f64() as f32);
-            buf.put_f32_le(z.im.to_f64() as f32);
-        } else {
-            buf.put_f64_le(z.re.to_f64());
-            buf.put_f64_le(z.im.to_f64());
-        }
+/// Real part then imaginary part, each as [`put_scalar_slice`] stores it.
+fn put_complex_slice<T: Real>(buf: &mut Vec<u8>, v: &[Complex<T>]) {
+    fn pair<const H: usize, const W: usize>(re: [u8; H], im: [u8; H]) -> [u8; W] {
+        let mut out = [0u8; W];
+        out[..H].copy_from_slice(&re);
+        out[H..].copy_from_slice(&im);
+        out
+    }
+    if width_of::<T>() == 4 {
+        let le = |x: T| (x.to_f64() as f32).to_le_bytes();
+        put_slice(buf, v, |z| pair::<4, 8>(le(z.re), le(z.im)));
+    } else {
+        let le = |x: T| x.to_f64().to_le_bytes();
+        put_slice(buf, v, |z| pair::<8, 16>(le(z.re), le(z.im)));
     }
 }
 
@@ -183,12 +253,32 @@ fn species_from_tag(t: u8) -> Result<Species, CheckpointError> {
 }
 
 impl<T: Real> Checkpoint<T> {
+    /// Bytes [`Checkpoint::encode`] produces: the header plus every array
+    /// at its stored width behind its length word.
+    fn encoded_len(&self) -> usize {
+        let (st, sys) = (&self.state, &self.system);
+        let w = width_of::<T>() as usize;
+        let arrays = 2 * w * (st.psi.len() + st.psi0.len() + st.shadow.len())
+            + w * (st.occ.len() + st.vloc.len())
+            + 8 * (st.eps.len() + sys.positions.len() + sys.velocities.len())
+            + sys.species.len();
+        // Nine length words and seven scalars.
+        HEADER_LEN + arrays + 8 * (9 + 7)
+    }
+
     /// Serialises to bytes: an 8-byte magic, version, element width and
-    /// payload checksum, then the checksummed payload.
+    /// payload checksum, then the checksummed payload — written once,
+    /// into one buffer reserved at its exact size, the checksum patched
+    /// into the header afterwards.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(self.steps_done);
-        buf.put_f64_le(self.nexc);
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(width_of::<T>());
+        buf.extend_from_slice(&[0; 8]);
+
+        buf.extend_from_slice(&self.steps_done.to_le_bytes());
+        buf.extend_from_slice(&self.nexc.to_le_bytes());
 
         // Electronic state.
         let st = &self.state;
@@ -198,35 +288,28 @@ impl<T: Real> Checkpoint<T> {
         put_f64_slice(&mut buf, &st.eps);
         put_complex_slice(&mut buf, &st.shadow);
         put_scalar_slice(&mut buf, &st.vloc);
-        buf.put_f64_le(st.a_induced);
-        buf.put_f64_le(st.a_induced_dot);
-        buf.put_f64_le(st.time);
-        buf.put_u64_le(st.step);
+        for x in [st.a_induced, st.a_induced_dot, st.time] {
+            buf.extend_from_slice(&x.to_le_bytes());
+        }
+        buf.extend_from_slice(&st.step.to_le_bytes());
 
         // Ionic state.
         let sys = &self.system;
-        buf.put_u64_le(sys.species.len() as u64);
-        for &s in &sys.species {
-            buf.put_u8(species_tag(s));
-        }
+        put_slice(&mut buf, &sys.species, |s| [species_tag(s)]);
         put_f64_slice(&mut buf, &sys.positions);
         put_f64_slice(&mut buf, &sys.velocities);
-        buf.put_f64_le(sys.box_length);
+        buf.extend_from_slice(&sys.box_length.to_le_bytes());
 
-        let payload = buf.freeze();
-        let mut framed = BytesMut::new();
-        framed.put_slice(MAGIC);
-        framed.put_u32_le(VERSION);
-        framed.put_u8(width_of::<T>());
-        framed.put_u64_le(fnv1a64(payload.as_ref()));
-        framed.put_slice(payload.as_ref());
-        framed.freeze()
+        debug_assert_eq!(buf.len(), self.encoded_len(), "the one buffer was sized exactly");
+        let checksum = checksum64(&buf[HEADER_LEN..]);
+        buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        Bytes::from(buf)
     }
 
     /// Deserialises, validating magic, version, element width and the
     /// payload checksum.
     pub fn decode(mut buf: Bytes) -> Result<Checkpoint<T>, CheckpointError> {
-        if buf.remaining() < MAGIC.len() + 4 + 1 + 8 + 8 {
+        if buf.remaining() < HEADER_LEN + 8 {
             return Err(err("file too short"));
         }
         let mut magic = [0u8; 8];
@@ -246,7 +329,7 @@ impl<T: Real> Checkpoint<T> {
             )));
         }
         let checksum = buf.get_u64_le();
-        let actual = fnv1a64(buf.as_ref());
+        let actual = checksum64(buf.as_ref());
         if checksum != actual {
             return Err(err(format!(
                 "payload checksum mismatch (stored {checksum:#018x}, computed {actual:#018x}) — \
@@ -452,19 +535,105 @@ mod tests {
     #[test]
     fn payload_bitflip_detected() {
         let (_, ck) = make_checkpoint();
-        let header = MAGIC.len() + 4 + 1 + 8;
         let mut raw = ck.encode().to_vec();
         // Flip a single bit deep inside the wave-function payload — a
         // plausible value that only the checksum can catch.
-        let idx = header + (raw.len() - header) / 2;
+        let idx = HEADER_LEN + (raw.len() - HEADER_LEN) / 2;
         raw[idx] ^= 0x01;
         let e = Checkpoint::<f32>::decode(Bytes::from(raw)).unwrap_err();
         assert!(e.0.contains("checksum"), "{e}");
         // A flipped checksum field itself is likewise rejected.
         let mut raw2 = ck.encode().to_vec();
-        raw2[header - 1] ^= 0x80;
+        raw2[HEADER_LEN - 1] ^= 0x80;
         let e2 = Checkpoint::<f32>::decode(Bytes::from(raw2)).unwrap_err();
         assert!(e2.0.contains("checksum"), "{e2}");
+    }
+
+    /// A checkpoint of a few hundred bytes, `atoms` ions: small enough to
+    /// corrupt exhaustively. `decode` checks framing, not physics, so the
+    /// arrays need only be distinguishable.
+    fn small_checkpoint(atoms: usize) -> Checkpoint<f32> {
+        let ramp = |n: usize, scale: f32| -> Vec<f32> { (0..n).map(|i| scale * (i as f32 + 0.5)).collect() };
+        let cramp = |n: usize, scale: f32| -> Vec<Complex<f32>> {
+            ramp(n, scale).into_iter().map(|x| Complex { re: x, im: -0.5 * x }).collect()
+        };
+        Checkpoint {
+            state: LfdState {
+                psi: cramp(12, 0.25),
+                psi0: cramp(12, 0.125),
+                occ: ramp(3, 1.0),
+                eps: vec![-0.5, 0.25, 1.5],
+                shadow: cramp(9, 2.0),
+                vloc: ramp(4, -0.75),
+                a_induced: 1e-3,
+                a_induced_dot: -2e-3,
+                time: 0.14,
+                step: 7,
+            },
+            system: AtomicSystem {
+                species: (0..atoms).map(|i| [Species::Pb, Species::Ti, Species::O][i % 3]).collect(),
+                positions: (0..3 * atoms).map(|i| 0.1 * i as f64).collect(),
+                velocities: (0..3 * atoms).map(|i| -0.01 * i as f64).collect(),
+                box_length: 7.5,
+            },
+            steps_done: 7,
+            nexc: 0.125,
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_header_or_payload_is_refused() {
+        let raw = small_checkpoint(2).encode().to_vec();
+        assert!(raw.len() > HEADER_LEN + 256, "payload spans several 32-byte blocks and a tail");
+        for bit in 0..raw.len() * 8 {
+            let mut flipped = raw.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let refused = Checkpoint::<f32>::decode(Bytes::from(flipped));
+            assert!(refused.is_err(), "flip of bit {} of byte {} decoded", bit % 8, bit / 8);
+        }
+    }
+
+    #[test]
+    fn payloads_of_every_length_mod_32_round_trip() {
+        // One more ion is 49 more payload bytes, and 49 is coprime to 32:
+        // 32 consecutive ion counts reach every tail length the checksum
+        // handles (whole 32-byte blocks, 1–3 whole words, a partial word).
+        let mut tails = std::collections::BTreeSet::new();
+        for atoms in 0..32 {
+            let ck = small_checkpoint(atoms);
+            let bytes = ck.encode();
+            tails.insert((bytes.len() - HEADER_LEN) % 32);
+            let back = Checkpoint::<f32>::decode(bytes.clone()).expect("decode");
+            assert_eq!(back.encode().to_vec(), bytes.to_vec(), "{atoms} ions");
+            assert_eq!(back.system.positions, ck.system.positions);
+        }
+        assert_eq!(tails.len(), 32);
+    }
+
+    #[test]
+    fn checksum_separates_lengths_and_zero_tails() {
+        // Zero-padding the tail word must not make `x` and `x‖0` collide,
+        // and no two prefixes of one buffer may share a checksum.
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 % 251) as u8).collect();
+        let mut seen = std::collections::BTreeSet::new();
+        for len in 0..=data.len() {
+            assert!(seen.insert(checksum64(&data[..len])), "prefix {len} collides");
+            let mut padded = data[..len].to_vec();
+            padded.push(0);
+            assert_ne!(checksum64(&padded), checksum64(&data[..len]), "zero byte after {len}");
+        }
+    }
+
+    #[test]
+    fn version_3_files_are_rejected_by_version() {
+        // Exactly what the previous build wrote: this payload under
+        // version 3 and its byte-serial FNV-1a.
+        let mut raw = small_checkpoint(2).encode().to_vec();
+        raw[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
+        let fnv = fnv1a64(&raw[HEADER_LEN..]);
+        raw[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.to_le_bytes());
+        let e = Checkpoint::<f32>::decode(Bytes::from(raw)).unwrap_err();
+        assert_eq!(e.0, "unsupported version 3");
     }
 
     #[test]

@@ -267,45 +267,50 @@ fn non_finite_state_at_the_boundary_is_an_error_not_a_panic() {
     }
 }
 
+/// The routine and shape of every call a clean supervised run of `cfg`
+/// from `mode` makes through the GEMM pipeline, in order: position `i` is
+/// the thread-relative call index a `FaultSite` fires on (the sequence
+/// depends on the deck and the mode, not on the data). GEMV is observed
+/// but takes no ticket, so it is left out.
+fn gemm_call_log(cfg: &RunConfig, mode: ComputeMode) -> Vec<(&'static str, usize)> {
+    use mkl_lite::verbose;
+    verbose::set_record_capacity(1 << 16);
+    verbose::clear();
+    verbose::set_recording(true);
+    let clean = run_supervised::<f32>(cfg, mode, &SupervisorConfig::default());
+    verbose::set_recording(false);
+    clean.expect("clean run");
+    verbose::drain()
+        .into_iter()
+        .filter(|r| !r.routine.ends_with("GEMV"))
+        .map(|r| (r.routine, r.m))
+        .collect()
+}
+
+/// Index of the first call at or after the first QD step's CGEMMs that
+/// `pick` accepts: a product of the first burst's SCF refresh.
+fn first_boundary_call(
+    log: &[(&'static str, usize)],
+    pick: impl Fn(&(&'static str, usize)) -> bool,
+) -> u64 {
+    let first_step = log.iter().position(|c| c.0 == "CGEMM").expect("QD steps call CGEMM");
+    (first_step + log[first_step..].iter().position(pick).expect("boundary product")) as u64
+}
+
 /// The same failure under the supervisor, injected where the step monitor
 /// cannot see it: a NaN written into `G = Ψ†H₀Ψ` by the boundary's own
-/// ZGEMM. The refresh must refuse it with the state untouched, and the
+/// ZGEMMT. The refresh must refuse it with the state untouched, and the
 /// supervisor must roll the burst back, escalate and finish.
 #[test]
 fn nan_inside_the_scf_boundary_rolls_back_and_escalates() {
     use dcmesh_telemetry as telemetry;
-    use mkl_lite::verbose;
     let cfg = tiny();
-
-    // Locate that ZGEMM as a thread-relative GEMM call index from a clean
-    // run's call log (the call sequence depends on the deck and the mode,
-    // not on the data). After the first QD step's CGEMMs the boundary's
-    // ZGEMMs are, in order: inside the overlap ZHERK (whose mirror step
-    // may overwrite an injected element), `S^{-1/2}`, then `G`.
-    verbose::set_record_capacity(1 << 16);
-    verbose::clear();
-    verbose::set_recording(true);
-    let clean = run_supervised::<f32>(&cfg, ComputeMode::FloatToBf16, &SupervisorConfig::default());
-    verbose::set_recording(false);
-    clean.expect("clean run");
-    let gemms: Vec<&'static str> = verbose::drain()
-        .into_iter()
-        .map(|r| r.routine)
-        .filter(|r| r.ends_with("GEMM"))
-        .collect();
-    let first_step = gemms.iter().position(|r| *r == "CGEMM").expect("QD steps call CGEMM");
-    let boundary = gemms
-        .iter()
-        .enumerate()
-        .skip(first_step)
-        .filter(|(_, r)| **r == "ZGEMM")
-        .nth(2)
-        .expect("boundary calls ZGEMM")
-        .0;
+    let log = gemm_call_log(&cfg, ComputeMode::FloatToBf16);
+    let boundary = first_boundary_call(&log, |c| c.0 == "ZGEMMT");
 
     install_fault_plan(
         FaultPlan::new(5)
-            .with_site(FaultSite::once(boundary as u64, FaultKind::Nan).on_routine("ZGEMM")),
+            .with_site(FaultSite::once(boundary, FaultKind::Nan).on_routine("ZGEMMT")),
     );
     let injected_before = injected_fault_count();
     let (out, events) = telemetry::with_level(telemetry::TelemetryLevel::Events, || {
@@ -341,10 +346,64 @@ fn nan_inside_the_scf_boundary_rolls_back_and_escalates() {
     assert!(out.result.records.iter().all(|o| o.ekin.is_finite() && o.nexc.is_finite()));
 }
 
+/// The refresh checks the orthonormality it delivers. A finite flip of
+/// one exponent bit in the rotation ZGEMM's output — nothing upstream of
+/// the rotation can see it, and demoted to `f32` it is a plausible
+/// orbital value — used to be written into the state: the run completed
+/// on a silently non-orthonormal set. Now the refresh refuses it, the
+/// supervisor rolls the burst back and escalates, and since the fault is
+/// planted in the first burst of a TF32 run the whole trajectory is then
+/// the clean STANDARD one, bit for bit.
+#[test]
+fn corrupted_rotation_is_refused_by_the_refresh_and_rolled_back() {
+    use dcmesh_telemetry as telemetry;
+    let cfg = tiny();
+    let clean = run_supervised::<f32>(&cfg, ComputeMode::Standard, &SupervisorConfig::default())
+        .expect("clean run");
+    let ngrid = cfg.mesh_points.pow(3);
+    let log = gemm_call_log(&cfg, ComputeMode::FloatToTf32);
+    let rotation = first_boundary_call(&log, |c| *c == ("ZGEMM", ngrid));
+
+    // Bit 52 is the lowest exponent bit of an f64: the element doubles or
+    // halves.
+    install_fault_plan(
+        FaultPlan::new(11)
+            .with_site(FaultSite::once(rotation, FaultKind::FlipBit(52)).on_routine("ZGEMM")),
+    );
+    let injected_before = injected_fault_count();
+    let (out, events) = telemetry::with_level(telemetry::TelemetryLevel::Events, || {
+        let out =
+            run_supervised::<f32>(&cfg, ComputeMode::FloatToTf32, &SupervisorConfig::default());
+        (out, telemetry::sink::drain())
+    });
+    clear_fault_plan();
+    let out = out.expect("supervised run should recover from a corrupted rotation");
+    assert_eq!(injected_fault_count(), injected_before + 1, "the one-shot fault must fire once");
+
+    let named = |name: &str| events.iter().filter(|e| e.name == name).count();
+    assert_eq!((named("health_violation"), named("rollback")), (1, 1));
+    assert_eq!(out.escalations.len(), 1, "{:?}", out.escalations);
+    let ev = &out.escalations[0];
+    assert_eq!((ev.from, ev.to), (ComputeMode::FloatToTf32, ComputeMode::Standard));
+    assert_eq!(ev.step, cfg.qd_steps_per_md as u64, "refused at the first boundary");
+    match &ev.violation {
+        HealthViolation::SingularOverlap { detail } => {
+            assert!(detail.contains("not orthonormal"), "{detail}")
+        }
+        other => panic!("expected the refresh to refuse its own result, got {other}"),
+    }
+    assert_eq!(out.result.records.len(), clean.result.records.len());
+    for (got, want) in out.result.records.iter().zip(&clean.result.records) {
+        assert_eq!(got.ekin.to_bits(), want.ekin.to_bits(), "step {}", got.step);
+        assert_eq!(got.nexc.to_bits(), want.nexc.to_bits(), "step {}", got.step);
+    }
+}
+
 /// Every product of the boundary is a `mkl-lite` call made under the
-/// `qxmd::scf_refresh` phase, so the precision ledger attributes it: the
-/// two overlap ZHERKs, the ZGEMMs (`Ψ†H₀Ψ`, the subspace products, the
-/// rotation) and `eigh`'s back-transform DGEMM.
+/// `qxmd::scf_refresh` phase and recorded once under its own name, so the
+/// precision ledger attributes it: the two overlap ZHERKs, the ZGEMMT
+/// (`Ψ†H₀Ψ`), the ZGEMMs (the subspace products and the rotation) and
+/// `eigh`'s back-transform DGEMM.
 #[test]
 fn scf_boundary_products_land_in_the_ledger_under_their_phase() {
     use dcmesh_telemetry as telemetry;
@@ -360,12 +419,11 @@ fn scf_boundary_products_land_in_the_ledger_under_their_phase() {
                 .sum()
         };
         // One refresh per burst plus the initial SCF's three passes. Each
-        // is two overlap ZHERKs (a grid-sized ZGEMM inside each), `Ψ†H₀Ψ`,
-        // four subspace products and the rotation, and `eigh`'s
-        // back-transform twice. The ledger is this thread's alone, so the
-        // counts are exact.
+        // is two overlap ZHERKs, `Ψ†H₀Ψ`, the rotation and four n³
+        // subspace products, and `eigh`'s back-transform twice. The
+        // ledger is this thread's alone, so the counts are exact.
         let refreshes = (cfg.total_qd_steps / cfg.qd_steps_per_md) as u64 + 3;
-        for (routine, per_refresh) in [("zherk", 2), ("zgemm", 8), ("dgemm", 2)] {
+        for (routine, per_refresh) in [("zherk", 2), ("zgemmt", 1), ("zgemm", 5), ("dgemm", 2)] {
             let callsite = format!("qxmd::scf_refresh/{routine}");
             assert_eq!(
                 calls(&callsite, ""),

@@ -7,7 +7,8 @@
 //!   `S = Ψ†Ψ`; the unique orthonormal set closest to the input in the
 //!   Frobenius sense, which is why quantum-dynamics codes prefer it (it
 //!   perturbs the propagated state least). This is the boundary's path
-//!   and it is level-3 BLAS end to end: `S` by `zherk`,
+//!   and it is level-3 BLAS end to end: `S` by `zherk` (one triangle
+//!   computed, the other mirrored),
 //!   `S^{-1/2} = (V·λ^{-1/2})·V†` by one n³ `zgemm`, and the apply by
 //!   `zgemm` on row panels. [`overlap`], [`overlap_defect`] and
 //!   [`inverse_sqrt`] are public so `scf_refresh` can fold the Löwdin
@@ -23,12 +24,14 @@
 //!
 //! Determinism: every product on the Löwdin path is a `mkl-lite` GEMM,
 //! whose blocked accumulation order is fixed by the shape alone
-//! (k-blocks, then the packed microkernel's `kk` loop, multiply and add
-//! kept separate in FP64), and the run is single-threaded — so results
-//! are a function of the input bits, and the same on every host the
-//! GEMM ladder covers. They are *not* the bits of the pre-level-3 code,
-//! which summed over `reduce`'s pairwise trees; that order survives only
-//! in the `#[cfg(test)]` reference the tests compare against.
+//! (k-blocks, then the complex product's four real products, then the
+//! packed microkernel's `kk` loop, multiply-add fused), and the run is
+//! single-threaded — so results are a function of the input bits, and
+//! the same on every host whose GEMM runs a SIMD tile (the portable
+//! fallback does not fuse and agrees to `k·ε`). They are *not* the bits
+//! of the pre-level-3 code, which summed over `reduce`'s pairwise trees;
+//! that order survives only in the `#[cfg(test)]` reference the tests
+//! compare against.
 
 use crate::cholesky::{cholesky_factor, trsm_right_lower_conjtrans};
 use crate::hermitian::{try_eigh, EighError};
@@ -61,6 +64,14 @@ pub enum OrthError {
     /// A subspace matrix could not be diagonalised: it holds a NaN or an
     /// infinity (so the orbitals do), or QL hit its iteration limit.
     Eigensolve(EighError),
+    /// The column set an orthonormalisation produced is not orthonormal:
+    /// its measured `|A†A − I|_max` is not finite or above the caller's
+    /// ceiling. The inputs passed every check, so the arithmetic in
+    /// between went wrong (a corrupted product).
+    NotOrthonormal {
+        /// The measured defect of the result.
+        defect: f64,
+    },
 }
 
 impl fmt::Display for OrthError {
@@ -74,6 +85,9 @@ impl fmt::Display for OrthError {
                 write!(f, "overlap matrix not positive definite ({detail})")
             }
             OrthError::Eigensolve(e) => write!(f, "subspace eigensolve failed: {e}"),
+            OrthError::NotOrthonormal { defect } => {
+                write!(f, "orthonormalised set is not orthonormal (defect {defect:e})")
+            }
         }
     }
 }

@@ -20,10 +20,16 @@
 //! `·V`) and apply `H₀` to the orthonormalised set. `H₀` is linear, so
 //! `(ΨT)†H₀(ΨT) = T·(Ψ†H₀Ψ)·T`: the Löwdin factor moves into the
 //! `n_orb × n_orb` subspace and the two rotations fuse into one. Per
-//! refresh that is four grid-sized BLAS calls (`zherk` S, `zgemm` G, the
-//! rotation, `zherk` for `defect_after`), a handful of n³ ones, and two
-//! `eigh` — every product a `mkl-lite` call recorded under the
+//! refresh that is four grid-sized BLAS calls — `zherk` for `S`,
+//! `zgemmt` for `G` (Hermitian because `H₀` is), the rotation `zgemm`,
+//! `zherk` for `defect_after`; three of the four have Hermitian
+//! `n × n` outputs and compute one triangle — a handful of n³ ones, and
+//! two `eigh` — every product a `mkl-lite` call recorded under the
 //! `qxmd::scf_refresh` phase.
+//!
+//! The refresh is the error-resetting step, so it checks its own result:
+//! the rotated set's measured defect must be finite and under `1e-8`
+//! before `state.psi` is written.
 //!
 //! The subspace Hamiltonian uses the field-free `H₀` (the laser enters
 //! only the real-time propagation). Everything here runs on the "CPU
@@ -36,7 +42,13 @@ use dcmesh_linalg::hermitian::try_eigh;
 use dcmesh_linalg::ops::matmul;
 use dcmesh_linalg::orth::{inverse_sqrt, orthonormality_defect, overlap, overlap_defect, OrthError};
 use dcmesh_numerics::{c64, Complex, Real, C64};
-use mkl_lite::{zgemm, Op};
+use mkl_lite::{zgemm, zgemmt, Op, Uplo};
+
+/// Ceiling on [`ScfReport::defect_after`]. A healthy refresh delivers
+/// `n·ε`-class defects (≤ 1e-13 on every shipped deck); past this the
+/// rotation was corrupted on the way — the inputs already passed the
+/// overlap checks — and the refresh refuses to write it.
+const MAX_DEFECT_AFTER: f64 = 1e-8;
 
 /// Diagnostics of one SCF refresh.
 #[derive(Clone, Debug)]
@@ -57,9 +69,11 @@ pub struct ScfReport {
 /// Fails with [`OrthError`] when the orbital overlap matrix has gone
 /// numerically singular or the orbitals hold a NaN or an infinity — the
 /// signature of a state already destroyed by accumulated low-precision
-/// error (or an injected fault). The state is left untouched in that case
-/// so a supervisor can roll back to a checkpoint and escalate the compute
-/// mode.
+/// error (or an injected fault) — or when the refreshed set fails its own
+/// orthonormality check (`defect_after` not finite or above `1e-8`:
+/// [`OrthError::NotOrthonormal`]). The state is left untouched in every
+/// such case so a supervisor can roll back to a checkpoint and escalate
+/// the compute mode.
 pub fn scf_refresh<T: Real>(
     params: &LfdParams,
     state: &mut LfdState<T>,
@@ -93,10 +107,10 @@ pub fn scf_refresh<T: Real>(
     let mut h_psi = vec![C64::zero(); ngrid * n_orb];
     apply_h(&params.mesh, n_orb, &vloc64, 0.0, &psi64, &mut h_psi);
     let mut g = vec![C64::zero(); n_orb * n_orb];
-    zgemm(
+    zgemmt(
+        Uplo::Upper,
         Op::ConjTrans,
         Op::None,
-        n_orb,
         n_orb,
         ngrid,
         C64::one(),
@@ -140,6 +154,9 @@ pub fn scf_refresh<T: Real>(
         n_orb,
     );
     let defect_after = orthonormality_defect(&rotated, ngrid, n_orb);
+    if !defect_after.is_finite() || defect_after > MAX_DEFECT_AFTER {
+        return Err(OrthError::NotOrthonormal { defect: defect_after });
+    }
 
     // Demote (undoing the √ΔV fold) and refresh the reference.
     let inv_sqrt_dv = 1.0 / sqrt_dv;
@@ -355,16 +372,25 @@ mod tests {
     }
 
     #[test]
-    fn refresh_report_bits_rerecorded_once_for_the_level3_boundary() {
-        // Re-recorded once, on purpose, when the boundary moved onto
-        // level-3 BLAS: Householder + QL instead of Jacobi, `S^{-1/2}`
-        // and the rotation as GEMMs, one fused rotation instead of two.
-        // None of that can keep the old summation order, so the old
-        // reference (`…_unchanged_by_the_shared_overlap_and_the_simd_zgemm`)
-        // could not be kept; what is pinned from here on is the new
-        // order — blocked GEMM accumulation and the fixed-lane loops in
-        // `eigh` — which must not move by a bit under later kernel work.
-        // That the new numbers are no worse is shown separately:
+    fn refresh_report_bits_rerecorded_once_per_summation_order() {
+        // The boundary is not bit-stable across a change of summation
+        // order, and is not meant to be; what this test pins is that
+        // nothing *else* moves it. Recorded twice so far, each time on
+        // purpose and once:
+        //
+        // 1. when the boundary moved onto level-3 BLAS (Householder + QL
+        //    instead of Jacobi, `S^{-1/2}` and the rotation as GEMMs, one
+        //    fused rotation instead of two);
+        // 2. when the complex driver went to one pack per k-block (`Re`
+        //    now sums `ArBr` and `−AiBi` k-block by k-block instead of
+        //    one after the other) and the `f64` tiles to fused
+        //    multiply-add: eigenvalues moved by 0–8 ulp, `defect_after`
+        //    1.0e-15 → 2.4e-15, and `defect_before`, `max_correction`
+        //    and the demoted orbitals not at all.
+        //
+        // What is pinned from here on is the current order — blocked GEMM
+        // accumulation and the fixed-lane loops in `eigh`. That the
+        // numbers are no worse is shown separately:
         // `fused_refresh_equals_orthonormalise_then_ritz` and the
         // residual tables in DESIGN.md. (The defects go through `hypot`;
         // the bits assume a correctly rounded one, as glibc's.)
@@ -372,18 +398,18 @@ mod tests {
         let mut st = lcg_state(&p);
         let rep = scf_refresh(&p, &mut st).expect("overlap healthy");
         assert_eq!(rep.defect_before.to_bits(), 0x4044_ec0e_f533_3ede);
-        assert_eq!(rep.defect_after.to_bits(), 0x3cd1_f883_e365_7089);
+        assert_eq!(rep.defect_after.to_bits(), 0x3ce6_0000_0000_0000);
         assert_eq!(rep.max_correction.to_bits(), 0x3fe3_c56d_e000_0000);
         let eigenvalues: Vec<u64> = rep.eigenvalues.iter().map(|e| e.to_bits()).collect();
         assert_eq!(
             eigenvalues,
             [
-                0x4020_415c_5f19_7726,
+                0x4020_415c_5f19_771e,
                 0x4020_ca73_cf76_4260,
-                0x4021_4e69_49ff_dd2a,
-                0x4021_8206_bc2b_1d5b,
-                0x4022_2a02_4f7e_7ff6,
-                0x4022_6f11_d55c_526a,
+                0x4021_4e69_49ff_dd27,
+                0x4021_8206_bc2b_1d59,
+                0x4022_2a02_4f7e_7ff0,
+                0x4022_6f11_d55c_5268,
             ]
         );
         assert_eq!(psi_hash(&st), 0x370e_ee53_63a2_f3c9);

@@ -43,6 +43,12 @@ pub mod prelude {
     }
 }
 
+/// `rayon::current_num_threads()` — the workers a `par_*` call can
+/// spread over: one, the calling thread.
+pub fn current_num_threads() -> usize {
+    1
+}
+
 /// `rayon::ThreadPoolBuilder` — sequential shim. Built pools carry no
 /// threads; [`ThreadPool::install`] runs the closure on the calling
 /// thread. Thread-count reproducibility tests thus hold trivially under
