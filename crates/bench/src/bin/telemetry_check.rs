@@ -217,15 +217,12 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
         fail(&mut problems, "fault-injected run never escalated".into());
     }
 
-    // Replay the modelled per-call device times onto the unitrace-style
-    // tracer: each `record` lands on the telemetry device track too.
+    // Fold the call record's modelled device times into the
+    // unitrace-style tracer: each kernel lands on the telemetry device
+    // track too.
     let records = verbose::drain();
-    let tracer = xe_gpu::Tracer::new();
-    for r in &records {
-        if let Some(dev) = r.device_seconds {
-            tracer.record(r.routine, dev);
-        }
-    }
+    let mut tracer = xe_gpu::Tracer::new();
+    tracer.extend(&records);
     eprintln!(
         "run: {} escalations, {} BLAS records ({} dropped), {:.3} simulated device seconds",
         out.escalations.len(),

@@ -99,10 +99,10 @@ pub fn table6() -> Vec<Table6Row> {
 /// A1 workflow: `unitrace -k ../../../bin/dcehd` and read Total L0 Time).
 pub fn unitrace_500_steps(shape: SystemShape, precision: LfdPrecision) -> Tracer {
     let model = XeStackModel::new(MAX_1550_STACK);
-    let tracer = Tracer::new();
+    let mut tracer = Tracer::new();
     let schedule = qd_step_schedule(shape, precision);
     for _ in 0..500 {
-        price_qd_step(&model, &schedule, Some(&tracer));
+        price_qd_step(&model, &schedule, Some(&mut tracer));
     }
     tracer
 }

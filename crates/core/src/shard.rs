@@ -19,6 +19,8 @@
 //!   hb/rank-<r>.hb           heartbeat (atomically renamed; mtime = liveness)
 //!   hb/rank-<r>.exit         clean-completion marker
 //!   trace/events-rank<r>.jsonl       per-rank telemetry for `profile merge`
+//!   trace/ledger-rank<r>-inc<i>.json precision ledger of rank r's i-th process,
+//!                                    rewritten at every committed burst
 //!   trace/events-coord.jsonl         coordinator lifecycle events
 //!   trace/metrics-coord.prom         heartbeat-miss / restart / degraded counters
 //!   report.json              final [`ShardReport`]
@@ -64,7 +66,8 @@ use crate::runner::DCMESH_RANK_ENV;
 use crate::supervisor::{run_supervised_observed, BurstObserver, SupervisorConfig};
 use dcmesh_numerics::reduce;
 use dcmesh_telemetry::json::{self, JsonValue};
-use dcmesh_telemetry::{export, instant, metrics, sink, Attr, AttrValue};
+use dcmesh_telemetry::export::{self, write_atomic};
+use dcmesh_telemetry::{instant, metrics, sink, Attr, AttrValue};
 use mkl_lite::ComputeMode;
 use std::fmt;
 use std::fs;
@@ -416,10 +419,13 @@ fn manifest_path(run: &Path) -> PathBuf {
 pub fn rank_events_path(run: &Path, rank: usize) -> PathBuf {
     trace_dir(run).join(format!("events-rank{rank}.jsonl"))
 }
-/// Path of the per-rank precision-ledger snapshot `profile archive`
-/// merges into one cross-rank ledger when folding a sharded run.
-pub fn rank_ledger_path(run: &Path, rank: usize) -> PathBuf {
-    trace_dir(run).join(format!("ledger-rank{rank}.json"))
+/// Path of one rank process's precision-ledger snapshot; `profile
+/// watch` and `profile archive` merge every `ledger-rank*.json` here.
+/// Named per incarnation: a process's ledger starts empty and a respawn
+/// resumes after the last committed burst, so the files of a rank's
+/// incarnations partition its committed work — none replaces another.
+fn rank_ledger_path(run: &Path, rank: usize, incarnation: u32) -> PathBuf {
+    trace_dir(run).join(format!("ledger-rank{rank}-inc{incarnation}.json"))
 }
 /// Path of the final machine-readable [`ShardReport`].
 pub fn report_path(run: &Path) -> PathBuf {
@@ -429,17 +435,6 @@ pub fn report_path(run: &Path) -> PathBuf {
 /// Parses `domain-<d>.<suffix>` names back to the domain id.
 fn domain_of(name: &str, suffix: &str) -> Option<usize> {
     name.strip_prefix("domain-")?.strip_suffix(suffix)?.parse().ok()
-}
-
-/// Atomically writes `content` (tmp sibling + rename) so readers never
-/// observe a torn file.
-fn write_atomic(path: &Path, content: &str) -> Result<(), std::io::Error> {
-    let name = path.file_name().and_then(|n| n.to_str()).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-    })?;
-    let tmp = path.with_file_name(format!("{name}.wtmp"));
-    fs::write(&tmp, content)?;
-    fs::rename(&tmp, path)
 }
 
 fn count_done(run: &Path) -> Result<usize, std::io::Error> {
@@ -711,13 +706,16 @@ fn write_heartbeat(run: &Path, rank: usize, pid: u32, hb: &HbState) {
 
 /// The burst observer a worker attaches to each supervised domain run:
 /// bumps the heartbeat's progress counters, fires the deterministic
-/// kill point, and flushes the rank's accumulated telemetry to its
-/// event stream at every commit so `profile watch` can tail the run
-/// live. Burst counting spans domains within one incarnation.
+/// kill point, and at every commit flushes the rank's accumulated
+/// telemetry — events appended to its stream, the ledger snapshot
+/// rewritten — so `profile watch` reads the run live and a rank that
+/// dies later has already left its committed work on disk. Burst
+/// counting spans domains within one incarnation.
 struct WorkerObserver {
     hb: Arc<HbState>,
     kill_at: Option<u64>,
     rank: usize,
+    incarnation: u32,
     run: PathBuf,
 }
 
@@ -736,8 +734,8 @@ impl BurstObserver for WorkerObserver {
 
     fn burst_committed(&mut self, _burst_index: u64, _steps_done: u64) {
         // Telemetry loss here only degrades the live view; the run
-        // itself must not fail over an observability append.
-        let _ = flush_worker_events(&self.run, self.rank);
+        // itself must not fail over an observability write.
+        let _ = flush_worker_trace(&self.run, self.rank, self.incarnation);
     }
 }
 
@@ -798,7 +796,7 @@ pub fn worker_main(
     // Start this incarnation's event stream fresh: its `telemetry_meta`
     // header carries *this* process's run epoch, and a dead
     // incarnation's tail must not prefix it (the clocks would not
-    // align). Live tailers detect the truncation and re-read.
+    // align).
     let _ = fs::write(rank_events_path(run_dir, rank), export::jsonl(&sink::drain()));
     let kill_at = kill.kill_burst_for(rank, incarnation);
 
@@ -818,12 +816,12 @@ pub fn worker_main(
         }
     }
 
-    // Clean completion: stop the heartbeat, export this rank's telemetry
-    // for `profile merge`, and leave the completion marker so the
-    // coordinator can tell "finished" from "died quietly".
+    // Clean completion: stop the heartbeat, flush what this rank
+    // recorded since its last commit, and leave the completion marker so
+    // the coordinator can tell "finished" from "died quietly".
     hb.stop.store(true, Ordering::Relaxed);
     let _ = hb_thread.join();
-    export_worker_trace(run_dir, rank)?;
+    flush_worker_trace(run_dir, rank, incarnation)?;
     write_atomic(&exit_path(run_dir, rank), "{\"status\":\"complete\"}")?;
     Ok(())
 }
@@ -884,7 +882,7 @@ fn run_domain(
     };
     hb.domain.store(domain as u64, Ordering::Relaxed);
     let mut observer =
-        WorkerObserver { hb: hb.clone(), kill_at, rank, run: run.to_path_buf() };
+        WorkerObserver { hb: hb.clone(), kill_at, rank, incarnation, run: run.to_path_buf() };
     // Element width f32: the paper's mixed-precision configuration (the
     // FP64 baseline has no low-precision modes to escalate between).
     let out = run_supervised_observed::<f32>(&cfg, m.start_mode, &sup, &mut observer);
@@ -941,14 +939,19 @@ fn bits_field(doc: &JsonValue, key: &str) -> Result<u64, ShardError> {
         .ok_or_else(|| ShardError::Manifest(format!("{key} is not a \"0x…\" bit pattern")))
 }
 
-/// Appends this rank's accumulated telemetry to its event stream. The
-/// first flush of an incarnation writes the `telemetry_meta` header;
-/// later flushes append body lines only, so the stream stays a single
-/// well-formed JSONL dump that `profile merge` ingests whole and
-/// `profile watch` tails incrementally. Called after every committed
-/// burst and once more at clean worker exit.
-fn flush_worker_events(run: &Path, rank: usize) -> Result<(), std::io::Error> {
-    use std::io::Write as _;
+/// Puts what this rank process has recorded so far on disk, after every
+/// committed burst and once more at clean worker exit. Its precision
+/// ledger is rewritten whole and atomically — the live `profile watch`
+/// and the end-of-run `profile archive` read the same file and neither
+/// sees a torn one. Its events are appended to the rank's stream: the
+/// first flush of an incarnation writes the `telemetry_meta` header,
+/// later ones body lines only, so the stream stays one well-formed JSONL
+/// dump for `profile merge`.
+fn flush_worker_trace(run: &Path, rank: usize, incarnation: u32) -> Result<(), std::io::Error> {
+    write_atomic(
+        &rank_ledger_path(run, rank, incarnation),
+        &dcmesh_telemetry::ledger::ledger_json(),
+    )?;
     let events = sink::drain();
     let path = rank_events_path(run, rank);
     let fresh = !path.exists();
@@ -959,19 +962,6 @@ fn flush_worker_events(run: &Path, rank: usize) -> Result<(), std::io::Error> {
     let text =
         if fresh { export::jsonl(&events) } else { export::jsonl_body(&events) };
     f.write_all(text.as_bytes())
-}
-
-/// Exports this rank's telemetry (events at whatever `TELEMETRY` level
-/// the fleet runs at) for the multi-rank `profile merge`: the final
-/// flush of whatever the per-burst appends have not yet drained, plus
-/// this rank's precision-ledger snapshot (atomic — an archiver folding
-/// a finished run never reads a torn document).
-fn export_worker_trace(run: &Path, rank: usize) -> Result<(), std::io::Error> {
-    flush_worker_events(run, rank)?;
-    write_atomic(
-        &rank_ledger_path(run, rank),
-        &dcmesh_telemetry::ledger::ledger_json(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1723,6 +1713,54 @@ mod tests {
         // Only one todo left.
         assert_eq!(claim_next(&dir, 3, 2).expect("claim"), Some(2));
         assert_eq!(claim_next(&dir, 3, 2).expect("claim"), None);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn each_incarnation_snapshots_its_own_ledger_at_every_commit() {
+        use dcmesh_telemetry::ledger::{self, Key};
+        let dir = std::env::temp_dir().join(format!("dcmesh-snap-{}", std::process::id()));
+        fs::create_dir_all(trace_dir(&dir)).expect("dir");
+        let observer = |incarnation| WorkerObserver {
+            hb: Arc::new(HbState {
+                seq: AtomicU64::new(0),
+                bursts: AtomicU64::new(0),
+                domain: AtomicU64::new(0),
+                stop: AtomicBool::new(false),
+            }),
+            kill_at: None,
+            rank: 1,
+            incarnation,
+            run: dir.clone(),
+        };
+        let calls_in = |name: &str| {
+            let text = fs::read_to_string(trace_dir(&dir).join(name)).expect(name);
+            let (_, rows) = ledger::parse_ledger(&text).expect("snapshot parses");
+            rows.iter().map(|r| r.stats.calls).sum::<u64>()
+        };
+        let key = Key::for_call("CGEMM", 8, 8, 64, "FLOAT_TO_BF16");
+        dcmesh_telemetry::with_level(dcmesh_telemetry::TelemetryLevel::Events, || {
+            // First process of rank 1: the snapshot is there after the
+            // first committed burst and follows the ledger at the second.
+            let mut first = observer(0);
+            ledger::record_call(key, 1e-3, None);
+            first.burst_committed(0, 20);
+            assert_eq!(calls_in("ledger-rank1-inc0.json"), 1);
+            ledger::record_call(key, 1e-3, None);
+            first.burst_committed(1, 40);
+            assert_eq!(calls_in("ledger-rank1-inc0.json"), 2);
+            // It dies with a burst in flight: calls it never committed.
+            ledger::record_call(key, 1e-3, None);
+
+            // The respawn is a new process — an empty ledger — resuming
+            // after burst 1. Its file sits beside its predecessor's.
+            ledger::clear();
+            let mut second = observer(1);
+            ledger::record_call(key, 1e-3, None);
+            second.burst_committed(2, 60);
+        });
+        assert_eq!(calls_in("ledger-rank1-inc0.json"), 2, "the dead incarnation's work stays");
+        assert_eq!(calls_in("ledger-rank1-inc1.json"), 1, "the replayed burst counts once");
         fs::remove_dir_all(&dir).ok();
     }
 

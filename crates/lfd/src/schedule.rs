@@ -186,7 +186,7 @@ pub fn qd_step_schedule_with_policy(
 pub fn price_qd_step(
     model: &xe_gpu::XeStackModel,
     schedule: &[KernelDesc],
-    tracer: Option<&xe_gpu::Tracer>,
+    mut tracer: Option<&mut xe_gpu::Tracer>,
 ) -> f64 {
     let mut total = 0.0;
     for k in schedule {
@@ -194,7 +194,7 @@ pub fn price_qd_step(
             KernelDesc::Gemm(_, desc) => model.gemm_seconds(desc),
             KernelDesc::Stream(s) => model.stream_seconds(s),
         };
-        if let Some(tr) = tracer {
+        if let Some(tr) = tracer.as_deref_mut() {
             tr.record(k.name(), t);
         }
         total += t;
@@ -288,9 +288,9 @@ mod tests {
 
     #[test]
     fn pricing_records_into_tracer() {
-        let tracer = xe_gpu::Tracer::new();
+        let mut tracer = xe_gpu::Tracer::new();
         let sched = qd_step_schedule(SystemShape::pto40(), LfdPrecision::Fp32(ComputeMode::Standard));
-        let total = price_qd_step(&model(), &sched, Some(&tracer));
+        let total = price_qd_step(&model(), &sched, Some(&mut tracer));
         assert_eq!(tracer.event_count(), sched.len());
         assert!((tracer.total_seconds() - total).abs() < 1e-12);
     }

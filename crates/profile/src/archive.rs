@@ -9,14 +9,16 @@
 //! `profile advise` joins it against the xe-gpu roofline model to
 //! recommend per-callsite modes.
 //!
-//! [`collect_run`] understands both run-directory layouts the repo
-//! produces: a single-process artifact directory (`ledger.json` at the
-//! root, as written by `telemetry_check`) and a sharded run directory
-//! (`trace/ledger-rank*.json` snapshots plus `MANIFEST.json` /
-//! `report.json`, as written by `dcmesh-shard`). Per-rank ledgers are
-//! merged through the order-independent [`ledger::merge_rows`], so the
-//! archived rows are bit-identical no matter how the rank files are
-//! enumerated.
+//! [`load_ledger`] — the one reader of a run directory's ledger, live
+//! (`profile watch`) and at rest ([`collect_run`]) — understands both
+//! layouts the repo produces: a single-process artifact directory
+//! (`ledger.json` at the root, as written by `telemetry_check`) and a
+//! sharded run directory (`trace/ledger-rank<r>-inc<i>.json`, one per
+//! rank process, rewritten atomically at every committed burst, plus
+//! `MANIFEST.json` / `report.json`, as written by `dcmesh-shard`). The
+//! snapshots are merged through the order-independent
+//! [`ledger::merge_rows`], so the rows are bit-identical no matter how
+//! the files are enumerated.
 //!
 //! Appending is idempotent: the run id is a content fingerprint
 //! (directory name + FNV-1a/64 of the merged rows), so re-archiving
@@ -83,7 +85,7 @@ fn read_to_string(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Reads every per-rank ledger snapshot under `run_dir/trace/`.
+/// Reads every rank process's ledger snapshot under `run_dir/trace/`.
 fn rank_ledgers(run_dir: &Path) -> Result<Vec<(LedgerMeta, Vec<Row>)>, String> {
     let trace = run_dir.join("trace");
     let mut names: Vec<PathBuf> = Vec::new();
@@ -104,6 +106,28 @@ fn rank_ledgers(run_dir: &Path) -> Result<Vec<(LedgerMeta, Vec<Row>)>, String> {
         .collect()
 }
 
+/// The precision ledger of a run directory as it stands: the root
+/// `ledger.json` (single-process; it wins when both exist — it is the
+/// already-merged document), else every `trace/ledger-rank*.json`
+/// snapshot merged. `None` when the directory holds neither yet.
+pub fn load_ledger(run_dir: &Path) -> Result<Option<(LedgerMeta, Vec<Row>)>, String> {
+    let root_ledger = run_dir.join("ledger.json");
+    if root_ledger.is_file() {
+        return ledger::parse_ledger(&read_to_string(&root_ledger)?)
+            .map(Some)
+            .map_err(|e| format!("{}: {e}", root_ledger.display()));
+    }
+    let per_rank = rank_ledgers(run_dir)?;
+    // Any rank's header works for level/period/deck (stamped identically
+    // fleet-wide); take the max rank count seen so a degraded fleet
+    // still reports its configured size.
+    let Some(meta) = per_rank.iter().map(|(m, _)| m.clone()).max_by_key(|m| m.ranks) else {
+        return Ok(None);
+    };
+    let sources: Vec<Vec<Row>> = per_rank.into_iter().map(|(_, rows)| rows).collect();
+    Ok(Some((meta, ledger::merge_rows(&sources))))
+}
+
 /// Folds a finished run directory into a [`RunRecord`].
 ///
 /// `mode_policy_override` wins over anything found in the manifest —
@@ -114,32 +138,12 @@ pub fn collect_run(
     run_dir: &Path,
     mode_policy_override: Option<&str>,
 ) -> Result<RunRecord, String> {
-    // Ledger rows: root ledger.json (single-process) or merged per-rank
-    // snapshots (sharded). Root wins when both exist — it is the
-    // already-merged document.
-    let root_ledger = run_dir.join("ledger.json");
-    let (meta, entries) = if root_ledger.is_file() {
-        ledger::parse_ledger(&read_to_string(&root_ledger)?)
-            .map_err(|e| format!("{}: {e}", root_ledger.display()))?
-    } else {
-        let per_rank = rank_ledgers(run_dir)?;
-        if per_rank.is_empty() {
-            return Err(format!(
-                "{}: no ledger.json and no trace/ledger-rank*.json — nothing to archive",
-                run_dir.display()
-            ));
-        }
-        // Any rank's header works for level/period/deck (stamped
-        // identically fleet-wide); take the max rank count seen so a
-        // degraded fleet still reports its configured size.
-        let meta = per_rank
-            .iter()
-            .map(|(m, _)| m.clone())
-            .max_by_key(|m| m.ranks)
-            .expect("nonempty");
-        let sources: Vec<Vec<Row>> = per_rank.into_iter().map(|(_, rows)| rows).collect();
-        (meta, ledger::merge_rows(&sources))
-    };
+    let (meta, entries) = load_ledger(run_dir)?.ok_or_else(|| {
+        format!(
+            "{}: no ledger.json and no trace/ledger-rank*.json — nothing to archive",
+            run_dir.display()
+        )
+    })?;
 
     let mut rec = RunRecord {
         run_id: String::new(),

@@ -8,8 +8,7 @@
 //! profile merge  <a.jsonl> <b.jsonl> [...] --out merged.json
 //! profile diff   <base.jsonl> <test.jsonl> [--root NAME] [--by-mode]
 //!                [--by-shape] [--svg PATH] [--ansi]
-//! profile watch  <run-dir|events.jsonl> [...] [--interval-ms N] [--once]
-//!                [--prom PATH]
+//! profile watch  <run-dir> [--interval-ms N] [--once] [--prom PATH]
 //! profile synth  --out PATH [--min-bytes N]
 //! profile synth  --ledger-dir DIR [--slow-callsite CS] [--slow-factor F]
 //! profile archive <run-dir> --archive PATH [--mode-policy P]
@@ -33,10 +32,12 @@
 //! `--stream` on `flame`/`table`/`fold` reads the input incrementally —
 //! memory stays bounded by the open-span depth plus the fold/table group
 //! count, never by the dump size — and produces byte-identical output to
-//! the batch path. `watch` tails live streams (re-scanning run
-//! directories for per-rank `events*.jsonl`) and redraws the merged
-//! precision ledger every `--interval-ms` (default 1000); `--once` prints
-//! a single snapshot and exits, `--prom` additionally maintains a
+//! the batch path. `watch` re-reads the ledger snapshots a run directory
+//! holds (`ledger.json`, or the `trace/ledger-rank*.json` every shard
+//! rank rewrites at each committed burst — the files `archive` folds
+//! when the run is over, so every number is exact) and redraws the
+//! merged precision ledger every `--interval-ms` (default 1000); `--once`
+//! prints a single look and exits, `--prom` additionally maintains a
 //! Prometheus scrape file. `synth` writes a deterministic synthetic dump
 //! of at least `--min-bytes` (default 100 MiB) for exercising the
 //! streaming path; with `--ledger-dir` it instead writes a deterministic
@@ -65,7 +66,7 @@ fn usage() -> ExitCode {
          <events.jsonl> [--stream] [--root NAME] [--by-mode] [--by-shape]\n  profile merge  \
          <a.jsonl> <b.jsonl> [...] --out merged.json\n  profile diff   <base.jsonl> \
          <test.jsonl> [--root NAME] [--by-mode] [--by-shape] [--svg PATH] [--ansi]\n  \
-         profile watch  <run-dir|events.jsonl> [...] [--interval-ms N] [--once] [--prom PATH]\n  \
+         profile watch  <run-dir> [--interval-ms N] [--once] [--prom PATH]\n  \
          profile synth  --out PATH [--min-bytes N]\n  \
          profile synth  --ledger-dir DIR [--slow-callsite CS] [--slow-factor F]\n  \
          profile archive <run-dir> --archive PATH [--mode-policy P]\n  \
@@ -200,7 +201,7 @@ fn cmd_flame(mut args: Vec<String>) -> Result<(), ExitCode> {
 
     let folded = if stream {
         let mut acc = fold::FoldAccum::new(opts.clone());
-        let trace = stream_spans(input, |s| acc.add_span(s))?;
+        let trace = stream_spans(input, |s| acc.add(s))?;
         print_warnings(&trace, metrics)?;
         acc.finish()
     } else {
@@ -238,12 +239,12 @@ fn cmd_table(mut args: Vec<String>) -> Result<(), ExitCode> {
 
     let mut acc = table::TableAccum::new();
     if stream {
-        let trace = stream_spans(input, |s| acc.add_span(s))?;
+        let trace = stream_spans(input, |s| acc.add(s))?;
         print_warnings(&trace, metrics)?;
     } else {
         let trace = ingest_with_warnings(input, metrics)?;
         for span in &trace.spans {
-            acc.add_span(span);
+            acc.add(span);
         }
     }
     let rows = acc.gemm_rows();
@@ -267,7 +268,7 @@ fn cmd_fold(mut args: Vec<String>) -> Result<(), ExitCode> {
     let [input] = args.as_slice() else { return Err(usage()) };
     let folded = if stream {
         let mut acc = fold::FoldAccum::new(opts.clone());
-        let trace = stream_spans(input, |s| acc.add_span(s))?;
+        let trace = stream_spans(input, |s| acc.add(s))?;
         print_warnings(&trace, None)?;
         acc.finish()
     } else {
@@ -296,7 +297,7 @@ fn cmd_diff(mut args: Vec<String>) -> Result<(), ExitCode> {
         eprintln!(
             "profile: wrote {p} (base {:.3} ms → test {:.3} ms)",
             tree.base_total_ns / 1e6,
-            tree.test_total_ns / 1e6
+            tree.total_ns / 1e6
         );
     }
     if ansi {
@@ -326,26 +327,25 @@ fn cmd_watch(mut args: Vec<String>) -> Result<(), ExitCode> {
     };
     let once = take_flag(&mut args, "--once");
     let prom_path = take_value(&mut args, "--prom");
-    if args.is_empty() {
-        return Err(usage());
-    }
-    let mut session = watch::WatchSession::new(&args);
+    let [run_dir] = args.as_slice() else { return Err(usage()) };
     let tty = std::io::stdout().is_terminal();
     loop {
-        session.tick();
+        let view = watch::view(std::path::Path::new(run_dir)).map_err(|e| {
+            eprintln!("profile: {e}");
+            ExitCode::from(1)
+        })?;
         if let Some(p) = &prom_path {
-            watch::write_atomic(std::path::Path::new(p), &session.prometheus()).map_err(|e| {
+            let body = dcmesh_telemetry::ledger::rows_prometheus(&view.rows);
+            dcmesh_telemetry::export::write_atomic(std::path::Path::new(p), &body).map_err(|e| {
                 eprintln!("profile: cannot write {p}: {e}");
                 ExitCode::from(1)
             })?;
         }
-        let mut out = String::new();
         if tty && !once {
             // Clear + home, so the dashboard redraws in place.
-            out.push_str("\x1b[2J\x1b[H");
+            print!("\x1b[2J\x1b[H");
         }
-        out.push_str(&session.render());
-        print!("{out}");
+        print!("{}", view.dashboard);
         let _ = std::io::stdout().flush();
         if once {
             return Ok(());

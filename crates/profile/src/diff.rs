@@ -19,127 +19,42 @@
 //! The two-count collapsed text ([`to_collapsed_diff`]) is the
 //! `difffolded.pl` format (`stack base_ns test_ns`), consumable by the
 //! external flamegraph toolchain as well.
+//!
+//! Tree, layout and both renderers are [`crate::flame`]'s; this module
+//! adds the base side of the tree and the red/blue paint.
 
-use crate::flame::Frame;
+use crate::flame::{self, Frame, Paint};
 use crate::fold::Folded;
 use std::collections::BTreeMap;
 
-/// One node of the differential flame tree: the union of both profiles'
-/// stacks, carrying totals from each side.
-#[derive(Clone, Debug, Default)]
-pub struct DiffFrame {
-    /// Frame label.
-    pub name: String,
-    /// Weighted self nanoseconds in the base profile.
-    pub base_self_ns: f64,
-    /// Weighted self nanoseconds in the test profile.
-    pub test_self_ns: f64,
-    /// Inclusive nanoseconds in the base profile.
-    pub base_total_ns: f64,
-    /// Inclusive nanoseconds in the test profile.
-    pub test_total_ns: f64,
-    /// Child frames by label (union of both sides).
-    pub children: BTreeMap<String, DiffFrame>,
-}
-
-impl DiffFrame {
+impl Frame {
     /// Signed inclusive change, test − base (positive = regression).
     pub fn delta_ns(&self) -> f64 {
-        self.test_total_ns - self.base_total_ns
-    }
-
-    /// Depth of the subtree rooted here (a leaf is 1).
-    pub fn depth(&self) -> usize {
-        1 + self.children.values().map(DiffFrame::depth).max().unwrap_or(0)
+        self.total_ns - self.base_total_ns
     }
 
     /// Largest |delta| in the subtree — the colour normaliser.
     fn max_abs_delta(&self) -> f64 {
         self.children
             .values()
-            .map(DiffFrame::max_abs_delta)
+            .map(Frame::max_abs_delta)
             .fold(self.delta_ns().abs(), f64::max)
     }
 }
 
-fn add_side(root: &mut DiffFrame, folded: &Folded, test_side: bool) {
-    for (stack, ns) in &folded.lines {
-        let mut node = &mut *root;
-        if test_side {
-            node.test_total_ns += ns;
-        } else {
-            node.base_total_ns += ns;
-        }
-        for part in stack.split(';') {
-            node = node
-                .children
-                .entry(part.to_string())
-                .or_insert_with(|| DiffFrame { name: part.to_string(), ..Default::default() });
-            if test_side {
-                node.test_total_ns += ns;
-            } else {
-                node.base_total_ns += ns;
-            }
-        }
-        if test_side {
-            node.test_self_ns += ns;
-        } else {
-            node.base_self_ns += ns;
-        }
-    }
-}
-
-/// Builds the union flame tree of two folded sets. The returned root is
-/// the synthetic `all` frame; its two totals are the two grand totals.
-pub fn build_diff_tree(base: &Folded, test: &Folded) -> DiffFrame {
-    let mut root = DiffFrame { name: "all".to_string(), ..Default::default() };
-    add_side(&mut root, base, false);
-    add_side(&mut root, test, true);
+/// Builds the union flame tree of two folded sets: the test profile's
+/// tree ([`flame::build_tree`]) with the base's stacks counted on each
+/// frame's base side. The returned root is the synthetic `all` frame;
+/// its two totals are the two grand totals.
+pub fn build_diff_tree(base: &Folded, test: &Folded) -> Frame {
+    let mut root = flame::build_tree(test);
+    root.add_stacks(base, |f| (&mut f.base_self_ns, &mut f.base_total_ns));
     root
-}
-
-/// The test-side frame tree of a diff (same shape as [`Frame`]), for
-/// callers wanting the plain flame view of the test profile.
-pub fn test_tree(root: &DiffFrame) -> Frame {
-    Frame {
-        name: root.name.clone(),
-        self_ns: root.test_self_ns,
-        total_ns: root.test_total_ns,
-        children: root
-            .children
-            .values()
-            .filter(|c| c.test_total_ns > 0.0)
-            .map(|c| (c.name.clone(), test_tree(c)))
-            .collect(),
-    }
-}
-
-/// White→red for regressions, white→blue for improvements, on a
-/// square-root intensity ramp.
-fn diff_color(delta: f64, max_abs: f64) -> (u8, u8, u8) {
-    if max_abs <= 0.0 || delta == 0.0 {
-        return (245, 245, 245);
-    }
-    let t = (delta.abs() / max_abs).clamp(0.0, 1.0).sqrt();
-    if delta > 0.0 {
-        (250 - (30.0 * t) as u8, 250 - (195.0 * t) as u8, 250 - (205.0 * t) as u8)
-    } else {
-        (250 - (190.0 * t) as u8, 250 - (155.0 * t) as u8, 250 - (30.0 * t) as u8)
-    }
-}
-
-const ROW_H: f64 = 17.0;
-const WIDTH: f64 = 1200.0;
-const PAD: f64 = 10.0;
-const CHAR_W: f64 = 7.2;
-
-fn svg_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;").replace('"', "&quot;")
 }
 
 /// `+1.234 ms (+5.6%)`-style delta description; the percentage is
 /// relative to the base (absent when the frame is new).
-fn delta_text(frame: &DiffFrame) -> String {
+fn delta_text(frame: &Frame) -> String {
     let d = frame.delta_ns();
     if frame.base_total_ns > 0.0 {
         format!("{:+.3} ms ({:+.1}%)", d / 1e6, 100.0 * d / frame.base_total_ns)
@@ -148,119 +63,85 @@ fn delta_text(frame: &DiffFrame) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn svg_frame(
-    out: &mut String,
-    frame: &DiffFrame,
-    x: f64,
-    depth: usize,
-    max_depth: usize,
-    scale: f64,
+/// The differential paint: colour by each frame's change against the
+/// base, scaled to the largest change in the tree.
+struct Delta {
     max_abs: f64,
-) {
-    let w = frame.test_total_ns * scale;
-    if w < 0.3 {
-        return;
+}
+
+impl Paint for Delta {
+    const RECT_STYLE: &'static str = " stroke=\"#bbb\" stroke-width=\"0.4\"";
+    const BAR_W: usize = 24;
+
+    fn caption(&self, root: &Frame) -> String {
+        format!(
+            "base {:.3} ms → test {:.3} ms ({}) — red grew, blue shrank",
+            root.base_total_ns / 1e6,
+            root.total_ns / 1e6,
+            delta_text(root),
+        )
     }
-    let y = PAD + (max_depth - depth) as f64 * ROW_H;
-    let (r, g, b) = diff_color(frame.delta_ns(), max_abs);
-    let title = format!(
-        "{} — base {:.3} ms → test {:.3} ms, {}",
-        svg_escape(&frame.name),
-        frame.base_total_ns / 1e6,
-        frame.test_total_ns / 1e6,
-        delta_text(frame),
-    );
-    out.push_str(&format!(
-        "<g><title>{title}</title><rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" \
-         height=\"{:.1}\" fill=\"rgb({r},{g},{b})\" stroke=\"#bbb\" stroke-width=\"0.4\" \
-         rx=\"2\"/>",
-        ROW_H - 1.0
-    ));
-    let max_chars = ((w - 6.0) / CHAR_W) as usize;
-    if max_chars >= 3 {
-        let label: String = if frame.name.chars().count() <= max_chars {
-            frame.name.clone()
+
+    /// White→red for regressions, white→blue for improvements, on a
+    /// square-root intensity ramp.
+    fn fill(&self, frame: &Frame) -> (u8, u8, u8) {
+        let delta = frame.delta_ns();
+        if self.max_abs <= 0.0 || delta == 0.0 {
+            return (245, 245, 245);
+        }
+        let t = (delta.abs() / self.max_abs).clamp(0.0, 1.0).sqrt();
+        if delta > 0.0 {
+            (250 - (30.0 * t) as u8, 250 - (195.0 * t) as u8, 250 - (205.0 * t) as u8)
         } else {
-            let head: String = frame.name.chars().take(max_chars.saturating_sub(2)).collect();
-            format!("{head}..")
-        };
-        out.push_str(&format!(
-            "<text x=\"{:.2}\" y=\"{:.1}\" font-size=\"12\" font-family=\"monospace\">{}</text>",
-            x + 3.0,
-            y + ROW_H - 5.0,
-            svg_escape(&label)
-        ));
+            (250 - (190.0 * t) as u8, 250 - (155.0 * t) as u8, 250 - (30.0 * t) as u8)
+        }
     }
-    out.push_str("</g>\n");
-    let mut cx = x;
-    for child in frame.children.values() {
-        svg_frame(out, child, cx, depth + 1, max_depth, scale, max_abs);
-        cx += child.test_total_ns * scale;
+
+    fn tooltip(&self, frame: &Frame) -> String {
+        format!(
+            "base {:.3} ms → test {:.3} ms, {}",
+            frame.base_total_ns / 1e6,
+            frame.total_ns / 1e6,
+            delta_text(frame),
+        )
+    }
+
+    fn ansi_row(&self, frame: &Frame) -> Option<(String, String)> {
+        // Keep frames whose *subtree* still carries a visible delta, so a
+        // small parent never hides a large child.
+        if self.max_abs > 0.0 && frame.max_abs_delta() / self.max_abs < 0.005 {
+            return None;
+        }
+        let share = if self.max_abs > 0.0 {
+            (frame.delta_ns().abs() / self.max_abs).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let filled = ((share * Self::BAR_W as f64).round() as usize).min(Self::BAR_W);
+        Some((
+            if filled > 0 { "█".repeat(filled) } else { "·".to_string() },
+            format!("{:>22}", delta_text(frame)),
+        ))
+    }
+
+    /// Worst regressions first, then the biggest improvements.
+    fn rank(&self, frame: &Frame) -> f64 {
+        frame.delta_ns()
     }
 }
 
 /// Renders the differential flame tree as a self-contained SVG: layout
 /// from the test profile, red/blue colouring by delta against the base.
-pub fn render_diff_svg(root: &DiffFrame, title: &str) -> String {
-    let max_depth = root.depth().saturating_sub(1).max(1);
-    let height = PAD * 2.0 + (max_depth + 1) as f64 * ROW_H + 24.0;
-    let scale =
-        if root.test_total_ns > 0.0 { (WIDTH - 2.0 * PAD) / root.test_total_ns } else { 0.0 };
-    let max_abs = root.max_abs_delta();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{WIDTH}\" height=\"{height:.0}\" \
-         viewBox=\"0 0 {WIDTH} {height:.0}\">\n\
-         <rect width=\"100%\" height=\"100%\" fill=\"#fdf6e3\"/>\n\
-         <text x=\"{PAD}\" y=\"{:.0}\" font-size=\"14\" font-family=\"monospace\">{} — base \
-         {:.3} ms → test {:.3} ms ({}) — red grew, blue shrank</text>\n",
-        height - 8.0,
-        svg_escape(title),
-        root.base_total_ns / 1e6,
-        root.test_total_ns / 1e6,
-        delta_text(root),
-    ));
-    svg_frame(&mut out, root, PAD, 0, max_depth, scale, max_abs);
-    out.push_str("</svg>\n");
-    out
-}
-
-fn ansi_frame(out: &mut String, frame: &DiffFrame, depth: usize, max_abs: f64, bar_w: usize) {
-    let d = frame.delta_ns();
-    // Keep frames whose *subtree* still carries a visible delta, so a
-    // small parent never hides a large child.
-    if max_abs > 0.0 && frame.max_abs_delta() / max_abs < 0.005 {
-        return;
-    }
-    let share = if max_abs > 0.0 { (d.abs() / max_abs).clamp(0.0, 1.0) } else { 0.0 };
-    let filled = ((share * bar_w as f64).round() as usize).min(bar_w);
-    let (r, g, b) = diff_color(d, max_abs);
-    out.push_str(&format!(
-        "{:indent$}\x1b[38;2;{r};{g};{b}m{:<bar$}\x1b[0m {:>22}  {}\n",
-        "",
-        if filled > 0 { "█".repeat(filled) } else { "·".to_string() },
-        delta_text(frame),
-        frame.name,
-        indent = depth * 2,
-        bar = bar_w.saturating_sub(depth * 2).max(1),
-    ));
-    // Worst regressions first, then the biggest improvements.
-    let mut kids: Vec<&DiffFrame> = frame.children.values().collect();
-    kids.sort_by(|a, b| {
-        b.delta_ns().partial_cmp(&a.delta_ns()).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for child in kids {
-        ansi_frame(out, child, depth + 1, max_abs, bar_w);
-    }
+pub fn render_diff_svg(root: &Frame, title: &str) -> String {
+    flame::svg(root, title, &Delta { max_abs: root.max_abs_delta() })
 }
 
 /// Renders the diff for a terminal: depth-indented union tree (vanished
 /// frames included), red/blue bars proportional to each frame's share of
 /// the largest delta, worst regressions first.
-pub fn render_diff_ansi(root: &DiffFrame) -> String {
+pub fn render_diff_ansi(root: &Frame) -> String {
     let mut out = String::new();
-    ansi_frame(&mut out, root, 0, root.max_abs_delta(), 24);
+    flame::ansi_frame(&mut out, root, 0, &Delta { max_abs: root.max_abs_delta() });
     out
 }
 
@@ -314,14 +195,14 @@ mod tests {
     fn union_tree_carries_both_sides() {
         let root = build_diff_tree(&base(), &test_profile());
         assert_eq!(root.base_total_ns, 1000.0);
-        assert_eq!(root.test_total_ns, 1200.0);
+        assert_eq!(root.total_ns, 1200.0);
         assert_eq!(root.delta_ns(), 200.0);
         let burst = &root.children["burst"];
         let gemm = &burst.children["qd_step"].children["CGEMM"];
         assert_eq!(gemm.delta_ns(), 300.0, "regressed frame");
         assert_eq!(burst.children["qd_step"].delta_ns(), 250.0, "300 self shrink +300 child");
         // Vanished and new frames both exist in the union.
-        assert_eq!(burst.children["old_phase"].test_total_ns, 0.0);
+        assert_eq!(burst.children["old_phase"].total_ns, 0.0);
         assert_eq!(burst.children["new_phase"].base_total_ns, 0.0);
         assert_eq!(root.max_abs_delta(), 300.0);
     }
@@ -375,10 +256,16 @@ mod tests {
 
     #[test]
     fn test_tree_projection_matches_plain_flame_shape() {
+        // The test side of a diff tree is the plain flame tree of the
+        // test profile: same totals, and the same picture under the
+        // plain paint (a vanished frame has no width to draw).
         let root = build_diff_tree(&base(), &test_profile());
-        let plain = test_tree(&root);
-        assert_eq!(plain.total_ns, 1200.0);
+        let plain = flame::build_tree(&test_profile());
+        assert_eq!(root.total_ns, 1200.0);
+        assert_eq!(root.children["burst"].children["old_phase"].total_ns, 0.0);
         assert!(!plain.children["burst"].children.contains_key("old_phase"));
-        assert_eq!(plain.children["burst"].children["qd_step"].children["CGEMM"].total_ns, 900.0);
+        assert_eq!(root.children["burst"].children["qd_step"].children["CGEMM"].total_ns, 900.0);
+        assert_eq!(flame::render_svg(&root, "t"), flame::render_svg(&plain, "t"));
+        assert_eq!(flame::render_ansi(&root), flame::render_ansi(&plain));
     }
 }

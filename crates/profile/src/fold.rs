@@ -93,7 +93,7 @@ impl FoldAccum {
     }
 
     /// Folds one span in.
-    pub fn add_span(&mut self, span: &Span) {
+    pub fn add(&mut self, span: &Span) {
         if let Some(root) = &self.opts.root {
             if !under_root(span, root) {
                 return;
@@ -120,7 +120,7 @@ impl FoldAccum {
 pub fn fold(trace: &Trace, opts: &FoldOptions) -> Folded {
     let mut acc = FoldAccum::new(opts.clone());
     for span in &trace.spans {
-        acc.add_span(span);
+        acc.add(span);
     }
     acc.finish()
 }

@@ -234,12 +234,6 @@ impl StreamingIngester {
         StreamingIngester::default()
     }
 
-    /// Stream metadata seen so far (populated once the `telemetry_meta`
-    /// header line has been fed).
-    pub fn meta(&self) -> &Meta {
-        &self.trace.meta
-    }
-
     /// Spans closed so far, draining them from the internal trace.
     pub fn take_closed_spans(&mut self) -> Vec<Span> {
         std::mem::take(&mut self.trace.spans)

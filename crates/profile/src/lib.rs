@@ -19,10 +19,11 @@
 //!   frame by frame in the red/blue convention (red = grew, blue =
 //!   shrank): the before/after view for compute-mode switches and
 //!   kernel changes.
-//! * **Live watch** ([`watch`]) — tail `events*.jsonl` streams mid-run
-//!   (single-process or one per shard rank) and render the merged
-//!   per-(callsite, shape, mode) precision ledger as it evolves, with
-//!   an optional Prometheus scrape file.
+//! * **Live watch** ([`watch`]) — re-read the ledger snapshots a run in
+//!   progress keeps (one per shard-rank process, rewritten at every
+//!   committed burst) through the archive's loader and render the
+//!   merged per-(callsite, shape, mode) precision ledger as it evolves,
+//!   exact, with an optional Prometheus scrape file.
 //! * **Run archive** ([`archive`]) — fold a finished run directory's
 //!   precision ledger, shard manifest, and run report into one line of
 //!   an append-only `runs.jsonl`, keyed by a content-hashed run id so
@@ -64,10 +65,9 @@ pub mod watch;
 
 pub use advise::{advise, advice_json, Advice, CallsiteAdvice};
 pub use archive::{append as archive_append, collect_run, read_archive, RunRecord};
-pub use diff::{build_diff_tree, render_diff_ansi, render_diff_svg, to_collapsed_diff, DiffFrame};
+pub use diff::{build_diff_tree, render_diff_ansi, render_diff_svg, to_collapsed_diff};
 pub use flame::{build_tree, render_ansi, render_svg, Frame};
 pub use fold::{fold, FoldOptions, Folded};
 pub use ingest::{coverage_warnings, ingest_jsonl, Meta, Span, StreamingIngester, Trace};
 pub use merge::merge_jsonl;
 pub use table::{gemm_table, gemm_table_json, phase_table, CallRow, PhaseRow, TableAccum};
-pub use watch::{WatchLedger, WatchSession};

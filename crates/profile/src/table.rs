@@ -99,7 +99,7 @@ impl TableAccum {
     }
 
     /// Folds one span into both tables.
-    pub fn add_span(&mut self, span: &Span) {
+    pub fn add(&mut self, span: &Span) {
         if is_blas_call(span) {
             let key = (
                 span.name.clone(),
@@ -190,7 +190,7 @@ impl TableAccum {
 pub fn gemm_table(trace: &Trace) -> Vec<CallRow> {
     let mut acc = TableAccum::new();
     for span in &trace.spans {
-        acc.add_span(span);
+        acc.add(span);
     }
     acc.gemm_rows()
 }
@@ -215,7 +215,7 @@ pub const PHASES: &[&str] = &[
 pub fn phase_table(trace: &Trace) -> Vec<PhaseRow> {
     let mut acc = TableAccum::new();
     for span in &trace.spans {
-        acc.add_span(span);
+        acc.add(span);
     }
     acc.phase_rows()
 }

@@ -29,6 +29,7 @@
 //! (2 on usage/IO errors), so CI can gate on it directly.
 
 use crate::archive::RunRecord;
+use crate::flame::svg_escape;
 use dcmesh_telemetry::json::{self, JsonValue};
 use std::collections::BTreeMap;
 
@@ -374,10 +375,6 @@ pub fn render_report(groups: &[TrendGroup], regressions: &[Regression]) -> Strin
     out
 }
 
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
-}
-
 /// Renders a self-contained SVG trend report: one sparkline polyline
 /// per multi-run group, flagged groups drawn in red with their
 /// regression labels.
@@ -411,7 +408,7 @@ pub fn render_svg(groups: &[TrendGroup], regressions: &[Regression]) -> String {
         out.push_str(&format!(
             "<text x=\"10\" y=\"{:.0}\" fill=\"{color}\">{}</text>\n",
             y + 14.0,
-            xml_escape(&format!("{} {} {}{}", g.callsite, g.shape, g.mode, flags))
+            svg_escape(&format!("{} {} {}{}", g.callsite, g.shape, g.mode, flags))
         ));
         // Polyline over the series, min→max normalised into the row box.
         let vals = &g.wall_per_call;

@@ -91,8 +91,8 @@ pub fn jsonl(events: &[Event]) -> String {
 
 /// The JSONL body alone — no `telemetry_meta` header. For appending
 /// incremental batches to a stream whose header was already written
-/// (the shard worker's per-burst flush), so live consumers like
-/// `profile watch` can tail a run in progress.
+/// (the shard worker's per-burst flush), so a rank that dies mid-run
+/// leaves a well-formed stream up to its last committed burst.
 pub fn jsonl_body(events: &[Event]) -> String {
     let mut out = String::new();
     for ev in events {
@@ -100,6 +100,17 @@ pub fn jsonl_body(events: &[Event]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Writes `content` to `path` through a sibling temp file and a rename,
+/// so a concurrent reader (a Prometheus scraper, `profile watch`, the
+/// shard coordinator) sees the old document or the new one, never a
+/// torn one.
+pub fn write_atomic(path: &std::path::Path, content: &str) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".wtmp");
+    std::fs::write(&tmp, content)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Parses a JSONL document back into one [`JsonValue`] per line

@@ -100,7 +100,7 @@ impl ResidualHist {
             .collect()
     }
 
-    /// Folds another histogram into this one (watch-side rank merging).
+    /// Folds another histogram into this one (cross-rank merging).
     pub fn merge(&mut self, other: &ResidualHist) {
         self.count += other.count;
         if other.max > self.max {
@@ -207,9 +207,10 @@ impl Stats {
     }
 }
 
-/// One exported ledger row: a [`Key`] plus its [`Stats`]. The same
-/// shape is built by `profile watch` from ingested event streams, so
-/// both sides share the JSON/Prometheus/dashboard renderers below.
+/// One exported ledger row: a [`Key`] plus its [`Stats`]. What
+/// [`parse_ledger`] reads back is the same shape, so the live ledger, a
+/// snapshot on disk and a merge of several ranks' snapshots share the
+/// JSON/Prometheus/dashboard renderers below.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     /// Callsite ID.
@@ -285,13 +286,6 @@ pub fn current_meta(row_count: u64) -> LedgerMeta {
         sample_period: r.sample_n,
         rows: row_count,
     })
-}
-
-/// Pow2-ceiling shape class for a GEMM problem, e.g. `(100, 1000,
-/// 250000)` → `"128x1024x262144"`. Bucketing keeps the ledger bounded
-/// across jittering dimensions while preserving the cost class.
-pub fn shape_class(m: usize, n: usize, k: usize) -> String {
-    shape_label(Some(pow2_class(m, n, k)))
 }
 
 /// Records one BLAS call: wall time and (when available) the modelled
@@ -780,6 +774,12 @@ mod tests {
     use crate::level::{with_level, TelemetryLevel};
 
     // Each test runs on its own thread, hence on its own empty ledger.
+
+    /// The exported shape class of a GEMM problem: pow2 ceilings, so
+    /// the ledger stays bounded across jittering dimensions.
+    fn shape_class(m: usize, n: usize, k: usize) -> String {
+        shape_label(Some(pow2_class(m, n, k)))
+    }
 
     /// The key a `routine` call of shape `m x n x k` resolves to inside
     /// `phase`.

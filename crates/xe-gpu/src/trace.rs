@@ -5,9 +5,11 @@
 //! of the dump (artifact A1). This tracer plays that role for the device
 //! model: kernels are appended with their modelled durations on a
 //! monotonically advancing simulated clock, and the dump offers the same
-//! aggregates — total device time and a per-kernel breakdown.
+//! aggregates — total device time and a per-kernel breakdown. It is a
+//! plain fold: whoever owns the tracer feeds it, kernel by kernel or a
+//! run's [`CallRecord`]s at once through [`Extend`].
 
-use parking_lot::Mutex;
+use mkl_lite::verbose::CallRecord;
 
 /// One kernel execution on the simulated timeline.
 #[derive(Clone, Debug)]
@@ -31,14 +33,9 @@ pub struct KernelSummary {
     pub total: f64,
 }
 
-/// Thread-safe simulated-timeline tracer.
+/// Simulated-timeline tracer.
 #[derive(Default)]
 pub struct Tracer {
-    inner: Mutex<TracerInner>,
-}
-
-#[derive(Default)]
-struct TracerInner {
     clock: f64,
     events: Vec<KernelEvent>,
 }
@@ -53,39 +50,34 @@ impl Tracer {
     /// Returns the kernel's start timestamp. When the telemetry level is
     /// `full` the kernel also lands on the Chrome-trace device track as a
     /// complete (`X`) slice, mirroring `unitrace -k`'s per-kernel rows.
-    pub fn record(&self, name: &'static str, duration: f64) -> f64 {
+    pub fn record(&mut self, name: &'static str, duration: f64) -> f64 {
         assert!(duration >= 0.0 && duration.is_finite(), "bad kernel duration {duration}");
-        let start = {
-            let mut inner = self.inner.lock();
-            let start = inner.clock;
-            inner.clock += duration;
-            inner.events.push(KernelEvent { name, start, duration });
-            start
-        };
+        let start = self.clock;
+        self.clock += duration;
+        self.events.push(KernelEvent { name, start, duration });
         dcmesh_telemetry::device_complete(name, start, duration, Vec::new());
         start
     }
 
     /// Total simulated device time ("Total L0 Time").
     pub fn total_seconds(&self) -> f64 {
-        self.inner.lock().clock
+        self.clock
     }
 
     /// Number of recorded kernel events.
     pub fn event_count(&self) -> usize {
-        self.inner.lock().events.len()
+        self.events.len()
     }
 
     /// Returns a copy of the raw event list.
     pub fn events(&self) -> Vec<KernelEvent> {
-        self.inner.lock().events.clone()
+        self.events.clone()
     }
 
     /// Per-kernel aggregates, sorted by descending total time.
     pub fn summary(&self) -> Vec<KernelSummary> {
-        let inner = self.inner.lock();
         let mut rows: Vec<KernelSummary> = Vec::new();
-        for ev in &inner.events {
+        for ev in &self.events {
             match rows.iter_mut().find(|r| r.name == ev.name) {
                 Some(r) => {
                     r.calls += 1;
@@ -99,10 +91,9 @@ impl Tracer {
     }
 
     /// Clears all events and resets the clock.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.clock = 0.0;
-        inner.events.clear();
+    pub fn reset(&mut self) {
+        self.clock = 0.0;
+        self.events.clear();
     }
 
     /// Formats a unitrace-style dump: total first, then the breakdown.
@@ -116,13 +107,26 @@ impl Tracer {
     }
 }
 
+/// The device timeline of a run's BLAS call record: each call the
+/// device model priced becomes one kernel under its routine name; a
+/// call recorded without a model has no device time and is skipped.
+impl<'a> Extend<&'a CallRecord> for Tracer {
+    fn extend<I: IntoIterator<Item = &'a CallRecord>>(&mut self, records: I) {
+        for r in records {
+            if let Some(device_seconds) = r.device_seconds {
+                self.record(r.routine, device_seconds);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn clock_advances_monotonically() {
-        let t = Tracer::new();
+        let mut t = Tracer::new();
         let s0 = t.record("a", 1.0);
         let s1 = t.record("b", 2.0);
         let s2 = t.record("a", 0.5);
@@ -133,7 +137,7 @@ mod tests {
 
     #[test]
     fn summary_aggregates_and_sorts() {
-        let t = Tracer::new();
+        let mut t = Tracer::new();
         t.record("gemm", 5.0);
         t.record("stencil", 1.0);
         t.record("stencil", 1.5);
@@ -144,7 +148,7 @@ mod tests {
 
     #[test]
     fn dump_leads_with_total() {
-        let t = Tracer::new();
+        let mut t = Tracer::new();
         t.record("x", 0.25);
         let d = t.dump();
         assert!(d.starts_with("Total L0 Time: 0.250000 s"), "{d}");
@@ -153,7 +157,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let t = Tracer::new();
+        let mut t = Tracer::new();
         t.record("x", 1.0);
         t.reset();
         assert_eq!(t.total_seconds(), 0.0);
@@ -170,7 +174,7 @@ mod tests {
     fn record_emits_device_telemetry_at_full() {
         use dcmesh_telemetry as telemetry;
         telemetry::with_level(telemetry::TelemetryLevel::Full, || {
-            let t = Tracer::new();
+            let mut t = Tracer::new();
             t.record("trace_test_kernel", 0.002);
             let evs = telemetry::sink::drain();
             let ev = evs.iter().find(|e| e.name == "trace_test_kernel").expect("kernel event");
@@ -180,22 +184,25 @@ mod tests {
     }
 
     #[test]
-    fn tracer_is_thread_safe() {
-        let t = std::sync::Arc::new(Tracer::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let t = t.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        t.record("k", 0.001);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("no panics");
-        }
-        assert_eq!(t.event_count(), 800);
-        assert!((t.total_seconds() - 0.8).abs() < 1e-9);
+    fn extend_folds_priced_call_records_and_skips_unpriced_ones() {
+        use mkl_lite::device::Domain;
+        let rec = |routine, device_seconds| CallRecord {
+            routine,
+            transa: 'N',
+            transb: 'N',
+            m: 8,
+            n: 8,
+            k: 8,
+            mode: mkl_lite::ComputeMode::Standard,
+            domain: Domain::Complex32,
+            wall: std::time::Duration::from_millis(1),
+            device_seconds,
+        };
+        let records = [rec("CGEMM", Some(0.5)), rec("ZGEMM", None), rec("CGEMM", Some(0.25))];
+        let mut t = Tracer::new();
+        t.extend(&records);
+        assert_eq!(t.total_seconds(), 0.75);
+        assert_eq!(t.summary(), vec![KernelSummary { name: "CGEMM", calls: 2, total: 0.75 }]);
+        assert_eq!(t.events()[1].start, 0.5, "the unpriced call did not advance the clock");
     }
 }

@@ -102,6 +102,14 @@ fn killed_rank_recovers_from_checkpoint_and_matches_uninterrupted_run() {
     assert!(spawns >= 5, "4 initial spawns + >=1 respawn, got {spawns}:\n{log}");
     assert!(log.contains("\"run_complete\""));
 
+    // Both processes of the killed rank left their precision ledger:
+    // the first its committed burst 0, the second the replay and the rest.
+    for name in ["ledger-rank1-inc0.json", "ledger-rank1-inc1.json", "ledger-rank0-inc0.json"] {
+        let path = chaos_cfg.run_dir.join("trace").join(name);
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        dcmesh_telemetry::ledger::parse_ledger(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+
     // And the persisted report round-trips.
     let text = std::fs::read_to_string(dcmesh::shard::report_path(&chaos_cfg.run_dir))
         .expect("report.json");
