@@ -1,125 +1,81 @@
-//! The whole study in one command.
+//! The reproduction, in one command and with no options.
 //!
-//! Regenerates every table and figure of the paper plus the ablations and
-//! extensions, writing a consolidated markdown report to
-//! `target/reports/study.md`. The accuracy figures run at laptop scale
-//! (pass `--full` to lengthen them); the performance artifacts are priced
-//! on the device model at the published sizes in milliseconds.
+//! Evaluates every claim of `dcmesh_bench::claims` once, then writes
+//! `REPRO.json` (the checked-in record, in the current directory like the
+//! `BENCH_*.json` files), `target/reports/study.md` (the same table as
+//! markdown, also printed) and the Figure 1/2 series as CSV, and exits 1
+//! if any row failed. Paper-scale accuracy runs need GPU-days and the
+//! authors' decks and are not offered.
 //!
 //! ```text
 //! cargo run --release -p dcmesh-bench --bin study
 //! ```
 
-use dcmesh::analysis::{DeviationSeries, Metric};
-use dcmesh::config::{RunConfig, SystemPreset};
-use dcmesh::perf::{figure3a, figure3b, table6, FIG3B_ORBITALS};
-use dcmesh::runner::run_simulation;
-use dcmesh_bench::{markdown_table, write_report};
-use dcmesh_lfd::schedule::SystemShape;
-use dcmesh_numerics::FORMATS;
-use mkl_lite::{with_compute_mode, ComputeMode};
-use xe_gpu::MAX_1550_STACK;
+use dcmesh::analysis::{DeviationPoint, DeviationSeries, Metric};
+use dcmesh_bench::claims::{self, Status};
+use dcmesh_bench::report::civil_date_utc;
+use dcmesh_bench::write_report;
+use mkl_lite::ComputeMode;
+use std::process::ExitCode;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let full = std::env::args().any(|a| a == "--full");
-    let mut report = String::from("# DCMESH-rs — consolidated study report\n");
-
-    // ---- Tables I, II, IV: static artifacts ----
-    report.push_str("\n## Table I — theoretical peaks (1 stack)\n\n");
-    let rows: Vec<Vec<String>> = ["FP64", "FP32", "TF32", "BF16", "FP16", "INT8"]
-        .iter()
-        .map(|&p| {
-            let (peak, eng) = MAX_1550_STACK.table1_row(p).expect("known");
-            vec![p.into(), format!("{:.0} T/s", peak / 1e12), format!("{eng:?}")]
-        })
-        .collect();
-    report.push_str(&markdown_table(&["Precision", "Peak", "Engine"], &rows));
-
-    report.push_str("\n## Table II — compute modes\n\n");
-    let rows: Vec<Vec<String>> = ComputeMode::ALTERNATIVE
-        .iter()
-        .map(|m| {
-            vec![
-                m.label().into(),
-                m.env_value().expect("alt").into(),
-                format!("{:.2}x", m.theoretical_speedup()),
-            ]
-        })
-        .collect();
-    report.push_str(&markdown_table(&["Mode", "Env value", "Peak speedup"], &rows));
-
-    report.push_str("\n## Table IV — precision formats\n\n");
-    let rows: Vec<Vec<String>> = FORMATS
-        .iter()
-        .map(|f| vec![f.name.into(), f.exponent_bits.to_string(), f.mantissa_bits.to_string()])
-        .collect();
-    report.push_str(&markdown_table(&["Format", "Exp bits", "Mantissa bits"], &rows));
-
-    // ---- Figures 1-2: accuracy (real runs) ----
-    let mut cfg = RunConfig::preset(SystemPreset::Pto135Small);
-    cfg.total_qd_steps = if full { 21_000 } else { 600 };
-    cfg.record_every = 5;
-    eprintln!("accuracy runs ({} QD steps x 6 configurations)...", cfg.total_qd_steps);
-    let reference = with_compute_mode(ComputeMode::Standard, || run_simulation::<f32>(&cfg))?;
-    report.push_str("\n## Figures 1-2 — max |deviation from FP32|\n\n");
-    let mut rows = Vec::new();
-    for mode in ComputeMode::ALTERNATIVE {
-        eprintln!("  mode {}...", mode.label());
-        let run = with_compute_mode(mode, || run_simulation::<f32>(&cfg))?;
-        let dev = |m: Metric| {
-            DeviationSeries::build(m, &run.records, &reference.records).max_abs()
-        };
-        rows.push(vec![
-            mode.label().into(),
-            format!("{:.3e}", dev(Metric::Nexc)),
-            format!("{:.3e}", dev(Metric::Javg)),
-            format!("{:.3e}", dev(Metric::Ekin)),
-        ]);
+/// One CSV of a metric's deviation series: a time column, then one column
+/// per mode holding `y` of each point.
+fn series_csv(
+    devs: &[(ComputeMode, DeviationSeries)],
+    column_prefix: &str,
+    y: impl Fn(&DeviationPoint) -> String,
+) -> String {
+    let mut csv = String::from("time_fs");
+    for (mode, _) in devs {
+        csv.push_str(&format!(",{column_prefix}{}", mode.label()));
     }
-    report.push_str(&markdown_table(&["Mode", "nexc", "javg", "ekin (Ha)"], &rows));
-
-    // ---- Figure 3a ----
-    for (name, shape) in [("40 atoms", SystemShape::pto40()), ("135 atoms", SystemShape::pto135())] {
-        report.push_str(&format!("\n## Figure 3a — {name}, 500 QD steps (modelled)\n\n"));
-        let rows: Vec<Vec<String>> = figure3a(shape)
-            .iter()
-            .map(|p| vec![p.label.into(), format!("{:.1} s", p.seconds_500_steps)])
-            .collect();
-        report.push_str(&markdown_table(&["Precision", "Time"], &rows));
+    csv.push('\n');
+    for (i, first) in devs[0].1.points.iter().enumerate() {
+        csv.push_str(&format!("{:.6}", first.time_fs));
+        for (_, series) in devs {
+            csv.push(',');
+            csv.push_str(&y(&series.points[i]));
+        }
+        csv.push('\n');
     }
+    csv
+}
 
-    // ---- Figure 3b + Table VI ----
-    report.push_str("\n## Figure 3b — per-call speedup vs N_orb (modelled)\n\n");
-    let headers: Vec<String> = std::iter::once("Mode".to_string())
-        .chain(FIG3B_ORBITALS.iter().map(|n| format!("N={n}")))
-        .collect();
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<Vec<String>> = ComputeMode::ALTERNATIVE
-        .iter()
-        .map(|&m| {
-            let mut row = vec![m.label().to_string()];
-            row.extend(figure3b(m).iter().map(|p| format!("{:.2}x", p.speedup)));
-            row
-        })
-        .collect();
-    report.push_str(&markdown_table(&header_refs, &rows));
+fn main() -> ExitCode {
+    if std::env::args().len() > 1 {
+        eprintln!("study takes no arguments: it evaluates every claim, every time");
+        return ExitCode::from(2);
+    }
+    let study = match claims::evaluate() {
+        Ok(study) => study,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
+        }
+    };
+    let today = civil_date_utc();
+    let markdown = claims::to_markdown(&study.claims, &today);
+    println!("{markdown}");
+    std::fs::write("REPRO.json", claims::to_json(&study.claims, &today)).expect("write REPRO.json");
+    eprintln!("[wrote REPRO.json]");
+    write_report("study.md", &markdown).expect("report");
+    for metric in Metric::FIGURE1 {
+        let csv =
+            series_csv(&study.sweep.deviations(metric), "", |p| format!("{:.8e}", p.abs_deviation));
+        write_report(&format!("fig1_{}.csv", metric.name()), &csv).expect("report");
+    }
+    let log10 =
+        |p: &DeviationPoint| format!("{:.4}", p.abs_deviation.max(claims::LOG10_FLOOR).log10());
+    let csv = series_csv(&study.sweep.deviations(Metric::Javg), "log10_", log10);
+    write_report("fig2_javg_log10.csv", &csv).expect("report");
 
-    report.push_str("\n## Table VI — max observed vs theoretical\n\n");
-    let rows: Vec<Vec<String>> = table6()
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.label().into(),
-                format!("{:.2}x", r.max_observed),
-                format!("{:.2}x", r.theoretical),
-            ]
-        })
-        .collect();
-    report.push_str(&markdown_table(&["Mode", "Observed", "Theoretical"], &rows));
-
-    println!("{report}");
-    write_report("study.md", &report).expect("report");
-    eprintln!("\n(run the individual bins — table7, fig1, fig2, ablate_*, ext_* — for the");
-    eprintln!("remaining artifacts and CSV series; see EXPERIMENTS.md for the index.)");
-    Ok(())
+    let failed: Vec<_> = study.claims.iter().filter(|c| c.status() == Status::Fail).collect();
+    for c in &failed {
+        eprintln!(
+            "FAIL {} ({}): paper {}, ours {:?}, {:?}",
+            c.id, c.artifact, c.paper, c.ours, c.check
+        );
+    }
+    eprintln!("{} claims, {} failed", study.claims.len(), failed.len());
+    ExitCode::from(claims::exit_code(&study.claims))
 }

@@ -1,5 +1,8 @@
-//! Shared helpers for the reproduction harness binaries.
+//! The reproduction harness: the paper's claims as one table ([`claims`],
+//! rendered by the `study` binary) and the report helpers the layer
+//! benchmarks share.
 
+pub mod claims;
 pub mod report;
 
-pub use report::{markdown_table, write_report};
+pub use report::write_report;

@@ -1,26 +1,7 @@
-//! Small reporting helpers shared by the table/figure binaries.
+//! Small reporting helpers shared by `study` and the layer benchmarks.
 
 use std::io::Write;
 use std::path::Path;
-
-/// Renders rows as a GitHub-flavoured markdown table.
-pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str("| ");
-    out.push_str(&headers.join(" | "));
-    out.push_str(" |\n|");
-    for _ in headers {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for row in rows {
-        assert_eq!(row.len(), headers.len(), "row width mismatch");
-        out.push_str("| ");
-        out.push_str(&row.join(" | "));
-        out.push_str(" |\n");
-    }
-    out
-}
 
 /// Writes a report file under `target/reports/`, creating directories as
 /// needed, and echoes the path.
@@ -73,21 +54,4 @@ pub fn merged_history(path: &str, today: &str, new_entry: String) -> Vec<String>
     history.retain(|h| !h.contains(&format!("\"date\":\"{today}\"")));
     history.push(new_entry);
     history
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_shape() {
-        let t = markdown_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(t, "| a | b |\n|---|---|\n| 1 | 2 |\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn ragged_rows_rejected() {
-        markdown_table(&["a"], &[vec!["1".into(), "2".into()]]);
-    }
 }

@@ -1,7 +1,7 @@
 //! `mkl-lite`: a oneMKL-like BLAS with *alternative compute modes*.
 //!
 //! This crate is the stand-in for Intel oneMKL in the DCMESH precision
-//! study. It provides level-1 and level-3 BLAS routines over `f32`/`f64`
+//! study. It provides level-3 BLAS routines over `f32`/`f64`
 //! and their complex counterparts, written in safe Rust and parallelised
 //! with rayon, plus faithful software implementations of oneMKL's
 //! alternative compute modes:
@@ -64,8 +64,6 @@ pub mod fault;
 pub mod gemm;
 pub mod herk;
 pub mod layout;
-pub mod level1;
-pub mod level2;
 pub mod mode;
 pub mod verbose;
 pub mod workspace;
@@ -82,7 +80,6 @@ pub use fault::{
 };
 pub use gemm::{cgemm, dgemm, sgemm, zgemm, zgemmt};
 pub use herk::{cherk, zherk};
-pub use level2::{cgemv, dgemv, sgemv, zgemv};
 pub use layout::{Op, Uplo};
 pub use mode::{ComputeMode, ParseModeError};
 

@@ -51,6 +51,13 @@ impl Metric {
     }
 }
 
+/// The largest of `values`, from 0 — NaN if any value is NaN, where
+/// `fold(0.0, f64::max)` would drop it and report a diverged run as
+/// deviation 0.
+pub fn nan_max(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(0.0, |m, v| if m.is_nan() || v.is_nan() { f64::NAN } else { m.max(v) })
+}
+
 /// One deviation point.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeviationPoint {
@@ -94,7 +101,7 @@ impl DeviationSeries {
 
     /// Maximum absolute deviation over the run.
     pub fn max_abs(&self) -> f64 {
-        self.points.iter().map(|p| p.abs_deviation).fold(0.0, f64::max)
+        nan_max(self.points.iter().map(|p| p.abs_deviation))
     }
 
     /// Final-time absolute deviation.
@@ -106,11 +113,12 @@ impl DeviationSeries {
     /// "deviations relative to the absolute values ... in the order of
     /// 1%" check).
     pub fn max_relative(&self) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.reference.abs() > 0.0)
-            .map(|p| p.abs_deviation / p.reference.abs())
-            .fold(0.0, f64::max)
+        nan_max(
+            self.points
+                .iter()
+                .filter(|p| p.reference.abs() > 0.0)
+                .map(|p| p.abs_deviation / p.reference.abs()),
+        )
     }
 
     /// log₁₀ of the deviations (Figure 2's y-axis); zero deviations clamp
@@ -122,17 +130,23 @@ impl DeviationSeries {
             .collect()
     }
 
-    /// Whether the deviation grows over the run (compares the mean of the
-    /// last quarter against the first quarter) — Figure 1's qualitative
-    /// "deviation increases over the course of the simulation".
-    pub fn grows_over_time(&self) -> bool {
+    /// Mean deviation over the last quarter of the run divided by the
+    /// mean over the first quarter; NaN for a series too short to have
+    /// quarters (fewer than 8 points) or with a NaN in either.
+    pub fn growth_ratio(&self) -> f64 {
         let n = self.points.len();
         if n < 8 {
-            return false;
+            return f64::NAN;
         }
         let q = n / 4;
         let mean = |s: &[DeviationPoint]| s.iter().map(|p| p.abs_deviation).sum::<f64>() / s.len() as f64;
-        mean(&self.points[n - q..]) > mean(&self.points[..q])
+        mean(&self.points[n - q..]) / mean(&self.points[..q])
+    }
+
+    /// Whether the deviation grows over the run — Figure 1's qualitative
+    /// "deviation increases over the course of the simulation".
+    pub fn grows_over_time(&self) -> bool {
+        self.growth_ratio() > 1.0
     }
 }
 
@@ -181,6 +195,19 @@ mod tests {
         let s = DeviationSeries::build(Metric::Ekin, &run, &reference);
         assert!(s.grows_over_time());
         assert!((s.final_abs() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_nan_point_makes_the_maxima_nan_not_zero() {
+        let reference = make_run(0.0, 0.0);
+        let mut run = make_run(0.5, 0.0);
+        run[40].ekin = f64::NAN;
+        let s = DeviationSeries::build(Metric::Ekin, &run, &reference);
+        assert!(s.max_abs().is_nan(), "max_abs dropped the NaN: {}", s.max_abs());
+        assert!(s.max_relative().is_nan(), "max_relative dropped the NaN: {}", s.max_relative());
+        // A NaN that is not the last point must survive the later finite ones.
+        assert!(nan_max([1.0, f64::NAN, 2.0].into_iter()).is_nan());
+        assert_eq!(nan_max([1.0, 3.0, 2.0].into_iter()), 3.0);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod output;
 pub mod perf;
 pub mod runner;
 pub mod shard;
-pub mod spectrum;
 pub mod supervisor;
 pub mod sweep;
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's method is always the same loop — run the identical deck
 //! once per compute mode, subtract the FP32 reference, analyse the
-//! deviations. The figure harnesses, the precision-sweep example and
-//! downstream users all want that loop; this module provides it once,
-//! with the reference run shared and the deviation series pre-built.
+//! deviations. This module provides that loop once, with the reference
+//! run shared; `dcmesh-bench`'s claims table runs its accuracy deck
+//! through it and reads every Figure 1/2 row off the result.
 
 use crate::analysis::{DeviationSeries, Metric};
 use crate::config::RunConfig;

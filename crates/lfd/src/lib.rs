@@ -29,8 +29,6 @@
 //! the `f64` one. The alternative BLAS compute modes act *only* inside
 //! the three BLASified routines, exactly as in the paper.
 
-pub mod divide;
-pub mod eigensolve;
 pub mod energy;
 pub mod field;
 pub mod hamiltonian;

@@ -227,7 +227,8 @@ mod tests {
         // Paper §V-C: "over 2800 seconds at FP64 precision, 1472 seconds
         // at FP32, and 972 seconds when using the BF16 compute mode" for
         // 500 QD steps of the 135-atom system. The FP32 point anchors the
-        // calibration; FP64 and BF16 are emergent. Bands are ±20%.
+        // calibration; FP64 and BF16 are emergent. Bands: FP32 ±20%, FP64
+        // ±30%, BF16 ±25% — the tolerances `REPRO.json`'s fig3a rows carry.
         let s = SystemShape::pto135();
         let t32 = 500.0 * step_seconds(s, LfdPrecision::Fp32(ComputeMode::Standard));
         let t64 = 500.0 * step_seconds(s, LfdPrecision::Fp64);

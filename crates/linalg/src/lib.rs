@@ -12,7 +12,7 @@
 //!   fixed phase. Backward stable; cyclic Jacobi is kept only as the test
 //!   oracle.
 //! * [`orth`] — Löwdin (S^{-1/2}) symmetric orthonormalisation on
-//!   `zherk`/`zgemm`, Cholesky orthonormalisation, modified Gram–Schmidt.
+//!   `zherk`/`zgemm`, Cholesky orthonormalisation.
 //! * [`cholesky`] — Hermitian positive-definite factorisation and solves.
 //! * [`ops`] — small dense helpers shared by the above (products on
 //!   `zgemm`).
@@ -32,4 +32,4 @@ pub mod orth;
 
 pub use cholesky::{cholesky_factor, cholesky_solve, trsm_right_lower_conjtrans};
 pub use hermitian::{eigh, try_eigh, EighError, EighResult};
-pub use orth::{cholesky_orthonormalize, lowdin_orthonormalize, modified_gram_schmidt, OrthError};
+pub use orth::{cholesky_orthonormalize, lowdin_orthonormalize, OrthError};

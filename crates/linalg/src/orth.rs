@@ -1,7 +1,7 @@
 //! Orthonormalisation of wave-function column sets.
 //!
 //! QXMD's SCF refresh re-orthonormalises the propagated orbitals at FP64
-//! before the Rayleigh–Ritz step. Three schemes are provided:
+//! before the Rayleigh–Ritz step. Two schemes are provided:
 //!
 //! * **Löwdin (symmetric) orthonormalisation** — `Ψ ← Ψ S^{-1/2}` with
 //!   `S = Ψ†Ψ`; the unique orthonormal set closest to the input in the
@@ -15,10 +15,6 @@
 //!   factor into its Ritz rotation instead of applying it on its own.
 //! * **Cholesky orthonormalisation** — `Ψ ← Ψ L^{-†}`; cheaper, not
 //!   minimal-perturbation. Factor and triangular solve are scalar loops.
-//! * **Modified Gram–Schmidt** — sequential, numerically robust for
-//!   mildly ill-conditioned sets; changes the span order-dependently.
-//!   Its inner products run through [`dcmesh_numerics::reduce`]'s
-//!   fixed-shape trees.
 //!
 //! Matrices are row-major `rows × cols`, orbitals stored as **columns**.
 //!
@@ -35,7 +31,7 @@
 
 use crate::cholesky::{cholesky_factor, trsm_right_lower_conjtrans};
 use crate::hermitian::{try_eigh, EighError};
-use dcmesh_numerics::{reduce, C64};
+use dcmesh_numerics::C64;
 use mkl_lite::{workspace, zgemm, zherk, Op, Uplo};
 use std::fmt;
 
@@ -98,41 +94,6 @@ impl From<EighError> for OrthError {
     fn from(e: EighError) -> Self {
         OrthError::Eigensolve(e)
     }
-}
-
-/// In-place modified Gram–Schmidt on the columns of `a` (`rows × cols`).
-///
-/// Returns the number of columns that were numerically dependent (their
-/// norm collapsed below `tol` after projection; they are replaced with
-/// zeros rather than noise).
-pub fn modified_gram_schmidt(a: &mut [C64], rows: usize, cols: usize, tol: f64) -> usize {
-    assert_eq!(a.len(), rows * cols, "mgs: shape mismatch");
-    let mut dropped = 0;
-    for j in 0..cols {
-        // Project out previously orthonormalised columns.
-        for prev in 0..j {
-            // <prev, j>, over the fixed reduction tree.
-            let dot =
-                reduce::sum_with(rows, |i| a[i * cols + prev].conj().mul_4m(a[i * cols + j]));
-            for i in 0..rows {
-                let p = a[i * cols + prev].mul_4m(dot);
-                a[i * cols + j] -= p;
-            }
-        }
-        let norm = reduce::sum_with(rows, |i| a[i * cols + j].norm_sqr()).sqrt();
-        if norm <= tol {
-            for i in 0..rows {
-                a[i * cols + j] = C64::zero();
-            }
-            dropped += 1;
-        } else {
-            let inv = 1.0 / norm;
-            for i in 0..rows {
-                a[i * cols + j] = a[i * cols + j].scale(inv);
-            }
-        }
-    }
-    dropped
 }
 
 /// The overlap matrix `S = A†A` (`cols × cols`, exactly Hermitian with a
@@ -245,7 +206,7 @@ pub fn orthonormality_defect(a: &[C64], rows: usize, cols: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcmesh_numerics::c64;
+    use dcmesh_numerics::{c64, reduce};
 
     fn skewed_columns(rows: usize, cols: usize) -> Vec<C64> {
         let mut a = vec![C64::zero(); rows * cols];
@@ -256,29 +217,6 @@ mod tests {
             }
         }
         a
-    }
-
-    #[test]
-    fn mgs_orthonormalises() {
-        let (rows, cols) = (40, 6);
-        let mut a = skewed_columns(rows, cols);
-        let dropped = modified_gram_schmidt(&mut a, rows, cols, 1e-12);
-        assert_eq!(dropped, 0);
-        assert!(orthonormality_defect(&a, rows, cols) < 1e-12);
-    }
-
-    #[test]
-    fn mgs_detects_dependent_columns() {
-        let rows = 10;
-        let cols = 3;
-        let mut a = vec![C64::zero(); rows * cols];
-        for i in 0..rows {
-            a[i * cols] = c64(1.0, 0.0);
-            a[i * cols + 1] = c64(2.0, 0.0); // parallel to column 0
-            a[i * cols + 2] = c64(i as f64, 1.0);
-        }
-        let dropped = modified_gram_schmidt(&mut a, rows, cols, 1e-10);
-        assert_eq!(dropped, 1);
     }
 
     #[test]
@@ -352,34 +290,6 @@ mod tests {
             assert!(err.to_string().contains("non-finite"), "{err}");
             assert_eq!(bits(&a), before, "input must be untouched on error");
         }
-    }
-
-    #[test]
-    fn lowdin_is_minimal_perturbation_vs_mgs() {
-        // For a nearly orthonormal input, Löwdin's output stays closer to
-        // the input than Gram–Schmidt's (its defining property).
-        let (rows, cols) = (30, 5);
-        let mut base = skewed_columns(rows, cols);
-        modified_gram_schmidt(&mut base, rows, cols, 1e-12);
-        // Perturb slightly.
-        let mut perturbed = base.clone();
-        for (idx, z) in perturbed.iter_mut().enumerate() {
-            let e = ((idx * 2654435761) % 1000) as f64 / 1000.0 - 0.5;
-            *z += c64(1e-3 * e, -5e-4 * e);
-        }
-        let mut via_lowdin = perturbed.clone();
-        lowdin_orthonormalize(&mut via_lowdin, rows, cols).unwrap();
-        let mut via_mgs = perturbed.clone();
-        modified_gram_schmidt(&mut via_mgs, rows, cols, 1e-12);
-        let dist = |x: &[C64]| -> f64 {
-            x.iter().zip(&perturbed).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>().sqrt()
-        };
-        assert!(
-            dist(&via_lowdin) <= dist(&via_mgs) + 1e-12,
-            "lowdin {} vs mgs {}",
-            dist(&via_lowdin),
-            dist(&via_mgs)
-        );
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod bf16;
 pub mod complex;
 pub mod error_model;
 pub mod format;
-pub mod fp16;
 pub mod real;
 pub mod reduce;
 pub mod split;
@@ -50,7 +49,6 @@ pub mod tf32;
 pub use bf16::Bf16;
 pub use complex::{c32, c64, Complex, C32, C64};
 pub use format::{PrecisionFormat, FORMATS};
-pub use fp16::Fp16;
 pub use real::Real;
 pub use split::{Split2, Split3};
 pub use tf32::Tf32;

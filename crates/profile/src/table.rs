@@ -6,7 +6,7 @@
 //! (routine, mode, shape) with weighted call counts, mean host wall time,
 //! mean modelled device time, and the speedup against the FP32
 //! (`STANDARD`) baseline of the same routine and shape. A second table
-//! attributes phase-level wall time (`qd_propagate`, `eigensolve`, ...)
+//! attributes phase-level wall time (`qd_propagate`, `scf_refresh`, ...)
 //! to the precision mode of the enclosing `burst` — the Figure 3a view.
 
 use crate::ingest::{Span, Trace};
@@ -203,7 +203,6 @@ pub const PHASES: &[&str] = &[
     "qd_remap_occ",
     "qd_shadow",
     "qd_field",
-    "eigensolve",
     "scf_refresh",
     "initial_scf",
     "md_step",

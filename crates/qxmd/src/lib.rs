@@ -17,7 +17,6 @@
 //!   matrix so ionic steps between refreshes need no Ψ transfer, with
 //!   explicit CPU↔GPU byte accounting ([`shadow`]).
 
-pub mod diagnostics;
 pub mod forces;
 pub mod lattice;
 pub mod md;

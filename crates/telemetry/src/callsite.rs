@@ -1,13 +1,13 @@
 //! Callsite identity: stable IDs for every BLAS call's provenance.
 //!
 //! The per-callsite autotuner (ROADMAP) needs to know *which* call in
-//! the program issued a GEMM, not just its shape — `lfd::eigensolve`
+//! the program issued a GEMM, not just its shape — `lfd::qd_energy`
 //! can afford a different precision than `lfd::qd_propagate`. The paper
 //! family this follows ("Tunable Precision Emulation via Automatic BLAS
 //! Offloading", PAPERS.md) keys its decisions on exactly this
 //! (call-phase, routine) pair.
 //!
-//! A callsite ID is `"{phase}/{routine}"`, e.g. `lfd::eigensolve/cgemm`
+//! A callsite ID is `"{phase}/{routine}"`, e.g. `lfd::qd_energy/cgemm`
 //! or `qxmd::scf_refresh/dgemm`. The **phase** half is set by the
 //! enclosing code via [`phase_scope`] — an RAII guard holding a
 //! thread-local `&'static str` — and the **routine** half is supplied by
@@ -47,7 +47,7 @@ impl Drop for PhaseScope {
     }
 }
 
-/// Enters a named phase on this thread (e.g. `"lfd::eigensolve"`).
+/// Enters a named phase on this thread (e.g. `"lfd::qd_energy"`).
 /// Nested scopes shadow outer ones; the guard restores the outer phase
 /// on drop. Cost is one thread-local `Cell` swap regardless of
 /// telemetry level.
@@ -116,14 +116,14 @@ mod tests {
     #[test]
     fn scopes_nest_and_restore() {
         std::thread::spawn(|| {
-            let _outer = phase_scope("lfd::eigensolve");
-            assert_eq!(current_phase(), "lfd::eigensolve");
-            assert_eq!(callsite_for("CGEMM"), "lfd::eigensolve/cgemm");
+            let _outer = phase_scope("lfd::qd_energy");
+            assert_eq!(current_phase(), "lfd::qd_energy");
+            assert_eq!(callsite_for("CGEMM"), "lfd::qd_energy/cgemm");
             {
                 let _inner = phase_scope("lfd::qd_propagate");
                 assert_eq!(callsite_for("ZGEMM"), "lfd::qd_propagate/zgemm");
             }
-            assert_eq!(current_phase(), "lfd::eigensolve");
+            assert_eq!(current_phase(), "lfd::qd_energy");
         })
         .join()
         .unwrap();

@@ -41,15 +41,11 @@ pub mod derive;
 pub mod device;
 pub mod kernels;
 pub mod perf;
-pub mod power;
-pub mod scale;
 pub mod trace;
 
 pub use device::{DeviceSpec, Engine, MAX_1550_STACK};
 pub use kernels::{KernelDesc, StreamKernel};
 pub use perf::{ModePrediction, XeStackModel};
-pub use power::{PowerModel, MAX_1550_STACK_POWER};
-pub use scale::{Fabric, MultiStackModel, HDR_FABRIC, XE_LINK};
 pub use trace::{KernelEvent, Tracer};
 
 /// Installs a [`XeStackModel`] for [`MAX_1550_STACK`] as the calling

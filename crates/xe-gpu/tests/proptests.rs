@@ -4,7 +4,7 @@
 use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::ComputeMode;
 use proptest::prelude::*;
-use xe_gpu::{MultiStackModel, XeStackModel, HDR_FABRIC, MAX_1550_STACK, XE_LINK};
+use xe_gpu::{XeStackModel, MAX_1550_STACK};
 
 fn model() -> XeStackModel {
     XeStackModel::new(MAX_1550_STACK)
@@ -83,41 +83,5 @@ proptest! {
             domain: Domain::Complex64, m, n, k, mode: ComputeMode::Standard,
         });
         prop_assert!(t64 >= t32 * 0.999, "ZGEMM {t64} beat CGEMM {t32}");
-    }
-
-    #[test]
-    fn multistack_grid_gemm_never_slower_with_more_stacks_on_xelink(
-        // DCMESH-scale shapes only: tiny GEMMs are latency-dominated and
-        // legitimately anti-scale (more stacks = more all-reduce hops).
-        n_orb in 256usize..2048, k_exp in 17u32..20,
-    ) {
-        let n_grid = 1usize << k_exp;
-        let d = GemmDesc {
-            domain: Domain::Complex32,
-            m: n_orb,
-            n: n_orb,
-            k: n_grid,
-            mode: ComputeMode::Standard,
-        };
-        let kd = xe_gpu::KernelDesc::Gemm("p", d);
-        let mut prev = f64::INFINITY;
-        for s in [1usize, 2, 4, 8] {
-            let t = MultiStackModel::new(MAX_1550_STACK, s, XE_LINK)
-                .kernel_seconds(&kd, n_grid, n_orb, 8.0);
-            // Allow a small tolerance: at tiny sizes latency can win.
-            prop_assert!(t <= prev * 1.1, "scaling reversed at {s} stacks: {t} > {prev}");
-            prev = t;
-        }
-    }
-
-    #[test]
-    fn allreduce_linear_in_bytes(bytes in 1.0e3f64..1.0e10, s in 2usize..32) {
-        let m = MultiStackModel::new(MAX_1550_STACK, s, HDR_FABRIC);
-        let t1 = m.allreduce_seconds(bytes);
-        let t2 = m.allreduce_seconds(2.0 * bytes);
-        // 2x payload must cost less than 2x time (latency amortises) but
-        // more than 1x.
-        prop_assert!(t2 > t1);
-        prop_assert!(t2 < 2.0 * t1 + 1e-12);
     }
 }
