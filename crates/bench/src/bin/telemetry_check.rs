@@ -43,18 +43,8 @@
 //! actually settled on — the offline plan must never underbid the
 //! online escalator. The plan is written to `advice.json`.
 //!
-//! `--shard-dir DIR` instead validates the artifacts of a completed
-//! `dcmesh-shard` run directory: `report.json` parses and reports no
-//! failed domains, the coordinator's `trace/events-coord.jsonl` carries
-//! the rank-lifecycle instants its report claims (spawns for every
-//! rank; heartbeat-miss / dead / respawn instants when restarts
-//! happened; degradation instants when ranks were degraded),
-//! `trace/metrics-coord.prom` exposes the shard counters, and every
-//! surviving rank left a parseable per-rank trace for `profile merge`.
-//!
 //! Usage: `telemetry_check [--out-dir DIR] [--ledger-gate]
-//! [--overhead-gate] [--max-overhead-pct F] [--advise-gate]
-//! [--shard-dir DIR]`
+//! [--overhead-gate] [--max-overhead-pct F] [--advise-gate]`
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::supervisor::{run_supervised, SupervisorConfig};
@@ -84,7 +74,6 @@ struct Options {
     ledger_gate: bool,
     advise_gate: bool,
     max_overhead_pct: f64,
-    shard_dir: Option<String>,
 }
 
 fn parse_args() -> Options {
@@ -94,7 +83,6 @@ fn parse_args() -> Options {
         ledger_gate: false,
         advise_gate: false,
         max_overhead_pct: 2.0,
-        shard_dir: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -104,12 +92,6 @@ fn parse_args() -> Options {
                     eprintln!("missing value for --out-dir");
                     std::process::exit(2);
                 })
-            }
-            "--shard-dir" => {
-                o.shard_dir = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --shard-dir");
-                    std::process::exit(2);
-                }))
             }
             "--overhead-gate" => o.overhead_gate = true,
             "--ledger-gate" => o.ledger_gate = true,
@@ -616,143 +598,9 @@ fn run_overhead_gate(max_pct: f64) -> Vec<String> {
     problems
 }
 
-/// Validates a completed `dcmesh-shard` run directory: the report, the
-/// coordinator's lifecycle events and counters, and the per-rank traces
-/// the multi-rank `profile merge` consumes.
-fn run_shard_check(dir: &Path) -> Vec<String> {
-    let mut problems = Vec::new();
-
-    let report = match std::fs::read_to_string(dcmesh::shard::report_path(dir)) {
-        Ok(text) => match dcmesh::ShardReport::parse(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                fail(&mut problems, format!("report.json: {e}"));
-                return problems;
-            }
-        },
-        Err(e) => {
-            fail(&mut problems, format!("reading report.json: {e}"));
-            return problems;
-        }
-    };
-    if report.domains.is_empty() {
-        fail(&mut problems, "report.json lists no domains".into());
-    }
-    let failed = report.failed_domains();
-    if !failed.is_empty() {
-        fail(&mut problems, format!("report.json records failed domain(s): {failed:?}"));
-    }
-    eprintln!(
-        "shard report: {} domain(s), {} rank(s), {} restart(s), {} heartbeat miss(es), \
-         degraded {:?}",
-        report.domains.len(),
-        report.ranks.len(),
-        report.restarts,
-        report.heartbeat_misses,
-        report.degraded_ranks
-    );
-
-    // Coordinator lifecycle events must back up the report's story.
-    let coord = dir.join("trace").join("events-coord.jsonl");
-    match std::fs::read_to_string(&coord) {
-        Ok(text) => match export::parse_jsonl(&text) {
-            Ok(lines) => {
-                let rank_of = |l: &JsonValue| {
-                    l.get("args").and_then(|a| a.get("rank")).and_then(JsonValue::as_f64)
-                };
-                let count = |name: &str| {
-                    lines
-                        .iter()
-                        .filter(|l| l.get("name").and_then(JsonValue::as_str) == Some(name))
-                        .count()
-                };
-                for r in &report.ranks {
-                    let spawned = lines.iter().any(|l| {
-                        l.get("name").and_then(JsonValue::as_str) == Some("rank_spawn")
-                            && rank_of(l) == Some(r.rank as f64)
-                    });
-                    if !spawned {
-                        fail(&mut problems, format!("no rank_spawn instant for rank {}", r.rank));
-                    }
-                }
-                if report.restarts > 0 {
-                    for name in ["heartbeat_miss", "rank_dead", "rank_respawn"] {
-                        if count(name) == 0 {
-                            fail(
-                                &mut problems,
-                                format!("report claims restarts but no {name} instants"),
-                            );
-                        }
-                    }
-                }
-                if !report.degraded_ranks.is_empty() && count("rank_degraded") == 0 {
-                    fail(&mut problems, "degraded ranks but no rank_degraded instants".into());
-                }
-            }
-            Err(e) => fail(&mut problems, format!("events-coord.jsonl does not parse: {e:?}")),
-        },
-        Err(e) => fail(&mut problems, format!("reading {}: {e}", coord.display())),
-    }
-
-    // Coordinator counters.
-    match std::fs::read_to_string(dir.join("trace").join("metrics-coord.prom")) {
-        Ok(prom) => {
-            for series in [
-                "shard_heartbeat_misses_total",
-                "shard_rank_restarts_total",
-                "shard_ranks_degraded_total",
-            ] {
-                if !prom.contains(series) {
-                    fail(&mut problems, format!("metrics-coord.prom missing {series}"));
-                }
-            }
-        }
-        Err(e) => fail(&mut problems, format!("reading metrics-coord.prom: {e}")),
-    }
-
-    // Every surviving rank's trace must exist, parse, and attribute
-    // itself to the right rank (that's what keys `profile merge`).
-    for r in &report.ranks {
-        if r.degraded {
-            continue;
-        }
-        let path = dcmesh::shard::rank_events_path(dir, r.rank);
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match export::parse_jsonl(&text) {
-                Ok(lines) => {
-                    let meta_rank = lines
-                        .first()
-                        .filter(|l| {
-                            l.get("name").and_then(JsonValue::as_str) == Some("telemetry_meta")
-                        })
-                        .and_then(|l| l.get("args").and_then(|a| a.get("rank")))
-                        .and_then(JsonValue::as_f64);
-                    if meta_rank != Some(r.rank as f64) {
-                        fail(
-                            &mut problems,
-                            format!(
-                                "{} telemetry_meta rank is {meta_rank:?}, expected {}",
-                                path.display(),
-                                r.rank
-                            ),
-                        );
-                    }
-                }
-                Err(e) => {
-                    fail(&mut problems, format!("{} does not parse: {e:?}", path.display()))
-                }
-            },
-            Err(e) => fail(&mut problems, format!("reading {}: {e}", path.display())),
-        }
-    }
-    problems
-}
-
 fn main() {
     let o = parse_args();
-    let problems = if let Some(dir) = &o.shard_dir {
-        run_shard_check(Path::new(dir))
-    } else if o.overhead_gate {
+    let problems = if o.overhead_gate {
         run_overhead_gate(o.max_overhead_pct)
     } else if o.advise_gate {
         run_advise_gate(Path::new(&o.out_dir))

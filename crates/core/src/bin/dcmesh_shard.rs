@@ -9,43 +9,34 @@
 //! ```text
 //! dcmesh-shard --run-dir out/shard --ranks 4 --domains 4 --tiny
 //! dcmesh-shard --run-dir out/shard --ranks 4 --domains 4 --tiny --kill 1@1
+//! DCMESH_BITFLIP=7:250@61 DCMESH_ABFT_PERIOD=1 dcmesh-shard --run-dir out/sdc --tiny
 //! ```
+//!
+//! `DCMESH_BITFLIP` (a `mkl_lite::FaultPlan` spec), `DCMESH_ABFT_PERIOD`
+//! and `DCMESH_VERIFY_BURSTS` (absent, empty or `0` = off) are read here
+//! once and reach every worker through `MANIFEST.json`; a value that does
+//! not parse fails the run before any rank is spawned.
 //!
 //! With `TELEMETRY=events`, per-rank traces land in
 //! `<run-dir>/trace/events-rank<r>.jsonl`, ready for `profile merge`.
 
 use dcmesh::config::{RunConfig, SystemPreset};
-use dcmesh::shard::{self, RankKillPlan, ShardConfig, ShardReport};
-use mkl_lite::ComputeMode;
+use dcmesh::shard::{self, RankKillPlan, ShardConfig, ShardError, ShardReport};
+use mkl_lite::{ComputeMode, FaultPlan};
 use std::path::PathBuf;
 use std::time::Duration;
-
-struct Options {
-    run_dir: PathBuf,
-    ranks: usize,
-    domains: usize,
-    deck: RunConfig,
-    mode: ComputeMode,
-    kill: RankKillPlan,
-    heartbeat_ms: Option<u64>,
-    timeout_ms: Option<u64>,
-    backoff_ms: Option<u64>,
-    max_respawns: Option<u32>,
-    max_wall_s: Option<u64>,
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("dcmesh-shard: {msg}");
     eprintln!(
         "usage: dcmesh-shard --run-dir DIR [--ranks N] [--domains M] \
          [--preset NAME | --deck FILE] [--tiny] [--mode MODE] [--kill SPEC] \
-         [--steps N] [--steps-per-burst N] [--heartbeat-ms N] [--timeout-ms N] \
-         [--backoff-ms N] [--max-respawns N] [--max-wall-s N]"
+         [--heartbeat-ms N] [--timeout-ms N] [--max-wall-s N]"
     );
     std::process::exit(2);
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> ShardConfig {
     let mut run_dir: Option<PathBuf> = None;
     let mut ranks = 4usize;
     let mut domains: Option<usize> = None;
@@ -54,11 +45,7 @@ fn parse_args() -> Options {
     let mut kill = RankKillPlan::default();
     let mut heartbeat_ms = None;
     let mut timeout_ms = None;
-    let mut backoff_ms = None;
-    let mut max_respawns = None;
     let mut max_wall_s = None;
-    let mut steps: Option<usize> = None;
-    let mut steps_per_burst: Option<usize> = None;
     let mut tiny = false;
 
     let mut args = std::env::args().skip(1);
@@ -68,12 +55,9 @@ fn parse_args() -> Options {
         };
         match arg.as_str() {
             "--run-dir" => run_dir = Some(PathBuf::from(value("--run-dir"))),
-            "--ranks" => {
-                ranks = value("--ranks").parse().unwrap_or_else(|_| fail("bad --ranks"))
-            }
+            "--ranks" => ranks = value("--ranks").parse().unwrap_or_else(|_| fail("bad --ranks")),
             "--domains" => {
-                domains =
-                    Some(value("--domains").parse().unwrap_or_else(|_| fail("bad --domains")))
+                domains = Some(value("--domains").parse().unwrap_or_else(|_| fail("bad --domains")))
             }
             "--preset" => {
                 let name = value("--preset");
@@ -98,29 +82,12 @@ fn parse_args() -> Options {
                 kill = RankKillPlan::parse(&spec)
                     .unwrap_or_else(|e| fail(&format!("bad --kill: {e}")));
             }
-            "--steps" => {
-                steps = Some(value("--steps").parse().unwrap_or_else(|_| fail("bad --steps")))
-            }
-            "--steps-per-burst" => {
-                steps_per_burst = Some(
-                    value("--steps-per-burst")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --steps-per-burst")),
-                )
-            }
             "--heartbeat-ms" => {
                 heartbeat_ms =
                     Some(value("--heartbeat-ms").parse().unwrap_or_else(|_| fail("bad ms")))
             }
             "--timeout-ms" => {
                 timeout_ms = Some(value("--timeout-ms").parse().unwrap_or_else(|_| fail("bad ms")))
-            }
-            "--backoff-ms" => {
-                backoff_ms = Some(value("--backoff-ms").parse().unwrap_or_else(|_| fail("bad ms")))
-            }
-            "--max-respawns" => {
-                max_respawns =
-                    Some(value("--max-respawns").parse().unwrap_or_else(|_| fail("bad count")))
             }
             "--max-wall-s" => {
                 max_wall_s = Some(value("--max-wall-s").parse().unwrap_or_else(|_| fail("bad s")))
@@ -138,26 +105,46 @@ fn parse_args() -> Options {
         deck.total_qd_steps = 60;
         deck.qd_steps_per_md = 20;
     }
-    if let Some(s) = steps {
-        deck.total_qd_steps = s;
-    }
-    if let Some(s) = steps_per_burst {
-        deck.qd_steps_per_md = s;
-    }
 
     let run_dir = run_dir.unwrap_or_else(|| fail("--run-dir is required"));
-    Options {
-        run_dir,
-        ranks,
-        domains: domains.unwrap_or(ranks),
-        deck,
-        mode,
-        kill,
-        heartbeat_ms,
-        timeout_ms,
-        backoff_ms,
-        max_respawns,
-        max_wall_s,
+    let mut cfg = ShardConfig::new(deck, ranks, domains.unwrap_or(ranks), run_dir);
+    cfg.start_mode = mode;
+    cfg.kill_plan = kill;
+    if let Some(ms) = heartbeat_ms {
+        cfg.heartbeat_interval = Duration::from_millis(ms);
+    }
+    if let Some(ms) = timeout_ms {
+        cfg.heartbeat_timeout = Duration::from_millis(ms);
+    }
+    if let Some(s) = max_wall_s {
+        cfg.max_wall = Some(Duration::from_secs(s));
+    }
+    cfg
+}
+
+/// The fleet's fault settings, read once from the coordinator's
+/// environment into `cfg`.
+fn read_fault_env(cfg: &mut ShardConfig) -> Result<(), ShardError> {
+    let period =
+        |s: &str| s.parse::<u64>().map(|n| (n > 0).then_some(n)).map_err(|e| e.to_string());
+    cfg.bit_flips = env_setting("DCMESH_BITFLIP", FaultPlan::parse)?;
+    cfg.abft_check_period = env_setting("DCMESH_ABFT_PERIOD", period)?.flatten();
+    cfg.verify_bursts = env_setting("DCMESH_VERIFY_BURSTS", period)?.flatten();
+    Ok(())
+}
+
+/// `None` when `name` is absent or empty; a value `parse` refuses is a
+/// configuration error naming the variable.
+fn env_setting<T>(
+    name: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, ShardError> {
+    let invalid = |why: String| ShardError::InvalidConfig(format!("{name}: {why}"));
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(e) => Err(invalid(e.to_string())),
+        Ok(v) if v.trim().is_empty() => Ok(None),
+        Ok(v) => parse(v.trim()).map(Some).map_err(|e| invalid(format!("{v:?}: {e}"))),
     }
 }
 
@@ -198,27 +185,8 @@ fn main() {
     // DCMESH_SHARD_WORKER=1; this call never returns in that case.
     shard::maybe_run_worker();
 
-    let opts = parse_args();
-    let mut cfg = ShardConfig::new(opts.deck, opts.ranks, opts.domains, opts.run_dir);
-    cfg.start_mode = opts.mode;
-    cfg.kill_plan = opts.kill;
-    if let Some(ms) = opts.heartbeat_ms {
-        cfg.heartbeat_interval = Duration::from_millis(ms);
-    }
-    if let Some(ms) = opts.timeout_ms {
-        cfg.heartbeat_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = opts.backoff_ms {
-        cfg.backoff_base = Duration::from_millis(ms);
-    }
-    if let Some(n) = opts.max_respawns {
-        cfg.max_respawns = n;
-    }
-    if let Some(s) = opts.max_wall_s {
-        cfg.max_wall = Some(Duration::from_secs(s));
-    }
-
-    match shard::run_coordinator(&cfg) {
+    let mut cfg = parse_args();
+    match read_fault_env(&mut cfg).and_then(|()| shard::run_coordinator(&cfg)) {
         Ok(report) => {
             print_report(&report);
             if !report.failed_domains().is_empty() {

@@ -44,8 +44,8 @@ pub struct RunRecord {
     pub ranks: u64,
     /// Domain count (0 when the run was not sharded).
     pub domains: u64,
-    /// Start mode plus de-escalation setting, e.g.
-    /// `"FLOAT_TO_BF16+deesc2"`; `"-"` when no manifest recorded one.
+    /// The fleet's start mode from the manifest, e.g. `"FLOAT_TO_BF16"`,
+    /// or the caller's override; `"-"` when neither recorded one.
     pub mode_policy: String,
     /// Telemetry level the run recorded at.
     pub telemetry_level: String,
@@ -173,10 +173,7 @@ pub fn collect_run(
                 rec.ranks = r as u64;
             }
             if let Some(mode) = doc.get("start_mode").and_then(JsonValue::as_str) {
-                rec.mode_policy = match num("deescalate_after") {
-                    Some(n) => format!("{mode}+deesc{}", n as u64),
-                    None => mode.to_string(),
-                };
+                rec.mode_policy = mode.to_string();
             }
         }
     }
@@ -241,42 +238,45 @@ pub fn record_json(r: &RunRecord) -> String {
     out
 }
 
-/// Parses one `runs.jsonl` line back into a [`RunRecord`].
+/// Parses one `runs.jsonl` line back into a [`RunRecord`]. Every field
+/// [`record_json`] writes is required: a torn or foreign line is a
+/// warning for [`read_archive`], never a zero-cost run.
 pub fn parse_record(line: &str) -> Result<RunRecord, String> {
     let doc = json::parse(line).map_err(|e| format!("line does not parse: {e}"))?;
-    let schema = doc.get("schema").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
+    let field = |f: &str| doc.get(f).ok_or_else(|| format!("record missing field {f:?}"));
+    let s = |f: &str| -> Result<String, String> {
+        let s = field(f)?.as_str().map(str::to_string);
+        s.ok_or_else(|| format!("record field {f:?} is not a string"))
+    };
+    let n = |f: &str| -> Result<u64, String> {
+        let v = field(f)?.as_f64().filter(|v| *v >= 0.0 && v.fract() == 0.0);
+        v.map(|v| v as u64).ok_or_else(|| format!("record field {f:?} is not a count"))
+    };
+    let schema = n("schema")?;
     if schema != ARCHIVE_SCHEMA_VERSION {
         return Err(format!(
             "unknown archive schema {schema} (supported: {ARCHIVE_SCHEMA_VERSION})"
         ));
     }
-    let s = |f: &str| {
-        doc.get(f)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("record missing string field {f:?}"))
-    };
-    let n = |f: &str| doc.get(f).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-    let entries = doc
-        .get("entries")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "record has no entries array".to_string())?
+    let entries = field("entries")?
+        .as_array()
+        .ok_or_else(|| "record field \"entries\" is not an array".to_string())?
         .iter()
         .map(ledger::parse_row)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(RunRecord {
         run_id: s("run_id")?,
         deck_hash: s("deck_hash")?,
-        ranks: n("ranks"),
-        domains: n("domains"),
+        ranks: n("ranks")?,
+        domains: n("domains")?,
         mode_policy: s("mode_policy")?,
         telemetry_level: s("telemetry_level")?,
-        sample_period: n("sample_period"),
-        elapsed_ms: n("elapsed_ms"),
-        restarts: n("restarts"),
-        heartbeat_misses: n("heartbeat_misses"),
-        escalations: n("escalations"),
-        sdc_recoveries: n("sdc_recoveries"),
+        sample_period: n("sample_period")?,
+        elapsed_ms: n("elapsed_ms")?,
+        restarts: n("restarts")?,
+        heartbeat_misses: n("heartbeat_misses")?,
+        escalations: n("escalations")?,
+        sdc_recoveries: n("sdc_recoveries")?,
         source: s("source")?,
         entries,
     })
@@ -339,7 +339,7 @@ mod tests {
             deck_hash: "0x00000000deadbeef".to_string(),
             ranks: 4,
             domains: 4,
-            mode_policy: "FLOAT_TO_BF16+deesc2".to_string(),
+            mode_policy: "FLOAT_TO_BF16".to_string(),
             telemetry_level: "full".to_string(),
             sample_period: 1,
             elapsed_ms: 1234,
@@ -373,6 +373,22 @@ mod tests {
         assert_eq!(parsed, rec);
         // And the re-serialisation is byte-identical.
         assert_eq!(record_json(&parsed), line);
+    }
+
+    /// A record that lost a field used to read as a clean run with that
+    /// count at 0.
+    #[test]
+    fn records_missing_any_field_are_refused_by_name() {
+        let line = record_json(&test_record("runA-0123"));
+        let JsonValue::Object(members) = json::parse(&line).expect("json") else {
+            panic!("a record is an object");
+        };
+        for key in members.keys() {
+            let mut without = members.clone();
+            without.remove(key);
+            let err = parse_record(&json::dump(&JsonValue::Object(without))).expect_err(key);
+            assert!(err.contains(key.as_str()), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -490,50 +490,73 @@ pub fn rows_json_with_meta(meta: &LedgerMeta, rows: &[Row]) -> String {
     out
 }
 
-/// Parses one entry object back into a [`Row`]. The derived
-/// `time_misfit` field is ignored (it is recomputed from the parsed
-/// stats); unknown fields are ignored for forward tolerance.
+/// A required field of an entry; `path` names it in errors (nested ones
+/// as `residuals.max`).
+fn row_field<'a>(v: &'a json::JsonValue, path: &str) -> Result<&'a json::JsonValue, String> {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    v.get(key).ok_or_else(|| format!("entry missing field {path:?}"))
+}
+
+/// A required number; `null` — how the writer stores a non-finite one —
+/// reads back as NaN.
+fn row_real(v: &json::JsonValue, path: &str) -> Result<f64, String> {
+    match row_field(v, path)? {
+        json::JsonValue::Null => Ok(f64::NAN),
+        n => n.as_f64().ok_or_else(|| format!("entry field {path:?} is not a number")),
+    }
+}
+
+fn row_count(v: &json::JsonValue, path: &str) -> Result<u64, String> {
+    let n = row_field(v, path)?.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
+    n.map(|n| n as u64).ok_or_else(|| format!("entry field {path:?} is not a count"))
+}
+
+/// Parses one entry object back into a [`Row`]. Every field [`row_json`]
+/// writes is required — a torn or foreign row must not read as a clean,
+/// zero-cost one. The derived `time_misfit` is recomputed from the parsed
+/// stats; unknown fields are ignored for forward tolerance.
 pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
     let str_field = |f: &str| -> Result<String, String> {
-        e.get(f)
-            .and_then(json::JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("entry missing string field {f:?}"))
+        let s = row_field(e, f)?.as_str().map(str::to_string);
+        s.ok_or_else(|| format!("entry field {f:?} is not a string"))
     };
-    let num = |f: &str| e.get(f).and_then(json::JsonValue::as_f64).unwrap_or(0.0);
-    let mut residuals = ResidualHist::default();
-    if let Some(res) = e.get("residuals") {
-        residuals.count = res.get("count").and_then(json::JsonValue::as_f64).unwrap_or(0.0) as u64;
-        residuals.max = res.get("max").and_then(json::JsonValue::as_f64).unwrap_or(0.0);
-        for pair in res.get("buckets").and_then(json::JsonValue::as_array).unwrap_or(&[]) {
-            let items = pair.as_array().unwrap_or(&[]);
-            let (Some(label), Some(count)) = (
-                items.first().and_then(json::JsonValue::as_str),
-                items.get(1).and_then(json::JsonValue::as_f64),
-            ) else {
-                return Err("residual bucket is not a [label, count] pair".to_string());
-            };
-            let idx = (0..=RESIDUAL_DECADES)
-                .find(|&i| residual_bucket_label(i) == label)
-                .ok_or_else(|| format!("unknown residual bucket label {label:?}"))?;
-            residuals.buckets[idx] = count as u64;
-        }
+    let num = |f: &str| row_count(e, f);
+    row_field(e, "time_misfit")?;
+    let res = row_field(e, "residuals")?;
+    let mut residuals = ResidualHist {
+        count: row_count(res, "residuals.count")?,
+        max: row_real(res, "residuals.max")?,
+        ..ResidualHist::default()
+    };
+    let buckets = row_field(res, "residuals.buckets")?;
+    for pair in buckets.as_array().ok_or("entry field \"residuals.buckets\" is not an array")? {
+        let items = pair.as_array().unwrap_or(&[]);
+        let (Some(label), Some(count)) = (
+            items.first().and_then(json::JsonValue::as_str),
+            items.get(1).and_then(json::JsonValue::as_f64),
+        ) else {
+            return Err("residual bucket is not a [label, count] pair".to_string());
+        };
+        let idx = (0..=RESIDUAL_DECADES)
+            .find(|&i| residual_bucket_label(i) == label)
+            .ok_or_else(|| format!("unknown residual bucket label {label:?}"))?;
+        residuals.buckets[idx] = count as u64;
     }
     Ok(Row {
         callsite: str_field("callsite")?,
         shape: str_field("shape")?,
         mode: str_field("mode")?,
         stats: Stats {
-            calls: num("calls") as u64,
-            wall_s: num("wall_s"),
-            device_s: num("device_s"),
-            device_samples: num("device_samples") as u64,
-            escalations: num("escalations") as u64,
-            rollbacks: num("rollbacks") as u64,
-            health_violations: num("health_violations") as u64,
-            nonfinite_outputs: num("nonfinite_outputs") as u64,
-            abft_checks: num("abft_checks") as u64,
-            abft_violations: num("abft_violations") as u64,
+            calls: num("calls")?,
+            wall_s: row_real(e, "wall_s")?,
+            device_s: row_real(e, "device_s")?,
+            device_samples: num("device_samples")?,
+            escalations: num("escalations")?,
+            rollbacks: num("rollbacks")?,
+            health_violations: num("health_violations")?,
+            nonfinite_outputs: num("nonfinite_outputs")?,
+            abft_checks: num("abft_checks")?,
+            abft_violations: num("abft_violations")?,
             residuals,
         },
     })
@@ -997,6 +1020,39 @@ mod tests {
         );
         // And the re-render of the parse is byte-identical.
         assert_eq!(rows_json_with_meta(&meta2, &rows2), doc);
+    }
+
+    /// A torn or foreign row used to read as a clean one (every missing
+    /// number 0), and a non-finite value written as `null` came back 0.
+    #[test]
+    fn rows_missing_any_field_are_refused_by_name_and_null_reads_back_as_nan() {
+        let mut row = synthetic_rows().remove(0);
+        row.stats.residuals.max = f64::NAN;
+        let text = row_json(&row);
+        let back = parse_row(&json::parse(&text).expect("row parses")).expect("row reads");
+        assert!(back.stats.residuals.max.is_nan(), "{text}");
+
+        let refused = |doc: json::JsonValue, name: &str| {
+            let err = parse_row(&doc).expect_err(name);
+            assert!(err.contains(name), "{name}: {err}");
+        };
+        let json::JsonValue::Object(members) = json::parse(&text).expect("json") else {
+            panic!("a row is an object");
+        };
+        for key in members.keys() {
+            let mut without = members.clone();
+            without.remove(key);
+            refused(json::JsonValue::Object(without), key);
+        }
+        let json::JsonValue::Object(res) = &members["residuals"] else {
+            panic!("residuals is an object");
+        };
+        for key in res.keys() {
+            let (mut without, mut inner) = (members.clone(), res.clone());
+            inner.remove(key);
+            without.insert("residuals".into(), json::JsonValue::Object(inner));
+            refused(json::JsonValue::Object(without), &format!("residuals.{key}"));
+        }
     }
 
     #[test]

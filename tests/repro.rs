@@ -110,7 +110,6 @@ fn degraded_two_rank_fleet_merges_bit_identical_to_four_rank_fleet() {
         cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_dcmesh-shard")));
         cfg.heartbeat_interval = Duration::from_millis(25);
         cfg.heartbeat_timeout = Duration::from_millis(400);
-        cfg.poll_interval = Duration::from_millis(20);
         cfg.max_wall = Some(Duration::from_secs(120));
         let report = run_coordinator(&cfg).expect("coordinator");
         std::fs::remove_dir_all(&cfg.run_dir).ok();

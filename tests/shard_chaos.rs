@@ -10,7 +10,10 @@
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::shard::{RankKillPlan, ShardConfig, ShardReport};
 use dcmesh::{run_coordinator, RunError, ShardError};
+use mkl_lite::FaultPlan;
 use std::path::PathBuf;
+use std::process::Command;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Small enough that a 4-rank fleet finishes in seconds, large enough
@@ -35,31 +38,50 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 /// Aggressive-but-safe timings: heartbeats every 25ms, death after
-/// 400ms of silence, fast respawn.
+/// 400ms of silence.
 fn fleet_config(name: &str, kill: &str) -> ShardConfig {
     let mut cfg = ShardConfig::new(tiny_deck(), 4, 4, test_dir(name));
     cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_dcmesh-shard")));
     cfg.heartbeat_interval = Duration::from_millis(25);
     cfg.heartbeat_timeout = Duration::from_millis(400);
-    cfg.poll_interval = Duration::from_millis(20);
-    cfg.backoff_base = Duration::from_millis(50);
     cfg.max_wall = Some(Duration::from_secs(120));
     cfg.kill_plan = RankKillPlan::parse(kill).expect("kill spec");
     cfg
 }
 
+/// Runs a fleet that must finish every domain, and checks the report
+/// against `coord.log` — the coordinator's one record of its decisions.
 fn run_fleet(cfg: &ShardConfig) -> ShardReport {
     let report = run_coordinator(cfg).expect("coordinator");
     assert_eq!(report.failed_domains(), Vec::<usize>::new(), "no domain may fail");
     assert_eq!(report.domains.len(), 4);
+    let log = std::fs::read_to_string(cfg.run_dir.join("coord.log")).expect("coord.log");
+    let lines = |event: &str| log.matches(&format!("\"event\":\"{event}\"")).count() as u64;
+    assert_eq!(
+        lines("rank_spawn") + lines("rank_spawn_failed"),
+        cfg.ranks as u64 + report.restarts,
+        "one spawn attempt per rank plus one per restart:\n{log}"
+    );
+    assert_eq!(lines("heartbeat_miss"), report.heartbeat_misses, "{log}");
+    assert_eq!(lines("rank_degraded"), report.degraded_ranks.len() as u64, "{log}");
     report
+}
+
+/// The uninterrupted reference: 4 ranks, 4 domains, nobody dies — run
+/// once for every test that compares against it.
+fn clean_fleet() -> &'static ShardReport {
+    static CLEAN: OnceLock<ShardReport> = OnceLock::new();
+    CLEAN.get_or_init(|| {
+        let cfg = fleet_config("clean", "");
+        let report = run_fleet(&cfg);
+        std::fs::remove_dir_all(&cfg.run_dir).ok();
+        report
+    })
 }
 
 #[test]
 fn killed_rank_recovers_from_checkpoint_and_matches_uninterrupted_run() {
-    // Reference: 4 ranks, 4 domains, nobody dies.
-    let clean_cfg = fleet_config("clean", "");
-    let clean = run_fleet(&clean_cfg);
+    let clean = clean_fleet();
     assert_eq!(clean.restarts, 0);
     assert_eq!(clean.heartbeat_misses, 0);
     for d in &clean.domains {
@@ -117,27 +139,26 @@ fn killed_rank_recovers_from_checkpoint_and_matches_uninterrupted_run() {
     assert_eq!(parsed.domains[1].etot_bits, dom1.etot_bits);
     assert_eq!(parsed.restarts, chaos.restarts);
 
-    std::fs::remove_dir_all(&clean_cfg.run_dir).ok();
     std::fs::remove_dir_all(&chaos_cfg.run_dir).ok();
 }
 
 #[test]
 fn respawn_budget_exhaustion_degrades_to_fewer_ranks() {
-    // Rank 1 dies at its first burst in *every* incarnation, with a
-    // budget of one respawn: spawn → die → respawn → die → degraded.
-    let mut cfg = fleet_config("degrade", "1@0*");
-    cfg.max_respawns = 1;
+    // Rank 1 dies at its first burst in *every* incarnation, with the
+    // budget of two respawns: spawn → die → respawn → die → respawn →
+    // die → degraded.
+    let cfg = fleet_config("degrade", "1@0*");
     let report = run_fleet(&cfg);
 
     assert_eq!(report.degraded_ranks, vec![1], "rank 1 exhausts its budget and is removed");
-    assert!(report.heartbeat_misses >= 2, "both incarnations die");
-    assert_eq!(report.restarts, 1, "exactly the budgeted respawn");
+    assert!(report.heartbeat_misses >= 3, "all three incarnations die");
+    assert_eq!(report.restarts, 2, "exactly the budgeted respawns");
     for d in &report.domains {
         assert_ne!(d.rank, 1, "a surviving rank finishes every domain (incl. the released one)");
     }
     let r1 = report.ranks.iter().find(|r| r.rank == 1).expect("rank 1 summary");
     assert!(r1.degraded);
-    assert_eq!(r1.incarnations, 2);
+    assert_eq!(r1.incarnations, 3);
 
     let log = std::fs::read_to_string(cfg.run_dir.join("coord.log")).expect("coord.log");
     assert!(log.contains("\"rank_degraded\""), "log records the degradation:\n{log}");
@@ -147,6 +168,47 @@ fn respawn_budget_exhaustion_degrades_to_fewer_ranks() {
     );
 
     std::fs::remove_dir_all(&cfg.run_dir).ok();
+}
+
+/// Silent corruption across a fleet armed through its configuration:
+/// every worker installs the bit-flip plan the manifest carries, its
+/// sampled ABFT checksums catch the flips, and the recovered fleet merges
+/// to the clean fleet's bits.
+#[test]
+fn bit_flipped_fleet_recovers_the_clean_fleets_bits() {
+    let mut cfg = fleet_config("sdc", "");
+    cfg.bit_flips = Some(FaultPlan::parse("7:250@61,292@61,306@61,355@61").expect("flip spec"));
+    cfg.abft_check_period = Some(1);
+    let report = run_fleet(&cfg);
+    let recoveries: u64 = report.domains.iter().map(|d| d.sdc_recoveries).sum();
+    assert!(recoveries >= 1, "no injected flip was caught as silent corruption");
+    assert_eq!(report.merged_bits(), clean_fleet().merged_bits());
+    std::fs::remove_dir_all(&cfg.run_dir).ok();
+}
+
+/// A fault setting the workers could not use is the coordinator's
+/// configuration error, raised before anything is spawned — it used to
+/// cost every rank its whole respawn budget and end in a dead fleet. The
+/// variable is set on the child process only.
+#[test]
+fn malformed_fault_setting_fails_the_run_before_any_rank_is_spawned() {
+    let vars = ["DCMESH_BITFLIP", "DCMESH_ABFT_PERIOD", "DCMESH_VERIFY_BURSTS"];
+    for (var, value) in [("DCMESH_BITFLIP", "7:250@sixty-one"), ("DCMESH_ABFT_PERIOD", "abc")] {
+        let dir = test_dir(&format!("bad-{var}"));
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_dcmesh-shard"));
+        cmd.arg("--run-dir").arg(&dir).args(["--ranks", "2", "--domains", "2", "--tiny"]);
+        cmd.args(["--heartbeat-ms", "50", "--timeout-ms", "2000", "--max-wall-s", "60"]);
+        for v in vars {
+            cmd.env_remove(v);
+        }
+        let out = cmd.env(var, value).output().expect("run dcmesh-shard");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{var}={value} must fail the run:\n{stderr}");
+        assert!(stderr.contains("invalid shard configuration") && stderr.contains(var), "{stderr}");
+        let log = std::fs::read_to_string(dir.join("coord.log")).unwrap_or_default();
+        assert_eq!(log.matches("\"rank_spawn\"").count(), 0, "{log}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
