@@ -252,7 +252,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
                     if meta.get("name").and_then(JsonValue::as_str) == Some("telemetry_meta") =>
                 {
                     let args = meta.get("args");
-                    for field in ["run_epoch", "rank", "sample_n"] {
+                    for field in ["run_epoch", "rank"] {
                         if args.and_then(|a| a.get(field)).is_none() {
                             fail(&mut problems, format!("telemetry_meta missing {field:?}"));
                         }

@@ -20,13 +20,12 @@
 //! [`dropped_records`]. Capacity comes from [`MKL_VERBOSE_BUFFER_ENV`] or
 //! [`set_record_capacity`].
 //!
-//! Independently of recording, every call becomes a telemetry span when
-//! the `TELEMETRY` level is `full` (shape/mode attributes on the begin
-//! event; wall time, modelled device time, and pool-traffic deltas on the
-//! end event) and feeds the `mkl_blas_*` metrics at level `events`. At
-//! level `events` the span stream is **sampled**: 1 call in N
-//! (`TELEMETRY_SAMPLE`, default 16) is recorded with a `sample_weight`
-//! attribute so the `profile` folder can rescale totals.
+//! Independently of recording, every call at `TELEMETRY=events` or above
+//! is folded into its callsite's ledger row — the one record of how many
+//! calls ran and what they cost — and at `full` it also becomes a
+//! telemetry span (shape/mode attributes on the begin event; wall time,
+//! modelled device time, and pool-traffic deltas on the end event) that
+//! places it in time. Below `full` no call span is recorded.
 
 use crate::config::verbose_level;
 use crate::context;
@@ -225,20 +224,6 @@ fn op_str(op: Op) -> &'static str {
     }
 }
 
-fn blas_calls_total() -> &'static Arc<telemetry::metrics::Counter> {
-    static C: OnceLock<Arc<telemetry::metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        telemetry::metrics::counter("mkl_blas_calls_total", "level-3 BLAS calls observed")
-    })
-}
-
-fn blas_wall_ns() -> &'static Arc<telemetry::metrics::Histogram> {
-    static H: OnceLock<Arc<telemetry::metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        telemetry::metrics::histogram("mkl_blas_call_wall_ns", "host wall time per BLAS call")
-    })
-}
-
 /// Combined pool traffic of the calling thread, for span deltas.
 fn pool_traffic() -> (u64, u64) {
     let s = crate::workspace::combined_stats();
@@ -247,9 +232,8 @@ fn pool_traffic() -> (u64, u64) {
 
 /// The observe half of the call pipeline, shared by every level-3 routine
 /// (through `gemm_call`) and GEMV:
-/// times `f` and emits the one [`CallRecord`] from which the telemetry
-/// span's end attributes, the `mkl_blas_*` metrics, the ledger row and the
-/// ring entry are all written.
+/// times `f` and emits the one [`CallRecord`] from which the ledger row,
+/// the telemetry span's end attributes and the ring entry are all written.
 ///
 /// Returns the call's ledger key — resolved here, once, and only when
 /// telemetry events are on — so that whatever the caller checks about the
@@ -272,7 +256,7 @@ pub(crate) fn observe(
     }
     let mode_str = desc.mode.name();
     let key = events.then(|| ledger::Key::for_call(routine, desc.m, desc.n, desc.k, mode_str));
-    let mut span = telemetry::sampled_span(routine);
+    let mut span = telemetry::span(routine);
     let pool_before = if span.armed() {
         span = span
             .attr("transa", AttrValue::Str(op_str(transa)))
@@ -305,10 +289,6 @@ pub(crate) fn observe(
         device_seconds: crate::device::modelled_gemm_time(&desc),
     };
     if let Some(key) = key {
-        blas_calls_total().inc();
-        blas_wall_ns().observe(rec.wall.as_nanos() as u64);
-        // Ledger statistics fold every call (not sampled): the
-        // autotuner reads cost from here, not from sampled spans.
         ledger::record_call(key, rec.wall.as_secs_f64(), rec.device_seconds);
     }
     if let Some((takes0, misses0)) = pool_before {

@@ -66,18 +66,6 @@ pub fn deescalation_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter
     })
 }
 
-/// Silent-data-corruption recoveries (same-mode rollbacks) performed
-/// across all supervised runs in this process.
-pub fn sdc_recovery_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
-    static C: OnceLock<Arc<dcmesh_telemetry::metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        dcmesh_telemetry::metrics::counter(
-            "supervisor_sdc_recoveries_total",
-            "same-mode rollbacks after detected silent data corruption",
-        )
-    })
-}
-
 /// Burst replays performed by the `verify_bursts` sampler.
 pub fn burst_verification_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
     static C: OnceLock<Arc<dcmesh_telemetry::metrics::Counter>> = OnceLock::new();
@@ -85,20 +73,6 @@ pub fn burst_verification_counter() -> &'static Arc<dcmesh_telemetry::metrics::C
         dcmesh_telemetry::metrics::counter(
             "supervisor_burst_verifications_total",
             "bursts replayed from snapshot and bit-compared by verify_bursts",
-        )
-    })
-}
-
-/// Per-burst SCF orthonormality defect, observed in picounits (defect ×
-/// 1e12) so the log₂ buckets resolve the 1e-12…1e-3 range the study
-/// spans. The de-escalation policy reads its own recent window; the
-/// histogram is the cross-run view a Prometheus scrape sees.
-pub fn scf_defect_histogram() -> &'static Arc<dcmesh_telemetry::metrics::Histogram> {
-    static H: OnceLock<Arc<dcmesh_telemetry::metrics::Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        dcmesh_telemetry::metrics::histogram(
-            "supervisor_scf_defect_picounits",
-            "per-burst SCF orthonormality defect (defect * 1e12)",
         )
     })
 }
@@ -396,10 +370,9 @@ pub fn run_supervised_observed<T: LfdScalar>(
             }
         }
 
-        // The burst completed cleanly: feed the SCF-defect histogram and
-        // the de-escalation policy.
+        // The burst completed cleanly: feed the ledger's SCF-defect row
+        // and the de-escalation policy.
         let defect = run.result.scf_drift.last().copied().unwrap_or(0.0);
-        scf_defect_histogram().observe((defect.max(0.0) * 1e12) as u64);
         if dcmesh_telemetry::events_enabled() {
             ledger::record_scf_defect(current.name(), defect);
         }
@@ -454,9 +427,8 @@ fn record_rollback(step: u64, mode: ComputeMode, violation: &HealthViolation) {
     );
 }
 
-/// Counter and `sdc_rollback` instant of one same-mode retry.
+/// The `sdc_rollback` instant of one same-mode retry.
 fn record_sdc_rollback(step: u64, violation: &HealthViolation, attempt: u32) {
-    sdc_recovery_counter().inc();
     instant(
         "sdc_rollback",
         vec![

@@ -217,10 +217,9 @@ fn deescalation_steps_back_down_after_clean_bursts() {
         assert_eq!(de.attr("from"), Some(&telemetry::AttrValue::Str("FLOAT_TO_BF16X2")));
         assert_eq!(de.attr("to"), Some(&telemetry::AttrValue::Str("FLOAT_TO_BF16")));
 
-        // ...and in the Prometheus dump, alongside the defect histogram.
+        // ...and in the Prometheus dump.
         let dump = telemetry::export::prometheus_dump();
         assert!(dump.contains("supervisor_deescalations_total"), "{dump}");
-        assert!(dump.contains("supervisor_scf_defect_picounits"), "{dump}");
     });
 }
 

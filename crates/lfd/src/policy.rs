@@ -6,8 +6,10 @@
 //! different levels of precision is left to future work" (§IV-D). A
 //! library-level mode control removes that limitation: this module names
 //! the nine BLAS call sites of a QD step and lets each carry its own
-//! compute mode. The `ext_mixed_precision` harness explores the design
-//! space the paper could not.
+//! compute mode. The `study` claims table's `policy.*` rows
+//! (`dcmesh_bench::claims`, "Per-callsite policy") record the accuracy
+//! and modelled speedup of a few such policies — the design space the
+//! paper could not explore.
 
 use mkl_lite::{with_compute_mode, ComputeMode};
 

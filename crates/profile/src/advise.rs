@@ -282,7 +282,6 @@ mod tests {
             domains: 0,
             mode_policy: "FLOAT_TO_BF16".to_string(),
             telemetry_level: "full".to_string(),
-            sample_period: 1,
             elapsed_ms: 0,
             restarts: 0,
             heartbeat_misses: 0,

@@ -29,8 +29,9 @@ use dcmesh_telemetry::json::{self, JsonValue};
 use dcmesh_telemetry::ledger::{self, LedgerMeta, Row};
 use std::path::{Path, PathBuf};
 
-/// Schema version of a `runs.jsonl` line.
-pub const ARCHIVE_SCHEMA_VERSION: u64 = 1;
+/// Schema version of a `runs.jsonl` line. v2 dropped the span sampling
+/// period; nothing writes v1 any more and [`parse_record`] refuses it.
+pub const ARCHIVE_SCHEMA_VERSION: u64 = 2;
 
 /// One archived run: identity, fleet shape, supervision outcome, and
 /// the full merged precision-ledger rows.
@@ -49,8 +50,6 @@ pub struct RunRecord {
     pub mode_policy: String,
     /// Telemetry level the run recorded at.
     pub telemetry_level: String,
-    /// Span sampling interval during the run.
-    pub sample_period: u64,
     /// Wall-clock milliseconds of the whole run (0 when unknown).
     pub elapsed_ms: u64,
     /// Rank respawns performed (sharded runs).
@@ -118,7 +117,7 @@ pub fn load_ledger(run_dir: &Path) -> Result<Option<(LedgerMeta, Vec<Row>)>, Str
             .map_err(|e| format!("{}: {e}", root_ledger.display()));
     }
     let per_rank = rank_ledgers(run_dir)?;
-    // Any rank's header works for level/period/deck (stamped identically
+    // Any rank's header works for level/deck (stamped identically
     // fleet-wide); take the max rank count seen so a degraded fleet
     // still reports its configured size.
     let Some(meta) = per_rank.iter().map(|(m, _)| m.clone()).max_by_key(|m| m.ranks) else {
@@ -152,7 +151,6 @@ pub fn collect_run(
         domains: 0,
         mode_policy: "-".to_string(),
         telemetry_level: meta.telemetry_level,
-        sample_period: meta.sample_period,
         elapsed_ms: 0,
         restarts: 0,
         heartbeat_misses: 0,
@@ -211,7 +209,7 @@ pub fn record_json(r: &RunRecord) -> String {
     let mut out = format!(
         "{{\"schema\":{ARCHIVE_SCHEMA_VERSION},\"run_id\":{},\"deck_hash\":{},\
          \"ranks\":{},\"domains\":{},\"mode_policy\":{},\"telemetry_level\":{},\
-         \"sample_period\":{},\"elapsed_ms\":{},\"restarts\":{},\
+         \"elapsed_ms\":{},\"restarts\":{},\
          \"heartbeat_misses\":{},\"escalations\":{},\"sdc_recoveries\":{},\
          \"source\":{},\"entries\":[",
         json::escape_string(&r.run_id),
@@ -220,7 +218,6 @@ pub fn record_json(r: &RunRecord) -> String {
         r.domains,
         json::escape_string(&r.mode_policy),
         json::escape_string(&r.telemetry_level),
-        r.sample_period,
         r.elapsed_ms,
         r.restarts,
         r.heartbeat_misses,
@@ -271,7 +268,6 @@ pub fn parse_record(line: &str) -> Result<RunRecord, String> {
         domains: n("domains")?,
         mode_policy: s("mode_policy")?,
         telemetry_level: s("telemetry_level")?,
-        sample_period: n("sample_period")?,
         elapsed_ms: n("elapsed_ms")?,
         restarts: n("restarts")?,
         heartbeat_misses: n("heartbeat_misses")?,
@@ -341,7 +337,6 @@ mod tests {
             domains: 4,
             mode_policy: "FLOAT_TO_BF16".to_string(),
             telemetry_level: "full".to_string(),
-            sample_period: 1,
             elapsed_ms: 1234,
             restarts: 1,
             heartbeat_misses: 1,
@@ -397,12 +392,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("runs.jsonl");
         let good = record_json(&test_record("good-run"));
-        std::fs::write(&path, format!("{good}\n{{\"schema\":99,\"run_id\":\"future\"}}\nnot json\n"))
-            .unwrap();
+        let v1 = record_json(&test_record("v1-run")).replacen("\"schema\":2", "\"schema\":1", 1);
+        std::fs::write(
+            &path,
+            format!("{good}\n{v1}\n{{\"schema\":99,\"run_id\":\"future\"}}\nnot json\n"),
+        )
+        .unwrap();
         let (records, warnings) = read_archive(&path).expect("readable");
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].run_id, "good-run");
-        assert_eq!(warnings.len(), 2, "{warnings:?}");
+        assert_eq!(warnings.len(), 3, "{warnings:?}");
+        assert!(warnings[0].contains("unknown archive schema 1"), "{warnings:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -430,11 +430,10 @@ mod tests {
         let trace = dir.join("trace");
         std::fs::create_dir_all(&trace).unwrap();
         let meta = LedgerMeta {
-            version: 2,
+            version: ledger::LEDGER_SCHEMA_VERSION,
             deck_hash: "0x1111111111111111".to_string(),
             ranks: 2,
             telemetry_level: "full".to_string(),
-            sample_period: 1,
             rows: 1,
         };
         let mk = |wall: f64| {

@@ -1,10 +1,10 @@
 //! `profile`: trace analysis CLI over `events.jsonl` telemetry dumps.
 //!
 //! ```text
-//! profile flame  <events.jsonl> [--stream] [--root NAME] [--by-mode] [--by-shape]
+//! profile flame  <events.jsonl> [--root NAME] [--by-mode] [--by-shape]
 //!                [--svg PATH] [--ansi] [--folded PATH] [--metrics PATH]
-//! profile table  <events.jsonl> [--stream] [--json PATH] [--metrics PATH]
-//! profile fold   <events.jsonl> [--stream] [--root NAME] [--by-mode] [--by-shape]
+//! profile table  <events.jsonl> [--json PATH] [--metrics PATH]
+//! profile fold   <events.jsonl> [--root NAME] [--by-mode] [--by-shape]
 //! profile merge  <a.jsonl> <b.jsonl> [...] --out merged.json
 //! profile diff   <base.jsonl> <test.jsonl> [--root NAME] [--by-mode]
 //!                [--by-shape] [--svg PATH] [--ansi]
@@ -29,19 +29,23 @@
 //! warnings to stderr; `--metrics metrics.prom` adds producer-side drop
 //! counters to that check.
 //!
-//! `--stream` on `flame`/`table`/`fold` reads the input incrementally —
+//! `flame`, `table`, `fold` and `diff` read their input incrementally —
 //! memory stays bounded by the open-span depth plus the fold/table group
-//! count, never by the dump size — and produces byte-identical output to
-//! the batch path. `watch` re-reads the ledger snapshots a run directory
-//! holds (`ledger.json`, or the `trace/ledger-rank*.json` every shard
-//! rank rewrites at each committed burst — the files `archive` folds
-//! when the run is over, so every number is exact) and redraws the
-//! merged precision ledger every `--interval-ms` (default 1000); `--once`
-//! prints a single look and exits, `--prom` additionally maintains a
-//! Prometheus scrape file. `synth` writes a deterministic synthetic dump
-//! of at least `--min-bytes` (default 100 MiB) for exercising the
-//! streaming path; with `--ledger-dir` it instead writes a deterministic
-//! synthetic run directory (a `ledger.json`) for exercising the cross-run
+//! count, never by the dump size. They read the span stream of a
+//! `TELEMETRY=full` run, where every call is one span; the exact
+//! per-callsite call counts and costs of any run are its ledger's, which
+//! `watch` and `archive` read.
+//!
+//! `watch` re-reads the ledger snapshots a run directory holds
+//! (`ledger.json`, or the `trace/ledger-rank*.json` every shard rank
+//! rewrites at each committed burst — the files `archive` folds when the
+//! run is over, so every number is exact) and redraws the merged
+//! precision ledger every `--interval-ms` (default 1000); `--once` prints
+//! a single look and exits, `--prom` additionally maintains a Prometheus
+//! scrape file. `synth` writes a deterministic synthetic dump of at least
+//! `--min-bytes` (default 100 MiB) for exercising the bounded-memory
+//! read; with `--ledger-dir` it instead writes a deterministic synthetic
+//! run directory (a `ledger.json`) for exercising the cross-run
 //! machinery, optionally with a planted per-callsite slowdown.
 //!
 //! The cross-run trio: `archive` folds a finished run directory into the
@@ -60,10 +64,10 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  profile flame  <events.jsonl> [--stream] [--root NAME] [--by-mode] \
+        "usage:\n  profile flame  <events.jsonl> [--root NAME] [--by-mode] \
          [--by-shape] [--svg PATH] [--ansi] [--folded PATH] [--metrics PATH]\n  profile table  \
-         <events.jsonl> [--stream] [--json PATH] [--metrics PATH]\n  profile fold   \
-         <events.jsonl> [--stream] [--root NAME] [--by-mode] [--by-shape]\n  profile merge  \
+         <events.jsonl> [--json PATH] [--metrics PATH]\n  profile fold   \
+         <events.jsonl> [--root NAME] [--by-mode] [--by-shape]\n  profile merge  \
          <a.jsonl> <b.jsonl> [...] --out merged.json\n  profile diff   <base.jsonl> \
          <test.jsonl> [--root NAME] [--by-mode] [--by-shape] [--svg PATH] [--ansi]\n  \
          profile watch  <run-dir> [--interval-ms N] [--once] [--prom PATH]\n  \
@@ -112,36 +116,17 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
-fn print_warnings(trace: &ingest::Trace, metrics_path: Option<String>) -> Result<(), ExitCode> {
-    let prom = match metrics_path {
-        Some(p) => Some(read(&p)?),
-        None => None,
-    };
-    for w in ingest::coverage_warnings(trace, prom.as_deref()) {
-        eprintln!("profile: warning: {w}");
-    }
-    Ok(())
-}
-
-fn ingest_with_warnings(
-    input: &str,
-    metrics_path: Option<String>,
-) -> Result<ingest::Trace, ExitCode> {
-    let trace = ingest::ingest_jsonl(&read(input)?);
-    print_warnings(&trace, metrics_path)?;
-    Ok(trace)
-}
-
 /// Streams `input` line by line through a [`ingest::StreamingIngester`],
-/// handing every closed span to `on_span` as soon as it closes. Memory
-/// is bounded by the open-span depth; the returned trace carries the
-/// end-of-stream warnings and counters (its record vectors are already
-/// drained). Lines are fed exactly as the batch path's `str::lines()`
-/// would produce them, so both paths emit bit-identical output.
+/// handing every closed span to `on_span` as soon as it closes, then
+/// prints the ingestion/coverage warnings (with the producer-side drop
+/// counters of `metrics_path`, when given). Memory is bounded by the
+/// open-span depth. Lines are fed exactly as `str::lines()` would produce
+/// them, so the result equals the library's batch `ingest_jsonl`.
 fn stream_spans(
     input: &str,
+    metrics_path: Option<String>,
     mut on_span: impl FnMut(&ingest::Span),
-) -> Result<ingest::Trace, ExitCode> {
+) -> Result<(), ExitCode> {
     let file = std::fs::File::open(input).map_err(|e| {
         eprintln!("profile: cannot read {input}: {e}");
         ExitCode::from(1)
@@ -173,13 +158,29 @@ fn stream_spans(
         ing.take_closed_instants();
         ing.take_closed_device();
     }
-    let mut trace = ing.finish();
-    for span in trace.spans.drain(..) {
-        on_span(&span);
+    let trace = ing.finish();
+    for span in &trace.spans {
+        on_span(span);
     }
-    trace.instants.clear();
-    trace.device.clear();
-    Ok(trace)
+    let prom = match metrics_path {
+        Some(p) => Some(read(&p)?),
+        None => None,
+    };
+    for w in ingest::coverage_warnings(&trace, prom.as_deref()) {
+        eprintln!("profile: warning: {w}");
+    }
+    Ok(())
+}
+
+/// Folds the spans of `input` into collapsed stacks.
+fn fold_file(
+    input: &str,
+    opts: &fold::FoldOptions,
+    metrics_path: Option<String>,
+) -> Result<fold::Folded, ExitCode> {
+    let mut acc = fold::FoldAccum::new(opts.clone());
+    stream_spans(input, metrics_path, |s| acc.add(s))?;
+    Ok(acc.finish())
 }
 
 fn fold_opts(args: &mut Vec<String>) -> fold::FoldOptions {
@@ -195,19 +196,10 @@ fn cmd_flame(mut args: Vec<String>) -> Result<(), ExitCode> {
     let folded_path = take_value(&mut args, "--folded");
     let metrics = take_value(&mut args, "--metrics");
     let ansi = take_flag(&mut args, "--ansi");
-    let stream = take_flag(&mut args, "--stream");
     let opts = fold_opts(&mut args);
     let [input] = args.as_slice() else { return Err(usage()) };
 
-    let folded = if stream {
-        let mut acc = fold::FoldAccum::new(opts.clone());
-        let trace = stream_spans(input, |s| acc.add(s))?;
-        print_warnings(&trace, metrics)?;
-        acc.finish()
-    } else {
-        let trace = ingest_with_warnings(input, metrics)?;
-        fold::fold(&trace, &opts)
-    };
+    let folded = fold_file(input, &opts, metrics)?;
     if folded.lines.is_empty() {
         eprintln!("profile: warning: no spans folded (empty trace or --root matched nothing)");
     }
@@ -234,19 +226,10 @@ fn cmd_flame(mut args: Vec<String>) -> Result<(), ExitCode> {
 fn cmd_table(mut args: Vec<String>) -> Result<(), ExitCode> {
     let json_path = take_value(&mut args, "--json");
     let metrics = take_value(&mut args, "--metrics");
-    let stream = take_flag(&mut args, "--stream");
     let [input] = args.as_slice() else { return Err(usage()) };
 
     let mut acc = table::TableAccum::new();
-    if stream {
-        let trace = stream_spans(input, |s| acc.add(s))?;
-        print_warnings(&trace, metrics)?;
-    } else {
-        let trace = ingest_with_warnings(input, metrics)?;
-        for span in &trace.spans {
-            acc.add(span);
-        }
-    }
+    stream_spans(input, metrics, |s| acc.add(s))?;
     let rows = acc.gemm_rows();
     println!("== BLAS calls by (routine, mode, shape) — speedup vs FP32 ==");
     print!("{}", table::render_gemm_table(&rows));
@@ -263,19 +246,9 @@ fn cmd_table(mut args: Vec<String>) -> Result<(), ExitCode> {
 }
 
 fn cmd_fold(mut args: Vec<String>) -> Result<(), ExitCode> {
-    let stream = take_flag(&mut args, "--stream");
     let opts = fold_opts(&mut args);
     let [input] = args.as_slice() else { return Err(usage()) };
-    let folded = if stream {
-        let mut acc = fold::FoldAccum::new(opts.clone());
-        let trace = stream_spans(input, |s| acc.add(s))?;
-        print_warnings(&trace, None)?;
-        acc.finish()
-    } else {
-        let trace = ingest_with_warnings(input, None)?;
-        fold::fold(&trace, &opts)
-    };
-    print!("{}", folded.to_collapsed());
+    print!("{}", fold_file(input, &opts, None)?.to_collapsed());
     Ok(())
 }
 
@@ -285,8 +258,8 @@ fn cmd_diff(mut args: Vec<String>) -> Result<(), ExitCode> {
     let opts = fold_opts(&mut args);
     let [base_path, test_path] = args.as_slice() else { return Err(usage()) };
 
-    let base = fold::fold(&ingest_with_warnings(base_path, None)?, &opts);
-    let test = fold::fold(&ingest_with_warnings(test_path, None)?, &opts);
+    let base = fold_file(base_path, &opts, None)?;
+    let test = fold_file(test_path, &opts, None)?;
     if base.lines.is_empty() && test.lines.is_empty() {
         eprintln!("profile: warning: nothing to diff (empty traces or --root matched nothing)");
     }
@@ -357,8 +330,7 @@ fn cmd_watch(mut args: Vec<String>) -> Result<(), ExitCode> {
 /// Deterministic synthetic event stream: repeated bursts of QD steps
 /// with CGEMM leaf spans (callsite/shape/mode attributes included) plus
 /// a sprinkle of instants and a few malformed lines, until the dump
-/// reaches `--min-bytes`. Every run produces identical bytes — the
-/// streaming-vs-batch CI gate depends on that.
+/// reaches `--min-bytes`. Every run produces identical bytes.
 fn cmd_synth(mut args: Vec<String>) -> Result<(), ExitCode> {
     if let Some(dir) = take_value(&mut args, "--ledger-dir") {
         return cmd_synth_ledger(dir, args);
@@ -404,7 +376,7 @@ fn cmd_synth(mut args: Vec<String>) -> Result<(), ExitCode> {
     emit(
         &mut w,
         &mut written,
-        event(seq, ts, "i", "telemetry_meta", "\"run_epoch\":1000000,\"rank\":0,\"sample_n\":1"),
+        event(seq, ts, "i", "telemetry_meta", "\"run_epoch\":1000000,\"rank\":0"),
     )?;
     const MODES: [&str; 3] = ["BF16X2", "FLOAT_TO_BF16", "STANDARD"];
     const SHAPES: [(u64, u64, u64); 4] =
@@ -486,7 +458,7 @@ fn cmd_synth(mut args: Vec<String>) -> Result<(), ExitCode> {
 }
 
 /// `synth --ledger-dir`: a deterministic synthetic run directory (just
-/// a schema-v2 `ledger.json`) for exercising the cross-run archive and
+/// a `ledger.json`) for exercising the cross-run archive and
 /// sentinel without running physics. `--slow-callsite`/`--slow-factor`
 /// plant a wall-time slowdown at exactly one callsite — the CI trend
 /// gate archives a clean and a slowed directory and asserts the
@@ -535,7 +507,6 @@ fn cmd_synth_ledger(dir: String, mut args: Vec<String>) -> Result<(), ExitCode> 
         deck_hash: "0x5e1ec7ab1e000001".to_string(),
         ranks: 1,
         telemetry_level: "full".to_string(),
-        sample_period: 1,
         rows: rows.len() as u64,
     };
     let path = std::path::Path::new(&dir);

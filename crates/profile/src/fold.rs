@@ -3,9 +3,7 @@
 //! The output format is the Brendan-Gregg collapsed-stack convention
 //! consumed by `inferno` / `flamegraph.pl`: one line per unique stack,
 //! frames joined by `;`, a space, and an integer count. Counts here are
-//! **weighted self nanoseconds** — each span contributes
-//! `self_ns × sample_weight`, so a 1-in-16 sampled stream folds to totals
-//! comparable with an unsampled one.
+//! **self nanoseconds** — each span contributes its `self_ns`.
 //!
 //! Grouping options decorate leaf frames with the precision mode
 //! (`CGEMM[FLOAT_TO_BF16]`) and/or the GEMM shape (`CGEMM(128x896x4096)`)
@@ -27,15 +25,15 @@ pub struct FoldOptions {
     pub by_shape: bool,
 }
 
-/// Folded stacks: canonical stack string → weighted self nanoseconds.
+/// Folded stacks: canonical stack string → self nanoseconds.
 #[derive(Clone, Debug, Default)]
 pub struct Folded {
-    /// `a;b;c` → weighted ns.
+    /// `a;b;c` → ns.
     pub lines: BTreeMap<String, f64>,
 }
 
 impl Folded {
-    /// Total weighted nanoseconds across all stacks.
+    /// Total nanoseconds across all stacks.
     pub fn total_ns(&self) -> f64 {
         self.lines.values().sum()
     }
@@ -107,7 +105,7 @@ impl FoldAccum {
             stack.push(';');
         }
         stack.push_str(&frame_label(span, &self.opts));
-        *self.folded.lines.entry(stack).or_insert(0.0) += span.self_ns as f64 * span.weight;
+        *self.folded.lines.entry(stack).or_insert(0.0) += span.self_ns as f64;
     }
 
     /// The folded result so far.
@@ -116,7 +114,7 @@ impl FoldAccum {
     }
 }
 
-/// Folds a trace into collapsed stacks of weighted self time.
+/// Folds a trace into collapsed stacks of self time.
 pub fn fold(trace: &Trace, opts: &FoldOptions) -> Folded {
     let mut acc = FoldAccum::new(opts.clone());
     for span in &trace.spans {
@@ -187,19 +185,5 @@ mod tests {
             "{:?}",
             folded.lines.keys().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn weights_rescale_counts() {
-        let t = ingest_jsonl(
-            &[
-                line("B", "CGEMM", 0, "\"sample_weight\":16"),
-                line("E", "CGEMM", 10, ""),
-            ]
-            .join("\n"),
-        );
-        let folded = fold(&t, &FoldOptions::default());
-        assert_eq!(folded.lines.get("CGEMM"), Some(&160.0));
-        assert_eq!(folded.to_collapsed(), "CGEMM 160\n");
     }
 }

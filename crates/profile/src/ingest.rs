@@ -1,7 +1,7 @@
 //! JSONL trace ingestion: events back into a validated span forest.
 //!
 //! The telemetry exporter writes one JSON object per line ([`export::jsonl`]):
-//! a `telemetry_meta` header (run epoch, rank, sampling interval) followed
+//! a `telemetry_meta` header (run epoch, rank) followed
 //! by `B`/`E` span pairs, `i` instants, and `X` device slices. Real dumps
 //! are imperfect — the sink ring drops the oldest events under pressure and
 //! a crashed run truncates the tail mid-span — so ingestion is **tolerant**:
@@ -15,9 +15,10 @@
 //!   timestamp and marked truncated.
 //!
 //! Every reconstructed [`Span`] carries its ancestor path (so folding is a
-//! string join), its `sample_weight` (1 when unsampled), and its **self
-//! time** (duration minus children), computed incrementally during the
-//! stack replay.
+//! string join) and its **self time** (duration minus children), computed
+//! incrementally during the stack replay. Spans are recorded at
+//! `TELEMETRY=full` only and never sampled, so every span stands for one
+//! occurrence.
 //!
 //! Ingestion is **streaming-first**: [`StreamingIngester`] folds one line
 //! at a time in bounded memory (the only retained state is the open-frame
@@ -37,8 +38,6 @@ pub struct Meta {
     pub run_epoch_unix_ns: u64,
     /// Producing process's rank / divide-and-conquer domain id.
     pub rank: u64,
-    /// Sampling interval N the producer used for call spans.
-    pub sample_n: u64,
     /// False when the stream had no `telemetry_meta` line (legacy dump).
     pub present: bool,
 }
@@ -56,8 +55,6 @@ pub struct Span {
     pub end_ns: u64,
     /// Ancestor names, root first, excluding this span.
     pub stack: Vec<String>,
-    /// Sampling weight: the producer's 1-in-N interval, 1 when unsampled.
-    pub weight: f64,
     /// Begin and end attributes, merged (end wins on key collision).
     pub attrs: BTreeMap<String, JsonValue>,
     /// Nanoseconds not covered by child spans.
@@ -162,7 +159,6 @@ impl Trace {
 struct OpenFrame {
     name: String,
     start_ns: u64,
-    weight: f64,
     attrs: BTreeMap<String, JsonValue>,
     /// Sum of direct children's inclusive durations.
     children_ns: u64,
@@ -282,8 +278,6 @@ impl StreamingIngester {
                     .and_then(JsonValue::as_f64)
                     .unwrap_or(0.0) as u64,
                 rank: attrs.get("rank").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64,
-                sample_n: attrs.get("sample_n").and_then(JsonValue::as_f64).unwrap_or(1.0)
-                    as u64,
                 present: true,
             };
             return;
@@ -293,20 +287,12 @@ impl StreamingIngester {
         }
 
         match kind {
-            "B" => {
-                let weight = attrs
-                    .get("sample_weight")
-                    .and_then(JsonValue::as_f64)
-                    .filter(|w| *w >= 1.0)
-                    .unwrap_or(1.0);
-                self.stacks.entry(tid).or_default().push(OpenFrame {
-                    name,
-                    start_ns: ts_ns,
-                    weight,
-                    attrs,
-                    children_ns: 0,
-                });
-            }
+            "B" => self.stacks.entry(tid).or_default().push(OpenFrame {
+                name,
+                start_ns: ts_ns,
+                attrs,
+                children_ns: 0,
+            }),
             "E" => {
                 let stack = self.stacks.entry(tid).or_default();
                 match stack.iter().rposition(|f| f.name == name) {
@@ -425,7 +411,6 @@ fn close_frame(
         start_ns: frame.start_ns,
         end_ns,
         stack: stack.iter().map(|f| f.name.clone()).collect(),
-        weight: frame.weight,
         attrs,
         self_ns: dur.saturating_sub(frame.children_ns),
         truncated,
@@ -539,25 +524,12 @@ mod tests {
     #[test]
     fn meta_line_populates_meta() {
         let meta = "{\"seq\":0,\"ts_ns\":0,\"kind\":\"i\",\"name\":\"telemetry_meta\",\
-                    \"track\":\"host\",\"tid\":0,\"args\":{\"run_epoch\":123456,\"rank\":3,\
-                    \"sample_n\":16}}";
+                    \"track\":\"host\",\"tid\":0,\"args\":{\"run_epoch\":123456,\"rank\":3}}";
         let t = ingest_jsonl(meta);
         assert!(t.meta.present);
         assert_eq!(t.meta.run_epoch_unix_ns, 123_456);
         assert_eq!(t.meta.rank, 3);
-        assert_eq!(t.meta.sample_n, 16);
         assert!(t.warnings.is_empty());
-    }
-
-    #[test]
-    fn sample_weight_lands_on_span() {
-        let text = [
-            line(0, "B", "CGEMM", 0, "\"sample_weight\":16"),
-            line(1, "E", "CGEMM", 10, ""),
-        ]
-        .join("\n");
-        let t = ingest_jsonl(&text);
-        assert_eq!(t.spans[0].weight, 16.0);
     }
 
     #[test]

@@ -38,14 +38,16 @@
 //!   per-callsite recommended-mode plan (`advice.json`) with predicted
 //!   cost and error-budget headroom.
 //!
-//! Ingestion ([`ingest`]) is deliberately forgiving: ring-dropped events
-//! and truncated tails degrade into counted warnings, not errors, and
-//! `sample_weight` attributes from span-aware sampling rescale every
-//! downstream total so sampled and full traces are comparable. It is
-//! also streaming-first: [`ingest::StreamingIngester`] folds a stream
-//! line by line in memory bounded by the open-span depth, and the batch
-//! [`ingest_jsonl`] is a thin wrapper over it, so batch and `--stream`
-//! outputs are bit-identical by construction.
+//! The span-based views read a `TELEMETRY=full` trace, where every BLAS
+//! call and phase is one unsampled span; how many calls a run made and
+//! what they cost per callsite is the ledger's to say ([`watch`],
+//! [`archive`]). Ingestion ([`ingest`]) is deliberately forgiving:
+//! ring-dropped events and truncated tails degrade into counted
+//! warnings, not errors. It is also streaming-first:
+//! [`ingest::StreamingIngester`] folds a stream line by line in memory
+//! bounded by the open-span depth — the one way the CLI reads a trace —
+//! and the batch [`ingest_jsonl`] is a thin wrapper over it, so both
+//! give bit-identical results by construction.
 //!
 //! The `profile` binary in this crate exposes all of it as a CLI:
 //! `profile flame`, `profile table`, `profile merge`, `profile fold`,

@@ -155,7 +155,7 @@ mod tests {
             format!(
                 "{{\"seq\":0,\"ts_ns\":0,\"kind\":\"i\",\"name\":\"telemetry_meta\",\
                  \"track\":\"host\",\"tid\":0,\"args\":{{\"run_epoch\":{epoch},\
-                 \"rank\":{rank},\"sample_n\":1}}}}"
+                 \"rank\":{rank}}}}}"
             ),
             format!(
                 "{{\"seq\":1,\"ts_ns\":{ts},\"kind\":\"B\",\"name\":\"{name}\",\
@@ -222,7 +222,7 @@ mod tests {
     fn device_rows_keep_their_duration() {
         let text = [
             "{\"seq\":0,\"ts_ns\":0,\"kind\":\"i\",\"name\":\"telemetry_meta\",\"track\":\"host\",\
-             \"tid\":0,\"args\":{\"run_epoch\":1,\"rank\":0,\"sample_n\":1}}",
+             \"tid\":0,\"args\":{\"run_epoch\":1,\"rank\":0}}",
             "{\"seq\":1,\"ts_ns\":500,\"kind\":\"X\",\"name\":\"zgemm_kernel\",\
              \"track\":\"device\",\"tid\":0,\"dur_ns\":2500,\"args\":{\"mode\":\"TF32\"}}",
         ]

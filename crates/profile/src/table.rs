@@ -3,7 +3,7 @@
 //! Reproduces the shape of the paper's Tables VI/VII from a recorded
 //! `events.jsonl` instead of a live run: every BLAS call span (identified
 //! by its `m`/`n`/`k`/`mode` attributes) is grouped by
-//! (routine, mode, shape) with weighted call counts, mean host wall time,
+//! (routine, mode, shape) with call counts, mean host wall time,
 //! mean modelled device time, and the speedup against the FP32
 //! (`STANDARD`) baseline of the same routine and shape. A second table
 //! attributes phase-level wall time (`qd_propagate`, `scf_refresh`, ...)
@@ -29,8 +29,8 @@ pub struct CallRow {
     pub n: u64,
     /// Inner dimension.
     pub k: u64,
-    /// Weighted call count (sampled spans count `sample_weight` each).
-    pub calls: f64,
+    /// Call spans in the group.
+    pub calls: u64,
     /// Mean host wall seconds per call.
     pub mean_wall_s: f64,
     /// Mean modelled device seconds per call, when the producer had a
@@ -57,7 +57,7 @@ pub struct PhaseRow {
     pub phase: String,
     /// Mode of the enclosing `burst` (or `-` outside any burst).
     pub mode: String,
-    /// Weighted inclusive nanoseconds.
+    /// Inclusive nanoseconds.
     pub total_ns: f64,
     /// Share of the summed phase time.
     pub share: f64,
@@ -86,10 +86,10 @@ pub struct TableAccum {
 
 #[derive(Clone, Debug, Default)]
 struct GemmAcc {
-    calls: f64,
+    calls: u64,
     wall_s: f64,
     device_s: f64,
-    device_samples: f64,
+    device_samples: u64,
 }
 
 impl TableAccum {
@@ -110,17 +110,17 @@ impl TableAccum {
             );
             let wall = span.attr_f64("wall_s").unwrap_or(span.dur_ns() as f64 / 1e9);
             let acc = self.gemm_groups.entry(key).or_default();
-            acc.calls += span.weight;
-            acc.wall_s += wall * span.weight;
+            acc.calls += 1;
+            acc.wall_s += wall;
             if let Some(dev) = span.attr_f64("device_s") {
-                acc.device_s += dev * span.weight;
-                acc.device_samples += span.weight;
+                acc.device_s += dev;
+                acc.device_samples += 1;
             }
         }
         if PHASES.contains(&span.name.as_str()) {
             let mode = span.burst_mode.as_deref().unwrap_or("-");
             *self.phase_groups.entry((span.name.clone(), mode.to_string())).or_insert(0.0) +=
-                span.dur_ns() as f64 * span.weight;
+                span.dur_ns() as f64;
         }
     }
 
@@ -138,9 +138,9 @@ impl TableAccum {
                 n: *n,
                 k: *k,
                 calls: acc.calls,
-                mean_wall_s: acc.wall_s / acc.calls.max(1e-12),
-                mean_device_s: (acc.device_samples > 0.0)
-                    .then(|| acc.device_s / acc.device_samples),
+                mean_wall_s: acc.wall_s / acc.calls as f64,
+                mean_device_s: (acc.device_samples > 0)
+                    .then(|| acc.device_s / acc.device_samples as f64),
                 speedup_vs_fp32: None,
             })
             .collect();
@@ -236,7 +236,7 @@ pub fn render_gemm_table(rows: &[CallRow]) -> String {
             .map(|s| format!("{s:.2}x"))
             .unwrap_or_else(|| "-".to_string());
         out.push_str(&format!(
-            "{:<8} {:<16} {:>6} {:>6} {:>6} {:>10.1} {:>12.4} {:>12} {:>9}\n",
+            "{:<8} {:<16} {:>6} {:>6} {:>6} {:>10} {:>12.4} {:>12} {:>9}\n",
             r.routine,
             r.mode,
             r.m,
@@ -283,7 +283,7 @@ pub fn gemm_table_json(rows: &[CallRow]) -> String {
             r.m,
             r.n,
             r.k,
-            json::number(r.calls),
+            r.calls,
             json::number(r.mean_wall_s),
             r.mean_device_s.map(json::number).unwrap_or_else(|| "null".to_string()),
             r.speedup_vs_fp32.map(json::number).unwrap_or_else(|| "null".to_string()),
@@ -298,13 +298,12 @@ mod tests {
     use super::*;
     use crate::ingest::ingest_jsonl;
 
-    fn call(ts: u64, routine: &str, mode: &str, dev_ms: f64, weight: f64) -> String {
-        let w = if weight > 1.0 { format!(",\"sample_weight\":{weight}") } else { String::new() };
+    fn call(ts: u64, routine: &str, mode: &str, dev_ms: f64) -> String {
         [
             format!(
                 "{{\"seq\":0,\"ts_ns\":{ts},\"kind\":\"B\",\"name\":\"{routine}\",\
                  \"track\":\"host\",\"tid\":0,\"args\":{{\"m\":128,\"n\":896,\"k\":4096,\
-                 \"mode\":\"{mode}\"{w}}}}}"
+                 \"mode\":\"{mode}\"}}}}"
             ),
             format!(
                 "{{\"seq\":1,\"ts_ns\":{},\"kind\":\"E\",\"name\":\"{routine}\",\
@@ -319,27 +318,19 @@ mod tests {
     #[test]
     fn gemm_table_groups_and_computes_speedup() {
         let text = [
-            call(0, "CGEMM", "STANDARD", 4.0, 1.0),
-            call(2000, "CGEMM", "STANDARD", 4.0, 1.0),
-            call(4000, "CGEMM", "FLOAT_TO_BF16", 1.0, 1.0),
+            call(0, "CGEMM", "STANDARD", 4.0),
+            call(2000, "CGEMM", "STANDARD", 4.0),
+            call(4000, "CGEMM", "FLOAT_TO_BF16", 1.0),
         ]
         .join("\n");
         let rows = gemm_table(&ingest_jsonl(&text));
         assert_eq!(rows.len(), 2);
         let std = rows.iter().find(|r| r.mode == "STANDARD").unwrap();
-        assert_eq!(std.calls, 2.0);
+        assert_eq!(std.calls, 2);
         assert!((std.mean_device_s.unwrap() - 4e-3).abs() < 1e-12);
         assert!((std.speedup_vs_fp32.unwrap() - 1.0).abs() < 1e-9);
         let bf16 = rows.iter().find(|r| r.mode == "FLOAT_TO_BF16").unwrap();
         assert!((bf16.speedup_vs_fp32.unwrap() - 4.0).abs() < 1e-9, "{bf16:?}");
-    }
-
-    #[test]
-    fn weighted_calls_count_their_sample_interval() {
-        let rows = gemm_table(&ingest_jsonl(&call(0, "SGEMM", "TF32", 1.0, 16.0)));
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].calls, 16.0);
-        assert_eq!(rows[0].speedup_vs_fp32, None, "no baseline row");
     }
 
     #[test]
@@ -369,7 +360,7 @@ mod tests {
 
     #[test]
     fn renderers_and_json_are_parseable() {
-        let text = call(0, "ZGEMM", "STANDARD", 2.0, 1.0);
+        let text = call(0, "ZGEMM", "STANDARD", 2.0);
         let trace = ingest_jsonl(&text);
         let rows = gemm_table(&trace);
         let rendered = render_gemm_table(&rows);

@@ -104,13 +104,12 @@ mod tests {
                 deck_hash: "0x2222222222222222".to_string(),
                 ranks: 2,
                 telemetry_level: "events".to_string(),
-                sample_period: 16,
                 rows: rows.len() as u64,
             };
             std::fs::write(trace.join(name), rows_json_with_meta(&meta, rows)).unwrap();
         }
         // A snapshot being replaced leaves a temp sibling; it is not one.
-        std::fs::write(trace.join("ledger-rank0-inc0.json.wtmp"), "{\"version\":2,").unwrap();
+        std::fs::write(trace.join("ledger-rank0-inc0.json.wtmp"), "{\"version\":3,").unwrap();
 
         let seen = view(&dir).expect("view");
         let archived = archive::collect_run(&dir, None).expect("collect").entries;

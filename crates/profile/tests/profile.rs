@@ -1,8 +1,7 @@
 //! End-to-end profile coverage: real telemetry streams produced through
 //! the span API, exported to JSONL, and pushed through ingestion,
-//! folding, tables, and merging — including the ISSUE acceptance checks
-//! (flame root within 1% of summed burst spans, weighted sampled totals,
-//! two-rank merges with skewed clocks) and a CLI smoke test.
+//! folding, tables, and merging — flame root within 1% of summed burst
+//! spans, two-rank merges with skewed clocks — and a CLI smoke test.
 
 use dcmesh_profile::{flame, fold, ingest, merge, table};
 use dcmesh_telemetry as telemetry;
@@ -74,34 +73,11 @@ fn table_speedups_from_real_stream() {
         .iter()
         .find(|r| r.mode == "FLOAT_TO_BF16")
         .expect("bf16 rows present");
-    assert_eq!(bf16.calls, 3.0);
+    assert_eq!(bf16.calls, 3);
     // device_s 4e-3 baseline vs 1e-3: exactly 4x on modelled device time.
     assert!((bf16.speedup_vs_fp32.unwrap() - 4.0).abs() < 1e-9, "{bf16:?}");
     let phases = table::phase_table(&trace);
     assert!(phases.iter().all(|p| p.phase != "burst"), "bursts are not phases");
-}
-
-#[test]
-fn sampled_stream_weights_sum_to_total_calls() {
-    let jsonl = telemetry::with_level(TelemetryLevel::Events, || {
-        telemetry::set_sample_interval(8);
-        for _ in 0..64 {
-            let _g = telemetry::sampled_span("CGEMM")
-                .attr("m", AttrValue::U64(16))
-                .attr("n", AttrValue::U64(16))
-                .attr("k", AttrValue::U64(16))
-                .attr("mode", AttrValue::Str("TF32"))
-                .enter();
-        }
-        export::jsonl(&sink::drain())
-    });
-    let trace = ingest::ingest_jsonl(&jsonl);
-    assert_eq!(trace.spans.len(), 8, "64 calls at 1-in-8");
-    let weighted: f64 = trace.spans.iter().map(|s| s.weight).sum();
-    assert_eq!(weighted, 64.0, "weights reconstruct the call population");
-    let rows = table::gemm_table(&trace);
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].calls, 64.0);
 }
 
 #[test]
@@ -111,8 +87,7 @@ fn two_rank_merge_aligns_skewed_clocks() {
     let mk = |rank: u64, epoch: u64| {
         format!(
             "{{\"seq\":0,\"ts_ns\":0,\"kind\":\"i\",\"name\":\"telemetry_meta\",\
-             \"track\":\"host\",\"tid\":0,\"args\":{{\"run_epoch\":{epoch},\"rank\":{rank},\
-             \"sample_n\":1}}}}\n\
+             \"track\":\"host\",\"tid\":0,\"args\":{{\"run_epoch\":{epoch},\"rank\":{rank}}}}}\n\
              {{\"seq\":1,\"ts_ns\":1000,\"kind\":\"B\",\"name\":\"burst\",\"track\":\"host\",\
              \"tid\":0,\"args\":{{}}}}\n\
              {{\"seq\":2,\"ts_ns\":51000,\"kind\":\"E\",\"name\":\"burst\",\"track\":\"host\",\

@@ -77,7 +77,7 @@ pub fn jsonl_line(ev: &Event) -> String {
 }
 
 /// Serialises events as JSONL: one stream-metadata line (the
-/// `telemetry_meta` event carrying `run_epoch`, `rank`, `sample_n` —
+/// `telemetry_meta` event carrying `run_epoch` and `rank` —
 /// see [`sink::run_meta_event`]) followed by one JSON object per event.
 /// The metadata line has the same schema as every other line, so
 /// consumers that don't care about it parse it like any instant event.
@@ -204,7 +204,6 @@ mod tests {
         assert_eq!(meta.get("name").unwrap().as_str(), Some("telemetry_meta"));
         assert!(meta.get("args").unwrap().get("run_epoch").unwrap().as_f64().unwrap() > 0.0);
         assert!(meta.get("args").unwrap().get("rank").is_some());
-        assert!(meta.get("args").unwrap().get("sample_n").is_some());
         for (p, e) in parsed[1..].iter().zip(&events) {
             assert_eq!(p.get("seq").unwrap().as_f64(), Some(e.seq as f64));
             assert_eq!(p.get("ts_ns").unwrap().as_f64(), Some(e.ts_ns as f64));

@@ -17,17 +17,17 @@
 //!   defect trend.
 //!
 //! Consumers: [`ledger_json`] (the `ledger.json` artifact, schema
-//! version 2, documented in DESIGN.md), [`prometheus_text`] (labelled
+//! version 3, documented in DESIGN.md), [`prometheus_text`] (labelled
 //! gauge/counter series), and the shared plain-text renderer
 //! [`render_rows`] reused by `profile watch` for its live dashboard.
 //!
-//! Since schema v2 the document is **self-describing**: a `meta` header
-//! ([`LedgerMeta`]) stamps the deck hash, fleet rank count, telemetry
-//! level the rows were recorded at, sampling period and row count into
-//! the artifact, so an archived run needs no side-channel context.
-//! [`parse_ledger`] reads
-//! a document back into [`Row`]s — the round-trip the cross-run archive
-//! (`profile archive`) is built on.
+//! The document is **self-describing**: a `meta` header ([`LedgerMeta`])
+//! stamps the deck hash, fleet rank count, telemetry level the rows were
+//! recorded at and row count into the artifact, so an archived run needs
+//! no side-channel context. [`parse_ledger`] reads a document back into
+//! its header and [`Row`]s — the round-trip the cross-run archive
+//! (`profile archive`) is built on — and requires every field either
+//! writes.
 //!
 //! A key is a memoised callsite ID, three numbers and the `&'static str`
 //! the compute mode owns, so steady-state recording allocates nothing per
@@ -155,7 +155,7 @@ fn shape_label(shape: Option<[usize; 3]>) -> String {
 /// Streaming statistics accumulated under one [`Key`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stats {
-    /// BLAS calls recorded (un-sampled: every call counts).
+    /// BLAS calls recorded (every call counts).
     pub calls: u64,
     /// Total host wall seconds across those calls.
     pub wall_s: f64,
@@ -223,7 +223,7 @@ pub struct Row {
     pub stats: Stats,
 }
 
-/// The self-describing header of a schema-v2 `ledger.json` document.
+/// The self-describing header of a `ledger.json` document.
 /// Every field an archived run would otherwise need side-channel
 /// context for: which deck produced it, how many ranks contributed,
 /// and how the telemetry layer was configured when it recorded.
@@ -239,24 +239,8 @@ pub struct LedgerMeta {
     /// Highest telemetry level the rows were recorded at
     /// (`"off"`/`"events"`/`"full"`).
     pub telemetry_level: String,
-    /// Span sampling interval (1 = every BLAS call; ledger counts are
-    /// un-sampled either way, this documents the span stream next door).
-    pub sample_period: u64,
     /// Number of ledger rows in the document.
     pub rows: u64,
-}
-
-impl Default for LedgerMeta {
-    fn default() -> Self {
-        LedgerMeta {
-            version: LEDGER_SCHEMA_VERSION,
-            deck_hash: "-".to_string(),
-            ranks: 1,
-            telemetry_level: "-".to_string(),
-            sample_period: 1,
-            rows: 0,
-        }
-    }
 }
 
 /// Stamps the deck hash (`"0x{:016x}"` form) the next exported ledger
@@ -275,22 +259,20 @@ pub fn set_rank_count(ranks: u64) {
 /// The header the live ledger would export right now: the stamped
 /// deck hash / rank count, the highest telemetry level a row was
 /// recorded at since the last [`clear`] (the current level while there
-/// are no rows) and the span sampling interval, with `rows` set to
-/// `row_count`.
+/// are no rows), with `rows` set to `row_count`.
 pub fn current_meta(row_count: u64) -> LedgerMeta {
     recorder::with(|r| LedgerMeta {
         version: LEDGER_SCHEMA_VERSION,
         deck_hash: r.deck_hash.clone().unwrap_or_else(|| "-".to_string()),
         ranks: r.rank_count.unwrap_or(1),
         telemetry_level: r.ledger_level.unwrap_or(r.level).env_value().to_string(),
-        sample_period: r.sample_n,
         rows: row_count,
     })
 }
 
 /// Records one BLAS call: wall time and (when available) the modelled
 /// device time. Called from `mkl_lite::verbose::observe` for *every* call
-/// when telemetry is on — streaming statistics, not sampled.
+/// when telemetry is on.
 pub fn record_call(key: Key, wall_s: f64, device_s: Option<f64>) {
     recorder::with(|r| {
         let s = r.stats(key);
@@ -406,9 +388,10 @@ pub fn snapshot() -> Vec<Row> {
 }
 
 /// Current ledger schema version (see DESIGN.md "Observability").
-/// v2 added the self-describing `meta` header; nothing writes the
-/// headerless v1 any more and [`parse_ledger`] refuses it.
-pub const LEDGER_SCHEMA_VERSION: u64 = 2;
+/// v2 added the self-describing `meta` header and v3 dropped its span
+/// sampling period; nothing writes either older version and
+/// [`parse_ledger`] refuses them.
+pub const LEDGER_SCHEMA_VERSION: u64 = 3;
 
 /// Renders one row as its compact `ledger.json` entry object. The same
 /// fragment is embedded verbatim in the cross-run archive's
@@ -459,21 +442,19 @@ pub fn row_json(r: &Row) -> String {
     out
 }
 
-/// Renders the `meta` header object of a schema-v2 document.
+/// Renders the `meta` header object of a document.
 pub fn meta_json(meta: &LedgerMeta) -> String {
     format!(
-        "{{\"deck_hash\":{},\"ranks\":{},\"telemetry_level\":{},\
-         \"sample_period\":{},\"rows\":{}}}",
+        "{{\"deck_hash\":{},\"ranks\":{},\"telemetry_level\":{},\"rows\":{}}}",
         json::escape_string(&meta.deck_hash),
         meta.ranks,
         json::escape_string(&meta.telemetry_level),
-        meta.sample_period,
         meta.rows
     )
 }
 
 /// Renders rows under an explicit header as the `ledger.json`
-/// document: `{"version": 2, "meta": {...}, "entries": [...]}`.
+/// document: `{"version": 3, "meta": {...}, "entries": [...]}`.
 pub fn rows_json_with_meta(meta: &LedgerMeta, rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"version\": {LEDGER_SCHEMA_VERSION},\n"));
@@ -490,25 +471,30 @@ pub fn rows_json_with_meta(meta: &LedgerMeta, rows: &[Row]) -> String {
     out
 }
 
-/// A required field of an entry; `path` names it in errors (nested ones
-/// as `residuals.max`).
-fn row_field<'a>(v: &'a json::JsonValue, path: &str) -> Result<&'a json::JsonValue, String> {
+/// A required field of an entry or of the header; `path` names it in
+/// errors (nested ones as `residuals.max`, header ones as `meta.ranks`).
+fn field<'a>(v: &'a json::JsonValue, path: &str) -> Result<&'a json::JsonValue, String> {
     let key = path.rsplit('.').next().unwrap_or(path);
-    v.get(key).ok_or_else(|| format!("entry missing field {path:?}"))
+    v.get(key).ok_or_else(|| format!("missing field {path:?}"))
+}
+
+fn field_str(v: &json::JsonValue, path: &str) -> Result<String, String> {
+    let s = field(v, path)?.as_str().map(str::to_string);
+    s.ok_or_else(|| format!("field {path:?} is not a string"))
 }
 
 /// A required number; `null` — how the writer stores a non-finite one —
 /// reads back as NaN.
-fn row_real(v: &json::JsonValue, path: &str) -> Result<f64, String> {
-    match row_field(v, path)? {
+fn field_real(v: &json::JsonValue, path: &str) -> Result<f64, String> {
+    match field(v, path)? {
         json::JsonValue::Null => Ok(f64::NAN),
-        n => n.as_f64().ok_or_else(|| format!("entry field {path:?} is not a number")),
+        n => n.as_f64().ok_or_else(|| format!("field {path:?} is not a number")),
     }
 }
 
-fn row_count(v: &json::JsonValue, path: &str) -> Result<u64, String> {
-    let n = row_field(v, path)?.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
-    n.map(|n| n as u64).ok_or_else(|| format!("entry field {path:?} is not a count"))
+fn field_count(v: &json::JsonValue, path: &str) -> Result<u64, String> {
+    let n = field(v, path)?.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
+    n.map(|n| n as u64).ok_or_else(|| format!("field {path:?} is not a count"))
 }
 
 /// Parses one entry object back into a [`Row`]. Every field [`row_json`]
@@ -516,20 +502,16 @@ fn row_count(v: &json::JsonValue, path: &str) -> Result<u64, String> {
 /// zero-cost one. The derived `time_misfit` is recomputed from the parsed
 /// stats; unknown fields are ignored for forward tolerance.
 pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
-    let str_field = |f: &str| -> Result<String, String> {
-        let s = row_field(e, f)?.as_str().map(str::to_string);
-        s.ok_or_else(|| format!("entry field {f:?} is not a string"))
-    };
-    let num = |f: &str| row_count(e, f);
-    row_field(e, "time_misfit")?;
-    let res = row_field(e, "residuals")?;
+    let num = |f: &str| field_count(e, f);
+    field(e, "time_misfit")?;
+    let res = field(e, "residuals")?;
     let mut residuals = ResidualHist {
-        count: row_count(res, "residuals.count")?,
-        max: row_real(res, "residuals.max")?,
+        count: field_count(res, "residuals.count")?,
+        max: field_real(res, "residuals.max")?,
         ..ResidualHist::default()
     };
-    let buckets = row_field(res, "residuals.buckets")?;
-    for pair in buckets.as_array().ok_or("entry field \"residuals.buckets\" is not an array")? {
+    let buckets = field(res, "residuals.buckets")?;
+    for pair in buckets.as_array().ok_or("field \"residuals.buckets\" is not an array")? {
         let items = pair.as_array().unwrap_or(&[]);
         let (Some(label), Some(count)) = (
             items.first().and_then(json::JsonValue::as_str),
@@ -543,13 +525,13 @@ pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
         residuals.buckets[idx] = count as u64;
     }
     Ok(Row {
-        callsite: str_field("callsite")?,
-        shape: str_field("shape")?,
-        mode: str_field("mode")?,
+        callsite: field_str(e, "callsite")?,
+        shape: field_str(e, "shape")?,
+        mode: field_str(e, "mode")?,
         stats: Stats {
             calls: num("calls")?,
-            wall_s: row_real(e, "wall_s")?,
-            device_s: row_real(e, "device_s")?,
+            wall_s: field_real(e, "wall_s")?,
+            device_s: field_real(e, "device_s")?,
             device_samples: num("device_samples")?,
             escalations: num("escalations")?,
             rollbacks: num("rollbacks")?,
@@ -565,7 +547,9 @@ pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
 /// Parses a `ledger.json` document back into its header and rows. Any
 /// version other than [`LEDGER_SCHEMA_VERSION`] is an error: the caller
 /// should warn and skip rather than misread fields it does not
-/// understand.
+/// understand. Every header field [`meta_json`] writes is required, as
+/// every entry field is — a headerless document must not read as deck
+/// `"-"` on one rank and be grouped under the wrong deck.
 pub fn parse_ledger(text: &str) -> Result<(LedgerMeta, Vec<Row>), String> {
     let doc = json::parse(text).map_err(|e| format!("ledger does not parse: {e}"))?;
     let version = doc
@@ -582,22 +566,16 @@ pub fn parse_ledger(text: &str) -> Result<(LedgerMeta, Vec<Row>), String> {
         .and_then(json::JsonValue::as_array)
         .ok_or_else(|| "ledger has no entries array".to_string())?;
     let rows: Vec<Row> = entries.iter().map(parse_row).collect::<Result<_, _>>()?;
-    let mut meta = LedgerMeta { rows: rows.len() as u64, ..LedgerMeta::default() };
-    if let Some(m) = doc.get("meta") {
-        let s = |f: &str| m.get(f).and_then(json::JsonValue::as_str).map(str::to_string);
-        let n = |f: &str| m.get(f).and_then(json::JsonValue::as_f64);
-        if let Some(h) = s("deck_hash") {
-            meta.deck_hash = h;
-        }
-        if let Some(r) = n("ranks") {
-            meta.ranks = r as u64;
-        }
-        if let Some(l) = s("telemetry_level") {
-            meta.telemetry_level = l;
-        }
-        if let Some(p) = n("sample_period") {
-            meta.sample_period = p as u64;
-        }
+    let m = doc.get("meta").ok_or("ledger missing field \"meta\"")?;
+    let meta = LedgerMeta {
+        version,
+        deck_hash: field_str(m, "meta.deck_hash")?,
+        ranks: field_count(m, "meta.ranks")?,
+        telemetry_level: field_str(m, "meta.telemetry_level")?,
+        rows: field_count(m, "meta.rows")?,
+    };
+    if meta.rows != rows.len() as u64 {
+        return Err(format!("ledger meta says {} rows but has {} entries", meta.rows, rows.len()));
     }
     Ok((meta, rows))
 }
@@ -919,7 +897,7 @@ mod tests {
             parsed.get("version").unwrap().as_f64(),
             Some(LEDGER_SCHEMA_VERSION as f64)
         );
-        let meta = parsed.get("meta").expect("v2 meta header");
+        let meta = parsed.get("meta").expect("meta header");
         assert_eq!(meta.get("rows").unwrap().as_f64(), Some(1.0));
         assert!(meta.get("deck_hash").unwrap().as_str().is_some());
         let entries = parsed.get("entries").unwrap().as_array().unwrap();
@@ -1000,11 +978,10 @@ mod tests {
             deck_hash: "0x00c0ffee00c0ffee".to_string(),
             ranks: 4,
             telemetry_level: "full".to_string(),
-            sample_period: 8,
             rows: rows.len() as u64,
         };
         let doc = rows_json_with_meta(&meta, &rows);
-        let (meta2, rows2) = parse_ledger(&doc).expect("v2 parses");
+        let (meta2, rows2) = parse_ledger(&doc).expect("v3 parses");
         assert_eq!(meta2, meta);
         assert_eq!(rows2, rows);
         // f64 fields must round-trip to the exact bit pattern, not just
@@ -1055,12 +1032,51 @@ mod tests {
         }
     }
 
+    /// A header that lost a field used to read as deck `"-"` on one rank
+    /// at level `"-"`, and be archived under the wrong deck.
+    #[test]
+    fn headers_missing_any_field_are_refused_by_name() {
+        let rows = synthetic_rows();
+        let meta = LedgerMeta {
+            version: LEDGER_SCHEMA_VERSION,
+            deck_hash: "0x00c0ffee00c0ffee".to_string(),
+            ranks: 4,
+            telemetry_level: "events".to_string(),
+            rows: rows.len() as u64,
+        };
+        let json::JsonValue::Object(doc) = json::parse(&rows_json_with_meta(&meta, &rows))
+            .expect("json")
+        else {
+            panic!("a ledger is an object");
+        };
+        let json::JsonValue::Object(header) = &doc["meta"] else {
+            panic!("meta is an object");
+        };
+        let refused = |doc: BTreeMap<String, json::JsonValue>, name: &str| {
+            let err = parse_ledger(&json::dump(&json::JsonValue::Object(doc))).expect_err(name);
+            assert!(err.contains(name), "{name}: {err}");
+        };
+        assert_eq!(header.len(), 4, "{header:?}");
+        for key in header.keys() {
+            let (mut without, mut inner) = (doc.clone(), header.clone());
+            inner.remove(key);
+            without.insert("meta".into(), json::JsonValue::Object(inner));
+            refused(without, &format!("meta.{key}"));
+        }
+        let mut without = doc.clone();
+        without.remove("meta");
+        refused(without, "meta");
+    }
+
     #[test]
     fn other_schema_versions_are_refused_not_misread() {
-        // The headerless v1 has no producer left...
-        let v1 = r#"{"version": 1, "entries": []}"#;
-        let err = parse_ledger(v1).expect_err("v1 is refused");
-        assert!(err.contains("v1") && err.contains("v2"), "{err}");
+        // The headerless v1 and the v2 that carried a span sampling
+        // period have no producer left...
+        for old in [1, 2] {
+            let doc = format!(r#"{{"version": {old}, "entries": []}}"#);
+            let err = parse_ledger(&doc).expect_err("an old version is refused");
+            assert!(err.contains(&format!("v{old}")) && err.contains("v3"), "{err}");
+        }
         // ...and future schemas are unknown.
         assert!(parse_ledger(r#"{"version": 99, "entries": []}"#).is_err());
     }

@@ -126,12 +126,11 @@ mod tests {
     fn a_new_thread_starts_from_the_environment_not_its_parents_override() {
         // What a thread that never overrode anything sees is what the
         // environment gives (whatever the harness was started with).
-        let from_env = || (level(), crate::sink::capacity(), crate::span::sample_interval());
+        let from_env = || (level(), crate::sink::capacity());
         let baseline = std::thread::spawn(from_env).join().expect("baseline thread");
         with_level(TelemetryLevel::Full, || {
             crate::sink::set_capacity(7);
-            crate::span::set_sample_interval(3);
-            assert_eq!(from_env(), (TelemetryLevel::Full, 7, 3));
+            assert_eq!(from_env(), (TelemetryLevel::Full, 7));
             let child = std::thread::spawn(from_env).join().expect("child thread");
             assert_eq!(child, baseline, "overrides are not inherited");
         });

@@ -6,18 +6,18 @@
 //! reproduction's single equivalent of both, shared by every layer:
 //!
 //! * **Spans** ([`span`], [`SpanGuard`]) — enter/exit pairs with typed
-//!   attributes (compute mode, burst index, matrix shape). `mkl-lite`
-//!   wraps every level-2/3 call in one, LFD wraps the QD sub-phases
-//!   (propagate, nonlocal, energy, remap, shadow), QXMD wraps MD steps
-//!   and SCF refreshes, and the supervisor wraps bursts — so a Figure
-//!   3a-style cost breakdown falls out of any trace.
+//!   attributes (compute mode, burst index, matrix shape), recorded at
+//!   `full` only. `mkl-lite` wraps every level-2/3 call in one, LFD wraps
+//!   the QD sub-phases (propagate, nonlocal, energy, remap, shadow), QXMD
+//!   wraps MD steps and SCF refreshes, and the supervisor wraps bursts —
+//!   so a Figure 3a-style cost breakdown falls out of any `full` trace.
 //! * **Events** ([`instant`]) — discrete occurrences: health violations,
 //!   rollbacks, escalations, checkpoint writes.
 //! * **Device timeline** ([`device_complete`]) — the `xe-gpu` simulated
 //!   kernel clock, kept as a separate track so host spans and modelled
 //!   kernels can be read side by side in one Perfetto view.
-//! * **Metrics** ([`metrics`]) — counters, gauges, and log₂-bucketed
-//!   histograms, dumped in Prometheus text format.
+//! * **Metrics** ([`metrics`]) — process-wide counters and gauges,
+//!   dumped in Prometheus text format.
 //! * **Exporters** ([`export`]) — JSONL event log, Chrome trace-event
 //!   JSON (loadable in Perfetto / `chrome://tracing`), Prometheus text.
 //! * **Callsite identity** ([`callsite`]) — stable `{phase}/{routine}`
@@ -25,7 +25,9 @@
 //! * **Accuracy/cost ledger** ([`ledger`]) — streaming per-(callsite,
 //!   shape-class, mode) statistics (calls, wall/device seconds, ABFT
 //!   residual histograms, escalations/rollbacks), exported as
-//!   `ledger.json` and labelled Prometheus series.
+//!   `ledger.json` and labelled Prometheus series. It counts every call
+//!   at every level above `off`, so it — not the span stream — is the
+//!   one record of how many calls ran and what they cost.
 //!
 //! Control mirrors the `MKL_VERBOSE` convention: the `TELEMETRY`
 //! environment variable (`off` | `events` | `full`) or the programmatic
@@ -34,8 +36,8 @@
 //! takes no locks (the `telemetry_check --overhead-gate` bench enforces
 //! this stays below 2% of a QD step).
 //!
-//! **Whose record.** The level, the event ring, the span sampler and the
-//! live ledger are one `Recorder` owned by the calling thread (DESIGN.md
+//! **Whose record.** The level, the event ring and the live ledger are
+//! one `Recorder` owned by the calling thread (DESIGN.md
 //! "Whose state"), as `mkl-lite`'s BLAS state is one `BlasContext`: a new
 //! thread starts from the environment, and two runs in one process do not
 //! see each other. Only what is not per run stays process-wide: the clock
@@ -76,9 +78,7 @@ pub use event::{Attr, AttrValue, Event, EventKind, Track};
 pub use level::{
     events_enabled, level, set_level, spans_enabled, with_level, TelemetryLevel,
 };
-pub use span::{
-    device_complete, instant, sample_interval, sampled_span, set_sample_interval, span, SpanGuard,
-};
+pub use span::{device_complete, instant, span, SpanGuard};
 
 /// The environment variable selecting the telemetry level
 /// (`off` | `events` | `full`), read when a thread first touches
@@ -88,9 +88,3 @@ pub const TELEMETRY_ENV: &str = "TELEMETRY";
 /// The environment variable bounding the event sink's ring buffer
 /// (events retained per recording thread; oldest are dropped first).
 pub const TELEMETRY_BUFFER_ENV: &str = "TELEMETRY_BUFFER";
-
-/// The environment variable selecting the 1-in-N sampling interval for
-/// high-frequency call spans at `TELEMETRY=events` (default 16). Each
-/// recorded span carries `sample_weight = N` so trace analysis can
-/// rescale back to the full population.
-pub const TELEMETRY_SAMPLE_ENV: &str = "TELEMETRY_SAMPLE";

@@ -1,8 +1,8 @@
 //! The calling thread's telemetry recorder.
 //!
 //! Everything the telemetry layer remembers about a run — the level, the
-//! event ring with its counters, the rank stamp, the 1-in-N span sampler
-//! and the live accuracy/cost ledger — is one `Recorder` in one
+//! event ring with its counters, the rank stamp and the live
+//! accuracy/cost ledger — is one `Recorder` in one
 //! `thread_local!`, the observability twin of `mkl-lite`'s `BlasContext`.
 //! The public free functions ([`mod@crate::level`], [`crate::sink`],
 //! [`mod@crate::span`], the live half of [`crate::ledger`]) are accessors of
@@ -12,7 +12,7 @@
 //! The contract that follows (DESIGN.md, "Whose state"):
 //!
 //! * A run's record is **per thread**. A new thread starts from the
-//!   environment (`TELEMETRY`, `TELEMETRY_BUFFER`, `TELEMETRY_SAMPLE`) and
+//!   environment (`TELEMETRY`, `TELEMETRY_BUFFER`) and
 //!   does **not** inherit its parent's overrides, events or ledger rows.
 //! * Telemetry is emitted from the thread that owns the run; parallel
 //!   regions sit below the span boundaries.
@@ -26,8 +26,7 @@ use crate::event::{Event, MAX_ATTRS};
 use crate::ledger::{Key, Stats};
 use crate::level::TelemetryLevel;
 use crate::sink::DEFAULT_CAPACITY;
-use crate::span::DEFAULT_SAMPLE_INTERVAL;
-use crate::{TELEMETRY_BUFFER_ENV, TELEMETRY_ENV, TELEMETRY_SAMPLE_ENV};
+use crate::{TELEMETRY_BUFFER_ENV, TELEMETRY_ENV};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -49,11 +48,6 @@ pub(crate) struct Recorder {
     pub truncated_attrs: u64,
     /// Rank / domain id stamped into exported stream metadata.
     pub rank: u64,
-
-    /// 1-in-N interval of `sampled_span` at the `events` level.
-    pub sample_n: u64,
-    /// Deterministic call counter driving the 1-in-N choice.
-    pub sample_counter: u64,
 
     /// The live ledger.
     pub ledger: BTreeMap<Key, Stats>,
@@ -93,7 +87,6 @@ impl Recorder {
         Recorder {
             level,
             capacity: env_count(TELEMETRY_BUFFER_ENV, DEFAULT_CAPACITY as u64) as usize,
-            sample_n: env_count(TELEMETRY_SAMPLE_ENV, DEFAULT_SAMPLE_INTERVAL),
             ..Recorder::default()
         }
     }
@@ -111,14 +104,6 @@ impl Recorder {
             self.dropped += 1;
         }
         self.ring.push_back(ev);
-    }
-
-    /// Counts one high-frequency call at the `events` level; `Some(N)` when
-    /// it is the one in N whose span is recorded.
-    pub fn sample(&mut self) -> Option<u64> {
-        let c = self.sample_counter;
-        self.sample_counter += 1;
-        c.is_multiple_of(self.sample_n).then_some(self.sample_n)
     }
 
     /// The ledger row under `key`, remembering the level it is written at.
@@ -140,6 +125,6 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
     match RECORDER.try_with(|cell| run(&mut cell.borrow_mut())) {
         Ok(out) => out,
         // Thread teardown: the recorder is already gone.
-        Err(_) => run(&mut Recorder { capacity: 1, sample_n: 1, ..Recorder::default() }),
+        Err(_) => run(&mut Recorder { capacity: 1, ..Recorder::default() }),
     }
 }

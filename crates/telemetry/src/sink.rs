@@ -73,11 +73,10 @@ pub fn rank() -> u64 {
 }
 
 /// The stream-metadata event exporters prepend to serialised dumps: the
-/// shared `run_epoch` clock key, the rank, and the active sampling
-/// interval. Synthetic — it never sits in the ring — so its `seq` is 0
+/// shared `run_epoch` clock key and the rank. Synthetic — it never sits in the ring — so its `seq` is 0
 /// and its timestamp is the epoch itself (`ts_ns` 0).
 pub fn run_meta_event() -> Event {
-    let (rank, sample_n) = recorder::with(|r| (r.rank, r.sample_n));
+    let rank = recorder::with(|r| r.rank);
     Event {
         seq: 0,
         ts_ns: 0,
@@ -88,7 +87,6 @@ pub fn run_meta_event() -> Event {
         attrs: vec![
             Attr { key: "run_epoch", value: AttrValue::U64(run_epoch_unix_ns()) },
             Attr { key: "rank", value: AttrValue::U64(rank) },
-            Attr { key: "sample_n", value: AttrValue::U64(sample_n) },
         ],
     }
 }

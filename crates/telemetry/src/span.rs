@@ -7,13 +7,12 @@
 //! the level and drop does nothing. A live guard holds no borrow of the
 //! thread's [`crate::recorder`]; it touches it only to publish.
 //!
-//! The 1-in-N sampler for high-frequency call spans ([`sampled_span`])
-//! is part of the recorder too, so which calls a run's trace contains
-//! depends on that run's own call sequence and on nothing else.
+//! Spans say *where in time* work ran; they are recorded at `full` only
+//! and never sampled. *How much* ran — calls and seconds per callsite —
+//! is the [`crate::ledger`]'s, which counts every call at every level.
 
 use crate::event::{Attr, AttrValue, EventKind, Track};
-use crate::level::{events_enabled, level, spans_enabled, TelemetryLevel};
-use crate::recorder::{self, Recorder};
+use crate::level::{events_enabled, spans_enabled};
 use crate::sink;
 
 /// RAII span: `Begin` on creation (when enabled), `End` on drop.
@@ -98,52 +97,6 @@ fn guard(name: &'static str, armed: bool) -> SpanGuard {
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     guard(name, spans_enabled())
-}
-
-/// Default sampling interval for high-frequency spans at the `events`
-/// level: 1 call span recorded per [`DEFAULT_SAMPLE_INTERVAL`] calls.
-pub const DEFAULT_SAMPLE_INTERVAL: u64 = 16;
-
-/// The calling thread's sampling interval N for [`sampled_span`] at the
-/// `events` level: `TELEMETRY_SAMPLE` (default
-/// [`DEFAULT_SAMPLE_INTERVAL`]) unless [`set_sample_interval`] overrode it.
-pub fn sample_interval() -> u64 {
-    recorder::with(|r| r.sample_n)
-}
-
-/// Sets the sampling interval (overrides the environment; values < 1
-/// clamp to 1). N = 1 records every call span at the `events` level.
-pub fn set_sample_interval(n: u64) {
-    recorder::with(|r| r.sample_n = n.max(1));
-}
-
-/// Resets the deterministic sample counter so the next sampled call
-/// site is recorded first — test harnesses use this to make weighted
-/// totals exactly reproducible.
-pub fn reset_sample_counter() {
-    recorder::with(|r| r.sample_counter = 0);
-}
-
-/// Opens a span for a **high-frequency** call site (per-BLAS-call).
-///
-/// * `Full` — identical to [`span`]: every call is recorded, weight 1.
-/// * `Events` — span-aware sampling: the recorder's deterministic call
-///   counter records 1 call in N ([`sample_interval`], env
-///   `TELEMETRY_SAMPLE`, default 16), and the recorded span carries a
-///   `sample_weight = N` begin attribute that the trace folder and
-///   attribution tables use to rescale totals. Long runs stay bounded
-///   but representative instead of losing the call population entirely.
-/// * `Off` — inert, same one-read cost as [`span`].
-#[inline]
-pub fn sampled_span(name: &'static str) -> SpanGuard {
-    match level() {
-        TelemetryLevel::Full => guard(name, true),
-        TelemetryLevel::Off => guard(name, false),
-        TelemetryLevel::Events => match recorder::with(Recorder::sample) {
-            Some(n) => guard(name, true).attr("sample_weight", AttrValue::F64(n as f64)),
-            None => guard(name, false),
-        },
-    }
 }
 
 /// Publishes an instant event on the host track. Inert unless the level
@@ -236,51 +189,6 @@ mod tests {
             instant("span_test_instant", vec![]);
             let evs = drain();
             assert!(evs.iter().any(|e| e.name == "span_test_instant"));
-        });
-    }
-
-    #[test]
-    fn sampled_span_records_one_in_n_with_weight() {
-        with_level(TelemetryLevel::Events, || {
-            set_sample_interval(4);
-            for _ in 0..16 {
-                let _g = sampled_span("span_test_sampled").enter();
-            }
-            let begins: Vec<_> = drain()
-                .into_iter()
-                .filter(|e| e.name == "span_test_sampled" && e.kind == EventKind::SpanBegin)
-                .collect();
-            assert_eq!(begins.len(), 4, "16 calls at 1-in-4 -> 4 spans");
-            for b in &begins {
-                assert_eq!(b.attr("sample_weight"), Some(&AttrValue::F64(4.0)), "{b:?}");
-            }
-        });
-    }
-
-    #[test]
-    fn sampled_span_is_unsampled_at_full() {
-        with_level(TelemetryLevel::Full, || {
-            for _ in 0..6 {
-                let _g = sampled_span("span_test_full_sampled").enter();
-            }
-            let evs: Vec<_> = drain()
-                .into_iter()
-                .filter(|e| e.name == "span_test_full_sampled")
-                .collect();
-            assert_eq!(evs.len(), 12, "every call span recorded at full");
-            assert!(
-                evs.iter().all(|e| e.attr("sample_weight").is_none()),
-                "no weight attr at full level"
-            );
-        });
-    }
-
-    #[test]
-    fn sampled_span_inert_when_off() {
-        with_level(TelemetryLevel::Off, || {
-            let _g = sampled_span("span_test_sampled_off").enter();
-            drop(_g);
-            assert!(drain().iter().all(|e| e.name != "span_test_sampled_off"));
         });
     }
 

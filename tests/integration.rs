@@ -243,9 +243,9 @@ struct RunTrace {
     header: (String, String),
     /// The thread's event stream, in order, without its timestamps.
     events: Vec<(&'static str, EventKind, Track)>,
-    /// BLAS call spans recorded 1-in-N by the thread's sampler (`events`
-    /// level only; `TELEMETRY_SAMPLE` is left at its default).
-    sampled_spans: usize,
+    /// (`B`, `E`) events of BLAS call spans: those named after a routine
+    /// in the call ring.
+    call_spans: (usize, usize),
 }
 
 impl RunTrace {
@@ -284,18 +284,23 @@ fn traced_run(
             }
             let meta = telemetry::ledger::current_meta(ledger.len() as u64);
             let events = telemetry::sink::drain();
+            let calls = verbose::drain();
+            let routines: std::collections::BTreeSet<_> = calls.iter().map(|c| c.routine).collect();
+            let call_span = |kind| {
+                events.iter().filter(|e| e.kind == kind && routines.contains(e.name)).count()
+            };
             RunTrace {
                 bits,
                 sdc_recoveries: run.sdc_recoveries,
                 injected: mkl_lite::fault::injected_fault_count(),
                 abft_checks: mkl_lite::abft_check_count(),
-                calls: verbose::drain()
+                call_spans: (call_span(EventKind::SpanBegin), call_span(EventKind::SpanEnd)),
+                calls: calls
                     .iter()
                     .map(|c| (c.routine, c.m, c.n, c.k, c.mode, c.device_seconds.is_some()))
                     .collect(),
                 ledger,
                 header: (meta.deck_hash, meta.telemetry_level),
-                sampled_spans: events.iter().filter(|e| e.attr("sample_weight").is_some()).count(),
                 events: events.iter().map(|e| (e.name, e.kind, e.track)).collect(),
             }
         })
@@ -331,9 +336,18 @@ fn two_concurrent_runs_in_one_process_match_their_solo_runs() {
             );
         }
         assert_eq!(b_solo.instants("abft_violation") + b_solo.instants("escalation"), 0);
-        // At `full` every call span is recorded unweighted; at `events` the
-        // thread's own 1-in-N counter picks them.
-        assert_eq!(b_solo.sampled_spans > 0, level == TelemetryLevel::Events);
+        // At `full` every call is one span; at `events` no call is a span
+        // (the ledger above counts them all at both levels).
+        match level {
+            TelemetryLevel::Full => {
+                let n = b_solo.calls.len();
+                assert!(n > 0);
+                assert_eq!(b_solo.call_spans, (n, n), "one B/E pair per ring record");
+            }
+            _ => assert_eq!(b_solo.call_spans, (0, 0), "no BLAS call span below full"),
+        }
+        let ledger_calls: u64 = b_solo.ledger.iter().map(|r| r.stats.calls).sum();
+        assert_eq!(ledger_calls, b_solo.calls.len() as u64, "the ledger counts every call");
 
         // A: BF16 with every GEMM checksummed and priced, and a NaN planted
         // in a mid-run CGEMM. The routine sequence does not depend on the
@@ -376,7 +390,7 @@ fn two_concurrent_runs_in_one_process_match_their_solo_runs() {
 
         // Both at once, released together. Each must reproduce its solo run
         // to the bit and to the record — BLAS ring, ledger rows, header,
-        // event stream and sampled-span count: B sees none of A's faults,
+        // event stream and call-span count: B sees none of A's faults,
         // checks, model, calls, rows or instants, and A none of B's.
         let together = Barrier::new(2);
         let (a, b) = std::thread::scope(|s| {
