@@ -197,17 +197,13 @@ fn site_attrs(routine: &'static str, key: ledger::Key) -> Vec<Attr> {
     ]
 }
 
-/// Unit roundoff of the product under `mode`, never smaller than the
-/// element type's own.
+/// Unit roundoff of the product under `mode`: that of its input
+/// representation — `depth` terms of a format, `u^depth` — never smaller
+/// than the element type's own.
 fn mode_eps(mode: ComputeMode, elem_eps: f64) -> f64 {
-    let m = match mode {
-        ComputeMode::Standard | ComputeMode::Complex3m => elem_eps,
-        ComputeMode::FloatToBf16 => 2f64.powi(-8),
-        ComputeMode::FloatToBf16x2 => 2f64.powi(-16),
-        ComputeMode::FloatToBf16x3 => 2f64.powi(-23),
-        ComputeMode::FloatToTf32 => 2f64.powi(-11),
-    };
-    m.max(elem_eps)
+    mode.systolic()
+        .map_or(elem_eps, |(format, depth)| format.unit_roundoff().powi(depth as i32))
+        .max(elem_eps)
 }
 
 /// Logical `op(X)[r][c]` of a stored matrix with leading dimension `ld`.
@@ -392,5 +388,8 @@ mod tests {
         // Never below the element type's own roundoff.
         assert_eq!(mode_eps(ComputeMode::FloatToBf16x3, e32), e32.max(2f64.powi(-23)));
         assert_eq!(mode_eps(ComputeMode::Standard, f64::EPSILON), f64::EPSILON);
+        // The exact value per mode, in `ALL` order.
+        let eps = ComputeMode::ALL.map(|mode| mode_eps(mode, e32));
+        assert_eq!(eps, [-23, -8, -16, -23, -11, -23].map(|e| 2f64.powi(e)));
     }
 }

@@ -46,6 +46,7 @@ use super::pack::{self, OpSrc, Side};
 use crate::layout::Uplo;
 use crate::mode::ComputeMode;
 use crate::workspace::{take_scratch, Poolable};
+use dcmesh_numerics::split::MAX_SPLIT_DEPTH;
 use dcmesh_numerics::Real;
 use rayon::prelude::*;
 
@@ -196,8 +197,9 @@ pub fn dispatched_kernel<T: MicroArch>() -> &'static str {
 }
 
 /// One accumulated product run off every packed k-block: the `depth`
-/// diagonal plane products `A[a+t]·B[b+t]`, `t < depth`, summed in one
-/// register accumulator per C tile and added to output `out`.
+/// diagonal plane products `A[a+t]·B[b+t]`, `t < depth ≤
+/// MAX_SPLIT_DEPTH`, summed in one register accumulator per C tile and
+/// added to output `out`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Product {
     pub a: usize,
@@ -347,7 +349,7 @@ pub(crate) fn gemm_packed<T, PA, PB>(
                         }
                         let a_off = (bi * MC_PANELS + ir) * mr * kc;
                         for pr in products {
-                            let mut terms = [(0usize, 0usize); 3];
+                            let mut terms = [(0usize, 0usize); MAX_SPLIT_DEPTH];
                             for (t, term) in terms.iter_mut().enumerate().take(pr.depth) {
                                 *term = (
                                     (pr.a + t) * a_stride + a_off,

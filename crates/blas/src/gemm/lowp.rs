@@ -8,51 +8,36 @@
 //! `f32` kernel reproduces the hardware arithmetic faithfully — the only
 //! freedom left is summation order, which BLAS never specifies anyway.
 //!
-//! Component products covered per mode (subscripts are split-term indices,
-//! 0 = leading):
+//! A mode splits its inputs into `d` terms (`ComputeMode::systolic`) and
+//! covers the component products `AᵢBⱼ` with `i + j < d` (subscripts are
+//! split-term indices, 0 = leading; term `(i, j)` weighs ~`2^{-8(i+j)}`):
 //!
-//! * BF16:   A₀B₀
-//! * BF16x2: A₀B₀ + A₀B₁ + A₁B₀            (3 of 4; drops A₁B₁ ~ 2⁻³²)
-//! * BF16x3: A₀B₀ + A₀B₁ + A₁B₀ + A₀B₂ + A₂B₀ + A₁B₁
-//!   (6 of 9; dropped terms are ~2⁻⁴⁰ and below)
-//! * TF32:   A₀B₀ with TF32 rounding
+//! * BF16 (`d = 1`):   A₀B₀
+//! * BF16x2 (`d = 2`): A₀B₀ + A₀B₁ + A₁B₀            (3 of 4; drops A₁B₁ ~ 2⁻¹⁶)
+//! * BF16x3 (`d = 3`): A₀B₀ + A₀B₁ + A₁B₀ + A₀B₂ + A₁B₁ + A₂B₀
+//!   (6 of 9; dropped terms are ~2⁻²⁴ and below)
+//! * TF32 (`d = 1`):   A₀B₀ with TF32 rounding
 //!
 //! Execution does *not* run one GEMM pass per covered term. Following the
 //! cascaded-GEMM regrouping, the B operand is packed as partial-sum
 //! planes `BSₜ = fl(Σ_{j ≤ d-1-t} bⱼ)` and only the `d` diagonal products
-//! `Aₜ·BSₜ` run (see [`cascade_products`], the `pack` module docs, and
-//! `kernel::Product`, which runs exactly these diagonals):
-//! the same covered term set at 2 (x2) or 3 (x3) kernel passes, with all
-//! passes sharing one packed buffer set and one FP32 register
-//! accumulator per C tile. The partial-sum rounding perturbs each
-//! covered term by ≤ 2⁻²⁴ relative — below every mode's split-residual
-//! floor, as the error-ordering tests pin down.
+//! `Aₜ·BSₜ` run (see the `pack` module docs and `kernel::Product`, whose
+//! `depth` is exactly these diagonals): the same covered term set in `d`
+//! kernel passes, with all passes sharing one packed buffer set and one
+//! FP32 register accumulator per C tile. The partial-sum rounding
+//! perturbs each covered term by ≤ 2⁻²⁴ relative — below every mode's
+//! split-residual floor, as the error-ordering tests pin down.
 
 use super::kernel::{real_product, Exec};
 use super::pack::OpSrc;
 use crate::mode::ComputeMode;
 
-/// The `(a_component, b_component)` product list *covered* by a given
-/// BF16 split depth, in decreasing order of magnitude. This is the
-/// mathematical contract of each mode; see [`cascade_products`] for the
-/// product list actually executed.
-pub fn product_terms(depth: usize) -> &'static [(usize, usize)] {
-    match depth {
-        1 => &[(0, 0)],
-        2 => &[(0, 0), (0, 1), (1, 0)],
-        3 => &[(0, 0), (0, 1), (1, 0), (0, 2), (2, 0), (1, 1)],
-        _ => panic!("unsupported split depth {depth}"),
-    }
-}
-
-/// The diagonal `(a_plane, b_plane)` products actually executed for a
-/// split depth: raw A plane `t` times cascaded B partial-sum plane `t`.
-/// Expanding the cascades reproduces [`product_terms`] exactly:
-/// `a₀(b₀+b₁+b₂) + a₁(b₀+b₁) + a₂b₀` covers `{00,01,02,10,11,20}`.
-pub fn cascade_products(depth: usize) -> &'static [(usize, usize)] {
-    const DIAG: [(usize, usize); 3] = [(0, 0), (1, 1), (2, 2)];
-    assert!((1..=3).contains(&depth), "unsupported split depth {depth}");
-    &DIAG[..depth]
+/// The `(a_component, b_component)` products *covered* by a split of
+/// `depth` terms, `{(i, j) : i + j < depth}`, in decreasing order of
+/// magnitude. This is the mathematical contract of each mode; the
+/// executed products are the `depth` cascade diagonals.
+pub fn product_terms(depth: usize) -> Vec<(usize, usize)> {
+    (0..depth).flat_map(|weight| (0..=weight).map(move |i| (i, weight - i))).collect()
 }
 
 /// `acc += A · B` computed in the given low-precision mode.
@@ -84,7 +69,7 @@ pub fn matmul_acc_lowp(
 mod tests {
     use super::*;
     use crate::gemm::kernel::matmul_reference;
-    use dcmesh_numerics::split::split_slice_into;
+    use dcmesh_numerics::split::{split_slice_into, MAX_SPLIT_DEPTH};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -148,17 +133,19 @@ mod tests {
         assert_eq!(product_terms(1).len(), 1);
         assert_eq!(product_terms(2).len(), 3);
         assert_eq!(product_terms(3).len(), 6);
-        // Magnitude ordering: term (i, j) has weight ~2^{-8(i+j)}.
-        for terms in [product_terms(2), product_terms(3)] {
+        for mode in ComputeMode::ALL {
+            if let Some(depth) = mode.split_depth() {
+                assert_eq!(product_terms(depth).len(), mode.component_products(), "{mode:?}");
+            }
+        }
+        for depth in 1..=MAX_SPLIT_DEPTH {
+            let terms = product_terms(depth);
+            assert!(terms.iter().all(|&(i, j)| i + j < depth), "depth {depth}: {terms:?}");
+            // Magnitude ordering: term (i, j) has weight ~2^{-8(i+j)}.
             let weights: Vec<usize> = terms.iter().map(|&(i, j)| i + j).collect();
             let mut sorted = weights.clone();
             sorted.sort_unstable();
             assert_eq!(weights, sorted, "terms must be in decreasing magnitude order");
-        }
-        // The executed cascade runs exactly `depth` diagonal products.
-        for depth in 1..=3 {
-            assert_eq!(cascade_products(depth).len(), depth);
-            assert!(cascade_products(depth).iter().all(|&(i, j)| i == j));
         }
     }
 
@@ -184,7 +171,7 @@ mod tests {
             // Term-by-term reference in f64 (summation-order differences
             // are below the comparison tolerance).
             let mut reference = vec![0.0f64; m * n];
-            for &(ia, ib) in product_terms(depth) {
+            for (ia, ib) in product_terms(depth) {
                 let a64: Vec<f64> = ap[ia].iter().map(|&x| x as f64).collect();
                 let b64: Vec<f64> = bp[ib].iter().map(|&x| x as f64).collect();
                 for (r, p) in reference.iter_mut().zip(matmul_reference(&a64, &b64, m, n, k)) {

@@ -25,31 +25,34 @@
 //!    source row is read once, contiguously, and transposed into the
 //!    panel.
 //! 2. [`convert_f32`] applies the compute mode *in place* over the packed
-//!    plane — a contiguous, panel-layout-agnostic, 8-lane-vectorised run:
-//!    BF16/TF32 rounding, or the split into `depth` planes. Each source
-//!    element is gathered and converted exactly once per call no matter
-//!    how many products and product terms later read the packed planes.
+//!    plane — a contiguous, panel-layout-agnostic, vectorised run that
+//!    splits each element into the mode's `depth` terms of its format
+//!    (`ComputeMode::systolic`; depth 1 is plain BF16/TF32 rounding).
+//!    Each source element is gathered and converted exactly once per call
+//!    no matter how many products and product terms later read the
+//!    packed planes.
 //!
-//! For the BF16 split modes the two operands are converted differently:
+//! The two operands are converted differently:
 //!
-//! * A-side ([`Side::A`]): the raw split planes `a₀, a₁, a₂` from
-//!   [`Split2`]/[`Split3`] (each BF16-representable).
-//! * B-side ([`Side::B`]): *cascaded partial sums*
+//! * A-side ([`Side::A`]): the raw split planes `a₀ … a_{d-1}` of
+//!   `numerics::split` (each representable in the format).
+//! * B-side ([`Side::B`]): *cascaded partial sums* ([`cascade`])
 //!   `BS_t = fl(b₀ + … + b_{d-1-t})`, i.e. for depth 3 the planes
-//!   `[b₀+b₁+b₂, b₀+b₁, b₀]` and for depth 2 `[b₀+b₁, b₀]`.
+//!   `[b₀+b₁+b₂, b₀+b₁, b₀]`.
 //!
 //! Running only the diagonal products `Aₜ·BSₜ` then covers exactly the
-//! documented term sets (`lowp::product_terms`) with `d` GEMM passes
-//! instead of `3`/`6`: `a₀·(b₀+b₁+b₂) + a₁·(b₀+b₁) + a₂·b₀` expands to
-//! `{00,01,02,10,11,20}`. The partial sums are rounded to `f32`
-//! (relative perturbation ≤ 2⁻²⁴), which sits below the 2⁻¹⁶ / ≈2⁻²⁴
-//! split-residual floors of the x2/x3 modes — the error-ordering tests
-//! in `lowp` pin this down empirically.
+//! documented term set (`lowp::product_terms`, `i + j < d`) with `d` GEMM
+//! passes instead of `d(d+1)/2`: `a₀·(b₀+b₁+b₂) + a₁·(b₀+b₁) + a₂·b₀`
+//! expands to `{00,01,02,10,11,20}`. The partial sums are rounded to
+//! `f32` (relative perturbation ≤ 2⁻²⁴), which sits below the 2⁻¹⁶ /
+//! ≈2⁻²⁴ split-residual floors of the x2/x3 modes — the error-ordering
+//! tests in `lowp` pin this down empirically.
 
 use crate::layout::Op;
 use crate::mode::ComputeMode;
 use dcmesh_numerics::bf16::Bf16;
-use dcmesh_numerics::split::{Split2, Split3};
+use dcmesh_numerics::format::TF32;
+use dcmesh_numerics::split::{split_by, MAX_SPLIT_DEPTH};
 use dcmesh_numerics::tf32::Tf32;
 use dcmesh_numerics::Real;
 
@@ -293,49 +296,52 @@ fn convert_f32_at(
     stride: usize,
     len: usize,
 ) {
-    let depth = match mode {
-        ComputeMode::Standard | ComputeMode::Complex3m => return,
-        ComputeMode::FloatToBf16 | ComputeMode::FloatToTf32 => 1,
-        ComputeMode::FloatToBf16x2 => 2,
-        ComputeMode::FloatToBf16x3 => 3,
-    };
+    let Some((format, depth)) = mode.systolic() else { return };
     assert!(depth == 1 || len <= stride, "plane run longer than the plane stride");
-    let (p0, rest): (&mut [f32], &mut [f32]) =
-        if depth == 1 { (planes, &mut []) } else { planes.split_at_mut(stride) };
-    let p0 = &mut p0[..len];
-    let (p1, p2): (&mut [f32], &mut [f32]) = match depth {
-        1 => (&mut [], &mut []),
-        2 => (&mut rest[..len], &mut []),
-        _ => {
-            let (p1, p2) = rest.split_at_mut(stride);
-            (&mut p1[..len], &mut p2[..len])
-        }
-    };
+    let tf32 = format == TF32;
+    // The one place a runtime depth becomes a compile-time one: an arm
+    // per depth up to the ceiling.
+    const _: () = assert!(MAX_SPLIT_DEPTH == 3, "one arm per depth");
+    match depth {
+        1 => convert_planes::<1>(lanes, tf32, side, planes, stride, len),
+        2 => convert_planes::<2>(lanes, tf32, side, planes, stride, len),
+        3 => convert_planes::<3>(lanes, tf32, side, planes, stride, len),
+        _ => unreachable!("{mode:?} splits deeper than MAX_SPLIT_DEPTH"),
+    }
+}
+
+/// [`convert_f32_at`] at a compile-time depth `D`: plane `t` of each
+/// element is term `t` of its split into TF32 or BF16 terms (side A), or
+/// the partial sum [`cascade`] makes of them (side B). Whole vector
+/// groups run at `lanes`, the tail in scalar code.
+fn convert_planes<const D: usize>(
+    lanes: Lanes,
+    tf32: bool,
+    side: Side,
+    planes: &mut [f32],
+    stride: usize,
+    len: usize,
+) {
     assert!(Lanes::available().any(|l| l == lanes), "host cannot run {lanes:?} conversions");
-    // Whole vector groups first, then the scalar tail.
+    let mut chunks = planes.chunks_mut(stride.max(len));
+    let mut p: [&mut [f32]; D] =
+        core::array::from_fn(|_| &mut chunks.next().expect("planes holds D planes")[..len]);
     #[cfg(target_arch = "x86_64")]
     let done = {
-        let (q0, q1, q2) = (p0.as_mut_ptr(), p1.as_mut_ptr(), p2.as_mut_ptr());
+        let ptrs = p.each_mut().map(|pl| pl.as_mut_ptr());
         macro_rules! run {
             ($isa:ident, $width:literal) => {{
                 let done = len - len % $width;
                 // SAFETY: the ISA was asserted available just above;
-                // `done` is a multiple of the vector width and every
-                // plane the chosen instantiation touches (`p0`, and
-                // `p1`/`p2` up to `depth`) was sliced to `len ≥ done`
+                // `done` is a multiple of the vector width and each of
+                // the `D` planes behind `ptrs` was sliced to `len ≥ done`
                 // elements.
                 unsafe {
-                    match (mode, side) {
-                        (ComputeMode::FloatToBf16, _) => x86::$isa::round_run::<false>(q0, done),
-                        (ComputeMode::FloatToTf32, _) => x86::$isa::round_run::<true>(q0, done),
-                        (ComputeMode::FloatToBf16x2, Side::A) => {
-                            x86::$isa::split_run::<false, 2>(q0, q1, q2, done)
-                        }
-                        (ComputeMode::FloatToBf16x2, Side::B) => {
-                            x86::$isa::split_run::<true, 2>(q0, q1, q2, done)
-                        }
-                        (_, Side::A) => x86::$isa::split_run::<false, 3>(q0, q1, q2, done),
-                        (_, Side::B) => x86::$isa::split_run::<true, 3>(q0, q1, q2, done),
+                    match (tf32, side) {
+                        (false, Side::A) => x86::$isa::convert_run::<false, false, D>(ptrs, done),
+                        (false, Side::B) => x86::$isa::convert_run::<false, true, D>(ptrs, done),
+                        (true, Side::A) => x86::$isa::convert_run::<true, false, D>(ptrs, done),
+                        (true, Side::B) => x86::$isa::convert_run::<true, true, D>(ptrs, done),
                     }
                 }
                 done
@@ -349,114 +355,79 @@ fn convert_f32_at(
     };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
+    let round = if tf32 { Tf32::round_f32 } else { Bf16::round_f32 };
     for j in done..len {
-        let x = p0[j];
-        let t = match (mode, side) {
-            (ComputeMode::FloatToBf16, _) => [Bf16::round_f32(x), 0.0, 0.0],
-            (ComputeMode::FloatToTf32, _) => [Tf32::round_f32(x), 0.0, 0.0],
-            (_, Side::A) => split_planes(x, depth),
-            (_, Side::B) => cascade_planes(x, depth),
-        };
-        p0[j] = t[0];
-        if depth > 1 {
-            p1[j] = t[1];
-        }
-        if depth > 2 {
-            p2[j] = t[2];
+        let terms = split_by::<D>(p[0][j], round);
+        let t = if side == Side::B { cascade(terms) } else { terms };
+        for (pl, v) in p.iter_mut().zip(t) {
+            pl[j] = v;
         }
     }
 }
 
-/// Raw BF16 split planes of one element: `[a₀, a₁, a₂]` (unused planes 0).
+/// Cascaded partial sums of one element's split terms: plane `t` holds
+/// `fl(b₀ + … + b_{D-1-t})`, summed left to right. Non-finite values ride
+/// along unchanged: the split puts Inf/NaN in the leading term with zero
+/// corrections, so every cascade plane is Inf/NaN too and 0·Inf / 0·NaN
+/// still fire in all `D` products.
 #[inline(always)]
-fn split_planes(x: f32, depth: usize) -> [f32; 3] {
-    if depth == 2 {
-        let s = Split2::new(x);
-        [s.hi, s.lo, 0.0]
-    } else {
-        let s = Split3::new(x);
-        [s.hi, s.mid, s.lo]
+fn cascade<const D: usize>(terms: [f32; D]) -> [f32; D] {
+    let mut sums = terms;
+    let mut s = terms[0];
+    sums[D - 1] = s;
+    for i in 1..D {
+        s += terms[i];
+        sums[D - 1 - i] = s;
     }
-}
-
-/// Cascaded partial-sum planes of one element: plane `t` holds
-/// `fl(b₀ + … + b_{depth-1-t})`. Non-finite values ride along unchanged:
-/// `Split*::new` puts Inf/NaN in the leading term with zero corrections,
-/// so every cascade plane is Inf/NaN too and 0·Inf / 0·NaN still fire in
-/// all `d` products.
-#[inline(always)]
-fn cascade_planes(x: f32, depth: usize) -> [f32; 3] {
-    if depth == 2 {
-        let s = Split2::new(x);
-        [s.hi + s.lo, s.hi, 0.0]
-    } else {
-        let s = Split3::new(x);
-        let s01 = s.hi + s.mid;
-        [s01 + s.lo, s01, s.hi]
-    }
+    sums
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! Vector replicas of the scalar BF16/TF32 rounding and BF16
-    //! split/cascade, at 8 (AVX2) and 16 (AVX-512) lanes. Exact
+    //! Vector replicas of the scalar split (BF16 or TF32 terms) and
+    //! cascade, at 8 (AVX2) and 16 (AVX-512) lanes. Exact
     //! bit-compatibility with the scalar path is a hard requirement (the
     //! pack must not depend on the host's ISA beyond speed); the rounding
     //! uses the same integer round-to-nearest-even trick as
     //! `Bf16::from_f32`, including its NaN-quieting behaviour.
 
-    /// The two in-place runs over packed planes, written once over an
-    /// ISA's `LANES`, load/store/add and its `round_bf16` / `round_tf32` /
-    /// `split` (defined beside the invocation).
+    /// The in-place run over packed planes, written once over an ISA's
+    /// `LANES`, load/store/add and its `split` (defined beside the
+    /// invocation).
     macro_rules! runs {
         ($feat:literal, $lanes:literal, $load:ident, $store:ident, $add:ident) => {
-            /// Rounds `len` (a multiple of the lane count) elements in
-            /// place, to TF32 or BF16.
-            ///
-            /// # Safety
-            /// Caller must have verified the ISA and that `p` addresses
-            /// at least `len` readable and writable elements.
-            #[target_feature(enable = $feat)]
-            pub(in super::super) unsafe fn round_run<const TF32: bool>(p: *mut f32, len: usize) {
-                debug_assert!(len.is_multiple_of($lanes));
-                for j in (0..len).step_by($lanes) {
-                    let x = $load(p.add(j));
-                    $store(p.add(j), if TF32 { round_tf32(x) } else { round_bf16(x) });
-                }
-            }
-
             /// Converts `len` (a multiple of the lane count) raw elements
-            /// at `p0` into `DEPTH` split planes in place: the raw planes
-            /// (`CASCADE = false`) or the cascaded partial sums. `p2` is
-            /// only touched for depth 3.
+            /// at `p[0]` into `D` planes in place, plane `t` at `p[t]`:
+            /// the split terms, TF32 or BF16, or with `CASCADE` their
+            /// partial sums — lane for lane the scalar `split_by` and
+            /// `cascade`.
             ///
             /// # Safety
-            /// Caller must have verified the ISA and that `p0`, `p1` and
-            /// — for depth 3 — `p2` each address at least `len` readable
-            /// and writable elements.
+            /// Caller must have verified the ISA and that each `p[t]`
+            /// addresses at least `len` readable and writable elements.
             #[target_feature(enable = $feat)]
-            pub(in super::super) unsafe fn split_run<const CASCADE: bool, const DEPTH: usize>(
-                p0: *mut f32,
-                p1: *mut f32,
-                p2: *mut f32,
+            pub(in super::super) unsafe fn convert_run<
+                const TF32: bool,
+                const CASCADE: bool,
+                const D: usize,
+            >(
+                p: [*mut f32; D],
                 len: usize,
             ) {
                 debug_assert!(len.is_multiple_of($lanes));
                 for j in (0..len).step_by($lanes) {
-                    // For depth 2, `mid` holds the single correction term.
-                    let (hi, mid, lo) = split($load(p0.add(j)), DEPTH);
-                    let (o0, o1, o2) = if !CASCADE {
-                        (hi, mid, lo)
-                    } else if DEPTH == 2 {
-                        ($add(hi, mid), hi, lo)
-                    } else {
-                        let s01 = $add(hi, mid);
-                        ($add(s01, lo), s01, hi)
-                    };
-                    $store(p0.add(j), o0);
-                    $store(p1.add(j), o1);
-                    if DEPTH > 2 {
-                        $store(p2.add(j), o2);
+                    let terms = split::<TF32, D>($load(p[0].add(j)));
+                    let mut out = terms;
+                    if CASCADE {
+                        let mut s = terms[0];
+                        out[D - 1] = s;
+                        for i in 1..D {
+                            s = $add(s, terms[i]);
+                            out[D - 1 - i] = s;
+                        }
+                    }
+                    for (pl, v) in p.iter().zip(out) {
+                        $store(pl.add(j), v);
                     }
                 }
             }
@@ -503,23 +474,31 @@ mod x86 {
             _mm256_blendv_ps(_mm256_castsi256_ps(rounded), x, _mm256_castsi256_ps(special))
         }
 
-        /// Vector `Split3::new` (depth 3) / `Split2::new` (depth 2):
-        /// returns the raw planes with corrections zeroed on non-finite
-        /// leads, exactly like the scalar constructors.
         #[inline]
         #[target_feature(enable = "avx2")]
-        unsafe fn split(x: __m256, depth: usize) -> (__m256, __m256, __m256) {
-            let hi = round_bf16(x);
-            let abs_hi = _mm256_and_ps(hi, _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF)));
-            let finite = _mm256_cmp_ps(abs_hi, _mm256_set1_ps(f32::INFINITY), _CMP_LT_OQ);
-            let r1 = _mm256_sub_ps(x, hi);
-            let mid = _mm256_and_ps(round_bf16(r1), finite);
-            if depth == 2 {
-                (hi, mid, _mm256_setzero_ps())
+        unsafe fn round<const TF32: bool>(x: __m256) -> __m256 {
+            if TF32 {
+                round_tf32(x)
             } else {
-                let lo = _mm256_and_ps(round_bf16(_mm256_sub_ps(r1, mid)), finite);
-                (hi, mid, lo)
+                round_bf16(x)
             }
+        }
+
+        /// Vector `split_by::<D>` with TF32 or BF16 rounding: the terms,
+        /// corrections zeroed on non-finite leads, exactly like the
+        /// scalar.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn split<const TF32: bool, const D: usize>(x: __m256) -> [__m256; D] {
+            let mut t = [round::<TF32>(x); D];
+            let abs_hi = _mm256_and_ps(t[0], _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF)));
+            let finite = _mm256_cmp_ps(abs_hi, _mm256_set1_ps(f32::INFINITY), _CMP_LT_OQ);
+            let mut r = x;
+            for i in 1..D {
+                r = _mm256_sub_ps(r, t[i - 1]);
+                t[i] = _mm256_and_ps(round::<TF32>(r), finite);
+            }
+            t
         }
 
         runs!("avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps);
@@ -559,21 +538,29 @@ mod x86 {
             _mm512_castsi512_ps(_mm512_mask_mov_epi32(rounded, special, bits))
         }
 
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn round<const TF32: bool>(x: __m512) -> __m512 {
+            if TF32 {
+                round_tf32(x)
+            } else {
+                round_bf16(x)
+            }
+        }
+
         /// 16-lane [`super::avx2`]`::split`.
         #[inline]
         #[target_feature(enable = "avx512f")]
-        unsafe fn split(x: __m512, depth: usize) -> (__m512, __m512, __m512) {
-            let hi = round_bf16(x);
+        unsafe fn split<const TF32: bool, const D: usize>(x: __m512) -> [__m512; D] {
+            let mut t = [round::<TF32>(x); D];
             let finite =
-                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(hi), _mm512_set1_ps(f32::INFINITY));
-            let r1 = _mm512_sub_ps(x, hi);
-            let mid = _mm512_maskz_mov_ps(finite, round_bf16(r1));
-            if depth == 2 {
-                (hi, mid, _mm512_setzero_ps())
-            } else {
-                let lo = _mm512_maskz_mov_ps(finite, round_bf16(_mm512_sub_ps(r1, mid)));
-                (hi, mid, lo)
+                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(t[0]), _mm512_set1_ps(f32::INFINITY));
+            let mut r = x;
+            for i in 1..D {
+                r = _mm512_sub_ps(r, t[i - 1]);
+                t[i] = _mm512_maskz_mov_ps(finite, round::<TF32>(r));
             }
+            t
         }
 
         runs!("avx512f", 16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps);
@@ -584,6 +571,8 @@ mod x86 {
 mod tests {
     use super::*;
     use dcmesh_numerics::c32;
+    use dcmesh_numerics::format::BF16;
+    use dcmesh_numerics::split::split;
 
     #[test]
     fn a_panel_layout_and_padding() {
@@ -662,26 +651,82 @@ mod tests {
     #[test]
     fn cascade_planes_cover_term_sums() {
         let x = 0.1234567f32;
-        let s = Split3::new(x);
-        let c = cascade_planes(x, 3);
-        assert_eq!(c[0], (s.hi + s.mid) + s.lo);
-        assert_eq!(c[1], s.hi + s.mid);
-        assert_eq!(c[2], s.hi);
-        let s2 = Split2::new(x);
-        let c2 = cascade_planes(x, 2);
-        assert_eq!(c2[0], s2.hi + s2.lo);
-        assert_eq!(c2[1], s2.hi);
+        let [hi, mid, lo] = split::<3>(x);
+        assert_eq!(cascade([hi, mid, lo]), [(hi + mid) + lo, hi + mid, hi]);
+        let [hi, lo] = split::<2>(x);
+        assert_eq!(cascade([hi, lo]), [hi + lo, hi]);
+        assert_eq!(cascade([hi]), [hi]);
     }
 
     #[test]
     fn cascade_preserves_nonfinite() {
-        for depth in [2, 3] {
-            let inf = cascade_planes(f32::INFINITY, depth);
-            let nan = cascade_planes(f32::NAN, depth);
-            for t in 0..depth {
-                assert!(inf[t].is_infinite(), "depth {depth} plane {t}");
-                assert!(nan[t].is_nan(), "depth {depth} plane {t}");
+        fn planes<const D: usize>(x: f32) -> [f32; D] {
+            cascade(split::<D>(x))
+        }
+        for x in [f32::INFINITY, f32::NAN] {
+            let (two, three) = (planes::<2>(x), planes::<3>(x));
+            for t in two.into_iter().chain(three) {
+                assert_eq!(t.is_nan(), x.is_nan(), "{x}: plane {t}");
+                assert!(!t.is_finite(), "{x}: plane {t}");
             }
+        }
+    }
+
+    /// One element's planes with the two- and three-term split and its
+    /// cascade written out literally: the reference the generic
+    /// `split_by` / [`cascade`] and their vector replicas must reproduce
+    /// bit for bit.
+    fn literal(x: f32, depth: usize, side: Side) -> Vec<f32> {
+        let hi = Bf16::round_f32(x);
+        let (mid, lo) = if hi.is_finite() {
+            let r1 = x - hi;
+            let mid = Bf16::round_f32(r1);
+            (mid, Bf16::round_f32(r1 - mid))
+        } else {
+            (0.0, 0.0)
+        };
+        match (depth, side) {
+            (1, _) => vec![hi],
+            (2, Side::A) => vec![hi, mid],
+            (2, Side::B) => vec![hi + mid, hi],
+            (3, Side::A) => vec![hi, mid, lo],
+            (3, Side::B) => vec![hi + mid + lo, hi + mid, hi],
+            _ => unreachable!("depth {depth}"),
+        }
+    }
+
+    #[test]
+    fn split_and_cascade_match_literal_formulas() {
+        // Every 4099th f32 bit pattern — NaNs, infinities, subnormals and
+        // both zeros among them — plus the specials, at every depth, on
+        // both sides and at every width the host runs.
+        let mut src: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+        src.extend(special_values(45));
+        for depth in 1..=MAX_SPLIT_DEPTH {
+            let mode = ComputeMode::ALL
+                .into_iter()
+                .find(|m| m.systolic() == Some((BF16, depth)))
+                .expect("a BF16 mode at every depth");
+            for side in [Side::A, Side::B] {
+                let got = converted(mode, side, &src);
+                for (j, &x) in src.iter().enumerate() {
+                    let want = literal(x, depth, side);
+                    for (t, want) in want.iter().enumerate() {
+                        assert_eq!(
+                            got[t][j].to_bits(),
+                            want.to_bits(),
+                            "depth {depth} {side:?} x={x:e} ({:#x}) plane {t}",
+                            x.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+        for &x in &src {
+            let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&split::<1>(x)), bits(&literal(x, 1, Side::A)), "{x:e}");
+            assert_eq!(bits(&split::<2>(x)), bits(&literal(x, 2, Side::A)), "{x:e}");
+            assert_eq!(bits(&split::<3>(x)), bits(&literal(x, 3, Side::A)), "{x:e}");
         }
     }
 
@@ -744,7 +789,7 @@ mod tests {
             let depth = mode.split_depth().unwrap();
             let got = converted(mode, Side::B, &b);
             for (j, &x) in b.iter().enumerate() {
-                let expect = cascade_planes(x, depth);
+                let expect = literal(x, depth, Side::B);
                 for d in 0..depth {
                     assert_eq!(
                         got[d][j].to_bits(),
@@ -785,7 +830,7 @@ mod tests {
                 let depth = mode.split_depth().unwrap();
                 let got = converted(mode, Side::A, &a);
                 for (j, &x) in a.iter().enumerate() {
-                    let expect = split_planes(x, depth);
+                    let expect = literal(x, depth, Side::A);
                     for d in 0..depth {
                         assert_eq!(
                             got[d][j].to_bits(),
@@ -810,11 +855,10 @@ mod tests {
         convert_f32(ComputeMode::FloatToBf16x3, Side::A, &mut buf, stride, len);
         for r in 0..m {
             for kk in 0..k {
-                let s = Split3::new(a[r * k + kk]);
                 let idx = kk * mr + r;
                 assert_eq!(
                     [buf[idx], buf[stride + idx], buf[2 * stride + idx]],
-                    [s.hi, s.mid, s.lo]
+                    split::<3>(a[r * k + kk])
                 );
             }
         }

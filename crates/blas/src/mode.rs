@@ -1,7 +1,13 @@
 //! The alternative BLAS compute modes (paper Table II).
+//!
+//! The four `FLOAT_TO_*` modes are one scheme: inputs split into `depth`
+//! terms of a systolic format ([`ComputeMode::systolic`]). Depth, product
+//! count, effective mantissa bits and engine all derive from that pair;
+//! the variants remain because their names are Table II's vocabulary.
 
 use core::fmt;
 use core::str::FromStr;
+use dcmesh_numerics::format::{PrecisionFormat, BF16, FP32, TF32};
 
 /// A BLAS level-3 compute mode, mirroring oneMKL's
 /// `MKL_BLAS_COMPUTE_MODE` settings.
@@ -80,64 +86,47 @@ impl ComputeMode {
         }
     }
 
-    /// Peak theoretical speedup of a level-3 routine in this mode relative
-    /// to FP32 on the vector engines (paper Table II).
-    ///
-    /// BF16 runs on the matrix engines at 16× FP32 vector throughput; the
-    /// x2/x3 splits pay 3 and 6 component products, giving 16/3× and
-    /// (16/6 = 8/3)×. TF32 systolic peak is 8× FP32. `COMPLEX_3M` keeps
-    /// the element precision but removes a quarter of the real
-    /// multiplications, for 4/3×.
-    pub fn theoretical_speedup(self) -> f64 {
+    /// How a `FLOAT_TO_*` mode re-represents its single-precision inputs
+    /// for the systolic arrays: as `depth` terms of `format` (BF16 or
+    /// TF32), `depth ≤ MAX_SPLIT_DEPTH`. `None` for the modes that keep
+    /// native element precision. Every other property of a mode's
+    /// numerics derives from this pair.
+    pub fn systolic(self) -> Option<(PrecisionFormat, usize)> {
         match self {
-            ComputeMode::Standard => 1.0,
-            ComputeMode::FloatToBf16 => 16.0,
-            ComputeMode::FloatToBf16x2 => 16.0 / 3.0,
-            ComputeMode::FloatToBf16x3 => 8.0 / 3.0,
-            ComputeMode::FloatToTf32 => 8.0,
-            ComputeMode::Complex3m => 4.0 / 3.0,
-        }
-    }
-
-    /// Number of BF16/TF32 split terms per input value (`None` when the
-    /// mode does not re-represent its inputs).
-    pub fn split_depth(self) -> Option<usize> {
-        match self {
-            ComputeMode::FloatToBf16 => Some(1),
-            ComputeMode::FloatToBf16x2 => Some(2),
-            ComputeMode::FloatToBf16x3 => Some(3),
-            ComputeMode::FloatToTf32 => Some(1),
+            ComputeMode::FloatToBf16 => Some((BF16, 1)),
+            ComputeMode::FloatToBf16x2 => Some((BF16, 2)),
+            ComputeMode::FloatToBf16x3 => Some((BF16, 3)),
+            ComputeMode::FloatToTf32 => Some((TF32, 1)),
             ComputeMode::Standard | ComputeMode::Complex3m => None,
         }
     }
 
+    /// Number of split terms per input value (`None` when the mode does
+    /// not re-represent its inputs).
+    pub fn split_depth(self) -> Option<usize> {
+        self.systolic().map(|(_, depth)| depth)
+    }
+
     /// Number of component-matrix products a real GEMM in this mode
-    /// executes on the (emulated) systolic arrays.
+    /// covers on the (emulated) systolic arrays: the `d(d+1)/2` products
+    /// `AᵢBⱼ` with `i + j < d`.
     pub fn component_products(self) -> usize {
-        match self {
-            ComputeMode::Standard | ComputeMode::Complex3m => 1,
-            ComputeMode::FloatToBf16 | ComputeMode::FloatToTf32 => 1,
-            ComputeMode::FloatToBf16x2 => 3,
-            ComputeMode::FloatToBf16x3 => 6,
-        }
+        self.split_depth().map_or(1, |d| d * (d + 1) / 2)
     }
 
     /// Effective significand bits carried by the mode's input
-    /// representation (implicit bit included); drives the accuracy
-    /// ordering observed in the paper.
+    /// representation (implicit bit included): `d` terms of the format's,
+    /// or FP32's own; drives the accuracy ordering observed in the paper.
     pub fn effective_mantissa_bits(self) -> u32 {
-        match self {
-            ComputeMode::Standard | ComputeMode::Complex3m => 24,
-            ComputeMode::FloatToBf16 => 8,
-            ComputeMode::FloatToBf16x2 => 16,
-            ComputeMode::FloatToBf16x3 => 24,
-            ComputeMode::FloatToTf32 => 11,
+        match self.systolic() {
+            Some((format, depth)) => (format.mantissa_bits + 1) * depth as u32,
+            None => FP32.mantissa_bits + 1,
         }
     }
 
     /// True for the modes that execute on the XMX matrix engines.
     pub fn uses_matrix_engines(self) -> bool {
-        self.split_depth().is_some()
+        self.systolic().is_some()
     }
 
     /// The default precision-escalation ladder walked by the run
@@ -252,15 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn table_ii_theoretical_speedups() {
-        assert_eq!(ComputeMode::FloatToBf16.theoretical_speedup(), 16.0);
-        assert!((ComputeMode::FloatToBf16x2.theoretical_speedup() - 16.0 / 3.0).abs() < 1e-12);
-        assert!((ComputeMode::FloatToBf16x3.theoretical_speedup() - 8.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ComputeMode::FloatToTf32.theoretical_speedup(), 8.0);
-        assert!((ComputeMode::Complex3m.theoretical_speedup() - 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn roundtrip_env_parse() {
         for mode in ComputeMode::ALTERNATIVE {
             let parsed = ComputeMode::from_env_value(mode.env_value().unwrap()).unwrap();
@@ -297,9 +277,13 @@ mod tests {
         // x2 keeps 3 of 4 cross products, x3 keeps 6 of 9.
         assert_eq!(ComputeMode::FloatToBf16x2.component_products(), 3);
         assert_eq!(ComputeMode::FloatToBf16x3.component_products(), 6);
-        // Speedup = systolic peak ratio / products.
-        let x2 = ComputeMode::FloatToBf16x2;
-        assert!((x2.theoretical_speedup() - 16.0 / x2.component_products() as f64).abs() < 1e-12);
+        // Bits per mode, in `ALL` order: 8 per BF16 term, 11 for TF32.
+        let bits = ComputeMode::ALL.map(|m| m.effective_mantissa_bits());
+        assert_eq!(bits, [24, 8, 16, 24, 11, 24]);
+        for mode in ComputeMode::ALL {
+            let depth = mode.split_depth().unwrap_or(1);
+            assert!(depth <= dcmesh_numerics::split::MAX_SPLIT_DEPTH, "{mode:?}");
+        }
     }
 
     #[test]

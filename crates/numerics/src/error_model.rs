@@ -25,15 +25,6 @@ pub fn product_relative_error_bound(mantissa_bits: u32) -> f64 {
     2f64.powi(-n) + 2f64.powi(-2 * n - 2)
 }
 
-/// Effective mantissa bits carried by a compute mode's input representation.
-///
-/// Each BF16 split term contributes 8 bits (7 explicit + implicit one);
-/// TF32 contributes 11 (10 explicit + implicit one). These drive the
-/// predicted accuracy ordering BF16 < TF32 < BF16x2 < BF16x3 ≈ FP32.
-pub fn effective_mantissa_bits(mode_mantissa_terms: &[u32]) -> u32 {
-    mode_mantissa_terms.iter().sum()
-}
-
 /// Empirically measures the maximum relative error of scalar products when
 /// both factors are rounded to `n` explicit mantissa bits, over `samples`
 /// logarithmically spaced magnitudes.
@@ -114,16 +105,6 @@ mod tests {
             (0.5..=2.0).contains(&ratio),
             "magnitude dependence detected: small={worst_small} large={worst_large}"
         );
-    }
-
-    #[test]
-    fn mode_ordering_by_effective_bits() {
-        let bf16 = effective_mantissa_bits(&[8]);
-        let tf32 = effective_mantissa_bits(&[11]);
-        let bf16x2 = effective_mantissa_bits(&[8, 8]);
-        let bf16x3 = effective_mantissa_bits(&[8, 8, 8]);
-        assert!(bf16 < tf32 && tf32 < bf16x2 && bf16x2 < bf16x3);
-        assert!(bf16x3 >= 24, "bf16x3 must reach f32-class accuracy");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`Bf16`] — bfloat16 (8 exponent bits, 7 mantissa bits) stored in 16 bits.
 //! * [`Tf32`] — TensorFloat-32 (8 exponent bits, 10 mantissa bits) stored as
 //!   an `f32` whose low mantissa bits are zero.
-//! * [`split`] — decomposition of `f32` values/slices into sums of 1–3 BF16
-//!   terms, the core of the `FLOAT_TO_BF16X{2,3}` modes.
+//! * [`split`] — decomposition of `f32` values/slices into sums of `D`
+//!   BF16 terms, the core of the `FLOAT_TO_BF16{,X2,X3}` modes.
 //! * [`Complex`] — a minimal complex type with both the conventional 4-real-
 //!   multiplication product and the 3M (Karatsuba) product used by the
 //!   `COMPLEX_3M` mode.
@@ -25,7 +25,7 @@
 //!   error ≈ 2⁻ⁿ, independent of input magnitude).
 
 //! ```
-//! use dcmesh_numerics::{Bf16, Split3, Tf32};
+//! use dcmesh_numerics::{split::split, Bf16, Tf32};
 //!
 //! let x = core::f32::consts::PI;
 //! // One BF16 term keeps ~8 significand bits...
@@ -33,8 +33,8 @@
 //! // ...TF32 keeps ~11...
 //! assert!((Tf32::round_f32(x) - x).abs() < x * 2f32.powi(-11));
 //! // ...and three BF16 terms recover full single precision.
-//! let s = Split3::new(x);
-//! assert_eq!(s.value(), x);
+//! let [hi, mid, lo] = split::<3>(x);
+//! assert_eq!(hi + mid + lo, x);
 //! ```
 
 pub mod bf16;
@@ -50,5 +50,4 @@ pub use bf16::Bf16;
 pub use complex::{c32, c64, Complex, C32, C64};
 pub use format::{PrecisionFormat, FORMATS};
 pub use real::Real;
-pub use split::{Split2, Split3};
 pub use tf32::Tf32;

@@ -1,12 +1,12 @@
 //! Split-precision decomposition of `f32` into sums of BF16 terms.
 //!
-//! oneMKL's `FLOAT_TO_BF16X2` / `FLOAT_TO_BF16X3` modes represent each
-//! single-precision input as a sum of two or three bfloat16 values:
+//! oneMKL's `FLOAT_TO_BF16` / `FLOAT_TO_BF16X2` / `FLOAT_TO_BF16X3` modes
+//! are one scheme at split depth `d = 1, 2, 3`: each single-precision
+//! input becomes a sum of `d` bfloat16 values, each term the rounding of
+//! what the earlier ones left over,
 //!
 //! ```text
-//! x ≈ hi + mid + lo,   hi  = bf16(x)
-//!                      mid = bf16(x - hi)
-//!                      lo  = bf16(x - hi - mid)
+//! x ≈ t₀ + t₁ + … + t_{d-1},   t₀ = bf16(x),   tᵢ = bf16(x − t₀ − … − t_{i-1})
 //! ```
 //!
 //! Each extra term recovers roughly 8 more mantissa bits, so the three-term
@@ -14,117 +14,41 @@
 //! why the paper observes BF16x3 accuracy "comparable to standard
 //! single-precision arithmetic". A GEMM on split inputs multiplies the
 //! component matrices pairwise on the systolic arrays and accumulates in
-//! FP32; the x2 mode uses 3 of the 4 cross products (dropping `mid·mid`
-//! and below), the x3 mode uses the 6 leading products of 9 — hence the
-//! (16/3)x and (8/3)x theoretical speedups in paper Table II.
+//! FP32, keeping the `d(d+1)/2` products `AᵢBⱼ` with `i + j < d` — hence
+//! the (16/3)x and (8/3)x theoretical speedups in paper Table II.
 
 use crate::bf16::Bf16;
+use crate::format;
 
-/// A two-term BF16 split of an `f32` value.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Split2 {
-    /// Leading term: `bf16(x)`.
-    pub hi: f32,
-    /// Correction term: `bf16(x - hi)`.
-    pub lo: f32,
+/// The deepest split any compute mode runs (`FLOAT_TO_BF16X3`): it sizes
+/// the GEMM kernel's per-product term list and the chunked slice split.
+pub const MAX_SPLIT_DEPTH: usize = 3;
+
+/// Splits `x` into `D` BF16 terms, leading term first; every term is
+/// BF16-representable and stored as an `f32`.
+#[inline(always)]
+pub fn split<const D: usize>(x: f32) -> [f32; D] {
+    split_by(x, Bf16::round_f32)
 }
 
-/// A three-term BF16 split of an `f32` value.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Split3 {
-    /// Leading term: `bf16(x)`.
-    pub hi: f32,
-    /// First correction: `bf16(x - hi)`.
-    pub mid: f32,
-    /// Second correction: `bf16(x - hi - mid)`.
-    pub lo: f32,
-}
-
-impl Split2 {
-    /// Decomposes `x` into two BF16 terms.
-    #[inline]
-    pub fn new(x: f32) -> Split2 {
-        let hi = Bf16::round_f32(x);
-        let lo = if hi.is_finite() {
-            Bf16::round_f32(x - hi)
-        } else {
-            0.0
-        };
-        Split2 { hi, lo }
-    }
-
-    /// Reconstructs the (approximate) original value.
-    #[inline]
-    pub fn value(self) -> f32 {
-        self.hi + self.lo
-    }
-}
-
-impl Split3 {
-    /// Decomposes `x` into three BF16 terms.
-    #[inline]
-    pub fn new(x: f32) -> Split3 {
-        let hi = Bf16::round_f32(x);
-        if !hi.is_finite() {
-            return Split3 { hi, mid: 0.0, lo: 0.0 };
+/// [`split`] into the terms of any format whose round-to-nearest is
+/// `round` (`Tf32::round_f32` for TF32). The residuals are formed in
+/// `f32`, left to right: `r₀ = x`, `tᵢ = round(rᵢ)`, `rᵢ₊₁ = rᵢ − tᵢ`. A
+/// non-finite leading term (Inf, NaN, or a finite `x` that rounds to Inf)
+/// gets zero corrections, so the value rides in the leading term alone.
+#[inline(always)]
+pub fn split_by<const D: usize>(x: f32, round: impl Fn(f32) -> f32) -> [f32; D] {
+    const { assert!(D >= 1, "a split has at least one term") };
+    let mut t = [0.0; D];
+    t[0] = round(x);
+    if t[0].is_finite() {
+        let mut r = x;
+        for i in 1..D {
+            r -= t[i - 1];
+            t[i] = round(r);
         }
-        let r1 = x - hi;
-        let mid = Bf16::round_f32(r1);
-        let lo = Bf16::round_f32(r1 - mid);
-        Split3 { hi, mid, lo }
     }
-
-    /// Reconstructs the (approximate) original value.
-    #[inline]
-    pub fn value(self) -> f32 {
-        self.hi + self.mid + self.lo
-    }
-}
-
-/// Splits a slice into `depth` (1, 2 or 3) BF16 component slices.
-///
-/// `components` must contain `depth` slices, each the length of `src`.
-/// Component 0 is the leading term; later components are successively
-/// smaller corrections. All components are BF16-representable values
-/// stored as `f32`, ready to feed an emulated systolic GEMM.
-pub fn split_slice(src: &[f32], components: &mut [&mut [f32]]) {
-    let depth = components.len();
-    assert!(
-        (1..=3).contains(&depth),
-        "split depth must be 1, 2 or 3, got {depth}"
-    );
-    for c in components.iter() {
-        assert_eq!(c.len(), src.len(), "component length mismatch");
-    }
-    match depth {
-        1 => {
-            for (d, &s) in components[0].iter_mut().zip(src) {
-                *d = Bf16::round_f32(s);
-            }
-        }
-        2 => {
-            // Split borrows: components[0] and components[1] simultaneously.
-            let (head, tail) = components.split_at_mut(1);
-            let (c0, c1) = (&mut *head[0], &mut *tail[0]);
-            for i in 0..src.len() {
-                let s = Split2::new(src[i]);
-                c0[i] = s.hi;
-                c1[i] = s.lo;
-            }
-        }
-        3 => {
-            let (head, tail) = components.split_at_mut(1);
-            let (mid_s, lo_s) = tail.split_at_mut(1);
-            let (c0, c1, c2) = (&mut *head[0], &mut *mid_s[0], &mut *lo_s[0]);
-            for i in 0..src.len() {
-                let s = Split3::new(src[i]);
-                c0[i] = s.hi;
-                c1[i] = s.mid;
-                c2[i] = s.lo;
-            }
-        }
-        _ => unreachable!(),
-    }
+    t
 }
 
 /// Elements per rayon task in the chunk-parallel quantisation paths
@@ -133,80 +57,46 @@ pub fn split_slice(src: &[f32], components: &mut [&mut [f32]]) {
 /// enough chunks to load-balance the large Table VII operands.
 pub const PAR_CHUNK: usize = 1 << 14;
 
-/// Chunk-parallel [`split_slice`]: decomposes `src` into `components.len()`
-/// BF16 term planes, splitting the work over rayon tasks.
+/// Decomposes `src` into `components.len()` BF16 term planes — plane `t`
+/// holds term `t` of [`split`] of each element — splitting the work over
+/// rayon tasks.
 ///
-/// A single fused pass computes all terms of each element at once — the
-/// residual subtractions reuse the just-computed leading terms from
-/// registers instead of re-reading (and re-deriving) them per plane. The
-/// planes' chunks are zipped, so each rayon task owns the same-index
-/// chunk of every plane: disjoint writes, no allocation, race-free. The
-/// elementwise results are identical to [`split_slice`] / [`Split2::new`]
-/// / [`Split3::new`].
+/// A single fused pass computes all terms of each element at once. The
+/// terms of a shallower split are the leading terms of a deeper one, so
+/// every depth takes the [`MAX_SPLIT_DEPTH`] split and keeps the planes it
+/// was given. Each rayon task owns the same-index chunk of every plane:
+/// disjoint writes, race-free.
 pub fn split_slice_into(src: &[f32], components: &mut [&mut [f32]]) {
     use rayon::prelude::*;
     let depth = components.len();
     assert!(
-        (1..=3).contains(&depth),
-        "split depth must be 1, 2 or 3, got {depth}"
+        (1..=MAX_SPLIT_DEPTH).contains(&depth),
+        "split depth {depth} outside 1..={MAX_SPLIT_DEPTH}"
     );
     for c in components.iter() {
         assert_eq!(c.len(), src.len(), "component length mismatch");
     }
-    match components {
-        [c0] => {
-            c0.par_chunks_mut(PAR_CHUNK).enumerate().for_each(|(ci, hs)| {
-                let base = ci * PAR_CHUNK;
-                for (i, h) in hs.iter_mut().enumerate() {
-                    *h = Bf16::round_f32(src[base + i]);
-                }
-            });
+    let mut tasks: Vec<Vec<&mut [f32]>> = src.chunks(PAR_CHUNK).map(|_| Vec::new()).collect();
+    for plane in components.iter_mut() {
+        for (task, chunk) in tasks.iter_mut().zip(plane.chunks_mut(PAR_CHUNK)) {
+            task.push(chunk);
         }
-        [c0, c1] => {
-            c0.par_chunks_mut(PAR_CHUNK)
-                .zip(c1.par_chunks_mut(PAR_CHUNK))
-                .enumerate()
-                .for_each(|(ci, (hs, ls))| {
-                    let base = ci * PAR_CHUNK;
-                    for i in 0..hs.len() {
-                        let s = Split2::new(src[base + i]);
-                        hs[i] = s.hi;
-                        ls[i] = s.lo;
-                    }
-                });
-        }
-        [c0, c1, c2] => {
-            c0.par_chunks_mut(PAR_CHUNK)
-                .zip(c1.par_chunks_mut(PAR_CHUNK))
-                .zip(c2.par_chunks_mut(PAR_CHUNK))
-                .enumerate()
-                .for_each(|(ci, ((hs, ms), ls))| {
-                    let base = ci * PAR_CHUNK;
-                    for i in 0..hs.len() {
-                        let s = Split3::new(src[base + i]);
-                        hs[i] = s.hi;
-                        ms[i] = s.mid;
-                        ls[i] = s.lo;
-                    }
-                });
-        }
-        _ => unreachable!(),
     }
+    tasks.into_par_iter().enumerate().for_each(|(ci, mut planes)| {
+        for (i, &x) in src[ci * PAR_CHUNK..].iter().take(PAR_CHUNK).enumerate() {
+            for (plane, term) in planes.iter_mut().zip(split::<MAX_SPLIT_DEPTH>(x)) {
+                plane[i] = term;
+            }
+        }
+    });
 }
 
 /// Worst-case relative representation error of a `depth`-term BF16 split,
 /// ignoring denormals (§V-B of the paper: dropping all but `n` mantissa
-/// bits induces at most a `2^{-n-1}` relative input perturbation).
+/// bits induces at most a `2^{-n-1}` relative input perturbation): the
+/// BF16 unit roundoff to the `depth`, `2^{-8·depth}`.
 pub fn split_relative_error_bound(depth: usize) -> f32 {
-    // Each BF16 term contributes 8 effective mantissa bits (7 explicit + 1
-    // implicit); the residual after `depth` terms is bounded by half an ulp
-    // of the last term.
-    match depth {
-        1 => 2f32.powi(-8),
-        2 => 2f32.powi(-16),
-        3 => 2f32.powi(-24),
-        _ => panic!("split depth must be 1, 2 or 3, got {depth}"),
-    }
+    format::BF16.unit_roundoff().powi(depth as i32) as f32
 }
 
 #[cfg(test)]
@@ -225,11 +115,11 @@ mod tests {
     fn split2_recovers_16_bits() {
         let vals = [core::f32::consts::PI, 0.1, -1234.5678, 3.77e-6, 8.9e12];
         for &x in &vals {
-            let s = Split2::new(x);
+            let [hi, lo] = split::<2>(x);
             assert!(
-                rel_err(x, s.value()) <= split_relative_error_bound(2),
+                rel_err(x, hi + lo) <= split_relative_error_bound(2),
                 "x={x} err={}",
-                rel_err(x, s.value())
+                rel_err(x, hi + lo)
             );
         }
     }
@@ -240,13 +130,10 @@ mod tests {
         // exact for almost all f32 values (residual below half an f32 ulp).
         let vals = [core::f32::consts::E, -0.333_333_34, 99999.99, 1.0e-20];
         for &x in &vals {
-            let s = Split3::new(x);
+            let [hi, mid, lo] = split::<3>(x);
             assert!(
-                rel_err(x, s.value()) <= split_relative_error_bound(3),
-                "x={x} hi={} mid={} lo={}",
-                s.hi,
-                s.mid,
-                s.lo
+                rel_err(x, hi + mid + lo) <= split_relative_error_bound(3),
+                "x={x} hi={hi} mid={mid} lo={lo}"
             );
         }
     }
@@ -255,67 +142,36 @@ mod tests {
     #[allow(clippy::excessive_precision)]
     fn splits_are_bf16_representable() {
         let x = 7.123_456_7e-3_f32;
-        let s = Split3::new(x);
-        for (name, t) in [("hi", s.hi), ("mid", s.mid), ("lo", s.lo)] {
-            assert_eq!(Bf16::round_f32(t), t, "{name} term not bf16-exact");
+        for (i, t) in split::<3>(x).into_iter().enumerate() {
+            assert_eq!(Bf16::round_f32(t), t, "term {i} not bf16-exact");
         }
     }
 
     #[test]
     fn terms_decrease_in_magnitude() {
         let x = 1.234_567_8_f32;
-        let s = Split3::new(x);
-        assert!(s.hi.abs() > s.mid.abs() || s.mid == 0.0);
-        assert!(s.mid.abs() > s.lo.abs() || s.lo == 0.0);
+        let [hi, mid, lo] = split::<3>(x);
+        assert!(hi.abs() > mid.abs() || mid == 0.0);
+        assert!(mid.abs() > lo.abs() || lo == 0.0);
     }
 
     #[test]
     fn exact_bf16_values_have_zero_tail() {
         let x = 1.5f32; // exactly representable in bf16
-        let s = Split3::new(x);
-        assert_eq!(s.hi, 1.5);
-        assert_eq!(s.mid, 0.0);
-        assert_eq!(s.lo, 0.0);
-    }
-
-    #[test]
-    fn split_slice_depths_match_scalar() {
-        let src: Vec<f32> = (0..97).map(|i| ((i * 37) as f32).cos() * 42.0).collect();
-        // depth 1
-        let mut a = vec![0.0; src.len()];
-        split_slice(&src, &mut [&mut a]);
-        for (i, &v) in a.iter().enumerate() {
-            assert_eq!(v, Bf16::round_f32(src[i]));
-        }
-        // depth 2
-        let (mut h, mut l) = (vec![0.0; src.len()], vec![0.0; src.len()]);
-        split_slice(&src, &mut [&mut h, &mut l]);
-        for i in 0..src.len() {
-            let s = Split2::new(src[i]);
-            assert_eq!((h[i], l[i]), (s.hi, s.lo), "i={i}");
-        }
-        // depth 3
-        let (mut h3, mut m3, mut l3) =
-            (vec![0.0; src.len()], vec![0.0; src.len()], vec![0.0; src.len()]);
-        split_slice(&src, &mut [&mut h3, &mut m3, &mut l3]);
-        for i in 0..src.len() {
-            let s = Split3::new(src[i]);
-            assert_eq!((h3[i], m3[i], l3[i]), (s.hi, s.mid, s.lo), "i={i}");
-        }
+        assert_eq!(split::<3>(x), [1.5, 0.0, 0.0]);
     }
 
     #[test]
     fn infinity_split_has_zero_corrections() {
-        let s = Split3::new(f32::MAX); // rounds to +inf in bf16
-        assert!(s.hi.is_infinite());
-        assert_eq!(s.mid, 0.0);
-        assert_eq!(s.lo, 0.0);
+        let [hi, mid, lo] = split::<3>(f32::MAX); // rounds to +inf in bf16
+        assert!(hi.is_infinite());
+        assert_eq!((mid, lo), (0.0, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "split depth")]
     fn zero_depth_panics() {
-        split_slice(&[1.0], &mut []);
+        split_slice_into(&[1.0], &mut []);
     }
 
     #[test]
@@ -323,30 +179,31 @@ mod tests {
         // Length chosen to span several PAR_CHUNK boundaries would be slow
         // in a unit test; a ragged non-multiple length still exercises the
         // chunk-edge arithmetic. Include non-finite and huge values so the
-        // saturation guard paths are compared too.
+        // saturation guard paths are compared too. The sequential side is
+        // `split::<D>` element by element, at each depth's own `D`.
         let mut src: Vec<f32> = (0..PAR_CHUNK + 37)
             .map(|i| ((i * 29) as f32).sin() * 1e3 + (i as f32) * 1e-3)
             .collect();
         src[7] = f32::MAX; // rounds to +inf in bf16
         src[11] = f32::INFINITY;
         src[13] = -0.0;
-        for depth in 1..=3usize {
-            let mut seq: Vec<Vec<f32>> = (0..depth).map(|_| vec![0.0; src.len()]).collect();
-            {
-                let mut views: Vec<&mut [f32]> = seq.iter_mut().map(|p| &mut p[..]).collect();
-                split_slice(&src, &mut views);
-            }
+        let seq: [Vec<Vec<f32>>; 3] = [
+            src.iter().map(|&x| split::<1>(x).to_vec()).collect(),
+            src.iter().map(|&x| split::<2>(x).to_vec()).collect(),
+            src.iter().map(|&x| split::<3>(x).to_vec()).collect(),
+        ];
+        for (depth, seq) in (1..=MAX_SPLIT_DEPTH).zip(&seq) {
             let mut par: Vec<Vec<f32>> = (0..depth).map(|_| vec![9.9; src.len()]).collect();
             {
                 let mut views: Vec<&mut [f32]> = par.iter_mut().map(|p| &mut p[..]).collect();
                 split_slice_into(&src, &mut views);
             }
-            for (c, (s, p)) in seq.iter().zip(&par).enumerate() {
+            for (c, p) in par.iter().enumerate() {
                 for i in 0..src.len() {
                     assert!(
-                        s[i] == p[i] && s[i].to_bits() == p[i].to_bits(),
+                        seq[i][c].to_bits() == p[i].to_bits(),
                         "depth {depth} component {c} element {i}: {} vs {}",
-                        s[i],
+                        seq[i][c],
                         p[i]
                     );
                 }

@@ -3,7 +3,7 @@
 use dcmesh_numerics::{
     bf16::Bf16,
     complex::{c64, Complex},
-    split::{split_relative_error_bound, Split2, Split3},
+    split::{split, split_relative_error_bound},
     tf32::Tf32,
 };
 use proptest::prelude::*;
@@ -54,34 +54,34 @@ proptest! {
 
     #[test]
     fn split2_error_bound(x in normal_f32()) {
-        let s = Split2::new(x);
-        if s.hi.is_finite() {
-            let rel = ((s.value() - x) / x).abs();
+        let [hi, lo] = split::<2>(x);
+        if hi.is_finite() {
+            let rel = ((hi + lo - x) / x).abs();
             prop_assert!(rel <= split_relative_error_bound(2), "x={} rel={}", x, rel);
         }
     }
 
     #[test]
     fn split3_error_bound(x in normal_f32()) {
-        let s = Split3::new(x);
-        if s.hi.is_finite() {
-            let rel = ((s.value() - x) / x).abs();
+        let [hi, mid, lo] = split::<3>(x);
+        if hi.is_finite() {
+            let rel = ((hi + mid + lo - x) / x).abs();
             prop_assert!(rel <= split_relative_error_bound(3), "x={} rel={}", x, rel);
         }
     }
 
     #[test]
     fn split_terms_are_bf16_fixed_points(x in normal_f32()) {
-        let s = Split3::new(x);
-        for t in [s.hi, s.mid, s.lo] {
+        for t in split::<3>(x) {
             prop_assert_eq!(Bf16::round_f32(t), t);
         }
     }
 
     #[test]
     fn split3_strictly_tighter_than_split2(x in normal_f32()) {
-        let e2 = (Split2::new(x).value() as f64 - x as f64).abs();
-        let e3 = (Split3::new(x).value() as f64 - x as f64).abs();
+        let value = |terms: &[f32]| terms.iter().sum::<f32>() as f64;
+        let e2 = (value(&split::<2>(x)) - x as f64).abs();
+        let e3 = (value(&split::<3>(x)) - x as f64).abs();
         prop_assert!(e3 <= e2 + f32::EPSILON as f64 * x.abs() as f64);
     }
 

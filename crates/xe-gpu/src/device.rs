@@ -75,15 +75,17 @@ impl DeviceSpec {
     /// Table I row: peak throughput (FLOP/s or OP/s) and engine type for a
     /// precision name.
     pub fn table1_row(&self, precision: &str) -> Option<(f64, Engine)> {
-        match precision.to_ascii_uppercase().as_str() {
-            "FP64" => Some((self.peak_fp64, Engine::Vector)),
-            "FP32" => Some((self.peak_fp32, Engine::Vector)),
-            "TF32" => Some((self.peak_tf32, Engine::Matrix)),
-            "BF16" => Some((self.peak_bf16, Engine::Matrix)),
-            "FP16" => Some((self.peak_fp16, Engine::Matrix)),
-            "INT8" => Some((self.peak_int8, Engine::Matrix)),
-            _ => None,
-        }
+        [
+            ("FP64", self.peak_fp64, Engine::Vector),
+            ("FP32", self.peak_fp32, Engine::Vector),
+            ("TF32", self.peak_tf32, Engine::Matrix),
+            ("BF16", self.peak_bf16, Engine::Matrix),
+            ("FP16", self.peak_fp16, Engine::Matrix),
+            ("INT8", self.peak_int8, Engine::Matrix),
+        ]
+        .into_iter()
+        .find(|(name, ..)| name.eq_ignore_ascii_case(precision))
+        .map(|(_, peak, engine)| (peak, engine))
     }
 
     /// The engine a compute mode's GEMM inner products execute on.
@@ -96,20 +98,16 @@ impl DeviceSpec {
     }
 
     /// Peak element-product throughput (real FLOP/s) available to a GEMM
-    /// in the given compute mode, before any derating.
+    /// in the given compute mode, before any derating: the Table I peak
+    /// of the format a `FLOAT_TO_*` mode splits into, else the vector
+    /// engines' at the element precision.
     pub fn peak_for_mode(&self, mode: ComputeMode, fp64: bool) -> f64 {
-        match mode {
-            ComputeMode::Standard | ComputeMode::Complex3m => {
-                if fp64 {
-                    self.peak_fp64
-                } else {
-                    self.peak_fp32
-                }
+        match mode.systolic() {
+            Some((format, _)) => {
+                self.table1_row(format.name).expect("systolic formats are Table I rows").0
             }
-            ComputeMode::FloatToBf16
-            | ComputeMode::FloatToBf16x2
-            | ComputeMode::FloatToBf16x3 => self.peak_bf16,
-            ComputeMode::FloatToTf32 => self.peak_tf32,
+            None if fp64 => self.peak_fp64,
+            None => self.peak_fp32,
         }
     }
 

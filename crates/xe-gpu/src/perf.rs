@@ -11,7 +11,7 @@
 //! * **Sustained fraction** — power/frequency throttling keeps the engines
 //!   below their Table I peaks under sustained load (the paper: "power
 //!   limitations are tied to hardware design"). Vector engines sustain
-//!   ~80% (FP32) / ~65% (FP64); the XMX arrays sustain ~45% (BF16) /
+//!   ~80% (FP32) / ~65% (FP64); the XMX arrays sustain ~52% (BF16) /
 //!   ~50% (TF32) of peak once the full stack is lit up.
 //! * **Shape efficiency** — saturating `d/(d + d½)` terms per GEMM
 //!   dimension; the systolic arrays need larger tiles than the vector
@@ -32,26 +32,22 @@
 
 use crate::device::{DeviceSpec, Engine};
 use crate::kernels::StreamKernel;
+use dcmesh_numerics::format::{PrecisionFormat, TF32};
 use mkl_lite::device::{DeviceTimeModel, Domain, GemmDesc};
 use mkl_lite::ComputeMode;
 
 /// Fraction of peak HBM bandwidth a tuned GEMM sustains.
 const GEMM_BW_EFF: f64 = 0.72;
 
-/// Sustained fraction of peak FLOP/s per engine/precision.
-fn sustained_fraction(engine: Engine, mode: ComputeMode, fp64: bool) -> f64 {
-    match engine {
-        Engine::Vector => {
-            if fp64 {
-                0.65
-            } else {
-                0.80
-            }
-        }
-        Engine::Matrix => match mode {
-            ComputeMode::FloatToTf32 => 0.50,
-            _ => 0.52,
-        },
+/// Sustained fraction of peak FLOP/s per precision: the vector engines at
+/// the element precision (`format` `None`), or the XMX arrays in the
+/// systolic format.
+fn sustained_fraction(format: Option<PrecisionFormat>, fp64: bool) -> f64 {
+    match format {
+        None if fp64 => 0.65,
+        None => 0.80,
+        Some(f) if f == TF32 => 0.50,
+        Some(_) => 0.52,
     }
 }
 
@@ -107,22 +103,19 @@ impl XeStackModel {
         // the multi-pass modes read back) once.
         let base = in_scalars * native + 2.0 * out_scalars * native;
 
-        let conversion = match desc.mode {
-            ComputeMode::Standard => 0.0,
-            ComputeMode::Complex3m => {
-                // Combined planes (Ar+Ai, Bi−Br, Br+Bi) written then read.
-                in_scalars * native
-            }
-            _ => {
-                let depth = desc.mode.split_depth().unwrap_or(1) as f64;
+        let conversion = match desc.mode.systolic() {
+            Some((format, depth)) => {
                 let products = desc.mode.component_products() as f64;
-                let conv_bytes = if desc.mode == ComputeMode::FloatToTf32 { 4.0 } else { 2.0 };
+                let conv_bytes = f64::from(format.storage_bits) / 8.0;
                 // Write all component matrices once (each component plane
-                // carries the full element count at the reduced width);
-                // each component product re-reads one A-component and one
-                // B-component plane pair.
-                in_scalars * depth * conv_bytes + in_scalars * products * conv_bytes
+                // carries the full element count at the format's storage
+                // width); each component product re-reads one A-component
+                // and one B-component plane pair.
+                in_scalars * depth as f64 * conv_bytes + in_scalars * products * conv_bytes
             }
+            // Combined planes (Ar+Ai, Bi−Br, Br+Bi) written then read.
+            None if desc.mode == ComputeMode::Complex3m => in_scalars * native,
+            None => 0.0,
         };
         base + conversion
     }
@@ -132,8 +125,8 @@ impl XeStackModel {
         let fp64 = matches!(desc.domain, Domain::Real64 | Domain::Complex64);
         let engine = self.spec.engine_for_mode(desc.mode);
         let peak = self.spec.peak_for_mode(desc.mode, fp64);
-        let eff = sustained_fraction(engine, desc.mode, fp64)
-            * shape_efficiency(engine, desc.m, desc.n, desc.k);
+        let format = desc.mode.systolic().map(|(format, _)| format);
+        let eff = sustained_fraction(format, fp64) * shape_efficiency(engine, desc.m, desc.n, desc.k);
         let flops = 2.0 * desc.real_macs();
         flops / (peak * eff)
     }
