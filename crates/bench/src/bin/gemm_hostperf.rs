@@ -30,8 +30,10 @@
 //!   `#[global_allocator]` wrapper — the workspace pool's contract is
 //!   that this is exactly zero.
 //!
-//! All host numbers are **single-threaded** (`threads: 1`): the vendored
-//! rayon shim never spawns.
+//! Every row runs on the rayon pool at the machine's thread count, which
+//! the report records (`threads`). One **scaling row** times the 96-orbital
+//! `cgemm` apply product (`1728 × 96 × 96`, STANDARD) at one thread and at
+//! that count.
 //!
 //! Every `calls[]` row also carries the **modelled device time** on the
 //! `xe-gpu` stack model, plus the modelled speedup over FP32 — the
@@ -359,7 +361,8 @@ fn main() {
     let kernels = (dispatched_kernel::<f32>(), dispatched_kernel::<f64>());
     eprintln!("microkernel f32: {}", kernels.0);
     eprintln!("microkernel f64: {}", kernels.1);
-    eprintln!("all host numbers are single-threaded (sequential rayon shim)");
+    let threads = rayon::current_num_threads();
+    eprintln!("threads: {threads} (every row; the scaling row also at 1)");
 
     // Measures one row under `mode` and files it. `sans_kernel` is the
     // same product through the bench hook that stubs the microkernel out.
@@ -477,6 +480,35 @@ fn main() {
         black_box((&small32[0], &tall32[0], &small64[0], &tall64[0], &junk32[0], &junk64[0]));
     }
 
+    // --- thread scaling: one application row at 1 thread and at `threads` ---
+    let scaling = {
+        let (orb, std) = (GATE_ORBITALS, ComputeMode::Standard);
+        let psi: Vec<C32> = (0..APP_GRID * orb).map(|i| c32((i as f32).sin(), (i as f32).cos())).collect();
+        let sub: Vec<C32> = (0..orb * orb).map(|i| c32((i as f32).cos(), 0.5)).collect();
+        let mut tall = vec![C32::zero(); APP_GRID * orb];
+        let mut at = |n: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("thread pool");
+            pool.install(|| {
+                with_compute_mode(std, || {
+                    measure(o.warmup, o.reps, || {
+                        cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi, orb, &sub, orb, C32::zero(), &mut tall, orb)
+                    })
+                })
+            })
+        };
+        let ((one, one_allocs), (all, all_allocs)) = (at(1), at(threads));
+        black_box(&tall[0]);
+        eprintln!(
+            "scaling cgemm apply STANDARD ({APP_GRID}, {orb}, {orb}): {one:.0} ns/call at 1 thread, \
+             {all:.0} at {threads}: {:.2}x",
+            one / all
+        );
+        if one_allocs + all_allocs > 0.0 {
+            dirty_modes.push(format!("scaling CGEMM apply ({APP_GRID},{orb},{orb})"));
+        }
+        (one, all)
+    };
+
     // --- workspace-pool traffic, through the telemetry registry ---
     // `publish_metrics` snapshots this thread's pool counters into
     // telemetry gauges; the report reads them back from the registry so
@@ -502,7 +534,15 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"gemm_hostperf\",\n");
-    json.push_str("  \"threads\": 1,\n");
+    json.push_str(&format!("  \"threads\": {threads},\n"));
+    json.push_str(&format!(
+        "  \"scaling\": {{\"routine\": \"CGEMM\", \"shape\": \"apply\", \"mode\": \"STANDARD\", \
+         \"m\": {APP_GRID}, \"n\": {GATE_ORBITALS}, \"k\": {GATE_ORBITALS}, \
+         \"ns_per_call_1_thread\": {}, \"threads\": {threads}, \"ns_per_call\": {}, \"speedup\": {:.2}}},\n",
+        json_f64(scaling.0),
+        json_f64(scaling.1),
+        scaling.0 / scaling.1
+    ));
     json.push_str(&format!(
         "  \"microkernel\": {{\"f32\": \"{}\", \"f64\": \"{}\"}},\n",
         kernels.0, kernels.1
@@ -527,7 +567,7 @@ fn main() {
         .map(|e| {
             format!(
                 "    {{\"routine\": \"{}\", \"shape\": \"{}\", \"mode\": \"{}\", \"m\": {}, \
-                 \"n\": {}, \"k_table7\": {}, \"k_measured\": {}, \"threads\": 1, \
+                 \"n\": {}, \"k_table7\": {}, \"k_measured\": {}, \"threads\": {threads}, \
                  \"ns_per_call\": {}, \"gflops\": {:.2}, \"pack_share\": {}, \
                  \"ns_per_call_table7_est\": {}, \
                  \"allocs_per_call\": {}, \"modelled_device_s\": {:.6e}, \
@@ -599,8 +639,12 @@ fn main() {
             ));
         }
     }
+    members.push(format!(
+        "\"cgemm_apply_{GATE_ORBITALS}_1_thread_ns_per_call\":{{\"STANDARD\":{}}}",
+        json_f64(scaling.0)
+    ));
     let new_entry = format!(
-        "{{\"date\":\"{today}\",\"k_scale\":{},\"hit_ratio\":{hit_ratio:.4},\
+        "{{\"date\":\"{today}\",\"threads\":{threads},\"k_scale\":{},\"hit_ratio\":{hit_ratio:.4},\
          \"microkernel_f32\":\"{}\",\"microkernel_f64\":\"{}\",{}}}",
         o.k_scale,
         kernels.0,

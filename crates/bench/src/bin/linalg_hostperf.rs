@@ -21,8 +21,10 @@
 //! output's `‖Ψ†Ψ − I‖_max`. Speed without that column would not be a
 //! result: this is the error-resetting step of the precision study.
 //!
-//! All rows are single-threaded (`threads: 1`): the vendored rayon shim
-//! never spawns.
+//! Every row runs on the rayon pool at the machine's thread count, which
+//! the report records (`threads`): `eigh` is sequential, the level-3 calls
+//! of Löwdin, Cholesky-QR and the refresh split where the GEMM driver
+//! splits them.
 //!
 //! Usage: `linalg_hostperf [--out PATH] [--seconds-per-row F] [--label L]
 //! [--enforce-bounds] [--min-speedup SERIES@ENTRY=F]...`
@@ -376,13 +378,14 @@ fn main() {
 
     let today = civil_date_utc();
     let date = label.map_or(today.clone(), |l| format!("{today}-{l}"));
+    let threads = rayon::current_num_threads();
     let opt = |u: Option<f64>| u.map_or("null".to_string(), |u| format!("{u:.3e}"));
     let row_json: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
                 "    {{\"kernel\": \"{}\", \"input\": \"{}\", \"mesh\": \"{MESH_POINTS}^3\", \
-                 \"n_orb\": {}, \"threads\": 1, \"ns_per_call_min\": {:.0}, \
+                 \"n_orb\": {}, \"threads\": {threads}, \"ns_per_call_min\": {:.0}, \
                  \"ns_per_call_median\": {:.0}, \"samples\": {}, \"residual\": {:.3e}, \
                  \"unitarity\": {}, \"bound\": {:.3e}}}",
                 r.kernel,
@@ -413,7 +416,7 @@ fn main() {
             )
         })
         .collect();
-    let new_entry = format!("{{\"date\":\"{date}\",{}}}", series.join(","));
+    let new_entry = format!("{{\"date\":\"{date}\",\"threads\":{threads},{}}}", series.join(","));
 
     // Gates read the file as it was before this run is merged into it.
     let mut failed = false;
@@ -454,7 +457,7 @@ fn main() {
 
     let history = merged_history(&out_path, &date, new_entry);
     let json = format!(
-        "{{\n  \"bench\": \"linalg_hostperf\",\n  \"threads\": 1,\n  \
+        "{{\n  \"bench\": \"linalg_hostperf\",\n  \"threads\": {threads},\n  \
          \"accuracy_note\": \"eigh rows: residual = max|AV - V diag(lambda)|, unitarity = max|V^H V - I|, \
          bound = 8 n eps |A|_F; other rows: residual = max|Psi^H Psi - I| of the output, bound = the documented ceiling\",\n  \
          \"rows\": [\n{}\n  ],\n  \"history\": [\n    {}\n  ]\n}}\n",

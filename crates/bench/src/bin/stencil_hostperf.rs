@@ -11,12 +11,15 @@
 //! bytes per point (counted from the kernel's source, not measured — see
 //! [`Kernel::flops_per_point`]), and the achieved GFLOP/s over a
 //! separate-multiply-and-add peak measured in the same run with the same
-//! vector units. The kernel never contracts `a*b + c` into an FMA (that is
-//! what keeps it bit-identical across instantiations), so the FMA peak is
-//! twice what it can reach; the mul+add peak is the honest ceiling.
+//! vector units on the same threads. The kernel never contracts `a*b + c`
+//! into an FMA (that is what keeps it bit-identical across
+//! instantiations), so the FMA peak is twice what it can reach; the
+//! mul+add peak is the honest ceiling.
 //!
-//! All rows are single-threaded (`threads: 1`): the vendored rayon shim
-//! never spawns.
+//! Every row runs its x-slabs on the rayon pool at the machine's thread
+//! count, which the report records (`threads`). One **scaling row** times
+//! `taylor_propagate` `f32` at 12³×16 (the `pto40-small` deck) at one
+//! thread and at that count.
 //!
 //! Usage: `stencil_hostperf [--out PATH] [--seconds-per-row F]`
 
@@ -27,6 +30,7 @@ use dcmesh_lfd::propagator::{taylor_propagate, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use dcmesh_numerics::{Complex, Real};
+use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -146,8 +150,9 @@ fn run_chains<T: Real, const LANES: usize>(iters: u64, acc: &mut [[T; LANES]; CH
     chains(iters, acc, a, b)
 }
 
-/// Measured single-thread multiply-then-add rate in GFLOP/s. Best of five.
-fn mul_add_peak<T: Real, const LANES: usize>() -> f64 {
+/// Measured multiply-then-add rate in GFLOP/s of `threads` threads, each
+/// running its own chains. Best of five.
+fn mul_add_peak<T: Real, const LANES: usize>(threads: usize) -> f64 {
     const ITERS: u64 = 1_000_000;
     let (a, b) = (
         black_box(T::from_f64(0.999_999)),
@@ -155,12 +160,12 @@ fn mul_add_peak<T: Real, const LANES: usize>() -> f64 {
     );
     let mut best = 0.0f64;
     for _ in 0..5 {
-        let mut acc = [[T::ONE; LANES]; CHAINS];
+        let mut accs = vec![[[T::ONE; LANES]; CHAINS]; threads];
         let start = Instant::now();
-        run_chains(ITERS, &mut acc, a, b);
+        accs.par_iter_mut().for_each(|acc| run_chains(ITERS, acc, a, b));
         let secs = start.elapsed().as_secs_f64();
-        black_box(&acc);
-        best = best.max(2.0 * (ITERS as usize * CHAINS * LANES) as f64 / secs / 1e9);
+        black_box(&accs);
+        best = best.max(2.0 * (threads * ITERS as usize * CHAINS * LANES) as f64 / secs / 1e9);
     }
     best
 }
@@ -182,18 +187,23 @@ fn sample(seconds: f64, mut f: impl FnMut()) -> (f64, f64) {
     (us[0], us[us.len() / 2])
 }
 
+/// The 12³ deck the rows run on, at `n_orb` orbitals.
+fn deck(n_orb: usize) -> LfdParams {
+    LfdParams {
+        mesh: Mesh3::cubic(MESH_POINTS, 1.2),
+        n_orb,
+        n_occ: n_orb / 2,
+        dt: 0.02,
+        vnl_strength: 0.1,
+        taylor_order: 4,
+        laser: LaserPulse::off(),
+        induced_coupling: 0.0,
+    }
+}
+
 fn rows_for<T: LfdScalar>(scalar: &'static str, peak: f64, seconds: f64, rows: &mut Vec<Row>) {
     for n_orb in ORBITALS {
-        let params = LfdParams {
-            mesh: Mesh3::cubic(MESH_POINTS, 1.2),
-            n_orb,
-            n_occ: n_orb / 2,
-            dt: 0.02,
-            vnl_strength: 0.1,
-            taylor_order: 4,
-            laser: LaserPulse::off(),
-            induced_coupling: 0.0,
-        };
+        let params = deck(n_orb);
         let mut state = LfdState::<T>::initialize(&params, cosine_potential(&params.mesh, 0.3));
         let mut out = vec![Complex::<T>::zero(); state.psi.len()];
         let mut scratch = QdScratch::<T>::new(&params);
@@ -278,11 +288,34 @@ fn main() {
         }
     }
 
-    let (peak32, peak64) = (mul_add_peak::<f32, 8>(), mul_add_peak::<f64, 4>());
-    eprintln!("measured mul+add peak: {peak32:.1} GFLOP/s f32, {peak64:.1} GFLOP/s f64 (1 thread)");
+    let threads = rayon::current_num_threads();
+    let (peak32, peak64) = (mul_add_peak::<f32, 8>(threads), mul_add_peak::<f64, 4>(threads));
+    eprintln!(
+        "measured mul+add peak: {peak32:.1} GFLOP/s f32, {peak64:.1} GFLOP/s f64 ({threads} threads)"
+    );
     let mut rows = Vec::new();
     rows_for::<f32>("f32", peak32, seconds, &mut rows);
     rows_for::<f64>("f64", peak64, seconds, &mut rows);
+
+    // Thread scaling: the pto40-small propagation at 1 thread and at `threads`.
+    let scaling = {
+        let params = deck(ORBITALS[0]);
+        let mut state = LfdState::<f32>::initialize(&params, cosine_potential(&params.mesh, 0.3));
+        let mut scratch = QdScratch::<f32>::new(&params);
+        let mut at = |n: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("thread pool");
+            pool.install(|| {
+                sample(seconds, || taylor_propagate(&params, black_box(&mut state), A_TOTAL, &mut scratch)).0
+            })
+        };
+        let (one, all) = (at(1), at(threads));
+        eprintln!(
+            "scaling taylor_propagate f32 12^3x{}: {one:.1} us at 1 thread, {all:.1} at {threads}: {:.2}x",
+            ORBITALS[0],
+            one / all
+        );
+        (one, all)
+    };
 
     let today = civil_date_utc();
     let row_json: Vec<String> = rows
@@ -290,7 +323,7 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"kernel\": \"{}\", \"scalar\": \"{}\", \"mesh\": \"{MESH_POINTS}^3\", \
-                 \"n_orb\": {}, \"threads\": 1, \"us_per_call_min\": {:.1}, \
+                 \"n_orb\": {}, \"threads\": {threads}, \"us_per_call_min\": {:.1}, \
                  \"us_per_call_median\": {:.1}, \"mpts_per_s\": {:.1}, \
                  \"computed_flops_per_point\": {:.0}, \"computed_bytes_per_point\": {:.0}, \
                  \"gflops\": {:.2}, \"frac_of_mul_add_peak\": {:.3}}}",
@@ -326,16 +359,29 @@ fn main() {
             )
         })
         .collect();
-    let new_entry = format!("{{\"date\":\"{today}\",{}}}", series.join(","));
+    let new_entry = format!(
+        "{{\"date\":\"{today}\",\"threads\":{threads},{},\
+         \"taylor_propagate_{MESH_POINTS}x{}_1_thread_ns_per_call\":{{\"f32\":{:.1}}}}}",
+        series.join(","),
+        ORBITALS[0],
+        scaling.0 * 1e3
+    );
     let history = merged_history(&out_path, &today, new_entry);
 
     let json = format!(
-        "{{\n  \"bench\": \"stencil_hostperf\",\n  \"threads\": 1,\n  \
+        "{{\n  \"bench\": \"stencil_hostperf\",\n  \"threads\": {threads},\n  \
          \"point\": \"one orbital at one grid point in one stencil sweep\",\n  \
          \"counts_note\": \"computed_* are counted from the kernel source (compulsory traffic: \
          every array element moves once), not measured\",\n  \
          \"mul_add_peak_gflops\": {{\"f32\": {peak32:.1}, \"f64\": {peak64:.1}}},\n  \
+         \"scaling\": {{\"kernel\": \"taylor_propagate\", \"scalar\": \"f32\", \"n_orb\": {}, \
+         \"us_per_call_1_thread\": {:.1}, \"threads\": {threads}, \"us_per_call\": {:.1}, \
+         \"speedup\": {:.2}}},\n  \
          \"rows\": [\n{}\n  ],\n  \"history\": [\n    {}\n  ]\n}}\n",
+        ORBITALS[0],
+        scaling.0,
+        scaling.1,
+        scaling.0 / scaling.1,
         row_json.join(",\n"),
         history.join(",\n    ")
     );

@@ -14,10 +14,12 @@
 //! * State is **per thread**. A new thread starts from the environment
 //!   (`MKL_BLAS_COMPUTE_MODE`, `MKL_VERBOSE_BUFFER`) and does **not**
 //!   inherit its parent's overrides, plans or records.
-//! * BLAS must be entered from the thread that owns the run. Today that
-//!   holds by construction: rayon is entered only below the entry points
-//!   and packing stays on the caller. It must keep holding once a real
-//!   `rayon` replaces the sequential shim.
+//! * BLAS must be entered from the thread that owns the run. That holds
+//!   by construction: the rayon pool is entered only below the entry
+//!   points, and its workers run the product's tasks — pack their rows of
+//!   A, run their tiles — on the mode, microkernel and scratch the caller
+//!   passed in, never reading a context; the workspace pool, ABFT, fault
+//!   injection and the call record stay on the caller.
 //! * No borrow of the context is held across the product closure, a
 //!   [`DeviceTimeModel::gemm_time`] call or any telemetry call, so nested
 //!   overrides and a BLAS call made from inside another's product are

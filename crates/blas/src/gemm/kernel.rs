@@ -5,11 +5,12 @@
 //! ([`gemm_packed`]):
 //!
 //! * the k dimension is tiled into `KC`-deep blocks;
-//! * per k-block, B is packed into `nr`-column panels and A — a block of
-//!   `MC_PANELS · mr` rows at a time, right before that block runs —
-//!   into `mr`-row panels ([`super::pack`]), both held in pooled scratch
-//!   and read straight from the caller's strided (for the complex
-//!   routines: interleaved) storage — `op()`, plane separation and
+//! * per k-block, B is packed into `nr`-column panels on the calling
+//!   thread and A — one task's rows at a time, right before that task
+//!   runs — into `mr`-row panels ([`super::pack`]), both held in scratch
+//!   pooled on the calling thread and read straight from the caller's
+//!   strided (for the complex routines: interleaved) storage — `op()`,
+//!   plane separation and
 //!   precision conversion (BF16/TF32 rounding, split-plane
 //!   decomposition) all happen during this pack, once per source element
 //!   per call;
@@ -35,10 +36,13 @@
 //! full product's, so the computed triangle is the full product's, bit
 //! for bit.
 //!
-//! Parallelism splits C into row blocks of `MC_PANELS · mr` rows. Each C
-//! element is accumulated by exactly one microkernel call per (product,
-//! k-block), in a fixed (k-block, product, term, kk) order that does not
-//! depend on the thread count — sequential and parallel runs are
+//! Parallelism splits C into *tasks*, contiguous runs of `mr`-row panels,
+//! that the rayon pool runs on every thread it has, the caller included
+//! ([`task_shape`]). A task packs its own rows of A into its own slice of
+//! the scratch the caller took, then runs its tiles. Each C element is
+//! accumulated by exactly one microkernel call per (product, k-block), in
+//! a fixed (k-block, product, term, kk) order that does not depend on the
+//! thread count or the task cut — runs at any thread count are
 //! bit-identical by construction (asserted by
 //! `seq_and_par_paths_bit_identical`).
 
@@ -50,17 +54,43 @@ use dcmesh_numerics::split::MAX_SPLIT_DEPTH;
 use dcmesh_numerics::Real;
 use rayon::prelude::*;
 
-/// Work (in scalar MACs) below which threading overhead dominates and the
-/// driver runs its row blocks sequentially.
-const PAR_THRESHOLD: usize = 64 * 64 * 64;
+/// When a product of `panels` row panels splits into tasks: when its
+/// output is tall (at least [`PAR_PANELS`] panels), or when `m·n·k` reaches
+/// [`PAR_THRESHOLD`] MACs. Measured on the application shapes at 1 and 2
+/// threads (EXPERIMENTS.md): a tall apply product (`1728 × n_orb × n_orb`,
+/// 108–216 panels) ran faster split at every `n_orb` from 16 to 96; a
+/// short project product (`n_orb × n_orb × 1728`, 2–12 panels) ran up to
+/// 2× slower split below ~4 M MACs and faster at 16 M.
+fn splits(panels: usize, m: usize, n: usize, k: usize) -> bool {
+    panels >= 2 && (panels >= PAR_PANELS || m * n * k >= PAR_THRESHOLD)
+}
+
+/// Row panels from which a product always splits (see [`splits`]).
+const PAR_PANELS: usize = 2 * MC_PANELS;
+
+/// `m·n·k` from which a short product splits (see [`splits`]).
+const PAR_THRESHOLD: usize = 1 << 22;
 
 /// Depth of one packed k-block.
 pub(crate) const KC: usize = 256;
 
-/// Row panels per C block: a block is `MC_PANELS · mr` rows — the unit A
-/// is packed in and a parallel task owns — so its packed A panels stay
-/// L2-resident while the packed B panels go past them.
+/// Row panels per task at most: a task's packed A panels stay L2-resident
+/// while the packed B panels go past them.
 const MC_PANELS: usize = 16;
+
+/// How `panels` row panels are cut into tasks for `threads` threads:
+/// `(panels per task, tasks packed per round)`. Tasks are balanced over
+/// the threads and hold at most [`MC_PANELS`] panels, so a product of at
+/// most `MC_PANELS` panels is one task on one thread and `threads` tasks
+/// on `threads`. A Hermitian output's tiles thin out towards one corner,
+/// so under threads it is cut into twice as many tasks, claimed as threads
+/// come free. The packed A scratch holds one round — at most
+/// `threads · MC_PANELS` panels, bounded by the task size, not by `m`.
+fn task_shape(panels: usize, threads: usize, triangle: bool) -> (usize, usize) {
+    let per_thread = if triangle && threads > 1 { 2 } else { 1 };
+    let per_task = panels.div_ceil(threads * per_thread * panels.div_ceil(threads * MC_PANELS));
+    (per_task, threads * (MC_PANELS / per_task).max(1))
+}
 
 /// The microkernel signature: accumulate one product's terms into one
 /// `rows × cols` tile of `ctile` (a row-panel slice of the accumulator,
@@ -163,8 +193,8 @@ impl MicroArch for f64 {
     }
 }
 
-/// How one driver run executes: which microkernel, and whether row blocks
-/// go to rayon (`None` = size heuristic). Everything outside tests uses
+/// How one driver run executes: which microkernel, and whether tasks go to
+/// the rayon pool (`None` = size heuristic). Everything outside tests uses
 /// [`Exec::host`]; tests pin a ladder entry or a schedule to compare them
 /// bit for bit on identical inputs.
 #[derive(Clone, Copy)]
@@ -231,7 +261,7 @@ pub(crate) fn real_product<T: MicroArch>(
         k,
         &[Product { a: 0, b: 0, depth, out: 0 }],
         None,
-        |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
+        move |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
             let len = pack::gather(&a.offset(r0), rows, k0, kc, mr, dst, stride, |x| [x]);
             T::convert(mode, Side::A, dst, stride, len);
         },
@@ -264,14 +294,16 @@ pub fn matmul_acc<T: MicroArch>(a: &[T], b: &[T], acc: &mut [T], m: usize, n: us
 ///
 /// `pack_b(k0, kc, nr, dst, stride)` must fill every B plane the products
 /// read (plane `t` at `dst[t·stride..]`) with the `nr`-column panel
-/// layout of the k-slice `[k0, k0+kc)`. `pack_a(r0, rows, k0, kc, mr,
-/// dst, stride)` does the same in `mr`-row panels for rows
-/// `[r0, r0+rows)` of `op(A)` only: A is packed a group of row blocks at
-/// a time — one block (`MC_PANELS · mr` rows) per rayon worker — right
-/// before those blocks run, so the packed A scratch is bounded by the
-/// block size instead of by `m` and is still in L2 when the microkernel
-/// reads it. Packing runs on the calling thread only, so rayon workers
-/// never touch the workspace pool.
+/// layout of the k-slice `[k0, k0+kc)`; it runs on the calling thread,
+/// once per k-block. `pack_a(r0, rows, k0, kc, mr, dst, stride)` does the
+/// same in `mr`-row panels for rows `[r0, r0+rows)` of `op(A)` only: each
+/// task packs its own rows right before its tiles run, on whichever
+/// thread runs it (so `pack_a` holds the mode and source views by value
+/// and reads no thread's state), into its own slice of the scratch the
+/// caller took — so
+/// the packed A scratch is bounded by a round of tasks instead of by `m`,
+/// is still in L2 when the microkernel reads it, and no worker touches
+/// the workspace pool.
 ///
 /// `uplo` is the tile filter of a Hermitian output (`m == n`): a tile
 /// with no element in that triangle is skipped and its part of `acc`
@@ -288,12 +320,12 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     k: usize,
     products: &[Product],
     uplo: Option<Uplo>,
-    mut pack_a: PA,
+    pack_a: PA,
     mut pack_b: PB,
     exec: Exec<T>,
 ) where
     T: MicroArch,
-    PA: FnMut(usize, usize, usize, usize, usize, &mut [T], usize),
+    PA: Fn(usize, usize, usize, usize, usize, &mut [T], usize) + Sync,
     PB: FnMut(usize, usize, usize, &mut [T], usize),
 {
     let ldc = nout * n;
@@ -302,34 +334,39 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let kern = exec.kern;
+    let Exec { kern, parallel } = exec;
     let (mr, nr) = (kern.mr, kern.nr);
     let kc_max = KC.min(k);
     let npan = n.div_ceil(nr);
-    let run_par = exec.parallel.unwrap_or(m * n * k >= PAR_THRESHOLD);
-    // Rows of one C block, and of the blocks packed and run together.
-    let block_rows = MC_PANELS * mr;
-    let group_rows = block_rows * if run_par { rayon::current_num_threads() } else { 1 };
-    let a_stride = group_rows.min(m.div_ceil(mr) * mr) * kc_max;
+    let panels = m.div_ceil(mr);
+    let threads = match parallel.unwrap_or_else(|| splits(panels, m, n, k)) {
+        true => rayon::current_num_threads(),
+        false => 1,
+    };
+    let (per_task, per_round) = task_shape(panels, threads, uplo.is_some());
+    let task_rows = per_task * mr;
+    let a_stride = task_rows * kc_max;
     let b_stride = npan * nr * kc_max;
     let planes =
         |last: fn(&Product) -> usize| products.iter().map(last).max().unwrap_or(0);
-    let mut pa_buf = take_scratch::<T>(planes(|pr| pr.a + pr.depth) * a_stride);
+    // One slot of packed A planes per task of a round.
+    let a_slot = planes(|pr| pr.a + pr.depth) * a_stride;
+    let mut pa_buf = take_scratch::<T>(per_round.min(panels.div_ceil(per_task)) * a_slot);
     let mut pb_buf = take_scratch::<T>(planes(|pr| pr.b + pr.depth) * b_stride);
 
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
         pack_b(k0, kc, nr, &mut pb_buf, b_stride);
-        for (gi, group) in acc.chunks_mut(group_rows * ldc).enumerate() {
-            let g0 = gi * group_rows;
-            pack_a(g0, group.len() / ldc, k0, kc, mr, &mut pa_buf, a_stride);
-            let (pa, pb): (&[T], &[T]) = (&pa_buf, &pb_buf);
-
-            // One task = one block of the group. Looping q (B panel)
-            // outside the row panels keeps each B panel hot in L1 while
-            // the block's L2-resident A panels stream past it.
-            let block = |bi: usize, cblk: &mut [T]| {
+        let pb: &[T] = &pb_buf;
+        for (ri, round) in acc.chunks_mut(per_round * task_rows * ldc).enumerate() {
+            // One task: pack its rows of A, then run its tiles. Looping q
+            // (B panel) outside the row panels keeps each B panel hot in
+            // L1 while the task's L2-resident A panels stream past it.
+            let task = |(ti, (cblk, pa)): (usize, (&mut [T], &mut [T]))| {
+                let t0 = (ri * per_round + ti) * task_rows;
                 let rows_total = cblk.len() / ldc;
+                pack_a(t0, rows_total, k0, kc, mr, pa, a_stride);
+                let pa: &[T] = pa;
                 for q in 0..npan {
                     let j0 = q * nr;
                     let cols = nr.min(n - j0);
@@ -338,7 +375,7 @@ pub(crate) fn gemm_packed<T, PA, PB>(
                         let rows = mr.min(rows_total - r0);
                         // The tile spans rows [i0, i0+rows) × columns
                         // [j0, j0+cols) of the output.
-                        let i0 = g0 + bi * block_rows + r0;
+                        let i0 = t0 + r0;
                         let outside = match uplo {
                             None => false,
                             Some(Uplo::Lower) => j0 >= i0 + rows,
@@ -347,7 +384,7 @@ pub(crate) fn gemm_packed<T, PA, PB>(
                         if outside {
                             continue;
                         }
-                        let a_off = (bi * MC_PANELS + ir) * mr * kc;
+                        let a_off = ir * mr * kc;
                         for pr in products {
                             let mut terms = [(0usize, 0usize); MAX_SPLIT_DEPTH];
                             for (t, term) in terms.iter_mut().enumerate().take(pr.depth) {
@@ -371,14 +408,11 @@ pub(crate) fn gemm_packed<T, PA, PB>(
                     }
                 }
             };
-            if run_par {
-                group
-                    .par_chunks_mut(block_rows * ldc)
-                    .enumerate()
-                    .for_each(|(bi, cblk)| block(bi, cblk));
-            } else {
-                block(0, group);
-            }
+            round
+                .par_chunks_mut(task_rows * ldc)
+                .zip(pa_buf.par_chunks_mut(a_slot))
+                .enumerate()
+                .for_each(task);
         }
     }
 }
@@ -582,6 +616,8 @@ pub fn matmul_reference<T: Real>(a: &[T], b: &[T], m: usize, n: usize, k: usize)
 mod tests {
     use super::*;
     use crate::gemm::reference::same_bits;
+    use crate::layout::Op;
+    use dcmesh_numerics::{c64, Complex, C32, C64};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -639,15 +675,31 @@ mod tests {
         }
     }
 
+    /// The pool sizes the thread-count tests run under.
+    const POOLS: [usize; 5] = [1, 2, 3, 4, 8];
+
+    /// Runs `f` with `threads` as the rayon thread count, checked.
+    fn under_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        pool.install(|| {
+            assert_eq!(rayon::current_num_threads(), threads);
+            f()
+        })
+    }
+
+    /// The host's schedule with the task split forced on (`true`) or off.
+    fn sched<T: MicroArch>(parallel: bool) -> Exec<T> {
+        Exec { parallel: Some(parallel), ..Exec::host() }
+    }
+
     #[test]
     fn matches_reference_parallel_path() {
-        // Big enough to exceed PAR_THRESHOLD and span several k-blocks.
+        // Several tasks and several k-blocks.
         let (m, n, k) = (70, 65, 300);
         let mut rng = StdRng::seed_from_u64(2);
         let a = random_matrix(&mut rng, m * k);
         let b = random_matrix(&mut rng, k * n);
-        let mut acc = vec![0.0; m * n];
-        matmul_acc(&a, &b, &mut acc, m, n, k);
+        let acc = under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(true)));
         let refc = matmul_reference(&a, &b, m, n, k);
         for (i, (x, y)) in acc.iter().zip(&refc).enumerate() {
             assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "i={i}: {x} vs {y}");
@@ -671,30 +723,85 @@ mod tests {
         acc
     }
 
+    /// One complex product of every shape below, in every mode in
+    /// `modes`, on one thread and under each of [`POOLS`], bit for bit.
+    fn pools_match_one_thread<T: MicroArch>(modes: &[ComputeMode]) {
+        use crate::gemm::{complex_gemm_with, stored_shapes, GemmArgs};
+        let mut rng = StdRng::seed_from_u64(3);
+        let (ct, no) = (Op::ConjTrans, Op::None);
+        // The application's project and apply products at 96 orbitals,
+        // panels ragged in m and n with k straddling KC, and a Hermitian
+        // output of each triangle.
+        let shapes: [(Op, Op, usize, usize, usize, Option<Uplo>); 5] = [
+            (ct, no, 96, 96, 1728, None),
+            (no, no, 1728, 96, 96, None),
+            (no, Op::Trans, 301, 37, 300, None),
+            (ct, no, 96, 96, 1728, Some(Uplo::Upper)),
+            (no, ct, 96, 96, 300, Some(Uplo::Lower)),
+        ];
+        for (transa, transb, m, n, k, uplo) in shapes {
+            let panels = m.div_ceil(Exec::<T>::host().kern.mr);
+            let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
+            let mut rand = |len: usize| -> Vec<Complex<T>> {
+                let mut x = || T::from_f64(rng.gen_range(-1.0..1.0));
+                (0..len).map(|_| Complex { re: x(), im: x() }).collect()
+            };
+            let (a, b, c0) = (rand(ar * ac), rand(br * bc), rand(m * n));
+            let alpha = Complex { re: T::from_f64(0.75), im: T::from_f64(-0.5) };
+            let beta = Complex { re: T::from_f64(0.5), im: T::ZERO };
+            let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda: ac, b: &b, ldb: bc, beta, ldc: n, uplo };
+            for &mode in modes {
+                let run = |exec| {
+                    let mut c = c0.clone();
+                    complex_gemm_with(mode, &g, &mut c, exec);
+                    c
+                };
+                let one = run(sched(false));
+                for threads in POOLS {
+                    let (per_task, _) = task_shape(panels, threads, uplo.is_some());
+                    assert!(threads == 1 || panels.div_ceil(per_task) >= 2, "({m},{n},{k}) is one task");
+                    let got = under_pool(threads, || run(sched(true)));
+                    for (i, (x, y)) in got.iter().zip(&one).enumerate() {
+                        assert!(
+                            [x.re, x.im].map(|v| v.to_f64().to_bits())
+                                == [y.re, y.im].map(|v| v.to_f64().to_bits()),
+                            "{mode:?} ({m},{n},{k}) {uplo:?} {threads} threads i={i}: {x:?} vs {y:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn seq_and_par_paths_bit_identical() {
-        // The blocked schedule is shared: forcing the sequential and the
-        // rayon path over the same inputs must agree bit-for-bit, for both
-        // element widths and for shapes with ragged edge panels.
-        let mut rng = StdRng::seed_from_u64(3);
-        fn sched<T: MicroArch>(parallel: bool) -> Exec<T> {
-            Exec { parallel: Some(parallel), ..Exec::host() }
-        }
-        for &(m, n, k) in &[(37, 29, 300), (128, 96, 520), (5, 7, 9)] {
-            let a = random_matrix(&mut rng, m * k);
-            let b = random_matrix(&mut rng, k * n);
-            let seq = product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(false));
-            let par = product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(true));
-            for (i, (x, y)) in seq.iter().zip(&par).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "f64 ({m},{n},{k}) i={i}");
-            }
-
-            let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-            let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-            let seq = product_with(ComputeMode::Standard, &a32, &b32, m, n, k, sched(false));
-            let par = product_with(ComputeMode::Standard, &a32, &b32, m, n, k, sched(true));
-            for (i, (x, y)) in seq.iter().zip(&par).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "f32 ({m},{n},{k}) i={i}");
+        pools_match_one_thread::<f32>(&ComputeMode::ALL);
+        // The two modes that apply to FP64 data.
+        pools_match_one_thread::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
+        // And the Hermitian routines themselves, which take the pool's
+        // thread count through the size heuristic.
+        let mut rng = StdRng::seed_from_u64(4);
+        let (n, k) = (96, 1728);
+        let a64: Vec<C64> =
+            (0..k * n).map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
+        let a32: Vec<C32> = a64.iter().map(|z| z.to_c32()).collect();
+        let hermitian = |mode| {
+            crate::config::with_compute_mode(mode, || {
+                let (ct, one) = (Op::ConjTrans, C64::one());
+                let mut herk32 = vec![C32::zero(); n * n];
+                let (mut herk64, mut gemmt) = (vec![C64::zero(); n * n], vec![C64::zero(); n * n]);
+                crate::cherk(Uplo::Lower, ct, n, k, 1.0, &a32, n, 0.0, &mut herk32, n);
+                crate::zherk(Uplo::Upper, ct, n, k, 1.0, &a64, n, 0.0, &mut herk64, n);
+                crate::zgemmt(Uplo::Lower, ct, Op::None, n, k, one, &a64, n, &a64, n, one, &mut gemmt, n);
+                let bits32 = herk32.iter().flat_map(|z| [z.re, z.im].map(|v| u64::from(v.to_bits())));
+                let bits64 = herk64.iter().chain(&gemmt).flat_map(|z| [z.re.to_bits(), z.im.to_bits()]);
+                bits32.chain(bits64).collect::<Vec<u64>>()
+            })
+        };
+        for mode in ComputeMode::ALL {
+            let one = under_pool(1, || hermitian(mode));
+            for threads in POOLS {
+                assert!(under_pool(threads, || hermitian(mode)) == one, "{mode:?} at {threads} threads");
             }
         }
     }
@@ -841,13 +948,12 @@ mod tests {
 
     #[test]
     fn zero_row_times_nan_propagates_on_parallel_path() {
-        // Same property above PAR_THRESHOLD, through the blocked path.
+        // Same property with the rows split into tasks over two threads.
         let (m, n, k) = (64, 64, 64);
         let a = vec![0.0f64; m * k];
         let mut b = vec![1.0f64; k * n];
         b[5 * n + 7] = f64::NAN;
-        let mut acc = vec![0.0f64; m * n];
-        matmul_acc(&a, &b, &mut acc, m, n, k);
+        let acc = under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(true)));
         for i in 0..m {
             assert!(acc[i * n + 7].is_nan(), "row {i} lost the NaN");
         }

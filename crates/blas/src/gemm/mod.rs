@@ -479,7 +479,7 @@ fn complex_product_4m<T: MicroArch>(
         k,
         &products,
         uplo,
-        |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
+        move |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
             let len = gather(&asrc.offset(r0), rows, k0, kc, mr, dst, d * stride, |z| {
                 [z.re, im_of(z, conj_a)]
             });
@@ -530,7 +530,7 @@ fn complex_product_3m<T: MicroArch>(
         k,
         &products,
         uplo,
-        |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
+        move |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
             gather(&asrc.offset(r0), rows, k0, kc, mr, dst, stride, |z| {
                 let im = im_of(z, conj_a);
                 [z.re + im, z.re, im]

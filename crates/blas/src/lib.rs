@@ -29,9 +29,9 @@
 //! thread's context. A new thread starts from the environment and does
 //! not inherit its parent's overrides, so two runs on two threads of one
 //! process cannot disturb each other — and BLAS must be entered from the
-//! thread that owns the run (rayon is entered only below the entry
-//! points; that must stay true once a real `rayon` replaces the
-//! sequential shim).
+//! thread that owns the run. The rayon pool's workers run only the
+//! product's tasks, below the entry points, on values the caller passed
+//! in (`crates/core/tests/pool_state.rs`).
 //!
 //! Matrices are **row-major** with an explicit leading dimension (`ld` =
 //! elements between consecutive rows). Transposition/conjugation follow

@@ -5,9 +5,9 @@
 //! differences on the periodic mesh. These are the "simple data
 //! parallelism" kernels of LFD (paper §IV-D) — everything here is a mesh
 //! sweep; nothing here is BLAS. The unit of work is one x-slab of the
-//! output (`par_chunks_mut`): the vendored rayon shim runs the slabs
-//! sequentially on the calling thread, and they are what a real rayon
-//! would spread over threads.
+//! output (`par_chunks_mut`), spread over the rayon pool's threads; a slab
+//! writes only its own rows, so the result is the same at any thread
+//! count.
 //!
 //! There is one stencil body (`Stencil::block`). It accumulates a block
 //! of orbitals in registers across all 33 taps and stores once, either
@@ -405,6 +405,17 @@ mod tests {
     /// Below, at and above the register block, and a multiple of it.
     const TEST_ORBITALS: [usize; 6] = [1, 3, 15, 16, 17, 96];
 
+    /// Runs `f` with `threads` as the rayon thread count, checked.
+    fn under_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        pool.install(|| {
+            assert_eq!(rayon::current_num_threads(), threads);
+            f()
+        })
+    }
+
+    /// The kernel against the scalar loop, with its x-slabs spread over
+    /// pools of 1, 2, 3, 4 and 8 threads.
     fn kernel_matches_reference<T: Real>() {
         for mesh in TEST_MESHES {
             let n = mesh.len();
@@ -417,21 +428,25 @@ mod tests {
                 let mut got = want.clone();
                 for a_total in [0.0, 0.23] {
                     apply_h_reference(&mesh, n_orb, &vloc, a_total, &psi, &mut want);
-                    apply_h(&mesh, n_orb, &vloc, a_total, &psi, &mut got);
-                    assert_same_bits(&got, &want, &format!("apply_h {what} A = {a_total}"));
-
                     // The Taylor store: next = (−i·c)·Hψ, acc += next.
                     let c = T::from_f64(0.02 / 3.0);
                     let acc0 = random_state::<T>(psi.len(), 99);
-                    let mut want_acc = acc0.clone();
-                    for (h, a) in want.iter_mut().zip(&mut want_acc) {
+                    let (mut want_term, mut want_acc) = (want.clone(), acc0.clone());
+                    for (h, a) in want_term.iter_mut().zip(&mut want_acc) {
                         *h = Complex { re: h.im * c, im: -(h.re * c) };
                         *a += *h;
                     }
-                    let mut got_acc = acc0;
-                    taylor_term(&mesh, n_orb, &vloc, a_total, c, &psi, &mut got, &mut got_acc);
-                    assert_same_bits(&got, &want, &format!("taylor term {what} A = {a_total}"));
-                    assert_same_bits(&got_acc, &want_acc, &format!("taylor sum {what} A = {a_total}"));
+                    for threads in [1, 2, 3, 4, 8] {
+                        let what = format!("{what} A = {a_total}, {threads} threads");
+                        under_pool(threads, || {
+                            apply_h(&mesh, n_orb, &vloc, a_total, &psi, &mut got);
+                            assert_same_bits(&got, &want, &format!("apply_h {what}"));
+                            let mut got_acc = acc0.clone();
+                            taylor_term(&mesh, n_orb, &vloc, a_total, c, &psi, &mut got, &mut got_acc);
+                            assert_same_bits(&got, &want_term, &format!("taylor term {what}"));
+                            assert_same_bits(&got_acc, &want_acc, &format!("taylor sum {what}"));
+                        });
+                    }
                 }
                 apply_h_reference(&mesh, n_orb, &zero_v, 0.0, &psi, &mut want);
                 apply_kinetic(&mesh, n_orb, &psi, &mut got);

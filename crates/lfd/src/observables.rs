@@ -172,7 +172,15 @@ mod tests {
         }
         assert_eq!(st.electron_count(&p).to_bits(), n_elec.to_bits());
         let want = (reduce::sum_f64(&para) * mesh.dv() + 0.1 * n_elec) / mesh.volume();
-        assert_eq!(current_density(&p, &st, 0.1).to_bits(), want.to_bits());
+        // The nx plane partials computed on any number of threads.
+        for threads in [1, 2, 3, 4, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let got = pool.install(|| {
+                assert_eq!(rayon::current_num_threads(), threads);
+                current_density(&p, &st, 0.1)
+            });
+            assert_eq!(got.to_bits(), want.to_bits(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! The refresh path (Löwdin, `eigh`, the subspace products) is level-3
 //! BLAS, so its products appear in the precision ledger by callsite and
 //! are deterministic in the sense `mkl-lite`'s GEMM is: a fixed blocked
-//! accumulation order, one thread.
+//! accumulation order, the same bits at any thread count.
 //!
 //! Matrices are row-major `Vec<C64>` slices with explicit dimension, the
 //! same convention as `mkl-lite`.

@@ -21,8 +21,8 @@
 //! Determinism: every product on the Löwdin path is a `mkl-lite` GEMM,
 //! whose blocked accumulation order is fixed by the shape alone
 //! (k-blocks, then the complex product's four real products, then the
-//! packed microkernel's `kk` loop, multiply-add fused), and the run is
-//! single-threaded — so results are a function of the input bits, and
+//! packed microkernel's `kk` loop, multiply-add fused) whichever threads
+//! run its tasks — so results are a function of the input bits, and
 //! the same on every host whose GEMM runs a SIMD tile (the portable
 //! fallback does not fuse and agrees to `k·ε`). They are *not* the bits
 //! of the pre-level-3 code, which summed over `reduce`'s pairwise trees;

@@ -134,9 +134,10 @@ where
     F: Fn(usize) -> T + Sync,
 {
     use rayon::prelude::*;
-    // An indexed parallel collect preserves index order by construction.
-    let parts: Vec<T> = (0..n).into_par_iter().map(f).collect();
-    sum_with(parts.len(), |i| parts[i])
+    // Term `i` lands in slot `i`, whichever thread computes it.
+    let mut parts = vec![T::tree_zero(); n];
+    parts.par_iter_mut().enumerate().for_each(|(i, p)| *p = f(i));
+    sum_with(n, |i| parts[i])
 }
 
 #[cfg(test)]
@@ -192,7 +193,10 @@ mod tests {
                 .num_threads(threads)
                 .build()
                 .expect("build pool");
-            let s = pool.install(|| par_map_sum(v.len(), |i| v[i] * v[(i * 31) % v.len()]));
+            let s = pool.install(|| {
+                assert_eq!(rayon::current_num_threads(), threads);
+                par_map_sum(v.len(), |i| v[i] * v[(i * 31) % v.len()])
+            });
             bits.push(s.to_bits());
         }
         assert!(bits.windows(2).all(|w| w[0] == w[1]), "bits varied across pools: {bits:?}");

@@ -82,7 +82,7 @@ pub fn split_slice_into(src: &[f32], components: &mut [&mut [f32]]) {
             task.push(chunk);
         }
     }
-    tasks.into_par_iter().enumerate().for_each(|(ci, mut planes)| {
+    tasks.par_iter_mut().enumerate().for_each(|(ci, planes)| {
         for (i, &x) in src[ci * PAR_CHUNK..].iter().take(PAR_CHUNK).enumerate() {
             for (plane, term) in planes.iter_mut().zip(split::<MAX_SPLIT_DEPTH>(x)) {
                 plane[i] = term;

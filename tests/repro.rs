@@ -53,7 +53,7 @@ fn supervised(sup: &SupervisorConfig) -> SupervisedRun {
 #[test]
 fn full_supervised_run_is_bit_identical_across_thread_counts() {
     let mut all_bits = Vec::new();
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4, 8] {
         let dir = std::env::temp_dir()
             .join(format!("dcmesh-repro-threads-{threads}-{}", std::process::id()));
         if dir.exists() {
@@ -65,7 +65,10 @@ fn full_supervised_run_is_bit_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .expect("build rayon pool");
-        let run = pool.install(|| supervised(&sup));
+        let run = pool.install(|| {
+            assert_eq!(rayon::current_num_threads(), threads, "the pool sets the thread count");
+            supervised(&sup)
+        });
         assert_eq!(run.escalations.len(), 0, "tiny deck must run clean at {threads} threads");
         assert!(!run.result.records.is_empty());
 
