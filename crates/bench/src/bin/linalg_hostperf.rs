@@ -40,7 +40,7 @@
 //! 1.2× `scf_refresh` gate against the full-product ZHERK one
 //! (`2026-10-02-parent`).
 
-use dcmesh_bench::report::{civil_date_utc, merged_history};
+use dcmesh_bench::report::{civil_date_utc, merged_history, SpeedupGate};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use dcmesh_linalg::ops::{frobenius_norm, hermitian_from_fn, matmul, unitarity_defect};
@@ -48,7 +48,6 @@ use dcmesh_linalg::orth::orthonormality_defect;
 use dcmesh_linalg::{cholesky_orthonormalize, eigh, lowdin_orthonormalize};
 use dcmesh_numerics::{c64, Complex, C64};
 use dcmesh_qxmd::scf_refresh;
-use dcmesh_telemetry::json::{self, JsonValue};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -259,35 +258,6 @@ fn refresh_row(n_orb: usize, seconds: f64) -> Row {
     }
 }
 
-/// `<series>_ns_per_call.f64` of the history entry dated `entry` in the
-/// file at `path`.
-fn recorded_ns(path: &str, entry: &str, series: &str) -> Option<f64> {
-    let doc = json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    doc.get("history")?
-        .as_array()?
-        .iter()
-        .find(|e| e.get("date").and_then(JsonValue::as_str) == Some(entry))?
-        .get(&format!("{series}_ns_per_call"))?
-        .get("f64")?
-        .as_f64()
-}
-
-/// One `--min-speedup SERIES@ENTRY=F` gate.
-struct SpeedupGate {
-    series: String,
-    entry: String,
-    factor: f64,
-}
-
-impl SpeedupGate {
-    fn parse(spec: &str) -> Option<SpeedupGate> {
-        let (row, factor) = spec.rsplit_once('=')?;
-        let (series, entry) = row.split_once('@')?;
-        let factor = factor.parse().ok().filter(|f: &f64| *f > 0.0)?;
-        Some(SpeedupGate { series: series.to_string(), entry: entry.to_string(), factor })
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: linalg_hostperf [--out PATH] [--seconds-per-row F] [--label L] \
@@ -420,27 +390,12 @@ fn main() {
 
     // Gates read the file as it was before this run is merged into it.
     let mut failed = false;
-    for SpeedupGate { series, entry, factor } in &gates {
-        let Some(now) = rows.iter().find(|r| r.series() == *series).map(|r| r.min_ns) else {
-            eprintln!("linalg_hostperf: --min-speedup names no row of this run: {series}");
+    for gate in &gates {
+        let Some(now) = rows.iter().find(|r| r.series() == gate.series).map(|r| r.min_ns) else {
+            eprintln!("linalg_hostperf: --min-speedup names no row of this run: {}", gate.series);
             std::process::exit(2);
         };
-        match recorded_ns(&out_path, entry, series) {
-            Some(then) if then / now >= *factor => {
-                eprintln!("{series}: {:.2}x the {entry} row", then / now)
-            }
-            Some(then) => {
-                eprintln!(
-                    "linalg_hostperf: {series} is {:.2}x the {entry} row ({then:.0} ns -> {now:.0} ns), need {factor}x",
-                    then / now
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!("linalg_hostperf: no history entry {entry} with {series} in {out_path}");
-                failed = true;
-            }
-        }
+        failed |= !gate.passes("linalg_hostperf", &out_path, "f64", now);
     }
     if enforce_bounds {
         for r in rows.iter().filter(|r| !r.within_bound()) {

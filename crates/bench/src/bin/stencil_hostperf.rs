@@ -6,12 +6,15 @@
 //! `apply_kinetic`, and a whole `taylor_propagate` (four fused sweeps) —
 //! on the 12³ mesh at 16 and 96 orbitals, in `f32` and `f64`.
 //!
-//! Per row: µs per call (fastest and median sample), Mpt/s where a point
-//! is one orbital at one grid point in one sweep, **computed** flops and
-//! bytes per point (counted from the kernel's source, not measured — see
+//! Per row: the ladder rung the sweep dispatched to (`avx512f`, `avx2`
+//! or `portable`, per element width and store mode — the first stderr
+//! lines name them, as `gemm_hostperf` names its microkernels), µs per
+//! call (fastest and median sample), Mpt/s where a point is one orbital at
+//! one grid point in one sweep, **computed** flops and bytes per point
+//! (counted from the kernel's source, not measured — see
 //! [`Kernel::flops_per_point`]), and the achieved GFLOP/s over a
-//! separate-multiply-and-add peak measured in the same run with the same
-//! vector units on the same threads. The kernel never contracts `a*b + c`
+//! separate-multiply-and-add peak measured in the same run at that rung's
+//! vector width on the same threads. The kernel never contracts `a*b + c`
 //! into an FMA (that is what keeps it bit-identical across
 //! instantiations), so the FMA peak is twice what it can reach; the
 //! mul+add peak is the honest ceiling.
@@ -21,10 +24,19 @@
 //! `taylor_propagate` `f32` at 12³×16 (the `pto40-small` deck) at one
 //! thread and at that count.
 //!
-//! Usage: `stencil_hostperf [--out PATH] [--seconds-per-row F]`
+//! Usage: `stencil_hostperf [--out PATH] [--seconds-per-row F] [--label L]
+//! [--min-speedup SERIES@ENTRY=F]...`
+//!
+//! `--label L` dates the history entry `<today>-L`, so a run against the
+//! parent library (`--label parent`) stays in the history beside the same
+//! day's run of the change. `--min-speedup SERIES@ENTRY=F` (repeatable)
+//! fails unless the `f32` column of series `SERIES`
+//! (`taylor_propagate_12x16`, `apply_kinetic_12x96`, …) is at least `F`
+//! times faster than in the history entry dated `ENTRY` already in
+//! `--out`, as `linalg_hostperf`'s gate does.
 
-use dcmesh_bench::report::{civil_date_utc, merged_history};
-use dcmesh_lfd::hamiltonian::{apply_h, apply_kinetic};
+use dcmesh_bench::report::{civil_date_utc, merged_history, SpeedupGate};
+use dcmesh_lfd::hamiltonian::{apply_h, apply_kinetic, dispatched_rungs, Rung};
 use dcmesh_lfd::nonlocal::LfdScalar;
 use dcmesh_lfd::propagator::{taylor_propagate, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
@@ -60,6 +72,18 @@ impl Kernel {
         }
     }
 
+    /// The ladder rung this kernel's sweeps over `T` dispatch to: the
+    /// plain store's for `apply_h` / `apply_kinetic`, the Taylor stores'
+    /// for `taylor_propagate`.
+    fn rung<T: Real>(self) -> Rung {
+        let [plain, taylor] = dispatched_rungs::<T>();
+        if self == Kernel::TaylorPropagate {
+            taylor
+        } else {
+            plain
+        }
+    }
+
     /// Stencil sweeps per call.
     fn sweeps(self, taylor_order: usize) -> usize {
         match self {
@@ -84,15 +108,20 @@ impl Kernel {
 
     /// Compulsory bytes per orbital per grid point per sweep if every
     /// array element moves once: a plain sweep reads ψ and writes Hψ; a
-    /// Taylor sweep reads the term, writes the next one and
-    /// read-modify-writes ψ, and the call's initial `term ← ψ` copy (one
-    /// read, one write) is spread over its sweeps. The neighbour re-reads
-    /// are served from cache at these sizes and the potential is one real
-    /// per *grid point*, so neither is counted.
+    /// Taylor propagation of order ≥ 2 moves 13 state-sized streams at
+    /// order 4 — `2 + 4·(order − 2) + 3` in general: order 1 reads ψ and
+    /// writes t₁, the middle orders read a term, write the next and
+    /// read-modify-write ψ, the last skips its store — spread over its
+    /// sweeps. The neighbour re-reads are served from cache at these sizes
+    /// and the potential is one real per *grid point*, so neither is
+    /// counted.
     fn bytes_per_point(self, complex_bytes: usize, taylor_order: usize) -> f64 {
         let z = complex_bytes as f64;
         match self {
-            Kernel::TaylorPropagate => 4.0 * z + 2.0 * z / taylor_order as f64,
+            Kernel::TaylorPropagate => {
+                let streams = 2 + 4 * taylor_order.saturating_sub(2) + 3;
+                streams as f64 * z / taylor_order as f64
+            }
             _ => 2.0 * z,
         }
     }
@@ -101,6 +130,7 @@ impl Kernel {
 struct Row {
     kernel: Kernel,
     scalar: &'static str,
+    rung: Rung,
     n_orb: usize,
     min_us: f64,
     median_us: f64,
@@ -112,8 +142,9 @@ struct Row {
 }
 
 /// Independent chains of `v = v·a + b` with a *separate* multiply and
-/// add, each `LANES` wide (one ymm: 8 `f32` or 4 `f64`): enough chains to
-/// cover both latencies on two ports, few enough to stay in registers.
+/// add, each `LANES` wide (one vector register of the rung: zmm, ymm or
+/// xmm): enough chains to cover both latencies on two ports, few enough
+/// to stay in registers.
 const CHAINS: usize = 10;
 
 #[inline(always)]
@@ -123,6 +154,56 @@ fn chains<T: Real, const LANES: usize>(iters: u64, acc: &mut [[T; LANES]; CHAINS
             for v in chain.iter_mut() {
                 *v = *v * a + b;
             }
+        }
+    }
+}
+
+/// The chains in zmm registers, written with intrinsics: under
+/// `avx512f` LLVM vectorises the generic `f32` loop with gathers and it
+/// runs at ~2 GFLOP/s, a thirtieth of what the same multiplies and adds
+/// reach one register per chain.
+///
+/// # Safety
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn chains_avx512<T: Real, const LANES: usize>(
+    iters: u64,
+    acc: &mut [[T; LANES]; CHAINS],
+    a: T,
+    b: T,
+) {
+    use std::arch::x86_64::*;
+    assert_eq!(core::mem::size_of::<[T; LANES]>(), 64, "one zmm register per chain");
+    if core::mem::size_of::<T>() == 4 {
+        let p = acc.as_mut_ptr().cast::<f32>();
+        let (va, vb) = (_mm512_set1_ps(a.to_f64() as f32), _mm512_set1_ps(b.to_f64() as f32));
+        let mut r = [_mm512_setzero_ps(); CHAINS];
+        for (c, x) in r.iter_mut().enumerate() {
+            *x = unsafe { _mm512_loadu_ps(p.add(16 * c)) };
+        }
+        for _ in 0..iters {
+            for x in r.iter_mut() {
+                *x = _mm512_add_ps(_mm512_mul_ps(*x, va), vb);
+            }
+        }
+        for (c, x) in r.iter().enumerate() {
+            unsafe { _mm512_storeu_ps(p.add(16 * c), *x) };
+        }
+    } else {
+        let p = acc.as_mut_ptr().cast::<f64>();
+        let (va, vb) = (_mm512_set1_pd(a.to_f64()), _mm512_set1_pd(b.to_f64()));
+        let mut r = [_mm512_setzero_pd(); CHAINS];
+        for (c, x) in r.iter_mut().enumerate() {
+            *x = unsafe { _mm512_loadu_pd(p.add(8 * c)) };
+        }
+        for _ in 0..iters {
+            for x in r.iter_mut() {
+                *x = _mm512_add_pd(_mm512_mul_pd(*x, va), vb);
+            }
+        }
+        for (c, x) in r.iter().enumerate() {
+            unsafe { _mm512_storeu_pd(p.add(8 * c), *x) };
         }
     }
 }
@@ -140,19 +221,44 @@ unsafe fn chains_avx2<T: Real, const LANES: usize>(
     chains(iters, acc, a, b)
 }
 
-/// Runs the chains on the vector units the stencil dispatches to.
-fn run_chains<T: Real, const LANES: usize>(iters: u64, acc: &mut [[T; LANES]; CHAINS], a: T, b: T) {
+/// Runs the chains compiled for `rung`.
+fn run_chains<T: Real, const LANES: usize>(
+    rung: Rung,
+    iters: u64,
+    acc: &mut [[T; LANES]; CHAINS],
+    a: T,
+    b: T,
+) {
+    assert!(rung.available(), "{} is not available", rung.name());
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: both features were detected on the line above.
-        return unsafe { chains_avx2(iters, acc, a, b) };
+    match rung {
+        // SAFETY: the assertion above detected the rung's features.
+        Rung::Avx512f => return unsafe { chains_avx512(iters, acc, a, b) },
+        Rung::Avx2 => return unsafe { chains_avx2(iters, acc, a, b) },
+        Rung::Portable => {}
     }
     chains(iters, acc, a, b)
 }
 
-/// Measured multiply-then-add rate in GFLOP/s of `threads` threads, each
-/// running its own chains. Best of five.
-fn mul_add_peak<T: Real, const LANES: usize>(threads: usize) -> f64 {
+/// Measured multiply-then-add rate in GFLOP/s of `threads` threads at
+/// `rung`'s vector width: 64, 32 or 16 bytes of `T` per chain.
+fn mul_add_peak<T: Real>(rung: Rung, threads: usize) -> f64 {
+    let bytes = match rung {
+        Rung::Avx512f => 64,
+        Rung::Avx2 => 32,
+        Rung::Portable => 16,
+    };
+    match bytes / core::mem::size_of::<T>() {
+        16 => mul_add_peak_lanes::<T, 16>(rung, threads),
+        8 => mul_add_peak_lanes::<T, 8>(rung, threads),
+        4 => mul_add_peak_lanes::<T, 4>(rung, threads),
+        2 => mul_add_peak_lanes::<T, 2>(rung, threads),
+        lanes => unreachable!("{lanes} lanes"),
+    }
+}
+
+/// [`mul_add_peak`] with `LANES` elements per chain. Best of five.
+fn mul_add_peak_lanes<T: Real, const LANES: usize>(rung: Rung, threads: usize) -> f64 {
     const ITERS: u64 = 1_000_000;
     let (a, b) = (
         black_box(T::from_f64(0.999_999)),
@@ -162,7 +268,7 @@ fn mul_add_peak<T: Real, const LANES: usize>(threads: usize) -> f64 {
     for _ in 0..5 {
         let mut accs = vec![[[T::ONE; LANES]; CHAINS]; threads];
         let start = Instant::now();
-        accs.par_iter_mut().for_each(|acc| run_chains(ITERS, acc, a, b));
+        accs.par_iter_mut().for_each(|acc| run_chains(rung, ITERS, acc, a, b));
         let secs = start.elapsed().as_secs_f64();
         black_box(&accs);
         best = best.max(2.0 * (threads * ITERS as usize * CHAINS * LANES) as f64 / secs / 1e9);
@@ -201,7 +307,29 @@ fn deck(n_orb: usize) -> LfdParams {
     }
 }
 
-fn rows_for<T: LfdScalar>(scalar: &'static str, peak: f64, seconds: f64, rows: &mut Vec<Row>) {
+/// The mul+add peak of every rung `T`'s sweeps dispatch to, measured once
+/// per rung.
+fn peaks<T: Real>(threads: usize) -> Vec<(Rung, f64)> {
+    let mut peaks: Vec<(Rung, f64)> = Vec::new();
+    for rung in dispatched_rungs::<T>() {
+        if peaks.iter().all(|(r, _)| *r != rung) {
+            peaks.push((rung, mul_add_peak::<T>(rung, threads)));
+        }
+    }
+    peaks
+}
+
+/// `f` of every (rung, peak), comma-separated.
+fn join_peaks(peaks: &[(Rung, f64)], f: impl Fn(Rung, f64) -> String) -> String {
+    peaks.iter().map(|&(r, p)| f(r, p)).collect::<Vec<_>>().join(", ")
+}
+
+fn rows_for<T: LfdScalar>(
+    scalar: &'static str,
+    peaks: &[(Rung, f64)],
+    seconds: f64,
+    rows: &mut Vec<Row>,
+) {
     for n_orb in ORBITALS {
         let params = deck(n_orb);
         let mut state = LfdState::<T>::initialize(&params, cosine_potential(&params.mesh, 0.3));
@@ -230,9 +358,12 @@ fn rows_for<T: LfdScalar>(scalar: &'static str, peak: f64, seconds: f64, rows: &
             let points = (params.mesh.len() * n_orb * kernel.sweeps(params.taylor_order)) as f64;
             let flops_per_point = kernel.flops_per_point();
             let gflops = points * flops_per_point / min_us / 1e3;
+            let rung = kernel.rung::<T>();
+            let peak = peaks.iter().find(|(r, _)| *r == rung).expect("peak of every rung").1;
             let row = Row {
                 kernel,
                 scalar,
+                rung,
                 n_orb,
                 min_us,
                 median_us,
@@ -244,9 +375,10 @@ fn rows_for<T: LfdScalar>(scalar: &'static str, peak: f64, seconds: f64, rows: &
                 peak_frac: gflops / peak,
             };
             eprintln!(
-                "{:<17} {scalar} 12^3x{n_orb:<3} {:>9.1} us (median {:>9.1})  {:>6.1} Mpt/s  \
+                "{:<17} {scalar} 12^3x{n_orb:<3} {:<8} {:>9.1} us (median {:>9.1})  {:>6.1} Mpt/s  \
                  {:>5.2} GFLOP/s = {:.2} of mul+add peak",
                 kernel.name(),
+                rung.name(),
                 row.min_us,
                 row.median_us,
                 row.mpts_per_s,
@@ -258,9 +390,19 @@ fn rows_for<T: LfdScalar>(scalar: &'static str, peak: f64, seconds: f64, rows: &
     }
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: stencil_hostperf [--out PATH] [--seconds-per-row F] [--label L] \
+         [--min-speedup SERIES@ENTRY=F]..."
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut out_path = "BENCH_stencil.json".to_string();
     let mut seconds = 0.5f64;
+    let mut label: Option<String> = None;
+    let mut gates: Vec<SpeedupGate> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || {
@@ -281,21 +423,35 @@ fn main() {
                         std::process::exit(2);
                     })
             }
-            _ => {
-                eprintln!("usage: stencil_hostperf [--out PATH] [--seconds-per-row F]");
+            "--label" => label = Some(value()),
+            "--min-speedup" => gates.push(SpeedupGate::parse(&value()).unwrap_or_else(|| {
+                eprintln!("stencil_hostperf: --min-speedup takes SERIES@ENTRY=F with F > 0");
                 std::process::exit(2);
-            }
+            })),
+            _ => usage(),
         }
     }
 
     let threads = rayon::current_num_threads();
-    let (peak32, peak64) = (mul_add_peak::<f32, 8>(threads), mul_add_peak::<f64, 4>(threads));
+    let rung_names = |[plain, taylor]: [Rung; 2]| (plain.name(), taylor.name());
+    let (rungs32, rungs64) =
+        (rung_names(dispatched_rungs::<f32>()), rung_names(dispatched_rungs::<f64>()));
     eprintln!(
-        "measured mul+add peak: {peak32:.1} GFLOP/s f32, {peak64:.1} GFLOP/s f64 ({threads} threads)"
+        "stencil rungs: f32 plain {}, f32 taylor {}, f64 plain {}, f64 taylor {}",
+        rungs32.0, rungs32.1, rungs64.0, rungs64.1
+    );
+    let (peaks32, peaks64) = (peaks::<f32>(threads), peaks::<f64>(threads));
+    let peak_text = |peaks: &[(Rung, f64)]| {
+        join_peaks(peaks, |r, p| format!("{p:.1} GFLOP/s at {}", r.name()))
+    };
+    eprintln!(
+        "measured mul+add peak ({threads} threads): f32 {}; f64 {}",
+        peak_text(&peaks32),
+        peak_text(&peaks64),
     );
     let mut rows = Vec::new();
-    rows_for::<f32>("f32", peak32, seconds, &mut rows);
-    rows_for::<f64>("f64", peak64, seconds, &mut rows);
+    rows_for::<f32>("f32", &peaks32, seconds, &mut rows);
+    rows_for::<f64>("f64", &peaks64, seconds, &mut rows);
 
     // Thread scaling: the pto40-small propagation at 1 thread and at `threads`.
     let scaling = {
@@ -318,17 +474,19 @@ fn main() {
     };
 
     let today = civil_date_utc();
+    let date = label.map_or(today.clone(), |l| format!("{today}-{l}"));
     let row_json: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"kernel\": \"{}\", \"scalar\": \"{}\", \"mesh\": \"{MESH_POINTS}^3\", \
+                "    {{\"kernel\": \"{}\", \"scalar\": \"{}\", \"rung\": \"{}\", \"mesh\": \"{MESH_POINTS}^3\", \
                  \"n_orb\": {}, \"threads\": {threads}, \"us_per_call_min\": {:.1}, \
                  \"us_per_call_median\": {:.1}, \"mpts_per_s\": {:.1}, \
                  \"computed_flops_per_point\": {:.0}, \"computed_bytes_per_point\": {:.0}, \
                  \"gflops\": {:.2}, \"frac_of_mul_add_peak\": {:.3}}}",
                 r.kernel.name(),
                 r.scalar,
+                r.rung.name(),
                 r.n_orb,
                 r.min_us,
                 r.median_us,
@@ -342,42 +500,68 @@ fn main() {
         .collect();
     // One history series per kernel and size, one "mode" per scalar type:
     // the shape `profile trend --bench` already reads from BENCH_gemm.json.
+    let series_name = |k: Kernel, n: usize| format!("{}_{MESH_POINTS}x{n}", k.name());
+    let ns = |k: Kernel, n: usize, scalar: &str| {
+        rows.iter()
+            .find(|r| r.kernel == k && r.n_orb == n && r.scalar == scalar)
+            .map_or(f64::NAN, |r| r.min_us * 1e3)
+    };
     let series: Vec<String> = Kernel::ALL
         .iter()
         .flat_map(|k| ORBITALS.iter().map(move |n| (*k, *n)))
         .map(|(k, n)| {
-            let ns = |scalar: &str| {
-                rows.iter()
-                    .find(|r| r.kernel == k && r.n_orb == n && r.scalar == scalar)
-                    .map_or(f64::NAN, |r| r.min_us * 1e3)
-            };
             format!(
-                "\"{}_{MESH_POINTS}x{n}_ns_per_call\":{{\"f32\":{:.1},\"f64\":{:.1}}}",
-                k.name(),
-                ns("f32"),
-                ns("f64")
+                "\"{}_ns_per_call\":{{\"f32\":{:.1},\"f64\":{:.1}}}",
+                series_name(k, n),
+                ns(k, n, "f32"),
+                ns(k, n, "f64")
             )
         })
         .collect();
     let new_entry = format!(
-        "{{\"date\":\"{today}\",\"threads\":{threads},{},\
+        "{{\"date\":\"{date}\",\"threads\":{threads},{},\
          \"taylor_propagate_{MESH_POINTS}x{}_1_thread_ns_per_call\":{{\"f32\":{:.1}}}}}",
         series.join(","),
         ORBITALS[0],
         scaling.0 * 1e3
     );
-    let history = merged_history(&out_path, &today, new_entry);
 
+    // Gates read the file as it was before this run is merged into it.
+    let mut failed = false;
+    for gate in &gates {
+        let Some(now) = Kernel::ALL
+            .iter()
+            .flat_map(|k| ORBITALS.iter().map(move |n| (*k, *n)))
+            .find(|&(k, n)| series_name(k, n) == gate.series)
+            .map(|(k, n)| ns(k, n, "f32"))
+        else {
+            eprintln!("stencil_hostperf: --min-speedup names no row of this run: {}", gate.series);
+            std::process::exit(2);
+        };
+        failed |= !gate.passes("stencil_hostperf", &out_path, "f32", now);
+    }
+
+    let history = merged_history(&out_path, &date, new_entry);
+    let peak_json =
+        |peaks: &[(Rung, f64)]| join_peaks(peaks, |r, p| format!("\"{}\": {p:.1}", r.name()));
     let json = format!(
         "{{\n  \"bench\": \"stencil_hostperf\",\n  \"threads\": {threads},\n  \
          \"point\": \"one orbital at one grid point in one stencil sweep\",\n  \
          \"counts_note\": \"computed_* are counted from the kernel source (compulsory traffic: \
          every array element moves once), not measured\",\n  \
-         \"mul_add_peak_gflops\": {{\"f32\": {peak32:.1}, \"f64\": {peak64:.1}}},\n  \
+         \"rungs\": {{\"f32\": {{\"plain\": \"{}\", \"taylor\": \"{}\"}}, \
+         \"f64\": {{\"plain\": \"{}\", \"taylor\": \"{}\"}}}},\n  \
+         \"mul_add_peak_gflops\": {{\"f32\": {{{}}}, \"f64\": {{{}}}}},\n  \
          \"scaling\": {{\"kernel\": \"taylor_propagate\", \"scalar\": \"f32\", \"n_orb\": {}, \
          \"us_per_call_1_thread\": {:.1}, \"threads\": {threads}, \"us_per_call\": {:.1}, \
          \"speedup\": {:.2}}},\n  \
          \"rows\": [\n{}\n  ],\n  \"history\": [\n    {}\n  ]\n}}\n",
+        rungs32.0,
+        rungs32.1,
+        rungs64.0,
+        rungs64.1,
+        peak_json(&peaks32),
+        peak_json(&peaks64),
         ORBITALS[0],
         scaling.0,
         scaling.1,
@@ -391,4 +575,7 @@ fn main() {
         history.len(),
         if history.len() == 1 { "y" } else { "ies" }
     );
+    if failed {
+        std::process::exit(1);
+    }
 }

@@ -55,3 +55,65 @@ pub fn merged_history(path: &str, today: &str, new_entry: String) -> Vec<String>
     history.push(new_entry);
     history
 }
+
+/// One `--min-speedup SERIES@ENTRY=F` gate of a layer benchmark: this
+/// run's row `SERIES` must be at least `F` times faster than the same
+/// series of the history entry dated `ENTRY`. A gate names its entry
+/// because every perf PR leaves its own `-parent` entry behind.
+pub struct SpeedupGate {
+    /// The row's history series (`<series>_ns_per_call`).
+    pub series: String,
+    /// The `date` of the history entry compared against.
+    pub entry: String,
+    /// The least speed-up that passes.
+    pub factor: f64,
+}
+
+impl SpeedupGate {
+    /// Parses `SERIES@ENTRY=F` with `F > 0`.
+    pub fn parse(spec: &str) -> Option<SpeedupGate> {
+        let (row, factor) = spec.rsplit_once('=')?;
+        let (series, entry) = row.split_once('@')?;
+        let factor = factor.parse().ok().filter(|f: &f64| *f > 0.0)?;
+        Some(SpeedupGate { series: series.to_string(), entry: entry.to_string(), factor })
+    }
+
+    /// Checks `now` (this run's ns per call) against column `mode` of the
+    /// entry in the history at `path` — the file as it was before this
+    /// run is merged into it — and prints the verdict prefixed by `bin`.
+    /// False when the row is too slow or the entry is missing.
+    pub fn passes(&self, bin: &str, path: &str, mode: &str, now: f64) -> bool {
+        let SpeedupGate { series, entry, factor } = self;
+        match recorded_ns(path, entry, series, mode) {
+            Some(then) if then / now >= *factor => {
+                eprintln!("{series}: {:.2}x the {entry} row", then / now);
+                true
+            }
+            Some(then) => {
+                eprintln!(
+                    "{bin}: {series} is {:.2}x the {entry} row ({then:.0} ns -> {now:.0} ns), need {factor}x",
+                    then / now
+                );
+                false
+            }
+            None => {
+                eprintln!("{bin}: no history entry {entry} with {series} in {path}");
+                false
+            }
+        }
+    }
+}
+
+/// `<series>_ns_per_call.<mode>` of the history entry dated `entry` in
+/// the file at `path`.
+fn recorded_ns(path: &str, entry: &str, series: &str, mode: &str) -> Option<f64> {
+    use dcmesh_telemetry::json::{self, JsonValue};
+    let doc = json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    doc.get("history")?
+        .as_array()?
+        .iter()
+        .find(|e| e.get("date").and_then(JsonValue::as_str) == Some(entry))?
+        .get(&format!("{series}_ns_per_call"))?
+        .get(mode)?
+        .as_f64()
+}

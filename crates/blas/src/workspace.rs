@@ -67,13 +67,11 @@ impl PoolStats {
     }
 }
 
-/// Alignment of every checked-out window, in bytes.
-pub const CACHE_LINE: usize = 64;
-
-/// Elements of slack that let a `T` window slide to a cache-line start.
-const fn pad<T>() -> usize {
-    CACHE_LINE / core::mem::size_of::<T>()
-}
+/// Alignment of every checked-out window, in bytes: the one
+/// [`dcmesh_numerics::aligned`] defines, whose [`window_start`] places both
+/// these windows and every [`dcmesh_numerics::AlignedVec`].
+pub use dcmesh_numerics::aligned::CACHE_LINE;
+use dcmesh_numerics::aligned::{pad, window_start};
 
 /// A free list of scratch buffers for one scalar type.
 #[derive(Debug, Default)]
@@ -198,12 +196,7 @@ impl<T: Poolable> PooledBuf<T> {
     /// The first cache-line-aligned `len` elements of `buf`, which holds
     /// `len + pad` (or nothing, for an empty window).
     fn window(buf: Vec<T>, len: usize) -> Self {
-        // `align_offset` may decline (`usize::MAX`) when no whole number
-        // of elements reaches a boundary — storage aligned below the
-        // element size, which no allocator in use hands out. The window
-        // then starts where the storage does: unaligned, never wrong.
-        let start = buf.as_ptr().align_offset(CACHE_LINE);
-        let start = if start <= buf.len() - len { start } else { 0 };
+        let start = window_start(buf.as_ptr(), buf.len(), len);
         PooledBuf { buf, start, len }
     }
 }

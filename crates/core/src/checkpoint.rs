@@ -18,9 +18,10 @@
 
 use bytes::{Buf, Bytes};
 use dcmesh_lfd::{LfdParams, LfdState};
-use dcmesh_numerics::{Complex, Real};
+use dcmesh_numerics::{AlignedVec, Complex, Real};
 use dcmesh_qxmd::{AtomicSystem, Species};
 use std::fmt;
+use std::ops::DerefMut;
 
 /// File magic: "DCMESHCK".
 const MAGIC: &[u8; 8] = b"DCMESHCK";
@@ -211,7 +212,14 @@ fn put_complex_slice<T: Real>(buf: &mut Vec<u8>, v: &[Complex<T>]) {
     }
 }
 
-fn get_complex_vec<T: Real>(buf: &mut Bytes) -> Result<Vec<Complex<T>>, CheckpointError> {
+/// A complex array as [`put_complex_slice`] wrote it, decoded into the
+/// `n`-element array `alloc(n)` returns (a `Vec`, or an [`AlignedVec`] for
+/// the state-sized arrays, so a loaded Ψ starts on a cache line as a
+/// computed one does).
+fn get_complex_vec<T: Real, C: DerefMut<Target = [Complex<T>]>>(
+    buf: &mut Bytes,
+    alloc: impl FnOnce(usize) -> C,
+) -> Result<C, CheckpointError> {
     if buf.remaining() < 8 {
         return Err(err("truncated length"));
     }
@@ -221,18 +229,18 @@ fn get_complex_vec<T: Real>(buf: &mut Bytes) -> Result<Vec<Complex<T>>, Checkpoi
     if buf.remaining() < need {
         return Err(err("truncated complex array"));
     }
-    Ok((0..n)
-        .map(|_| {
-            if width_of::<T>() == 4 {
-                Complex {
-                    re: T::from_f64(buf.get_f32_le() as f64),
-                    im: T::from_f64(buf.get_f32_le() as f64),
-                }
-            } else {
-                Complex { re: T::from_f64(buf.get_f64_le()), im: T::from_f64(buf.get_f64_le()) }
+    let mut out = alloc(n);
+    for z in out.iter_mut() {
+        *z = if width_of::<T>() == 4 {
+            Complex {
+                re: T::from_f64(buf.get_f32_le() as f64),
+                im: T::from_f64(buf.get_f32_le() as f64),
             }
-        })
-        .collect())
+        } else {
+            Complex { re: T::from_f64(buf.get_f64_le()), im: T::from_f64(buf.get_f64_le()) }
+        };
+    }
+    Ok(out)
 }
 
 fn species_tag(s: Species) -> u8 {
@@ -342,11 +350,12 @@ impl<T: Real> Checkpoint<T> {
         }
         let nexc = buf.get_f64_le();
 
-        let psi = get_complex_vec::<T>(&mut buf)?;
-        let psi0 = get_complex_vec::<T>(&mut buf)?;
+        let aligned = |n| AlignedVec::filled(n, Complex::zero());
+        let psi = get_complex_vec(&mut buf, aligned)?;
+        let psi0 = get_complex_vec(&mut buf, aligned)?;
         let occ = get_scalar_vec::<T>(&mut buf)?;
         let eps = get_f64_vec(&mut buf)?;
-        let shadow = get_complex_vec::<T>(&mut buf)?;
+        let shadow = get_complex_vec(&mut buf, |n| vec![Complex::zero(); n])?;
         let vloc = get_scalar_vec::<T>(&mut buf)?;
         if buf.remaining() < 4 * 8 {
             return Err(err("truncated trailer"));
@@ -559,8 +568,8 @@ mod tests {
         };
         Checkpoint {
             state: LfdState {
-                psi: cramp(12, 0.25),
-                psi0: cramp(12, 0.125),
+                psi: AlignedVec::from_slice(&cramp(12, 0.25)),
+                psi0: AlignedVec::from_slice(&cramp(12, 0.125)),
                 occ: ramp(3, 1.0),
                 eps: vec![-0.5, 0.25, 1.5],
                 shadow: cramp(9, 2.0),

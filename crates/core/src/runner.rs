@@ -467,6 +467,36 @@ mod tests {
         assert!(r.transfers.total() < psi_bytes, "transfers {}", r.transfers.total());
     }
 
+    /// Ψ and Ψ(0) start on a cache line however they were made: a fresh
+    /// start, a burst (whose SCF refresh writes Ψ), a checkpoint load and
+    /// a rollback to a cloned snapshot. (The propagator's ping-pong arrays
+    /// are checked in `dcmesh-lfd`.)
+    #[test]
+    fn state_sized_arrays_start_on_a_cache_line() {
+        use dcmesh_numerics::aligned::CACHE_LINE;
+        fn check<T: LfdScalar>(run: &Run<'_, T>, when: &str) {
+            let st = &run.ck.state;
+            for (name, v) in [("psi", &st.psi), ("psi0", &st.psi0)] {
+                assert_eq!(v.len(), run.params.mesh.len() * run.params.n_orb, "{name} {when}");
+                assert_eq!(v.as_ptr() as usize % CACHE_LINE, 0, "{name} after {when}");
+            }
+        }
+        let cfg = tiny_config();
+        let policy = PrecisionPolicy::Ambient;
+        let mut run = Run::<f32>::start(&cfg, &policy, None, None).expect("start");
+        check(&run, "initialize");
+        let snapshot = run.ck.clone();
+        let mark = ResultMark::take(&run.result);
+        run.burst(None).expect("burst");
+        check(&run, "a burst");
+        let loaded = Checkpoint::<f32>::decode(run.ck.encode()).expect("decode");
+        let resumed = Run::resume(&cfg, run.params.clone(), &policy, loaded, ComputeMode::Standard);
+        check(&resumed, "checkpoint load");
+        run.rollback(&snapshot, &mark);
+        check(&run, "rollback");
+        assert!(run.ck.state.psi[..] == snapshot.state.psi[..], "the rollback restored Ψ");
+    }
+
     #[test]
     fn invalid_config_is_an_error_not_a_panic() {
         let mut cfg = tiny_config();

@@ -45,7 +45,8 @@ pub fn calc_energy<T: LfdScalar>(
     calc_energy_with_policy(params, state, projection, scratch, &PrecisionPolicy::Ambient)
 }
 
-/// [`calc_energy`] with a per-call-site [`PrecisionPolicy`].
+/// [`calc_energy`] with a per-call-site [`PrecisionPolicy`]. Allocates its
+/// subspace buffers; the QD step keeps them in its scratch.
 pub fn calc_energy_with_policy<T: LfdScalar>(
     params: &LfdParams,
     state: &LfdState<T>,
@@ -53,18 +54,36 @@ pub fn calc_energy_with_policy<T: LfdScalar>(
     scratch: &mut Vec<Complex<T>>,
     policy: &PrecisionPolicy,
 ) -> Energies {
+    scratch.resize(params.mesh.len() * params.n_orb, Complex::zero());
+    calc_energy_in(params, state, projection, scratch, &mut Default::default(), &mut Vec::new(), policy)
+}
+
+/// [`calc_energy_with_policy`] on caller-owned buffers: `t_psi` (state-
+/// sized, receives `TΨ`), `sub` (the subspace GEMMs' input and output)
+/// and `partials` (the potential energy's per-point terms). Allocates
+/// nothing once they have grown to the problem size.
+pub(crate) fn calc_energy_in<T: LfdScalar>(
+    params: &LfdParams,
+    state: &LfdState<T>,
+    projection: &[Complex<T>],
+    t_psi: &mut [Complex<T>],
+    sub: &mut [Vec<Complex<T>>; 2],
+    partials: &mut Vec<f64>,
+    policy: &PrecisionPolicy,
+) -> Energies {
     let n_orb = params.n_orb;
     let ngrid = params.mesh.len();
     let dv = params.mesh.dv();
     assert_eq!(projection.len(), n_orb * n_orb, "projection shape mismatch");
+    let [input, m] = sub;
+    input.resize(n_orb * n_orb, Complex::zero());
+    m.resize(n_orb * n_orb, Complex::zero());
 
-    // Mesh kernel: TΨ (the sweep overwrites every element, so a scratch
-    // that already has the right length is not cleared first).
-    scratch.resize(ngrid * n_orb, Complex::zero());
-    apply_kinetic(&params.mesh, n_orb, &state.psi, scratch);
+    // Mesh kernel: TΨ (the sweep overwrites every element).
+    apply_kinetic(&params.mesh, n_orb, &state.psi, t_psi);
 
-    // BLAS: M = Ψ†(TΨ)·ΔV  (n_orb × n_orb × N_grid).
-    let mut m = vec![Complex::<T>::zero(); n_orb * n_orb];
+    // BLAS: M = Ψ†(TΨ)·ΔV  (n_orb × n_orb × N_grid); β = 0 overwrites
+    // whatever the buffer held.
     policy.run(CallSite::EnergyKinetic, || T::gemm(
         Op::ConjTrans,
         Op::None,
@@ -74,10 +93,10 @@ pub fn calc_energy_with_policy<T: LfdScalar>(
         Complex::from_real(T::from_f64(dv)),
         &state.psi,
         n_orb,
-        scratch,
+        t_psi,
         n_orb,
         Complex::zero(),
-        &mut m,
+        m,
         n_orb,
     ));
     let ekin =
@@ -85,14 +104,12 @@ pub fn calc_energy_with_policy<T: LfdScalar>(
 
     // BLAS (subspace): E_nl matrix = C†·(W·C) with W the projector
     // weights; diag gives the per-orbital nonlocal energies.
-    let mut wc = vec![Complex::<T>::zero(); n_orb * n_orb];
     for i in 0..n_orb {
         let w = T::from_f64(params.vnl_strength * projector_weight(i, n_orb));
         for j in 0..n_orb {
-            wc[i * n_orb + j] = projection[i * n_orb + j].scale(w);
+            input[i * n_orb + j] = projection[i * n_orb + j].scale(w);
         }
     }
-    let mut enl_m = vec![Complex::<T>::zero(); n_orb * n_orb];
     policy.run(CallSite::EnergyNonlocal, || T::gemm(
         Op::ConjTrans,
         Op::None,
@@ -102,26 +119,23 @@ pub fn calc_energy_with_policy<T: LfdScalar>(
         Complex::one(),
         projection,
         n_orb,
-        &wc,
+        input,
         n_orb,
         Complex::zero(),
-        &mut enl_m,
+        m,
         n_orb,
     ));
-    let enl =
-        reduce::sum_with(n_orb, |o| state.occ[o].to_f64() * enl_m[o * n_orb + o].re.to_f64());
+    let enl = reduce::sum_with(n_orb, |o| state.occ[o].to_f64() * m[o * n_orb + o].re.to_f64());
 
     // BLAS (subspace): excitation-energy transform E = P†·(diag(ε)·P);
     // the weighted diagonal measures the energy of the propagated state
     // in the frozen reference spectrum.
-    let mut eps_p = vec![Complex::<T>::zero(); n_orb * n_orb];
     for i in 0..n_orb {
         let e = T::from_f64(state.eps[i]);
         for j in 0..n_orb {
-            eps_p[i * n_orb + j] = projection[i * n_orb + j].scale(e);
+            input[i * n_orb + j] = projection[i * n_orb + j].scale(e);
         }
     }
-    let mut exc_m = vec![Complex::<T>::zero(); n_orb * n_orb];
     policy.run(CallSite::EnergyEexc, || T::gemm(
         Op::ConjTrans,
         Op::None,
@@ -131,19 +145,20 @@ pub fn calc_energy_with_policy<T: LfdScalar>(
         Complex::one(),
         projection,
         n_orb,
-        &eps_p,
+        input,
         n_orb,
         Complex::zero(),
-        &mut exc_m,
+        m,
         n_orb,
     ));
     let eexc = reduce::sum_with(n_orb, |o| {
-        state.occ[o].to_f64() * (exc_m[o * n_orb + o].re.to_f64() - state.eps[o])
+        state.occ[o].to_f64() * (m[o * n_orb + o].re.to_f64() - state.eps[o])
     });
 
-    // Mesh reduction: E_pot = Σ_g V(g)·ρ(g)·ΔV (identical in all modes).
+    // Mesh reduction: E_pot = Σ_g V(g)·ρ(g)·ΔV (identical in all modes),
+    // the per-point terms on the pool, folded through the fixed tree.
     let epot = dv
-        * reduce::sum_with(ngrid, |g| {
+        * reduce::par_map_sum(partials, ngrid, |g| {
             let v = state.vloc[g].to_f64();
             if v == 0.0 {
                 return 0.0;

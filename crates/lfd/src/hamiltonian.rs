@@ -10,11 +10,17 @@
 //! count.
 //!
 //! There is one stencil body (`Stencil::block`). It accumulates a block
-//! of orbitals in registers across all 33 taps and stores once, either
-//! `H·ψ` itself or the fused Taylor update. DESIGN.md, "Mesh kernels",
-//! gives the loop nest, the operation-order contract that keeps it
-//! bit-identical to the scalar loop it replaced, and the per-point
-//! operation and byte counts.
+//! of orbitals in registers across all 33 taps, reading every tap row
+//! without a bounds check of its own (the slab's one range assertion
+//! covers them), and stores once as its const store mode says: `H·ψ`
+//! itself, or a Taylor term `t` kept, added into ψ, or both
+//! (`store`). The body is compiled for three rungs, `avx512f → avx2 →
+//! portable` ([`Rung`]), and each (element width, store mode) runs on
+//! the fastest rung the CPU has. DESIGN.md, "Mesh kernels", gives the
+//! loop nest, the operation-order contract that keeps every store mode
+//! on every rung bit-identical to the scalar loop it replaced, the
+//! measurements behind the rung choice, and the per-point operation and
+//! byte counts.
 
 use crate::mesh::Mesh3;
 use dcmesh_numerics::{Complex, Real};
@@ -56,6 +62,86 @@ pub(crate) fn wrap_table(i: usize, n: usize) -> [usize; 2 * RADIUS + 1] {
     table
 }
 
+/// Store modes of [`Stencil::block`], the bits of its one `u8` const
+/// parameter. [`store::PLAIN`] writes `H·src`; every other mode forms the
+/// Taylor term `t = (−i·c)·H·src` in registers and does with it what its
+/// bits say.
+pub(crate) mod store {
+    /// `out = H·src`.
+    pub const PLAIN: u8 = 0;
+    /// `out = t`.
+    pub const KEEP: u8 = 1;
+    /// `ψ += t`.
+    pub const ADD: u8 = 2;
+    /// With [`ADD`]: `ψ = (ψ + src) + t`, the centre row of `src` added
+    /// first — the ψ update the sweep that produced `src` skipped.
+    pub const CATCH_UP: u8 = 4;
+}
+
+/// The instruction sets a sweep is compiled for, widest first: the
+/// stencil's ladder, in the idiom of `mkl_lite`'s `MicroArch::ladder`.
+/// Every rung runs the same source in the same operation order, so every
+/// rung gives the same bits; they differ only in speed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rung {
+    /// `avx512f` (with AVX2 and FMA).
+    Avx512f,
+    /// `avx2` and `fma`.
+    Avx2,
+    /// The baseline target.
+    Portable,
+}
+
+impl Rung {
+    /// Every rung, widest first.
+    pub const ALL: [Rung; 3] = [Rung::Avx512f, Rung::Avx2, Rung::Portable];
+
+    /// Name for bench headers and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rung::Avx512f => "avx512f",
+            Rung::Avx2 => "avx2",
+            Rung::Portable => "portable",
+        }
+    }
+
+    /// Whether this CPU runs the rung.
+    pub fn available(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let available = match self {
+            Rung::Avx512f => std::arch::is_x86_feature_detected!("avx512f")
+                && Rung::Avx2.available(),
+            Rung::Avx2 => std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"),
+            Rung::Portable => true,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let available = self == Rung::Portable;
+        available
+    }
+
+    /// The rung a sweep over `T` with store mode `STORE` runs on: the
+    /// widest available one at or below the fastest for that pair. That
+    /// is `avx512f` for every pair but the `f32` Taylor stores: under
+    /// `avx512f` LLVM splits their `(re, im) → (im, −re)` swap into masked
+    /// loads and shuffles and they run 1.7–2.1× slower than under AVX2, so
+    /// they start one rung down. (The `f64` Taylor stores gain 1.5–1.7×
+    /// from `avx512f`, the plain stores 1.2–1.8×; DESIGN.md, "Mesh
+    /// kernels".)
+    fn host<T: Real, const STORE: u8>() -> Rung {
+        let f32_taylor = STORE != store::PLAIN && core::mem::size_of::<T>() == 4;
+        let top = usize::from(f32_taylor);
+        Rung::ALL[top..].iter().copied().find(|r| r.available()).unwrap_or(Rung::Portable)
+    }
+}
+
+/// The rungs `apply_h`/`apply_kinetic` (plain store) and the Taylor
+/// sweeps of `taylor_propagate` over `T` dispatch to on this CPU, in that
+/// order.
+pub fn dispatched_rungs<T: Real>() -> [Rung; 2] {
+    [Rung::host::<T, { store::PLAIN }>(), Rung::host::<T, { store::KEEP | store::ADD }>()]
+}
+
 /// One configured sweep of `H(t)` over an `N_grid × n_orb` state.
 struct Stencil<'a, T> {
     nx: usize,
@@ -72,7 +158,7 @@ struct Stencil<'a, T> {
     /// −iA ∂z: `C1` scaled by A/h (the −i is applied per element);
     /// `None` when A = 0.
     grad_c: Option<[T; RADIUS + 1]>,
-    /// `dt/n` of the fused Taylor store.
+    /// `dt/n` of the Taylor stores.
     taylor_c: T,
 }
 
@@ -109,66 +195,103 @@ impl<'a, T: Real> Stencil<'a, T> {
         }
     }
 
-    /// Sweeps `src` into `out`, one x-slab at a time. With `psi`, the
-    /// store is the fused Taylor update `out = (−i·c)·H·src; psi += out`;
-    /// without, `out = H·src`.
-    fn run(&self, src: &[Complex<T>], out: &mut [Complex<T>], psi: Option<&mut [Complex<T>]>) {
+    /// Sweeps `src` one x-slab at a time on `rung`, storing as `STORE`
+    /// says: into `out` where it keeps a result, into `psi` where it adds
+    /// one. A slice the mode does not touch may be empty.
+    fn run<const STORE: u8>(
+        &self,
+        rung: Rung,
+        src: &[Complex<T>],
+        out: &mut [Complex<T>],
+        psi: &mut [Complex<T>],
+    ) {
+        assert!(rung.available(), "{} is not available on this CPU", rung.name());
         let slab = self.ny * self.nz * self.n_orb; // one x-plane of the state
         assert_eq!(src.len(), self.nx * slab, "psi shape mismatch");
-        assert_eq!(out.len(), src.len(), "out shape mismatch");
-        match psi {
-            None => out
+        let keeps = STORE == store::PLAIN || STORE & store::KEEP != 0;
+        let adds = STORE & store::ADD != 0;
+        if keeps {
+            assert_eq!(out.len(), src.len(), "out shape mismatch");
+        }
+        if adds {
+            assert_eq!(psi.len(), src.len(), "psi shape mismatch");
+        }
+        match (keeps, adds) {
+            (true, true) => out
+                .par_chunks_mut(slab)
+                .zip(psi.par_chunks_mut(slab))
+                .enumerate()
+                .for_each(|(ix, (o, p))| self.slab::<STORE>(rung, ix, src, o, p)),
+            (true, false) => out
                 .par_chunks_mut(slab)
                 .enumerate()
-                .for_each(|(ix, o)| self.slab::<false>(ix, src, o, &mut [])),
-            Some(psi) => {
-                assert_eq!(psi.len(), src.len(), "psi shape mismatch");
-                out.par_chunks_mut(slab)
-                    .zip(psi.par_chunks_mut(slab))
-                    .enumerate()
-                    .for_each(|(ix, (o, p))| self.slab::<true>(ix, src, o, p))
-            }
+                .for_each(|(ix, o)| self.slab::<STORE>(rung, ix, src, o, &mut [])),
+            (false, true) => psi
+                .par_chunks_mut(slab)
+                .enumerate()
+                .for_each(|(ix, p)| self.slab::<STORE>(rung, ix, src, &mut [], p)),
+            (false, false) => unreachable!("every store mode keeps or adds"),
         }
     }
 
-    /// One x-slab on the widest instantiation the CPU runs.
-    fn slab<const TAYLOR: bool>(
+    /// One x-slab on `rung`'s instantiation.
+    fn slab<const STORE: u8>(
         &self,
+        rung: Rung,
         ix: usize,
         src: &[Complex<T>],
         out: &mut [Complex<T>],
         psi: &mut [Complex<T>],
     ) {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: the two features `slab_avx2` is compiled for were
-            // detected on the line above.
-            return unsafe { self.slab_avx2::<TAYLOR>(ix, src, out, psi) };
+        match rung {
+            // SAFETY: `run` asserted `rung.available()`, which detected
+            // the features each wrapper is compiled for.
+            Rung::Avx512f => return unsafe { self.slab_avx512::<STORE>(ix, src, out, psi) },
+            Rung::Avx2 => return unsafe { self.slab_avx2::<STORE>(ix, src, out, psi) },
+            Rung::Portable => {}
         }
-        self.slab_body::<TAYLOR>(ix, src, out, psi)
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = rung; // `available` admits only `Portable` here
+        self.slab_body::<STORE>(ix, src, out, psi)
     }
 
-    /// [`Self::slab_body`] compiled for AVX2. Same source, same operation
-    /// order, no contraction (Rust never fuses a separate `*` and `+`),
-    /// hence the same bits as the portable instantiation.
+    /// [`Self::slab_body`] compiled for AVX-512F. Same source, same
+    /// operation order, no contraction (Rust never fuses a separate `*`
+    /// and `+`), hence the same bits as every other rung.
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA.
+    /// The CPU must support AVX-512F, AVX2 and FMA.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn slab_avx2<const TAYLOR: bool>(
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn slab_avx512<const STORE: u8>(
         &self,
         ix: usize,
         src: &[Complex<T>],
         out: &mut [Complex<T>],
         psi: &mut [Complex<T>],
     ) {
-        self.slab_body::<TAYLOR>(ix, src, out, psi)
+        self.slab_body::<STORE>(ix, src, out, psi)
+    }
+
+    /// [`Self::slab_body`] compiled for AVX2, as [`Self::slab_avx512`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn slab_avx2<const STORE: u8>(
+        &self,
+        ix: usize,
+        src: &[Complex<T>],
+        out: &mut [Complex<T>],
+        psi: &mut [Complex<T>],
+    ) {
+        self.slab_body::<STORE>(ix, src, out, psi)
     }
 
     #[inline(always)]
-    fn slab_body<const TAYLOR: bool>(
+    fn slab_body<const STORE: u8>(
         &self,
         ix: usize,
         src: &[Complex<T>],
@@ -177,6 +300,11 @@ impl<'a, T: Real> Stencil<'a, T> {
     ) {
         let (ny, nz, n_orb) = (self.ny, self.nz, self.n_orb);
         let plane = ny * nz;
+        // The slab's one range check of `src`, which `block` relies on
+        // for every tap row: the rows start at `g·n_orb` with
+        // `g < nx·ny·nz`, because the wrap tables below only return
+        // in-range indices.
+        assert_eq!(src.len(), self.nx * plane * n_orb, "src shape mismatch");
         let xw = wrap_table(ix, self.nx);
         for iy in 0..ny {
             let yw = wrap_table(iy, ny);
@@ -201,16 +329,16 @@ impl<'a, T: Real> Stencil<'a, T> {
                 // Centre coefficient: potential + ½A² + 3·C2[0] Laplacian tap.
                 let diag = self.vloc.map_or(self.half_a2, |v| v[g] + self.half_a2) + self.lap0;
                 let row = (iy * nz + iz) * n_orb;
-                let out_row = &mut out[row..row + n_orb];
-                let psi_row = if TAYLOR { &mut psi[row..row + n_orb] } else { &mut psi[..0] };
+                let out_row = if out.is_empty() { &mut [][..] } else { &mut out[row..row + n_orb] };
+                let psi_row = if psi.is_empty() { &mut [][..] } else { &mut psi[row..row + n_orb] };
                 let centre = g * n_orb;
                 let mut o = 0;
                 while o + BLOCK <= n_orb {
-                    self.block::<BLOCK, TAYLOR>(src, centre, &taps, diag, o, out_row, psi_row);
+                    self.block::<BLOCK, STORE>(src, centre, &taps, diag, o, out_row, psi_row);
                     o += BLOCK;
                 }
                 while o < n_orb {
-                    self.block::<1, TAYLOR>(src, centre, &taps, diag, o, out_row, psi_row);
+                    self.block::<1, STORE>(src, centre, &taps, diag, o, out_row, psi_row);
                     o += 1;
                 }
             }
@@ -218,13 +346,13 @@ impl<'a, T: Real> Stencil<'a, T> {
     }
 
     /// The stencil: `W` orbitals of one grid point, accumulated in
-    /// registers and stored once. The per-element operation order —
-    /// centre, then s = 1..4 × {x+, x−, y+, y−, z+, z−}, then the gradient
-    /// s = 1..4, each a separate multiply and add — is the contract that
-    /// keeps every instantiation bit-identical.
+    /// registers and stored once as `STORE` says. The per-element
+    /// operation order — centre, then s = 1..4 × {x+, x−, y+, y−, z+, z−},
+    /// then the gradient s = 1..4, each a separate multiply and add — is
+    /// the contract that keeps every instantiation bit-identical.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn block<const W: usize, const TAYLOR: bool>(
+    fn block<const W: usize, const STORE: u8>(
         &self,
         src: &[Complex<T>],
         centre: usize,
@@ -234,8 +362,13 @@ impl<'a, T: Real> Stencil<'a, T> {
         out_row: &mut [Complex<T>],
         psi_row: &mut [Complex<T>],
     ) {
+        debug_assert!(o + W <= self.n_orb);
         let row = |start: usize| -> &[Complex<T>; W] {
-            src[start + o..start + o + W].try_into().expect("W-wide row")
+            debug_assert!(start + o + W <= src.len());
+            // SAFETY: `slab_body` asserted `src.len() == nx·ny·nz·n_orb`;
+            // `start` is `g·n_orb` for a grid index `g < nx·ny·nz` and
+            // `o + W ≤ n_orb`, so the `W` elements lie inside `src`.
+            unsafe { &*src.as_ptr().add(start + o).cast::<[Complex<T>; W]>() }
         };
         let c = row(centre);
         let mut acc = [Complex::<T>::zero(); W];
@@ -263,18 +396,23 @@ impl<'a, T: Real> Stencil<'a, T> {
                 }
             }
         }
-        let out = &mut out_row[o..o + W];
-        if TAYLOR {
+        if STORE == store::PLAIN {
+            out_row[o..o + W].copy_from_slice(&acc);
+            return;
+        }
+        // −i·c·h = c·(h.im, −h.re)
+        let k = self.taylor_c;
+        let t: [Complex<T>; W] =
+            core::array::from_fn(|i| Complex { re: acc[i].im * k, im: -(acc[i].re * k) });
+        if STORE & store::KEEP != 0 {
+            out_row[o..o + W].copy_from_slice(&t);
+        }
+        if STORE & store::ADD != 0 {
             let psi = &mut psi_row[o..o + W];
-            let k = self.taylor_c;
             for i in 0..W {
-                // −i·c·h = c·(h.im, −h.re)
-                let t = Complex { re: acc[i].im * k, im: -(acc[i].re * k) };
-                out[i] = t;
-                psi[i] += t;
+                let p = if STORE & store::CATCH_UP != 0 { psi[i] + c[i] } else { psi[i] };
+                psi[i] = p + t[i];
             }
-        } else {
-            out.copy_from_slice(&acc);
         }
     }
 }
@@ -292,7 +430,12 @@ pub fn apply_h<T: Real>(
     psi: &[Complex<T>],
     out: &mut [Complex<T>],
 ) {
-    Stencil::new(mesh, n_orb, Some(vloc), a_total, T::ZERO).run(psi, out, None);
+    Stencil::new(mesh, n_orb, Some(vloc), a_total, T::ZERO).run::<{ store::PLAIN }>(
+        Rung::host::<T, { store::PLAIN }>(),
+        psi,
+        out,
+        &mut [],
+    );
 }
 
 /// Applies only the kinetic operator `out = −½∇²·ψ` (used by
@@ -303,23 +446,35 @@ pub fn apply_kinetic<T: Real>(
     psi: &[Complex<T>],
     out: &mut [Complex<T>],
 ) {
-    Stencil::new(mesh, n_orb, None, 0.0, T::ZERO).run(psi, out, None);
+    Stencil::new(mesh, n_orb, None, 0.0, T::ZERO).run::<{ store::PLAIN }>(
+        Rung::host::<T, { store::PLAIN }>(),
+        psi,
+        out,
+        &mut [],
+    );
 }
 
 /// One order of the Taylor propagator, fused into the stencil's store:
-/// `next = (−i·c)·H(t)·term; psi += next`.
+/// `t = (−i·c)·H(t)·src`, kept in `next` and/or added to `psi` as the
+/// store mode `STORE` says.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn taylor_term<T: Real>(
+pub(crate) fn taylor_term<const STORE: u8, T: Real>(
     mesh: &Mesh3,
     n_orb: usize,
     vloc: &[T],
     a_total: f64,
     c: T,
-    term: &[Complex<T>],
+    src: &[Complex<T>],
     next: &mut [Complex<T>],
     psi: &mut [Complex<T>],
 ) {
-    Stencil::new(mesh, n_orb, Some(vloc), a_total, c).run(term, next, Some(psi));
+    debug_assert!(STORE != store::PLAIN);
+    Stencil::new(mesh, n_orb, Some(vloc), a_total, c).run::<STORE>(
+        Rung::host::<T, STORE>(),
+        src,
+        next,
+        psi,
+    );
 }
 
 #[cfg(test)]
@@ -414,43 +569,121 @@ mod tests {
         })
     }
 
-    /// The kernel against the scalar loop, with its x-slabs spread over
-    /// pools of 1, 2, 3, 4 and 8 threads.
+    /// Every store mode with its name.
+    const STORES: [(u8, &str); 6] = [
+        (store::PLAIN, "plain"),
+        (store::KEEP, "keep"),
+        (store::KEEP | store::ADD, "keep+add"),
+        (store::KEEP | store::ADD | store::CATCH_UP, "keep+catch-up"),
+        (store::ADD, "add"),
+        (store::ADD | store::CATCH_UP, "catch-up"),
+    ];
+
+    /// `st.run` with the store mode as a value.
+    fn sweep<T: Real>(
+        st: &Stencil<T>,
+        mode: u8,
+        rung: Rung,
+        src: &[Complex<T>],
+        out: &mut [Complex<T>],
+        psi: &mut [Complex<T>],
+    ) {
+        use store::{ADD, CATCH_UP, KEEP, PLAIN};
+        match mode {
+            PLAIN => st.run::<PLAIN>(rung, src, out, psi),
+            KEEP => st.run::<KEEP>(rung, src, out, psi),
+            m if m == KEEP | ADD => st.run::<{ KEEP | ADD }>(rung, src, out, psi),
+            m if m == KEEP | ADD | CATCH_UP => st.run::<{ KEEP | ADD | CATCH_UP }>(rung, src, out, psi),
+            ADD => st.run::<ADD>(rung, src, out, psi),
+            m if m == ADD | CATCH_UP => st.run::<{ ADD | CATCH_UP }>(rung, src, out, psi),
+            _ => unreachable!("store mode {mode}"),
+        }
+    }
+
+    /// What store mode `mode` must leave in `out` and ψ, from the scalar
+    /// loop's `H·src`, written out one element at a time.
+    fn expected<T: Real>(
+        mode: u8,
+        h: &[Complex<T>],
+        src: &[Complex<T>],
+        out0: &[Complex<T>],
+        psi0: &[Complex<T>],
+        c: T,
+    ) -> (Vec<Complex<T>>, Vec<Complex<T>>) {
+        if mode == store::PLAIN {
+            return (h.to_vec(), psi0.to_vec());
+        }
+        let (mut out, mut psi) = (out0.to_vec(), psi0.to_vec());
+        for i in 0..h.len() {
+            let t = Complex { re: h[i].im * c, im: -(h[i].re * c) };
+            if mode & store::KEEP != 0 {
+                out[i] = t;
+            }
+            if mode & store::ADD != 0 {
+                if mode & store::CATCH_UP != 0 {
+                    psi[i] += src[i];
+                }
+                psi[i] += t;
+            }
+        }
+        (out, psi)
+    }
+
+    /// The kernel against the scalar loop: every store mode on the host's
+    /// rung with its x-slabs spread over pools of 1, 2, 3, 4 and 8
+    /// threads, and every store mode on every rung this CPU runs with the
+    /// three arrays at element offsets 0–3 from where their storage
+    /// starts, so neither the rung nor the placement may change a bit.
+    /// A store mode that keeps nothing must leave `out` as it found it.
     fn kernel_matches_reference<T: Real>() {
+        let c = T::from_f64(0.02 / 3.0);
+        let rungs: Vec<Rung> = Rung::ALL.into_iter().filter(|r| r.available()).collect();
         for mesh in TEST_MESHES {
             let n = mesh.len();
             let vloc: Vec<T> = (0..n).map(|g| T::from_f64((g % 7) as f64 * 0.1 - 0.3)).collect();
             let zero_v = vec![T::ZERO; n];
             for n_orb in TEST_ORBITALS {
                 let what = format!("{}x{}x{} n_orb {n_orb}", mesh.nx, mesh.ny, mesh.nz);
-                let psi = random_state::<T>(n * n_orb, 7 + n_orb as u64);
-                let mut want = vec![Complex::zero(); psi.len()];
-                let mut got = want.clone();
+                let len = n * n_orb;
+                let src = random_state::<T>(len, 7 + n_orb as u64);
+                let out0 = random_state::<T>(len, 98);
+                let psi0 = random_state::<T>(len, 99);
+                let mut h = vec![Complex::zero(); len];
                 for a_total in [0.0, 0.23] {
-                    apply_h_reference(&mesh, n_orb, &vloc, a_total, &psi, &mut want);
-                    // The Taylor store: next = (−i·c)·Hψ, acc += next.
-                    let c = T::from_f64(0.02 / 3.0);
-                    let acc0 = random_state::<T>(psi.len(), 99);
-                    let (mut want_term, mut want_acc) = (want.clone(), acc0.clone());
-                    for (h, a) in want_term.iter_mut().zip(&mut want_acc) {
-                        *h = Complex { re: h.im * c, im: -(h.re * c) };
-                        *a += *h;
-                    }
-                    for threads in [1, 2, 3, 4, 8] {
-                        let what = format!("{what} A = {a_total}, {threads} threads");
-                        under_pool(threads, || {
-                            apply_h(&mesh, n_orb, &vloc, a_total, &psi, &mut got);
-                            assert_same_bits(&got, &want, &format!("apply_h {what}"));
-                            let mut got_acc = acc0.clone();
-                            taylor_term(&mesh, n_orb, &vloc, a_total, c, &psi, &mut got, &mut got_acc);
-                            assert_same_bits(&got, &want_term, &format!("taylor term {what}"));
-                            assert_same_bits(&got_acc, &want_acc, &format!("taylor sum {what}"));
-                        });
+                    apply_h_reference(&mesh, n_orb, &vloc, a_total, &src, &mut h);
+                    let st = Stencil::new(&mesh, n_orb, Some(&vloc), a_total, c);
+                    for (mode, name) in STORES {
+                        let (want_out, want_psi) = expected(mode, &h, &src, &out0, &psi0, c);
+                        let check = |rung: Rung, offset: usize, how: &str| {
+                            let placed = |v: &[Complex<T>]| {
+                                let mut buf = vec![Complex::zero(); offset + len];
+                                buf[offset..].copy_from_slice(v);
+                                buf
+                            };
+                            let (src_b, mut out_b, mut psi_b) = (placed(&src), placed(&out0), placed(&psi0));
+                            sweep(&st, mode, rung, &src_b[offset..], &mut out_b[offset..], &mut psi_b[offset..]);
+                            let what = format!("{name} {what} A = {a_total}, {how}");
+                            assert_same_bits(&out_b[offset..], &want_out, &format!("out, {what}"));
+                            assert_same_bits(&psi_b[offset..], &want_psi, &format!("psi, {what}"));
+                        };
+                        for threads in [1, 2, 3, 4, 8] {
+                            under_pool(threads, || check(Rung::host::<T, 0>(), 0, &format!("{threads} threads")));
+                        }
+                        for &rung in &rungs {
+                            for offset in 0..4 {
+                                check(rung, offset, &format!("{} at offset {offset}", rung.name()));
+                            }
+                        }
                     }
                 }
-                apply_h_reference(&mesh, n_orb, &zero_v, 0.0, &psi, &mut want);
-                apply_kinetic(&mesh, n_orb, &psi, &mut got);
-                assert_same_bits(&got, &want, &format!("apply_kinetic {what}"));
+                // The public entry points.
+                let mut got = vec![Complex::zero(); len];
+                apply_h(&mesh, n_orb, &vloc, 0.23, &src, &mut got);
+                apply_h_reference(&mesh, n_orb, &vloc, 0.23, &src, &mut h);
+                assert_same_bits(&got, &h, &format!("apply_h {what}"));
+                apply_h_reference(&mesh, n_orb, &zero_v, 0.0, &src, &mut h);
+                apply_kinetic(&mesh, n_orb, &src, &mut got);
+                assert_same_bits(&got, &h, &format!("apply_kinetic {what}"));
             }
         }
     }
@@ -465,41 +698,13 @@ mod tests {
         kernel_matches_reference::<f64>();
     }
 
-    /// `run` dispatches to the AVX2 instantiation where the CPU has it;
-    /// `slab_body` called directly is the portable one. On a CPU without
-    /// AVX2 both sides are the portable code and the test is vacuous.
-    fn instantiations_agree<T: Real>() {
-        for mesh in TEST_MESHES {
-            let vloc: Vec<T> = (0..mesh.len()).map(|g| T::from_f64((g % 5) as f64 * 0.07)).collect();
-            for n_orb in [3, 17, 96] {
-                let psi = random_state::<T>(mesh.len() * n_orb, 3);
-                let slab = mesh.ny * mesh.nz * n_orb;
-                let st = Stencil::new(&mesh, n_orb, Some(&vloc), 0.23, T::from_f64(0.01));
-
-                let mut dispatched = vec![Complex::zero(); psi.len()];
-                let mut portable = dispatched.clone();
-                st.run(&psi, &mut dispatched, None);
-                for (ix, o) in portable.chunks_mut(slab).enumerate() {
-                    st.slab_body::<false>(ix, &psi, o, &mut []);
-                }
-                assert_same_bits(&dispatched, &portable, "plain store");
-
-                let mut acc_d = random_state::<T>(psi.len(), 5);
-                let mut acc_p = acc_d.clone();
-                st.run(&psi, &mut dispatched, Some(&mut acc_d));
-                for (ix, (o, p)) in portable.chunks_mut(slab).zip(acc_p.chunks_mut(slab)).enumerate() {
-                    st.slab_body::<true>(ix, &psi, o, p);
-                }
-                assert_same_bits(&dispatched, &portable, "taylor term");
-                assert_same_bits(&acc_d, &acc_p, "taylor sum");
-            }
-        }
-    }
-
     #[test]
-    fn portable_and_avx2_instantiations_bitwise_equal() {
-        instantiations_agree::<f32>();
-        instantiations_agree::<f64>();
+    fn only_the_f32_taylor_stores_start_below_the_top_rung() {
+        let top = Rung::ALL.into_iter().find(|r| r.available()).expect("portable");
+        assert_eq!(dispatched_rungs::<f64>(), [top, top]);
+        let [plain, taylor] = dispatched_rungs::<f32>();
+        assert_eq!(plain, top);
+        assert!(taylor.available() && taylor != Rung::Avx512f, "f32 Taylor on {taylor:?}");
     }
 
     #[test]

@@ -17,6 +17,18 @@ use dcmesh_numerics::{reduce, Real};
 /// Average current density along z (a.u.), including the diamagnetic
 /// `A·n/Ω` term.
 pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total: f64) -> f64 {
+    current_density_in(params, state, a_total, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`current_density`] with the occupied list and the per-plane partials
+/// in caller-owned buffers: no allocation once they have grown.
+pub(crate) fn current_density_in<T: Real>(
+    params: &LfdParams,
+    state: &LfdState<T>,
+    a_total: f64,
+    occupied: &mut Vec<(usize, f64)>,
+    partials: &mut Vec<f64>,
+) -> f64 {
     let mesh = &params.mesh;
     let n_orb = params.n_orb;
     let (nx, ny, nz) = (mesh.nx, mesh.ny, mesh.nz);
@@ -24,7 +36,7 @@ pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total
     let psi = &state.psi;
     // Only occupied orbitals carry current; listing them (index, f) once
     // keeps the test out of the innermost loop.
-    let mut occupied = Vec::with_capacity(n_orb);
+    occupied.clear();
     occupied.extend(state.occ.iter().map(|f| f.to_f64()).enumerate().filter(|&(_, f)| f != 0.0));
 
     // Paramagnetic term: Σ f·Im(ψ* ∂z ψ), accumulated in f64. Per-yz
@@ -32,7 +44,8 @@ pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total
     // through the fixed reduction tree in ix order — bit-identical at
     // any rayon thread count (scheduling only decides *when* a plane is
     // computed, never how the sum is grouped).
-    let para: f64 = reduce::par_map_sum(nx, |ix| {
+    let occupied = &occupied[..];
+    let para: f64 = reduce::par_map_sum(partials, nx, |ix| {
         let mut acc = 0.0f64;
         for iy in 0..ny {
             let pencil = (ix * ny + iy) * nz;
@@ -43,7 +56,7 @@ pub fn current_density<T: Real>(params: &LfdParams, state: &LfdState<T>, a_total
                     let c = C1[s] * h_inv;
                     let plus = &psi[(pencil + zw[RADIUS + s]) * n_orb..][..n_orb];
                     let minus = &psi[(pencil + zw[RADIUS - s]) * n_orb..][..n_orb];
-                    for &(o, f) in &occupied {
+                    for &(o, f) in occupied {
                         let d_re = (plus[o].re - minus[o].re).to_f64();
                         let d_im = (plus[o].im - minus[o].im).to_f64();
                         // Im(ψ*·dψ) = re·d_im − im·d_re

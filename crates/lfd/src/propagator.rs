@@ -3,7 +3,8 @@
 //! One QD step applies, in order:
 //!
 //! 1. the local Hamiltonian through a 4th-order Taylor expansion of
-//!    `e^{−i·dt·H}` (four mesh-kernel applications of H — not BLAS);
+//!    `e^{−i·dt·H}` (four mesh-kernel applications of H — not BLAS —
+//!    moving 13 state-sized streams, see [`taylor_propagate`]);
 //! 2. the nonlocal correction [`crate::nonlocal::nlp_prop`] (BLAS 1–3);
 //! 3. [`crate::energy::calc_energy`] (BLAS 4–6, plus one kinetic sweep);
 //! 4. [`crate::remap::remap_occ`] (BLAS 7–8);
@@ -12,32 +13,40 @@
 //! 6. the current-density reduction and the induced-field leapfrog.
 //!
 //! Nine BLAS calls per QD step, exactly as the paper's artifact reports
-//! for DCMESH.
+//! for DCMESH, and no heap allocation once [`QdScratch`] has grown to
+//! the problem size.
 
-use crate::energy::{calc_energy_with_policy, Energies};
+use crate::energy::{calc_energy_in, Energies};
 use crate::field::advance_induced_field;
 use crate::hamiltonian::taylor_term;
 use crate::laser::AU_PER_FS;
 use crate::nonlocal::{nlp_prop_with_scratch, LfdScalar, NlpScratch};
-use crate::observables::current_density;
+use crate::observables::current_density_in;
 use crate::policy::{CallSite, PrecisionPolicy};
-use crate::remap::remap_occ_with_policy;
+use crate::remap::remap_occ_in;
 use crate::state::{LfdParams, LfdState, StepObservables};
-use dcmesh_numerics::Complex;
+use dcmesh_numerics::{AlignedVec, Complex};
 use mkl_lite::Op;
 
 /// Reusable buffers for one QD step: the two state-sized arrays the
-/// Taylor propagator ping-pongs its terms between and the subspace-sized
-/// [`NlpScratch`]. With these held here the propagate and nonlocal phases
-/// of a step never touch the allocator once the buffers have grown to the
-/// problem size (the BLAS-internal scratch is pooled by `mkl-lite`'s
-/// thread-local workspace); DESIGN.md, "Mesh kernels", lists the small
-/// allocations the other phases still make.
+/// Taylor propagator ping-pongs its terms between (on cache lines, as Ψ
+/// is), the subspace-sized [`NlpScratch`] and the step's other small
+/// buffers. With these held here a QD step never touches the allocator
+/// once the buffers have grown to the problem size (the BLAS-internal
+/// scratch is pooled by `mkl-lite`'s thread-local workspace).
 #[derive(Clone, Debug, Default)]
 pub struct QdScratch<T: dcmesh_numerics::Real> {
-    term: Vec<Complex<T>>,
-    h_out: Vec<Complex<T>>,
+    term: AlignedVec<Complex<T>>,
+    h_out: AlignedVec<Complex<T>>,
     nlp: NlpScratch<T>,
+    /// The GEMM input and output of `calc_energy`'s and `remap_occ`'s
+    /// subspace products, each product overwriting both.
+    sub: [Vec<Complex<T>>; 2],
+    /// The per-term slots of the step's two mesh reductions (potential
+    /// energy per grid point, current per x-plane), one after the other.
+    partials: Vec<f64>,
+    /// `current_density`'s list of occupied orbitals.
+    occupied: Vec<(usize, f64)>,
 }
 
 impl<T: dcmesh_numerics::Real> QdScratch<T> {
@@ -45,39 +54,63 @@ impl<T: dcmesh_numerics::Real> QdScratch<T> {
     pub fn new(params: &LfdParams) -> Self {
         let len = params.mesh.len() * params.n_orb;
         QdScratch {
-            term: vec![Complex::zero(); len],
-            h_out: vec![Complex::zero(); len],
-            nlp: NlpScratch::default(),
+            term: AlignedVec::filled(len, Complex::zero()),
+            h_out: AlignedVec::filled(len, Complex::zero()),
+            ..QdScratch::default()
         }
     }
 }
 
 /// Applies the Taylor-expanded local propagator
-/// `ψ ← Σ_{n=0}^{order} (−i·dt·H)ⁿ/n!·ψ` in place. Each order is one
-/// stencil sweep whose store forms `term ← (−i·dt/n)·H·term` and adds it
-/// to ψ, so the only other state-sized pass is the initial `term ← ψ`.
+/// `ψ ← Σ_{n=0}^{order} (−i·dt·H)ⁿ/n!·ψ` in place, one stencil sweep per
+/// order, each forming `tₙ = (−i·dt/n)·H·tₙ₋₁` (`t₀ = ψ`) in its store.
+///
+/// The sweeps move 13 state-sized streams at order 4, not the 18 of a
+/// copy `term ← ψ` and four `term → next, ψ += next` sweeps: order 1
+/// reads ψ itself and only stores t₁; order 2 stores t₂ and forms
+/// `ψ = (ψ + t₁) + t₂` from the t₁ row it already loaded; the last order
+/// adds into ψ without storing its term. Every ψ element sees the same
+/// additions in the same order (`ψ + t₁ + t₂ + …`), so the bits are
+/// those of the unfused formulation. At order 1 the one sweep cannot
+/// write the ψ it reads, so it stores t₁ and one pass adds it.
 pub fn taylor_propagate<T: LfdScalar>(
     params: &LfdParams,
     state: &mut LfdState<T>,
     a_total: f64,
     scratch: &mut QdScratch<T>,
 ) {
+    use crate::hamiltonian::store::{ADD, CATCH_UP, KEEP};
     let len = state.psi.len();
     scratch.term.resize(len, Complex::zero());
     scratch.h_out.resize(len, Complex::zero());
+    let order = params.taylor_order;
+    let c = |n: usize| T::from_f64(params.dt / n as f64);
+    let (mesh, n_orb, vloc) = (&params.mesh, params.n_orb, &state.vloc[..]);
+    let psi = &mut state.psi[..];
 
-    scratch.term.copy_from_slice(&state.psi);
-    for n in 1..=params.taylor_order {
-        taylor_term(
-            &params.mesh,
-            params.n_orb,
-            &state.vloc,
-            a_total,
-            T::from_f64(params.dt / n as f64),
-            &scratch.term,
-            &mut scratch.h_out,
-            &mut state.psi,
-        );
+    taylor_term::<KEEP, T>(mesh, n_orb, vloc, a_total, c(1), psi, &mut scratch.term, &mut []);
+    if order == 1 {
+        for (p, t) in psi.iter_mut().zip(scratch.term.iter()) {
+            *p += *t;
+        }
+        return;
+    }
+    for n in 2..=order {
+        let (src, next, c) = (&scratch.term[..], &mut scratch.h_out[..], c(n));
+        match (n == 2, n == order) {
+            (true, false) => taylor_term::<{ KEEP | ADD | CATCH_UP }, T>(
+                mesh, n_orb, vloc, a_total, c, src, next, psi,
+            ),
+            (true, true) => taylor_term::<{ ADD | CATCH_UP }, T>(
+                mesh, n_orb, vloc, a_total, c, src, &mut [], psi,
+            ),
+            (false, false) => taylor_term::<{ KEEP | ADD }, T>(
+                mesh, n_orb, vloc, a_total, c, src, next, psi,
+            ),
+            (false, true) => {
+                taylor_term::<ADD, T>(mesh, n_orb, vloc, a_total, c, src, &mut [], psi)
+            }
+        }
         core::mem::swap(&mut scratch.term, &mut scratch.h_out);
     }
 }
@@ -165,14 +198,22 @@ pub fn qd_step_with_policy<T: LfdScalar>(
     let e: Energies = {
         let _s = dcmesh_telemetry::span("qd_energy").enter();
         let _p = dcmesh_telemetry::phase_scope("lfd::qd_energy");
-        calc_energy_with_policy(params, state, &scratch.nlp.projection, &mut scratch.h_out, policy)
+        calc_energy_in(
+            params,
+            state,
+            &scratch.nlp.projection,
+            &mut scratch.h_out,
+            &mut scratch.sub,
+            &mut scratch.partials,
+            policy,
+        )
     };
 
     // (4) Occupation remap — BLAS 7–8.
     let nexc = {
         let _s = dcmesh_telemetry::span("qd_remap_occ").enter();
         let _p = dcmesh_telemetry::phase_scope("lfd::qd_remap_occ");
-        remap_occ_with_policy(params, state, policy)
+        remap_occ_in(params, state, &mut scratch.sub, policy)
     };
 
     // (5) Shadow dynamics — BLAS 9.
@@ -188,7 +229,8 @@ pub fn qd_step_with_policy<T: LfdScalar>(
     let javg = {
         let _s = dcmesh_telemetry::span("qd_field").enter();
         let _p = dcmesh_telemetry::phase_scope("lfd::qd_field");
-        let javg = current_density(params, state, a_now);
+        let javg =
+            current_density_in(params, state, a_now, &mut scratch.occupied, &mut scratch.partials);
         advance_induced_field(params, state, javg);
         javg
     };
@@ -230,7 +272,7 @@ mod tests {
         }
     }
 
-    /// The formulation the fused store replaced, written out: copy ψ into
+    /// The formulation the fused stores replaced, written out: copy ψ into
     /// `term` and `acc`, then per order `h ← H·term`,
     /// `term ← (−i·dt/n)·h`, `acc += term`; finally `ψ ← acc`.
     fn unfused_taylor<T: LfdScalar>(p: &LfdParams, st: &mut LfdState<T>, a_total: f64) {
@@ -250,23 +292,29 @@ mod tests {
         st.psi.copy_from_slice(&acc);
     }
 
+    /// Orders 1–5: order 1 alone (store, then one add pass), order 2
+    /// (the catch-up sweep is also the last), and orders with one, two
+    /// and three sweeps between them.
     fn fused_equals_unfused<T: LfdScalar>() {
-        let mut p = params();
-        p.n_orb = 17; // one full register block and a remainder
-        p.n_occ = 8;
-        let mut fused = LfdState::<T>::initialize(&p, cosine_potential(&p.mesh, 0.3));
-        let mut unfused = fused.clone();
-        let mut scratch = QdScratch::default(); // grows on first use
-        for step in 0..20 {
-            let a_total = 0.03 * step as f64; // zero on the first step only
-            taylor_propagate(&p, &mut fused, a_total, &mut scratch);
-            unfused_taylor(&p, &mut unfused, a_total);
-            for (i, (f, u)) in fused.psi.iter().zip(&unfused.psi).enumerate() {
-                assert!(
-                    f.re.to_f64().to_bits() == u.re.to_f64().to_bits()
-                        && f.im.to_f64().to_bits() == u.im.to_f64().to_bits(),
-                    "step {step} element {i}: fused {f:?}, unfused {u:?}"
-                );
+        for order in 1..=5 {
+            let mut p = params();
+            p.n_orb = 17; // one full register block and a remainder
+            p.n_occ = 8;
+            p.taylor_order = order;
+            let mut fused = LfdState::<T>::initialize(&p, cosine_potential(&p.mesh, 0.3));
+            let mut unfused = fused.clone();
+            let mut scratch = QdScratch::default(); // grows on first use
+            for step in 0..10 {
+                let a_total = 0.03 * step as f64; // zero on the first step only
+                taylor_propagate(&p, &mut fused, a_total, &mut scratch);
+                unfused_taylor(&p, &mut unfused, a_total);
+                for (i, (f, u)) in fused.psi.iter().zip(&unfused.psi).enumerate() {
+                    assert!(
+                        f.re.to_f64().to_bits() == u.re.to_f64().to_bits()
+                            && f.im.to_f64().to_bits() == u.im.to_f64().to_bits(),
+                        "order {order} step {step} element {i}: fused {f:?}, unfused {u:?}"
+                    );
+                }
             }
         }
     }
@@ -275,6 +323,26 @@ mod tests {
     fn fused_taylor_matches_unfused_formulation_bitwise() {
         fused_equals_unfused::<f32>();
         fused_equals_unfused::<f64>();
+    }
+
+    /// The ping-pong arrays start on a cache line when made for the
+    /// problem size, when grown from empty by the first propagation, and
+    /// in a clone (a run's Ψ and Ψ(0) are checked by the `dcmesh`
+    /// runner's tests).
+    #[test]
+    fn ping_pong_arrays_start_on_a_cache_line() {
+        use dcmesh_numerics::aligned::CACHE_LINE;
+        let p = params();
+        let mut st = LfdState::<f32>::initialize(&p, cosine_potential(&p.mesh, 0.3));
+        let mut grown = QdScratch::default();
+        taylor_propagate(&p, &mut st, 0.1, &mut grown);
+        let made = QdScratch::<f32>::new(&p);
+        for (when, s) in [("new", &made), ("grown", &grown), ("clone", &made.clone())] {
+            for (name, v) in [("term", &s.term), ("h_out", &s.h_out)] {
+                assert_eq!(v.len(), st.psi.len(), "{name} {when}");
+                assert_eq!(v.as_ptr() as usize % CACHE_LINE, 0, "{name} {when}");
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,17 @@ pub fn remap_occ_with_policy<T: LfdScalar>(
     state: &LfdState<T>,
     policy: &PrecisionPolicy,
 ) -> f64 {
+    remap_occ_in(params, state, &mut Default::default(), policy)
+}
+
+/// [`remap_occ_with_policy`] writing `R` and `W` into the caller's `sub`:
+/// no allocation once the buffers have grown to the problem size.
+pub(crate) fn remap_occ_in<T: LfdScalar>(
+    params: &LfdParams,
+    state: &LfdState<T>,
+    sub: &mut [Vec<Complex<T>>; 2],
+    policy: &PrecisionPolicy,
+) -> f64 {
     let n_orb = params.n_orb;
     let n_occ = params.n_occ;
     let n_virt = n_orb - n_occ;
@@ -56,7 +67,9 @@ pub fn remap_occ_with_policy<T: LfdScalar>(
 
     // (1) R = Φ_occ†(0)·Ψ_virt(t)·ΔV — the Table VII call.
     let (m, n, k) = remap_gemm_shape(ngrid, n_orb, n_occ);
-    let mut r = vec![Complex::<T>::zero(); m * n];
+    let [r, w] = sub;
+    r.resize(m * n, Complex::zero());
+    w.resize(n * n, Complex::zero());
     policy.run(CallSite::RemapProjection, || T::gemm(
         Op::ConjTrans,
         Op::None,
@@ -69,13 +82,12 @@ pub fn remap_occ_with_policy<T: LfdScalar>(
         psi_virt,
         n_orb,
         Complex::zero(),
-        &mut r,
+        r,
         n,
     ));
 
     // (2) W = R†·R (n_virt × n_virt × n_occ); diag gives per-virtual
     // excited weight.
-    let mut w = vec![Complex::<T>::zero(); n * n];
     policy.run(CallSite::RemapWeights, || T::gemm(
         Op::ConjTrans,
         Op::None,
@@ -83,12 +95,12 @@ pub fn remap_occ_with_policy<T: LfdScalar>(
         n,
         m,
         Complex::one(),
-        &r,
+        r,
         n,
-        &r,
+        r,
         n,
         Complex::zero(),
-        &mut w,
+        w,
         n,
     ));
 

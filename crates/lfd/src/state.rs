@@ -2,7 +2,7 @@
 
 use crate::laser::LaserPulse;
 use crate::mesh::Mesh3;
-use dcmesh_numerics::{Complex, Real};
+use dcmesh_numerics::{AlignedVec, Complex, Real};
 
 /// Static parameters of an LFD run.
 #[derive(Clone, Debug)]
@@ -51,11 +51,12 @@ const COUNT_BLOCK: usize = 16;
 /// mixed-precision runs, `f64` for its FP64 baseline).
 #[derive(Clone, Debug)]
 pub struct LfdState<T: Real> {
-    /// Wave-function matrix Ψ(t): row-major `N_grid × N_orb`.
-    pub psi: Vec<Complex<T>>,
+    /// Wave-function matrix Ψ(t): row-major `N_grid × N_orb`, starting on
+    /// a cache line (as every copy of it does: see [`AlignedVec`]).
+    pub psi: AlignedVec<Complex<T>>,
     /// Reference orbitals Ψ(0) used by the nonlocal correction and
-    /// `remap_occ`; refreshed by each SCF update.
-    pub psi0: Vec<Complex<T>>,
+    /// `remap_occ`; refreshed by each SCF update. On a cache line too.
+    pub psi0: AlignedVec<Complex<T>>,
     /// Occupation numbers per orbital (2 for occupied, 0 for virtual).
     pub occ: Vec<T>,
     /// Kohn–Sham eigenvalues of the reference orbitals (Hartree), set by
@@ -115,7 +116,7 @@ impl<T: Real> LfdState<T> {
 
         let kvecs = lowest_k_modes(&params.mesh, n_orb);
         let norm = T::from_f64(1.0 / params.mesh.volume().sqrt());
-        let mut psi = vec![Complex::<T>::zero(); ngrid * n_orb];
+        let mut psi = AlignedVec::filled(ngrid * n_orb, Complex::<T>::zero());
         let (nx, ny, nz) = (params.mesh.nx, params.mesh.ny, params.mesh.nz);
         for g in 0..ngrid {
             let (ix, iy, iz) = params.mesh.coords(g);

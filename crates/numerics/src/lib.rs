@@ -20,6 +20,7 @@
 //! * [`Complex`] — a minimal complex type with both the conventional 4-real-
 //!   multiplication product and the 3M (Karatsuba) product used by the
 //!   `COMPLEX_3M` mode.
+//! * [`aligned`] — [`AlignedVec`], an owned array that starts on a cache line.
 //! * [`format`] — descriptors for each precision format (paper Table IV).
 //! * [`error_model`] — the paper's §V-B proxy error model (relative GEMM
 //!   error ≈ 2⁻ⁿ, independent of input magnitude).
@@ -37,6 +38,7 @@
 //! assert_eq!(hi + mid + lo, x);
 //! ```
 
+pub mod aligned;
 pub mod bf16;
 pub mod complex;
 pub mod error_model;
@@ -46,6 +48,7 @@ pub mod reduce;
 pub mod split;
 pub mod tf32;
 
+pub use aligned::AlignedVec;
 pub use bf16::Bf16;
 pub use complex::{c32, c64, Complex, C32, C64};
 pub use format::{PrecisionFormat, FORMATS};

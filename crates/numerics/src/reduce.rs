@@ -124,18 +124,19 @@ pub fn sum_norm_sqr(v: &[C64]) -> f64 {
 }
 
 /// Deterministic parallel map-reduce: computes `f(i)` for `i in 0..n`
-/// across the current rayon pool, then folds the results through the
-/// same fixed tree **in index order**. Scheduling decides only *when*
-/// each term is produced, never how the sum is grouped, so the result is
-/// bit-identical from 1 to N threads.
-pub fn par_map_sum<T, F>(n: usize, f: F) -> T
+/// across the current rayon pool into slot `i` of `parts` (resized to
+/// `n`; a caller that keeps it allocates nothing once it has grown), then
+/// folds the slots through the same fixed tree **in index order**.
+/// Scheduling decides only *when* each term is produced, never how the
+/// sum is grouped, so the result is bit-identical from 1 to N threads.
+pub fn par_map_sum<T, F>(parts: &mut Vec<T>, n: usize, f: F) -> T
 where
     T: TreeSum + Send,
     F: Fn(usize) -> T + Sync,
 {
     use rayon::prelude::*;
+    parts.resize(n, T::tree_zero());
     // Term `i` lands in slot `i`, whichever thread computes it.
-    let mut parts = vec![T::tree_zero(); n];
     parts.par_iter_mut().enumerate().for_each(|(i, p)| *p = f(i));
     sum_with(n, |i| parts[i])
 }
@@ -195,7 +196,7 @@ mod tests {
                 .expect("build pool");
             let s = pool.install(|| {
                 assert_eq!(rayon::current_num_threads(), threads);
-                par_map_sum(v.len(), |i| v[i] * v[(i * 31) % v.len()])
+                par_map_sum(&mut Vec::new(), v.len(), |i| v[i] * v[(i * 31) % v.len()])
             });
             bits.push(s.to_bits());
         }
