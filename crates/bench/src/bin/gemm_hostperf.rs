@@ -26,9 +26,9 @@
 //!   with the microkernel stubbed out (`mkl-lite`'s bench hook: gather,
 //!   conversion, accumulator zero-fill and writeback) over the time of
 //!   the call.
-//! * **allocs/call** over the timed steady-state calls, counted by a
-//!   `#[global_allocator]` wrapper — the workspace pool's contract is
-//!   that this is exactly zero.
+//! * **allocs/call** over the timed steady-state calls, counted by
+//!   [`CountingAlloc`] — the workspace pool's contract is that this is
+//!   exactly zero, and a row that allocates fails the run.
 //!
 //! Every row runs on the rayon pool at the machine's thread count, which
 //! the report records (`threads`). One **scaling row** times the 96-orbital
@@ -40,24 +40,23 @@
 //! quantities behind Tables VI/VII (priced at the full Table VII `k` for
 //! the Table VII rows, at the measured shape for the application rows).
 //!
-//! Usage: `gemm_hostperf [--k-scale N] [--reps N]
-//! [--warmup N] [--out PATH] [--enforce-zero-alloc]
-//! [--max-bf16x2-ratio F] [--max-bf16x3-ratio F] [--max-herk-over-gemm F]`
+//! Usage: `gemm_hostperf [--out PATH] [--seconds-per-row F] [--label L]
+//! [--min-speedup SERIES@ENTRY=F]... [--k-scale N]` — the options of
+//! [`dcmesh_bench::layer`] (default 0.1 s per row, `BENCH_gemm.json`, gates
+//! on the `STANDARD` column) plus the Table VII `k` divisor (default 64).
 //!
-//! `--enforce-zero-alloc` exits non-zero if any steady-state call
-//! allocated — the CI regression gate, over every row.
+//! Three checks run on every invocation and fail the run (exit 1, after
+//! the file is written):
 //!
-//! `--max-herk-over-gemm` gates the 96-orbital `zherk` and `zgemmt`
-//! project rows at that fraction of the `zgemm` row: a Hermitian output
-//! computes a little over half the tiles, and must cost accordingly.
-//!
-//! `--max-bf16x2-ratio` / `--max-bf16x3-ratio` gate the measured
-//! BF16x2/STANDARD and BF16x3/STANDARD `ns_per_call` ratios at the
-//! 128×1920 Table VII shape *and* at the 96-orbital `cgemm` project
-//! shape: if a split mode costs more than the given multiple of
-//! STANDARD, the run exits non-zero. This is the CI tripwire against
-//! regressing to per-plane passes (historically 3×/6–7×; the packed
-//! kernel holds ~1.5–2×/2–3×).
+//! * **zero allocation** — any row whose timed calls allocated;
+//! * **split ratios** — the measured BF16x2/STANDARD and BF16x3/STANDARD
+//!   `ns_per_call` ratios at the 128×1920 Table VII shape *and* at the
+//!   96-orbital `cgemm` project shape above [`MAX_BF16X2_RATIO`] /
+//!   [`MAX_BF16X3_RATIO`]: the tripwire against regressing to per-plane
+//!   passes (historically 3×/6–7×; the packed kernel holds ~1.5–2×/2–3×);
+//! * **triangle** — the 96-orbital `zherk` and `zgemmt` project rows above
+//!   [`MAX_HERK_OVER_GEMM`] of the `zgemm` row: a Hermitian output
+//!   computes a little over half the tiles, and must cost accordingly.
 //!
 //! **k labeling:** every measured number is labeled with the `k` it was
 //! taken at (`k_measured`). For the Table VII rows that is
@@ -67,18 +66,10 @@
 //! with an explicit linear-in-k extrapolation (`ns_per_call × k_scale`).
 //! For the application rows `k_table7 == k_measured`: nothing is scaled
 //! or extrapolated.
-//!
-//! **`--from-trace events.jsonl`** switches to trace-replay mode: instead
-//! of running the sweep, the per-call attribution table is recomputed
-//! from a telemetry JSONL dump (the `telemetry_check` artifact) through
-//! the `dcmesh-profile` ingester, and every trace-derived mean device
-//! time and speedup is checked against the direct device-model path
-//! within `--tolerance-pct` (default 5%). Exits non-zero on
-//! disagreement, so CI can gate on trace attribution staying honest.
 
-use dcmesh_bench::report::{civil_date_utc, merged_history};
+use dcmesh_bench::layer::{fixed, object, sample, scaling, text, Cli, CountingAlloc};
 use dcmesh_numerics::{c32, c64, C32, C64};
-use dcmesh_profile::{ingest, table};
+use dcmesh_telemetry::json::JsonValue;
 use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::gemm::complex_gemm_sans_microkernel;
 use mkl_lite::gemm::kernel::dispatched_kernel;
@@ -86,34 +77,7 @@ use mkl_lite::workspace;
 use mkl_lite::{cgemm, sgemm, with_compute_mode, zgemm, zgemmt, zherk, ComputeMode, Op, Uplo};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// System allocator wrapper counting every allocation (not bytes — the
-/// pool's promise is *zero calls*, so a count is the sharpest signal).
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(p, l, new) }
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(l) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -132,12 +96,16 @@ const APP_ORBITALS: [usize; 2] = [16, 96];
 /// The ratio-gate orbital count among them (GEMM-bound).
 const GATE_ORBITALS: usize = 96;
 
-/// Every row is timed in batches of `--reps` calls — at least
-/// [`MIN_BATCHES`], and until this long has elapsed — and reports its
-/// fastest batch: a 60 µs call cannot be timed from two samples, and on a
-/// shared host one slow batch should not become the baseline.
-const MIN_ROW_SECONDS: f64 = 0.1;
-const MIN_BATCHES: usize = 3;
+/// The most BF16x2 / BF16x3 may cost as a multiple of STANDARD at the
+/// gate shapes. The packed kernel holds ~1.9×/2.7× on the SGEMM and
+/// ~2.2×/3.2× on the CGEMM projection, where both complex operands are
+/// converted; the ceilings leave headroom for runner noise.
+const MAX_BF16X2_RATIO: f64 = 2.8;
+const MAX_BF16X3_RATIO: f64 = 4.5;
+/// The most the 96-orbital ZHERK / ZGEMMT projection may cost as a
+/// fraction of the ZGEMM it is one triangle of (42 of 72 tiles: ~0.63×
+/// measured).
+const MAX_HERK_OVER_GEMM: f64 = 0.8;
 
 const SGEMM_MODES: [ComputeMode; 5] = [
     ComputeMode::Standard,
@@ -147,85 +115,7 @@ const SGEMM_MODES: [ComputeMode; 5] = [
     ComputeMode::FloatToBf16x3,
 ];
 
-struct Options {
-    k_scale: usize,
-    reps: usize,
-    warmup: usize,
-    out: String,
-    enforce_zero_alloc: bool,
-    max_x2_ratio: Option<f64>,
-    max_x3_ratio: Option<f64>,
-    max_herk_over_gemm: Option<f64>,
-    from_trace: Option<String>,
-    tolerance_pct: f64,
-}
-
-fn parse_args() -> Options {
-    let mut o = Options {
-        k_scale: 64,
-        reps: 2,
-        warmup: 2,
-        out: "BENCH_gemm.json".to_string(),
-        enforce_zero_alloc: false,
-        max_x2_ratio: None,
-        max_x3_ratio: None,
-        max_herk_over_gemm: None,
-        from_trace: None,
-        tolerance_pct: 5.0,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let num = |a: &mut dyn Iterator<Item = String>| -> usize {
-            a.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("missing/invalid value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--k-scale" => o.k_scale = num(&mut args).max(1),
-            "--reps" => o.reps = num(&mut args).max(1),
-            "--warmup" => o.warmup = num(&mut args),
-            "--out" => {
-                o.out = args.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --out");
-                    std::process::exit(2);
-                })
-            }
-            "--enforce-zero-alloc" => o.enforce_zero_alloc = true,
-            "--max-bf16x2-ratio" | "--max-bf16x3-ratio" | "--max-herk-over-gemm" => {
-                let v: f64 = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("missing/invalid value for {flag}");
-                    std::process::exit(2);
-                });
-                match flag.as_str() {
-                    "--max-bf16x2-ratio" => o.max_x2_ratio = Some(v),
-                    "--max-bf16x3-ratio" => o.max_x3_ratio = Some(v),
-                    _ => o.max_herk_over_gemm = Some(v),
-                }
-            }
-            "--from-trace" => {
-                o.from_trace = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --from-trace");
-                    std::process::exit(2);
-                }))
-            }
-            "--tolerance-pct" => {
-                o.tolerance_pct =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("missing/invalid value for --tolerance-pct");
-                        std::process::exit(2);
-                    })
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    o
-}
-
-/// One JSON entry of the end-to-end sweep.
+/// One measured call shape.
 struct Entry {
     routine: &'static str,
     /// `table7`, `project` or `apply`.
@@ -248,112 +138,18 @@ struct Entry {
     modelled_speedup_vs_fp32: f64,
 }
 
-/// Element domain of a BLAS routine name, for pricing trace rows.
-fn domain_for(routine: &str) -> Option<Domain> {
-    match routine {
-        "SGEMM" => Some(Domain::Real32),
-        "DGEMM" => Some(Domain::Real64),
-        "CGEMM" | "CHERK" => Some(Domain::Complex32),
-        "ZGEMM" | "ZHERK" | "ZGEMMT" => Some(Domain::Complex64),
-        _ => None,
-    }
-}
-
-/// `--from-trace`: recompute the per-call attribution from a telemetry
-/// JSONL dump and check it against the direct device-model path.
-fn run_from_trace(path: &str, tolerance_pct: f64) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let trace = ingest::ingest_jsonl(&text);
-    for w in &trace.warnings {
-        eprintln!("trace warning: {w}");
-    }
-    let rows = table::gemm_table(&trace);
-    if rows.is_empty() {
-        eprintln!("no GEMM call spans in {path}");
-        std::process::exit(1);
-    }
-    println!("{}", table::render_gemm_table(&rows));
-
-    let model = xe_gpu::XeStackModel::new(xe_gpu::MAX_1550_STACK);
-    let mut checked = 0u32;
-    let mut problems = 0u32;
-    for r in &rows {
-        let (Some(dev), Some(domain), Ok(mode)) = (
-            r.mean_device_s,
-            domain_for(&r.routine),
-            ComputeMode::from_env_value(&r.mode),
-        ) else {
-            continue;
-        };
-        let (m, n, k) = (r.m as usize, r.n as usize, r.k as usize);
-        let direct = model.gemm_seconds(&GemmDesc { domain, m, n, k, mode });
-        let dev_err = 100.0 * (dev - direct).abs() / direct.max(1e-30);
-        checked += 1;
-        let mut verdicts = format!("device {dev:.3e}s vs model {direct:.3e}s ({dev_err:.2}%)");
-        if dev_err > tolerance_pct {
-            problems += 1;
-        }
-        if let Some(speedup) = r.speedup_vs_fp32 {
-            let direct_speedup = model.gemm_speedup_vs_fp32(domain, m, n, k, mode);
-            let sp_err = 100.0 * (speedup - direct_speedup).abs() / direct_speedup.max(1e-30);
-            verdicts.push_str(&format!(
-                ", speedup {speedup:.2}x vs model {direct_speedup:.2}x ({sp_err:.2}%)"
-            ));
-            if sp_err > tolerance_pct {
-                problems += 1;
-            }
-        }
-        eprintln!("check {} {:>16} ({m}, {n}, {k}): {verdicts}", r.routine, r.mode);
-    }
-    if checked == 0 {
-        eprintln!("no rows carried modelled device times; nothing to check");
-        std::process::exit(1);
-    }
-    if problems > 0 {
-        eprintln!(
-            "from-trace: {problems} disagreement(s) beyond {tolerance_pct}% across {checked} rows"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("from-trace: {checked} rows agree with the direct path within {tolerance_pct}%");
-    std::process::exit(0);
-}
-
-/// Times steady-state calls of `f` (after `warmup` unmeasured ones) in
-/// batches of `reps` — [`MIN_BATCHES`] at least, and until
-/// [`MIN_ROW_SECONDS`] have elapsed — and returns (ns/call of the fastest
-/// batch, allocs/call over all batches).
-fn measure(warmup: usize, reps: usize, mut f: impl FnMut()) -> (f64, f64) {
-    for _ in 0..warmup {
-        f();
-    }
-    let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let start = Instant::now();
-    let (mut best, mut calls) = (f64::INFINITY, 0usize);
-    while calls < MIN_BATCHES * reps || start.elapsed().as_secs_f64() < MIN_ROW_SECONDS {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
-        calls += reps;
-    }
-    let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
-    (best, allocs as f64 / calls as f64)
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() { format!("{v:.1}") } else { "null".to_string() }
-}
-
 fn main() {
-    let o = parse_args();
-    if let Some(path) = &o.from_trace {
-        run_from_trace(path, o.tolerance_pct);
-    }
+    let cli = Cli::from_env("gemm_hostperf", "BENCH_gemm.json", 0.1, &["--k-scale"]);
+    let k_scale = match cli.value("--k-scale").map(str::parse::<usize>) {
+        None => 64,
+        Some(Ok(k)) if k > 0 => k,
+        Some(_) => {
+            eprintln!("gemm_hostperf: --k-scale needs a positive integer");
+            std::process::exit(2);
+        }
+    };
+    let history = cli.history();
+    let seconds = cli.seconds_per_row;
     let model = xe_gpu::XeStackModel::new(xe_gpu::MAX_1550_STACK);
     let mut rng = StdRng::seed_from_u64(0xbea7);
     let mut entries: Vec<Entry> = Vec::new();
@@ -373,14 +169,16 @@ fn main() {
                       (m, n, k_meas, k_table): (usize, usize, usize, usize),
                       call: &mut dyn FnMut(),
                       sans_kernel: Option<&mut dyn FnMut()>| {
-        let (ns, allocs) = with_compute_mode(mode, || measure(o.warmup, o.reps, &mut *call));
-        let pack_share = sans_kernel.map(|f| measure(o.warmup, o.reps, f).0 / ns);
+        let timing = with_compute_mode(mode, || sample(seconds, || (), |()| call()).0);
+        let ns = timing.min_ns;
+        let pack_share = sans_kernel.map(|f| sample(seconds, || (), |()| f()).0.min_ns / ns);
         let flops = match routine {
             "SGEMM" => 2.0 * (m * n * k_meas) as f64,
             "ZHERK" | "ZGEMMT" => 4.0 * (n * (n + 1) * k_meas) as f64,
             _ => 8.0 * (m * n * k_meas) as f64,
         };
         let gflops = flops / ns;
+        let allocs = timing.allocs_per_call;
         eprintln!(
             "{:<6} {shape:<7} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
              pack {}, {allocs} allocs/call",
@@ -409,11 +207,11 @@ fn main() {
     };
 
     // --- Table VII rows: sgemm over the remap shapes × real modes ---
-    let k_meas = (TABLE7_K / o.k_scale).max(1);
+    let k_meas = (TABLE7_K / k_scale).max(1);
     eprintln!(
         "k-scale {}: Table VII rows measured at k = {k_meas} (Table VII k = {TABLE7_K}); \
          their modelled_* columns price the full shape",
-        o.k_scale
+        k_scale
     );
     let nmax = TABLE7_SHAPES.iter().map(|s| s.1).max().unwrap();
     let a_full: Vec<f32> = (0..128 * k_meas).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -481,32 +279,28 @@ fn main() {
     }
 
     // --- thread scaling: one application row at 1 thread and at `threads` ---
-    let scaling = {
+    let [one, all] = {
         let (orb, std) = (GATE_ORBITALS, ComputeMode::Standard);
         let psi: Vec<C32> = (0..APP_GRID * orb).map(|i| c32((i as f32).sin(), (i as f32).cos())).collect();
         let sub: Vec<C32> = (0..orb * orb).map(|i| c32((i as f32).cos(), 0.5)).collect();
         let mut tall = vec![C32::zero(); APP_GRID * orb];
-        let mut at = |n: usize| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("thread pool");
-            pool.install(|| {
-                with_compute_mode(std, || {
-                    measure(o.warmup, o.reps, || {
-                        cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi, orb, &sub, orb, C32::zero(), &mut tall, orb)
-                    })
-                })
+        let [one, all] = with_compute_mode(std, || {
+            scaling(seconds, threads, || {
+                cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi, orb, &sub, orb, C32::zero(), &mut tall, orb)
             })
-        };
-        let ((one, one_allocs), (all, all_allocs)) = (at(1), at(threads));
+        });
         black_box(&tall[0]);
         eprintln!(
-            "scaling cgemm apply STANDARD ({APP_GRID}, {orb}, {orb}): {one:.0} ns/call at 1 thread, \
-             {all:.0} at {threads}: {:.2}x",
-            one / all
+            "scaling cgemm apply STANDARD ({APP_GRID}, {orb}, {orb}): {:.0} ns/call at 1 thread, \
+             {:.0} at {threads}: {:.2}x",
+            one.min_ns,
+            all.min_ns,
+            one.min_ns / all.min_ns
         );
-        if one_allocs + all_allocs > 0.0 {
+        if one.allocs_per_call + all.allocs_per_call > 0.0 {
             dirty_modes.push(format!("scaling CGEMM apply ({APP_GRID},{orb},{orb})"));
         }
-        (one, all)
+        [one, all]
     };
 
     // --- workspace-pool traffic, through the telemetry registry ---
@@ -531,200 +325,159 @@ fn main() {
     eprintln!("--- telemetry metrics ---\n{}", dcmesh_telemetry::export::prometheus_dump());
 
     // --- BENCH_gemm.json ---
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"gemm_hostperf\",\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!(
-        "  \"scaling\": {{\"routine\": \"CGEMM\", \"shape\": \"apply\", \"mode\": \"STANDARD\", \
-         \"m\": {APP_GRID}, \"n\": {GATE_ORBITALS}, \"k\": {GATE_ORBITALS}, \
-         \"ns_per_call_1_thread\": {}, \"threads\": {threads}, \"ns_per_call\": {}, \"speedup\": {:.2}}},\n",
-        json_f64(scaling.0),
-        json_f64(scaling.1),
-        scaling.0 / scaling.1
-    ));
-    json.push_str(&format!(
-        "  \"microkernel\": {{\"f32\": \"{}\", \"f64\": \"{}\"}},\n",
-        kernels.0, kernels.1
-    ));
-    json.push_str(&format!("  \"k_scale\": {},\n", o.k_scale));
-    json.push_str(&format!("  \"k_table7\": {TABLE7_K},\n"));
-    json.push_str(&format!("  \"k_measured\": {k_meas},\n"));
-    json.push_str(
-        "  \"k_note\": \"ns_per_call and gflops are measured at each row's k_measured; table7 rows \
-         price modelled_* at the full k_table7 shape and ns_per_call_table7_est = ns_per_call * \
-         k_table7 / k_measured (linear-in-k extrapolation); project/apply rows are the \
-         application's calls at their real k (k_table7 == k_measured, nothing scaled)\",\n",
-    );
-    json.push_str(&format!(
-        "  \"pool\": {{\"takes\": {}, \"misses\": {}, \"grows\": {}, \"returns\": {}, \
-         \"bytes_outstanding\": {}, \"hit_ratio\": {:.4}}},\n",
-        pool.takes, pool.misses, pool.grows, pool.returns, pool.bytes_outstanding, hit_ratio
-    ));
-    json.push_str("  \"calls\": [\n");
-    let rows: Vec<String> = entries
+    let calls: Vec<JsonValue> = entries
         .iter()
         .map(|e| {
-            format!(
-                "    {{\"routine\": \"{}\", \"shape\": \"{}\", \"mode\": \"{}\", \"m\": {}, \
-                 \"n\": {}, \"k_table7\": {}, \"k_measured\": {}, \"threads\": {threads}, \
-                 \"ns_per_call\": {}, \"gflops\": {:.2}, \"pack_share\": {}, \
-                 \"ns_per_call_table7_est\": {}, \
-                 \"allocs_per_call\": {}, \"modelled_device_s\": {:.6e}, \
-                 \"modelled_speedup_vs_fp32\": {:.4}}}",
-                e.routine,
-                e.shape,
-                e.mode.name(),
-                e.m,
-                e.n,
-                e.k_table,
-                e.k_measured,
-                json_f64(e.ns_per_call),
-                e.gflops,
-                e.pack_share.map_or("null".to_string(), |p| format!("{p:.3}")),
-                json_f64(e.ns_per_call * (e.k_table as f64 / e.k_measured as f64)),
-                e.allocs_per_call,
-                e.modelled_device_s,
-                e.modelled_speedup_vs_fp32
-            )
+            object([
+                ("routine", text(e.routine)),
+                ("shape", text(e.shape)),
+                ("mode", text(e.mode.name())),
+                ("m", fixed(e.m as f64, 0)),
+                ("n", fixed(e.n as f64, 0)),
+                ("k_table7", fixed(e.k_table as f64, 0)),
+                ("k_measured", fixed(e.k_measured as f64, 0)),
+                ("threads", fixed(threads as f64, 0)),
+                ("ns_per_call", fixed(e.ns_per_call, 1)),
+                ("gflops", fixed(e.gflops, 2)),
+                ("pack_share", e.pack_share.map_or(JsonValue::Null, |p| fixed(p, 3))),
+                (
+                    "ns_per_call_table7_est",
+                    fixed(e.ns_per_call * (e.k_table as f64 / e.k_measured as f64), 1),
+                ),
+                ("allocs_per_call", JsonValue::Number(e.allocs_per_call)),
+                ("modelled_device_s", JsonValue::Number(e.modelled_device_s)),
+                ("modelled_speedup_vs_fp32", fixed(e.modelled_speedup_vs_fp32, 4)),
+            ])
         })
         .collect();
-    json.push_str(&rows.join(",\n"));
-    json.push_str("\n  ],\n");
 
-    // --- dated history: carry prior runs' summary rows forward ---
-    // Each run appends (or, same-day, replaces) one compact entry, so
-    // the checked-in baseline accumulates a trend line CI can plot
-    // without any external storage.
-    // One `<series>_ns_per_call: {mode: ns}` member per watched shape —
-    // the form `profile trend --bench` reads. The Table VII series
-    // carries its k, so runs at different `--k-scale` never share one.
-    let today = civil_date_utc();
-    let series = |routine: &str, shape: &str, m: usize, n: usize, modes: &[ComputeMode]| {
-        let members: Vec<String> = modes
-            .iter()
-            .filter_map(|&mode| {
-                entries
-                    .iter()
-                    .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, m, n, mode))
-                    .map(|e| format!("\"{}\":{}", mode.name(), json_f64(e.ns_per_call)))
-            })
-            .collect();
-        format!("{{{}}}", members.join(","))
-    };
+    // --- dated history: one `<series>_ns_per_call: {mode: ns}` member per
+    // watched shape. The Table VII series carries its k, so runs at
+    // different `--k-scale` never share one.
+    let mut entry = cli.entry(threads);
+    entry.extra("k_scale", fixed(k_scale as f64, 0));
+    entry.extra("hit_ratio", fixed(hit_ratio, 4));
+    entry.extra("microkernel_f32", text(kernels.0));
+    entry.extra("microkernel_f64", text(kernels.1));
+    let mut series =
+        |name: &str, routine: &str, shape: &str, (m, n): (usize, usize), modes: &[ComputeMode]| {
+            for e in
+                entries.iter().filter(|e| (e.routine, e.shape, e.m, e.n) == (routine, shape, m, n))
+            {
+                if modes.contains(&e.mode) {
+                    entry.series(name, e.mode.name(), e.ns_per_call);
+                }
+            }
+        };
     let gate_modes =
         [ComputeMode::Standard, ComputeMode::FloatToBf16x2, ComputeMode::FloatToBf16x3];
-    let mut members = vec![format!(
-        "\"sgemm_{}x{}_k{k_meas}_ns_per_call\":{}",
-        GATE_SHAPE.0,
-        GATE_SHAPE.1,
-        series("SGEMM", "table7", GATE_SHAPE.0, GATE_SHAPE.1, &gate_modes)
-    )];
+    let (gm, gn) = GATE_SHAPE;
+    series(&format!("sgemm_{gm}x{gn}_k{k_meas}"), "SGEMM", "table7", GATE_SHAPE, &gate_modes);
     for orb in APP_ORBITALS {
-        for (shape, (m, n)) in [("project", (orb, orb)), ("apply", (APP_GRID, orb))] {
-            members.push(format!(
-                "\"cgemm_{shape}_{orb}_ns_per_call\":{}",
-                series("CGEMM", shape, m, n, &ComputeMode::ALL)
-            ));
-            members.push(format!(
-                "\"zgemm_{shape}_{orb}_ns_per_call\":{}",
-                series("ZGEMM", shape, m, n, &[ComputeMode::Standard])
-            ));
+        for (shape, dims) in [("project", (orb, orb)), ("apply", (APP_GRID, orb))] {
+            series(&format!("cgemm_{shape}_{orb}"), "CGEMM", shape, dims, &ComputeMode::ALL);
+            series(&format!("zgemm_{shape}_{orb}"), "ZGEMM", shape, dims, &[ComputeMode::Standard]);
         }
         for routine in ["ZHERK", "ZGEMMT"] {
-            members.push(format!(
-                "\"{}_project_{orb}_ns_per_call\":{}",
-                routine.to_lowercase(),
-                series(routine, "project", orb, orb, &[ComputeMode::Standard])
-            ));
+            let name = format!("{}_project_{orb}", routine.to_lowercase());
+            series(&name, routine, "project", (orb, orb), &[ComputeMode::Standard]);
         }
     }
-    members.push(format!(
-        "\"cgemm_apply_{GATE_ORBITALS}_1_thread_ns_per_call\":{{\"STANDARD\":{}}}",
-        json_f64(scaling.0)
-    ));
-    let new_entry = format!(
-        "{{\"date\":\"{today}\",\"threads\":{threads},\"k_scale\":{},\"hit_ratio\":{hit_ratio:.4},\
-         \"microkernel_f32\":\"{}\",\"microkernel_f64\":\"{}\",{}}}",
-        o.k_scale,
-        kernels.0,
-        kernels.1,
-        members.join(",")
-    );
-    let history = merged_history(&o.out, &today, new_entry);
-    json.push_str("  \"history\": [\n    ");
-    json.push_str(&history.join(",\n    "));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write(&o.out, &json).expect("write BENCH_gemm.json");
-    eprintln!("[wrote {} ({} history entr{})]", o.out, history.len(),
-        if history.len() == 1 { "y" } else { "ies" });
+    entry.series(&format!("cgemm_apply_{GATE_ORBITALS}_1_thread"), "STANDARD", one.min_ns);
 
-    if o.enforce_zero_alloc && !dirty_modes.is_empty() {
+    let header = [
+        ("bench", text("gemm_hostperf")),
+        ("threads", fixed(threads as f64, 0)),
+        (
+            "scaling",
+            object([
+                ("routine", text("CGEMM")),
+                ("shape", text("apply")),
+                ("mode", text("STANDARD")),
+                ("m", fixed(APP_GRID as f64, 0)),
+                ("n", fixed(GATE_ORBITALS as f64, 0)),
+                ("k", fixed(GATE_ORBITALS as f64, 0)),
+                ("ns_per_call_1_thread", fixed(one.min_ns, 1)),
+                ("threads", fixed(threads as f64, 0)),
+                ("ns_per_call", fixed(all.min_ns, 1)),
+                ("speedup", fixed(one.min_ns / all.min_ns, 2)),
+            ]),
+        ),
+        ("microkernel", object([("f32", text(kernels.0)), ("f64", text(kernels.1))])),
+        ("k_scale", fixed(k_scale as f64, 0)),
+        ("k_table7", fixed(TABLE7_K as f64, 0)),
+        ("k_measured", fixed(k_meas as f64, 0)),
+        (
+            "k_note",
+            text(
+                "ns_per_call and gflops are measured at each row's k_measured; table7 rows \
+                 price modelled_* at the full k_table7 shape and ns_per_call_table7_est = ns_per_call * \
+                 k_table7 / k_measured (linear-in-k extrapolation); project/apply rows are the \
+                 application's calls at their real k (k_table7 == k_measured, nothing scaled)",
+            ),
+        ),
+        (
+            "pool",
+            object([
+                ("takes", fixed(pool.takes as f64, 0)),
+                ("misses", fixed(pool.misses as f64, 0)),
+                ("grows", fixed(pool.grows as f64, 0)),
+                ("returns", fixed(pool.returns as f64, 0)),
+                ("bytes_outstanding", fixed(pool.bytes_outstanding as f64, 0)),
+                ("hit_ratio", fixed(hit_ratio, 4)),
+            ]),
+        ),
+        ("calls", JsonValue::Array(calls)),
+    ];
+    let mut failures = u32::from(!cli.finish(history, &header, entry, "STANDARD"));
+
+    if !dirty_modes.is_empty() {
         eprintln!("steady-state allocations detected in: {}", dirty_modes.join(", "));
-        std::process::exit(1);
+        failures += 1;
     }
 
     // --- split-mode perf-ratio gate ---
     // The tripwire against regressing the packed split-plane kernel back
     // to independent per-plane passes: BF16x2 / BF16x3 must stay within
-    // the given multiple of STANDARD at the same measured shape — the
+    // their multiple of STANDARD at the same measured shape — the
     // 128×1920 Table VII SGEMM and the 96-orbital CGEMM projection.
-    let gates = [
-        ("SGEMM", "table7", GATE_SHAPE),
-        ("CGEMM", "project", (GATE_ORBITALS, GATE_ORBITALS)),
-    ];
-    let mut failures = 0u32;
-    for (routine, shape, (gm, gn)) in gates {
-        let ns_of = |mode: ComputeMode| {
-            entries
-                .iter()
-                .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, gm, gn, mode))
-                .map(|e| (e.ns_per_call, e.k_measured))
-        };
+    let ns_of = |routine: &str, shape: &str, (m, n): (usize, usize), mode: ComputeMode| {
+        entries
+            .iter()
+            .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, m, n, mode))
+            .map(|e| e.ns_per_call)
+            .expect("every gate row was measured")
+    };
+    let (std, gate_orbitals) = (ComputeMode::Standard, (GATE_ORBITALS, GATE_ORBITALS));
+    for (routine, shape, dims) in
+        [("SGEMM", "table7", GATE_SHAPE), ("CGEMM", "project", gate_orbitals)]
+    {
         for (mode, max) in [
-            (ComputeMode::FloatToBf16x2, o.max_x2_ratio),
-            (ComputeMode::FloatToBf16x3, o.max_x3_ratio),
+            (ComputeMode::FloatToBf16x2, MAX_BF16X2_RATIO),
+            (ComputeMode::FloatToBf16x3, MAX_BF16X3_RATIO),
         ] {
-            let Some(max) = max else { continue };
-            let (Some((std_ns, k)), Some((ns, _))) = (ns_of(ComputeMode::Standard), ns_of(mode))
-            else {
-                eprintln!("perf-ratio gate: {routine} {shape} ({gm}, {gn}) rows missing");
-                failures += 1;
-                continue;
-            };
-            let ratio = ns / std_ns;
+            let ratio = ns_of(routine, shape, dims, mode) / ns_of(routine, shape, dims, std);
             let verdict = if ratio <= max { "ok" } else { "FAIL" };
             eprintln!(
-                "perf-ratio {routine} {shape} {}/STANDARD ({gm}, {gn}, {k}): {ratio:.2}x \
-                 (max {max:.2}x) {verdict}",
+                "perf-ratio {routine} {shape} {}/STANDARD {dims:?}: {ratio:.2}x (max {max:.2}x) {verdict}",
                 mode.name()
             );
-            if ratio > max {
-                failures += 1;
-            }
+            failures += u32::from(ratio > max);
         }
     }
     // --- triangle gate: a Hermitian output must cost like one ---
-    if let Some(max) = o.max_herk_over_gemm {
-        let ns_of = |routine: &str| {
-            let row = (routine, "project", GATE_ORBITALS, GATE_ORBITALS);
-            entries.iter().find(|e| (e.routine, e.shape, e.m, e.n) == row).map(|e| e.ns_per_call)
-        };
-        let full = ns_of("ZGEMM").expect("the ZGEMM project row was measured");
-        for routine in ["ZHERK", "ZGEMMT"] {
-            let ratio = ns_of(routine).expect("the triangle rows were measured") / full;
-            let verdict = if ratio <= max { "ok" } else { "FAIL" };
-            eprintln!(
-                "triangle {routine}/ZGEMM project ({GATE_ORBITALS}, {GATE_ORBITALS}, {APP_GRID}): \
-                 {ratio:.2}x (max {max:.2}x) {verdict}"
-            );
-            if ratio > max {
-                failures += 1;
-            }
-        }
+    let full = ns_of("ZGEMM", "project", gate_orbitals, std);
+    for routine in ["ZHERK", "ZGEMMT"] {
+        let ratio = ns_of(routine, "project", gate_orbitals, std) / full;
+        let verdict = if ratio <= MAX_HERK_OVER_GEMM { "ok" } else { "FAIL" };
+        eprintln!(
+            "triangle {routine}/ZGEMM project ({GATE_ORBITALS}, {GATE_ORBITALS}, {APP_GRID}): \
+             {ratio:.2}x (max {MAX_HERK_OVER_GEMM:.2}x) {verdict}"
+        );
+        failures += u32::from(ratio > MAX_HERK_OVER_GEMM);
     }
     if failures > 0 {
-        eprintln!("perf gates: {failures} row(s) over threshold");
+        eprintln!("gemm_hostperf: {failures} check(s) failed");
         std::process::exit(1);
     }
 }

@@ -13,13 +13,14 @@
 //!   orthonormal 1728 × n column set with 10⁻³ noise.
 //! * a whole `scf_refresh` of a drifted `f32` state.
 //!
-//! Per row: ns per call (fastest and median of at least five single-call
-//! batches, input copies made off the clock) and the accuracy the call
-//! delivered next to the bound it must meet — for `eigh` the
+//! Per row: ns per call (fastest and median single call, input copies
+//! made off the clock — [`dcmesh_bench::layer::sample`]) and the accuracy
+//! the call delivered next to the bound it must meet — for `eigh` the
 //! eigen-residual `‖AV − VΛ‖_max` and unitarity defect `‖V†V − I‖_max`
 //! against `8·n·ε·‖A‖_F`, for the orthonormalisers and the refresh the
 //! output's `‖Ψ†Ψ − I‖_max`. Speed without that column would not be a
-//! result: this is the error-resetting step of the precision study.
+//! result: this is the error-resetting step of the precision study. A row
+//! over its bound fails the run (exit 1) after the file is written.
 //!
 //! Every row runs on the rayon pool at the machine's thread count, which
 //! the report records (`threads`): `eigh` is sequential, the level-3 calls
@@ -27,20 +28,15 @@
 //! splits them.
 //!
 //! Usage: `linalg_hostperf [--out PATH] [--seconds-per-row F] [--label L]
-//! [--enforce-bounds] [--min-speedup SERIES@ENTRY=F]...`
-//!
-//! `--label L` dates the history entry `<today>-L`, so a run against the
-//! parent library (`--label parent`) stays in the history beside the same
-//! day's run of the change. `--min-speedup SERIES@ENTRY=F` (repeatable)
-//! fails unless row `SERIES` (`eigh_overlap_64`, `scf_refresh_12x96`, …)
-//! is at least `F` times faster than the same series of the history
-//! entry dated `ENTRY` already in `--out`. A gate names its entry because
-//! every perf PR leaves its own `-parent` entry behind: the 3× `eigh`
-//! gate is against the cyclic-Jacobi library (`2026-10-01-parent`), the
-//! 1.2× `scf_refresh` gate against the full-product ZHERK one
+//! [--min-speedup SERIES@ENTRY=F]...` (the options of
+//! [`dcmesh_bench::layer`]; default 0.5 s per row, `BENCH_linalg.json`).
+//! The gates compare the `f64` column. A gate names its entry because
+//! every perf PR leaves its own `-parent` entry behind: the 3× `eigh` gate
+//! is against the cyclic-Jacobi library (`2026-10-01-parent`), the 1.2×
+//! `scf_refresh` gate against the full-product ZHERK one
 //! (`2026-10-02-parent`).
 
-use dcmesh_bench::report::{civil_date_utc, merged_history, SpeedupGate};
+use dcmesh_bench::layer::{fixed, object, sample, sig4, text, Cli, Timing};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use dcmesh_linalg::ops::{frobenius_norm, hermitian_from_fn, matmul, unitarity_defect};
@@ -48,8 +44,8 @@ use dcmesh_linalg::orth::orthonormality_defect;
 use dcmesh_linalg::{cholesky_orthonormalize, eigh, lowdin_orthonormalize};
 use dcmesh_numerics::{c64, Complex, C64};
 use dcmesh_qxmd::scf_refresh;
+use dcmesh_telemetry::json::JsonValue;
 use std::hint::black_box;
-use std::time::Instant;
 
 const MESH_POINTS: usize = 12;
 const EIGH_ORBITALS: [usize; 4] = [16, 64, 96, 256];
@@ -78,9 +74,7 @@ struct Row {
     kernel: &'static str,
     input: &'static str,
     n_orb: usize,
-    min_ns: f64,
-    median_ns: f64,
-    samples: usize,
+    timing: Timing,
     /// `‖AV − VΛ‖_max` for `eigh`, the output's `‖Ψ†Ψ − I‖_max` otherwise.
     residual: f64,
     /// `‖V†V − I‖_max`; `None` where the residual already is the
@@ -101,29 +95,6 @@ impl Row {
     fn within_bound(&self) -> bool {
         self.residual <= self.bound && self.unitarity.is_none_or(|u| u <= self.bound)
     }
-}
-
-/// Times single calls of `f` on a fresh `input()` for about `seconds`, at
-/// least five samples after one warm-up call; the input is made and the
-/// output dropped off the clock. Returns (fastest, median, samples) in ns
-/// and the last output.
-fn sample<X, Y>(
-    seconds: f64,
-    mut input: impl FnMut() -> X,
-    mut f: impl FnMut(X) -> Y,
-) -> ((f64, f64, usize), Y) {
-    let mut last = f(input());
-    let mut ns = Vec::new();
-    let begin = Instant::now();
-    while ns.len() < 5 || begin.elapsed().as_secs_f64() < seconds {
-        let x = input();
-        let t0 = Instant::now();
-        let y = f(x);
-        ns.push(t0.elapsed().as_secs_f64() * 1e9);
-        last = y;
-    }
-    ns.sort_by(f64::total_cmp);
-    ((ns[0], ns[ns.len() / 2], ns.len()), last)
 }
 
 /// `diag(level) + 10⁻³·N`, `N` Hermitian with entries in the unit box.
@@ -150,7 +121,7 @@ fn ritz_like(n: usize) -> Vec<C64> {
 }
 
 fn eigh_row(input: &'static str, a: &[C64], n: usize, seconds: f64) -> Row {
-    let ((min_ns, median_ns, samples), r) = sample(seconds, || (), |()| eigh(black_box(a), n));
+    let (timing, r) = sample(seconds, || (), |()| eigh(black_box(a), n));
     let av = matmul(a, &r.eigenvectors, n, n, n);
     let mut residual = 0.0f64;
     for i in 0..n {
@@ -163,9 +134,7 @@ fn eigh_row(input: &'static str, a: &[C64], n: usize, seconds: f64) -> Row {
         kernel: "eigh",
         input,
         n_orb: n,
-        min_ns,
-        median_ns,
-        samples,
+        timing,
         residual,
         unitarity: Some(unitarity_defect(&r.eigenvectors, n)),
         bound: 8.0 * n as f64 * f64::EPSILON * frobenius_norm(a),
@@ -196,7 +165,7 @@ fn orth_row(
     cols: usize,
     seconds: f64,
 ) -> Row {
-    let ((min_ns, median_ns, samples), out) = sample(
+    let (timing, out) = sample(
         seconds,
         || a0.to_vec(),
         |mut a| {
@@ -208,9 +177,7 @@ fn orth_row(
         kernel,
         input: "drifted",
         n_orb: cols,
-        min_ns,
-        median_ns,
-        samples,
+        timing,
         residual: orthonormality_defect(&out, rows, cols),
         unitarity: None,
         bound,
@@ -237,7 +204,7 @@ fn refresh_row(n_orb: usize, seconds: f64) -> Row {
             im: (amp * rng.next()) as f32,
         };
     }
-    let ((min_ns, median_ns, samples), (_, defect_after)) = sample(
+    let (timing, (_, defect_after)) = sample(
         seconds,
         || state0.clone(),
         |mut st| {
@@ -249,59 +216,17 @@ fn refresh_row(n_orb: usize, seconds: f64) -> Row {
         kernel: "scf_refresh",
         input: "drifted",
         n_orb,
-        min_ns,
-        median_ns,
-        samples,
+        timing,
         residual: defect_after,
         unitarity: None,
         bound: REFRESH_BOUND,
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: linalg_hostperf [--out PATH] [--seconds-per-row F] [--label L] \
-         [--enforce-bounds] [--min-speedup SERIES@ENTRY=F]..."
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut out_path = "BENCH_linalg.json".to_string();
-    let mut seconds = 0.5f64;
-    let mut label: Option<String> = None;
-    let mut enforce_bounds = false;
-    let mut gates: Vec<SpeedupGate> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = || {
-            args.next().unwrap_or_else(|| {
-                eprintln!("linalg_hostperf: {arg} needs a value");
-                std::process::exit(2);
-            })
-        };
-        let positive = |v: String| {
-            v.parse()
-                .ok()
-                .filter(|s: &f64| *s > 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("linalg_hostperf: {arg} needs a positive number");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--out" => out_path = value(),
-            "--seconds-per-row" => seconds = positive(value()),
-            "--label" => label = Some(value()),
-            "--enforce-bounds" => enforce_bounds = true,
-            "--min-speedup" => gates.push(SpeedupGate::parse(&value()).unwrap_or_else(|| {
-                eprintln!("linalg_hostperf: --min-speedup takes SERIES@ENTRY=F with F > 0");
-                std::process::exit(2);
-            })),
-            _ => usage(),
-        }
-    }
-
+    let cli = Cli::from_env("linalg_hostperf", "BENCH_linalg.json", 0.5, &[]);
+    let history = cli.history();
+    let seconds = cli.seconds_per_row;
     let ngrid = MESH_POINTS.pow(3);
     let mut rows = Vec::new();
     for n in EIGH_ORBITALS {
@@ -310,15 +235,7 @@ fn main() {
     }
     for n in MESH_ORBITALS {
         let a0 = drifted_columns(ngrid, n);
-        rows.push(orth_row(
-            "lowdin",
-            LOWDIN_BOUND,
-            lowdin_orthonormalize,
-            &a0,
-            ngrid,
-            n,
-            seconds,
-        ));
+        rows.push(orth_row("lowdin", LOWDIN_BOUND, lowdin_orthonormalize, &a0, ngrid, n, seconds));
         rows.push(orth_row(
             "cholesky",
             CHOLESKY_BOUND,
@@ -336,9 +253,9 @@ fn main() {
             r.kernel,
             r.input,
             r.n_orb,
-            r.min_ns / 1e3,
-            r.median_ns / 1e3,
-            r.samples,
+            r.timing.min_ns / 1e3,
+            r.timing.median_ns / 1e3,
+            r.timing.samples,
             r.residual,
             r.unitarity.map_or(String::new(), |u| format!("  unitarity {u:.1e}")),
             r.bound,
@@ -346,86 +263,60 @@ fn main() {
         );
     }
 
-    let today = civil_date_utc();
-    let date = label.map_or(today.clone(), |l| format!("{today}-{l}"));
     let threads = rayon::current_num_threads();
-    let opt = |u: Option<f64>| u.map_or("null".to_string(), |u| format!("{u:.3e}"));
-    let row_json: Vec<String> = rows
+    let unitarity = |r: &Row| r.unitarity.map_or(JsonValue::Null, sig4);
+    let row_json: Vec<JsonValue> = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"input\": \"{}\", \"mesh\": \"{MESH_POINTS}^3\", \
-                 \"n_orb\": {}, \"threads\": {threads}, \"ns_per_call_min\": {:.0}, \
-                 \"ns_per_call_median\": {:.0}, \"samples\": {}, \"residual\": {:.3e}, \
-                 \"unitarity\": {}, \"bound\": {:.3e}}}",
-                r.kernel,
-                r.input,
-                r.n_orb,
-                r.min_ns,
-                r.median_ns,
-                r.samples,
-                r.residual,
-                opt(r.unitarity),
-                r.bound
-            )
+            object([
+                ("kernel", text(r.kernel)),
+                ("input", text(r.input)),
+                ("mesh", text(&format!("{MESH_POINTS}^3"))),
+                ("n_orb", fixed(r.n_orb as f64, 0)),
+                ("threads", fixed(threads as f64, 0)),
+                ("ns_per_call_min", fixed(r.timing.min_ns, 0)),
+                ("ns_per_call_median", fixed(r.timing.median_ns, 0)),
+                ("samples", fixed(r.timing.samples as f64, 0)),
+                ("residual", sig4(r.residual)),
+                ("unitarity", unitarity(r)),
+                ("bound", sig4(r.bound)),
+            ])
         })
         .collect();
-    // One history series per kernel, input and size, one "mode" (f64):
-    // the shape `profile trend --bench` already reads from
-    // BENCH_gemm.json. The accuracy columns ride along so a parent entry
-    // keeps its residuals beside its times.
-    let series: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "\"{0}_ns_per_call\":{{\"f64\":{1:.0}}},\"{0}_defect\":{{\"residual\":{2:.3e},\"unitarity\":{3}}}",
-                r.series(),
-                r.min_ns,
-                r.residual,
-                opt(r.unitarity)
-            )
-        })
-        .collect();
-    let new_entry = format!("{{\"date\":\"{date}\",\"threads\":{threads},{}}}", series.join(","));
-
-    // Gates read the file as it was before this run is merged into it.
-    let mut failed = false;
-    for gate in &gates {
-        let Some(now) = rows.iter().find(|r| r.series() == gate.series).map(|r| r.min_ns) else {
-            eprintln!("linalg_hostperf: --min-speedup names no row of this run: {}", gate.series);
-            std::process::exit(2);
-        };
-        failed |= !gate.passes("linalg_hostperf", &out_path, "f64", now);
+    // One history series per kernel, input and size, one column (f64).
+    // The accuracy columns ride along so a parent entry keeps its
+    // residuals beside its times.
+    let mut entry = cli.entry(threads);
+    for r in &rows {
+        entry.series(&r.series(), "f64", r.timing.min_ns);
+        let defect = object([("residual", sig4(r.residual)), ("unitarity", unitarity(r))]);
+        entry.extra(&format!("{}_defect", r.series()), defect);
     }
-    if enforce_bounds {
-        for r in rows.iter().filter(|r| !r.within_bound()) {
-            eprintln!(
-                "linalg_hostperf: {} exceeds its bound {:.1e} (residual {:.1e}, unitarity {})",
-                r.series(),
-                r.bound,
-                r.residual,
-                opt(r.unitarity)
-            );
-            failed = true;
-        }
+    let header = [
+        ("bench", text("linalg_hostperf")),
+        ("threads", fixed(threads as f64, 0)),
+        (
+            "accuracy_note",
+            text(
+                "eigh rows: residual = max|AV - V diag(lambda)|, unitarity = max|V^H V - I|, \
+                 bound = 8 n eps |A|_F; other rows: residual = max|Psi^H Psi - I| of the output, \
+                 bound = the documented ceiling",
+            ),
+        ),
+        ("rows", JsonValue::Array(row_json)),
+    ];
+    let mut passed = cli.finish(history, &header, entry, "f64");
+    for r in rows.iter().filter(|r| !r.within_bound()) {
+        eprintln!(
+            "linalg_hostperf: {} exceeds its bound {:.1e} (residual {:.1e}{})",
+            r.series(),
+            r.bound,
+            r.residual,
+            r.unitarity.map_or(String::new(), |u| format!(", unitarity {u:.1e}"))
+        );
+        passed = false;
     }
-
-    let history = merged_history(&out_path, &date, new_entry);
-    let json = format!(
-        "{{\n  \"bench\": \"linalg_hostperf\",\n  \"threads\": {threads},\n  \
-         \"accuracy_note\": \"eigh rows: residual = max|AV - V diag(lambda)|, unitarity = max|V^H V - I|, \
-         bound = 8 n eps |A|_F; other rows: residual = max|Psi^H Psi - I| of the output, bound = the documented ceiling\",\n  \
-         \"rows\": [\n{}\n  ],\n  \"history\": [\n    {}\n  ]\n}}\n",
-        row_json.join(",\n"),
-        history.join(",\n    ")
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_linalg.json");
-    eprintln!(
-        "[wrote {out_path} ({} history entr{})]",
-        history.len(),
-        if history.len() == 1 { "y" } else { "ies" }
-    );
-    if failed {
+    if !passed {
         std::process::exit(1);
     }
 }

@@ -25,23 +25,19 @@
 //! thread and at that count.
 //!
 //! Usage: `stencil_hostperf [--out PATH] [--seconds-per-row F] [--label L]
-//! [--min-speedup SERIES@ENTRY=F]...`
-//!
-//! `--label L` dates the history entry `<today>-L`, so a run against the
-//! parent library (`--label parent`) stays in the history beside the same
-//! day's run of the change. `--min-speedup SERIES@ENTRY=F` (repeatable)
-//! fails unless the `f32` column of series `SERIES`
-//! (`taylor_propagate_12x16`, `apply_kinetic_12x96`, …) is at least `F`
-//! times faster than in the history entry dated `ENTRY` already in
-//! `--out`, as `linalg_hostperf`'s gate does.
+//! [--min-speedup SERIES@ENTRY=F]...` (the options of
+//! [`dcmesh_bench::layer`]; default 0.5 s per row, `BENCH_stencil.json`).
+//! The gates compare the `f32` column of a series
+//! (`taylor_propagate_12x16`, `apply_kinetic_12x96`, …).
 
-use dcmesh_bench::report::{civil_date_utc, merged_history, SpeedupGate};
+use dcmesh_bench::layer::{fixed, object, sample, scaling, text, Cli, Timing};
 use dcmesh_lfd::hamiltonian::{apply_h, apply_kinetic, dispatched_rungs, Rung};
 use dcmesh_lfd::nonlocal::LfdScalar;
 use dcmesh_lfd::propagator::{taylor_propagate, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use dcmesh_numerics::{Complex, Real};
+use dcmesh_telemetry::json::JsonValue;
 use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::Instant;
@@ -132,8 +128,7 @@ struct Row {
     scalar: &'static str,
     rung: Rung,
     n_orb: usize,
-    min_us: f64,
-    median_us: f64,
+    timing: Timing,
     mpts_per_s: f64,
     flops_per_point: f64,
     bytes_per_point: f64,
@@ -276,23 +271,6 @@ fn mul_add_peak_lanes<T: Real, const LANES: usize>(rung: Rung, threads: usize) -
     best
 }
 
-/// Times single calls of `f` for about `seconds` (at least 20 samples)
-/// after three warm-up calls; returns (fastest, median) in µs.
-fn sample(seconds: f64, mut f: impl FnMut()) -> (f64, f64) {
-    for _ in 0..3 {
-        f();
-    }
-    let mut us = Vec::new();
-    let begin = Instant::now();
-    while us.len() < 20 || begin.elapsed().as_secs_f64() < seconds {
-        let t0 = Instant::now();
-        f();
-        us.push(t0.elapsed().as_secs_f64() * 1e6);
-    }
-    us.sort_by(f64::total_cmp);
-    (us[0], us[us.len() / 2])
-}
-
 /// The 12³ deck the rows run on, at `n_orb` orbitals.
 fn deck(n_orb: usize) -> LfdParams {
     LfdParams {
@@ -319,11 +297,6 @@ fn peaks<T: Real>(threads: usize) -> Vec<(Rung, f64)> {
     peaks
 }
 
-/// `f` of every (rung, peak), comma-separated.
-fn join_peaks(peaks: &[(Rung, f64)], f: impl Fn(Rung, f64) -> String) -> String {
-    peaks.iter().map(|&(r, p)| f(r, p)).collect::<Vec<_>>().join(", ")
-}
-
 fn rows_for<T: LfdScalar>(
     scalar: &'static str,
     peaks: &[(Rung, f64)],
@@ -336,28 +309,36 @@ fn rows_for<T: LfdScalar>(
         let mut out = vec![Complex::<T>::zero(); state.psi.len()];
         let mut scratch = QdScratch::<T>::new(&params);
         for kernel in Kernel::ALL {
-            let (min_us, median_us) = match kernel {
-                Kernel::ApplyH => sample(seconds, || {
-                    apply_h(
-                        &params.mesh,
-                        n_orb,
-                        &state.vloc,
-                        A_TOTAL,
-                        black_box(&state.psi),
-                        &mut out,
-                    )
-                }),
-                Kernel::ApplyKinetic => sample(seconds, || {
-                    apply_kinetic(&params.mesh, n_orb, black_box(&state.psi), &mut out)
-                }),
-                Kernel::TaylorPropagate => sample(seconds, || {
-                    taylor_propagate(&params, black_box(&mut state), A_TOTAL, &mut scratch)
-                }),
+            let (timing, ()) = match kernel {
+                Kernel::ApplyH => sample(
+                    seconds,
+                    || (),
+                    |()| {
+                        apply_h(
+                            &params.mesh,
+                            n_orb,
+                            &state.vloc,
+                            A_TOTAL,
+                            black_box(&state.psi),
+                            &mut out,
+                        )
+                    },
+                ),
+                Kernel::ApplyKinetic => sample(
+                    seconds,
+                    || (),
+                    |()| apply_kinetic(&params.mesh, n_orb, black_box(&state.psi), &mut out),
+                ),
+                Kernel::TaylorPropagate => sample(
+                    seconds,
+                    || (),
+                    |()| taylor_propagate(&params, black_box(&mut state), A_TOTAL, &mut scratch),
+                ),
             };
             black_box(&out);
             let points = (params.mesh.len() * n_orb * kernel.sweeps(params.taylor_order)) as f64;
             let flops_per_point = kernel.flops_per_point();
-            let gflops = points * flops_per_point / min_us / 1e3;
+            let gflops = points * flops_per_point / timing.min_ns;
             let rung = kernel.rung::<T>();
             let peak = peaks.iter().find(|(r, _)| *r == rung).expect("peak of every rung").1;
             let row = Row {
@@ -365,9 +346,8 @@ fn rows_for<T: LfdScalar>(
                 scalar,
                 rung,
                 n_orb,
-                min_us,
-                median_us,
-                mpts_per_s: points / min_us,
+                timing,
+                mpts_per_s: points / timing.min_ns * 1e3,
                 flops_per_point,
                 bytes_per_point: kernel
                     .bytes_per_point(core::mem::size_of::<Complex<T>>(), params.taylor_order),
@@ -379,8 +359,8 @@ fn rows_for<T: LfdScalar>(
                  {:>5.2} GFLOP/s = {:.2} of mul+add peak",
                 kernel.name(),
                 rung.name(),
-                row.min_us,
-                row.median_us,
+                row.timing.min_ns / 1e3,
+                row.timing.median_ns / 1e3,
                 row.mpts_per_s,
                 row.gflops,
                 row.peak_frac
@@ -390,48 +370,10 @@ fn rows_for<T: LfdScalar>(
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: stencil_hostperf [--out PATH] [--seconds-per-row F] [--label L] \
-         [--min-speedup SERIES@ENTRY=F]..."
-    );
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut out_path = "BENCH_stencil.json".to_string();
-    let mut seconds = 0.5f64;
-    let mut label: Option<String> = None;
-    let mut gates: Vec<SpeedupGate> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = || {
-            args.next().unwrap_or_else(|| {
-                eprintln!("stencil_hostperf: {arg} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out_path = value(),
-            "--seconds-per-row" => {
-                seconds = value()
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| *s > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("stencil_hostperf: --seconds-per-row needs a positive number");
-                        std::process::exit(2);
-                    })
-            }
-            "--label" => label = Some(value()),
-            "--min-speedup" => gates.push(SpeedupGate::parse(&value()).unwrap_or_else(|| {
-                eprintln!("stencil_hostperf: --min-speedup takes SERIES@ENTRY=F with F > 0");
-                std::process::exit(2);
-            })),
-            _ => usage(),
-        }
-    }
-
+    let cli = Cli::from_env("stencil_hostperf", "BENCH_stencil.json", 0.5, &[]);
+    let history = cli.history();
+    let seconds = cli.seconds_per_row;
     let threads = rayon::current_num_threads();
     let rung_names = |[plain, taylor]: [Rung; 2]| (plain.name(), taylor.name());
     let (rungs32, rungs64) =
@@ -442,7 +384,9 @@ fn main() {
     );
     let (peaks32, peaks64) = (peaks::<f32>(threads), peaks::<f64>(threads));
     let peak_text = |peaks: &[(Rung, f64)]| {
-        join_peaks(peaks, |r, p| format!("{p:.1} GFLOP/s at {}", r.name()))
+        let each: Vec<String> =
+            peaks.iter().map(|(r, p)| format!("{p:.1} GFLOP/s at {}", r.name())).collect();
+        each.join(", ")
     };
     eprintln!(
         "measured mul+add peak ({threads} threads): f32 {}; f64 {}",
@@ -454,128 +398,86 @@ fn main() {
     rows_for::<f64>("f64", &peaks64, seconds, &mut rows);
 
     // Thread scaling: the pto40-small propagation at 1 thread and at `threads`.
-    let scaling = {
+    let [one, all] = {
         let params = deck(ORBITALS[0]);
         let mut state = LfdState::<f32>::initialize(&params, cosine_potential(&params.mesh, 0.3));
         let mut scratch = QdScratch::<f32>::new(&params);
-        let mut at = |n: usize| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build().expect("thread pool");
-            pool.install(|| {
-                sample(seconds, || taylor_propagate(&params, black_box(&mut state), A_TOTAL, &mut scratch)).0
-            })
-        };
-        let (one, all) = (at(1), at(threads));
-        eprintln!(
-            "scaling taylor_propagate f32 12^3x{}: {one:.1} us at 1 thread, {all:.1} at {threads}: {:.2}x",
-            ORBITALS[0],
-            one / all
-        );
-        (one, all)
+        scaling(seconds, threads, || {
+            taylor_propagate(&params, black_box(&mut state), A_TOTAL, &mut scratch)
+        })
     };
+    let (one_us, all_us) = (one.min_ns / 1e3, all.min_ns / 1e3);
+    eprintln!(
+        "scaling taylor_propagate f32 12^3x{}: {one_us:.1} us at 1 thread, {all_us:.1} at {threads}: {:.2}x",
+        ORBITALS[0],
+        one_us / all_us
+    );
 
-    let today = civil_date_utc();
-    let date = label.map_or(today.clone(), |l| format!("{today}-{l}"));
-    let row_json: Vec<String> = rows
+    let row_json: Vec<JsonValue> = rows
         .iter()
         .map(|r| {
-            format!(
-                "    {{\"kernel\": \"{}\", \"scalar\": \"{}\", \"rung\": \"{}\", \"mesh\": \"{MESH_POINTS}^3\", \
-                 \"n_orb\": {}, \"threads\": {threads}, \"us_per_call_min\": {:.1}, \
-                 \"us_per_call_median\": {:.1}, \"mpts_per_s\": {:.1}, \
-                 \"computed_flops_per_point\": {:.0}, \"computed_bytes_per_point\": {:.0}, \
-                 \"gflops\": {:.2}, \"frac_of_mul_add_peak\": {:.3}}}",
-                r.kernel.name(),
-                r.scalar,
-                r.rung.name(),
-                r.n_orb,
-                r.min_us,
-                r.median_us,
-                r.mpts_per_s,
-                r.flops_per_point,
-                r.bytes_per_point,
-                r.gflops,
-                r.peak_frac
-            )
+            object([
+                ("kernel", text(r.kernel.name())),
+                ("scalar", text(r.scalar)),
+                ("rung", text(r.rung.name())),
+                ("mesh", text(&format!("{MESH_POINTS}^3"))),
+                ("n_orb", fixed(r.n_orb as f64, 0)),
+                ("threads", fixed(threads as f64, 0)),
+                ("us_per_call_min", fixed(r.timing.min_ns / 1e3, 1)),
+                ("us_per_call_median", fixed(r.timing.median_ns / 1e3, 1)),
+                ("mpts_per_s", fixed(r.mpts_per_s, 1)),
+                ("computed_flops_per_point", fixed(r.flops_per_point, 0)),
+                ("computed_bytes_per_point", fixed(r.bytes_per_point, 0)),
+                ("gflops", fixed(r.gflops, 2)),
+                ("frac_of_mul_add_peak", fixed(r.peak_frac, 3)),
+            ])
         })
         .collect();
-    // One history series per kernel and size, one "mode" per scalar type:
-    // the shape `profile trend --bench` already reads from BENCH_gemm.json.
-    let series_name = |k: Kernel, n: usize| format!("{}_{MESH_POINTS}x{n}", k.name());
-    let ns = |k: Kernel, n: usize, scalar: &str| {
-        rows.iter()
-            .find(|r| r.kernel == k && r.n_orb == n && r.scalar == scalar)
-            .map_or(f64::NAN, |r| r.min_us * 1e3)
-    };
-    let series: Vec<String> = Kernel::ALL
-        .iter()
-        .flat_map(|k| ORBITALS.iter().map(move |n| (*k, *n)))
-        .map(|(k, n)| {
-            format!(
-                "\"{}_ns_per_call\":{{\"f32\":{:.1},\"f64\":{:.1}}}",
-                series_name(k, n),
-                ns(k, n, "f32"),
-                ns(k, n, "f64")
-            )
-        })
-        .collect();
-    let new_entry = format!(
-        "{{\"date\":\"{date}\",\"threads\":{threads},{},\
-         \"taylor_propagate_{MESH_POINTS}x{}_1_thread_ns_per_call\":{{\"f32\":{:.1}}}}}",
-        series.join(","),
-        ORBITALS[0],
-        scaling.0 * 1e3
-    );
-
-    // Gates read the file as it was before this run is merged into it.
-    let mut failed = false;
-    for gate in &gates {
-        let Some(now) = Kernel::ALL
-            .iter()
-            .flat_map(|k| ORBITALS.iter().map(move |n| (*k, *n)))
-            .find(|&(k, n)| series_name(k, n) == gate.series)
-            .map(|(k, n)| ns(k, n, "f32"))
-        else {
-            eprintln!("stencil_hostperf: --min-speedup names no row of this run: {}", gate.series);
-            std::process::exit(2);
-        };
-        failed |= !gate.passes("stencil_hostperf", &out_path, "f32", now);
+    // One history series per kernel and size, one column per scalar type:
+    // the shape `profile trend --bench` reads.
+    let mut entry = cli.entry(threads);
+    for r in &rows {
+        let series = format!("{}_{MESH_POINTS}x{}", r.kernel.name(), r.n_orb);
+        entry.series(&series, r.scalar, r.timing.min_ns);
     }
+    let one_thread = format!("taylor_propagate_{MESH_POINTS}x{}_1_thread", ORBITALS[0]);
+    entry.series(&one_thread, "f32", one.min_ns);
 
-    let history = merged_history(&out_path, &date, new_entry);
+    let rung_json =
+        |(plain, taylor): (&str, &str)| object([("plain", text(plain)), ("taylor", text(taylor))]);
     let peak_json =
-        |peaks: &[(Rung, f64)]| join_peaks(peaks, |r, p| format!("\"{}\": {p:.1}", r.name()));
-    let json = format!(
-        "{{\n  \"bench\": \"stencil_hostperf\",\n  \"threads\": {threads},\n  \
-         \"point\": \"one orbital at one grid point in one stencil sweep\",\n  \
-         \"counts_note\": \"computed_* are counted from the kernel source (compulsory traffic: \
-         every array element moves once), not measured\",\n  \
-         \"rungs\": {{\"f32\": {{\"plain\": \"{}\", \"taylor\": \"{}\"}}, \
-         \"f64\": {{\"plain\": \"{}\", \"taylor\": \"{}\"}}}},\n  \
-         \"mul_add_peak_gflops\": {{\"f32\": {{{}}}, \"f64\": {{{}}}}},\n  \
-         \"scaling\": {{\"kernel\": \"taylor_propagate\", \"scalar\": \"f32\", \"n_orb\": {}, \
-         \"us_per_call_1_thread\": {:.1}, \"threads\": {threads}, \"us_per_call\": {:.1}, \
-         \"speedup\": {:.2}}},\n  \
-         \"rows\": [\n{}\n  ],\n  \"history\": [\n    {}\n  ]\n}}\n",
-        rungs32.0,
-        rungs32.1,
-        rungs64.0,
-        rungs64.1,
-        peak_json(&peaks32),
-        peak_json(&peaks64),
-        ORBITALS[0],
-        scaling.0,
-        scaling.1,
-        scaling.0 / scaling.1,
-        row_json.join(",\n"),
-        history.join(",\n    ")
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_stencil.json");
-    eprintln!(
-        "[wrote {out_path} ({} history entr{})]",
-        history.len(),
-        if history.len() == 1 { "y" } else { "ies" }
-    );
-    if failed {
+        |peaks: &[(Rung, f64)]| object(peaks.iter().map(|&(r, p)| (r.name(), fixed(p, 1))));
+    let header = [
+        ("bench", text("stencil_hostperf")),
+        ("threads", fixed(threads as f64, 0)),
+        ("point", text("one orbital at one grid point in one stencil sweep")),
+        (
+            "counts_note",
+            text(
+                "computed_* are counted from the kernel source (compulsory traffic: \
+                 every array element moves once), not measured",
+            ),
+        ),
+        ("rungs", object([("f32", rung_json(rungs32)), ("f64", rung_json(rungs64))])),
+        (
+            "mul_add_peak_gflops",
+            object([("f32", peak_json(&peaks32)), ("f64", peak_json(&peaks64))]),
+        ),
+        (
+            "scaling",
+            object([
+                ("kernel", text("taylor_propagate")),
+                ("scalar", text("f32")),
+                ("n_orb", fixed(ORBITALS[0] as f64, 0)),
+                ("us_per_call_1_thread", fixed(one_us, 1)),
+                ("threads", fixed(threads as f64, 0)),
+                ("us_per_call", fixed(all_us, 1)),
+                ("speedup", fixed(one_us / all_us, 2)),
+            ]),
+        ),
+        ("rows", JsonValue::Array(row_json)),
+    ];
+    if !cli.finish(history, &header, entry, "f32") {
         std::process::exit(1);
     }
 }

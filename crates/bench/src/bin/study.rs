@@ -13,8 +13,8 @@
 
 use dcmesh::analysis::{DeviationPoint, DeviationSeries, Metric};
 use dcmesh_bench::claims::{self, Status};
-use dcmesh_bench::report::civil_date_utc;
 use dcmesh_bench::write_report;
+use dcmesh_profile::history;
 use mkl_lite::ComputeMode;
 use std::process::ExitCode;
 
@@ -53,7 +53,7 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    let today = civil_date_utc();
+    let today = history::today();
     let markdown = claims::to_markdown(&study.claims, &today);
     println!("{markdown}");
     std::fs::write("REPRO.json", claims::to_json(&study.claims, &today)).expect("write REPRO.json");

@@ -20,6 +20,12 @@
 //!   accuracy/cost ledger (schema-versioned; see
 //!   `dcmesh_telemetry::ledger`).
 //!
+//! It then checks trace attribution on the very `events.jsonl` it wrote:
+//! the per-(routine, mode, shape) GEMM table `profile table` derives from
+//! the call spans (through the `dcmesh-profile` ingester) must give every
+//! row the mean device time and FP32 speed-up the `xe-gpu` model prices
+//! that shape at directly, within [`ATTRIBUTION_TOLERANCE_PCT`].
+//!
 //! `--ledger-gate` additionally demands the ledger *attributed* the
 //! injected fault: the CGEMM callsite's FLOAT_TO_BF16 entry must carry
 //! the non-finite-output detection and the resulting escalation — the
@@ -51,7 +57,9 @@ use dcmesh::supervisor::{run_supervised, SupervisorConfig};
 use dcmesh_lfd::propagator::{qd_step, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
+use dcmesh_profile::{ingest, table};
 use dcmesh_telemetry as telemetry;
+use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::{
     clear_fault_plan, install_fault_plan, verbose, workspace, ComputeMode, FaultKind, FaultPlan,
     FaultSite,
@@ -67,6 +75,10 @@ use telemetry::{export, sink, TelemetryLevel};
 /// and nine BLAS call spans. Used to convert per-span disabled cost
 /// into per-step overhead.
 const SPANS_PER_QD_STEP: u64 = 1 + 6 + 9;
+
+/// How far, in percent, a trace-derived GEMM row's mean device time or
+/// speed-up may sit from the device model's direct price.
+const ATTRIBUTION_TOLERANCE_PCT: f64 = 5.0;
 
 struct Options {
     out_dir: String,
@@ -328,7 +340,62 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
     }
 
     check_ledger(&ledger_text, &prom, ledger_gate, &mut problems);
+
+    let trace = ingest::ingest_jsonl(&jsonl);
+    for w in &trace.warnings {
+        eprintln!("trace warning: {w}");
+    }
+    let rows = table::gemm_table(&trace);
+    eprint!("{}", table::render_gemm_table(&rows));
+    check_attribution(&rows, &mut problems);
     problems
+}
+
+/// Element domain of a BLAS routine name, for pricing trace rows.
+fn domain_for(routine: &str) -> Option<Domain> {
+    match routine {
+        "SGEMM" => Some(Domain::Real32),
+        "DGEMM" => Some(Domain::Real64),
+        "CGEMM" | "CHERK" => Some(Domain::Complex32),
+        "ZGEMM" | "ZHERK" | "ZGEMMT" => Some(Domain::Complex64),
+        _ => None,
+    }
+}
+
+/// Checks every trace-derived GEMM row that carries a modelled device
+/// time against the direct device-model path: its mean device seconds and
+/// its speed-up over FP32 must each agree within
+/// [`ATTRIBUTION_TOLERANCE_PCT`]. No checkable row is a problem too.
+fn check_attribution(rows: &[table::CallRow], problems: &mut Vec<String>) {
+    let model = xe_gpu::XeStackModel::new(xe_gpu::MAX_1550_STACK);
+    let pct = |got: f64, want: f64| 100.0 * (got - want).abs() / want.max(1e-30);
+    let mut checked = 0u32;
+    for r in rows {
+        let (Some(dev), Some(domain), Ok(mode)) =
+            (r.mean_device_s, domain_for(&r.routine), ComputeMode::from_env_value(&r.mode))
+        else {
+            continue;
+        };
+        let (m, n, k) = (r.m as usize, r.n as usize, r.k as usize);
+        let row = format!("{} {} ({m}, {n}, {k})", r.routine, r.mode);
+        checked += 1;
+        let direct = model.gemm_seconds(&GemmDesc { domain, m, n, k, mode });
+        let err = pct(dev, direct);
+        eprintln!("attribution {row}: device {dev:.3e}s vs model {direct:.3e}s ({err:.2}%)");
+        if err > ATTRIBUTION_TOLERANCE_PCT {
+            fail(problems, format!("{row}: trace device time is {err:.2}% off the model"));
+        }
+        if let Some(speedup) = r.speedup_vs_fp32 {
+            let direct = model.gemm_speedup_vs_fp32(domain, m, n, k, mode);
+            let err = pct(speedup, direct);
+            if err > ATTRIBUTION_TOLERANCE_PCT {
+                fail(problems, format!("{row}: trace speedup is {err:.2}% off the model"));
+            }
+        }
+    }
+    if checked == 0 {
+        fail(problems, "no trace GEMM row carried a modelled device time".into());
+    }
 }
 
 /// Schema-checks `ledger.json` and, under `--ledger-gate`, demands the
@@ -612,4 +679,43 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("telemetry_check: OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(mode: ComputeMode, device_s: f64, speedup: Option<f64>) -> table::CallRow {
+        table::CallRow {
+            routine: "CGEMM".to_string(),
+            mode: mode.name().to_string(),
+            m: 64,
+            n: 64,
+            k: 1000,
+            calls: 3,
+            mean_wall_s: 1e-3,
+            mean_device_s: Some(device_s),
+            speedup_vs_fp32: speedup,
+        }
+    }
+
+    #[test]
+    fn attribution_beyond_five_percent_of_the_model_is_a_problem() {
+        let model = xe_gpu::XeStackModel::new(xe_gpu::MAX_1550_STACK);
+        let mode = ComputeMode::FloatToBf16;
+        let desc = GemmDesc { domain: Domain::Complex32, m: 64, n: 64, k: 1000, mode };
+        let (direct, speedup) = (
+            model.gemm_seconds(&desc),
+            model.gemm_speedup_vs_fp32(Domain::Complex32, 64, 64, 1000, mode),
+        );
+        let check = |rows: &[table::CallRow]| {
+            let mut problems = Vec::new();
+            check_attribution(rows, &mut problems);
+            problems
+        };
+        assert!(check(&[row(mode, direct * 1.04, Some(speedup * 0.96))]).is_empty());
+        assert_eq!(check(&[row(mode, direct * 1.06, Some(speedup))]).len(), 1);
+        assert_eq!(check(&[row(mode, direct, Some(speedup * 1.06))]).len(), 1);
+        assert_eq!(check(&[]).len(), 1, "nothing checked is a problem");
+    }
 }

@@ -1,8 +1,19 @@
 //! The reproduction harness: the paper's claims as one table ([`claims`],
-//! rendered by the `study` binary) and the report helpers the layer
-//! benchmarks share.
+//! rendered by the `study` binary) and the harness the layer benchmarks
+//! share ([`layer`]).
 
 pub mod claims;
-pub mod report;
+pub mod layer;
 
-pub use report::write_report;
+use std::path::Path;
+
+/// Writes a report file under `target/reports/`, creating directories as
+/// needed, and echoes the path.
+pub fn write_report(name: &str, contents: &str) -> std::io::Result<()> {
+    let dir = Path::new("target/reports");
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    std::fs::write(&path, contents)?;
+    eprintln!("[report written to {}]", path.display());
+    Ok(())
+}

@@ -1,9 +1,10 @@
 //! bfloat16: the 16-bit truncated form of IEEE-754 binary32.
 //!
 //! BF16 keeps the full 8-bit exponent of `f32` (so its dynamic range equals
-//! single precision) but only 7 explicit mantissa bits. Conversion from
-//! `f32` uses round-to-nearest-even, matching both Intel AMX/XMX and the
-//! conversion oneMKL performs inside its `FLOAT_TO_BF16*` compute modes.
+//! single precision) but only 7 explicit mantissa bits (`format::BF16`).
+//! Conversion from `f32` uses round-to-nearest-even, matching both Intel
+//! AMX/XMX and the conversion oneMKL performs inside its `FLOAT_TO_BF16*`
+//! compute modes.
 
 /// A bfloat16 value, stored as its 16-bit pattern (the upper half of the
 /// corresponding `f32` bit pattern).
@@ -12,19 +13,6 @@
 pub struct Bf16(pub u16);
 
 impl Bf16 {
-    /// Positive zero.
-    pub const ZERO: Bf16 = Bf16(0);
-    /// One.
-    pub const ONE: Bf16 = Bf16(0x3F80);
-    /// Machine epsilon: 2⁻⁷ (distance from 1.0 to the next BF16).
-    pub const EPSILON: f32 = 0.007_812_5;
-    /// Number of explicit mantissa bits.
-    pub const MANTISSA_BITS: u32 = 7;
-    /// Number of exponent bits.
-    pub const EXPONENT_BITS: u32 = 8;
-    /// Largest finite BF16 as an `f32`.
-    pub const MAX: f32 = 3.389_531_4e38;
-
     /// Converts an `f32` to BF16 with round-to-nearest-even.
     ///
     /// NaN payloads are preserved in the upper bits (quietened if truncation
@@ -38,10 +26,8 @@ impl Bf16 {
             return Bf16(((bits >> 16) as u16) | 0x0040);
         }
         // Round to nearest even on the 16 truncated bits.
-        let round_bit = 0x0000_8000u32;
         let lsb = (bits >> 16) & 1;
         let rounded = bits.wrapping_add(0x0000_7FFF + lsb);
-        let _ = round_bit;
         Bf16((rounded >> 16) as u16)
     }
 
@@ -59,111 +45,12 @@ impl Bf16 {
     pub fn round_f32(x: f32) -> f32 {
         Bf16::from_f32(x).to_f32()
     }
-
-    /// Raw bit pattern.
-    #[inline]
-    pub fn to_bits(self) -> u16 {
-        self.0
-    }
-
-    /// Constructs from a raw bit pattern.
-    #[inline]
-    pub fn from_bits(bits: u16) -> Bf16 {
-        Bf16(bits)
-    }
-
-    /// True if this value is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        (self.0 & 0x7F80) == 0x7F80 && (self.0 & 0x007F) != 0
-    }
-
-    /// True if this value is +/- infinity.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7F80
-    }
-
-    /// True for finite values.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        (self.0 & 0x7F80) != 0x7F80
-    }
 }
 
-impl From<f32> for Bf16 {
-    #[inline]
-    fn from(x: f32) -> Bf16 {
-        Bf16::from_f32(x)
-    }
-}
-
-impl From<Bf16> for f32 {
-    #[inline]
-    fn from(x: Bf16) -> f32 {
-        x.to_f32()
-    }
-}
-
-impl core::fmt::Debug for Bf16 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Bf16({})", self.to_f32())
-    }
-}
-
-impl core::fmt::Display for Bf16 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}", self.to_f32())
-    }
-}
-
-// Arithmetic is defined through f32: BF16 hardware multiplies promote to
-// wider accumulators, so elementwise ops in this emulation compute in f32
-// and round the result back.
-impl core::ops::Add for Bf16 {
-    type Output = Bf16;
-    #[inline]
-    fn add(self, rhs: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32() + rhs.to_f32())
-    }
-}
-
-impl core::ops::Sub for Bf16 {
-    type Output = Bf16;
-    #[inline]
-    fn sub(self, rhs: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32() - rhs.to_f32())
-    }
-}
-
-impl core::ops::Mul for Bf16 {
-    type Output = Bf16;
-    #[inline]
-    fn mul(self, rhs: Bf16) -> Bf16 {
-        Bf16::from_f32(self.to_f32() * rhs.to_f32())
-    }
-}
-
-impl core::ops::Neg for Bf16 {
-    type Output = Bf16;
-    #[inline]
-    fn neg(self) -> Bf16 {
-        Bf16(self.0 ^ 0x8000)
-    }
-}
-
-/// Quantises every element of a slice to BF16 (kept as `f32` values).
-pub fn quantize_slice(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "quantize_slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = Bf16::round_f32(s);
-    }
-}
-
-/// Chunk-parallel [`quantize_slice`]: rounds `src` to BF16 into `dst`,
-/// splitting the work over rayon tasks. Elementwise results are identical
-/// to the sequential path (rounding is a pure per-element function), so
-/// callers may switch freely between the two.
+/// Rounds every element of `src` to BF16 (kept as `f32` values) into
+/// `dst`, splitting the work over rayon tasks. Rounding is a pure
+/// per-element function, so the result is [`Bf16::round_f32`] of each
+/// element at any thread count.
 pub fn round_slice_into(src: &[f32], dst: &mut [f32]) {
     use rayon::prelude::*;
     assert_eq!(src.len(), dst.len(), "round_slice_into length mismatch");
@@ -180,6 +67,9 @@ pub fn round_slice_into(src: &[f32], dst: &mut [f32]) {
 mod tests {
     use super::*;
 
+    /// 2⁻⁷: the distance from 1.0 to the next BF16.
+    const EPSILON: f32 = 0.007_812_5;
+
     #[test]
     fn exact_small_integers_roundtrip() {
         for i in -256..=256 {
@@ -190,13 +80,14 @@ mod tests {
 
     #[test]
     fn one_plus_epsilon_rounds_to_even() {
+        assert_eq!(EPSILON as f64, crate::format::BF16.epsilon());
         // 1 + eps/2 is exactly halfway between 1.0 and 1+eps; RNE keeps 1.0.
-        let half_ulp = 1.0 + Bf16::EPSILON / 2.0;
+        let half_ulp = 1.0 + EPSILON / 2.0;
         assert_eq!(Bf16::round_f32(half_ulp), 1.0);
         // 1 + 3*eps/2 is halfway between 1+eps and 1+2eps; RNE picks 1+2eps
         // (even mantissa).
-        let x = 1.0 + 1.5 * Bf16::EPSILON;
-        assert_eq!(Bf16::round_f32(x), 1.0 + 2.0 * Bf16::EPSILON);
+        let x = 1.0 + 1.5 * EPSILON;
+        assert_eq!(Bf16::round_f32(x), 1.0 + 2.0 * EPSILON);
     }
 
     #[test]
@@ -212,25 +103,24 @@ mod tests {
 
     #[test]
     fn nan_and_infinity_preserved() {
-        assert!(Bf16::from_f32(f32::NAN).is_nan());
-        assert!(Bf16::from_f32(f32::INFINITY).is_infinite());
-        assert_eq!(Bf16::from_f32(f32::NEG_INFINITY).to_f32(), f32::NEG_INFINITY);
+        assert!(Bf16::round_f32(f32::NAN).is_nan());
+        assert_eq!(Bf16::round_f32(f32::INFINITY), f32::INFINITY);
+        assert_eq!(Bf16::round_f32(f32::NEG_INFINITY), f32::NEG_INFINITY);
         // A large-but-finite f32 that exceeds BF16 max rounds to infinity.
-        assert!(Bf16::from_f32(f32::MAX).is_infinite());
+        assert_eq!(Bf16::round_f32(f32::MAX), f32::INFINITY);
     }
 
     #[test]
     fn sign_handling() {
         assert_eq!(Bf16::round_f32(-1.5), -1.5);
-        assert_eq!((-Bf16::ONE).to_f32(), -1.0);
-        assert_eq!(Bf16::from_f32(-0.0).to_bits(), 0x8000);
+        assert_eq!(Bf16::round_f32(-1.0), -1.0);
+        assert_eq!(Bf16::from_f32(-0.0).0, 0x8000);
     }
 
     #[test]
     fn epsilon_is_next_representable_gap() {
-        let one = Bf16::ONE;
-        let next = Bf16::from_bits(one.to_bits() + 1);
-        assert_eq!(next.to_f32() - one.to_f32(), Bf16::EPSILON);
+        let one = Bf16::from_f32(1.0);
+        assert_eq!(Bf16(one.0 + 1).to_f32() - one.to_f32(), EPSILON);
     }
 
     #[test]
@@ -238,30 +128,10 @@ mod tests {
         let src: Vec<f32> = (0..crate::split::PAR_CHUNK + 13)
             .map(|i| ((i * 13) as f32).cos() * 512.0)
             .collect();
-        let mut seq = vec![0.0f32; src.len()];
+        // The slice quantised one element at a time, in order.
+        let seq: Vec<f32> = src.iter().map(|&s| Bf16::round_f32(s)).collect();
         let mut par = vec![1.0f32; src.len()];
-        quantize_slice(&src, &mut seq);
         round_slice_into(&src, &mut par);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn quantize_slice_matches_scalar() {
-        let src: Vec<f32> = (0..64).map(|i| (i as f32).sin() * 3.7).collect();
-        let mut dst = vec![0.0f32; 64];
-        quantize_slice(&src, &mut dst);
-        for (i, (&d, &s)) in dst.iter().zip(&src).enumerate() {
-            assert_eq!(d, Bf16::round_f32(s), "element {i}");
-        }
-    }
-
-    #[test]
-    fn arithmetic_ops_round_back() {
-        let a = Bf16::from_f32(1.0);
-        let b = Bf16::from_f32(Bf16::EPSILON / 4.0);
-        // The sum is not representable; must round back to 1.0.
-        assert_eq!((a + b).to_f32(), 1.0);
-        assert_eq!((a * Bf16::from_f32(2.0)).to_f32(), 2.0);
-        assert_eq!((a - a).to_f32(), 0.0);
     }
 }

@@ -103,8 +103,12 @@ mod tests {
     fn epsilons_match_native_types() {
         assert_eq!(FP32.epsilon(), f32::EPSILON as f64);
         assert_eq!(FP64.epsilon(), f64::EPSILON);
-        assert_eq!(BF16.epsilon() as f32, crate::Bf16::EPSILON);
-        assert_eq!(TF32.epsilon() as f32, crate::Tf32::EPSILON);
+        // The emulated storage types: 1 + epsilon is the next value above 1.
+        let one_up = |eps: f64| 1.0 + eps as f32;
+        assert_eq!(crate::Bf16::round_f32(one_up(BF16.epsilon())), one_up(BF16.epsilon()));
+        assert_eq!(crate::Bf16::round_f32(one_up(BF16.epsilon() / 2.0)), 1.0);
+        assert_eq!(crate::Tf32::round_f32(one_up(TF32.epsilon())), one_up(TF32.epsilon()));
+        assert_eq!(crate::Tf32::round_f32(one_up(TF32.epsilon() / 2.0)), 1.0);
     }
 
     #[test]

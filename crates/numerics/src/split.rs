@@ -52,7 +52,7 @@ pub fn split_by<const D: usize>(x: f32, round: impl Fn(f32) -> f32) -> [f32; D] 
 }
 
 /// Elements per rayon task in the chunk-parallel quantisation paths
-/// ([`split_slice_into`], `bf16::round_slice_into`, `tf32::round_slice_into`).
+/// ([`split_slice_into`], `bf16::round_slice_into`).
 /// 16Ki elements (64 KiB of `f32`) amortises task overhead while keeping
 /// enough chunks to load-balance the large Table VII operands.
 pub const PAR_CHUNK: usize = 1 << 14;

@@ -2,9 +2,11 @@
 //!
 //! TF32 is the 19-bit format used by matrix engines (Nvidia Ampere tensor
 //! cores, Intel XMX in `FLOAT_TO_TF32` mode). It has the dynamic range of
-//! `f32`/BF16 and the mantissa width of FP16. Implementations keep TF32
-//! values inside 32-bit registers, so we store it as an `f32` whose low 13
-//! mantissa bits are zero.
+//! `f32`/BF16 and the mantissa width of FP16 (`format::TF32`).
+//! Implementations keep TF32 values inside 32-bit registers, so we store it
+//! as an `f32` whose low 13 mantissa bits are zero.
+
+use crate::format::{FP32, TF32};
 
 /// A TF32 value, stored as an `f32` with the low 13 mantissa bits cleared.
 #[derive(Clone, Copy, PartialEq, Default)]
@@ -12,18 +14,8 @@
 pub struct Tf32(f32);
 
 impl Tf32 {
-    /// Positive zero.
-    pub const ZERO: Tf32 = Tf32(0.0);
-    /// One.
-    pub const ONE: Tf32 = Tf32(1.0);
-    /// Machine epsilon: 2⁻¹⁰.
-    pub const EPSILON: f32 = 0.000_976_562_5;
-    /// Number of explicit mantissa bits.
-    pub const MANTISSA_BITS: u32 = 10;
-    /// Number of exponent bits.
-    pub const EXPONENT_BITS: u32 = 8;
     /// Number of low f32 mantissa bits dropped by the format.
-    const DROPPED_BITS: u32 = 23 - Self::MANTISSA_BITS;
+    const DROPPED_BITS: u32 = FP32.mantissa_bits - TF32.mantissa_bits;
 
     /// Converts an `f32` to TF32 with round-to-nearest-even.
     #[inline]
@@ -41,12 +33,6 @@ impl Tf32 {
     #[inline]
     pub fn round_f32(x: f32) -> f32 {
         Tf32::from_f32(x).to_f32()
-    }
-
-    /// True if this value is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.0.is_nan()
     }
 }
 
@@ -68,90 +54,12 @@ pub fn round_f32_mantissa(x: f32, dropped: u32) -> f32 {
     f32::from_bits(rounded & !mask)
 }
 
-impl From<f32> for Tf32 {
-    #[inline]
-    fn from(x: f32) -> Tf32 {
-        Tf32::from_f32(x)
-    }
-}
-
-impl From<Tf32> for f32 {
-    #[inline]
-    fn from(x: Tf32) -> f32 {
-        x.to_f32()
-    }
-}
-
-impl core::fmt::Debug for Tf32 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "Tf32({})", self.0)
-    }
-}
-
-impl core::fmt::Display for Tf32 {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl core::ops::Add for Tf32 {
-    type Output = Tf32;
-    #[inline]
-    fn add(self, rhs: Tf32) -> Tf32 {
-        Tf32::from_f32(self.0 + rhs.0)
-    }
-}
-
-impl core::ops::Sub for Tf32 {
-    type Output = Tf32;
-    #[inline]
-    fn sub(self, rhs: Tf32) -> Tf32 {
-        Tf32::from_f32(self.0 - rhs.0)
-    }
-}
-
-impl core::ops::Mul for Tf32 {
-    type Output = Tf32;
-    #[inline]
-    fn mul(self, rhs: Tf32) -> Tf32 {
-        Tf32::from_f32(self.0 * rhs.0)
-    }
-}
-
-impl core::ops::Neg for Tf32 {
-    type Output = Tf32;
-    #[inline]
-    fn neg(self) -> Tf32 {
-        Tf32(-self.0)
-    }
-}
-
-/// Quantises every element of a slice to TF32 (kept as `f32` values).
-pub fn quantize_slice(src: &[f32], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "quantize_slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = Tf32::round_f32(s);
-    }
-}
-
-/// Chunk-parallel [`quantize_slice`]: rounds `src` to TF32 into `dst`,
-/// splitting the work over rayon tasks. Elementwise results are identical
-/// to the sequential path.
-pub fn round_slice_into(src: &[f32], dst: &mut [f32]) {
-    use rayon::prelude::*;
-    assert_eq!(src.len(), dst.len(), "round_slice_into length mismatch");
-    dst.par_chunks_mut(crate::split::PAR_CHUNK).enumerate().for_each(|(ci, chunk)| {
-        let base = ci * crate::split::PAR_CHUNK;
-        let len = chunk.len();
-        for (d, &s) in chunk.iter_mut().zip(&src[base..base + len]) {
-            *d = Tf32::round_f32(s);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// 2⁻¹⁰: the distance from 1.0 to the next TF32.
+    const EPSILON: f32 = 0.000_976_562_5;
 
     #[test]
     fn representable_values_roundtrip() {
@@ -169,13 +77,11 @@ mod tests {
 
     #[test]
     fn round_to_nearest_even_at_tie() {
+        assert_eq!(EPSILON as f64, TF32.epsilon());
         // Halfway between 1.0 and 1+eps: tie, round to even (1.0).
-        assert_eq!(Tf32::round_f32(1.0 + Tf32::EPSILON / 2.0), 1.0);
+        assert_eq!(Tf32::round_f32(1.0 + EPSILON / 2.0), 1.0);
         // Halfway between 1+eps and 1+2eps: round to even (1+2eps).
-        assert_eq!(
-            Tf32::round_f32(1.0 + 1.5 * Tf32::EPSILON),
-            1.0 + 2.0 * Tf32::EPSILON
-        );
+        assert_eq!(Tf32::round_f32(1.0 + 1.5 * EPSILON), 1.0 + 2.0 * EPSILON);
     }
 
     #[test]
@@ -202,22 +108,10 @@ mod tests {
 
     #[test]
     fn specials_pass_through() {
-        assert!(Tf32::from_f32(f32::NAN).is_nan());
+        assert!(Tf32::round_f32(f32::NAN).is_nan());
         assert_eq!(Tf32::round_f32(f32::INFINITY), f32::INFINITY);
         assert_eq!(Tf32::round_f32(0.0), 0.0);
         assert_eq!(Tf32::round_f32(-0.0), -0.0);
-    }
-
-    #[test]
-    fn round_slice_into_matches_quantize_slice() {
-        let src: Vec<f32> = (0..crate::split::PAR_CHUNK + 5)
-            .map(|i| ((i * 7) as f32).sin() * 1e4)
-            .collect();
-        let mut seq = vec![0.0f32; src.len()];
-        let mut par = vec![1.0f32; src.len()];
-        quantize_slice(&src, &mut seq);
-        round_slice_into(&src, &mut par);
-        assert_eq!(seq, par);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! profile flame  <events.jsonl> [--root NAME] [--by-mode] [--by-shape]
 //!                [--svg PATH] [--ansi] [--folded PATH] [--metrics PATH]
 //! profile table  <events.jsonl> [--json PATH] [--metrics PATH]
-//! profile fold   <events.jsonl> [--root NAME] [--by-mode] [--by-shape]
 //! profile merge  <a.jsonl> <b.jsonl> [...] --out merged.json
 //! profile diff   <base.jsonl> <test.jsonl> [--root NAME] [--by-mode]
 //!                [--by-shape] [--svg PATH] [--ansi]
@@ -29,7 +28,7 @@
 //! warnings to stderr; `--metrics metrics.prom` adds producer-side drop
 //! counters to that check.
 //!
-//! `flame`, `table`, `fold` and `diff` read their input incrementally —
+//! `flame`, `table` and `diff` read their input incrementally —
 //! memory stays bounded by the open-span depth plus the fold/table group
 //! count, never by the dump size. They read the span stream of a
 //! `TELEMETRY=full` run, where every call is one span; the exact
@@ -66,8 +65,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  profile flame  <events.jsonl> [--root NAME] [--by-mode] \
          [--by-shape] [--svg PATH] [--ansi] [--folded PATH] [--metrics PATH]\n  profile table  \
-         <events.jsonl> [--json PATH] [--metrics PATH]\n  profile fold   \
-         <events.jsonl> [--root NAME] [--by-mode] [--by-shape]\n  profile merge  \
+         <events.jsonl> [--json PATH] [--metrics PATH]\n  profile merge  \
          <a.jsonl> <b.jsonl> [...] --out merged.json\n  profile diff   <base.jsonl> \
          <test.jsonl> [--root NAME] [--by-mode] [--by-shape] [--svg PATH] [--ansi]\n  \
          profile watch  <run-dir> [--interval-ms N] [--once] [--prom PATH]\n  \
@@ -242,13 +240,6 @@ fn cmd_table(mut args: Vec<String>) -> Result<(), ExitCode> {
         write(p, &table::gemm_table_json(&rows))?;
         eprintln!("profile: wrote {p} ({} rows)", rows.len());
     }
-    Ok(())
-}
-
-fn cmd_fold(mut args: Vec<String>) -> Result<(), ExitCode> {
-    let opts = fold_opts(&mut args);
-    let [input] = args.as_slice() else { return Err(usage()) };
-    print!("{}", fold_file(input, &opts, None)?.to_collapsed());
     Ok(())
 }
 
@@ -632,7 +623,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "flame" => cmd_flame(argv),
         "table" => cmd_table(argv),
-        "fold" => cmd_fold(argv),
         "merge" => cmd_merge(argv),
         "diff" => cmd_diff(argv),
         "watch" => cmd_watch(argv),

@@ -28,6 +28,10 @@
 //!   precision ledger, shard manifest, and run report into one line of
 //!   an append-only `runs.jsonl`, keyed by a content-hashed run id so
 //!   re-archiving is idempotent.
+//! * **Layer-benchmark history** ([`history`]) — the one reader and
+//!   writer of the dated `BENCH_*.json` histories the host-perf binaries
+//!   keep: same-date replacement, `-label` dating, the values a
+//!   `--min-speedup` gate compares, the series `trend --bench` watches.
 //! * **Regression sentinel** ([`trend`]) — per-(callsite, shape, mode)
 //!   baselines over the archive with median/MAD robust statistics;
 //!   flags wall-time, time-misfit, escalation-rate, and
@@ -50,15 +54,16 @@
 //! give bit-identical results by construction.
 //!
 //! The `profile` binary in this crate exposes all of it as a CLI:
-//! `profile flame`, `profile table`, `profile merge`, `profile fold`,
-//! `profile diff`, `profile watch`, `profile synth`, `profile archive`,
-//! `profile trend`, `profile advise`.
+//! `profile flame`, `profile table`, `profile merge`, `profile diff`,
+//! `profile watch`, `profile synth`, `profile archive`, `profile trend`,
+//! `profile advise`.
 
 pub mod advise;
 pub mod archive;
 pub mod diff;
 pub mod flame;
 pub mod fold;
+pub mod history;
 pub mod ingest;
 pub mod merge;
 pub mod table;

@@ -268,7 +268,7 @@ pub fn render_phase_table(rows: &[PhaseRow]) -> String {
 }
 
 /// Serialises the GEMM table as a JSON array for machine comparison
-/// (`gemm_hostperf --from-trace` consumes this).
+/// (`profile table --json` writes this).
 pub fn gemm_table_json(rows: &[CallRow]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {

@@ -20,9 +20,10 @@
 //!   moved a full decade up from the prior median: accuracy decayed
 //!   even if nothing escalated yet.
 //!
-//! The `history` arrays of `BENCH_gemm.json` and `BENCH_stencil.json`
-//! join the same machinery as synthetic per-mode groups, so the
-//! host-perf history of each layer is watched by the same thresholds.
+//! The `history` arrays of `BENCH_gemm.json`, `BENCH_stencil.json` and
+//! `BENCH_linalg.json` (read through [`crate::history`]) join the same
+//! machinery as synthetic per-column groups, so the host-perf history of
+//! each layer is watched by the same thresholds.
 //!
 //! Reports render as ANSI text with Unicode sparklines or as a
 //! self-contained SVG; the CLI exits 1 when any regression is flagged
@@ -30,7 +31,8 @@
 
 use crate::archive::RunRecord;
 use crate::flame::svg_escape;
-use dcmesh_telemetry::json::{self, JsonValue};
+use crate::history;
+use dcmesh_telemetry::json::JsonValue;
 use std::collections::BTreeMap;
 
 /// Newest/median ratio beyond which wall-per-call and misfit count as
@@ -45,7 +47,7 @@ pub const RESIDUAL_SHIFT_DECADES: f64 = 1.0;
 
 /// One key's longitudinal series across the archive, oldest first.
 /// Only runs in which the key appears contribute a sample.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrendGroup {
     /// Callsite ID.
     pub callsite: String,
@@ -248,36 +250,19 @@ pub fn detect(groups: &[TrendGroup]) -> Vec<Regression> {
     out
 }
 
-/// Parses the dated `history` array of a `BENCH_*.json` (every
-/// `<series>_ns_per_call: {mode: ns}` member of every entry) into
-/// synthetic trend groups (`bench/<series>` callsites, one mode per
-/// group), so the host-perf history rides the same sentinel.
+/// Reads the dated history of a `BENCH_*.json` (every series column of
+/// every entry, through [`history`]) into synthetic trend groups
+/// (`bench/<series>` callsites, one column per group), so the host-perf
+/// history rides the same sentinel.
 pub fn bench_history_groups(bench_json: &str) -> Result<Vec<TrendGroup>, String> {
-    let doc = json::parse(bench_json).map_err(|e| format!("BENCH json does not parse: {e}"))?;
-    let Some(history) = doc.get("history").and_then(JsonValue::as_array) else {
-        return Ok(Vec::new());
-    };
-    // (series, mode) -> (dates, values)
+    // (series, column) -> (dates, seconds)
     let mut groups: BTreeMap<(String, String), (Vec<String>, Vec<f64>)> = BTreeMap::new();
-    for entry in history {
-        let date = entry
-            .get("date")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("-")
-            .to_string();
-        let JsonValue::Object(members) = entry else { continue };
-        for (key, val) in members {
-            let Some(series) = key.strip_suffix("_ns_per_call") else { continue };
-            let JsonValue::Object(modes) = val else { continue };
-            for (mode, ns) in modes {
-                if let Some(ns) = ns.as_f64() {
-                    let g = groups
-                        .entry((series.to_string(), mode.clone()))
-                        .or_default();
-                    g.0.push(date.clone());
-                    g.1.push(ns * 1e-9);
-                }
-            }
+    for entry in &history::parse(bench_json)? {
+        let date = entry.get("date").and_then(JsonValue::as_str).unwrap_or("-");
+        for (series, column, ns) in history::series_ns(entry) {
+            let g = groups.entry((series.to_string(), column.to_string())).or_default();
+            g.0.push(date.to_string());
+            g.1.push(ns * 1e-9);
         }
     }
     Ok(groups
@@ -586,6 +571,82 @@ mod tests {
             "2.6x bench step should flag: {regs:?}"
         );
         assert!(!regs.iter().any(|r| r.mode == "STANDARD"), "{regs:?}");
+    }
+
+    #[test]
+    fn a_freshly_written_entry_joins_its_series_groups() {
+        let path = std::env::temp_dir()
+            .join(format!("dcmesh_trend_fresh_{}.json", std::process::id()));
+        let mut old = history::Entry::new("2026-10-16", 2);
+        old.series("taylor_propagate_12x16", "f32", 400_000.0);
+        let mut new = history::Entry::new("2026-10-17", 2);
+        new.series("taylor_propagate_12x16", "f32", 1_600_000.0);
+        new.series("taylor_propagate_12x16", "f64", 900_000.0);
+        new.extra("k_scale", JsonValue::Number(64.0));
+        let entries = history::merge(history::merge(Vec::new(), old), new);
+        history::write(&path, &[], &entries).unwrap();
+        let groups = bench_history_groups(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let f32 = groups.iter().find(|g| g.mode == "f32").expect("f32 group");
+        assert_eq!(f32.callsite, "bench/taylor_propagate_12x16");
+        assert_eq!(f32.run_ids, ["2026-10-16", "2026-10-17"]);
+        assert_eq!(f32.wall_per_call, [400e-6, 1600e-6]);
+        let f64 = groups.iter().find(|g| g.mode == "f64").expect("f64 group");
+        assert_eq!(f64.run_ids, ["2026-10-17"]);
+        assert_eq!(groups.len(), 2, "k_scale is not a series");
+        let regs = detect(&groups);
+        assert!(regs.iter().any(|r| r.kind == RegressionKind::WallTime && r.mode == "f32"));
+    }
+
+    /// The checked-in histories give the same groups as the reader that
+    /// walked the parsed document by hand before `history` owned the
+    /// format (kept here verbatim as the oracle).
+    #[test]
+    fn checked_in_histories_group_as_the_hand_walked_reader_did() {
+        fn hand_walked(bench_json: &str) -> Vec<TrendGroup> {
+            let doc = dcmesh_telemetry::json::parse(bench_json).unwrap();
+            let history = doc.get("history").and_then(JsonValue::as_array).unwrap();
+            let mut groups: BTreeMap<(String, String), (Vec<String>, Vec<f64>)> = BTreeMap::new();
+            for entry in history {
+                let date =
+                    entry.get("date").and_then(JsonValue::as_str).unwrap_or("-").to_string();
+                let JsonValue::Object(members) = entry else { continue };
+                for (key, val) in members {
+                    let Some(series) = key.strip_suffix("_ns_per_call") else { continue };
+                    let JsonValue::Object(modes) = val else { continue };
+                    for (mode, ns) in modes {
+                        if let Some(ns) = ns.as_f64() {
+                            let g = groups.entry((series.to_string(), mode.clone())).or_default();
+                            g.0.push(date.clone());
+                            g.1.push(ns * 1e-9);
+                        }
+                    }
+                }
+            }
+            groups
+                .into_iter()
+                .map(|((series, mode), (dates, secs))| {
+                    let len = secs.len();
+                    TrendGroup {
+                        callsite: format!("bench/{series}"),
+                        shape: "-".to_string(),
+                        mode,
+                        run_ids: dates,
+                        wall_per_call: secs,
+                        misfit: vec![None; len],
+                        escalations: vec![0.0; len],
+                        residual_center: vec![None; len],
+                    }
+                })
+                .collect()
+        }
+        for name in ["BENCH_gemm.json", "BENCH_stencil.json", "BENCH_linalg.json"] {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name);
+            let text = std::fs::read_to_string(path).unwrap();
+            let groups = bench_history_groups(&text).unwrap();
+            assert!(groups.len() > 10, "{name}: {} groups", groups.len());
+            assert_eq!(groups, hand_walked(&text), "{name}");
+        }
     }
 
     #[test]

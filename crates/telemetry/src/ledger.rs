@@ -492,8 +492,13 @@ fn field_real(v: &json::JsonValue, path: &str) -> Result<f64, String> {
     }
 }
 
+/// A required count: a non-negative integer, nothing else.
 fn field_count(v: &json::JsonValue, path: &str) -> Result<u64, String> {
-    let n = field(v, path)?.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
+    count(field(v, path)?, path)
+}
+
+fn count(n: &json::JsonValue, path: &str) -> Result<u64, String> {
+    let n = n.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
     n.map(|n| n as u64).ok_or_else(|| format!("field {path:?} is not a count"))
 }
 
@@ -513,16 +518,15 @@ pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
     let buckets = field(res, "residuals.buckets")?;
     for pair in buckets.as_array().ok_or("field \"residuals.buckets\" is not an array")? {
         let items = pair.as_array().unwrap_or(&[]);
-        let (Some(label), Some(count)) = (
-            items.first().and_then(json::JsonValue::as_str),
-            items.get(1).and_then(json::JsonValue::as_f64),
-        ) else {
+        let (Some(label), Some(n)) =
+            (items.first().and_then(json::JsonValue::as_str), items.get(1))
+        else {
             return Err("residual bucket is not a [label, count] pair".to_string());
         };
         let idx = (0..=RESIDUAL_DECADES)
             .find(|&i| residual_bucket_label(i) == label)
             .ok_or_else(|| format!("unknown residual bucket label {label:?}"))?;
-        residuals.buckets[idx] = count as u64;
+        residuals.buckets[idx] = count(n, &format!("residuals.buckets.{label}"))?;
     }
     Ok(Row {
         callsite: field_str(e, "callsite")?,
@@ -552,10 +556,7 @@ pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
 /// `"-"` on one rank and be grouped under the wrong deck.
 pub fn parse_ledger(text: &str) -> Result<(LedgerMeta, Vec<Row>), String> {
     let doc = json::parse(text).map_err(|e| format!("ledger does not parse: {e}"))?;
-    let version = doc
-        .get("version")
-        .and_then(json::JsonValue::as_f64)
-        .ok_or_else(|| "ledger has no version".to_string())? as u64;
+    let version = field_count(&doc, "version")?;
     if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
             "ledger schema v{version} is not the supported v{LEDGER_SCHEMA_VERSION}"
@@ -1079,6 +1080,44 @@ mod tests {
         }
         // ...and future schemas are unknown.
         assert!(parse_ledger(r#"{"version": 99, "entries": []}"#).is_err());
+    }
+
+    /// A document of the current schema with its version spelled `version`.
+    fn with_version(version: &str) -> String {
+        let doc = rows_json_with_meta(&current_meta(0), &[]);
+        let current = format!("\"version\": {LEDGER_SCHEMA_VERSION},");
+        assert!(doc.contains(&current), "{doc}");
+        doc.replace(&current, &format!("\"version\": {version},"))
+    }
+
+    #[test]
+    fn a_fractional_version_is_refused_not_truncated() {
+        assert!(parse_ledger(&with_version(&LEDGER_SCHEMA_VERSION.to_string())).is_ok());
+        let err = parse_ledger(&with_version(&format!("{LEDGER_SCHEMA_VERSION}.5")))
+            .expect_err("a fractional version is not a schema version");
+        assert!(err.contains("\"version\" is not a count"), "{err}");
+    }
+
+    #[test]
+    fn residual_bucket_counts_must_be_counts() {
+        let mut h = ResidualHist::default();
+        h.observe(1e-7);
+        let row = Row {
+            callsite: "lfd::qd_propagate/cgemm".to_string(),
+            shape: "16x16x2048".to_string(),
+            mode: "STANDARD".to_string(),
+            stats: Stats { calls: 1, residuals: h, ..Stats::default() },
+        };
+        let text = row_json(&row);
+        let bucket = format!("[\"{}\",1]", residual_bucket_label(residual_bucket_index(1e-7)));
+        assert!(text.contains(&bucket), "{text}");
+        let parse = |t: &str| parse_row(&json::parse(t).unwrap());
+        assert_eq!(parse(&text).unwrap().stats.residuals, row.stats.residuals);
+        for bad in ["-1", "2.5"] {
+            let torn = text.replace(&bucket, &bucket.replace(",1]", &format!(",{bad}]")));
+            let err = parse(&torn).expect_err(bad);
+            assert!(err.contains("is not a count"), "{bad}: {err}");
+        }
     }
 
     #[test]
