@@ -69,6 +69,7 @@ use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 use telemetry::json::JsonValue;
+use telemetry::ledger::Row;
 use telemetry::{export, sink, TelemetryLevel};
 
 /// Host spans opened per QD step: the step span, six sub-phase spans,
@@ -398,98 +399,38 @@ fn check_attribution(rows: &[table::CallRow], problems: &mut Vec<String>) {
     }
 }
 
-/// Schema-checks `ledger.json` and, under `--ledger-gate`, demands the
-/// injected CGEMM fault was attributed end to end: the BLAS layer's
-/// non-finite probe must have flagged the CGEMM callsite, and the
-/// supervisor's escalation must have landed on that same row rather
-/// than the anonymous `supervisor/burst` fallback.
+/// Reads `ledger.json` back through the ledger's own strict reader
+/// (`ledger::parse_ledger`: the schema version, every header and entry
+/// field, `meta.rows`) and, under `--ledger-gate`, demands the injected
+/// CGEMM fault was attributed end to end: the BLAS layer's non-finite
+/// probe must have flagged the CGEMM callsite, and the supervisor's
+/// escalation must have landed on that same row rather than the
+/// anonymous `supervisor/burst` fallback.
 fn check_ledger(ledger_text: &str, prom: &str, ledger_gate: bool, problems: &mut Vec<String>) {
-    let doc = match telemetry::json::parse(ledger_text) {
-        Ok(d) => d,
-        Err(e) => {
-            fail(problems, format!("ledger.json is not valid JSON: {e:?}"));
-            return;
-        }
+    let (meta, rows) = match telemetry::ledger::parse_ledger(ledger_text) {
+        Ok((meta, rows)) if !rows.is_empty() => (meta, rows),
+        Ok(_) => return fail(problems, "ledger.json has no entries".into()),
+        Err(e) => return fail(problems, format!("ledger.json: {e}")),
     };
-    if doc.get("version").and_then(JsonValue::as_f64)
-        != Some(telemetry::ledger::LEDGER_SCHEMA_VERSION as f64)
-    {
-        fail(
-            problems,
-            format!(
-                "ledger.json version != {} : {:?}",
-                telemetry::ledger::LEDGER_SCHEMA_VERSION,
-                doc.get("version")
-            ),
-        );
-    }
-    let entries = match doc.get("entries").and_then(JsonValue::as_array) {
-        Some(e) if !e.is_empty() => e,
-        _ => {
-            fail(problems, "ledger.json has no entries".into());
-            return;
-        }
-    };
-    for (i, e) in entries.iter().enumerate() {
-        for field in [
-            "callsite",
-            "shape",
-            "mode",
-            "calls",
-            "wall_s",
-            "escalations",
-            "rollbacks",
-            "nonfinite_outputs",
-            "abft_checks",
-            "abft_violations",
-            "residuals",
-        ] {
-            if e.get(field).is_none() {
-                fail(problems, format!("ledger.json entry {i} missing {field:?}"));
-                break;
-            }
-        }
-    }
     if !prom.contains("dcmesh_ledger_calls_total") {
         fail(problems, "metrics.prom missing dcmesh_ledger_calls_total".into());
     }
     if !ledger_gate {
         return;
     }
-    let header_level =
-        doc.get("meta").and_then(|m| m.get("telemetry_level")).and_then(JsonValue::as_str);
-    if header_level != Some(TelemetryLevel::Full.env_value()) {
-        fail(
-            problems,
-            format!("ledger-gate: rows recorded at \"full\" but the header says {header_level:?}"),
-        );
+    let level = meta.telemetry_level;
+    if level != TelemetryLevel::Full.env_value() {
+        fail(problems, format!("ledger-gate: rows recorded at full but the header says {level:?}"));
     }
-    let field_str =
-        |e: &JsonValue, f: &str| e.get(f).and_then(JsonValue::as_str).unwrap_or("").to_string();
-    let field_f64 = |e: &JsonValue, f: &str| e.get(f).and_then(JsonValue::as_f64).unwrap_or(0.0);
-    let cgemm_bf16 = entries.iter().find(|e| {
-        field_str(e, "callsite").contains("cgemm") && field_str(e, "mode") == "FLOAT_TO_BF16"
-    });
-    match cgemm_bf16 {
+    let cgemm: Vec<&Row> = rows.iter().filter(|r| r.callsite.contains("cgemm")).collect();
+    match cgemm.iter().find(|r| r.mode == "FLOAT_TO_BF16").map(|r| r.stats.calls) {
         None => fail(problems, "ledger-gate: no cgemm FLOAT_TO_BF16 entry".into()),
-        Some(e) => {
-            if field_f64(e, "calls") < 1.0 {
-                fail(problems, "ledger-gate: cgemm FLOAT_TO_BF16 entry has no calls".into());
-            }
-        }
+        Some(0) => fail(problems, "ledger-gate: cgemm FLOAT_TO_BF16 entry has no calls".into()),
+        Some(_) => {}
     }
-    let attributed = entries.iter().any(|e| {
-        field_str(e, "callsite").contains("cgemm")
-            && field_f64(e, "nonfinite_outputs") >= 1.0
-            && field_f64(e, "escalations") >= 1.0
-    });
-    if !attributed {
-        fail(
-            problems,
-            "ledger-gate: injected CGEMM fault was not attributed (no cgemm entry with \
-             nonfinite_outputs >= 1 and escalations >= 1)"
-                .into(),
-        );
+    if !cgemm.iter().any(|r| r.stats.nonfinite_outputs >= 1 && r.stats.escalations >= 1) {
+        let none = "no cgemm entry with nonfinite_outputs >= 1 and escalations >= 1";
+        fail(problems, format!("ledger-gate: injected CGEMM fault was not attributed ({none})"));
     }
 }
 
@@ -717,5 +658,47 @@ mod tests {
         assert_eq!(check(&[row(mode, direct * 1.06, Some(speedup))]).len(), 1);
         assert_eq!(check(&[row(mode, direct, Some(speedup * 1.06))]).len(), 1);
         assert_eq!(check(&[]).len(), 1, "nothing checked is a problem");
+    }
+
+    /// The gate used to check 11 members of an entry by hand, reading a
+    /// missing number as 0; the ledger's own reader requires all of them.
+    #[test]
+    fn a_ledger_entry_missing_any_field_is_a_problem() {
+        use telemetry::ledger::{rows_json_with_meta, LedgerMeta, Stats};
+        let row = Row {
+            callsite: "lfd::qd_propagate/cgemm".to_string(),
+            shape: "16x16x2048".to_string(),
+            mode: "STANDARD".to_string(),
+            stats: Stats { calls: 9, ..Stats::default() },
+        };
+        let meta = LedgerMeta {
+            version: telemetry::ledger::LEDGER_SCHEMA_VERSION,
+            deck_hash: "-".to_string(),
+            ranks: 1,
+            telemetry_level: "full".to_string(),
+            rows: 1,
+        };
+        let problems = |text: &str| {
+            let mut problems = Vec::new();
+            check_ledger(text, "dcmesh_ledger_calls_total 9", false, &mut problems);
+            problems
+        };
+        let text = rows_json_with_meta(&meta, &[row]);
+        assert_eq!(problems(&text), Vec::<String>::new());
+        let JsonValue::Object(doc) = telemetry::json::parse(&text).unwrap() else {
+            panic!("a ledger is an object");
+        };
+        let JsonValue::Object(entry) = &doc["entries"].as_array().unwrap()[0] else {
+            panic!("an entry is an object");
+        };
+        assert_eq!(entry.len(), 15, "{entry:?}");
+        for key in entry.keys() {
+            let (mut torn, mut without) = (doc.clone(), entry.clone());
+            without.remove(key);
+            torn.insert("entries".into(), JsonValue::Array(vec![JsonValue::Object(without)]));
+            let found = problems(&telemetry::json::dump(&JsonValue::Object(torn)));
+            let named = format!("entries[0].{key}");
+            assert!(found.len() == 1 && found[0].contains(&named), "{key}: {found:?}");
+        }
     }
 }

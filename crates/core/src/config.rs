@@ -3,9 +3,13 @@
 //! DCMESH reads `PTOquick.dc` / `CONFIG` / `lfd.in`; those files are
 //! authors-only, so this module ships equivalent decks built from the
 //! published parameters (paper Tables III and V) in a Fortran-ish
-//! `key = value` format, parsed by hand. Comments start with `#`, keys
-//! are case-insensitive, unknown keys are an error (silently ignored
-//! typos would corrupt a precision study).
+//! `key = value` format, parsed by hand. `#` starts a comment, keys are
+//! case-insensitive, and `system = <preset>`, required on any line, picks
+//! the preset the other keys override. An unknown key (a silently ignored
+//! typo would corrupt a precision study), a repeated key, a value that
+//! does not parse and a non-finite real are errors carrying their line; a
+//! deck the simulation cannot start from ([`RunConfig::validate`], ending
+//! in `LfdParams::validate`) is an error carrying line 0.
 
 use dcmesh_lfd::{LaserPulse, LfdParams, Mesh3};
 use std::collections::BTreeMap;
@@ -144,55 +148,63 @@ impl RunConfig {
         self.total_qd_steps as f64 * self.dt / dcmesh_lfd::laser::AU_PER_FS
     }
 
-    /// Parses a deck from text. Unknown keys error; omitted keys keep the
-    /// preset's defaults. A `system = <preset>` line must come first.
+    /// Parses a deck from text (the grammar is the module doc's). Omitted
+    /// keys keep the preset's defaults.
     pub fn parse(text: &str) -> Result<RunConfig, DeckError> {
-        let mut pairs: BTreeMap<String, String> = BTreeMap::new();
-        for (lineno, raw) in text.lines().enumerate() {
+        // key -> (1-based line, value)
+        let mut pairs: BTreeMap<String, (usize, String)> = BTreeMap::new();
+        for (lineno, raw) in (1..).zip(text.lines()) {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| DeckError::new(lineno + 1, format!("expected key = value, got {line:?}")))?;
-            pairs.insert(key.trim().to_ascii_lowercase(), value.trim().to_string());
+            let (key, value) = line.split_once('=').ok_or_else(|| {
+                DeckError::new(lineno, format!("expected key = value, got {line:?}"))
+            })?;
+            let key = key.trim().to_ascii_lowercase();
+            if let Some((first, _)) = pairs.insert(key.clone(), (lineno, value.trim().to_string())) {
+                return Err(DeckError::new(lineno, format!("{key:?} repeats line {first}")));
+            }
         }
-        let system = pairs
+        let (line, system) = pairs
             .remove("system")
             .ok_or_else(|| DeckError::new(0, "missing required key: system".into()))?;
         let preset = SystemPreset::from_name(&system)
-            .ok_or_else(|| DeckError::new(0, format!("unknown system preset {system:?}")))?;
+            .ok_or_else(|| DeckError::new(line, format!("unknown system preset {system:?}")))?;
         let mut cfg = RunConfig::preset(preset);
 
         macro_rules! take {
             ($key:literal, $field:ident, $ty:ty) => {
-                if let Some(v) = pairs.remove($key) {
-                    cfg.$field = v
-                        .parse::<$ty>()
-                        .map_err(|e| DeckError::new(0, format!("bad {}: {e}", $key)))?;
+                take!($key, $field, $ty, |_| true)
+            };
+            ($key:literal, $field:ident, $ty:ty, $ok:expr) => {
+                if let Some((line, v)) = pairs.remove($key) {
+                    let bad = |e: String| DeckError::new(line, format!("bad {}: {e}", $key));
+                    let v = v.parse::<$ty>().map_err(|e| bad(e.to_string()))?;
+                    cfg.$field = if $ok(&v) { v } else { return Err(bad("not finite".into())) };
                 }
             };
         }
+        let finite = |x: &f64| x.is_finite();
         take!("label", label, String);
         take!("supercell", supercell, usize);
         take!("mesh", mesh_points, usize);
         take!("norb", n_orb, usize);
         take!("nocc", n_occ, usize);
-        take!("dt", dt, f64);
+        take!("dt", dt, f64, finite);
         take!("total_qd_steps", total_qd_steps, usize);
         take!("qd_steps_per_md", qd_steps_per_md, usize);
-        take!("laser_amplitude", laser_amplitude, f64);
-        take!("laser_photon_ev", laser_photon_ev, f64);
-        take!("laser_duration_fs", laser_duration_fs, f64);
-        take!("vnl_strength", vnl_strength, f64);
-        take!("vloc_depth", vloc_depth, f64);
-        take!("induced_coupling", induced_coupling, f64);
-        take!("ehrenfest_softening", ehrenfest_softening, f64);
+        take!("laser_amplitude", laser_amplitude, f64, finite);
+        take!("laser_photon_ev", laser_photon_ev, f64, finite);
+        take!("laser_duration_fs", laser_duration_fs, f64, finite);
+        take!("vnl_strength", vnl_strength, f64, finite);
+        take!("vloc_depth", vloc_depth, f64, finite);
+        take!("induced_coupling", induced_coupling, f64, finite);
+        take!("ehrenfest_softening", ehrenfest_softening, f64, finite);
         take!("record_every", record_every, usize);
 
-        if let Some((key, _)) = pairs.into_iter().next() {
-            return Err(DeckError::new(0, format!("unknown key {key:?}")));
+        if let Some((key, (line, _))) = pairs.into_iter().min_by_key(|(_, (line, _))| *line) {
+            return Err(DeckError::new(line, format!("unknown key {key:?}")));
         }
         cfg.validate()?;
         Ok(cfg)
@@ -249,22 +261,17 @@ impl RunConfig {
         Some(format!("0x{:016x}", crate::checkpoint::fnv1a64(text.as_bytes())))
     }
 
-    /// Sanity checks.
+    /// Sanity checks: the run-control counts, then the LFD layer's own
+    /// [`LfdParams::validate`] on [`RunConfig::lfd_params`].
     pub fn validate(&self) -> Result<(), DeckError> {
-        let err = |msg: String| Err(DeckError::new(0, msg));
-        if self.n_occ > self.n_orb {
-            return err(format!("nocc {} > norb {}", self.n_occ, self.n_orb));
-        }
+        let err = |msg: &str| Err(DeckError::new(0, msg.into()));
         if self.qd_steps_per_md == 0 || self.total_qd_steps == 0 {
-            return err("step counts must be positive".into());
+            return err("step counts must be positive");
         }
         if self.record_every == 0 {
-            return err("record_every must be positive".into());
+            return err("record_every must be positive");
         }
-        if self.dt.is_nan() || self.dt <= 0.0 {
-            return err(format!("bad dt {}", self.dt));
-        }
-        Ok(())
+        self.lfd_params().validate().map_err(|e| DeckError::new(0, e))
     }
 }
 
@@ -375,7 +382,7 @@ mod tests {
     #[test]
     fn invalid_occupation_rejected() {
         let e = RunConfig::parse("system = pto40-small\nnocc = 99\n").unwrap_err();
-        assert!(e.message.contains("nocc"), "{e}");
+        assert!(e.message.contains("n_occ 99"), "{e}");
     }
 
     #[test]
@@ -384,7 +391,7 @@ mod tests {
         let p = cfg.lfd_params();
         let box_len = 2.0 * dcmesh_qxmd::lattice::PTO_LATTICE_BOHR;
         assert!((p.mesh.nx as f64 * p.mesh.spacing - box_len).abs() < 1e-12);
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

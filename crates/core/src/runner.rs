@@ -180,7 +180,6 @@ impl<'a, T: LfdScalar> Run<'a, T> {
         init_rank_from_env()?;
         let ambient = mkl_lite::try_compute_mode()?;
         let params = cfg.lfd_params();
-        params.validate();
         let resumed = match checkpoint_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;

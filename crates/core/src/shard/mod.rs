@@ -116,6 +116,12 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
+impl From<dcmesh_telemetry::json::FieldError> for ShardError {
+    fn from(e: dcmesh_telemetry::json::FieldError) -> Self {
+        ShardError::Manifest(e.to_string())
+    }
+}
+
 /// One scheduled rank death.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RankKill {
@@ -529,9 +535,12 @@ mod tests {
 
         let good = DomainOutcome::failed(0, 1, 2, "boom".into());
         let report = |domain: &str| {
+            let zero = "\"0x0000000000000000\"";
             format!(
-                "{{\"heartbeat_misses\":0,\"restarts\":0,\"degraded_ranks\":[],\
-                 \"elapsed_ms\":5,\"domains\":[{domain}],\"ranks\":[]}}"
+                "{{\"completed\":false,\"heartbeat_misses\":0,\"restarts\":0,\
+                 \"degraded_ranks\":[],\"elapsed_ms\":5,\"merged_ekin_bits\":{zero},\
+                 \"merged_nexc_bits\":{zero},\"merged_etot_bits\":{zero},\
+                 \"domains\":[{domain}],\"ranks\":[]}}"
             )
         };
         let back = ShardReport::parse(&report(&good.to_json())).expect("complete outcome");
@@ -545,7 +554,7 @@ mod tests {
         manifest(ShardReport::parse(&report(&stringly_ok)), "ok");
         // The done file a worker used to be able to leave behind.
         let doc = json::parse("{\"status\":\"ok\"}").expect("json");
-        assert!(matches!(DomainOutcome::from_json(&doc), Err(ShardError::Manifest(_))));
+        assert!(matches!(DomainOutcome::from_json(&doc), Err(e) if e.path == "domain"));
     }
 
     #[test]

@@ -28,7 +28,10 @@ use super::{RankKillPlan, ShardConfig, ShardError};
 use crate::config::RunConfig;
 use dcmesh_numerics::reduce;
 use dcmesh_telemetry::export::{self, write_atomic};
-use dcmesh_telemetry::json::{self, JsonValue};
+use dcmesh_telemetry::json::{
+    self, array_field, as_count, bool_field, count_field, field, optional_count_field, str_field,
+    FieldError, JsonValue,
+};
 use dcmesh_telemetry::sink;
 use mkl_lite::{ComputeMode, FaultPlan};
 use std::fs;
@@ -213,47 +216,7 @@ pub(super) fn count_done(run: &Path) -> Result<usize, io::Error> {
 }
 
 // ---------------------------------------------------------------------------
-// Strict field readers
-
-fn field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ShardError> {
-    doc.get(key).ok_or_else(|| ShardError::Manifest(format!("missing field {key:?}")))
-}
-
-fn as_count(v: &JsonValue, key: &str) -> Result<u64, ShardError> {
-    v.as_f64()
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-        .ok_or_else(|| ShardError::Manifest(format!("{key} is not a non-negative integer")))
-}
-
-fn count_field(doc: &JsonValue, key: &str) -> Result<u64, ShardError> {
-    as_count(field(doc, key)?, key)
-}
-
-/// `Some(count)`, or `None` for an explicit `null`.
-fn optional_count_field(doc: &JsonValue, key: &str) -> Result<Option<u64>, ShardError> {
-    match field(doc, key)? {
-        JsonValue::Null => Ok(None),
-        v => as_count(v, key).map(Some),
-    }
-}
-
-fn str_field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a str, ShardError> {
-    field(doc, key)?.as_str().ok_or_else(|| ShardError::Manifest(format!("{key} is not a string")))
-}
-
-fn bool_field(doc: &JsonValue, key: &str) -> Result<bool, ShardError> {
-    match field(doc, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(ShardError::Manifest(format!("{key} is not a boolean"))),
-    }
-}
-
-fn array_field<'a>(doc: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ShardError> {
-    field(doc, key)?
-        .as_array()
-        .ok_or_else(|| ShardError::Manifest(format!("{key} is not an array")))
-}
+// Strict readers: `json`'s accessor set, plus the bit patterns
 
 /// `f64` bit pattern as a hex-string JSON value — JSON numbers are f64
 /// and cannot carry 64 significant bits losslessly.
@@ -261,11 +224,11 @@ fn bits_hex(bits: u64) -> String {
     format!("\"0x{bits:016x}\"")
 }
 
-fn bits_field(doc: &JsonValue, key: &str) -> Result<u64, ShardError> {
-    field(doc, key)?
+fn bits_field(doc: &JsonValue, path: &str) -> Result<u64, FieldError> {
+    field(doc, path)?
         .as_str()
         .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())
-        .ok_or_else(|| ShardError::Manifest(format!("{key} is not a \"0x…\" bit pattern")))
+        .ok_or_else(|| FieldError::new(path, "a \"0x…\" bit pattern"))
 }
 
 fn parse_doc(text: &str, file: &str) -> Result<JsonValue, ShardError> {
@@ -279,6 +242,11 @@ fn parse_doc(text: &str, file: &str) -> Result<JsonValue, ShardError> {
 /// coordinator's own `run_dir`, `worker_exe`, `heartbeat_timeout` and
 /// `max_wall`.
 pub(super) fn write_manifest(cfg: &ShardConfig) -> Result<(), ShardError> {
+    write_atomic(&manifest_path(&cfg.run_dir), &manifest_json(cfg)?)?;
+    Ok(())
+}
+
+fn manifest_json(cfg: &ShardConfig) -> Result<String, ShardError> {
     let deck_text = cfg
         .deck
         .to_deck_text()
@@ -286,7 +254,7 @@ pub(super) fn write_manifest(cfg: &ShardConfig) -> Result<(), ShardError> {
     // `ShardConfig::validate` keeps every plan inside the spec grammar.
     let bit_flips = cfg.bit_flips.as_ref().and_then(FaultPlan::to_spec);
     let period = |p: Option<u64>| p.map_or("null".to_string(), |n| n.to_string());
-    let body = format!(
+    Ok(format!(
         "{{\"deck\":{},\"n_domains\":{},\"ranks\":{},\"start_mode\":{},\
          \"heartbeat_interval_ms\":{},\"kill_plan\":{},\"bit_flips\":{},\
          \"abft_check_period\":{},\"verify_bursts\":{}}}",
@@ -299,9 +267,7 @@ pub(super) fn write_manifest(cfg: &ShardConfig) -> Result<(), ShardError> {
         bit_flips.map_or("null".to_string(), |s| json::escape_string(&s)),
         period(cfg.abft_check_period),
         period(cfg.verify_bursts),
-    );
-    write_atomic(&manifest_path(&cfg.run_dir), &body)?;
-    Ok(())
+    ))
 }
 
 /// The configuration a worker runs under, read back from `run`'s
@@ -523,7 +489,7 @@ impl DomainOutcome {
 
     /// Every field is required: a document that lacks or mistypes one is
     /// not an outcome (and must not merge as a successful +0.0 domain).
-    pub(super) fn from_json(doc: &JsonValue) -> Result<DomainOutcome, ShardError> {
+    pub(super) fn from_json(doc: &JsonValue) -> Result<DomainOutcome, FieldError> {
         Ok(DomainOutcome {
             domain: count_field(doc, "domain")? as usize,
             ok: bool_field(doc, "ok")?,
@@ -544,7 +510,7 @@ impl DomainOutcome {
     }
 
     fn parse(text: &str) -> Result<DomainOutcome, ShardError> {
-        DomainOutcome::from_json(&parse_doc(text, "done file")?)
+        Ok(DomainOutcome::from_json(&parse_doc(text, "done file")?)?)
     }
 }
 
@@ -658,35 +624,39 @@ impl ShardReport {
     /// Parses a `report.json` written by [`super::run_coordinator`].
     /// Strict: a document without its domain and rank lists, or with a
     /// field missing or mistyped, is an error — `{}` must not read as a
-    /// clean fleet.
+    /// clean fleet — and the members the writer derives (`completed`,
+    /// `merged_*_bits`, which CI's fleet gates read) must equal their
+    /// derivation from the domains.
     pub fn parse(text: &str) -> Result<ShardReport, ShardError> {
         let doc = parse_doc(text, "report.json")?;
-        let domains = array_field(&doc, "domains")?
-            .iter()
-            .map(DomainOutcome::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let ranks = array_field(&doc, "ranks")?
-            .iter()
-            .map(|r| {
-                Ok(RankSummary {
-                    rank: count_field(r, "rank")? as usize,
-                    incarnations: count_field(r, "incarnations")? as u32,
-                    degraded: bool_field(r, "degraded")?,
-                })
+        let rank = |r: &JsonValue| {
+            Ok(RankSummary {
+                rank: count_field(r, "rank")? as usize,
+                incarnations: count_field(r, "incarnations")? as u32,
+                degraded: bool_field(r, "degraded")?,
             })
-            .collect::<Result<Vec<_>, ShardError>>()?;
-        let degraded_ranks = array_field(&doc, "degraded_ranks")?
-            .iter()
-            .map(|v| as_count(v, "degraded_ranks").map(|r| r as usize))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardReport {
-            domains,
-            ranks,
+        };
+        let report = ShardReport {
+            domains: array_field(&doc, "domains", DomainOutcome::from_json)?,
+            ranks: array_field(&doc, "ranks", rank)?,
             heartbeat_misses: count_field(&doc, "heartbeat_misses")?,
             restarts: count_field(&doc, "restarts")?,
-            degraded_ranks,
+            degraded_ranks: array_field(&doc, "degraded_ranks", |r| {
+                as_count(r, "").map(|r| r as usize)
+            })?,
             elapsed: Duration::from_millis(count_field(&doc, "elapsed_ms")?),
-        })
+        };
+        if bool_field(&doc, "completed")? != report.failed_domains().is_empty() {
+            return Err(FieldError::new("completed", "whether every domain is ok").into());
+        }
+        let (me, mn, mt) = report.merged_bits();
+        let merged = [("merged_ekin_bits", me), ("merged_nexc_bits", mn), ("merged_etot_bits", mt)];
+        for (path, merged) in merged {
+            if bits_field(&doc, path)? != merged {
+                return Err(FieldError::new(path, "the merge of the domains' bits").into());
+            }
+        }
+        Ok(report)
     }
 }
 
@@ -701,25 +671,36 @@ mod tests {
 
     /// A `MANIFEST.json` with every optional setting on, as the
     /// coordinator writes it.
-    fn manifest_text(name: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("dcmesh-{name}-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("dir");
+    fn manifest_text() -> String {
         let deck = RunConfig::preset(SystemPreset::Pto40Small);
-        let mut cfg = ShardConfig::new(deck, 2, 4, dir.clone());
+        let mut cfg = ShardConfig::new(deck, 2, 4, PathBuf::new());
         cfg.kill_plan = RankKillPlan::parse("1@1").expect("kill spec");
         cfg.bit_flips = Some(FaultPlan::parse("7:250@61").expect("flip spec"));
         cfg.abft_check_period = Some(1);
         cfg.verify_bursts = Some(2);
-        write_manifest(&cfg).expect("write");
-        let text = fs::read_to_string(manifest_path(&dir)).expect("read");
-        fs::remove_dir_all(&dir).ok();
-        text
+        manifest_json(&cfg).expect("manifest")
+    }
+
+    fn outcome(domain: usize) -> DomainOutcome {
+        DomainOutcome {
+            domain,
+            ok: true,
+            rank: 1,
+            incarnation: 1,
+            resumed_from_step: Some(20),
+            final_step: 60,
+            ekin_bits: 0x3ff5_5555_5555_5555,
+            nexc_bits: 1,
+            etot_bits: u64::MAX,
+            escalations: 2,
+            sdc_recoveries: 3,
+            error: None,
+        }
     }
 
     #[test]
     fn manifest_rejects_a_document_missing_any_field() {
-        let JsonValue::Object(members) = json::parse(&manifest_text("fields")).expect("json")
-        else {
+        let JsonValue::Object(members) = json::parse(&manifest_text()).expect("json") else {
             panic!("MANIFEST.json is not an object");
         };
         for key in ["kill_plan", "bit_flips", "abft_check_period", "verify_bursts"] {
@@ -735,48 +716,93 @@ mod tests {
         }
     }
 
-    fn assert_prefixes_refused(file: &str, text: &str, reads: impl Fn(&str) -> bool) {
-        assert!(reads(text), "{file}: the whole file reads");
-        for (i, _) in text.char_indices() {
-            assert!(!reads(&text[..i]), "{file}: the {i}-byte prefix was accepted");
-        }
-    }
-
     /// A torn write must read as an error, never as a shorter valid
     /// document and never as a panic.
     #[test]
     fn every_strict_prefix_of_a_coordination_file_is_an_error() {
-        let outcome = DomainOutcome {
-            domain: 0,
-            ok: true,
-            rank: 1,
-            incarnation: 1,
-            resumed_from_step: Some(20),
-            final_step: 60,
-            ekin_bits: 0x3ff5_5555_5555_5555,
-            nexc_bits: 1,
-            etot_bits: u64::MAX,
-            escalations: 2,
-            sdc_recoveries: 3,
-            error: None,
-        };
         let report = ShardReport {
-            domains: vec![outcome.clone(), DomainOutcome::failed(1, 0, 2, "boom".into())],
+            domains: vec![outcome(0), DomainOutcome::failed(1, 0, 2, "boom".into())],
             ranks: vec![RankSummary { rank: 0, incarnations: 3, degraded: true }],
             heartbeat_misses: 3,
             restarts: 2,
             degraded_ranks: vec![0],
             elapsed: Duration::from_millis(1234),
         };
-        let manifest = manifest_text("prefixes");
-        assert_prefixes_refused("MANIFEST.json", &manifest, |t| {
-            parse_manifest(t, Path::new("")).is_ok()
-        });
-        assert_prefixes_refused("done file", &outcome.to_json(), |t| {
-            DomainOutcome::parse(t).is_ok()
-        });
-        assert_prefixes_refused("report.json", &report.to_json(), |t| {
-            ShardReport::parse(t).is_ok()
-        });
+        let refused = |file: &str, text: &str, reads: &dyn Fn(&str) -> bool| {
+            assert!(reads(text), "{file}: the whole file reads");
+            for (i, _) in text.char_indices() {
+                assert!(!reads(&text[..i]), "{file}: the {i}-byte prefix was accepted");
+            }
+        };
+        refused("MANIFEST.json", &manifest_text(), &|t| parse_manifest(t, Path::new("")).is_ok());
+        refused("done file", &outcome(0).to_json(), &|t| DomainOutcome::parse(t).is_ok());
+        refused("report.json", &report.to_json(), &|t| ShardReport::parse(t).is_ok());
+    }
+
+    /// Every run-directory document a worker or the coordinator reads,
+    /// through the shared adversarial cases: a torn write is an error,
+    /// never a shorter valid document; a lost or mistyped member is an
+    /// error naming it, never a default; nothing panics.
+    #[test]
+    fn run_directory_files_survive_every_adversarial_case() {
+        let shown = |e: ShardError| e.to_string();
+        let manifest = |t: &str| {
+            let cfg = parse_manifest(t, Path::new("")).map_err(shown)?;
+            manifest_json(&cfg).map_err(shown)
+        };
+        let done = |t: &str| DomainOutcome::parse(t).map(|o| o.to_json()).map_err(shown);
+        let report = |t: &str| ShardReport::parse(t).map(|r| r.to_json()).map_err(shown);
+        let every_member = |_: &str| false;
+        let every_number = |_: &str| true;
+        let fleet = ShardReport {
+            domains: vec![outcome(0), DomainOutcome::failed(1, 0, 2, "boom".into())],
+            ranks: vec![RankSummary { rank: 0, incarnations: 3, degraded: true }],
+            heartbeat_misses: 3,
+            restarts: 2,
+            degraded_ranks: vec![0],
+            elapsed: Duration::from_millis(1234),
+        };
+        let manifest: &dyn Fn(&str) -> Result<String, String> = &manifest;
+        for (name, read, text) in [
+            ("MANIFEST.json", manifest, manifest_text()),
+            ("done file", &done, outcome(0).to_json()),
+            ("report.json", &report, fleet.to_json()),
+        ] {
+            let reader =
+                mutations::Reader { name, read, optional: every_member, count: every_number };
+            mutations::check(&reader, &text);
+        }
+    }
+
+    /// The members `report.json` derives from its domains are checked, not
+    /// trusted: CI's fleet gates read them with `jq`.
+    #[test]
+    fn report_members_derived_from_the_domains_must_equal_their_derivation() {
+        let report = ShardReport {
+            domains: vec![outcome(0), outcome(1)],
+            ranks: Vec::new(),
+            heartbeat_misses: 0,
+            restarts: 0,
+            degraded_ranks: Vec::new(),
+            elapsed: Duration::from_millis(5),
+        };
+        let text = report.to_json();
+        let (ekin, ..) = report.merged_bits();
+        for (from, to, what) in [
+            ("\"completed\":true", "\"completed\":false", "completed"),
+            (&format!("{:016x}", ekin)[..], "0000000000000000", "merged_ekin_bits"),
+        ] {
+            assert!(text.contains(from), "{text}");
+            match ShardReport::parse(&text.replacen(from, to, 1)) {
+                Err(ShardError::Manifest(m)) => assert!(m.contains(what), "{m}"),
+                other => panic!("a report with a false {what} was read: {other:?}"),
+            }
+        }
     }
 }
+
+/// The adversarial cases every strict reader faces, shared with
+/// `tests/fuzz_inputs.rs`.
+#[cfg(test)]
+#[path = "../../tests/adversarial/mutations.rs"]
+mod mutations;

@@ -28,14 +28,21 @@ pub struct LfdParams {
 }
 
 impl LfdParams {
-    /// Consistency checks; call after construction.
-    pub fn validate(&self) {
-        assert!(self.n_orb > 0, "n_orb must be positive");
-        assert!(self.n_occ <= self.n_orb, "n_occ {} > n_orb {}", self.n_occ, self.n_orb);
-        assert!(self.n_orb <= self.mesh.len(), "more orbitals than grid points");
-        assert!(self.dt > 0.0 && self.dt.is_finite(), "bad dt {}", self.dt);
-        assert!(self.taylor_order >= 1 && self.taylor_order <= 8, "taylor order out of range");
-        assert!(self.mesh.spacing > 0.0, "bad mesh spacing");
+    /// Consistency checks: `Err` names the first parameter a run cannot
+    /// start from ([`LfdState::initialize`] panics on one). A deck reaches
+    /// the simulation only through this check (`RunConfig::validate`).
+    pub fn validate(&self) -> Result<(), String> {
+        let Mesh3 { nx, ny, nz, spacing } = self.mesh;
+        let points = nx.checked_mul(ny).and_then(|p| p.checked_mul(nz));
+        let (orb, occ, dt, order) = (self.n_orb, self.n_occ, self.dt, self.taylor_order);
+        let check = |ok: bool, why: &dyn Fn() -> String| if ok { Ok(()) } else { Err(why()) };
+        check(orb > 0, &|| "n_orb must be positive".into())?;
+        check(occ <= orb, &|| format!("n_occ {occ} > n_orb {orb}"))?;
+        let grid = || format!("more orbitals ({orb}) than grid points ({nx}x{ny}x{nz})");
+        check(points.is_some_and(|p| orb <= p), &grid)?;
+        check(dt > 0.0 && dt.is_finite(), &|| format!("bad dt {dt}"))?;
+        check((1..=8).contains(&order), &|| format!("taylor order {order} out of range 1..=8"))?;
+        check(spacing > 0.0 && spacing.is_finite(), &|| format!("bad mesh spacing {spacing}"))
     }
 
     /// Electrons in the system (closed shell: 2 per occupied orbital).
@@ -109,7 +116,7 @@ impl<T: Real> LfdState<T> {
     /// the supplied local potential. QXMD's SCF then relaxes these into
     /// Kohn–Sham eigenstates of the full Hamiltonian.
     pub fn initialize(params: &LfdParams, vloc: Vec<T>) -> LfdState<T> {
-        params.validate();
+        params.validate().unwrap_or_else(|e| panic!("invalid LFD parameters: {e}"));
         let ngrid = params.mesh.len();
         assert_eq!(vloc.len(), ngrid, "potential size mismatch");
         let n_orb = params.n_orb;
@@ -317,7 +324,8 @@ mod tests {
     fn invalid_occupation_rejected() {
         let mut p = small_params();
         p.n_occ = 11;
-        p.validate();
+        assert!(p.validate().is_err());
+        LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.2));
     }
 
     #[test]

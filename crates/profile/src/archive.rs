@@ -25,7 +25,7 @@
 //! the same finished run is a no-op rather than a duplicate baseline
 //! sample.
 
-use dcmesh_telemetry::json::{self, JsonValue};
+use dcmesh_telemetry::json;
 use dcmesh_telemetry::ledger::{self, LedgerMeta, Row};
 use std::path::{Path, PathBuf};
 
@@ -80,29 +80,31 @@ pub fn runs_path(archive_dir: &Path) -> PathBuf {
     archive_dir.join("runs.jsonl")
 }
 
-fn read_to_string(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
+/// Reads the file at `path` through `parse`: `None` when it is absent,
+/// an error naming the file when it is unreadable, torn or mistyped.
+fn read_file<T>(
+    path: &Path,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        text => text.map_err(|e| e.to_string()),
+    };
+    text.and_then(|t| parse(&t)).map(Some).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Reads every rank process's ledger snapshot under `run_dir/trace/`.
 fn rank_ledgers(run_dir: &Path) -> Result<Vec<(LedgerMeta, Vec<Row>)>, String> {
-    let trace = run_dir.join("trace");
-    let mut names: Vec<PathBuf> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(&trace) {
-        for e in entries.flatten() {
-            let name = e.file_name().to_string_lossy().into_owned();
-            if name.starts_with("ledger-rank") && name.ends_with(".json") {
-                names.push(e.path());
-            }
-        }
-    }
+    let is_snapshot = |n: &str| n.starts_with("ledger-rank") && n.ends_with(".json");
+    let entries = std::fs::read_dir(run_dir.join("trace")).into_iter().flatten().flatten();
+    let mut names: Vec<PathBuf> = entries
+        .map(|e| e.path())
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(is_snapshot))
+        .collect();
     // Deterministic enumeration; merge_rows is order-independent anyway,
     // but sorted inputs make the whole fold reproducible byte-for-byte.
     names.sort();
-    names
-        .iter()
-        .map(|p| ledger::parse_ledger(&read_to_string(p)?).map_err(|e| format!("{}: {e}", p.display())))
-        .collect()
+    names.iter().filter_map(|p| read_file(p, ledger::parse_ledger).transpose()).collect()
 }
 
 /// The precision ledger of a run directory as it stands: the root
@@ -110,11 +112,8 @@ fn rank_ledgers(run_dir: &Path) -> Result<Vec<(LedgerMeta, Vec<Row>)>, String> {
 /// already-merged document), else every `trace/ledger-rank*.json`
 /// snapshot merged. `None` when the directory holds neither yet.
 pub fn load_ledger(run_dir: &Path) -> Result<Option<(LedgerMeta, Vec<Row>)>, String> {
-    let root_ledger = run_dir.join("ledger.json");
-    if root_ledger.is_file() {
-        return ledger::parse_ledger(&read_to_string(&root_ledger)?)
-            .map(Some)
-            .map_err(|e| format!("{}: {e}", root_ledger.display()));
+    if let Some(doc) = read_file(&run_dir.join("ledger.json"), ledger::parse_ledger)? {
+        return Ok(Some(doc));
     }
     let per_rank = rank_ledgers(run_dir)?;
     // Any rank's header works for level/deck (stamped identically
@@ -160,34 +159,27 @@ pub fn collect_run(
         entries,
     };
 
-    // Sharded-run context, when present.
-    if let Ok(text) = std::fs::read_to_string(run_dir.join("MANIFEST.json")) {
-        if let Ok(doc) = json::parse(&text) {
-            let num = |f: &str| doc.get(f).and_then(JsonValue::as_f64);
-            if let Some(d) = num("n_domains") {
-                rec.domains = d as u64;
-            }
-            if let Some(r) = num("ranks") {
-                rec.ranks = r as u64;
-            }
-            if let Some(mode) = doc.get("start_mode").and_then(JsonValue::as_str) {
-                rec.mode_policy = mode.to_string();
-            }
-        }
+    // Sharded-run context: an absent file is an unsharded run, or one with
+    // no report yet; a torn or mistyped one is an error.
+    let read_manifest = |text: &str| -> Result<_, String> {
+        let m = json::parse(text).map_err(|e| e.to_string())?;
+        let mode = json::str_field(&m, "start_mode")?.to_string();
+        Ok((json::count_field(&m, "n_domains")?, json::count_field(&m, "ranks")?, mode))
+    };
+    let read_report = |text: &str| -> Result<_, String> {
+        let r = json::parse(text).map_err(|e| e.to_string())?;
+        let sdc = json::array_field(&r, "domains", |d| json::count_field(d, "sdc_recoveries"))?;
+        let count = |f| json::count_field(&r, f);
+        Ok([count("elapsed_ms")?, count("restarts")?, count("heartbeat_misses")?, sdc.iter().sum()])
+    };
+    let manifest = read_file(&run_dir.join("MANIFEST.json"), read_manifest)?;
+    if let Some((domains, ranks, mode)) = manifest {
+        (rec.domains, rec.ranks, rec.mode_policy) = (domains, ranks, mode);
     }
-    if let Ok(text) = std::fs::read_to_string(run_dir.join("report.json")) {
-        if let Ok(doc) = json::parse(&text) {
-            let num = |f: &str| doc.get(f).and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-            rec.elapsed_ms = num("elapsed_ms");
-            rec.restarts = num("restarts");
-            rec.heartbeat_misses = num("heartbeat_misses");
-            if let Some(domains) = doc.get("domains").and_then(JsonValue::as_array) {
-                rec.sdc_recoveries = domains
-                    .iter()
-                    .map(|d| d.get("sdc_recoveries").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64)
-                    .sum();
-            }
-        }
+    let report = read_file(&run_dir.join("report.json"), read_report)?;
+    if let Some([elapsed_ms, restarts, misses, sdc]) = report {
+        (rec.elapsed_ms, rec.restarts, rec.heartbeat_misses, rec.sdc_recoveries) =
+            (elapsed_ms, restarts, misses, sdc);
     }
     if let Some(policy) = mode_policy_override {
         rec.mode_policy = policy.to_string();
@@ -240,27 +232,14 @@ pub fn record_json(r: &RunRecord) -> String {
 /// warning for [`read_archive`], never a zero-cost run.
 pub fn parse_record(line: &str) -> Result<RunRecord, String> {
     let doc = json::parse(line).map_err(|e| format!("line does not parse: {e}"))?;
-    let field = |f: &str| doc.get(f).ok_or_else(|| format!("record missing field {f:?}"));
-    let s = |f: &str| -> Result<String, String> {
-        let s = field(f)?.as_str().map(str::to_string);
-        s.ok_or_else(|| format!("record field {f:?} is not a string"))
-    };
-    let n = |f: &str| -> Result<u64, String> {
-        let v = field(f)?.as_f64().filter(|v| *v >= 0.0 && v.fract() == 0.0);
-        v.map(|v| v as u64).ok_or_else(|| format!("record field {f:?} is not a count"))
-    };
+    let s = |f| json::str_field(&doc, f).map(str::to_string);
+    let n = |f| json::count_field(&doc, f);
     let schema = n("schema")?;
     if schema != ARCHIVE_SCHEMA_VERSION {
         return Err(format!(
             "unknown archive schema {schema} (supported: {ARCHIVE_SCHEMA_VERSION})"
         ));
     }
-    let entries = field("entries")?
-        .as_array()
-        .ok_or_else(|| "record field \"entries\" is not an array".to_string())?
-        .iter()
-        .map(ledger::parse_row)
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(RunRecord {
         run_id: s("run_id")?,
         deck_hash: s("deck_hash")?,
@@ -274,7 +253,7 @@ pub fn parse_record(line: &str) -> Result<RunRecord, String> {
         escalations: n("escalations")?,
         sdc_recoveries: n("sdc_recoveries")?,
         source: s("source")?,
-        entries,
+        entries: ledger::parse_rows(&doc)?,
     })
 }
 
@@ -282,7 +261,7 @@ pub fn parse_record(line: &str) -> Result<RunRecord, String> {
 /// Unknown schemas and malformed lines become warnings, not errors —
 /// a future-schema line must never block reading the rest.
 pub fn read_archive(path: &Path) -> Result<(Vec<RunRecord>, Vec<String>), String> {
-    let text = read_to_string(path)?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut records = Vec::new();
     let mut warnings = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -370,22 +349,6 @@ mod tests {
         assert_eq!(record_json(&parsed), line);
     }
 
-    /// A record that lost a field used to read as a clean run with that
-    /// count at 0.
-    #[test]
-    fn records_missing_any_field_are_refused_by_name() {
-        let line = record_json(&test_record("runA-0123"));
-        let JsonValue::Object(members) = json::parse(&line).expect("json") else {
-            panic!("a record is an object");
-        };
-        for key in members.keys() {
-            let mut without = members.clone();
-            without.remove(key);
-            let err = parse_record(&json::dump(&JsonValue::Object(without))).expect_err(key);
-            assert!(err.contains(key.as_str()), "{key}: {err}");
-        }
-    }
-
     #[test]
     fn unknown_schema_is_a_warning_not_an_error() {
         let dir = std::env::temp_dir().join(format!("dcmesh-archive-test-{}", std::process::id()));
@@ -457,6 +420,62 @@ mod tests {
         assert_eq!(rec.entries.len(), 1);
         assert_eq!(rec.entries[0].stats.calls, 2);
         assert_eq!(rec.entries[0].stats.wall_s.to_bits(), (0.25f64 + 1e-9).to_bits());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A run directory with one rank's ledger snapshot and nothing else.
+    fn ledger_only_run(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dcmesh-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("trace")).unwrap();
+        let rows = test_record("r").entries;
+        let meta = LedgerMeta {
+            version: ledger::LEDGER_SCHEMA_VERSION,
+            deck_hash: "0x2222222222222222".to_string(),
+            ranks: 2,
+            telemetry_level: "events".to_string(),
+            rows: rows.len() as u64,
+        };
+        let text = ledger::rows_json_with_meta(&meta, &rows);
+        std::fs::write(dir.join("trace/ledger-rank0-inc0.json"), text).unwrap();
+        dir
+    }
+
+    #[test]
+    fn a_run_without_manifest_or_report_archives_as_unsharded() {
+        let dir = ledger_only_run("archive-unsharded");
+        let rec = collect_run(&dir, None).expect("collects");
+        assert_eq!((rec.ranks, rec.domains, rec.mode_policy.as_str()), (2, 0, "-"));
+        let outcome = (rec.elapsed_ms, rec.restarts, rec.heartbeat_misses, rec.sdc_recoveries);
+        assert_eq!(outcome, (0, 0, 0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A torn `report.json` used to archive as a run with 0 restarts in
+    /// 0 ms, which `trend` and `advise` then believed.
+    #[test]
+    fn a_torn_or_mistyped_run_file_is_refused_naming_the_file() {
+        let dir = ledger_only_run("archive-torn");
+        let manifest = r#"{"n_domains":4,"ranks":4,"start_mode":"FLOAT_TO_BF16"}"#;
+        let report = r#"{"elapsed_ms":1234,"restarts":1,"heartbeat_misses":2,
+                         "domains":[{"sdc_recoveries":3},{"sdc_recoveries":0}]}"#;
+        std::fs::write(dir.join("MANIFEST.json"), manifest).unwrap();
+        std::fs::write(dir.join("report.json"), report).unwrap();
+        let rec = collect_run(&dir, None).expect("collects");
+        assert_eq!((rec.ranks, rec.domains, rec.mode_policy.as_str()), (4, 4, "FLOAT_TO_BF16"));
+        let outcome = (rec.elapsed_ms, rec.restarts, rec.heartbeat_misses, rec.sdc_recoveries);
+        assert_eq!(outcome, (1234, 1, 2, 3));
+        for (file, text, member) in [
+            ("report.json", &report[..report.len() / 2], "JSON parse error"),
+            ("report.json", &report.replace("1234", "-1")[..], "\"elapsed_ms\" is not a count"),
+            ("report.json", &report.replace(":0}", ":0.5}")[..], "domains[1].sdc_recoveries"),
+            ("MANIFEST.json", "{\"n_domains\":4}", "missing field \"start_mode\""),
+        ] {
+            let whole = std::fs::read_to_string(dir.join(file)).unwrap();
+            std::fs::write(dir.join(file), text).unwrap();
+            let err = collect_run(&dir, None).expect_err(text);
+            assert!(err.contains(file) && err.contains(member), "{text}: {err}");
+            std::fs::write(dir.join(file), whole).unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

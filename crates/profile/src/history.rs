@@ -20,7 +20,7 @@
 //! writes the file atomically.
 
 use dcmesh_telemetry::export::write_atomic;
-use dcmesh_telemetry::json::{self, JsonValue};
+use dcmesh_telemetry::json::{self, FieldError, JsonValue};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -28,15 +28,12 @@ use std::path::Path;
 const SERIES_SUFFIX: &str = "_ns_per_call";
 
 /// Parses the `history` array out of a document's text. A document that
-/// does not parse, has no `history` array, or holds a non-object entry is
-/// an error.
+/// does not parse, has no `history` array, or holds an entry that
+/// [`series_ns`] refuses is an error naming the member
+/// (`history[3].date`).
 pub fn parse(text: &str) -> Result<Vec<JsonValue>, String> {
     let doc = json::parse(text).map_err(|e| format!("does not parse: {e}"))?;
-    let history = doc.get("history").and_then(JsonValue::as_array).ok_or("has no history array")?;
-    if history.iter().any(|e| !matches!(e, JsonValue::Object(_))) {
-        return Err("has a history entry that is not an object".to_string());
-    }
-    Ok(history.to_vec())
+    Ok(json::array_field(&doc, "history", |entry| series_ns(entry).map(|_| entry.clone()))?)
 }
 
 /// Reads the history of the file at `path`. A missing file starts a new,
@@ -116,7 +113,7 @@ impl Entry {
 
     /// Column `column` of series `series`, if recorded.
     pub fn ns(&self, series: &str, column: &str) -> Option<f64> {
-        series_value(&self.0, series, column)
+        self.0.get(&format!("{series}{SERIES_SUFFIX}"))?.get(column)?.as_f64()
     }
 }
 
@@ -130,38 +127,33 @@ pub fn merge(mut history: Vec<JsonValue>, entry: Entry) -> Vec<JsonValue> {
     history
 }
 
-fn series_value(members: &BTreeMap<String, JsonValue>, series: &str, column: &str) -> Option<f64> {
-    members.get(&format!("{series}{SERIES_SUFFIX}"))?.get(column)?.as_f64()
-}
-
 /// Every recorded `<series>_ns_per_call` column of a history entry, as
-/// (series, column, ns), in key order.
-pub fn series_ns(entry: &JsonValue) -> Vec<(&str, &str, f64)> {
+/// (series, column, ns), in key order. An entry is an object with a
+/// string `date` whose series are objects of numbers; anything else is
+/// an error naming the member.
+pub fn series_ns(entry: &JsonValue) -> Result<Vec<(&str, &str, f64)>, FieldError> {
+    json::str_field(entry, "date")?;
     let mut out = Vec::new();
-    let JsonValue::Object(members) = entry else {
-        return out;
-    };
-    for (key, value) in members {
-        let (Some(series), JsonValue::Object(columns)) = (key.strip_suffix(SERIES_SUFFIX), value)
-        else {
-            continue;
-        };
-        for (column, ns) in columns {
-            if let Some(ns) = ns.as_f64() {
-                out.push((series, column.as_str(), ns));
+    if let JsonValue::Object(members) = entry {
+        for (key, value) in members {
+            let Some(series) = key.strip_suffix(SERIES_SUFFIX) else { continue };
+            let JsonValue::Object(columns) = value else {
+                return Err(FieldError::new(key, "an object of numbers"));
+            };
+            for (column, ns) in columns {
+                let refused = || FieldError::new(&format!("{key}.{column}"), "a number");
+                out.push((series, column.as_str(), ns.as_f64().ok_or_else(refused)?));
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Column `column` of series `series` in the entry of `history` dated
 /// `date`.
 pub fn recorded_ns(history: &[JsonValue], date: &str, series: &str, column: &str) -> Option<f64> {
-    match history.iter().find(|e| e.get("date").and_then(JsonValue::as_str) == Some(date))? {
-        JsonValue::Object(members) => series_value(members, series, column),
-        _ => None,
-    }
+    let entry = history.iter().find(|e| e.get("date").and_then(JsonValue::as_str) == Some(date))?;
+    entry.get(&format!("{series}{SERIES_SUFFIX}"))?.get(column)?.as_f64()
 }
 
 /// One `--min-speedup SERIES@ENTRY=F` gate: this run's series `SERIES`
@@ -206,15 +198,10 @@ impl SpeedupGate {
     }
 }
 
-/// Writes a `BENCH_*.json` document to `path`: `header`'s members in
-/// order, then `history`. Arrays of objects are written one element per
-/// line, everything else as compact JSON. The write is atomic, so an
-/// interrupted run leaves the previous file whole.
-pub fn write(
-    path: &Path,
-    header: &[(&str, JsonValue)],
-    history: &[JsonValue],
-) -> std::io::Result<()> {
+/// Renders a `BENCH_*.json` document: `header`'s members in order, then
+/// `history`. Arrays of objects are written one element per line,
+/// everything else as compact JSON.
+pub fn render(header: &[(&str, JsonValue)], history: &[JsonValue]) -> String {
     let history = ("history", JsonValue::Array(history.to_vec()));
     let members: Vec<String> = header
         .iter()
@@ -233,7 +220,17 @@ pub fn write(
             format!("  {}: {text}", json::escape_string(key))
         })
         .collect();
-    write_atomic(path, &format!("{{\n{}\n}}\n", members.join(",\n")))
+    format!("{{\n{}\n}}\n", members.join(",\n"))
+}
+
+/// Writes [`render`]'s document to `path`. The write is atomic, so an
+/// interrupted run leaves the previous file whole.
+pub fn write(
+    path: &Path,
+    header: &[(&str, JsonValue)],
+    history: &[JsonValue],
+) -> std::io::Result<()> {
+    write_atomic(path, &render(header, history))
 }
 
 #[cfg(test)]
@@ -313,6 +310,21 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    /// An undated entry used to group under date `"-"` in `profile trend`,
+    /// and a series column that was not a number was skipped.
+    #[test]
+    fn an_undated_entry_or_a_series_of_non_numbers_is_refused_by_path() {
+        for (text, path) in [
+            (r#"{"history": [{"date": "2026-10-16"}, {"threads": 2}]}"#, "history[1].date"),
+            (r#"{"history": [{"date": 20261016}]}"#, "history[0].date"),
+            (r#"{"history": [{"date": "d", "a_ns_per_call": 7}]}"#, "history[0].a_ns_per_call"),
+            (r#"{"history": [{"date": "d", "a_ns_per_call": {"f32": "7"}}]}"#, "a_ns_per_call.f32"),
+        ] {
+            let err = parse(text).expect_err(text);
+            assert!(err.contains(path), "{text}: {err}");
+        }
+    }
+
     #[test]
     fn gates_pass_fail_slow_and_fail_on_a_missing_entry() {
         let history = merge(Vec::new(), entry("2026-10-01-parent", 3000.0));
@@ -338,7 +350,7 @@ mod tests {
         e.extra("k_scale", JsonValue::Number(64.0));
         let history = merge(Vec::new(), e);
         assert_eq!(
-            series_ns(&history[0]),
+            series_ns(&history[0]).unwrap(),
             [("eigh_overlap_64", "f32", 5.0), ("eigh_overlap_64", "f64", 10.0)]
         );
     }

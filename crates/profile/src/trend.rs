@@ -32,7 +32,7 @@
 use crate::archive::RunRecord;
 use crate::flame::svg_escape;
 use crate::history;
-use dcmesh_telemetry::json::JsonValue;
+use dcmesh_telemetry::json;
 use std::collections::BTreeMap;
 
 /// Newest/median ratio beyond which wall-per-call and misfit count as
@@ -258,8 +258,8 @@ pub fn bench_history_groups(bench_json: &str) -> Result<Vec<TrendGroup>, String>
     // (series, column) -> (dates, seconds)
     let mut groups: BTreeMap<(String, String), (Vec<String>, Vec<f64>)> = BTreeMap::new();
     for entry in &history::parse(bench_json)? {
-        let date = entry.get("date").and_then(JsonValue::as_str).unwrap_or("-");
-        for (series, column, ns) in history::series_ns(entry) {
+        let date = json::str_field(entry, "date")?;
+        for (series, column, ns) in history::series_ns(entry)? {
             let g = groups.entry((series.to_string(), column.to_string())).or_default();
             g.0.push(date.to_string());
             g.1.push(ns * 1e-9);
@@ -426,6 +426,7 @@ pub fn render_svg(groups: &[TrendGroup], regressions: &[Regression]) -> String {
 mod tests {
     use super::*;
     use crate::archive::RunRecord;
+    use dcmesh_telemetry::json::JsonValue;
     use dcmesh_telemetry::ledger::{ResidualHist, Stats};
 
     fn record(run_id: &str, rows: Vec<(&str, u64, f64, u64)>) -> RunRecord {

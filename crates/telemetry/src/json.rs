@@ -1,12 +1,20 @@
-//! Minimal JSON value, writer, and parser.
+//! Minimal JSON value, writer, parser and strict member accessors.
 //!
-//! The offline build environment has no `serde`/`serde_json` (external
-//! dependencies resolve to the vendored shims in `shims/`), so the
-//! exporters hand-write JSON and the round-trip tests and the
-//! `telemetry_check` schema validator parse it back with this module.
-//! It implements the subset the telemetry formats use — objects, arrays,
-//! strings with escapes, finite numbers, booleans, null — and rejects
-//! everything else loudly.
+//! The offline build has no `serde_json` (external dependencies resolve
+//! to the shims in `shims/`), so the exporters hand-write JSON and every
+//! reader of an on-disk document parses it back here. The parser takes
+//! the subset the formats use — objects, arrays, escaped strings, finite
+//! numbers, booleans, null — and refuses the rest, including a number
+//! that overflows to ±∞ (`1e309`), a repeated key (`"ranks":1,"ranks":2`
+//! must not read as two ranks) and nesting past [`MAX_DEPTH`].
+//!
+//! **One accessor set.** The ledger, archive, history and shard
+//! run-directory readers read members only through [`field`],
+//! [`str_field`], [`real_field`] (`null`, how [`number`] writes NaN/±∞,
+//! reads back as NaN), [`count_field`] / [`as_count`] (an integer in
+//! 0..=2⁵³), [`optional_count_field`] (`null` is `None`), [`bool_field`]
+//! and [`array_field`]. A missing or mistyped member is a [`FieldError`]
+//! naming its dotted path, never a default.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -117,6 +125,11 @@ pub fn dump(v: &JsonValue) -> String {
     }
 }
 
+/// The deepest nesting [`parse`] accepts: ten times the six levels of the
+/// deepest document a writer produces (a ledger's residual bucket pair),
+/// and far below the recursive parser's stack limit.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parse failure with byte offset.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParseError {
@@ -136,18 +149,122 @@ impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
+/// A member that is missing or not what its reader requires, named by
+/// its dotted path (`meta.ranks`, `entries[3].residuals.max`); `?` turns
+/// it into the `String` errors of the ledger, archive and history readers.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FieldError {
+    /// Dotted path of the member.
+    pub path: String,
+    /// What the member should be, e.g. `"a count"`; `None` when absent.
+    pub expected: Option<&'static str>,
+}
+
+impl FieldError {
+    /// The member at `path` is not `expected`.
+    pub fn new(path: &str, expected: &'static str) -> FieldError {
+        FieldError { path: path.to_string(), expected: Some(expected) }
+    }
+
+    /// The same error for a value embedded at `parent` (a ledger row as
+    /// `entries[0]`); an error about the value itself has the empty path.
+    pub fn within(self, parent: &str) -> FieldError {
+        let path = match self.path.as_str() {
+            "" => parent.to_string(),
+            path => format!("{parent}.{path}"),
+        };
+        FieldError { path, ..self }
+    }
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.expected {
+            None => write!(f, "missing field {:?}", self.path),
+            Some(expected) => write!(f, "field {:?} is not {expected}", self.path),
+        }
+    }
+}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
+}
+
+/// The required member `path` of object `v`: the key is the path's last
+/// dotted segment, the whole path is what an error names.
+pub fn field<'a>(v: &'a JsonValue, path: &str) -> Result<&'a JsonValue, FieldError> {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    v.get(key).ok_or_else(|| FieldError { path: path.to_string(), expected: None })
+}
+
+/// A required string member.
+pub fn str_field<'a>(v: &'a JsonValue, path: &str) -> Result<&'a str, FieldError> {
+    field(v, path)?.as_str().ok_or_else(|| FieldError::new(path, "a string"))
+}
+
+/// A required number; `null` — how [`number`] writes a non-finite one —
+/// reads back as NaN.
+pub fn real_field(v: &JsonValue, path: &str) -> Result<f64, FieldError> {
+    match field(v, path)? {
+        JsonValue::Null => Ok(f64::NAN),
+        n => n.as_f64().ok_or_else(|| FieldError::new(path, "a number")),
+    }
+}
+
+/// `v` (found at `path`) as a count: an integer in 0..=2⁵³, which an
+/// `f64` holds exactly — `3.5` is not truncated, `-1` is not clamped.
+pub fn as_count(v: &JsonValue, path: &str) -> Result<u64, FieldError> {
+    let n = v.as_f64().filter(|n| (0.0..=9_007_199_254_740_992.0).contains(n) && n.fract() == 0.0);
+    n.map(|n| n as u64).ok_or_else(|| FieldError::new(path, "a count"))
+}
+
+/// A required count member (see [`as_count`]).
+pub fn count_field(v: &JsonValue, path: &str) -> Result<u64, FieldError> {
+    as_count(field(v, path)?, path)
+}
+
+/// A required member that is a count or `null` (`None`).
+pub fn optional_count_field(v: &JsonValue, path: &str) -> Result<Option<u64>, FieldError> {
+    match field(v, path)? {
+        JsonValue::Null => Ok(None),
+        n => as_count(n, path).map(Some),
+    }
+}
+
+/// A required boolean member.
+pub fn bool_field(v: &JsonValue, path: &str) -> Result<bool, FieldError> {
+    match field(v, path)? {
+        JsonValue::Bool(b) => Ok(*b),
+        _ => Err(FieldError::new(path, "a boolean")),
+    }
+}
+
+/// A required array member, each element read by `read`; an error inside
+/// element `i` is named under `path[i]`.
+pub fn array_field<'a, T>(
+    v: &'a JsonValue,
+    path: &str,
+    read: impl Fn(&'a JsonValue) -> Result<T, FieldError>,
+) -> Result<Vec<T>, FieldError> {
+    let items = field(v, path)?.as_array().ok_or_else(|| FieldError::new(path, "an array"))?;
+    let items = items.iter().enumerate();
+    items.map(|(i, item)| read(item).map_err(|e| e.within(&format!("{path}[{i}]")))).collect()
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -157,7 +274,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -182,7 +299,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -190,10 +307,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
+    /// A value inside `depth` open objects and arrays.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -204,7 +325,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, ParseError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -214,11 +335,15 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return Err(ParseError { message: format!("duplicate key {key:?}"), offset: at });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(depth)?;
             map.insert(key, val);
             self.skip_ws();
             match self.bump() {
@@ -229,7 +354,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -239,7 +364,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -253,10 +378,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy up to the next quote or escape; both are ASCII, so the
+            // run ends on a character boundary.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
+                _ => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
@@ -280,24 +412,6 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("bad escape sequence")),
                 },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-assemble the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return Err(self.err("invalid UTF-8 in string")),
-                    };
-                    if start + len > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 in string"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
             }
         }
     }
@@ -310,10 +424,12 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        s.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| ParseError { message: format!("bad number {s:?}"), offset: start })
+        let s = &self.text[start..self.pos];
+        match s.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Number(n)),
+            Ok(_) => Err(ParseError { message: format!("{s:?} is not finite"), offset: start }),
+            Err(_) => Err(ParseError { message: format!("bad number {s:?}"), offset: start }),
+        }
     }
 }
 
@@ -351,6 +467,70 @@ mod tests {
         assert_eq!(number(f64::NAN), "null");
         assert_eq!(number(f64::INFINITY), "null");
         assert_eq!(number(1.5), "1.5");
+    }
+
+    #[test]
+    fn overflowing_numbers_are_refused_not_read_as_infinity() {
+        for text in ["1e309", "-1e309", "[1e400]", r#"{"ranks":1e999}"#] {
+            let err = parse(text).expect_err(text);
+            assert!(err.message.contains("not finite"), "{text}: {err}");
+        }
+        assert_eq!(parse("1.7976931348623157e308"), Ok(JsonValue::Number(f64::MAX)));
+        assert_eq!(parse("1e-400"), Ok(JsonValue::Number(0.0)), "underflow is finite");
+    }
+
+    #[test]
+    fn a_repeated_key_is_refused_not_resolved() {
+        let err = parse(r#"{"meta":{"ranks":1,"ranks":2}}"#).expect_err("duplicate");
+        assert!(err.message.contains("duplicate key \"ranks\""), "{err}");
+        assert_eq!(err.offset, 19, "the offset is the repeat's");
+        assert!(parse(r#"{"a":{"k":1},"b":{"k":2}}"#).is_ok(), "one key per object");
+    }
+
+    #[test]
+    fn nesting_is_refused_past_max_depth_not_overflowing_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.message.contains("deeper than 64"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn accessors_name_the_dotted_path_of_what_is_wrong() {
+        let doc = parse(
+            r#"{"meta":{"ranks":2,"level":"full"},"n":null,"c":3.5,"m":-1,"b":true,"xs":[7]}"#,
+        )
+        .unwrap();
+        let meta = field(&doc, "meta").unwrap();
+        assert_eq!(count_field(meta, "meta.ranks"), Ok(2));
+        assert_eq!(str_field(meta, "meta.level"), Ok("full"));
+        assert!(real_field(&doc, "n").unwrap().is_nan(), "null reads back as NaN");
+        assert_eq!(optional_count_field(&doc, "n"), Ok(None));
+        assert_eq!(bool_field(&doc, "b"), Ok(true));
+        let err = |r: Result<u64, FieldError>| r.unwrap_err().to_string();
+        assert_eq!(err(count_field(meta, "meta.rows")), r#"missing field "meta.rows""#);
+        assert_eq!(err(count_field(&doc, "c")), r#"field "c" is not a count"#);
+        assert_eq!(err(count_field(&doc, "m")), r#"field "m" is not a count"#);
+        assert_eq!(err(count_field(meta, "meta.level")), r#"field "meta.level" is not a count"#);
+        assert!(as_count(&JsonValue::Number(1e300), "big").is_err(), "beyond 2^53");
+        assert_eq!(
+            str_field(&doc, "b").unwrap_err().within("entries[1]").to_string(),
+            r#"field "entries[1].b" is not a string"#
+        );
+        let err = String::from(bool_field(&doc, "xs").unwrap_err());
+        assert_eq!(err, r#"field "xs" is not a boolean"#);
+        let elements = array_field(&doc, "xs", |x| as_count(x, "").map(|n| n + 1));
+        assert_eq!(elements, Ok(vec![8]));
+        let refused = array_field(&doc, "xs", |x| str_field(x, "id")).unwrap_err();
+        assert_eq!(refused.to_string(), r#"missing field "xs[0].id""#);
+        let text = |x: &JsonValue| x.as_str().map(str::len).ok_or(FieldError::new("", "a string"));
+        let refused = array_field(&doc, "xs", text);
+        assert_eq!(refused.unwrap_err().to_string(), r#"field "xs[0]" is not a string"#);
+        let refused = array_field(&doc, "b", |_| Ok(())).unwrap_err();
+        assert_eq!(refused.to_string(), r#"field "b" is not an array"#);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! call; the shape class is spelled out only at export.
 
 use crate::callsite::{callsite_for, intern};
-use crate::json;
+use crate::json::{self, FieldError};
 use crate::metrics::escape_label_value;
 use crate::recorder;
 use std::collections::BTreeMap;
@@ -471,80 +471,52 @@ pub fn rows_json_with_meta(meta: &LedgerMeta, rows: &[Row]) -> String {
     out
 }
 
-/// A required field of an entry or of the header; `path` names it in
-/// errors (nested ones as `residuals.max`, header ones as `meta.ranks`).
-fn field<'a>(v: &'a json::JsonValue, path: &str) -> Result<&'a json::JsonValue, String> {
-    let key = path.rsplit('.').next().unwrap_or(path);
-    v.get(key).ok_or_else(|| format!("missing field {path:?}"))
-}
-
-fn field_str(v: &json::JsonValue, path: &str) -> Result<String, String> {
-    let s = field(v, path)?.as_str().map(str::to_string);
-    s.ok_or_else(|| format!("field {path:?} is not a string"))
-}
-
-/// A required number; `null` — how the writer stores a non-finite one —
-/// reads back as NaN.
-fn field_real(v: &json::JsonValue, path: &str) -> Result<f64, String> {
-    match field(v, path)? {
-        json::JsonValue::Null => Ok(f64::NAN),
-        n => n.as_f64().ok_or_else(|| format!("field {path:?} is not a number")),
-    }
-}
-
-/// A required count: a non-negative integer, nothing else.
-fn field_count(v: &json::JsonValue, path: &str) -> Result<u64, String> {
-    count(field(v, path)?, path)
-}
-
-fn count(n: &json::JsonValue, path: &str) -> Result<u64, String> {
-    let n = n.as_f64().filter(|n| *n >= 0.0 && n.fract() == 0.0);
-    n.map(|n| n as u64).ok_or_else(|| format!("field {path:?} is not a count"))
-}
-
 /// Parses one entry object back into a [`Row`]. Every field [`row_json`]
 /// writes is required — a torn or foreign row must not read as a clean,
-/// zero-cost one. The derived `time_misfit` is recomputed from the parsed
-/// stats; unknown fields are ignored for forward tolerance.
-pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
-    let num = |f: &str| field_count(e, f);
-    field(e, "time_misfit")?;
-    let res = field(e, "residuals")?;
+/// zero-cost one — and the derived `time_misfit` must equal its
+/// derivation from the parsed stats; unknown fields are ignored for
+/// forward tolerance. Errors name the member's path within the row.
+pub fn parse_row(e: &json::JsonValue) -> Result<Row, FieldError> {
+    let num = |f: &str| json::count_field(e, f);
+    let res = json::field(e, "residuals")?;
     let mut residuals = ResidualHist {
-        count: field_count(res, "residuals.count")?,
-        max: field_real(res, "residuals.max")?,
+        count: json::count_field(res, "residuals.count")?,
+        max: json::real_field(res, "residuals.max")?,
         ..ResidualHist::default()
     };
-    let buckets = field(res, "residuals.buckets")?;
-    for pair in buckets.as_array().ok_or("field \"residuals.buckets\" is not an array")? {
-        let items = pair.as_array().unwrap_or(&[]);
-        let (Some(label), Some(n)) =
-            (items.first().and_then(json::JsonValue::as_str), items.get(1))
-        else {
-            return Err("residual bucket is not a [label, count] pair".to_string());
+    let bucket = |pair: &json::JsonValue| {
+        let Some([label, n]) = pair.as_array() else {
+            return Err(FieldError::new("", "a [label, count] pair"));
         };
-        let idx = (0..=RESIDUAL_DECADES)
-            .find(|&i| residual_bucket_label(i) == label)
-            .ok_or_else(|| format!("unknown residual bucket label {label:?}"))?;
-        residuals.buckets[idx] = count(n, &format!("residuals.buckets.{label}"))?;
+        let known = |i: &usize| label.as_str() == Some(residual_bucket_label(*i).as_str());
+        let idx = (0..=RESIDUAL_DECADES).find(known);
+        Ok((idx.ok_or(FieldError::new("", "a residual bucket label"))?, json::as_count(n, "")?))
+    };
+    for (idx, n) in json::array_field(res, "residuals.buckets", bucket)? {
+        residuals.buckets[idx] = n;
+    }
+    let stats = Stats {
+        calls: num("calls")?,
+        wall_s: json::real_field(e, "wall_s")?,
+        device_s: json::real_field(e, "device_s")?,
+        device_samples: num("device_samples")?,
+        escalations: num("escalations")?,
+        rollbacks: num("rollbacks")?,
+        health_violations: num("health_violations")?,
+        nonfinite_outputs: num("nonfinite_outputs")?,
+        abft_checks: num("abft_checks")?,
+        abft_violations: num("abft_violations")?,
+        residuals,
+    };
+    let misfit = stats.time_misfit().filter(|m| m.is_finite()).unwrap_or(f64::NAN);
+    if json::real_field(e, "time_misfit")?.to_bits() != misfit.to_bits() {
+        return Err(FieldError::new("time_misfit", "wall_s / device_s"));
     }
     Ok(Row {
-        callsite: field_str(e, "callsite")?,
-        shape: field_str(e, "shape")?,
-        mode: field_str(e, "mode")?,
-        stats: Stats {
-            calls: num("calls")?,
-            wall_s: field_real(e, "wall_s")?,
-            device_s: field_real(e, "device_s")?,
-            device_samples: num("device_samples")?,
-            escalations: num("escalations")?,
-            rollbacks: num("rollbacks")?,
-            health_violations: num("health_violations")?,
-            nonfinite_outputs: num("nonfinite_outputs")?,
-            abft_checks: num("abft_checks")?,
-            abft_violations: num("abft_violations")?,
-            residuals,
-        },
+        callsite: json::str_field(e, "callsite")?.to_string(),
+        shape: json::str_field(e, "shape")?.to_string(),
+        mode: json::str_field(e, "mode")?.to_string(),
+        stats,
     })
 }
 
@@ -553,32 +525,35 @@ pub fn parse_row(e: &json::JsonValue) -> Result<Row, String> {
 /// should warn and skip rather than misread fields it does not
 /// understand. Every header field [`meta_json`] writes is required, as
 /// every entry field is — a headerless document must not read as deck
-/// `"-"` on one rank and be grouped under the wrong deck.
+/// `"-"` on one rank and be grouped under the wrong deck — and
+/// `meta.rows` must be the entry count.
 pub fn parse_ledger(text: &str) -> Result<(LedgerMeta, Vec<Row>), String> {
     let doc = json::parse(text).map_err(|e| format!("ledger does not parse: {e}"))?;
-    let version = field_count(&doc, "version")?;
+    let version = json::count_field(&doc, "version")?;
     if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
             "ledger schema v{version} is not the supported v{LEDGER_SCHEMA_VERSION}"
         ));
     }
-    let entries = doc
-        .get("entries")
-        .and_then(json::JsonValue::as_array)
-        .ok_or_else(|| "ledger has no entries array".to_string())?;
-    let rows: Vec<Row> = entries.iter().map(parse_row).collect::<Result<_, _>>()?;
-    let m = doc.get("meta").ok_or("ledger missing field \"meta\"")?;
+    let rows = parse_rows(&doc)?;
+    let m = json::field(&doc, "meta")?;
     let meta = LedgerMeta {
         version,
-        deck_hash: field_str(m, "meta.deck_hash")?,
-        ranks: field_count(m, "meta.ranks")?,
-        telemetry_level: field_str(m, "meta.telemetry_level")?,
-        rows: field_count(m, "meta.rows")?,
+        deck_hash: json::str_field(m, "meta.deck_hash")?.to_string(),
+        ranks: json::count_field(m, "meta.ranks")?,
+        telemetry_level: json::str_field(m, "meta.telemetry_level")?.to_string(),
+        rows: json::count_field(m, "meta.rows")?,
     };
     if meta.rows != rows.len() as u64 {
         return Err(format!("ledger meta says {} rows but has {} entries", meta.rows, rows.len()));
     }
     Ok((meta, rows))
+}
+
+/// The `entries` array of a ledger document or an archive record, each
+/// row's errors named by its index (`entries[3].calls`).
+pub fn parse_rows(doc: &json::JsonValue) -> Result<Vec<Row>, FieldError> {
+    json::array_field(doc, "entries", parse_row)
 }
 
 /// Merges ledger rows from several sources (per-rank documents, or the
@@ -1011,7 +986,7 @@ mod tests {
         assert!(back.stats.residuals.max.is_nan(), "{text}");
 
         let refused = |doc: json::JsonValue, name: &str| {
-            let err = parse_row(&doc).expect_err(name);
+            let err = parse_row(&doc).expect_err(name).to_string();
             assert!(err.contains(name), "{name}: {err}");
         };
         let json::JsonValue::Object(members) = json::parse(&text).expect("json") else {
@@ -1115,7 +1090,7 @@ mod tests {
         assert_eq!(parse(&text).unwrap().stats.residuals, row.stats.residuals);
         for bad in ["-1", "2.5"] {
             let torn = text.replace(&bucket, &bucket.replace(",1]", &format!(",{bad}]")));
-            let err = parse(&torn).expect_err(bad);
+            let err = parse(&torn).expect_err(bad).to_string();
             assert!(err.contains("is not a count"), "{bad}: {err}");
         }
     }

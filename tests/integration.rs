@@ -141,8 +141,7 @@ fn paper_full_scale_decks_validate() {
     for preset in [SystemPreset::Pto40, SystemPreset::Pto135] {
         let cfg = RunConfig::preset(preset);
         cfg.validate().expect("paper deck invalid");
-        let p = cfg.lfd_params();
-        p.validate();
+        assert_eq!(cfg.lfd_params().validate(), Ok(()));
         assert_eq!(cfg.total_qd_steps, 21_000);
     }
 }
