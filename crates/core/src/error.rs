@@ -34,7 +34,7 @@ pub enum RunError {
     Io(std::io::Error),
     /// A checkpoint decoded but could not be used.
     Checkpoint(CheckpointError),
-    /// The numerical health monitor detected divergence.
+    /// A numerical health check detected divergence.
     Diverged {
         /// QD step at which the violation was detected.
         step: u64,

@@ -1,13 +1,12 @@
-//! Numerical health monitoring.
+//! Numerical health checks.
 //!
 //! Low-precision compute modes fail in recognisable ways: NaN/Inf from
 //! overflowed BF16 products, excitation counts blowing past the
-//! electron count, the per-step excitation rate spiking, or the
-//! orthonormality defect / shadow drift absorbed at an MD boundary
-//! running away. The [`HealthMonitor`] checks every QD step's
-//! observables and every boundary's drift figures against configurable
-//! bounds; the [`crate::supervisor`] turns a violation into a rollback
-//! plus precision escalation instead of a corrupted (or crashed) run.
+//! electron count, or a non-finite orthonormality defect at the MD
+//! boundary. `check_step` runs on every QD step's observables and
+//! `check_boundary` on every boundary's SCF defect; the
+//! [`crate::supervisor`] turns a violation into a rollback plus
+//! precision escalation instead of a corrupted (or crashed) run.
 //!
 //! Step checks run **before** the observables enter the run record and
 //! before the FP64 SCF refresh touches the state — a NaN wave function
@@ -16,38 +15,10 @@
 use dcmesh_lfd::StepObservables;
 use std::fmt;
 
-/// Bounds the monitor enforces. The defaults only catch certain
-/// divergence (non-finite values, unphysical excitation counts); the
-/// rate and drift bounds are opt-in because their natural scale depends
-/// on the deck.
-#[derive(Clone, Debug)]
-pub struct HealthConfig {
-    /// Upper bound on `nexc` as a multiple of the deck's electron
-    /// count (occupied orbitals × 2). `nexc` beyond the electron count
-    /// is unphysical; the default of 2× leaves slack for transient
-    /// remap overshoot.
-    pub max_nexc_fraction: f64,
-    /// Upper bound on the per-QD-step change of `nexc`; `None`
-    /// disables the rate check.
-    pub max_nexc_rate: Option<f64>,
-    /// Upper bound on the orthonormality defect an SCF refresh absorbs
-    /// at an MD boundary; `None` disables.
-    pub max_scf_defect: Option<f64>,
-    /// Upper bound on the shadow-matrix drift at an MD boundary;
-    /// `None` disables.
-    pub max_shadow_drift: Option<f64>,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            max_nexc_fraction: 2.0,
-            max_nexc_rate: None,
-            max_scf_defect: None,
-            max_shadow_drift: None,
-        }
-    }
-}
+/// Upper bound on `|nexc|` as a multiple of the deck's electron count
+/// (occupied orbitals × 2). `nexc` beyond the electron count is
+/// unphysical; 2× leaves slack for transient remap overshoot.
+pub const MAX_NEXC_FRACTION: f64 = 2.0;
 
 /// A specific bound violation.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,37 +30,19 @@ pub enum HealthViolation {
         /// QD step where it appeared.
         step: u64,
     },
-    /// `nexc` exceeded the configured multiple of the electron count.
+    /// `|nexc|` exceeded [`MAX_NEXC_FRACTION`] × the electron count.
     ExcitationBlowup {
         /// QD step.
         step: u64,
         /// Observed value.
         nexc: f64,
-        /// The configured bound (absolute).
+        /// The bound (absolute).
         bound: f64,
     },
-    /// `|Δnexc|` between consecutive steps exceeded the rate bound.
-    ExcitationRate {
-        /// QD step.
-        step: u64,
-        /// Observed per-step change.
-        delta: f64,
-        /// The configured bound.
-        bound: f64,
-    },
-    /// The SCF refresh absorbed more orthonormality defect than allowed.
+    /// The SCF refresh reported a non-finite orthonormality defect.
     ScfDefectRunaway {
         /// Observed defect.
         defect: f64,
-        /// The configured bound.
-        bound: f64,
-    },
-    /// Shadow-matrix drift at the boundary exceeded its bound.
-    ShadowDriftRunaway {
-        /// Observed drift.
-        drift: f64,
-        /// The configured bound.
-        bound: f64,
     },
     /// The FP64 SCF refresh found the orbital overlap matrix numerically
     /// singular — the state was already destroyed when the boundary was
@@ -117,9 +70,7 @@ impl HealthViolation {
         match self {
             HealthViolation::NonFinite { .. } => "non_finite",
             HealthViolation::ExcitationBlowup { .. } => "excitation_blowup",
-            HealthViolation::ExcitationRate { .. } => "excitation_rate",
             HealthViolation::ScfDefectRunaway { .. } => "scf_defect_runaway",
-            HealthViolation::ShadowDriftRunaway { .. } => "shadow_drift_runaway",
             HealthViolation::SingularOverlap { .. } => "singular_overlap",
             HealthViolation::SilentCorruption { .. } => "silent_corruption",
         }
@@ -135,14 +86,8 @@ impl fmt::Display for HealthViolation {
             HealthViolation::ExcitationBlowup { step, nexc, bound } => {
                 write!(f, "nexc = {nexc:e} exceeds bound {bound:e} at QD step {step}")
             }
-            HealthViolation::ExcitationRate { step, delta, bound } => {
-                write!(f, "|dnexc| = {delta:e} per step exceeds bound {bound:e} at QD step {step}")
-            }
-            HealthViolation::ScfDefectRunaway { defect, bound } => {
-                write!(f, "SCF orthonormality defect {defect:e} exceeds bound {bound:e}")
-            }
-            HealthViolation::ShadowDriftRunaway { drift, bound } => {
-                write!(f, "shadow drift {drift:e} exceeds bound {bound:e}")
+            HealthViolation::ScfDefectRunaway { defect } => {
+                write!(f, "non-finite SCF orthonormality defect {defect}")
             }
             HealthViolation::SingularOverlap { detail } => {
                 write!(f, "SCF refresh failed: {detail}")
@@ -154,74 +99,34 @@ impl fmt::Display for HealthViolation {
     }
 }
 
-/// Stateful checker fed each step's observables and each boundary's
-/// drift figures.
-#[derive(Clone, Debug)]
-pub struct HealthMonitor {
-    cfg: HealthConfig,
-    n_electrons: f64,
-    last_nexc: Option<f64>,
+/// Checks one QD step's observables for a deck with `n_electrons`
+/// electrons: every observable finite, `|nexc|` within
+/// [`MAX_NEXC_FRACTION`] × `n_electrons`.
+pub(crate) fn check_step(obs: &StepObservables, n_electrons: f64) -> Result<(), HealthViolation> {
+    for (what, value) in [
+        ("ekin", obs.ekin),
+        ("etot", obs.etot),
+        ("nexc", obs.nexc),
+        ("javg", obs.javg),
+    ] {
+        if !value.is_finite() {
+            return Err(HealthViolation::NonFinite { what, step: obs.step });
+        }
+    }
+    let bound = MAX_NEXC_FRACTION * n_electrons;
+    if obs.nexc.abs() > bound {
+        return Err(HealthViolation::ExcitationBlowup { step: obs.step, nexc: obs.nexc, bound });
+    }
+    Ok(())
 }
 
-impl HealthMonitor {
-    /// A monitor for a deck with the given electron count.
-    pub fn new(cfg: HealthConfig, n_electrons: f64) -> HealthMonitor {
-        HealthMonitor { cfg, n_electrons, last_nexc: None }
-    }
-
-    /// Checks one QD step's observables. Call on *every* step, in
-    /// order — the rate check needs consecutive values.
-    pub fn check_step(&mut self, obs: &StepObservables) -> Result<(), HealthViolation> {
-        for (what, value) in [
-            ("ekin", obs.ekin),
-            ("etot", obs.etot),
-            ("nexc", obs.nexc),
-            ("javg", obs.javg),
-        ] {
-            if !value.is_finite() {
-                return Err(HealthViolation::NonFinite { what, step: obs.step });
-            }
-        }
-        let bound = self.cfg.max_nexc_fraction * self.n_electrons;
-        if obs.nexc.abs() > bound {
-            return Err(HealthViolation::ExcitationBlowup { step: obs.step, nexc: obs.nexc, bound });
-        }
-        if let (Some(rate), Some(prev)) = (self.cfg.max_nexc_rate, self.last_nexc) {
-            let delta = (obs.nexc - prev).abs();
-            if delta > rate {
-                return Err(HealthViolation::ExcitationRate { step: obs.step, delta, bound: rate });
-            }
-        }
-        self.last_nexc = Some(obs.nexc);
+/// Checks the orthonormality defect the SCF refresh absorbed at an MD
+/// boundary: any finite defect passes, a NaN or Inf is a violation.
+pub(crate) fn check_boundary(defect: f64) -> Result<(), HealthViolation> {
+    if defect.is_finite() {
         Ok(())
-    }
-
-    /// Checks the drift figures produced at an MD boundary.
-    pub fn check_boundary(
-        &self,
-        scf_defect: f64,
-        shadow_drift: f64,
-    ) -> Result<(), HealthViolation> {
-        if !scf_defect.is_finite() {
-            return Err(HealthViolation::ScfDefectRunaway { defect: scf_defect, bound: f64::MAX });
-        }
-        if let Some(bound) = self.cfg.max_scf_defect {
-            if scf_defect > bound {
-                return Err(HealthViolation::ScfDefectRunaway { defect: scf_defect, bound });
-            }
-        }
-        if let Some(bound) = self.cfg.max_shadow_drift {
-            if shadow_drift > bound {
-                return Err(HealthViolation::ShadowDriftRunaway { drift: shadow_drift, bound });
-            }
-        }
-        Ok(())
-    }
-
-    /// Forgets rate history — call after a rollback, so the first step
-    /// of the re-run is not compared against the diverged trajectory.
-    pub fn reset(&mut self) {
-        self.last_nexc = None;
+    } else {
+        Err(HealthViolation::ScfDefectRunaway { defect })
     }
 }
 
@@ -245,68 +150,38 @@ mod tests {
 
     #[test]
     fn finite_physical_steps_pass() {
-        let mut mon = HealthMonitor::new(HealthConfig::default(), 8.0);
         for step in 0..10 {
-            mon.check_step(&obs(step, 0.1 * step as f64)).expect("healthy step");
+            check_step(&obs(step, 0.1 * step as f64), 8.0).expect("healthy step");
         }
-        mon.check_boundary(1e-7, 1e-9).expect("healthy boundary");
+        check_boundary(1e-7).expect("healthy boundary");
     }
 
     #[test]
     fn nan_and_inf_detected() {
-        let mut mon = HealthMonitor::new(HealthConfig::default(), 8.0);
         let mut bad = obs(3, 0.1);
         bad.nexc = f64::NAN;
-        assert_eq!(
-            mon.check_step(&bad),
-            Err(HealthViolation::NonFinite { what: "nexc", step: 3 })
-        );
+        assert_eq!(check_step(&bad, 8.0), Err(HealthViolation::NonFinite { what: "nexc", step: 3 }));
         let mut inf = obs(4, 0.1);
         inf.ekin = f64::INFINITY;
-        assert_eq!(
-            mon.check_step(&inf),
-            Err(HealthViolation::NonFinite { what: "ekin", step: 4 })
-        );
+        assert_eq!(check_step(&inf, 8.0), Err(HealthViolation::NonFinite { what: "ekin", step: 4 }));
     }
 
     #[test]
     fn excitation_blowup_detected() {
-        let mut mon = HealthMonitor::new(HealthConfig::default(), 8.0);
-        let e = mon.check_step(&obs(5, 17.0)).unwrap_err();
+        let e = check_step(&obs(5, 17.0), 8.0).unwrap_err();
         assert!(matches!(e, HealthViolation::ExcitationBlowup { step: 5, .. }), "{e}");
     }
 
     #[test]
-    fn rate_check_uses_consecutive_steps_and_resets() {
-        let cfg = HealthConfig { max_nexc_rate: Some(0.5), ..HealthConfig::default() };
-        let mut mon = HealthMonitor::new(cfg, 8.0);
-        mon.check_step(&obs(0, 0.0)).expect("first step has no rate");
-        let e = mon.check_step(&obs(1, 1.0)).unwrap_err();
-        assert!(matches!(e, HealthViolation::ExcitationRate { .. }), "{e}");
-        // After reset the same jump is a fresh baseline, not a rate.
-        mon.reset();
-        mon.check_step(&obs(2, 1.0)).expect("post-reset baseline");
-    }
-
-    #[test]
     fn boundary_bounds_enforced() {
-        let cfg = HealthConfig {
-            max_scf_defect: Some(1e-3),
-            max_shadow_drift: Some(1e-4),
-            ..HealthConfig::default()
-        };
-        let mon = HealthMonitor::new(cfg, 8.0);
-        assert!(mon.check_boundary(1e-4, 1e-5).is_ok());
-        assert!(matches!(
-            mon.check_boundary(1e-2, 1e-5),
-            Err(HealthViolation::ScfDefectRunaway { .. })
-        ));
-        assert!(matches!(
-            mon.check_boundary(1e-4, 1e-3),
-            Err(HealthViolation::ShadowDriftRunaway { .. })
-        ));
-        // NaN defect is fatal even with no explicit bound.
-        let lax = HealthMonitor::new(HealthConfig::default(), 8.0);
-        assert!(lax.check_boundary(f64::NAN, 0.0).is_err());
+        for defect in [0.0, 1e-4, 1e-2, 1e300] {
+            assert!(check_boundary(defect).is_ok(), "finite defect {defect} must pass");
+        }
+        for defect in [f64::NAN, f64::INFINITY] {
+            let e = check_boundary(defect).unwrap_err();
+            assert_eq!(e.kind(), "scf_defect_runaway");
+            let msg = e.to_string();
+            assert!(msg.contains("non-finite") && !msg.contains("bound"), "{msg}");
+        }
     }
 }

@@ -58,12 +58,12 @@ pub mod sweep;
 pub use checkpoint::Checkpoint;
 pub use config::{RunConfig, SystemPreset};
 pub use error::RunError;
-pub use health::{HealthConfig, HealthMonitor, HealthViolation};
+pub use health::HealthViolation;
 pub use runner::{run_simulation, run_simulation_with_policy, RunResult, DCMESH_RANK_ENV};
 pub use shard::{
     run_coordinator, DomainOutcome, RankKillPlan, ShardConfig, ShardError, ShardReport,
 };
 pub use supervisor::{
-    run_supervised, run_supervised_observed, BurstObserver, DeescalationEvent, EscalationEvent,
-    SupervisedRun, SupervisorConfig,
+    run_supervised, run_supervised_observed, BurstObserver, EscalationEvent, SupervisedRun,
+    SupervisorConfig,
 };

@@ -12,14 +12,14 @@
 //! rebuilt from it (the ionic integrator, the QD scratch) and the record
 //! so far. [`run_simulation_with_policy`] is `start` + `burst` until the
 //! deck is done; the [`crate::supervisor`] drives the same `burst` with
-//! a [`HealthMonitor`] attached and clones / restores / saves `ck` to
+//! the [`crate::health`] checks on and clones / restores / saves `ck` to
 //! snapshot, roll back, replay and checkpoint. Every entry point returns
 //! [`RunError`] instead of panicking.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::error::RunError;
-use crate::health::{HealthMonitor, HealthViolation};
+use crate::health::{self, HealthViolation};
 use dcmesh_lfd::nonlocal::LfdScalar;
 use dcmesh_lfd::policy::PrecisionPolicy;
 use dcmesh_lfd::propagator::{qd_step_with_policy, QdScratch};
@@ -248,15 +248,12 @@ impl<'a, T: LfdScalar> Run<'a, T> {
     /// order, so resumed, supervised and replayed bursts stay bit-for-bit
     /// compatible with a straight run.
     ///
-    /// With a monitor attached, each step's observables are checked
-    /// *before* they are recorded (a diverged step never enters the run
-    /// record) and the boundary drift figures are checked after the SCF
-    /// refresh reports them. On `Err` the restart point is mid-burst
+    /// When `checked`, pending ABFT violations are polled and each step's
+    /// observables are checked *before* they are recorded (a diverged step
+    /// never enters the run record), and the SCF defect is checked after
+    /// the refresh reports it. On `Err` the restart point is mid-burst
     /// garbage: roll back or drop the run.
-    pub(crate) fn burst(
-        &mut self,
-        mut monitor: Option<&mut HealthMonitor>,
-    ) -> Result<(), RunError> {
+    pub(crate) fn burst(&mut self, checked: bool) -> Result<(), RunError> {
         let (cfg, params, burst_index) = (self.cfg, &self.params, self.burst_index());
         let Checkpoint { state, system, steps_done, nexc } = &mut self.ck;
         let start = *steps_done as usize;
@@ -270,13 +267,14 @@ impl<'a, T: LfdScalar> Run<'a, T> {
         // --- LFD: one burst of QD steps on the "GPU" ---
         for s in 0..burst {
             let obs = qd_step_with_policy(params, state, &mut self.scratch, self.policy);
-            if let Some(mon) = monitor.as_deref_mut() {
+            if checked {
                 // ABFT first: a corrupted GEMM also corrupts the observables,
                 // and the downstream symptom (blowup, NaN) must not be
                 // misattributed as a precision problem — SilentCorruption
                 // retries the same mode, the health violations escalate.
                 poll_abft(obs.step)?;
-                mon.check_step(&obs).map_err(|v| RunError::diverged(obs.step, v))?;
+                health::check_step(&obs, params.n_electrons())
+                    .map_err(|v| RunError::diverged(obs.step, v))?;
             }
             *nexc = obs.nexc;
             if (start + s).is_multiple_of(cfg.record_every) {
@@ -297,11 +295,11 @@ impl<'a, T: LfdScalar> Run<'a, T> {
         _burst_span.end_attr("scf_drift", AttrValue::F64(report.defect_before));
         _burst_span.end_attr("shadow_drift", AttrValue::F64(drift));
         self.result.scf_drift.push(report.defect_before);
-        if let Some(mon) = monitor.as_mut() {
+        if checked {
             // Same ordering as the step check: checksum evidence outranks
-            // the boundary drift symptoms it may have caused.
+            // the boundary symptom it may have caused.
             poll_abft(*steps_done)?;
-            mon.check_boundary(report.defect_before, drift)
+            health::check_boundary(report.defect_before)
                 .map_err(|v| RunError::diverged(*steps_done, v))?;
         }
 
@@ -362,7 +360,7 @@ pub fn run_simulation_with_policy<T: LfdScalar>(
 ) -> Result<RunResult, RunError> {
     let mut run = Run::<T>::start(cfg, policy, None, None)?;
     while !run.done() {
-        run.burst(None)?;
+        run.burst(false)?;
     }
     Ok(run.result)
 }
@@ -486,7 +484,7 @@ mod tests {
         check(&run, "initialize");
         let snapshot = run.ck.clone();
         let mark = ResultMark::take(&run.result);
-        run.burst(None).expect("burst");
+        run.burst(false).expect("burst");
         check(&run, "a burst");
         let loaded = Checkpoint::<f32>::decode(run.ck.encode()).expect("decode");
         let resumed = Run::resume(&cfg, run.params.clone(), &policy, loaded, ComputeMode::Standard);
@@ -594,24 +592,22 @@ mod tests {
     /// is back at the mark — whatever fields the state has.
     #[test]
     fn rollback_restores_the_restart_point_to_the_byte() {
-        use crate::health::HealthConfig;
         use mkl_lite::fault::Trigger;
         use mkl_lite::{FaultKind, FaultPlan, FaultSite};
         let cfg = tiny_config();
         let policy = PrecisionPolicy::Ambient;
         let mut run = Run::<f32>::start(&cfg, &policy, None, None).expect("start");
-        run.burst(None).expect("clean first burst");
+        run.burst(false).expect("clean first burst");
 
         let snapshot = run.ck.clone();
         let mark = ResultMark::take(&run.result);
         let bytes = snapshot.encode();
 
         // Poison every CGEMM from a few steps into the second burst on.
-        let mut monitor = HealthMonitor::new(HealthConfig::default(), run.params.n_electrons());
         let mut site = FaultSite::every(1, FaultKind::Nan).on_routine("CGEMM");
         site.trigger = Trigger::Every { period: 1, offset: 40 };
         mkl_lite::install_fault_plan(FaultPlan::new(3).with_site(site));
-        let out = run.burst(Some(&mut monitor));
+        let out = run.burst(true);
         mkl_lite::clear_fault_plan();
         assert!(matches!(out, Err(RunError::Diverged { .. })), "{out:?}");
         assert!(run.result.records.len() > mark.records, "the burst recorded steps before dying");
@@ -629,7 +625,7 @@ mod tests {
         // And the rolled-back run continues as if nothing had happened.
         let straight = run_simulation::<f32>(&cfg).expect("straight run");
         while !run.done() {
-            run.burst(None).expect("clean burst");
+            run.burst(false).expect("clean burst");
         }
         assert_eq!(run.result.records.len(), straight.records.len());
         for (got, want) in run.result.records.iter().zip(&straight.records) {

@@ -30,7 +30,7 @@
 //!   every worker) makes every recovery path testable — the chaos tests
 //!   assert bit-identical observables against an uninterrupted run.
 //!
-//! Each worker keeps the full per-rank supervisor (health monitoring,
+//! Each worker keeps the full per-rank supervisor (health checks,
 //! burst rollback, the BF16→…→FP32 escalation ladder) via
 //! [`crate::supervisor::run_supervised_observed`]; domain results are
 //! fully determined by the domain deck, so *which* rank completes a domain

@@ -180,7 +180,6 @@ fn run_domain(
         checkpoint_dir: Some(protocol::ck_dir(run, domain)),
         abft_check_period: m.abft_check_period,
         verify_bursts: m.verify_bursts,
-        ..SupervisorConfig::default()
     };
     hb.domain.store(domain as u64, Ordering::Relaxed);
     let kill_at = m.kill_plan.kill_burst_for(rank, incarnation);

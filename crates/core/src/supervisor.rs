@@ -1,4 +1,4 @@
-//! The run supervisor: health monitoring, rollback and automatic
+//! The run supervisor: health checks, rollback and automatic
 //! precision escalation.
 //!
 //! The paper's methodology assumes each compute mode either completes
@@ -8,7 +8,9 @@
 //! escalation ladder `BF16 → BF16x2 → BF16x3 → TF32 → FP32` — paying
 //! full precision only where the physics demands it, and recording an
 //! audit trail of every escalation so the accuracy analysis knows which
-//! bursts ran in which mode.
+//! bursts ran in which mode. Escalation is sticky: the ladder is climbed,
+//! never descended. A rollback restores the pre-burst state; the FP64
+//! SCF refresh at every MD boundary stays the paper's only error reset.
 //!
 //! Rollback granularity is one MD burst. The supervisor drives the same
 //! `Run` the plain runner does: before each burst it clones the run's
@@ -23,7 +25,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::config::RunConfig;
 use crate::error::RunError;
-use crate::health::{HealthConfig, HealthMonitor, HealthViolation};
+use crate::health::HealthViolation;
 use crate::runner::{ResultMark, Run, RunResult};
 use dcmesh_lfd::nonlocal::LfdScalar;
 use dcmesh_lfd::policy::PrecisionPolicy;
@@ -55,40 +57,16 @@ pub fn rollback_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
     })
 }
 
-/// De-escalations performed across all supervised runs in this process.
-pub fn deescalation_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
-    static C: OnceLock<Arc<dcmesh_telemetry::metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        dcmesh_telemetry::metrics::counter(
-            "supervisor_deescalations_total",
-            "precision de-escalations performed by the supervisor",
-        )
-    })
-}
-
-/// Burst replays performed by the `verify_bursts` sampler.
-pub fn burst_verification_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
-    static C: OnceLock<Arc<dcmesh_telemetry::metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        dcmesh_telemetry::metrics::counter(
-            "supervisor_burst_verifications_total",
-            "bursts replayed from snapshot and bit-compared by verify_bursts",
-        )
-    })
-}
-
 /// Re-run budget for a single burst — one attempt per rung of
 /// [`ComputeMode::ESCALATION_LADDER`]. Escalation runs out of ladder
 /// first; the budget is what bounds same-mode silent-corruption retries.
 /// Exceeding it fails the run with [`RunError::EscalationExhausted`].
 const MAX_RETRIES_PER_BURST: u32 = ComputeMode::ESCALATION_LADDER.len() as u32;
 
-/// Supervisor policy knobs; by default everything optional is off.
+/// Supervisor settings; by default everything optional is off.
 /// Divergence escalates along [`ComputeMode::next_stronger`].
 #[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
-    /// Bounds the health monitor enforces.
-    pub health: HealthConfig,
     /// When set, a [`Checkpoint`] is written to `dir/dcmesh-<step>.ck` at
     /// every MD boundary and the run **resumes** from the newest one that
     /// loads and matches the deck, continuing bit-for-bit identically to
@@ -99,14 +77,6 @@ pub struct SupervisorConfig {
     /// falling back to a fresh start when none survive. A resumed run's
     /// record covers only the steps executed in this invocation.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Metrics-driven de-escalation: after `Some(n)` consecutive clean
-    /// bursts at an escalated mode — with the per-burst SCF-defect trend
-    /// over those bursts not increasing — the supervisor steps back
-    /// *down* one ladder rung (never below the run's start mode). Any
-    /// rollback resets the streak, so a mode that still misbehaves is
-    /// re-escalated by the ordinary machinery. `None` (the default)
-    /// keeps escalation sticky, the conservative paper-faithful policy.
-    pub deescalate_after: Option<u32>,
     /// Silent-data-corruption defense, part 1: `Some(n)` installs ABFT
     /// row-checksum verification on every `n`-th GEMM call for the
     /// duration of the run (an O(n²) check of O(n³) work, see
@@ -133,7 +103,7 @@ pub struct EscalationEvent {
     pub from: ComputeMode,
     /// Mode the burst was re-run under.
     pub to: ComputeMode,
-    /// What tripped the monitor.
+    /// What tripped the health check.
     pub violation: HealthViolation,
     /// Retry attempt number for the burst (1-based).
     pub attempt: u32,
@@ -172,48 +142,6 @@ impl fmt::Display for EscalationEvent {
     }
 }
 
-/// One entry of the de-escalation audit trail.
-#[derive(Clone, Debug)]
-pub struct DeescalationEvent {
-    /// QD step count at the boundary where the step-down happened.
-    pub step: u64,
-    /// Escalated mode being stepped down from.
-    pub from: ComputeMode,
-    /// Weaker mode the next bursts run under.
-    pub to: ComputeMode,
-    /// Clean-burst streak that justified the step-down.
-    pub clean_bursts: u32,
-}
-
-impl DeescalationEvent {
-    /// Counter and `deescalation` instant of this entry.
-    fn record(&self) {
-        deescalation_counter().inc();
-        instant(
-            "deescalation",
-            vec![
-                Attr { key: "step", value: AttrValue::U64(self.step) },
-                Attr { key: "from", value: AttrValue::Str(self.from.name()) },
-                Attr { key: "to", value: AttrValue::Str(self.to.name()) },
-                Attr { key: "clean_bursts", value: AttrValue::U64(self.clean_bursts as u64) },
-            ],
-        );
-    }
-}
-
-impl fmt::Display for DeescalationEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "step {}: {} -> {} after {} clean burst(s)",
-            self.step,
-            self.from.label(),
-            self.to.label(),
-            self.clean_bursts
-        )
-    }
-}
-
 /// A completed supervised run.
 #[derive(Clone, Debug)]
 pub struct SupervisedRun {
@@ -221,9 +149,6 @@ pub struct SupervisedRun {
     pub result: RunResult,
     /// Every escalation that occurred, in order.
     pub escalations: Vec<EscalationEvent>,
-    /// Every de-escalation that occurred, in order (empty unless
-    /// [`SupervisorConfig::deescalate_after`] is set).
-    pub deescalations: Vec<DeescalationEvent>,
     /// The mode the run finished in — `start_mode` if it never
     /// escalated.
     pub final_mode: ComputeMode,
@@ -256,7 +181,7 @@ pub trait BurstObserver {
 
 impl BurstObserver for () {}
 
-/// Runs the deck under `start_mode` with health monitoring, burst-level
+/// Runs the deck under `start_mode` with health checks, burst-level
 /// rollback and automatic precision escalation. Escalation is sticky:
 /// once a burst needed a stronger mode, the remaining bursts keep it —
 /// the conservative choice for a trajectory that has entered a regime
@@ -298,12 +223,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
     }
 
     let mut current = start_mode;
-    let mut monitor = HealthMonitor::new(sup.health.clone(), run.params.n_electrons());
     let mut escalations: Vec<EscalationEvent> = Vec::new();
-    let mut deescalations: Vec<DeescalationEvent> = Vec::new();
-    // Per-burst SCF defects observed since the last rollback or mode
-    // change — the window the de-escalation trend check reads.
-    let mut clean_defects: Vec<f64> = Vec::new();
     let mut sdc_recoveries = 0u64;
 
     while !run.done() {
@@ -321,7 +241,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
         let mut attempt = 0u32;
         loop {
             let burst_out = with_compute_mode(current, || {
-                run.burst(Some(&mut monitor))?;
+                run.burst(true)?;
                 if verify {
                     verify_burst_replay(&run, &snapshot)?;
                 }
@@ -333,8 +253,6 @@ pub fn run_supervised_observed<T: LfdScalar>(
                 Err(other) => return Err(other),
             };
             run.rollback(&snapshot, &mark);
-            monitor.reset();
-            clean_defects.clear();
             record_rollback(step, mode, &violation);
 
             attempt += 1;
@@ -370,24 +288,10 @@ pub fn run_supervised_observed<T: LfdScalar>(
             }
         }
 
-        // The burst completed cleanly: feed the ledger's SCF-defect row
-        // and the de-escalation policy.
-        let defect = run.result.scf_drift.last().copied().unwrap_or(0.0);
+        // The burst completed cleanly: feed the ledger's SCF-defect row.
         if dcmesh_telemetry::events_enabled() {
+            let defect = run.result.scf_drift.last().copied().unwrap_or(0.0);
             ledger::record_scf_defect(current.name(), defect);
-        }
-        if let Some(next) = consider_deescalation(sup, start_mode, current, defect, &mut clean_defects)
-        {
-            let event = DeescalationEvent {
-                step: run.ck.steps_done,
-                from: current,
-                to: next,
-                clean_bursts: sup.deescalate_after.unwrap_or(0),
-            };
-            event.record();
-            deescalations.push(event);
-            current = next;
-            clean_defects.clear();
         }
 
         if let Some(dir) = &sup.checkpoint_dir {
@@ -400,7 +304,6 @@ pub fn run_supervised_observed<T: LfdScalar>(
         resumed_from_step: run.resumed_from_step,
         result: run.result,
         escalations,
-        deescalations,
         final_mode: current,
         sdc_recoveries,
     })
@@ -448,12 +351,11 @@ fn verify_burst_replay<T: LfdScalar>(
     run: &Run<'_, T>,
     snapshot: &Checkpoint<T>,
 ) -> Result<(), RunError> {
-    burst_verification_counter().inc();
     let mode = mkl_lite::compute_mode();
     let mut replay = Run::resume(run.cfg, run.params.clone(), run.policy, snapshot.clone(), mode);
-    replay.burst(None)?;
-    // A checksum violation during the (unmonitored) replay must not
-    // linger into the next monitored step.
+    replay.burst(false)?;
+    // A checksum violation during the (unchecked) replay must not
+    // linger into the next checked step.
     let detail = if let Some(v) = mkl_lite::take_abft_violation() {
         format!("burst replay tripped the GEMM checksum: {v}")
     } else {
@@ -477,43 +379,6 @@ fn verify_burst_replay<T: LfdScalar>(
         ],
     );
     Err(RunError::diverged(step, HealthViolation::SilentCorruption { detail }))
-}
-
-/// Decides whether the supervisor should step down one ladder rung after
-/// a clean burst. Pushes `defect` into the streak window and, once the
-/// streak reaches [`SupervisorConfig::deescalate_after`] with a
-/// non-increasing defect trend (last ≤ 1.1 × first of the window), picks
-/// the strongest ladder mode strictly weaker than `current` but no
-/// weaker than `start_mode`.
-fn consider_deescalation(
-    sup: &SupervisorConfig,
-    start_mode: ComputeMode,
-    current: ComputeMode,
-    defect: f64,
-    clean_defects: &mut Vec<f64>,
-) -> Option<ComputeMode> {
-    let n = sup.deescalate_after? as usize;
-    if current.escalation_rank() <= start_mode.escalation_rank() {
-        clean_defects.clear();
-        return None;
-    }
-    clean_defects.push(defect);
-    if clean_defects.len() < n.max(1) {
-        return None;
-    }
-    let window = &clean_defects[clean_defects.len() - n.max(1)..];
-    let first = window.first().copied().unwrap_or(0.0);
-    let last = window.last().copied().unwrap_or(0.0);
-    if last > first * 1.1 + f64::EPSILON {
-        return None; // defect is trending up: hold the strong mode
-    }
-    ComputeMode::ESCALATION_LADDER
-        .into_iter()
-        .filter(|m| {
-            m.escalation_rank() < current.escalation_rank()
-                && m.escalation_rank() >= start_mode.escalation_rank()
-        })
-        .max_by_key(|m| m.escalation_rank())
 }
 
 #[cfg(test)]

@@ -41,7 +41,7 @@ fn clean_supervised_run_matches_unsupervised_bit_for_bit() {
 }
 
 /// The acceptance scenario: a NaN injected into a mid-run GEMM under the
-/// weak mode trips the health monitor; the supervisor rolls the burst
+/// weak mode trips the health check; the supervisor rolls the burst
 /// back, escalates one rung, and — because the fault is scoped to the
 /// weak mode, modelling a matrix-engine-specific failure — completes the
 /// deck cleanly, with the escalation on record.
@@ -172,57 +172,6 @@ fn fault_injected_run_emits_escalation_in_trace() {
     });
 }
 
-/// Satellite acceptance: with `deescalate_after` set, the supervisor
-/// steps back down the ladder after clean bursts at the escalated mode
-/// — and because this fault is scoped to the weak mode (it models a
-/// persistent matrix-engine defect), the weak mode fails again on
-/// re-entry and the supervisor re-escalates: the audit trail records the
-/// full down-up-down history, and the default sticky policy stays
-/// untouched (covered by the other tests, which never de-escalate).
-#[test]
-fn deescalation_steps_back_down_after_clean_bursts() {
-    use dcmesh_telemetry as telemetry;
-    let cfg = tiny(); // 3 bursts of 20 QD steps
-
-    telemetry::with_level(telemetry::TelemetryLevel::Full, || {
-        install_fault_plan(FaultPlan::new(7).with_site(
-            FaultSite::every(1, FaultKind::Nan)
-                .on_routine("CGEMM")
-                .in_mode(ComputeMode::FloatToBf16),
-        ));
-        let sup = SupervisorConfig { deescalate_after: Some(1), ..SupervisorConfig::default() };
-        let out = run_supervised::<f32>(&cfg, ComputeMode::FloatToBf16, &sup);
-        clear_fault_plan();
-        let out = out.expect("supervised run should complete despite the persistent fault");
-
-        // Every burst: BF16 trips the fault -> escalate to BF16x2 ->
-        // clean burst -> step back down. 3 bursts, 3 full cycles.
-        assert_eq!(out.escalations.len(), 3, "{:?}", out.escalations);
-        assert_eq!(out.deescalations.len(), 3, "{:?}", out.deescalations);
-        for de in &out.deescalations {
-            assert_eq!(de.from, ComputeMode::FloatToBf16x2);
-            assert_eq!(de.to, ComputeMode::FloatToBf16);
-            assert_eq!(de.clean_bursts, 1);
-        }
-        // The second escalation proves the de-escalated mode really ran
-        // the next burst (and failed there again).
-        assert_eq!(out.escalations[1].from, ComputeMode::FloatToBf16);
-        assert_eq!(out.final_mode, ComputeMode::FloatToBf16, "ends stepped-down");
-        assert_eq!(out.result.records.len(), cfg.total_qd_steps);
-        assert!(out.result.records.iter().all(|o| o.ekin.is_finite() && o.nexc.is_finite()));
-
-        // The de-escalation is on the telemetry stream...
-        let events = telemetry::sink::drain();
-        let de = events.iter().find(|e| e.name == "deescalation").expect("deescalation event");
-        assert_eq!(de.attr("from"), Some(&telemetry::AttrValue::Str("FLOAT_TO_BF16X2")));
-        assert_eq!(de.attr("to"), Some(&telemetry::AttrValue::Str("FLOAT_TO_BF16")));
-
-        // ...and in the Prometheus dump.
-        let dump = telemetry::export::prometheus_dump();
-        assert!(dump.contains("supervisor_deescalations_total"), "{dump}");
-    });
-}
-
 #[test]
 fn supervised_run_resumes_from_its_checkpoints() {
     let cfg = tiny();
@@ -247,7 +196,7 @@ fn supervised_run_resumes_from_its_checkpoints() {
 }
 
 /// A NaN that reaches the FP64 boundary is a divergence the caller can
-/// handle, not a process abort. Without a health monitor (the plain
+/// handle, not a process abort. Without the health checks (the plain
 /// runner) nothing stops poisoned orbitals before the SCF refresh; its
 /// eigensolver used to `assert!` on them.
 #[test]
@@ -296,7 +245,7 @@ fn first_boundary_call(
     (first_step + log[first_step..].iter().position(pick).expect("boundary product")) as u64
 }
 
-/// The same failure under the supervisor, injected where the step monitor
+/// The same failure under the supervisor, injected where the step check
 /// cannot see it: a NaN written into `G = Ψ†H₀Ψ` by the boundary's own
 /// ZGEMMT. The refresh must refuse it with the state untouched, and the
 /// supervisor must roll the burst back, escalate and finish.

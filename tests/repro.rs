@@ -17,7 +17,6 @@
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::shard::ShardConfig;
-use dcmesh::supervisor::burst_verification_counter;
 use dcmesh::{run_coordinator, run_supervised, SupervisedRun, SupervisorConfig};
 use mkl_lite::{install_fault_plan, ComputeMode, FaultKind, FaultPlan, FaultSite};
 use std::path::PathBuf;
@@ -187,16 +186,26 @@ fn injected_bit_flip_is_detected_and_recovery_is_bit_identical() {
 
 #[test]
 fn verify_bursts_replay_passes_clean_and_preserves_bits() {
-    let plain = supervised(&SupervisorConfig::default());
-
-    let verified_before = burst_verification_counter().get();
+    use dcmesh_telemetry as telemetry;
+    // Burst spans opened by one run on this thread: the primary bursts
+    // plus, with `verify_bursts`, one replay burst each.
+    let burst_spans = |sup: &SupervisorConfig| {
+        telemetry::with_level(telemetry::TelemetryLevel::Full, || {
+            let run = supervised(sup);
+            assert_eq!(telemetry::sink::dropped_events(), 0, "the ring kept every event");
+            let spans = telemetry::sink::drain()
+                .iter()
+                .filter(|e| e.name == "burst" && e.kind == telemetry::EventKind::SpanBegin)
+                .count();
+            (run, spans)
+        })
+    };
+    let (plain, plain_spans) = burst_spans(&SupervisorConfig::default());
     let sup = SupervisorConfig { verify_bursts: Some(1), ..SupervisorConfig::default() };
-    let verified = supervised(&sup);
+    let (verified, verified_spans) = burst_spans(&sup);
 
-    assert!(
-        burst_verification_counter().get() >= verified_before + 3,
-        "every burst of the 3-burst run must be replay-verified"
-    );
+    assert_eq!(plain_spans, 3, "the plain run is 3 bursts");
+    assert_eq!(verified_spans, 6, "every burst of the 3-burst run must be replay-verified");
     assert_eq!(verified.sdc_recoveries, 0, "clean replays must not flag corruption");
     assert_eq!(
         run_bits(&verified),
