@@ -31,9 +31,11 @@
 //!   exactly zero, and a row that allocates fails the run.
 //!
 //! Every row runs on the rayon pool at the machine's thread count, which
-//! the report records (`threads`). One **scaling row** times the 96-orbital
-//! `cgemm` apply product (`1728 × 96 × 96`, STANDARD) at one thread and at
-//! that count.
+//! the report records (`threads`). Two **scaling rows** time a STANDARD
+//! `cgemm` at one thread and at that count, one per schedule of the
+//! driver: the 96-orbital apply product (`1728 × 96 × 96`, cut by rows;
+//! `scaling`) and the 16-orbital project product (`16 × 16 × 1728`, cut
+//! by depth; `scaling_project`).
 //!
 //! Every `calls[]` row also carries the **modelled device time** on the
 //! `xe-gpu` stack model, plus the modelled speedup over FP32 — the
@@ -46,7 +48,9 @@
 //! on the `STANDARD` column) plus the Table VII `k` divisor (default 64).
 //!
 //! Three checks run on every invocation and fail the run (exit 1, after
-//! the file is written):
+//! the file is written). Each ratio check times its numerator and its
+//! denominator interleaved, call for call, in one sampler of its own, so
+//! the two see the same moment of a shared host:
 //!
 //! * **zero allocation** — any row whose timed calls allocated;
 //! * **split ratios** — the measured BF16x2/STANDARD and BF16x3/STANDARD
@@ -67,7 +71,7 @@
 //! For the application rows `k_table7 == k_measured`: nothing is scaled
 //! or extrapolated.
 
-use dcmesh_bench::layer::{fixed, object, sample, scaling, text, Cli, CountingAlloc};
+use dcmesh_bench::layer::{fixed, interleaved, object, sample, scaling, text, Cli, CountingAlloc};
 use dcmesh_numerics::{c32, c64, C32, C64};
 use dcmesh_telemetry::json::JsonValue;
 use mkl_lite::device::{Domain, GemmDesc};
@@ -93,8 +97,11 @@ const GATE_SHAPE: (usize, usize) = (128, 1920);
 /// `pto40-small` and `orb-heavy` orbital counts.
 const APP_GRID: usize = 12 * 12 * 12;
 const APP_ORBITALS: [usize; 2] = [16, 96];
-/// The ratio-gate orbital count among them (GEMM-bound).
+/// The ratio-gate orbital count among them (GEMM-bound), also that of the
+/// scaling row the driver cuts by rows.
 const GATE_ORBITALS: usize = 96;
+/// The orbital count of the scaling row the driver cuts by depth.
+const DEPTH_ORBITALS: usize = 16;
 
 /// The most BF16x2 / BF16x3 may cost as a multiple of STANDARD at the
 /// gate shapes. The packed kernel holds ~1.9×/2.7× on the SGEMM and
@@ -158,7 +165,7 @@ fn main() {
     eprintln!("microkernel f32: {}", kernels.0);
     eprintln!("microkernel f64: {}", kernels.1);
     let threads = rayon::current_num_threads();
-    eprintln!("threads: {threads} (every row; the scaling row also at 1)");
+    eprintln!("threads: {threads} (every row; the scaling rows also at 1)");
 
     // Measures one row under `mode` and files it. `sans_kernel` is the
     // same product through the bench hook that stubs the microkernel out.
@@ -278,30 +285,115 @@ fn main() {
         black_box((&small32[0], &tall32[0], &small64[0], &tall64[0], &junk32[0], &junk64[0]));
     }
 
-    // --- thread scaling: one application row at 1 thread and at `threads` ---
-    let [one, all] = {
-        let (orb, std) = (GATE_ORBITALS, ComputeMode::Standard);
-        let psi: Vec<C32> = (0..APP_GRID * orb).map(|i| c32((i as f32).sin(), (i as f32).cos())).collect();
-        let sub: Vec<C32> = (0..orb * orb).map(|i| c32((i as f32).cos(), 0.5)).collect();
-        let mut tall = vec![C32::zero(); APP_GRID * orb];
-        let [one, all] = with_compute_mode(std, || {
-            scaling(seconds, threads, || {
-                cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi, orb, &sub, orb, C32::zero(), &mut tall, orb)
-            })
-        });
-        black_box(&tall[0]);
+    // --- thread scaling: two application rows at 1 thread and at `threads`:
+    // the 96-orbital apply, which the driver cuts by rows, and the
+    // 16-orbital project, which it cuts by depth ---
+    let std = ComputeMode::Standard;
+    let mut scaling_row = |shape: &str, (m, n, k): (usize, usize, usize), call: &mut dyn FnMut()| {
+        let [one, all] = with_compute_mode(std, || scaling(seconds, threads, call));
         eprintln!(
-            "scaling cgemm apply STANDARD ({APP_GRID}, {orb}, {orb}): {:.0} ns/call at 1 thread, \
+            "scaling cgemm {shape} STANDARD ({m}, {n}, {k}): {:.0} ns/call at 1 thread, \
              {:.0} at {threads}: {:.2}x",
             one.min_ns,
             all.min_ns,
             one.min_ns / all.min_ns
         );
         if one.allocs_per_call + all.allocs_per_call > 0.0 {
-            dirty_modes.push(format!("scaling CGEMM apply ({APP_GRID},{orb},{orb})"));
+            dirty_modes.push(format!("scaling CGEMM {shape} ({m},{n},{k})"));
         }
-        [one, all]
+        let row = object([
+            ("routine", text("CGEMM")),
+            ("shape", text(shape)),
+            ("mode", text("STANDARD")),
+            ("m", fixed(m as f64, 0)),
+            ("n", fixed(n as f64, 0)),
+            ("k", fixed(k as f64, 0)),
+            ("ns_per_call_1_thread", fixed(one.min_ns, 1)),
+            ("threads", fixed(threads as f64, 0)),
+            ("ns_per_call", fixed(all.min_ns, 1)),
+            ("speedup", fixed(one.min_ns / all.min_ns, 2)),
+        ]);
+        (one.min_ns, row)
     };
+    let wave = |len: usize| -> Vec<C32> {
+        (0..len).map(|i| c32((i as f32).sin(), (i as f32).cos())).collect()
+    };
+    let (apply_1_thread, apply_row) = {
+        let orb = GATE_ORBITALS;
+        let psi = wave(APP_GRID * orb);
+        let sub: Vec<C32> = (0..orb * orb).map(|i| c32((i as f32).cos(), 0.5)).collect();
+        let mut tall = vec![C32::zero(); APP_GRID * orb];
+        let row = scaling_row("apply", (APP_GRID, orb, orb), &mut || {
+            cgemm(Op::None, Op::None, APP_GRID, orb, orb, C32::one(), &psi, orb, &sub, orb, C32::zero(), &mut tall, orb)
+        });
+        black_box(&tall[0]);
+        row
+    };
+    let (project_1_thread, project_row) = {
+        let orb = DEPTH_ORBITALS;
+        let psi = wave(APP_GRID * orb);
+        let mut small = vec![C32::zero(); orb * orb];
+        let row = scaling_row("project", (orb, orb, APP_GRID), &mut || {
+            cgemm(Op::ConjTrans, Op::None, orb, orb, APP_GRID, C32::one(), &psi, orb, &psi, orb, C32::zero(), &mut small, orb)
+        });
+        black_box(&small[0]);
+        row
+    };
+
+    // --- ratio gates: each numerator timed interleaved with its
+    // denominator, so both see the same moment of a shared host ---
+    let mut gates: Vec<(String, f64, f64)> = Vec::new();
+    let mut gate = |name: String, max: f64, num: &mut dyn FnMut(), den: &mut dyn FnMut()| {
+        let [n, d] = interleaved(seconds, num, den);
+        if n.allocs_per_call + d.allocs_per_call > 0.0 {
+            dirty_modes.push(format!("gate {name}"));
+        }
+        gates.push((name, n.min_ns / d.min_ns, max));
+    };
+    let split_modes = [
+        (ComputeMode::FloatToBf16x2, MAX_BF16X2_RATIO),
+        (ComputeMode::FloatToBf16x3, MAX_BF16X3_RATIO),
+    ];
+    {
+        let (m, n) = GATE_SHAPE;
+        let (a, b) = (&a_full[..m * k_meas], &b_full[..k_meas * n]);
+        let sgemm_in = |mode, c: &mut [f32]| {
+            with_compute_mode(mode, || sgemm(Op::None, Op::None, m, n, k_meas, 1.0, a, k_meas, b, n, 0.0, c, n))
+        };
+        let (mut c1, mut c2) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        for (mode, max) in split_modes {
+            let name = format!("perf-ratio SGEMM table7 {}/STANDARD ({m}, {n})", mode.name());
+            gate(name, max, &mut || sgemm_in(mode, &mut c1), &mut || sgemm_in(std, &mut c2));
+        }
+        black_box((&c1[0], &c2[0]));
+    }
+    {
+        let orb = GATE_ORBITALS;
+        let psi32 = wave(APP_GRID * orb);
+        let psi64: Vec<C64> = psi32.iter().map(|z| c64(z.re as f64, z.im as f64)).collect();
+        let (ct, no) = (Op::ConjTrans, Op::None);
+        let (one32, zero32, one64, zero64) = (C32::one(), C32::zero(), C64::one(), C64::zero());
+        let cgemm_in = |mode, c: &mut [C32]| {
+            with_compute_mode(mode, || cgemm(ct, no, orb, orb, APP_GRID, one32, &psi32, orb, &psi32, orb, zero32, c, orb))
+        };
+        let (mut c1, mut c2) = (vec![zero32; orb * orb], vec![zero32; orb * orb]);
+        for (mode, max) in split_modes {
+            let name = format!("perf-ratio CGEMM project {}/STANDARD ({orb}, {orb})", mode.name());
+            gate(name, max, &mut || cgemm_in(mode, &mut c1), &mut || cgemm_in(std, &mut c2));
+        }
+        let zgemm_in = |c: &mut [C64]| {
+            zgemm(ct, no, orb, orb, APP_GRID, one64, &psi64, orb, &psi64, orb, zero64, c, orb)
+        };
+        let (mut z1, mut z2) = (vec![zero64; orb * orb], vec![zero64; orb * orb]);
+        let triangle = format!("({orb}, {orb}, {APP_GRID})");
+        gate(format!("triangle ZHERK/ZGEMM project {triangle}"), MAX_HERK_OVER_GEMM, &mut || {
+            zherk(Uplo::Upper, ct, orb, APP_GRID, 1.0, &psi64, orb, 0.0, &mut z1, orb)
+        }, &mut || zgemm_in(&mut z2));
+        gate(format!("triangle ZGEMMT/ZGEMM project {triangle}"), MAX_HERK_OVER_GEMM, &mut || {
+            zgemmt(Uplo::Upper, ct, no, orb, APP_GRID, one64, &psi64, orb, &psi64, orb, zero64, &mut z1, orb)
+        }, &mut || zgemm_in(&mut z2));
+        black_box((&c1[0], &c2[0], &z1[0], &z2[0]));
+    }
 
     // --- workspace-pool traffic, through the telemetry registry ---
     // `publish_metrics` snapshots this thread's pool counters into
@@ -383,26 +475,14 @@ fn main() {
             series(&name, routine, "project", (orb, orb), &[ComputeMode::Standard]);
         }
     }
-    entry.series(&format!("cgemm_apply_{GATE_ORBITALS}_1_thread"), "STANDARD", one.min_ns);
+    entry.series(&format!("cgemm_apply_{GATE_ORBITALS}_1_thread"), "STANDARD", apply_1_thread);
+    entry.series(&format!("cgemm_project_{DEPTH_ORBITALS}_1_thread"), "STANDARD", project_1_thread);
 
     let header = [
         ("bench", text("gemm_hostperf")),
         ("threads", fixed(threads as f64, 0)),
-        (
-            "scaling",
-            object([
-                ("routine", text("CGEMM")),
-                ("shape", text("apply")),
-                ("mode", text("STANDARD")),
-                ("m", fixed(APP_GRID as f64, 0)),
-                ("n", fixed(GATE_ORBITALS as f64, 0)),
-                ("k", fixed(GATE_ORBITALS as f64, 0)),
-                ("ns_per_call_1_thread", fixed(one.min_ns, 1)),
-                ("threads", fixed(threads as f64, 0)),
-                ("ns_per_call", fixed(all.min_ns, 1)),
-                ("speedup", fixed(one.min_ns / all.min_ns, 2)),
-            ]),
-        ),
+        ("scaling", apply_row),
+        ("scaling_project", project_row),
         ("microkernel", object([("f32", text(kernels.0)), ("f64", text(kernels.1))])),
         ("k_scale", fixed(k_scale as f64, 0)),
         ("k_table7", fixed(TABLE7_K as f64, 0)),
@@ -436,45 +516,17 @@ fn main() {
         failures += 1;
     }
 
-    // --- split-mode perf-ratio gate ---
-    // The tripwire against regressing the packed split-plane kernel back
-    // to independent per-plane passes: BF16x2 / BF16x3 must stay within
-    // their multiple of STANDARD at the same measured shape — the
-    // 128×1920 Table VII SGEMM and the 96-orbital CGEMM projection.
-    let ns_of = |routine: &str, shape: &str, (m, n): (usize, usize), mode: ComputeMode| {
-        entries
-            .iter()
-            .find(|e| (e.routine, e.shape, e.m, e.n, e.mode) == (routine, shape, m, n, mode))
-            .map(|e| e.ns_per_call)
-            .expect("every gate row was measured")
-    };
-    let (std, gate_orbitals) = (ComputeMode::Standard, (GATE_ORBITALS, GATE_ORBITALS));
-    for (routine, shape, dims) in
-        [("SGEMM", "table7", GATE_SHAPE), ("CGEMM", "project", gate_orbitals)]
-    {
-        for (mode, max) in [
-            (ComputeMode::FloatToBf16x2, MAX_BF16X2_RATIO),
-            (ComputeMode::FloatToBf16x3, MAX_BF16X3_RATIO),
-        ] {
-            let ratio = ns_of(routine, shape, dims, mode) / ns_of(routine, shape, dims, std);
-            let verdict = if ratio <= max { "ok" } else { "FAIL" };
-            eprintln!(
-                "perf-ratio {routine} {shape} {}/STANDARD {dims:?}: {ratio:.2}x (max {max:.2}x) {verdict}",
-                mode.name()
-            );
-            failures += u32::from(ratio > max);
-        }
-    }
-    // --- triangle gate: a Hermitian output must cost like one ---
-    let full = ns_of("ZGEMM", "project", gate_orbitals, std);
-    for routine in ["ZHERK", "ZGEMMT"] {
-        let ratio = ns_of(routine, "project", gate_orbitals, std) / full;
-        let verdict = if ratio <= MAX_HERK_OVER_GEMM { "ok" } else { "FAIL" };
-        eprintln!(
-            "triangle {routine}/ZGEMM project ({GATE_ORBITALS}, {GATE_ORBITALS}, {APP_GRID}): \
-             {ratio:.2}x (max {MAX_HERK_OVER_GEMM:.2}x) {verdict}"
-        );
-        failures += u32::from(ratio > MAX_HERK_OVER_GEMM);
+    // --- ratio gates ---
+    // The split-mode tripwire against regressing the packed split-plane
+    // kernel back to independent per-plane passes: BF16x2 / BF16x3 must
+    // stay within their multiple of STANDARD at the same shape — the
+    // 128×1920 Table VII SGEMM and the 96-orbital CGEMM projection. And a
+    // Hermitian output must cost like one: ZHERK / ZGEMMT against the ZGEMM
+    // they compute a triangle of.
+    for (name, ratio, max) in gates {
+        let verdict = if ratio <= max { "ok" } else { "FAIL" };
+        eprintln!("{name}: {ratio:.2}x (max {max:.2}x, timed interleaved) {verdict}");
+        failures += u32::from(ratio > max);
     }
     if failures > 0 {
         eprintln!("gemm_hostperf: {failures} check(s) failed");

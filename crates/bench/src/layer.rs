@@ -225,27 +225,64 @@ pub fn sample<X, Y>(
     for _ in 1..WARMUP_CALLS {
         last = f(input());
     }
-    let (mut ns, mut allocs) = (Vec::new(), 0u64);
+    let mut log = Log::default();
     let begin = Instant::now();
-    while ns.len() < MIN_SAMPLES || begin.elapsed().as_secs_f64() < seconds {
+    while log.ns.len() < MIN_SAMPLES || begin.elapsed().as_secs_f64() < seconds {
         let x = input();
+        last = log.time(|| f(x));
+    }
+    (log.timing(), last)
+}
+
+/// Times calls of `a` and of `b` in alternation, one call of each per
+/// round, as one row each: [`WARMUP_CALLS`] untimed rounds, then at least
+/// [`MIN_SAMPLES`] timed ones and until `seconds` have passed. The two
+/// timings see the same stretch of a shared host, so a ratio gate between
+/// them does not compare moments seconds apart.
+pub fn interleaved(seconds: f64, mut a: impl FnMut(), mut b: impl FnMut()) -> [Timing; 2] {
+    for _ in 0..WARMUP_CALLS {
+        a();
+        b();
+    }
+    let (mut la, mut lb) = (Log::default(), Log::default());
+    let begin = Instant::now();
+    while la.ns.len() < MIN_SAMPLES || begin.elapsed().as_secs_f64() < seconds {
+        la.time(&mut a);
+        lb.time(&mut b);
+    }
+    [la.timing(), lb.timing()]
+}
+
+/// The timed calls of one row: nanoseconds per call, and the allocator
+/// calls made during them.
+#[derive(Default)]
+struct Log {
+    ns: Vec<f64>,
+    allocs: u64,
+}
+
+impl Log {
+    /// Times one call, counting allocations around it only.
+    fn time<Y>(&mut self, f: impl FnOnce() -> Y) -> Y {
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let t0 = Instant::now();
-        let y = f(x);
+        let y = f();
         let elapsed = t0.elapsed();
-        allocs += ALLOC_CALLS.load(Ordering::Relaxed) - before;
-        ns.push(elapsed.as_secs_f64() * 1e9);
-        last = y;
+        self.allocs += ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        self.ns.push(elapsed.as_secs_f64() * 1e9);
+        y
     }
-    ns.sort_by(f64::total_cmp);
-    let samples = ns.len();
-    let timing = Timing {
-        min_ns: ns[0],
-        median_ns: ns[samples / 2],
-        samples,
-        allocs_per_call: allocs as f64 / samples as f64,
-    };
-    (timing, last)
+
+    fn timing(mut self) -> Timing {
+        self.ns.sort_by(f64::total_cmp);
+        let samples = self.ns.len();
+        Timing {
+            min_ns: self.ns[0],
+            median_ns: self.ns[samples / 2],
+            samples,
+            allocs_per_call: self.allocs as f64 / samples as f64,
+        }
+    }
 }
 
 /// The scaling row: `f` sampled on a pool of one thread, then on one of
@@ -355,6 +392,8 @@ mod tests {
         assert!(t.allocs_per_call >= 1.0, "{t:?}");
         let [one, all] = scaling(0.0, 2, || drop(black_box(vec![0u8; 64])));
         assert!(one.allocs_per_call >= 1.0 && all.allocs_per_call >= 1.0);
+        let [dirty, _] = interleaved(0.0, || drop(black_box(vec![0u8; 64])), || ());
+        assert!(dirty.allocs_per_call >= 1.0, "{dirty:?}");
     }
 
     #[test]

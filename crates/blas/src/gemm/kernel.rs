@@ -5,15 +5,12 @@
 //! ([`gemm_packed`]):
 //!
 //! * the k dimension is tiled into `KC`-deep blocks;
-//! * per k-block, B is packed into `nr`-column panels on the calling
-//!   thread and A — one task's rows at a time, right before that task
-//!   runs — into `mr`-row panels ([`super::pack`]), both held in scratch
-//!   pooled on the calling thread and read straight from the caller's
-//!   strided (for the complex routines: interleaved) storage — `op()`,
-//!   plane separation and
-//!   precision conversion (BF16/TF32 rounding, split-plane
-//!   decomposition) all happen during this pack, once per source element
-//!   per call;
+//! * per k-block, B is packed into `nr`-column panels and A into `mr`-row
+//!   panels ([`super::pack`]), both into scratch pooled on the calling
+//!   thread and read straight from the caller's strided (for the complex
+//!   routines: interleaved) storage — `op()`, plane separation and
+//!   precision conversion (BF16/TF32 rounding, split-plane decomposition)
+//!   all happen during this pack, once per source element per k-block;
 //! * a register-blocked `mr × nr` microkernel accumulates every term of a
 //!   product for a C tile in registers before a single writeback, so the
 //!   split-precision modes share both the packed operands *and* the
@@ -36,15 +33,21 @@
 //! full product's, so the computed triangle is the full product's, bit
 //! for bit.
 //!
-//! Parallelism splits C into *tasks*, contiguous runs of `mr`-row panels,
-//! that the rayon pool runs on every thread it has, the caller included
-//! ([`task_shape`]). A task packs its own rows of A into its own slice of
-//! the scratch the caller took, then runs its tiles. Each C element is
-//! accumulated by exactly one microkernel call per (product, k-block), in
-//! a fixed (k-block, product, term, kk) order that does not depend on the
-//! thread count or the task cut — runs at any thread count are
-//! bit-identical by construction (asserted by
-//! `seq_and_par_paths_bit_identical`).
+//! Parallelism deals a product to the rayon pool's threads, the caller
+//! included, on one of two [`Schedule`]s, or runs it on one. *Rows* cuts C into tasks,
+//! contiguous runs of `mr`-row panels ([`task_shape`]): per k-block B is
+//! packed on the calling thread, and each task packs its own rows of A
+//! into its own slice of the scratch, then runs its tiles. *Depth*, for
+//! the short, deep products rows would not cut, deals the k-blocks to the
+//! tasks in contiguous runs ([`depth_runs`]): a task packs its own A and B
+//! blocks and runs all their tiles, the first task into the accumulator
+//! and every other one into a slot per (k-block, product) that starts at
+//! −0, the exact additive identity; after the join the caller adds the
+//! slots into the accumulator in (k-block, product) order. Either way each
+//! C element gets one microkernel sum per (product, k-block), added in a
+//! fixed (k-block, product, term, kk) order that depends on neither the
+//! schedule nor the thread count nor the task cut — runs are bit-identical
+//! by construction (asserted by `seq_and_par_paths_bit_identical`).
 
 use super::pack::{self, OpSrc, Side};
 use crate::layout::Uplo;
@@ -53,14 +56,17 @@ use crate::workspace::{take_scratch, Poolable};
 use dcmesh_numerics::split::MAX_SPLIT_DEPTH;
 use dcmesh_numerics::Real;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
-/// When a product of `panels` row panels splits into tasks: when its
-/// output is tall (at least [`PAR_PANELS`] panels), or when `m·n·k` reaches
-/// [`PAR_THRESHOLD`] MACs. Measured on the application shapes at 1 and 2
-/// threads (EXPERIMENTS.md): a tall apply product (`1728 × n_orb × n_orb`,
-/// 108–216 panels) ran faster split at every `n_orb` from 16 to 96; a
-/// short project product (`n_orb × n_orb × 1728`, 2–12 panels) ran up to
-/// 2× slower split below ~4 M MACs and faster at 16 M.
+/// Whether a product of `panels` row panels takes the row schedule: when
+/// its output is tall (at least [`PAR_PANELS`] panels), or when `m·n·k`
+/// reaches [`PAR_THRESHOLD`] MACs. Measured on the application shapes at
+/// 1 and 2 threads (EXPERIMENTS.md): a tall apply product (`1728 × n_orb ×
+/// n_orb`, 108–216 panels) ran faster cut by rows at every `n_orb` from 16
+/// to 96; a short project product (`n_orb × n_orb × 1728`, 2–12 panels)
+/// ran up to 2× slower cut by rows below ~4 M MACs and faster at 16 M.
+/// Below that, a short product with several k-blocks is cut by depth
+/// instead ([`Schedule::choose`]).
 fn splits(panels: usize, m: usize, n: usize, k: usize) -> bool {
     panels >= 2 && (panels >= PAR_PANELS || m * n * k >= PAR_THRESHOLD)
 }
@@ -78,6 +84,38 @@ pub(crate) const KC: usize = 256;
 /// while the packed B panels go past them.
 const MC_PANELS: usize = 16;
 
+/// How one product is dealt to the rayon pool's threads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Schedule {
+    /// Every tile on the calling thread.
+    One,
+    /// C cut into tasks of contiguous `mr`-row panels ([`task_shape`]).
+    Rows,
+    /// The k-blocks dealt to tasks in contiguous runs ([`depth_runs`]).
+    Depth,
+}
+
+impl Schedule {
+    /// The schedule of a product of `panels` row panels on `threads`
+    /// threads: rows where [`splits`] says so; otherwise depth when `k`
+    /// spans at least two k-blocks and `m·n·k` is below [`PAR_THRESHOLD`],
+    /// which bounds the slots at about `2·PAR_THRESHOLD / KC` elements per
+    /// product; otherwise one thread. Depth needs no crossover of its own:
+    /// at 2 threads it beat one thread on every application shape measured,
+    /// down to the 8-orbital deck's (EXPERIMENTS.md).
+    fn choose(panels: usize, m: usize, n: usize, k: usize, threads: usize) -> Schedule {
+        if threads < 2 {
+            Schedule::One
+        } else if splits(panels, m, n, k) {
+            Schedule::Rows
+        } else if k > KC && m * n * k < PAR_THRESHOLD {
+            Schedule::Depth
+        } else {
+            Schedule::One
+        }
+    }
+}
+
 /// How `panels` row panels are cut into tasks for `threads` threads:
 /// `(panels per task, tasks packed per round)`. Tasks are balanced over
 /// the threads and hold at most [`MC_PANELS`] panels, so a product of at
@@ -92,9 +130,18 @@ fn task_shape(panels: usize, threads: usize, triangle: bool) -> (usize, usize) {
     (per_task, threads * (MC_PANELS / per_task).max(1))
 }
 
+/// How `blocks ≥ 1` k-blocks are dealt to `threads` threads: `(k-blocks
+/// per task, tasks)`. Runs are contiguous and all full but the last, so
+/// the first task — the one that writes straight into the accumulator —
+/// takes the longest (blocks 0–3 and 4–6 of a 1728-deep product on two).
+fn depth_runs(blocks: usize, threads: usize) -> (usize, usize) {
+    let run = blocks.div_ceil(threads.clamp(1, blocks));
+    (run, blocks.div_ceil(run))
+}
+
 /// The microkernel signature: accumulate one product's terms into one
-/// `rows × cols` tile of `ctile` (a row-panel slice of the accumulator,
-/// leading dimension `ldc`, tile origin column `j0`).
+/// `rows × cols` tile of `ctile` (a row-panel slice of the accumulator or
+/// of a depth slot, leading dimension `ldc`, tile origin column `j0`).
 ///
 /// Each term is the pair of element offsets of this tile's packed panels:
 /// the `mr × kc` A panel starts at `pa[term.0]` with element `(i, kk)` at
@@ -193,21 +240,21 @@ impl MicroArch for f64 {
     }
 }
 
-/// How one driver run executes: which microkernel, and whether tasks go to
-/// the rayon pool (`None` = size heuristic). Everything outside tests uses
+/// How one driver run executes: which microkernel, and which [`Schedule`]
+/// (`None` = [`Schedule::choose`]). Everything outside tests uses
 /// [`Exec::host`]; tests pin a ladder entry or a schedule to compare them
 /// bit for bit on identical inputs.
 #[derive(Clone, Copy)]
 pub(crate) struct Exec<T: 'static> {
     pub kern: MicroKernel<T>,
-    pub parallel: Option<bool>,
+    pub schedule: Option<Schedule>,
 }
 
 impl<T: MicroArch> Exec<T> {
-    /// The widest kernel the host offers, size-heuristic threading.
+    /// The widest kernel the host offers, the schedule by shape.
     pub fn host() -> Self {
         let kern = T::ladder().into_iter().flatten().next().expect("generic kernel always present");
-        Exec { kern, parallel: None }
+        Exec { kern, schedule: None }
     }
 
     /// The host's tile geometry around a microkernel that does nothing:
@@ -294,16 +341,14 @@ pub fn matmul_acc<T: MicroArch>(a: &[T], b: &[T], acc: &mut [T], m: usize, n: us
 ///
 /// `pack_b(k0, kc, nr, dst, stride)` must fill every B plane the products
 /// read (plane `t` at `dst[t·stride..]`) with the `nr`-column panel
-/// layout of the k-slice `[k0, k0+kc)`; it runs on the calling thread,
-/// once per k-block. `pack_a(r0, rows, k0, kc, mr, dst, stride)` does the
-/// same in `mr`-row panels for rows `[r0, r0+rows)` of `op(A)` only: each
-/// task packs its own rows right before its tiles run, on whichever
-/// thread runs it (so `pack_a` holds the mode and source views by value
-/// and reads no thread's state), into its own slice of the scratch the
-/// caller took — so
-/// the packed A scratch is bounded by a round of tasks instead of by `m`,
-/// is still in L2 when the microkernel reads it, and no worker touches
-/// the workspace pool.
+/// layout of the k-slice `[k0, k0+kc)`. `pack_a(r0, rows, k0, kc, mr, dst,
+/// stride)` does the same in `mr`-row panels for rows `[r0, r0+rows)` of
+/// `op(A)` only. Each runs on whichever thread the [`Schedule`] gives that
+/// work to — so both hold the mode and source views by value and read no
+/// thread's state — into a slice of the scratch the caller took: the
+/// packed scratch is bounded by a round of tasks instead of by the
+/// operands, is still in cache when the microkernel reads it, and no
+/// worker touches the workspace pool.
 ///
 /// `uplo` is the tile filter of a Hermitian output (`m == n`): a tile
 /// with no element in that triangle is skipped and its part of `acc`
@@ -321,12 +366,12 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     products: &[Product],
     uplo: Option<Uplo>,
     pack_a: PA,
-    mut pack_b: PB,
+    pack_b: PB,
     exec: Exec<T>,
 ) where
     T: MicroArch,
     PA: Fn(usize, usize, usize, usize, usize, &mut [T], usize) + Sync,
-    PB: FnMut(usize, usize, usize, &mut [T], usize),
+    PB: Fn(usize, usize, usize, &mut [T], usize) + Sync,
 {
     let ldc = nout * n;
     assert_eq!(acc.len(), m * ldc, "accumulator shape mismatch");
@@ -334,85 +379,197 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let Exec { kern, parallel } = exec;
-    let (mr, nr) = (kern.mr, kern.nr);
-    let kc_max = KC.min(k);
-    let npan = n.div_ceil(nr);
-    let panels = m.div_ceil(mr);
-    let threads = match parallel.unwrap_or_else(|| splits(panels, m, n, k)) {
-        true => rayon::current_num_threads(),
-        false => 1,
-    };
-    let (per_task, per_round) = task_shape(panels, threads, uplo.is_some());
-    let task_rows = per_task * mr;
-    let a_stride = task_rows * kc_max;
-    let b_stride = npan * nr * kc_max;
-    let planes =
-        |last: fn(&Product) -> usize| products.iter().map(last).max().unwrap_or(0);
-    // One slot of packed A planes per task of a round.
-    let a_slot = planes(|pr| pr.a + pr.depth) * a_stride;
-    let mut pa_buf = take_scratch::<T>(per_round.min(panels.div_ceil(per_task)) * a_slot);
-    let mut pb_buf = take_scratch::<T>(planes(|pr| pr.b + pr.depth) * b_stride);
+    let Exec { kern, schedule } = exec;
+    let threads = rayon::current_num_threads();
+    let schedule =
+        schedule.unwrap_or_else(|| Schedule::choose(m.div_ceil(kern.mr), m, n, k, threads));
+    let driver = Driver { kern, products, uplo, m, n, k, pack_a, pack_b };
+    match schedule {
+        Schedule::One => driver.by_rows(acc, ldc, 1),
+        Schedule::Rows => driver.by_rows(acc, ldc, threads),
+        Schedule::Depth => driver.by_depth(acc, ldc, threads),
+    }
+}
 
-    for k0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - k0);
-        pack_b(k0, kc, nr, &mut pb_buf, b_stride);
-        let pb: &[T] = &pb_buf;
-        for (ri, round) in acc.chunks_mut(per_round * task_rows * ldc).enumerate() {
-            // One task: pack its rows of A, then run its tiles. Looping q
-            // (B panel) outside the row panels keeps each B panel hot in
-            // L1 while the task's L2-resident A panels stream past it.
-            let task = |(ti, (cblk, pa)): (usize, (&mut [T], &mut [T]))| {
-                let t0 = (ri * per_round + ti) * task_rows;
-                let rows_total = cblk.len() / ldc;
-                pack_a(t0, rows_total, k0, kc, mr, pa, a_stride);
-                let pa: &[T] = pa;
-                for q in 0..npan {
-                    let j0 = q * nr;
-                    let cols = nr.min(n - j0);
-                    let b_off = q * nr * kc;
-                    for (ir, r0) in (0..rows_total).step_by(mr).enumerate() {
-                        let rows = mr.min(rows_total - r0);
-                        // The tile spans rows [i0, i0+rows) × columns
-                        // [j0, j0+cols) of the output.
-                        let i0 = t0 + r0;
-                        let outside = match uplo {
-                            None => false,
-                            Some(Uplo::Lower) => j0 >= i0 + rows,
-                            Some(Uplo::Upper) => j0 + cols <= i0,
-                        };
-                        if outside {
-                            continue;
-                        }
-                        let a_off = ir * mr * kc;
-                        for pr in products {
-                            let mut terms = [(0usize, 0usize); MAX_SPLIT_DEPTH];
-                            for (t, term) in terms.iter_mut().enumerate().take(pr.depth) {
-                                *term = (
-                                    (pr.a + t) * a_stride + a_off,
-                                    (pr.b + t) * b_stride + b_off,
-                                );
-                            }
-                            (kern.micro)(
-                                &terms[..pr.depth],
-                                pa,
-                                pb,
-                                kc,
-                                &mut cblk[r0 * ldc..],
-                                ldc,
-                                pr.out * n + j0,
-                                rows,
-                                cols,
-                            );
+/// One [`gemm_packed`] call: what every schedule shares.
+struct Driver<'p, T: 'static, PA, PB> {
+    kern: MicroKernel<T>,
+    products: &'p [Product],
+    uplo: Option<Uplo>,
+    m: usize,
+    n: usize,
+    k: usize,
+    pack_a: PA,
+    pack_b: PB,
+}
+
+/// One packed k-block: the A planes of some rows (plane `t` at
+/// `pa[t·a_stride..]`) and the B planes (`pb[t·b_stride..]`), `kc` deep.
+struct Block<'b, T> {
+    pa: &'b [T],
+    a_stride: usize,
+    pb: &'b [T],
+    b_stride: usize,
+    kc: usize,
+}
+
+impl<T, PA, PB> Driver<'_, T, PA, PB>
+where
+    T: MicroArch,
+    PA: Fn(usize, usize, usize, usize, usize, &mut [T], usize) + Sync,
+    PB: Fn(usize, usize, usize, &mut [T], usize) + Sync,
+{
+    /// Planes of packed A and of packed B the products read.
+    fn planes(&self) -> (usize, usize) {
+        let last = |side: fn(&Product) -> usize| self.products.iter().map(side).max().unwrap_or(0);
+        (last(|pr| pr.a + pr.depth), last(|pr| pr.b + pr.depth))
+    }
+
+    /// Elements of one packed B plane.
+    fn b_stride(&self) -> usize {
+        self.n.div_ceil(self.kern.nr) * self.kern.nr * KC.min(self.k)
+    }
+
+    /// Every tile of one packed k-block whose A planes hold the output's
+    /// rows from `i0` on, added into `out`: as many of those rows as it
+    /// holds, leading dimension `ldo`. Product `p` adds into column block
+    /// `p` of `out` when `per_product` (a slot group), else into its
+    /// output's. Looping q (B panel) outside the row panels keeps each B
+    /// panel hot in L1 while the L2-resident A panels stream past it.
+    fn tiles(&self, out: &mut [T], ldo: usize, per_product: bool, i0: usize, blk: &Block<'_, T>) {
+        let Block { pa, a_stride, pb, b_stride, kc } = *blk;
+        let (mr, nr, n) = (self.kern.mr, self.kern.nr, self.n);
+        let rows_total = out.len() / ldo;
+        for q in 0..n.div_ceil(nr) {
+            let j0 = q * nr;
+            let cols = nr.min(n - j0);
+            let b_off = q * nr * kc;
+            for (ir, r0) in (0..rows_total).step_by(mr).enumerate() {
+                let rows = mr.min(rows_total - r0);
+                // The tile spans rows [i, i+rows) × columns [j0, j0+cols)
+                // of the output.
+                let i = i0 + r0;
+                let outside = match self.uplo {
+                    None => false,
+                    Some(Uplo::Lower) => j0 >= i + rows,
+                    Some(Uplo::Upper) => j0 + cols <= i,
+                };
+                if outside {
+                    continue;
+                }
+                let a_off = ir * mr * kc;
+                for (p, pr) in self.products.iter().enumerate() {
+                    let mut terms = [(0usize, 0usize); MAX_SPLIT_DEPTH];
+                    for (t, term) in terms.iter_mut().enumerate().take(pr.depth) {
+                        *term = ((pr.a + t) * a_stride + a_off, (pr.b + t) * b_stride + b_off);
+                    }
+                    let col = if per_product { p } else { pr.out };
+                    (self.kern.micro)(
+                        &terms[..pr.depth],
+                        pa,
+                        pb,
+                        kc,
+                        &mut out[r0 * ldo..],
+                        ldo,
+                        col * n + j0,
+                        rows,
+                        cols,
+                    );
+                }
+            }
+        }
+    }
+
+    /// The row schedule (on one thread when `threads == 1`): per k-block,
+    /// B packed on the calling thread, then each task packs its rows of A
+    /// and runs their tiles.
+    fn by_rows(&self, acc: &mut [T], ldc: usize, threads: usize) {
+        let (mr, nr, k) = (self.kern.mr, self.kern.nr, self.k);
+        let panels = self.m.div_ceil(mr);
+        let (per_task, per_round) = task_shape(panels, threads, self.uplo.is_some());
+        let task_rows = per_task * mr;
+        let (a_planes, b_planes) = self.planes();
+        let (a_stride, b_stride) = (task_rows * KC.min(k), self.b_stride());
+        // The packed A planes of each task of a round.
+        let a_len = a_planes * a_stride;
+        let mut pa_buf = take_scratch::<T>(per_round.min(panels.div_ceil(per_task)) * a_len);
+        let mut pb_buf = take_scratch::<T>(b_planes * b_stride);
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            (self.pack_b)(k0, kc, nr, &mut pb_buf, b_stride);
+            let pb: &[T] = &pb_buf;
+            for (ri, round) in acc.chunks_mut(per_round * task_rows * ldc).enumerate() {
+                round
+                    .par_chunks_mut(task_rows * ldc)
+                    .zip(pa_buf.par_chunks_mut(a_len))
+                    .enumerate()
+                    .for_each(|(ti, (cblk, pa))| {
+                        let i0 = (ri * per_round + ti) * task_rows;
+                        (self.pack_a)(i0, cblk.len() / ldc, k0, kc, mr, pa, a_stride);
+                        self.tiles(cblk, ldc, false, i0, &Block { pa, a_stride, pb, b_stride, kc });
+                    });
+            }
+        }
+    }
+
+    /// The depth schedule: each task packs and runs a contiguous run of
+    /// k-blocks, all rows. The first task adds into `acc`; every other
+    /// adds each (k-block, product) sum `P` into its own slot, filled with
+    /// −0 first so that it holds `−0 + P = P` exactly, whatever `P` is.
+    /// After the join the slots are added into `acc` in (k-block, product)
+    /// order — each `acc` element sees the additions the row schedule makes,
+    /// in the same order, so the bits are the same.
+    fn by_depth(&self, acc: &mut [T], ldc: usize, threads: usize) {
+        let (mr, nr, m, n, k) = (self.kern.mr, self.kern.nr, self.m, self.n, self.k);
+        let blocks = k.div_ceil(KC);
+        let (run, tasks) = depth_runs(blocks, threads);
+        let (a_planes, b_planes) = self.planes();
+        let (a_stride, b_stride) = (m.div_ceil(mr) * mr * KC.min(k), self.b_stride());
+        let (a_len, b_len) = (a_planes * a_stride, b_planes * b_stride);
+        // A slot group holds one k-block's sums: row i is one n-column
+        // block per product. A task's slots follow its packed B.
+        let ldg = self.products.len() * n;
+        let group = m * ldg;
+        let bs_len = b_len + run * group;
+        // The larger checkout first: the pool hands each checkout the most
+        // recently returned buffer that fits, and in this order the pools
+        // of a 16-orbital deck settle ~80 KiB smaller.
+        let mut pbs_buf = take_scratch::<T>(tasks * bs_len);
+        let mut pa_buf = take_scratch::<T>(tasks * a_len);
+        let first = Mutex::new(acc);
+        pa_buf.par_chunks_mut(a_len).zip(pbs_buf.par_chunks_mut(bs_len)).enumerate().for_each(
+            |(ti, (pa, pbs))| {
+                let (pb, slots) = pbs.split_at_mut(b_len);
+                let mut acc = (ti == 0).then(|| first.lock().expect("only task 0 locks it"));
+                for (bi, k0) in (ti * run * KC..k).step_by(KC).take(run).enumerate() {
+                    let kc = KC.min(k - k0);
+                    (self.pack_b)(k0, kc, nr, pb, b_stride);
+                    (self.pack_a)(0, m, k0, kc, mr, pa, a_stride);
+                    let blk = Block { pa, a_stride, pb, b_stride, kc };
+                    match acc.as_deref_mut() {
+                        Some(acc) => self.tiles(acc, ldc, false, 0, &blk),
+                        None => {
+                            let slot = &mut slots[bi * group..][..group];
+                            slot.fill(-T::ZERO);
+                            self.tiles(slot, ldg, true, 0, &blk);
                         }
                     }
                 }
-            };
-            round
-                .par_chunks_mut(task_rows * ldc)
-                .zip(pa_buf.par_chunks_mut(a_slot))
-                .enumerate()
-                .for_each(task);
+            },
+        );
+        // A task that panicked has already unwound this frame.
+        let acc = first.into_inner().expect("every task returned");
+        // Every run but the last is full, so the later tasks' slot groups,
+        // task by task, are k-blocks `run..blocks` in order.
+        let later = pbs_buf.chunks(bs_len).skip(1).flat_map(|pbs| pbs[b_len..].chunks(group));
+        for slot in later.take(blocks - run) {
+            for (arow, srow) in acc.chunks_exact_mut(ldc).zip(slot.chunks_exact(ldg)) {
+                for (pr, sums) in self.products.iter().zip(srow.chunks_exact(n)) {
+                    for (a, &s) in arow[pr.out * n..][..n].iter_mut().zip(sums) {
+                        *a += s;
+                    }
+                }
+            }
         }
     }
 }
@@ -687,22 +844,35 @@ mod tests {
         })
     }
 
-    /// The host's schedule with the task split forced on (`true`) or off.
-    fn sched<T: MicroArch>(parallel: bool) -> Exec<T> {
-        Exec { parallel: Some(parallel), ..Exec::host() }
+    /// The host's kernel under a forced schedule.
+    fn sched<T: MicroArch>(schedule: Schedule) -> Exec<T> {
+        Exec { schedule: Some(schedule), ..Exec::host() }
+    }
+
+    /// Tasks `schedule` cuts a product of `panels` row panels and depth `k`
+    /// into on `threads` threads.
+    fn tasks(schedule: Schedule, panels: usize, k: usize, threads: usize, triangle: bool) -> usize {
+        match schedule {
+            Schedule::One => 1,
+            Schedule::Rows => panels.div_ceil(task_shape(panels, threads, triangle).0),
+            Schedule::Depth => depth_runs(k.div_ceil(KC), threads).1,
+        }
     }
 
     #[test]
     fn matches_reference_parallel_path() {
-        // Several tasks and several k-blocks.
+        // Several tasks and several k-blocks, under both schedules.
         let (m, n, k) = (70, 65, 300);
         let mut rng = StdRng::seed_from_u64(2);
         let a = random_matrix(&mut rng, m * k);
         let b = random_matrix(&mut rng, k * n);
-        let acc = under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(true)));
         let refc = matmul_reference(&a, &b, m, n, k);
-        for (i, (x, y)) in acc.iter().zip(&refc).enumerate() {
-            assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "i={i}: {x} vs {y}");
+        for schedule in [Schedule::Rows, Schedule::Depth] {
+            let acc =
+                under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(schedule)));
+            for (i, (x, y)) in acc.iter().zip(&refc).enumerate() {
+                assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "{schedule:?} i={i}: {x} vs {y}");
+            }
         }
     }
 
@@ -724,49 +894,69 @@ mod tests {
     }
 
     /// One complex product of every shape below, in every mode in
-    /// `modes`, on one thread and under each of [`POOLS`], bit for bit.
+    /// `modes`, on one thread and under both schedules at each of
+    /// [`POOLS`], bit for bit. Each shape names the schedule it is here
+    /// for, which must cut it into at least two tasks on two threads or
+    /// more.
     fn pools_match_one_thread<T: MicroArch>(modes: &[ComputeMode]) {
         use crate::gemm::{complex_gemm_with, stored_shapes, GemmArgs};
+        use Schedule::{Depth, Rows};
         let mut rng = StdRng::seed_from_u64(3);
         let (ct, no) = (Op::ConjTrans, Op::None);
-        // The application's project and apply products at 96 orbitals,
-        // panels ragged in m and n with k straddling KC, and a Hermitian
-        // output of each triangle.
-        let shapes: [(Op, Op, usize, usize, usize, Option<Uplo>); 5] = [
-            (ct, no, 96, 96, 1728, None),
-            (no, no, 1728, 96, 96, None),
-            (no, Op::Trans, 301, 37, 300, None),
-            (ct, no, 96, 96, 1728, Some(Uplo::Upper)),
-            (no, ct, 96, 96, 300, Some(Uplo::Lower)),
+        let (up, lo) = (Some(Uplo::Upper), Some(Uplo::Lower));
+        // Cut by rows: the application's project and apply products at 96
+        // orbitals, panels ragged in m and n with k straddling KC, and a
+        // Hermitian output of each triangle. Cut by depth: the short, deep
+        // products of the decks — the project at 16, 32 and 48 orbitals,
+        // the 8-orbital remap on ld-16 views with B at column offset 8
+        // (`view`), and the 16-orbital Hermitian outputs of ZHERK/ZGEMMT.
+        #[allow(clippy::type_complexity)]
+        let shapes: [(Op, Op, usize, usize, usize, Option<Uplo>, Schedule, bool); 11] = [
+            (ct, no, 96, 96, 1728, None, Rows, false),
+            (no, no, 1728, 96, 96, None, Rows, false),
+            (no, Op::Trans, 301, 37, 300, None, Rows, false),
+            (ct, no, 96, 96, 1728, up, Rows, false),
+            (no, ct, 96, 96, 300, lo, Rows, false),
+            (ct, no, 16, 16, 1728, None, Depth, false),
+            (ct, no, 8, 8, 1728, None, Depth, true),
+            (ct, no, 32, 32, 1728, None, Depth, false),
+            (ct, no, 48, 48, 1728, None, Depth, false),
+            (ct, no, 16, 16, 1728, up, Depth, false),
+            (ct, no, 16, 16, 1728, lo, Depth, false),
         ];
-        for (transa, transb, m, n, k, uplo) in shapes {
+        for (transa, transb, m, n, k, uplo, under_test, view) in shapes {
             let panels = m.div_ceil(Exec::<T>::host().kern.mr);
             let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
+            let (lda, ldb, b_col) = if view { (2 * ac, 2 * bc, bc) } else { (ac, bc, 0) };
             let mut rand = |len: usize| -> Vec<Complex<T>> {
                 let mut x = || T::from_f64(rng.gen_range(-1.0..1.0));
                 (0..len).map(|_| Complex { re: x(), im: x() }).collect()
             };
-            let (a, b, c0) = (rand(ar * ac), rand(br * bc), rand(m * n));
+            let (a, b, c0) = (rand(ar * lda), rand(br * ldb), rand(m * n));
             let alpha = Complex { re: T::from_f64(0.75), im: T::from_f64(-0.5) };
             let beta = Complex { re: T::from_f64(0.5), im: T::ZERO };
-            let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda: ac, b: &b, ldb: bc, beta, ldc: n, uplo };
+            let b = &b[b_col..];
+            let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b, ldb, beta, ldc: n, uplo };
             for &mode in modes {
                 let run = |exec| {
                     let mut c = c0.clone();
                     complex_gemm_with(mode, &g, &mut c, exec);
                     c
                 };
-                let one = run(sched(false));
+                let one = run(sched(Schedule::One));
                 for threads in POOLS {
-                    let (per_task, _) = task_shape(panels, threads, uplo.is_some());
-                    assert!(threads == 1 || panels.div_ceil(per_task) >= 2, "({m},{n},{k}) is one task");
-                    let got = under_pool(threads, || run(sched(true)));
-                    for (i, (x, y)) in got.iter().zip(&one).enumerate() {
-                        assert!(
-                            [x.re, x.im].map(|v| v.to_f64().to_bits())
-                                == [y.re, y.im].map(|v| v.to_f64().to_bits()),
-                            "{mode:?} ({m},{n},{k}) {uplo:?} {threads} threads i={i}: {x:?} vs {y:?}"
-                        );
+                    let cut = tasks(under_test, panels, k, threads, uplo.is_some());
+                    assert!(threads == 1 || cut >= 2, "({m},{n},{k}) is {cut} {under_test:?} task");
+                    for schedule in [Rows, Depth] {
+                        let got = under_pool(threads, || run(sched(schedule)));
+                        for (i, (x, y)) in got.iter().zip(&one).enumerate() {
+                            assert!(
+                                [x.re, x.im].map(|v| v.to_f64().to_bits())
+                                    == [y.re, y.im].map(|v| v.to_f64().to_bits()),
+                                "{mode:?} ({m},{n},{k}) {uplo:?} {schedule:?} {threads} threads \
+                                 i={i}: {x:?} vs {y:?}"
+                            );
+                        }
                     }
                 }
             }
@@ -778,10 +968,17 @@ mod tests {
         pools_match_one_thread::<f32>(&ComputeMode::ALL);
         // The two modes that apply to FP64 data.
         pools_match_one_thread::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
-        // And the Hermitian routines themselves, which take the pool's
-        // thread count through the size heuristic.
+        // And the Hermitian routines themselves, which take their schedule
+        // by shape: by rows at 96 orbitals, by depth at 16.
         let mut rng = StdRng::seed_from_u64(4);
-        let (n, k) = (96, 1728);
+        for n in [16, 96] {
+            hermitian_pools_match_one_thread(&mut rng, n, 1728);
+        }
+    }
+
+    /// CHERK, ZHERK and ZGEMMT of `A† · A` (`A: k × n`) in every mode, at
+    /// each of [`POOLS`] against one thread, bit for bit.
+    fn hermitian_pools_match_one_thread(rng: &mut StdRng, n: usize, k: usize) {
         let a64: Vec<C64> =
             (0..k * n).map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect();
         let a32: Vec<C32> = a64.iter().map(|z| z.to_c32()).collect();
@@ -801,7 +998,7 @@ mod tests {
         for mode in ComputeMode::ALL {
             let one = under_pool(1, || hermitian(mode));
             for threads in POOLS {
-                assert!(under_pool(threads, || hermitian(mode)) == one, "{mode:?} at {threads} threads");
+                assert!(under_pool(threads, || hermitian(mode)) == one, "{mode:?} n={n} at {threads} threads");
             }
         }
     }
@@ -847,7 +1044,7 @@ mod tests {
                 };
                 for &mode in modes {
                     let run = |kern: MicroKernel<T>| {
-                        product_with(mode, &a, &b, m, n, k, Exec { kern, parallel: Some(false) })
+                        product_with(mode, &a, &b, m, n, k, Exec { kern, schedule: Some(Schedule::One) })
                     };
                     let want = run(*oracle);
                     assert!(spikes || want.iter().all(|x| x.to_f64().is_finite()));
@@ -890,7 +1087,7 @@ mod tests {
             let abs = |v: &[f64]| v.iter().map(|x| x.abs()).collect::<Vec<_>>();
             let mag = matmul_reference(&abs(&a), &abs(&b), m, n, k);
             let run = |kern| {
-                let exec = Exec { kern, parallel: Some(false) };
+                let exec = Exec { kern, schedule: Some(Schedule::One) };
                 product_with(ComputeMode::Standard, &a, &b, m, n, k, exec)
             };
             let want = run(generic);
@@ -948,16 +1145,24 @@ mod tests {
 
     #[test]
     fn zero_row_times_nan_propagates_on_parallel_path() {
-        // Same property with the rows split into tasks over two threads.
-        let (m, n, k) = (64, 64, 64);
+        // Same property with the product cut into tasks over two threads,
+        // by rows and by depth: one NaN lands in the first depth task's
+        // k-blocks (0 and 1), one in the second's (2).
+        let (m, n, k) = (64, 64, 600);
         let a = vec![0.0f64; m * k];
         let mut b = vec![1.0f64; k * n];
         b[5 * n + 7] = f64::NAN;
-        let acc = under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(true)));
-        for i in 0..m {
-            assert!(acc[i * n + 7].is_nan(), "row {i} lost the NaN");
+        b[550 * n + 9] = f64::NAN;
+        for schedule in [Schedule::Rows, Schedule::Depth] {
+            let acc =
+                under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(schedule)));
+            for i in 0..m {
+                for j in [7, 9] {
+                    assert!(acc[i * n + j].is_nan(), "{schedule:?}: row {i} lost the NaN of column {j}");
+                }
+            }
+            assert_eq!(acc[0].to_bits(), 0.0f64.to_bits(), "{schedule:?}: columns without NaN stay +0");
         }
-        assert_eq!(acc[0], 0.0, "columns without NaN stay zero");
     }
 
     #[test]

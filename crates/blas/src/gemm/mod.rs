@@ -549,6 +549,7 @@ fn complex_product_3m<T: MicroArch>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::kernel::Schedule;
     use super::reference::same_bits;
     use crate::config::with_compute_mode;
     use dcmesh_numerics::{c32, c64};
@@ -862,15 +863,15 @@ mod tests {
                         for &mode in modes {
                             for kern in T::ladder().into_iter().flatten() {
                                 let mut want = c0.clone();
-                                reference::complex_gemm(mode, &g, &mut want, Exec { kern, parallel: Some(false) });
-                                for parallel in [Some(false), Some(true)] {
+                                reference::complex_gemm(mode, &g, &mut want, Exec { kern, schedule: Some(Schedule::One) });
+                                for schedule in [Schedule::One, Schedule::Rows, Schedule::Depth] {
                                     let mut got = c0.clone();
-                                    complex_gemm_with(mode, &g, &mut got, Exec { kern, parallel });
+                                    complex_gemm_with(mode, &g, &mut got, Exec { kern, schedule: Some(schedule) });
                                     for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
                                         assert!(
                                             same_bits(x.re, y.re) && same_bits(x.im, y.im),
                                             "{mode:?} op({transa:?},{transb:?}) ({m},{n},{k}) `{}` \
-                                             par={parallel:?} β={beta:?} i={i}: {x:?} vs {y:?}",
+                                             {schedule:?} β={beta:?} i={i}: {x:?} vs {y:?}",
                                             kern.name
                                         );
                                     }

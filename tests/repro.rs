@@ -4,6 +4,9 @@
 //! * A full supervised run is **bit-identical across rayon thread
 //!   counts** — every order-sensitive sum rides the fixed-shape
 //!   reduction tree, so scheduling never changes a result.
+//! * The tiny deck's trajectory in every compute mode is **pinned** as a
+//!   digest, at one thread and at two, where the GEMMs take the depth
+//!   schedule.
 //! * A degraded 2-rank fleet and a full 4-rank fleet produce
 //!   **bit-identical cross-rank merges** — the domain-id-keyed
 //!   reduction tree makes the merge independent of fleet shape.
@@ -97,6 +100,66 @@ fn full_supervised_run_is_bit_identical_across_thread_counts() {
             cks, base_cks,
             "checkpoint bytes diverged between 1 and {threads} rayon threads"
         );
+    }
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of `bits`.
+fn fnv1a(bits: &[u64]) -> u64 {
+    bits.iter().flat_map(|b| b.to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The tiny deck's trajectory in each mode, as the FNV-1a digest of its
+/// [`run_bits`] on `x86_64-unknown-linux-gnu` with a fused f32 GEMM tile
+/// (`avx512f` or `avx2+fma`, which agree to the bit). A change that moves
+/// a bit of any trajectory changes a constant here, in its own diff.
+const TINY_DECK_DIGESTS: [(ComputeMode, u64); 6] = [
+    (ComputeMode::Standard, 0xbc94_4c40_a289_6419),
+    (ComputeMode::FloatToBf16, 0xf217_482e_590b_d2e8),
+    (ComputeMode::FloatToBf16x2, 0x09c7_5f10_3491_5445),
+    (ComputeMode::FloatToBf16x3, 0x38bf_122d_570b_b56d),
+    (ComputeMode::FloatToTf32, 0x7de0_e231_374c_b5e3),
+    (ComputeMode::Complex3m, 0xf2bb_6b91_f15e_d864),
+];
+
+/// The digest pins one platform's trajectory: the laser's `sin`/`cos`
+/// come from the target's libm, and the portable GEMM tile does not fuse
+/// multiply-add. `None` when this build and host are that platform.
+fn digest_platform_mismatch() -> Option<String> {
+    let tile = mkl_lite::gemm::kernel::dispatched_kernel::<f32>();
+    if !cfg!(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")) {
+        Some("the digests are recorded for x86_64-unknown-linux-gnu".into())
+    } else if !(tile.starts_with("avx512f") || tile.starts_with("avx2")) {
+        Some(format!("the f32 GEMM tile is `{tile}`, not a fused avx512f/avx2 one"))
+    } else {
+        None
+    }
+}
+
+#[test]
+fn tiny_deck_digest_is_pinned_in_every_mode_at_one_and_two_threads() {
+    let skip = digest_platform_mismatch();
+    let mut moved = Vec::new();
+    for (mode, want) in TINY_DECK_DIGESTS {
+        for threads in [1usize, 2] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("build rayon pool");
+            let run = pool.install(|| {
+                run_supervised::<f32>(&tiny_deck(), mode, &SupervisorConfig::default())
+                    .expect("supervised run")
+            });
+            let got = fnv1a(&run_bits(&run));
+            if got != want {
+                moved.push(format!("{mode:?} at {threads} threads: {got:#018x}, pinned {want:#x}"));
+            }
+        }
+    }
+    match skip {
+        Some(why) => eprintln!("digests not asserted: {why}"),
+        None => assert!(moved.is_empty(), "trajectories moved:\n{}", moved.join("\n")),
     }
 }
 
