@@ -31,12 +31,12 @@
 //! (`taylor_propagate_12x16`, `apply_kinetic_12x96`, …).
 
 use dcmesh_bench::layer::{fixed, object, sample, scaling, text, Cli, Timing};
-use dcmesh_lfd::hamiltonian::{apply_h, apply_kinetic, dispatched_rungs, Rung};
+use dcmesh_lfd::hamiltonian::{apply_h, apply_kinetic, dispatched_rungs};
 use dcmesh_lfd::nonlocal::LfdScalar;
 use dcmesh_lfd::propagator::{taylor_propagate, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
-use dcmesh_numerics::{Complex, Real};
+use dcmesh_numerics::{Complex, Real, Rung};
 use dcmesh_telemetry::json::JsonValue;
 use rayon::prelude::*;
 use std::hint::black_box;

@@ -17,14 +17,14 @@
 //!   accumulator across their plane products, and the complex routines
 //!   run all their real products off one packed k-block.
 //!
-//! The microkernel is chosen at runtime by [`MicroArch::ladder`]:
-//! `avx512f → avx2(+fma) → generic`, for both element widths. One
-//! contract for both: the SIMD tiles fuse multiply and add, the portable
-//! tile does not. So within one element width the SIMD instantiations are
-//! bit-identical to each other — each accumulates a C element's `kk`
-//! products in one register lane in the same order, and tile geometry
-//! never shows in the result — and agree with `micro_generic` to the
-//! `k·ε` of one rounding saved per multiply-add, not to the bit.
+//! The microkernel is one tile per [`Rung`] ([`MicroArch::tile`]):
+//! `avx512f → avx2(+fma) → generic`, for both element widths, and a call
+//! runs the widest its CPU has. Its rung is the whole call's: the pack
+//! closures carry it to the gather and the conversion. One contract for
+//! every rung: a tile fuses each multiply and add (the portable one
+//! through [`Real::mul_add`]) and accumulates a C element's `kk` products
+//! in one lane in the same order, so tile geometry never shows in the
+//! result and every rung gives the same bits.
 //!
 //! A Hermitian output (`herk`, `gemmt`) passes an [`Uplo`] and the driver
 //! skips every tile lying strictly in the other triangle. That filter is
@@ -54,7 +54,7 @@ use crate::layout::Uplo;
 use crate::mode::ComputeMode;
 use crate::workspace::{take_scratch, Poolable};
 use dcmesh_numerics::split::MAX_SPLIT_DEPTH;
-use dcmesh_numerics::Real;
+use dcmesh_numerics::{Real, Rung};
 use rayon::prelude::*;
 use std::sync::Mutex;
 
@@ -159,10 +159,12 @@ type MicroFn<T> = fn(
     cols: usize,
 );
 
-/// A register-blocking choice plus the matching microkernel.
+/// A register-blocking choice plus the matching microkernel, and the rung
+/// it is compiled for.
 #[doc(hidden)]
 #[derive(Clone, Copy)]
 pub struct MicroKernel<T: 'static> {
+    pub(crate) rung: Rung,
     pub(crate) name: &'static str,
     pub(crate) mr: usize,
     pub(crate) nr: usize,
@@ -174,76 +176,93 @@ pub struct MicroKernel<T: 'static> {
 /// are implementation details of the kernel dispatch and not part of the
 /// crate's supported API.
 pub trait MicroArch: Real + Poolable {
-    /// Every microkernel instantiation this host can run, widest first:
-    /// `[avx512f, avx2, generic]`, `None` where the host lacks the ISA.
-    /// The generic entry is always present.
+    /// The tile `rung` runs (`Portable`: the generic tile). Panics when
+    /// this CPU lacks the rung.
     #[doc(hidden)]
-    fn ladder() -> [Option<MicroKernel<Self>>; 3];
+    fn tile(rung: Rung) -> MicroKernel<Self>;
 
-    /// The pack-time precision conversion of `mode`: turns the raw values
-    /// in `planes[..len]` into the mode's `split_depth` planes, plane `t`
-    /// at `planes[t·stride..][..len]`, in place.
+    /// The pack-time precision conversion of `mode` on `rung`: turns the
+    /// raw values in `planes[..len]` into the mode's `split_depth` planes,
+    /// plane `t` at `planes[t·stride..][..len]`, in place.
     #[doc(hidden)]
-    fn convert(mode: ComputeMode, side: Side, planes: &mut [Self], stride: usize, len: usize);
+    fn convert(
+        rung: Rung,
+        mode: ComputeMode,
+        side: Side,
+        planes: &mut [Self],
+        stride: usize,
+        len: usize,
+    );
 }
 
-/// A SIMD ladder entry: `x86::$f::<MR, NV>` is an `MR × NV·LANES` tile.
+/// The widest rung the tiles and the pack conversion are compiled for.
+const TOP: Rung = Rung::Avx512f;
+
+/// `rung`, which this CPU must run.
+fn checked(rung: Rung) -> Rung {
+    assert!(rung.available(), "{} is not available on this CPU", rung.name());
+    rung
+}
+
+/// A SIMD tile: `x86::$f::<MR, NV>` is an `MR × NV·LANES` tile.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_tile {
-    ($name:literal, $f:ident, $mr:literal, $nv:literal, $lanes:literal) => {
-        MicroKernel { name: $name, mr: $mr, nr: $nv * $lanes, micro: x86::$f::<$mr, $nv> }
-    };
+    ($rung:expr, $name:literal, $f:ident, $mr:literal, $nv:literal, $lanes:literal) => {{
+        let micro = x86::$f::<$mr, $nv>;
+        MicroKernel { rung: $rung, name: $name, mr: $mr, nr: $nv * $lanes, micro }
+    }};
 }
 
 impl MicroArch for f32 {
-    fn ladder() -> [Option<MicroKernel<f32>>; 3] {
-        #[cfg(target_arch = "x86_64")]
-        let (wide, mid) = (
-            std::arch::is_x86_feature_detected!("avx512f")
-                .then_some(simd_tile!("avx512f fma 16x16", f32_avx512, 16, 1, 16)),
-            (std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma"))
-            .then_some(simd_tile!("avx2 fma 6x16", f32_avx2, 6, 2, 8)),
-        );
-        #[cfg(not(target_arch = "x86_64"))]
-        let (wide, mid) = (None, None);
-        let generic =
-            MicroKernel { name: "generic 4x8", mr: 4, nr: 8, micro: micro_generic::<f32, 4, 8> };
-        [wide, mid, Some(generic)]
+    fn tile(rung: Rung) -> MicroKernel<f32> {
+        match checked(rung) {
+            #[cfg(target_arch = "x86_64")]
+            Rung::Avx512f => simd_tile!(rung, "avx512f fma 16x16", f32_avx512, 16, 1, 16),
+            #[cfg(target_arch = "x86_64")]
+            Rung::Avx2 => simd_tile!(rung, "avx2 fma 6x16", f32_avx2, 6, 2, 8),
+            _ => {
+                let micro = micro_generic::<f32, 4, 8>;
+                MicroKernel { rung: Rung::Portable, name: "generic fma 4x8", mr: 4, nr: 8, micro }
+            }
+        }
     }
 
-    fn convert(mode: ComputeMode, side: Side, planes: &mut [f32], stride: usize, len: usize) {
-        pack::convert_f32(mode, side, planes, stride, len);
+    fn convert(
+        rung: Rung,
+        mode: ComputeMode,
+        side: Side,
+        planes: &mut [f32],
+        stride: usize,
+        len: usize,
+    ) {
+        pack::convert_f32_at(rung, mode, side, planes, stride, len);
     }
 }
 
 impl MicroArch for f64 {
-    fn ladder() -> [Option<MicroKernel<f64>>; 3] {
-        #[cfg(target_arch = "x86_64")]
-        let (wide, mid) = (
-            std::arch::is_x86_feature_detected!("avx512f")
-                .then_some(simd_tile!("avx512f fma 8x16", f64_avx512, 8, 2, 8)),
-            (std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma"))
-            .then_some(simd_tile!("avx2 fma 4x8", f64_avx2, 4, 2, 4)),
-        );
-        #[cfg(not(target_arch = "x86_64"))]
-        let (wide, mid) = (None, None);
-        let generic =
-            MicroKernel { name: "generic 4x4", mr: 4, nr: 4, micro: micro_generic::<f64, 4, 4> };
-        [wide, mid, Some(generic)]
+    fn tile(rung: Rung) -> MicroKernel<f64> {
+        match checked(rung) {
+            #[cfg(target_arch = "x86_64")]
+            Rung::Avx512f => simd_tile!(rung, "avx512f fma 8x16", f64_avx512, 8, 2, 8),
+            #[cfg(target_arch = "x86_64")]
+            Rung::Avx2 => simd_tile!(rung, "avx2 fma 4x8", f64_avx2, 4, 2, 4),
+            _ => {
+                let micro = micro_generic::<f64, 4, 4>;
+                MicroKernel { rung: Rung::Portable, name: "generic fma 4x4", mr: 4, nr: 4, micro }
+            }
+        }
     }
 
-    fn convert(mode: ComputeMode, _: Side, _: &mut [f64], _: usize, _: usize) {
+    fn convert(_: Rung, mode: ComputeMode, _: Side, _: &mut [f64], _: usize, _: usize) {
         // The FLOAT_TO_* modes re-represent single-precision data only.
         debug_assert!(mode.split_depth().is_none(), "{mode:?} does not apply to f64");
     }
 }
 
-/// How one driver run executes: which microkernel, and which [`Schedule`]
-/// (`None` = [`Schedule::choose`]). Everything outside tests uses
-/// [`Exec::host`]; tests pin a ladder entry or a schedule to compare them
-/// bit for bit on identical inputs.
+/// How one driver run executes: which microkernel — whose rung the pack
+/// runs on too — and which [`Schedule`] (`None` = [`Schedule::choose`]).
+/// Everything outside tests uses [`Exec::host`]; tests pin a rung or a
+/// schedule to compare them bit for bit on identical inputs.
 #[derive(Clone, Copy)]
 pub(crate) struct Exec<T: 'static> {
     pub kern: MicroKernel<T>,
@@ -251,10 +270,9 @@ pub(crate) struct Exec<T: 'static> {
 }
 
 impl<T: MicroArch> Exec<T> {
-    /// The widest kernel the host offers, the schedule by shape.
+    /// The tile of the widest rung the host runs, the schedule by shape.
     pub fn host() -> Self {
-        let kern = T::ladder().into_iter().flatten().next().expect("generic kernel always present");
-        Exec { kern, schedule: None }
+        Exec { kern: T::tile(Rung::at_most(TOP)), schedule: None }
     }
 
     /// The host's tile geometry around a microkernel that does nothing:
@@ -299,7 +317,7 @@ pub(crate) fn real_product<T: MicroArch>(
     k: usize,
     exec: Exec<T>,
 ) {
-    let depth = mode.split_depth().unwrap_or(1);
+    let (depth, rung) = (mode.split_depth().unwrap_or(1), exec.kern.rung);
     gemm_packed(
         acc,
         1,
@@ -309,12 +327,12 @@ pub(crate) fn real_product<T: MicroArch>(
         &[Product { a: 0, b: 0, depth, out: 0 }],
         None,
         move |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
-            let len = pack::gather(&a.offset(r0), rows, k0, kc, mr, dst, stride, |x| [x]);
-            T::convert(mode, Side::A, dst, stride, len);
+            let len = pack::gather(rung, &a.offset(r0), rows, k0, kc, mr, dst, stride, |x| [x]);
+            T::convert(rung, mode, Side::A, dst, stride, len);
         },
         |k0, kc, nr, dst: &mut [T], stride| {
-            let len = pack::gather(b, n, k0, kc, nr, dst, stride, |x| [x]);
-            T::convert(mode, Side::B, dst, stride, len);
+            let len = pack::gather(rung, b, n, k0, kc, nr, dst, stride, |x| [x]);
+            T::convert(rung, mode, Side::B, dst, stride, len);
         },
         exec,
     );
@@ -574,10 +592,12 @@ where
     }
 }
 
-/// Safe register-blocked microkernel — the portable fallback, and the
-/// oracle the SIMD tiles are tested against to `k·ε`. Separate multiply
-/// and add; the compiler unrolls the constant `MR × NR` tile and
-/// vectorises the inner loop for the baseline target.
+/// Safe register-blocked microkernel — the portable rung, and the oracle
+/// the SIMD tiles are tested against bit for bit. Each multiply and add
+/// is one [`Real::mul_add`], in the SIMD tiles' order: one instruction
+/// where the target has FMA, a libm call on the x86-64 baseline (an `f32`
+/// tile ran at 0.7 GFLOP/s there against 23 unfused on an AVX-512 Xeon;
+/// EXPERIMENTS.md).
 #[allow(clippy::too_many_arguments)]
 fn micro_generic<T: Real, const MR: usize, const NR: usize>(
     terms: &[(usize, usize)],
@@ -597,7 +617,7 @@ fn micro_generic<T: Real, const MR: usize, const NR: usize>(
         for (arow, brow) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
             for (accr, &aik) in acc.iter_mut().zip(arow) {
                 for (av, &bv) in accr.iter_mut().zip(brow) {
-                    *av += aik * bv;
+                    *av = aik.mul_add(bv, *av);
                 }
             }
         }
@@ -649,9 +669,9 @@ mod x86 {
                     assert!(pa.len() >= ao + MR * kc, "packed A panel out of range");
                     assert!(pb.len() >= bo + nr * kc, "packed B panel out of range");
                 }
-                // SAFETY: `MicroArch::ladder` only hands out this fn
-                // pointer after `is_x86_feature_detected!` confirmed the
-                // target features; the body reads `MR·kc` / `nr·kc`
+                // SAFETY: `MicroArch::tile` only hands out this fn
+                // pointer after asserting `rung.available()`, which
+                // detected the target features; the body reads `MR·kc` / `nr·kc`
                 // elements from each term's offsets and touches
                 // `rows × cols` elements of `ctile` from column `j0` at
                 // row pitch `ldc` — all inside the ranges asserted above.
@@ -1022,13 +1042,7 @@ mod tests {
     /// `modes`, on shapes ragged in m and n and straddling `KC`, with and
     /// without special-value lanes.
     fn kernels_match<T: MicroArch>(kernels: &[MicroKernel<T>], modes: &[ComputeMode], tiny: T) {
-        let (oracle, rest) = match kernels.split_last() {
-            Some((oracle, rest)) if !rest.is_empty() => (oracle, rest),
-            _ => {
-                eprintln!("host offers {} of these kernels; nothing to compare", kernels.len());
-                return;
-            }
-        };
+        let (oracle, rest) = kernels.split_last().expect("the portable rung always runs");
         let shapes =
             [(16, 16, 1728), (96, 96, 600), (300, 16, 16), (37, 29, 513), (7, 33, 257)];
         let mut rng = StdRng::seed_from_u64(77);
@@ -1065,48 +1079,41 @@ mod tests {
         }
     }
 
-    /// The SIMD tiers of one element width (widest first) and its generic
-    /// kernel. One contract for both widths: the SIMD tiles fuse
-    /// multiply-add and are bit-identical to each other; the generic tile
-    /// does not, so it is outside their class.
-    fn simd_and_generic<T: MicroArch>() -> (Vec<MicroKernel<T>>, MicroKernel<T>) {
-        let [wide, mid, generic] = T::ladder();
-        let simd = [wide, mid].into_iter().flatten().collect();
-        (simd, generic.expect("generic kernel always present"))
+    /// The tile of every rung this host runs, widest first: the generic
+    /// tile last.
+    fn ladder<T: MicroArch>() -> Vec<MicroKernel<T>> {
+        Rung::ALL.into_iter().filter(|r| r.available()).map(T::tile).collect()
     }
 
-    #[test]
-    fn f64_simd_kernels_bit_identical_and_within_k_eps_of_generic() {
-        let (simd, generic) = simd_and_generic::<f64>();
-        kernels_match(&simd, &[ComputeMode::Standard], f64::MIN_POSITIVE / 4.0);
-        // Fused against unfused: both are a length-k dot product in some
-        // order, each within γ_k·Σ|a||b| of the exact value.
-        let mut rng = StdRng::seed_from_u64(78);
-        for &(m, n, k) in &[(16, 16, 1728), (37, 29, 513), (7, 33, 257)] {
-            let (a, b) = (random_matrix(&mut rng, m * k), random_matrix(&mut rng, k * n));
-            let abs = |v: &[f64]| v.iter().map(|x| x.abs()).collect::<Vec<_>>();
-            let mag = matmul_reference(&abs(&a), &abs(&b), m, n, k);
-            let run = |kern| {
-                let exec = Exec { kern, schedule: Some(Schedule::One) };
-                product_with(ComputeMode::Standard, &a, &b, m, n, k, exec)
-            };
-            let want = run(generic);
-            for kern in &simd {
-                let (got, mut moved) = (run(*kern), false);
-                for (i, ((x, y), mag)) in got.iter().zip(&want).zip(&mag).enumerate() {
-                    let bound = 2.0 * k as f64 * f64::EPSILON * mag;
-                    assert!((x - y).abs() <= bound, "`{}` ({m},{n},{k}) i={i}: {x} vs {y}", kern.name);
-                    moved |= x != y;
-                }
-                assert!(moved, "`{}` equals the unfused kernel bit for bit: not fused?", kern.name);
-            }
+    /// The fusion witness, on every rung: with `x = 1 + 2⁻ʰ`, the 1×1×2
+    /// product of A = [1, x] and B = [−(1 + 2¹⁻ʰ), x] is `x² − (1 + 2¹⁻ʰ)
+    /// = 2⁻²ʰ` when the multiply and add are fused, and 0 when `x²` is
+    /// rounded first (`2⁻²ʰ` is at most half its ulp).
+    fn fuses_on_every_rung<T: MicroArch>(h: i32) {
+        let pow2 = |e: i32| T::from_f64(2f64.powi(e));
+        let x = T::ONE + pow2(-h);
+        let (a, b) = ([T::ONE, x], [-(T::ONE + pow2(1 - h)), x]);
+        for kern in ladder::<T>() {
+            let exec = Exec { kern, schedule: Some(Schedule::One) };
+            let got = product_with(ComputeMode::Standard, &a, &b, 1, 1, 2, exec)[0];
+            assert!(same_bits(got, pow2(-2 * h)), "`{}` gives {got}: not fused?", kern.name);
         }
     }
 
     #[test]
+    fn f64_simd_kernels_bit_identical_and_within_k_eps_of_generic() {
+        // Bit-identical to the generic tile, which is the old bound's
+        // k·ε with nothing left over.
+        kernels_match(&ladder::<f64>(), &[ComputeMode::Standard], f64::MIN_POSITIVE / 4.0);
+        fuses_on_every_rung::<f64>(27);
+    }
+
+    #[test]
     fn f32_simd_kernels_bit_identical_in_every_mode() {
-        let (simd, _generic) = simd_and_generic::<f32>();
-        kernels_match(&simd, &ComputeMode::ALL, 1.0e-42);
+        // Every mode: the pinned tile pins the call's gather and
+        // conversion too.
+        kernels_match(&ladder::<f32>(), &ComputeMode::ALL, 1.0e-42);
+        fuses_on_every_rung::<f32>(12);
     }
 
     #[test]

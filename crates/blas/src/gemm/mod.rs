@@ -462,7 +462,7 @@ fn complex_product_4m<T: MicroArch>(
     uplo: Option<Uplo>,
     exec: Exec<T>,
 ) {
-    let d = mode.split_depth().unwrap_or(1);
+    let (d, rung) = (mode.split_depth().unwrap_or(1), exec.kern.rung);
     let (a_re, a_im) = (0, d);
     let (b_re, b_im, b_im_neg) = (0, d, 2 * d);
     let products = [
@@ -480,20 +480,20 @@ fn complex_product_4m<T: MicroArch>(
         &products,
         uplo,
         move |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
-            let len = gather(&asrc.offset(r0), rows, k0, kc, mr, dst, d * stride, |z| {
+            let len = gather(rung, &asrc.offset(r0), rows, k0, kc, mr, dst, d * stride, |z| {
                 [z.re, im_of(z, conj_a)]
             });
             for planes in dst.chunks_mut(d * stride) {
-                T::convert(mode, Side::A, planes, stride, len);
+                T::convert(rung, mode, Side::A, planes, stride, len);
             }
         },
         |k0, kc, nr, dst: &mut [T], stride| {
-            let len = gather(&bsrc, n, k0, kc, nr, dst, d * stride, |z| {
+            let len = gather(rung, &bsrc, n, k0, kc, nr, dst, d * stride, |z| {
                 let im = im_of(z, conj_b);
                 [z.re, im, -im]
             });
             for planes in dst.chunks_mut(d * stride) {
-                T::convert(mode, Side::B, planes, stride, len);
+                T::convert(rung, mode, Side::B, planes, stride, len);
             }
         },
         exec,
@@ -522,6 +522,7 @@ fn complex_product_3m<T: MicroArch>(
     exec: Exec<T>,
 ) {
     let products = [0, 1, 2].map(|t| Product { a: t, b: t, depth: 1, out: t });
+    let rung = exec.kern.rung;
     gemm_packed(
         acc,
         3,
@@ -531,13 +532,13 @@ fn complex_product_3m<T: MicroArch>(
         &products,
         uplo,
         move |r0, rows, k0, kc, mr, dst: &mut [T], stride| {
-            gather(&asrc.offset(r0), rows, k0, kc, mr, dst, stride, |z| {
+            gather(rung, &asrc.offset(r0), rows, k0, kc, mr, dst, stride, |z| {
                 let im = im_of(z, conj_a);
                 [z.re + im, z.re, im]
             });
         },
         |k0, kc, nr, dst: &mut [T], stride| {
-            gather(&bsrc, n, k0, kc, nr, dst, stride, |z| {
+            gather(rung, &bsrc, n, k0, kc, nr, dst, stride, |z| {
                 let im = im_of(z, conj_b);
                 [z.re, im - z.re, z.re + im]
             });
@@ -552,7 +553,7 @@ mod tests {
     use super::kernel::Schedule;
     use super::reference::same_bits;
     use crate::config::with_compute_mode;
-    use dcmesh_numerics::{c32, c64};
+    use dcmesh_numerics::{c32, c64, Rung};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -833,12 +834,15 @@ mod tests {
         });
     }
 
-    /// The fused driver against the retained four-call reference, bit for
-    /// bit: all 9 `op` pairs, padded `lda`/`ldb`/`ldc`, a shape inside one
-    /// k-block, one straddling `KC` and one taller than a row block (A
-    /// packed in several pieces), β = 0 and β ≠ 0, every ladder kernel,
-    /// sequential and rayon schedules.
-    fn fused_matches_reference<T: MicroArch>(modes: &[ComputeMode]) {
+    /// Calls `check(mode, g, c0)` on every case of
+    /// [`fused_matches_reference`]: all 9 `op` pairs, padded
+    /// `lda`/`ldb`/`ldc`, a shape inside one k-block, one straddling `KC`
+    /// and one taller than a row block (A packed in several pieces), β = 0
+    /// and β ≠ 0, in every mode of `modes`.
+    fn each_case<T: MicroArch>(
+        modes: &[ComputeMode],
+        mut check: impl FnMut(ComputeMode, &GemmArgs<'_, Complex<T>>, &[Complex<T>]),
+    ) {
         let mut rng = StdRng::seed_from_u64(15);
         let mut rand = |len: usize| -> Vec<Complex<T>> {
             (0..len)
@@ -861,27 +865,79 @@ mod tests {
                     for (alpha, beta) in [(cx(1.25, -0.5), cx(0.25, 0.75)), (cx(1.0, 0.0), cx(0.0, 0.0))] {
                         let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b: &b, ldb, beta, ldc, uplo: None };
                         for &mode in modes {
-                            for kern in T::ladder().into_iter().flatten() {
-                                let mut want = c0.clone();
-                                reference::complex_gemm(mode, &g, &mut want, Exec { kern, schedule: Some(Schedule::One) });
-                                for schedule in [Schedule::One, Schedule::Rows, Schedule::Depth] {
-                                    let mut got = c0.clone();
-                                    complex_gemm_with(mode, &g, &mut got, Exec { kern, schedule: Some(schedule) });
-                                    for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
-                                        assert!(
-                                            same_bits(x.re, y.re) && same_bits(x.im, y.im),
-                                            "{mode:?} op({transa:?},{transb:?}) ({m},{n},{k}) `{}` \
-                                             {schedule:?} β={beta:?} i={i}: {x:?} vs {y:?}",
-                                            kern.name
-                                        );
-                                    }
-                                }
-                            }
+                            check(mode, &g, &c0);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// The tile of every rung this host runs, widest first.
+    fn tiles<T: MicroArch>() -> impl Iterator<Item = kernel::MicroKernel<T>> {
+        Rung::ALL.into_iter().filter(|r| r.available()).map(T::tile)
+    }
+
+    /// Whether two complex results agree bit for bit (NaNs of any payload
+    /// agreeing).
+    fn same_complex<T: Real>(x: Complex<T>, y: Complex<T>) -> bool {
+        same_bits(x.re, y.re) && same_bits(x.im, y.im)
+    }
+
+    /// The fused driver against the retained four-call reference, bit for
+    /// bit, on every case of [`each_case`], every rung's kernel, and the
+    /// sequential and rayon schedules.
+    fn fused_matches_reference<T: MicroArch>(modes: &[ComputeMode]) {
+        each_case::<T>(modes, |mode, g, c0| {
+            let GemmArgs { transa, transb, m, n, k, beta, .. } = *g;
+            for kern in tiles::<T>() {
+                let mut want = c0.to_vec();
+                reference::complex_gemm(mode, g, &mut want, Exec { kern, schedule: Some(Schedule::One) });
+                for schedule in [Schedule::One, Schedule::Rows, Schedule::Depth] {
+                    let mut got = c0.to_vec();
+                    complex_gemm_with(mode, g, &mut got, Exec { kern, schedule: Some(schedule) });
+                    for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            same_complex(x, y),
+                            "{mode:?} op({transa:?},{transb:?}) ({m},{n},{k}) `{}` \
+                             {schedule:?} β={beta:?} i={i}: {x:?} vs {y:?}",
+                            kern.name
+                        );
+                    }
+                }
+            }
+        });
+    }
+
+    /// A call pinned to each rung — its tile, gather and conversion — is
+    /// the host's call bit for bit, on every case of [`each_case`].
+    fn rungs_match_the_host<T: MicroArch>(modes: &[ComputeMode]) {
+        each_case::<T>(modes, |mode, g, c0| {
+            let GemmArgs { transa, transb, m, n, k, .. } = *g;
+            let run = |exec| {
+                let mut c = c0.to_vec();
+                complex_gemm_with(mode, g, &mut c, exec);
+                c
+            };
+            let host = run(Exec::host());
+            for kern in tiles::<T>() {
+                let got = run(Exec { kern, ..Exec::host() });
+                for (i, (&x, &y)) in got.iter().zip(&host).enumerate() {
+                    assert!(
+                        same_complex(x, y),
+                        "{mode:?} op({transa:?},{transb:?}) ({m},{n},{k}) `{}` i={i}: {x:?} vs {y:?}",
+                        kern.name
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn every_rung_bit_identical_to_the_host_in_every_mode() {
+        rungs_match_the_host::<f32>(&ComputeMode::ALL);
+        // The two modes that apply to FP64 data (see `f64_mode`).
+        rungs_match_the_host::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
     }
 
     #[test]

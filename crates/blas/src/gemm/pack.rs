@@ -24,13 +24,18 @@
 //!    row; when it runs along k (`op(A) = A`, `op(B) = Bᵀ/B†`) each
 //!    source row is read once, contiguously, and transposed into the
 //!    panel.
-//! 2. [`convert_f32`] applies the compute mode *in place* over the packed
-//!    plane — a contiguous, panel-layout-agnostic, vectorised run that
-//!    splits each element into the mode's `depth` terms of its format
+//! 2. [`convert_f32_at`] applies the compute mode *in place* over the
+//!    packed plane — a contiguous, panel-layout-agnostic run that splits
+//!    each element into the mode's `depth` terms of its format
 //!    (`ComputeMode::systolic`; depth 1 is plain BF16/TF32 rounding).
 //!    Each source element is gathered and converted exactly once per call
 //!    no matter how many products and product terms later read the
 //!    packed planes.
+//!
+//! Both steps are one scalar body compiled per [`Rung`] under
+//! `#[target_feature]` (the compiler vectorises it), and both run on the
+//! rung of the GEMM call's microkernel, which the pack closures carry:
+//! the rung changes speed, never bits.
 //!
 //! The two operands are converted differently:
 //!
@@ -54,7 +59,7 @@ use dcmesh_numerics::bf16::Bf16;
 use dcmesh_numerics::format::TF32;
 use dcmesh_numerics::split::{split_by, MAX_SPLIT_DEPTH};
 use dcmesh_numerics::tf32::Tf32;
-use dcmesh_numerics::Real;
+use dcmesh_numerics::{Real, Rung};
 
 /// Which operand a plane belongs to (the split modes convert them
 /// differently, see the module docs).
@@ -116,9 +121,11 @@ impl<'a, E> OpSrc<'a, E> {
 /// `count.div_ceil(w)·w·kc`.
 ///
 /// Compiled twice, for the baseline target and for AVX2 (wider copies and
-/// deinterleave shuffles from the same source); the host picks.
+/// deinterleave shuffles from the same source): `rung` picks, and
+/// `avx512f` runs the AVX2 instantiation, the gather's top rung.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather<E: Copy, T: Real, const P: usize>(
+    rung: Rung,
     src: &OpSrc<'_, E>,
     count: usize,
     k0: usize,
@@ -128,10 +135,11 @@ pub(crate) fn gather<E: Copy, T: Real, const P: usize>(
     pitch: usize,
     f: impl Fn(E) -> [T; P],
 ) -> usize {
+    assert!(rung.available(), "{} is not available on this CPU", rung.name());
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 support was just verified; that is the function's
-        // only precondition (its body is the safe `gather_body`).
+    if rung != Rung::Portable {
+        // SAFETY: `rung.available()` was asserted just above, and every
+        // rung above `Portable` has AVX2.
         return unsafe { gather_avx2(src, count, k0, kc, w, dst, pitch, f) };
     }
     gather_body(src, count, k0, kc, w, dst, pitch, f)
@@ -140,7 +148,7 @@ pub(crate) fn gather<E: Copy, T: Real, const P: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn gather_avx2<E: Copy, T: Real, const P: usize>(
+fn gather_avx2<E: Copy, T: Real, const P: usize>(
     src: &OpSrc<'_, E>,
     count: usize,
     k0: usize,
@@ -243,53 +251,13 @@ fn gather_body<E: Copy, T: Real, const P: usize>(
     len
 }
 
-/// The vector width the pack-time conversions run at.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Lanes {
-    /// 16-lane AVX-512.
-    Avx512,
-    /// 8-lane AVX2.
-    Avx2,
-    /// One element at a time.
-    Scalar,
-}
-
-impl Lanes {
-    /// Every width this host can run, widest first (`Scalar` always).
-    pub fn available() -> impl Iterator<Item = Lanes> {
-        #[cfg(target_arch = "x86_64")]
-        let simd = [
-            std::arch::is_x86_feature_detected!("avx512f").then_some(Lanes::Avx512),
-            std::arch::is_x86_feature_detected!("avx2").then_some(Lanes::Avx2),
-        ];
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd = [None, None];
-        simd.into_iter().flatten().chain([Lanes::Scalar])
-    }
-}
-
-/// Applies `mode`'s pack-time conversion in place: the raw values in
-/// `planes[..len]` become plane 0, and for the split modes planes
-/// `1..depth` are written at `planes[t·stride..][..len]`. Runs at the
-/// host's widest vector width; the vector conversions are bit-identical
-/// to the scalar ones (asserted by the `vector_*` tests below), so the
-/// width never changes results, only speed. Zero pad lanes convert to
-/// zero planes.
-pub(crate) fn convert_f32(
-    mode: ComputeMode,
-    side: Side,
-    planes: &mut [f32],
-    stride: usize,
-    len: usize,
-) {
-    let lanes = Lanes::available().next().expect("scalar always available");
-    convert_f32_at(lanes, mode, side, planes, stride, len);
-}
-
-/// [`convert_f32`] at an explicit width, which the host must support
-/// (one of [`Lanes::available`]).
-fn convert_f32_at(
-    lanes: Lanes,
+/// Applies `mode`'s pack-time conversion in place on `rung`: the raw
+/// values in `planes[..len]` become plane 0, and for the split modes
+/// planes `1..depth` are written at `planes[t·stride..][..len]`. Every
+/// rung runs the one scalar loop of [`convert_body`], so the rung never
+/// changes results, only speed. Zero pad lanes convert to zero planes.
+pub(crate) fn convert_f32_at(
+    rung: Rung,
     mode: ComputeMode,
     side: Side,
     planes: &mut [f32],
@@ -297,68 +265,87 @@ fn convert_f32_at(
     len: usize,
 ) {
     let Some((format, depth)) = mode.systolic() else { return };
+    assert!(rung.available(), "{} is not available on this CPU", rung.name());
     assert!(depth == 1 || len <= stride, "plane run longer than the plane stride");
     let tf32 = format == TF32;
     // The one place a runtime depth becomes a compile-time one: an arm
     // per depth up to the ceiling.
     const _: () = assert!(MAX_SPLIT_DEPTH == 3, "one arm per depth");
     match depth {
-        1 => convert_planes::<1>(lanes, tf32, side, planes, stride, len),
-        2 => convert_planes::<2>(lanes, tf32, side, planes, stride, len),
-        3 => convert_planes::<3>(lanes, tf32, side, planes, stride, len),
+        1 => convert_planes::<1>(rung, tf32, side, planes, stride, len),
+        2 => convert_planes::<2>(rung, tf32, side, planes, stride, len),
+        3 => convert_planes::<3>(rung, tf32, side, planes, stride, len),
         _ => unreachable!("{mode:?} splits deeper than MAX_SPLIT_DEPTH"),
     }
 }
 
-/// [`convert_f32_at`] at a compile-time depth `D`: plane `t` of each
-/// element is term `t` of its split into TF32 or BF16 terms (side A), or
-/// the partial sum [`cascade`] makes of them (side B). Whole vector
-/// groups run at `lanes`, the tail in scalar code.
+/// [`convert_f32_at`] at a compile-time depth `D`, the format and side
+/// made compile-time too.
 fn convert_planes<const D: usize>(
-    lanes: Lanes,
+    rung: Rung,
     tf32: bool,
     side: Side,
     planes: &mut [f32],
     stride: usize,
     len: usize,
 ) {
-    assert!(Lanes::available().any(|l| l == lanes), "host cannot run {lanes:?} conversions");
     let mut chunks = planes.chunks_mut(stride.max(len));
-    let mut p: [&mut [f32]; D] =
+    let p: [&mut [f32]; D] =
         core::array::from_fn(|_| &mut chunks.next().expect("planes holds D planes")[..len]);
+    match (tf32, side) {
+        (false, Side::A) => convert_run::<false, false, D>(rung, p),
+        (false, Side::B) => convert_run::<false, true, D>(rung, p),
+        (true, Side::A) => convert_run::<true, false, D>(rung, p),
+        (true, Side::B) => convert_run::<true, true, D>(rung, p),
+    }
+}
+
+/// [`convert_body`] on `rung`'s instantiation.
+fn convert_run<const TF32: bool, const CASCADE: bool, const D: usize>(
+    rung: Rung,
+    p: [&mut [f32]; D],
+) {
     #[cfg(target_arch = "x86_64")]
-    let done = {
-        let ptrs = p.each_mut().map(|pl| pl.as_mut_ptr());
-        macro_rules! run {
-            ($isa:ident, $width:literal) => {{
-                let done = len - len % $width;
-                // SAFETY: the ISA was asserted available just above;
-                // `done` is a multiple of the vector width and each of
-                // the `D` planes behind `ptrs` was sliced to `len ≥ done`
-                // elements.
-                unsafe {
-                    match (tf32, side) {
-                        (false, Side::A) => x86::$isa::convert_run::<false, false, D>(ptrs, done),
-                        (false, Side::B) => x86::$isa::convert_run::<false, true, D>(ptrs, done),
-                        (true, Side::A) => x86::$isa::convert_run::<true, false, D>(ptrs, done),
-                        (true, Side::B) => x86::$isa::convert_run::<true, true, D>(ptrs, done),
-                    }
-                }
-                done
-            }};
-        }
-        match lanes {
-            Lanes::Avx512 => run!(avx512, 16),
-            Lanes::Avx2 => run!(avx2, 8),
-            Lanes::Scalar => 0,
-        }
-    };
+    match rung {
+        // SAFETY: `convert_f32_at` asserted `rung.available()`, which
+        // detected the features each wrapper is compiled for.
+        Rung::Avx512f => return unsafe { convert_avx512::<TF32, CASCADE, D>(p) },
+        Rung::Avx2 => return unsafe { convert_avx2::<TF32, CASCADE, D>(p) },
+        Rung::Portable => {}
+    }
     #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
-    let round = if tf32 { Tf32::round_f32 } else { Bf16::round_f32 };
-    for j in done..len {
+    let _ = rung; // `available` admits only `Portable` here
+    convert_body::<TF32, CASCADE, D>(p)
+}
+
+/// [`convert_body`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+fn convert_avx512<const TF32: bool, const CASCADE: bool, const D: usize>(p: [&mut [f32]; D]) {
+    convert_body::<TF32, CASCADE, D>(p)
+}
+
+/// [`convert_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn convert_avx2<const TF32: bool, const CASCADE: bool, const D: usize>(p: [&mut [f32]; D]) {
+    convert_body::<TF32, CASCADE, D>(p)
+}
+
+/// The conversion, one element at a time: plane `t` of each element of
+/// `p[0]` becomes term `t` of its split into TF32 or BF16 terms, or with
+/// `CASCADE` (side B) the partial sum [`cascade`] makes of them.
+#[inline(always)]
+fn convert_body<const TF32: bool, const CASCADE: bool, const D: usize>(p: [&mut [f32]; D]) {
+    let round = |x| if TF32 { Tf32::round_f32(x) } else { Bf16::round_f32(x) };
+    // Every plane cut to `len` where the compiler sees it, so the loop
+    // keeps no bounds check per plane (they cost up to 1.3× on the
+    // 256-element runs of a 16-orbital call, on an AVX-512 Xeon).
+    let len = p[0].len();
+    let mut p = p.map(|pl| &mut pl[..len]);
+    for j in 0..len {
         let terms = split_by::<D>(p[0][j], round);
-        let t = if side == Side::B { cascade(terms) } else { terms };
+        let t = if CASCADE { cascade(terms) } else { terms };
         for (pl, v) in p.iter_mut().zip(t) {
             pl[j] = v;
         }
@@ -382,191 +369,6 @@ fn cascade<const D: usize>(terms: [f32; D]) -> [f32; D] {
     sums
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! Vector replicas of the scalar split (BF16 or TF32 terms) and
-    //! cascade, at 8 (AVX2) and 16 (AVX-512) lanes. Exact
-    //! bit-compatibility with the scalar path is a hard requirement (the
-    //! pack must not depend on the host's ISA beyond speed); the rounding
-    //! uses the same integer round-to-nearest-even trick as
-    //! `Bf16::from_f32`, including its NaN-quieting behaviour.
-
-    /// The in-place run over packed planes, written once over an ISA's
-    /// `LANES`, load/store/add and its `split` (defined beside the
-    /// invocation).
-    macro_rules! runs {
-        ($feat:literal, $lanes:literal, $load:ident, $store:ident, $add:ident) => {
-            /// Converts `len` (a multiple of the lane count) raw elements
-            /// at `p[0]` into `D` planes in place, plane `t` at `p[t]`:
-            /// the split terms, TF32 or BF16, or with `CASCADE` their
-            /// partial sums — lane for lane the scalar `split_by` and
-            /// `cascade`.
-            ///
-            /// # Safety
-            /// Caller must have verified the ISA and that each `p[t]`
-            /// addresses at least `len` readable and writable elements.
-            #[target_feature(enable = $feat)]
-            pub(in super::super) unsafe fn convert_run<
-                const TF32: bool,
-                const CASCADE: bool,
-                const D: usize,
-            >(
-                p: [*mut f32; D],
-                len: usize,
-            ) {
-                debug_assert!(len.is_multiple_of($lanes));
-                for j in (0..len).step_by($lanes) {
-                    let terms = split::<TF32, D>($load(p[0].add(j)));
-                    let mut out = terms;
-                    if CASCADE {
-                        let mut s = terms[0];
-                        out[D - 1] = s;
-                        for i in 1..D {
-                            s = $add(s, terms[i]);
-                            out[D - 1 - i] = s;
-                        }
-                    }
-                    for (pl, v) in p.iter().zip(out) {
-                        $store(pl.add(j), v);
-                    }
-                }
-            }
-        };
-    }
-
-    pub(super) mod avx2 {
-        use core::arch::x86_64::*;
-
-        /// Vector `Bf16::round_f32`: RNE truncation to the high 16 bits,
-        /// NaN lanes quietened exactly like the scalar
-        /// (`(bits>>16)|0x0040`).
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn round_bf16(x: __m256) -> __m256 {
-            let bits = _mm256_castps_si256(x);
-            let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 16), _mm256_set1_epi32(1));
-            let rounded =
-                _mm256_add_epi32(_mm256_add_epi32(bits, _mm256_set1_epi32(0x7FFF)), lsb);
-            let kept = _mm256_and_si256(rounded, _mm256_set1_epi32(0xFFFF_0000u32 as i32));
-            let quiet = _mm256_or_si256(
-                _mm256_and_si256(bits, _mm256_set1_epi32(0xFFFF_0000u32 as i32)),
-                _mm256_set1_epi32(0x0040_0000),
-            );
-            let nan = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
-            _mm256_blendv_ps(_mm256_castsi256_ps(kept), _mm256_castsi256_ps(quiet), nan)
-        }
-
-        /// Vector `Tf32::round_f32`: RNE truncation of the low 13
-        /// mantissa bits. Unlike BF16, the scalar TF32 rounding passes
-        /// non-finite values through untouched (no NaN quieting) —
-        /// replicated here by blending on an all-ones-exponent test.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn round_tf32(x: __m256) -> __m256 {
-            let bits = _mm256_castps_si256(x);
-            let lsb = _mm256_and_si256(_mm256_srli_epi32(bits, 13), _mm256_set1_epi32(1));
-            let rounded = _mm256_and_si256(
-                _mm256_add_epi32(_mm256_add_epi32(bits, _mm256_set1_epi32(0xFFF)), lsb),
-                _mm256_set1_epi32(!0x1FFF),
-            );
-            let expmask = _mm256_set1_epi32(0x7F80_0000);
-            let special = _mm256_cmpeq_epi32(_mm256_and_si256(bits, expmask), expmask);
-            _mm256_blendv_ps(_mm256_castsi256_ps(rounded), x, _mm256_castsi256_ps(special))
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn round<const TF32: bool>(x: __m256) -> __m256 {
-            if TF32 {
-                round_tf32(x)
-            } else {
-                round_bf16(x)
-            }
-        }
-
-        /// Vector `split_by::<D>` with TF32 or BF16 rounding: the terms,
-        /// corrections zeroed on non-finite leads, exactly like the
-        /// scalar.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        unsafe fn split<const TF32: bool, const D: usize>(x: __m256) -> [__m256; D] {
-            let mut t = [round::<TF32>(x); D];
-            let abs_hi = _mm256_and_ps(t[0], _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF)));
-            let finite = _mm256_cmp_ps(abs_hi, _mm256_set1_ps(f32::INFINITY), _CMP_LT_OQ);
-            let mut r = x;
-            for i in 1..D {
-                r = _mm256_sub_ps(r, t[i - 1]);
-                t[i] = _mm256_and_ps(round::<TF32>(r), finite);
-            }
-            t
-        }
-
-        runs!("avx2", 8, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_add_ps);
-    }
-
-    pub(super) mod avx512 {
-        use core::arch::x86_64::*;
-
-        /// 16-lane [`super::avx2`]`::round_bf16`.
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn round_bf16(x: __m512) -> __m512 {
-            let bits = _mm512_castps_si512(x);
-            let high = _mm512_set1_epi32(0xFFFF_0000u32 as i32);
-            let lsb = _mm512_and_si512(_mm512_srli_epi32::<16>(bits), _mm512_set1_epi32(1));
-            let rounded =
-                _mm512_add_epi32(_mm512_add_epi32(bits, _mm512_set1_epi32(0x7FFF)), lsb);
-            let kept = _mm512_and_si512(rounded, high);
-            let quiet =
-                _mm512_or_si512(_mm512_and_si512(bits, high), _mm512_set1_epi32(0x0040_0000));
-            let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x);
-            _mm512_castsi512_ps(_mm512_mask_mov_epi32(kept, nan, quiet))
-        }
-
-        /// 16-lane [`super::avx2`]`::round_tf32`.
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn round_tf32(x: __m512) -> __m512 {
-            let bits = _mm512_castps_si512(x);
-            let lsb = _mm512_and_si512(_mm512_srli_epi32::<13>(bits), _mm512_set1_epi32(1));
-            let rounded = _mm512_and_si512(
-                _mm512_add_epi32(_mm512_add_epi32(bits, _mm512_set1_epi32(0xFFF)), lsb),
-                _mm512_set1_epi32(!0x1FFF),
-            );
-            let expmask = _mm512_set1_epi32(0x7F80_0000);
-            let special = _mm512_cmpeq_epi32_mask(_mm512_and_si512(bits, expmask), expmask);
-            _mm512_castsi512_ps(_mm512_mask_mov_epi32(rounded, special, bits))
-        }
-
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn round<const TF32: bool>(x: __m512) -> __m512 {
-            if TF32 {
-                round_tf32(x)
-            } else {
-                round_bf16(x)
-            }
-        }
-
-        /// 16-lane [`super::avx2`]`::split`.
-        #[inline]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn split<const TF32: bool, const D: usize>(x: __m512) -> [__m512; D] {
-            let mut t = [round::<TF32>(x); D];
-            let finite =
-                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(_mm512_abs_ps(t[0]), _mm512_set1_ps(f32::INFINITY));
-            let mut r = x;
-            for i in 1..D {
-                r = _mm512_sub_ps(r, t[i - 1]);
-                t[i] = _mm512_maskz_mov_ps(finite, round::<TF32>(r));
-            }
-            t
-        }
-
-        runs!("avx512f", 16, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_add_ps);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,13 +376,23 @@ mod tests {
     use dcmesh_numerics::format::BF16;
     use dcmesh_numerics::split::split;
 
+    /// Every rung this CPU runs, widest first.
+    fn rungs() -> impl Iterator<Item = Rung> {
+        Rung::ALL.into_iter().filter(|r| r.available())
+    }
+
+    /// The rung a GEMM call on this CPU packs on.
+    fn host() -> Rung {
+        Rung::at_most(Rung::Avx512f)
+    }
+
     #[test]
     fn a_panel_layout_and_padding() {
         // 3×4 matrix, mr = 2 → two panels, second padded by one row.
         let a: Vec<f32> = (1..=12).map(|x| x as f32).collect();
         let (m, k, mr, kc) = (3, 4, 2, 4);
         let mut dst = vec![f32::NAN; 2 * mr * kc];
-        assert_eq!(gather(&OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut dst, 0, |x| [x]), dst.len());
+        assert_eq!(gather(host(), &OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut dst, 0, |x| [x]), dst.len());
         // Panel 0, kk = 0 holds column 0 of rows 0..2.
         assert_eq!(&dst[0..2], &[1.0, 5.0]);
         // Panel 1, kk = 3 holds column 3 of row 2 plus a zero pad lane.
@@ -593,7 +405,7 @@ mod tests {
         let b: Vec<f32> = (1..=10).map(|x| x as f32).collect();
         let (n, nr, kc) = (5, 4, 2);
         let mut dst = vec![f32::NAN; 2 * nr * kc];
-        gather(&OpSrc::dense_b(&b, n), n, 0, kc, nr, &mut dst, 0, |x| [x]);
+        gather(host(), &OpSrc::dense_b(&b, n), n, 0, kc, nr, &mut dst, 0, |x| [x]);
         // Panel 0, kk = 1 holds columns 0..4 of row 1.
         assert_eq!(&dst[nr..2 * nr], &[6.0, 7.0, 8.0, 9.0]);
         // Panel 1, kk = 0 holds column 4 then zero padding.
@@ -604,7 +416,7 @@ mod tests {
     fn k_slice_offsets_respected() {
         let a: Vec<f32> = (0..8).map(|x| x as f32).collect(); // 1×8
         let mut dst = vec![0.0f32; 4];
-        gather(&OpSrc::dense_a(&a, 8), 1, 4, 4, 1, &mut dst, 0, |x| [x]);
+        gather(host(), &OpSrc::dense_a(&a, 8), 1, 4, 4, 1, &mut dst, 0, |x| [x]);
         assert_eq!(dst, [4.0, 5.0, 6.0, 7.0]);
     }
 
@@ -618,7 +430,7 @@ mod tests {
         let poison = c32(f32::NAN, f32::NAN);
         let x: Vec<_> = (0..3).flat_map(|r| [z(r, 0), z(r, 1), poison]).collect();
         let w = 4;
-        for op in [Op::None, Op::Trans] {
+        for (rung, op) in rungs().flat_map(|r| [(r, Op::None), (r, Op::Trans)]) {
             // (source, count, depth, whether element (p, kk) of op(X) is
             // stored at (kk, p) rather than (p, kk))
             let cases = if op == Op::None {
@@ -629,7 +441,7 @@ mod tests {
             for (src, count, depth, swapped) in cases {
                 let pitch = w * depth + 5;
                 let mut dst = vec![f32::NAN; 2 * pitch];
-                let len = gather(&src, count, 0, depth, w, &mut dst, pitch, |z| [z.re, -z.im]);
+                let len = gather(rung, &src, count, 0, depth, w, &mut dst, pitch, |z| [z.re, -z.im]);
                 assert_eq!(len, w * depth);
                 for kk in 0..depth {
                     for p in 0..w {
@@ -640,7 +452,7 @@ mod tests {
                             [0.0, 0.0]
                         };
                         let got = [dst[kk * w + p], dst[pitch + kk * w + p]];
-                        assert_eq!(got, want, "{op:?} along={} p={p} kk={kk}", src.along);
+                        assert_eq!(got, want, "{rung:?} {op:?} along={} p={p} kk={kk}", src.along);
                     }
                 }
                 assert!(dst[len..pitch].iter().all(|x| x.is_nan()), "wrote past plane 0");
@@ -674,8 +486,7 @@ mod tests {
 
     /// One element's planes with the two- and three-term split and its
     /// cascade written out literally: the reference the generic
-    /// `split_by` / [`cascade`] and their vector replicas must reproduce
-    /// bit for bit.
+    /// `split_by` / [`cascade`] must reproduce bit for bit on every rung.
     fn literal(x: f32, depth: usize, side: Side) -> Vec<f32> {
         let hi = Bf16::round_f32(x);
         let (mid, lo) = if hi.is_finite() {
@@ -695,13 +506,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn split_and_cascade_match_literal_formulas() {
-        // Every 4099th f32 bit pattern — NaNs, infinities, subnormals and
-        // both zeros among them — plus the specials, at every depth, on
-        // both sides and at every width the host runs.
+    /// Every 4099th f32 bit pattern — NaNs of both signs, infinities,
+    /// subnormals, both zeros and values that round to Inf among them —
+    /// plus the specials.
+    fn every_4099th_pattern() -> Vec<f32> {
         let mut src: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
         src.extend(special_values(45));
+        src
+    }
+
+    #[test]
+    fn split_and_cascade_match_literal_formulas() {
+        // Those patterns at every depth, on both sides and on every rung
+        // the host runs.
+        let src = every_4099th_pattern();
         for depth in 1..=MAX_SPLIT_DEPTH {
             let mode = ComputeMode::ALL
                 .into_iter()
@@ -754,8 +572,8 @@ mod tests {
             .collect()
     }
 
-    /// Runs the conversion over `src` at every width the host offers,
-    /// checks they agree bit for bit, and returns the `depth` planes.
+    /// Runs the conversion over `src` on every rung the host runs, checks
+    /// they agree bit for bit, and returns the `depth` planes.
     fn converted(mode: ComputeMode, side: Side, src: &[f32]) -> Vec<Vec<f32>> {
         let depth = mode.split_depth().unwrap();
         // A stride longer than the run, poisoned, so a write outside
@@ -763,19 +581,19 @@ mod tests {
         let stride = src.len() + 3;
         let bits = |buf: &[f32]| buf.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut agreed: Option<Vec<f32>> = None;
-        for lanes in Lanes::available() {
+        for rung in rungs() {
             let mut buf = vec![f32::NAN; depth * stride];
             buf[..src.len()].copy_from_slice(src);
-            convert_f32_at(lanes, mode, side, &mut buf, stride, src.len());
+            convert_f32_at(rung, mode, side, &mut buf, stride, src.len());
             for t in 0..depth {
                 assert!(buf[t * stride + src.len()..(t + 1) * stride].iter().all(|x| x.is_nan()));
             }
             if let Some(prev) = &agreed {
-                assert_eq!(bits(&buf), bits(prev), "{lanes:?} differs from a wider width");
+                assert_eq!(bits(&buf), bits(prev), "{rung:?} differs from a wider rung");
             }
             agreed = Some(buf);
         }
-        let buf = agreed.expect("scalar always runs");
+        let buf = agreed.expect("portable always runs");
         (0..depth).map(|t| buf[t * stride..t * stride + src.len()].to_vec()).collect()
     }
 
@@ -807,16 +625,17 @@ mod tests {
     fn vector_b_round_matches_scalar() {
         // The rounded run must match scalar Bf16/Tf32 rounding bit for
         // bit, including NaN payloads (BF16 quietens, TF32 passes
-        // through), on either side.
-        let b = special_values(64);
+        // through), on either side, over every 4099th pattern and on
+        // every rung.
+        let b = every_4099th_pattern();
         for side in [Side::A, Side::B] {
             let got = converted(ComputeMode::FloatToBf16, side, &b);
             for (j, &x) in b.iter().enumerate() {
-                assert_eq!(got[0][j].to_bits(), Bf16::round_f32(x).to_bits(), "bf16 j={j}");
+                assert_eq!(got[0][j].to_bits(), Bf16::round_f32(x).to_bits(), "bf16 {side:?} j={j}");
             }
             let got = converted(ComputeMode::FloatToTf32, side, &b);
             for (j, &x) in b.iter().enumerate() {
-                assert_eq!(got[0][j].to_bits(), Tf32::round_f32(x).to_bits(), "tf32 j={j}");
+                assert_eq!(got[0][j].to_bits(), Tf32::round_f32(x).to_bits(), "tf32 {side:?} j={j}");
             }
         }
     }
@@ -851,8 +670,8 @@ mod tests {
         let (m, k, mr, kc) = (3, 4, 4, 4);
         let stride = mr * kc;
         let mut buf = vec![f32::NAN; 3 * stride];
-        let len = gather(&OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut buf, 0, |x| [x]);
-        convert_f32(ComputeMode::FloatToBf16x3, Side::A, &mut buf, stride, len);
+        let len = gather(host(), &OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut buf, 0, |x| [x]);
+        convert_f32_at(host(), ComputeMode::FloatToBf16x3, Side::A, &mut buf, stride, len);
         for r in 0..m {
             for kk in 0..k {
                 let idx = kk * mr + r;

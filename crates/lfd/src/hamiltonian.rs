@@ -14,16 +14,16 @@
 //! without a bounds check of its own (the slab's one range assertion
 //! covers them), and stores once as its const store mode says: `H·ψ`
 //! itself, or a Taylor term `t` kept, added into ψ, or both
-//! (`store`). The body is compiled for three rungs, `avx512f → avx2 →
-//! portable` ([`Rung`]), and each (element width, store mode) runs on
-//! the fastest rung the CPU has. DESIGN.md, "Mesh kernels", gives the
-//! loop nest, the operation-order contract that keeps every store mode
-//! on every rung bit-identical to the scalar loop it replaced, the
-//! measurements behind the rung choice, and the per-point operation and
-//! byte counts.
+//! (`store`). The body is compiled for the three rungs of the workspace's
+//! one ladder, `avx512f → avx2 → portable` ([`Rung`]), and each (element
+//! width, store mode) runs on the fastest rung the CPU has up to its top.
+//! DESIGN.md, "Mesh kernels", gives the loop nest, the operation-order
+//! contract that keeps every store mode on every rung bit-identical to
+//! the scalar loop it replaced, the measurements behind the rung choice,
+//! and the per-point operation and byte counts.
 
 use crate::mesh::Mesh3;
-use dcmesh_numerics::{Complex, Real};
+use dcmesh_numerics::{Complex, Real, Rung};
 use rayon::prelude::*;
 
 /// 8th-order central-difference coefficients for the second derivative:
@@ -78,68 +78,23 @@ pub(crate) mod store {
     pub const CATCH_UP: u8 = 4;
 }
 
-/// The instruction sets a sweep is compiled for, widest first: the
-/// stencil's ladder, in the idiom of `mkl_lite`'s `MicroArch::ladder`.
-/// Every rung runs the same source in the same operation order, so every
-/// rung gives the same bits; they differ only in speed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Rung {
-    /// `avx512f` (with AVX2 and FMA).
-    Avx512f,
-    /// `avx2` and `fma`.
-    Avx2,
-    /// The baseline target.
-    Portable,
-}
-
-impl Rung {
-    /// Every rung, widest first.
-    pub const ALL: [Rung; 3] = [Rung::Avx512f, Rung::Avx2, Rung::Portable];
-
-    /// Name for bench headers and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Rung::Avx512f => "avx512f",
-            Rung::Avx2 => "avx2",
-            Rung::Portable => "portable",
-        }
-    }
-
-    /// Whether this CPU runs the rung.
-    pub fn available(self) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        let available = match self {
-            Rung::Avx512f => std::arch::is_x86_feature_detected!("avx512f")
-                && Rung::Avx2.available(),
-            Rung::Avx2 => std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma"),
-            Rung::Portable => true,
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let available = self == Rung::Portable;
-        available
-    }
-
-    /// The rung a sweep over `T` with store mode `STORE` runs on: the
-    /// widest available one at or below the fastest for that pair. That
-    /// is `avx512f` for every pair but the `f32` Taylor stores: under
-    /// `avx512f` LLVM splits their `(re, im) → (im, −re)` swap into masked
-    /// loads and shuffles and they run 1.7–2.1× slower than under AVX2, so
-    /// they start one rung down. (The `f64` Taylor stores gain 1.5–1.7×
-    /// from `avx512f`, the plain stores 1.2–1.8×; DESIGN.md, "Mesh
-    /// kernels".)
-    fn host<T: Real, const STORE: u8>() -> Rung {
-        let f32_taylor = STORE != store::PLAIN && core::mem::size_of::<T>() == 4;
-        let top = usize::from(f32_taylor);
-        Rung::ALL[top..].iter().copied().find(|r| r.available()).unwrap_or(Rung::Portable)
-    }
+/// The rung a sweep over `T` with store mode `STORE` runs on: the widest
+/// available one at or below the fastest for that pair. That is `avx512f`
+/// for every pair but the `f32` Taylor stores: under `avx512f` LLVM splits
+/// their `(re, im) → (im, −re)` swap into masked loads and shuffles and
+/// they run 1.7–2.1× slower than under AVX2, so they top out one rung
+/// down. (The `f64` Taylor stores gain 1.5–1.7× from `avx512f`, the plain
+/// stores 1.2–1.8×; DESIGN.md, "Mesh kernels".)
+fn rung_for<T: Real, const STORE: u8>() -> Rung {
+    let f32_taylor = STORE != store::PLAIN && core::mem::size_of::<T>() == 4;
+    Rung::at_most(if f32_taylor { Rung::Avx2 } else { Rung::Avx512f })
 }
 
 /// The rungs `apply_h`/`apply_kinetic` (plain store) and the Taylor
 /// sweeps of `taylor_propagate` over `T` dispatch to on this CPU, in that
 /// order.
 pub fn dispatched_rungs<T: Real>() -> [Rung; 2] {
-    [Rung::host::<T, { store::PLAIN }>(), Rung::host::<T, { store::KEEP | store::ADD }>()]
+    [rung_for::<T, { store::PLAIN }>(), rung_for::<T, { store::KEEP | store::ADD }>()]
 }
 
 /// One configured sweep of `H(t)` over an `N_grid × n_orb` state.
@@ -431,7 +386,7 @@ pub fn apply_h<T: Real>(
     out: &mut [Complex<T>],
 ) {
     Stencil::new(mesh, n_orb, Some(vloc), a_total, T::ZERO).run::<{ store::PLAIN }>(
-        Rung::host::<T, { store::PLAIN }>(),
+        rung_for::<T, { store::PLAIN }>(),
         psi,
         out,
         &mut [],
@@ -447,7 +402,7 @@ pub fn apply_kinetic<T: Real>(
     out: &mut [Complex<T>],
 ) {
     Stencil::new(mesh, n_orb, None, 0.0, T::ZERO).run::<{ store::PLAIN }>(
-        Rung::host::<T, { store::PLAIN }>(),
+        rung_for::<T, { store::PLAIN }>(),
         psi,
         out,
         &mut [],
@@ -470,7 +425,7 @@ pub(crate) fn taylor_term<const STORE: u8, T: Real>(
 ) {
     debug_assert!(STORE != store::PLAIN);
     Stencil::new(mesh, n_orb, Some(vloc), a_total, c).run::<STORE>(
-        Rung::host::<T, STORE>(),
+        rung_for::<T, STORE>(),
         src,
         next,
         psi,
@@ -667,7 +622,7 @@ mod tests {
                             assert_same_bits(&psi_b[offset..], &want_psi, &format!("psi, {what}"));
                         };
                         for threads in [1, 2, 3, 4, 8] {
-                            under_pool(threads, || check(Rung::host::<T, 0>(), 0, &format!("{threads} threads")));
+                            under_pool(threads, || check(rung_for::<T, 0>(), 0, &format!("{threads} threads")));
                         }
                         for &rung in &rungs {
                             for offset in 0..4 {

@@ -21,6 +21,8 @@
 //!   multiplication product and the 3M (Karatsuba) product used by the
 //!   `COMPLEX_3M` mode.
 //! * [`aligned`] — [`AlignedVec`], an owned array that starts on a cache line.
+//! * [`rung`] — [`Rung`], the instruction-set ladder every SIMD kernel of
+//!   the workspace is compiled for, and the one CPU feature query.
 //! * [`format`] — descriptors for each precision format (paper Table IV).
 //! * [`error_model`] — the paper's §V-B proxy error model (relative GEMM
 //!   error ≈ 2⁻ⁿ, independent of input magnitude).
@@ -45,6 +47,7 @@ pub mod error_model;
 pub mod format;
 pub mod real;
 pub mod reduce;
+pub mod rung;
 pub mod split;
 pub mod tf32;
 
@@ -53,4 +56,5 @@ pub use bf16::Bf16;
 pub use complex::{c32, c64, Complex, C32, C64};
 pub use format::{PrecisionFormat, FORMATS};
 pub use real::Real;
+pub use rung::Rung;
 pub use tf32::Tf32;

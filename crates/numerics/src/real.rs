@@ -30,6 +30,9 @@ pub trait Real:
     /// Machine epsilon of the format.
     const EPSILON: Self;
 
+    /// `self · a + b` rounded once (fused multiply-add). One instruction
+    /// where the target has FMA; a libm call on the x86-64 baseline.
+    fn mul_add(self, a: Self, b: Self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
     /// Absolute value.
@@ -69,6 +72,10 @@ macro_rules! impl_real {
             const ONE: Self = 1.0;
             const EPSILON: Self = <$t>::EPSILON;
 
+            #[inline]
+            fn mul_add(self, a: Self, b: Self) -> Self {
+                self.mul_add(a, b)
+            }
             #[inline]
             fn sqrt(self) -> Self {
                 self.sqrt()
