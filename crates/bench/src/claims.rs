@@ -34,8 +34,7 @@ use dcmesh_numerics::{c32, PrecisionFormat, C32};
 use dcmesh_telemetry::json;
 use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::gemm::kernel::matmul_reference;
-use mkl_lite::gemm::lowp::matmul_acc_lowp;
-use mkl_lite::{cgemm, verbose, with_compute_mode, ComputeMode, Op};
+use mkl_lite::{cgemm, sgemm, verbose, with_compute_mode, ComputeMode, Op};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xe_gpu::{Engine, XeStackModel, MAX_1550_STACK};
@@ -530,9 +529,9 @@ fn gemm_max_rel_error(mode: ComputeMode, m: usize, n: usize, k: usize) -> f64 {
     let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(0.1f32..1.0)).collect();
     let widen = |x: &[f32]| x.iter().map(|&v| f64::from(v)).collect::<Vec<f64>>();
     let exact = matmul_reference(&widen(&a), &widen(&b), m, n, k);
-    let mut acc = vec![0.0f32; m * n];
-    matmul_acc_lowp(mode, &a, &b, &mut acc, m, n, k);
-    nan_max(acc.iter().zip(&exact).map(|(&x, &y)| ((f64::from(x) - y) / y).abs()))
+    let mut c = vec![0.0f32; m * n];
+    with_compute_mode(mode, || sgemm(Op::None, Op::None, m, n, k, 1.0, &a, k, &b, n, 0.0, &mut c, n));
+    nan_max(c.iter().zip(&exact).map(|(&x, &y)| ((f64::from(x) - y) / y).abs()))
 }
 
 /// §V-B and the split-depth ablation: measured GEMM error per mode under

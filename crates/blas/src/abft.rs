@@ -29,10 +29,11 @@
 //! product and its checksum.
 
 use crate::context;
+use crate::element::Element;
 use crate::gemm::GemmArgs;
 use crate::layout::Op;
 use crate::mode::ComputeMode;
-use dcmesh_numerics::{Complex, C64};
+use dcmesh_numerics::{Real, C64};
 use dcmesh_telemetry::{self as telemetry, ledger, Attr, AttrValue};
 
 /// Safety factor on the rounding bound. Generous on purpose: a missed
@@ -120,42 +121,6 @@ pub fn take_abft_violation() -> Option<AbftViolation> {
     context::with(|cx| cx.abft_pending.take())
 }
 
-/// Element types the checksum accumulates: everything is promoted to a
-/// complex f64 (reals with a zero imaginary part).
-pub(crate) trait AbftElem: Copy {
-    /// The value as a complex f64.
-    fn acc(self) -> C64;
-    /// Unit roundoff of the element type.
-    fn elem_eps() -> f64;
-}
-
-impl AbftElem for f32 {
-    fn acc(self) -> C64 {
-        C64 { re: self as f64, im: 0.0 }
-    }
-    fn elem_eps() -> f64 {
-        f32::EPSILON as f64
-    }
-}
-
-impl AbftElem for f64 {
-    fn acc(self) -> C64 {
-        C64 { re: self, im: 0.0 }
-    }
-    fn elem_eps() -> f64 {
-        f64::EPSILON
-    }
-}
-
-impl<T: AbftElem> AbftElem for Complex<T> {
-    fn acc(self) -> C64 {
-        C64 { re: self.re.acc().re, im: self.im.acc().re }
-    }
-    fn elem_eps() -> f64 {
-        T::elem_eps()
-    }
-}
-
 /// Scans a GEMM output for non-finite values (cheap O(m·n) pass, only
 /// when telemetry events are on — which is when the call has a ledger
 /// `key`) and, on the first hit, records it in the ledger under that key
@@ -164,7 +129,7 @@ impl<T: AbftElem> AbftElem for Complex<T> {
 /// injection so injected NaNs are attributed to the callsite that
 /// produced them — the supervisor's own health check sees only the
 /// recorded wavefunction, long after call context is gone.
-pub(crate) fn probe_nonfinite<T: AbftElem>(
+pub(crate) fn probe_nonfinite<T: Element>(
     routine: &'static str,
     key: Option<ledger::Key>,
     c: &[T],
@@ -178,7 +143,7 @@ pub(crate) fn probe_nonfinite<T: AbftElem>(
     }
     let hit = (0..m).any(|i| {
         c[i * ldc..i * ldc + n].iter().any(|v| {
-            let z = v.acc();
+            let z = v.widen();
             !z.re.is_finite() || !z.im.is_finite()
         })
     });
@@ -207,11 +172,11 @@ fn mode_eps(mode: ComputeMode, elem_eps: f64) -> f64 {
 }
 
 /// Logical `op(X)[r][c]` of a stored matrix with leading dimension `ld`.
-fn op_elem<T: AbftElem>(op: Op, s: &[T], ld: usize, r: usize, c: usize) -> C64 {
+fn op_elem<T: Element>(op: Op, s: &[T], ld: usize, r: usize, c: usize) -> C64 {
     match op {
-        Op::None => s[r * ld + c].acc(),
-        Op::Trans => s[c * ld + r].acc(),
-        Op::ConjTrans => s[c * ld + r].acc().conj(),
+        Op::None => s[r * ld + c].widen(),
+        Op::Trans => s[c * ld + r].widen(),
+        Op::ConjTrans => s[c * ld + r].widen().conj(),
     }
 }
 
@@ -227,7 +192,7 @@ pub(crate) struct PreSums {
 /// Captures the β-scaled row sums of C for sampled call `call`. Must run
 /// before the product is computed. `None` (no check) for an empty output
 /// or storage too short for it.
-pub(crate) fn pre_sums<T: AbftElem>(
+pub(crate) fn pre_sums<T: Element>(
     call: u64,
     beta: T,
     c: &[T],
@@ -239,7 +204,7 @@ pub(crate) fn pre_sums<T: AbftElem>(
     if m == 0 || n == 0 || c.len() < (m - 1) * ldc + n {
         return None;
     }
-    let beta_acc = beta.acc();
+    let beta_acc = beta.widen();
     let mut sums = vec![C64::zero(); m];
     let mut mags = vec![0.0f64; m];
     if beta_acc != C64::zero() {
@@ -248,7 +213,7 @@ pub(crate) fn pre_sums<T: AbftElem>(
             let mut s = C64::zero();
             let mut mag = 0.0f64;
             for j in 0..n {
-                let v = c[i * ldc + j].acc();
+                let v = c[i * ldc + j].widen();
                 s += v;
                 mag += v.abs();
             }
@@ -263,7 +228,7 @@ pub(crate) fn pre_sums<T: AbftElem>(
 /// after the product *and* after fault injection, so injected flips are
 /// inside the checked window. The outcome is recorded under the call's
 /// ledger `key` (present when telemetry events are on).
-pub(crate) fn check_gemm<T: AbftElem>(
+pub(crate) fn check_gemm<T: Element>(
     routine: &'static str,
     key: Option<ledger::Key>,
     pre: PreSums,
@@ -272,7 +237,7 @@ pub(crate) fn check_gemm<T: AbftElem>(
     mode: ComputeMode,
 ) {
     let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, ldc, .. } = *g;
-    let alpha_acc = alpha.acc();
+    let alpha_acc = alpha.widen();
     let alpha_abs = alpha_acc.abs();
 
     // Column sums of op(B): v[t] = Σ_j op(B)[t][j].
@@ -292,7 +257,7 @@ pub(crate) fn check_gemm<T: AbftElem>(
         }
     }
 
-    let eps_total = SAFETY * mode_eps(mode, T::elem_eps()) * (k + n) as f64;
+    let eps_total = SAFETY * mode_eps(mode, T::Real::EPSILON.to_f64()) * (k + n) as f64;
     let mut worst: Option<AbftViolation> = None;
     // Worst defect/bound ratio across the checked rows, for the ledger's
     // residual histogram. NaN is sticky: a poisoned row must reach the
@@ -313,7 +278,7 @@ pub(crate) fn check_gemm<T: AbftElem>(
         let bound = eps_total * (alpha_abs * mag + pre.mags[i]);
         let mut observed = C64::zero();
         for j in 0..n {
-            observed += c[i * ldc + j].acc();
+            observed += c[i * ldc + j].widen();
         }
         let defect = (observed - expected).abs();
         let ratio = if bound > 0.0 { defect / bound } else if defect > 0.0 { f64::INFINITY } else { 0.0 };

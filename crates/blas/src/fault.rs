@@ -29,8 +29,8 @@
 //! environment (see [`FaultPlan::parse`]).
 
 use crate::context;
+use crate::element::Element;
 use crate::mode::ComputeMode;
-use dcmesh_numerics::Complex;
 
 /// What to do to the targeted output element.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,48 +216,6 @@ pub fn injected_fault_count() -> u64 {
     context::with(|cx| cx.injected)
 }
 
-/// Element types a fault can corrupt.
-pub trait FaultTarget: Copy {
-    /// The value after applying `kind`; `entropy` breaks ties (e.g.
-    /// which complex component to hit).
-    fn corrupted(self, kind: FaultKind, entropy: u64) -> Self;
-}
-
-impl FaultTarget for f32 {
-    fn corrupted(self, kind: FaultKind, _entropy: u64) -> f32 {
-        match kind {
-            FaultKind::FlipMantissaBit(bit) => f32::from_bits(self.to_bits() ^ (1 << (bit % 23))),
-            FaultKind::FlipBit(bit) => f32::from_bits(self.to_bits() ^ (1 << (bit % 32))),
-            FaultKind::Nan => f32::NAN,
-            FaultKind::Inf => f32::INFINITY,
-        }
-    }
-}
-
-impl FaultTarget for f64 {
-    fn corrupted(self, kind: FaultKind, _entropy: u64) -> f64 {
-        match kind {
-            FaultKind::FlipMantissaBit(bit) => {
-                f64::from_bits(self.to_bits() ^ (1u64 << (bit % 52)))
-            }
-            FaultKind::FlipBit(bit) => f64::from_bits(self.to_bits() ^ (1u64 << (bit % 64))),
-            FaultKind::Nan => f64::NAN,
-            FaultKind::Inf => f64::INFINITY,
-        }
-    }
-}
-
-impl<T: FaultTarget> FaultTarget for Complex<T> {
-    fn corrupted(mut self, kind: FaultKind, entropy: u64) -> Complex<T> {
-        if entropy & 1 == 0 {
-            self.re = self.re.corrupted(kind, entropy >> 1);
-        } else {
-            self.im = self.im.corrupted(kind, entropy >> 1);
-        }
-        self
-    }
-}
-
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -268,7 +226,7 @@ fn mix(x: u64) -> u64 {
 /// Applies the installed plan's matching sites to the logical m×n window
 /// of `c`. `call` is the call's index from [`context::GemmTicket`]; `mode`
 /// is the mode the call executed in, not the ambient one.
-pub(crate) fn inject<T: FaultTarget>(
+pub(crate) fn inject<T: Element>(
     routine: &'static str,
     mode: ComputeMode,
     call: u64,
@@ -301,6 +259,7 @@ pub(crate) fn inject<T: FaultTarget>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcmesh_numerics::Complex;
 
     #[test]
     fn triggers_fire_at_expected_indices() {

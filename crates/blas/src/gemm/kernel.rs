@@ -263,22 +263,23 @@ impl MicroArch for f64 {
 /// runs on too — and which [`Schedule`] (`None` = [`Schedule::choose`]).
 /// Everything outside tests uses [`Exec::host`]; tests pin a rung or a
 /// schedule to compare them bit for bit on identical inputs.
+#[doc(hidden)]
 #[derive(Clone, Copy)]
-pub(crate) struct Exec<T: 'static> {
-    pub kern: MicroKernel<T>,
-    pub schedule: Option<Schedule>,
+pub struct Exec<T: 'static> {
+    pub(crate) kern: MicroKernel<T>,
+    pub(crate) schedule: Option<Schedule>,
 }
 
 impl<T: MicroArch> Exec<T> {
     /// The tile of the widest rung the host runs, the schedule by shape.
-    pub fn host() -> Self {
+    pub(crate) fn host() -> Self {
         Exec { kern: T::tile(Rung::at_most(TOP)), schedule: None }
     }
 
     /// The host's tile geometry around a microkernel that does nothing:
     /// what is left of a product is its pack (see
     /// [`super::complex_gemm_sans_microkernel`]).
-    pub fn sans_microkernel() -> Self {
+    pub(crate) fn sans_microkernel() -> Self {
         let host = Self::host();
         let kern = MicroKernel { name: "none", micro: |_, _, _, _, _, _, _, _, _| {}, ..host.kern };
         Exec { kern, ..host }
@@ -336,19 +337,6 @@ pub(crate) fn real_product<T: MicroArch>(
         },
         exec,
     );
-}
-
-/// `acc += a · b` for dense row-major operands at native precision.
-///
-/// * `a`: `m × k` (ld = k)
-/// * `b`: `k × n` (ld = n)
-/// * `acc`: `m × n` (ld = n), accumulated in place
-pub fn matmul_acc<T: MicroArch>(a: &[T], b: &[T], acc: &mut [T], m: usize, n: usize, k: usize) {
-    assert_eq!(a.len(), m * k, "A shape mismatch");
-    assert_eq!(b.len(), k * n, "B shape mismatch");
-    assert_eq!(acc.len(), m * n, "C shape mismatch");
-    let (a, b) = (OpSrc::dense_a(a, k), OpSrc::dense_b(b, n));
-    real_product(ComputeMode::Standard, &a, &b, acc, m, n, k, Exec::host());
 }
 
 /// The blocked driver. `acc` holds `nout` row-interleaved outputs: it is
@@ -809,7 +797,7 @@ mod tests {
             let a = random_matrix(&mut rng, m * k);
             let b = random_matrix(&mut rng, k * n);
             let mut acc = vec![0.0; m * n];
-            matmul_acc(&a, &b, &mut acc, m, n, k);
+            add_product(&a, &b, &mut acc, m, n, k);
             let refc = matmul_reference(&a, &b, m, n, k);
             for (x, y) in acc.iter().zip(&refc) {
                 assert!((x - y).abs() < 1e-12, "({m},{n},{k})");
@@ -834,7 +822,7 @@ mod tests {
             let a = random_matrix(&mut rng, m * k);
             let b = random_matrix(&mut rng, k * n);
             let mut acc = vec![0.0; m * n];
-            matmul_acc(&a, &b, &mut acc, m, n, k);
+            add_product(&a, &b, &mut acc, m, n, k);
             let refc = matmul_reference(&a, &b, m, n, k);
             for (i, (x, y)) in acc.iter().zip(&refc).enumerate() {
                 assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "f64 ({m},{n},{k}) i={i}");
@@ -843,7 +831,7 @@ mod tests {
             let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
             let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
             let mut acc32 = vec![0.0f32; m * n];
-            matmul_acc(&a32, &b32, &mut acc32, m, n, k);
+            add_product(&a32, &b32, &mut acc32, m, n, k);
             for (i, (x, y)) in acc32.iter().zip(&refc).enumerate() {
                 // f32 accumulation (possibly FMA-fused) vs the f64 reference.
                 let tol = 1e-4 * (1.0 + y.abs());
@@ -896,7 +884,7 @@ mod tests {
         }
     }
 
-    /// `acc += a·b` in `mode` on dense operands under an explicit [`Exec`].
+    /// `a·b` in `mode` on dense operands under an explicit [`Exec`].
     #[allow(clippy::too_many_arguments)]
     fn product_with<T: MicroArch>(
         mode: ComputeMode,
@@ -908,9 +896,20 @@ mod tests {
         exec: Exec<T>,
     ) -> Vec<T> {
         let mut acc = vec![T::ZERO; m * n];
-        let (a, b) = (OpSrc::dense_a(a, k), OpSrc::dense_b(b, n));
+        let (a, b) = (OpSrc::a(Op::None, a, k), OpSrc::b(Op::None, b, n));
         real_product(mode, &a, &b, &mut acc, m, n, k, exec);
         acc
+    }
+
+    /// `acc += a·b` at native precision on the host's kernel, for dense
+    /// row-major operands: `a` is `m × k`, `b` is `k × n`, `acc` is
+    /// `m × n`.
+    fn add_product<T: MicroArch>(a: &[T], b: &[T], acc: &mut [T], m: usize, n: usize, k: usize) {
+        assert_eq!(a.len(), m * k, "A shape mismatch");
+        assert_eq!(b.len(), k * n, "B shape mismatch");
+        assert_eq!(acc.len(), m * n, "C shape mismatch");
+        let (a, b) = (OpSrc::a(Op::None, a, k), OpSrc::b(Op::None, b, n));
+        real_product(ComputeMode::Standard, &a, &b, acc, m, n, k, Exec::host());
     }
 
     /// One complex product of every shape below, in every mode in
@@ -918,8 +917,8 @@ mod tests {
     /// [`POOLS`], bit for bit. Each shape names the schedule it is here
     /// for, which must cut it into at least two tasks on two threads or
     /// more.
-    fn pools_match_one_thread<T: MicroArch>(modes: &[ComputeMode]) {
-        use crate::gemm::{complex_gemm_with, stored_shapes, GemmArgs};
+    fn pools_match_one_thread<T: MicroArch + crate::element::Element>(modes: &[ComputeMode]) {
+        use crate::gemm::{level3, GemmArgs};
         use Schedule::{Depth, Rows};
         let mut rng = StdRng::seed_from_u64(3);
         let (ct, no) = (Op::ConjTrans, Op::None);
@@ -946,7 +945,7 @@ mod tests {
         ];
         for (transa, transb, m, n, k, uplo, under_test, view) in shapes {
             let panels = m.div_ceil(Exec::<T>::host().kern.mr);
-            let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
+            let ((ar, ac), (br, bc)) = (transa.applied_shape(m, k), transb.applied_shape(k, n));
             let (lda, ldb, b_col) = if view { (2 * ac, 2 * bc, bc) } else { (ac, bc, 0) };
             let mut rand = |len: usize| -> Vec<Complex<T>> {
                 let mut x = || T::from_f64(rng.gen_range(-1.0..1.0));
@@ -954,13 +953,14 @@ mod tests {
             };
             let (a, b, c0) = (rand(ar * lda), rand(br * ldb), rand(m * n));
             let alpha = Complex { re: T::from_f64(0.75), im: T::from_f64(-0.5) };
-            let beta = Complex { re: T::from_f64(0.5), im: T::ZERO };
+            let beta = Complex { re: T::from_f64(0.5), im: T::from_f64(0.0) };
             let b = &b[b_col..];
-            let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b, ldb, beta, ldc: n, uplo };
+            let real_diag = false;
+            let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b, ldb, beta, ldc: n, uplo, real_diag };
             for &mode in modes {
                 let run = |exec| {
                     let mut c = c0.clone();
-                    complex_gemm_with(mode, &g, &mut c, exec);
+                    level3(mode, &g, &mut c, exec);
                     c
                 };
                 let one = run(sched(Schedule::One));
@@ -1121,7 +1121,7 @@ mod tests {
         let a = [1.0f32, 0.0, 0.0, 1.0]; // I2
         let b = [5.0f32, 6.0, 7.0, 8.0];
         let mut acc = [100.0f32, 100.0, 100.0, 100.0];
-        matmul_acc(&a, &b, &mut acc, 2, 2, 2);
+        add_product(&a, &b, &mut acc, 2, 2, 2);
         assert_eq!(acc, [105.0, 106.0, 107.0, 108.0]);
     }
 
@@ -1129,9 +1129,9 @@ mod tests {
     fn zero_dims_are_noops() {
         let mut acc: Vec<f32> = vec![3.0; 6];
         // m == 0: A and C are empty, B still has its k*n elements.
-        matmul_acc(&[], &[0.0; 15], &mut acc[..0], 0, 3, 5);
+        add_product(&[], &[0.0; 15], &mut acc[..0], 0, 3, 5);
         // k == 0: nothing to accumulate.
-        matmul_acc(&[], &[], &mut acc, 2, 3, 0);
+        add_product(&[], &[], &mut acc, 2, 3, 0);
         assert!(acc.iter().all(|&x| x == 3.0));
     }
 
@@ -1142,7 +1142,7 @@ mod tests {
         let a = [0.0f32, 0.0];
         let b = [1.0f32, f32::INFINITY, 2.0, 3.0];
         let mut acc = [0.0f32; 2];
-        matmul_acc(&a, &b, &mut acc, 1, 2, 2);
+        add_product(&a, &b, &mut acc, 1, 2, 2);
         assert_eq!(acc[0], 0.0);
         assert!(acc[1].is_nan(), "0·Inf must produce NaN, got {}", acc[1]);
         // And the reference agrees.
@@ -1183,7 +1183,7 @@ mod tests {
         b[3 * n + (n - 1)] = f32::INFINITY; // last (padded-side) column
         a[(m - 1) * k] = 1.0; // last (padded-side) row is non-zero
         let mut acc = vec![0.0f32; m * n];
-        matmul_acc(&a, &b, &mut acc, m, n, k);
+        add_product(&a, &b, &mut acc, m, n, k);
         for i in 0..m {
             assert!(acc[i * n + n - 1].is_nan() || acc[i * n + n - 1].is_infinite(),
                 "row {i}: non-finite lost at ragged edge: {}", acc[i * n + n - 1]);
@@ -1195,6 +1195,6 @@ mod tests {
     #[should_panic(expected = "A shape mismatch")]
     fn shape_mismatch_panics() {
         let mut acc = vec![0.0f32; 4];
-        matmul_acc(&[1.0; 3], &[1.0; 4], &mut acc, 2, 2, 2);
+        add_product(&[1.0; 3], &[1.0; 4], &mut acc, 2, 2, 2);
     }
 }

@@ -17,7 +17,11 @@
 //! everything a call does besides its product — counting, ABFT sampling,
 //! timing and logging through [`crate::verbose`], fault injection, the
 //! non-finite probe and the checksum — happens once, in [`gemm_call`],
-//! and every level-3 routine enters it under its own name.
+//! and every level-3 routine enters it under its own name. The call's
+//! element type ([`Element`]) decides its domain, the mode it runs in and
+//! its product's structure; everything around the product — the shape
+//! checks, α = 0, the accumulator and the writeback — is one body,
+//! [`level3`], for all seven routines.
 //!
 //! A complex product packs each operand once per k-block — real and
 //! imaginary planes out of the interleaved storage in one gather — and
@@ -25,91 +29,68 @@
 //! ([`complex_product_4m`], [`complex_product_3m`]).
 
 pub mod kernel;
-pub mod lowp;
 pub(crate) mod pack;
 #[cfg(test)]
 mod reference;
 
-use crate::abft::{self, AbftElem};
-use crate::config::compute_mode;
+use crate::abft;
 use crate::context;
-use crate::device::{Domain, GemmDesc};
-use crate::fault::{self, FaultTarget};
+use crate::device::GemmDesc;
+use crate::element::{executed_mode, Element};
+use crate::fault;
 use crate::layout::{check_matrix, Op, Uplo};
 use crate::mode::ComputeMode;
 use crate::verbose::observe;
 use crate::workspace;
 use dcmesh_numerics::{Complex, Real, C32, C64};
-use kernel::{gemm_packed, real_product, Exec, MicroArch, Product};
+use kernel::{gemm_packed, Exec, MicroArch, Product};
 use pack::{gather, OpSrc, Side};
 
 /// The operands of one `C ← α·op(A)·op(B) + β·C` call, minus the output.
 /// With `uplo` set (complex routines only, `m == n`) the product is
 /// Hermitian by the caller's word: that triangle is computed and the
-/// other is its conjugate mirror.
+/// other is its conjugate mirror. With `real_diag` (the rank-k updates)
+/// the output's diagonal is then made exactly real.
+#[doc(hidden)]
 #[derive(Clone, Copy)]
-pub(crate) struct GemmArgs<'a, T> {
-    pub transa: Op,
-    pub transb: Op,
-    pub m: usize,
-    pub n: usize,
-    pub k: usize,
-    pub alpha: T,
-    pub a: &'a [T],
-    pub lda: usize,
-    pub b: &'a [T],
-    pub ldb: usize,
-    pub beta: T,
-    pub ldc: usize,
-    pub uplo: Option<Uplo>,
+pub struct GemmArgs<'a, T> {
+    pub(crate) transa: Op,
+    pub(crate) transb: Op,
+    pub(crate) m: usize,
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    pub(crate) alpha: T,
+    pub(crate) a: &'a [T],
+    pub(crate) lda: usize,
+    pub(crate) b: &'a [T],
+    pub(crate) ldb: usize,
+    pub(crate) beta: T,
+    pub(crate) ldc: usize,
+    pub(crate) uplo: Option<Uplo>,
+    pub(crate) real_diag: bool,
 }
 
-/// Validates GEMM dimensions and returns the stored shapes of A and B.
-#[track_caller]
-fn stored_shapes(
-    transa: Op,
-    transb: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> ((usize, usize), (usize, usize)) {
-    let a_shape = match transa {
-        Op::None => (m, k),
-        Op::Trans | Op::ConjTrans => (k, m),
-    };
-    let b_shape = match transb {
-        Op::None => (k, n),
-        Op::Trans | Op::ConjTrans => (n, k),
-    };
-    (a_shape, b_shape)
-}
-
-/// The one GEMM call pipeline. In order: count the call on the thread's
-/// [`context`] and sample it for ABFT (capturing β·C row sums before they
-/// are overwritten); run `product` in `mode` under [`observe`], which
+/// The one GEMM call pipeline. In order: find the mode the call runs in
+/// from its element type; count the call on the thread's [`context`] and
+/// sample it for ABFT (capturing β·C row sums before they are
+/// overwritten); run [`level3`] in that mode under [`observe`], which
 /// times it, emits the call's record and names its ledger row; apply the
 /// fault plan, scoped on the mode the call executed in; probe the output
 /// for non-finite values; verify the checksum — after injection, so an
 /// injected flip lands between the product and its check. Both checks
 /// report to the row `observe` named, and both see a triangle routine's
 /// output after its mirror: the whole `n × n` matrix the caller gets.
-pub(crate) fn gemm_call<T: AbftElem + FaultTarget>(
-    routine: &'static str,
-    domain: Domain,
-    mode: ComputeMode,
-    g: &GemmArgs<'_, T>,
-    c: &mut [T],
-    product: fn(ComputeMode, &GemmArgs<'_, T>, &mut [T]),
-) {
+pub(crate) fn gemm_call<E: Element>(routine: &'static str, g: &GemmArgs<'_, E>, c: &mut [E]) {
     let GemmArgs { transa, transb, m, n, k, beta, ldc, .. } = *g;
-    let desc = GemmDesc { domain, m, n, k, mode };
+    let mode = executed_mode(E::DOMAIN);
+    let desc = GemmDesc { domain: E::DOMAIN, m, n, k, mode };
     let ticket = context::with(|cx| cx.begin_gemm());
     let pre = if ticket.abft_sampled {
         abft::pre_sums(ticket.call, beta, c, m, n, ldc)
     } else {
         None
     };
-    let key = observe(routine, transa, transb, desc, || product(mode, g, c));
+    let key = observe(routine, transa, transb, desc, || level3(mode, g, c, Exec::host()));
     fault::inject(routine, mode, ticket.call, c, m, n, ldc);
     abft::probe_nonfinite(routine, key, c, m, n, ldc);
     if let Some(pre) = pre {
@@ -117,12 +98,75 @@ pub(crate) fn gemm_call<T: AbftElem + FaultTarget>(
     }
 }
 
-/// The mode a double-precision complex call executes in: `COMPLEX_3M` is
-/// the only alternative mode that applies to FP64 data.
-pub(crate) fn f64_mode() -> ComputeMode {
-    match compute_mode() {
-        ComputeMode::Complex3m => ComputeMode::Complex3m,
-        _ => ComputeMode::Standard,
+/// The one level-3 body: `C ← α·op(A)·op(B) + β·C` in `mode`, the
+/// product run on `exec`. After the shape checks, an empty output is
+/// left alone and α = 0 only applies β to C. Otherwise the element
+/// type's product runs into one zeroed pooled accumulator, and `α·P +
+/// β·C` is written over the logical window — of a Hermitian output, the
+/// computed triangle only — before the conjugate mirror. Last, a rank-k
+/// update's diagonal is made real. β follows reference BLAS for every
+/// element type: β = 0 never reads C (it may hold NaNs), β = 1 takes C
+/// as it is, any other β scales it.
+pub(crate) fn level3<E: Element>(
+    mode: ComputeMode,
+    g: &GemmArgs<'_, E>,
+    c: &mut [E],
+    exec: Exec<E::Real>,
+) {
+    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag } = *g;
+    let ((ar, ac), (br, bc)) = (transa.applied_shape(m, k), transb.applied_shape(k, n));
+    check_matrix("A", ar, ac, lda, a.len());
+    check_matrix("B", br, bc, ldb, b.len());
+    check_matrix("C", m, n, ldc, c.len());
+    if m == 0 || n == 0 {
+        return;
+    }
+    let plus_beta_c = |x: E, cv: E| {
+        if beta == E::ZERO {
+            x
+        } else if beta == E::ONE {
+            x + cv
+        } else {
+            x + beta * cv
+        }
+    };
+    if alpha == E::ZERO {
+        if beta != E::ONE {
+            for i in 0..m {
+                for v in &mut c[i * ldc..i * ldc + n] {
+                    *v = if beta == E::ZERO { E::ZERO } else { beta * *v };
+                }
+            }
+        }
+    } else {
+        let nout = E::outputs(mode);
+        let mut acc = workspace::take_zeroed::<E::Real>(nout * m * n);
+        E::product(mode, g, &mut acc, exec);
+        for (i, (crow, prow)) in c.chunks_mut(ldc).zip(acc.chunks_exact(nout * n)).enumerate() {
+            let cols = match uplo {
+                None => 0..n,
+                Some(Uplo::Lower) => 0..i + 1,
+                Some(Uplo::Upper) => i..n,
+            };
+            for (j, cv) in cols.clone().zip(&mut crow[cols]) {
+                *cv = plus_beta_c(alpha * E::element(mode, prow, n, j), *cv);
+            }
+        }
+        if let Some(uplo) = uplo {
+            for i in 0..n {
+                for j in i + 1..n {
+                    match uplo {
+                        Uplo::Upper => c[j * ldc + i] = c[i * ldc + j].conj(),
+                        Uplo::Lower => c[i * ldc + j] = c[j * ldc + i].conj(),
+                    }
+                }
+            }
+        }
+    }
+    if real_diag {
+        for i in 0..n {
+            c[i * ldc + i] = c[i * ldc + i].real_part();
+        }
     }
 }
 
@@ -147,8 +191,9 @@ pub fn sgemm(
     c: &mut [f32],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
-    gemm_call("SGEMM", Domain::Real32, compute_mode(), &g, c, real_gemm_impl);
+    let (uplo, real_diag) = (None, false);
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
+    gemm_call("SGEMM", &g, c);
 }
 
 /// Double-precision real GEMM. Alternative compute modes do not apply.
@@ -168,73 +213,9 @@ pub fn dgemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
-    gemm_call("DGEMM", Domain::Real64, ComputeMode::Standard, &g, c, real_gemm_impl);
-}
-
-fn real_gemm_impl<T: MicroArch>(mode: ComputeMode, g: &GemmArgs<'_, T>, c: &mut [T]) {
-    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, .. } = *g;
-    let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
-    check_matrix("A", ar, ac, lda, a.len());
-    check_matrix("B", br, bc, ldb, b.len());
-    check_matrix("C", m, n, ldc, c.len());
-    if m == 0 || n == 0 {
-        return;
-    }
-
-    // Fast path: alpha == 0 only scales C.
-    if alpha == T::ZERO {
-        scale_rows(c, m, n, ldc, beta);
-        return;
-    }
-
-    // The pack reads `op(A)`/`op(B)` straight from the caller's storage;
-    // the product accumulator is pooled, so the steady state allocates
-    // nothing.
-    let mut product = workspace::take_zeroed::<T>(m * n);
-    let (asrc, bsrc) = (OpSrc::a(transa, a, lda), OpSrc::b(transb, b, ldb));
-    real_product(mode, &asrc, &bsrc, &mut product, m, n, k, Exec::host());
-
-    combine_rows(c, &product, m, n, ldc, alpha, beta);
-}
-
-/// `C_block *= beta` over the logical m×n window of a padded matrix.
-fn scale_rows<T: Real>(c: &mut [T], m: usize, n: usize, ldc: usize, beta: T) {
-    if beta == T::ONE {
-        return;
-    }
-    for i in 0..m {
-        for v in &mut c[i * ldc..i * ldc + n] {
-            // beta == 0 must overwrite (it may NOT read C, which can hold
-            // uninitialised NaNs under BLAS semantics).
-            *v = if beta == T::ZERO { T::ZERO } else { *v * beta };
-        }
-    }
-}
-
-/// `C ← α·P + β·C` over the logical window.
-fn combine_rows<T: Real>(
-    c: &mut [T],
-    product: &[T],
-    m: usize,
-    n: usize,
-    ldc: usize,
-    alpha: T,
-    beta: T,
-) {
-    for i in 0..m {
-        let crow = &mut c[i * ldc..i * ldc + n];
-        let prow = &product[i * n..i * n + n];
-        if beta == T::ZERO {
-            for (cv, &pv) in crow.iter_mut().zip(prow) {
-                *cv = alpha * pv;
-            }
-        } else {
-            for (cv, &pv) in crow.iter_mut().zip(prow) {
-                *cv = alpha * pv + beta * *cv;
-            }
-        }
-    }
+    let (uplo, real_diag) = (None, false);
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
+    gemm_call("DGEMM", &g, c);
 }
 
 /// Single-precision complex GEMM — the routine at the heart of the paper.
@@ -259,8 +240,9 @@ pub fn cgemm(
     c: &mut [C32],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
-    gemm_call("CGEMM", Domain::Complex32, compute_mode(), &g, c, complex_gemm_impl);
+    let (uplo, real_diag) = (None, false);
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
+    gemm_call("CGEMM", &g, c);
 }
 
 /// Double-precision complex GEMM. Honours `COMPLEX_3M` only.
@@ -280,8 +262,9 @@ pub fn zgemm(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: None };
-    gemm_call("ZGEMM", Domain::Complex64, f64_mode(), &g, c, complex_gemm_impl);
+    let (uplo, real_diag) = (None, false);
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
+    gemm_call("ZGEMM", &g, c);
 }
 
 /// [`zgemm`] for an `n × n` product that is Hermitian by construction
@@ -309,20 +292,20 @@ pub fn zgemmt(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let g =
-        GemmArgs { transa, transb, m: n, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo: Some(uplo) };
-    gemm_call("ZGEMMT", Domain::Complex64, f64_mode(), &g, c, complex_gemm_impl);
+    let (m, uplo, real_diag) = (n, Some(uplo), false);
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
+    gemm_call("ZGEMMT", &g, c);
 }
 
 /// Bench hook behind `gemm_hostperf`'s pack-share column: the product
 /// `C ← op(A)·op(B)` exactly as `cgemm` / `zgemm` / `zgemmt` / `?herk`
-/// would run it in `mode` — same scratch, same gather and conversion,
-/// same accumulator zero-fill and writeback — with the microkernel
-/// stubbed out, so `C` is garbage and the time is everything that is not
+/// would run it in `mode` — same body, scratch, gather and conversion,
+/// accumulator zero-fill and writeback — with the microkernel stubbed
+/// out, so `C` is garbage and the time is everything that is not
 /// arithmetic. Not a BLAS call: nothing is counted, recorded or checked.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
-pub fn complex_gemm_sans_microkernel<T: MicroArch>(
+pub fn complex_gemm_sans_microkernel<T: MicroArch + Element>(
     mode: ComputeMode,
     uplo: Option<Uplo>,
     transa: Op,
@@ -337,90 +320,18 @@ pub fn complex_gemm_sans_microkernel<T: MicroArch>(
     c: &mut [Complex<T>],
     ldc: usize,
 ) {
-    let (alpha, beta) = (Complex::from_real(T::ONE), Complex::zero());
-    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo };
-    complex_gemm_with(mode, &g, c, Exec::sans_microkernel());
+    let (alpha, beta, real_diag) = (Complex::ONE, Complex::ZERO, false);
+    let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
+    level3(mode, &g, c, Exec::sans_microkernel());
 }
 
-pub(crate) fn complex_gemm_impl<T: MicroArch>(
-    mode: ComputeMode,
-    g: &GemmArgs<'_, Complex<T>>,
-    c: &mut [Complex<T>],
-) {
-    complex_gemm_with(mode, g, c, Exec::host());
+/// Where the driver reads `op(A)` and `op(B)` from, each with whether
+/// its `op()` conjugates.
+pub(crate) fn op_srcs<'a, T>(g: &GemmArgs<'a, T>) -> ((OpSrc<'a, T>, bool), (OpSrc<'a, T>, bool)) {
+    let conj = |op| op == Op::ConjTrans;
+    let a = (OpSrc::a(g.transa, g.a, g.lda), conj(g.transa));
+    (a, (OpSrc::b(g.transb, g.b, g.ldb), conj(g.transb)))
 }
-
-fn complex_gemm_with<T: MicroArch>(
-    mode: ComputeMode,
-    g: &GemmArgs<'_, Complex<T>>,
-    c: &mut [Complex<T>],
-    exec: Exec<T>,
-) {
-    let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo } = *g;
-    let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
-    check_matrix("A", ar, ac, lda, a.len());
-    check_matrix("B", br, bc, ldb, b.len());
-    check_matrix("C", m, n, ldc, c.len());
-    if m == 0 || n == 0 {
-        return;
-    }
-    if alpha == Complex::zero() {
-        for i in 0..m {
-            for v in &mut c[i * ldc..i * ldc + n] {
-                *v = if beta == Complex::zero() { Complex::zero() } else { *v * beta };
-            }
-        }
-        return;
-    }
-
-    // The real products of P = op(A)·op(B), row-interleaved: row i of
-    // `acc` is [Re | Im] (or [T1 | T2 | T3] under COMPLEX_3M).
-    let three_m = mode == ComputeMode::Complex3m;
-    let nout = if three_m { 3 } else { 2 };
-    let mut acc = workspace::take_zeroed::<T>(nout * m * n);
-    let asrc = (OpSrc::a(transa, a, lda), transa == Op::ConjTrans);
-    let bsrc = (OpSrc::b(transb, b, ldb), transb == Op::ConjTrans);
-    if three_m {
-        complex_product_3m(asrc, bsrc, &mut acc, m, n, k, uplo, exec);
-    } else {
-        complex_product_4m(mode, asrc, bsrc, &mut acc, m, n, k, uplo, exec);
-    }
-
-    // C ← α·P + β·C on the interleaved output — of a Hermitian product,
-    // on the computed triangle only (the rest of `acc` holds whatever
-    // the diagonal tiles spilled over it).
-    for (i, (crow, prow)) in c.chunks_mut(ldc).zip(acc.chunks_exact(nout * n)).enumerate() {
-        let cols = match uplo {
-            None => 0..n,
-            Some(Uplo::Lower) => 0..i + 1,
-            Some(Uplo::Upper) => i..n,
-        };
-        for (j, cv) in cols.clone().zip(&mut crow[cols]) {
-            let p = if three_m {
-                // Re = T1 − T3, Im = T1 + T2.
-                Complex { re: prow[j] - prow[2 * n + j], im: prow[j] + prow[n + j] }
-            } else {
-                Complex { re: prow[j], im: prow[n + j] }
-            };
-            let ap = alpha.mul_4m(p);
-            *cv = if beta == Complex::zero() { ap } else { ap + beta.mul_4m(*cv) };
-        }
-    }
-    if let Some(uplo) = uplo {
-        for i in 0..n {
-            for j in i + 1..n {
-                match uplo {
-                    Uplo::Upper => c[j * ldc + i] = c[i * ldc + j].conj(),
-                    Uplo::Lower => c[i * ldc + j] = c[j * ldc + i].conj(),
-                }
-            }
-        }
-    }
-}
-
-/// One complex operand of the fused driver: where `op(X)` is read from,
-/// and whether `op()` conjugates.
-type ComplexSrc<'a, T> = (OpSrc<'a, Complex<T>>, bool);
 
 /// `z.im`, negated when `op()` conjugates.
 #[inline(always)]
@@ -450,18 +361,13 @@ fn im_of<T: Real>(z: Complex<T>, conj: bool) -> T {
 /// would cost `m·n`. Negating before or after the conversion is the same
 /// bits — rounding, splitting and cascading are odd functions — and
 /// `Ai·(−Bi)` equals `(−Ai)·Bi` because a product's sign is exact.
-#[allow(clippy::too_many_arguments)]
-fn complex_product_4m<T: MicroArch>(
+pub(crate) fn complex_product_4m<T: MicroArch>(
     mode: ComputeMode,
-    (asrc, conj_a): ComplexSrc<'_, T>,
-    (bsrc, conj_b): ComplexSrc<'_, T>,
+    g: &GemmArgs<'_, Complex<T>>,
     acc: &mut [T],
-    m: usize,
-    n: usize,
-    k: usize,
-    uplo: Option<Uplo>,
     exec: Exec<T>,
 ) {
+    let (((asrc, conj_a), (bsrc, conj_b)), GemmArgs { m, n, k, uplo, .. }) = (op_srcs(g), *g);
     let (d, rung) = (mode.split_depth().unwrap_or(1), exec.kern.rung);
     let (a_re, a_im) = (0, d);
     let (b_re, b_im, b_im_neg) = (0, d, 2 * d);
@@ -510,17 +416,12 @@ fn complex_product_4m<T: MicroArch>(
 ///
 /// `acc` rows are `[T1 | T2 | T3]` and must arrive zeroed; the plane sums
 /// are formed as the operands are packed.
-#[allow(clippy::too_many_arguments)]
-fn complex_product_3m<T: MicroArch>(
-    (asrc, conj_a): ComplexSrc<'_, T>,
-    (bsrc, conj_b): ComplexSrc<'_, T>,
+pub(crate) fn complex_product_3m<T: MicroArch>(
+    g: &GemmArgs<'_, Complex<T>>,
     acc: &mut [T],
-    m: usize,
-    n: usize,
-    k: usize,
-    uplo: Option<Uplo>,
     exec: Exec<T>,
 ) {
+    let (((asrc, conj_a), (bsrc, conj_b)), GemmArgs { m, n, k, uplo, .. }) = (op_srcs(g), *g);
     let products = [0, 1, 2].map(|t| Product { a: t, b: t, depth: 1, out: t });
     let rung = exec.kern.rung;
     gemm_packed(
@@ -610,7 +511,7 @@ mod tests {
         let (m, n, k) = (7, 9, 11);
         for &ta in &[Op::None, Op::Trans] {
             for &tb in &[Op::None, Op::Trans] {
-                let (a_shape, b_shape) = super::stored_shapes(ta, tb, m, n, k);
+                let (a_shape, b_shape) = (ta.applied_shape(m, k), tb.applied_shape(k, n));
                 let a: Vec<f32> =
                     (0..a_shape.0 * a_shape.1).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let b: Vec<f32> =
@@ -655,7 +556,7 @@ mod tests {
         let (m, n, k) = (6, 5, 8);
         for &ta in &[Op::None, Op::Trans, Op::ConjTrans] {
             for &tb in &[Op::None, Op::Trans, Op::ConjTrans] {
-                let (a_shape, b_shape) = super::stored_shapes(ta, tb, m, n, k);
+                let (a_shape, b_shape) = (ta.applied_shape(m, k), tb.applied_shape(k, n));
                 let a = rand_c32(&mut rng, a_shape.0 * a_shape.1);
                 let b = rand_c32(&mut rng, b_shape.0 * b_shape.1);
                 let c0 = rand_c32(&mut rng, m * n);
@@ -785,6 +686,91 @@ mod tests {
     }
 
     #[test]
+    fn every_routine_runs_in_its_element_types_domain_and_mode() {
+        // The element rule, whole: for each routine in each ambient mode,
+        // the call's record carries the domain and the mode it executed in.
+        use crate::device::Domain;
+        use crate::{cherk, verbose, zherk};
+        use ComputeMode::{Complex3m, Standard};
+        let thread: fn(ComputeMode) -> ComputeMode = |mode| mode;
+        let standard: fn(ComputeMode) -> ComputeMode = |_| Standard;
+        let three_m: fn(ComputeMode) -> ComputeMode = |mode| if mode == Complex3m { mode } else { Standard };
+        const N: Op = Op::None;
+        const C: Op = Op::ConjTrans;
+        const U: Uplo = Uplo::Upper;
+        let (r32, r64, z32, z64) = ([1.0f32; 4], [1.0f64; 4], [C32::one(); 4], [C64::one(); 4]);
+        #[allow(clippy::type_complexity)]
+        let rows: [(&str, Domain, fn(ComputeMode) -> ComputeMode, &dyn Fn()); 7] = [
+            ("SGEMM", Domain::Real32, thread, &|| sgemm(N, N, 2, 2, 2, 1.0, &r32, 2, &r32, 2, 0.0, &mut [0.0; 4], 2)),
+            ("DGEMM", Domain::Real64, standard, &|| dgemm(N, N, 2, 2, 2, 1.0, &r64, 2, &r64, 2, 0.0, &mut [0.0; 4], 2)),
+            ("CGEMM", Domain::Complex32, thread, &|| {
+                cgemm(N, N, 2, 2, 2, C32::one(), &z32, 2, &z32, 2, C32::zero(), &mut [C32::zero(); 4], 2)
+            }),
+            ("CHERK", Domain::Complex32, thread, &|| cherk(U, C, 2, 2, 1.0, &z32, 2, 0.0, &mut [C32::zero(); 4], 2)),
+            ("ZGEMM", Domain::Complex64, three_m, &|| {
+                zgemm(N, N, 2, 2, 2, C64::one(), &z64, 2, &z64, 2, C64::zero(), &mut [C64::zero(); 4], 2)
+            }),
+            ("ZGEMMT", Domain::Complex64, three_m, &|| {
+                zgemmt(U, C, N, 2, 2, C64::one(), &z64, 2, &z64, 2, C64::zero(), &mut [C64::zero(); 4], 2)
+            }),
+            ("ZHERK", Domain::Complex64, three_m, &|| zherk(U, C, 2, 2, 1.0, &z64, 2, 0.0, &mut [C64::zero(); 4], 2)),
+        ];
+        verbose::set_recording(true);
+        for ambient in ComputeMode::ALL {
+            for (routine, domain, executed, call) in rows {
+                verbose::clear();
+                with_compute_mode(ambient, call);
+                let records = verbose::drain();
+                assert_eq!(records.len(), 1, "{routine} in {ambient:?}: {records:?}");
+                let got = (records[0].routine, records[0].domain, records[0].mode);
+                assert_eq!(got, (routine, domain, executed(ambient)), "ambient {ambient:?}");
+            }
+        }
+        verbose::set_recording(false);
+    }
+
+    #[test]
+    fn beta_one_takes_c_as_it_is_in_every_complex_routine() {
+        // Reference BLAS's rule for every element type: β = 1 adds α·P to
+        // C as it is, and with α = 0 leaves C untouched. Multiplying C by
+        // (1, 0) instead would turn (±Inf, 0) into (±Inf, NaN) and
+        // (−0, y < 0) into (+0, y).
+        fn check<T: MicroArch + Element>(
+            routine: &str,
+            triangle: bool,
+            gemm: impl Fn(Complex<T>, Complex<T>, &[Complex<T>], &mut [Complex<T>]),
+        ) {
+            let cx = |re: f64, im: f64| Complex { re: T::from_f64(re), im: T::from_f64(im) };
+            let inf = f64::INFINITY;
+            // A is 1 × 2 and the product A†·A, so C is Hermitian as
+            // ZGEMMT wants it.
+            let a = [cx(1.0, 2.0), cx(0.5, -1.0)];
+            let c0 = [cx(inf, 0.0), cx(-0.0, -1.0), cx(-0.0, 1.0), cx(-inf, 0.0)];
+            let (zero, one) = (Complex::ZERO, Complex::ONE);
+            let mut c = c0;
+            gemm(zero, one, &a, &mut c);
+            for (i, (&x, &y)) in c.iter().zip(&c0).enumerate() {
+                assert!(same_complex(x, y), "{routine} α = 0, β = 1, i={i}: {x:?} vs {y:?}");
+            }
+            let mut alpha_p = c0;
+            gemm(one, zero, &a, &mut alpha_p);
+            let mut c = c0;
+            gemm(one, one, &a, &mut c);
+            for (i, (&x, (&p, &y))) in c.iter().zip(alpha_p.iter().zip(&c0)).enumerate() {
+                // ZGEMMT computes the upper triangle and mirrors it.
+                let want = if triangle && i == 2 { c[1].conj() } else { p + y };
+                assert!(same_complex(x, want), "{routine} α = 1, β = 1, i={i}: {x:?} vs {want:?}");
+            }
+        }
+        let (ct, no) = (Op::ConjTrans, Op::None);
+        check::<f32>("CGEMM", false, |alpha, beta, a, c| cgemm(ct, no, 2, 2, 1, alpha, a, 2, a, 2, beta, c, 2));
+        check::<f64>("ZGEMM", false, |alpha, beta, a, c| zgemm(ct, no, 2, 2, 1, alpha, a, 2, a, 2, beta, c, 2));
+        check::<f64>("ZGEMMT", true, |alpha, beta, a, c| {
+            zgemmt(Uplo::Upper, ct, no, 2, 1, alpha, a, 2, a, 2, beta, c, 2)
+        });
+    }
+
+    #[test]
     fn steady_state_reuses_workspace_buffers() {
         // After warm-up calls per mode, repeated identical calls must not
         // grow the pool: no fresh Vecs (misses) and no capacity growth
@@ -839,7 +825,7 @@ mod tests {
     /// `lda`/`ldb`/`ldc`, a shape inside one k-block, one straddling `KC`
     /// and one taller than a row block (A packed in several pieces), β = 0
     /// and β ≠ 0, in every mode of `modes`.
-    fn each_case<T: MicroArch>(
+    fn each_case<T: MicroArch + Element>(
         modes: &[ComputeMode],
         mut check: impl FnMut(ComputeMode, &GemmArgs<'_, Complex<T>>, &[Complex<T>]),
     ) {
@@ -857,13 +843,14 @@ mod tests {
         for (m, n, k) in [(7, 5, 9), (13, 34, 300), (300, 6, 17)] {
             for transa in ops {
                 for transb in ops {
-                    let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
+                    let ((ar, ac), (br, bc)) = (transa.applied_shape(m, k), transb.applied_shape(k, n));
                     let (lda, ldb, ldc) = (ac + 3, bc + 1, n + 2);
                     let a = rand(ar * lda);
                     let b = rand(br * ldb);
                     let c0 = rand(m * ldc);
                     for (alpha, beta) in [(cx(1.25, -0.5), cx(0.25, 0.75)), (cx(1.0, 0.0), cx(0.0, 0.0))] {
-                        let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b: &b, ldb, beta, ldc, uplo: None };
+                        let (uplo, real_diag) = (None, false);
+                        let g = GemmArgs { transa, transb, m, n, k, alpha, a: &a, lda, b: &b, ldb, beta, ldc, uplo, real_diag };
                         for &mode in modes {
                             check(mode, &g, &c0);
                         }
@@ -887,7 +874,7 @@ mod tests {
     /// The fused driver against the retained four-call reference, bit for
     /// bit, on every case of [`each_case`], every rung's kernel, and the
     /// sequential and rayon schedules.
-    fn fused_matches_reference<T: MicroArch>(modes: &[ComputeMode]) {
+    fn fused_matches_reference<T: MicroArch + Element>(modes: &[ComputeMode]) {
         each_case::<T>(modes, |mode, g, c0| {
             let GemmArgs { transa, transb, m, n, k, beta, .. } = *g;
             for kern in tiles::<T>() {
@@ -895,7 +882,7 @@ mod tests {
                 reference::complex_gemm(mode, g, &mut want, Exec { kern, schedule: Some(Schedule::One) });
                 for schedule in [Schedule::One, Schedule::Rows, Schedule::Depth] {
                     let mut got = c0.to_vec();
-                    complex_gemm_with(mode, g, &mut got, Exec { kern, schedule: Some(schedule) });
+                    level3(mode, g, &mut got, Exec { kern, schedule: Some(schedule) });
                     for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
                         assert!(
                             same_complex(x, y),
@@ -911,12 +898,12 @@ mod tests {
 
     /// A call pinned to each rung — its tile, gather and conversion — is
     /// the host's call bit for bit, on every case of [`each_case`].
-    fn rungs_match_the_host<T: MicroArch>(modes: &[ComputeMode]) {
+    fn rungs_match_the_host<T: MicroArch + Element>(modes: &[ComputeMode]) {
         each_case::<T>(modes, |mode, g, c0| {
             let GemmArgs { transa, transb, m, n, k, .. } = *g;
             let run = |exec| {
                 let mut c = c0.to_vec();
-                complex_gemm_with(mode, g, &mut c, exec);
+                level3(mode, g, &mut c, exec);
                 c
             };
             let host = run(Exec::host());
@@ -936,7 +923,7 @@ mod tests {
     #[test]
     fn every_rung_bit_identical_to_the_host_in_every_mode() {
         rungs_match_the_host::<f32>(&ComputeMode::ALL);
-        // The two modes that apply to FP64 data (see `f64_mode`).
+        // The two modes that apply to FP64 data (see `executed_mode`).
         rungs_match_the_host::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
     }
 
@@ -947,7 +934,7 @@ mod tests {
 
     #[test]
     fn fused_zgemm_bit_identical_to_four_call_reference() {
-        // The two modes that apply to FP64 data (see `f64_mode`).
+        // The two modes that apply to FP64 data (see `executed_mode`).
         fused_matches_reference::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
     }
 
@@ -1047,5 +1034,203 @@ mod tests {
         let e_x3 = err(ComputeMode::FloatToBf16x3);
         assert!(e_bf16 > e_tf32, "bf16 {e_bf16} <= tf32 {e_tf32}");
         assert!(e_tf32 > e_x3, "tf32 {e_tf32} <= x3 {e_x3}");
+    }
+}
+
+/// The `FLOAT_TO_*` modes' arithmetic, through [`sgemm`]. BF16×BF16 and
+/// TF32×TF32 products are exact in `f32` (8+8 and 11+11 significand bits
+/// fit in 24), so a mode's error is that of its input representation:
+/// the split depth, the covered term set and the cascade of the pack
+/// (see [`pack`]).
+#[cfg(test)]
+mod lowp {
+    mod tests {
+        use crate::config::with_compute_mode;
+        use crate::gemm::kernel::matmul_reference;
+        use crate::gemm::sgemm;
+        use crate::layout::Op;
+        use crate::mode::ComputeMode;
+        use dcmesh_numerics::split::{split_slice_into, MAX_SPLIT_DEPTH};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// The `(a_component, b_component)` products *covered* by a split
+        /// of `depth` terms, `{(i, j) : i + j < depth}`, in decreasing
+        /// order of magnitude. This is the mathematical contract of each
+        /// mode; the executed products are the `depth` cascade diagonals.
+        fn product_terms(depth: usize) -> Vec<(usize, usize)> {
+            (0..depth).flat_map(|weight| (0..=weight).map(move |i| (i, weight - i))).collect()
+        }
+
+        /// `a·b` in `mode` through `sgemm` with α = 1, β = 0; `a` is dense
+        /// `m × k`, `b` dense `k × n`.
+        fn product(mode: ComputeMode, a: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
+            let mut c = vec![0.0f32; m * n];
+            with_compute_mode(mode, || sgemm(Op::None, Op::None, m, n, k, 1.0, a, k, b, n, 0.0, &mut c, n));
+            c
+        }
+
+        fn random(rng: &mut StdRng, len: usize) -> Vec<f32> {
+            (0..len).map(|_| rng.gen_range(0.1..1.0f32)).collect()
+        }
+
+        /// Max relative elementwise error of `mode` vs the f64 exact product.
+        fn mode_error(mode: ComputeMode, m: usize, n: usize, k: usize, seed: u64) -> f64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = random(&mut rng, m * k);
+            let b = random(&mut rng, k * n);
+            let a64: Vec<f64> = a.iter().map(|&x| x as f64).collect();
+            let b64: Vec<f64> = b.iter().map(|&x| x as f64).collect();
+            let exact = matmul_reference(&a64, &b64, m, n, k);
+            product(mode, &a, &b, m, n, k)
+                .iter()
+                .zip(&exact)
+                .map(|(&x, &y)| ((x as f64 - y) / y).abs())
+                .fold(0.0, f64::max)
+        }
+
+        #[test]
+        fn standard_mode_is_plain_f32() {
+            let err = mode_error(ComputeMode::Standard, 16, 16, 32, 3);
+            assert!(err < 1e-5, "fp32 err {err}");
+        }
+
+        #[test]
+        fn error_ordering_bf16_tf32_x2_x3() {
+            // Positive inputs => no cancellation => §V-B bound applies and
+            // the mode ordering must be strict.
+            let (m, n, k) = (24, 24, 64);
+            let e_bf16 = mode_error(ComputeMode::FloatToBf16, m, n, k, 7);
+            let e_tf32 = mode_error(ComputeMode::FloatToTf32, m, n, k, 7);
+            let e_x2 = mode_error(ComputeMode::FloatToBf16x2, m, n, k, 7);
+            let e_x3 = mode_error(ComputeMode::FloatToBf16x3, m, n, k, 7);
+            assert!(e_bf16 > e_tf32, "bf16 {e_bf16} vs tf32 {e_tf32}");
+            assert!(e_tf32 > e_x2, "tf32 {e_tf32} vs x2 {e_x2}");
+            assert!(e_x2 > e_x3, "x2 {e_x2} vs x3 {e_x3}");
+            // And the absolute levels sit near the §V-B predictions.
+            assert!(e_bf16 < 2f64.powi(-6), "bf16 too wrong: {e_bf16}");
+            assert!(e_x3 < 1e-5, "x3 must be f32-class: {e_x3}");
+        }
+
+        #[test]
+        fn bf16_error_independent_of_matrix_size() {
+            // The paper's §V-B claim, verified on the real GEMM path:
+            // relative error does not grow with k for sign-uniform data.
+            let e_small = mode_error(ComputeMode::FloatToBf16, 8, 8, 16, 11);
+            let e_large = mode_error(ComputeMode::FloatToBf16, 8, 8, 1024, 11);
+            assert!(e_large < e_small * 4.0, "bf16 error grew with k: {e_small} -> {e_large}");
+        }
+
+        #[test]
+        fn split_products_match_documented_counts() {
+            assert_eq!(product_terms(1).len(), 1);
+            assert_eq!(product_terms(2).len(), 3);
+            assert_eq!(product_terms(3).len(), 6);
+            for mode in ComputeMode::ALL {
+                if let Some(depth) = mode.split_depth() {
+                    assert_eq!(product_terms(depth).len(), mode.component_products(), "{mode:?}");
+                }
+            }
+            for depth in 1..=MAX_SPLIT_DEPTH {
+                let terms = product_terms(depth);
+                assert!(terms.iter().all(|&(i, j)| i + j < depth), "depth {depth}: {terms:?}");
+                // Magnitude ordering: term (i, j) has weight ~2^{-8(i+j)}.
+                let weights: Vec<usize> = terms.iter().map(|&(i, j)| i + j).collect();
+                let mut sorted = weights.clone();
+                sorted.sort_unstable();
+                assert_eq!(weights, sorted, "terms must be in decreasing magnitude order");
+            }
+        }
+
+        #[test]
+        fn cascade_agrees_with_per_term_reference() {
+            // The executed diagonal products over cascaded B planes must
+            // agree with literally running every covered term as its own
+            // product pass, up to the 2⁻²⁴-relative partial-sum rounding.
+            let (m, n, k) = (9, 13, 40);
+            let mut rng = StdRng::seed_from_u64(21);
+            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
+            for mode in [ComputeMode::FloatToBf16x2, ComputeMode::FloatToBf16x3] {
+                let depth = mode.split_depth().unwrap();
+                let split = |src: &[f32]| {
+                    let mut planes = vec![vec![0.0f32; src.len()]; depth];
+                    let mut views: Vec<&mut [f32]> = planes.iter_mut().map(|p| &mut p[..]).collect();
+                    split_slice_into(src, &mut views);
+                    planes
+                };
+                let ap = split(&a);
+                let bp = split(&b);
+                // Term-by-term reference in f64 (summation-order
+                // differences are below the comparison tolerance).
+                let mut reference = vec![0.0f64; m * n];
+                for (ia, ib) in product_terms(depth) {
+                    let a64: Vec<f64> = ap[ia].iter().map(|&x| x as f64).collect();
+                    let b64: Vec<f64> = bp[ib].iter().map(|&x| x as f64).collect();
+                    for (r, p) in reference.iter_mut().zip(matmul_reference(&a64, &b64, m, n, k)) {
+                        *r += p;
+                    }
+                }
+                let acc = product(mode, &a, &b, m, n, k);
+                for (i, (&x, &y)) in acc.iter().zip(&reference).enumerate() {
+                    let tol = 2f64.powi(-14) * (1.0 + y.abs());
+                    assert!(((x as f64) - y).abs() < tol, "{mode:?} i={i}: cascade {x} vs per-term {y}");
+                }
+            }
+        }
+
+        #[test]
+        fn split_modes_propagate_nonfinite() {
+            // A zero row of A times an Inf in B must still produce NaN
+            // through the split-plane cascade (0·Inf), and a nonzero row
+            // must surface the Inf itself — in every split mode.
+            let (m, n, k) = (2, 3, 4);
+            let mut a = vec![0.5f32; m * k];
+            for v in &mut a[k..] {
+                *v = 0.0; // row 1 all zero
+            }
+            for mode in [
+                ComputeMode::FloatToBf16,
+                ComputeMode::FloatToTf32,
+                ComputeMode::FloatToBf16x2,
+                ComputeMode::FloatToBf16x3,
+            ] {
+                for bad in [f32::INFINITY, f32::NAN] {
+                    let mut b = vec![1.0f32; k * n];
+                    b[n + 2] = bad;
+                    let acc = product(mode, &a, &b, m, n, k);
+                    assert!(!acc[2].is_finite(), "{mode:?}: nonzero row lost {bad} (got {})", acc[2]);
+                    assert!(acc[n + 2].is_nan(), "{mode:?}: zero row × {bad} must be NaN, got {}", acc[n + 2]);
+                    assert!(acc[0].is_finite(), "{mode:?}: finite column corrupted");
+                }
+            }
+        }
+
+        #[test]
+        fn nonfinite_in_a_propagates_through_splits() {
+            // Inf/NaN on the A side: the raw split planes carry the value
+            // in plane 0 with zeroed corrections; products must surface it.
+            let (m, n, k) = (2, 2, 3);
+            for mode in [ComputeMode::FloatToBf16x2, ComputeMode::FloatToBf16x3] {
+                for bad in [f32::INFINITY, f32::NAN] {
+                    let mut a = vec![1.0f32; m * k];
+                    a[1] = bad; // row 0
+                    let b = vec![1.0f32; k * n];
+                    let acc = product(mode, &a, &b, m, n, k);
+                    assert!(!acc[0].is_finite(), "{mode:?}: {bad} in A lost ({})", acc[0]);
+                    assert!(acc[n].is_finite(), "{mode:?}: clean row corrupted");
+                }
+            }
+        }
+
+        #[test]
+        fn bf16_exact_for_bf16_inputs() {
+            // Inputs already representable in BF16 suffer no conversion
+            // loss, and products/accumulation are exact in f32 for small k.
+            let a = vec![1.5f32, 2.0, 0.25, 3.0];
+            let b = vec![0.5f32, 1.0, 2.0, 4.0];
+            let acc = product(ComputeMode::FloatToBf16, &a, &b, 2, 2, 2);
+            assert_eq!(acc, matmul_reference(&a, &b, 2, 2, 2));
+        }
     }
 }

@@ -46,12 +46,13 @@
 //!   `[b₀+b₁+b₂, b₀+b₁, b₀]`.
 //!
 //! Running only the diagonal products `Aₜ·BSₜ` then covers exactly the
-//! documented term set (`lowp::product_terms`, `i + j < d`) with `d` GEMM
-//! passes instead of `d(d+1)/2`: `a₀·(b₀+b₁+b₂) + a₁·(b₀+b₁) + a₂·b₀`
-//! expands to `{00,01,02,10,11,20}`. The partial sums are rounded to
-//! `f32` (relative perturbation ≤ 2⁻²⁴), which sits below the 2⁻¹⁶ /
-//! ≈2⁻²⁴ split-residual floors of the x2/x3 modes — the error-ordering
-//! tests in `lowp` pin this down empirically.
+//! documented term set (`i + j < d`; `product_terms` in
+//! `gemm::lowp::tests`) with `d` GEMM passes instead of `d(d+1)/2`:
+//! `a₀·(b₀+b₁+b₂) + a₁·(b₀+b₁) + a₂·b₀` expands to
+//! `{00,01,02,10,11,20}`. The partial sums are rounded to `f32` (relative
+//! perturbation ≤ 2⁻²⁴), which sits below the 2⁻¹⁶ / ≈2⁻²⁴
+//! split-residual floors of the x2/x3 modes — the error-ordering tests
+//! there pin this down empirically.
 
 use crate::layout::Op;
 use crate::mode::ComputeMode;
@@ -92,16 +93,6 @@ impl<'a, E> OpSrc<'a, E> {
     /// `op(B)` (`k × n`) over `b` with leading dimension `ldb`.
     pub fn b(op: Op, b: &'a [E], ldb: usize) -> Self {
         OpSrc { data: b, ld: ldb, along: op == Op::None }
-    }
-
-    /// Dense untransposed `m × k` left operand.
-    pub fn dense_a(a: &'a [E], k: usize) -> Self {
-        Self::a(Op::None, a, k)
-    }
-
-    /// Dense untransposed `k × n` right operand.
-    pub fn dense_b(b: &'a [E], n: usize) -> Self {
-        Self::b(Op::None, b, n)
     }
 
     /// The same operand from its row (of `op(A)`) / column (of `op(B)`)
@@ -392,7 +383,7 @@ mod tests {
         let a: Vec<f32> = (1..=12).map(|x| x as f32).collect();
         let (m, k, mr, kc) = (3, 4, 2, 4);
         let mut dst = vec![f32::NAN; 2 * mr * kc];
-        assert_eq!(gather(host(), &OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut dst, 0, |x| [x]), dst.len());
+        assert_eq!(gather(host(), &OpSrc::a(Op::None, &a, k), m, 0, kc, mr, &mut dst, 0, |x| [x]), dst.len());
         // Panel 0, kk = 0 holds column 0 of rows 0..2.
         assert_eq!(&dst[0..2], &[1.0, 5.0]);
         // Panel 1, kk = 3 holds column 3 of row 2 plus a zero pad lane.
@@ -405,7 +396,7 @@ mod tests {
         let b: Vec<f32> = (1..=10).map(|x| x as f32).collect();
         let (n, nr, kc) = (5, 4, 2);
         let mut dst = vec![f32::NAN; 2 * nr * kc];
-        gather(host(), &OpSrc::dense_b(&b, n), n, 0, kc, nr, &mut dst, 0, |x| [x]);
+        gather(host(), &OpSrc::b(Op::None, &b, n), n, 0, kc, nr, &mut dst, 0, |x| [x]);
         // Panel 0, kk = 1 holds columns 0..4 of row 1.
         assert_eq!(&dst[nr..2 * nr], &[6.0, 7.0, 8.0, 9.0]);
         // Panel 1, kk = 0 holds column 4 then zero padding.
@@ -416,7 +407,7 @@ mod tests {
     fn k_slice_offsets_respected() {
         let a: Vec<f32> = (0..8).map(|x| x as f32).collect(); // 1×8
         let mut dst = vec![0.0f32; 4];
-        gather(host(), &OpSrc::dense_a(&a, 8), 1, 4, 4, 1, &mut dst, 0, |x| [x]);
+        gather(host(), &OpSrc::a(Op::None, &a, 8), 1, 4, 4, 1, &mut dst, 0, |x| [x]);
         assert_eq!(dst, [4.0, 5.0, 6.0, 7.0]);
     }
 
@@ -670,7 +661,7 @@ mod tests {
         let (m, k, mr, kc) = (3, 4, 4, 4);
         let stride = mr * kc;
         let mut buf = vec![f32::NAN; 3 * stride];
-        let len = gather(host(), &OpSrc::dense_a(&a, k), m, 0, kc, mr, &mut buf, 0, |x| [x]);
+        let len = gather(host(), &OpSrc::a(Op::None, &a, k), m, 0, kc, mr, &mut buf, 0, |x| [x]);
         convert_f32_at(host(), ComputeMode::FloatToBf16x3, Side::A, &mut buf, stride, len);
         for r in 0..m {
             for kk in 0..k {

@@ -11,7 +11,7 @@
 
 use super::kernel::{real_product, Exec, MicroArch, KC};
 use super::pack::OpSrc;
-use super::{stored_shapes, GemmArgs};
+use super::GemmArgs;
 use crate::layout::{check_matrix, Op};
 use crate::mode::ComputeMode;
 use dcmesh_numerics::{Complex, Real};
@@ -66,7 +66,7 @@ fn real_gemm<T: MicroArch>(
     ks: core::ops::Range<usize>,
     exec: Exec<T>,
 ) {
-    let (a, b) = (OpSrc::dense_a(&a[ks.start..], k), OpSrc::dense_b(&b[ks.start * n..], n));
+    let (a, b) = (OpSrc::a(Op::None, &a[ks.start..], k), OpSrc::b(Op::None, &b[ks.start * n..], n));
     real_product(mode, &a, &b, acc, m, n, ks.len(), exec);
 }
 
@@ -80,7 +80,7 @@ pub(crate) fn complex_gemm<T: MicroArch>(
     exec: Exec<T>,
 ) {
     let GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, .. } = *g;
-    let ((ar, ac), (br, bc)) = stored_shapes(transa, transb, m, n, k);
+    let ((ar, ac), (br, bc)) = (transa.applied_shape(m, k), transb.applied_shape(k, n));
     let dims = (m, n, k);
     let (mut are, mut aim) = (vec![T::ZERO; m * k], vec![T::ZERO; m * k]);
     deinterleave_op(transa, a, ar, ac, lda, &mut are, &mut aim);
@@ -118,7 +118,8 @@ pub(crate) fn complex_gemm<T: MicroArch>(
         for (j, cv) in c[i * ldc..i * ldc + n].iter_mut().enumerate() {
             let p = Complex { re: pre[i * n + j], im: pim[i * n + j] };
             let ap = alpha.mul_4m(p);
-            *cv = if beta == Complex::zero() { ap } else { ap + beta.mul_4m(*cv) };
+            let beta_c = if beta == Complex::one() { *cv } else { beta.mul_4m(*cv) };
+            *cv = if beta == Complex::zero() { ap } else { ap + beta_c };
         }
     }
 }

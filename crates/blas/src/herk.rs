@@ -14,13 +14,9 @@
 //! own name. Its scratch comes from the thread-local
 //! [`crate::workspace`] pool like every other product's.
 
-use crate::config::compute_mode;
-use crate::device::Domain;
-use crate::gemm::kernel::MicroArch;
-use crate::gemm::{complex_gemm_impl, f64_mode, gemm_call, GemmArgs};
+use crate::gemm::{gemm_call, GemmArgs};
 use crate::layout::{Op, Uplo};
-use crate::mode::ComputeMode;
-use dcmesh_numerics::{Complex, C32, C64};
+use dcmesh_numerics::{Complex, Real, C32, C64};
 
 /// Single-precision complex Hermitian rank-k update:
 ///
@@ -43,8 +39,7 @@ pub fn cherk(
     c: &mut [C32],
     ldc: usize,
 ) {
-    let g = herk_args(uplo, trans, n, k, alpha, a, lda, beta, ldc);
-    gemm_call("CHERK", Domain::Complex32, compute_mode(), &g, c, herk_product);
+    gemm_call("CHERK", &herk_args(uplo, trans, n, k, alpha, a, lda, beta, ldc), c);
 }
 
 /// Double-precision complex Hermitian rank-k update (see [`cherk`]).
@@ -61,14 +56,14 @@ pub fn zherk(
     c: &mut [C64],
     ldc: usize,
 ) {
-    let g = herk_args(uplo, trans, n, k, alpha, a, lda, beta, ldc);
-    gemm_call("ZHERK", Domain::Complex64, f64_mode(), &g, c, herk_product);
+    gemm_call("ZHERK", &herk_args(uplo, trans, n, k, alpha, a, lda, beta, ldc), c);
 }
 
 /// A rank-k update as the triangle-filtered product it is: `B = A`, one
-/// side conjugate-transposed.
+/// side conjugate-transposed, and the Hermitian contract enforced
+/// exactly on the diagonal.
 #[allow(clippy::too_many_arguments)]
-fn herk_args<T: MicroArch>(
+fn herk_args<T: Real>(
     uplo: Uplo,
     trans: Op,
     n: usize,
@@ -84,34 +79,9 @@ fn herk_args<T: MicroArch>(
         Op::ConjTrans => (Op::ConjTrans, Op::None),
         Op::Trans => panic!("herk trans must be N or C (Op::Trans is the *symmetric* update)"),
     };
-    GemmArgs {
-        transa,
-        transb,
-        m: n,
-        n,
-        k,
-        alpha: Complex::from_real(alpha),
-        a,
-        lda,
-        b: a,
-        ldb: lda,
-        beta: Complex::from_real(beta),
-        ldc,
-        uplo: Some(uplo),
-    }
-}
-
-/// The product of a rank-k update: the mirrored triangle, then the
-/// Hermitian contract enforced exactly on the diagonal.
-fn herk_product<T: MicroArch>(
-    mode: ComputeMode,
-    g: &GemmArgs<'_, Complex<T>>,
-    c: &mut [Complex<T>],
-) {
-    complex_gemm_impl(mode, g, c);
-    for i in 0..g.n {
-        c[i * g.ldc + i].im = T::ZERO;
-    }
+    let (alpha, beta) = (Complex::from_real(alpha), Complex::from_real(beta));
+    let (m, b, ldb, uplo, real_diag) = (n, a, lda, Some(uplo), true);
+    GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag }
 }
 
 #[cfg(test)]

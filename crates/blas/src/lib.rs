@@ -60,6 +60,7 @@ pub mod abft;
 pub mod config;
 pub(crate) mod context;
 pub mod device;
+pub mod element;
 pub mod fault;
 pub mod gemm;
 pub mod herk;

@@ -231,8 +231,7 @@ fn pool_traffic() -> (u64, u64) {
 }
 
 /// The observe half of the call pipeline, shared by every level-3 routine
-/// (through `gemm_call`) and GEMV:
-/// times `f` and emits the one [`CallRecord`] from which the ledger row,
+/// through `gemm_call`: times `f` and emits the one [`CallRecord`] from which the ledger row,
 /// the telemetry span's end attributes and the ring entry are all written.
 ///
 /// Returns the call's ledger key — resolved here, once, and only when
