@@ -17,11 +17,14 @@
 //!   (1728 × n_orb × n_orb), n_orb ∈ {16, 96} — the 12³ mesh of the
 //!   shipped decks — plus the boundary's two Hermitian-output projections,
 //!   `zherk` (`Ψ†Ψ`) and `zgemmt` (`Ψ†·HΨ`), beside the `zgemm` they
-//!   compute one triangle of. `--k-scale` does not touch them.
+//!   compute one triangle of. Beside them, the two other `orb-heavy`
+//!   `cgemm` shapes at STANDARD and BF16x3: the *remap* projection
+//!   `Φ_occ†(0)·Ψ_virt(t)` (48 × 48 × 1728 on ld-96 views) and the
+//!   *subspace* product `D·C` (96³). `--k-scale` does not touch them.
 //! * **GFLOP/s** per row (2·m·n·k real, 8·m·n·k complex, 4·n·(n+1)·k for
 //!   the triangle a `zherk`/`zgemmt` is defined to compute), and the
-//!   microkernel each element width dispatched to on this host, in the
-//!   header, the job log and the dated history entry.
+//!   microkernel the row's element width and `m` dispatched to on this
+//!   host (`tile`, on stderr and in the JSON rows).
 //! * **pack share** per application row: the time of the same product
 //!   with the microkernel stubbed out (`mkl-lite`'s bench hook: gather,
 //!   conversion, accumulator zero-fill and writeback) over the time of
@@ -125,9 +128,11 @@ const SGEMM_MODES: [ComputeMode; 5] = [
 /// One measured call shape.
 struct Entry {
     routine: &'static str,
-    /// `table7`, `project` or `apply`.
+    /// `table7`, `project`, `apply`, `remap` or `subspace`.
     shape: &'static str,
     mode: ComputeMode,
+    /// The tile the call's `m` dispatched to.
+    tile: &'static str,
     m: usize,
     n: usize,
     k_table: usize,
@@ -161,9 +166,6 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0xbea7);
     let mut entries: Vec<Entry> = Vec::new();
     let mut dirty_modes: Vec<String> = Vec::new();
-    let kernels = (dispatched_kernel::<f32>(), dispatched_kernel::<f64>());
-    eprintln!("microkernel f32: {}", kernels.0);
-    eprintln!("microkernel f64: {}", kernels.1);
     let threads = rayon::current_num_threads();
     eprintln!("threads: {threads} (every row; the scaling rows also at 1)");
 
@@ -186,9 +188,13 @@ fn main() {
         };
         let gflops = flops / ns;
         let allocs = timing.allocs_per_call;
+        let tile = match domain {
+            Domain::Real32 | Domain::Complex32 => dispatched_kernel::<f32>(m),
+            Domain::Real64 | Domain::Complex64 => dispatched_kernel::<f64>(m),
+        };
         eprintln!(
-            "{:<6} {shape:<7} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
-             pack {}, {allocs} allocs/call",
+            "{:<6} {shape:<8} {:>16} ({m}, {n}, {k_meas}): {ns:>12.0} ns/call {gflops:>7.2} GFLOP/s, \
+             pack {}, {allocs} allocs/call, {tile}",
             routine.to_lowercase(),
             mode.name(),
             pack_share.map_or("   -".to_string(), |p| format!("{:>3.0}%", 100.0 * p)),
@@ -200,6 +206,7 @@ fn main() {
             routine,
             shape,
             mode,
+            tile,
             m,
             n,
             k_table,
@@ -283,6 +290,33 @@ fn main() {
             complex_gemm_sans_microkernel(std, None, no, no, APP_GRID, orb, orb, &psi64, orb, &sub64, orb, &mut junk64, orb);
         }));
         black_box((&small32[0], &tall32[0], &small64[0], &tall64[0], &junk32[0], &junk64[0]));
+    }
+    // The other two `orb-heavy` shapes: the remap projection `Φ_occ†(0) ·
+    // Ψ_virt(t)` — the occupied and the virtual half of the orbitals, read
+    // as ld-96 views — and the `96³` subspace product `D·C`.
+    {
+        let orb = GATE_ORBITALS;
+        let occ = orb / 2;
+        let mut rand = |len: usize| -> Vec<C32> {
+            (0..len).map(|_| c32(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
+        };
+        let (psi, d, proj) = (rand(APP_GRID * orb), rand(orb * orb), rand(orb * orb));
+        let (mut r, mut dc, mut junk) = (vec![C32::zero(); occ * occ], vec![C32::zero(); orb * orb], vec![C32::zero(); orb * orb]);
+        let (ct, no, one, zero) = (Op::ConjTrans, Op::None, C32::one(), C32::zero());
+        let virt = &psi[occ..];
+        for mode in [ComputeMode::Standard, ComputeMode::FloatToBf16x3] {
+            record("CGEMM", Domain::Complex32, "remap", mode, (occ, occ, APP_GRID, APP_GRID), &mut || {
+                cgemm(ct, no, occ, occ, APP_GRID, one, &psi, orb, virt, orb, zero, &mut r, occ);
+            }, Some(&mut || {
+                complex_gemm_sans_microkernel(mode, None, ct, no, occ, occ, APP_GRID, &psi, orb, virt, orb, &mut junk, occ);
+            }));
+            record("CGEMM", Domain::Complex32, "subspace", mode, (orb, orb, orb, orb), &mut || {
+                cgemm(no, no, orb, orb, orb, one, &d, orb, &proj, orb, zero, &mut dc, orb);
+            }, Some(&mut || {
+                complex_gemm_sans_microkernel(mode, None, no, no, orb, orb, orb, &d, orb, &proj, orb, &mut junk, orb);
+            }));
+        }
+        black_box((&r[0], &dc[0], &junk[0]));
     }
 
     // --- thread scaling: two application rows at 1 thread and at `threads`:
@@ -424,6 +458,7 @@ fn main() {
                 ("routine", text(e.routine)),
                 ("shape", text(e.shape)),
                 ("mode", text(e.mode.name())),
+                ("tile", text(e.tile)),
                 ("m", fixed(e.m as f64, 0)),
                 ("n", fixed(e.n as f64, 0)),
                 ("k_table7", fixed(e.k_table as f64, 0)),
@@ -449,8 +484,6 @@ fn main() {
     let mut entry = cli.entry(threads);
     entry.extra("k_scale", fixed(k_scale as f64, 0));
     entry.extra("hit_ratio", fixed(hit_ratio, 4));
-    entry.extra("microkernel_f32", text(kernels.0));
-    entry.extra("microkernel_f64", text(kernels.1));
     let mut series =
         |name: &str, routine: &str, shape: &str, (m, n): (usize, usize), modes: &[ComputeMode]| {
             for e in
@@ -475,6 +508,9 @@ fn main() {
             series(&name, routine, "project", (orb, orb), &[ComputeMode::Standard]);
         }
     }
+    let (orb, split) = (GATE_ORBITALS, [ComputeMode::Standard, ComputeMode::FloatToBf16x3]);
+    series(&format!("cgemm_remap_{orb}"), "CGEMM", "remap", (orb / 2, orb / 2), &split);
+    series(&format!("cgemm_subspace_{orb}"), "CGEMM", "subspace", (orb, orb), &split);
     entry.series(&format!("cgemm_apply_{GATE_ORBITALS}_1_thread"), "STANDARD", apply_1_thread);
     entry.series(&format!("cgemm_project_{DEPTH_ORBITALS}_1_thread"), "STANDARD", project_1_thread);
 
@@ -483,7 +519,6 @@ fn main() {
         ("threads", fixed(threads as f64, 0)),
         ("scaling", apply_row),
         ("scaling_project", project_row),
-        ("microkernel", object([("f32", text(kernels.0)), ("f64", text(kernels.1))])),
         ("k_scale", fixed(k_scale as f64, 0)),
         ("k_table7", fixed(TABLE7_K as f64, 0)),
         ("k_measured", fixed(k_meas as f64, 0)),

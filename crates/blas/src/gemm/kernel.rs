@@ -17,14 +17,16 @@
 //!   accumulator across their plane products, and the complex routines
 //!   run all their real products off one packed k-block.
 //!
-//! The microkernel is one tile per [`Rung`] ([`MicroArch::tile`]):
+//! The microkernel is a tile of a [`Rung`] ([`MicroArch::tile`]):
 //! `avx512f → avx2(+fma) → generic`, for both element widths, and a call
-//! runs the widest its CPU has. Its rung is the whole call's: the pack
-//! closures carry it to the gather and the conversion. One contract for
-//! every rung: a tile fuses each multiply and add (the portable one
-//! through [`Real::mul_add`]) and accumulates a C element's `kk` products
-//! in one lane in the same order, so tile geometry never shows in the
-//! result and every rung gives the same bits.
+//! runs the widest its CPU has. On `avx512f` the `f32` tile's height is
+//! the product's own: 24 rows where that pads `m` no more than 16 do,
+//! else 16. The rung is the whole call's: the pack closures carry it to
+//! the gather and the conversion. One contract for every tile: it fuses
+//! each multiply and add (the portable one through [`Real::mul_add`]) and
+//! accumulates a C element's `kk` products in one lane in the same order,
+//! so tile geometry never shows in the result and every tile gives the
+//! same bits.
 //!
 //! A Hermitian output (`herk`, `gemmt`) passes an [`Uplo`] and the driver
 //! skips every tile lying strictly in the other triangle. That filter is
@@ -35,9 +37,11 @@
 //!
 //! Parallelism deals a product to the rayon pool's threads, the caller
 //! included, on one of two [`Schedule`]s, or runs it on one. *Rows* cuts C into tasks,
-//! contiguous runs of `mr`-row panels ([`task_shape`]): per k-block B is
-//! packed on the calling thread, and each task packs its own rows of A
-//! into its own slice of the scratch, then runs its tiles. *Depth*, for
+//! contiguous runs of `mr`-row panels ([`task_shape`], at most
+//! [`task_panels`] each, so a 24-row task keeps a 16-row one's L2
+//! budget): per k-block B is packed on the calling thread, and each task
+//! packs its own rows of A into its own slice of the scratch, then runs
+//! its tiles. *Depth*, for
 //! the short, deep products rows would not cut, deals the k-blocks to the
 //! tasks in contiguous runs ([`depth_runs`]): a task packs its own A and B
 //! blocks and runs all their tiles, the first task into the accumulator
@@ -58,21 +62,18 @@ use dcmesh_numerics::{Real, Rung};
 use rayon::prelude::*;
 use std::sync::Mutex;
 
-/// Whether a product of `panels` row panels takes the row schedule: when
-/// its output is tall (at least [`PAR_PANELS`] panels), or when `m·n·k`
-/// reaches [`PAR_THRESHOLD`] MACs. Measured on the application shapes at
-/// 1 and 2 threads (EXPERIMENTS.md): a tall apply product (`1728 × n_orb ×
-/// n_orb`, 108–216 panels) ran faster cut by rows at every `n_orb` from 16
-/// to 96; a short project product (`n_orb × n_orb × 1728`, 2–12 panels)
-/// ran up to 2× slower cut by rows below ~4 M MACs and faster at 16 M.
-/// Below that, a short product with several k-blocks is cut by depth
-/// instead ([`Schedule::choose`]).
-fn splits(panels: usize, m: usize, n: usize, k: usize) -> bool {
-    panels >= 2 && (panels >= PAR_PANELS || m * n * k >= PAR_THRESHOLD)
+/// Whether a product of `panels` row panels of `mr` rows takes the row
+/// schedule: when its output is tall (at least two full tasks,
+/// `2 ·` [`task_panels`]), or when `m·n·k` reaches [`PAR_THRESHOLD`] MACs.
+/// Measured on the application shapes at 1 and 2 threads (EXPERIMENTS.md):
+/// a tall apply product (`1728 × n_orb × n_orb`, 72–216 panels) ran faster
+/// cut by rows at every `n_orb` from 16 to 96; a short project product
+/// (`n_orb × n_orb × 1728`, 1–12 panels) ran up to 2× slower cut by rows
+/// below ~4 M MACs and faster at 16 M. Below that, a short product with
+/// several k-blocks is cut by depth instead ([`Schedule::choose`]).
+fn splits(panels: usize, mr: usize, m: usize, n: usize, k: usize) -> bool {
+    panels >= 2 && (panels >= 2 * task_panels(mr) || m * n * k >= PAR_THRESHOLD)
 }
-
-/// Row panels from which a product always splits (see [`splits`]).
-const PAR_PANELS: usize = 2 * MC_PANELS;
 
 /// `m·n·k` from which a short product splits (see [`splits`]).
 const PAR_THRESHOLD: usize = 1 << 22;
@@ -80,9 +81,21 @@ const PAR_THRESHOLD: usize = 1 << 22;
 /// Depth of one packed k-block.
 pub(crate) const KC: usize = 256;
 
-/// Row panels per task at most: a task's packed A panels stay L2-resident
-/// while the packed B panels go past them.
+/// Row panels of `mr` rows per task at most: a task's packed A panels stay
+/// L2-resident while the packed B panels go past them. [`MC_PANELS`]
+/// panels, and no more than [`MC_ROWS`] rows, which only the 24-row tile
+/// reaches: at BF16x3 its A block stays within the 16-row tile's, 6
+/// planes of 256 rows × `KC` `f32` = 1.5 MiB (sixteen 24-row panels would
+/// be 2.4 MB against a 2 MiB L2). Every other tile keeps its sixteen panels.
+fn task_panels(mr: usize) -> usize {
+    MC_PANELS.min(MC_ROWS / mr)
+}
+
+/// Row panels per task at most (see [`task_panels`]).
 const MC_PANELS: usize = 16;
+
+/// Output rows per task at most (see [`task_panels`]).
+const MC_ROWS: usize = 256;
 
 /// How one product is dealt to the rayon pool's threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,17 +109,18 @@ pub(crate) enum Schedule {
 }
 
 impl Schedule {
-    /// The schedule of a product of `panels` row panels on `threads`
-    /// threads: rows where [`splits`] says so; otherwise depth when `k`
-    /// spans at least two k-blocks and `m·n·k` is below [`PAR_THRESHOLD`],
-    /// which bounds the slots at about `2·PAR_THRESHOLD / KC` elements per
-    /// product; otherwise one thread. Depth needs no crossover of its own:
-    /// at 2 threads it beat one thread on every application shape measured,
-    /// down to the 8-orbital deck's (EXPERIMENTS.md).
-    fn choose(panels: usize, m: usize, n: usize, k: usize, threads: usize) -> Schedule {
+    /// The schedule of a product of `m` rows, in panels of `mr`, on
+    /// `threads` threads: rows where [`splits`] says so; otherwise depth
+    /// when `k` spans at least two k-blocks and `m·n·k` is below
+    /// [`PAR_THRESHOLD`], which bounds the slots at about
+    /// `2·PAR_THRESHOLD / KC` elements per product; otherwise one thread.
+    /// Depth needs no crossover of its own: at 2 threads it beat one thread
+    /// on every application shape measured, down to the 8-orbital deck's
+    /// (EXPERIMENTS.md).
+    fn choose(mr: usize, m: usize, n: usize, k: usize, threads: usize) -> Schedule {
         if threads < 2 {
             Schedule::One
-        } else if splits(panels, m, n, k) {
+        } else if splits(m.div_ceil(mr), mr, m, n, k) {
             Schedule::Rows
         } else if k > KC && m * n * k < PAR_THRESHOLD {
             Schedule::Depth
@@ -116,18 +130,20 @@ impl Schedule {
     }
 }
 
-/// How `panels` row panels are cut into tasks for `threads` threads:
-/// `(panels per task, tasks packed per round)`. Tasks are balanced over
-/// the threads and hold at most [`MC_PANELS`] panels, so a product of at
-/// most `MC_PANELS` panels is one task on one thread and `threads` tasks
-/// on `threads`. A Hermitian output's tiles thin out towards one corner,
-/// so under threads it is cut into twice as many tasks, claimed as threads
-/// come free. The packed A scratch holds one round — at most
-/// `threads · MC_PANELS` panels, bounded by the task size, not by `m`.
-fn task_shape(panels: usize, threads: usize, triangle: bool) -> (usize, usize) {
+/// How `panels` row panels of `mr` rows are cut into tasks for `threads`
+/// threads: `(panels per task, tasks packed per round)`. Tasks are
+/// balanced over the threads and hold at most [`task_panels`] panels, so
+/// a product of at most that many panels is one task on one thread and
+/// `threads` tasks on `threads`. A Hermitian output's tiles thin out
+/// towards one corner, so under threads it is cut into twice as many
+/// tasks, claimed as threads come free. The packed A scratch holds one
+/// round — at most `threads · task_panels(mr)` panels, bounded by the task
+/// size, not by `m`.
+fn task_shape(panels: usize, mr: usize, threads: usize, triangle: bool) -> (usize, usize) {
+    let most = task_panels(mr);
     let per_thread = if triangle && threads > 1 { 2 } else { 1 };
-    let per_task = panels.div_ceil(threads * per_thread * panels.div_ceil(threads * MC_PANELS));
-    (per_task, threads * (MC_PANELS / per_task).max(1))
+    let per_task = panels.div_ceil(threads * per_thread * panels.div_ceil(threads * most));
+    (per_task, threads * (most / per_task).max(1))
 }
 
 /// How `blocks ≥ 1` k-blocks are dealt to `threads` threads: `(k-blocks
@@ -176,10 +192,11 @@ pub struct MicroKernel<T: 'static> {
 /// are implementation details of the kernel dispatch and not part of the
 /// crate's supported API.
 pub trait MicroArch: Real + Poolable {
-    /// The tile `rung` runs (`Portable`: the generic tile). Panics when
+    /// The tile `rung` runs for a product of `m` output rows (`Portable`:
+    /// the generic tile) — the one place a tile is chosen. Panics when
     /// this CPU lacks the rung.
     #[doc(hidden)]
-    fn tile(rung: Rung) -> MicroKernel<Self>;
+    fn tile(rung: Rung, m: usize) -> MicroKernel<Self>;
 
     /// The pack-time precision conversion of `mode` on `rung`: turns the
     /// raw values in `planes[..len]` into the mode's `split_depth` planes,
@@ -204,6 +221,13 @@ fn checked(rung: Rung) -> Rung {
     rung
 }
 
+/// Whether `tall`-row panels pad `m` rows no more than `short`-row ones:
+/// the height rule (a tie goes to the taller tile, which runs more FMAs
+/// per B load).
+fn pads_no_more(tall: usize, short: usize, m: usize) -> bool {
+    m.div_ceil(tall) * tall - m <= m.div_ceil(short) * short - m
+}
+
 /// A SIMD tile: `x86::$f::<MR, NV>` is an `MR × NV·LANES` tile.
 #[cfg(target_arch = "x86_64")]
 macro_rules! simd_tile {
@@ -214,8 +238,14 @@ macro_rules! simd_tile {
 }
 
 impl MicroArch for f32 {
-    fn tile(rung: Rung) -> MicroKernel<f32> {
+    fn tile(rung: Rung, m: usize) -> MicroKernel<f32> {
         match checked(rung) {
+            // 24 of the 32 zmm registers accumulate where the output is
+            // tall enough to fill the rows; 16 where 24 would pad more.
+            #[cfg(target_arch = "x86_64")]
+            Rung::Avx512f if pads_no_more(24, 16, m) => {
+                simd_tile!(rung, "avx512f fma 24x16", f32_avx512, 24, 1, 16)
+            }
             #[cfg(target_arch = "x86_64")]
             Rung::Avx512f => simd_tile!(rung, "avx512f fma 16x16", f32_avx512, 16, 1, 16),
             #[cfg(target_arch = "x86_64")]
@@ -240,7 +270,7 @@ impl MicroArch for f32 {
 }
 
 impl MicroArch for f64 {
-    fn tile(rung: Rung) -> MicroKernel<f64> {
+    fn tile(rung: Rung, _m: usize) -> MicroKernel<f64> {
         match checked(rung) {
             #[cfg(target_arch = "x86_64")]
             Rung::Avx512f => simd_tile!(rung, "avx512f fma 8x16", f64_avx512, 8, 2, 8),
@@ -259,6 +289,21 @@ impl MicroArch for f64 {
     }
 }
 
+/// Every tile `rung` runs, one per height, tallest first: the tiles
+/// [`MicroArch::tile`] picks over `m` from 1 to 96, which covers every
+/// residue of the heights in use.
+#[cfg(test)]
+pub(crate) fn heights<T: MicroArch>(rung: Rung) -> Vec<MicroKernel<T>> {
+    let mut tiles: Vec<MicroKernel<T>> = Vec::new();
+    for kern in (1..=96).map(|m| T::tile(rung, m)) {
+        if tiles.iter().all(|t| t.mr != kern.mr) {
+            tiles.push(kern);
+        }
+    }
+    tiles.sort_by_key(|t| core::cmp::Reverse(t.mr));
+    tiles
+}
+
 /// How one driver run executes: which microkernel — whose rung the pack
 /// runs on too — and which [`Schedule`] (`None` = [`Schedule::choose`]).
 /// Everything outside tests uses [`Exec::host`]; tests pin a rung or a
@@ -271,25 +316,26 @@ pub struct Exec<T: 'static> {
 }
 
 impl<T: MicroArch> Exec<T> {
-    /// The tile of the widest rung the host runs, the schedule by shape.
-    pub(crate) fn host() -> Self {
-        Exec { kern: T::tile(Rung::at_most(TOP)), schedule: None }
+    /// The tile of the widest rung the host runs for a product of `m`
+    /// output rows, the schedule by shape.
+    pub(crate) fn host(m: usize) -> Self {
+        Exec { kern: T::tile(Rung::at_most(TOP), m), schedule: None }
     }
 
-    /// The host's tile geometry around a microkernel that does nothing:
-    /// what is left of a product is its pack (see
+    /// The host's tile geometry for `m` rows around a microkernel that
+    /// does nothing: what is left of a product is its pack (see
     /// [`super::complex_gemm_sans_microkernel`]).
-    pub(crate) fn sans_microkernel() -> Self {
-        let host = Self::host();
+    pub(crate) fn sans_microkernel(m: usize) -> Self {
+        let host = Self::host(m);
         let kern = MicroKernel { name: "none", micro: |_, _, _, _, _, _, _, _, _| {}, ..host.kern };
         Exec { kern, ..host }
     }
 }
 
-/// Name of the microkernel GEMMs over `T` dispatch to on this host
-/// (ISA, arithmetic, tile), for bench headers and job logs.
-pub fn dispatched_kernel<T: MicroArch>() -> &'static str {
-    Exec::<T>::host().kern.name
+/// Name of the microkernel a GEMM over `T` with `m` output rows
+/// dispatches to on this host (ISA, arithmetic, tile), for bench rows.
+pub fn dispatched_kernel<T: MicroArch>(m: usize) -> &'static str {
+    Exec::<T>::host(m).kern.name
 }
 
 /// One accumulated product run off every packed k-block: the `depth`
@@ -388,7 +434,7 @@ pub(crate) fn gemm_packed<T, PA, PB>(
     let Exec { kern, schedule } = exec;
     let threads = rayon::current_num_threads();
     let schedule =
-        schedule.unwrap_or_else(|| Schedule::choose(m.div_ceil(kern.mr), m, n, k, threads));
+        schedule.unwrap_or_else(|| Schedule::choose(kern.mr, m, n, k, threads));
     let driver = Driver { kern, products, uplo, m, n, k, pack_a, pack_b };
     match schedule {
         Schedule::One => driver.by_rows(acc, ldc, 1),
@@ -492,7 +538,7 @@ where
     fn by_rows(&self, acc: &mut [T], ldc: usize, threads: usize) {
         let (mr, nr, k) = (self.kern.mr, self.kern.nr, self.k);
         let panels = self.m.div_ceil(mr);
-        let (per_task, per_round) = task_shape(panels, threads, self.uplo.is_some());
+        let (per_task, per_round) = task_shape(panels, mr, threads, self.uplo.is_some());
         let task_rows = per_task * mr;
         let (a_planes, b_planes) = self.planes();
         let (a_stride, b_stride) = (task_rows * KC.min(k), self.b_stride());
@@ -852,17 +898,17 @@ mod tests {
         })
     }
 
-    /// The host's kernel under a forced schedule.
-    fn sched<T: MicroArch>(schedule: Schedule) -> Exec<T> {
-        Exec { schedule: Some(schedule), ..Exec::host() }
+    /// The host's kernel for `m` rows under a forced schedule.
+    fn sched<T: MicroArch>(schedule: Schedule, m: usize) -> Exec<T> {
+        Exec { schedule: Some(schedule), ..Exec::host(m) }
     }
 
-    /// Tasks `schedule` cuts a product of `panels` row panels and depth `k`
-    /// into on `threads` threads.
-    fn tasks(schedule: Schedule, panels: usize, k: usize, threads: usize, triangle: bool) -> usize {
+    /// Tasks `schedule` cuts a product of `panels` row panels of `mr` rows
+    /// and depth `k` into on `threads` threads.
+    fn tasks(schedule: Schedule, (panels, mr): (usize, usize), k: usize, threads: usize, triangle: bool) -> usize {
         match schedule {
             Schedule::One => 1,
-            Schedule::Rows => panels.div_ceil(task_shape(panels, threads, triangle).0),
+            Schedule::Rows => panels.div_ceil(task_shape(panels, mr, threads, triangle).0),
             Schedule::Depth => depth_runs(k.div_ceil(KC), threads).1,
         }
     }
@@ -877,7 +923,7 @@ mod tests {
         let refc = matmul_reference(&a, &b, m, n, k);
         for schedule in [Schedule::Rows, Schedule::Depth] {
             let acc =
-                under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(schedule)));
+                under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(schedule, m)));
             for (i, (x, y)) in acc.iter().zip(&refc).enumerate() {
                 assert!((x - y).abs() < 1e-9 * (1.0 + y.abs()), "{schedule:?} i={i}: {x} vs {y}");
             }
@@ -909,7 +955,7 @@ mod tests {
         assert_eq!(b.len(), k * n, "B shape mismatch");
         assert_eq!(acc.len(), m * n, "C shape mismatch");
         let (a, b) = (OpSrc::a(Op::None, a, k), OpSrc::b(Op::None, b, n));
-        real_product(ComputeMode::Standard, &a, &b, acc, m, n, k, Exec::host());
+        real_product(ComputeMode::Standard, &a, &b, acc, m, n, k, Exec::host(m));
     }
 
     /// One complex product of every shape below, in every mode in
@@ -944,7 +990,8 @@ mod tests {
             (ct, no, 16, 16, 1728, lo, Depth, false),
         ];
         for (transa, transb, m, n, k, uplo, under_test, view) in shapes {
-            let panels = m.div_ceil(Exec::<T>::host().kern.mr);
+            let mr = Exec::<T>::host(m).kern.mr;
+            let panels = (m.div_ceil(mr), mr);
             let ((ar, ac), (br, bc)) = (transa.applied_shape(m, k), transb.applied_shape(k, n));
             let (lda, ldb, b_col) = if view { (2 * ac, 2 * bc, bc) } else { (ac, bc, 0) };
             let mut rand = |len: usize| -> Vec<Complex<T>> {
@@ -963,12 +1010,12 @@ mod tests {
                     level3(mode, &g, &mut c, exec);
                     c
                 };
-                let one = run(sched(Schedule::One));
+                let one = run(sched(Schedule::One, m));
                 for threads in POOLS {
                     let cut = tasks(under_test, panels, k, threads, uplo.is_some());
                     assert!(threads == 1 || cut >= 2, "({m},{n},{k}) is {cut} {under_test:?} task");
                     for schedule in [Rows, Depth] {
-                        let got = under_pool(threads, || run(sched(schedule)));
+                        let got = under_pool(threads, || run(sched(schedule, m)));
                         for (i, (x, y)) in got.iter().zip(&one).enumerate() {
                             assert!(
                                 [x.re, x.im].map(|v| v.to_f64().to_bits())
@@ -1039,12 +1086,15 @@ mod tests {
     }
 
     /// Every kernel in `kernels` against the last one (the oracle), over
-    /// `modes`, on shapes ragged in m and n and straddling `KC`, with and
-    /// without special-value lanes.
+    /// `modes`, on shapes ragged in m and n and straddling `KC` — every `m`
+    /// from 1 to 50, so each height meets edge panels of every fill, a
+    /// 24-row one with up to 23 pad rows — with and without special-value
+    /// lanes.
     fn kernels_match<T: MicroArch>(kernels: &[MicroKernel<T>], modes: &[ComputeMode], tiny: T) {
         let (oracle, rest) = kernels.split_last().expect("the portable rung always runs");
-        let shapes =
-            [(16, 16, 1728), (96, 96, 600), (300, 16, 16), (37, 29, 513), (7, 33, 257)];
+        let mut shapes =
+            vec![(16, 16, 1728), (96, 96, 600), (300, 16, 16), (37, 29, 513), (7, 33, 257)];
+        shapes.extend((1..=50).map(|m| (m, 19, 300)));
         let mut rng = StdRng::seed_from_u64(77);
         for &(m, n, k) in &shapes {
             for spikes in [false, true] {
@@ -1079,10 +1129,31 @@ mod tests {
         }
     }
 
-    /// The tile of every rung this host runs, widest first: the generic
-    /// tile last.
+    /// Every tile of every rung this host runs — each height of a rung —
+    /// widest rung first: the generic tile last.
     fn ladder<T: MicroArch>() -> Vec<MicroKernel<T>> {
-        Rung::ALL.into_iter().filter(|r| r.available()).map(T::tile).collect()
+        Rung::ALL.into_iter().filter(|r| r.available()).flat_map(heights::<T>).collect()
+    }
+
+    #[test]
+    fn the_height_rule_pads_least_and_ties_go_to_24_rows() {
+        if !Rung::Avx512f.available() {
+            eprintln!("skipped: this CPU has no avx512f");
+            return;
+        }
+        let f32_rows = [
+            (1, 16), (8, 16), (16, 16), (17, 24), (23, 24), (24, 24),
+            (32, 16), (48, 24), (64, 16), (96, 24), (128, 16), (1728, 24),
+        ];
+        for (m, mr) in f32_rows {
+            let kern = f32::tile(Rung::Avx512f, m);
+            assert_eq!((kern.mr, kern.nr), (mr, 16), "m = {m}: `{}`", kern.name);
+            assert_eq!(f64::tile(Rung::Avx512f, m).mr, 8, "the f64 tile has one height");
+        }
+        let names: Vec<&str> = heights::<f32>(Rung::Avx512f).iter().map(|t| t.name).collect();
+        assert_eq!(names, ["avx512f fma 24x16", "avx512f fma 16x16"]);
+        assert_eq!(dispatched_kernel::<f32>(96), "avx512f fma 24x16");
+        assert_eq!(dispatched_kernel::<f64>(96), "avx512f fma 8x16");
     }
 
     /// The fusion witness, on every rung: with `x = 1 + 2⁻ʰ`, the 1×1×2
@@ -1162,7 +1233,7 @@ mod tests {
         b[550 * n + 9] = f64::NAN;
         for schedule in [Schedule::Rows, Schedule::Depth] {
             let acc =
-                under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(schedule)));
+                under_pool(2, || product_with(ComputeMode::Standard, &a, &b, m, n, k, sched(schedule, m)));
             for i in 0..m {
                 for j in [7, 9] {
                     assert!(acc[i * n + j].is_nan(), "{schedule:?}: row {i} lost the NaN of column {j}");

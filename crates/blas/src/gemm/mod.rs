@@ -90,7 +90,7 @@ pub(crate) fn gemm_call<E: Element>(routine: &'static str, g: &GemmArgs<'_, E>, 
     } else {
         None
     };
-    let key = observe(routine, transa, transb, desc, || level3(mode, g, c, Exec::host()));
+    let key = observe(routine, transa, transb, desc, || level3(mode, g, c, Exec::host(m)));
     fault::inject(routine, mode, ticket.call, c, m, n, ldc);
     abft::probe_nonfinite(routine, key, c, m, n, ldc);
     if let Some(pre) = pre {
@@ -322,7 +322,7 @@ pub fn complex_gemm_sans_microkernel<T: MicroArch + Element>(
 ) {
     let (alpha, beta, real_diag) = (Complex::ONE, Complex::ZERO, false);
     let g = GemmArgs { transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, ldc, uplo, real_diag };
-    level3(mode, &g, c, Exec::sans_microkernel());
+    level3(mode, &g, c, Exec::sans_microkernel(m));
 }
 
 /// Where the driver reads `op(A)` and `op(B)` from, each with whether
@@ -860,9 +860,10 @@ mod tests {
         }
     }
 
-    /// The tile of every rung this host runs, widest first.
+    /// Every tile of every rung this host runs — each height of a rung —
+    /// widest rung first.
     fn tiles<T: MicroArch>() -> impl Iterator<Item = kernel::MicroKernel<T>> {
-        Rung::ALL.into_iter().filter(|r| r.available()).map(T::tile)
+        Rung::ALL.into_iter().filter(|r| r.available()).flat_map(kernel::heights::<T>)
     }
 
     /// Whether two complex results agree bit for bit (NaNs of any payload
@@ -906,9 +907,9 @@ mod tests {
                 level3(mode, g, &mut c, exec);
                 c
             };
-            let host = run(Exec::host());
+            let host = run(Exec::host(m));
             for kern in tiles::<T>() {
-                let got = run(Exec { kern, ..Exec::host() });
+                let got = run(Exec { kern, ..Exec::host(m) });
                 for (i, (&x, &y)) in got.iter().zip(&host).enumerate() {
                     assert!(
                         same_complex(x, y),
@@ -920,11 +921,66 @@ mod tests {
         });
     }
 
+    /// Every height of every rung against the generic tile, bit for bit,
+    /// under pools of 1 and 2 threads on the schedule the shape takes: a
+    /// CGEMM for every `m` from 1 to 50 (edge panels of every fill, a
+    /// 24-row one with up to 23 pad rows) and both triangles of a 50 × 50
+    /// CHERK output, whose 24-row tiles the diagonal crosses, in every mode.
+    fn every_height_matches_the_generic_tile() {
+        let under_pool = |threads, f: &dyn Fn() -> Vec<C32>| {
+            rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool").install(f)
+        };
+        let mut rng = StdRng::seed_from_u64(16);
+        let (n, k) = (20, 300);
+        let generic = Exec { kern: f32::tile(Rung::Portable, 0), schedule: None };
+        let check = |g: &GemmArgs<'_, C32>, c0: &[C32], what: &str| {
+            for mode in ComputeMode::ALL {
+                let run = |exec, threads| {
+                    under_pool(threads, &|| {
+                        let mut c = c0.to_vec();
+                        level3(mode, g, &mut c, exec);
+                        c
+                    })
+                };
+                let want = run(generic, 1);
+                for kern in tiles::<f32>() {
+                    for threads in [1, 2] {
+                        let got = run(Exec { kern, schedule: None }, threads);
+                        for (i, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                same_complex(x, y),
+                                "{what} {mode:?} `{}` {threads} threads i={i}: {x:?} vs {y:?}",
+                                kern.name
+                            );
+                        }
+                    }
+                }
+            }
+        };
+        let (one, half) = (C32::one(), c32(0.5, 0.0));
+        let (uplo, real_diag) = (None, false);
+        for m in 1..=50 {
+            let (a, b, c0) = (rand_c32(&mut rng, k * m), rand_c32(&mut rng, k * n), rand_c32(&mut rng, m * n));
+            let (transa, transb, lda, ldb, ldc) = (Op::ConjTrans, Op::None, m, n, n);
+            let g = GemmArgs { transa, transb, m, n, k, alpha: one, a: &a, lda, b: &b, ldb, beta: half, ldc, uplo, real_diag };
+            check(&g, &c0, &format!("CGEMM ({m},{n},{k})"));
+        }
+        let m = 50;
+        let a = rand_c32(&mut rng, k * m);
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            let (uplo, real_diag, transa, transb) = (Some(uplo), true, Op::ConjTrans, Op::None);
+            let zero = C32::zero();
+            let g = GemmArgs { transa, transb, m, n: m, k, alpha: one, a: &a, lda: m, b: &a, ldb: m, beta: zero, ldc: m, uplo, real_diag };
+            check(&g, &vec![zero; m * m], &format!("CHERK {uplo:?} ({m},{k})"));
+        }
+    }
+
     #[test]
     fn every_rung_bit_identical_to_the_host_in_every_mode() {
         rungs_match_the_host::<f32>(&ComputeMode::ALL);
         // The two modes that apply to FP64 data (see `executed_mode`).
         rungs_match_the_host::<f64>(&[ComputeMode::Standard, ComputeMode::Complex3m]);
+        every_height_matches_the_generic_tile();
     }
 
     #[test]

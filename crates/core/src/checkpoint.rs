@@ -98,8 +98,10 @@ fn checksum64(data: &[u8]) -> u64 {
     lanes.into_iter().fold(data.len() as u64, step)
 }
 
-/// A complete restart point.
-#[derive(Clone, Debug)]
+/// A complete restart point. `clone_from` a checkpoint of the same run
+/// copies into the storage it has: the supervisor's burst snapshot and a
+/// rollback allocate nothing.
+#[derive(Debug)]
 pub struct Checkpoint<T: Real> {
     /// Electronic state.
     pub state: LfdState<T>,
@@ -113,6 +115,20 @@ pub struct Checkpoint<T: Real> {
     /// cached force field is bit-identical to the one the interrupted
     /// run carried.
     pub nexc: f64,
+}
+
+impl<T: Real> Clone for Checkpoint<T> {
+    fn clone(&self) -> Self {
+        let Checkpoint { state, system, steps_done, nexc } = self;
+        Checkpoint { state: state.clone(), system: system.clone(), steps_done: *steps_done, nexc: *nexc }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Checkpoint { state, system, steps_done, nexc } = self;
+        state.clone_from(&source.state);
+        system.clone_from(&source.system);
+        (*steps_done, *nexc) = (source.steps_done, source.nexc);
+    }
 }
 
 /// Checkpoint decoding error.

@@ -12,7 +12,7 @@
 //! rebuilt from it (the ionic integrator, the QD scratch) and the record
 //! so far. [`run_simulation_with_policy`] is `start` + `burst` until the
 //! deck is done; the [`crate::supervisor`] drives the same `burst` with
-//! the [`crate::health`] checks on and clones / restores / saves `ck` to
+//! the [`crate::health`] checks on and copies / restores / saves `ck` to
 //! snapshot, roll back, replay and checkpoint. Every entry point returns
 //! [`RunError`] instead of panicking.
 
@@ -150,8 +150,9 @@ pub(crate) struct Run<'a, T: LfdScalar> {
     pub(crate) policy: &'a PrecisionPolicy,
     pub(crate) params: LfdParams,
     /// The restart point: everything that crosses an MD boundary. A
-    /// snapshot is a clone of it, a rollback assigns it back, a
-    /// checkpoint saves it, a resume or replay starts from one.
+    /// snapshot is a copy of it, a rollback copies it back (both
+    /// `clone_from`, into the storage already there), a checkpoint saves
+    /// it, a resume or replay starts from one.
     pub(crate) ck: Checkpoint<T>,
     /// Derived from `ck` by [`Run::integrator`]; never restored, always
     /// rebuilt.
@@ -315,7 +316,7 @@ impl<'a, T: LfdScalar> Run<'a, T> {
     /// `snapshot` / `mark` pair and rebuilds the integrator from it — the
     /// checkpoint resume path, which is bit-exact.
     pub(crate) fn rollback(&mut self, snapshot: &Checkpoint<T>, mark: &ResultMark) {
-        self.ck = snapshot.clone();
+        self.ck.clone_from(snapshot);
         mark.restore(&mut self.result);
         self.md = Run::integrator(self.cfg, &self.params, &self.ck);
     }
@@ -613,7 +614,10 @@ mod tests {
         assert!(run.result.records.len() > mark.records, "the burst recorded steps before dying");
         assert_ne!(run.ck.encode().as_ref(), bytes.as_ref(), "the burst moved the state");
 
+        let storage = |ck: &Checkpoint<f32>| [ck.state.psi.as_ptr(), ck.state.psi0.as_ptr()];
+        let before = storage(&run.ck);
         run.rollback(&snapshot, &mark);
+        assert_eq!(storage(&run.ck), before, "the rollback copied into the storage the run has");
         assert_eq!(run.ck.encode().as_ref(), bytes.as_ref());
         let r = &run.result;
         assert_eq!(

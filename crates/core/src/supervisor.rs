@@ -13,9 +13,10 @@
 //! SCF refresh at every MD boundary stays the paper's only error reset.
 //!
 //! Rollback granularity is one MD burst. The supervisor drives the same
-//! `Run` the plain runner does: before each burst it clones the run's
-//! [`Checkpoint`] — the restart point — as its snapshot, a rollback hands
-//! that clone back (`Run::rollback`), a `verify_bursts` replay is a
+//! `Run` the plain runner does: before each burst it copies the run's
+//! [`Checkpoint`] — the restart point — into its snapshot (the same
+//! storage every burst), a rollback copies it back (`Run::rollback`),
+//! neither allocating, a `verify_bursts` replay is a
 //! second `Run` resumed from it, and with a checkpoint directory the
 //! same value is what `Run::commit` writes and `Run::start` resumes
 //! from. A restored burst re-runs bit-for-bit identically under the same
@@ -225,13 +226,20 @@ pub fn run_supervised_observed<T: LfdScalar>(
     let mut current = start_mode;
     let mut escalations: Vec<EscalationEvent> = Vec::new();
     let mut sdc_recoveries = 0u64;
+    // Burst-boundary snapshot: everything a rollback must restore. The
+    // first burst clones the restart point; every later one copies into
+    // that storage.
+    let mut held: Option<Checkpoint<T>> = None;
 
     while !run.done() {
         let burst_index = run.burst_index();
         observer.burst_starting(burst_index, run.ck.steps_done);
 
-        // Burst-boundary snapshot: everything a rollback must restore.
-        let snapshot = run.ck.clone();
+        match &mut held {
+            Some(snapshot) => snapshot.clone_from(&run.ck),
+            None => held = Some(run.ck.clone()),
+        }
+        let snapshot = held.as_ref().expect("taken above");
         let mark = ResultMark::take(&run.result);
         // SDC defense, part 2: replay sampled clean bursts from the
         // snapshot and demand identical bits.
@@ -243,7 +251,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
             let burst_out = with_compute_mode(current, || {
                 run.burst(true)?;
                 if verify {
-                    verify_burst_replay(&run, &snapshot)?;
+                    verify_burst_replay(&run, snapshot)?;
                 }
                 Ok(())
             });
@@ -252,7 +260,7 @@ pub fn run_supervised_observed<T: LfdScalar>(
                 Err(RunError::Diverged { step, mode, violation }) => (step, mode, violation),
                 Err(other) => return Err(other),
             };
-            run.rollback(&snapshot, &mark);
+            run.rollback(snapshot, &mark);
             record_rollback(step, mode, &violation);
 
             attempt += 1;

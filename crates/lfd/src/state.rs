@@ -55,8 +55,9 @@ impl LfdParams {
 const COUNT_BLOCK: usize = 16;
 
 /// The propagating state at element precision `T` (`f32` for the paper's
-/// mixed-precision runs, `f64` for its FP64 baseline).
-#[derive(Clone, Debug)]
+/// mixed-precision runs, `f64` for its FP64 baseline). `clone_from` a
+/// state of the same shape copies into the arrays it has.
+#[derive(Debug)]
 pub struct LfdState<T: Real> {
     /// Wave-function matrix Ψ(t): row-major `N_grid × N_orb`, starting on
     /// a cache line (as every copy of it does: see [`AlignedVec`]).
@@ -83,6 +84,36 @@ pub struct LfdState<T: Real> {
     pub time: f64,
     /// QD steps taken.
     pub step: u64,
+}
+
+impl<T: Real> Clone for LfdState<T> {
+    fn clone(&self) -> Self {
+        let LfdState { psi, psi0, occ, eps, shadow, vloc, a_induced, a_induced_dot, time, step } = self;
+        LfdState {
+            psi: psi.clone(),
+            psi0: psi0.clone(),
+            occ: occ.clone(),
+            eps: eps.clone(),
+            shadow: shadow.clone(),
+            vloc: vloc.clone(),
+            a_induced: *a_induced,
+            a_induced_dot: *a_induced_dot,
+            time: *time,
+            step: *step,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let LfdState { psi, psi0, occ, eps, shadow, vloc, a_induced, a_induced_dot, time, step } = self;
+        psi.clone_from(&source.psi);
+        psi0.clone_from(&source.psi0);
+        occ.clone_from(&source.occ);
+        eps.clone_from(&source.eps);
+        shadow.clone_from(&source.shadow);
+        vloc.clone_from(&source.vloc);
+        (*a_induced, *a_induced_dot) = (source.a_induced, source.a_induced_dot);
+        (*time, *step) = (source.time, source.step);
+    }
 }
 
 /// Per-QD-step output record — the columns DCMESH "prints to the wall"

@@ -38,7 +38,8 @@ pub fn window_start<T>(storage: *const T, capacity: usize, len: usize) -> usize 
 }
 
 /// A fixed-length array whose first element sits on a [`CACHE_LINE`]
-/// boundary. Cloning allocates and aligns a new window.
+/// boundary. Cloning allocates and aligns a new window; `clone_from` into
+/// an array of the same length copies into the window it has.
 pub struct AlignedVec<T> {
     buf: Vec<T>,
     /// The window `buf[start..start + len]`.
@@ -103,6 +104,14 @@ impl<T: Copy + Default> Clone for AlignedVec<T> {
     fn clone(&self) -> Self {
         Self::from_slice(self)
     }
+
+    fn clone_from(&mut self, source: &Self) {
+        if self.len == source.len {
+            self.copy_from_slice(source);
+        } else {
+            *self = source.clone();
+        }
+    }
 }
 
 impl<T> Deref for AlignedVec<T> {
@@ -152,6 +161,13 @@ mod tests {
             assert_eq!(&c[..len], &a[..]);
             assert!(c[len..].iter().all(|e| *e == T::default()));
         }
+        let mut d = AlignedVec::filled(100, T::default());
+        let storage = d.as_ptr();
+        d.clone_from(&AlignedVec::filled(100, x));
+        assert_eq!(d.as_ptr(), storage, "same length: copied into the window it has");
+        assert!(d.iter().all(|e| *e == x));
+        d.clone_from(&AlignedVec::filled(37, x));
+        assert_eq!((d.len(), d.as_ptr() as usize % CACHE_LINE), (37, 0), "other length: a new window");
         assert!(AlignedVec::<T>::default().is_empty());
         assert!(AlignedVec::filled(0, x).is_empty());
     }

@@ -10,7 +10,7 @@
 //!   (`--label parent` keeps a run against the parent library beside the
 //!   same day's run of the change);
 //! * `threads` — the pool's thread count;
-//! * per-binary extras (`k_scale`, `microkernel_f32`, `<series>_defect`, …);
+//! * per-binary extras (`k_scale`, `hit_ratio`, `<series>_defect`, …);
 //! * one `<series>_ns_per_call: {column: ns}` member per watched row.
 //!
 //! This module reads the file (refusing a torn one rather than starting a

@@ -11,8 +11,9 @@ use dcmesh_lfd::Mesh3;
 use dcmesh_numerics::Real;
 use rayon::prelude::*;
 
-/// A periodic collection of atoms in a cubic box.
-#[derive(Clone, Debug)]
+/// A periodic collection of atoms in a cubic box. `clone_from` a system
+/// of the same size copies into the arrays it has.
+#[derive(Debug)]
 pub struct AtomicSystem {
     /// Species per atom.
     pub species: Vec<Species>,
@@ -22,6 +23,26 @@ pub struct AtomicSystem {
     pub velocities: Vec<f64>,
     /// Cubic box edge in bohr.
     pub box_length: f64,
+}
+
+impl Clone for AtomicSystem {
+    fn clone(&self) -> Self {
+        let AtomicSystem { species, positions, velocities, box_length } = self;
+        AtomicSystem {
+            species: species.clone(),
+            positions: positions.clone(),
+            velocities: velocities.clone(),
+            box_length: *box_length,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let AtomicSystem { species, positions, velocities, box_length } = self;
+        species.clone_from(&source.species);
+        positions.clone_from(&source.positions);
+        velocities.clone_from(&source.velocities);
+        *box_length = source.box_length;
+    }
 }
 
 /// Cubic PbTiO₃ lattice constant in bohr (≈ 3.9 Å).
