@@ -50,7 +50,7 @@
 //! [`dcmesh_bench::layer`] (default 0.1 s per row, `BENCH_gemm.json`, gates
 //! on the `STANDARD` column) plus the Table VII `k` divisor (default 64).
 //!
-//! Three checks run on every invocation and fail the run (exit 1, after
+//! Four checks run on every invocation and fail the run (exit 1, after
 //! the file is written). Each ratio check times its numerator and its
 //! denominator interleaved, call for call, in one sampler of its own, so
 //! the two see the same moment of a shared host:
@@ -63,7 +63,13 @@
 //!   passes (historically 3×/6–7×; the packed kernel holds ~1.5–2×/2–3×);
 //! * **triangle** — the 96-orbital `zherk` and `zgemmt` project rows above
 //!   [`MAX_HERK_OVER_GEMM`] of the `zgemm` row: a Hermitian output
-//!   computes a little over half the tiles, and must cost accordingly.
+//!   computes a little over half the tiles, and must cost accordingly;
+//! * **ABFT** — a STANDARD `cgemm` at the 16- and 96-orbital project and
+//!   apply shapes, checked by ABFT at period 1, above
+//!   [`MAX_ABFT_OVER_GEMM`] of the same call unchecked: the row checksum
+//!   is O(m·n + m·k + k·n) work over an O(m·n·k) product, and must cost
+//!   accordingly. The checked calls' ns/call are kept as the
+//!   `cgemm_abft_{project,apply}_{16,96}` series.
 //!
 //! **k labeling:** every measured number is labeled with the `k` it was
 //! taken at (`k_measured`). For the Table VII rows that is
@@ -81,7 +87,10 @@ use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::gemm::complex_gemm_sans_microkernel;
 use mkl_lite::gemm::kernel::dispatched_kernel;
 use mkl_lite::workspace;
-use mkl_lite::{cgemm, sgemm, with_compute_mode, zgemm, zgemmt, zherk, ComputeMode, Op, Uplo};
+use mkl_lite::{
+    cgemm, clear_abft, install_abft, sgemm, with_compute_mode, zgemm, zgemmt, zherk, ComputeMode,
+    Op, Uplo,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -116,6 +125,13 @@ const MAX_BF16X3_RATIO: f64 = 4.5;
 /// fraction of the ZGEMM it is one triangle of (42 of 72 tiles: ~0.63×
 /// measured).
 const MAX_HERK_OVER_GEMM: f64 = 0.8;
+/// The most an application `cgemm` ABFT-checked at period 1 may cost as a
+/// multiple of the same call unchecked, at the 16- and 96-orbital project
+/// and apply shapes. Measured on a 2-vCPU AVX-512 host: 6.0× at the
+/// 16-orbital project, 1.8–2.9× at the other three; with a libm `hypot`
+/// per operand element, as the check was first written, 10.1× at the
+/// 16-orbital project.
+const MAX_ABFT_OVER_GEMM: f64 = 8.0;
 
 const SGEMM_MODES: [ComputeMode; 5] = [
     ComputeMode::Standard,
@@ -376,6 +392,7 @@ fn main() {
 
     // --- ratio gates: each numerator timed interleaved with its
     // denominator, so both see the same moment of a shared host ---
+    // The numerator's ns/call is returned.
     let mut gates: Vec<(String, f64, f64)> = Vec::new();
     let mut gate = |name: String, max: f64, num: &mut dyn FnMut(), den: &mut dyn FnMut()| {
         let [n, d] = interleaved(seconds, num, den);
@@ -383,6 +400,7 @@ fn main() {
             dirty_modes.push(format!("gate {name}"));
         }
         gates.push((name, n.min_ns / d.min_ns, max));
+        n.min_ns
     };
     let split_modes = [
         (ComputeMode::FloatToBf16x2, MAX_BF16X2_RATIO),
@@ -427,6 +445,32 @@ fn main() {
             zgemmt(Uplo::Upper, ct, no, orb, APP_GRID, one64, &psi64, orb, &psi64, orb, zero64, &mut z1, orb)
         }, &mut || zgemm_in(&mut z2));
         black_box((&c1[0], &c2[0], &z1[0], &z2[0]));
+    }
+    // ABFT's cost: the application's CGEMMs checked at period 1 against the
+    // same calls unchecked; the checked ns/call is kept as a series.
+    let mut abft_checked: Vec<(String, f64)> = Vec::new();
+    for orb in APP_ORBITALS {
+        let psi = wave(APP_GRID * orb);
+        let sub: Vec<C32> = (0..orb * orb).map(|i| c32((i as f32).cos(), 0.5)).collect();
+        let (ct, no, one, zero) = (Op::ConjTrans, Op::None, C32::one(), C32::zero());
+        let project = |c: &mut [C32]| cgemm(ct, no, orb, orb, APP_GRID, one, &psi, orb, &psi, orb, zero, c, orb);
+        let apply = |c: &mut [C32]| cgemm(no, no, APP_GRID, orb, orb, one, &psi, orb, &sub, orb, zero, c, orb);
+        for (shape, (m, n, k), call) in [
+            ("project", (orb, orb, APP_GRID), &project as &dyn Fn(&mut [C32])),
+            ("apply", (APP_GRID, orb, orb), &apply),
+        ] {
+            let (mut c1, mut c2) = (vec![zero; m * n], vec![zero; m * n]);
+            let name = format!("abft CGEMM {shape} checked/unchecked ({m}, {n}, {k})");
+            let checked = with_compute_mode(std, || {
+                gate(name, MAX_ABFT_OVER_GEMM, &mut || {
+                    install_abft(1);
+                    call(&mut c1);
+                    clear_abft();
+                }, &mut || call(&mut c2))
+            });
+            abft_checked.push((format!("cgemm_abft_{shape}_{orb}"), checked));
+            black_box((&c1[0], &c2[0]));
+        }
     }
 
     // --- workspace-pool traffic, through the telemetry registry ---
@@ -513,6 +557,9 @@ fn main() {
     series(&format!("cgemm_subspace_{orb}"), "CGEMM", "subspace", (orb, orb), &split);
     entry.series(&format!("cgemm_apply_{GATE_ORBITALS}_1_thread"), "STANDARD", apply_1_thread);
     entry.series(&format!("cgemm_project_{DEPTH_ORBITALS}_1_thread"), "STANDARD", project_1_thread);
+    for (name, ns) in &abft_checked {
+        entry.series(name, "STANDARD", *ns);
+    }
 
     let header = [
         ("bench", text("gemm_hostperf")),

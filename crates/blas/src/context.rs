@@ -25,7 +25,7 @@
 //!   overrides and a BLAS call made from inside another's product are
 //!   re-entrant.
 
-use crate::abft::AbftViolation;
+use crate::abft::{AbftScratch, AbftViolation};
 use crate::device::DeviceTimeModel;
 use crate::fault::FaultPlan;
 use crate::mode::ComputeMode;
@@ -63,6 +63,8 @@ pub(crate) struct BlasContext {
 
     /// ABFT sampling period and the call count at install.
     pub abft: Option<(u64, u64)>,
+    /// The sampled checks' sums, reused from check to check.
+    pub abft_scratch: AbftScratch,
     /// Checksum verifications performed by this thread.
     pub abft_checks: u64,
     /// Violations detected by this thread.
@@ -99,6 +101,7 @@ impl BlasContext {
             fault: None,
             injected: 0,
             abft: None,
+            abft_scratch: AbftScratch::default(),
             abft_checks: 0,
             abft_violations: 0,
             abft_pending: None,

@@ -95,6 +95,55 @@ fn exponent_flip_is_detected_and_reported() {
 }
 
 #[test]
+fn exponent_flip_is_detected_under_every_op_pair() {
+    install_abft(1);
+    let mut rng = StdRng::seed_from_u64(14);
+    let (m, n, k) = (7, 5, 12);
+    // Entries in [0.5, 1): every output is ~k/2, far above the rounding
+    // bound, so flipping a high exponent bit (×2^±64 in `f32`, ×2^±512 in
+    // `f64`) moves its row sum by about the element itself.
+    let mut pos = |len: usize| -> Vec<f64> { (0..len).map(|_| rng.gen_range(0.5..1.0)).collect() };
+    let (a, b, ai, bi) = (pos(m * k), pos(k * n), pos(m * k), pos(k * n));
+    let single = |v: &[f64]| -> Vec<f32> { v.iter().map(|&x| x as f32).collect() };
+    let (za, zb): (Vec<C64>, Vec<C64>) = (
+        a.iter().zip(&ai).map(|(&re, &im)| c64(re, im)).collect(),
+        b.iter().zip(&bi).map(|(&re, &im)| c64(re, im)).collect(),
+    );
+    let narrow = |v: &[C64]| -> Vec<C32> { v.iter().map(|z| c32(z.re as f32, z.im as f32)).collect() };
+    let (sa, sb, ca, cb) = (single(&a), single(&b), narrow(&za), narrow(&zb));
+    let ops = [Op::None, Op::Trans, Op::ConjTrans];
+    for (transa, transb) in ops.into_iter().flat_map(|x| ops.map(|y| (x, y))) {
+        let lda = if transa == Op::None { k } else { m };
+        let ldb = if transb == Op::None { n } else { k };
+        let expect = |routine: &str| {
+            let v = take_abft_violation();
+            assert!(
+                v.as_ref().is_some_and(|v| v.routine == routine),
+                "{routine} {transa:?}/{transb:?}: exponent flip escaped ({v:?})"
+            );
+        };
+        with_compute_mode(ComputeMode::Standard, || {
+            install_flip(21, 0, 29);
+            let mut c = vec![0.0f32; m * n];
+            sgemm(transa, transb, m, n, k, 1.0, &sa, lda, &sb, ldb, 0.0, &mut c, n);
+            expect("SGEMM");
+            install_flip(22, 0, 61);
+            let mut c = vec![0.0f64; m * n];
+            dgemm(transa, transb, m, n, k, 1.0, &a, lda, &b, ldb, 0.0, &mut c, n);
+            expect("DGEMM");
+            install_flip(23, 0, 29);
+            let mut c = vec![C32::zero(); m * n];
+            cgemm(transa, transb, m, n, k, C32::one(), &ca, lda, &cb, ldb, C32::zero(), &mut c, n);
+            expect("CGEMM");
+            install_flip(24, 0, 61);
+            let mut c = vec![C64::zero(); m * n];
+            zgemm(transa, transb, m, n, k, C64::one(), &za, lda, &zb, ldb, C64::zero(), &mut c, n);
+            expect("ZGEMM");
+        });
+    }
+}
+
+#[test]
 fn complex_flip_detected_with_beta_accumulation() {
     install_abft(1);
     install_flip(9, 0, 61);

@@ -1,8 +1,10 @@
 //! A steady-state QD step allocates nothing: the state-sized arrays, the
 //! subspace buffers of the nine BLAS calls and the partials of the two
-//! mesh reductions all live in `QdScratch`, and the BLAS scratch in the
-//! workspace pool. A counting allocator that sees every thread — the
-//! rayon pool's workers included — counts the steps after warm-up.
+//! mesh reductions all live in `QdScratch`, the BLAS scratch in the
+//! workspace pool, and a sampled ABFT check's sums with its sampler. A
+//! counting allocator that sees every thread — the rayon pool's workers
+//! included — counts the steps after warm-up, and names the thread of
+//! the first allocation it counted.
 //!
 //! One test in its own binary, so no other test's thread allocates while
 //! it counts.
@@ -12,27 +14,93 @@ use dcmesh_lfd::propagator::{qd_step, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Where the first allocation after [`ALLOCATIONS`] was last read went:
+/// its thread's name (truncated) and its size. Written by the allocator,
+/// so it is a fixed-size buffer under a lock that never allocates.
+static FIRST: Mutex<Option<([u8; 32], usize, usize)>> = Mutex::new(None);
+
+thread_local! {
+    /// Set while this thread is inside [`note`]: an allocation made by
+    /// the lookup itself is counted but not looked up again.
+    static NOTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocator call of `size` bytes, and notes its thread when it
+/// is the first since the count was last reset.
+fn note(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+    if NOTING.with(|n| n.replace(true)) {
+        return;
+    }
+    if let Ok(mut first) = FIRST.try_lock() {
+        if first.is_none() {
+            let current = std::thread::current();
+            let name = current.name().unwrap_or("<unnamed>").as_bytes();
+            let mut buf = [0u8; 32];
+            let len = name.len().min(buf.len());
+            buf[..len].copy_from_slice(&name[..len]);
+            *first = Some((buf, len, size));
+        }
+    }
+    NOTING.with(|n| n.set(false));
+}
+
+/// The allocations counted since `before`, and where the first of them
+/// went.
+fn counted_since(before: u64) -> (u64, String) {
+    let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let first = FIRST.lock().unwrap().take();
+    let place = first.map_or(String::new(), |(buf, len, size)| {
+        format!(" (first: {size} bytes on thread {:?})", String::from_utf8_lossy(&buf[..len]))
+    });
+    (count, place)
+}
+
+/// Waits until the test harness's main thread sleeps. libtest spawns this
+/// test's thread and then allocates on its main thread (its bookkeeping
+/// of the running test, its first blocking receive); under load that can
+/// come after the warm-up and land in the count (seen: 148 bytes on
+/// "main", 1 run in 300 beside two CPU hogs). Once the main thread sleeps
+/// it stays asleep until the test ends. Reads `/proc`, so Linux only; a
+/// test run on the main thread has nothing to wait for.
+fn harness_asleep() {
+    if !cfg!(target_os = "linux") || std::thread::current().name() == Some("main") {
+        return;
+    }
+    let stat = format!("/proc/self/task/{}/stat", std::process::id());
+    for _ in 0..10_000 {
+        // The state is the first field after the parenthesised name.
+        let Ok(line) = std::fs::read_to_string(&stat) else { return };
+        if line.rsplit_once(')').is_some_and(|(_, rest)| rest.trim_start().starts_with('S')) {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_micros(100));
+    }
+}
 
 /// Counts allocator calls of every thread.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note(l.size());
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note(new);
         unsafe { System.realloc(p, l, new) }
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note(l.size());
         unsafe { System.alloc_zeroed(l) }
     }
 }
@@ -42,8 +110,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocations made by `steps` QD steps after two warm-up steps, on a
 /// laser-driven 10³ deck with a register block and a remainder of
-/// orbitals and an induced field (so every phase of the step runs).
-fn allocations_per_step<T: LfdScalar>(threads: usize, steps: u64) -> u64 {
+/// orbitals and an induced field (so every phase of the step runs), with
+/// every BLAS call ABFT-checked when `abft` is set; and where the first
+/// went.
+fn allocations_per_step<T: LfdScalar>(threads: usize, steps: u64, abft: bool) -> (u64, String) {
     let p = LfdParams {
         mesh: Mesh3::cubic(10, 0.6),
         n_orb: 20,
@@ -64,31 +134,38 @@ fn allocations_per_step<T: LfdScalar>(threads: usize, steps: u64) -> u64 {
         .build()
         .expect("pool");
     pool.install(|| {
+        if abft {
+            mkl_lite::install_abft(1);
+        } else {
+            mkl_lite::clear_abft();
+        }
         let mut state = LfdState::<T>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let mut scratch = QdScratch::new(&p);
         for _ in 0..2 {
             qd_step(&p, &mut state, &mut scratch);
         }
+        let checks = mkl_lite::abft_check_count();
+        harness_asleep();
+        FIRST.lock().unwrap().take();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..steps {
             std::hint::black_box(qd_step(&p, &mut state, &mut scratch));
         }
-        ALLOCATIONS.load(Ordering::SeqCst) - before
+        let counted = counted_since(before);
+        assert_eq!(mkl_lite::abft_check_count() > checks, abft, "ABFT checked the steps: {abft}");
+        assert_eq!(mkl_lite::abft_violation_count(), 0, "a clean step tripped ABFT");
+        counted
     })
 }
 
 #[test]
 fn a_steady_state_qd_step_allocates_nothing() {
-    for threads in [1, 2] {
-        assert_eq!(
-            allocations_per_step::<f32>(threads, 5),
-            0,
-            "f32, {threads} threads"
-        );
-        assert_eq!(
-            allocations_per_step::<f64>(threads, 5),
-            0,
-            "f64, {threads} threads"
-        );
+    for abft in [false, true] {
+        for threads in [1, 2] {
+            let (count, first) = allocations_per_step::<f32>(threads, 5, abft);
+            assert_eq!(count, 0, "f32, {threads} threads, ABFT {abft}{first}");
+            let (count, first) = allocations_per_step::<f64>(threads, 5, abft);
+            assert_eq!(count, 0, "f64, {threads} threads, ABFT {abft}{first}");
+        }
     }
 }

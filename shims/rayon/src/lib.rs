@@ -7,8 +7,9 @@
 //! participant repeatedly splits a run of items off the front of the
 //! region's remainder, under a lock, and runs them until none are left. A
 //! worker that wakes late finds the remainder empty, so the caller never
-//! waits on a worker that has not started; it waits only for the workers
-//! that joined to leave. Which thread runs an item never changes what the
+//! waits on a worker to take part; it waits only for the workers that
+//! joined to leave, and, in a region that spawned workers, for their
+//! threads to start. Which thread runs an item never changes what the
 //! item computes, so a call site that writes disjoint chunks gets the same
 //! bits at every thread count.
 //!
@@ -27,7 +28,8 @@
 //! * **Panics** are caught on the thread that hit them and resumed on the
 //!   caller once every participant has left; the pool stays usable.
 //! * **No allocation** per region on any thread: its state lives on the
-//!   caller's stack.
+//!   caller's stack. A worker's one start-up allocation is over before
+//!   the region that spawned it returns.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -316,6 +318,8 @@ struct Pool {
     active: AtomicUsize,
     /// Workers parked or about to park.
     parked: AtomicUsize,
+    /// Workers whose thread has started running [`Pool::serve`].
+    started: AtomicUsize,
     /// Every worker spawned, in index order.
     workers: Mutex<Vec<Thread>>,
 }
@@ -326,6 +330,7 @@ static POOL: Pool = Pool {
     epoch: AtomicUsize::new(0),
     active: AtomicUsize::new(0),
     parked: AtomicUsize::new(0),
+    started: AtomicUsize::new(0),
     workers: Mutex::new(Vec::new()),
 };
 
@@ -353,6 +358,13 @@ impl Pool {
                     Ok(handle) => workers.push(handle.thread().clone()),
                     Err(_) => break,
                 }
+            }
+            // A new thread's start-up allocates on that thread (std's
+            // stack-overflow handler). Wait it out here, so that it lands
+            // in the region that spawned the worker, not in whatever the
+            // caller does after it, which may count allocations.
+            while self.started.load(SeqCst) < workers.len() {
+                thread::yield_now();
             }
             let helpers = workers.len().min(threads - 1);
             if helpers == 0 {
@@ -398,6 +410,7 @@ impl Pool {
     /// A worker's life: wait for a region, take part if it is one of the
     /// region's helpers, leave, repeat.
     fn serve(&self, index: usize, mut seen: usize) {
+        self.started.fetch_add(1, SeqCst);
         loop {
             seen = self.next_epoch(seen);
             self.active.fetch_add(1, SeqCst);
