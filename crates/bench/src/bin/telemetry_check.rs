@@ -239,7 +239,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
     // --- export the four artifacts ---
     std::fs::create_dir_all(out_dir).expect("create out dir");
     let jsonl = export::jsonl(&events);
-    let trace = export::chrome_trace(&events);
+    let trace = export::chrome_trace(&[&jsonl]);
     // The ledger series ride in the same scrape body as the counters.
     let prom = format!("{}{}", export::prometheus_dump(), telemetry::ledger::prometheus_text());
     let ledger_text = telemetry::ledger::ledger_json();
@@ -320,7 +320,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
         fail(&mut problems, "no CGEMM span with mode/shape attributes".into());
     }
     if !has(&|r| {
-        r.get("pid").and_then(JsonValue::as_f64) == Some(export::DEVICE_PID as f64)
+        r.get("pid").and_then(JsonValue::as_f64) == Some(export::device_pid(0) as f64)
             && r.get("ph").and_then(JsonValue::as_str) == Some("X")
     }) {
         fail(&mut problems, "no simulated device kernel track in trace.json".into());

@@ -166,7 +166,7 @@ fn fault_injected_run_emits_escalation_in_trace() {
 
         // The whole thing exports to loadable Chrome-trace JSON with the
         // escalation on it.
-        let trace = telemetry::export::chrome_trace(&events);
+        let trace = telemetry::export::chrome_trace(&[&telemetry::export::jsonl(&events)]);
         telemetry::json::parse(&trace).expect("valid Chrome trace JSON");
         assert!(trace.contains("\"escalation\""), "escalation missing from trace");
     });

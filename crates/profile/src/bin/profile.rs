@@ -57,7 +57,8 @@
 //! model and writes the per-callsite recommended-mode plan
 //! (`advice.json`, schema v1).
 
-use dcmesh_profile::{advise, archive, diff, flame, fold, ingest, merge, table, trend, watch};
+use dcmesh_profile::{advise, archive, diff, flame, fold, ingest, table, trend, watch};
+use dcmesh_telemetry::{export, Attr, AttrValue, Event, EventKind, Track};
 use std::io::{BufRead, BufReader, IsTerminal, Write as _};
 use std::process::ExitCode;
 
@@ -153,8 +154,6 @@ fn stream_spans(
         for span in ing.take_closed_spans() {
             on_span(&span);
         }
-        ing.take_closed_instants();
-        ing.take_closed_device();
     }
     let trace = ing.finish();
     for span in &trace.spans {
@@ -279,7 +278,7 @@ fn cmd_merge(mut args: Vec<String>) -> Result<(), ExitCode> {
     }
     let texts: Vec<String> = args.iter().map(|p| read(p)).collect::<Result<_, _>>()?;
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-    write(&out, &merge::merge_jsonl(&refs))?;
+    write(&out, &export::chrome_trace(&refs))?;
     eprintln!("profile: merged {} stream(s) into {out}", refs.len());
     Ok(())
 }
@@ -326,7 +325,10 @@ const SYNTH_MIN_BYTES: u64 = 100 * 1024 * 1024;
 /// Deterministic synthetic event stream: repeated bursts of QD steps
 /// with CGEMM leaf spans (callsite/shape/mode attributes included) plus
 /// a sprinkle of instants and a few malformed lines, until the dump
-/// reaches [`SYNTH_MIN_BYTES`]. Every run produces identical bytes.
+/// reaches [`SYNTH_MIN_BYTES`]. Every line but the torn ones is an
+/// [`Event`] written by the exporter's `jsonl_line`, under a
+/// `telemetry_meta` header with the fixed epoch 1 000 000 and rank 0, so
+/// every run produces identical bytes.
 fn cmd_synth(mut args: Vec<String>) -> Result<(), ExitCode> {
     if let Some(dir) = take_value(&mut args, "--ledger-dir") {
         return cmd_synth_ledger(dir, args);
@@ -359,86 +361,67 @@ fn cmd_synth(mut args: Vec<String>) -> Result<(), ExitCode> {
             ExitCode::from(1)
         })
     };
-    let event = |seq: u64, ts: u64, kind: &str, name: &str, args: &str| {
-        format!(
-            "{{\"seq\":{seq},\"ts_ns\":{ts},\"kind\":\"{kind}\",\"name\":\"{name}\",\
-             \"track\":\"host\",\"tid\":0,\"args\":{{{args}}}}}"
-        )
+    use EventKind::{Instant, SpanBegin, SpanEnd};
+    let event = |seq: u64, ts_ns: u64, kind: EventKind, name: &'static str, attrs: Vec<Attr>| {
+        export::jsonl_line(&Event { seq, ts_ns, name, kind, track: Track::Host, tid: 0, attrs })
     };
-    emit(
-        &mut w,
-        &mut written,
-        event(seq, ts, "i", "telemetry_meta", "\"run_epoch\":1000000,\"rank\":0"),
-    )?;
+    let attr = |key: &'static str, value: AttrValue| Attr { key, value };
+    let meta = vec![attr("run_epoch", AttrValue::U64(1_000_000)), attr("rank", AttrValue::U64(0))];
+    emit(&mut w, &mut written, event(seq, ts, Instant, "telemetry_meta", meta))?;
     const MODES: [&str; 3] = ["BF16X2", "FLOAT_TO_BF16", "STANDARD"];
     const SHAPES: [(u64, u64, u64); 4] =
         [(64, 448, 2048), (128, 896, 4096), (256, 896, 4096), (64, 64, 64)];
     let mut burst = 0u64;
     while written < SYNTH_MIN_BYTES {
-        let mode = MODES[(burst % 3) as usize];
+        let mode = AttrValue::Str(MODES[(burst % 3) as usize]);
         seq += 1;
-        emit(&mut w, &mut written, event(seq, ts, "B", "burst", &format!("\"mode\":\"{mode}\"")))?;
+        let burst_attrs = vec![attr("mode", mode.clone())];
+        emit(&mut w, &mut written, event(seq, ts, SpanBegin, "burst", burst_attrs))?;
         for _ in 0..8 {
             seq += 1;
             ts += 1 + next(100);
-            emit(&mut w, &mut written, event(seq, ts, "B", "qd_step", ""))?;
+            emit(&mut w, &mut written, event(seq, ts, SpanBegin, "qd_step", vec![]))?;
             seq += 1;
             ts += 1;
-            emit(&mut w, &mut written, event(seq, ts, "B", "qd_propagate", ""))?;
+            emit(&mut w, &mut written, event(seq, ts, SpanBegin, "qd_propagate", vec![]))?;
             for _ in 0..4 {
                 let (m, n, k) = SHAPES[next(4) as usize];
+                let call = vec![
+                    attr("callsite", AttrValue::Str("lfd::qd_propagate/cgemm")),
+                    attr("m", AttrValue::U64(m)),
+                    attr("n", AttrValue::U64(n)),
+                    attr("k", AttrValue::U64(k)),
+                    attr("mode", mode.clone()),
+                ];
                 seq += 1;
                 ts += 1;
-                emit(
-                    &mut w,
-                    &mut written,
-                    event(
-                        seq,
-                        ts,
-                        "B",
-                        "CGEMM",
-                        &format!(
-                            "\"callsite\":\"lfd::qd_propagate/cgemm\",\"m\":{m},\"n\":{n},\
-                             \"k\":{k},\"mode\":\"{mode}\""
-                        ),
-                    ),
-                )?;
+                emit(&mut w, &mut written, event(seq, ts, SpanBegin, "CGEMM", call))?;
                 seq += 1;
                 ts += 100 + next(5000);
-                emit(
-                    &mut w,
-                    &mut written,
-                    event(seq, ts, "E", "CGEMM", &format!("\"wall_s\":{}e-6", 1 + next(50))),
-                )?;
+                let wall_s = vec![attr("wall_s", AttrValue::F64((1 + next(50)) as f64 / 1e6))];
+                emit(&mut w, &mut written, event(seq, ts, SpanEnd, "CGEMM", wall_s))?;
             }
             seq += 1;
             ts += 1 + next(200);
-            emit(&mut w, &mut written, event(seq, ts, "E", "qd_propagate", ""))?;
+            emit(&mut w, &mut written, event(seq, ts, SpanEnd, "qd_propagate", vec![]))?;
             seq += 1;
             ts += 1;
-            emit(&mut w, &mut written, event(seq, ts, "E", "qd_step", ""))?;
+            emit(&mut w, &mut written, event(seq, ts, SpanEnd, "qd_step", vec![]))?;
         }
         if burst % 97 == 11 {
             seq += 1;
-            emit(
-                &mut w,
-                &mut written,
-                event(
-                    seq,
-                    ts,
-                    "i",
-                    "rollback",
-                    &format!("\"step\":{burst},\"mode\":\"{mode}\""),
-                ),
-            )?;
+            let rollback = vec![attr("step", AttrValue::U64(burst)), attr("mode", mode.clone())];
+            emit(&mut w, &mut written, event(seq, ts, Instant, "rollback", rollback))?;
         }
         if burst % 193 == 42 {
-            // A torn line, as a crashed writer would leave behind.
-            emit(&mut w, &mut written, format!("{{\"seq\":{seq},\"ts_ns\":{ts},\"ki"))?;
+            // A torn line — the first half of one — as a crashed writer
+            // would leave behind.
+            let line = event(seq, ts, SpanEnd, "burst", vec![]);
+            emit(&mut w, &mut written, line[..line.len() / 2].to_string())?;
         }
         seq += 1;
         ts += 1 + next(50);
-        emit(&mut w, &mut written, event(seq, ts, "E", "burst", ""))?;
+        emit(&mut w, &mut written, event(seq, ts, SpanEnd, "burst", vec![]))?;
         burst += 1;
     }
     w.flush().map_err(|e| {

@@ -1,12 +1,16 @@
 //! JSONL trace ingestion: events back into a validated span forest.
 //!
-//! The telemetry exporter writes one JSON object per line ([`export::jsonl`]):
-//! a `telemetry_meta` header (run epoch, rank) followed
-//! by `B`/`E` span pairs, `i` instants, and `X` device slices. Real dumps
-//! are imperfect — the sink ring drops the oldest events under pressure and
-//! a crashed run truncates the tail mid-span — so ingestion is **tolerant**:
+//! The telemetry exporter writes one JSON object per line
+//! ([`export::jsonl`]): a `telemetry_meta` header (run epoch, rank)
+//! followed by `B`/`E` span pairs, `i` instants, and `X` device slices.
+//! Every line is read through the exporter's own lenient reader
+//! ([`export::read_line`]); ingestion keeps the header and the host span
+//! forest. Real dumps are imperfect — the sink ring drops the oldest
+//! events under pressure and a crashed run truncates the tail mid-span —
+//! so ingestion is **tolerant**:
 //!
-//! * a line that fails to parse is counted and skipped (truncated tails);
+//! * a line that fails to parse, or whose kind is not `B`/`E`/`i`/`X`,
+//!   is counted and skipped (truncated tails);
 //! * an `E` with no matching open `B` is counted as an orphan;
 //! * an `E` that matches a deeper frame closes the intervening frames at
 //!   the same timestamp and marks them truncated (their own `E`s were
@@ -22,13 +26,15 @@
 //!
 //! Ingestion is **streaming-first**: [`StreamingIngester`] folds one line
 //! at a time in bounded memory (the only retained state is the open-frame
-//! stacks plus whatever closed records the consumer hasn't drained via
+//! stacks plus whatever closed spans the consumer hasn't drained via
 //! [`StreamingIngester::take_closed_spans`]), and the batch entry point
 //! [`ingest_jsonl`] is a thin wrapper that feeds every line and calls
 //! [`StreamingIngester::finish`] — so the batch and streaming paths are
 //! bit-identical by construction.
 
-use dcmesh_telemetry::json::{self, JsonValue};
+use dcmesh_telemetry::export::{self, Line, Row};
+use dcmesh_telemetry::json::JsonValue;
+use dcmesh_telemetry::{EventKind, Track};
 use std::collections::BTreeMap;
 
 /// Stream metadata from the `telemetry_meta` header line.
@@ -85,32 +91,6 @@ impl Span {
     }
 }
 
-/// One instant (`i`) event.
-#[derive(Clone, Debug)]
-pub struct InstantEvent {
-    /// Event name (`escalation`, `rollback`, ...).
-    pub name: String,
-    /// Timestamp (ns since epoch).
-    pub ts_ns: u64,
-    /// Recording thread.
-    pub tid: u64,
-    /// Event attributes.
-    pub attrs: BTreeMap<String, JsonValue>,
-}
-
-/// One device-track complete (`X`) slice.
-#[derive(Clone, Debug)]
-pub struct DeviceSlice {
-    /// Kernel name.
-    pub name: String,
-    /// Start on the simulated device clock (ns).
-    pub start_ns: u64,
-    /// Modelled duration (ns).
-    pub dur_ns: u64,
-    /// Slice attributes.
-    pub attrs: BTreeMap<String, JsonValue>,
-}
-
 /// Maximum offending lines identified individually in the skip report;
 /// beyond this only the total is kept (a corrupt multi-GB stream must
 /// not grow an unbounded report).
@@ -132,13 +112,9 @@ pub struct Trace {
     pub meta: Meta,
     /// Reconstructed host spans, in close order.
     pub spans: Vec<Span>,
-    /// Instant events in stream order.
-    pub instants: Vec<InstantEvent>,
-    /// Device-track slices in stream order.
-    pub device: Vec<DeviceSlice>,
     /// Human-readable ingestion warnings (coverage, recovery actions).
     pub warnings: Vec<String>,
-    /// Lines that failed to parse as JSON.
+    /// Lines that failed to parse as JSON or had an unknown kind.
     pub skipped_lines: u64,
     /// Locations of the first [`MAX_SKIP_REPORT`] malformed lines.
     pub skipped: Vec<SkipRecord>,
@@ -162,13 +138,6 @@ struct OpenFrame {
     attrs: BTreeMap<String, JsonValue>,
     /// Sum of direct children's inclusive durations.
     children_ns: u64,
-}
-
-fn attrs_of(row: &JsonValue) -> BTreeMap<String, JsonValue> {
-    match row.get("args") {
-        Some(JsonValue::Object(m)) => m.clone(),
-        _ => BTreeMap::new(),
-    }
 }
 
 /// Parses a Prometheus text dump and returns the value of `series`
@@ -203,13 +172,12 @@ pub fn ingest_jsonl(text: &str) -> Trace {
 /// Incremental JSONL ingestion in bounded memory.
 ///
 /// Feed one line at a time with [`feed_line`](Self::feed_line); closed
-/// records accumulate in the internal [`Trace`] until drained with
-/// [`take_closed_spans`](Self::take_closed_spans) (and the instant /
-/// device equivalents). A consumer that drains after every chunk holds
-/// only the open-frame stacks — O(max span depth × threads) — no matter
-/// how many gigabytes flow through. [`finish`](Self::finish) closes
-/// still-open frames as truncated and returns the trace with the
-/// end-of-stream warnings attached.
+/// spans accumulate in the internal [`Trace`] until drained with
+/// [`take_closed_spans`](Self::take_closed_spans). A consumer that
+/// drains after every chunk holds only the open-frame stacks — O(max
+/// span depth × threads) — no matter how many gigabytes flow through.
+/// [`finish`](Self::finish) closes still-open frames as truncated and
+/// returns the trace with the end-of-stream warnings attached.
 #[derive(Default)]
 pub struct StreamingIngester {
     trace: Trace,
@@ -235,16 +203,6 @@ impl StreamingIngester {
         std::mem::take(&mut self.trace.spans)
     }
 
-    /// Instants seen so far, draining them from the internal trace.
-    pub fn take_closed_instants(&mut self) -> Vec<InstantEvent> {
-        std::mem::take(&mut self.trace.instants)
-    }
-
-    /// Device slices seen so far, draining them from the internal trace.
-    pub fn take_closed_device(&mut self) -> Vec<DeviceSlice> {
-        std::mem::take(&mut self.trace.device)
-    }
-
     /// Feeds one line (without its trailing newline). Malformed lines
     /// are counted — and the first [`MAX_SKIP_REPORT`] located by line
     /// number and byte offset — never fatal.
@@ -257,43 +215,31 @@ impl StreamingIngester {
         if line.trim().is_empty() {
             return;
         }
-        let row = match json::parse(line) {
-            Ok(v) => v,
-            Err(_) => {
+        let row = match export::read_line(line) {
+            Some(Line::Row(row)) => row,
+            Some(Line::Meta { run_epoch, rank }) => {
+                let rank = rank.unwrap_or(0);
+                self.trace.meta = Meta { run_epoch_unix_ns: run_epoch, rank, present: true };
+                return;
+            }
+            None => {
                 self.record_skip(line_no, line_start);
                 return;
             }
         };
-        let name = row.get("name").and_then(JsonValue::as_str).unwrap_or("").to_string();
-        let kind = row.get("kind").and_then(JsonValue::as_str).unwrap_or("");
-        let ts_ns = row.get("ts_ns").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        let tid = row.get("tid").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-        let track = row.get("track").and_then(JsonValue::as_str).unwrap_or("host");
-        let attrs = attrs_of(&row);
-
-        if name == "telemetry_meta" {
-            self.trace.meta = Meta {
-                run_epoch_unix_ns: attrs
-                    .get("run_epoch")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as u64,
-                rank: attrs.get("rank").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64,
-                present: true,
-            };
-            return;
-        }
-        if track == "host" {
+        let Row { name, ts_ns, tid, args: attrs, track, kind, .. } = row;
+        if track == Track::Host {
             self.last_ts = self.last_ts.max(ts_ns);
         }
 
         match kind {
-            "B" => self.stacks.entry(tid).or_default().push(OpenFrame {
+            Some(EventKind::SpanBegin) => self.stacks.entry(tid).or_default().push(OpenFrame {
                 name,
                 start_ns: ts_ns,
                 attrs,
                 children_ns: 0,
             }),
-            "E" => {
+            Some(EventKind::SpanEnd) => {
                 let stack = self.stacks.entry(tid).or_default();
                 match stack.iter().rposition(|f| f.name == name) {
                     None => self.trace.orphan_ends += 1,
@@ -307,13 +253,8 @@ impl StreamingIngester {
                     }
                 }
             }
-            "i" => self.trace.instants.push(InstantEvent { name, ts_ns, tid, attrs }),
-            "X" => {
-                let dur_ns =
-                    row.get("dur_ns").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-                self.trace.device.push(DeviceSlice { name, start_ns: ts_ns, dur_ns, attrs });
-            }
-            _ => self.record_skip(line_no, line_start),
+            Some(EventKind::Instant | EventKind::Complete { .. }) => {}
+            None => self.record_skip(line_no, line_start),
         }
     }
 
@@ -383,7 +324,7 @@ fn close_frame(
     let frame = stack.pop().expect("caller checked non-empty");
     let dur = end_ns.saturating_sub(frame.start_ns);
     if let Some(parent) = stack.last_mut() {
-        parent.children_ns += dur;
+        parent.children_ns = parent.children_ns.saturating_add(dur);
     }
     let mut attrs = frame.attrs;
     attrs.extend(end_attrs);
@@ -542,6 +483,26 @@ mod tests {
     }
 
     #[test]
+    fn extreme_child_timestamps_saturate_the_parents_self_time() {
+        let end = |seq: u64, name: &str| {
+            line(seq, "E", name, 0, "").replace("\"ts_ns\":0", "\"ts_ns\":1e300")
+        };
+        let text = [
+            line(0, "B", "qd_step", 0, ""),
+            line(1, "B", "CGEMM", 0, ""),
+            end(2, "CGEMM"),
+            line(3, "B", "CGEMM", 0, ""),
+            end(4, "CGEMM"),
+            end(5, "qd_step"),
+        ]
+        .join("\n");
+        assert!(text.contains("1e300"));
+        let t = ingest_jsonl(&text);
+        let step = t.spans_named("qd_step").next().unwrap();
+        assert_eq!((step.dur_ns(), step.self_ns), (u64::MAX, 0));
+    }
+
+    #[test]
     fn skip_report_locates_malformed_lines() {
         let good = line(0, "B", "burst", 0, "");
         let bad1 = "not json at all";
@@ -591,16 +552,13 @@ mod tests {
 
         let mut ing = StreamingIngester::new();
         let mut spans = Vec::new();
-        let mut instants = Vec::new();
         for l in text.lines() {
             ing.feed_line(l);
             // Drain after every line — the harshest bounded-memory mode.
             spans.extend(ing.take_closed_spans());
-            instants.extend(ing.take_closed_instants());
         }
         let tail = ing.finish();
         spans.extend(tail.spans);
-        instants.extend(tail.instants);
 
         assert_eq!(spans.len(), batch.spans.len());
         for (a, b) in spans.iter().zip(&batch.spans) {
@@ -612,7 +570,6 @@ mod tests {
             assert_eq!(a.truncated, b.truncated);
             assert_eq!(a.burst_mode, b.burst_mode);
         }
-        assert_eq!(instants.len(), batch.instants.len());
         assert_eq!(tail.warnings, batch.warnings);
     }
 

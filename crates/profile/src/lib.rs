@@ -11,10 +11,12 @@
 //! * **Attribution tables** ([`table`]) — per-(routine, mode, shape)
 //!   mean wall and modelled device times with speedups against the FP32
 //!   baseline — the Tables VI/VII shape.
-//! * **Merged multi-rank traces** ([`merge`]) — several ranks' dumps
-//!   joined into one Chrome trace with per-rank pids, clock-aligned via
-//!   the shared `run_epoch` stamped in each stream's `telemetry_meta`
-//!   header.
+//! * **Merged multi-rank traces** (`profile merge`) — several ranks'
+//!   dumps joined into one Chrome trace with per-rank pids, clock-aligned
+//!   via the shared `run_epoch` stamped in each stream's `telemetry_meta`
+//!   header. The merge is `dcmesh_telemetry::export::chrome_trace`, the
+//!   one Chrome-trace writer; a run's own `trace.json` is its one-rank
+//!   case.
 //! * **Differential flamegraphs** ([`diff`]) — two traces compared
 //!   frame by frame in the red/blue convention (red = grew, blue =
 //!   shrank): the before/after view for compute-mode switches and
@@ -65,7 +67,6 @@ pub mod flame;
 pub mod fold;
 pub mod history;
 pub mod ingest;
-pub mod merge;
 pub mod table;
 pub mod trend;
 pub mod watch;
@@ -76,5 +77,4 @@ pub use diff::{build_diff_tree, render_diff_ansi, render_diff_svg, to_collapsed_
 pub use flame::{build_tree, render_ansi, render_svg, Frame};
 pub use fold::{fold, FoldOptions, Folded};
 pub use ingest::{coverage_warnings, ingest_jsonl, Meta, Span, StreamingIngester, Trace};
-pub use merge::merge_jsonl;
 pub use table::{gemm_table, gemm_table_json, phase_table, CallRow, PhaseRow, TableAccum};

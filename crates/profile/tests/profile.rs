@@ -1,10 +1,13 @@
 //! End-to-end profile coverage: real telemetry streams produced through
 //! the span API, exported to JSONL, and pushed through ingestion,
 //! folding, tables, and merging — flame root within 1% of summed burst
-//! spans, two-rank merges with skewed clocks — and a CLI smoke test.
+//! spans, two-rank merges with skewed clocks — a CLI smoke test, and the
+//! lenient stream readers fed every prefix, odd numbers and byte flips
+//! of a real stream.
 
-use dcmesh_profile::{flame, fold, ingest, merge, table};
+use dcmesh_profile::{flame, fold, ingest, table};
 use dcmesh_telemetry as telemetry;
+use proptest::prelude::*;
 use telemetry::{export, sink, AttrValue, TelemetryLevel};
 
 /// Produces a two-burst workload through the real span API and returns
@@ -96,13 +99,13 @@ fn two_rank_merge_aligns_skewed_clocks() {
     };
     let r0 = mk(0, 10_000_000);
     let r1 = mk(1, 12_000_000);
-    let merged = merge::merge_jsonl(&[&r0, &r1]);
+    let merged = export::chrome_trace(&[&r0, &r1]);
     let doc = telemetry::json::parse(&merged).expect("valid Chrome trace JSON");
     let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
 
     // Two host pids, each with a labelled process_name metadata row.
     for rank in [0u64, 1] {
-        let pid = merge::host_pid(rank) as f64;
+        let pid = export::host_pid(rank) as f64;
         assert!(
             rows.iter().any(|r| r.get("pid").unwrap().as_f64() == Some(pid)
                 && r.get("ph").unwrap().as_str() == Some("M")),
@@ -191,4 +194,85 @@ fn cli_flame_table_and_merge_smoke() {
     assert!(doc.get("traceEvents").unwrap().as_array().unwrap().len() > 4);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small real stream with every kind of line a run writes: the
+/// `telemetry_meta` header, a burst around two sibling CGEMM spans, an
+/// instant with a quoted text attribute, and a device slice.
+fn every_kind_stream() -> &'static str {
+    static STREAM: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    STREAM.get_or_init(|| {
+        telemetry::with_level(TelemetryLevel::Full, || {
+            {
+                let mode = AttrValue::Str("BF16X2");
+                let _burst = telemetry::span("burst").attr("mode", mode).enter();
+                for _ in 0..2 {
+                    let _call = telemetry::span("CGEMM").attr("m", AttrValue::U64(96)).enter();
+                }
+                let why = AttrValue::Text("a \"quoted\" reason".into());
+                telemetry::instant("escalation", vec![telemetry::Attr { key: "why", value: why }]);
+            }
+            telemetry::device_complete("cgemm_kernel", 0.0, 2.5e-6, vec![]);
+            export::jsonl(&sink::drain())
+        })
+    })
+}
+
+/// Byte ranges of the numbers in a JSONL stream: every value that
+/// follows a `:` outside a string and starts like a number.
+fn number_spans(text: &str) -> Vec<(usize, usize)> {
+    let b = text.as_bytes();
+    let numeric = |c: u8| matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E');
+    let (mut spans, mut in_string, mut escaped) = (Vec::new(), false, false);
+    for (i, &c) in b.iter().enumerate() {
+        match c {
+            _ if escaped => escaped = false,
+            b'\\' if in_string => escaped = true,
+            b'"' => in_string = !in_string,
+            b':' if !in_string => {
+                let end = (i + 1..b.len()).find(|&j| !numeric(b[j])).unwrap_or(b.len());
+                if end > i + 1 {
+                    spans.push((i + 1, end));
+                }
+            }
+            _ => {}
+        }
+    }
+    spans
+}
+
+/// Feeds `text` to both lenient readers of the event stream: ingestion,
+/// and the Chrome writer merging it with the untouched stream. Neither
+/// may panic, and the trace must be JSON.
+fn read_leniently(text: &str) {
+    ingest::ingest_jsonl(text);
+    let trace = export::chrome_trace(&[text, every_kind_stream()]);
+    assert!(telemetry::json::parse(&trace).is_ok(), "Chrome trace of {text:?} is not JSON");
+}
+
+#[test]
+fn lenient_readers_survive_every_prefix_and_an_odd_number() {
+    let text = every_kind_stream();
+    for i in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        read_leniently(&text[..i]);
+    }
+    let spans = number_spans(text);
+    assert!(spans.len() > 30, "{spans:?}");
+    for (start, end) in spans {
+        for odd in ["1e300", "-1", "3.5"] {
+            read_leniently(&format!("{}{odd}{}", &text[..start], &text[end..]));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn lenient_readers_survive_a_flipped_byte(at in 0usize..1 << 16, xor in 1u8..=255) {
+        let mut bytes = every_kind_stream().as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] ^= xor;
+        read_leniently(&String::from_utf8_lossy(&bytes));
+    }
 }

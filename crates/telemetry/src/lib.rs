@@ -18,8 +18,9 @@
 //!   kernels can be read side by side in one Perfetto view.
 //! * **Metrics** ([`metrics`]) — process-wide counters and gauges,
 //!   dumped in Prometheus text format.
-//! * **Exporters** ([`export`]) — JSONL event log, Chrome trace-event
-//!   JSON (loadable in Perfetto / `chrome://tracing`), Prometheus text.
+//! * **Exporters** ([`export`]) — the JSONL event log and its one
+//!   lenient line reader, Chrome trace-event JSON over one or more logs
+//!   (loadable in Perfetto / `chrome://tracing`), Prometheus text.
 //! * **Callsite identity** ([`callsite`]) — stable `{phase}/{routine}`
 //!   IDs for every BLAS call, minted from RAII phase scopes.
 //! * **Accuracy/cost ledger** ([`ledger`]) — streaming per-(callsite,
@@ -59,7 +60,8 @@
 //! });
 //! let events = telemetry::sink::drain();
 //! assert_eq!(events.len(), 4); // B/E for the burst, B/E for the call
-//! println!("{}", telemetry::export::chrome_trace(&events));
+//! let stream = telemetry::export::jsonl(&events); // events.jsonl
+//! println!("{}", telemetry::export::chrome_trace(&[&stream])); // trace.json
 //! ```
 
 pub mod callsite;

@@ -70,7 +70,7 @@ fn check_nesting(rows: &[&JsonValue]) {
 #[test]
 fn chrome_trace_parses_nests_and_orders() {
     let events = produce_events();
-    let text = export::chrome_trace(&events);
+    let text = export::chrome_trace(&[&export::jsonl(&events)]);
 
     let doc = telemetry::json::parse(&text).expect("chrome trace must be valid JSON");
     let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
@@ -98,11 +98,11 @@ fn chrome_trace_parses_nests_and_orders() {
     // timeline as a separate pid.
     let host = non_meta
         .iter()
-        .filter(|r| r.get("pid").unwrap().as_f64() == Some(export::HOST_PID as f64))
+        .filter(|r| r.get("pid").unwrap().as_f64() == Some(export::host_pid(0) as f64))
         .count();
     let device: Vec<&&JsonValue> = non_meta
         .iter()
-        .filter(|r| r.get("pid").unwrap().as_f64() == Some(export::DEVICE_PID as f64))
+        .filter(|r| r.get("pid").unwrap().as_f64() == Some(export::device_pid(0) as f64))
         .collect();
     assert!(host >= 9, "expected the burst/step/BLAS span pairs, got {host}");
     assert_eq!(device.len(), 2, "expected two device kernels");
