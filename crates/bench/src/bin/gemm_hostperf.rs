@@ -473,12 +473,7 @@ fn main() {
         }
     }
 
-    // --- workspace-pool traffic, through the telemetry registry ---
-    // `publish_metrics` snapshots this thread's pool counters into
-    // telemetry gauges; the report reads them back from the registry so
-    // the numbers printed here are exactly the ones a Prometheus scrape
-    // (or the `telemetry_check` artifact) would carry.
-    workspace::publish_metrics();
+    // --- workspace-pool traffic ---
     let pool = workspace::combined_stats();
     let hit_ratio = pool.hit_ratio();
     // The ratio is a fraction by contract — an idle pool reports 1.0,
@@ -492,7 +487,6 @@ fn main() {
         "pool  takes {} misses {} grows {} returns {} bytes_outstanding {} hit_ratio {:.4}",
         pool.takes, pool.misses, pool.grows, pool.returns, pool.bytes_outstanding, hit_ratio
     );
-    eprintln!("--- telemetry metrics ---\n{}", dcmesh_telemetry::export::prometheus_dump());
 
     // --- BENCH_gemm.json ---
     let calls: Vec<JsonValue> = entries

@@ -7,15 +7,14 @@
 //! schema-checks the three artifacts:
 //!
 //! * `events.jsonl` — every line parses as JSON with the JSONL schema
-//!   fields (`seq`, `ts_ns`, `kind`, `name`, `track`, `tid`, `args`);
+//!   fields (`seq`, `ts_ns`, `kind`, `name`, `track`, `tid`, `args`), and
+//!   the `telemetry_meta` header carries `run_epoch`, `rank` and the
+//!   recorder's loss counts `dropped_events` and `truncated_attrs`;
 //! * `trace.json` — Chrome trace-event JSON (Perfetto-loadable): valid
 //!   JSON, balanced `B`/`E` nesting per `(pid, tid)`, monotonic
 //!   timestamps per track, the escalation instant on record, BLAS call
 //!   spans carrying mode/shape attributes, burst spans, and the
 //!   simulated `xe-gpu` kernel timeline as a second process track;
-//! * `metrics.prom` — Prometheus text dump with the escalation/rollback
-//!   counters, workspace-pool gauges, and the per-callsite ledger
-//!   series;
 //! * `ledger.json` — the per-(callsite, shape-class, mode)
 //!   accuracy/cost ledger (schema-versioned; see
 //!   `dcmesh_telemetry::ledger`).
@@ -61,7 +60,7 @@ use dcmesh_profile::{ingest, table};
 use dcmesh_telemetry as telemetry;
 use mkl_lite::device::{Domain, GemmDesc};
 use mkl_lite::{
-    clear_fault_plan, install_fault_plan, verbose, workspace, ComputeMode, FaultKind, FaultPlan,
+    clear_fault_plan, install_fault_plan, verbose, ComputeMode, FaultKind, FaultPlan,
     FaultSite,
 };
 use std::collections::HashMap;
@@ -226,7 +225,6 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
         tracer.total_seconds()
     );
 
-    workspace::publish_metrics();
     let events = sink::drain();
     // Recording is over before anything is exported, as in a harness that
     // wraps only the run in `with_level`: the ledger header must still name
@@ -236,27 +234,22 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
         eprintln!("note: sink dropped {} events (ring full)", sink::dropped_events());
     }
 
-    // --- export the four artifacts ---
+    // --- export the three artifacts ---
     std::fs::create_dir_all(out_dir).expect("create out dir");
     let jsonl = export::jsonl(&events);
     let trace = export::chrome_trace(&[&jsonl]);
-    // The ledger series ride in the same scrape body as the counters.
-    let prom = format!("{}{}", export::prometheus_dump(), telemetry::ledger::prometheus_text());
     let ledger_text = telemetry::ledger::ledger_json();
     std::fs::write(out_dir.join("events.jsonl"), &jsonl).expect("write events.jsonl");
     std::fs::write(out_dir.join("trace.json"), &trace).expect("write trace.json");
-    std::fs::write(out_dir.join("metrics.prom"), &prom).expect("write metrics.prom");
     std::fs::write(out_dir.join("ledger.json"), &ledger_text).expect("write ledger.json");
-    eprintln!(
-        "[wrote {}/{{events.jsonl, trace.json, metrics.prom, ledger.json}}]",
-        out_dir.display()
-    );
+    eprintln!("[wrote {}/{{events.jsonl, trace.json, ledger.json}}]", out_dir.display());
 
     // --- schema checks ---
     match export::parse_jsonl(&jsonl) {
         Ok(lines) => {
             // Line 0 is the synthetic `telemetry_meta` instant the
-            // exporter prepends for the profile tooling.
+            // exporter prepends: the clock key, the rank, and what the
+            // recorder lost.
             if lines.len() != events.len() + 1 {
                 fail(&mut problems, "JSONL line count != event count + meta line".into());
             }
@@ -265,7 +258,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
                     if meta.get("name").and_then(JsonValue::as_str) == Some("telemetry_meta") =>
                 {
                     let args = meta.get("args");
-                    for field in ["run_epoch", "rank"] {
+                    for field in ["run_epoch", "rank", "dropped_events", "truncated_attrs"] {
                         if args.and_then(|a| a.get(field)).is_none() {
                             fail(&mut problems, format!("telemetry_meta missing {field:?}"));
                         }
@@ -325,22 +318,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
     }) {
         fail(&mut problems, "no simulated device kernel track in trace.json".into());
     }
-    if !prom.contains("supervisor_escalations_total")
-        || !prom.contains("mkl_pool_bytes_outstanding")
-    {
-        fail(&mut problems, "metrics.prom missing expected series".into());
-    }
-    // The loss-accounting gauges the profile ingester's coverage
-    // warnings key off must always be present (zero or not).
-    for series in
-        ["telemetry_dropped_events", "telemetry_truncated_attrs", "mkl_verbose_dropped_records"]
-    {
-        if !prom.contains(series) {
-            fail(&mut problems, format!("metrics.prom missing {series}"));
-        }
-    }
-
-    check_ledger(&ledger_text, &prom, ledger_gate, &mut problems);
+    check_ledger(&ledger_text, ledger_gate, &mut problems);
 
     let trace = ingest::ingest_jsonl(&jsonl);
     for w in &trace.warnings {
@@ -406,15 +384,12 @@ fn check_attribution(rows: &[table::CallRow], problems: &mut Vec<String>) {
 /// probe must have flagged the CGEMM callsite, and the supervisor's
 /// escalation must have landed on that same row rather than the
 /// anonymous `supervisor/burst` fallback.
-fn check_ledger(ledger_text: &str, prom: &str, ledger_gate: bool, problems: &mut Vec<String>) {
+fn check_ledger(ledger_text: &str, ledger_gate: bool, problems: &mut Vec<String>) {
     let (meta, rows) = match telemetry::ledger::parse_ledger(ledger_text) {
         Ok((meta, rows)) if !rows.is_empty() => (meta, rows),
         Ok(_) => return fail(problems, "ledger.json has no entries".into()),
         Err(e) => return fail(problems, format!("ledger.json: {e}")),
     };
-    if !prom.contains("dcmesh_ledger_calls_total") {
-        fail(problems, "metrics.prom missing dcmesh_ledger_calls_total".into());
-    }
     if !ledger_gate {
         return;
     }
@@ -680,7 +655,7 @@ mod tests {
         };
         let problems = |text: &str| {
             let mut problems = Vec::new();
-            check_ledger(text, "dcmesh_ledger_calls_total 9", false, &mut problems);
+            check_ledger(text, false, &mut problems);
             problems
         };
         let text = rows_json_with_meta(&meta, &[row]);

@@ -12,7 +12,7 @@
 //! The contract that follows:
 //!
 //! * State is **per thread**. A new thread starts from the environment
-//!   (`MKL_BLAS_COMPUTE_MODE`, `MKL_VERBOSE_BUFFER`) and does **not**
+//!   (`MKL_BLAS_COMPUTE_MODE`) and does **not**
 //!   inherit its parent's overrides, plans or records.
 //! * BLAS must be entered from the thread that owns the run. That holds
 //!   by construction: the rayon pool is entered only below the entry
@@ -29,7 +29,7 @@ use crate::abft::{AbftScratch, AbftViolation};
 use crate::device::DeviceTimeModel;
 use crate::fault::FaultPlan;
 use crate::mode::ComputeMode;
-use crate::verbose::{CallRecord, DEFAULT_RECORD_CAPACITY, MKL_VERBOSE_BUFFER_ENV};
+use crate::verbose::{CallRecord, RECORD_CAPACITY};
 use core::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,10 +43,8 @@ pub(crate) struct BlasContext {
 
     /// Programmatic `verbose::set_recording` flag.
     pub recording: bool,
-    /// Most recent call records, oldest first.
+    /// Most recent call records, oldest first; at most [`RECORD_CAPACITY`].
     pub ring: VecDeque<CallRecord>,
-    /// Ring bound in records (at least one).
-    pub ring_capacity: usize,
     /// Records evicted from the full ring since the last `verbose::clear`.
     pub dropped: u64,
 
@@ -85,16 +83,10 @@ pub(crate) struct GemmTicket {
 
 impl BlasContext {
     fn from_env() -> BlasContext {
-        let ring_capacity = std::env::var(MKL_VERBOSE_BUFFER_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_RECORD_CAPACITY);
         BlasContext {
             mode: None,
             recording: false,
             ring: VecDeque::new(),
-            ring_capacity,
             dropped: 0,
             model: None,
             gemm_calls: 0,
@@ -120,17 +112,13 @@ impl BlasContext {
         }
     }
 
-    /// Appends a record, evicting the oldest beyond the ring capacity.
-    /// Returns whether anything was evicted.
-    pub fn push_record(&mut self, rec: CallRecord) -> bool {
-        let mut evicted = false;
-        while self.ring.len() >= self.ring_capacity {
+    /// Appends a record, evicting the oldest beyond [`RECORD_CAPACITY`].
+    pub fn push_record(&mut self, rec: CallRecord) {
+        while self.ring.len() >= RECORD_CAPACITY {
             self.ring.pop_front();
             self.dropped += 1;
-            evicted = true;
         }
         self.ring.push_back(rec);
-        evicted
     }
 }
 

@@ -16,9 +16,8 @@
 //! [`crate::context`]: each thread records, drains and clears only its own
 //! calls, and a new thread starts with recording off and an empty ring. A
 //! run that makes millions of calls keeps only the most recent
-//! [`record_capacity`] records and counts the rest in
-//! [`dropped_records`]. Capacity comes from [`MKL_VERBOSE_BUFFER_ENV`] or
-//! [`set_record_capacity`].
+//! [`RECORD_CAPACITY`] records and counts the rest in
+//! [`dropped_records`].
 //!
 //! Independently of recording, every call at `TELEMETRY=events` or above
 //! is folded into its callsite's ledger row — the one record of how many
@@ -34,14 +33,10 @@ use crate::mode::ComputeMode;
 use crate::Op;
 use dcmesh_telemetry as telemetry;
 use dcmesh_telemetry::{ledger, AttrValue};
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// Environment variable bounding the in-memory record ring (records).
-pub const MKL_VERBOSE_BUFFER_ENV: &str = "MKL_VERBOSE_BUFFER";
-
-/// Default record-ring capacity.
-pub const DEFAULT_RECORD_CAPACITY: usize = 1 << 16; // 65 536 records
+/// Record-ring capacity.
+pub const RECORD_CAPACITY: usize = 1 << 16; // 65 536 records
 
 /// One logged BLAS call.
 #[derive(Clone, Debug)]
@@ -98,16 +93,7 @@ impl CallRecord {
 
 /// Enables or disables in-memory call recording on the calling thread.
 pub fn set_recording(on: bool) {
-    let dropped = context::with(|cx| {
-        cx.recording = on;
-        cx.dropped
-    });
-    if on {
-        // Register the loss gauge up front so a scrape (or the profile
-        // ingester's coverage check) sees an explicit zero rather than a
-        // missing series when nothing has been dropped.
-        dropped_records_gauge().set(dropped as f64);
-    }
+    context::with(|cx| cx.recording = on);
 }
 
 /// True when calls are being recorded (programmatic or via `MKL_VERBOSE`).
@@ -115,42 +101,18 @@ pub fn recording() -> bool {
     context::with(|cx| cx.recording) || verbose_level() >= 1
 }
 
-/// Sets the record-ring capacity (at least one record). Shrinking takes
-/// effect as the next record arrives.
-pub fn set_record_capacity(n: usize) {
-    context::with(|cx| cx.ring_capacity = n.max(1));
-}
-
-/// Current record-ring capacity.
-pub fn record_capacity() -> usize {
-    context::with(|cx| cx.ring_capacity)
-}
-
 /// Records discarded because the ring was full (oldest-first policy).
 pub fn dropped_records() -> u64 {
     context::with(|cx| cx.dropped)
 }
 
-fn dropped_records_gauge() -> &'static Arc<telemetry::metrics::Gauge> {
-    static G: OnceLock<Arc<telemetry::metrics::Gauge>> = OnceLock::new();
-    G.get_or_init(|| {
-        telemetry::metrics::gauge(
-            "mkl_verbose_dropped_records",
-            "call records discarded because the verbose ring was full",
-        )
-    })
-}
-
 /// Appends a record to the calling thread's ring, evicting the oldest
-/// records beyond its capacity.
+/// records beyond [`RECORD_CAPACITY`].
 fn record(rec: CallRecord) {
     if verbose_level() >= 1 {
         eprintln!("{}", rec.to_verbose_line());
     }
-    let evicted = context::with(|cx| cx.push_record(rec).then_some(cx.dropped));
-    if let Some(dropped) = evicted {
-        dropped_records_gauge().set(dropped as f64);
-    }
+    context::with(|cx| cx.push_record(rec));
 }
 
 /// Removes and returns the calling thread's recorded calls, oldest first.
@@ -169,7 +131,6 @@ pub fn clear() {
         cx.ring.clear();
         cx.dropped = 0;
     });
-    dropped_records_gauge().set(0.0);
 }
 
 /// Aggregate statistics over a set of call records (per-routine totals, as
@@ -362,16 +323,16 @@ mod tests {
 
     #[test]
     fn record_ring_bounds_and_counts_drops() {
-        set_record_capacity(3);
-        for i in 0..5 {
+        for i in 0..RECORD_CAPACITY + 2 {
             record(rec("SGEMM", i as f64));
         }
         assert_eq!(dropped_records(), 2);
         let kept = drain();
-        assert_eq!(kept.len(), 3, "ring keeps only the newest records");
-        // Oldest-first drain: the survivors are calls 2, 3, 4.
+        assert_eq!(kept.len(), RECORD_CAPACITY, "ring keeps only the newest records");
+        // Oldest-first drain: the survivors are calls 2 onwards.
         assert!((kept[0].wall.as_secs_f64() - 2.0).abs() < 1e-12);
-        assert!((kept[2].wall.as_secs_f64() - 4.0).abs() < 1e-12);
+        let last = (RECORD_CAPACITY + 1) as f64;
+        assert!((kept[RECORD_CAPACITY - 1].wall.as_secs_f64() - last).abs() < 1e-12);
         clear();
         assert_eq!(dropped_records(), 0);
     }

@@ -286,24 +286,6 @@ pub fn combined_stats() -> PoolStats {
     })
 }
 
-/// Publishes the calling thread's pool counters into the telemetry
-/// metrics registry (gauges, since the values are thread-local
-/// snapshots). Harnesses call this after their measurement loop so the
-/// Prometheus dump and `gemm_hostperf` report carry hit/miss/bytes
-/// figures.
-pub fn publish_metrics() {
-    use dcmesh_telemetry::metrics::gauge;
-    let s = combined_stats();
-    gauge("mkl_pool_takes", "workspace-pool checkouts (thread snapshot)").set(s.takes as f64);
-    gauge("mkl_pool_misses", "checkouts that allocated fresh storage").set(s.misses as f64);
-    gauge("mkl_pool_grows", "checkouts that regrew a recycled buffer").set(s.grows as f64);
-    gauge("mkl_pool_returns", "buffers returned to the free list").set(s.returns as f64);
-    gauge("mkl_pool_bytes_outstanding", "bytes currently checked out")
-        .set(s.bytes_outstanding as f64);
-    gauge("mkl_pool_hit_ratio", "fraction of checkouts served from the free list")
-        .set(s.hit_ratio());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,17 +390,6 @@ mod tests {
             let live = stats::<f32>();
             assert_eq!(live.takes, 0, "fresh workspace has no takes");
             assert_eq!(live.hit_ratio(), 1.0);
-        });
-    }
-
-    #[test]
-    fn publish_metrics_surfaces_pool_gauges() {
-        with_fresh_workspace(|| {
-            let _b = take_zeroed::<f64>(32);
-            publish_metrics();
-            let dump = dcmesh_telemetry::metrics::prometheus_dump();
-            assert!(dump.contains("mkl_pool_takes"), "{dump}");
-            assert!(dump.contains("mkl_pool_bytes_outstanding"), "{dump}");
         });
     }
 

@@ -34,28 +34,36 @@ use dcmesh_telemetry::{instant, ledger, Attr, AttrValue};
 use mkl_lite::{with_compute_mode, ComputeMode};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A count of supervisor actions across all supervised runs in this
+/// process. A run's own record of them is its `SupervisedRun` and its
+/// ledger rows.
+#[derive(Debug)]
+pub struct ProcessCount(AtomicU64);
+
+impl ProcessCount {
+    fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+static ESCALATIONS: ProcessCount = ProcessCount(AtomicU64::new(0));
+static ROLLBACKS: ProcessCount = ProcessCount(AtomicU64::new(0));
 
 /// Escalations performed across all supervised runs in this process.
-pub fn escalation_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
-    static C: OnceLock<Arc<dcmesh_telemetry::metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        dcmesh_telemetry::metrics::counter(
-            "supervisor_escalations_total",
-            "precision escalations performed by the supervisor",
-        )
-    })
+pub fn escalation_counter() -> &'static ProcessCount {
+    &ESCALATIONS
 }
 
 /// Burst rollbacks performed across all supervised runs in this process.
-pub fn rollback_counter() -> &'static Arc<dcmesh_telemetry::metrics::Counter> {
-    static C: OnceLock<Arc<dcmesh_telemetry::metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| {
-        dcmesh_telemetry::metrics::counter(
-            "supervisor_rollbacks_total",
-            "burst rollbacks performed by the supervisor",
-        )
-    })
+pub fn rollback_counter() -> &'static ProcessCount {
+    &ROLLBACKS
 }
 
 /// Re-run budget for a single burst — one attempt per rung of

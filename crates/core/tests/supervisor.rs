@@ -222,7 +222,6 @@ fn non_finite_state_at_the_boundary_is_an_error_not_a_panic() {
 /// but takes no ticket, so it is left out.
 fn gemm_call_log(cfg: &RunConfig, mode: ComputeMode) -> Vec<(&'static str, usize)> {
     use mkl_lite::verbose;
-    verbose::set_record_capacity(1 << 16);
     verbose::clear();
     verbose::set_recording(true);
     let clean = run_supervised::<f32>(cfg, mode, &SupervisorConfig::default());

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! profile flame  <events.jsonl> [--root NAME] [--by-mode] [--by-shape]
-//!                [--svg PATH] [--ansi] [--folded PATH] [--metrics PATH]
-//! profile table  <events.jsonl> [--json PATH] [--metrics PATH]
+//!                [--svg PATH] [--ansi] [--folded PATH]
+//! profile table  <events.jsonl> [--json PATH]
 //! profile merge  <a.jsonl> <b.jsonl> [...] --out merged.json
 //! profile diff   <base.jsonl> <test.jsonl> [--root NAME] [--by-mode]
 //!                [--by-shape] [--svg PATH] [--ansi]
@@ -25,8 +25,8 @@
 //! flamegraph (layout from the test profile, red = frame grew, blue =
 //! shrank); with neither `--svg` nor `--ansi` it prints the two-count
 //! `difffolded` collapsed text. All subcommands print ingestion/coverage
-//! warnings to stderr; `--metrics metrics.prom` adds producer-side drop
-//! counters to that check.
+//! warnings to stderr, among them the drop counts the producer wrote into
+//! the stream's `telemetry_meta` header.
 //!
 //! `flame`, `table` and `diff` read their input incrementally —
 //! memory stays bounded by the open-span depth plus the fold/table group
@@ -65,8 +65,8 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  profile flame  <events.jsonl> [--root NAME] [--by-mode] \
-         [--by-shape] [--svg PATH] [--ansi] [--folded PATH] [--metrics PATH]\n  profile table  \
-         <events.jsonl> [--json PATH] [--metrics PATH]\n  profile merge  \
+         [--by-shape] [--svg PATH] [--ansi] [--folded PATH]\n  profile table  \
+         <events.jsonl> [--json PATH]\n  profile merge  \
          <a.jsonl> <b.jsonl> [...] --out merged.json\n  profile diff   <base.jsonl> \
          <test.jsonl> [--root NAME] [--by-mode] [--by-shape] [--svg PATH] [--ansi]\n  \
          profile watch  <run-dir> [--interval-ms N] [--once] [--prom PATH]\n  \
@@ -117,15 +117,10 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
 
 /// Streams `input` line by line through a [`ingest::StreamingIngester`],
 /// handing every closed span to `on_span` as soon as it closes, then
-/// prints the ingestion/coverage warnings (with the producer-side drop
-/// counters of `metrics_path`, when given). Memory is bounded by the
+/// prints the ingestion/coverage warnings. Memory is bounded by the
 /// open-span depth. Lines are fed exactly as `str::lines()` would produce
 /// them, so the result equals the library's batch `ingest_jsonl`.
-fn stream_spans(
-    input: &str,
-    metrics_path: Option<String>,
-    mut on_span: impl FnMut(&ingest::Span),
-) -> Result<(), ExitCode> {
+fn stream_spans(input: &str, mut on_span: impl FnMut(&ingest::Span)) -> Result<(), ExitCode> {
     let file = std::fs::File::open(input).map_err(|e| {
         eprintln!("profile: cannot read {input}: {e}");
         ExitCode::from(1)
@@ -159,24 +154,16 @@ fn stream_spans(
     for span in &trace.spans {
         on_span(span);
     }
-    let prom = match metrics_path {
-        Some(p) => Some(read(&p)?),
-        None => None,
-    };
-    for w in ingest::coverage_warnings(&trace, prom.as_deref()) {
+    for w in &trace.warnings {
         eprintln!("profile: warning: {w}");
     }
     Ok(())
 }
 
 /// Folds the spans of `input` into collapsed stacks.
-fn fold_file(
-    input: &str,
-    opts: &fold::FoldOptions,
-    metrics_path: Option<String>,
-) -> Result<fold::Folded, ExitCode> {
+fn fold_file(input: &str, opts: &fold::FoldOptions) -> Result<fold::Folded, ExitCode> {
     let mut acc = fold::FoldAccum::new(opts.clone());
-    stream_spans(input, metrics_path, |s| acc.add(s))?;
+    stream_spans(input, |s| acc.add(s))?;
     Ok(acc.finish())
 }
 
@@ -191,12 +178,11 @@ fn fold_opts(args: &mut Vec<String>) -> fold::FoldOptions {
 fn cmd_flame(mut args: Vec<String>) -> Result<(), ExitCode> {
     let svg_path = take_value(&mut args, "--svg");
     let folded_path = take_value(&mut args, "--folded");
-    let metrics = take_value(&mut args, "--metrics");
     let ansi = take_flag(&mut args, "--ansi");
     let opts = fold_opts(&mut args);
     let [input] = args.as_slice() else { return Err(usage()) };
 
-    let folded = fold_file(input, &opts, metrics)?;
+    let folded = fold_file(input, &opts)?;
     if folded.lines.is_empty() {
         eprintln!("profile: warning: no spans folded (empty trace or --root matched nothing)");
     }
@@ -222,11 +208,10 @@ fn cmd_flame(mut args: Vec<String>) -> Result<(), ExitCode> {
 
 fn cmd_table(mut args: Vec<String>) -> Result<(), ExitCode> {
     let json_path = take_value(&mut args, "--json");
-    let metrics = take_value(&mut args, "--metrics");
     let [input] = args.as_slice() else { return Err(usage()) };
 
     let mut acc = table::TableAccum::new();
-    stream_spans(input, metrics, |s| acc.add(s))?;
+    stream_spans(input, |s| acc.add(s))?;
     let rows = acc.gemm_rows();
     println!("== BLAS calls by (routine, mode, shape) — speedup vs FP32 ==");
     print!("{}", table::render_gemm_table(&rows));
@@ -248,8 +233,8 @@ fn cmd_diff(mut args: Vec<String>) -> Result<(), ExitCode> {
     let opts = fold_opts(&mut args);
     let [base_path, test_path] = args.as_slice() else { return Err(usage()) };
 
-    let base = fold_file(base_path, &opts, None)?;
-    let test = fold_file(test_path, &opts, None)?;
+    let base = fold_file(base_path, &opts)?;
+    let test = fold_file(test_path, &opts)?;
     if base.lines.is_empty() && test.lines.is_empty() {
         eprintln!("profile: warning: nothing to diff (empty traces or --root matched nothing)");
     }

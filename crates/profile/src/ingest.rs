@@ -9,6 +9,8 @@
 //! events under pressure and a crashed run truncates the tail mid-span —
 //! so ingestion is **tolerant**:
 //!
+//! * a header whose `dropped_events` or `truncated_attrs` is non-zero
+//!   becomes a warning: the producer wrote its own losses into the stream;
 //! * a line that fails to parse, or whose kind is not `B`/`E`/`i`/`X`,
 //!   is counted and skipped (truncated tails);
 //! * an `E` with no matching open `B` is counted as an orphan;
@@ -140,20 +142,6 @@ struct OpenFrame {
     children_ns: u64,
 }
 
-/// Parses a Prometheus text dump and returns the value of `series`
-/// (first sample wins), if present.
-pub fn prom_value(dump: &str, series: &str) -> Option<f64> {
-    dump.lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter_map(|l| {
-            let (name, value) = l.split_once(' ')?;
-            (name == series || name.starts_with(&format!("{series}{{")))
-                .then(|| value.trim().parse::<f64>().ok())
-                .flatten()
-        })
-        .next()
-}
-
 /// Ingests a JSONL event dump. Never fails: malformed input degrades into
 /// counted warnings rather than errors, because a truncated trace from a
 /// crashed run is exactly what one most wants to profile.
@@ -217,9 +205,19 @@ impl StreamingIngester {
         }
         let row = match export::read_line(line) {
             Some(Line::Row(row)) => row,
-            Some(Line::Meta { run_epoch, rank }) => {
+            Some(Line::Meta { run_epoch, rank, dropped_events, truncated_attrs }) => {
                 let rank = rank.unwrap_or(0);
                 self.trace.meta = Meta { run_epoch_unix_ns: run_epoch, rank, present: true };
+                for (n, what) in [
+                    (dropped_events, "event(s) dropped by its full ring (dropped_events)"),
+                    (truncated_attrs, "attribute(s) truncated (truncated_attrs)"),
+                ] {
+                    if n > 0 {
+                        self.trace.warnings.push(format!(
+                            "producer reported {n} {what}; totals underestimate the run"
+                        ));
+                    }
+                }
                 return;
             }
             None => {
@@ -357,29 +355,6 @@ fn close_frame(
         truncated,
         burst_mode,
     });
-}
-
-/// Coverage diagnostics combining the ingested stream's own counters with
-/// the producer-side drop counters from a `metrics.prom` dump, when one is
-/// available next to the trace.
-pub fn coverage_warnings(trace: &Trace, metrics_prom: Option<&str>) -> Vec<String> {
-    let mut out = trace.warnings.clone();
-    if let Some(dump) = metrics_prom {
-        for (series, what) in [
-            ("telemetry_dropped_events", "sink ring dropped event(s)"),
-            ("telemetry_truncated_attrs", "attribute(s) were truncated"),
-            ("mkl_verbose_dropped_records", "verbose call record(s) dropped"),
-        ] {
-            if let Some(v) = prom_value(dump, series) {
-                if v > 0.0 {
-                    out.push(format!(
-                        "producer reported {v} {what} ({series}); totals underestimate the run"
-                    ));
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -595,13 +570,30 @@ mod tests {
         assert_eq!(orphan.burst_mode, None, "no enclosing burst");
     }
 
+    fn header(counts: &str) -> String {
+        format!(
+            "{{\"seq\":0,\"ts_ns\":0,\"kind\":\"i\",\"name\":\"telemetry_meta\",\
+             \"track\":\"host\",\"tid\":0,\"args\":{{\"run_epoch\":1,\"rank\":0{counts}}}}}"
+        )
+    }
+
     #[test]
-    fn prom_value_reads_series() {
-        let dump = "# HELP x y\n# TYPE x gauge\ntelemetry_dropped_events 42\nother 7\n";
-        assert_eq!(prom_value(dump, "telemetry_dropped_events"), Some(42.0));
-        assert_eq!(prom_value(dump, "missing"), None);
-        let t = ingest_jsonl("");
-        let warns = coverage_warnings(&t, Some(dump));
-        assert!(warns.iter().any(|w| w.contains("sink ring dropped")), "{warns:?}");
+    fn a_header_with_losses_warns_without_a_side_file() {
+        let text = [
+            header(",\"dropped_events\":42,\"truncated_attrs\":3"),
+            line(1, "B", "burst", 0, ""),
+            line(2, "E", "burst", 10, ""),
+        ]
+        .join("\n");
+        let t = ingest_jsonl(&text);
+        assert_eq!(t.warnings.len(), 2, "{:?}", t.warnings);
+        assert!(t.warnings[0].contains("42 event(s) dropped"), "{:?}", t.warnings);
+        assert!(t.warnings[1].contains("3 attribute(s) truncated"), "{:?}", t.warnings);
+        // Counts of 0, and no counts at all — `profile synth`'s header,
+        // like a stream written before the header carried them.
+        for counts in [",\"dropped_events\":0,\"truncated_attrs\":0", ""] {
+            let clean = ingest_jsonl(&header(counts));
+            assert!(clean.meta.present && clean.warnings.is_empty(), "{:?}", clean.warnings);
+        }
     }
 }

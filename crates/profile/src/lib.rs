@@ -76,5 +76,5 @@ pub use archive::{append as archive_append, collect_run, read_archive, RunRecord
 pub use diff::{build_diff_tree, render_diff_ansi, render_diff_svg, to_collapsed_diff};
 pub use flame::{build_tree, render_ansi, render_svg, Frame};
 pub use fold::{fold, FoldOptions, Folded};
-pub use ingest::{coverage_warnings, ingest_jsonl, Meta, Span, StreamingIngester, Trace};
+pub use ingest::{ingest_jsonl, Meta, Span, StreamingIngester, Trace};
 pub use table::{gemm_table, gemm_table_json, phase_table, CallRow, PhaseRow, TableAccum};

@@ -178,6 +178,20 @@ fn cli_flame_table_and_merge_smoke() {
     assert!(stdout.contains("CGEMM") && stdout.contains("speedup"), "{stdout}");
     assert!(std::fs::read_to_string(&json).unwrap().contains("\"routine\":\"CGEMM\""));
 
+    // The producer's losses ride in the stream's header, and the CLI
+    // reports them with nothing else to read.
+    let lossy = dir.join("lossy.jsonl");
+    let text = produce_jsonl();
+    assert!(text.contains("\"dropped_events\":0"), "{}", text.lines().next().unwrap());
+    std::fs::write(&lossy, text.replacen("\"dropped_events\":0", "\"dropped_events\":5", 1))
+        .unwrap();
+    let out = std::process::Command::new(bin)
+        .args(["table", lossy.to_str().unwrap()])
+        .output()
+        .expect("run profile table");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success() && stderr.contains("producer reported 5 event(s)"), "{stderr}");
+
     let merged = dir.join("merged.json");
     let out = std::process::Command::new(bin)
         .args([
@@ -263,6 +277,16 @@ fn lenient_readers_survive_every_prefix_and_an_odd_number() {
             read_leniently(&format!("{}{odd}{}", &text[..start], &text[end..]));
         }
     }
+    // An instant whose args hold 61 nested arrays is one level short of
+    // the parser's limit as a line; the Chrome writer nests args two
+    // levels deeper than the line does.
+    let (open, close) = ("[".repeat(61), "]".repeat(61));
+    let deep = format!(
+        "{{\"seq\":9,\"ts_ns\":9,\"kind\":\"i\",\"name\":\"deep\",\"track\":\"host\",\
+         \"tid\":0,\"args\":{{\"a\":{open}1{close}}}}}"
+    );
+    assert!(telemetry::json::parse(&deep).is_ok());
+    read_leniently(&format!("{text}{deep}\n"));
 }
 
 proptest! {

@@ -1,10 +1,11 @@
 //! The event stream's one schema: the JSONL event log (`events.jsonl`),
-//! its one lenient line reader, the Chrome trace-event JSON built from
-//! one or more logs, and the Prometheus text dump re-exported from
-//! [`crate::metrics`].
+//! its one lenient line reader, and the Chrome trace-event JSON built
+//! from one or more logs.
 //!
 //! [`jsonl_line`] writes a stream line and [`read_line`] reads one back,
-//! so this module is the only place that spells the field names.
+//! so this module is the only place that spells the field names. A log's
+//! `telemetry_meta` header carries the producer's loss counts, so a
+//! stream is its own record of how complete it is.
 //! [`chrome_trace`] reads whole streams through [`read_line`]: one run's
 //! `trace.json` is the one-stream case of the multi-rank merge. Each
 //! stream (rank) gets a pid pair, so Perfetto / `chrome://tracing`
@@ -17,20 +18,6 @@ use crate::event::{AttrValue, Event, EventKind, Track};
 use crate::json::{self, JsonValue, ParseError};
 use crate::sink;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Renders every registered metric in Prometheus text format, after
-/// refreshing the sink-health gauges (`telemetry_dropped_events`,
-/// `telemetry_truncated_attrs`) so a scrape — or the `profile` ingester
-/// reading `metrics.prom` — can judge trace coverage without access to
-/// the process.
-pub fn prometheus_dump() -> String {
-    use crate::metrics::gauge;
-    gauge("telemetry_dropped_events", "events discarded because the sink ring was full")
-        .set(sink::dropped_events() as f64);
-    gauge("telemetry_truncated_attrs", "attributes discarded because an event exceeded MAX_ATTRS")
-        .set(sink::truncated_attrs() as f64);
-    crate::metrics::prometheus_dump()
-}
 
 fn attrs_json(ev: &Event) -> String {
     let mut out = String::from("{");
@@ -79,8 +66,9 @@ pub fn jsonl_line(ev: &Event) -> String {
 }
 
 /// Serialises events as JSONL: one stream-metadata line (the
-/// `telemetry_meta` event carrying `run_epoch` and `rank` —
-/// see [`sink::run_meta_event`]) followed by one JSON object per event.
+/// `telemetry_meta` event carrying `run_epoch`, `rank`, `dropped_events`
+/// and `truncated_attrs` — see [`sink::run_meta_event`]) followed by one
+/// JSON object per event.
 /// The metadata line has the same schema as every other line, so
 /// consumers that don't care about it parse it like any instant event.
 pub fn jsonl(events: &[Event]) -> String {
@@ -131,6 +119,12 @@ pub enum Line {
         run_epoch: u64,
         /// The producer's rank; `None` when absent or not a count.
         rank: Option<u64>,
+        /// Events the producer's full ring dropped; 0 when absent or not
+        /// a count.
+        dropped_events: u64,
+        /// Attributes the producer cut beyond `MAX_ATTRS`; 0 when absent
+        /// or not a count.
+        truncated_attrs: u64,
     },
     /// Any other event.
     Row(Row),
@@ -160,13 +154,31 @@ pub struct Row {
     pub args: BTreeMap<String, JsonValue>,
 }
 
+/// Nesting depth of a JSON value: 0 for a scalar, one more than its
+/// deepest member for an array or object.
+fn depth(v: &JsonValue) -> usize {
+    match v {
+        JsonValue::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        JsonValue::Object(members) => 1 + members.values().map(depth).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
 /// Reads one stream line; `None` when it is not a JSON object (a torn
-/// or blank line). Never panics, whatever the line holds.
+/// or blank line). Never panics, whatever the line holds. An `args`
+/// object that takes the line deeper than `json::MAX_DEPTH − 2` levels
+/// reads as empty: [`chrome_trace`] writes `args` two levels deeper than
+/// the line does, and its document must stay parseable.
 pub fn read_line(line: &str) -> Option<Line> {
     let Ok(JsonValue::Object(mut m)) = json::parse(line) else { return None };
     let number = |v: Option<&JsonValue>| v.and_then(JsonValue::as_f64).map_or(0, |n| n as u64);
+    // The line is one level and `args` a second; its members add theirs.
     let args = match m.remove("args") {
-        Some(JsonValue::Object(args)) => args,
+        Some(JsonValue::Object(args))
+            if 2 + args.values().map(depth).max().unwrap_or(0) <= json::MAX_DEPTH - 2 =>
+        {
+            args
+        }
         _ => BTreeMap::new(),
     };
     let name = match m.remove("name") {
@@ -174,9 +186,12 @@ pub fn read_line(line: &str) -> Option<Line> {
         _ => String::new(),
     };
     if name == "telemetry_meta" {
+        let count = |key| args.get(key).and_then(|v| json::as_count(v, key).ok());
         return Some(Line::Meta {
             run_epoch: number(args.get("run_epoch")),
-            rank: args.get("rank").and_then(|r| json::as_count(r, "rank").ok()),
+            rank: count("rank"),
+            dropped_events: count("dropped_events").unwrap_or(0),
+            truncated_attrs: count("truncated_attrs").unwrap_or(0),
         });
     }
     let kind = match m.get("kind").and_then(JsonValue::as_str) {
@@ -215,7 +230,7 @@ pub fn device_pid(rank: u64) -> u64 {
 fn stream_meta(text: &str) -> (u64, Option<u64>) {
     text.lines()
         .find_map(|l| match read_line(l) {
-            Some(Line::Meta { run_epoch, rank }) => Some((run_epoch, rank)),
+            Some(Line::Meta { run_epoch, rank, .. }) => Some((run_epoch, rank)),
             _ => None,
         })
         .unwrap_or((0, None))
@@ -351,7 +366,7 @@ mod tests {
             assert_eq!(row.args.get("mode").and_then(JsonValue::as_str), Some("FLOAT_TO_BF16"));
         }
         let header = jsonl(&[]);
-        let Some(Line::Meta { run_epoch, rank }) = read_line(header.trim_end()) else {
+        let Some(Line::Meta { run_epoch, rank, .. }) = read_line(header.trim_end()) else {
             panic!("{header}")
         };
         assert!(run_epoch > 0 && rank.is_some());
@@ -367,7 +382,67 @@ mod tests {
         assert_eq!((row.kind, row.ts_ns, row.tid, row.name.as_str()), (None, 0, 3, ""));
         assert_eq!(row.track, Track::Host);
         let meta = "{\"name\":\"telemetry_meta\",\"args\":{\"run_epoch\":5,\"rank\":2.5}}";
-        assert!(matches!(read_line(meta), Some(Line::Meta { run_epoch: 5, rank: None })));
+        assert!(matches!(
+            read_line(meta),
+            Some(Line::Meta { run_epoch: 5, rank: None, dropped_events: 0, truncated_attrs: 0 })
+        ));
+        let odd = "{\"name\":\"telemetry_meta\",\"args\":{\"dropped_events\":-1,\
+                   \"truncated_attrs\":\"7\"}}";
+        assert!(matches!(
+            read_line(odd),
+            Some(Line::Meta { dropped_events: 0, truncated_attrs: 0, .. })
+        ));
+    }
+
+    /// The header's two loss counts, as `read_line` reads them back.
+    fn header_counts(stream: &str) -> (u64, u64) {
+        match stream.lines().next().and_then(read_line) {
+            Some(Line::Meta { dropped_events, truncated_attrs, .. }) => {
+                (dropped_events, truncated_attrs)
+            }
+            other => panic!("no header: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_header_carries_what_the_recorder_lost() {
+        assert_eq!(header_counts(&jsonl(&[])), (0, 0), "a clean run");
+        for _ in 0..sink::CAPACITY + 2 {
+            sink::publish("overflow", EventKind::Instant, Track::Host, 0, vec![]);
+        }
+        let wide = (0..crate::event::MAX_ATTRS + 3)
+            .map(|i| Attr { key: "k", value: AttrValue::U64(i as u64) })
+            .collect();
+        sink::publish("wide", EventKind::Instant, Track::Host, 0, wide);
+        let events = sink::drain();
+        let stream = jsonl(&events[events.len() - 2..]);
+        assert_eq!(header_counts(&stream), (3, 3));
+        sink::clear();
+        assert_eq!(header_counts(&jsonl(&[])), (0, 0), "clear resets both counts");
+    }
+
+    /// An instant line whose `args` holds `arrays` nested arrays.
+    fn nested_args_line(arrays: usize) -> String {
+        format!(
+            "{{\"seq\":1,\"ts_ns\":0,\"kind\":\"i\",\"name\":\"deep\",\"track\":\"host\",\
+             \"tid\":0,\"args\":{{\"a\":{}1{}}}}}",
+            "[".repeat(arrays),
+            "]".repeat(arrays)
+        )
+    }
+
+    #[test]
+    fn args_too_deep_for_the_chrome_trace_read_as_empty() {
+        for (arrays, kept) in [(60, true), (61, false)] {
+            let line = nested_args_line(arrays);
+            assert!(json::parse(&line).is_ok(), "{arrays} arrays parse as a line");
+            let Some(Line::Row(row)) = read_line(&line) else { panic!("{line}") };
+            assert_eq!(row.args.contains_key("a"), kept, "{arrays} arrays");
+            let doc = json::parse(&chrome_trace(&[&line])).expect("the trace parses");
+            let rows = doc.get("traceEvents").unwrap().as_array().unwrap();
+            let deep = rows.iter().find(|r| r.get("name").unwrap().as_str() == Some("deep"));
+            assert_eq!(deep.unwrap().get("args").is_some(), kept);
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@
 
 use crate::callsite::{callsite_for, intern};
 use crate::json::{self, FieldError};
-use crate::metrics::escape_label_value;
 use crate::recorder;
 use std::collections::BTreeMap;
 
@@ -579,6 +578,22 @@ pub fn merge_rows(sources: &[Vec<Row>]) -> Vec<Row> {
         .collect()
 }
 
+/// Escapes a string for use inside a Prometheus label value: backslash,
+/// double quote, and newline get escaped per the text exposition format
+/// (`\\`, `\"`, `\n`). Everything else passes through unchanged.
+fn escape_label_value(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            _ => out.push(ch),
+        }
+    }
+    out
+}
+
 /// Renders rows as Prometheus text: labelled counter/gauge families
 /// keyed by `callsite`/`shape`/`mode`, label values escaped via
 /// [`escape_label_value`].
@@ -859,6 +874,19 @@ mod tests {
             clear();
             assert_eq!(current_meta(0).telemetry_level, "off");
         });
+    }
+
+    #[test]
+    fn label_escaping_covers_quotes_backslashes_newlines() {
+        assert_eq!(escape_label_value("plain"), "plain");
+        assert_eq!(escape_label_value(r#"say "hi""#), r#"say \"hi\""#);
+        assert_eq!(escape_label_value(r"a\b"), r"a\\b");
+        assert_eq!(escape_label_value("line1\nline2"), r"line1\nline2");
+        // Combined: every special character in one value, in order.
+        assert_eq!(escape_label_value("\\\"\n"), "\\\\\\\"\\n");
+        // Idempotence is NOT expected: escaping an escaped string
+        // escapes the backslashes again.
+        assert_eq!(escape_label_value(r"\n"), r"\\n");
     }
 
     #[test]

@@ -16,9 +16,9 @@ pub enum TelemetryLevel {
     #[default]
     Off = 0,
     /// Discrete events (escalations, health violations, checkpoints) and
-    /// metrics are recorded; high-frequency spans are skipped.
+    /// ledger rows are recorded; high-frequency spans are skipped.
     Events = 1,
-    /// Everything: events, metrics, per-call BLAS spans, QD sub-phase
+    /// Everything: events, ledger rows, per-call BLAS spans, QD sub-phase
     /// spans, and the simulated device kernel timeline.
     Full = 2,
 }
@@ -69,7 +69,7 @@ pub fn with_level<R>(lvl: TelemetryLevel, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// True when discrete events and metrics should be recorded
+/// True when discrete events and ledger rows should be recorded
 /// (`Events` or `Full`). The hot-path check: one thread-local read.
 #[inline]
 pub fn events_enabled() -> bool {
@@ -126,10 +126,10 @@ mod tests {
     fn a_new_thread_starts_from_the_environment_not_its_parents_override() {
         // What a thread that never overrode anything sees is what the
         // environment gives (whatever the harness was started with).
-        let from_env = || (level(), crate::sink::capacity());
+        let from_env = || (level(), crate::sink::rank());
         let baseline = std::thread::spawn(from_env).join().expect("baseline thread");
         with_level(TelemetryLevel::Full, || {
-            crate::sink::set_capacity(7);
+            crate::sink::set_rank(7);
             assert_eq!(from_env(), (TelemetryLevel::Full, 7));
             let child = std::thread::spawn(from_env).join().expect("child thread");
             assert_eq!(child, baseline, "overrides are not inherited");

@@ -16,11 +16,12 @@
 //! * **Device timeline** ([`device_complete`]) — the `xe-gpu` simulated
 //!   kernel clock, kept as a separate track so host spans and modelled
 //!   kernels can be read side by side in one Perfetto view.
-//! * **Metrics** ([`metrics`]) — process-wide counters and gauges,
-//!   dumped in Prometheus text format.
 //! * **Exporters** ([`export`]) — the JSONL event log and its one
 //!   lenient line reader, Chrome trace-event JSON over one or more logs
-//!   (loadable in Perfetto / `chrome://tracing`), Prometheus text.
+//!   (loadable in Perfetto / `chrome://tracing`). The log's
+//!   `telemetry_meta` header carries what the recorder lost — events the
+//!   full ring dropped and attributes cut beyond the per-event limit — so
+//!   a reader learns how complete the stream is from the stream itself.
 //! * **Callsite identity** ([`callsite`]) — stable `{phase}/{routine}`
 //!   IDs for every BLAS call, minted from RAII phase scopes.
 //! * **Accuracy/cost ledger** ([`ledger`]) — streaming per-(callsite,
@@ -42,7 +43,7 @@
 //! "Whose state"), as `mkl-lite`'s BLAS state is one `BlasContext`: a new
 //! thread starts from the environment, and two runs in one process do not
 //! see each other. Only what is not per run stays process-wide: the clock
-//! epoch, thread ids, the string interner and the metric registry.
+//! epoch, thread ids and the string interner.
 //!
 //! ```
 //! use dcmesh_telemetry as telemetry;
@@ -70,7 +71,6 @@ pub mod export;
 pub mod json;
 pub mod ledger;
 pub mod level;
-pub mod metrics;
 pub mod recorder;
 pub mod sink;
 pub mod span;
@@ -86,7 +86,3 @@ pub use span::{device_complete, instant, span, SpanGuard};
 /// (`off` | `events` | `full`), read when a thread first touches
 /// telemetry, like `MKL_BLAS_COMPUTE_MODE`.
 pub const TELEMETRY_ENV: &str = "TELEMETRY";
-
-/// The environment variable bounding the event sink's ring buffer
-/// (events retained per recording thread; oldest are dropped first).
-pub const TELEMETRY_BUFFER_ENV: &str = "TELEMETRY_BUFFER";

@@ -12,8 +12,7 @@
 //! The contract that follows (DESIGN.md, "Whose state"):
 //!
 //! * A run's record is **per thread**. A new thread starts from the
-//!   environment (`TELEMETRY`, `TELEMETRY_BUFFER`) and
-//!   does **not** inherit its parent's overrides, events or ledger rows.
+//!   environment (`TELEMETRY`) and does **not** inherit its parent's overrides, events or ledger rows.
 //! * Telemetry is emitted from the thread that owns the run; parallel
 //!   regions sit below the span boundaries.
 //! * No borrow of the recorder is held across user code — a
@@ -25,8 +24,8 @@
 use crate::event::{Event, MAX_ATTRS};
 use crate::ledger::{Key, Stats};
 use crate::level::TelemetryLevel;
-use crate::sink::DEFAULT_CAPACITY;
-use crate::{TELEMETRY_BUFFER_ENV, TELEMETRY_ENV};
+use crate::sink::CAPACITY;
+use crate::TELEMETRY_ENV;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -36,10 +35,9 @@ pub(crate) struct Recorder {
     /// How much is recorded right now.
     pub level: TelemetryLevel,
 
-    /// Buffered events, oldest first, in publication order.
+    /// Buffered events, oldest first, in publication order; at most
+    /// [`CAPACITY`].
     pub ring: VecDeque<Event>,
-    /// Ring bound in events (at least one).
-    pub capacity: usize,
     /// Sequence number of the next published event.
     pub seq: u64,
     /// Events evicted from the full ring since the last `sink::clear`.
@@ -63,16 +61,6 @@ pub(crate) struct Recorder {
     pub rank_count: Option<u64>,
 }
 
-/// A positive count from the environment; unset, unparsable or zero gives
-/// `default`.
-fn env_count(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 impl Recorder {
     /// An unrecognised `TELEMETRY` value falls back to `Off` with a
     /// warning — telemetry must never abort a physics run.
@@ -84,15 +72,11 @@ impl Recorder {
             }),
             Err(_) => TelemetryLevel::Off,
         };
-        Recorder {
-            level,
-            capacity: env_count(TELEMETRY_BUFFER_ENV, DEFAULT_CAPACITY as u64) as usize,
-            ..Recorder::default()
-        }
+        Recorder { level, ..Recorder::default() }
     }
 
-    /// Appends an event, numbering it and evicting the oldest beyond the
-    /// ring capacity.
+    /// Appends an event, numbering it and evicting the oldest beyond
+    /// [`CAPACITY`].
     pub fn publish(&mut self, mut ev: Event) {
         if ev.attrs.len() > MAX_ATTRS {
             self.truncated_attrs += (ev.attrs.len() - MAX_ATTRS) as u64;
@@ -100,7 +84,7 @@ impl Recorder {
         }
         ev.seq = self.seq;
         self.seq += 1;
-        while self.ring.len() >= self.capacity && self.ring.pop_front().is_some() {
+        while self.ring.len() >= CAPACITY && self.ring.pop_front().is_some() {
             self.dropped += 1;
         }
         self.ring.push_back(ev);
@@ -125,6 +109,6 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
     match RECORDER.try_with(|cell| run(&mut cell.borrow_mut())) {
         Ok(out) => out,
         // Thread teardown: the recorder is already gone.
-        Err(_) => run(&mut Recorder { capacity: 1, ..Recorder::default() }),
+        Err(_) => run(&mut Recorder::default()),
     }
 }

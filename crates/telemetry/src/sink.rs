@@ -7,11 +7,12 @@
 //! publish is a short `RefCell` borrow and a ring push: no lock, and no
 //! allocation in steady state (the ring reuses its storage once warm).
 //!
-//! The sink is **bounded**: when the ring holds [`capacity`] events the
+//! The sink is **bounded**: when the ring holds [`CAPACITY`] events the
 //! oldest is dropped and counted, so a million-call run cannot grow memory
 //! without limit (the same policy the `mkl_lite::verbose` ring buffer
-//! adopts). Capacity comes from `TELEMETRY_BUFFER` or [`set_capacity`],
-//! and one producer thread gets all of it.
+//! adopts), and one producer thread gets all of it. The counts are the
+//! stream's own: [`run_meta_event`] writes them into the header of every
+//! exported dump.
 //!
 //! The clock epoch and the dense thread-id allocator below are the two
 //! things here that are process-wide: neither belongs to a run.
@@ -22,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Default event capacity of a recorder's ring.
-pub const DEFAULT_CAPACITY: usize = 1 << 18; // 262 144 events
+/// Event capacity of a recorder's ring.
+pub const CAPACITY: usize = 1 << 18; // 262 144 events
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<(Instant, u64)> = OnceLock::new();
@@ -73,10 +74,12 @@ pub fn rank() -> u64 {
 }
 
 /// The stream-metadata event exporters prepend to serialised dumps: the
-/// shared `run_epoch` clock key and the rank. Synthetic — it never sits in the ring — so its `seq` is 0
-/// and its timestamp is the epoch itself (`ts_ns` 0).
+/// shared `run_epoch` clock key, the rank, and what this thread's recorder
+/// lost since the last [`clear`] — [`dropped_events`] and
+/// [`truncated_attrs`] — so the stream says how complete it is.
+/// Synthetic — it never sits in the ring — so its `seq` is 0 and its
+/// timestamp is the epoch itself (`ts_ns` 0).
 pub fn run_meta_event() -> Event {
-    let rank = recorder::with(|r| r.rank);
     Event {
         seq: 0,
         ts_ns: 0,
@@ -86,20 +89,11 @@ pub fn run_meta_event() -> Event {
         tid: 0,
         attrs: vec![
             Attr { key: "run_epoch", value: AttrValue::U64(run_epoch_unix_ns()) },
-            Attr { key: "rank", value: AttrValue::U64(rank) },
+            Attr { key: "rank", value: AttrValue::U64(rank()) },
+            Attr { key: "dropped_events", value: AttrValue::U64(dropped_events()) },
+            Attr { key: "truncated_attrs", value: AttrValue::U64(truncated_attrs()) },
         ],
     }
-}
-
-/// Sets this thread's event capacity (at least one event). Shrinking
-/// takes effect at the next publish.
-pub fn set_capacity(total: usize) {
-    recorder::with(|r| r.capacity = total.max(1));
-}
-
-/// This thread's event capacity.
-pub fn capacity() -> usize {
-    recorder::with(|r| r.capacity)
 }
 
 /// Events discarded because the ring was full.
@@ -167,31 +161,27 @@ mod tests {
 
     #[test]
     fn capacity_bounds_and_counts_drops() {
-        set_capacity(2);
-        for _ in 0..5 {
+        for _ in 0..CAPACITY + 3 {
             publish_instant("sink_cap_test");
         }
         assert_eq!(dropped_events(), 3);
         let kept = drain();
-        assert_eq!(kept.len(), 2);
-        assert_eq!((kept[0].seq, kept[1].seq), (3, 4), "the newest survive");
+        assert_eq!(kept.len(), CAPACITY);
+        assert_eq!((kept[0].seq, kept[CAPACITY - 1].seq), (3, CAPACITY as u64 + 2));
         clear();
         assert_eq!(dropped_events(), 0);
     }
 
     #[test]
     fn one_thread_keeps_the_whole_configured_capacity() {
-        let n = 1600;
-        set_capacity(n);
-        assert_eq!(capacity(), n);
-        for _ in 0..n {
+        for _ in 0..CAPACITY {
             publish_instant("sink_whole_ring_test");
         }
         assert_eq!(dropped_events(), 0);
-        assert_eq!(snapshot().len(), n);
+        assert_eq!(snapshot().len(), CAPACITY);
         publish_instant("sink_whole_ring_test");
         assert_eq!(dropped_events(), 1);
-        assert_eq!(drain().len(), n);
+        assert_eq!(drain().len(), CAPACITY);
     }
 
     #[test]

@@ -156,11 +156,3 @@ fn jsonl_round_trips() {
     let reparsed = telemetry::json::parse(line1).unwrap();
     assert_eq!(reparsed.get("kind").unwrap().as_str(), Some("B"));
 }
-
-#[test]
-fn prometheus_dump_renders_counters() {
-    let c = telemetry::metrics::counter("exporter_test_total", "integration test counter");
-    c.add(3);
-    let dump = export::prometheus_dump();
-    assert!(dump.contains("exporter_test_total"), "{dump}");
-}
