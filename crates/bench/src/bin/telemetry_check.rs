@@ -25,18 +25,18 @@
 //! row the mean device time and FP32 speed-up the `xe-gpu` model prices
 //! that shape at directly, within [`ATTRIBUTION_TOLERANCE_PCT`].
 //!
-//! `--ledger-gate` additionally demands the ledger *attributed* the
-//! injected fault: the CGEMM callsite's FLOAT_TO_BF16 entry must carry
-//! the non-finite-output detection and the resulting escalation — the
-//! end-to-end check that the suspect-attribution chain (BLAS probe →
-//! supervisor decision → ledger row) holds together — and that the
-//! document's header names the level the run recorded at (`full`), not
-//! the level in force when it was exported.
+//! It also demands the ledger *attributed* the injected fault: the CGEMM
+//! callsite's FLOAT_TO_BF16 entry must carry the non-finite-output
+//! detection and the resulting escalation — the end-to-end check that
+//! the suspect-attribution chain (BLAS probe → supervisor decision →
+//! ledger row) holds together — and that the document's header names the
+//! level the run recorded at (`full`), not the level in force when it was
+//! exported.
 //!
 //! `--overhead-gate` instead measures the **disabled path**: per-span
 //! cost at `TELEMETRY=off` times the spans-per-QD-step count, as a
-//! fraction of the measured QD-step time. CI fails the gate above
-//! `--max-overhead-pct` (default 2%).
+//! fraction of the measured QD-step time, and fails above
+//! [`MAX_OVERHEAD_PCT`].
 //!
 //! `--advise-gate` runs the offline-advisor loop end to end: a clean
 //! supervised run and a fault-injected one (same deck, same
@@ -48,8 +48,8 @@
 //! actually settled on — the offline plan must never underbid the
 //! online escalator. The plan is written to `advice.json`.
 //!
-//! Usage: `telemetry_check [--out-dir DIR] [--ledger-gate]
-//! [--overhead-gate] [--max-overhead-pct F] [--advise-gate]`
+//! Usage: `telemetry_check [--out-dir DIR] [--overhead-gate]
+//! [--advise-gate]`
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::supervisor::{run_supervised, SupervisorConfig};
@@ -80,21 +80,20 @@ const SPANS_PER_QD_STEP: u64 = 1 + 6 + 9;
 /// speed-up may sit from the device model's direct price.
 const ATTRIBUTION_TOLERANCE_PCT: f64 = 5.0;
 
+/// The most the disabled telemetry path may cost, in percent of a QD step.
+const MAX_OVERHEAD_PCT: f64 = 2.0;
+
 struct Options {
     out_dir: String,
     overhead_gate: bool,
-    ledger_gate: bool,
     advise_gate: bool,
-    max_overhead_pct: f64,
 }
 
 fn parse_args() -> Options {
     let mut o = Options {
         out_dir: "telemetry-artifacts".to_string(),
         overhead_gate: false,
-        ledger_gate: false,
         advise_gate: false,
-        max_overhead_pct: 2.0,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -106,15 +105,7 @@ fn parse_args() -> Options {
                 })
             }
             "--overhead-gate" => o.overhead_gate = true,
-            "--ledger-gate" => o.ledger_gate = true,
             "--advise-gate" => o.advise_gate = true,
-            "--max-overhead-pct" => {
-                o.max_overhead_pct =
-                    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("missing/invalid value for --max-overhead-pct");
-                        std::process::exit(2);
-                    })
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -182,7 +173,7 @@ fn check_trace_rows(rows: &[JsonValue], problems: &mut Vec<String>) {
 
 /// The artifact-producing pass: fault-injected supervised run at level
 /// `full`, export, schema-check.
-fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
+fn run_trace_check(out_dir: &Path) -> Vec<String> {
     let mut problems = Vec::new();
     telemetry::set_level(TelemetryLevel::Full);
 
@@ -228,7 +219,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
     let events = sink::drain();
     // Recording is over before anything is exported, as in a harness that
     // wraps only the run in `with_level`: the ledger header must still name
-    // the level its rows were recorded at (`--ledger-gate` checks it).
+    // the level its rows were recorded at (`check_ledger` checks it).
     telemetry::set_level(TelemetryLevel::Off);
     if sink::dropped_events() > 0 {
         eprintln!("note: sink dropped {} events (ring full)", sink::dropped_events());
@@ -318,7 +309,7 @@ fn run_trace_check(out_dir: &Path, ledger_gate: bool) -> Vec<String> {
     }) {
         fail(&mut problems, "no simulated device kernel track in trace.json".into());
     }
-    check_ledger(&ledger_text, ledger_gate, &mut problems);
+    check_ledger(&ledger_text, &mut problems);
 
     let trace = ingest::ingest_jsonl(&jsonl);
     for w in &trace.warnings {
@@ -379,33 +370,30 @@ fn check_attribution(rows: &[table::CallRow], problems: &mut Vec<String>) {
 
 /// Reads `ledger.json` back through the ledger's own strict reader
 /// (`ledger::parse_ledger`: the schema version, every header and entry
-/// field, `meta.rows`) and, under `--ledger-gate`, demands the injected
-/// CGEMM fault was attributed end to end: the BLAS layer's non-finite
-/// probe must have flagged the CGEMM callsite, and the supervisor's
-/// escalation must have landed on that same row rather than the
-/// anonymous `supervisor/burst` fallback.
-fn check_ledger(ledger_text: &str, ledger_gate: bool, problems: &mut Vec<String>) {
+/// field, `meta.rows`), then demands the rows were recorded at `full`
+/// and the injected CGEMM fault was attributed end to end: the BLAS
+/// layer's non-finite probe must have flagged the CGEMM callsite, and the
+/// supervisor's escalation must have landed on that same row rather than
+/// the anonymous `supervisor/burst` fallback.
+fn check_ledger(ledger_text: &str, problems: &mut Vec<String>) {
     let (meta, rows) = match telemetry::ledger::parse_ledger(ledger_text) {
         Ok((meta, rows)) if !rows.is_empty() => (meta, rows),
         Ok(_) => return fail(problems, "ledger.json has no entries".into()),
         Err(e) => return fail(problems, format!("ledger.json: {e}")),
     };
-    if !ledger_gate {
-        return;
-    }
     let level = meta.telemetry_level;
     if level != TelemetryLevel::Full.env_value() {
-        fail(problems, format!("ledger-gate: rows recorded at full but the header says {level:?}"));
+        fail(problems, format!("ledger.json: rows recorded at full but the header says {level:?}"));
     }
     let cgemm: Vec<&Row> = rows.iter().filter(|r| r.callsite.contains("cgemm")).collect();
     match cgemm.iter().find(|r| r.mode == "FLOAT_TO_BF16").map(|r| r.stats.calls) {
-        None => fail(problems, "ledger-gate: no cgemm FLOAT_TO_BF16 entry".into()),
-        Some(0) => fail(problems, "ledger-gate: cgemm FLOAT_TO_BF16 entry has no calls".into()),
+        None => fail(problems, "ledger.json: no cgemm FLOAT_TO_BF16 entry".into()),
+        Some(0) => fail(problems, "ledger.json: cgemm FLOAT_TO_BF16 entry has no calls".into()),
         Some(_) => {}
     }
     if !cgemm.iter().any(|r| r.stats.nonfinite_outputs >= 1 && r.stats.escalations >= 1) {
         let none = "no cgemm entry with nonfinite_outputs >= 1 and escalations >= 1";
-        fail(problems, format!("ledger-gate: injected CGEMM fault was not attributed ({none})"));
+        fail(problems, format!("ledger.json: injected CGEMM fault was not attributed ({none})"));
     }
 }
 
@@ -531,7 +519,7 @@ fn run_advise_gate(out_dir: &Path) -> Vec<String> {
 
 /// The disabled-path gate: measures ns/span at `off` and the QD-step
 /// time, then bounds instrumentation overhead per step.
-fn run_overhead_gate(max_pct: f64) -> Vec<String> {
+fn run_overhead_gate() -> Vec<String> {
     let mut problems = Vec::new();
     telemetry::set_level(TelemetryLevel::Off);
 
@@ -573,10 +561,11 @@ fn run_overhead_gate(max_pct: f64) -> Vec<String> {
     let pct = 100.0 * overhead_ns / ns_per_step;
     eprintln!(
         "disabled path: {ns_per_span:.2} ns/span x {SPANS_PER_QD_STEP} spans/step = \
-         {overhead_ns:.0} ns vs {ns_per_step:.0} ns/qd_step = {pct:.4}% (limit {max_pct}%)"
+         {overhead_ns:.0} ns vs {ns_per_step:.0} ns/qd_step = {pct:.4}% (limit {MAX_OVERHEAD_PCT}%)"
     );
-    if !pct.is_finite() || pct > max_pct {
-        fail(&mut problems, format!("disabled-path overhead {pct:.4}% exceeds {max_pct}%"));
+    if !pct.is_finite() || pct > MAX_OVERHEAD_PCT {
+        let limit = MAX_OVERHEAD_PCT;
+        fail(&mut problems, format!("disabled-path overhead {pct:.4}% exceeds {limit}%"));
     }
     problems
 }
@@ -584,11 +573,11 @@ fn run_overhead_gate(max_pct: f64) -> Vec<String> {
 fn main() {
     let o = parse_args();
     let problems = if o.overhead_gate {
-        run_overhead_gate(o.max_overhead_pct)
+        run_overhead_gate()
     } else if o.advise_gate {
         run_advise_gate(Path::new(&o.out_dir))
     } else {
-        run_trace_check(Path::new(&o.out_dir), o.ledger_gate)
+        run_trace_check(Path::new(&o.out_dir))
     };
     if !problems.is_empty() {
         eprintln!("telemetry_check: {} problem(s)", problems.len());
@@ -643,8 +632,8 @@ mod tests {
         let row = Row {
             callsite: "lfd::qd_propagate/cgemm".to_string(),
             shape: "16x16x2048".to_string(),
-            mode: "STANDARD".to_string(),
-            stats: Stats { calls: 9, ..Stats::default() },
+            mode: "FLOAT_TO_BF16".to_string(),
+            stats: Stats { calls: 9, nonfinite_outputs: 1, escalations: 1, ..Stats::default() },
         };
         let meta = LedgerMeta {
             version: telemetry::ledger::LEDGER_SCHEMA_VERSION,
@@ -655,7 +644,7 @@ mod tests {
         };
         let problems = |text: &str| {
             let mut problems = Vec::new();
-            check_ledger(text, false, &mut problems);
+            check_ledger(text, &mut problems);
             problems
         };
         let text = rows_json_with_meta(&meta, &[row]);

@@ -80,19 +80,6 @@ impl GemmDesc {
         let base = self.m as f64 * self.n as f64 * self.k as f64;
         base * self.domain.real_macs_per_mac(self.mode) * self.mode.component_products() as f64
     }
-
-    /// Bytes moved assuming each operand is read once and C written once
-    /// (the capacity-miss-free lower bound a tuned GEMM approaches).
-    pub fn min_bytes(&self) -> f64 {
-        let e = self.domain.element_bytes() as f64;
-        let (m, n, k) = (self.m as f64, self.n as f64, self.k as f64);
-        (m * k + k * n + 2.0 * m * n) * e
-    }
-
-    /// Arithmetic intensity in real MACs per byte.
-    pub fn intensity(&self) -> f64 {
-        self.real_macs() / self.min_bytes()
-    }
 }
 
 /// A model that converts a GEMM description into device execution seconds.
@@ -172,18 +159,5 @@ mod tests {
         assert_eq!(modelled_gemm_time(&d), Some(1000.0 * 1e-12));
         clear_device_model();
         assert!(modelled_gemm_time(&d).is_none());
-    }
-
-    #[test]
-    fn intensity_grows_with_square_size() {
-        let small = GemmDesc {
-            domain: Domain::Real32,
-            m: 32,
-            n: 32,
-            k: 32,
-            mode: ComputeMode::Standard,
-        };
-        let big = GemmDesc { m: 1024, n: 1024, k: 1024, ..small };
-        assert!(big.intensity() > small.intensity());
     }
 }

@@ -64,12 +64,6 @@ pub struct CallRecord {
 }
 
 impl CallRecord {
-    /// The timing that experiments should use: modelled device time when
-    /// available, host wall time otherwise.
-    pub fn effective_seconds(&self) -> f64 {
-        self.device_seconds.unwrap_or(self.wall.as_secs_f64())
-    }
-
     /// Formats the record like an `MKL_VERBOSE` line.
     pub fn to_verbose_line(&self) -> String {
         let dev = match self.device_seconds {
@@ -120,59 +114,12 @@ pub fn drain() -> Vec<CallRecord> {
     context::with(|cx| cx.ring.drain(..).collect())
 }
 
-/// Returns a copy of the recorded calls without clearing.
-pub fn snapshot() -> Vec<CallRecord> {
-    context::with(|cx| cx.ring.iter().cloned().collect())
-}
-
 /// Clears the log and the dropped-records counter.
 pub fn clear() {
     context::with(|cx| {
         cx.ring.clear();
         cx.dropped = 0;
     });
-}
-
-/// Aggregate statistics over a set of call records (per-routine totals, as
-/// the paper computes from its `MKL_VERBOSE` dumps).
-#[derive(Clone, Debug, Default)]
-pub struct CallSummary {
-    /// Number of calls.
-    pub calls: usize,
-    /// Sum of effective times in seconds.
-    pub total_seconds: f64,
-    /// Sum of real multiply-accumulate operations.
-    pub total_macs: f64,
-}
-
-impl CallSummary {
-    /// Mean effective seconds per call.
-    pub fn mean_seconds(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.total_seconds / self.calls as f64
-        }
-    }
-}
-
-/// Summarises records, grouped by routine name.
-pub fn summarize(records: &[CallRecord]) -> Vec<(&'static str, CallSummary)> {
-    let mut out: Vec<(&'static str, CallSummary)> = Vec::new();
-    for r in records {
-        let desc = GemmDesc { domain: r.domain, m: r.m, n: r.n, k: r.k, mode: r.mode };
-        let entry = match out.iter_mut().find(|(name, _)| *name == r.routine) {
-            Some((_, s)) => s,
-            None => {
-                out.push((r.routine, CallSummary::default()));
-                &mut out.last_mut().expect("just pushed").1
-            }
-        };
-        entry.calls += 1;
-        entry.total_seconds += r.effective_seconds();
-        entry.total_macs += desc.real_macs();
-    }
-    out
 }
 
 /// `&'static str` spelling of an op letter, for zero-allocation span
@@ -295,30 +242,6 @@ mod tests {
         assert!(line.contains("CGEMM(N,N,2,3,4)"), "{line}");
         assert!(line.contains("FLOAT_TO_BF16"), "{line}");
         assert!(line.contains("dev:0.500ms"), "{line}");
-    }
-
-    #[test]
-    fn summarize_groups_by_routine() {
-        let recs = vec![rec("SGEMM", 1.0), rec("CGEMM", 2.0), rec("SGEMM", 3.0)];
-        let sum = summarize(&recs);
-        assert_eq!(sum.len(), 2);
-        let sgemm = &sum.iter().find(|(n, _)| *n == "SGEMM").unwrap().1;
-        assert_eq!(sgemm.calls, 2);
-        assert!((sgemm.total_seconds - 4.0).abs() < 1e-12);
-        assert!((sgemm.mean_seconds() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn effective_time_prefers_device() {
-        let mut r = rec("SGEMM", 1.0);
-        assert_eq!(r.effective_seconds(), 1.0);
-        r.device_seconds = Some(0.25);
-        assert_eq!(r.effective_seconds(), 0.25);
-    }
-
-    #[test]
-    fn empty_summary_mean_is_zero() {
-        assert_eq!(CallSummary::default().mean_seconds(), 0.0);
     }
 
     #[test]

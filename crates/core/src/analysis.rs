@@ -104,11 +104,6 @@ impl DeviationSeries {
         nan_max(self.points.iter().map(|p| p.abs_deviation))
     }
 
-    /// Final-time absolute deviation.
-    pub fn final_abs(&self) -> f64 {
-        self.points.last().map_or(0.0, |p| p.abs_deviation)
-    }
-
     /// Maximum deviation relative to the reference magnitude (the paper's
     /// "deviations relative to the absolute values ... in the order of
     /// 1%" check).
@@ -142,12 +137,6 @@ impl DeviationSeries {
         let mean = |s: &[DeviationPoint]| s.iter().map(|p| p.abs_deviation).sum::<f64>() / s.len() as f64;
         mean(&self.points[n - q..]) / mean(&self.points[..q])
     }
-
-    /// Whether the deviation grows over the run — Figure 1's qualitative
-    /// "deviation increases over the course of the simulation".
-    pub fn grows_over_time(&self) -> bool {
-        self.growth_ratio() > 1.0
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +164,7 @@ mod tests {
         let a = make_run(0.0, 0.0);
         let s = DeviationSeries::build(Metric::Ekin, &a, &a);
         assert_eq!(s.max_abs(), 0.0);
-        assert!(!s.grows_over_time());
+        assert!(s.growth_ratio().is_nan(), "zero over zero: no growth to report");
     }
 
     #[test]
@@ -184,7 +173,7 @@ mod tests {
         let run = make_run(0.5, 0.0);
         let s = DeviationSeries::build(Metric::Ekin, &run, &reference);
         assert!((s.max_abs() - 0.5).abs() < 1e-12);
-        assert!((s.final_abs() - 0.5).abs() < 1e-12);
+        assert!((s.points.last().unwrap().abs_deviation - 0.5).abs() < 1e-12);
         assert!((s.max_relative() - 0.05).abs() < 1e-3);
     }
 
@@ -193,8 +182,8 @@ mod tests {
         let reference = make_run(0.0, 0.0);
         let run = make_run(0.0, 0.01);
         let s = DeviationSeries::build(Metric::Ekin, &run, &reference);
-        assert!(s.grows_over_time());
-        assert!((s.final_abs() - 1.0).abs() < 1e-12);
+        assert!(s.growth_ratio() > 1.0);
+        assert!((s.points.last().unwrap().abs_deviation - 1.0).abs() < 1e-12);
     }
 
     #[test]

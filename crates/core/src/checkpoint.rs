@@ -37,19 +37,6 @@ const VERSION: u32 = 4;
 /// Magic, version, element width, payload checksum.
 const HEADER_LEN: usize = MAGIC.len() + 4 + 1 + 8;
 
-/// FNV-1a/64, byte by byte. Fingerprints decks for the ledger archive
-/// ([`crate::config::RunConfig::deck_hash`]); checkpoints used it through
-/// version 3 and moved off it because one dependent multiply per byte is
-/// 2.4 ms of a 1.8 MB payload.
-pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The payload checksum: an FNV-style fold over little-endian 64-bit
 /// words, four independent lanes wide so the multiplies pipeline (a
 /// 32-byte block per step), the byte tail zero-padded into one last word
@@ -165,20 +152,42 @@ fn put_slice<X: Copy, const W: usize>(buf: &mut Vec<u8>, v: &[X], bytes: impl Fn
     }
 }
 
+/// Reads back what [`put_slice`] wrote: the length word, then `n`
+/// elements of `W` bytes, each through `from` (the inverse of
+/// `put_slice`'s `bytes`), into the `n`-element array `alloc(n)` returns
+/// (a `Vec`, or an [`AlignedVec`] for the state-sized arrays, so a loaded
+/// Ψ starts on a cache line as a computed one does). The length word, its
+/// byte count and the bytes behind it are all checked before anything is
+/// allocated; `what` names the array in the truncation error.
+fn get_slice<X, C: DerefMut<Target = [X]>, const W: usize>(
+    buf: &mut Bytes,
+    what: &str,
+    alloc: impl FnOnce(usize) -> C,
+    from: impl Fn([u8; W]) -> X,
+) -> Result<C, CheckpointError> {
+    if buf.remaining() < 8 {
+        return Err(err("truncated length"));
+    }
+    let n = usize::try_from(buf.get_u64_le()).map_err(|_| err("length overflow"))?;
+    let need = n.checked_mul(W).ok_or_else(|| err("length overflow"))?;
+    if buf.remaining() < need {
+        return Err(err(format!("truncated {what}")));
+    }
+    let mut out = alloc(n);
+    for x in out.iter_mut() {
+        let mut bytes = [0u8; W];
+        buf.copy_to_slice(&mut bytes);
+        *x = from(bytes);
+    }
+    Ok(out)
+}
+
 fn put_f64_slice(buf: &mut Vec<u8>, v: &[f64]) {
     put_slice(buf, v, f64::to_le_bytes);
 }
 
 fn get_f64_vec(buf: &mut Bytes) -> Result<Vec<f64>, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(err("truncated length"));
-    }
-    let n = usize::try_from(buf.get_u64_le()).map_err(|_| err("length overflow"))?;
-    let need = n.checked_mul(8).ok_or_else(|| err("length overflow"))?;
-    if buf.remaining() < need {
-        return Err(err("truncated f64 array"));
-    }
-    Ok((0..n).map(|_| buf.get_f64_le()).collect())
+    get_slice(buf, "f64 array", |n| vec![0.0; n], f64::from_le_bytes)
 }
 
 /// Stored at the state's own width to keep restarts bit-exact.
@@ -191,24 +200,12 @@ fn put_scalar_slice<T: Real>(buf: &mut Vec<u8>, v: &[T]) {
 }
 
 fn get_scalar_vec<T: Real>(buf: &mut Bytes) -> Result<Vec<T>, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(err("truncated length"));
+    let zeros = |n| vec![T::ZERO; n];
+    if width_of::<T>() == 4 {
+        get_slice(buf, "scalar array", zeros, |b| T::from_f64(f32::from_le_bytes(b) as f64))
+    } else {
+        get_slice(buf, "scalar array", zeros, |b| T::from_f64(f64::from_le_bytes(b)))
     }
-    let n = usize::try_from(buf.get_u64_le()).map_err(|_| err("length overflow"))?;
-    let w = width_of::<T>() as usize;
-    let need = n.checked_mul(w).ok_or_else(|| err("length overflow"))?;
-    if buf.remaining() < need {
-        return Err(err("truncated scalar array"));
-    }
-    Ok((0..n)
-        .map(|_| {
-            if w == 4 {
-                T::from_f64(buf.get_f32_le() as f64)
-            } else {
-                T::from_f64(buf.get_f64_le())
-            }
-        })
-        .collect())
 }
 
 /// Real part then imaginary part, each as [`put_scalar_slice`] stores it.
@@ -229,34 +226,22 @@ fn put_complex_slice<T: Real>(buf: &mut Vec<u8>, v: &[Complex<T>]) {
 }
 
 /// A complex array as [`put_complex_slice`] wrote it, decoded into the
-/// `n`-element array `alloc(n)` returns (a `Vec`, or an [`AlignedVec`] for
-/// the state-sized arrays, so a loaded Ψ starts on a cache line as a
-/// computed one does).
+/// array `alloc(n)` returns (see [`get_slice`]).
 fn get_complex_vec<T: Real, C: DerefMut<Target = [Complex<T>]>>(
     buf: &mut Bytes,
     alloc: impl FnOnce(usize) -> C,
 ) -> Result<C, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(err("truncated length"));
+    if width_of::<T>() == 4 {
+        let le = |h: &[u8]| T::from_f64(f32::from_le_bytes(h.try_into().expect("4 bytes")) as f64);
+        get_slice(buf, "complex array", alloc, |b: [u8; 8]| {
+            Complex { re: le(&b[..4]), im: le(&b[4..]) }
+        })
+    } else {
+        let le = |h: &[u8]| T::from_f64(f64::from_le_bytes(h.try_into().expect("8 bytes")));
+        get_slice(buf, "complex array", alloc, |b: [u8; 16]| {
+            Complex { re: le(&b[..8]), im: le(&b[8..]) }
+        })
     }
-    let n = usize::try_from(buf.get_u64_le()).map_err(|_| err("length overflow"))?;
-    let w = 2 * width_of::<T>() as usize;
-    let need = n.checked_mul(w).ok_or_else(|| err("length overflow"))?;
-    if buf.remaining() < need {
-        return Err(err("truncated complex array"));
-    }
-    let mut out = alloc(n);
-    for z in out.iter_mut() {
-        *z = if width_of::<T>() == 4 {
-            Complex {
-                re: T::from_f64(buf.get_f32_le() as f64),
-                im: T::from_f64(buf.get_f32_le() as f64),
-            }
-        } else {
-            Complex { re: T::from_f64(buf.get_f64_le()), im: T::from_f64(buf.get_f64_le()) }
-        };
-    }
-    Ok(out)
 }
 
 fn species_tag(s: Species) -> u8 {
@@ -381,16 +366,9 @@ impl<T: Real> Checkpoint<T> {
         let time = buf.get_f64_le();
         let step = buf.get_u64_le();
 
-        if buf.remaining() < 8 {
-            return Err(err("truncated species count"));
-        }
-        let n_atoms = usize::try_from(buf.get_u64_le()).map_err(|_| err("length overflow"))?;
-        if buf.remaining() < n_atoms {
-            return Err(err("truncated species list"));
-        }
-        let species = (0..n_atoms)
-            .map(|_| species_from_tag(buf.get_u8()))
-            .collect::<Result<Vec<_>, _>>()?;
+        let tags = get_slice(&mut buf, "species list", |n| vec![0; n], |[tag]: [u8; 1]| tag)?;
+        let species = tags.into_iter().map(species_from_tag).collect::<Result<Vec<_>, _>>()?;
+        let n_atoms = species.len();
         let positions = get_f64_vec(&mut buf)?;
         let velocities = get_f64_vec(&mut buf)?;
         if buf.remaining() < 8 {
@@ -655,7 +633,7 @@ mod tests {
         // version 3 and its byte-serial FNV-1a.
         let mut raw = small_checkpoint(2).encode().to_vec();
         raw[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&3u32.to_le_bytes());
-        let fnv = fnv1a64(&raw[HEADER_LEN..]);
+        let fnv = dcmesh_telemetry::ledger::fnv1a64(&raw[HEADER_LEN..]);
         raw[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&fnv.to_le_bytes());
         let e = Checkpoint::<f32>::decode(Bytes::from(raw)).unwrap_err();
         assert_eq!(e.0, "unsupported version 3");

@@ -9,9 +9,9 @@
 //! * [`runner`] — the production loop: initial SCF, then MD steps each
 //!   spanning 500 QD steps of LFD, with an FP64 SCF refresh at every MD
 //!   boundary (the multiple-time-scale splitting of §II-C);
-//! * [`output`] — the per-QD-step record writer (`ekin epot etot eexc
+//! * [`output`] — the per-QD-step console line (`ekin epot etot eexc
 //!   nexc Aext javg`, the columns the artifact says to read "off the
-//!   wall"), console and CSV;
+//!   wall");
 //! * [`analysis`] — deviation-from-reference series, the machinery behind
 //!   Figures 1 and 2;
 //! * [`perf`] — paper-scale performance assembly on the `xe-gpu` device

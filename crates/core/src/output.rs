@@ -1,16 +1,10 @@
-//! Run-record writers.
+//! The run-record console line.
 //!
 //! DCMESH "prints to the wall": each QD step emits
 //! `ekin epot etot eexc nexc Aext javg` (artifact A2, in that order).
-//! The console writer reproduces those lines; the CSV writer adds a
-//! header for downstream plotting.
+//! [`console_line`] reproduces those lines.
 
 use dcmesh_lfd::StepObservables;
-use std::io::{self, Write};
-
-/// The column order the artifact documents.
-pub const COLUMNS: [&str; 9] =
-    ["step", "time_fs", "ekin", "epot", "etot", "eexc", "nexc", "aext", "javg"];
 
 /// Formats one record as a DCMESH-style console line.
 pub fn console_line(o: &StepObservables) -> String {
@@ -18,53 +12,6 @@ pub fn console_line(o: &StepObservables) -> String {
         "QD {:>7}  t={:8.4} fs  ekin={:+.8e} epot={:+.8e} etot={:+.8e} eexc={:+.8e} nexc={:+.8e} Aext={:+.6e} javg={:+.8e}",
         o.step, o.time_fs, o.ekin, o.epot, o.etot, o.eexc, o.nexc, o.aext, o.javg
     )
-}
-
-/// Writes records as CSV with a header.
-pub fn write_csv<W: Write>(mut w: W, records: &[StepObservables]) -> io::Result<()> {
-    writeln!(w, "{}", COLUMNS.join(","))?;
-    for o in records {
-        writeln!(
-            w,
-            "{},{:.6},{:.10e},{:.10e},{:.10e},{:.10e},{:.10e},{:.10e},{:.10e}",
-            o.step, o.time_fs, o.ekin, o.epot, o.etot, o.eexc, o.nexc, o.aext, o.javg
-        )?;
-    }
-    Ok(())
-}
-
-/// Parses a CSV produced by [`write_csv`] (used by the analysis tools to
-/// reload saved reference runs).
-pub fn read_csv(text: &str) -> Result<Vec<StepObservables>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty CSV")?;
-    if header.trim() != COLUMNS.join(",") {
-        return Err(format!("unexpected CSV header {header:?}"));
-    }
-    let mut out = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != COLUMNS.len() {
-            return Err(format!("row {}: expected {} fields, got {}", i + 2, COLUMNS.len(), fields.len()));
-        }
-        let num =
-            |j: usize| -> Result<f64, String> { fields[j].trim().parse().map_err(|e| format!("row {}: {e}", i + 2)) };
-        out.push(StepObservables {
-            step: fields[0].trim().parse().map_err(|e| format!("row {}: {e}", i + 2))?,
-            time_fs: num(1)?,
-            ekin: num(2)?,
-            epot: num(3)?,
-            etot: num(4)?,
-            eexc: num(5)?,
-            nexc: num(6)?,
-            aext: num(7)?,
-            javg: num(8)?,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -88,38 +35,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let records = sample();
-        let mut buf = Vec::new();
-        write_csv(&mut buf, &records).unwrap();
-        let parsed = read_csv(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(parsed.len(), records.len());
-        for (a, b) in parsed.iter().zip(&records) {
-            assert_eq!(a.step, b.step);
-            assert!((a.ekin - b.ekin).abs() < 1e-12);
-            assert!((a.javg - b.javg).abs() < 1e-18);
-        }
-    }
-
-    #[test]
     fn console_line_has_all_columns() {
         let line = console_line(&sample()[0]);
         for key in ["ekin", "epot", "etot", "eexc", "nexc", "Aext", "javg"] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
-    }
-
-    #[test]
-    fn bad_header_rejected() {
-        assert!(read_csv("nope\n1,2,3\n").is_err());
-    }
-
-    #[test]
-    fn short_row_rejected() {
-        let mut buf = Vec::new();
-        write_csv(&mut buf, &sample()).unwrap();
-        let mut text = String::from_utf8(buf).unwrap();
-        text.push_str("1,2,3\n");
-        assert!(read_csv(&text).is_err());
     }
 }

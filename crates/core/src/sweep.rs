@@ -32,28 +32,6 @@ impl ModeSweep {
             })
             .collect()
     }
-
-    /// Max |deviation| of `metric` for one mode, or `None` if the mode
-    /// is not part of the sweep.
-    pub fn max_deviation(&self, mode: ComputeMode, metric: Metric) -> Option<f64> {
-        self.runs.iter().find(|(m, _)| *m == mode).map(|(_, run)| {
-            DeviationSeries::build(metric, &run.records, &self.reference.records).max_abs()
-        })
-    }
-
-    /// The summary rows of Figure 1: `(mode, max|Δnexc|, max|Δjavg|,
-    /// max|Δekin|)`.
-    pub fn figure1_summary(&self) -> Vec<(ComputeMode, f64, f64, f64)> {
-        self.runs
-            .iter()
-            .map(|(mode, run)| {
-                let max =
-                    |metric| DeviationSeries::build(metric, &run.records, &self.reference.records)
-                        .max_abs();
-                (*mode, max(Metric::Nexc), max(Metric::Javg), max(Metric::Ekin))
-            })
-            .collect()
-    }
 }
 
 /// Runs the deck once at FP32 and once per alternative compute mode —
@@ -109,26 +87,27 @@ mod tests {
     #[test]
     fn figure1_summary_shape_and_positivity() {
         let sweep = run_mode_sweep::<f32>(&tiny(), |_| {}).expect("sweep");
-        let summary = sweep.figure1_summary();
-        assert_eq!(summary.len(), 5);
-        for (mode, nexc, javg, ekin) in summary {
-            assert!(nexc >= 0.0 && javg >= 0.0 && ekin >= 0.0, "{mode:?}");
+        let per_metric = Metric::FIGURE1.map(|metric| sweep.deviations(metric));
+        for (i, &mode) in ComputeMode::ALTERNATIVE.iter().enumerate() {
+            let maxima = per_metric.each_ref().map(|d| {
+                assert_eq!(d[i].0, mode);
+                d[i].1.max_abs()
+            });
+            assert!(maxima.iter().all(|&m| m >= 0.0), "{mode:?}: {maxima:?}");
             // Every alternative mode must differ from FP32 in at least one
             // observable over a driven run.
-            assert!(
-                nexc > 0.0 || javg > 0.0 || ekin > 0.0,
-                "{mode:?} bit-identical to the reference"
-            );
+            assert!(maxima.iter().any(|&m| m > 0.0), "{mode:?} bit-identical to the reference");
         }
     }
 
     #[test]
     fn deviations_accessor_matches_direct_build() {
         let sweep = run_mode_sweep::<f32>(&tiny(), |_| {}).expect("sweep");
-        let via_list = &sweep.deviations(Metric::Ekin)[0];
-        let direct = sweep.max_deviation(via_list.0, Metric::Ekin);
-        assert_eq!(Some(via_list.1.max_abs()), direct);
-        // A mode outside the sweep is None, not a panic.
-        assert_eq!(sweep.max_deviation(ComputeMode::Standard, Metric::Ekin), None);
+        let (reference, deviations) = (&sweep.reference.records, sweep.deviations(Metric::Ekin));
+        for ((mode, via_list), (run_mode, run)) in deviations.iter().zip(&sweep.runs) {
+            assert_eq!(mode, run_mode);
+            let direct = DeviationSeries::build(Metric::Ekin, &run.records, reference);
+            assert_eq!(via_list.max_abs().to_bits(), direct.max_abs().to_bits(), "{mode:?}");
+        }
     }
 }

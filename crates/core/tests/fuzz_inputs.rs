@@ -1,5 +1,5 @@
-//! Adversarial input for every on-disk reader: decks, checkpoints, CSV,
-//! and the JSON documents of the observatory — the precision ledger, the
+//! Adversarial input for every on-disk reader: decks, checkpoints and
+//! the JSON documents of the observatory — the precision ledger, the
 //! archive's `runs.jsonl` record and the `BENCH_*.json` history.
 //!
 //! Each JSON reader starts from its own writer's output and goes through
@@ -19,7 +19,6 @@ mod mutations;
 use bytes::Bytes;
 use dcmesh::checkpoint::Checkpoint;
 use dcmesh::config::{RunConfig, SystemPreset};
-use dcmesh::output::read_csv;
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use dcmesh_profile::{archive, history};
@@ -73,17 +72,6 @@ proptest! {
         if flip_byte < 13 {
             prop_assert!(result.is_err(), "header corruption at byte {flip_byte} accepted");
         }
-    }
-
-    #[test]
-    fn csv_reader_never_panics(text in "\\PC{0,400}") {
-        let _ = read_csv(&text);
-    }
-
-    #[test]
-    fn csv_reader_never_panics_with_valid_header(body in "\\PC{0,200}") {
-        let text = format!("step,time_fs,ekin,epot,etot,eexc,nexc,aext,javg\n{body}");
-        let _ = read_csv(&text);
     }
 }
 

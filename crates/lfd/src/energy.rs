@@ -33,20 +33,11 @@ pub struct Energies {
     pub eexc: f64,
 }
 
-/// Evaluates the energies. `projection` is the `C = Ψ†(0)Ψ·ΔV` matrix
-/// returned by the step's `nlp_prop` call (reused to avoid a second
-/// grid-sized projection, as DCMESH does); `scratch` holds `TΨ`.
-pub fn calc_energy<T: LfdScalar>(
-    params: &LfdParams,
-    state: &LfdState<T>,
-    projection: &[Complex<T>],
-    scratch: &mut Vec<Complex<T>>,
-) -> Energies {
-    calc_energy_with_policy(params, state, projection, scratch, &PrecisionPolicy::Ambient)
-}
-
-/// [`calc_energy`] with a per-call-site [`PrecisionPolicy`]. Allocates its
-/// subspace buffers; the QD step keeps them in its scratch.
+/// Evaluates the energies, each BLAS call in the mode the per-call-site
+/// [`PrecisionPolicy`] assigns it. `projection` is the `C = Ψ†(0)Ψ·ΔV`
+/// matrix the step's `nlp_prop` call left in its scratch (reused to avoid
+/// a second grid-sized projection, as DCMESH does); `scratch` holds `TΨ`.
+/// Allocates its subspace buffers; the QD step keeps them in its scratch.
 pub fn calc_energy_with_policy<T: LfdScalar>(
     params: &LfdParams,
     state: &LfdState<T>,
@@ -181,7 +172,7 @@ mod tests {
     use super::*;
     use crate::laser::LaserPulse;
     use crate::mesh::Mesh3;
-    use crate::nonlocal::nlp_prop;
+    use crate::nonlocal::{nlp_prop_with_scratch, NlpScratch};
     use crate::state::cosine_potential;
     use mkl_lite::ComputeMode;
 
@@ -204,12 +195,15 @@ mod tests {
         // ½|k|²; occupations 2 each.
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, vec![0.0; p.mesh.len()]);
-        let c = nlp_prop(&p, &mut st); // also gives the projection at t=0
+        let mut nlp = NlpScratch::default();
+        // Also gives the projection at t=0.
+        nlp_prop_with_scratch(&p, &mut st, &PrecisionPolicy::Ambient, &mut nlp);
+        let c = nlp.projection;
         // Undo the nlp kick so psi is exactly the plane waves again.
         let mut st2 = LfdState::<f64>::initialize(&p, vec![0.0; p.mesh.len()]);
         st2.psi0 = st.psi0.clone();
         let mut scratch = Vec::new();
-        let e = calc_energy(&p, &st2, &c, &mut scratch);
+        let e = calc_energy_with_policy(&p, &st2, &c, &mut scratch, &PrecisionPolicy::Ambient);
         // Occupied modes: k = 0 and the three lowest nonzero |k|² = 1
         // (in units of 2π/L). E = 2·Σ ½k².
         let l = p.mesh.nx as f64 * p.mesh.spacing;
@@ -234,7 +228,7 @@ mod tests {
         let st = LfdState::<f64>::initialize(&p, v);
         let c = dcmesh_linalg::ops::identity(p.n_orb).to_vec();
         let mut scratch = Vec::new();
-        let e = calc_energy(&p, &st, &c, &mut scratch);
+        let e = calc_energy_with_policy(&p, &st, &c, &mut scratch, &PrecisionPolicy::Ambient);
         assert!(
             (e.epot - 2.0 * mean_v).abs() < 1e-10 + 1e-10 * mean_v.abs(),
             "epot {} vs {}",
@@ -251,7 +245,7 @@ mod tests {
         let st = LfdState::<f64>::initialize(&p, vec![0.0; p.mesh.len()]);
         let c: Vec<_> = dcmesh_linalg::ops::identity(p.n_orb);
         let mut scratch = Vec::new();
-        let e = calc_energy(&p, &st, &c, &mut scratch);
+        let e = calc_energy_with_policy(&p, &st, &c, &mut scratch, &PrecisionPolicy::Ambient);
         let expect: f64 = (0..p.n_occ)
             .map(|i| 2.0 * p.vnl_strength * projector_weight(i, p.n_orb))
             .sum();
@@ -264,7 +258,7 @@ mod tests {
         let st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.2));
         let c = dcmesh_linalg::ops::identity(p.n_orb);
         let mut scratch = Vec::new();
-        let e = calc_energy(&p, &st, &c, &mut scratch);
+        let e = calc_energy_with_policy(&p, &st, &c, &mut scratch, &PrecisionPolicy::Ambient);
         assert!((e.etot - (e.ekin + e.epot + e.enl)).abs() < 1e-12);
     }
 
@@ -281,10 +275,10 @@ mod tests {
             .collect();
         let mut scratch = Vec::new();
         let e_std = mkl_lite::with_compute_mode(ComputeMode::Standard, || {
-            calc_energy(&p, &st, &c, &mut scratch)
+            calc_energy_with_policy(&p, &st, &c, &mut scratch, &PrecisionPolicy::Ambient)
         });
         let e_bf = mkl_lite::with_compute_mode(ComputeMode::FloatToBf16, || {
-            calc_energy(&p, &st, &c, &mut scratch)
+            calc_energy_with_policy(&p, &st, &c, &mut scratch, &PrecisionPolicy::Ambient)
         });
         assert_eq!(e_std.epot, e_bf.epot, "non-BLAS output changed with mode");
         assert_ne!(e_std.ekin, e_bf.ekin, "BLAS output did not change with mode");

@@ -44,20 +44,6 @@ impl LaserPulse {
         self.amplitude * env * (self.omega * t + self.phase).cos()
     }
 
-    /// Electric field `E = −dA/dt`, by analytic differentiation.
-    pub fn electric_field(&self, t: f64) -> f64 {
-        if t <= 0.0 || t >= self.duration || self.duration <= 0.0 {
-            return 0.0;
-        }
-        let pi = core::f64::consts::PI;
-        let s = (pi * t / self.duration).sin();
-        let c = (pi * t / self.duration).cos();
-        let carrier = (self.omega * t + self.phase).cos();
-        let dcarrier = -self.omega * (self.omega * t + self.phase).sin();
-        let denv = 2.0 * s * c * pi / self.duration;
-        -(self.amplitude * (denv * carrier + s * s * dcarrier))
-    }
-
     /// A pulse that is identically zero (field-free propagation).
     pub fn off() -> LaserPulse {
         LaserPulse { amplitude: 0.0, omega: 1.0, duration: 0.0, phase: 0.0 }
@@ -94,26 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn electric_field_matches_numeric_derivative() {
-        let p = pulse();
-        let h = 1e-6;
-        for frac in [0.2, 0.4, 0.6, 0.8] {
-            let t = p.duration * frac;
-            let numeric = -(p.vector_potential(t + h) - p.vector_potential(t - h)) / (2.0 * h);
-            let analytic = p.electric_field(t);
-            assert!(
-                (numeric - analytic).abs() < 1e-6 * (1.0 + analytic.abs()),
-                "t={t}: {numeric} vs {analytic}"
-            );
-        }
-    }
-
-    #[test]
     fn off_pulse_is_zero_everywhere() {
         let p = LaserPulse::off();
         for t in [-1.0, 0.0, 0.5, 100.0] {
             assert_eq!(p.vector_potential(t), 0.0);
-            assert_eq!(p.electric_field(t), 0.0);
         }
     }
 

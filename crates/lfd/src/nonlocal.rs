@@ -107,30 +107,12 @@ pub struct NlpScratch<T: Real> {
 }
 
 /// Applies the nonlocal correction for one QD step (in place on
-/// `state.psi`). Returns the subspace projection matrix `C = Ψ†(0)Ψ·ΔV`
-/// *before* the phase factor, which `calc_energy` reuses for the nonlocal
-/// energy. Uses the globally active compute mode for all three calls.
-pub fn nlp_prop<T: LfdScalar>(params: &LfdParams, state: &mut LfdState<T>) -> Vec<Complex<T>> {
-    nlp_prop_with_policy(params, state, &PrecisionPolicy::Ambient)
-}
-
-/// [`nlp_prop`] with a per-call-site [`PrecisionPolicy`] — the mixed-
-/// precision capability the paper defers to future work. Allocates fresh
-/// subspace buffers; the run loop uses [`nlp_prop_with_scratch`].
-pub fn nlp_prop_with_policy<T: LfdScalar>(
-    params: &LfdParams,
-    state: &mut LfdState<T>,
-    policy: &PrecisionPolicy,
-) -> Vec<Complex<T>> {
-    let mut scratch = NlpScratch::default();
-    nlp_prop_with_scratch(params, state, policy, &mut scratch);
-    scratch.projection
-}
-
-/// [`nlp_prop_with_policy`] writing into caller-owned [`NlpScratch`]:
-/// zero heap allocation once the scratch has reached the problem size.
-/// The projection lands in `scratch.projection` instead of a returned
-/// `Vec`.
+/// `state.psi`), each of its three calls in the mode the per-call-site
+/// [`PrecisionPolicy`] assigns it — the mixed-precision capability the
+/// paper defers to future work. The subspace projection matrix
+/// `C = Ψ†(0)Ψ·ΔV` *before* the phase factor, which `calc_energy` reuses
+/// for the nonlocal energy, lands in `scratch.projection`; nothing is
+/// allocated once the scratch has reached the problem size.
 pub fn nlp_prop_with_scratch<T: LfdScalar>(
     params: &LfdParams,
     state: &mut LfdState<T>,
@@ -235,6 +217,13 @@ mod tests {
         }
     }
 
+    /// One correction at the ambient mode; returns the step's projection.
+    fn nlp_step<T: LfdScalar>(p: &LfdParams, st: &mut LfdState<T>) -> Vec<Complex<T>> {
+        let mut scratch = NlpScratch::default();
+        nlp_prop_with_scratch(p, st, &PrecisionPolicy::Ambient, &mut scratch);
+        scratch.projection
+    }
+
     #[test]
     fn preserves_orthonormality() {
         // The correction is unitary (projector exponential), so the
@@ -242,7 +231,7 @@ mod tests {
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         for _ in 0..25 {
-            nlp_prop(&p, &mut st);
+            nlp_step(&p, &mut st);
         }
         let n = st.electron_count(&p);
         assert!((n - p.n_electrons()).abs() < 1e-9, "electron count drifted: {n}");
@@ -254,7 +243,7 @@ mod tests {
         p.vnl_strength = 0.0;
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
         let before = st.psi.clone();
-        nlp_prop(&p, &mut st);
+        nlp_step(&p, &mut st);
         for (a, b) in st.psi.iter().zip(&before) {
             assert!((*a - *b).abs() < 1e-13);
         }
@@ -265,7 +254,7 @@ mod tests {
         // At t = 0, Ψ = Ψ(0), so C = Ψ†(0)Ψ(0)ΔV = I.
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
-        let c = nlp_prop(&p, &mut st);
+        let c = nlp_step(&p, &mut st);
         for i in 0..p.n_orb {
             for j in 0..p.n_orb {
                 let want = if i == j { 1.0 } else { 0.0 };
@@ -280,11 +269,11 @@ mod tests {
 
     #[test]
     fn matches_direct_projector_exponential() {
-        // For a state inside the reference span, nlp_prop must multiply
+        // For a state inside the reference span, the correction must multiply
         // each reference component by e^{-i dt v_i}.
         let p = params();
         let mut st = LfdState::<f64>::initialize(&p, cosine_potential(&p.mesh, 0.1));
-        nlp_prop(&p, &mut st);
+        nlp_step(&p, &mut st);
         // Ψ started equal to Ψ0, so column i must now be e^{-i dt v_i} φ_i.
         for o in 0..p.n_orb {
             let v = p.vnl_strength * projector_weight(o, p.n_orb);
@@ -304,10 +293,10 @@ mod tests {
         let mut st_std = LfdState::<f32>::initialize(&p, v.clone());
         let mut st_bf = LfdState::<f32>::initialize(&p, v);
         mkl_lite::with_compute_mode(ComputeMode::Standard, || {
-            nlp_prop(&p, &mut st_std);
+            nlp_step(&p, &mut st_std);
         });
         mkl_lite::with_compute_mode(ComputeMode::FloatToBf16, || {
-            nlp_prop(&p, &mut st_bf);
+            nlp_step(&p, &mut st_bf);
         });
         let mut max_d = 0.0f64;
         for (a, b) in st_std.psi.iter().zip(&st_bf.psi) {

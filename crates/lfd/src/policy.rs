@@ -60,17 +60,6 @@ impl CallSite {
         matches!(self, CallSite::NlpProject | CallSite::NlpPhase | CallSite::NlpExpand)
     }
 
-    /// The grid-sized (expensive) sites; the others are subspace-sized.
-    pub fn is_grid_sized(self) -> bool {
-        matches!(
-            self,
-            CallSite::NlpProject
-                | CallSite::NlpExpand
-                | CallSite::EnergyKinetic
-                | CallSite::RemapProjection
-        )
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -155,25 +144,6 @@ impl PrecisionPolicy {
             Some(mode) => with_compute_mode(mode, f),
         }
     }
-
-    /// Raises every site weaker than `floor` (by escalation rank) up to
-    /// `floor`, used by the run supervisor when a policy-driven run
-    /// diverges. `Ambient` becomes a uniform policy at `floor`, since
-    /// the ambient mode is what just failed.
-    pub fn escalate_to(&self, floor: ComputeMode) -> PrecisionPolicy {
-        match self {
-            PrecisionPolicy::Ambient => PrecisionPolicy::uniform(floor),
-            PrecisionPolicy::PerSite(sites) => {
-                let mut raised = *sites;
-                for m in &mut raised {
-                    if m.escalation_rank() < floor.escalation_rank() {
-                        *m = floor;
-                    }
-                }
-                PrecisionPolicy::PerSite(raised)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,27 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn escalate_to_raises_only_weaker_sites() {
-        let p = PrecisionPolicy::fast_propagation(ComputeMode::FloatToBf16);
-        let e = p.escalate_to(ComputeMode::FloatToBf16x3);
-        // Weak trajectory sites raised to the floor...
-        assert_eq!(e.mode_for(CallSite::NlpProject), Some(ComputeMode::FloatToBf16x3));
-        // ...already-stronger measurement sites untouched.
-        assert_eq!(e.mode_for(CallSite::EnergyKinetic), Some(ComputeMode::Standard));
-        // Ambient concretises to a uniform policy at the floor.
-        let a = PrecisionPolicy::Ambient.escalate_to(ComputeMode::FloatToTf32);
-        assert_eq!(a, PrecisionPolicy::uniform(ComputeMode::FloatToTf32));
-        // Escalating to Standard saturates everything.
-        let s = p.escalate_to(ComputeMode::Standard);
-        for site in CallSite::ALL {
-            assert_eq!(s.mode_for(site), Some(ComputeMode::Standard));
-        }
-    }
-
-    #[test]
     fn site_classification() {
-        let grid: Vec<_> = CallSite::ALL.iter().filter(|s| s.is_grid_sized()).collect();
-        assert_eq!(grid.len(), 4);
         let traj: Vec<_> = CallSite::ALL.iter().filter(|s| s.affects_trajectory()).collect();
         assert_eq!(traj.len(), 3);
         // Names unique.

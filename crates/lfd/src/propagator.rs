@@ -5,8 +5,10 @@
 //! 1. the local Hamiltonian through a 4th-order Taylor expansion of
 //!    `e^{−i·dt·H}` (four mesh-kernel applications of H — not BLAS —
 //!    moving 13 state-sized streams, see [`taylor_propagate`]);
-//! 2. the nonlocal correction [`crate::nonlocal::nlp_prop`] (BLAS 1–3);
-//! 3. [`crate::energy::calc_energy`] (BLAS 4–6, plus one kinetic sweep);
+//! 2. the nonlocal correction [`crate::nonlocal::nlp_prop_with_scratch`]
+//!    (BLAS 1–3);
+//! 3. [`crate::energy::calc_energy_with_policy`] (BLAS 4–6, plus one
+//!    kinetic sweep);
 //! 4. [`crate::remap::remap_occ`] (BLAS 7–8);
 //! 5. the shadow-dynamics subspace update (BLAS 9), whose coefficients
 //!    QXMD consumes for force extrapolation between SCF refreshes;
@@ -119,16 +121,8 @@ pub fn taylor_propagate<T: LfdScalar>(
 /// is the step's reference projection. QXMD extrapolates Ehrenfest
 /// forces from `S` without pulling Ψ back to the host — the paper's
 /// "CPU–GPU data transfers are minimized through the use of shadow
-/// dynamics".
-pub fn shadow_update<T: LfdScalar>(
-    params: &LfdParams,
-    state: &mut LfdState<T>,
-    projection: &[Complex<T>],
-) {
-    shadow_update_with_policy(params, state, projection, &PrecisionPolicy::Ambient)
-}
-
-/// [`shadow_update`] with a per-call-site [`PrecisionPolicy`].
+/// dynamics". The call runs in the mode the per-call-site
+/// [`PrecisionPolicy`] assigns it.
 pub fn shadow_update_with_policy<T: LfdScalar>(
     params: &LfdParams,
     state: &mut LfdState<T>,

@@ -263,21 +263,6 @@ impl<T: core::fmt::Display + Real> core::fmt::Display for Complex<T> {
     }
 }
 
-/// Reinterprets a complex slice as an interleaved real slice of twice the
-/// length. Sound because `Complex<T>` is `#[repr(C)]` with two `T` fields.
-#[inline]
-pub fn as_interleaved<T>(z: &[Complex<T>]) -> &[T] {
-    // SAFETY: Complex<T> is repr(C) { re: T, im: T } — size 2*T, align T.
-    unsafe { core::slice::from_raw_parts(z.as_ptr() as *const T, z.len() * 2) }
-}
-
-/// Mutable variant of [`as_interleaved`].
-#[inline]
-pub fn as_interleaved_mut<T>(z: &mut [Complex<T>]) -> &mut [T] {
-    // SAFETY: see as_interleaved.
-    unsafe { core::slice::from_raw_parts_mut(z.as_mut_ptr() as *mut T, z.len() * 2) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,14 +336,6 @@ mod tests {
         let x = c64(1.5, -2.5);
         let y = c64(-0.75, 4.0);
         assert!(close((x * y) / y, x));
-    }
-
-    #[test]
-    fn interleaved_view_layout() {
-        let mut v = vec![c32(1.0, 2.0), c32(3.0, 4.0)];
-        assert_eq!(as_interleaved(&v), &[1.0, 2.0, 3.0, 4.0]);
-        as_interleaved_mut(&mut v)[3] = 9.0;
-        assert_eq!(v[1].im, 9.0);
     }
 
     #[test]

@@ -101,20 +101,6 @@ pub fn sum_f64(v: &[f64]) -> f64 {
     sum_with(v.len(), |i| v[i])
 }
 
-/// Deterministic sum of a complex slice (componentwise, same tree).
-#[inline]
-pub fn sum_c64(v: &[C64]) -> C64 {
-    sum_with(v.len(), |i| v[i])
-}
-
-/// Deterministic conjugated dot product `Σᵢ conj(a[i])·b[i]` (the BLAS
-/// `dotc` convention), with the 4-multiplication product.
-#[inline]
-pub fn dot_c64(a: &[C64], b: &[C64]) -> C64 {
-    debug_assert_eq!(a.len(), b.len());
-    sum_with(a.len(), |i| a[i].conj().mul_4m(b[i]))
-}
-
 /// Deterministic sum of squared moduli `Σᵢ |v[i]|²` (the `nrm2`
 /// radicand; take `.sqrt()` for the norm itself — a single well-defined
 /// rounding on top of a deterministic sum).
@@ -206,12 +192,11 @@ mod tests {
     #[test]
     fn complex_reductions_are_componentwise_deterministic() {
         let v: Vec<_> = (0..513).map(|i| c64(terms(i + 1)[i], -(i as f64) * 0.37)).collect();
-        let s1 = sum_c64(&v);
-        let s2 = sum_with(v.len(), |i| v[i]);
-        assert_eq!(s1.re.to_bits(), s2.re.to_bits());
-        assert_eq!(s1.im.to_bits(), s2.im.to_bits());
+        let s = sum_with(v.len(), |i| v[i]);
+        assert_eq!(s.re.to_bits(), sum_with(v.len(), |i| v[i].re).to_bits());
+        assert_eq!(s.im.to_bits(), sum_with(v.len(), |i| v[i].im).to_bits());
 
-        let d = dot_c64(&v, &v);
+        let d = sum_with(v.len(), |i| v[i].conj().mul_4m(v[i]));
         assert!((d.re - sum_norm_sqr(&v)).abs() <= 1e-9 * d.re.abs());
         assert!(d.im.abs() <= 1e-9 * d.re.abs(), "self dot is (numerically) real");
     }
@@ -220,7 +205,7 @@ mod tests {
     fn empty_and_singleton_sums() {
         assert_eq!(sum_f64(&[]), 0.0);
         assert_eq!(sum_f64(&[42.5]), 42.5);
-        let z = sum_c64(&[]);
+        let z = sum_with(0, |_| c64(1.0, 1.0));
         assert_eq!((z.re, z.im), (0.0, 0.0));
     }
 }

@@ -43,8 +43,7 @@ pub struct CallRow {
 
 impl CallRow {
     /// The per-call timing to attribute: modelled device time when
-    /// available, host wall time otherwise (mirrors
-    /// `CallRecord::effective_seconds`).
+    /// available, host wall time otherwise.
     pub fn effective_s(&self) -> f64 {
         self.mean_device_s.unwrap_or(self.mean_wall_s)
     }

@@ -104,16 +104,6 @@ impl AtomicSystem {
         (self.n_electrons() / 2) as usize
     }
 
-    /// Minimum-image displacement `r_j − r_i` component-wise.
-    pub fn min_image(&self, i: usize, j: usize) -> [f64; 3] {
-        let l = self.box_length;
-        core::array::from_fn(|c| {
-            let mut d = self.positions[3 * j + c] - self.positions[3 * i + c];
-            d -= l * (d / l).round();
-            d
-        })
-    }
-
     /// Builds the ionic local potential on an LFD mesh: a sum of soft
     /// Gaussian wells, `v(r) = −Z_eff·exp(−|r−R|²/2σ²)/norm`, minimum
     /// image, evaluated in parallel. Generic over the LFD element width.
@@ -177,17 +167,6 @@ mod tests {
         let s = pto_supercell(3);
         for (i, &p) in s.positions.iter().enumerate() {
             assert!(p >= 0.0 && p < s.box_length, "coordinate {i} = {p} outside box");
-        }
-    }
-
-    #[test]
-    fn min_image_antisymmetric_and_bounded() {
-        let s = pto_supercell(2);
-        let d = s.min_image(0, 7);
-        let dr = s.min_image(7, 0);
-        for c in 0..3 {
-            assert!((d[c] + dr[c]).abs() < 1e-12);
-            assert!(d[c].abs() <= s.box_length / 2.0 + 1e-12);
         }
     }
 

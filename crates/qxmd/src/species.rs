@@ -69,15 +69,6 @@ impl Species {
             Species::O => 0.45,
         }
     }
-
-    /// Chemical symbol.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Species::Pb => "Pb",
-            Species::Ti => "Ti",
-            Species::O => "O",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,12 +94,5 @@ mod tests {
         assert!(Species::Ti.mass() > Species::O.mass());
         // Pb in electron masses is ~3.8e5.
         assert!((Species::Pb.mass() / AMU - 207.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn symbols() {
-        assert_eq!(Species::Pb.symbol(), "Pb");
-        assert_eq!(Species::Ti.symbol(), "Ti");
-        assert_eq!(Species::O.symbol(), "O");
     }
 }

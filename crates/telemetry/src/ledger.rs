@@ -17,9 +17,10 @@
 //!   defect trend.
 //!
 //! Consumers: [`ledger_json`] (the `ledger.json` artifact, schema
-//! version 3, documented in DESIGN.md), [`prometheus_text`] (labelled
-//! gauge/counter series), and the shared plain-text renderer
-//! [`render_rows`] reused by `profile watch` for its live dashboard.
+//! version 3, documented in DESIGN.md), [`rows_prometheus`] (labelled
+//! gauge/counter series, behind `profile watch --prom`), and the shared
+//! plain-text renderer [`render_rows`] reused by `profile watch` for its
+//! live dashboard.
 //!
 //! The document is **self-describing**: a `meta` header ([`LedgerMeta`])
 //! stamps the deck hash, fleet rank count, telemetry level the rows were
@@ -240,6 +241,19 @@ pub struct LedgerMeta {
     pub telemetry_level: String,
     /// Number of ledger rows in the document.
     pub rows: u64,
+}
+
+/// FNV-1a/64, byte by byte: the one hash of a ledger identity.
+/// `RunConfig::deck_hash` stamps it over the canonical deck text into the
+/// header ([`set_deck_hash`]), and the run archive's record id hashes a
+/// run's merged [`row_json`] bytes with it.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in data {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 /// Stamps the deck hash (`"0x{:016x}"` form) the next exported ledger
@@ -753,11 +767,6 @@ pub fn ledger_json() -> String {
     rows_json_with_meta(&current_meta(rows.len() as u64), &rows)
 }
 
-/// The live ledger as Prometheus text.
-pub fn prometheus_text() -> String {
-    rows_prometheus(&snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,6 +775,12 @@ mod tests {
     use crate::level::{with_level, TelemetryLevel};
 
     // Each test runs on its own thread, hence on its own empty ledger.
+
+    #[test]
+    fn fnv1a64_matches_the_standard_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     /// The exported shape class of a GEMM problem: pow2 ceilings, so
     /// the ledger stays bounded across jittering dimensions.

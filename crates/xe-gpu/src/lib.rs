@@ -46,7 +46,7 @@ pub mod trace;
 pub use device::{DeviceSpec, Engine, MAX_1550_STACK};
 pub use kernels::{KernelDesc, StreamKernel};
 pub use perf::{ModePrediction, XeStackModel};
-pub use trace::{KernelEvent, Tracer};
+pub use trace::Tracer;
 
 /// Installs a [`XeStackModel`] for [`MAX_1550_STACK`] as the calling
 /// thread's BLAS device model and returns it.

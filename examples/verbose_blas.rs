@@ -2,8 +2,9 @@
 //!
 //! Runs a handful of QD steps with call recording on and prints the
 //! per-call log — routine, op letters, m/n/k, compute mode, and (with the
-//! device model installed) the modelled GPU time — then the per-routine
-//! summary the paper builds Tables VI/VII from.
+//! device model installed) the modelled GPU time — then the ledger's
+//! per-(callsite, shape, mode) rows, the one aggregate of BLAS calls the
+//! paper's Tables VI/VII are summed from.
 //!
 //! ```text
 //! cargo run --release --example verbose_blas
@@ -12,6 +13,7 @@
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::runner::run_simulation;
+use dcmesh_telemetry::{self as telemetry, ledger, TelemetryLevel};
 use mkl_lite::verbose;
 
 fn main() {
@@ -25,7 +27,7 @@ fn main() {
 
     verbose::clear();
     verbose::set_recording(true);
-    run_simulation::<f32>(&cfg).expect("run");
+    telemetry::with_level(TelemetryLevel::Events, || run_simulation::<f32>(&cfg)).expect("run");
     verbose::set_recording(false);
 
     let calls = verbose::drain();
@@ -37,16 +39,8 @@ fn main() {
         println!("  ... {} more", calls.len() - 30);
     }
 
-    println!("\nper-routine summary:");
-    for (routine, s) in verbose::summarize(&calls) {
-        println!(
-            "  {:<8} calls {:>5}  mean {:>10.3} ms  total {:>10.3} ms",
-            routine,
-            s.calls,
-            s.mean_seconds() * 1e3,
-            s.total_seconds * 1e3
-        );
-    }
+    println!("\nledger rows:");
+    print!("{}", ledger::render_rows(&ledger::snapshot()));
 
     // The QD-step calls alone: exactly 9 per step, as the artifact says.
     let qd_calls: Vec<_> = calls.iter().filter(|c| c.routine == "CGEMM").collect();

@@ -5,7 +5,6 @@
 
 use dcmesh::analysis::{DeviationSeries, Metric};
 use dcmesh::config::{RunConfig, SystemPreset};
-use dcmesh::output::{read_csv, write_csv};
 use dcmesh::runner::run_simulation;
 use dcmesh_telemetry::{self as telemetry, EventKind, TelemetryLevel, Track};
 use mkl_lite::{verbose, with_compute_mode, ComputeMode};
@@ -61,21 +60,6 @@ fn full_pipeline_deck_to_deviations() {
             metric.name(),
             series.max_abs()
         );
-    }
-}
-
-#[test]
-fn csv_roundtrip_preserves_run_record() {
-    let cfg = tiny();
-    let run =
-        with_compute_mode(ComputeMode::Standard, || run_simulation::<f32>(&cfg)).expect("run");
-    let mut buf = Vec::new();
-    write_csv(&mut buf, &run.records).expect("write");
-    let back = read_csv(std::str::from_utf8(&buf).expect("utf8")).expect("parse");
-    assert_eq!(back.len(), run.records.len());
-    for (a, b) in back.iter().zip(&run.records) {
-        assert_eq!(a.step, b.step);
-        assert!((a.nexc - b.nexc).abs() <= 1e-10 * (1.0 + b.nexc.abs()));
     }
 }
 
