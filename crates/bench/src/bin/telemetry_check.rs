@@ -73,7 +73,8 @@ use telemetry::{export, sink, TelemetryLevel};
 
 /// Host spans opened per QD step: the step span, six sub-phase spans,
 /// and nine BLAS call spans. Used to convert per-span disabled cost
-/// into per-step overhead.
+/// into per-step overhead; the trace check holds it to every `qd_step`
+/// span of the `full` trace.
 const SPANS_PER_QD_STEP: u64 = 1 + 6 + 9;
 
 /// How far, in percent, a trace-derived GEMM row's mean device time or
@@ -132,10 +133,14 @@ fn fail(problems: &mut Vec<String>, msg: String) {
     problems.push(msg);
 }
 
-/// Validates B/E nesting and per-(pid, tid) timestamp monotonicity over
-/// the non-metadata rows of a parsed Chrome trace.
+/// Validates B/E nesting, per-(pid, tid) timestamp monotonicity and the
+/// spans each `qd_step` encloses (`SPANS_PER_QD_STEP` − 1) over the
+/// non-metadata rows of a parsed Chrome trace.
 fn check_trace_rows(rows: &[JsonValue], problems: &mut Vec<String>) {
-    let mut stacks: HashMap<(u64, u64), Vec<String>> = HashMap::new();
+    // Each open span with the number of spans opened inside it so far.
+    let mut stacks: HashMap<(u64, u64), Vec<(String, u64)>> = HashMap::new();
+    // The spans each closed `qd_step` enclosed.
+    let mut enclosed = Vec::new();
     let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
     for row in rows {
         let ph = row.get("ph").and_then(JsonValue::as_str).unwrap_or("?");
@@ -154,15 +159,32 @@ fn check_trace_rows(rows: &[JsonValue], problems: &mut Vec<String>) {
             }
         }
         match ph {
-            "B" => stacks.entry(key).or_default().push(name),
-            "E" => {
-                let top = stacks.get_mut(&key).and_then(Vec::pop);
-                if top.as_deref() != Some(name.as_str()) {
-                    fail(problems, format!("unbalanced E for {name:?} on {key:?} (top {top:?})"));
-                }
+            "B" => {
+                let stack = stacks.entry(key).or_default();
+                stack.iter_mut().for_each(|(_, inside)| *inside += 1);
+                stack.push((name, 0));
             }
+            "E" => match stacks.get_mut(&key).and_then(Vec::pop) {
+                Some((top, inside)) if top == name => {
+                    if name == "qd_step" {
+                        enclosed.push(inside);
+                    }
+                }
+                top => fail(problems, format!("unbalanced E for {name:?} on {key:?} (top {top:?})")),
+            },
             _ => {}
         }
+    }
+    let want = SPANS_PER_QD_STEP - 1;
+    let off: Vec<u64> = enclosed.iter().copied().filter(|&n| n != want).collect();
+    if enclosed.is_empty() {
+        fail(problems, "no qd_step span in trace.json".into());
+    } else if !off.is_empty() {
+        let (n, all, first) = (off.len(), enclosed.len(), off[0]);
+        fail(problems, format!(
+            "{n} of {all} qd_step spans do not enclose SPANS_PER_QD_STEP - 1 = {want} spans \
+             (the first encloses {first})"
+        ));
     }
     for (key, stack) in stacks {
         if !stack.is_empty() {

@@ -6,7 +6,8 @@
 //! records, call ring and ledger rows, and an event stream whose every
 //! event carries the run thread's id. And once warm, no region allocates:
 //! a counting allocator that sees every thread finds no allocation on any
-//! thread but the run's, and the run's own count per burst unchanged.
+//! thread but the run's (naming the thread of the first it finds), and the
+//! run's own count per burst unchanged.
 //!
 //! One test in its own binary, so no other test's thread allocates while
 //! it counts.
@@ -19,34 +20,45 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+#[path = "../../lfd/tests/alloc_probe/mod.rs"]
+mod alloc_probe;
+use alloc_probe::{clear_first, harness_asleep, note_first, take_first};
+
 static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THIS_THREAD: Cell<u64> = const { Cell::new(0) };
+    /// Set on the thread that owns the run.
+    static RUN_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Counts allocator calls of every thread, and of each thread apart.
 struct CountingAlloc;
 
-fn count() {
+/// Counts one allocator call of `size` bytes, and notes its thread when it
+/// is the first off the run's thread since [`clear_first`] was called.
+fn count(size: usize) {
     ALL_THREADS.fetch_add(1, Ordering::SeqCst);
     let _ = THIS_THREAD.try_with(|n| n.set(n.get() + 1));
+    if !RUN_THREAD.with(Cell::get) {
+        note_first(size);
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        count();
+        count(l.size());
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        count();
+        count(new);
         unsafe { System.realloc(p, l, new) }
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        count();
+        count(l.size());
         unsafe { System.alloc_zeroed(l) }
     }
 }
@@ -54,11 +66,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Per burst: allocations on the run's thread, and on every other thread.
+/// Per burst: allocations on the run's thread, and on every other thread
+/// with where the first of those went.
 #[derive(Default)]
 struct AllocsPerBurst {
     at_start: (u64, u64),
-    bursts: Vec<(u64, u64)>,
+    bursts: Vec<(u64, u64, String)>,
 }
 
 fn counts() -> (u64, u64) {
@@ -70,13 +83,14 @@ fn counts() -> (u64, u64) {
 
 impl BurstObserver for AllocsPerBurst {
     fn burst_starting(&mut self, _: u64, _: u64) {
+        clear_first();
         self.at_start = counts();
     }
 
     fn burst_committed(&mut self, _: u64, _: u64) {
         let ((mine0, all0), (mine, all)) = (self.at_start, counts());
         self.bursts
-            .push((mine - mine0, (all - all0) - (mine - mine0)));
+            .push((mine - mine0, (all - all0) - (mine - mine0), take_first()));
     }
 }
 
@@ -104,6 +118,7 @@ fn guarded_run(threads: usize) -> (Left, AllocsPerBurst) {
         .expect("pool");
     std::thread::scope(|s| {
         s.spawn(|| {
+            RUN_THREAD.with(|r| r.set(true));
             let _model = xe_gpu::install_default_model();
             verbose::set_recording(true);
             let mut allocs = AllocsPerBurst::default();
@@ -179,6 +194,7 @@ fn guarded_run(threads: usize) -> (Left, AllocsPerBurst) {
 
 #[test]
 fn a_run_keeps_its_state_on_its_thread_under_a_two_thread_pool() {
+    harness_asleep();
     let (one, one_allocs) = guarded_run(1);
     let (two, two_allocs) = guarded_run(2);
     assert!(!one.calls.is_empty() && !one.ledger.is_empty() && !one.events.is_empty());
@@ -205,7 +221,7 @@ fn a_run_keeps_its_state_on_its_thread_under_a_two_thread_pool() {
     // worker); from the second on nothing may allocate off the run's
     // thread, and the run's thread allocates what it does at 1 thread.
     assert_eq!(two_allocs.bursts.len(), one_allocs.bursts.len());
-    for (b, (&(mine2, others2), &(mine1, _))) in two_allocs
+    for (b, ((mine2, others2, first), (mine1, _, _))) in two_allocs
         .bursts
         .iter()
         .zip(&one_allocs.bursts)
@@ -213,8 +229,8 @@ fn a_run_keeps_its_state_on_its_thread_under_a_two_thread_pool() {
         .skip(1)
     {
         assert_eq!(
-            others2, 0,
-            "burst {b}: {others2} allocations off the run's thread"
+            *others2, 0,
+            "burst {b}: {others2} allocations off the run's thread{first}"
         );
         assert_eq!(
             mine2, mine1,

@@ -3,7 +3,7 @@
 //! run, which copies into the storage already there — Ψ, Ψ(0), the
 //! occupations, eigenvalues, shadow coefficients, local potential and
 //! the atoms. A counting allocator that sees every thread counts the
-//! copies.
+//! copies, and names the thread of the first allocation it counted.
 //!
 //! One test in its own binary, so no other test's thread allocates while
 //! it counts.
@@ -14,25 +14,36 @@ use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+#[path = "../../lfd/tests/alloc_probe/mod.rs"]
+mod alloc_probe;
+use alloc_probe::{clear_first, harness_asleep, note_first, take_first};
+
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one allocator call of `size` bytes, and notes its thread when it
+/// is the first since the count was last reset.
+fn note(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+    note_first(size);
+}
 
 /// Counts allocator calls of every thread.
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note(l.size());
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
         unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note(new);
         unsafe { System.realloc(p, l, new) }
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        note(l.size());
         unsafe { System.alloc_zeroed(l) }
     }
 }
@@ -40,11 +51,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations `f` makes.
-fn allocations(f: impl FnOnce()) -> u64 {
+/// Allocations `f` makes on any thread, and where the first of them went.
+fn allocations(f: impl FnOnce()) -> (u64, String) {
+    clear_first();
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    (ALLOCATIONS.load(Ordering::SeqCst) - before, take_first())
 }
 
 #[test]
@@ -63,6 +75,7 @@ fn the_burst_snapshot_and_a_rollback_copy_into_the_storage_they_have() {
     let mut run = Checkpoint { state, system: dcmesh_qxmd::pto_supercell(1), steps_done: 0, nexc: 0.0 };
     // The snapshot the supervisor takes before the first burst.
     let mut snapshot = run.clone();
+    harness_asleep();
     for burst in 1..=3u64 {
         // A burst moves every part of the restart point.
         let st = &mut run.state;
@@ -77,14 +90,16 @@ fn the_burst_snapshot_and_a_rollback_copy_into_the_storage_they_have() {
 
         let storage = |ck: &Checkpoint<f32>| [ck.state.psi.as_ptr(), ck.state.psi0.as_ptr()];
         let (kept, held) = (storage(&snapshot), storage(&run));
-        assert_eq!(allocations(|| snapshot.clone_from(&run)), 0, "burst {burst}: the snapshot allocated");
+        let (count, first) = allocations(|| snapshot.clone_from(&run));
+        assert_eq!(count, 0, "burst {burst}: the snapshot allocated{first}");
         assert_eq!(snapshot.encode().as_ref(), run.encode().as_ref(), "burst {burst}: the snapshot is the restart point");
         // A burst that diverged moves the state again; the rollback
         // restores the snapshot to the byte.
         run.state.psi.iter_mut().for_each(|z| z.im = f32::NAN);
         run.system.positions[0] = f64::NAN;
         run.steps_done += 7;
-        assert_eq!(allocations(|| run.clone_from(&snapshot)), 0, "burst {burst}: the rollback allocated");
+        let (count, first) = allocations(|| run.clone_from(&snapshot));
+        assert_eq!(count, 0, "burst {burst}: the rollback allocated{first}");
         assert_eq!(run.encode().as_ref(), snapshot.encode().as_ref(), "burst {burst}: the rollback restored the restart point");
         assert_eq!((storage(&snapshot), storage(&run)), (kept, held), "burst {burst}: storage moved");
     }

@@ -14,74 +14,18 @@ use dcmesh_lfd::propagator::{qd_step, QdScratch};
 use dcmesh_lfd::state::cosine_potential;
 use dcmesh_lfd::{LaserPulse, LfdParams, LfdState, Mesh3};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+mod alloc_probe;
+use alloc_probe::{clear_first, harness_asleep, note_first, take_first};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Where the first allocation after [`ALLOCATIONS`] was last read went:
-/// its thread's name (truncated) and its size. Written by the allocator,
-/// so it is a fixed-size buffer under a lock that never allocates.
-static FIRST: Mutex<Option<([u8; 32], usize, usize)>> = Mutex::new(None);
-
-thread_local! {
-    /// Set while this thread is inside [`note`]: an allocation made by
-    /// the lookup itself is counted but not looked up again.
-    static NOTING: Cell<bool> = const { Cell::new(false) };
-}
 
 /// Counts one allocator call of `size` bytes, and notes its thread when it
 /// is the first since the count was last reset.
 fn note(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-    if NOTING.with(|n| n.replace(true)) {
-        return;
-    }
-    if let Ok(mut first) = FIRST.try_lock() {
-        if first.is_none() {
-            let current = std::thread::current();
-            let name = current.name().unwrap_or("<unnamed>").as_bytes();
-            let mut buf = [0u8; 32];
-            let len = name.len().min(buf.len());
-            buf[..len].copy_from_slice(&name[..len]);
-            *first = Some((buf, len, size));
-        }
-    }
-    NOTING.with(|n| n.set(false));
-}
-
-/// The allocations counted since `before`, and where the first of them
-/// went.
-fn counted_since(before: u64) -> (u64, String) {
-    let count = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    let first = FIRST.lock().unwrap().take();
-    let place = first.map_or(String::new(), |(buf, len, size)| {
-        format!(" (first: {size} bytes on thread {:?})", String::from_utf8_lossy(&buf[..len]))
-    });
-    (count, place)
-}
-
-/// Waits until the test harness's main thread sleeps. libtest spawns this
-/// test's thread and then allocates on its main thread (its bookkeeping
-/// of the running test, its first blocking receive); under load that can
-/// come after the warm-up and land in the count (seen: 148 bytes on
-/// "main", 1 run in 300 beside two CPU hogs). Once the main thread sleeps
-/// it stays asleep until the test ends. Reads `/proc`, so Linux only; a
-/// test run on the main thread has nothing to wait for.
-fn harness_asleep() {
-    if !cfg!(target_os = "linux") || std::thread::current().name() == Some("main") {
-        return;
-    }
-    let stat = format!("/proc/self/task/{}/stat", std::process::id());
-    for _ in 0..10_000 {
-        // The state is the first field after the parenthesised name.
-        let Ok(line) = std::fs::read_to_string(&stat) else { return };
-        if line.rsplit_once(')').is_some_and(|(_, rest)| rest.trim_start().starts_with('S')) {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_micros(100));
-    }
+    note_first(size);
 }
 
 /// Counts allocator calls of every thread.
@@ -146,12 +90,12 @@ fn allocations_per_step<T: LfdScalar>(threads: usize, steps: u64, abft: bool) ->
         }
         let checks = mkl_lite::abft_check_count();
         harness_asleep();
-        FIRST.lock().unwrap().take();
+        clear_first();
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..steps {
             std::hint::black_box(qd_step(&p, &mut state, &mut scratch));
         }
-        let counted = counted_since(before);
+        let counted = (ALLOCATIONS.load(Ordering::SeqCst) - before, take_first());
         assert_eq!(mkl_lite::abft_check_count() > checks, abft, "ABFT checked the steps: {abft}");
         assert_eq!(mkl_lite::abft_violation_count(), 0, "a clean step tripped ABFT");
         counted

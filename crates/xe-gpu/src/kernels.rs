@@ -13,9 +13,11 @@ use mkl_lite::device::GemmDesc;
 /// Default sustained HBM-bandwidth fraction of LFD's strided high-order
 /// finite-difference sweeps over complex data.
 ///
-/// This is the model's single calibrated constant: chosen so the 135-atom
-/// FP32 run of 500 QD steps lands on the paper's measured 1472 s. All
-/// other results are emergent.
+/// This is the model's single calibrated constant, set against the
+/// paper's measured 135-atom FP32 time for 500 QD steps (1472 s). It does
+/// not land there: the model gives 1 636.8 s, +11.2 % (REPRO.json
+/// `fig3a.pto135.seconds_500_steps_fp32`, which passes under its 20 %
+/// tolerance). All other results are emergent.
 pub const STENCIL_BW_EFF: f64 = 0.125;
 
 /// Stencil halo radius used by the multi-stack decomposition (matches

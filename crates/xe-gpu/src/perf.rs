@@ -26,7 +26,9 @@
 //!
 //! **Calibration.** All constants are fixed here; a single anchor — the
 //! paper's 135-atom FP32 time for 500 QD steps (1472 s) — was used to set
-//! the mesh-kernel efficiency in [`crate::kernels`]. Every ratio reported
+//! the mesh-kernel efficiency in [`crate::kernels`], and the model misses
+//! it by +11.2 % (1 636.8 s, REPRO.json
+//! `fig3a.pto135.seconds_500_steps_fp32`). Every ratio reported
 //! in EXPERIMENTS.md (mode orderings, per-call speedups, FP64/FP32 gaps)
 //! is then emergent, not fitted.
 
