@@ -1,6 +1,6 @@
 //! The structure guards (`scripts/structure.sh`) run with the tests: each
 //! keeps one deleted mechanism deleted, and a tree that brings one back
-//! fails here, not only in CI.
+//! fails here.
 
 use std::path::Path;
 use std::process::Command;

@@ -147,7 +147,7 @@ fn pool_traffic() -> (u64, u64) {
 /// output afterwards lands on the same row.
 ///
 /// The disabled path (no recording, `TELEMETRY=off`) is two thread-local
-/// reads and a branch — measured by `telemetry_check --overhead-gate`.
+/// reads and a branch — measured by `telemetry_check`'s overhead gate.
 pub(crate) fn observe(
     routine: &'static str,
     transa: Op,

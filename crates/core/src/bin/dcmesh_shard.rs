@@ -97,7 +97,7 @@ fn parse_args() -> ShardConfig {
     }
 
     if tiny {
-        // The CI-smoke deck: small enough that a 4-rank fleet with an
+        // The smoke deck: small enough that a 4-rank fleet with an
         // injected kill finishes in seconds, large enough for 3 bursts.
         deck.mesh_points = 10;
         deck.n_orb = 8;

@@ -625,8 +625,8 @@ impl ShardReport {
     /// Strict: a document without its domain and rank lists, or with a
     /// field missing or mistyped, is an error — `{}` must not read as a
     /// clean fleet — and the members the writer derives (`completed`,
-    /// `merged_*_bits`, which CI's fleet gates read) must equal their
-    /// derivation from the domains.
+    /// `merged_*_bits`, which a reader of the file may take as given) must
+    /// equal their derivation from the domains.
     pub fn parse(text: &str) -> Result<ShardReport, ShardError> {
         let doc = parse_doc(text, "report.json")?;
         let rank = |r: &JsonValue| {
@@ -775,7 +775,7 @@ mod tests {
     }
 
     /// The members `report.json` derives from its domains are checked, not
-    /// trusted: CI's fleet gates read them with `jq`.
+    /// trusted: a reader of the file may take them as given.
     #[test]
     fn report_members_derived_from_the_domains_must_equal_their_derivation() {
         let report = ShardReport {

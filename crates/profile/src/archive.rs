@@ -12,7 +12,7 @@
 //! [`load_ledger`] — the one reader of a run directory's ledger, live
 //! (`profile watch`) and at rest ([`collect_run`]) — understands both
 //! layouts the repo produces: a single-process artifact directory
-//! (`ledger.json` at the root, as written by `telemetry_check`) and a
+//! (`ledger.json` at the root, as a single-process run writes it) and a
 //! sharded run directory (`trace/ledger-rank<r>-inc<i>.json`, one per
 //! rank process, rewritten atomically at every committed burst, plus
 //! `MANIFEST.json` / `report.json`, as written by `dcmesh-shard`). The

@@ -302,9 +302,10 @@ fn cmd_watch(mut args: Vec<String>) -> Result<(), ExitCode> {
     }
 }
 
-/// Least size of the `synth` event dump. CI reads the dump under a
-/// 256 MiB address-space cap, which a whole-file load of 100 MiB of
-/// events cannot fit, so only a streaming reader passes.
+/// Least size of the `synth` event dump. `crates/profile/tests/gates.rs`
+/// reads the dump under a 256 MiB address-space cap, which a whole-file
+/// load of 100 MiB of events cannot fit, so only a streaming reader
+/// passes.
 const SYNTH_MIN_BYTES: u64 = 100 * 1024 * 1024;
 
 /// Deterministic synthetic event stream: repeated bursts of QD steps
@@ -420,9 +421,10 @@ fn cmd_synth(mut args: Vec<String>) -> Result<(), ExitCode> {
 /// `synth --ledger-dir`: a deterministic synthetic run directory (just
 /// a `ledger.json`) for exercising the cross-run archive and
 /// sentinel without running physics. `--slow-callsite`/`--slow-factor`
-/// plant a wall-time slowdown at exactly one callsite — the CI trend
-/// gate archives a clean and a slowed directory and asserts the
-/// sentinel flags that callsite and nothing else.
+/// plant a wall-time slowdown at exactly one callsite —
+/// `crates/profile/tests/gates.rs` archives a clean and a slowed
+/// directory and asserts the sentinel flags that callsite and nothing
+/// else.
 fn cmd_synth_ledger(dir: String, mut args: Vec<String>) -> Result<(), ExitCode> {
     use dcmesh_telemetry::ledger::{LedgerMeta, ResidualHist, Row, Stats};
     let slow_callsite = take_value(&mut args, "--slow-callsite");

@@ -105,7 +105,7 @@ pub fn write_atomic(path: &std::path::Path, content: &str) -> std::io::Result<()
 
 /// Parses a JSONL document back into one [`JsonValue`] per line
 /// (skipping blank lines). The inverse of [`jsonl`] up to JSON value
-/// equality — used by the round-trip tests and `telemetry_check`.
+/// equality — used by the round-trip tests and the telemetry gates.
 pub fn parse_jsonl(input: &str) -> Result<Vec<JsonValue>, ParseError> {
     input.lines().filter(|l| !l.trim().is_empty()).map(json::parse).collect()
 }

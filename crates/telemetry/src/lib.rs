@@ -35,7 +35,7 @@
 //! environment variable (`off` | `events` | `full`) or the programmatic
 //! [`set_level`]. `off` is the default and costs one thread-local read
 //! per instrumentation point — the disabled path allocates nothing and
-//! takes no locks (the `telemetry_check --overhead-gate` bench enforces
+//! takes no locks (the `telemetry_check` overhead gate enforces that
 //! this stays below 2% of a QD step).
 //!
 //! **Whose record.** The level, the event ring and the live ledger are

@@ -4,7 +4,7 @@
 # is its reason. "Non-test code" is scripts/nontest.awk's rule everywhere.
 # The script runs every guard, prints `FAIL <guard>` and the offending
 # lines for each one that fires, and exits 1 if any did. It needs no
-# build; CI runs it, and so does `cargo test` (crates/bench/tests/structure.rs).
+# build; `cargo test` runs it (crates/bench/tests/structure.rs).
 #
 #   bash scripts/structure.sh
 cd "$(dirname "$0")/.." || exit 1
@@ -275,19 +275,36 @@ one_pool() {
 # own. The options that only ever took one value are constants
 # (the zero-allocation, split-ratio, triangle and linalg-bound
 # checks always run; --seconds-per-row replaced the batch counts;
-# trace attribution is telemetry_check's default mode, whose ledger
-# attribution checks always run and whose overhead ceiling is 2 %)
+# trace and ledger attribution are tests in
+# crates/bench/tests/telemetry_gates.rs, and telemetry_check is the
+# overhead gate alone, under a fixed 2 % ceiling, with no options)
 # and must not come back in code, docs or the CI workflow.
 one_layer_benchmark() {
   if grep -rnE 'fn (measure|sample)\(|merged_history|"history\\?"' crates/bench/src/bin; then
     echo "a layer benchmark keeps its own sampler or history writer" >&2
     exit 1
   fi
-  if grep -rnE -- '--(reps|warmup|from-trace|tolerance-pct|ledger-gate|max-overhead-pct)\b|--enforce-[a-z]|--max-[a-z0-9-]*-ratio' \
+  if grep -rnE -- '--(reps|warmup|from-trace|tolerance-pct|ledger-gate|max-overhead-pct|out-dir|advise-gate|overhead-gate)\b|--enforce-[a-z]|--max-[a-z0-9-]*-ratio' \
       crates README.md DESIGN.md .claude/skills/verify/SKILL.md .github/workflows/ci.yml; then
     echo "a layer-benchmark option that became a constant is back" >&2
     exit 1
   fi
+}
+
+# Tier-1 is the one correctness gate: a check that times nothing is a
+# test beside the code it checks, run by `cargo test`. The CI workflow
+# times things and uploads what they measured; its correctness-only
+# jobs, the claims run and its REPRO.json diff, the fleets, the profile
+# CLI runs, the structure-guard step and the shell that checked their
+# output must not come back there. The overhead gate and the trace
+# test read one span count.
+one_correctness_gate() {
+  if grep -nE '^  (repro-gate|advise-gate):|--bin study|dcmesh-shard|profile (synth|trend|watch|merge|archive|table|flame)|\bjq\b|structure\.sh' \
+      .github/workflows/ci.yml | grep -vE '^[0-9]+: *#'; then
+    echo "the CI workflow checks correctness outside tier-1 again" >&2
+    exit 1
+  fi
+  test "$(grep -rnE 'const SPANS_PER_QD_STEP\b' crates tests --include='*.rs' | wc -l)" -eq 1
 }
 
 # Every on-disk JSON document (ledger, archive record, history,

@@ -15,9 +15,12 @@
 //! Each is a row of the one claims table (`dcmesh_bench::claims`), the
 //! table `study` writes to `REPRO.json`; it is evaluated once per test
 //! process — ten simulations — and every test asserts its rows by id.
+//! The checked-in `REPRO.json` must be that table, byte for byte.
 
-use dcmesh_bench::claims::{evaluate, Claim, Status};
+use dcmesh_bench::claims::{evaluate, to_json, Claim, Status};
+use dcmesh_telemetry::json;
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::OnceLock;
 
 fn table() -> &'static [Claim] {
@@ -112,4 +115,28 @@ fn the_table_covers_every_artifact_under_unique_ids_and_nothing_fails() {
     }
     let failed: Vec<&Claim> = table().iter().filter(|c| c.status() == Status::Fail).collect();
     assert!(failed.is_empty(), "{failed:#?}");
+}
+
+/// A change that moves a recorded row commits the `REPRO.json` that
+/// `study` rewrites with it: the checked-in file is exactly what this
+/// tree evaluates, under the date it was written on.
+#[test]
+fn repro_json_is_the_table_this_tree_evaluates() {
+    let failed: Vec<&Claim> = table().iter().filter(|c| c.status() == Status::Fail).collect();
+    assert!(failed.is_empty(), "{failed:#?}");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../REPRO.json");
+    let checked_in = std::fs::read_to_string(&path).expect("read REPRO.json");
+    let doc = json::parse(&checked_in).expect("REPRO.json parses");
+    let date = json::str_field(&doc, "date").expect("REPRO.json has a date");
+    let evaluated = to_json(table(), date);
+    if let Some((i, (old, new))) =
+        checked_in.lines().zip(evaluated.lines()).enumerate().find(|(_, (a, b))| a != b)
+    {
+        panic!(
+            "REPRO.json line {} is not what this tree evaluates (rerun `study` and commit \
+             the file):\n  checked in: {old}\n  evaluated:  {new}",
+            i + 1
+        );
+    }
+    assert!(checked_in == evaluated, "REPRO.json differs from the evaluated table in length");
 }

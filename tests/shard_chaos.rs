@@ -5,13 +5,17 @@
 //!
 //! These spawn real worker processes (the `dcmesh-shard` binary Cargo
 //! builds for this package), so they exercise the genuine failure path:
-//! a `process::exit` mid-burst, not a simulated error return.
+//! a `process::exit` mid-burst, not a simulated error return. The fleets
+//! whose settings are environment variables run the binary itself as
+//! their coordinator, with the variables set on that process only.
 
 use dcmesh::config::{RunConfig, SystemPreset};
 use dcmesh::shard::{RankKillPlan, ShardConfig, ShardReport};
 use dcmesh::{run_coordinator, RunError, ShardError};
-use mkl_lite::FaultPlan;
-use std::path::PathBuf;
+use dcmesh_profile::{archive, watch};
+use dcmesh_telemetry::ledger::{parse_ledger, Row};
+use dcmesh_telemetry::{export, json};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -49,21 +53,57 @@ fn fleet_config(name: &str, kill: &str) -> ShardConfig {
     cfg
 }
 
-/// Runs a fleet that must finish every domain, and checks the report
+/// The fault settings `dcmesh-shard` reads from its environment.
+const FAULT_VARS: [&str; 3] = ["DCMESH_BITFLIP", "DCMESH_ABFT_PERIOD", "DCMESH_VERIFY_BURSTS"];
+
+/// Checks that a fleet finished every domain, and checks its report
 /// against `coord.log` — the coordinator's one record of its decisions.
-fn run_fleet(cfg: &ShardConfig) -> ShardReport {
-    let report = run_coordinator(cfg).expect("coordinator");
+fn check_fleet(run_dir: &Path, ranks: usize, report: &ShardReport) {
     assert_eq!(report.failed_domains(), Vec::<usize>::new(), "no domain may fail");
     assert_eq!(report.domains.len(), 4);
-    let log = std::fs::read_to_string(cfg.run_dir.join("coord.log")).expect("coord.log");
+    let log = std::fs::read_to_string(run_dir.join("coord.log")).expect("coord.log");
     let lines = |event: &str| log.matches(&format!("\"event\":\"{event}\"")).count() as u64;
     assert_eq!(
         lines("rank_spawn") + lines("rank_spawn_failed"),
-        cfg.ranks as u64 + report.restarts,
+        ranks as u64 + report.restarts,
         "one spawn attempt per rank plus one per restart:\n{log}"
     );
     assert_eq!(lines("heartbeat_miss"), report.heartbeat_misses, "{log}");
     assert_eq!(lines("rank_degraded"), report.degraded_ranks.len() as u64, "{log}");
+}
+
+/// The `report.json` a fleet left in `run_dir`.
+fn read_report(run_dir: &Path) -> ShardReport {
+    let text = std::fs::read_to_string(dcmesh::shard::report_path(run_dir)).expect("report.json");
+    ShardReport::parse(&text).expect("parse report")
+}
+
+/// Runs a fleet that must finish every domain, in this process; the
+/// report it persisted reads back as the one it returned.
+fn run_fleet(cfg: &ShardConfig) -> ShardReport {
+    let report = run_coordinator(cfg).expect("coordinator");
+    check_fleet(&cfg.run_dir, cfg.ranks, &report);
+    let parsed = read_report(&cfg.run_dir);
+    assert_eq!(parsed.domains[1].etot_bits, report.domains[1].etot_bits);
+    assert_eq!(parsed.restarts, report.restarts);
+    report
+}
+
+/// Runs `fleet_config`'s fleet through the `dcmesh-shard` binary, with
+/// `args` added and `env` set on its process only (its workers inherit
+/// it), and reads the report it wrote.
+fn run_fleet_binary(run_dir: &Path, args: &[&str], env: &[(&str, &str)]) -> ShardReport {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dcmesh-shard"));
+    cmd.arg("--run-dir").arg(run_dir).args(["--ranks", "4", "--domains", "4", "--tiny"]);
+    cmd.args(["--heartbeat-ms", "25", "--timeout-ms", "400", "--max-wall-s", "120"]).args(args);
+    for v in FAULT_VARS {
+        cmd.env_remove(v);
+    }
+    let out = cmd.envs(env.iter().copied()).output().expect("run dcmesh-shard");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "dcmesh-shard {args:?} {env:?} failed:\n{stderr}");
+    let report = read_report(run_dir);
+    check_fleet(run_dir, 4, &report);
     report
 }
 
@@ -92,9 +132,10 @@ fn killed_rank_recovers_from_checkpoint_and_matches_uninterrupted_run() {
     }
 
     // Chaos: rank 1 hard-exits at the start of its second burst — after
-    // the burst-0 checkpoint (step 20), with burst 1 in flight.
-    let chaos_cfg = fleet_config("kill", "1@1");
-    let chaos = run_fleet(&chaos_cfg);
+    // the burst-0 checkpoint (step 20), with burst 1 in flight. The ranks
+    // record events, so each leaves a stream and a ledger with rows.
+    let dir = test_dir("kill");
+    let chaos = run_fleet_binary(&dir, &["--kill", "1@1"], &[("TELEMETRY", "events")]);
     assert!(chaos.heartbeat_misses >= 1, "death must be detected via heartbeat timeout");
     assert!(chaos.restarts >= 1, "the dead rank must be respawned");
     assert_eq!(chaos.degraded_ranks, Vec::<usize>::new(), "one kill is within budget");
@@ -118,7 +159,7 @@ fn killed_rank_recovers_from_checkpoint_and_matches_uninterrupted_run() {
     }
 
     // The coordination log tells the recovery story.
-    let log = std::fs::read_to_string(chaos_cfg.run_dir.join("coord.log")).expect("coord.log");
+    let log = std::fs::read_to_string(dir.join("coord.log")).expect("coord.log");
     assert!(log.contains("\"heartbeat_miss\""), "log records the heartbeat miss:\n{log}");
     let spawns = log.matches("\"rank_spawn\"").count();
     assert!(spawns >= 5, "4 initial spawns + >=1 respawn, got {spawns}:\n{log}");
@@ -126,20 +167,49 @@ fn killed_rank_recovers_from_checkpoint_and_matches_uninterrupted_run() {
 
     // Both processes of the killed rank left their precision ledger:
     // the first its committed burst 0, the second the replay and the rest.
+    let trace = dir.join("trace");
+    let read = |name: &str| {
+        std::fs::read_to_string(trace.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
     for name in ["ledger-rank1-inc0.json", "ledger-rank1-inc1.json", "ledger-rank0-inc0.json"] {
-        let path = chaos_cfg.run_dir.join("trace").join(name);
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        dcmesh_telemetry::ledger::parse_ledger(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        parse_ledger(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 
-    // And the persisted report round-trips.
-    let text = std::fs::read_to_string(dcmesh::shard::report_path(&chaos_cfg.run_dir))
-        .expect("report.json");
-    let parsed = ShardReport::parse(&text).expect("parse report");
-    assert_eq!(parsed.domains[1].etot_bits, dom1.etot_bits);
-    assert_eq!(parsed.restarts, chaos.restarts);
+    // The four ranks' event streams merge into one timeline with every
+    // rank present under its own label (`profile merge` is this call).
+    let streams: Vec<String> = (0..4).map(|r| read(&format!("events-rank{r}.jsonl"))).collect();
+    let merged = export::chrome_trace(&streams.iter().map(String::as_str).collect::<Vec<_>>());
+    for r in 0..4 {
+        assert!(merged.contains(&format!("rank {r} host")), "rank {r} missing from the merge");
+    }
 
-    std::fs::remove_dir_all(&chaos_cfg.run_dir).ok();
+    // The live view of the fleet ledger is what the archive folds from the
+    // same directory, row for row, across the kill; and the fleet's call
+    // total is the sum over all snapshot files — committed work counted once.
+    let view = watch::view(&dir).expect("profile watch");
+    assert!(view.dashboard.contains("dcmesh precision observatory"), "{}", view.dashboard);
+    assert!(view.dashboard.contains("cgemm"), "{}", view.dashboard);
+    let record = archive::collect_run(&dir, None).expect("profile archive");
+    let calls = |rows: &[Row]| -> Vec<(String, String, String, u64)> {
+        rows.iter()
+            .map(|r| (r.callsite.clone(), r.shape.clone(), r.mode.clone(), r.stats.calls))
+            .collect()
+    };
+    assert!(!view.rows.is_empty());
+    assert_eq!(calls(&view.rows), calls(&record.entries));
+    let fleet: u64 = record.entries.iter().map(|r| r.stats.calls).sum();
+    let files: u64 = std::fs::read_dir(&trace)
+        .expect("trace dir")
+        .map(|e| e.expect("trace entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("ledger-rank") && name.ends_with(".json"))
+        .map(|name| {
+            let (_, rows) = parse_ledger(&read(&name)).expect("ledger");
+            rows.iter().map(|r| r.stats.calls).sum::<u64>()
+        })
+        .sum();
+    assert!(fleet >= 1 && fleet == files, "fleet ledger: {fleet} calls, snapshot files: {files}");
+
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -170,20 +240,29 @@ fn respawn_budget_exhaustion_degrades_to_fewer_ranks() {
     std::fs::remove_dir_all(&cfg.run_dir).ok();
 }
 
-/// Silent corruption across a fleet armed through its configuration:
-/// every worker installs the bit-flip plan the manifest carries, its
-/// sampled ABFT checksums catch the flips, and the recovered fleet merges
-/// to the clean fleet's bits.
+/// Silent corruption across a fleet armed through its environment:
+/// `dcmesh-shard` reads the bit-flip plan and the ABFT period once and
+/// hands both to every worker in `MANIFEST.json` — finite exponent
+/// corruption on four mid-run GEMM outputs of each rank, invisible to
+/// NaN/Inf checks. The sampled ABFT checksums catch the flips, and the
+/// recovered fleet merges to the clean fleet's bits.
 #[test]
 fn bit_flipped_fleet_recovers_the_clean_fleets_bits() {
-    let mut cfg = fleet_config("sdc", "");
-    cfg.bit_flips = Some(FaultPlan::parse("7:250@61,292@61,306@61,355@61").expect("flip spec"));
-    cfg.abft_check_period = Some(1);
-    let report = run_fleet(&cfg);
+    let dir = test_dir("sdc");
+    let flips = "7:250@61,292@61,306@61,355@61";
+    let report = run_fleet_binary(
+        &dir,
+        &[],
+        &[("DCMESH_BITFLIP", flips), ("DCMESH_ABFT_PERIOD", "1")],
+    );
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST.json")).expect("MANIFEST.json");
+    let manifest = json::parse(&manifest).expect("MANIFEST.json parses");
+    assert_eq!(json::str_field(&manifest, "bit_flips").expect("bit_flips"), flips);
+    assert_eq!(json::count_field(&manifest, "abft_check_period").expect("period"), 1);
     let recoveries: u64 = report.domains.iter().map(|d| d.sdc_recoveries).sum();
     assert!(recoveries >= 1, "no injected flip was caught as silent corruption");
     assert_eq!(report.merged_bits(), clean_fleet().merged_bits());
-    std::fs::remove_dir_all(&cfg.run_dir).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A fault setting the workers could not use is the coordinator's
@@ -192,13 +271,12 @@ fn bit_flipped_fleet_recovers_the_clean_fleets_bits() {
 /// variable is set on the child process only.
 #[test]
 fn malformed_fault_setting_fails_the_run_before_any_rank_is_spawned() {
-    let vars = ["DCMESH_BITFLIP", "DCMESH_ABFT_PERIOD", "DCMESH_VERIFY_BURSTS"];
     for (var, value) in [("DCMESH_BITFLIP", "7:250@sixty-one"), ("DCMESH_ABFT_PERIOD", "abc")] {
         let dir = test_dir(&format!("bad-{var}"));
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_dcmesh-shard"));
         cmd.arg("--run-dir").arg(&dir).args(["--ranks", "2", "--domains", "2", "--tiny"]);
         cmd.args(["--heartbeat-ms", "50", "--timeout-ms", "2000", "--max-wall-s", "60"]);
-        for v in vars {
+        for v in FAULT_VARS {
             cmd.env_remove(v);
         }
         let out = cmd.env(var, value).output().expect("run dcmesh-shard");
